@@ -6,6 +6,9 @@ the induced maps on crossed products, and machine-checkable certificates for
 every construction.
 """
 
+# Set before the submodules load: certificates record it.
+__version__ = "0.1.0"
+
 from .cstar import (
     AlgebraElement,
     AlgebraRepresentation,
@@ -30,7 +33,6 @@ from .cpmaps import (
 from .crossed import (
     CrossedAlgebra,
     CrossedModule,
-    CrossedModuleElement,
     build_crossed_algebra,
     build_crossed_module,
     check_crossed_algebra,
@@ -73,8 +75,8 @@ from .numkernel import (
 )
 from .stinespring import (
     AltDilation,
+    Certificate,
     CovariantDilation,
-    DilationCertificate,
     GnsTriple,
     StinespringDilation,
     dilate_covariant,
@@ -83,5 +85,3 @@ from .stinespring import (
     uniqueness_intertwiners,
     verify_dilation,
 )
-
-__version__ = "0.1.0"

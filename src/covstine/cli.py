@@ -15,14 +15,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import __version__, cpmaps, crossed, hilbmod, stinespring
+from . import cpmaps, crossed, hilbmod, stinespring
 from . import numkernel as nk
 from .errors import (
     BoundsError,
@@ -31,13 +32,13 @@ from .errors import (
     ParseError,
     ValidationError,
 )
+from .stinespring import Certificate, canonical_bytes
 
 SCHEMA_VERSION = 1
 KINDS = ("dilate", "dilate-covariant", "crossed", "uniqueness", "verify")
 DEFAULT_TOL = 1e-9
 MAX_P = 8
 MAX_N = 8
-MAX_GROUP_ORDER = 24
 MAX_AMPLIFICATION = 8
 # exhaustive crossed-axiom checks are only feasible on small crossed bases
 CROSSED_AXIOM_LIMIT = 64
@@ -61,14 +62,20 @@ def load_scenario(path: str) -> dict:
     return data
 
 
-def validate_scenario(data: dict) -> None:
-    allowed = {"schema", "kind", "seed", "tolerance", "generate", "objects"}
-    extra = set(data) - allowed
+def _check_fields(payload: dict, where: str, required: tuple, optional: tuple = ()) -> None:
+    """Name the first unknown field, else the first missing required one."""
+    extra = set(payload) - set(required) - set(optional)
     if extra:
-        raise ParseError(f"scenario: unknown field '{sorted(extra)[0]}'")
-    for required in ("schema", "kind"):
-        if required not in data:
-            raise ParseError(f"scenario: missing field '{required}'")
+        raise ParseError(f"{where}: unknown field '{sorted(extra)[0]}'")
+    for name in required:
+        if name not in payload:
+            raise ParseError(f"{where}: missing field '{name}'")
+
+
+def validate_scenario(data: dict) -> None:
+    _check_fields(
+        data, "scenario", ("schema", "kind"), ("seed", "tolerance", "generate", "objects")
+    )
     if data["schema"] != SCHEMA_VERSION:
         raise ParseError(f"scenario: unsupported schema {data['schema']!r}")
     if data["kind"] not in KINDS:
@@ -102,24 +109,18 @@ def _resolve_generate(data: dict, seed: int | None) -> tuple:
     payload = data["generate"]
     if not isinstance(payload, dict):
         raise ParseError("scenario.generate: must be an object")
-    allowed = {"p", "n", "amplification", "group"}
-    extra = set(payload) - allowed
-    if extra:
-        raise ParseError(f"scenario.generate: unknown field '{sorted(extra)[0]}'")
-    for required in ("p", "n", "amplification"):
-        if required not in payload:
-            raise ParseError(f"scenario.generate: missing field '{required}'")
+    sizes = ("p", "n", "amplification")
+    _check_fields(payload, "scenario.generate", sizes, ("group",))
     if seed is None:
         raise ParseError("scenario: generated scenarios need a 'seed'")
-    p, n = int(payload["p"]), int(payload["n"])
-    amplification = int(payload["amplification"])
+    p, n, amplification = (
+        nk.json_int(payload[name], f"scenario.generate: '{name}'", 1) for name in sizes
+    )
     check_generator_bounds(p, n, amplification)
     if "group" in payload:
         group = hilbmod.group_from_json(payload["group"])
     else:
         group = hilbmod.trivial_group()
-    if group.order > MAX_GROUP_ORDER:
-        raise BoundsError(f"group order {group.order} exceeds {MAX_GROUP_ORDER}")
     gamma = hilbmod.seeded_rep(group, p, _scenario_rng(seed, 100))
     delta = hilbmod.seeded_rep(group, n, _scenario_rng(seed, 101))
     system = hilbmod.standard_action(group, gamma, delta)
@@ -134,10 +135,6 @@ def check_generator_bounds(p: int, n: int, amplification: int) -> None:
         raise BoundsError(f"n = {n} outside [1, {MAX_N}]")
     if not 1 <= amplification <= MAX_AMPLIFICATION:
         raise BoundsError(f"amplification = {amplification} outside [1, {MAX_AMPLIFICATION}]")
-
-
-def _resolve_module(payload) -> hilbmod.HilbertModule:
-    return hilbmod.module_from_json(payload)
 
 
 def _standard_dims(module: hilbmod.HilbertModule) -> tuple[int, int]:
@@ -163,13 +160,7 @@ def _resolve_cp_map(payload, module: hilbmod.HilbertModule) -> cpmaps.ModuleCPMa
         p, n = _standard_dims(module)
         rep = hilbmod.concrete_representation(p, n)
         return cpmaps.cp_from_representation(rep, nk.eye(n), nk.eye(p))
-    allowed = {"images", "companion"}
-    extra = set(payload) - allowed
-    if extra:
-        raise ParseError(f"scenario.objects.cp_map: unknown field '{sorted(extra)[0]}'")
-    for required in allowed:
-        if required not in payload:
-            raise ParseError(f"scenario.objects.cp_map: missing field '{required}'")
+    _check_fields(payload, "scenario.objects.cp_map", ("images", "companion"))
     comp = payload["companion"]
     if not isinstance(comp, dict) or set(comp) != {"space_dim", "images"}:
         raise ParseError("scenario.objects.cp_map.companion: needs space_dim and images")
@@ -179,21 +170,24 @@ def _resolve_cp_map(payload, module: hilbmod.HilbertModule) -> cpmaps.ModuleCPMa
         if label not in comp["images"]:
             raise ParseError(f"cp_map.companion: missing image '{label}'")
         comp_images.append(nk.mat_from_json(comp["images"][label]))
-    companion = cpmaps.CPMapAlgebra(
-        module.algebra, int(comp["space_dim"]), np.stack(comp_images)
-    )
+    space_dim = nk.json_int(comp["space_dim"], "cp_map.companion: 'space_dim'")
+    if any(m.shape != (space_dim, space_dim) for m in comp_images):
+        raise ParseError(f"cp_map.companion: images must be {space_dim}x{space_dim}")
+    companion = cpmaps.CPMapAlgebra(module.algebra, space_dim, np.stack(comp_images))
     images = []
     for i in range(module.dim):
         key = str(i)
         if key not in payload["images"]:
             raise ParseError(f"cp_map: missing image '{key}'")
         images.append(nk.mat_from_json(payload["images"][key]))
+    if len({m.shape for m in images}) > 1:
+        raise ParseError("cp_map: images differ in shape")
     return cpmaps.ModuleCPMap(module, np.stack(images), companion)
 
 
 def _resolve_rep(payload, group: hilbmod.FiniteGroup, name: str) -> hilbmod.UnitaryRep:
     if isinstance(payload, dict) and set(payload) == {"trivial"}:
-        return hilbmod.trivial_rep(group, int(payload["trivial"]))
+        return hilbmod.trivial_rep(group, nk.json_int(payload["trivial"], f"{name}: 'trivial'"))
     if isinstance(payload, dict) and set(payload) == {"regular"}:
         return hilbmod.regular_rep(group)
     return hilbmod.unitary_rep_from_json(group, payload)
@@ -212,15 +206,9 @@ def _resolve_system(payload) -> hilbmod.ModuleDynamicalSystem:
         gamma = _resolve_rep(inner["gamma"], group, "gamma")
         delta = _resolve_rep(inner["delta"], group, "delta")
         return hilbmod.standard_action(group, gamma, delta)
-    allowed = {"group", "module", "eta", "alpha"}
-    extra = set(payload) - allowed
-    if extra:
-        raise ParseError(f"scenario.objects.system: unknown field '{sorted(extra)[0]}'")
-    for required in allowed:
-        if required not in payload:
-            raise ParseError(f"scenario.objects.system: missing field '{required}'")
+    _check_fields(payload, "scenario.objects.system", ("group", "module", "eta", "alpha"))
     group = hilbmod.group_from_json(payload["group"])
-    module = _resolve_module(payload["module"])
+    module = hilbmod.module_from_json(payload["module"])
     eta = hilbmod._tensor_from_json(payload["eta"], 3)
     alpha = hilbmod._tensor_from_json(payload["alpha"], 3)
     return hilbmod.ModuleDynamicalSystem(group, module, eta, alpha)
@@ -233,16 +221,9 @@ def _resolve_objects(data: dict, kind: str) -> tuple:
     covariant_kinds = {"dilate-covariant", "crossed"}
     wants_covariant = kind in covariant_kinds or "system" in payload
     if wants_covariant:
-        allowed = {"system", "cp_map", "u", "u_prime"}
-        extra = set(payload) - allowed
-        if extra:
-            raise ParseError(f"scenario.objects: unknown field '{sorted(extra)[0]}'")
-        for required in allowed:
-            if required not in payload:
-                raise ParseError(f"scenario.objects: missing field '{required}'")
+        _check_fields(payload, "scenario.objects", ("system", "cp_map", "u", "u_prime"))
         system = _resolve_system(payload["system"])
         phi = _resolve_cp_map(payload["cp_map"], system.module)
-        dim_h, dim_k = phi.space_dims
 
         def _target(rep_payload, name):
             if rep_payload == "delta":
@@ -259,14 +240,8 @@ def _resolve_objects(data: dict, kind: str) -> tuple:
         u_prime = _target(payload["u_prime"], "u_prime")
         cov = cpmaps.CovariantCPMap(phi, system, u, u_prime)
         return phi, cov
-    allowed = {"module", "cp_map"}
-    extra = set(payload) - allowed
-    if extra:
-        raise ParseError(f"scenario.objects: unknown field '{sorted(extra)[0]}'")
-    for required in allowed:
-        if required not in payload:
-            raise ParseError(f"scenario.objects: missing field '{required}'")
-    module = _resolve_module(payload["module"])
+    _check_fields(payload, "scenario.objects", ("module", "cp_map"))
+    module = hilbmod.module_from_json(payload["module"])
     phi = _resolve_cp_map(payload["cp_map"], module)
     return phi, None
 
@@ -279,12 +254,16 @@ def resolve_scenario(
 ) -> ResolvedScenario:
     validate_scenario(data)
     kind = data["kind"]
-    seed = seed_override if seed_override is not None else data.get("seed")
-    if seed is not None:
-        seed = int(seed)
-    tolerance = (
-        tol_override if tol_override is not None else float(data.get("tolerance", DEFAULT_TOL))
-    )
+    if seed_override is not None:
+        seed = nk.json_int(seed_override, "--seed")
+    elif data.get("seed") is not None:
+        seed = nk.json_int(data["seed"], "scenario: 'seed'")
+    else:
+        seed = None
+    if tol_override is not None:
+        tolerance = nk.json_positive(tol_override, "--tol")
+    else:
+        tolerance = nk.json_positive(data.get("tolerance", DEFAULT_TOL), "scenario: 'tolerance'")
     if "generate" in data:
         phi, cov = _resolve_generate(data, seed)
     else:
@@ -298,68 +277,6 @@ def resolve_scenario(
 # ---------------------------------------------------------------------------
 # Certificates
 # ---------------------------------------------------------------------------
-
-
-def canonical_bytes(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-
-@dataclass
-class Certificate:
-    kind: str
-    scenario_digest: str
-    seed: int | None
-    tolerance: float
-    dims: dict = field(default_factory=dict)
-    residuals: dict = field(default_factory=dict)
-    ranks: dict = field(default_factory=dict)
-    singular_values: dict = field(default_factory=dict)
-    skipped: dict = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
-    duration: float = 0.0  # stderr-only; never serialized
-
-    @property
-    def checks(self) -> dict:
-        out = {name: float(value) <= self.tolerance for name, value in self.residuals.items()}
-        for name, (achieved, required) in self.ranks.items():
-            out[name] = achieved == required
-        return out
-
-    @property
-    def passed(self) -> bool:
-        return all(self.checks.values())
-
-    def to_json(self) -> dict:
-        return {
-            "artifact_version": __version__,
-            "kind": self.kind,
-            "scenario_digest": self.scenario_digest,
-            "seed": self.seed,
-            "tolerance": float(self.tolerance),
-            "dims": {k: int(v) for k, v in sorted(self.dims.items())},
-            "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
-            "ranks": {
-                k: {"achieved": int(a), "required": int(r)}
-                for k, (a, r) in sorted(self.ranks.items())
-            },
-            "checks": dict(sorted(self.checks.items())),
-            "pass": self.passed,
-            "singular_values": {
-                k: [float(x) for x in v] for k, v in sorted(self.singular_values.items())
-            },
-            "skipped": dict(sorted(self.skipped.items())),
-            "provenance": self.provenance,
-        }
-
-    def canonical(self) -> bytes:
-        return canonical_bytes(self.to_json())
-
-
-def _merge_dilation_certificate(cert: Certificate, dcert: stinespring.DilationCertificate):
-    cert.dims.update(dcert.dims)
-    cert.residuals.update(dcert.residuals)
-    cert.ranks.update(dcert.ranks)
-    cert.singular_values.update(dcert.singular_values)
 
 
 def emit_certificate(cert: Certificate, fmt: str = "json") -> str:
@@ -389,58 +306,50 @@ def emit_certificate(cert: Certificate, fmt: str = "json") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _run_dilate(res: ResolvedScenario, cert: Certificate) -> None:
-    dilation = stinespring.dilate_module_cp(res.phi)
-    dcert = stinespring.verify_dilation(
-        res.phi, dilation, tol=res.tolerance, provenance=cert.provenance
+def _run_dilate(res: ResolvedScenario, provenance: dict, covariant: bool) -> Certificate:
+    if covariant:
+        dilation = stinespring.dilate_covariant(res.cov)
+    else:
+        dilation = stinespring.dilate_module_cp(res.phi)
+    return stinespring.verify_dilation(
+        res.cov if covariant else res.phi, dilation, tol=res.tolerance, provenance=provenance
     )
-    _merge_dilation_certificate(cert, dcert)
 
 
-def _run_dilate_covariant(res: ResolvedScenario, cert: Certificate) -> None:
-    dilation = stinespring.dilate_covariant(res.cov)
-    dcert = stinespring.verify_dilation(
-        res.cov, dilation, tol=res.tolerance, provenance=cert.provenance
-    )
-    _merge_dilation_certificate(cert, dcert)
-
-
-def _run_verify(res: ResolvedScenario, cert: Certificate) -> None:
+def _run_verify(res: ResolvedScenario, provenance: dict) -> Certificate:
     """Report-everything mode: axiom residuals plus the dilation certificate.
 
     A construction rejected on mathematical grounds becomes a failing check
     here instead of an input error, so that broken objects still produce a
-    complete report.
+    complete report.  The axiom rows come from the same cached reports the
+    construction reads, so nothing is checked twice.
     """
-    module = res.phi.module
-    axioms = hilbmod.check_module_axioms(module)
+    try:
+        cert = _run_dilate(res, provenance, covariant=res.cov is not None)
+        cert.ranks["dilation_constructed"] = (1, 1)
+    except ComputeError as exc:
+        cert = Certificate(res.tolerance, provenance=provenance)
+        cert.ranks["dilation_constructed"] = (0, 1)
+        cert.skipped["dilation"] = f"{type(exc).__name__}: {exc}"
+    axioms = res.phi.module.axiom_report
     cert.residuals["module_linearity"] = axioms.linearity_residual
     cert.residuals["module_symmetry"] = axioms.symmetry_residual
     cert.residuals["module_positivity_defect"] = max(0.0, -axioms.positivity_min_eig)
     cert.ranks["module_fullness"] = (axioms.fullness_rank, axioms.fullness_required)
-    cp_report = cpmaps.check_module_cp(res.phi)
+    cp_report = res.phi.cp_report
     cert.residuals["cp_identity"] = cp_report.identity_residual
     cert.residuals["cp_choi_defect"] = max(0.0, -cp_report.choi_min_eig)
-    try:
-        if res.cov is not None:
-            sys_report = hilbmod.check_dynamical_system(res.cov.system)
-            cert.residuals["dynamical_system"] = sys_report.max_residual
-            cov_report = cpmaps.check_covariance(
-                res.phi, res.cov.system, res.cov.u, res.cov.u_prime
-            )
-            cert.residuals["covariance"] = cov_report.map_residual
-            cert.residuals["companion_covariance"] = cov_report.companion_residual
-            _run_dilate_covariant(res, cert)
-        else:
-            _run_dilate(res, cert)
-        cert.ranks["dilation_constructed"] = (1, 1)
-    except ComputeError as exc:
-        cert.ranks["dilation_constructed"] = (0, 1)
-        cert.skipped["dilation"] = f"{type(exc).__name__}: {exc}"
+    if res.cov is not None:
+        cert.residuals["dynamical_system"] = res.cov.system.action_report.max_residual
+        cov_report = res.cov.covariance_report
+        cert.residuals["covariance"] = cov_report.map_residual
+        cert.residuals["companion_covariance"] = cov_report.companion_residual
+    return cert
 
 
-def _run_crossed(res: ResolvedScenario, cert: Certificate, dump_structure: bool = False):
+def _run_crossed(res: ResolvedScenario, provenance: dict, dump_structure: bool) -> Certificate:
     cov = res.cov
+    cert = Certificate(res.tolerance, provenance=provenance)
     dilation = stinespring.dilate_covariant(cov)
     induced = crossed.induced_cp(cov, dilation)
     cert.dims.update(dilation.base.dims)
@@ -468,15 +377,14 @@ def _run_crossed(res: ResolvedScenario, cert: Certificate, dump_structure: bool 
             f"crossed basis of size {induced.crossed.algebra.dim} exceeds the "
             f"exhaustive-check limit {CROSSED_AXIOM_LIMIT}"
         )
-    structure = None
     if dump_structure:
         tensor = crossed.structure_constants(induced.crossed.algebra)
         nonzero = np.argwhere(np.abs(tensor) > 0)
-        structure = [
+        provenance["structure_constants"] = [
             [int(i), int(j), int(k), float(tensor[i, j, k].real), float(tensor[i, j, k].imag)]
             for i, j, k in nonzero
         ]
-    return structure
+    return cert
 
 
 def _phase_align(u: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -489,9 +397,10 @@ def _phase_align(u: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return u * (overlap / abs(overlap))
 
 
-def _run_uniqueness(res: ResolvedScenario, cert: Certificate) -> None:
+def _run_uniqueness(res: ResolvedScenario, provenance: dict) -> Certificate:
     if res.seed is None:
         raise ValidationError("uniqueness scenarios need a seed for the conjugators")
+    cert = Certificate(res.tolerance, provenance=provenance)
     if res.cov is not None:
         dilation = stinespring.dilate_covariant(res.cov)
         base = dilation.base
@@ -506,24 +415,8 @@ def _run_uniqueness(res: ResolvedScenario, cert: Certificate) -> None:
         images=alt_images,
         V=r1 @ base.gns.V,
         W=r2 @ base.W,
-        v=(
-            hilbmod.UnitaryRep(
-                res.cov.system.group,
-                base.gns.dim,
-                np.stack([r1 @ m @ nk.adjoint(r1) for m in dilation.v.mats]),
-            )
-            if res.cov is not None
-            else None
-        ),
-        w=(
-            hilbmod.UnitaryRep(
-                res.cov.system.group,
-                base.dim_codomain,
-                np.stack([r2 @ m @ nk.adjoint(r2) for m in dilation.w.mats]),
-            )
-            if res.cov is not None
-            else None
-        ),
+        v=hilbmod.conjugate_rep(dilation.v, r1) if res.cov is not None else None,
+        w=hilbmod.conjugate_rep(dilation.w, r2) if res.cov is not None else None,
     )
     report = stinespring.uniqueness_intertwiners(dilation, alt, tol=max(res.tolerance, 1e-8))
     cert.dims.update(base.dims)
@@ -538,6 +431,7 @@ def _run_uniqueness(res: ResolvedScenario, cert: Certificate) -> None:
     if res.cov is not None:
         cert.residuals["covariant_v_residual"] = report.covariant_v_residual
         cert.residuals["covariant_w_residual"] = report.covariant_w_residual
+    return cert
 
 
 def run_scenario(
@@ -555,27 +449,17 @@ def run_scenario(
             f"{path}: scenario kind '{res.kind}' does not match command '{expected_kind}'"
         )
     started = time.monotonic()
-    cert = Certificate(
-        kind=res.kind,
-        scenario_digest=res.digest,
-        seed=res.seed,
-        tolerance=res.tolerance,
-        provenance={"scenario": res.name.rsplit("/", 1)[-1], "seed": res.seed},
-    )
-    structure = None
-    if res.kind == "dilate":
-        _run_dilate(res, cert)
-    elif res.kind == "dilate-covariant":
-        _run_dilate_covariant(res, cert)
+    provenance = {"scenario": res.name.rsplit("/", 1)[-1], "seed": res.seed}
+    if res.kind in ("dilate", "dilate-covariant"):
+        cert = _run_dilate(res, provenance, covariant=res.kind == "dilate-covariant")
     elif res.kind == "verify":
-        _run_verify(res, cert)
+        cert = _run_verify(res, provenance)
     elif res.kind == "crossed":
-        structure = _run_crossed(res, cert, dump_structure)
-    elif res.kind == "uniqueness":
-        _run_uniqueness(res, cert)
+        cert = _run_crossed(res, provenance, dump_structure)
+    else:
+        cert = _run_uniqueness(res, provenance)
+    cert.kind, cert.scenario_digest, cert.seed = res.kind, res.digest, res.seed
     cert.duration = time.monotonic() - started
-    if structure is not None:
-        cert.provenance["structure_constants"] = structure
     return cert
 
 
@@ -597,6 +481,8 @@ def generate_scenario(
     if kind not in KINDS:
         raise BoundsError(f"unknown kind '{kind}'")
     check_generator_bounds(p, n, amplification)
+    nk.json_int(seed, "seed")
+    nk.json_positive(tolerance, "tolerance")
     generate: dict = {"p": p, "n": n, "amplification": amplification}
     if group is not None:
         group_json = _parse_group_spec(group)
@@ -613,21 +499,12 @@ def generate_scenario(
 
 
 def _parse_group_spec(spec: str) -> dict:
+    family, _, size = spec.partition(":")
     try:
-        family, _, size = spec.partition(":")
         size = int(size)
     except ValueError as exc:
         raise BoundsError(f"bad group spec '{spec}' (use cyclic:N or symmetric:N)") from exc
-    if family == "cyclic":
-        order = size
-    elif family == "symmetric":
-        order = 1
-        for k in range(2, size + 1):
-            order *= k
-    else:
-        raise BoundsError(f"unknown group family '{family}'")
-    if not 1 <= order <= MAX_GROUP_ORDER:
-        raise BoundsError(f"group order {order} outside [1, {MAX_GROUP_ORDER}]")
+    hilbmod.group_order(family, size)
     return {family: size}
 
 
@@ -640,13 +517,16 @@ def _worker(args: tuple) -> tuple[int, str, str]:
     path, kind, tol, seed, dump, fmt = args
     try:
         cert = run_scenario(path, kind, tol, seed, dump)
-    except (ParseError, ValidationError, BoundsError, ComputeError) as exc:
-        return 2, "", f"{path}: {type(exc).__name__}: {exc}"
     except CovstineError as exc:
         return 2, "", f"{path}: {type(exc).__name__}: {exc}"
     output = emit_certificate(cert, fmt)
     note = f"{path}: {'PASS' if cert.passed else 'FAIL'} in {cert.duration:.3f}s"
     return (0 if cert.passed else 1), output, note
+
+
+def worker_count(requested: int, scenarios: int) -> int:
+    """Processes for ``--jobs``: at most one per scenario and per CPU, at least one."""
+    return max(1, min(requested, scenarios, os.cpu_count() or 1))
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -690,8 +570,8 @@ def main(argv: list[str] | None = None) -> int:
                 args.kind, args.p, args.n, args.amplification, args.seed,
                 args.group, args.tol,
             )
-        except BoundsError as exc:
-            print(f"BoundsError: {exc}", file=sys.stderr)
+        except (BoundsError, ParseError) as exc:
+            print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
             return 2
         text = canonical_bytes(scenario).decode()
         if args.out:
@@ -708,8 +588,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.out and len(jobs) > 1:
         print("--out needs a single scenario", file=sys.stderr)
         return 2
-    if args.jobs > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = worker_count(args.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, jobs))
     else:
         results = [_worker(job) for job in jobs]

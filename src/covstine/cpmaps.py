@@ -13,6 +13,7 @@ would destroy the defining identity, compressing a representation never does.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -51,12 +52,7 @@ class CPMapAlgebra:
         return cstar.choi_blocks(self.algebra, self.images, tol)
 
     def hermiticity_residual(self) -> float:
-        starred = np.stack(
-            [
-                self.apply(cstar.star_coords(self.algebra, np.eye(self.algebra.dim)[k]))
-                for k in range(self.algebra.dim)
-            ]
-        )
+        starred = self.images[cstar.star_permutation(self.algebra)]  # phi(E_k*)
         adjoints = np.conj(np.transpose(self.images, (0, 2, 1)))
         scale = max(1.0, nk.maxabs(self.images))
         return nk.maxabs(starred - adjoints) / scale if self.images.size else 0.0
@@ -84,6 +80,11 @@ class ModuleCPMap:
     def space_dims(self) -> tuple[int, int]:
         return self.images.shape[2], self.images.shape[1]  # (dim H, dim K)
 
+    @cached_property
+    def cp_report(self) -> "ModuleCPReport":
+        """``check_module_cp`` at the default tolerance, computed once."""
+        return check_module_cp(self)
+
     def apply(self, xi: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(xi), self.images, axes=(0, 0))
 
@@ -106,22 +107,10 @@ class CovariantCPMap:
         ):
             raise ShapeMismatchError("system and map live on different modules")
 
-
-class FullnessSystem(NamedTuple):
-    flat: np.ndarray  # (m*m, N) rows spanning <X, X>
-    rank: int
-    condition: float
-
-
-def _fullness_system(module: hilbmod.HilbertModule) -> FullnessSystem:
-    flat = module.inner.reshape(module.dim * module.dim, module.algebra.dim)
-    profile = nk.numerical_rank(flat, nk.REL_TOL)
-    if profile.rank < module.algebra.dim:
-        raise NotFullError(
-            f"module is not full: rank {profile.rank} of {module.algebra.dim}"
-        )
-    positive = profile.singular_values[: profile.rank]
-    return FullnessSystem(flat, profile.rank, float(positive[0] / positive[-1]))
+    @cached_property
+    def covariance_report(self) -> "CovarianceReport":
+        """``check_covariance`` at the default tolerance, computed once."""
+        return check_covariance(self.base, self.system, self.u, self.u_prime)
 
 
 def induced_algebra_cp(
@@ -141,7 +130,7 @@ def induced_algebra_cp(
     images = np.asarray(images, dtype=np.complex128)
     if images.ndim != 3 or images.shape[0] != module.dim or images.shape[2] != space_dim:
         raise ShapeMismatchError(f"images shape {images.shape}")
-    system = _fullness_system(module)
+    system = hilbmod.fullness_system(module)
     pair_grams = np.einsum("iba,jbc->ijac", np.conj(images), images)
     target = pair_grams.reshape(module.dim * module.dim, space_dim * space_dim)
     solution = nk.least_squares_solve(system.flat, target)  # (N, h*h)
@@ -233,20 +222,16 @@ def check_covariance(
     tol: float = nk.REL_TOL,
 ) -> CovarianceReport:
     """Covariance residuals of a module CP map and of its companion."""
-    images = phi.images
-    scale = max(1.0, nk.maxabs(images))
-    transported = np.einsum("tqi,qbc->tibc", system.eta, images)
-    conjugated = np.einsum("tab,ibc,tdc->tiad", u_prime.mats, images, np.conj(u.mats))
-    map_residual = nk.maxabs(transported - conjugated) / scale
-
-    comp = phi.companion.images
-    comp_scale = max(1.0, nk.maxabs(comp))
-    pushed = np.einsum("tlk,lbc->tkbc", system.alpha, comp)
-    comp_conj = np.einsum("tab,kbc,tdc->tkad", u.mats, comp, np.conj(u.mats))
-    companion_residual = nk.maxabs(pushed - comp_conj) / comp_scale
+    images, comp = phi.images, phi.companion.images
+    map_residual = hilbmod.covariance_defect(
+        system.eta, images, u_prime.mats, u.mats
+    ) / max(1.0, nk.maxabs(images))
+    companion_residual = hilbmod.covariance_defect(
+        system.alpha, comp, u.mats, u.mats
+    ) / max(1.0, nk.maxabs(comp))
 
     try:
-        condition = _fullness_system(phi.module).condition
+        condition = hilbmod.fullness_system(phi.module).condition
     except NotFullError:
         condition = float("inf")
     return CovarianceReport(map_residual, companion_residual, condition)
@@ -304,15 +289,15 @@ def polar_coisometry(y: np.ndarray, min_eig: float = 1e-6) -> np.ndarray:
     ``DegenerateAverageError`` when ``Y Y*`` is singular beyond the cutoff.
     """
     y = nk.as_matrix(y)
-    gram = y @ nk.adjoint(y)
-    values = np.linalg.eigvalsh((gram + nk.adjoint(gram)) / 2.0)
-    if values.size == 0:
+    if y.shape[0] == 0:
         return y
-    if float(values[0]) < min_eig:
+    values, vectors = nk.hermitian_eigendecomposition(y @ nk.adjoint(y))
+    if float(values[-1]) < min_eig or nk.spectral_rank(values)[0] < values.size:
         raise DegenerateAverageError(
-            f"averaged map has Gram min eigenvalue {float(values[0]):.3e} < {min_eig:.1e}"
+            f"averaged map has Gram min eigenvalue {float(values[-1]):.3e}, below "
+            f"{min_eig:.1e} or the rank cutoff"
         )
-    return nk.inv_sqrt_psd(gram) @ y
+    return (vectors / np.sqrt(values)[None, :]) @ nk.adjoint(vectors) @ y
 
 
 @dataclass(frozen=True)
@@ -335,16 +320,10 @@ def amplified_concrete_representation(
     images = np.stack(
         [np.kron(b, ident) for b in hilbmod.standard_basis_matrices(p, n)]
     )
-    algebra = module.algebra
     companion_images = np.stack(
-        [
-            np.kron(
-                cstar.coords_to_blocks(algebra, np.eye(algebra.dim)[k])[0], ident
-            )
-            for k in range(algebra.dim)
-        ]
+        [np.kron(e, ident) for e in cstar.embedding_representation(module.algebra).images]
     )
-    companion = cstar.AlgebraRepresentation(algebra, n * amplification, companion_images)
+    companion = cstar.AlgebraRepresentation(module.algebra, n * amplification, companion_images)
     return hilbmod.ModuleRepresentation(module, companion, images)
 
 

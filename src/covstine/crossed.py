@@ -23,7 +23,9 @@ import numpy as np
 
 from . import cstar, hilbmod, stinespring
 from . import numkernel as nk
-from .cpmaps import CovariantCPMap, check_covariance
+# check_covariance stays importable from here; this module reads its report
+# through the cached covariance_report.
+from .cpmaps import CovariantCPMap, check_covariance  # noqa: F401
 from .errors import (
     NotActionError,
     NotCovariantError,
@@ -82,34 +84,6 @@ class CrossedAlgebra:
         return out
 
 
-def _check_action(
-    group: hilbmod.FiniteGroup,
-    base: cstar.CStarAlgebra,
-    alpha: np.ndarray,
-    tol: float,
-) -> None:
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    law = nk.maxabs(alpha[group.identity] - nk.eye(base.dim))
-    for s in range(group.order):
-        for t in range(group.order):
-            law = max(law, nk.maxabs(alpha[s] @ alpha[t] - alpha[group.mult[s, t]]))
-    mul = cstar.mult_tensor(base)
-    prod_of_images = np.einsum("tpk,tql,pqm->tklm", alpha, alpha, mul)
-    image_of_prod = np.einsum("klp,tmp->tklm", mul, alpha)
-    mult_residual = nk.maxabs(prod_of_images - image_of_prod)
-    star_res = 0.0
-    for t in range(group.order):
-        for k in range(base.dim):
-            lhs = alpha[t] @ cstar.star_coords(base, np.eye(base.dim)[k])
-            rhs = cstar.star_coords(base, alpha[t][:, k])
-            star_res = max(star_res, nk.maxabs(lhs - rhs))
-    worst = max(law, mult_residual, star_res)
-    if worst > tol:
-        raise NotActionError(
-            f"alpha is not a *-automorphism action (worst residual {worst:.3e})"
-        )
-
-
 def build_crossed_algebra(
     group: hilbmod.FiniteGroup,
     alpha: np.ndarray,
@@ -117,8 +91,13 @@ def build_crossed_algebra(
     tol: float = 1e-9,
 ) -> CrossedAlgebra:
     """Assemble the crossed algebra after validating that alpha is an action."""
-    _check_action(group, base, alpha, tol)
-    return CrossedAlgebra(group, base, np.asarray(alpha, dtype=np.complex128))
+    alpha = np.asarray(alpha, dtype=np.complex128)
+    worst = max(hilbmod.algebra_action_residuals(group, base, alpha))
+    if worst > tol:
+        raise NotActionError(
+            f"alpha is not a *-automorphism action (worst residual {worst:.3e})"
+        )
+    return CrossedAlgebra(group, base, alpha)
 
 
 def structure_constants(calg: CrossedAlgebra) -> np.ndarray:
@@ -217,19 +196,6 @@ def check_crossed_algebra(calg: CrossedAlgebra) -> CrossedAlgebraReport:
 
 
 @dataclass(frozen=True)
-class CrossedModuleElement:
-    """Function from the group into X, one coordinate row per group element."""
-
-    entries: np.ndarray  # (g, m)
-
-    @classmethod
-    def basis(cls, group_order: int, module_dim: int, t: int, i: int):
-        out = np.zeros((group_order, module_dim), dtype=np.complex128)
-        out[t, i] = 1.0
-        return cls(out)
-
-
-@dataclass(frozen=True)
 class CrossedModule:
     """The crossed product of a module by a dynamical system."""
 
@@ -281,14 +247,18 @@ class CrossedModule:
 def build_crossed_module(
     sys: hilbmod.ModuleDynamicalSystem, tol: float = 1e-9
 ) -> CrossedModule:
-    """Assemble the crossed module over the crossed algebra of the system."""
-    report = hilbmod.check_dynamical_system(sys)
+    """Assemble the crossed module over the crossed algebra of the system.
+
+    The system's cached ``action_report`` already covers the law,
+    multiplicativity and star residuals of alpha that ``build_crossed_algebra``
+    would check, so alpha is not checked a second time.
+    """
+    report = sys.action_report
     if report.max_residual > tol or not report.invertible:
         raise NotActionError(
             f"dynamical system fails its axioms (residual {report.max_residual:.3e})"
         )
-    calg = build_crossed_algebra(sys.group, sys.alpha, sys.module.algebra, tol)
-    return CrossedModule(sys, calg)
+    return CrossedModule(sys, CrossedAlgebra(sys.group, sys.module.algebra, sys.alpha))
 
 
 class CrossedModuleReport(NamedTuple):
@@ -364,6 +334,19 @@ def check_crossed_module(cm: CrossedModule) -> CrossedModuleReport:
 # ---------------------------------------------------------------------------
 
 
+def _integrated(images: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """``images[i] @ mats[t]`` for every pair, at crossed index ``t * len(images) + i``."""
+    out = images[None] @ mats[:, None]
+    return out.reshape(len(mats) * len(images), *out.shape[2:])
+
+
+def _identity_defect(cm: CrossedModule, images: np.ndarray, companion: np.ndarray) -> float:
+    """Unscaled worst ``|pi(e_a)* pi(e_b) - pi_A(<e_a, e_b>)|`` over crossed basis pairs."""
+    lhs = np.einsum("aij,bik->abjk", np.conj(images), images)
+    rhs = np.einsum("abl,ljk->abjk", crossed_inner_tensor(cm), companion)
+    return nk.maxabs(lhs - rhs)
+
+
 @dataclass(frozen=True)
 class IntegralForm:
     """Representation of the crossed module induced by a covariant one."""
@@ -404,20 +387,13 @@ def integral_form(
     the input is allowed but the nondegeneracy conclusion is then skipped
     with a reason instead of being asserted.
     """
-    group, module = sys.group, sys.module
     dim_h, dim_k = rep.space_dims
     if v.dim != dim_h or w.dim != dim_k:
         raise ShapeMismatchError("group representations do not match (H, K)")
 
     rep_report = hilbmod.check_module_representation(rep)
     scale = max(1.0, nk.maxabs(rep.images))
-    covariance = 0.0
-    for t in range(group.order):
-        transported = np.einsum("qi,qab->iab", sys.eta[t], rep.images)
-        conjugated = np.einsum(
-            "ab,ibc,dc->iad", w.mats[t], rep.images, np.conj(v.mats[t])
-        )
-        covariance = max(covariance, nk.maxabs(transported - conjugated) / scale)
+    covariance = hilbmod.covariance_defect(sys.eta, rep.images, w.mats, v.mats) / scale
     v_rep = hilbmod.check_unitary_rep(v)
     w_rep = hilbmod.check_unitary_rep(w)
     worst = max(
@@ -434,29 +410,12 @@ def integral_form(
         )
 
     cm = build_crossed_module(sys, tol)
-    g, m = group.order, module.dim
-    images = np.zeros((g * m, dim_k, dim_h), dtype=np.complex128)
-    for t in range(g):
-        for i in range(m):
-            images[t * m + i] = rep.images[i] @ v.mats[t]
-    n_dim = module.algebra.dim
-    companion = np.zeros((g * n_dim, dim_h, dim_h), dtype=np.complex128)
-    for t in range(g):
-        for k in range(n_dim):
-            companion[t * n_dim + k] = rep.companion.images[k] @ v.mats[t]
+    images = _integrated(rep.images, v.mats)
+    companion = _integrated(rep.companion.images, v.mats)
     form = IntegralForm(cm, images, companion)
+    identity = _identity_defect(cm, images, companion) / max(1.0, scale * scale)
 
-    inner = crossed_inner_tensor(cm)
-    lhs = np.einsum("aij,bik->abjk", np.conj(images), images)
-    rhs = np.einsum("abl,ljk->abjk", inner.reshape(g * m, g * m, -1), companion)
-    identity = nk.maxabs(lhs - rhs) / max(1.0, scale * scale)
-
-    range_rank = nk.numerical_rank(
-        images.transpose(1, 0, 2).reshape(dim_k, g * m * dim_h)
-    ).rank
-    corange_rank = nk.numerical_rank(
-        np.conj(images.transpose(2, 0, 1)).reshape(dim_h, g * m * dim_k)
-    ).rank
+    range_rank, corange_rank = (p.rank for p in hilbmod.density_ranks(images))
     if rep_report.nondegenerate:
         nondegenerate = range_rank == dim_k and corange_rank == dim_h
         reason = None
@@ -473,22 +432,15 @@ def integral_form(
 
 
 @dataclass(frozen=True)
-class InducedCP:
-    """CP map on the crossed module induced by a covariant CP map."""
+class InducedCP(IntegralForm):
+    """CP map on the crossed module induced by a covariant CP map.
 
-    crossed: CrossedModule
-    images: np.ndarray  # (|G| m, dim K, dim H)
-    companion_images: np.ndarray  # (|G| N, dim H, dim H)
+    It is the integral form of the covariant map: images and companion images
+    on the crossed bases, with the residuals that certify it.
+    """
+
     identity_residual: float  # <Phi^(xhat), Phi^(yhat)> = phi^(<xhat, yhat>)
     factorization_residual: float  # Phi^ = W* (integral form of dilation) V
-
-    def apply(self, xhat: np.ndarray) -> np.ndarray:
-        flat = np.asarray(xhat, dtype=np.complex128).reshape(-1)
-        return np.tensordot(flat, self.images, axes=(0, 0))
-
-    def apply_companion(self, f: np.ndarray) -> np.ndarray:
-        flat = np.asarray(f, dtype=np.complex128).reshape(-1)
-        return np.tensordot(flat, self.companion_images, axes=(0, 0))
 
     @property
     def max_residual(self) -> float:
@@ -507,7 +459,7 @@ def induced_cp(
     inner-product identity on all crossed basis pairs and the factorization
     through the covariant dilation, which witnesses complete positivity.
     """
-    report = check_covariance(cov.base, cov.system, cov.u, cov.u_prime)
+    report = cov.covariance_report
     if report.max_residual > tol:
         raise NotCovariantError(
             f"input map is not covariant (residual {report.max_residual:.3e})"
@@ -515,24 +467,12 @@ def induced_cp(
     sys = cov.system
     group, module = sys.group, sys.module
     g, m = group.order, module.dim
-    n_dim = module.algebra.dim
-    dim_h, dim_k = cov.base.space_dims
 
     cm = build_crossed_module(sys, tol)
-    images = np.zeros((g * m, dim_k, dim_h), dtype=np.complex128)
-    for t in range(g):
-        for i in range(m):
-            images[t * m + i] = cov.base.images[i] @ cov.u.mats[t]
-    companion = np.zeros((g * n_dim, dim_h, dim_h), dtype=np.complex128)
-    for t in range(g):
-        for k in range(n_dim):
-            companion[t * n_dim + k] = cov.base.companion.images[k] @ cov.u.mats[t]
+    images = _integrated(cov.base.images, cov.u.mats)
+    companion = _integrated(cov.base.companion.images, cov.u.mats)
 
-    inner = crossed_inner_tensor(cm)
-    scale = max(1.0, nk.maxabs(images) ** 2)
-    lhs = np.einsum("aij,bik->abjk", np.conj(images), images)
-    rhs = np.einsum("abl,ljk->abjk", inner, companion)
-    identity = nk.maxabs(lhs - rhs) / scale
+    identity = _identity_defect(cm, images, companion) / max(1.0, nk.maxabs(images) ** 2)
 
     if dilation is None:
         dilation = stinespring.dilate_covariant(cov)
@@ -576,38 +516,14 @@ def check_integral_stinespring(
     if induced is None:
         induced = induced_cp(cov, dilation)
     base = dilation.base
-    sys = cov.system
-    g, m = sys.group.order, sys.module.dim
-    dim_h, dim_k = cov.base.space_dims
-
-    dil_images = np.zeros(
-        (g * m, base.dim_codomain, base.gns.dim), dtype=np.complex128
-    )
-    for t in range(g):
-        for i in range(m):
-            dil_images[t * m + i] = base.images[i] @ dilation.v.mats[t]
+    dil_images = _integrated(base.images, dilation.v.mats)
 
     rebuilt = np.einsum("ab,iac,cd->ibd", np.conj(base.W), dil_images, base.gns.V)
     recon = nk.maxabs(rebuilt - induced.images) / max(1.0, nk.maxabs(induced.images))
 
-    range_stack = np.einsum("iab,bc->iac", dil_images, base.gns.V)
-    range_rank = nk.numerical_rank(
-        range_stack.transpose(1, 0, 2).reshape(base.dim_codomain, g * m * dim_h)
-    ).rank
-    corange_stack = np.einsum("iba,bc->iac", np.conj(dil_images), base.W)
-    corange_rank = nk.numerical_rank(
-        corange_stack.transpose(1, 0, 2).reshape(base.gns.dim, g * m * dim_k)
-    ).rank
+    range_rank, corange_rank = (
+        p.rank for p in hilbmod.density_ranks(dil_images, base.gns.V, base.W)
+    )
     return IntegralStinespringReport(
         recon, range_rank, base.dim_codomain, corange_rank, base.gns.dim
     )
-
-
-def crossed_element_to_json(entries: np.ndarray) -> dict:
-    entries = np.asarray(entries, dtype=np.complex128)
-    return {
-        "entries": {
-            str(t): nk.mat_to_json(entries[t].reshape(-1, 1))
-            for t in range(entries.shape[0])
-        }
-    }

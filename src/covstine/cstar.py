@@ -39,16 +39,6 @@ class CStarAlgebra:
         """Size E of the block-diagonal embedding, sum of block sizes."""
         return sum(self.blocks)
 
-    def block_offsets(self) -> list[int]:
-        offsets, total = [], 0
-        for n in self.blocks:
-            offsets.append(total)
-            total += n * n
-        return offsets
-
-    def basis_index(self, block: int, i: int, j: int) -> int:
-        return self.block_offsets()[block] + i * self.blocks[block] + j
-
     def basis_labels(self) -> list[str]:
         return [
             f"{b}:{i}:{j}"
@@ -110,15 +100,6 @@ def trace_coords(algebra: CStarAlgebra) -> np.ndarray:
     return _structure(algebra.blocks)[3].copy()
 
 
-def multiply_coords(algebra: CStarAlgebra, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("k,l,klm->m", a, b, mult_tensor(algebra))
-
-
-def left_mult_matrix(algebra: CStarAlgebra, coords: np.ndarray) -> np.ndarray:
-    """Matrix of left multiplication by the element with given coordinates."""
-    return np.einsum("k,klm->ml", coords, mult_tensor(algebra))
-
-
 def coords_to_blocks(algebra: CStarAlgebra, coords: np.ndarray) -> list[np.ndarray]:
     out, offset = [], 0
     for n in algebra.blocks:
@@ -158,15 +139,7 @@ class AlgebraElement:
 
     @classmethod
     def from_blocks(cls, algebra: CStarAlgebra, data) -> "AlgebraElement":
-        blocks = []
-        for n, blk in zip(algebra.blocks, data, strict=True):
-            blk = nk.as_matrix(blk)
-            if blk.shape != (n, n):
-                raise ShapeMismatchError(
-                    f"block of shape {blk.shape}, expected ({n},{n})"
-                )
-            blocks.append(blk)
-        return cls(algebra, tuple(blocks))
+        return cls.from_coords(algebra, blocks_to_coords(algebra, data))
 
     @classmethod
     def from_coords(cls, algebra: CStarAlgebra, coords) -> "AlgebraElement":

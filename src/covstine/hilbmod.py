@@ -11,7 +11,9 @@ modules are invertible matrices per group element together with the induced
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 from . import cstar
 from . import numkernel as nk
 from .errors import (
+    BoundsError,
     GroupMismatchError,
     InconsistentError,
     NotFullError,
@@ -44,6 +47,11 @@ class HilbertModule:
             raise ShapeMismatchError(f"inner tensor shape {inner.shape}")
         object.__setattr__(self, "action", action)
         object.__setattr__(self, "inner", inner)
+
+    @cached_property
+    def axiom_report(self) -> "ModuleAxiomReport":
+        """``check_module_axioms`` at the default tolerance, computed once."""
+        return check_module_axioms(self)
 
     def inner_coords(self, xi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         """A-coordinates of the inner product of two X-coordinate vectors."""
@@ -87,6 +95,27 @@ def standard_basis_matrices(p: int, n: int) -> np.ndarray:
     return out
 
 
+class FullnessSystem(NamedTuple):
+    flat: np.ndarray  # (m*m, N) rows spanning <X, X>
+    rank: int
+    condition: float  # ratio of the extreme kept singular values
+
+
+def fullness_system(module: HilbertModule) -> FullnessSystem:
+    """The inner products of basis pairs as rows spanning ``<X, X>``.
+
+    Raises ``NotFullError`` when they do not span the coefficient algebra.
+    """
+    flat = module.inner.reshape(module.dim * module.dim, module.algebra.dim)
+    profile = nk.numerical_rank(flat, nk.REL_TOL)
+    if profile.rank < module.algebra.dim:
+        raise NotFullError(
+            f"module is not full: rank {profile.rank} of {module.algebra.dim}"
+        )
+    positive = profile.singular_values[: profile.rank]
+    return FullnessSystem(flat, profile.rank, float(positive[0] / positive[-1]))
+
+
 class ModuleAxiomReport(NamedTuple):
     linearity_residual: float  # <x, y.a> = <x,y> a
     symmetry_residual: float  # <x,y>* = <y,x>
@@ -119,20 +148,11 @@ def check_module_axioms(
     rhs = np.einsum("ijl,lkm->ijkm", inner, mul)
     linearity = nk.maxabs(lhs - rhs) / scale
 
-    star_inner = np.stack(
-        [
-            np.stack([cstar.star_coords(algebra, inner[i, j]) for j in range(module.dim)])
-            for i in range(module.dim)
-        ]
-    )
+    # <x_i, x_j>* = conj(inner[i, j, perm]), as the star permutation is an involution
+    star_inner = np.conj(inner[..., cstar.star_permutation(algebra)])
     symmetry = nk.maxabs(star_inner - np.transpose(inner, (1, 0, 2))) / scale
 
-    embed = np.stack(
-        [
-            cstar.embed_coords(algebra, np.eye(algebra.dim, dtype=np.complex128)[k])
-            for k in range(algebra.dim)
-        ]
-    )
+    embed = cstar.embedding_representation(algebra).images
     gram_super = np.einsum("ijk,kab->iajb", inner, embed)
     big = gram_super.reshape(
         module.dim * algebra.embed_dim, module.dim * algebra.embed_dim
@@ -188,14 +208,7 @@ class ModuleRepresentation:
 def concrete_representation(p: int, n: int) -> ModuleRepresentation:
     """The defining representation of the standard module: x acts as itself."""
     module = standard_module(p, n)
-    algebra = module.algebra
-    companion_images = np.stack(
-        [
-            cstar.coords_to_blocks(algebra, np.eye(algebra.dim, dtype=np.complex128)[k])[0]
-            for k in range(algebra.dim)
-        ]
-    )
-    companion = cstar.AlgebraRepresentation(algebra, n, companion_images)
+    companion = cstar.embedding_representation(module.algebra)  # M_n acting on C^n
     return ModuleRepresentation(module, companion, standard_basis_matrices(p, n))
 
 
@@ -214,6 +227,32 @@ class ModuleRepresentationReport(NamedTuple):
         )
 
 
+def density_stacks(images, v=None, w=None) -> tuple[np.ndarray, np.ndarray]:
+    """Column stacks spanning ``[pi(X) V H]`` (range) and ``[pi(X)* W K]`` (corange).
+
+    ``images`` holds one map ``(dim K', dim H')`` per module basis vector;
+    ``v: H -> H'`` and ``w: K -> K'`` default to identities.  A map is
+    nondegenerate, or a dilation minimal, when both stacks have full row rank.
+    """
+    ranged = images if v is None else np.einsum("iab,bc->iac", images, v)
+    coranged = (
+        np.conj(images).transpose(0, 2, 1)
+        if w is None
+        else np.einsum("iba,bc->iac", np.conj(images), w)
+    )
+    return tuple(
+        t.transpose(1, 0, 2).reshape(t.shape[1], t.shape[0] * t.shape[2])
+        for t in (ranged, coranged)
+    )
+
+
+def density_ranks(
+    images, v=None, w=None, rel_tol: float = nk.REL_TOL
+) -> tuple[nk.RankProfile, nk.RankProfile]:
+    """Rank profiles of the range and corange stacks of ``density_stacks``."""
+    return tuple(nk.numerical_rank(stack, rel_tol) for stack in density_stacks(images, v, w))
+
+
 def check_module_representation(
     rep: ModuleRepresentation, tol: float = nk.REL_TOL
 ) -> ModuleRepresentationReport:
@@ -223,15 +262,8 @@ def check_module_representation(
     lhs = np.einsum("iba,jbc->ijac", np.conj(images), images)
     rhs = np.einsum("ijk,kac->ijac", rep.module.inner, rep.companion.images)
     residual = nk.maxabs(lhs - rhs) / max(1.0, scale * scale)
-    stacked = images.transpose(1, 0, 2).reshape(dim_k, -1)
-    costacked = np.conj(images.transpose(2, 0, 1)).reshape(dim_h, -1)
-    return ModuleRepresentationReport(
-        residual,
-        nk.numerical_rank(stacked, tol).rank,
-        dim_k,
-        nk.numerical_rank(costacked, tol).rank,
-        dim_h,
-    )
+    ranged, coranged = density_ranks(images, rel_tol=tol)
+    return ModuleRepresentationReport(residual, ranged.rank, dim_k, coranged.rank, dim_h)
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +284,22 @@ class FiniteGroup:
         mult = np.asarray(self.mult, dtype=np.int64)
         inv = np.asarray(self.inv, dtype=np.int64)
         g = self.order
-        if mult.shape != (g, g) or inv.shape != (g,):
+        if g < 1 or mult.shape != (g, g) or inv.shape != (g,):
             raise ShapeMismatchError("group table shapes inconsistent with order")
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "inv", inv)
         e = self.identity
+        if not 0 <= e < g or min(mult.min(), inv.min()) < 0 or max(mult.max(), inv.max()) >= g:
+            raise ShapeMismatchError(f"group table entries outside 0..{g - 1}")
         if not (np.all(mult[e] == np.arange(g)) and np.all(mult[:, e] == np.arange(g))):
             raise ShapeMismatchError("identity element does not act as identity")
         if not all(mult[t, inv[t]] == e and mult[inv[t], t] == e for t in range(g)):
             raise ShapeMismatchError("inverse table is wrong")
-        for s, t, r in itertools.product(range(g), repeat=3):
-            if mult[mult[s, t], r] != mult[s, mult[t, r]]:
-                raise ShapeMismatchError(f"multiplication not associative at {(s, t, r)}")
+        # (s t) r against s (t r) for all triples at once, in (s, t, r) order
+        failures = np.argwhere(mult[mult] != mult[:, mult])
+        if failures.size:
+            triple = tuple(int(i) for i in failures[0])
+            raise ShapeMismatchError(f"multiplication not associative at {triple}")
 
     def same_as(self, other: "FiniteGroup") -> bool:
         return (
@@ -322,20 +358,47 @@ class UnitaryRepReport(NamedTuple):
     unitary_residual: float  # u_t* u_t = I
 
 
-def check_unitary_rep(rep: UnitaryRep, tol: float = nk.REL_TOL) -> UnitaryRepReport:
-    g = rep.group
-    mats = rep.mats
+def group_law_residuals(group: FiniteGroup, mats: np.ndarray) -> tuple[float, float]:
+    """``(hom, unit)``: worst ``|m_s m_t - m_st|`` over all pairs, and ``|m_e - I|``.
+
+    ``mats`` holds one square matrix per group element; this is the group
+    law of every action and representation in the package.
+    """
     hom = max(
-        nk.maxabs(mats[s] @ mats[t] - mats[g.mult[s, t]])
-        for s in range(g.order)
-        for t in range(g.order)
+        nk.maxabs(mats[s] @ mats[t] - mats[group.mult[s, t]])
+        for s in range(group.order)
+        for t in range(group.order)
     )
-    unit = nk.maxabs(mats[g.identity] - nk.eye(rep.dim))
+    return hom, nk.maxabs(mats[group.identity] - nk.eye(mats.shape[1]))
+
+
+def check_unitary_rep(rep: UnitaryRep, tol: float = nk.REL_TOL) -> UnitaryRepReport:
+    hom, unit = group_law_residuals(rep.group, rep.mats)
     unitary = max(
-        nk.maxabs(nk.adjoint(mats[t]) @ mats[t] - nk.eye(rep.dim))
-        for t in range(g.order)
+        nk.maxabs(nk.adjoint(m) @ m - nk.eye(rep.dim)) for m in rep.mats
     )
     return UnitaryRepReport(hom, unit, unitary)
+
+
+def intertwining_residual(left: UnitaryRep, x: np.ndarray, right: UnitaryRep) -> float:
+    """Worst ``|left_t X - X right_t|`` over the group; 0 when X intertwines."""
+    return max(
+        (nk.maxabs(left.mats[t] @ x - x @ right.mats[t]) for t in range(left.group.order)),
+        default=0.0,
+    )
+
+
+def covariance_defect(
+    transport: np.ndarray, images: np.ndarray, left: np.ndarray, right: np.ndarray
+) -> float:
+    """Unscaled worst ``|sum_q transport[t, q, i] images[q] - left_t images[i] right_t*|``.
+
+    This is ``Phi(eta_t x) = u'_t Phi(x) u_t*`` for module maps and
+    ``phi(alpha_t a) = u_t phi(a) u_t*`` for algebra maps, on basis images.
+    """
+    transported = np.einsum("tqi,qbc->tibc", transport, images)
+    conjugated = np.einsum("tab,ibc,tdc->tiad", left, images, np.conj(right))
+    return nk.maxabs(transported - conjugated)
 
 
 def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
@@ -482,6 +545,11 @@ class ModuleDynamicalSystem:
         object.__setattr__(self, "eta", eta)
         object.__setattr__(self, "alpha", alpha)
 
+    @cached_property
+    def action_report(self) -> "DynamicalSystemReport":
+        """``check_dynamical_system`` at the default tolerance, computed once."""
+        return check_dynamical_system(self)
+
 
 def standard_action(
     group: FiniteGroup, gamma: UnitaryRep, delta: UnitaryRep
@@ -523,27 +591,37 @@ class DynamicalSystemReport(NamedTuple):
         )
 
 
+def algebra_action_residuals(
+    group: FiniteGroup, algebra: cstar.CStarAlgebra, alpha: np.ndarray
+) -> tuple[float, float, float]:
+    """``(law, mult, star)`` residuals of ``alpha`` as a *-automorphism action.
+
+    ``law`` is the group law (unit included), ``mult`` the multiplicativity
+    ``alpha_t(E_k E_l) = alpha_t(E_k) alpha_t(E_l)`` and ``star`` the
+    commutation with the involution, each the worst over the group.
+    """
+    mul = cstar.mult_tensor(algebra)
+    law = max(group_law_residuals(group, alpha))
+
+    prod_of_images = np.einsum("tpk,tql,pqm->tklm", alpha, alpha, mul)
+    image_of_prod = np.einsum("klp,tmp->tklm", mul, alpha)
+    auto_mult = nk.maxabs(prod_of_images - image_of_prod)
+
+    # alpha_t(E_k*) against alpha_t(E_k)*; the star permutation is an involution
+    perm = cstar.star_permutation(algebra)
+    return law, auto_mult, nk.maxabs(alpha[:, :, perm] - np.conj(alpha[:, perm, :]))
+
+
 def check_dynamical_system(
     sys: ModuleDynamicalSystem, tol: float = nk.REL_TOL
 ) -> DynamicalSystemReport:
     group, module = sys.group, sys.module
     eta, alpha = sys.eta, sys.alpha
     algebra = module.algebra
-    mul = cstar.mult_tensor(algebra)
     g = group.order
 
-    law = nk.maxabs(eta[group.identity] - nk.eye(module.dim))
-    for s in range(g):
-        for t in range(g):
-            law = max(law, nk.maxabs(eta[s] @ eta[t] - eta[group.mult[s, t]]))
-    alpha_law = nk.maxabs(alpha[group.identity] - nk.eye(algebra.dim))
-    for s in range(g):
-        for t in range(g):
-            alpha_law = max(
-                alpha_law,
-                nk.maxabs(alpha[s] @ alpha[t] - alpha[group.mult[s, t]]),
-            )
-    law = max(law, alpha_law)
+    alpha_law, auto_mult, auto_star = algebra_action_residuals(group, algebra, alpha)
+    law = max(max(group_law_residuals(group, eta)), alpha_law)
 
     # <eta_t x_i, eta_t x_j> versus alpha_t(<x_i, x_j>)
     transported = np.einsum("tai,tbj,abk->tijk", np.conj(eta), eta, module.inner)
@@ -554,31 +632,6 @@ def check_dynamical_system(
     lhs = np.einsum("tqr,ikr->tikq", eta, module.action)
     rhs = np.einsum("tai,tlk,alq->tikq", eta, alpha, module.action)
     compatibility = nk.maxabs(lhs - rhs)
-
-    prod_of_images = np.einsum("tpk,tql,pqm->tklm", alpha, alpha, mul)
-    image_of_prod = np.einsum("klp,tmp->tklm", mul, alpha)
-    auto_mult = nk.maxabs(prod_of_images - image_of_prod)
-
-    star_then_alpha = np.stack(
-        [
-            np.stack(
-                [
-                    alpha[t] @ cstar.star_coords(algebra, np.eye(algebra.dim)[k])
-                    for k in range(algebra.dim)
-                ]
-            )
-            for t in range(g)
-        ]
-    )
-    alpha_then_star = np.stack(
-        [
-            np.stack(
-                [cstar.star_coords(algebra, alpha[t, :, k]) for k in range(algebra.dim)]
-            )
-            for t in range(g)
-        ]
-    )
-    auto_star = nk.maxabs(star_then_alpha - alpha_then_star)
 
     invertible = all(
         np.linalg.matrix_rank(eta[t]) == module.dim
@@ -614,23 +667,12 @@ def induced_algebra_action(
     g, m = group.order, module.dim
     algebra = module.algebra
 
-    law = nk.maxabs(eta[group.identity] - nk.eye(m)) if m else 0.0
-    for s in range(g):
-        for t in range(g):
-            law = max(law, nk.maxabs(eta[s] @ eta[t] - eta[group.mult[s, t]]))
+    law = max(group_law_residuals(group, eta))
     if law > tol:
         raise InconsistentError(f"eta violates the group law by {law:.3e}")
 
-    flat = module.inner.reshape(m * m, algebra.dim)  # rows span <X, X>
-    profile = nk.numerical_rank(flat, nk.REL_TOL)
-    if profile.rank < algebra.dim:
-        raise NotFullError(
-            f"module is not full: inner products span rank {profile.rank} "
-            f"of {algebra.dim}"
-        )
-    positive = profile.singular_values[profile.singular_values > 0]
-    condition = float(positive[0] / positive[profile.rank - 1])
-
+    fullness = fullness_system(module)
+    flat = fullness.flat
     transported = np.einsum("tai,tbj,abk->tijk", np.conj(eta), eta, module.inner)
     alphas = []
     residual = 0.0
@@ -651,7 +693,7 @@ def induced_algebra_action(
         raise InconsistentError(
             f"solved maps are not *-automorphisms (residual {auto:.3e})"
         )
-    return InducedAction(alpha, residual, condition)
+    return InducedAction(alpha, residual, fullness.condition)
 
 
 # ---------------------------------------------------------------------------
@@ -660,24 +702,21 @@ def induced_algebra_action(
 
 
 def _tensor_to_json(tensor: np.ndarray) -> dict:
-    flat = tensor.reshape(-1)
-    return {
-        "shape": list(tensor.shape),
-        "entries": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    return {"shape": list(tensor.shape), "entries": nk.entries_to_json(tensor)}
 
 
 def _tensor_from_json(obj, expected_rank: int) -> np.ndarray:
     if not isinstance(obj, dict) or set(obj) != {"shape", "entries"}:
         raise ParseError("tensor payload must have shape and entries")
-    shape = tuple(int(v) for v in obj["shape"])
+    if not isinstance(obj["shape"], list):
+        raise ParseError("tensor payload: 'shape' must be a list")
+    shape = tuple(nk.json_int(v, "tensor payload: 'shape'") for v in obj["shape"])
     if len(shape) != expected_rank:
         raise ParseError(f"tensor payload has rank {len(shape)}, expected {expected_rank}")
-    entries = obj["entries"]
-    size = int(np.prod(shape)) if shape else 0
-    if len(entries) != size:
-        raise ParseError(f"tensor payload: {len(entries)} entries for shape {shape}")
-    flat = np.array([complex(re, im) for re, im in entries], dtype=np.complex128)
+    flat = nk.entries_from_json(obj["entries"], "tensor payload")
+    size = math.prod(shape) if shape else 0
+    if flat.size != size:
+        raise ParseError(f"tensor payload: {flat.size} entries for shape {shape}")
     return flat.reshape(shape)
 
 
@@ -694,8 +733,11 @@ def module_from_json(obj) -> HilbertModule:
     if not isinstance(obj, dict):
         raise ParseError("module payload must be an object")
     if set(obj) == {"standard_module"}:
-        p, n = obj["standard_module"]
-        return standard_module(int(p), int(n))
+        dims = obj["standard_module"]
+        if not isinstance(dims, list) or len(dims) != 2:
+            raise ParseError("module payload: 'standard_module' must be [p, n]")
+        p, n = (nk.json_int(d, "module payload: 'standard_module'", 1) for d in dims)
+        return standard_module(p, n)
     required = {"algebra", "dim", "action", "inner"}
     missing = required - set(obj)
     if missing:
@@ -706,7 +748,7 @@ def module_from_json(obj) -> HilbertModule:
     algebra = cstar.algebra_from_json(obj["algebra"])
     return HilbertModule(
         algebra,
-        int(obj["dim"]),
+        nk.json_int(obj["dim"], "module payload: 'dim'"),
         _tensor_from_json(obj["action"], 3),
         _tensor_from_json(obj["inner"], 3),
     )
@@ -721,13 +763,43 @@ def group_to_json(group: FiniteGroup) -> dict:
     }
 
 
+# Groups are tabulated densely, so their order is bounded before any table is built.
+MAX_GROUP_ORDER = 24
+
+
+def group_order(family: str, size: int) -> int:
+    """Order of ``cyclic_group(size)`` or ``symmetric_group(size)``.
+
+    Raises ``BoundsError`` outside ``[1, MAX_GROUP_ORDER]``.  A symmetric
+    size above the bound is refused before ``size!`` is formed (n! >= n).
+    """
+    if family not in ("cyclic", "symmetric"):
+        raise BoundsError(f"unknown group family '{family}'")
+    if 0 <= size <= MAX_GROUP_ORDER:
+        order = size if family == "cyclic" else math.factorial(size)
+        if 1 <= order <= MAX_GROUP_ORDER:
+            return order
+    raise BoundsError(f"group {family}:{size} has order outside [1, {MAX_GROUP_ORDER}]")
+
+
+def _index_table(value, shape: tuple, name: str) -> np.ndarray:
+    try:
+        table = np.asarray(value)
+    except ValueError:  # ragged nesting
+        table = None
+    if table is None or table.shape != shape or table.dtype.kind not in "iu":
+        raise ParseError(f"group payload: '{name}' must be an integer table of shape {shape}")
+    return table.astype(np.int64)
+
+
 def group_from_json(obj) -> FiniteGroup:
     if not isinstance(obj, dict):
         raise ParseError("group payload must be an object")
-    if set(obj) == {"cyclic"}:
-        return cyclic_group(int(obj["cyclic"]))
-    if set(obj) == {"symmetric"}:
-        return symmetric_group(int(obj["symmetric"]))
+    if len(obj) == 1 and set(obj) <= {"cyclic", "symmetric"}:
+        ((family, size),) = obj.items()
+        size = nk.json_int(size, f"group payload: '{family}'")
+        group_order(family, size)
+        return cyclic_group(size) if family == "cyclic" else symmetric_group(size)
     required = {"order", "mult", "inv", "e"}
     missing = required - set(obj)
     if missing:
@@ -735,11 +807,14 @@ def group_from_json(obj) -> FiniteGroup:
     extra = set(obj) - required
     if extra:
         raise ParseError(f"group payload: unknown field '{sorted(extra)[0]}'")
+    order = nk.json_int(obj["order"], "group payload: 'order'", 1)
+    if order > MAX_GROUP_ORDER:
+        raise BoundsError(f"group order {order} outside [1, {MAX_GROUP_ORDER}]")
     return FiniteGroup(
-        int(obj["order"]),
-        np.asarray(obj["mult"], dtype=np.int64),
-        int(obj["e"]),
-        np.asarray(obj["inv"], dtype=np.int64),
+        order,
+        _index_table(obj["mult"], (order, order), "mult"),
+        nk.json_int(obj["e"], "group payload: 'e'"),
+        _index_table(obj["inv"], (order,), "inv"),
     )
 
 
@@ -753,10 +828,15 @@ def unitary_rep_to_json(rep: UnitaryRep) -> dict:
 def unitary_rep_from_json(group: FiniteGroup, obj) -> UnitaryRep:
     if not isinstance(obj, dict) or set(obj) != {"space_dim", "mats"}:
         raise ParseError("unitary representation payload must have space_dim and mats")
+    if not isinstance(obj["mats"], list):
+        raise ParseError("unitary representation payload: 'mats' must be a list")
     mats = [nk.mat_from_json(m) for m in obj["mats"]]
     if len(mats) != group.order:
         raise ParseError(
             f"unitary representation payload: {len(mats)} matrices for group of "
             f"order {group.order}"
         )
-    return UnitaryRep(group, int(obj["space_dim"]), np.stack(mats))
+    space_dim = nk.json_int(obj["space_dim"], "unitary representation payload: 'space_dim'")
+    if any(m.shape != (space_dim, space_dim) for m in mats):
+        raise ParseError(f"unitary representation payload: 'mats' must be {space_dim}x{space_dim}")
+    return UnitaryRep(group, space_dim, np.stack(mats))

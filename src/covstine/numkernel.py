@@ -9,6 +9,8 @@ matrices.
 
 from __future__ import annotations
 
+import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
@@ -77,8 +79,18 @@ def hermitian_eigendecomposition(m, tol: float = REL_TOL) -> EigDecomposition:
         raise NotHermitianError(
             f"Hermitian defect ||m - m*||_F = {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
         )
+    return _descending_eigh(m)
+
+
+def _descending_eigh(m: np.ndarray) -> EigDecomposition:
+    """Eigendecomposition of the Hermitian part of ``m``, eigenvalues descending."""
     values, vectors = np.linalg.eigh((m + adjoint(m)) / 2.0)
     return EigDecomposition(values[::-1].copy(), vectors[:, ::-1].copy())
+
+
+def _descending_eigvals(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the Hermitian part of ``m``, descending."""
+    return np.linalg.eigvalsh((m + adjoint(m)) / 2.0)[::-1]
 
 
 class GramFactor(NamedTuple):
@@ -90,6 +102,19 @@ class GramFactor(NamedTuple):
 
 def rank_cutoff(max_eig: float, rel_tol: float = REL_TOL) -> float:
     return max(rel_tol * max(max_eig, 0.0), ABS_FLOOR)
+
+
+def spectral_rank(values: np.ndarray, rel_tol: float = REL_TOL) -> tuple[int, float]:
+    """The package's one rank rule: ``(rank, cutoff)`` of a descending spectrum.
+
+    The rank counts the eigenvalues strictly above ``rank_cutoff`` of the
+    largest one.  ``gram_factor``, ``psd_rank``, ``numerical_rank`` and
+    ``orthonormal_range`` all decide their ranks with it.
+    """
+    if values.size == 0:
+        return 0, ABS_FLOOR
+    cutoff = rank_cutoff(float(values[0]), rel_tol)
+    return int(np.count_nonzero(values > cutoff)), cutoff
 
 
 def gram_factor(gram, rel_tol: float = REL_TOL) -> GramFactor:
@@ -107,12 +132,11 @@ def gram_factor(gram, rel_tol: float = REL_TOL) -> GramFactor:
         empty = np.zeros((0, 0), dtype=np.complex128)
         return GramFactor(0, empty, empty, np.zeros(0))
     values, vectors = hermitian_eigendecomposition(gram, tol=max(rel_tol, REL_TOL))
-    cutoff = rank_cutoff(float(values[0]), rel_tol)
+    rank, cutoff = spectral_rank(values, rel_tol)
     if values[-1] < -cutoff:
         raise NotPsdError(
             f"Gram matrix has eigenvalue {values[-1]:.3e} below -{cutoff:.3e}"
         )
-    rank = int(np.count_nonzero(values > cutoff))
     kept = values[:rank]
     basis = vectors[:, :rank]
     sqrt_vals = np.sqrt(kept)
@@ -135,10 +159,9 @@ def psd_check(m, tol: float = REL_TOL) -> PsdReport:
     if m.shape[0] == 0:
         return PsdReport(True, 0.0, 0.0)
     defect = frobenius(m - adjoint(m))
-    sym = (m + adjoint(m)) / 2.0
-    values = np.linalg.eigvalsh(sym)
-    min_eig = float(values[0])
-    scale = max(1.0, float(values[-1]), -min_eig)
+    values = _descending_eigvals(m)
+    min_eig = float(values[-1])
+    scale = max(1.0, float(values[0]), -min_eig)
     ok = min_eig >= -max(tol * scale, ABS_FLOOR)
     return PsdReport(bool(ok), min_eig, defect)
 
@@ -167,10 +190,13 @@ def psd_rank(gram, rel_tol: float = REL_TOL) -> RankProfile:
     gram = as_matrix(gram)
     if gram.size == 0:
         return RankProfile(0, np.zeros(0))
-    values = np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0)[::-1]
-    cutoff = rank_cutoff(float(values[0]), rel_tol)
-    rank = int(np.count_nonzero(values > cutoff))
-    return RankProfile(rank, np.sqrt(np.clip(values, 0.0, None)))
+    return _gram_profile(gram, rel_tol)
+
+
+def _gram_profile(gram: np.ndarray, rel_tol: float) -> RankProfile:
+    """Rank and singular-value profile from the eigenvalues of a Gram matrix."""
+    values = _descending_eigvals(gram)
+    return RankProfile(spectral_rank(values, rel_tol)[0], np.sqrt(np.clip(values, 0.0, None)))
 
 
 def numerical_rank(m, rel_tol: float = REL_TOL) -> RankProfile:
@@ -182,11 +208,7 @@ def numerical_rank(m, rel_tol: float = REL_TOL) -> RankProfile:
     m = as_matrix(m)
     if m.size == 0:
         return RankProfile(0, np.zeros(0))
-    gram = m @ adjoint(m) if m.shape[0] <= m.shape[1] else adjoint(m) @ m
-    values = np.linalg.eigvalsh((gram + adjoint(gram)) / 2.0)[::-1]
-    cutoff = rank_cutoff(float(values[0]), rel_tol)
-    rank = int(np.count_nonzero(values > cutoff))
-    return RankProfile(rank, np.sqrt(np.clip(values, 0.0, None)))
+    return _gram_profile(m @ adjoint(m) if m.shape[0] <= m.shape[1] else adjoint(m) @ m, rel_tol)
 
 
 def orthonormal_range(m, rel_tol: float = REL_TOL):
@@ -200,12 +222,8 @@ def orthonormal_range(m, rel_tol: float = REL_TOL):
     rows = m.shape[0]
     if m.size == 0:
         return np.zeros((rows, 0), dtype=np.complex128), np.zeros(rows)
-    gram = m @ adjoint(m)
-    values, vectors = np.linalg.eigh((gram + adjoint(gram)) / 2.0)
-    values, vectors = values[::-1], vectors[:, ::-1]
-    cutoff = rank_cutoff(float(values[0]), rel_tol)
-    rank = int(np.count_nonzero(values > cutoff))
-    return vectors[:, :rank].copy(), values.copy()
+    values, vectors = _descending_eigh(m @ adjoint(m))
+    return vectors[:, : spectral_rank(values, rel_tol)[0]], values
 
 
 def complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -224,20 +242,57 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * phases[None, :]
 
 
-def inv_sqrt_psd(m, rel_tol: float = REL_TOL) -> np.ndarray:
-    """Inverse square root of a positive-definite matrix via eigendecomposition."""
-    values, vectors = hermitian_eigendecomposition(as_matrix(m))
-    if values.size and values[-1] <= rank_cutoff(float(values[0]), rel_tol):
-        raise NotPsdError("matrix is singular at the rank cutoff; cannot invert")
-    inv_sqrt = vectors / np.sqrt(values)[None, :]
-    return inv_sqrt @ adjoint(vectors)
+def _is_finite_number(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def json_int(value, what: str, minimum: int = 0) -> int:
+    """A JSON integer of at least ``minimum``; ``ParseError`` naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ParseError(f"{what}: expected an integer >= {minimum}, got {value!r:.60}")
+    return int(value)
+
+
+def json_positive(value, what: str) -> float:
+    """A finite positive JSON number; ``ParseError`` naming ``what`` otherwise."""
+    if not (_is_finite_number(value) and value > 0):
+        raise ParseError(f"{what}: expected a finite positive number, got {value!r:.60}")
+    return float(value)
+
+
+def entries_to_json(arr) -> list:
+    """The ``[re, im]`` wire format shared by every matrix and tensor payload."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(arr).reshape(-1)]
+
+
+def entries_from_json(entries, what: str) -> np.ndarray:
+    """Decode ``[re, im]`` pairs into a flat complex array.
+
+    Every part must be a finite JSON number; strings, booleans, NaN and
+    infinities raise ``ParseError`` naming ``what`` and the entry index.
+    """
+    if not isinstance(entries, list):
+        raise ParseError(f"{what}: 'entries' must be a list of [re, im] pairs")
+    for index, pair in enumerate(entries):
+        if not (
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite_number, pair))
+        ):
+            raise ParseError(
+                f"{what}: entries[{index}] must be a pair of finite numbers, got {pair!r:.60}"
+            )
+    flat = np.array(entries, dtype=np.float64).reshape(-1, 2)
+    return flat.view(np.complex128).reshape(-1)
 
 
 def mat_to_json(m) -> dict:
     """Serialize a matrix as row-major [re, im] pairs with explicit shape."""
     m = as_matrix(m)
-    entries = [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries}
+    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries_to_json(m)}
 
 
 def mat_from_json(obj) -> np.ndarray:
@@ -249,13 +304,11 @@ def mat_from_json(obj) -> np.ndarray:
     extra = set(obj) - {"rows", "cols", "entries"}
     if extra:
         raise ParseError(f"matrix payload: unknown field '{sorted(extra)[0]}'")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    entries = obj["entries"]
-    if len(entries) != rows * cols:
+    rows = json_int(obj["rows"], "matrix payload: 'rows'")
+    cols = json_int(obj["cols"], "matrix payload: 'cols'")
+    flat = entries_from_json(obj["entries"], "matrix payload")
+    if flat.size != rows * cols:
         raise ParseError(
-            f"matrix payload: {len(entries)} entries for shape {rows}x{cols}"
+            f"matrix payload: {flat.size} entries for shape {rows}x{cols}"
         )
-    flat = np.array(
-        [complex(re, im) for re, im in entries], dtype=np.complex128
-    ) if entries else np.zeros(0, dtype=np.complex128)
     return flat.reshape(rows, cols)

@@ -14,14 +14,23 @@ decisions and the eigenvalue profiles behind them.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from . import cstar, hilbmod
+from . import __version__, cstar, hilbmod
 from . import numkernel as nk
-from .cpmaps import CovariantCPMap, CPMapAlgebra, ModuleCPMap, check_covariance, check_module_cp
+# check_covariance and check_module_cp stay importable from here; this module
+# reads their reports through the cached cp_report and covariance_report.
+from .cpmaps import (  # noqa: F401
+    CovariantCPMap,
+    CPMapAlgebra,
+    ModuleCPMap,
+    check_covariance,
+    check_module_cp,
+)
 from .errors import (
     InvarianceLeakError,
     NotCoisometryError,
@@ -64,6 +73,11 @@ def _raw_left_mult(algebra: cstar.CStarAlgebra, space_dim: int) -> np.ndarray:
     )  # mul[k].T maps coords of b to coords of E_k b
 
 
+def _leak(descended: np.ndarray, kernel_proj: np.ndarray) -> float:
+    """How far a map on the raw space fails to vanish on the Gram kernel, relatively."""
+    return nk.maxabs(descended @ kernel_proj) / max(1.0, nk.maxabs(descended))
+
+
 def gns_construct(
     phi: CPMapAlgebra,
     rel_tol: float = nk.REL_TOL,
@@ -98,10 +112,7 @@ def gns_construct(
     leak = 0.0
     for k in range(n_dim):
         descended = f_map @ raw_mult[k]
-        leak = max(
-            leak,
-            nk.maxabs(descended @ kernel_proj) / max(1.0, nk.maxabs(descended)),
-        )
+        leak = max(leak, _leak(descended, kernel_proj))
         images[k] = descended @ lift
     if leak > leak_tol:
         raise QuotientLeakError(
@@ -170,7 +181,7 @@ def dilate_module_cp(
     and the representation is the descended right-multiplication action.
     """
     module = phi.module
-    report = check_module_cp(phi)
+    report = phi.cp_report
     if not report.cp:
         raise NotCpError(
             f"companion fails the Choi test (min eig {report.choi_min_eig:.3e})"
@@ -180,7 +191,7 @@ def dilate_module_cp(
             f"defining identity fails by {report.identity_residual:.3e}; "
             "the pair (Phi, phi) is inconsistent and cannot descend"
         )
-    axioms = hilbmod.check_module_axioms(module)
+    axioms = module.axiom_report
     if not axioms.full:
         raise NotFullError(
             f"module is not full: rank {axioms.fullness_rank} of {axioms.fullness_required}"
@@ -195,10 +206,7 @@ def dilate_module_cp(
 
     raw = _raw_module_maps(phi)
     kernel_proj = nk.eye(raw.shape[2]) - gns.L @ gns.F
-    leak = 0.0
-    for i in range(module.dim):
-        residual = nk.maxabs(raw[i] @ kernel_proj) / max(1.0, nk.maxabs(raw[i]))
-        leak = max(leak, residual)
+    leak = max((_leak(raw[i], kernel_proj) for i in range(module.dim)), default=0.0)
     if leak > leak_tol:
         raise QuotientLeakError(
             f"module maps do not descend to the GNS quotient (leak {leak:.3e})"
@@ -232,7 +240,7 @@ def dilate_covariant(
     residual is checked).  The codomain space is invariant under ``u'`` up to
     the reported leak, and the codomain unitaries are its compressions.
     """
-    report = check_covariance(cov.base, cov.system, cov.u, cov.u_prime)
+    report = cov.covariance_report
     if report.max_residual > input_tol:
         raise NotCovariantError(
             f"input map is not covariant (residual {report.max_residual:.3e})"
@@ -240,7 +248,7 @@ def dilate_covariant(
     base = dilate_module_cp(cov.base, rel_tol, leak_tol, input_tol)
     gns = base.gns
     group = cov.system.group
-    dim_h, dim_k = cov.base.space_dims
+    dim_k = cov.base.space_dims[1]
 
     raw_dim = gns.F.shape[1]
     kernel_proj = nk.eye(raw_dim) - gns.L @ gns.F
@@ -256,10 +264,7 @@ def dilate_covariant(
             nk.maxabs(transported - gram) / max(1.0, nk.maxabs(gram)),
         )
         descended = gns.F @ raw_t
-        leak = max(
-            leak,
-            nk.maxabs(descended @ kernel_proj) / max(1.0, nk.maxabs(descended)),
-        )
+        leak = max(leak, _leak(descended, kernel_proj))
         v_mats[t] = descended @ gns.L
     if leak > leak_tol:
         raise QuotientLeakError(
@@ -293,16 +298,31 @@ def dilate_covariant(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DilationCertificate:
-    """Named residuals, rank decisions and their audit trails."""
+def canonical_bytes(payload: dict) -> bytes:
+    """Canonical JSON: sorted keys, fixed separators, one trailing newline."""
+    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
-    dims: dict
-    residuals: dict
-    ranks: dict  # name -> (achieved, required)
-    singular_values: dict
+
+@dataclass
+class Certificate:
+    """Named residuals, rank decisions and their audit trails.
+
+    ``verify_dilation`` fills in the dilation rows; the command line adds the
+    rows of its other checks and the scenario identity (kind, digest, seed).
+    A residual passes at most ``tolerance``, a rank when it is achieved.
+    """
+
     tolerance: float
+    kind: str = ""
+    scenario_digest: str = ""
+    seed: int | None = None
+    dims: dict = field(default_factory=dict)
+    residuals: dict = field(default_factory=dict)
+    ranks: dict = field(default_factory=dict)  # name -> (achieved, required)
+    singular_values: dict = field(default_factory=dict)
+    skipped: dict = field(default_factory=dict)  # name -> why it did not run
     provenance: dict = field(default_factory=dict)
+    duration: float = 0.0  # stderr-only; never serialized
 
     @property
     def checks(self) -> dict:
@@ -317,20 +337,28 @@ class DilationCertificate:
 
     def to_json(self) -> dict:
         return {
-            "dims": {k: int(v) for k, v in self.dims.items()},
-            "residuals": {k: float(v) for k, v in self.residuals.items()},
+            "artifact_version": __version__,
+            "kind": self.kind,
+            "scenario_digest": self.scenario_digest,
+            "seed": self.seed,
+            "tolerance": float(self.tolerance),
+            "dims": {k: int(v) for k, v in sorted(self.dims.items())},
+            "residuals": {k: float(v) for k, v in sorted(self.residuals.items())},
             "ranks": {
                 k: {"achieved": int(a), "required": int(r)}
-                for k, (a, r) in self.ranks.items()
+                for k, (a, r) in sorted(self.ranks.items())
             },
-            "checks": self.checks,
+            "checks": dict(sorted(self.checks.items())),
             "pass": self.passed,
             "singular_values": {
-                k: [float(x) for x in v] for k, v in self.singular_values.items()
+                k: [float(x) for x in v] for k, v in sorted(self.singular_values.items())
             },
-            "tolerance": float(self.tolerance),
+            "skipped": dict(sorted(self.skipped.items())),
             "provenance": self.provenance,
         }
+
+    def canonical(self) -> bytes:
+        return canonical_bytes(self.to_json())
 
 
 def _unitary_rep_residuals(rep: hilbmod.UnitaryRep) -> tuple[float, float]:
@@ -344,12 +372,14 @@ def verify_dilation(
     tol: float = 1e-9,
     rel_tol: float = nk.REL_TOL,
     provenance: dict | None = None,
-) -> DilationCertificate:
+) -> Certificate:
     """Recompute every dilation invariant from scratch.
 
     ``phi`` is the input ``ModuleCPMap`` (plain case) or ``CovariantCPMap``
-    (covariant case, with ``dilation`` a ``CovariantDilation``).  Nothing is
-    raised: every failure shows up as a residual or a rank deficit.
+    (covariant case, with ``dilation`` a ``CovariantDilation``).  The input
+    checks are read from the reports cached on ``phi``, so a run computes
+    them once.  Nothing is raised: every failure shows up as a residual or a
+    rank deficit.
     """
     cov = None
     if isinstance(phi, CovariantCPMap):
@@ -360,7 +390,7 @@ def verify_dilation(
         raise ShapeMismatchError("dilation does not belong to the given map")
 
     module = phi.module
-    dim_h, dim_k = phi.space_dims
+    dim_h = phi.space_dims[0]
     gns = base.gns
     residuals: dict[str, float] = {}
     ranks: dict[str, tuple[int, int]] = {}
@@ -369,7 +399,7 @@ def verify_dilation(
     scale_phi = max(1.0, nk.maxabs(phi.images))
 
     # input is a module CP map
-    input_report = check_module_cp(phi)
+    input_report = phi.cp_report
     residuals["input_identity"] = input_report.identity_residual
     residuals["companion_cp_defect"] = max(0.0, -input_report.choi_min_eig)
     residuals["companion_hermiticity"] = input_report.companion_herm_residual
@@ -403,19 +433,9 @@ def verify_dilation(
     )
 
     # density (minimality) conditions
-    range_stack = np.einsum("iab,bc->iac", base.images, gns.V)
-    range_stack = range_stack.transpose(1, 0, 2).reshape(
-        base.dim_codomain, module.dim * dim_h
-    )
-    range_rank = nk.numerical_rank(range_stack, rel_tol)
+    range_rank, corange_rank = hilbmod.density_ranks(base.images, gns.V, base.W, rel_tol)
     ranks["range_density"] = (range_rank.rank, base.dim_codomain)
     singular["range_density"] = list(range_rank.singular_values)
-
-    corange_stack = np.einsum("iba,bc->iac", np.conj(base.images), base.W)
-    corange_stack = corange_stack.transpose(1, 0, 2).reshape(
-        gns.dim, module.dim * dim_k
-    )
-    corange_rank = nk.numerical_rank(corange_stack, rel_tol)
     ranks["corange_density"] = (corange_rank.rank, gns.dim)
     singular["corange_density"] = list(corange_rank.singular_values)
     singular["codomain_gram"] = list(
@@ -426,11 +446,10 @@ def verify_dilation(
 
     if cov is not None and isinstance(dilation, CovariantDilation):
         system = cov.system
-        group = system.group
         u, u_prime = cov.u, cov.u_prime
         v_rep, w_rep = dilation.v, dilation.w
 
-        cov_report = check_covariance(phi, system, u, u_prime)
+        cov_report = cov.covariance_report
         residuals["input_covariance"] = cov_report.map_residual
         residuals["companion_covariance"] = cov_report.companion_residual
 
@@ -441,50 +460,26 @@ def verify_dilation(
         residuals["codomain_unitaries_group_law"] = law_w
         residuals["codomain_unitaries_unitarity"] = unit_w
 
-        intertwine_v = max(
-            (
-                nk.maxabs(v_rep.mats[t] @ gns.V - gns.V @ u.mats[t])
-                for t in range(group.order)
-            ),
-            default=0.0,
-        )
-        residuals["intertwine_V"] = intertwine_v / max(
+        residuals["intertwine_V"] = hilbmod.intertwining_residual(v_rep, gns.V, u) / max(
             1.0, nk.maxabs(gns.V)
         )
-        intertwine_w = max(
-            (
-                nk.maxabs(w_rep.mats[t] @ base.W - base.W @ u_prime.mats[t])
-                for t in range(group.order)
-            ),
-            default=0.0,
-        )
-        residuals["intertwine_W"] = intertwine_w
-
-        transported = np.einsum("tqi,qab->tiab", system.eta, base.images)
-        conjugated = np.einsum(
-            "tab,ibc,tdc->tiad", w_rep.mats, base.images, np.conj(v_rep.mats)
-        )
-        residuals["covariant_representation"] = (
-            nk.maxabs(transported - conjugated) / scale_phi
-        )
-
-        pushed = np.einsum("tlk,lab->tkab", system.alpha, gns.rep.images)
-        comp_conj = np.einsum(
-            "tab,kbc,tdc->tkad", v_rep.mats, gns.rep.images, np.conj(v_rep.mats)
-        )
-        residuals["companion_covariant_rep"] = nk.maxabs(pushed - comp_conj) / max(
-            1.0, nk.maxabs(gns.rep.images)
-        )
+        residuals["intertwine_W"] = hilbmod.intertwining_residual(w_rep, base.W, u_prime)
+        residuals["covariant_representation"] = hilbmod.covariance_defect(
+            system.eta, base.images, w_rep.mats, v_rep.mats
+        ) / scale_phi
+        residuals["companion_covariant_rep"] = hilbmod.covariance_defect(
+            system.alpha, gns.rep.images, v_rep.mats, v_rep.mats
+        ) / max(1.0, nk.maxabs(gns.rep.images))
         residuals["gram_preservation"] = dilation.gram_preservation_residual
         residuals["subspace_invariance"] = dilation.invariance_residual
 
-    return DilationCertificate(
-        dims,
-        residuals,
-        ranks,
-        singular,
+    return Certificate(
         tol,
-        provenance or {},
+        dims=dims,
+        residuals=residuals,
+        ranks=ranks,
+        singular_values=singular,
+        provenance=provenance or {},
     )
 
 
@@ -563,14 +558,9 @@ def uniqueness_intertwiners(
     if w_defect > tol:
         raise NotCoisometryError(f"competing W is not a coisometry ({w_defect:.3e})")
 
-    range_stack = np.einsum("iab,bc->iac", alt_images, alt_v)
-    range_rank = nk.numerical_rank(
-        range_stack.transpose(1, 0, 2).reshape(alt_k, module.dim * dim_h), rel_tol
-    ).rank
-    corange_stack = np.einsum("iba,bc->iac", np.conj(alt_images), alt_w)
-    corange_rank = nk.numerical_rank(
-        corange_stack.transpose(1, 0, 2).reshape(alt_h, module.dim * dim_k), rel_tol
-    ).rank
+    s_cols_alt, corange_stack = hilbmod.density_stacks(alt_images, alt_v, alt_w)
+    range_rank = nk.numerical_rank(s_cols_alt, rel_tol).rank
+    corange_rank = nk.numerical_rank(corange_stack, rel_tol).rank
     if range_rank != alt_k or corange_rank != alt_h:
         raise NotMinimalError(
             f"competing dilation is not minimal: range rank {range_rank}/{alt_k}, "
@@ -597,10 +587,7 @@ def uniqueness_intertwiners(
         alt_h, module.algebra.dim * dim_h
     )
     u1 = nk.least_squares_solve(m_cols.T, m_cols_alt.T).T
-    s_cols = np.einsum("iab,bc->iac", base.images, gns.V)
-    s_cols = s_cols.transpose(1, 0, 2).reshape(base.dim_codomain, module.dim * dim_h)
-    s_cols_alt = np.einsum("iab,bc->iac", alt_images, alt_v)
-    s_cols_alt = s_cols_alt.transpose(1, 0, 2).reshape(alt_k, module.dim * dim_h)
+    s_cols = hilbmod.density_stacks(base.images, gns.V)[0]
     u2 = nk.least_squares_solve(s_cols.T, s_cols_alt.T).T
 
     def _unitarity(u: np.ndarray) -> float:
@@ -632,15 +619,8 @@ def uniqueness_intertwiners(
 
     cov_v = cov_w = 0.0
     if isinstance(dilation, CovariantDilation) and alt.v is not None and alt.w is not None:
-        group = dilation.cov_map.system.group
-        cov_v = max(
-            nk.maxabs(alt.v.mats[t] @ u1 - u1 @ dilation.v.mats[t])
-            for t in range(group.order)
-        )
-        cov_w = max(
-            nk.maxabs(alt.w.mats[t] @ u2 - u2 @ dilation.w.mats[t])
-            for t in range(group.order)
-        )
+        cov_v = hilbmod.intertwining_residual(alt.v, u1, dilation.v)
+        cov_w = hilbmod.intertwining_residual(alt.w, u2, dilation.w)
 
     return UniquenessReport(
         u1, u2, unit1, unit2, intertwine, v_resid, w_resid, alt_recon, cov_v, cov_w

@@ -1,0 +1,205 @@
+"""Run-level contracts: each invariant is checked once per scenario, bad
+scenario values exit 2 without a traceback, group payloads are bounded
+before any table is built, and ``--jobs`` never starts more workers than
+scenarios or CPUs."""
+
+import collections
+import copy
+import itertools
+import json
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from covstine import cli, cpmaps, crossed, hilbmod
+from covstine.errors import BoundsError, ParseError, ShapeMismatchError
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "covstine" / "scenarios"
+CHECKS = {
+    "check_module_cp": cpmaps.check_module_cp,
+    "check_covariance": cpmaps.check_covariance,
+    "check_module_axioms": hilbmod.check_module_axioms,
+    "check_dynamical_system": hilbmod.check_dynamical_system,
+}
+
+
+def _bundled(name):
+    return json.loads((SCENARIOS / name).read_text())
+
+
+def _run(tmp_path, capsys, payload, kind=None, extra=()):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(payload))
+    code = cli.main([kind or payload["kind"], "--scenario", str(path), *extra])
+    return code, capsys.readouterr().err
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count calls of each check, patched in every covstine module that binds it."""
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items() if key.startswith("covstine") and m]
+    for name, fn in CHECKS.items():
+        wrapper = counting(name, fn)
+        for module in modules:
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, wrapper)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "kind, p, n, amplification, group",
+    [
+        ("dilate", 2, 2, 2, None),
+        ("dilate-covariant", 1, 2, 1, "cyclic:2"),
+        ("verify", 1, 2, 1, "cyclic:2"),
+        ("uniqueness", 2, 2, 1, None),
+        ("crossed", 1, 2, 1, "cyclic:2"),
+    ],
+)
+def test_each_check_runs_at_most_once_per_scenario(
+    tmp_path, call_counts, kind, p, n, amplification, group
+):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(
+        cli.canonical_bytes(cli.generate_scenario(kind, p, n, amplification, 11, group))
+    )
+    cert = cli.run_scenario(str(path))
+    assert cert.passed
+    assert call_counts["check_module_cp"] == 1
+    assert all(count <= 1 for count in call_counts.values()), dict(call_counts)
+    if kind in ("verify", "crossed"):
+        assert call_counts["check_dynamical_system"] == 1
+    assert not hasattr(crossed, "_check_action")
+
+
+def _set(payload, path, value):
+    out = copy.deepcopy(payload)
+    target = out
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return out
+
+
+Z2 = _bundled("z2_concrete.json")
+S3 = _bundled("s3_crossed.json")
+DELTA_ENTRY = ("objects", "system", "standard_action", "delta", "mats", 0, "entries", 0)
+GROUP = ("generate", "group")
+
+
+@pytest.mark.parametrize(
+    "payload, field",
+    [
+        (_set(Z2, DELTA_ENTRY, ["1", 0]), "entries[0]"),
+        (_set(Z2, DELTA_ENTRY, [True, 0]), "entries[0]"),
+        (_set(Z2, DELTA_ENTRY, [float("nan"), 0]), "entries[0]"),
+        (_set(Z2, DELTA_ENTRY, [0, float("inf")]), "entries[0]"),
+        (_set(Z2, DELTA_ENTRY, [float("-inf"), 0]), "entries[0]"),
+        (_set(Z2, ("tolerance",), "x"), "tolerance"),
+        (_set(Z2, ("tolerance",), -1), "tolerance"),
+        (_set(Z2, ("tolerance",), 0), "tolerance"),
+        (_set(Z2, ("tolerance",), float("nan")), "tolerance"),
+        (_set(Z2, ("tolerance",), float("inf")), "tolerance"),
+        (_set(S3, ("seed",), "abc"), "seed"),
+        (_set(S3, ("seed",), -5), "seed"),
+        (_set(S3, ("seed",), True), "seed"),
+        (_set(S3, ("seed",), 1.5), "seed"),
+        (_set(S3, ("generate", "p"), 1.7), "'p'"),
+        (_set(S3, ("generate", "n"), "2"), "'n'"),
+        (_set(S3, ("generate", "amplification"), 1.0), "'amplification'"),
+        (_set(S3, GROUP, {"symmetric": 9}), "symmetric:9"),
+        (_set(S3, GROUP, {"cyclic": 0}), "cyclic:0"),
+        (_set(S3, GROUP, {"cyclic": 25}), "cyclic:25"),
+        (_set(S3, GROUP, {"cyclic": "2"}), "cyclic"),
+        (_set(S3, GROUP, {"order": 2, "mult": [[0, 1], [1, 2]], "inv": [0, 1], "e": 0}), "entries"),
+        (_set(S3, GROUP, {"order": 2, "mult": [[0, 1], [1, 0]], "inv": [0, 1], "e": 5}), "entries"),
+        (_set(S3, GROUP, {"order": 30, "mult": [], "inv": [], "e": 0}), "order"),
+        (_set(Z2, ("objects", "system", "standard_action", "group"), {"symmetric": 9}), "symmetric:9"),
+        (_set(Z2, DELTA_ENTRY[:-3] + (1,), {"rows": 1, "cols": 1, "entries": [[1, 0]]}), "mats"),
+    ],
+)
+def test_bad_scenario_values_exit_two_naming_the_field(tmp_path, capsys, payload, field):
+    code, err = _run(tmp_path, capsys, payload)
+    assert code == 2
+    assert "Traceback" not in err
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--tol", "nan"], "--tol"),
+        (["--tol", "-1"], "--tol"),
+        (["--tol", "inf"], "--tol"),
+        (["--seed", "-5"], "--seed"),
+    ],
+)
+def test_bad_overrides_exit_two(tmp_path, capsys, flags, field):
+    code, err = _run(tmp_path, capsys, S3, extra=flags)
+    assert code == 2
+    assert "Traceback" not in err
+    assert field in err
+
+
+@pytest.mark.parametrize(
+    "payload", [{"symmetric": 9}, {"cyclic": 0}, {"cyclic": 25}, {"symmetric": 10**9}]
+)
+def test_group_payloads_bounded_before_tables(payload):
+    with pytest.raises((BoundsError, ParseError)):
+        hilbmod.group_from_json(payload)
+
+
+def test_explicit_group_range_checked():
+    with pytest.raises(ShapeMismatchError, match="outside"):
+        hilbmod.FiniteGroup(2, np.array([[0, 1], [1, 7]]), 0, np.array([0, 1]))
+    with pytest.raises(ShapeMismatchError):
+        hilbmod.cyclic_group(0)
+
+
+def test_associativity_failure_names_first_triple():
+    # a loop of order 5 with identity 0 and inverses, but not associative
+    mult = np.array(
+        [
+            [0, 1, 2, 3, 4],
+            [1, 0, 3, 4, 2],
+            [2, 4, 0, 1, 3],
+            [3, 2, 4, 0, 1],
+            [4, 3, 1, 2, 0],
+        ]
+    )
+    first = next(
+        (s, t, r)
+        for s, t, r in itertools.product(range(5), repeat=3)
+        if mult[mult[s, t], r] != mult[s, mult[t, r]]
+    )
+    with pytest.raises(ShapeMismatchError, match=f"associative at {re.escape(str(first))}"):
+        hilbmod.FiniteGroup(5, mult, 0, np.arange(5))
+
+
+def test_worker_count_is_capped(monkeypatch):
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+    assert cli.worker_count(8, 3) == 3
+    assert cli.worker_count(8, 10) == 4
+    assert cli.worker_count(2, 10) == 2
+    assert cli.worker_count(0, 5) == 1
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+    assert cli.worker_count(8, 10) == 1
+
+
+def test_gen_rejects_bad_seed_and_tolerance(capsys):
+    base = ["gen", "--kind", "dilate", "--p", "1", "--n", "1"]
+    assert cli.main(base + ["--seed", "-1"]) == 2
+    assert cli.main(base + ["--seed", "1", "--tol", "nan"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
