@@ -37,9 +37,11 @@ from .stinespring import Certificate, canonical_bytes
 SCHEMA_VERSION = 1
 KINDS = ("dilate", "dilate-covariant", "crossed", "uniqueness", "verify")
 DEFAULT_TOL = 1e-9
-MAX_P = 8
-MAX_N = 8
+MAX_P, MAX_N = hilbmod.MAX_P, hilbmod.MAX_N
 MAX_AMPLIFICATION = 8
+# Explicit trivial representations get the bound of the largest space a
+# generated scenario has: K of dimension p * amplification plus at most 2.
+MAX_SPACE_DIM = MAX_P * MAX_AMPLIFICATION + 2
 # exhaustive crossed-axiom checks are only feasible on small crossed bases
 CROSSED_AXIOM_LIMIT = 64
 
@@ -187,7 +189,10 @@ def _resolve_cp_map(payload, module: hilbmod.HilbertModule) -> cpmaps.ModuleCPMa
 
 def _resolve_rep(payload, group: hilbmod.FiniteGroup, name: str) -> hilbmod.UnitaryRep:
     if isinstance(payload, dict) and set(payload) == {"trivial"}:
-        return hilbmod.trivial_rep(group, nk.json_int(payload["trivial"], f"{name}: 'trivial'"))
+        dim = nk.json_int(payload["trivial"], f"{name}: 'trivial'")
+        if dim > MAX_SPACE_DIM:
+            raise BoundsError(f"{name}: 'trivial' dimension {dim} outside [0, {MAX_SPACE_DIM}]")
+        return hilbmod.trivial_rep(group, dim)
     if isinstance(payload, dict) and set(payload) == {"regular"}:
         return hilbmod.regular_rep(group)
     return hilbmod.unitary_rep_from_json(group, payload)
@@ -410,7 +415,7 @@ def _run_uniqueness(res: ResolvedScenario, provenance: dict) -> Certificate:
     rng = _scenario_rng(res.seed, 102)
     r1 = nk.haar_unitary(rng, base.gns.dim)
     r2 = nk.haar_unitary(rng, base.dim_codomain)
-    alt_images = np.einsum("ab,ibc,dc->iad", r2, base.images, np.conj(r1))
+    alt_images = r2 @ base.images @ nk.adjoint(r1)
     alt = stinespring.AltDilation(
         images=alt_images,
         V=r1 @ base.gns.V,

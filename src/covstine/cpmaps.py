@@ -131,7 +131,7 @@ def induced_algebra_cp(
     if images.ndim != 3 or images.shape[0] != module.dim or images.shape[2] != space_dim:
         raise ShapeMismatchError(f"images shape {images.shape}")
     system = hilbmod.fullness_system(module)
-    pair_grams = np.einsum("iba,jbc->ijac", np.conj(images), images)
+    pair_grams = nk.pair_products(images)
     target = pair_grams.reshape(module.dim * module.dim, space_dim * space_dim)
     solution = nk.least_squares_solve(system.flat, target)  # (N, h*h)
     scale = max(1.0, nk.maxabs(target))
@@ -166,9 +166,7 @@ class ModuleCPReport(NamedTuple):
 def check_module_cp(phi: ModuleCPMap, tol: float = nk.REL_TOL) -> ModuleCPReport:
     images = phi.images
     scale = max(1.0, nk.maxabs(images) ** 2)
-    lhs = np.einsum("iba,jbc->ijac", np.conj(images), images)
-    rhs = np.einsum("ijk,kac->ijac", phi.module.inner, phi.companion.images)
-    residual = nk.maxabs(lhs - rhs) / scale
+    residual = hilbmod.identity_defect(images, phi.module.inner, phi.companion.images) / scale
     choi = phi.companion.choi(tol)
     return ModuleCPReport(
         residual, phi.companion.hermiticity_residual(), choi.min_eig, choi.cp
@@ -198,8 +196,8 @@ def cp_from_representation(
     defect = nk.maxabs(gram - nk.eye(w.shape[0]))
     if defect > tol:
         raise NotCoisometryError(f"W W* deviates from the identity by {defect:.3e}")
-    images = np.einsum("ab,iac,cd->ibd", np.conj(w), rep.images, v)
-    companion_images = np.einsum("ab,kac,cd->kbd", np.conj(v), rep.companion.images, v)
+    images = nk.sandwich(w, rep.images, v)
+    companion_images = nk.sandwich(v, rep.companion.images, v)
     companion = CPMapAlgebra(rep.module.algebra, v.shape[1], companion_images)
     return ModuleCPMap(rep.module, images, companion)
 

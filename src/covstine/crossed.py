@@ -57,12 +57,13 @@ class CrossedAlgebra:
         f = np.asarray(f, dtype=np.complex128)
         g = np.asarray(g, dtype=np.complex128)
         group = self.group
-        mul = cstar.mult_tensor(self.base)
+        n_dim = self.base.dim
+        mul = cstar.mult_tensor(self.base).reshape(n_dim, n_dim * n_dim)
         out = np.zeros_like(g)
         for t in range(group.order):
             shifted = g[group.mult[group.inv[t]]]  # row s holds g(t^-1 s)
             transformed = shifted @ self.alpha[t].T
-            out += np.einsum("k,sl,klm->sm", f[t], transformed, mul)
+            out += transformed @ (f[t] @ mul).reshape(n_dim, n_dim)  # f(t) times each row
         return out
 
     def star(self, f: np.ndarray) -> np.ndarray:
@@ -140,8 +141,8 @@ def check_crossed_algebra(calg: CrossedAlgebra) -> CrossedAlgebraReport:
     # (e_i e_j) e_k versus e_i (e_j e_k), chunked over i to bound memory
     assoc = 0.0
     for i in range(d):
-        lhs = np.einsum("jw,wkm->jkm", struct[i], struct)
-        rhs = np.einsum("jkw,wm->jkm", struct, struct[i])
+        lhs = nk.coords_apply(struct[i], struct)
+        rhs = struct @ struct[i]
         assoc = max(assoc, nk.maxabs(lhs - rhs))
 
     stars = np.stack(
@@ -219,11 +220,13 @@ class CrossedModule:
         xhat = np.asarray(xhat, dtype=np.complex128)
         f = np.asarray(f, dtype=np.complex128)
         group, module = self.group, self.module
+        m, n_dim = module.dim, module.algebra.dim
+        action = module.action.reshape(m, n_dim * m)
         out = np.zeros_like(xhat)
         for t in range(group.order):
             shifted = f[group.mult[group.inv[t]]]  # row s holds f(t^-1 s)
             transformed = shifted @ self.system.alpha[t].T
-            out += np.einsum("i,sk,ikq->sq", xhat[t], transformed, module.action)
+            out += transformed @ (xhat[t] @ action).reshape(n_dim, m)  # xhat(t) . each row
         return out
 
     def inner(self, xhat: np.ndarray, yhat: np.ndarray) -> np.ndarray:
@@ -231,10 +234,12 @@ class CrossedModule:
         xhat = np.asarray(xhat, dtype=np.complex128)
         yhat = np.asarray(yhat, dtype=np.complex128)
         group, module = self.group, self.module
-        out = np.zeros((group.order, module.algebra.dim), dtype=np.complex128)
+        m, n_dim = module.dim, module.algebra.dim
+        inner = module.inner.reshape(m, m * n_dim)
+        out = np.zeros((group.order, n_dim), dtype=np.complex128)
         for t in range(group.order):
             shifted = yhat[group.mult[t]]  # row s holds yhat(t s)
-            base_inner = np.einsum("i,sj,ijk->sk", np.conj(xhat[t]), shifted, module.inner)
+            base_inner = shifted @ (np.conj(xhat[t]) @ inner).reshape(m, n_dim)
             out += base_inner @ self.system.alpha[group.inv[t]].T
         return out
 
@@ -311,8 +316,8 @@ def check_crossed_module(cm: CrossedModule) -> CrossedModuleReport:
                         xhat, cm.algebra.basis_element(s, k)
                     ).reshape(d_x)
 
-    lhs = np.einsum("bcq,aqw->abcw", act, inner)
-    rhs = np.einsum("abl,lcw->abcw", inner, struct)
+    lhs = nk.coords_apply(act, inner.transpose(1, 0, 2)).transpose(2, 0, 1, 3)
+    rhs = nk.coords_apply(inner, struct)
     axiom = nk.maxabs(lhs - rhs)
 
     sym = 0.0
@@ -338,13 +343,6 @@ def _integrated(images: np.ndarray, mats: np.ndarray) -> np.ndarray:
     """``images[i] @ mats[t]`` for every pair, at crossed index ``t * len(images) + i``."""
     out = images[None] @ mats[:, None]
     return out.reshape(len(mats) * len(images), *out.shape[2:])
-
-
-def _identity_defect(cm: CrossedModule, images: np.ndarray, companion: np.ndarray) -> float:
-    """Unscaled worst ``|pi(e_a)* pi(e_b) - pi_A(<e_a, e_b>)|`` over crossed basis pairs."""
-    lhs = np.einsum("aij,bik->abjk", np.conj(images), images)
-    rhs = np.einsum("abl,ljk->abjk", crossed_inner_tensor(cm), companion)
-    return nk.maxabs(lhs - rhs)
 
 
 @dataclass(frozen=True)
@@ -413,7 +411,8 @@ def integral_form(
     images = _integrated(rep.images, v.mats)
     companion = _integrated(rep.companion.images, v.mats)
     form = IntegralForm(cm, images, companion)
-    identity = _identity_defect(cm, images, companion) / max(1.0, scale * scale)
+    identity = hilbmod.identity_defect(images, crossed_inner_tensor(cm), companion)
+    identity /= max(1.0, scale * scale)
 
     range_rank, corange_rank = (p.rank for p in hilbmod.density_ranks(images))
     if rep_report.nondegenerate:
@@ -472,7 +471,8 @@ def induced_cp(
     images = _integrated(cov.base.images, cov.u.mats)
     companion = _integrated(cov.base.companion.images, cov.u.mats)
 
-    identity = _identity_defect(cm, images, companion) / max(1.0, nk.maxabs(images) ** 2)
+    identity = hilbmod.identity_defect(images, crossed_inner_tensor(cm), companion)
+    identity /= max(1.0, nk.maxabs(images) ** 2)
 
     if dilation is None:
         dilation = stinespring.dilate_covariant(cov)
@@ -518,7 +518,7 @@ def check_integral_stinespring(
     base = dilation.base
     dil_images = _integrated(base.images, dilation.v.mats)
 
-    rebuilt = np.einsum("ab,iac,cd->ibd", np.conj(base.W), dil_images, base.gns.V)
+    rebuilt = nk.sandwich(base.W, dil_images, base.gns.V)
     recon = nk.maxabs(rebuilt - induced.images) / max(1.0, nk.maxabs(induced.images))
 
     range_rank, corange_rank = (

@@ -50,10 +50,17 @@ class CStarAlgebra:
 
 @lru_cache(maxsize=None)
 def _structure(blocks: tuple[int, ...]):
-    """Multiplication tensor, star permutation, unit and trace vectors."""
+    """Product and left-factor tables, star permutation, unit and trace vectors.
+
+    A product of two matrix units is a unit or zero, so multiplication is a
+    table: ``product[k, l]`` is m when ``E_k E_l = E_m`` and N when the
+    product vanishes, and ``left_factor[k, m]`` is the l with
+    ``E_l E_k = E_m`` (at most one), N when there is none.
+    """
     algebra = CStarAlgebra(blocks)
     dim = algebra.dim
-    mul = np.zeros((dim, dim, dim), dtype=np.complex128)
+    product = np.full((dim, dim), dim, dtype=np.int64)
+    left_factor = np.full((dim, dim), dim, dtype=np.int64)
     star_perm = np.zeros(dim, dtype=np.int64)
     unit = np.zeros(dim, dtype=np.complex128)
     trace = np.zeros(dim, dtype=np.complex128)
@@ -66,38 +73,84 @@ def _structure(blocks: tuple[int, ...]):
                 if i == j:
                     unit[idx] = 1.0
                     trace[idx] = 1.0
-                # E_{ij} E_{lk'}: nonzero only inside the same block, j == l
+                # E_{ij} E_{jk} = E_{ik} inside the block; every other product is 0
                 for k in range(n):
-                    mul[idx, offset + j * n + k, offset + i * n + k] = 1.0
+                    product[idx, offset + j * n + k] = offset + i * n + k
+                    left_factor[offset + j * n + k, offset + i * n + k] = idx
         offset += n * n
-    return mul, star_perm, unit, trace
+    product.setflags(write=False)
+    left_factor.setflags(write=False)
+    return product, left_factor, star_perm, unit, trace
+
+
+@lru_cache(maxsize=None)
+def _mult_tensor(blocks: tuple[int, ...]) -> np.ndarray:
+    product = _structure(blocks)[0]
+    dim = len(product)
+    mul = np.zeros((dim, dim, dim), dtype=np.complex128)
+    k, l = np.nonzero(product < dim)
+    mul[k, l, product[k, l]] = 1.0
+    return mul
 
 
 def mult_tensor(algebra: CStarAlgebra) -> np.ndarray:
-    """``mul[k, l, :]`` are the coordinates of ``E_k E_l``."""
+    """``mul[k, l, :]`` are the coordinates of ``E_k E_l``, densely (N^3 entries)."""
+    return _mult_tensor(algebra.blocks)
+
+
+def product_index(algebra: CStarAlgebra) -> np.ndarray:
+    """``index[k, l]`` is m when ``E_k E_l = E_m`` and N when the product is 0.
+
+    ``nk.pad_zero(stack)[index]`` is ``stack`` contracted with the
+    multiplication tensor, as a gather.
+    """
     return _structure(algebra.blocks)[0]
+
+
+def left_factor_index(algebra: CStarAlgebra) -> np.ndarray:
+    """``index[k, m]`` is the l with ``E_l E_k = E_m``, N when there is none."""
+    return _structure(algebra.blocks)[1]
+
+
+def block_products(algebra: CStarAlgebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Coordinates of ``left[i] right[j]`` for every pair, shape ``(len(left), len(right), N)``.
+
+    ``left`` and ``right`` hold one coordinate vector per row.  Each block
+    multiplies on its own, so a pair costs the sum of n_b^3, not a
+    contraction with the dense N^3 multiplication tensor.
+    """
+    out = np.empty((len(left), len(right), algebra.dim), dtype=np.complex128)
+    offset = 0
+    for n in algebra.blocks:
+        span = slice(offset, offset + n * n)
+        products = nk.stack_products(
+            left[:, span].reshape(-1, n, n), right[:, span].reshape(-1, n, n)
+        )
+        out[:, :, span] = products.reshape(len(left), len(right), n * n)
+        offset += n * n
+    return out
 
 
 def star_permutation(algebra: CStarAlgebra) -> np.ndarray:
     """Index permutation sending each matrix unit to its adjoint."""
-    return _structure(algebra.blocks)[1].copy()
+    return _structure(algebra.blocks)[2].copy()
 
 
 def star_coords(algebra: CStarAlgebra, coords: np.ndarray) -> np.ndarray:
     """Coordinates of the adjoint: conjugate and transpose each block."""
-    _, perm, _, _ = _structure(algebra.blocks)
+    perm = _structure(algebra.blocks)[2]
     out = np.zeros_like(coords, dtype=np.complex128)
     out[perm] = np.conj(coords)
     return out
 
 
 def unit_coords(algebra: CStarAlgebra) -> np.ndarray:
-    return _structure(algebra.blocks)[2].copy()
+    return _structure(algebra.blocks)[3].copy()
 
 
 def trace_coords(algebra: CStarAlgebra) -> np.ndarray:
     """tr of the block-diagonal embedding, as a linear functional on coords."""
-    return _structure(algebra.blocks)[3].copy()
+    return _structure(algebra.blocks)[4].copy()
 
 
 def coords_to_blocks(algebra: CStarAlgebra, coords: np.ndarray) -> list[np.ndarray]:
@@ -253,14 +306,16 @@ def check_representation(
     reported as a (possibly proper) projection via its idempotency defect.
     """
     algebra = rep.algebra
-    mul = mult_tensor(algebra)
-    _, star_perm, unit, _ = _structure(algebra.blocks)
+    _, _, star_perm, unit, _ = _structure(algebra.blocks)
     images = rep.images
     scale = max(1.0, nk.maxabs(images))
 
-    products = np.einsum("kab,lbc->klac", images, images)
-    expected = np.tensordot(mul, images, axes=(2, 0))
-    mult_residual = nk.maxabs(products - expected) / scale
+    # pi(E_k) pi(E_l) against pi(E_k E_l), a gather, one k at a time
+    padded = nk.pad_zero(images)
+    rows = zip(images, product_index(algebra))
+    mult_residual = max(
+        (nk.maxabs(image @ images - padded[row]) for image, row in rows), default=0.0
+    ) / scale
 
     star_images = np.conj(np.transpose(images, (0, 2, 1)))
     star_residual = nk.maxabs(images[star_perm] - star_images) / scale

@@ -55,10 +55,12 @@ class HilbertModule:
 
     def inner_coords(self, xi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         """A-coordinates of the inner product of two X-coordinate vectors."""
-        return np.einsum("i,j,ijk->k", np.conj(xi), zeta, self.inner)
+        m, n_dim = self.dim, self.algebra.dim
+        return zeta @ (np.conj(xi) @ self.inner.reshape(m, m * n_dim)).reshape(m, n_dim)
 
     def act(self, xi: np.ndarray, a_coords: np.ndarray) -> np.ndarray:
-        return np.einsum("i,k,ikq->q", xi, a_coords, self.action)
+        m, n_dim = self.dim, self.algebra.dim
+        return a_coords @ (xi @ self.action.reshape(m, n_dim * m)).reshape(n_dim, m)
 
 
 def standard_module(p: int, n: int) -> HilbertModule:
@@ -104,16 +106,17 @@ class FullnessSystem(NamedTuple):
 def fullness_system(module: HilbertModule) -> FullnessSystem:
     """The inner products of basis pairs as rows spanning ``<X, X>``.
 
-    Raises ``NotFullError`` when they do not span the coefficient algebra.
+    The rank and conditioning come from the module's cached ``axiom_report``,
+    which decided fullness already.  Raises ``NotFullError`` when the rows do
+    not span the coefficient algebra.
     """
-    flat = module.inner.reshape(module.dim * module.dim, module.algebra.dim)
-    profile = nk.numerical_rank(flat, nk.REL_TOL)
-    if profile.rank < module.algebra.dim:
+    report = module.axiom_report
+    if not report.full:
         raise NotFullError(
-            f"module is not full: rank {profile.rank} of {module.algebra.dim}"
+            f"module is not full: rank {report.fullness_rank} of {report.fullness_required}"
         )
-    positive = profile.singular_values[: profile.rank]
-    return FullnessSystem(flat, profile.rank, float(positive[0] / positive[-1]))
+    flat = module.inner.reshape(module.dim * module.dim, module.algebra.dim)
+    return FullnessSystem(flat, report.fullness_rank, report.fullness_condition)
 
 
 class ModuleAxiomReport(NamedTuple):
@@ -124,6 +127,7 @@ class ModuleAxiomReport(NamedTuple):
     definite: bool  # <x,x> = 0 only for x = 0
     fullness_rank: int
     fullness_required: int
+    fullness_condition: float  # ratio of the extreme kept singular values, inf at rank 0
 
     @property
     def full(self) -> bool:
@@ -139,24 +143,29 @@ def check_module_axioms(
 ) -> ModuleAxiomReport:
     """Residuals for the Hilbert-module axioms plus fullness of the span."""
     algebra = module.algebra
-    mul = cstar.mult_tensor(algebra)
+    m, n_dim = module.dim, algebra.dim
     inner, action = module.inner, module.action
     scale = max(1.0, nk.maxabs(inner))
 
-    # <x_i, x_j . E_k> versus <x_i, x_j> E_k
-    lhs = np.einsum("jkq,iqm->ijkm", action, inner)
-    rhs = np.einsum("ijl,lkm->ijkm", inner, mul)
-    linearity = nk.maxabs(lhs - rhs) / scale
+    # <x_i, x_j . E_k> versus <x_i, x_j> E_k, one x_i at a time so that no
+    # m^2 N^2 tensor is alive.  The right side is a gather: E_l E_k = E_m for
+    # at most one l.
+    flat_action = action.reshape(m * n_dim, m)
+    padded = nk.pad_zero(inner, axis=2)
+    left_factor = cstar.left_factor_index(algebra)
+    linearity = 0.0
+    for i in range(m):
+        lhs = (flat_action @ inner[i]).reshape(m, n_dim, n_dim)
+        linearity = max(linearity, nk.maxabs(lhs - padded[i][:, left_factor]))
+    linearity /= scale
 
     # <x_i, x_j>* = conj(inner[i, j, perm]), as the star permutation is an involution
     star_inner = np.conj(inner[..., cstar.star_permutation(algebra)])
     symmetry = nk.maxabs(star_inner - np.transpose(inner, (1, 0, 2))) / scale
 
     embed = cstar.embedding_representation(algebra).images
-    gram_super = np.einsum("ijk,kab->iajb", inner, embed)
-    big = gram_super.reshape(
-        module.dim * algebra.embed_dim, module.dim * algebra.embed_dim
-    )
+    gram_super = nk.coords_apply(inner, embed).transpose(0, 2, 1, 3)
+    big = gram_super.reshape(m * algebra.embed_dim, m * algebra.embed_dim)
     psd = nk.psd_check(big, tol)
 
     # <x,x> = 0 iff the trace of its embedding vanishes, so definiteness is
@@ -164,17 +173,19 @@ def check_module_axioms(
     trace_gram = inner @ cstar.trace_coords(algebra)
     trace_rank = nk.psd_rank(trace_gram, tol)
 
-    flat = inner.reshape(module.dim * module.dim, algebra.dim)
-    full_rank = nk.numerical_rank(flat, tol).rank
+    fullness = nk.numerical_rank(inner.reshape(m * m, n_dim), tol)
+    kept = fullness.singular_values[: fullness.rank]
+    condition = float(kept[0] / kept[-1]) if fullness.rank else float("inf")
 
     return ModuleAxiomReport(
         linearity,
         symmetry,
         psd.min_eig,
         psd.ok,
-        trace_rank.rank == module.dim,
-        full_rank,
-        algebra.dim,
+        trace_rank.rank == m,
+        fullness.rank,
+        n_dim,
+        condition,
     )
 
 
@@ -234,12 +245,10 @@ def density_stacks(images, v=None, w=None) -> tuple[np.ndarray, np.ndarray]:
     ``v: H -> H'`` and ``w: K -> K'`` default to identities.  A map is
     nondegenerate, or a dilation minimal, when both stacks have full row rank.
     """
-    ranged = images if v is None else np.einsum("iab,bc->iac", images, v)
-    coranged = (
-        np.conj(images).transpose(0, 2, 1)
-        if w is None
-        else np.einsum("iba,bc->iac", np.conj(images), w)
-    )
+    ranged = images if v is None else images @ v
+    coranged = np.conj(images).transpose(0, 2, 1)
+    if w is not None:
+        coranged = coranged @ w
     return tuple(
         t.transpose(1, 0, 2).reshape(t.shape[1], t.shape[0] * t.shape[2])
         for t in (ranged, coranged)
@@ -253,15 +262,29 @@ def density_ranks(
     return tuple(nk.numerical_rank(stack, rel_tol) for stack in density_stacks(images, v, w))
 
 
+def identity_defect(images: np.ndarray, inner: np.ndarray, companion: np.ndarray) -> float:
+    """Unscaled worst ``|images[i]* images[j] - sum_k inner[i, j, k] companion[k]|``.
+
+    This is ``pi(x)* pi(y) = pi_A(<x, y>)`` on basis pairs.  It runs one
+    ``x_i`` at a time, so no tensor of all pairs of maps is alive.
+    """
+    return max(
+        (
+            nk.maxabs(nk.adjoint(image) @ images - nk.coords_apply(row, companion))
+            for image, row in zip(images, inner)
+        ),
+        default=0.0,
+    )
+
+
 def check_module_representation(
     rep: ModuleRepresentation, tol: float = nk.REL_TOL
 ) -> ModuleRepresentationReport:
     images = rep.images
     dim_h, dim_k = rep.space_dims
     scale = max(1.0, nk.maxabs(images))
-    lhs = np.einsum("iba,jbc->ijac", np.conj(images), images)
-    rhs = np.einsum("ijk,kac->ijac", rep.module.inner, rep.companion.images)
-    residual = nk.maxabs(lhs - rhs) / max(1.0, scale * scale)
+    residual = identity_defect(images, rep.module.inner, rep.companion.images)
+    residual /= max(1.0, scale * scale)
     ranged, coranged = density_ranks(images, rel_tol=tol)
     return ModuleRepresentationReport(residual, ranged.rank, dim_k, coranged.rank, dim_h)
 
@@ -396,8 +419,8 @@ def covariance_defect(
     This is ``Phi(eta_t x) = u'_t Phi(x) u_t*`` for module maps and
     ``phi(alpha_t a) = u_t phi(a) u_t*`` for algebra maps, on basis images.
     """
-    transported = np.einsum("tqi,qbc->tibc", transport, images)
-    conjugated = np.einsum("tab,ibc,tdc->tiad", left, images, np.conj(right))
+    transported = nk.coords_apply(transport.transpose(0, 2, 1), images)
+    conjugated = left[:, None] @ images[None] @ np.conj(right).transpose(0, 2, 1)[:, None]
     return nk.maxabs(transported - conjugated)
 
 
@@ -598,14 +621,18 @@ def algebra_action_residuals(
 
     ``law`` is the group law (unit included), ``mult`` the multiplicativity
     ``alpha_t(E_k E_l) = alpha_t(E_k) alpha_t(E_l)`` and ``star`` the
-    commutation with the involution, each the worst over the group.
+    commutation with the involution, each the worst over the group.  The
+    products of images multiply block by block, and ``alpha_t(E_k E_l)`` is
+    a gather, since ``E_k E_l`` is a unit or 0.
     """
-    mul = cstar.mult_tensor(algebra)
     law = max(group_law_residuals(group, alpha))
 
-    prod_of_images = np.einsum("tpk,tql,pqm->tklm", alpha, alpha, mul)
-    image_of_prod = np.einsum("klp,tmp->tklm", mul, alpha)
-    auto_mult = nk.maxabs(prod_of_images - image_of_prod)
+    product = cstar.product_index(algebra)
+    auto_mult = 0.0
+    for t in range(group.order):
+        images = alpha[t].T  # row k: the coordinates of alpha_t(E_k)
+        prod_of_images = cstar.block_products(algebra, images, images)
+        auto_mult = max(auto_mult, nk.maxabs(prod_of_images - nk.pad_zero(images)[product]))
 
     # alpha_t(E_k*) against alpha_t(E_k)*; the star permutation is an involution
     perm = cstar.star_permutation(algebra)
@@ -623,24 +650,31 @@ def check_dynamical_system(
     alpha_law, auto_mult, auto_star = algebra_action_residuals(group, algebra, alpha)
     law = max(max(group_law_residuals(group, eta)), alpha_law)
 
-    # <eta_t x_i, eta_t x_j> versus alpha_t(<x_i, x_j>)
-    transported = np.einsum("tai,tbj,abk->tijk", np.conj(eta), eta, module.inner)
-    pushed = np.einsum("tkl,ijl->tijk", alpha, module.inner)
-    equivariance = nk.maxabs(transported - pushed)
-
-    # eta_t(x_i . E_k) versus eta_t(x_i) . alpha_t(E_k)
-    lhs = np.einsum("tqr,ikr->tikq", eta, module.action)
-    rhs = np.einsum("tai,tlk,alq->tikq", eta, alpha, module.action)
-    compatibility = nk.maxabs(lhs - rhs)
+    equivariance = compatibility = 0.0
+    for t in range(g):
+        # <eta_t x_i, eta_t x_j> versus alpha_t(<x_i, x_j>)
+        pushed = module.inner @ alpha[t].T
+        equivariance = max(
+            equivariance, nk.maxabs(transported_inner(eta[t], module.inner) - pushed)
+        )
+        # eta_t(x_i . E_k) versus eta_t(x_i) . alpha_t(E_k)
+        lhs = module.action @ eta[t].T
+        rhs = nk.coords_apply(eta[t].T, alpha[t].T @ module.action)
+        compatibility = max(compatibility, nk.maxabs(lhs - rhs))
 
     invertible = all(
-        np.linalg.matrix_rank(eta[t]) == module.dim
-        and np.linalg.matrix_rank(alpha[t]) == algebra.dim
+        nk.numerical_rank(eta[t], tol).rank == module.dim
+        and nk.numerical_rank(alpha[t], tol).rank == algebra.dim
         for t in range(g)
     )
     return DynamicalSystemReport(
         law, equivariance, compatibility, auto_mult, auto_star, bool(invertible)
     )
+
+
+def transported_inner(eta_t: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """A-coordinates of ``<eta_t x_i, eta_t x_j>``, shape (m, m, N), from the inner tensor."""
+    return nk.sandwich(eta_t, inner.transpose(2, 0, 1), eta_t).transpose(1, 2, 0)
 
 
 class InducedAction(NamedTuple):
@@ -673,11 +707,10 @@ def induced_algebra_action(
 
     fullness = fullness_system(module)
     flat = fullness.flat
-    transported = np.einsum("tai,tbj,abk->tijk", np.conj(eta), eta, module.inner)
     alphas = []
     residual = 0.0
     for t in range(g):
-        target = transported[t].reshape(m * m, algebra.dim)
+        target = transported_inner(eta[t], module.inner).reshape(m * m, algebra.dim)
         solution = nk.least_squares_solve(flat, target)  # alpha_t^T
         alphas.append(solution.T)
         residual = max(residual, nk.maxabs(flat @ solution - target))
@@ -737,6 +770,11 @@ def module_from_json(obj) -> HilbertModule:
         if not isinstance(dims, list) or len(dims) != 2:
             raise ParseError("module payload: 'standard_module' must be [p, n]")
         p, n = (nk.json_int(d, "module payload: 'standard_module'", 1) for d in dims)
+        if p > MAX_P or n > MAX_N:
+            raise BoundsError(
+                f"module payload: 'standard_module' [{p}, {n}] outside "
+                f"[1, {MAX_P}] x [1, {MAX_N}]"
+            )
         return standard_module(p, n)
     required = {"algebra", "dim", "action", "inner"}
     missing = required - set(obj)
@@ -765,6 +803,10 @@ def group_to_json(group: FiniteGroup) -> dict:
 
 # Groups are tabulated densely, so their order is bounded before any table is built.
 MAX_GROUP_ORDER = 24
+# Standard modules are tabulated densely too: p x n matrices over M_n, bounded
+# before the (pn, n^2, pn) action tensor is allocated.
+MAX_P = 8
+MAX_N = 8
 
 
 def group_order(family: str, size: int) -> int:

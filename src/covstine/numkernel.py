@@ -59,6 +59,58 @@ def eye(n: int) -> np.ndarray:
     return np.eye(n, dtype=np.complex128)
 
 
+# Contractions of matrix stacks run as explicit GEMMs (a reshape to 2-D and one
+# matmul) or as gathers, never as multi-operand einsums, which numpy evaluates
+# as one unordered loop nest over every index at once.
+
+
+def stack_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left[i] @ right[j]`` for every pair, shape ``(len(left), len(right), rows, cols)``.
+
+    One GEMM: the left maps stacked by rows against the right maps stacked by columns.
+    """
+    k, rows, inner = left.shape
+    l, _, cols = right.shape
+    flat = left.reshape(k * rows, inner) @ right.transpose(1, 0, 2).reshape(inner, l * cols)
+    return flat.reshape(k, rows, l, cols).transpose(0, 2, 1, 3)
+
+
+def pair_products(stack: np.ndarray) -> np.ndarray:
+    """``stack[i]* @ stack[j]`` for every pair: ``einsum("iba,jbc->ijac", conj(stack), stack)``."""
+    return stack_products(np.conj(stack).transpose(0, 2, 1), stack)
+
+
+def coords_apply(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``sum_k coeffs[..., k] stack[k]``: ``einsum("ijk,kac->ijac", coeffs, stack)`` and kin.
+
+    One GEMM of the coefficients, flattened to rows, against the flattened stack.
+    """
+    lead, trail = coeffs.shape[:-1], stack.shape[1:]
+    flat = coeffs.reshape(math.prod(lead), stack.shape[0]) @ stack.reshape(
+        stack.shape[0], math.prod(trail)
+    )
+    return flat.reshape(lead + trail)
+
+
+def sandwich(left: np.ndarray, stack: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left* @ stack[i] @ right`` for every i.
+
+    Replaces ``einsum("ab,iac,cd->ibd", conj(left), stack, right)``.
+    """
+    return adjoint(left) @ (stack @ right)
+
+
+def pad_zero(stack: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``stack`` with a slice of zeros appended along ``axis``.
+
+    Indexing the result with ``len`` along that axis reads zeros; products of
+    matrix units (a unit or zero) become gathers this way.
+    """
+    shape = list(stack.shape)
+    shape[axis] = 1
+    return np.concatenate([stack, np.zeros(shape, dtype=stack.dtype)], axis=axis)
+
+
 class EigDecomposition(NamedTuple):
     values: np.ndarray  # real, descending
     vectors: np.ndarray  # unitary, columns align with values

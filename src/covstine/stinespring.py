@@ -64,18 +64,13 @@ class GnsTriple:
     minimality_rank: int
 
 
-def _raw_left_mult(algebra: cstar.CStarAlgebra, space_dim: int) -> np.ndarray:
-    """Left multiplication by each basis unit on ``A (x) H`` coordinates."""
-    mul = cstar.mult_tensor(algebra)
-    ident = nk.eye(space_dim)
-    return np.stack(
-        [np.kron(mul[k].T, ident) for k in range(algebra.dim)]
-    )  # mul[k].T maps coords of b to coords of E_k b
+def _leak(raw: np.ndarray, lifted: np.ndarray, f_map: np.ndarray) -> float:
+    """How far a map on the raw space fails to vanish on the Gram kernel, relatively.
 
-
-def _leak(descended: np.ndarray, kernel_proj: np.ndarray) -> float:
-    """How far a map on the raw space fails to vanish on the Gram kernel, relatively."""
-    return nk.maxabs(descended @ kernel_proj) / max(1.0, nk.maxabs(descended))
+    ``lifted`` is ``raw @ L``, so ``raw - lifted @ F`` is ``raw (I - L F)``
+    expanded, without the projection onto the kernel.
+    """
+    return nk.maxabs(raw - lifted @ f_map) / max(1.0, nk.maxabs(raw))
 
 
 def gns_construct(
@@ -96,24 +91,24 @@ def gns_construct(
         )
     algebra = phi.algebra
     n_dim, h = algebra.dim, phi.space_dim
-    mul = cstar.mult_tensor(algebra)
-    star_perm = cstar.star_permutation(algebra)
-    # Gram[(k,i),(l,j)] = phi(E_k* E_l)[i, j]
-    star_products = mul[star_perm]  # (N, N, N): coords of E_k* E_l
-    phi_products = np.einsum("klm,mij->klij", star_products, phi.images)
+    product = cstar.product_index(algebra)
+    # Gram[(k,i),(l,j)] = phi(E_k* E_l)[i, j]; E_k* E_l is a unit or 0
+    star_products = product[cstar.star_permutation(algebra)]
+    phi_products = nk.pad_zero(phi.images)[star_products]
     gram = phi_products.transpose(0, 2, 1, 3).reshape(n_dim * h, n_dim * h)
     gram = (gram + nk.adjoint(gram)) / 2.0
     factor = nk.gram_factor(gram, rel_tol)
     rank, f_map, lift = factor.rank, factor.F, factor.L
 
-    raw_mult = _raw_left_mult(algebra, h)
-    kernel_proj = nk.eye(n_dim * h) - lift @ f_map
+    # Left multiplication by E_k sends E_l (x) h to E_k E_l (x) h, so its
+    # descent F (E_k (x) I) gathers columns of F.
+    f_units = nk.pad_zero(f_map.reshape(rank, n_dim, h), axis=1)
     images = np.zeros((n_dim, rank, rank), dtype=np.complex128)
     leak = 0.0
     for k in range(n_dim):
-        descended = f_map @ raw_mult[k]
-        leak = max(leak, _leak(descended, kernel_proj))
+        descended = f_units[:, product[k]].reshape(rank, n_dim * h)
         images[k] = descended @ lift
+        leak = max(leak, _leak(descended, images[k], f_map))
     if leak > leak_tol:
         raise QuotientLeakError(
             f"left multiplication does not descend to the quotient (leak {leak:.3e}); "
@@ -124,7 +119,7 @@ def gns_construct(
     v_map = f_map @ iota
 
     scale = max(1.0, nk.maxabs(phi.images))
-    recon = np.einsum("ab,kac,cd->kbd", np.conj(v_map), images, v_map)
+    recon = nk.sandwich(v_map, images, v_map)
     reconstruction = nk.maxabs(recon - phi.images) / scale
     stacked = (images @ v_map).transpose(1, 0, 2).reshape(rank, n_dim * h)
     minimality = nk.numerical_rank(stacked, rel_tol).rank
@@ -164,7 +159,7 @@ def _raw_module_maps(phi: ModuleCPMap) -> np.ndarray:
     module = phi.module
     n_dim = module.algebra.dim
     dim_h, dim_k = phi.space_dims
-    products = np.einsum("ilq,qkj->ilkj", module.action, phi.images)
+    products = nk.coords_apply(module.action, phi.images)
     return products.transpose(0, 2, 1, 3).reshape(module.dim, dim_k, n_dim * dim_h)
 
 
@@ -205,13 +200,13 @@ def dilate_module_cp(
     dim_codomain = w_map.shape[0]
 
     raw = _raw_module_maps(phi)
-    kernel_proj = nk.eye(raw.shape[2]) - gns.L @ gns.F
-    leak = max((_leak(raw[i], kernel_proj) for i in range(module.dim)), default=0.0)
+    lifted = raw @ gns.L
+    leak = max((_leak(r, l, gns.F) for r, l in zip(raw, lifted)), default=0.0)
     if leak > leak_tol:
         raise QuotientLeakError(
             f"module maps do not descend to the GNS quotient (leak {leak:.3e})"
         )
-    images = np.einsum("ab,ibc,cd->iad", w_map, raw, gns.L)
+    images = w_map @ lifted  # W (raw map) L
     return StinespringDilation(phi, gns, dim_codomain, w_map, images, k_eigs)
 
 
@@ -250,22 +245,19 @@ def dilate_covariant(
     group = cov.system.group
     dim_k = cov.base.space_dims[1]
 
-    raw_dim = gns.F.shape[1]
-    kernel_proj = nk.eye(raw_dim) - gns.L @ gns.F
     gram = nk.adjoint(gns.F) @ gns.F  # the GNS Gram restricted to its range
     v_mats = np.zeros((group.order, gns.dim, gns.dim), dtype=np.complex128)
     gram_residual = 0.0
     leak = 0.0
     for t in range(group.order):
-        raw_t = np.kron(cov.system.alpha[t], cov.u.mats[t])
-        transported = nk.adjoint(raw_t) @ gram @ raw_t
+        descended = gns.F @ np.kron(cov.system.alpha[t], cov.u.mats[t])
+        transported = nk.adjoint(descended) @ descended  # raw_t* Gram raw_t
         gram_residual = max(
             gram_residual,
             nk.maxabs(transported - gram) / max(1.0, nk.maxabs(gram)),
         )
-        descended = gns.F @ raw_t
-        leak = max(leak, _leak(descended, kernel_proj))
         v_mats[t] = descended @ gns.L
+        leak = max(leak, _leak(descended, v_mats[t], gns.F))
     if leak > leak_tol:
         raise QuotientLeakError(
             f"group unitaries do not descend to the GNS quotient (leak {leak:.3e})"
@@ -406,7 +398,7 @@ def verify_dilation(
 
     # GNS layer
     comp = phi.companion
-    recon = np.einsum("ab,kac,cd->kbd", np.conj(gns.V), gns.rep.images, gns.V)
+    recon = nk.sandwich(gns.V, gns.rep.images, gns.V)
     residuals["gns_reconstruction"] = nk.maxabs(recon - comp.images) / scale_phi
     gns_stack = (gns.rep.images @ gns.V).transpose(1, 0, 2).reshape(
         gns.dim, module.algebra.dim * dim_h
@@ -418,13 +410,13 @@ def verify_dilation(
     residuals["gns_representation"] = rep_report.max_residual
 
     # reconstruction Phi(x) = W* pi(x) V
-    rebuilt = np.einsum("ab,iac,cd->ibd", np.conj(base.W), base.images, gns.V)
+    rebuilt = nk.sandwich(base.W, base.images, gns.V)
     residuals["reconstruction"] = nk.maxabs(rebuilt - phi.images) / scale_phi
 
     # representation identity pi(x)* pi(y) = pi_gns(<x,y>)
-    lhs = np.einsum("iba,jbc->ijac", np.conj(base.images), base.images)
-    rhs = np.einsum("ijk,kac->ijac", module.inner, gns.rep.images)
-    residuals["representation_identity"] = nk.maxabs(lhs - rhs) / scale_phi
+    residuals["representation_identity"] = hilbmod.identity_defect(
+        base.images, module.inner, gns.rep.images
+    ) / scale_phi
 
     # coisometry rows
     w_gram = base.W @ nk.adjoint(base.W)
@@ -569,14 +561,14 @@ def uniqueness_intertwiners(
 
     # companion representation of the competing images, via fullness
     flat = module.inner.reshape(module.dim**2, module.algebra.dim)
-    pair_grams = np.einsum("iba,jbc->ijac", np.conj(alt_images), alt_images)
+    pair_grams = nk.pair_products(alt_images)
     target = pair_grams.reshape(module.dim**2, alt_h * alt_h)
     alt_companion = nk.least_squares_solve(flat, target).reshape(
         module.algebra.dim, alt_h, alt_h
     )
 
     scale_phi = max(1.0, nk.maxabs(phi.images))
-    alt_rebuilt = np.einsum("ab,iac,cd->ibd", np.conj(alt_w), alt_images, alt_v)
+    alt_rebuilt = nk.sandwich(alt_w, alt_images, alt_v)
     alt_recon = nk.maxabs(alt_rebuilt - phi.images) / scale_phi
 
     # U1 from the algebra side, U2 from the module side

@@ -1,0 +1,270 @@
+"""Ordered contractions: each GEMM or gather helper against the einsum it
+replaces, the sliced and block-wise checks against planted perturbations, and
+a guard that keeps unordered multi-operand einsums out of the package."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
+
+from covstine import cstar, hilbmod, stinespring
+from covstine import numkernel as nk
+from covstine.cpmaps import CPMapAlgebra
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "covstine"
+
+sizes = hst.integers(min_value=0, max_value=4)
+seeds = hst.integers(min_value=0, max_value=2**32 - 1)
+block_sizes = hst.lists(hst.integers(min_value=1, max_value=3), min_size=1, max_size=3).map(tuple)
+
+
+def _random(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _close(actual, expected):
+    assert actual.shape == expected.shape
+    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes, sizes, sizes, sizes, sizes, seeds)
+def test_stack_products_match_einsum(k, l, rows, inner, cols, seed):
+    rng = np.random.default_rng(seed)
+    left, right = _random(rng, k, rows, inner), _random(rng, l, inner, cols)
+    _close(nk.stack_products(left, right), np.einsum("iab,jbc->ijac", left, right))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes, sizes, sizes, seeds)
+def test_pair_products_match_einsum(m, rows, cols, seed):
+    stack = _random(np.random.default_rng(seed), m, rows, cols)
+    _close(nk.pair_products(stack), np.einsum("iba,jbc->ijac", np.conj(stack), stack))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes, sizes, sizes, sizes, sizes, seeds)
+def test_coords_apply_matches_einsum(a, b, k, c, d, seed):
+    rng = np.random.default_rng(seed)
+    coeffs, stack = _random(rng, a, b, k), _random(rng, k, c, d)
+    _close(nk.coords_apply(coeffs, stack), np.einsum("ijk,kac->ijac", coeffs, stack))
+    vectors = _random(rng, k, c)
+    _close(nk.coords_apply(coeffs, vectors), np.einsum("ijk,ka->ija", coeffs, vectors))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes, sizes, sizes, sizes, sizes, seeds)
+def test_sandwich_matches_einsum(m, a, b, c, d, seed):
+    rng = np.random.default_rng(seed)
+    left, stack, right = _random(rng, a, b), _random(rng, m, a, c), _random(rng, c, d)
+    _close(
+        nk.sandwich(left, stack, right),
+        np.einsum("ab,iac,cd->ibd", np.conj(left), stack, right),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_sizes, sizes, sizes, seeds)
+def test_block_products_match_the_multiplication_tensor(blocks, k, l, seed):
+    algebra = cstar.CStarAlgebra(blocks)
+    rng = np.random.default_rng(seed)
+    left, right = _random(rng, k, algebra.dim), _random(rng, l, algebra.dim)
+    expected = np.einsum("ip,jq,pqm->ijm", left, right, cstar.mult_tensor(algebra))
+    _close(cstar.block_products(algebra, left, right), expected)
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_sizes, sizes, sizes, seeds)
+def test_unit_gathers_match_the_multiplication_tensor(blocks, m, h, seed):
+    algebra = cstar.CStarAlgebra(blocks)
+    mul = cstar.mult_tensor(algebra)
+    rng = np.random.default_rng(seed)
+    stack = _random(rng, algebra.dim, h, h)
+    product = cstar.product_index(algebra)
+    _close(nk.pad_zero(stack)[product], np.einsum("klm,mab->klab", mul, stack))
+    inner = _random(rng, m, m, algebra.dim)
+    gathered = nk.pad_zero(inner, axis=2)[..., cstar.left_factor_index(algebra)]
+    _close(gathered, np.einsum("ijl,lkm->ijkm", inner, mul))
+
+
+@settings(max_examples=40, deadline=None)
+@given(block_sizes, sizes, sizes, seeds)
+def test_gathered_left_multiplication_matches_kronecker_products(blocks, rank, h, seed):
+    """Descending left multiplication by E_k gathers columns of F, which is
+    ``F @ kron(mul[k].T, I_h)`` without the (N h)^2 Kronecker factor."""
+    algebra = cstar.CStarAlgebra(blocks)
+    n_dim = algebra.dim
+    f_map = _random(np.random.default_rng(seed), rank, n_dim * h)
+    mul = cstar.mult_tensor(algebra)
+    units = nk.pad_zero(f_map.reshape(rank, n_dim, h), axis=1)
+    for k, row in enumerate(cstar.product_index(algebra)):
+        gathered = units[:, row].reshape(rank, n_dim * h)
+        _close(gathered, f_map @ np.kron(mul[k].T, nk.eye(h)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(block_sizes, hst.integers(min_value=1, max_value=3), seeds)
+def test_gns_left_multiplication_descends_as_before(blocks, h, seed):
+    """The GNS representation equals the descent ``F kron(mul[k].T, I) L``."""
+    algebra = cstar.CStarAlgebra(blocks)
+    rng = np.random.default_rng(seed)
+    embedding = cstar.embedding_representation(algebra).images
+    v = _random(rng, algebra.embed_dim, h)
+    phi = CPMapAlgebra(algebra, h, nk.sandwich(v, embedding, v))
+    gns = stinespring.gns_construct(phi)
+    mul = cstar.mult_tensor(algebra)
+    for k in range(algebra.dim):
+        expected = gns.F @ np.kron(mul[k].T, nk.eye(h)) @ gns.L
+        np.testing.assert_allclose(gns.rep.images[k], expected, rtol=1e-9, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes, sizes, sizes, sizes, seeds)
+def test_identity_defect_matches_einsum(m, rows, cols, n_dim, seed):
+    rng = np.random.default_rng(seed)
+    images, inner = _random(rng, m, rows, cols), _random(rng, m, m, n_dim)
+    companion = _random(rng, n_dim, cols, cols)
+    lhs = np.einsum("iba,jbc->ijac", np.conj(images), images)
+    rhs = np.einsum("ijk,kac->ijac", inner, companion)
+    reference = np.max(np.abs(lhs - rhs)) if lhs.size else 0.0
+    assert hilbmod.identity_defect(images, inner, companion) == pytest.approx(reference, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes, sizes, seeds)
+def test_transported_inner_matches_einsum(m, n_dim, seed):
+    rng = np.random.default_rng(seed)
+    eta, inner = _random(rng, m, m), _random(rng, m, m, n_dim)
+    expected = np.einsum("ai,bj,abk->ijk", np.conj(eta), eta, inner)
+    _close(hilbmod.transported_inner(eta, inner), expected)
+
+
+# ---------------------------------------------------------------------------
+# Planted perturbations: the sliced and block-wise checks see them at their size
+# ---------------------------------------------------------------------------
+
+
+def _algebra_module(blocks):
+    """A block algebra as a right module over itself, ``<a, b> = a* b``."""
+    algebra = cstar.CStarAlgebra(blocks)
+    mul = cstar.mult_tensor(algebra)
+    return hilbmod.HilbertModule(
+        algebra, algebra.dim, mul.copy(), mul[cstar.star_permutation(algebra)].copy()
+    )
+
+
+def _linearity_reference(module):
+    mul = cstar.mult_tensor(module.algebra)
+    lhs = np.einsum("jkq,iqm->ijkm", module.action, module.inner)
+    rhs = np.einsum("ijl,lkm->ijkm", module.inner, mul)
+    return np.max(np.abs(lhs - rhs)) / max(1.0, nk.maxabs(module.inner))
+
+
+@pytest.mark.parametrize("blocks", [(1, 2, 3), (2,), (3, 1)])
+@pytest.mark.parametrize("eps", [1e-3, 1e-7])
+def test_sliced_linearity_reports_a_planted_action_perturbation(blocks, eps):
+    module = _algebra_module(blocks)
+    report = hilbmod.check_module_axioms(module)
+    assert report.linearity_residual == 0.0 and report.full
+    rng = np.random.default_rng(7)
+    action = module.action.copy()
+    j, k, q = (int(rng.integers(0, module.dim)) for _ in range(3))
+    action[j, k, q] += eps
+    broken = hilbmod.HilbertModule(module.algebra, module.dim, action, module.inner)
+    residual = hilbmod.check_module_axioms(broken).linearity_residual
+    # inner products of units are units, so the defect is eps exactly
+    assert residual == pytest.approx(eps, rel=1e-9)
+    assert residual == pytest.approx(_linearity_reference(broken), rel=1e-12)
+
+
+def _conjugation_action(blocks, seed):
+    """Z2 acting on a block algebra by conjugation with a block-diagonal unitary of order 2."""
+    algebra = cstar.CStarAlgebra(blocks)
+    rng = np.random.default_rng(seed)
+    parts = []
+    for n in algebra.blocks:
+        q = nk.haar_unitary(rng, n)
+        parts.append(q @ np.diag(rng.choice([1.0, -1.0], size=n)) @ nk.adjoint(q))
+    u = np.zeros((algebra.embed_dim, algebra.embed_dim), dtype=np.complex128)
+    pos = 0
+    for part in parts:
+        u[pos : pos + len(part), pos : pos + len(part)] = part
+        pos += len(part)
+    alpha = np.zeros((2, algebra.dim, algebra.dim), dtype=np.complex128)
+    alpha[0] = np.eye(algebra.dim)
+    for k, unit in enumerate(cstar.embedding_representation(algebra).images):
+        conjugated = u @ unit @ nk.adjoint(u)
+        blocks_k, pos = [], 0
+        for n in algebra.blocks:
+            blocks_k.append(conjugated[pos : pos + n, pos : pos + n])
+            pos += n
+        alpha[1][:, k] = cstar.blocks_to_coords(algebra, blocks_k)
+    return algebra, alpha
+
+
+def _automorphism_reference(algebra, alpha):
+    mul = cstar.mult_tensor(algebra)
+    prod_of_images = np.einsum("tpk,tql,pqm->tklm", alpha, alpha, mul)
+    image_of_prod = np.einsum("klp,tmp->tklm", mul, alpha)
+    return np.max(np.abs(prod_of_images - image_of_prod))
+
+
+@pytest.mark.parametrize("blocks", [(1, 2, 3), (3,), (2, 2)])
+@pytest.mark.parametrize("eps", [1e-3, 1e-7])
+def test_blockwise_automorphism_check_reports_a_planted_alpha_perturbation(blocks, eps):
+    algebra, alpha = _conjugation_action(blocks, seed=3)
+    group = hilbmod.cyclic_group(2)
+    law, mult, star = hilbmod.algebra_action_residuals(group, algebra, alpha)
+    assert max(law, mult, star) < 1e-12
+    rng = np.random.default_rng(11)
+    m, k = (int(rng.integers(0, algebra.dim)) for _ in range(2))
+    alpha[1, m, k] += eps
+    residual = hilbmod.algebra_action_residuals(group, algebra, alpha)[1]
+    assert residual == pytest.approx(_automorphism_reference(algebra, alpha), rel=1e-9)
+    assert 0.5 * eps <= residual <= 4 * eps
+
+
+# ---------------------------------------------------------------------------
+# Guard: no unordered multi-operand einsum in the package
+# ---------------------------------------------------------------------------
+
+
+def unordered_einsums(source: str) -> list[int]:
+    """Lines of ``einsum`` calls with three or more operands or an ``optimize=`` argument."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name != "einsum":
+            continue
+        operands = len(node.args) - 1
+        starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+        if operands >= 3 or starred or any(kw.arg == "optimize" for kw in node.keywords):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_guard_flags_unordered_einsums():
+    source = "\n".join(
+        [
+            'np.einsum("ij,jk->ik", a, b)',
+            'np.einsum("ab,ibc,cd->iad", w, raw, l)',
+            'np.einsum("ij,jk->ik", a, b, optimize=True)',
+            'einsum("i,j,ijk->k", x, y, t)',
+            "np.einsum(spec, *operands)",
+        ]
+    )
+    assert unordered_einsums(source) == [2, 3, 4, 5]
+
+
+def test_package_has_no_unordered_einsums():
+    offenders = {
+        path.name: unordered_einsums(path.read_text())
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert not {name: lines for name, lines in offenders.items() if lines}

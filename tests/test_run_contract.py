@@ -1,7 +1,7 @@
 """Run-level contracts: each invariant is checked once per scenario, bad
-scenario values exit 2 without a traceback, group payloads are bounded
-before any table is built, and ``--jobs`` never starts more workers than
-scenarios or CPUs."""
+scenario values exit 2 without a traceback, group payloads and explicit
+object sizes are bounded before anything is allocated, and ``--jobs`` never
+starts more workers than scenarios or CPUs."""
 
 import collections
 import copy
@@ -9,13 +9,15 @@ import itertools
 import json
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covstine import cli, cpmaps, crossed, hilbmod
-from covstine.errors import BoundsError, ParseError, ShapeMismatchError
+from covstine import numkernel as nk
+from covstine.errors import BoundsError, NotActionError, ParseError, ShapeMismatchError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "covstine" / "scenarios"
 CHECKS = {
@@ -82,6 +84,48 @@ def test_each_check_runs_at_most_once_per_scenario(
     if kind in ("verify", "crossed"):
         assert call_counts["check_dynamical_system"] == 1
     assert not hasattr(crossed, "_check_action")
+
+
+def test_fullness_is_decided_once_per_covariant_run(tmp_path, monkeypatch):
+    """``fullness_system`` reads the rank ``check_module_axioms`` decided."""
+    path = tmp_path / "cov.json"
+    path.write_bytes(
+        cli.canonical_bytes(cli.generate_scenario("dilate-covariant", 2, 2, 1, 11, "cyclic:2"))
+    )
+    shapes = collections.Counter()
+    original = nk.numerical_rank
+
+    def counting(m, *args, **kwargs):
+        shapes[np.shape(m)] += 1
+        return original(m, *args, **kwargs)
+
+    monkeypatch.setattr(nk, "numerical_rank", counting)
+    cert = cli.run_scenario(str(path))
+    assert cert.passed
+    assert shapes[(16, 4)] == 1  # the (m^2, N) fullness stack of the 2 x 2 module
+
+
+def _z2_system():
+    group = hilbmod.cyclic_group(2)
+    delta = hilbmod.UnitaryRep(group, 2, np.stack([np.eye(2), np.diag([1.0, -1.0])]))
+    return hilbmod.standard_action(group, hilbmod.trivial_rep(group, 1), delta)
+
+
+@pytest.mark.parametrize("which", ["eta", "alpha"])
+@pytest.mark.parametrize("small", [0.0, 1e-7])
+def test_singular_eta_or_alpha_is_rejected(which, small):
+    """Invertibility is decided by the package's one rank rule: a singular value
+    of 1e-7 relative to the largest falls below its cutoff (eigenvalue ratio
+    1e-10 on the Gram), as an exact zero does."""
+    system = _z2_system()
+    assert hilbmod.check_dynamical_system(system).invertible
+    eta, alpha = system.eta.copy(), system.alpha.copy()
+    target = eta if which == "eta" else alpha
+    target[1, 0] *= small
+    broken = hilbmod.ModuleDynamicalSystem(system.group, system.module, eta, alpha)
+    assert not hilbmod.check_dynamical_system(broken).invertible
+    with pytest.raises(NotActionError):
+        crossed.build_crossed_module(broken)
 
 
 def _set(payload, path, value):
@@ -159,6 +203,49 @@ def test_bad_overrides_exit_two(tmp_path, capsys, flags, field):
 def test_group_payloads_bounded_before_tables(payload):
     with pytest.raises((BoundsError, ParseError)):
         hilbmod.group_from_json(payload)
+
+
+IDENTITY = _bundled("identity.json")
+STANDARD_MODULE = ("objects", "module", "standard_module")
+GAMMA = ("objects", "system", "standard_action", "gamma")
+
+
+@pytest.mark.parametrize(
+    "payload, field, allocator",
+    [
+        (_set(IDENTITY, STANDARD_MODULE, [40, 40]), "'standard_module'", "standard_module"),
+        (_set(IDENTITY, STANDARD_MODULE, [1, 9]), "'standard_module'", "standard_module"),
+        (_set(Z2, ("objects", "u_prime"), {"trivial": 40_000}), "u_prime: 'trivial'", "trivial_rep"),
+        (_set(Z2, GAMMA, {"trivial": 10**9}), "gamma: 'trivial'", "trivial_rep"),
+    ],
+)
+def test_explicit_object_sizes_bounded_before_allocation(
+    tmp_path, capsys, monkeypatch, payload, field, allocator
+):
+    original = getattr(hilbmod, allocator)
+
+    def guarded(*args):
+        if any(isinstance(arg, int) and arg > cli.MAX_SPACE_DIM for arg in args):
+            raise AssertionError(f"{allocator}{args[-2:]} was called before the size bound")
+        return original(*args)
+
+    monkeypatch.setattr(hilbmod, allocator, guarded)
+    tracemalloc.start()
+    try:
+        code, err = _run(tmp_path, capsys, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "Traceback" not in err
+    assert field in err and "BoundsError" in err
+    assert peak < 8 * 2**20
+
+
+def test_standard_module_payload_bounded():
+    assert hilbmod.module_from_json({"standard_module": [8, 8]}).dim == 64
+    with pytest.raises(BoundsError, match="standard_module"):
+        hilbmod.module_from_json({"standard_module": [9, 1]})
 
 
 def test_explicit_group_range_checked():
