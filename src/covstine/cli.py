@@ -383,11 +383,10 @@ def _run_crossed(res: ResolvedScenario, provenance: dict, dump_structure: bool) 
             f"exhaustive-check limit {CROSSED_AXIOM_LIMIT}"
         )
     if dump_structure:
-        tensor = crossed.structure_constants(induced.crossed.algebra)
-        nonzero = np.argwhere(np.abs(tensor) > 0)
+        rows, cols, slots, values = crossed.structure_entries(induced.crossed.algebra)
         provenance["structure_constants"] = [
-            [int(i), int(j), int(k), float(tensor[i, j, k].real), float(tensor[i, j, k].imag)]
-            for i, j, k in nonzero
+            [int(i), int(j), int(k), float(v.real), float(v.imag)]
+            for i, j, k, v in zip(rows, cols, slots, values)
         ]
     return cert
 

@@ -11,27 +11,34 @@ the finite-group forms (counting measure, trivial modular function):
     <xhat, yhat>(s) = sum_t alpha_{t^-1}(<xhat(t), yhat(t s)>)
 
 The basis of a crossed object enumerates group elements times the base
-basis; index ``(t, k)`` lives at ``t * base_dim + k``.
+basis; index ``(t, k)`` lives at ``t * base_dim + k``.  On basis elements
+each operation lands on a single group element (the slot), with a base
+block that depends on at most one group element:
+
+    e_(t,k) e_(r,l)             = delta_{tr}     E_k alpha_t(E_l)           B[t][k, l]
+    e_(s,k)*                    = delta_{s^-1}   alpha_{s^-1}(E_k*)         S[s^-1][:, k]
+    (delta_r x_j) e_(s,k)       = delta_{rs}     x_j . alpha_r(E_k)         C[r][j, k]
+    <delta_t x_i, delta_r x_j>  = delta_{t^-1 r} alpha_{t^-1}(<x_i, x_j>)   A[t][i, j]
+
+with ``f*(s) = S[s] conj(f(s^-1))``.  The run path and the axiom checks work
+on these g blocks (``product_blocks``, ``star_blocks``, ``action_blocks``,
+``inner_blocks``) and place them through the group table; the generic
+``multiply``, ``star``, ``act`` and ``inner`` are the reference the tests
+compare the blocks against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from . import cstar, hilbmod, stinespring
 from . import numkernel as nk
-# check_covariance stays importable from here; this module reads its report
-# through the cached covariance_report.
-from .cpmaps import CovariantCPMap, check_covariance  # noqa: F401
-from .errors import (
-    NotActionError,
-    NotCovariantError,
-    NotCovariantRepError,
-    ShapeMismatchError,
-)
+from .cpmaps import CovariantCPMap, check_covariance  # noqa: F401 (importable from here)
+from .errors import NotActionError, NotCovariantError, NotCovariantRepError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -84,6 +91,26 @@ class CrossedAlgebra:
         out[t, k] = 1.0
         return out
 
+    @cached_property
+    def product_blocks(self) -> np.ndarray:
+        """``B[t, k, l]``: coordinates of ``E_k alpha_t(E_l)``, shape (g, N, N, N).
+
+        ``E_k E_q`` is the unit ``product_index[k, q]`` or zero, so row q of
+        ``alpha_t`` lands there; adding 0.0 clears signed zeros, so the
+        entries equal those of ``multiply`` bit for bit.
+        """
+        n = self.base.dim
+        product = cstar.product_index(self.base)
+        k, q = np.nonzero(product < n)
+        out = np.zeros((self.group.order, n, n, n), dtype=np.complex128)
+        out[:, k, :, product[k, q]] = self.alpha[:, q, :].transpose(1, 0, 2)
+        return out + 0.0
+
+    @cached_property
+    def star_blocks(self) -> np.ndarray:
+        """``S[s]`` with ``f*(s) = S[s] @ conj(f(s^-1))``: alpha_s after the star permutation."""
+        return self.alpha[:, :, cstar.star_permutation(self.base)]
+
 
 def build_crossed_algebra(
     group: hilbmod.FiniteGroup,
@@ -101,19 +128,36 @@ def build_crossed_algebra(
     return CrossedAlgebra(group, base, alpha)
 
 
+def _place(blocks: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """Dense (g a, g b, g c) tensor with the (a, b, c) block ``blocks[t]`` at row t,
+    column r and group slot ``slot[t, r]``, zero elsewhere."""
+    g, a, b, c = blocks.shape
+    out = np.zeros((g, a, g, b, g, c), dtype=np.complex128)
+    rows, cols = np.indices((g, g))
+    out[rows, :, cols, :, slot, :] = blocks[:, None]
+    return out.reshape(g * a, g * b, g * c)
+
+
 def structure_constants(calg: CrossedAlgebra) -> np.ndarray:
     """Full multiplication tensor on the crossed basis, (d, d, d) with d = |G| N."""
-    d = calg.dim
-    n_dim = calg.base.dim
-    out = np.zeros((d, d, d), dtype=np.complex128)
-    for t in range(calg.group.order):
-        for k in range(n_dim):
-            left = calg.basis_element(t, k)
-            for r in range(calg.group.order):
-                for l in range(n_dim):
-                    prod = calg.multiply(left, calg.basis_element(r, l))
-                    out[t * n_dim + k, r * n_dim + l] = prod.reshape(d)
-    return out
+    return _place(calg.product_blocks, calg.group.mult)
+
+
+def structure_entries(calg: CrossedAlgebra):
+    """Nonzero entries of ``structure_constants`` without the dense tensor.
+
+    Returns index arrays (rows, cols, slots) and the values, in the
+    lexicographic order of ``np.argwhere`` on the dense tensor: row (t, k)
+    and column (r, l) hold ``B[t][k, l]`` at slot tr.
+    """
+    group = calg.group
+    g, n = group.order, calg.base.dim
+    parts = []
+    for t in range(g):
+        block = calg.product_blocks[t]
+        k, r, l, p = np.nonzero(np.broadcast_to((np.abs(block) > 0)[:, None], (n, g, n, n)))
+        parts.append((t * n + k, r * n + l, group.mult[t, r] * n + p, block[k, l, p]))
+    return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 class CrossedAlgebraReport(NamedTuple):
@@ -124,70 +168,44 @@ class CrossedAlgebraReport(NamedTuple):
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.associativity_residual,
-            self.involution_residual,
-            self.involutive_residual,
-            self.unital_residual,
-        )
+        return max(self)
 
 
 def check_crossed_algebra(calg: CrossedAlgebra) -> CrossedAlgebraReport:
-    """Exhaustive axiom check on basis triples, via the generic operations."""
-    d = calg.dim
-    n_dim = calg.base.dim
-    struct = structure_constants(calg)
+    """Exhaustive axiom check on basis triples, block by block.
 
-    # (e_i e_j) e_k versus e_i (e_j e_k), chunked over i to bound memory
-    assoc = 0.0
-    for i in range(d):
-        lhs = nk.coords_apply(struct[i], struct)
-        rhs = struct @ struct[i]
-        assoc = max(assoc, nk.maxabs(lhs - rhs))
+    Every product of basis elements sits at one group element, and the third
+    element of a triple only moves that slot, so each identity compares base
+    blocks for the pairs (t, r):
 
-    stars = np.stack(
-        [
-            calg.star(calg.basis_element(t, k)).reshape(d)
-            for t in range(calg.group.order)
-            for k in range(n_dim)
-        ]
-    )
-    double_star = np.stack(
-        [
-            calg.star(stars[i].reshape(calg.group.order, n_dim)).reshape(d)
-            for i in range(d)
-        ]
-    )
-    involutive = nk.maxabs(double_star - np.eye(d))
+        (e_(t,k) e_(r,l)) e_(s,n) = sum_p B_t[k,l,p] B_tr[p,n,:]
+        e_(t,k) (e_(r,l) e_(s,n)) = sum_p B_r[l,n,p] B_t[k,p,:]
+        (e_(t,k) e_(r,l))*        = S_{(tr)^-1} conj(B_t[k,l])
+        e_(r,l)* e_(t,k)*         = sum_pq S_{r^-1}[p,l] S_{t^-1}[q,k] B_{r^-1}[p,q,:]
+    """
+    group = calg.group
+    g, n = group.order, calg.base.dim
+    mult, inv = group.mult, group.inv
+    prod, star = calg.product_blocks, calg.star_blocks
+    flat = prod.reshape(g, n * n, n)
+    # [r, q, (l, :)] = sum_p S_{r^-1}[p, l] B_{r^-1}[p, q, :]
+    halves = np.swapaxes(star[inv], 1, 2) @ prod[inv].reshape(g, n, n * n)
+    halves = halves.reshape(g, n, n, n).transpose(0, 2, 1, 3).reshape(g, n, n * n)
+    assoc = anti = 0.0
+    for t in range(g):
+        right = prod[mult[t]].reshape(g, n, n * n)
+        for k in range(n):
+            lhs = prod[t, k] @ right
+            rhs = flat @ prod[t, k]
+            assoc = max(assoc, nk.maxabs(lhs.reshape(rhs.shape) - rhs))
+        starred = np.conj(flat[t]) @ np.swapaxes(star[inv[mult[t]]], 1, 2)
+        reversed_prod = star[inv[t]].T @ halves
+        anti = max(anti, nk.maxabs(starred - reversed_prod.reshape(starred.shape)))
 
-    anti = 0.0
-    for i in range(d):
-        prod_star = np.stack(
-            [
-                calg.star(struct[i, j].reshape(calg.group.order, n_dim)).reshape(d)
-                for j in range(d)
-            ]
-        )
-        star_i = stars[i].reshape(calg.group.order, n_dim)
-        reversed_prod = np.stack(
-            [
-                calg.multiply(stars[j].reshape(calg.group.order, n_dim), star_i).reshape(d)
-                for j in range(d)
-            ]
-        )
-        anti = max(anti, nk.maxabs(prod_star - reversed_prod))
-
-    unit = calg.unit()
-    unital = 0.0
-    for i in range(d):
-        elem = np.zeros(d, dtype=np.complex128)
-        elem[i] = 1.0
-        shaped = elem.reshape(calg.group.order, n_dim)
-        unital = max(
-            unital,
-            nk.maxabs(calg.multiply(unit, shaped).reshape(d) - elem),
-            nk.maxabs(calg.multiply(shaped, unit).reshape(d) - elem),
-        )
+    unit, eye = cstar.unit_coords(calg.base), np.eye(n)
+    involutive = nk.maxabs(star @ np.conj(star[inv]) - eye)
+    left_unit = (unit @ prod[group.identity].reshape(n, n * n)).reshape(n, n)
+    unital = max(nk.maxabs(left_unit - eye), nk.maxabs(unit @ prod - eye))
     return CrossedAlgebraReport(assoc, anti, involutive, unital)
 
 
@@ -248,6 +266,20 @@ class CrossedModule:
         out[t, i] = 1.0
         return out
 
+    @cached_property
+    def inner_blocks(self) -> np.ndarray:
+        """``A[t, i, j] = alpha_{t^-1}(<x_i, x_j>)``, shape (g, m, m, N): one GEMM."""
+        m, n = self.module.dim, self.module.algebra.dim
+        alpha = np.swapaxes(self.system.alpha[self.group.inv], 1, 2)
+        return (self.module.inner.reshape(m * m, n) @ alpha).reshape(self.group.order, m, m, n)
+
+    @cached_property
+    def action_blocks(self) -> np.ndarray:
+        """``C[r, j, k]``: coordinates of ``x_j . alpha_r(E_k)``, shape (g, m, N, m)."""
+        m, n = self.module.dim, self.module.algebra.dim
+        moved = self.module.action.transpose(0, 2, 1).reshape(m * m, n) @ self.system.alpha
+        return moved.reshape(self.group.order, m, m, n).transpose(0, 1, 3, 2)
+
 
 def build_crossed_module(
     sys: hilbmod.ModuleDynamicalSystem, tol: float = 1e-9
@@ -283,54 +315,36 @@ class CrossedModuleReport(NamedTuple):
 
 def crossed_inner_tensor(cm: CrossedModule) -> np.ndarray:
     """Inner products of all crossed basis pairs, shape (d_X, d_X, d_A)."""
-    d_x, d_a = cm.dim, cm.algebra.dim
-    g, m = cm.group.order, cm.module.dim
-    out = np.zeros((d_x, d_x, d_a), dtype=np.complex128)
-    for t in range(g):
-        for i in range(m):
-            left = cm.basis_element(t, i)
-            for r in range(g):
-                for j in range(m):
-                    out[t * m + i, r * m + j] = cm.inner(
-                        left, cm.basis_element(r, j)
-                    ).reshape(d_a)
-    return out
+    group = cm.group
+    return _place(cm.inner_blocks, group.mult[group.inv])
 
 
 def check_crossed_module(cm: CrossedModule) -> CrossedModuleReport:
-    """Exhaustive right-module and symmetry checks on basis triples."""
-    g, m = cm.group.order, cm.module.dim
-    n_dim = cm.module.algebra.dim
+    """Exhaustive right-module and symmetry checks on basis triples, block by block.
+
+    ``<e_(t,i), e_(r,j) f_(s,k)>`` and ``<e_(t,i), e_(r,j)> f_(s,k)`` both sit
+    at slot t^-1 r s, where they read ``sum_q C_r[j,k,q] A_t[i,q,:]`` and
+    ``sum_p A_t[i,j,p] B_{t^-1 r}[p,k,:]``; s only moves the slot.
+    """
+    group = cm.group
+    g, m, n = group.order, cm.module.dim, cm.module.algebra.dim
+    inner, prod, star = cm.inner_blocks, cm.algebra.product_blocks, cm.algebra.star_blocks
+    acts = cm.action_blocks.reshape(g, m * n, m)
+    swapped = inner.transpose(0, 2, 1, 3).reshape(g, m * m, n)  # [r, (i, j)] = A_r[j, i]
+    axiom = sym = 0.0
+    for t in range(g):
+        slots = group.mult[group.inv[t]]  # t^-1 r for each r
+        right = prod[slots].reshape(g, n, n * n)
+        for i in range(m):
+            lhs = acts @ inner[t, i]
+            rhs = inner[t, i] @ right
+            axiom = max(axiom, nk.maxabs(lhs.reshape(rhs.shape) - rhs))
+        # <e_(t,i), e_(r,j)>* sits at (t^-1 r)^-1 = r^-1 t, where <e_(r,j), e_(t,i)> does
+        starred = np.conj(inner[t]).reshape(m * m, n) @ np.swapaxes(star[group.inv[slots]], 1, 2)
+        sym = max(sym, nk.maxabs(starred - swapped))
+
     d_x, d_a = cm.dim, cm.algebra.dim
-    inner = crossed_inner_tensor(cm)
-    struct = structure_constants(cm.algebra)
-
-    # action of every crossed-algebra basis element on every module basis element
-    act = np.zeros((d_x, d_a, d_x), dtype=np.complex128)
-    for r in range(g):
-        for j in range(m):
-            xhat = cm.basis_element(r, j)
-            for s in range(g):
-                for k in range(n_dim):
-                    act[r * m + j, s * n_dim + k] = cm.act(
-                        xhat, cm.algebra.basis_element(s, k)
-                    ).reshape(d_x)
-
-    lhs = nk.coords_apply(act, inner.transpose(1, 0, 2)).transpose(2, 0, 1, 3)
-    rhs = nk.coords_apply(inner, struct)
-    axiom = nk.maxabs(lhs - rhs)
-
-    sym = 0.0
-    for a in range(d_x):
-        starred = np.stack(
-            [
-                cm.algebra.star(inner[a, b].reshape(g, n_dim)).reshape(d_a)
-                for b in range(d_x)
-            ]
-        )
-        sym = max(sym, nk.maxabs(starred - inner[:, a, :]))
-
-    rank = nk.numerical_rank(inner.reshape(d_x * d_x, d_a)).rank
+    rank = nk.numerical_rank(crossed_inner_tensor(cm).reshape(d_x * d_x, d_a)).rank
     return CrossedModuleReport(axiom, sym, rank, d_a)
 
 
@@ -345,6 +359,23 @@ def _integrated(images: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return out.reshape(len(mats) * len(images), *out.shape[2:])
 
 
+def _identity_defect(cm: CrossedModule, images: np.ndarray, companion: np.ndarray) -> float:
+    """``hilbmod.identity_defect`` on the crossed bases, one (t, i) at a time: row
+    (t, i) of the crossed inner tensor holds ``A[t, i, j]`` at slot t^-1 r for each
+    (r, j), so its image under the companion is a gather of ``A[t, i] @ companion``."""
+    group = cm.group
+    g, m, n = group.order, cm.module.dim, cm.module.algebra.dim
+    by_slot = companion.reshape(g, n, -1).transpose(1, 0, 2).reshape(n, -1)
+    worst = 0.0
+    for t in range(g):
+        slots = group.mult[group.inv[t]]
+        for i in range(m):
+            expected = (cm.inner_blocks[t, i] @ by_slot).reshape(m, g, -1)[:, slots]
+            expected = expected.transpose(1, 0, 2).reshape(len(images), *companion.shape[1:])
+            worst = max(worst, nk.maxabs(nk.adjoint(images[t * m + i]) @ images - expected))
+    return worst
+
+
 @dataclass(frozen=True)
 class IntegralForm:
     """Representation of the crossed module induced by a covariant one."""
@@ -354,12 +385,10 @@ class IntegralForm:
     companion_images: np.ndarray  # (|G| N, dim H, dim H)
 
     def apply(self, xhat: np.ndarray) -> np.ndarray:
-        flat = np.asarray(xhat, dtype=np.complex128).reshape(-1)
-        return np.tensordot(flat, self.images, axes=(0, 0))
+        return np.tensordot(np.ravel(xhat).astype(np.complex128), self.images, axes=(0, 0))
 
     def apply_companion(self, f: np.ndarray) -> np.ndarray:
-        flat = np.asarray(f, dtype=np.complex128).reshape(-1)
-        return np.tensordot(flat, self.companion_images, axes=(0, 0))
+        return np.tensordot(np.ravel(f).astype(np.complex128), self.companion_images, axes=(0, 0))
 
 
 class IntegralFormReport(NamedTuple):
@@ -395,12 +424,8 @@ def integral_form(
     v_rep = hilbmod.check_unitary_rep(v)
     w_rep = hilbmod.check_unitary_rep(w)
     worst = max(
-        rep_report.identity_residual,
-        covariance,
-        v_rep.hom_residual,
-        v_rep.unitary_residual,
-        w_rep.hom_residual,
-        w_rep.unitary_residual,
+        rep_report.identity_residual, covariance, v_rep.hom_residual, v_rep.unitary_residual,
+        w_rep.hom_residual, w_rep.unitary_residual,
     )
     if worst > tol:
         raise NotCovariantRepError(
@@ -411,15 +436,12 @@ def integral_form(
     images = _integrated(rep.images, v.mats)
     companion = _integrated(rep.companion.images, v.mats)
     form = IntegralForm(cm, images, companion)
-    identity = hilbmod.identity_defect(images, crossed_inner_tensor(cm), companion)
-    identity /= max(1.0, scale * scale)
+    identity = _identity_defect(cm, images, companion) / max(1.0, scale * scale)
 
     range_rank, corange_rank = (p.rank for p in hilbmod.density_ranks(images))
+    nondegenerate, reason = None, "input representation is degenerate"
     if rep_report.nondegenerate:
-        nondegenerate = range_rank == dim_k and corange_rank == dim_h
-        reason = None
-    else:
-        nondegenerate, reason = None, "input representation is degenerate"
+        nondegenerate, reason = range_rank == dim_k and corange_rank == dim_h, None
     return form, IntegralFormReport(
         identity, range_rank, dim_k, corange_rank, dim_h, nondegenerate, reason
     )
@@ -440,6 +462,7 @@ class InducedCP(IntegralForm):
 
     identity_residual: float  # <Phi^(xhat), Phi^(yhat)> = phi^(<xhat, yhat>)
     factorization_residual: float  # Phi^ = W* (integral form of dilation) V
+    dilation: stinespring.CovariantDilation  # the one the factorization went through
 
     @property
     def max_residual(self) -> float:
@@ -460,35 +483,19 @@ def induced_cp(
     """
     report = cov.covariance_report
     if report.max_residual > tol:
-        raise NotCovariantError(
-            f"input map is not covariant (residual {report.max_residual:.3e})"
-        )
-    sys = cov.system
-    group, module = sys.group, sys.module
-    g, m = group.order, module.dim
-
-    cm = build_crossed_module(sys, tol)
+        raise NotCovariantError(f"input map is not covariant (residual {report.max_residual:.3e})")
+    cm = build_crossed_module(cov.system, tol)
     images = _integrated(cov.base.images, cov.u.mats)
     companion = _integrated(cov.base.companion.images, cov.u.mats)
 
-    identity = hilbmod.identity_defect(images, crossed_inner_tensor(cm), companion)
-    identity /= max(1.0, nk.maxabs(images) ** 2)
+    identity = _identity_defect(cm, images, companion) / max(1.0, nk.maxabs(images) ** 2)
 
     if dilation is None:
         dilation = stinespring.dilate_covariant(cov)
     base = dilation.base
-    fact = 0.0
-    for t in range(g):
-        for i in range(m):
-            rebuilt = (
-                nk.adjoint(base.W)
-                @ base.images[i]
-                @ dilation.v.mats[t]
-                @ base.gns.V
-            )
-            fact = max(fact, nk.maxabs(rebuilt - images[t * m + i]))
-    fact /= max(1.0, nk.maxabs(images))
-    return InducedCP(cm, images, companion, identity, fact)
+    rebuilt = nk.sandwich(base.W, _integrated(base.images, dilation.v.mats), base.gns.V)
+    fact = nk.maxabs(rebuilt - images) / max(1.0, nk.maxabs(images))
+    return InducedCP(cm, images, companion, identity, fact, dilation)
 
 
 class IntegralStinespringReport(NamedTuple):
@@ -500,10 +507,7 @@ class IntegralStinespringReport(NamedTuple):
 
     @property
     def minimal(self) -> bool:
-        return (
-            self.range_rank == self.range_required
-            and self.corange_rank == self.corange_required
-        )
+        return (self.range_rank, self.corange_rank) == (self.range_required, self.corange_required)
 
 
 def check_integral_stinespring(
@@ -513,17 +517,11 @@ def check_integral_stinespring(
 ) -> IntegralStinespringReport:
     """Verify that the integral form of the covariant dilation dilates the
     induced crossed-product map minimally: same reconstruction, same spaces."""
-    if induced is None:
+    if induced is None or induced.dilation is not dilation:
         induced = induced_cp(cov, dilation)
     base = dilation.base
     dil_images = _integrated(base.images, dilation.v.mats)
-
-    rebuilt = nk.sandwich(base.W, dil_images, base.gns.V)
-    recon = nk.maxabs(rebuilt - induced.images) / max(1.0, nk.maxabs(induced.images))
-
-    range_rank, corange_rank = (
-        p.rank for p in hilbmod.density_ranks(dil_images, base.gns.V, base.W)
-    )
+    ranged, coranged = hilbmod.density_ranks(dil_images, base.gns.V, base.W)
     return IntegralStinespringReport(
-        recon, range_rank, base.dim_codomain, corange_rank, base.gns.dim
+        induced.factorization_residual, ranged.rank, base.dim_codomain, coranged.rank, base.gns.dim
     )

@@ -497,21 +497,13 @@ def coset_permutation_rep(group: FiniteGroup, t: int) -> UnitaryRep:
     Gives nontrivial content at dimension |G| / ord(t); the regular
     representation is the ``t = identity`` case.
     """
-    subgroup = set(cyclic_subgroup(group, t))
-    coset_of = {}
-    cosets = 0
-    for s in range(group.order):
-        members = frozenset(int(group.mult[s, h]) for h in subgroup)
-        key = min(members)
-        if key not in coset_of:
-            coset_of[key] = cosets
-            cosets += 1
-        for member in members:
-            coset_of.setdefault(member, coset_of[key])
+    # a coset is labelled by the rank of its smallest element among the cosets'
+    # smallest elements, i.e. in order of first appearance in 0..g-1
+    smallest = group.mult[:, cyclic_subgroup(group, t)].min(axis=1)
+    minima, coset_of = np.unique(smallest, return_inverse=True)
+    cosets = len(minima)
     mats = np.zeros((group.order, cosets, cosets), dtype=np.complex128)
-    for g in range(group.order):
-        for s in range(group.order):
-            mats[g, coset_of[int(group.mult[g, s])], coset_of[s]] = 1.0
+    mats[np.arange(group.order)[:, None], coset_of[group.mult], coset_of] = 1.0
     return UnitaryRep(group, cosets, mats)
 
 
