@@ -44,6 +44,10 @@ MAX_AMPLIFICATION = 8
 MAX_SPACE_DIM = MAX_P * MAX_AMPLIFICATION + 2
 # exhaustive crossed-axiom checks are only feasible on small crossed bases
 CROSSED_AXIOM_LIMIT = 64
+# --dump-structure puts one [row, col, slot, re, im] list per nonzero crossed
+# structure constant into the certificate, about 0.4 kB a row with its JSON
+# text, so at most MAX_STRUCTURE_ROWS of them (about 0.4 GB) are allowed.
+MAX_STRUCTURE_ROWS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +358,15 @@ def _run_verify(res: ResolvedScenario, provenance: dict) -> Certificate:
 
 def _run_crossed(res: ResolvedScenario, provenance: dict, dump_structure: bool) -> Certificate:
     cov = res.cov
+    if dump_structure:
+        system = cov.system
+        calg = crossed.CrossedAlgebra(system.group, system.module.algebra, system.alpha)
+        rows = crossed.structure_entry_count(calg)
+        if rows > MAX_STRUCTURE_ROWS:
+            raise BoundsError(
+                f"--dump-structure: {rows} structure constants exceed the limit "
+                f"{MAX_STRUCTURE_ROWS}"
+            )
     cert = Certificate(res.tolerance, provenance=provenance)
     dilation = stinespring.dilate_covariant(cov)
     induced = crossed.induced_cp(cov, dilation)

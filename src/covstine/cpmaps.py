@@ -51,6 +51,15 @@ class CPMapAlgebra:
     def choi(self, tol: float = nk.REL_TOL) -> cstar.ChoiReport:
         return cstar.choi_blocks(self.algebra, self.images, tol)
 
+    @cached_property
+    def choi_report(self) -> cstar.ChoiReport:
+        """``choi`` at the default tolerance, computed once.
+
+        The CP test of ``check_module_cp`` and the GNS factor of
+        ``stinespring.gns_construct`` both read these per-block matrices.
+        """
+        return self.choi()
+
     def hermiticity_residual(self) -> float:
         starred = self.images[cstar.star_permutation(self.algebra)]  # phi(E_k*)
         adjoints = np.conj(np.transpose(self.images, (0, 2, 1)))
@@ -144,7 +153,7 @@ def induced_algebra_cp(
     companion = CPMapAlgebra(
         module.algebra, space_dim, solution.reshape(module.algebra.dim, space_dim, space_dim)
     )
-    choi = companion.choi()
+    choi = companion.choi_report
     if not choi.cp:
         raise NotCpError(
             f"solved companion is not completely positive (Choi min eig {choi.min_eig:.3e})"
@@ -163,13 +172,15 @@ class ModuleCPReport(NamedTuple):
         return max(self.identity_residual, self.companion_herm_residual)
 
 
-def check_module_cp(phi: ModuleCPMap, tol: float = nk.REL_TOL) -> ModuleCPReport:
+def check_module_cp(phi: ModuleCPMap) -> ModuleCPReport:
+    """Identity and hermiticity residuals; the CP verdict is the companion's ``choi_report``."""
     images = phi.images
     scale = max(1.0, nk.maxabs(images) ** 2)
-    residual = hilbmod.identity_defect(images, phi.module.inner, phi.companion.images) / scale
-    choi = phi.companion.choi(tol)
+    companion = phi.companion
+    residual = hilbmod.identity_defect(images, phi.module.inner, companion.images) / scale
+    choi = companion.choi_report
     return ModuleCPReport(
-        residual, phi.companion.hermiticity_residual(), choi.min_eig, choi.cp
+        residual, companion.hermiticity_residual(), choi.min_eig, choi.cp
     )
 
 

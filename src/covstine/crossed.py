@@ -160,6 +160,18 @@ def structure_entries(calg: CrossedAlgebra):
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
+def structure_entry_count(calg: CrossedAlgebra) -> int:
+    """Number of entries ``structure_entries`` returns, read off alpha.
+
+    ``B[t, k, l]`` holds the coordinate of ``E_q`` in ``alpha_t(E_l)`` at
+    slot ``E_k E_q`` for every k with ``E_k E_q`` nonzero, and each ``B_t``
+    is repeated for all g columns r; no block is formed.
+    """
+    n = calg.base.dim
+    left = np.count_nonzero(cstar.product_index(calg.base) < n, axis=0)
+    return calg.group.order * int(left @ np.count_nonzero(calg.alpha, axis=(0, 2)))
+
+
 class CrossedAlgebraReport(NamedTuple):
     associativity_residual: float
     involution_residual: float  # (f g)* = g* f*

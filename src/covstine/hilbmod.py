@@ -141,22 +141,37 @@ class ModuleAxiomReport(NamedTuple):
 def check_module_axioms(
     module: HilbertModule, tol: float = nk.REL_TOL
 ) -> ModuleAxiomReport:
-    """Residuals for the Hilbert-module axioms plus fullness of the span."""
+    """Residuals for the Hilbert-module axioms plus fullness of the span.
+
+    Linearity ``<x_i, x_j . E_k> = <x_i, x_j> E_k`` is checked on the rows
+    ``(j, k)`` of the flattened action.  The right side is a gather, since
+    ``E_l E_k = E_m`` for at most one ``l``.  A row with ``x_j . E_k``
+    exactly 0 has a left side of exact zeros, so its defect is the largest
+    ``|<x_i, x_j>|`` over ``i``, gathered the same way.  Only the live rows
+    go through a GEMM, one ``x_i`` at a time so that no (rows, m N) tensor
+    is alive: a standard module has m n live rows of m N, a module on a
+    dense basis all of them.  The residual is the same maximum of the same
+    absolute values as on the full (m, m, N, N) comparison.
+    """
     algebra = module.algebra
     m, n_dim = module.dim, algebra.dim
     inner, action = module.inner, module.action
     scale = max(1.0, nk.maxabs(inner))
 
-    # <x_i, x_j . E_k> versus <x_i, x_j> E_k, one x_i at a time so that no
-    # m^2 N^2 tensor is alive.  The right side is a gather: E_l E_k = E_m for
-    # at most one l.
     flat_action = action.reshape(m * n_dim, m)
-    padded = nk.pad_zero(inner, axis=2)
     left_factor = cstar.left_factor_index(algebra)
-    linearity = 0.0
+    live = np.any(flat_action != 0, axis=1)
+    dead_j, dead_k = np.divmod(np.flatnonzero(~live), n_dim)
+    column_max = nk.pad_zero(np.max(np.abs(inner), axis=0, initial=0.0), axis=1)
+    linearity = nk.maxabs(column_max[dead_j[:, None], left_factor[dead_k]])
+
+    live_j, live_k = np.divmod(np.flatnonzero(live), n_dim)
+    live_action = flat_action[live]
+    gather = live_j[:, None] * (n_dim + 1) + left_factor[live_k]
+    padded = nk.pad_zero(inner, axis=2).reshape(m, m * (n_dim + 1))
     for i in range(m):
-        lhs = (flat_action @ inner[i]).reshape(m, n_dim, n_dim)
-        linearity = max(linearity, nk.maxabs(lhs - padded[i][:, left_factor]))
+        lhs = live_action @ inner[i]
+        linearity = max(linearity, nk.maxabs(lhs - padded[i][gather]))
     linearity /= scale
 
     # <x_i, x_j>* = conj(inner[i, j, perm]), as the star permutation is an involution
@@ -324,6 +339,20 @@ class FiniteGroup:
             triple = tuple(int(i) for i in failures[0])
             raise ShapeMismatchError(f"multiplication not associative at {triple}")
 
+    @cached_property
+    def coset_reps(self) -> dict[int, "UnitaryRep"]:
+        """``coset_permutation_rep`` of the first ``t`` of each dimension, built once.
+
+        These are the summands ``seeded_rep`` draws from; the matrices are
+        read-only because every call shares them.
+        """
+        reps: dict[int, UnitaryRep] = {}
+        for t in range(self.order):
+            rep = coset_permutation_rep(self, t)
+            rep.mats.setflags(write=False)
+            reps.setdefault(rep.dim, rep)
+        return reps
+
     def same_as(self, other: "FiniteGroup") -> bool:
         return (
             self.order == other.order
@@ -387,11 +416,7 @@ def group_law_residuals(group: FiniteGroup, mats: np.ndarray) -> tuple[float, fl
     ``mats`` holds one square matrix per group element; this is the group
     law of every action and representation in the package.
     """
-    hom = max(
-        nk.maxabs(mats[s] @ mats[t] - mats[group.mult[s, t]])
-        for s in range(group.order)
-        for t in range(group.order)
-    )
+    hom = max(nk.maxabs(mats[s] @ mats - mats[group.mult[s]]) for s in range(group.order))
     return hom, nk.maxabs(mats[group.identity] - nk.eye(mats.shape[1]))
 
 
@@ -515,10 +540,7 @@ def seeded_rep(group: FiniteGroup, dim: int, rng: np.random.Generator) -> Unitar
     nothing smaller fits, then conjugated by a Haar-random unitary so the
     invariant subspaces sit in generic position.
     """
-    candidates = {}
-    for t in range(group.order):
-        block = coset_permutation_rep(group, t)
-        candidates.setdefault(block.dim, block)
+    candidates = group.coset_reps
     sizes = sorted(candidates)
     rep = None
     remaining = dim

@@ -2,11 +2,12 @@
 
 The construction follows the finite-dimensional GNS recipe: put the
 semi-inner product ``<a (x) h, b (x) k> = <h, phi(a* b) k>`` on ``A (x) H``,
-factor its Gram through ``gram_factor`` (the quotient by null vectors), and
-realize every descended map as ``F (raw map) L`` with an explicit
-kernel-annihilation residual.  The codomain space of the module dilation is
-the span of ``Phi(X) H`` inside ``K``, carried in orthonormal coordinates by
-a coisometry with orthonormal rows.
+factor its Gram block by block from the companion's Choi matrices (the
+quotient by null vectors), and realize every descended map as
+``F (raw map) L`` with an explicit kernel-annihilation residual.  The
+codomain space of the module dilation is the span of ``Phi(X) H`` inside
+``K``, carried in orthonormal coordinates by a coisometry with orthonormal
+rows.
 
 All verification is numerical: certificates list named residuals, the rank
 decisions and the eigenvalue profiles behind them.
@@ -38,6 +39,7 @@ from .errors import (
     NotCpError,
     NotFullError,
     NotMinimalError,
+    NotPsdError,
     NotUnitaryError,
     QuotientLeakError,
     ShapeMismatchError,
@@ -59,7 +61,7 @@ class GnsTriple:
     V: np.ndarray  # (dim, dim H)
     F: np.ndarray  # quotient coordinates map, (dim, N * dim H)
     L: np.ndarray  # lift, (N * dim H, dim)
-    gram_eigenvalues: np.ndarray
+    gram_eigenvalues: np.ndarray  # descending spectrum of the GNS Gram
     reconstruction_residual: float
     minimality_rank: int
 
@@ -80,11 +82,25 @@ def gns_construct(
 ) -> GnsTriple:
     """GNS/Stinespring data for a CP map ``phi: A -> L(H)``.
 
-    Raises ``NotCpError`` when the Choi test fails and ``QuotientLeakError``
-    when left multiplication does not descend to the quotient, which signals
-    an inconsistent input.
+    The GNS Gram ``G[(k,i),(l,j)] = phi(E_k* E_l)[i, j]`` is never formed.
+    For units ``E_ab, E_cd`` of a block of size n, ``E_ba E_cd`` is
+    ``E_bd`` when ``a = c`` and 0 otherwise, so up to a permutation ``G`` is
+    the direct sum over blocks of ``I_n (x) C``, with ``C`` the block's Choi
+    matrix from the companion's cached ``choi_report``.  Each ``C`` (of size
+    n h, not N h) is eigendecomposed; the rank is decided by
+    ``nk.spectral_rank`` on the merged spectrum, whose largest eigenvalue
+    over all blocks sets the cutoff as on the dense Gram; and the kept
+    eigenvectors are placed n times each to form ``F`` and ``L``, so that
+    ``F* F`` is ``G`` on its range and ``F L = I``.  ``gram_eigenvalues`` is
+    the spectrum of ``G``: each block's eigenvalues repeated n times, in
+    descending order.
+
+    Raises ``NotCpError`` when the Choi test fails, ``NotPsdError`` when an
+    eigenvalue lies below minus the cutoff, and ``QuotientLeakError`` when
+    left multiplication does not descend to the quotient, which signals an
+    inconsistent input.
     """
-    choi = phi.choi()
+    choi = phi.choi_report
     if not choi.cp:
         raise NotCpError(
             f"input map is not completely positive (Choi min eig {choi.min_eig:.3e})"
@@ -92,13 +108,27 @@ def gns_construct(
     algebra = phi.algebra
     n_dim, h = algebra.dim, phi.space_dim
     product = cstar.product_index(algebra)
-    # Gram[(k,i),(l,j)] = phi(E_k* E_l)[i, j]; E_k* E_l is a unit or 0
-    star_products = product[cstar.star_permutation(algebra)]
-    phi_products = nk.pad_zero(phi.images)[star_products]
-    gram = phi_products.transpose(0, 2, 1, 3).reshape(n_dim * h, n_dim * h)
-    gram = (gram + nk.adjoint(gram)) / 2.0
-    factor = nk.gram_factor(gram, rel_tol)
-    rank, f_map, lift = factor.rank, factor.F, factor.L
+    spectra = [nk.hermitian_eigendecomposition(c) for c in choi.choi]
+    merged = np.sort(
+        np.concatenate([np.tile(s.values, n) for n, s in zip(algebra.blocks, spectra)])
+    )[::-1]
+    rank, cutoff = nk.spectral_rank(merged, rel_tol)
+    if merged.size and merged[-1] < -cutoff:
+        raise NotPsdError(f"GNS Gram has eigenvalue {merged[-1]:.3e} below -{cutoff:.3e}")
+
+    # Choi rows run over (i, b), Gram rows of one block row a over (b, i).
+    f_map = np.zeros((rank, n_dim * h), dtype=np.complex128)
+    lift = np.zeros((n_dim * h, rank), dtype=np.complex128)
+    row = col = 0
+    for n, spectrum in zip(algebra.blocks, spectra):
+        kept = int(np.count_nonzero(spectrum.values > cutoff))
+        basis = spectrum.vectors[:, :kept].reshape(h, n, kept).transpose(1, 0, 2)
+        basis = basis.reshape(n * h, kept)
+        sqrt_vals = np.sqrt(spectrum.values[:kept])
+        rows, cols = slice(row, row + n * n * h), slice(col, col + n * kept)
+        f_map[cols, rows] = np.kron(nk.eye(n), sqrt_vals[:, None] * nk.adjoint(basis))
+        lift[rows, cols] = np.kron(nk.eye(n), basis / sqrt_vals[None, :])
+        row, col = rows.stop, cols.stop
 
     # Left multiplication by E_k sends E_l (x) h to E_k E_l (x) h, so its
     # descent F (E_k (x) I) gathers columns of F.
@@ -124,7 +154,7 @@ def gns_construct(
     stacked = (images @ v_map).transpose(1, 0, 2).reshape(rank, n_dim * h)
     minimality = nk.numerical_rank(stacked, rel_tol).rank
     return GnsTriple(
-        phi, rank, rep, v_map, f_map, lift, factor.eigenvalues, reconstruction, minimality
+        phi, rank, rep, v_map, f_map, lift, merged, reconstruction, minimality
     )
 
 

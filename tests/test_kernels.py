@@ -1,6 +1,7 @@
-"""Ordered contractions: each GEMM or gather helper against the einsum it
-replaces, the sliced and block-wise checks against planted perturbations, and
-a guard that keeps unordered multi-operand einsums out of the package."""
+"""Ordered contractions: each GEMM or gather helper against the einsum or loop
+it replaces, the sliced and block-wise checks against planted perturbations,
+the GNS factor from Choi blocks against the dense Gram factor, and a guard
+that keeps unordered multi-operand einsums out of the package."""
 
 import ast
 from pathlib import Path
@@ -133,6 +134,34 @@ def test_identity_defect_matches_einsum(m, rows, cols, n_dim, seed):
     assert hilbmod.identity_defect(images, inner, companion) == pytest.approx(reference, rel=1e-12)
 
 
+def _pairwise_group_law(group, mats):
+    return max(
+        nk.maxabs(mats[s] @ mats[t] - mats[group.mult[s, t]])
+        for s in range(group.order)
+        for t in range(group.order)
+    )
+
+
+@pytest.mark.parametrize("kind", ["permutation", "regular", "seeded"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_batched_group_law_matches_the_pairwise_loop(n, kind):
+    group = hilbmod.symmetric_group(n)
+    rng = np.random.default_rng(n)
+    rep = {
+        "permutation": lambda: hilbmod.permutation_rep(n),
+        "regular": lambda: hilbmod.regular_rep(group),
+        "seeded": lambda: hilbmod.seeded_rep(group, 5, rng),
+    }[kind]()
+    mats = rep.mats.copy()
+    assert hilbmod.group_law_residuals(group, mats)[0] == _pairwise_group_law(group, mats)
+    s = 1 + int(rng.integers(0, group.order - 1))  # not the identity
+    a, b = (int(rng.integers(0, rep.dim)) for _ in range(2))
+    mats[s, a, b] += 1e-6
+    hom, unit = hilbmod.group_law_residuals(group, mats)
+    assert hom == _pairwise_group_law(group, mats)
+    assert 0.5e-6 <= hom <= 1e-5 and unit == hilbmod.group_law_residuals(group, rep.mats)[1]
+
+
 @settings(max_examples=40, deadline=None)
 @given(sizes, sizes, seeds)
 def test_transported_inner_matches_einsum(m, n_dim, seed):
@@ -163,21 +192,147 @@ def _linearity_reference(module):
     return np.max(np.abs(lhs - rhs)) / max(1.0, nk.maxabs(module.inner))
 
 
+def _dense_basis_module(blocks, seed):
+    """The algebra module of ``_algebra_module`` on a random (dense) basis of X."""
+    module = _algebra_module(blocks)
+    rng = np.random.default_rng(seed)
+    basis = _random(rng, module.dim, module.dim)  # column i: new x_i in old coordinates
+    m, n_dim = module.dim, module.algebra.dim
+    # x'_i . E_k = sum_a basis[a, i] x_a . E_k, in new coordinates basis^-1 of the old
+    old_coords = np.tensordot(basis, module.action, axes=(0, 0)).reshape(m * n_dim, m)
+    action = np.linalg.solve(basis, old_coords.T).T.reshape(m, n_dim, m)
+    inner = np.tensordot(
+        np.conj(basis), np.tensordot(basis, module.inner, axes=(0, 1)), axes=(0, 1)
+    )
+    return hilbmod.HilbertModule(module.algebra, module.dim, action, inner)
+
+
+def _plant(module, where, eps, rng):
+    """``module`` with ``eps`` added to one entry of its action or inner tensor.
+
+    ``"action"`` picks any action entry, ``"dead row"`` one in a row
+    (j, k) with ``x_j . E_k = 0``, and ``"inner"`` any inner-product entry.
+    """
+    action, inner = module.action.copy(), module.inner.copy()
+    m, n_dim = module.dim, module.algebra.dim
+    if where == "inner":
+        i, j = (int(rng.integers(0, m)) for _ in range(2))
+        inner[i, j, int(rng.integers(0, n_dim))] += eps
+    else:
+        rows = np.arange(m * n_dim)
+        if where == "dead row":
+            rows = np.flatnonzero(~np.any(action.reshape(m * n_dim, m) != 0, axis=1))
+        j, k = divmod(int(rng.choice(rows)), n_dim)
+        action[j, k, int(rng.integers(0, m))] += eps
+    return hilbmod.HilbertModule(module.algebra, m, action, inner)
+
+
 @pytest.mark.parametrize("blocks", [(1, 2, 3), (2,), (3, 1)])
 @pytest.mark.parametrize("eps", [1e-3, 1e-7])
 def test_sliced_linearity_reports_a_planted_action_perturbation(blocks, eps):
-    module = _algebra_module(blocks)
-    report = hilbmod.check_module_axioms(module)
+    """Planted in any action row, in a dead one, or in ``inner``, on the
+    algebra's own 0/1 module and on a dense basis (where every row is live)."""
+    units, dense = _algebra_module(blocks), _dense_basis_module(blocks, seed=5)
+    report = hilbmod.check_module_axioms(units)
     assert report.linearity_residual == 0.0 and report.full
+    assert hilbmod.check_module_axioms(dense).linearity_residual < 1e-12
+    assert np.any(dense.action.reshape(dense.dim * dense.algebra.dim, -1) != 0, axis=1).all()
     rng = np.random.default_rng(7)
-    action = module.action.copy()
-    j, k, q = (int(rng.integers(0, module.dim)) for _ in range(3))
-    action[j, k, q] += eps
-    broken = hilbmod.HilbertModule(module.algebra, module.dim, action, module.inner)
-    residual = hilbmod.check_module_axioms(broken).linearity_residual
-    # inner products of units are units, so the defect is eps exactly
-    assert residual == pytest.approx(eps, rel=1e-9)
-    assert residual == pytest.approx(_linearity_reference(broken), rel=1e-12)
+    for module, where in [
+        (units, "action"),
+        (units, "dead row"),
+        (units, "inner"),
+        (dense, "action"),
+        (dense, "inner"),
+    ]:
+        broken = _plant(module, where, eps, rng)
+        residual = hilbmod.check_module_axioms(broken).linearity_residual
+        reference = _linearity_reference(broken)
+        if module is units:
+            # inner products of units are units, so the defect is eps, over the
+            # scale max(1, max |inner|) that a planted inner entry can raise
+            scale = max(1.0, nk.maxabs(broken.inner))
+            assert residual == pytest.approx(eps / scale, rel=1e-9), where
+            # a 0/1 module multiplies exactly, so the live rows match the full comparison
+            assert residual == reference, where
+        else:
+            assert residual > 1e-3 * eps, where
+            assert residual == pytest.approx(reference, rel=1e-6), where
+
+
+@pytest.mark.parametrize("blocks", [(1, 2, 3), (2,), (3, 1)])
+def test_sliced_linearity_sees_an_action_row_that_vanishes_wrongly(blocks):
+    """Zeroing a live row (j, k) makes it dead: only the gather of
+    ``max_i |<x_i, x_j>|`` over dead rows can see that ``<x_i, x_j> E_k`` is not 0."""
+    module = _algebra_module(blocks)
+    m, n_dim = module.dim, module.algebra.dim
+    live = np.flatnonzero(np.any(module.action.reshape(m * n_dim, m) != 0, axis=1))
+    for row in np.random.default_rng(3).choice(live, size=3, replace=False):
+        action = module.action.copy()
+        action[divmod(int(row), n_dim)] = 0.0
+        broken = hilbmod.HilbertModule(module.algebra, m, action, module.inner)
+        residual = hilbmod.check_module_axioms(broken).linearity_residual
+        assert residual == _linearity_reference(broken) == 1.0  # a unit went missing
+
+
+def _dense_gns_gram(phi):
+    """The (N h)^2 GNS Gram ``phi(E_k* E_l)[i, j]``, symmetrized, as formed densely."""
+    algebra = phi.algebra
+    n_dim, h = algebra.dim, phi.space_dim
+    star_products = cstar.product_index(algebra)[cstar.star_permutation(algebra)]
+    gram = nk.pad_zero(phi.images)[star_products].transpose(0, 2, 1, 3)
+    gram = gram.reshape(n_dim * h, n_dim * h)
+    return (gram + nk.adjoint(gram)) / 2.0
+
+
+def _cp_from_choi_spectra(blocks, h, spectra, seed):
+    """A CP map whose block b has Choi matrix ``Q diag(spectra[b]) Q*``, Q Haar."""
+    algebra = cstar.CStarAlgebra(blocks)
+    rng = np.random.default_rng(seed)
+    images = []
+    for n, values in zip(blocks, spectra):
+        q = nk.haar_unitary(rng, n * h)
+        choi = (q * np.asarray(values, dtype=float)[None, :]) @ nk.adjoint(q)
+        # choi[(p, a), (q, b)] = phi(E_ab)[p, q]
+        images.append(choi.reshape(h, n, h, n).transpose(1, 3, 0, 2).reshape(n * n, h, h))
+    return CPMapAlgebra(algebra, h, np.concatenate(images))
+
+
+def _spectrum(n, h, rank, scale):
+    return [scale * (1.0 + 0.1 * i) for i in range(rank)] + [0.0] * (n * h - rank)
+
+
+@pytest.mark.parametrize(
+    "blocks, h, spectra",
+    [
+        # block 1 alone would keep its 1e-11 eigenvalues (its own cutoff is
+        # the 1e-12 floor); the global cutoff of 1e-10 times ~1 drops them
+        ((1, 2, 3), 2, [_spectrum(1, 2, 1, 1.0), _spectrum(2, 2, 3, 1e-11), _spectrum(3, 2, 4, 0.5)]),
+        ((1, 2, 3), 3, [_spectrum(1, 3, 3, 0.3), _spectrum(2, 3, 2, 2.0), _spectrum(3, 3, 9, 1.0)]),
+        ((3, 1), 2, [_spectrum(3, 2, 2, 1.0), _spectrum(1, 2, 1, 5e-11)]),
+        ((3, 1), 1, [_spectrum(3, 1, 3, 1.0), _spectrum(1, 1, 1, 0.7)]),
+    ],
+)
+def test_gns_from_choi_blocks_matches_the_dense_gram_factor(blocks, h, spectra):
+    phi = _cp_from_choi_spectra(blocks, h, spectra, seed=13)
+    gns = stinespring.gns_construct(phi)
+    dense = nk.gram_factor(_dense_gns_gram(phi))
+
+    assert gns.dim == dense.rank
+    expected_rank = 0
+    for n, values in zip(blocks, spectra):
+        expected_rank += n * sum(v > 1e-10 * max(max(s) for s in spectra) for v in values)
+    assert gns.dim == expected_rank
+    assert gns.F.shape == dense.F.shape and gns.L.shape == dense.L.shape
+    np.testing.assert_allclose(gns.gram_eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
+    assert np.all(np.diff(gns.gram_eigenvalues) <= 0)
+    np.testing.assert_allclose(gns.F @ gns.L, nk.eye(gns.dim), rtol=0, atol=1e-10)
+    # both factor the same truncated semi-inner product: F* F is the Gram on its kept range
+    np.testing.assert_allclose(
+        nk.adjoint(gns.F) @ gns.F, nk.adjoint(dense.F) @ dense.F, rtol=0, atol=1e-10
+    )
+    assert gns.minimality_rank == gns.dim
+    assert gns.reconstruction_residual < 1e-9
 
 
 def _conjugation_action(blocks, seed):

@@ -1,7 +1,7 @@
 """Run-level contracts: each invariant is checked once per scenario, bad
-scenario values exit 2 without a traceback, group payloads and explicit
-object sizes are bounded before anything is allocated, and ``--jobs`` never
-starts more workers than scenarios or CPUs."""
+scenario values exit 2 without a traceback, group payloads, explicit object
+sizes and structure dumps are bounded before anything is allocated, and
+``--jobs`` never starts more workers than scenarios or CPUs."""
 
 import collections
 import copy
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from covstine import cli, cpmaps, crossed, hilbmod
+from covstine import cli, cpmaps, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from covstine.errors import BoundsError, NotActionError, ParseError, ShapeMismatchError
 
@@ -84,6 +84,23 @@ def test_each_check_runs_at_most_once_per_scenario(
     if kind in ("verify", "crossed"):
         assert call_counts["check_dynamical_system"] == 1
     assert not hasattr(crossed, "_check_action")
+
+
+@pytest.mark.parametrize("kind, group", [("dilate", None), ("dilate-covariant", "cyclic:2")])
+def test_choi_blocks_are_built_once_per_dilation(tmp_path, monkeypatch, kind, group):
+    """The CP test and the GNS factor read one cached Choi report."""
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(cli.canonical_bytes(cli.generate_scenario(kind, 2, 2, 2, 11, group)))
+    calls = []
+    original = cstar.choi_blocks
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cstar, "choi_blocks", counting)
+    assert cli.run_scenario(str(path)).passed
+    assert len(calls) == 1
 
 
 def test_fullness_is_decided_once_per_covariant_run(tmp_path, monkeypatch):
@@ -290,3 +307,45 @@ def test_gen_rejects_bad_seed_and_tolerance(capsys):
     assert cli.main(base + ["--seed", "-1"]) == 2
     assert cli.main(base + ["--seed", "1", "--tol", "nan"]) == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_structure_dump_bounded_before_the_dilation(tmp_path, capsys, monkeypatch):
+    """S4 conjugating M_8 by a generic unitary has 576 * 4096 * 8 structure constants."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the dilation started before the structure bound")
+
+    monkeypatch.setattr(stinespring, "dilate_covariant", refused)
+    payload = cli.generate_scenario("crossed", 1, 8, 1, 3, "symmetric:4")
+    tracemalloc.start()
+    try:
+        code, err = _run(tmp_path, capsys, payload, extra=["--dump-structure"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "Traceback" not in err
+    assert "BoundsError" in err and "18874368 structure constants" in err
+    assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("group, p, n", [("cyclic:2", 1, 2), ("symmetric:3", 1, 2)])
+def test_structure_entry_count_matches_the_dump(tmp_path, group, p, n):
+    path = tmp_path / "crossed.json"
+    path.write_bytes(cli.canonical_bytes(cli.generate_scenario("crossed", p, n, 1, 3, group)))
+    cert = cli.run_scenario(str(path), dump_structure=True)
+    system = cli.resolve_scenario(cli.load_scenario(str(path)), str(path)).cov.system
+    calg = crossed.CrossedAlgebra(system.group, system.module.algebra, system.alpha)
+    assert len(cert.provenance["structure_constants"]) == crossed.structure_entry_count(calg)
+
+
+def test_structure_entry_count_of_a_permutation_action():
+    """Permuting matrix units fills one entry per product, not a block row:
+    S4 on M_5 stays under the limit that g^2 N^2 n_max = 1.8 million exceeds."""
+    group = hilbmod.symmetric_group(4)
+    delta = hilbmod.direct_sum_rep(hilbmod.permutation_rep(4), hilbmod.trivial_rep(group))
+    system = hilbmod.standard_action(group, hilbmod.trivial_rep(group), delta)
+    calg = crossed.CrossedAlgebra(group, system.module.algebra, system.alpha)
+    count = crossed.structure_entry_count(calg)
+    assert count == len(crossed.structure_entries(calg)[0]) == 24 * 24 * 25 * 5
+    assert count <= cli.MAX_STRUCTURE_ROWS < 24**2 * 25**2 * 5
