@@ -13,6 +13,7 @@ errors (parse, validation, bounds, or rejected mathematical preconditions).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -562,7 +563,9 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="covstine",
         description="Construct and verify dilations of CP maps on Hilbert C*-modules.",
@@ -579,7 +582,22 @@ def main(argv: list[str] | None = None) -> int:
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--tol", type=float, default=DEFAULT_TOL)
     gen.add_argument("--out", default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def _write_out(path: str, text: str) -> int:
+    """Write ``text`` to ``--out``: 0, or 2 with a message when it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        print(f"--out: cannot write {path} ({exc})", file=sys.stderr)
+        return 2
+    return 0
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "gen":
         try:
@@ -592,10 +610,8 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         text = canonical_bytes(scenario).decode()
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        else:
-            sys.stdout.write(text)
+            return _write_out(args.out, text)
+        sys.stdout.write(text)
         return 0
 
     jobs = [
@@ -615,12 +631,10 @@ def main(argv: list[str] | None = None) -> int:
     code = 0
     for (status, output, note), job in zip(results, jobs):
         print(note, file=sys.stderr)
-        if output:
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(output)
-            else:
-                sys.stdout.write(output)
+        if output and args.out:
+            status = max(status, _write_out(args.out, output))
+        elif output:
+            sys.stdout.write(output)
         code = max(code, status)
     return code
 

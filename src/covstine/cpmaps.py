@@ -25,7 +25,6 @@ from .errors import (
     InconsistentError,
     NotCoisometryError,
     NotCpError,
-    NotFullError,
     NotIntertwiningError,
     ShapeMismatchError,
 )
@@ -142,9 +141,8 @@ def induced_algebra_cp(
     system = hilbmod.fullness_system(module)
     pair_grams = nk.pair_products(images)
     target = pair_grams.reshape(module.dim * module.dim, space_dim * space_dim)
-    solution = nk.least_squares_solve(system.flat, target)  # (N, h*h)
-    scale = max(1.0, nk.maxabs(target))
-    residual = nk.maxabs(system.flat @ solution - target) / scale
+    solution, residual = system.solve(target)  # (N, h*h)
+    residual /= max(1.0, nk.maxabs(target))
     if residual > tol:
         raise InconsistentError(
             f"companion system inconsistent (residual {residual:.3e}); the images "
@@ -239,10 +237,8 @@ def check_covariance(
         system.alpha, comp, u.mats, u.mats
     ) / max(1.0, nk.maxabs(comp))
 
-    try:
-        condition = hilbmod.fullness_system(phi.module).condition
-    except NotFullError:
-        condition = float("inf")
+    axioms = phi.module.axiom_report
+    condition = axioms.fullness_condition if axioms.full else float("inf")
     return CovarianceReport(map_residual, companion_residual, condition)
 
 

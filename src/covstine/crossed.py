@@ -128,27 +128,12 @@ def build_crossed_algebra(
     return CrossedAlgebra(group, base, alpha)
 
 
-def _place(blocks: np.ndarray, slot: np.ndarray) -> np.ndarray:
-    """Dense (g a, g b, g c) tensor with the (a, b, c) block ``blocks[t]`` at row t,
-    column r and group slot ``slot[t, r]``, zero elsewhere."""
-    g, a, b, c = blocks.shape
-    out = np.zeros((g, a, g, b, g, c), dtype=np.complex128)
-    rows, cols = np.indices((g, g))
-    out[rows, :, cols, :, slot, :] = blocks[:, None]
-    return out.reshape(g * a, g * b, g * c)
-
-
-def structure_constants(calg: CrossedAlgebra) -> np.ndarray:
-    """Full multiplication tensor on the crossed basis, (d, d, d) with d = |G| N."""
-    return _place(calg.product_blocks, calg.group.mult)
-
-
 def structure_entries(calg: CrossedAlgebra):
-    """Nonzero entries of ``structure_constants`` without the dense tensor.
+    """Nonzero structure constants on the crossed basis, (d, d, d) with d = |G| N.
 
-    Returns index arrays (rows, cols, slots) and the values, in the
-    lexicographic order of ``np.argwhere`` on the dense tensor: row (t, k)
-    and column (r, l) hold ``B[t][k, l]`` at slot tr.
+    Returns index arrays (rows, cols, slots) and the values, in lexicographic
+    order of (row, col, slot): row (t, k) and column (r, l) hold
+    ``B[t][k, l]`` at slot tr.  No dense tensor is formed.
     """
     group = calg.group
     g, n = group.order, calg.base.dim
@@ -325,18 +310,18 @@ class CrossedModuleReport(NamedTuple):
         return max(self.module_axiom_residual, self.symmetry_residual)
 
 
-def crossed_inner_tensor(cm: CrossedModule) -> np.ndarray:
-    """Inner products of all crossed basis pairs, shape (d_X, d_X, d_A)."""
-    group = cm.group
-    return _place(cm.inner_blocks, group.mult[group.inv])
-
-
 def check_crossed_module(cm: CrossedModule) -> CrossedModuleReport:
     """Exhaustive right-module and symmetry checks on basis triples, block by block.
 
     ``<e_(t,i), e_(r,j) f_(s,k)>`` and ``<e_(t,i), e_(r,j)> f_(s,k)`` both sit
     at slot t^-1 r s, where they read ``sum_q C_r[j,k,q] A_t[i,q,:]`` and
     ``sum_p A_t[i,j,p] B_{t^-1 r}[p,k,:]``; s only moves the slot.
+
+    Fullness comes from the grading.  In the (d_X^2, d_A) stack of crossed
+    inner products, column block s holds ``A[t, i, j]`` in the rows
+    (t, i, ts, j), and these row sets are disjoint across s.  So the stack is
+    a row permutation of g diagonal copies of the (g m^2, N) matrix of all
+    ``A`` blocks, with g times its rank and its spectrum repeated g times.
     """
     group = cm.group
     g, m, n = group.order, cm.module.dim, cm.module.algebra.dim
@@ -355,9 +340,8 @@ def check_crossed_module(cm: CrossedModule) -> CrossedModuleReport:
         starred = np.conj(inner[t]).reshape(m * m, n) @ np.swapaxes(star[group.inv[slots]], 1, 2)
         sym = max(sym, nk.maxabs(starred - swapped))
 
-    d_x, d_a = cm.dim, cm.algebra.dim
-    rank = nk.numerical_rank(crossed_inner_tensor(cm).reshape(d_x * d_x, d_a)).rank
-    return CrossedModuleReport(axiom, sym, rank, d_a)
+    rank = g * nk.numerical_rank(inner.reshape(g * m * m, n)).rank
+    return CrossedModuleReport(axiom, sym, rank, cm.algebra.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -372,9 +356,9 @@ def _integrated(images: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def _identity_defect(cm: CrossedModule, images: np.ndarray, companion: np.ndarray) -> float:
-    """``hilbmod.identity_defect`` on the crossed bases, one (t, i) at a time: row
-    (t, i) of the crossed inner tensor holds ``A[t, i, j]`` at slot t^-1 r for each
-    (r, j), so its image under the companion is a gather of ``A[t, i] @ companion``."""
+    """``hilbmod.identity_defect`` on the crossed bases, one (t, i) at a time:
+    ``<e_(t,i), e_(r,j)>`` is ``A[t, i, j]`` at slot t^-1 r, so the companion
+    images of a row of inner products are a gather of ``A[t, i] @ companion``."""
     group = cm.group
     g, m, n = group.order, cm.module.dim, cm.module.algebra.dim
     by_slot = companion.reshape(g, n, -1).transpose(1, 0, 2).reshape(n, -1)

@@ -15,7 +15,12 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numkernel as nk
-from .errors import NotHermitianError, ParseError, ShapeMismatchError
+from .errors import BoundsError, NotHermitianError, ParseError, ShapeMismatchError
+
+# Algebras are tabulated densely (``_structure`` builds N x N tables), so a
+# payload algebra is bounded by the coefficient algebra M_8 of the largest
+# standard module: N = sum of the squared block sizes is at most 64.
+MAX_DIM = 64
 
 
 @dataclass(frozen=True)
@@ -340,6 +345,7 @@ class ChoiReport(NamedTuple):
     choi: list[np.ndarray]  # one Choi matrix per block
     cp: bool
     min_eig: float
+    spectra: list[nk.EigDecomposition]  # of each block's Hermitian part, descending
 
 
 def choi_blocks(
@@ -350,11 +356,12 @@ def choi_blocks(
     For a block of size n the Choi matrix is ``sum_{ij} phi(E_ij) (x) e_ij``;
     the map is completely positive iff every block matrix is PSD.  Complete
     positivity for a direct-sum algebra reduces to its simple blocks, so this
-    is equivalent to positivity of all matrix amplifications.
+    is equivalent to positivity of all matrix amplifications.  Each block is
+    eigendecomposed once, for this verdict and for ``stinespring.gns_construct``.
     """
     images = np.asarray(images, dtype=np.complex128)
     space_dim = images.shape[1]
-    choi = []
+    choi, spectra = [], []
     min_eig = np.inf
     cp = True
     offset = 0
@@ -363,12 +370,16 @@ def choi_blocks(
         # entry [(p,a),(q,b)] = phi(E_ab)[p,q]
         c = blk_images.transpose(2, 0, 3, 1).reshape(n * space_dim, n * space_dim)
         choi.append(c)
-        report = nk.psd_check(c, tol)
+        # The Hermitian part is Hermitian to the bit, so a non-Hermitian block
+        # fails the CP test below instead of raising NotHermitianError here.
+        star = nk.adjoint(c)
+        spectra.append(nk.hermitian_eigendecomposition((c + star) / 2.0))
+        report = nk.spectrum_psd(spectra[-1].values, nk.frobenius(c - star), tol)
         herm_ok = report.herm_defect <= tol * max(1.0, nk.frobenius(c))
         cp = cp and report.ok and herm_ok
         min_eig = min(min_eig, report.min_eig)
         offset += n * n
-    return ChoiReport(choi, bool(cp), float(min_eig))
+    return ChoiReport(choi, bool(cp), float(min_eig), spectra)
 
 
 def algebra_to_json(algebra: CStarAlgebra) -> dict:
@@ -378,7 +389,13 @@ def algebra_to_json(algebra: CStarAlgebra) -> dict:
 def algebra_from_json(obj) -> CStarAlgebra:
     if not isinstance(obj, dict) or set(obj) != {"blocks"}:
         raise ParseError("algebra payload must be {'blocks': [...]}")
-    return CStarAlgebra(tuple(int(n) for n in obj["blocks"]))
+    if not isinstance(obj["blocks"], list) or not obj["blocks"]:
+        raise ParseError("algebra payload: 'blocks' must be a non-empty list")
+    blocks = tuple(nk.json_int(n, "algebra payload: 'blocks'", 1) for n in obj["blocks"])
+    dim = sum(n * n for n in blocks)
+    if dim > MAX_DIM:
+        raise BoundsError(f"algebra payload: dimension {dim} outside [1, {MAX_DIM}]")
+    return CStarAlgebra(blocks)
 
 
 def element_to_json(a: AlgebraElement) -> list:
@@ -410,4 +427,5 @@ def representation_from_json(algebra: CStarAlgebra, obj) -> AlgebraRepresentatio
     if extra:
         raise ParseError(f"representation payload: unknown basis label '{sorted(extra)[0]}'")
     images = np.stack([nk.mat_from_json(obj["images"][label]) for label in labels])
-    return AlgebraRepresentation(algebra, int(obj["space_dim"]), images)
+    space_dim = nk.json_int(obj["space_dim"], "representation payload: 'space_dim'")
+    return AlgebraRepresentation(algebra, space_dim, images)

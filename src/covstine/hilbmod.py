@@ -102,13 +102,20 @@ class FullnessSystem(NamedTuple):
     rank: int
     condition: float  # ratio of the extreme kept singular values
 
+    def solve(self, target: np.ndarray) -> tuple[np.ndarray, float]:
+        """The least-squares ``x`` of ``flat @ x = target`` (one target row per basis
+        pair) and its unscaled worst ``|flat @ x - target|``, for the caller to gate."""
+        solution = nk.least_squares_solve(self.flat, target)
+        return solution, nk.maxabs(self.flat @ solution - target)
+
 
 def fullness_system(module: HilbertModule) -> FullnessSystem:
     """The inner products of basis pairs as rows spanning ``<X, X>``.
 
     The rank and conditioning come from the module's cached ``axiom_report``,
     which decided fullness already.  Raises ``NotFullError`` when the rows do
-    not span the coefficient algebra.
+    not span the coefficient algebra.  A map on a full module's algebra is
+    fixed by its values on ``<X, X>``; ``solve`` is the one place it is solved.
     """
     report = module.axiom_report
     if not report.full:
@@ -720,19 +727,15 @@ def induced_algebra_action(
         raise InconsistentError(f"eta violates the group law by {law:.3e}")
 
     fullness = fullness_system(module)
-    flat = fullness.flat
-    alphas = []
-    residual = 0.0
-    for t in range(g):
-        target = transported_inner(eta[t], module.inner).reshape(m * m, algebra.dim)
-        solution = nk.least_squares_solve(flat, target)  # alpha_t^T
-        alphas.append(solution.T)
-        residual = max(residual, nk.maxabs(flat @ solution - target))
+    # the g targets side by side: column block t holds <eta_t x_i, eta_t x_j>
+    targets = np.stack([transported_inner(e, module.inner) for e in eta], axis=2)
+    solution, residual = fullness.solve(targets.reshape(m * m, g * algebra.dim))
     if residual > tol:
         raise InconsistentError(
             f"defining system for the induced action is inconsistent: {residual:.3e}"
         )
-    alpha = np.stack(alphas)
+    # column block t of the solution is alpha_t^T
+    alpha = solution.reshape(algebra.dim, g, algebra.dim).transpose(1, 2, 0)
     candidate = ModuleDynamicalSystem(group, module, eta, alpha)
     report = check_dynamical_system(candidate)
     auto = max(report.automorphism_mult_residual, report.automorphism_star_residual)
@@ -800,7 +803,7 @@ def module_from_json(obj) -> HilbertModule:
     algebra = cstar.algebra_from_json(obj["algebra"])
     return HilbertModule(
         algebra,
-        nk.json_int(obj["dim"], "module payload: 'dim'"),
+        nk.json_int(obj["dim"], "module payload: 'dim'", 1),
         _tensor_from_json(obj["action"], 3),
         _tensor_from_json(obj["inner"], 3),
     )
@@ -818,7 +821,8 @@ def group_to_json(group: FiniteGroup) -> dict:
 # Groups are tabulated densely, so their order is bounded before any table is built.
 MAX_GROUP_ORDER = 24
 # Standard modules are tabulated densely too: p x n matrices over M_n, bounded
-# before the (pn, n^2, pn) action tensor is allocated.
+# before the (pn, n^2, pn) action tensor is allocated.  cstar.MAX_DIM = MAX_N^2
+# bounds the algebra of an explicit module the same way.
 MAX_P = 8
 MAX_N = 8
 

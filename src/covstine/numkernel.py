@@ -208,14 +208,18 @@ def psd_check(m, tol: float = REL_TOL) -> PsdReport:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatchError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    if m.shape[0] == 0:
-        return PsdReport(True, 0.0, 0.0)
-    defect = frobenius(m - adjoint(m))
-    values = _descending_eigvals(m)
+    return spectrum_psd(_descending_eigvals(m), frobenius(m - adjoint(m)), tol)
+
+
+def spectrum_psd(values: np.ndarray, herm_defect: float, tol: float = REL_TOL) -> PsdReport:
+    """``psd_check``'s rule on a descending spectrum: the smallest eigenvalue may be
+    down to ``-tol`` times the spectrum's scale, never less than ``ABS_FLOOR``."""
+    if values.size == 0:
+        return PsdReport(True, 0.0, herm_defect)
     min_eig = float(values[-1])
     scale = max(1.0, float(values[0]), -min_eig)
     ok = min_eig >= -max(tol * scale, ABS_FLOOR)
-    return PsdReport(bool(ok), min_eig, defect)
+    return PsdReport(bool(ok), min_eig, herm_defect)
 
 
 def least_squares_solve(a, b) -> np.ndarray:

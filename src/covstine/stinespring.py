@@ -37,7 +37,6 @@ from .errors import (
     NotCoisometryError,
     NotCovariantError,
     NotCpError,
-    NotFullError,
     NotMinimalError,
     NotPsdError,
     NotUnitaryError,
@@ -62,8 +61,6 @@ class GnsTriple:
     F: np.ndarray  # quotient coordinates map, (dim, N * dim H)
     L: np.ndarray  # lift, (N * dim H, dim)
     gram_eigenvalues: np.ndarray  # descending spectrum of the GNS Gram
-    reconstruction_residual: float
-    minimality_rank: int
 
 
 def _leak(raw: np.ndarray, lifted: np.ndarray, f_map: np.ndarray) -> float:
@@ -86,14 +83,15 @@ def gns_construct(
     For units ``E_ab, E_cd`` of a block of size n, ``E_ba E_cd`` is
     ``E_bd`` when ``a = c`` and 0 otherwise, so up to a permutation ``G`` is
     the direct sum over blocks of ``I_n (x) C``, with ``C`` the block's Choi
-    matrix from the companion's cached ``choi_report``.  Each ``C`` (of size
-    n h, not N h) is eigendecomposed; the rank is decided by
+    matrix.  The companion's cached ``choi_report`` already holds the
+    eigendecomposition of each ``C`` (of size n h, not N h); the rank is decided by
     ``nk.spectral_rank`` on the merged spectrum, whose largest eigenvalue
     over all blocks sets the cutoff as on the dense Gram; and the kept
     eigenvectors are placed n times each to form ``F`` and ``L``, so that
     ``F* F`` is ``G`` on its range and ``F L = I``.  ``gram_eigenvalues`` is
     the spectrum of ``G``: each block's eigenvalues repeated n times, in
-    descending order.
+    descending order.  The reconstruction and minimality of the triple are
+    checked by ``verify_dilation``.
 
     Raises ``NotCpError`` when the Choi test fails, ``NotPsdError`` when an
     eigenvalue lies below minus the cutoff, and ``QuotientLeakError`` when
@@ -108,7 +106,7 @@ def gns_construct(
     algebra = phi.algebra
     n_dim, h = algebra.dim, phi.space_dim
     product = cstar.product_index(algebra)
-    spectra = [nk.hermitian_eigendecomposition(c) for c in choi.choi]
+    spectra = choi.spectra
     merged = np.sort(
         np.concatenate([np.tile(s.values, n) for n, s in zip(algebra.blocks, spectra)])
     )[::-1]
@@ -146,16 +144,7 @@ def gns_construct(
         )
     rep = cstar.AlgebraRepresentation(algebra, rank, images)
     iota = np.kron(cstar.unit_coords(algebra)[:, None], nk.eye(h))  # h -> A (x) H
-    v_map = f_map @ iota
-
-    scale = max(1.0, nk.maxabs(phi.images))
-    recon = nk.sandwich(v_map, images, v_map)
-    reconstruction = nk.maxabs(recon - phi.images) / scale
-    stacked = (images @ v_map).transpose(1, 0, 2).reshape(rank, n_dim * h)
-    minimality = nk.numerical_rank(stacked, rel_tol).rank
-    return GnsTriple(
-        phi, rank, rep, v_map, f_map, lift, merged, reconstruction, minimality
-    )
+    return GnsTriple(phi, rank, rep, f_map @ iota, f_map, lift, merged)
 
 
 @dataclass(frozen=True)
@@ -216,11 +205,7 @@ def dilate_module_cp(
             f"defining identity fails by {report.identity_residual:.3e}; "
             "the pair (Phi, phi) is inconsistent and cannot descend"
         )
-    axioms = module.axiom_report
-    if not axioms.full:
-        raise NotFullError(
-            f"module is not full: rank {axioms.fullness_rank} of {axioms.fullness_required}"
-        )
+    hilbmod.fullness_system(module)  # raises NotFullError on a module that is not full
     gns = gns_construct(phi.companion, rel_tol, leak_tol)
 
     dim_h, dim_k = phi.space_dims
@@ -412,7 +397,6 @@ def verify_dilation(
         raise ShapeMismatchError("dilation does not belong to the given map")
 
     module = phi.module
-    dim_h = phi.space_dims[0]
     gns = base.gns
     residuals: dict[str, float] = {}
     ranks: dict[str, tuple[int, int]] = {}
@@ -430,10 +414,7 @@ def verify_dilation(
     comp = phi.companion
     recon = nk.sandwich(gns.V, gns.rep.images, gns.V)
     residuals["gns_reconstruction"] = nk.maxabs(recon - comp.images) / scale_phi
-    gns_stack = (gns.rep.images @ gns.V).transpose(1, 0, 2).reshape(
-        gns.dim, module.algebra.dim * dim_h
-    )
-    gns_rank = nk.numerical_rank(gns_stack, rel_tol)
+    gns_rank = nk.numerical_rank(hilbmod.density_stacks(gns.rep.images, gns.V)[0], rel_tol)
     ranks["gns_minimality"] = (gns_rank.rank, gns.dim)
     singular["gns_gram"] = list(np.sqrt(np.clip(gns.gram_eigenvalues, 0.0, None)))
     rep_report = cstar.check_representation(gns.rep)
@@ -590,10 +571,9 @@ def uniqueness_intertwiners(
         )
 
     # companion representation of the competing images, via fullness
-    flat = module.inner.reshape(module.dim**2, module.algebra.dim)
     pair_grams = nk.pair_products(alt_images)
     target = pair_grams.reshape(module.dim**2, alt_h * alt_h)
-    alt_companion = nk.least_squares_solve(flat, target).reshape(
+    alt_companion = hilbmod.fullness_system(module).solve(target)[0].reshape(
         module.algebra.dim, alt_h, alt_h
     )
 
@@ -602,12 +582,8 @@ def uniqueness_intertwiners(
     alt_recon = nk.maxabs(alt_rebuilt - phi.images) / scale_phi
 
     # U1 from the algebra side, U2 from the module side
-    m_cols = (gns.rep.images @ gns.V).transpose(1, 0, 2).reshape(
-        gns.dim, module.algebra.dim * dim_h
-    )
-    m_cols_alt = (alt_companion @ alt_v).transpose(1, 0, 2).reshape(
-        alt_h, module.algebra.dim * dim_h
-    )
+    m_cols = hilbmod.density_stacks(gns.rep.images, gns.V)[0]
+    m_cols_alt = hilbmod.density_stacks(alt_companion, alt_v)[0]
     u1 = nk.least_squares_solve(m_cols.T, m_cols_alt.T).T
     s_cols = hilbmod.density_stacks(base.images, gns.V)[0]
     u2 = nk.least_squares_solve(s_cols.T, s_cols_alt.T).T

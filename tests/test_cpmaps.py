@@ -7,6 +7,7 @@ from covstine.errors import (
     DegenerateAverageError,
     InconsistentError,
     NotCoisometryError,
+    NotFullError,
     NotIntertwiningError,
 )
 
@@ -62,6 +63,16 @@ class TestInducedAlgebraCp:
         images[1, 0, 0] = 2.0
         with pytest.raises(InconsistentError):
             cpmaps.induced_algebra_cp(images, module, 1)
+
+    def test_non_full_module_rejected(self):
+        # <X, X> misses the off-diagonal units of M_2, so phi is not fixed on them
+        module = hilbmod.standard_module(1, 2)
+        projected = module.inner.copy()
+        projected[:, :, [1, 2]] = 0
+        broken = hilbmod.HilbertModule(module.algebra, module.dim, module.action, projected)
+        images = hilbmod.standard_basis_matrices(1, 2)
+        with pytest.raises(NotFullError, match="rank 2 of 4"):
+            cpmaps.induced_algebra_cp(images, broken, 2)
 
 
 class TestCheckModuleCp:

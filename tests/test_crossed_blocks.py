@@ -16,6 +16,13 @@ from hypothesis import strategies as hst
 
 from covstine import cli, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
+from dense_reference import (
+    place,
+    reference_action,
+    reference_inner,
+    reference_stars,
+    reference_structure,
+)
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "covstine" / "scenarios"
 GROUPS = {
@@ -81,42 +88,6 @@ def standard_system(group, p, n, seed):
     return hilbmod.standard_action(group, block_rep(group, p, rng), block_rep(group, n, rng))
 
 
-def reference_structure(calg):
-    d = calg.dim
-    return np.stack(
-        [
-            np.stack(
-                [calg.multiply(left, right).reshape(d) for right in basis(calg)]
-            )
-            for left in basis(calg)
-        ]
-    )
-
-
-def basis(obj):
-    g, n = obj.group.order, obj.dim // obj.group.order
-    return [obj.basis_element(t, k) for t in range(g) for k in range(n)]
-
-
-def reference_inner(cm):
-    d_a = cm.algebra.dim
-    return np.stack(
-        [np.stack([cm.inner(x, y).reshape(d_a) for y in basis(cm)]) for x in basis(cm)]
-    )
-
-
-def reference_action(cm):
-    """``act[(r, j), (s, k)]``: coordinates of ``(delta_r x_j) e_(s,k)``."""
-    return np.stack(
-        [np.stack([cm.act(x, f).reshape(cm.dim) for f in basis(cm.algebra)]) for x in basis(cm)]
-    )
-
-
-def reference_stars(calg):
-    """Column i is the star of basis element i."""
-    return np.stack([calg.star(e).reshape(calg.dim) for e in basis(calg)], axis=1)
-
-
 def dense_algebra_residuals(calg):
     """The basis-triple check on dense tensors built from the reference operations."""
     g, n, d = calg.group.order, calg.base.dim, calg.dim
@@ -158,6 +129,11 @@ def dense_module_residuals(cm):
     return axiom, np.max(np.abs(starred - inner.transpose(1, 0, 2)))
 
 
+def placed_inner(cm):
+    """The inner blocks placed at slot t^-1 r: the dense (d_X, d_X, d_A) inner tensor."""
+    return place(cm.inner_blocks, cm.group.mult[cm.group.inv])
+
+
 def _close(actual, expected):
     assert actual.shape == expected.shape
     np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
@@ -176,8 +152,8 @@ def test_placed_tensors_match_the_reference_operations(name, blocks, seed):
     cm = crossed.build_crossed_module(sys_)
     calg = cm.algebra
     # the product blocks are gathers, so the placement is exact
-    np.testing.assert_array_equal(crossed.structure_constants(calg), reference_structure(calg))
-    _close(crossed.crossed_inner_tensor(cm), reference_inner(cm))
+    np.testing.assert_array_equal(place(calg.product_blocks, calg.group.mult), reference_structure(calg))
+    _close(placed_inner(cm), reference_inner(cm))
 
 
 @settings(max_examples=12, deadline=None)
@@ -209,7 +185,7 @@ def test_action_and_star_blocks_match_the_reference_operations(name, blocks, see
 def test_blocks_on_standard_actions(name, p, n):
     """Modules whose dimension differs from the algebra's, with eta != alpha."""
     cm = crossed.build_crossed_module(standard_system(GROUPS[name], p, n, seed=5))
-    _close(crossed.crossed_inner_tensor(cm), reference_inner(cm))
+    _close(placed_inner(cm), reference_inner(cm))
     g, m, nn = cm.group.order, cm.module.dim, cm.algebra.base.dim
     act = reference_action(cm).reshape(g, m, g, nn, g, m)
     for r in range(g):
@@ -274,6 +250,65 @@ def test_module_check_matches_the_dense_check(name, blocks, eps):
     ).rank
 
 
+def _dense_fullness(cm):
+    return nk.numerical_rank(reference_inner(cm).reshape(cm.dim**2, cm.algebra.dim))
+
+
+def _traceless(sys_):
+    """The system with every inner product projected onto its traceless part,
+    a subspace of A that conjugation keeps: one direction of A per slot is missing."""
+    module = sys_.module
+    algebra = module.algebra
+    trace, unit = cstar.trace_coords(algebra), cstar.unit_coords(algebra)
+    inner = module.inner - np.multiply.outer(module.inner @ trace, unit) / algebra.embed_dim
+    planted = hilbmod.HilbertModule(algebra, module.dim, module.action, inner)
+    return hilbmod.ModuleDynamicalSystem(sys_.group, planted, sys_.eta, sys_.alpha)
+
+
+FULLNESS_CASES = [
+    ("Z2", lambda: standard_system(GROUPS["Z2"], 1, 2, seed=5), 8),
+    ("Z3", lambda: standard_system(GROUPS["Z3"], 2, 1, seed=5), 3),
+    ("S3", lambda: standard_system(GROUPS["S3"], 2, 3, seed=5), 54),
+    ("S3-self", lambda: conjugation_system(GROUPS["S3"], (1, 2), seed=6), 30),
+    ("S3-traceless", lambda: _traceless(conjugation_system(GROUPS["S3"], (3,), seed=6)), 48),
+    ("Z2-traceless", lambda: _traceless(standard_system(GROUPS["Z2"], 1, 2, seed=5)), 6),
+]
+
+
+@pytest.mark.parametrize("name, build, rank", FULLNESS_CASES, ids=[c[0] for c in FULLNESS_CASES])
+def test_crossed_fullness_from_the_grading_matches_the_dense_rank(name, build, rank):
+    """g times the rank of the stacked inner blocks is the rank of the dense
+    (d_X^2, d_A) stack of crossed inner products, full or planted deficient."""
+    sys_ = build()
+    cm = crossed.CrossedModule(
+        sys_, crossed.CrossedAlgebra(sys_.group, sys_.module.algebra, sys_.alpha)
+    )
+    report = crossed.check_crossed_module(cm)
+    dense = _dense_fullness(cm)
+    assert report.fullness_rank == dense.rank == rank
+    assert report.full == (rank == cm.algebra.dim)
+    # the dense Gram's spectrum is the stacked blocks' Gram spectrum repeated g times
+    g, m, n = cm.group.order, cm.module.dim, cm.algebra.base.dim
+    per_slot = nk.numerical_rank(cm.inner_blocks.reshape(g * m * m, n)).singular_values
+    np.testing.assert_allclose(
+        np.sort(np.repeat(per_slot, g) ** 2)[::-1], dense.singular_values**2, rtol=0, atol=1e-10
+    )
+
+
+def test_crossed_module_check_allocates_no_dense_inner_stack():
+    """S3 on M_3 over itself: the dense (54^2, 54) stack of inner products is 2.5 MB."""
+    cm = crossed.build_crossed_module(conjugation_system(GROUPS["S3"], (3,), seed=6))
+    dense_bytes = cm.dim**2 * cm.algebra.dim * 16
+    tracemalloc.start()
+    try:
+        report = crossed.check_crossed_module(cm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.full and report.max_residual < 1e-12
+    assert peak < dense_bytes, (peak, dense_bytes)
+
+
 @settings(max_examples=12, deadline=None)
 @given(groups, block_sizes, hst.integers(min_value=1, max_value=3), seeds)
 def test_identity_defect_from_blocks_matches_the_dense_row(name, blocks, h, seed):
@@ -283,7 +318,7 @@ def test_identity_defect_from_blocks_matches_the_dense_row(name, blocks, h, seed
     shape = (cm.dim, h + 1, h, 2)
     images = rng.standard_normal(shape).view(complex)[..., 0]
     companion = rng.standard_normal((cm.algebra.dim, h, h, 2)).view(complex)[..., 0]
-    dense = hilbmod.identity_defect(images, crossed.crossed_inner_tensor(cm), companion)
+    dense = hilbmod.identity_defect(images, reference_inner(cm), companion)
     assert crossed._identity_defect(cm, images, companion) == pytest.approx(dense, rel=1e-12)
 
 

@@ -218,12 +218,46 @@ class TestInducedAction:
         induced = hilbmod.induced_algebra_action(group, sys.module, sys.eta)
         assert nk.maxabs(induced.alpha - sys.alpha) <= 1e-10
 
+    @pytest.mark.parametrize("name, p, n", [("S3", 2, 3), ("S4", 1, 2), ("Z3", 3, 2)])
+    def test_one_solve_matches_a_solve_per_group_element(self, name, p, n):
+        """The g targets solved side by side give each alpha_t and the residual
+        of a separate least-squares solve per group element."""
+        group = {
+            "S3": hilbmod.symmetric_group(3),
+            "S4": hilbmod.symmetric_group(4),
+            "Z3": hilbmod.cyclic_group(3),
+        }[name]
+        rng = np.random.default_rng(p + n)
+        sys = hilbmod.standard_action(
+            group, hilbmod.seeded_rep(group, p, rng), hilbmod.seeded_rep(group, n, rng)
+        )
+        induced = hilbmod.induced_algebra_action(group, sys.module, sys.eta)
+        flat = sys.module.inner.reshape(-1, sys.module.algebra.dim)
+        residual = 0.0
+        for t in range(group.order):
+            target = hilbmod.transported_inner(sys.eta[t], sys.module.inner)
+            target = target.reshape(len(flat), -1)
+            solution = nk.least_squares_solve(flat, target)
+            np.testing.assert_array_equal(induced.alpha[t], solution.T)
+            residual = max(residual, nk.maxabs(flat @ solution - target))
+        assert induced.consistency_residual == residual
+
     def test_rejects_scaling(self):
         # eta_1 = 2 id breaks the group law over Z_2
         group = hilbmod.cyclic_group(2)
         module = hilbmod.standard_module(1, 1)
         eta = np.stack([np.eye(1), 2 * np.eye(1)]).astype(complex)
         with pytest.raises(InconsistentError, match="group law"):
+            hilbmod.induced_algebra_action(group, module, eta)
+
+    def test_rejects_inconsistent_system(self):
+        # eta_1 keeps the Z_2 law but scales f_0 by 1/2 and f_1 by 2 while
+        # swapping them: <eta f_0, eta f_0> = 1/4 and <eta f_1, eta f_1> = 4,
+        # which no map on C can send both <f_0, f_0> = <f_1, f_1> = 1 to
+        group = hilbmod.cyclic_group(2)
+        module = hilbmod.standard_module(2, 1)
+        eta = np.stack([np.eye(2), [[0.0, 2.0], [0.5, 0.0]]]).astype(complex)
+        with pytest.raises(InconsistentError, match="inconsistent: 1.875e\\+00"):
             hilbmod.induced_algebra_action(group, module, eta)
 
     def test_rejects_non_full_module(self):

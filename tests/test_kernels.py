@@ -14,6 +14,7 @@ from hypothesis import strategies as hst
 from covstine import cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from covstine.cpmaps import CPMapAlgebra
+from dense_reference import dense_gns_gram, module_map_through
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "covstine"
 
@@ -275,16 +276,6 @@ def test_sliced_linearity_sees_an_action_row_that_vanishes_wrongly(blocks):
         assert residual == _linearity_reference(broken) == 1.0  # a unit went missing
 
 
-def _dense_gns_gram(phi):
-    """The (N h)^2 GNS Gram ``phi(E_k* E_l)[i, j]``, symmetrized, as formed densely."""
-    algebra = phi.algebra
-    n_dim, h = algebra.dim, phi.space_dim
-    star_products = cstar.product_index(algebra)[cstar.star_permutation(algebra)]
-    gram = nk.pad_zero(phi.images)[star_products].transpose(0, 2, 1, 3)
-    gram = gram.reshape(n_dim * h, n_dim * h)
-    return (gram + nk.adjoint(gram)) / 2.0
-
-
 def _cp_from_choi_spectra(blocks, h, spectra, seed):
     """A CP map whose block b has Choi matrix ``Q diag(spectra[b]) Q*``, Q Haar."""
     algebra = cstar.CStarAlgebra(blocks)
@@ -316,7 +307,7 @@ def _spectrum(n, h, rank, scale):
 def test_gns_from_choi_blocks_matches_the_dense_gram_factor(blocks, h, spectra):
     phi = _cp_from_choi_spectra(blocks, h, spectra, seed=13)
     gns = stinespring.gns_construct(phi)
-    dense = nk.gram_factor(_dense_gns_gram(phi))
+    dense = nk.gram_factor(dense_gns_gram(phi))
 
     assert gns.dim == dense.rank
     expected_rank = 0
@@ -331,8 +322,11 @@ def test_gns_from_choi_blocks_matches_the_dense_gram_factor(blocks, h, spectra):
     np.testing.assert_allclose(
         nk.adjoint(gns.F) @ gns.F, nk.adjoint(dense.F) @ dense.F, rtol=0, atol=1e-10
     )
-    assert gns.minimality_rank == gns.dim
-    assert gns.reconstruction_residual < 1e-9
+    # the dilation's own GNS rows, on a module map whose companion is phi
+    phi_module = module_map_through(phi, dense)
+    cert = stinespring.verify_dilation(phi_module, stinespring.dilate_module_cp(phi_module))
+    assert cert.ranks["gns_minimality"] == (gns.dim, gns.dim)
+    assert cert.residuals["gns_reconstruction"] < 1e-9
 
 
 def _conjugation_action(blocks, seed):

@@ -88,19 +88,34 @@ def test_each_check_runs_at_most_once_per_scenario(
 
 @pytest.mark.parametrize("kind, group", [("dilate", None), ("dilate-covariant", "cyclic:2")])
 def test_choi_blocks_are_built_once_per_dilation(tmp_path, monkeypatch, kind, group):
-    """The CP test and the GNS factor read one cached Choi report."""
+    """The CP test and the GNS factor read one cached Choi report, and each
+    Choi block is eigensolved once: both read the spectra stored in it."""
     path = tmp_path / f"{kind}.json"
     path.write_bytes(cli.canonical_bytes(cli.generate_scenario(kind, 2, 2, 2, 11, group)))
-    calls = []
+    reports = []
     original = cstar.choi_blocks
 
     def counting(*args, **kwargs):
-        calls.append(args[0])
-        return original(*args, **kwargs)
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    solved = []
+
+    def recording(solver):
+        def wrapper(m, *args, **kwargs):
+            solved.append(np.array(m))
+            return solver(m, *args, **kwargs)
+
+        return wrapper
 
     monkeypatch.setattr(cstar, "choi_blocks", counting)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     assert cli.run_scenario(str(path)).passed
-    assert len(calls) == 1
+    assert len(reports) == 1
+    for c in reports[0].choi:
+        hermitian = (c + c.conj().T) / 2
+        assert sum(np.array_equal(m, hermitian) for m in solved) == 1
 
 
 def test_fullness_is_decided_once_per_covariant_run(tmp_path, monkeypatch):
@@ -349,3 +364,103 @@ def test_structure_entry_count_of_a_permutation_action():
     count = crossed.structure_entry_count(calg)
     assert count == len(crossed.structure_entries(calg)[0]) == 24 * 24 * 25 * 5
     assert count <= cli.MAX_STRUCTURE_ROWS < 24**2 * 25**2 * 5
+
+
+ONE = {"rows": 1, "cols": 1, "entries": [[1, 0]]}
+EXPLICIT = _set(
+    IDENTITY,
+    ("objects",),
+    {
+        "module": {
+            "algebra": {"blocks": [1]},
+            "dim": 1,
+            "action": {"shape": [1, 1, 1], "entries": [[1, 0]]},
+            "inner": {"shape": [1, 1, 1], "entries": [[1, 0]]},
+        },
+        "cp_map": {"images": {"0": ONE}, "companion": {"space_dim": 1, "images": {"0:0:0": ONE}}},
+    },
+)
+BLOCKS = ("objects", "module", "algebra", "blocks")
+EMPTY_MODULE = {
+    "algebra": {"blocks": [1]},
+    "dim": 0,
+    "action": {"shape": [0, 1, 0], "entries": []},
+    "inner": {"shape": [0, 0, 1], "entries": []},
+}
+
+
+def test_explicit_module_payload_runs(tmp_path, capsys):
+    code, err = _run(tmp_path, capsys, EXPLICIT)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize(
+    "payload, field, error",
+    [
+        (_set(EXPLICIT, BLOCKS, ["x"]), "'blocks'", "ParseError"),
+        (_set(EXPLICIT, BLOCKS, 2), "'blocks'", "ParseError"),
+        (_set(EXPLICIT, BLOCKS, []), "'blocks'", "ParseError"),
+        (_set(EXPLICIT, BLOCKS, [1.5]), "'blocks'", "ParseError"),
+        (_set(EXPLICIT, BLOCKS, [True]), "'blocks'", "ParseError"),
+        (_set(EXPLICIT, BLOCKS, [0]), "'blocks'", "ParseError"),
+        (_set(EXPLICIT, BLOCKS, [9]), "dimension 81", "BoundsError"),
+        (_set(EXPLICIT, BLOCKS, [5, 5, 1]), "action tensor shape", "ShapeMismatchError"),
+        (_set(EXPLICIT, BLOCKS, [10**12]), "algebra payload", "BoundsError"),
+        (_set(EXPLICIT, ("objects", "module"), EMPTY_MODULE), "'dim'", "ParseError"),
+    ],
+)
+def test_bad_algebra_and_module_payloads_exit_two(
+    tmp_path, capsys, monkeypatch, payload, field, error
+):
+    """Block sizes are JSON integers >= 1 with sum n_b^2 <= cstar.MAX_DIM, checked
+    before the N^2 product tables are built; an explicit module has dim >= 1."""
+    original = cstar._structure
+
+    def guarded(blocks):
+        if sum(n * n for n in blocks) > cstar.MAX_DIM:
+            raise AssertionError(f"structure tables of {blocks} built before the bound")
+        return original(blocks)
+
+    monkeypatch.setattr(cstar, "_structure", guarded)
+    code, err = _run(tmp_path, capsys, payload)
+    assert code == 2
+    assert "Traceback" not in err
+    assert field in err and error in err
+
+
+def test_algebra_bound_is_the_standard_module_bound():
+    assert cstar.MAX_DIM == hilbmod.MAX_N**2
+    assert cstar.algebra_from_json({"blocks": [8]}).dim == 64
+    assert cstar.algebra_from_json({"blocks": [4, 4, 4, 4]}).dim == 64
+    with pytest.raises(BoundsError):
+        cstar.algebra_from_json({"blocks": [4, 4, 4, 4, 1]})
+
+
+@pytest.mark.parametrize("space_dim", [1.5, True, "1", -1])
+def test_representation_space_dim_is_a_json_integer(space_dim):
+    algebra = cstar.CStarAlgebra((1,))
+    payload = {"space_dim": space_dim, "images": {"0:0:0": ONE}}
+    with pytest.raises(ParseError, match="'space_dim'"):
+        cstar.representation_from_json(algebra, payload)
+
+
+def test_unwritable_out_exits_two(tmp_path, capsys):
+    missing = tmp_path / "missing"
+    gen = ["gen", "--kind", "dilate", "--p", "1", "--n", "1", "--seed", "1"]
+    assert cli.main(gen + ["--out", str(missing / "x.json")]) == 2
+    scenario = tmp_path / "x.json"
+    assert cli.main(gen + ["--out", str(scenario)]) == 0
+    assert cli.main(["dilate", "--scenario", str(scenario), "--out", str(missing / "c.json")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("--out: cannot write") == 2
+
+
+def test_parser_is_built_once_per_process(tmp_path):
+    cli._parser.cache_clear()
+    out = tmp_path / "x.json"
+    gen = ["gen", "--kind", "dilate", "--p", "1", "--n", "1", "--seed", "1", "--out", str(out)]
+    assert cli.main(gen) == 0
+    assert cli.main(["dilate", "--scenario", str(out), "--out", str(tmp_path / "c.json")]) == 0
+    info = cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)

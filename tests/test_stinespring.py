@@ -10,6 +10,7 @@ from covstine.errors import (
     NotUnitaryError,
     QuotientLeakError,
 )
+from dense_reference import dense_gns_gram, module_map_through
 
 
 def z2_diag_system():
@@ -18,6 +19,12 @@ def z2_diag_system():
         group, 2, np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
     )
     return hilbmod.standard_action(group, hilbmod.trivial_rep(group, 1), delta)
+
+
+def _verified_through_gram(phi):
+    """``verify_dilation`` of a module CP map whose companion is ``phi``."""
+    phi_module = module_map_through(phi, nk.gram_factor(dense_gns_gram(phi)))
+    return st.verify_dilation(phi_module, st.dilate_module_cp(phi_module))
 
 
 def concrete_cp(p, n):
@@ -71,7 +78,9 @@ class TestGns:
         gns = st.gns_construct(phi)
         assert gns.dim == 0
         assert gns.V.shape == (0, 2)
-        assert gns.reconstruction_residual == 0
+        cert = _verified_through_gram(phi)
+        assert cert.residuals["gns_reconstruction"] == 0
+        assert cert.ranks["gns_minimality"] == (0, 0)
 
     def test_trace_map_gram_is_identity(self):
         # phi(a) = tr(a) I_2: <E_k (x) h_i, E_l (x) h_j> = delta_kl delta_ij
@@ -88,15 +97,17 @@ class TestGns:
         np.testing.assert_allclose(
             np.sort(gns.gram_eigenvalues), np.ones(8), atol=1e-12
         )
-        assert gns.reconstruction_residual <= 1e-10
-        assert gns.minimality_rank == 8
+        cert = _verified_through_gram(phi)
+        assert cert.residuals["gns_reconstruction"] <= 1e-10
+        assert cert.ranks["gns_minimality"] == (8, 8)
 
     def test_reconstruction_for_seeded_maps(self):
         for seed in range(4):
             phi_mod, _ = cpmaps.random_module_cp(2, 2, 2, seed=seed)
-            gns = st.gns_construct(phi_mod.companion)
-            assert gns.reconstruction_residual <= 1e-9
-            assert gns.minimality_rank == gns.dim
+            dilation = st.dilate_module_cp(phi_mod)
+            cert = st.verify_dilation(phi_mod, dilation)
+            assert cert.residuals["gns_reconstruction"] <= 1e-9
+            assert cert.ranks["gns_minimality"] == (dilation.gns.dim, dilation.gns.dim)
 
 
 class TestDilateModuleCp:
