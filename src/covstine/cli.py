@@ -171,6 +171,9 @@ def _resolve_cp_map(payload, module: hilbmod.HilbertModule) -> cpmaps.ModuleCPMa
     comp = payload["companion"]
     if not isinstance(comp, dict) or set(comp) != {"space_dim", "images"}:
         raise ParseError("scenario.objects.cp_map.companion: needs space_dim and images")
+    for where, images in (("images", payload["images"]), ("companion.images", comp["images"])):
+        if not isinstance(images, dict):
+            raise ParseError(f"scenario.objects.cp_map.{where}: must be an object")
     labels = module.algebra.basis_labels()
     comp_images = []
     for label in labels:

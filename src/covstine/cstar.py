@@ -55,12 +55,14 @@ class CStarAlgebra:
 
 @lru_cache(maxsize=None)
 def _structure(blocks: tuple[int, ...]):
-    """Product and left-factor tables, star permutation, unit and trace vectors.
+    """Product and left-factor tables, star permutation, unit and trace
+    vectors, and the place of each matrix unit in the embedding.
 
     A product of two matrix units is a unit or zero, so multiplication is a
     table: ``product[k, l]`` is m when ``E_k E_l = E_m`` and N when the
     product vanishes, and ``left_factor[k, m]`` is the l with
-    ``E_l E_k = E_m`` (at most one), N when there is none.
+    ``E_l E_k = E_m`` (at most one), N when there is none.  ``E_k`` embeds as
+    the single entry ``(embed_at[0][k], embed_at[1][k])`` of the E x E matrix.
     """
     algebra = CStarAlgebra(blocks)
     dim = algebra.dim
@@ -69,12 +71,14 @@ def _structure(blocks: tuple[int, ...]):
     star_perm = np.zeros(dim, dtype=np.int64)
     unit = np.zeros(dim, dtype=np.complex128)
     trace = np.zeros(dim, dtype=np.complex128)
-    offset = 0
+    embed_at = np.zeros((2, dim), dtype=np.int64)
+    offset = corner = 0
     for n in algebra.blocks:
         for i in range(n):
             for j in range(n):
                 idx = offset + i * n + j
                 star_perm[idx] = offset + j * n + i
+                embed_at[:, idx] = corner + i, corner + j
                 if i == j:
                     unit[idx] = 1.0
                     trace[idx] = 1.0
@@ -83,9 +87,11 @@ def _structure(blocks: tuple[int, ...]):
                     product[idx, offset + j * n + k] = offset + i * n + k
                     left_factor[offset + j * n + k, offset + i * n + k] = idx
         offset += n * n
+        corner += n
     product.setflags(write=False)
     left_factor.setflags(write=False)
-    return product, left_factor, star_perm, unit, trace
+    embed_at.setflags(write=False)
+    return product, left_factor, star_perm, unit, trace, embed_at
 
 
 @lru_cache(maxsize=None)
@@ -115,6 +121,11 @@ def product_index(algebra: CStarAlgebra) -> np.ndarray:
 def left_factor_index(algebra: CStarAlgebra) -> np.ndarray:
     """``index[k, m]`` is the l with ``E_l E_k = E_m``, N when there is none."""
     return _structure(algebra.blocks)[1]
+
+
+def embedding_index(algebra: CStarAlgebra) -> np.ndarray:
+    """``(rows, cols)``: ``E_k`` embeds as the one entry ``(rows[k], cols[k])``."""
+    return _structure(algebra.blocks)[5]
 
 
 def block_products(algebra: CStarAlgebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -243,7 +254,7 @@ def element_positive(a: AlgebraElement, tol: float = nk.REL_TOL) -> nk.PsdReport
     Raises ``NotHermitianError`` when some block is not Hermitian within
     ``tol`` relative to its scale.
     """
-    min_eig = np.inf
+    min_eig, max_eig = np.inf, -np.inf
     worst_defect = 0.0
     ok = True
     for blk in a.data:
@@ -256,8 +267,9 @@ def element_positive(a: AlgebraElement, tol: float = nk.REL_TOL) -> nk.PsdReport
         report = nk.psd_check(blk, tol)
         ok = ok and report.ok
         min_eig = min(min_eig, report.min_eig)
+        max_eig = max(max_eig, report.max_eig)
         worst_defect = max(worst_defect, report.herm_defect)
-    return nk.PsdReport(bool(ok), float(min_eig), worst_defect)
+    return nk.PsdReport(bool(ok), float(min_eig), worst_defect, float(max_eig))
 
 
 @dataclass(frozen=True)
@@ -283,11 +295,10 @@ class AlgebraRepresentation:
 
 def embedding_representation(algebra: CStarAlgebra) -> AlgebraRepresentation:
     """The faithful representation on C^E by block-diagonal matrices."""
-    dim = algebra.dim
-    images = np.stack(
-        [embed_coords(algebra, np.eye(dim, dtype=np.complex128)[k]) for k in range(dim)]
-    )
-    return AlgebraRepresentation(algebra, algebra.embed_dim, images)
+    total = algebra.embed_dim
+    images = np.zeros((algebra.dim, total, total), dtype=np.complex128)
+    images[(np.arange(algebra.dim), *embedding_index(algebra))] = 1.0
+    return AlgebraRepresentation(algebra, total, images)
 
 
 class RepresentationReport(NamedTuple):
@@ -311,15 +322,16 @@ def check_representation(
     reported as a (possibly proper) projection via its idempotency defect.
     """
     algebra = rep.algebra
-    _, _, star_perm, unit, _ = _structure(algebra.blocks)
+    star_perm, unit = _structure(algebra.blocks)[2:4]
     images = rep.images
     scale = max(1.0, nk.maxabs(images))
 
-    # pi(E_k) pi(E_l) against pi(E_k E_l), a gather, one k at a time
-    padded = nk.pad_zero(images)
-    rows = zip(images, product_index(algebra))
-    mult_residual = max(
-        (nk.maxabs(image @ images - padded[row]) for image, row in rows), default=0.0
+    # pi(E_k) pi(E_l) against pi(E_k E_l), a gather where E_k E_l is not 0
+    product = product_index(algebra)
+    targeted = product < algebra.dim
+    units = product[targeted]
+    mult_residual = nk.pair_defect(
+        images, images, targeted, lambda span: images[units[span]]
     ) / scale
 
     star_images = np.conj(np.transpose(images, (0, 2, 1)))
@@ -419,6 +431,8 @@ def representation_to_json(rep: AlgebraRepresentation) -> dict:
 def representation_from_json(algebra: CStarAlgebra, obj) -> AlgebraRepresentation:
     if not isinstance(obj, dict) or set(obj) != {"space_dim", "images"}:
         raise ParseError("representation payload must have space_dim and images")
+    if not isinstance(obj["images"], dict):
+        raise ParseError("representation payload: 'images' must be an object")
     labels = algebra.basis_labels()
     missing = [label for label in labels if label not in obj["images"]]
     if missing:

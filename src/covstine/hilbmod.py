@@ -150,45 +150,59 @@ def check_module_axioms(
 ) -> ModuleAxiomReport:
     """Residuals for the Hilbert-module axioms plus fullness of the span.
 
-    Linearity ``<x_i, x_j . E_k> = <x_i, x_j> E_k`` is checked on the rows
-    ``(j, k)`` of the flattened action.  The right side is a gather, since
-    ``E_l E_k = E_m`` for at most one ``l``.  A row with ``x_j . E_k``
-    exactly 0 has a left side of exact zeros, so its defect is the largest
-    ``|<x_i, x_j>|`` over ``i``, gathered the same way.  Only the live rows
-    go through a GEMM, one ``x_i`` at a time so that no (rows, m N) tensor
-    is alive: a standard module has m n live rows of m N, a module on a
-    dense basis all of them.  The residual is the same maximum of the same
-    absolute values as on the full (m, m, N, N) comparison.
+    Linearity ``<x_i, x_j . E_k> = <x_i, x_j> E_k`` is ``nk.pair_defect`` of
+    ``action[j] @ inner[i]`` against the right side, a gather, since
+    ``E_l E_k = E_m`` for at most one ``l``; it is formed only for the pairs
+    with ``<x_i, x_j>`` nonzero.  The GEMM runs on the live action rows
+    (``x_j . E_k`` not 0) and the support columns of each ``inner[i]``; the
+    residual is the same maximum of the same absolute values as on the full
+    (m, m, N, N) comparison.
+
+    Positivity is decided on the Gram super-matrix ``[<x_i, x_j>]`` in
+    ``M_m(A)``, embedded.  Each ``E_k`` embeds as one entry, so the nonzeros
+    of ``inner`` scatter to distinct entries, and the matrix is eigensolved
+    one connected component of its sparsity at a time: a standard p x n
+    module has p components of order n.
     """
     algebra = module.algebra
-    m, n_dim = module.dim, algebra.dim
+    m, n_dim, e_dim = module.dim, algebra.dim, algebra.embed_dim
     inner, action = module.inner, module.action
     scale = max(1.0, nk.maxabs(inner))
 
-    flat_action = action.reshape(m * n_dim, m)
+    # A row (j, k) with x_j . E_k exactly 0 has a left side of exact zeros, so
+    # its defect is the largest |<x_i, x_j> E_k| over i: a gather of
+    # max_i |<x_i, x_j>|.  The live rows of each action[j], padded with dead
+    # ones to the most any x_j has, go through nk.pair_defect.
+    support = inner != 0
     left_factor = cstar.left_factor_index(algebra)
-    live = np.any(flat_action != 0, axis=1)
-    dead_j, dead_k = np.divmod(np.flatnonzero(~live), n_dim)
-    column_max = nk.pad_zero(np.max(np.abs(inner), axis=0, initial=0.0), axis=1)
-    linearity = nk.maxabs(column_max[dead_j[:, None], left_factor[dead_k]])
-
-    live_j, live_k = np.divmod(np.flatnonzero(live), n_dim)
-    live_action = flat_action[live]
-    gather = live_j[:, None] * (n_dim + 1) + left_factor[live_k]
-    padded = nk.pad_zero(inner, axis=2).reshape(m, m * (n_dim + 1))
-    for i in range(m):
-        lhs = live_action @ inner[i]
-        linearity = max(linearity, nk.maxabs(lhs - padded[i][gather]))
-    linearity /= scale
+    padded = nk.pad_zero(inner, axis=2)
+    live = action.any(axis=2)
+    dead_j, dead_k = (~live).nonzero()
+    column_max = np.abs(padded).max(axis=0, initial=0.0)
+    rows = np.argsort(~live, axis=1, kind="stable")[:, : live.sum(axis=1).max(initial=0)]
+    targeted = support.any(axis=2).T  # [j, i]: <x_i, x_j> is not 0
+    pair_j, pair_i = targeted.nonzero()
+    linearity = max(
+        column_max[dead_j[:, None], left_factor[dead_k]].max(initial=0.0),
+        nk.pair_defect(
+            np.take_along_axis(action, rows[:, :, None], axis=1),
+            inner,
+            targeted,
+            lambda span: padded[
+                pair_i[span, None, None], pair_j[span, None, None], left_factor[rows[pair_j[span]]]
+            ],
+        ),
+    ) / scale
 
     # <x_i, x_j>* = conj(inner[i, j, perm]), as the star permutation is an involution
     star_inner = np.conj(inner[..., cstar.star_permutation(algebra)])
     symmetry = nk.maxabs(star_inner - np.transpose(inner, (1, 0, 2))) / scale
 
-    embed = cstar.embedding_representation(algebra).images
-    gram_super = nk.coords_apply(inner, embed).transpose(0, 2, 1, 3)
-    big = gram_super.reshape(m * algebra.embed_dim, m * algebra.embed_dim)
-    psd = nk.psd_check(big, tol)
+    unit_row, unit_col = cstar.embedding_index(algebra)
+    i, j, k = support.nonzero()
+    gram_super = np.zeros((m * e_dim, m * e_dim), dtype=np.complex128)
+    gram_super[i * e_dim + unit_row[k], j * e_dim + unit_col[k]] = inner[i, j, k]
+    psd = nk.psd_check_by_components(gram_super, tol)
 
     # <x,x> = 0 iff the trace of its embedding vanishes, so definiteness is
     # positive-definiteness of the trace Gram.
@@ -287,15 +301,16 @@ def density_ranks(
 def identity_defect(images: np.ndarray, inner: np.ndarray, companion: np.ndarray) -> float:
     """Unscaled worst ``|images[i]* images[j] - sum_k inner[i, j, k] companion[k]|``.
 
-    This is ``pi(x)* pi(y) = pi_A(<x, y>)`` on basis pairs.  It runs one
-    ``x_i`` at a time, so no tensor of all pairs of maps is alive.
+    This is ``pi(x)* pi(y) = pi_A(<x, y>)`` on basis pairs, by ``nk.pair_defect``:
+    the right side is formed only for the pairs with ``<x_i, x_j>`` nonzero.
     """
-    return max(
-        (
-            nk.maxabs(nk.adjoint(image) @ images - nk.coords_apply(row, companion))
-            for image, row in zip(images, inner)
-        ),
-        default=0.0,
+    targeted = inner.any(axis=2)
+    coeffs = inner[targeted]
+    return nk.pair_defect(
+        np.conj(images).transpose(0, 2, 1),
+        images,
+        targeted,
+        lambda span: nk.coords_apply(coeffs[span], companion),
     )
 
 

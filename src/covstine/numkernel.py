@@ -111,6 +111,65 @@ def pad_zero(stack: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.concatenate([stack, np.zeros(shape, dtype=stack.dtype)], axis=axis)
 
 
+def pair_defect(left: np.ndarray, right: np.ndarray, targeted: np.ndarray, targets) -> float:
+    """Unscaled worst ``|left[i] @ right[j] - T_ij|`` over every pair (i, j).
+
+    ``T_ij`` is nonzero only where ``targeted[i, j]``.  Those pairs are taken
+    in the order of ``np.nonzero(targeted)``, and ``targets(span)`` returns
+    the stack of T_ij for the pairs in the slice ``span`` of that order.
+
+    Exact zeros of the inputs are skipped.  Only the live (not all-zero) rows
+    of each ``left[i]`` and columns of each ``right[j]`` are stacked, and one
+    GEMM of the two stacks holds every pair's product on that grid; off the
+    grid a product is exactly 0, so a target counts there with its own size.
+    The GEMM runs by chunks of whole ``left[i]`` whose grid rows, and whose
+    targets, hold no more entries than ``left[i]`` times all of ``right``, the
+    block one ``i`` at a time would form.  The residual is the same maximum of
+    the same absolute values; where nothing is zero this is the dense work.
+    """
+    count, rows, _ = left.shape
+    others, _, cols = right.shape
+    if 0 in (count, rows, others, cols):
+        return 0.0
+    live_rows = left.any(axis=2)
+    live_cols = right.any(axis=1)
+    row_stack = left[live_rows]
+    col_stack = right.transpose(1, 0, 2)[:, live_cols]
+    width = col_stack.shape[1]
+
+    budget = rows * others * cols
+    chunks, offset = [], []  # offset: grid rows before left[i] within its chunk
+    start = row_end = pair_end = chunk_rows = chunk_pairs = 0
+    counts = zip(live_rows.sum(axis=1).tolist(), targeted.sum(axis=1).tolist())
+    for i, (r, p) in enumerate(counts):
+        if i > start and ((chunk_rows + r) * width > budget or chunk_pairs + p > others):
+            chunks.append((row_end - chunk_rows, row_end, pair_end - chunk_pairs, pair_end))
+            start, chunk_rows, chunk_pairs = i, 0, 0
+        offset.append(chunk_rows)
+        chunk_rows, chunk_pairs = chunk_rows + r, chunk_pairs + p
+        row_end, pair_end = row_end + r, pair_end + p
+    chunks.append((row_end - chunk_rows, row_end, pair_end - chunk_pairs, pair_end))
+
+    # the grid row (within its chunk) and column of every row and column of
+    # each targeted pair; dead ones read the zero row and column appended to
+    # every chunk's grid
+    pair_left, pair_right = targeted.nonzero()
+    row_at = (live_rows.cumsum(axis=1) + np.array(offset)[:, None]) * live_rows - 1
+    col_at = live_cols.cumsum().reshape(others, cols) * live_cols - 1
+    row_at, col_at = row_at[pair_left, :, None], col_at[pair_right, None, :]
+
+    worst = 0.0
+    for row_start, row_stop, pair_start, pair_stop in chunks:
+        grid = np.zeros((row_stop - row_start + 1, width + 1), dtype=np.complex128)
+        np.matmul(row_stack[row_start:row_stop], col_stack, out=grid[:-1, :-1])
+        span = slice(pair_start, pair_stop)
+        at = (row_at[span], col_at[span])
+        worst = np.abs(grid[at] - targets(span)).max(initial=worst)
+        grid[at] = 0.0  # what is left belongs to pairs without a target
+        worst = np.abs(grid).max(initial=worst)
+    return float(worst)
+
+
 class EigDecomposition(NamedTuple):
     values: np.ndarray  # real, descending
     vectors: np.ndarray  # unitary, columns align with values
@@ -201,6 +260,7 @@ class PsdReport(NamedTuple):
     ok: bool
     min_eig: float
     herm_defect: float  # nonzero input asymmetry is symmetrized away but flagged
+    max_eig: float  # with min_eig, all the decision reads of the spectrum
 
 
 def psd_check(m, tol: float = REL_TOL) -> PsdReport:
@@ -215,11 +275,55 @@ def spectrum_psd(values: np.ndarray, herm_defect: float, tol: float = REL_TOL) -
     """``psd_check``'s rule on a descending spectrum: the smallest eigenvalue may be
     down to ``-tol`` times the spectrum's scale, never less than ``ABS_FLOOR``."""
     if values.size == 0:
-        return PsdReport(True, 0.0, herm_defect)
-    min_eig = float(values[-1])
-    scale = max(1.0, float(values[0]), -min_eig)
+        return PsdReport(True, 0.0, herm_defect, 0.0)
+    min_eig, max_eig = float(values[-1]), float(values[0])
+    scale = max(1.0, max_eig, -min_eig)
     ok = min_eig >= -max(tol * scale, ABS_FLOOR)
-    return PsdReport(bool(ok), min_eig, herm_defect)
+    return PsdReport(bool(ok), min_eig, herm_defect, max_eig)
+
+
+def psd_check_by_components(m, tol: float = REL_TOL) -> PsdReport:
+    """``psd_check`` of ``m`` decided one connected component at a time.
+
+    The nodes are the indices of ``m``, linked where an off-diagonal entry is
+    nonzero in either triangle.  Permuted to its components the matrix is
+    block diagonal, so its spectrum is the union of theirs.  Each component of
+    two or more nodes is eigensolved by ``psd_check``; an isolated node is its
+    diagonal entry.  ``spectrum_psd`` decides on the merged extremes, so the
+    verdict and ``min_eig`` are those of ``psd_check(m)``; a matrix linked
+    throughout takes one ``psd_check`` of its full order.
+    """
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ShapeMismatchError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
+    nonzero = m != 0
+    labels = _component_labels(nonzero | nonzero.T)
+    sizes = np.bincount(labels, minlength=len(labels))
+    alone = m.diagonal().real[sizes[labels] == 1]
+    lowest, highest = alone.min(initial=np.inf), alone.max(initial=-np.inf)
+    for root in np.flatnonzero(sizes > 1):
+        nodes = np.flatnonzero(labels == root)
+        report = psd_check(m[nodes[:, None], nodes], tol)
+        lowest, highest = min(lowest, report.min_eig), max(highest, report.max_eig)
+    extremes = np.array([highest, lowest]) if len(labels) else np.zeros(0)
+    return spectrum_psd(extremes, frobenius(m - adjoint(m)), tol)
+
+
+def _component_labels(linked: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's connected component, for a symmetric
+    boolean adjacency matrix.
+
+    Each round lowers every label to the smallest among the node's
+    neighbours, then lets every node take its label's label; labels only
+    fall, and stay within the component, until they agree along every link.
+    """
+    labels = np.arange(len(linked))
+    while True:
+        lowered = np.where(linked, labels, labels[:, None]).min(axis=1, initial=len(linked))
+        lowered = lowered[lowered]
+        if (lowered == labels).all():
+            return labels
+        labels = lowered
 
 
 def least_squares_solve(a, b) -> np.ndarray:

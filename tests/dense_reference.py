@@ -6,7 +6,10 @@ placed into dense tensors; the package works on the g blocks of each
 operation and never forms these tensors.  The GNS Gram of a CP map on an
 algebra is formed densely, and ``module_map_through`` turns the map into a
 module CP map through a factor of that Gram, so the GNS rows of
-``verify_dilation`` can be read for it.
+``verify_dilation`` can be read for it.  The module identities are checked
+densely: ``pi(x)* pi(y) = pi_A(<x, y>)`` one x_i at a time, multiplicativity
+one E_k at a time, and positivity by one eigensolve of the whole Gram
+super-matrix; the package skips the exact zeros of their inputs.
 """
 
 import numpy as np
@@ -84,3 +87,34 @@ def module_map_through(phi, factor):
     )
     images = factor.F.reshape(factor.rank, algebra.dim, phi.space_dim).transpose(1, 0, 2)
     return cpmaps.ModuleCPMap(module, images, phi)
+
+
+def identity_defect(images, inner, companion):
+    """Worst ``|images[i]* images[j] - sum_k inner[i, j, k] companion[k]|``, one
+    ``x_i`` at a time against every ``x_j``."""
+    return max(
+        (
+            nk.maxabs(nk.adjoint(image) @ images - nk.coords_apply(row, companion))
+            for image, row in zip(images, inner)
+        ),
+        default=0.0,
+    )
+
+
+def multiplicativity_defect(rep):
+    """Worst ``|pi(E_k) pi(E_l) - pi(E_k E_l)|``, one ``E_k`` at a time, unscaled."""
+    padded = nk.pad_zero(rep.images)
+    rows = zip(rep.images, cstar.product_index(rep.algebra))
+    return max((nk.maxabs(image @ rep.images - padded[row]) for image, row in rows), default=0.0)
+
+
+def gram_super_matrix(module):
+    """``[<x_i, x_j>]`` in ``M_m(A)``, each entry embedded block-diagonally."""
+    embed = cstar.embedding_representation(module.algebra).images
+    order = module.dim * module.algebra.embed_dim
+    return nk.coords_apply(module.inner, embed).transpose(0, 2, 1, 3).reshape(order, order)
+
+
+def module_positivity(module, tol=nk.REL_TOL):
+    """``psd_check`` of the whole Gram super-matrix, one eigensolve."""
+    return nk.psd_check(gram_super_matrix(module), tol)

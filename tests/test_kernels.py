@@ -1,9 +1,11 @@
 """Ordered contractions: each GEMM or gather helper against the einsum or loop
 it replaces, the sliced and block-wise checks against planted perturbations,
-the GNS factor from Choi blocks against the dense Gram factor, and a guard
+the GNS factor from Choi blocks against the dense Gram factor, the module
+identities on their live support against their dense references, and a guard
 that keeps unordered multi-operand einsums out of the package."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from covstine import cstar, hilbmod, stinespring
+import dense_reference
+from covstine import cpmaps, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from covstine.cpmaps import CPMapAlgebra
 from dense_reference import dense_gns_gram, module_map_through
@@ -195,7 +198,14 @@ def _linearity_reference(module):
 
 def _dense_basis_module(blocks, seed):
     """The algebra module of ``_algebra_module`` on a random (dense) basis of X."""
+    return _represented_on_dense_basis(blocks, seed)[0]
+
+
+def _represented_on_dense_basis(blocks, seed):
+    """``(module, images, companion)``: the algebra module of ``_algebra_module`` on
+    a random basis of X, its embedding images and the embedding representation."""
     module = _algebra_module(blocks)
+    embedding = cstar.embedding_representation(module.algebra).images
     rng = np.random.default_rng(seed)
     basis = _random(rng, module.dim, module.dim)  # column i: new x_i in old coordinates
     m, n_dim = module.dim, module.algebra.dim
@@ -205,7 +215,8 @@ def _dense_basis_module(blocks, seed):
     inner = np.tensordot(
         np.conj(basis), np.tensordot(basis, module.inner, axes=(0, 1)), axes=(0, 1)
     )
-    return hilbmod.HilbertModule(module.algebra, module.dim, action, inner)
+    changed = hilbmod.HilbertModule(module.algebra, m, action, inner)
+    return changed, np.tensordot(basis, embedding, axes=(0, 0)), embedding
 
 
 def _plant(module, where, eps, rng):
@@ -374,6 +385,210 @@ def test_blockwise_automorphism_check_reports_a_planted_alpha_perturbation(block
     residual = hilbmod.algebra_action_residuals(group, algebra, alpha)[1]
     assert residual == pytest.approx(_automorphism_reference(algebra, alpha), rel=1e-9)
     assert 0.5 * eps <= residual <= 4 * eps
+
+
+# ---------------------------------------------------------------------------
+# Module identities on their live support against the dense references
+# ---------------------------------------------------------------------------
+
+
+def _sparse(rng, shape, keep):
+    """Random complex entries with whole rows and columns zeroed at random."""
+    out = _random(rng, *shape)
+    out *= (rng.random(shape[:-1]) < keep)[..., None]
+    out *= (rng.random(shape[:-2] + shape[-1:]) < keep)[..., None, :]
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes, sizes, sizes, sizes, sizes, hst.floats(0.2, 1.0), seeds)
+def test_pair_defect_matches_every_pair(count, others, rows, inner, cols, keep, seed):
+    """Dead rows, dead columns, untargeted pairs and targets off the live grid."""
+    rng = np.random.default_rng(seed)
+    left = _sparse(rng, (count, rows, inner), keep)
+    right = _sparse(rng, (others, inner, cols), keep)
+    targeted = rng.random((count, others)) < keep
+    stack = _sparse(rng, (int(targeted.sum()), rows, cols), keep)
+    full = np.zeros((count, others, rows, cols), dtype=complex)
+    full[targeted] = stack
+    products = np.einsum("iab,jbc->ijac", left, right)
+    reference = nk.maxabs(products - full)
+    assert nk.pair_defect(left, right, targeted, lambda span: stack[span]) == pytest.approx(
+        reference, rel=1e-12
+    )
+
+
+@pytest.mark.parametrize("live, pairs", [(1, "every"), (8, "every"), (8, "diagonal")])
+def test_pair_defect_blocks_stay_within_one_left_map_against_all_right(live, pairs):
+    """``live`` live rows per left map and columns per right map.  Targets come
+    a chunk at a time, at most one left map's worth of them.  With one live
+    row the grid of every pair fits in one block but the targets of every
+    pair take 16; with every row live and only diagonal targets it is the
+    other way round."""
+    count, size = 16, 8
+    rng = np.random.default_rng(4)
+    left, right = _random(rng, count, size, size), _random(rng, count, size, size)
+    left[:, live:], right[:, :, live:] = 0.0, 0.0
+    targeted = np.ones((count, count), dtype=bool) if pairs == "every" else np.eye(count, dtype=bool)
+    stack = _random(rng, int(targeted.sum()), size, size)
+    spans = []
+
+    def targets(span):
+        spans.append(span.stop - span.start)
+        return stack[span]
+
+    block_bytes = size * count * size * 16  # left[i] @ every right[j], complex
+    tracemalloc.start()
+    try:
+        nk.pair_defect(left, right, targeted, targets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spans == [count if pairs == "every" else 1] * count
+    if (live, pairs) != (8, "every"):  # there the inputs' copies and index arrays add up
+        assert peak < 6 * block_bytes
+
+
+def _represented(kind):
+    """``(module, images, companion)`` with ``images[i]* images[j] = companion(<x_i, x_j>)``."""
+    if kind.startswith("standard"):
+        rep = hilbmod.concrete_representation(3, 2)
+        return rep.module, rep.images, rep.companion.images
+    if kind.startswith("dilation"):
+        phi, _ = cpmaps.random_module_cp(2, 3, 2, seed=5)
+        dilation = stinespring.dilate_module_cp(phi)
+        return phi.module, dilation.images, dilation.gns.rep.images
+    return _represented_on_dense_basis({"dense": (3,), "two blocks": (2, 1)}[kind], seed=3)
+
+
+KINDS = ["standard 3x2", "dilation 2x3", "dense", "two blocks"]
+
+
+def _plant_at_zero(arr, eps, rng):
+    """``arr`` with ``eps`` added at one of its exact zeros (anywhere if it has none)."""
+    out = arr.copy()
+    zeros = np.flatnonzero(out == 0)
+    flat = out.reshape(-1)
+    flat[rng.choice(zeros) if zeros.size else rng.integers(0, flat.size)] += eps
+    return out
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("where", [None, "images", "companion", "inner"])
+def test_identity_defect_matches_the_dense_reference(kind, where):
+    module, images, companion = _represented(kind)
+    inner = module.inner
+    if where is None:
+        assert hilbmod.identity_defect(images, inner, companion) < 1e-12
+        assert dense_reference.identity_defect(images, inner, companion) < 1e-12
+        return
+    eps = 1e-2
+    rng = np.random.default_rng(len(kind) + len(where))
+    arrays = {"images": images, "companion": companion, "inner": inner}
+    arrays[where] = _plant_at_zero(arrays[where], eps, rng)
+    args = (arrays["images"], arrays["inner"], arrays["companion"])
+    reference = dense_reference.identity_defect(*args)
+    assert reference > eps * eps / 2
+    assert hilbmod.identity_defect(*args) == pytest.approx(reference, rel=1e-12)
+
+
+def _representations():
+    phi, _ = cpmaps.random_module_cp(2, 3, 2, seed=5)
+    gns = stinespring.dilate_module_cp(phi).gns.rep
+    embedded = [cstar.embedding_representation(cstar.CStarAlgebra(b)) for b in [(3,), (2, 1)]]
+    algebra = cstar.CStarAlgebra((2, 1))
+    rng = np.random.default_rng(2)
+    noise = cstar.AlgebraRepresentation(algebra, 4, _sparse(rng, (algebra.dim, 4, 4), 0.6))
+    return [gns, *embedded, noise]
+
+
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("eps", [0.0, 1e-2])
+def test_multiplicativity_matches_the_per_unit_loop(index, eps):
+    rep = _representations()[index]
+    if eps:
+        images = _plant_at_zero(rep.images, eps, np.random.default_rng(index))
+        rep = cstar.AlgebraRepresentation(rep.algebra, rep.space_dim, images)
+    reference = dense_reference.multiplicativity_defect(rep)
+    residual = cstar.check_representation(rep).mult_residual * max(1.0, nk.maxabs(rep.images))
+    if reference < 1e-12:
+        assert residual < 1e-12
+    else:
+        assert residual == pytest.approx(reference, rel=1e-12)
+    if eps:
+        assert reference > eps * eps / 2
+
+
+def _modules():
+    standard = [hilbmod.standard_module(p, n) for p, n in [(1, 1), (3, 2), (2, 3)]]
+    return standard + [_dense_basis_module(blocks, seed=7) for blocks in [(3,), (2, 1)]]
+
+
+@pytest.mark.parametrize("index", range(5))
+def test_component_positivity_matches_one_dense_eigensolve(index):
+    module = _modules()[index]
+    report = hilbmod.check_module_axioms(module)
+    dense = dense_reference.module_positivity(module)
+    assert report.positive == dense.ok
+    assert report.positivity_min_eig == pytest.approx(dense.min_eig, abs=1e-12)
+
+
+def test_a_negative_eigenvalue_in_one_small_component_fails():
+    module = hilbmod.standard_module(3, 2)
+    inner = module.inner.copy()
+    inner[2:4, 2:4] *= -1e-6  # the second row of the 3 x 2 matrices: one component of order 2
+    broken = hilbmod.HilbertModule(module.algebra, module.dim, module.action, inner)
+    report = hilbmod.check_module_axioms(broken)
+    dense = dense_reference.module_positivity(broken)
+    assert not report.positive and not dense.ok
+    assert report.positivity_min_eig == pytest.approx(dense.min_eig, abs=1e-12)
+    assert report.positivity_min_eig == pytest.approx(-2e-6, rel=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(hst.lists(hst.integers(1, 4), min_size=0, max_size=5), hst.floats(-0.5, 1.0), seeds)
+def test_psd_by_components_matches_psd_check(sizes_, shift, seed):
+    """A block-diagonal Hermitian matrix in a random order of its indices."""
+    rng = np.random.default_rng(seed)
+    order = sum(sizes_)
+    m = np.zeros((order, order), dtype=complex)
+    start = 0
+    for size in sizes_:
+        block = _random(rng, size, size)
+        m[start : start + size, start : start + size] = block @ nk.adjoint(block) + shift * nk.eye(size)
+        start += size
+    perm = rng.permutation(order)
+    m = m[np.ix_(perm, perm)]
+    dense, blockwise = nk.psd_check(m), nk.psd_check_by_components(m)
+    assert blockwise.ok == dense.ok
+    assert blockwise.min_eig == pytest.approx(dense.min_eig, abs=1e-12)
+    assert blockwise.max_eig == pytest.approx(dense.max_eig, abs=1e-12)
+    assert blockwise.herm_defect == dense.herm_defect
+
+
+@pytest.mark.parametrize(
+    "module, orders",
+    [
+        (hilbmod.standard_module(3, 2), [2, 2, 2]),
+        (hilbmod.standard_module(2, 4), [4, 4]),
+        (_dense_basis_module((3,), seed=7), [27]),
+        (_dense_basis_module((2, 1), seed=7), [10, 5]),
+    ],
+)
+def test_positivity_eigensolves_one_psd_check_per_component(monkeypatch, module, orders):
+    """Every eigensolve enters through ``nk.psd_check``, which the benchmark's
+    tracer counts: a module on a dense basis takes one per algebra block, of
+    order m n_b, a standard p x n module p of order n."""
+    seen = []
+    original = nk.psd_check
+
+    def counting(m, tol=nk.REL_TOL):
+        seen.append(len(m))
+        return original(m, tol)
+
+    monkeypatch.setattr(nk, "psd_check", counting)
+    hilbmod.check_module_axioms(module)
+    assert sorted(seen) == sorted(orders)
 
 
 # ---------------------------------------------------------------------------

@@ -381,6 +381,7 @@ EXPLICIT = _set(
     },
 )
 BLOCKS = ("objects", "module", "algebra", "blocks")
+CP_MAP = ("objects", "cp_map")
 EMPTY_MODULE = {
     "algebra": {"blocks": [1]},
     "dim": 0,
@@ -407,6 +408,11 @@ def test_explicit_module_payload_runs(tmp_path, capsys):
         (_set(EXPLICIT, BLOCKS, [5, 5, 1]), "action tensor shape", "ShapeMismatchError"),
         (_set(EXPLICIT, BLOCKS, [10**12]), "algebra payload", "BoundsError"),
         (_set(EXPLICIT, ("objects", "module"), EMPTY_MODULE), "'dim'", "ParseError"),
+        *(
+            (_set(EXPLICIT, CP_MAP + where, value), ".".join(("cp_map",) + where), "ParseError")
+            for where in [("images",), ("companion", "images")]
+            for value in [5, "0", "0:0:0", [ONE]]
+        ),
     ],
 )
 def test_bad_algebra_and_module_payloads_exit_two(
@@ -442,6 +448,13 @@ def test_representation_space_dim_is_a_json_integer(space_dim):
     payload = {"space_dim": space_dim, "images": {"0:0:0": ONE}}
     with pytest.raises(ParseError, match="'space_dim'"):
         cstar.representation_from_json(algebra, payload)
+
+
+@pytest.mark.parametrize("images", [5, "0:0:0", [ONE]])
+def test_representation_images_are_an_object(images):
+    algebra = cstar.CStarAlgebra((1,))
+    with pytest.raises(ParseError, match="'images'"):
+        cstar.representation_from_json(algebra, {"space_dim": 1, "images": images})
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):
