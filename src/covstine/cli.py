@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import cpmaps, crossed, hilbmod, stinespring
+from . import cpmaps, crossed, cstar, hilbmod, stinespring
 from . import numkernel as nk
 from .errors import (
     BoundsError,
@@ -37,7 +37,7 @@ from .stinespring import Certificate, canonical_bytes
 
 SCHEMA_VERSION = 1
 KINDS = ("dilate", "dilate-covariant", "crossed", "uniqueness", "verify")
-DEFAULT_TOL = 1e-9
+DEFAULT_TOL = nk.RESIDUAL_TOL
 MAX_P, MAX_N = hilbmod.MAX_P, hilbmod.MAX_N
 MAX_AMPLIFICATION = 8
 # Explicit trivial representations get the bound of the largest space a
@@ -151,10 +151,11 @@ def _standard_dims(module: hilbmod.HilbertModule) -> tuple[int, int]:
     if module.dim % n:
         raise ValidationError("module dimension is not a multiple of the block size")
     p = module.dim // n
+    # "concrete" certifies the standard module itself, so nothing near it will do
     reference = hilbmod.standard_module(p, n)
     if not (
-        np.allclose(reference.action, module.action)
-        and np.allclose(reference.inner, module.inner)
+        np.array_equal(reference.action, module.action)
+        and np.array_equal(reference.inner, module.inner)
     ):
         raise ValidationError("concrete maps need the standard module structure")
     return p, n
@@ -174,19 +175,14 @@ def _resolve_cp_map(payload, module: hilbmod.HilbertModule) -> cpmaps.ModuleCPMa
     for where, images in (("images", payload["images"]), ("companion.images", comp["images"])):
         if not isinstance(images, dict):
             raise ParseError(f"scenario.objects.cp_map.{where}: must be an object")
-    labels = module.algebra.basis_labels()
-    comp_images = []
-    for label in labels:
-        if label not in comp["images"]:
-            raise ParseError(f"cp_map.companion: missing image '{label}'")
-        comp_images.append(nk.mat_from_json(comp["images"][label]))
-    space_dim = nk.json_int(comp["space_dim"], "cp_map.companion: 'space_dim'")
-    if any(m.shape != (space_dim, space_dim) for m in comp_images):
-        raise ParseError(f"cp_map.companion: images must be {space_dim}x{space_dim}")
-    companion = cpmaps.CPMapAlgebra(module.algebra, space_dim, np.stack(comp_images))
+    rep = cstar.representation_from_json(module.algebra, comp, "scenario.objects.cp_map.companion")
+    companion = cpmaps.CPMapAlgebra(module.algebra, rep.space_dim, rep.images)
+    keys = [str(i) for i in range(module.dim)]
+    extra = set(payload["images"]) - set(keys)
+    if extra:
+        raise ParseError(f"scenario.objects.cp_map.images: unknown key '{sorted(extra)[0]}'")
     images = []
-    for i in range(module.dim):
-        key = str(i)
+    for key in keys:
         if key not in payload["images"]:
             raise ParseError(f"cp_map: missing image '{key}'")
         images.append(nk.mat_from_json(payload["images"][key]))
@@ -439,7 +435,8 @@ def _run_uniqueness(res: ResolvedScenario, provenance: dict) -> Certificate:
         v=hilbmod.conjugate_rep(dilation.v, r1) if res.cov is not None else None,
         w=hilbmod.conjugate_rep(dilation.w, r2) if res.cov is not None else None,
     )
-    report = stinespring.uniqueness_intertwiners(dilation, alt, tol=max(res.tolerance, 1e-8))
+    tol = max(res.tolerance, nk.PRECONDITION_TOL)
+    report = stinespring.uniqueness_intertwiners(dilation, alt, tol=tol)
     cert.dims.update(base.dims)
     cert.residuals["unitarity_U1"] = report.unitarity_U1
     cert.residuals["unitarity_U2"] = report.unitarity_U2

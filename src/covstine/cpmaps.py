@@ -47,17 +47,14 @@ class CPMapAlgebra:
     def apply(self, coords: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(coords), self.images, axes=(0, 0))
 
-    def choi(self, tol: float = nk.REL_TOL) -> cstar.ChoiReport:
-        return cstar.choi_blocks(self.algebra, self.images, tol)
-
     @cached_property
     def choi_report(self) -> cstar.ChoiReport:
-        """``choi`` at the default tolerance, computed once.
+        """``cstar.choi_blocks`` of this map, computed once.
 
         The CP test of ``check_module_cp`` and the GNS factor of
         ``stinespring.gns_construct`` both read these per-block matrices.
         """
-        return self.choi()
+        return cstar.choi_blocks(self.algebra, self.images)
 
     def hermiticity_residual(self) -> float:
         starred = self.images[cstar.star_permutation(self.algebra)]  # phi(E_k*)
@@ -90,7 +87,7 @@ class ModuleCPMap:
 
     @cached_property
     def cp_report(self) -> "ModuleCPReport":
-        """``check_module_cp`` at the default tolerance, computed once."""
+        """``check_module_cp`` of this map, computed once."""
         return check_module_cp(self)
 
     def apply(self, xi: np.ndarray) -> np.ndarray:
@@ -117,7 +114,7 @@ class CovariantCPMap:
 
     @cached_property
     def covariance_report(self) -> "CovarianceReport":
-        """``check_covariance`` at the default tolerance, computed once."""
+        """``check_covariance`` of this map, computed once."""
         return check_covariance(self.base, self.system, self.u, self.u_prime)
 
 
@@ -125,7 +122,6 @@ def induced_algebra_cp(
     images: np.ndarray,
     module: hilbmod.HilbertModule,
     space_dim: int,
-    tol: float = 1e-8,
 ) -> CPMapAlgebra:
     """Recover the companion CP map of module images via fullness.
 
@@ -143,7 +139,7 @@ def induced_algebra_cp(
     target = pair_grams.reshape(module.dim * module.dim, space_dim * space_dim)
     solution, residual = system.solve(target)  # (N, h*h)
     residual /= max(1.0, nk.maxabs(target))
-    if residual > tol:
+    if residual > nk.PRECONDITION_TOL:
         raise InconsistentError(
             f"companion system inconsistent (residual {residual:.3e}); the images "
             "do not define a CP map on this module"
@@ -186,7 +182,6 @@ def cp_from_representation(
     rep: hilbmod.ModuleRepresentation,
     v: np.ndarray,
     w: np.ndarray,
-    tol: float = 1e-10,
 ) -> ModuleCPMap:
     """Compress a module representation to a CP map: ``Phi(x) = W* pi(x) V``.
 
@@ -203,7 +198,7 @@ def cp_from_representation(
         raise ShapeMismatchError(f"W maps into C^{w.shape[0]}, representation has K' of dim {dim_k_rep}")
     gram = w @ nk.adjoint(w)
     defect = nk.maxabs(gram - nk.eye(w.shape[0]))
-    if defect > tol:
+    if defect > 1e-10:
         raise NotCoisometryError(f"W W* deviates from the identity by {defect:.3e}")
     images = nk.sandwich(w, rep.images, v)
     companion_images = nk.sandwich(v, rep.companion.images, v)
@@ -226,7 +221,6 @@ def check_covariance(
     system: hilbmod.ModuleDynamicalSystem,
     u: hilbmod.UnitaryRep,
     u_prime: hilbmod.UnitaryRep,
-    tol: float = nk.REL_TOL,
 ) -> CovarianceReport:
     """Covariance residuals of a module CP map and of its companion."""
     images, comp = phi.images, phi.companion.images
@@ -251,7 +245,6 @@ def covariant_cp_from_representation(
     u: hilbmod.UnitaryRep,
     u_prime: hilbmod.UnitaryRep,
     system: hilbmod.ModuleDynamicalSystem,
-    tol: float = 1e-9,
 ) -> CovariantCPMap:
     """Compression of a covariant representation along intertwiners.
 
@@ -262,12 +255,12 @@ def covariant_cp_from_representation(
     w = nk.as_matrix(w)
     for t in range(system.group.order):
         left = rep_v.mats[t] @ v - v @ u.mats[t]
-        if nk.maxabs(left) > tol * max(1.0, nk.maxabs(v)):
+        if nk.maxabs(left) > nk.RESIDUAL_TOL * max(1.0, nk.maxabs(v)):
             raise NotIntertwiningError(
                 f"v_t V = V u_t fails at t={t} by {nk.maxabs(left):.3e}"
             )
         right = rep_w.mats[t] @ w - w @ u_prime.mats[t]
-        if nk.maxabs(right) > tol * max(1.0, nk.maxabs(w)):
+        if nk.maxabs(right) > nk.RESIDUAL_TOL * max(1.0, nk.maxabs(w)):
             raise NotIntertwiningError(
                 f"w_t W = W u'_t fails at t={t} by {nk.maxabs(right):.3e}"
             )
@@ -286,7 +279,7 @@ def average_intertwiner(
     return total / reps_left.group.order
 
 
-def polar_coisometry(y: np.ndarray, min_eig: float = 1e-6) -> np.ndarray:
+def polar_coisometry(y: np.ndarray) -> np.ndarray:
     """Turn a full-row-rank map into a coisometry, ``(Y Y*)^{-1/2} Y``.
 
     The correction preserves any intertwining relations of ``Y`` because
@@ -297,10 +290,10 @@ def polar_coisometry(y: np.ndarray, min_eig: float = 1e-6) -> np.ndarray:
     if y.shape[0] == 0:
         return y
     values, vectors = nk.hermitian_eigendecomposition(y @ nk.adjoint(y))
-    if float(values[-1]) < min_eig or nk.spectral_rank(values)[0] < values.size:
+    if float(values[-1]) < 1e-6 or nk.spectral_rank(values)[0] < values.size:
         raise DegenerateAverageError(
             f"averaged map has Gram min eigenvalue {float(values[-1]):.3e}, below "
-            f"{min_eig:.1e} or the rank cutoff"
+            "1.0e-06 or the rank cutoff"
         )
     return (vectors / np.sqrt(values)[None, :]) @ nk.adjoint(vectors) @ y
 

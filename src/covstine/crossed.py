@@ -116,12 +116,11 @@ def build_crossed_algebra(
     group: hilbmod.FiniteGroup,
     alpha: np.ndarray,
     base: cstar.CStarAlgebra,
-    tol: float = 1e-9,
 ) -> CrossedAlgebra:
     """Assemble the crossed algebra after validating that alpha is an action."""
     alpha = np.asarray(alpha, dtype=np.complex128)
     worst = max(hilbmod.algebra_action_residuals(group, base, alpha))
-    if worst > tol:
+    if worst > nk.RESIDUAL_TOL:
         raise NotActionError(
             f"alpha is not a *-automorphism action (worst residual {worst:.3e})"
         )
@@ -279,7 +278,7 @@ class CrossedModule:
 
 
 def build_crossed_module(
-    sys: hilbmod.ModuleDynamicalSystem, tol: float = 1e-9
+    sys: hilbmod.ModuleDynamicalSystem, tol: float = nk.RESIDUAL_TOL
 ) -> CrossedModule:
     """Assemble the crossed module over the crossed algebra of the system.
 
@@ -402,7 +401,6 @@ def integral_form(
     rep: hilbmod.ModuleRepresentation,
     v: hilbmod.UnitaryRep,
     w: hilbmod.UnitaryRep,
-    tol: float = 1e-9,
 ) -> tuple[IntegralForm, IntegralFormReport]:
     """Integral form ``xhat -> sum_t pi(xhat(t)) v_t`` of a covariant representation.
 
@@ -423,12 +421,12 @@ def integral_form(
         rep_report.identity_residual, covariance, v_rep.hom_residual, v_rep.unitary_residual,
         w_rep.hom_residual, w_rep.unitary_residual,
     )
-    if worst > tol:
+    if worst > nk.RESIDUAL_TOL:
         raise NotCovariantRepError(
             f"input is not a covariant representation (worst residual {worst:.3e})"
         )
 
-    cm = build_crossed_module(sys, tol)
+    cm = build_crossed_module(sys)
     images = _integrated(rep.images, v.mats)
     companion = _integrated(rep.companion.images, v.mats)
     form = IntegralForm(cm, images, companion)
@@ -468,7 +466,6 @@ class InducedCP(IntegralForm):
 def induced_cp(
     cov: CovariantCPMap,
     dilation: stinespring.CovariantDilation | None = None,
-    tol: float = 1e-8,
 ) -> InducedCP:
     """Induce a CP map on the crossed product from a covariant one.
 
@@ -478,9 +475,9 @@ def induced_cp(
     through the covariant dilation, which witnesses complete positivity.
     """
     report = cov.covariance_report
-    if report.max_residual > tol:
+    if report.max_residual > nk.PRECONDITION_TOL:
         raise NotCovariantError(f"input map is not covariant (residual {report.max_residual:.3e})")
-    cm = build_crossed_module(cov.system, tol)
+    cm = build_crossed_module(cov.system, nk.PRECONDITION_TOL)
     images = _integrated(cov.base.images, cov.u.mats)
     companion = _integrated(cov.base.companion.images, cov.u.mats)
 

@@ -248,11 +248,11 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, tuple(scalar * b for b in self.data))
 
 
-def element_positive(a: AlgebraElement, tol: float = nk.REL_TOL) -> nk.PsdReport:
+def element_positive(a: AlgebraElement) -> nk.PsdReport:
     """Positivity of an algebra element, decided block by block.
 
     Raises ``NotHermitianError`` when some block is not Hermitian within
-    ``tol`` relative to its scale.
+    ``nk.REL_TOL`` relative to its scale.
     """
     min_eig, max_eig = np.inf, -np.inf
     worst_defect = 0.0
@@ -260,11 +260,11 @@ def element_positive(a: AlgebraElement, tol: float = nk.REL_TOL) -> nk.PsdReport
     for blk in a.data:
         defect = nk.frobenius(blk - nk.adjoint(blk))
         scale = max(1.0, nk.frobenius(blk))
-        if defect > tol * scale:
+        if defect > nk.REL_TOL * scale:
             raise NotHermitianError(
-                f"block Hermitian defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
+                f"block Hermitian defect {defect:.3e} exceeds {nk.REL_TOL:.1e} * {scale:.3e}"
             )
-        report = nk.psd_check(blk, tol)
+        report = nk.psd_check(blk)
         ok = ok and report.ok
         min_eig = min(min_eig, report.min_eig)
         max_eig = max(max_eig, report.max_eig)
@@ -313,9 +313,7 @@ class RepresentationReport(NamedTuple):
         return max(self.mult_residual, self.star_residual)
 
 
-def check_representation(
-    rep: AlgebraRepresentation, tol: float = nk.REL_TOL
-) -> RepresentationReport:
+def check_representation(rep: AlgebraRepresentation) -> RepresentationReport:
     """Residuals of multiplicativity, star-preservation and the unit image.
 
     The unit image is either close to the identity (``unital``) or it is
@@ -349,7 +347,7 @@ def check_representation(
         star_residual,
         unit_deviation,
         proj_defect,
-        bool(unit_deviation <= tol * scale),
+        bool(unit_deviation <= nk.REL_TOL * scale),
     )
 
 
@@ -360,9 +358,7 @@ class ChoiReport(NamedTuple):
     spectra: list[nk.EigDecomposition]  # of each block's Hermitian part, descending
 
 
-def choi_blocks(
-    algebra: CStarAlgebra, images: np.ndarray, tol: float = nk.REL_TOL
-) -> ChoiReport:
+def choi_blocks(algebra: CStarAlgebra, images: np.ndarray) -> ChoiReport:
     """Per-block Choi matrices of a linear map given on the matrix-unit basis.
 
     For a block of size n the Choi matrix is ``sum_{ij} phi(E_ij) (x) e_ij``;
@@ -386,8 +382,8 @@ def choi_blocks(
         # fails the CP test below instead of raising NotHermitianError here.
         star = nk.adjoint(c)
         spectra.append(nk.hermitian_eigendecomposition((c + star) / 2.0))
-        report = nk.spectrum_psd(spectra[-1].values, nk.frobenius(c - star), tol)
-        herm_ok = report.herm_defect <= tol * max(1.0, nk.frobenius(c))
+        report = nk.spectrum_psd(spectra[-1].values, nk.frobenius(c - star))
+        herm_ok = report.herm_defect <= nk.REL_TOL * max(1.0, nk.frobenius(c))
         cp = cp and report.ok and herm_ok
         min_eig = min(min_eig, report.min_eig)
         offset += n * n
@@ -428,18 +424,24 @@ def representation_to_json(rep: AlgebraRepresentation) -> dict:
     }
 
 
-def representation_from_json(algebra: CStarAlgebra, obj) -> AlgebraRepresentation:
+def representation_from_json(
+    algebra: CStarAlgebra, obj, what: str = "representation payload"
+) -> AlgebraRepresentation:
+    """One ``space_dim x space_dim`` image per basis label; ``ParseError`` naming ``what``."""
     if not isinstance(obj, dict) or set(obj) != {"space_dim", "images"}:
-        raise ParseError("representation payload must have space_dim and images")
+        raise ParseError(f"{what}: must have space_dim and images")
     if not isinstance(obj["images"], dict):
-        raise ParseError("representation payload: 'images' must be an object")
+        raise ParseError(f"{what}: 'images' must be an object")
     labels = algebra.basis_labels()
     missing = [label for label in labels if label not in obj["images"]]
     if missing:
-        raise ParseError(f"representation payload: missing image '{missing[0]}'")
+        raise ParseError(f"{what}: missing image '{missing[0]}'")
     extra = set(obj["images"]) - set(labels)
     if extra:
-        raise ParseError(f"representation payload: unknown basis label '{sorted(extra)[0]}'")
-    images = np.stack([nk.mat_from_json(obj["images"][label]) for label in labels])
-    space_dim = nk.json_int(obj["space_dim"], "representation payload: 'space_dim'")
-    return AlgebraRepresentation(algebra, space_dim, images)
+        raise ParseError(f"{what}: unknown basis label '{sorted(extra)[0]}'")
+    space_dim = nk.json_int(obj["space_dim"], f"{what}: 'space_dim'")
+    images = [nk.mat_from_json(obj["images"][label]) for label in labels]
+    wrong = [label for label, m in zip(labels, images) if m.shape != (space_dim, space_dim)]
+    if wrong:
+        raise ParseError(f"{what}: image '{wrong[0]}' is not {space_dim}x{space_dim}")
+    return AlgebraRepresentation(algebra, space_dim, np.stack(images))

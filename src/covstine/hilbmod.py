@@ -50,7 +50,7 @@ class HilbertModule:
 
     @cached_property
     def axiom_report(self) -> "ModuleAxiomReport":
-        """``check_module_axioms`` at the default tolerance, computed once."""
+        """``check_module_axioms`` of this module, computed once."""
         return check_module_axioms(self)
 
     def inner_coords(self, xi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
@@ -145,9 +145,7 @@ class ModuleAxiomReport(NamedTuple):
         return max(self.linearity_residual, self.symmetry_residual)
 
 
-def check_module_axioms(
-    module: HilbertModule, tol: float = nk.REL_TOL
-) -> ModuleAxiomReport:
+def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
     """Residuals for the Hilbert-module axioms plus fullness of the span.
 
     Linearity ``<x_i, x_j . E_k> = <x_i, x_j> E_k`` is ``nk.pair_defect`` of
@@ -202,14 +200,14 @@ def check_module_axioms(
     i, j, k = support.nonzero()
     gram_super = np.zeros((m * e_dim, m * e_dim), dtype=np.complex128)
     gram_super[i * e_dim + unit_row[k], j * e_dim + unit_col[k]] = inner[i, j, k]
-    psd = nk.psd_check_by_components(gram_super, tol)
+    psd = nk.psd_check_by_components(gram_super)
 
     # <x,x> = 0 iff the trace of its embedding vanishes, so definiteness is
     # positive-definiteness of the trace Gram.
     trace_gram = inner @ cstar.trace_coords(algebra)
-    trace_rank = nk.psd_rank(trace_gram, tol)
+    trace_rank = nk.psd_rank(trace_gram)
 
-    fullness = nk.numerical_rank(inner.reshape(m * m, n_dim), tol)
+    fullness = nk.numerical_rank(inner.reshape(m * m, n_dim))
     kept = fullness.singular_values[: fullness.rank]
     condition = float(kept[0] / kept[-1]) if fullness.rank else float("inf")
 
@@ -291,11 +289,9 @@ def density_stacks(images, v=None, w=None) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def density_ranks(
-    images, v=None, w=None, rel_tol: float = nk.REL_TOL
-) -> tuple[nk.RankProfile, nk.RankProfile]:
+def density_ranks(images, v=None, w=None) -> tuple[nk.RankProfile, nk.RankProfile]:
     """Rank profiles of the range and corange stacks of ``density_stacks``."""
-    return tuple(nk.numerical_rank(stack, rel_tol) for stack in density_stacks(images, v, w))
+    return tuple(nk.numerical_rank(stack) for stack in density_stacks(images, v, w))
 
 
 def identity_defect(images: np.ndarray, inner: np.ndarray, companion: np.ndarray) -> float:
@@ -314,15 +310,13 @@ def identity_defect(images: np.ndarray, inner: np.ndarray, companion: np.ndarray
     )
 
 
-def check_module_representation(
-    rep: ModuleRepresentation, tol: float = nk.REL_TOL
-) -> ModuleRepresentationReport:
+def check_module_representation(rep: ModuleRepresentation) -> ModuleRepresentationReport:
     images = rep.images
     dim_h, dim_k = rep.space_dims
     scale = max(1.0, nk.maxabs(images))
     residual = identity_defect(images, rep.module.inner, rep.companion.images)
     residual /= max(1.0, scale * scale)
-    ranged, coranged = density_ranks(images, rel_tol=tol)
+    ranged, coranged = density_ranks(images)
     return ModuleRepresentationReport(residual, ranged.rank, dim_k, coranged.rank, dim_h)
 
 
@@ -442,7 +436,7 @@ def group_law_residuals(group: FiniteGroup, mats: np.ndarray) -> tuple[float, fl
     return hom, nk.maxabs(mats[group.identity] - nk.eye(mats.shape[1]))
 
 
-def check_unitary_rep(rep: UnitaryRep, tol: float = nk.REL_TOL) -> UnitaryRepReport:
+def check_unitary_rep(rep: UnitaryRep) -> UnitaryRepReport:
     hom, unit = group_law_residuals(rep.group, rep.mats)
     unitary = max(
         nk.maxabs(nk.adjoint(m) @ m - nk.eye(rep.dim)) for m in rep.mats
@@ -606,7 +600,7 @@ class ModuleDynamicalSystem:
 
     @cached_property
     def action_report(self) -> "DynamicalSystemReport":
-        """``check_dynamical_system`` at the default tolerance, computed once."""
+        """``check_dynamical_system`` of this system, computed once."""
         return check_dynamical_system(self)
 
 
@@ -675,9 +669,7 @@ def algebra_action_residuals(
     return law, auto_mult, nk.maxabs(alpha[:, :, perm] - np.conj(alpha[:, perm, :]))
 
 
-def check_dynamical_system(
-    sys: ModuleDynamicalSystem, tol: float = nk.REL_TOL
-) -> DynamicalSystemReport:
+def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
     group, module = sys.group, sys.module
     eta, alpha = sys.eta, sys.alpha
     algebra = module.algebra
@@ -699,8 +691,8 @@ def check_dynamical_system(
         compatibility = max(compatibility, nk.maxabs(lhs - rhs))
 
     invertible = all(
-        nk.numerical_rank(eta[t], tol).rank == module.dim
-        and nk.numerical_rank(alpha[t], tol).rank == algebra.dim
+        nk.numerical_rank(eta[t]).rank == module.dim
+        and nk.numerical_rank(alpha[t]).rank == algebra.dim
         for t in range(g)
     )
     return DynamicalSystemReport(
@@ -720,10 +712,7 @@ class InducedAction(NamedTuple):
 
 
 def induced_algebra_action(
-    group: FiniteGroup,
-    module: HilbertModule,
-    eta: np.ndarray,
-    tol: float = 1e-8,
+    group: FiniteGroup, module: HilbertModule, eta: np.ndarray
 ) -> InducedAction:
     """Solve the induced algebra action from ``alpha(<x,y>) = <eta x, eta y>``.
 
@@ -738,14 +727,14 @@ def induced_algebra_action(
     algebra = module.algebra
 
     law = max(group_law_residuals(group, eta))
-    if law > tol:
+    if law > nk.PRECONDITION_TOL:
         raise InconsistentError(f"eta violates the group law by {law:.3e}")
 
     fullness = fullness_system(module)
     # the g targets side by side: column block t holds <eta_t x_i, eta_t x_j>
     targets = np.stack([transported_inner(e, module.inner) for e in eta], axis=2)
     solution, residual = fullness.solve(targets.reshape(m * m, g * algebra.dim))
-    if residual > tol:
+    if residual > nk.PRECONDITION_TOL:
         raise InconsistentError(
             f"defining system for the induced action is inconsistent: {residual:.3e}"
         )
@@ -754,7 +743,7 @@ def induced_algebra_action(
     candidate = ModuleDynamicalSystem(group, module, eta, alpha)
     report = check_dynamical_system(candidate)
     auto = max(report.automorphism_mult_residual, report.automorphism_star_residual)
-    if auto > tol or not report.invertible:
+    if auto > nk.PRECONDITION_TOL or not report.invertible:
         raise InconsistentError(
             f"solved maps are not *-automorphisms (residual {auto:.3e})"
         )

@@ -17,10 +17,19 @@ import numpy as np
 
 from .errors import NotHermitianError, NotPsdError, ParseError, ShapeMismatchError
 
-# Eigenvalues at or below REL_TOL times the largest eigenvalue count as zero.
+# Every cutoff and gate of the package reads one of these four values.
+# Eigenvalues at or below REL_TOL times the largest eigenvalue count as zero;
+# it also bounds the Hermitian defect of an eigensolve and a PSD test's slack.
 REL_TOL = 1e-10
 # Tolerances never shrink below this, so near-zero data is not over-resolved.
 ABS_FLOOR = 1e-12
+# The default certificate tolerance, and the gate on descent leaks and on
+# inputs that must satisfy an identity exactly (actions, intertwiners).
+RESIDUAL_TOL = 1e-9
+# The gate on an input map's identity or covariance and on solved systems; a
+# decade above RESIDUAL_TOL, so an input just past the default tolerance is
+# still constructed and its certificate shows the failing row.
+PRECONDITION_TOL = 1e-8
 
 
 def as_matrix(data) -> np.ndarray:
@@ -175,20 +184,20 @@ class EigDecomposition(NamedTuple):
     vectors: np.ndarray  # unitary, columns align with values
 
 
-def hermitian_eigendecomposition(m, tol: float = REL_TOL) -> EigDecomposition:
+def hermitian_eigendecomposition(m) -> EigDecomposition:
     """Eigendecompose a Hermitian matrix, eigenvalues sorted descending.
 
     Raises ``NotHermitianError`` when the Hermitian defect exceeds
-    ``tol * max(1, ||m||_F)``; the defect is reported in the message.
+    ``REL_TOL * max(1, ||m||_F)``; the defect is reported in the message.
     """
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatchError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
     defect = frobenius(m - adjoint(m))
     scale = max(1.0, frobenius(m))
-    if defect > tol * scale:
+    if defect > REL_TOL * scale:
         raise NotHermitianError(
-            f"Hermitian defect ||m - m*||_F = {defect:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"Hermitian defect ||m - m*||_F = {defect:.3e} exceeds {REL_TOL:.1e} * {scale:.3e}"
         )
     return _descending_eigh(m)
 
@@ -211,24 +220,21 @@ class GramFactor(NamedTuple):
     eigenvalues: np.ndarray  # full descending profile behind the rank decision
 
 
-def rank_cutoff(max_eig: float, rel_tol: float = REL_TOL) -> float:
-    return max(rel_tol * max(max_eig, 0.0), ABS_FLOOR)
-
-
-def spectral_rank(values: np.ndarray, rel_tol: float = REL_TOL) -> tuple[int, float]:
+def spectral_rank(values: np.ndarray) -> tuple[int, float]:
     """The package's one rank rule: ``(rank, cutoff)`` of a descending spectrum.
 
-    The rank counts the eigenvalues strictly above ``rank_cutoff`` of the
-    largest one.  ``gram_factor``, ``psd_rank``, ``numerical_rank`` and
-    ``orthonormal_range`` all decide their ranks with it.
+    The rank counts the eigenvalues strictly above ``REL_TOL`` times the
+    largest one, or ``ABS_FLOOR`` if that is more.  ``gram_factor``,
+    ``psd_rank``, ``numerical_rank`` and ``orthonormal_range`` all decide
+    their ranks with it.
     """
     if values.size == 0:
         return 0, ABS_FLOOR
-    cutoff = rank_cutoff(float(values[0]), rel_tol)
+    cutoff = max(REL_TOL * max(float(values[0]), 0.0), ABS_FLOOR)
     return int(np.count_nonzero(values > cutoff)), cutoff
 
 
-def gram_factor(gram, rel_tol: float = REL_TOL) -> GramFactor:
+def gram_factor(gram) -> GramFactor:
     """Rank-revealing factorization of a PSD Gram matrix.
 
     Returns ``(r, F, L)`` with ``xi* G zeta = (F xi)*(F zeta)`` and
@@ -242,8 +248,8 @@ def gram_factor(gram, rel_tol: float = REL_TOL) -> GramFactor:
     if dim == 0:
         empty = np.zeros((0, 0), dtype=np.complex128)
         return GramFactor(0, empty, empty, np.zeros(0))
-    values, vectors = hermitian_eigendecomposition(gram, tol=max(rel_tol, REL_TOL))
-    rank, cutoff = spectral_rank(values, rel_tol)
+    values, vectors = hermitian_eigendecomposition(gram)
+    rank, cutoff = spectral_rank(values)
     if values[-1] < -cutoff:
         raise NotPsdError(
             f"Gram matrix has eigenvalue {values[-1]:.3e} below -{cutoff:.3e}"
@@ -263,26 +269,26 @@ class PsdReport(NamedTuple):
     max_eig: float  # with min_eig, all the decision reads of the spectrum
 
 
-def psd_check(m, tol: float = REL_TOL) -> PsdReport:
+def psd_check(m) -> PsdReport:
     """Positive-semidefiniteness test on the Hermitian part of ``m``."""
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatchError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    return spectrum_psd(_descending_eigvals(m), frobenius(m - adjoint(m)), tol)
+    return spectrum_psd(_descending_eigvals(m), frobenius(m - adjoint(m)))
 
 
-def spectrum_psd(values: np.ndarray, herm_defect: float, tol: float = REL_TOL) -> PsdReport:
+def spectrum_psd(values: np.ndarray, herm_defect: float) -> PsdReport:
     """``psd_check``'s rule on a descending spectrum: the smallest eigenvalue may be
-    down to ``-tol`` times the spectrum's scale, never less than ``ABS_FLOOR``."""
+    down to ``-REL_TOL`` times the spectrum's scale, never less than ``ABS_FLOOR``."""
     if values.size == 0:
         return PsdReport(True, 0.0, herm_defect, 0.0)
     min_eig, max_eig = float(values[-1]), float(values[0])
     scale = max(1.0, max_eig, -min_eig)
-    ok = min_eig >= -max(tol * scale, ABS_FLOOR)
+    ok = min_eig >= -max(REL_TOL * scale, ABS_FLOOR)
     return PsdReport(bool(ok), min_eig, herm_defect, max_eig)
 
 
-def psd_check_by_components(m, tol: float = REL_TOL) -> PsdReport:
+def psd_check_by_components(m) -> PsdReport:
     """``psd_check`` of ``m`` decided one connected component at a time.
 
     The nodes are the indices of ``m``, linked where an off-diagonal entry is
@@ -303,10 +309,10 @@ def psd_check_by_components(m, tol: float = REL_TOL) -> PsdReport:
     lowest, highest = alone.min(initial=np.inf), alone.max(initial=-np.inf)
     for root in np.flatnonzero(sizes > 1):
         nodes = np.flatnonzero(labels == root)
-        report = psd_check(m[nodes[:, None], nodes], tol)
+        report = psd_check(m[nodes[:, None], nodes])
         lowest, highest = min(lowest, report.min_eig), max(highest, report.max_eig)
     extremes = np.array([highest, lowest]) if len(labels) else np.zeros(0)
-    return spectrum_psd(extremes, frobenius(m - adjoint(m)), tol)
+    return spectrum_psd(extremes, frobenius(m - adjoint(m)))
 
 
 def _component_labels(linked: np.ndarray) -> np.ndarray:
@@ -345,21 +351,21 @@ class RankProfile(NamedTuple):
     singular_values: np.ndarray  # descending
 
 
-def psd_rank(gram, rel_tol: float = REL_TOL) -> RankProfile:
+def psd_rank(gram) -> RankProfile:
     """Rank of a PSD Gram matrix by counting eigenvalues above the cutoff."""
     gram = as_matrix(gram)
     if gram.size == 0:
         return RankProfile(0, np.zeros(0))
-    return _gram_profile(gram, rel_tol)
+    return _gram_profile(gram)
 
 
-def _gram_profile(gram: np.ndarray, rel_tol: float) -> RankProfile:
+def _gram_profile(gram: np.ndarray) -> RankProfile:
     """Rank and singular-value profile from the eigenvalues of a Gram matrix."""
     values = _descending_eigvals(gram)
-    return RankProfile(spectral_rank(values, rel_tol)[0], np.sqrt(np.clip(values, 0.0, None)))
+    return RankProfile(spectral_rank(values)[0], np.sqrt(np.clip(values, 0.0, None)))
 
 
-def numerical_rank(m, rel_tol: float = REL_TOL) -> RankProfile:
+def numerical_rank(m) -> RankProfile:
     """Rank of the column span of ``m``, decided on the eigenvalues of its Gram.
 
     Using the Gram eigenvalue rule (rather than raw singular values) keeps
@@ -368,10 +374,10 @@ def numerical_rank(m, rel_tol: float = REL_TOL) -> RankProfile:
     m = as_matrix(m)
     if m.size == 0:
         return RankProfile(0, np.zeros(0))
-    return _gram_profile(m @ adjoint(m) if m.shape[0] <= m.shape[1] else adjoint(m) @ m, rel_tol)
+    return _gram_profile(m @ adjoint(m) if m.shape[0] <= m.shape[1] else adjoint(m) @ m)
 
 
-def orthonormal_range(m, rel_tol: float = REL_TOL):
+def orthonormal_range(m):
     """Orthonormal basis of the column span of ``m`` with its Gram profile.
 
     Returns ``(basis, eigenvalues)`` where the columns of ``basis`` are the
@@ -383,7 +389,7 @@ def orthonormal_range(m, rel_tol: float = REL_TOL):
     if m.size == 0:
         return np.zeros((rows, 0), dtype=np.complex128), np.zeros(rows)
     values, vectors = _descending_eigh(m @ adjoint(m))
-    return vectors[:, : spectral_rank(values, rel_tol)[0]], values
+    return vectors[:, : spectral_rank(values)[0]], values
 
 
 def complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

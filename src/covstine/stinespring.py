@@ -72,11 +72,7 @@ def _leak(raw: np.ndarray, lifted: np.ndarray, f_map: np.ndarray) -> float:
     return nk.maxabs(raw - lifted @ f_map) / max(1.0, nk.maxabs(raw))
 
 
-def gns_construct(
-    phi: CPMapAlgebra,
-    rel_tol: float = nk.REL_TOL,
-    leak_tol: float = 1e-9,
-) -> GnsTriple:
+def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
     """GNS/Stinespring data for a CP map ``phi: A -> L(H)``.
 
     The GNS Gram ``G[(k,i),(l,j)] = phi(E_k* E_l)[i, j]`` is never formed.
@@ -110,7 +106,7 @@ def gns_construct(
     merged = np.sort(
         np.concatenate([np.tile(s.values, n) for n, s in zip(algebra.blocks, spectra)])
     )[::-1]
-    rank, cutoff = nk.spectral_rank(merged, rel_tol)
+    rank, cutoff = nk.spectral_rank(merged)
     if merged.size and merged[-1] < -cutoff:
         raise NotPsdError(f"GNS Gram has eigenvalue {merged[-1]:.3e} below -{cutoff:.3e}")
 
@@ -137,7 +133,7 @@ def gns_construct(
         descended = f_units[:, product[k]].reshape(rank, n_dim * h)
         images[k] = descended @ lift
         leak = max(leak, _leak(descended, images[k], f_map))
-    if leak > leak_tol:
+    if leak > nk.RESIDUAL_TOL:
         raise QuotientLeakError(
             f"left multiplication does not descend to the quotient (leak {leak:.3e}); "
             "the input map is not consistent"
@@ -182,12 +178,7 @@ def _raw_module_maps(phi: ModuleCPMap) -> np.ndarray:
     return products.transpose(0, 2, 1, 3).reshape(module.dim, dim_k, n_dim * dim_h)
 
 
-def dilate_module_cp(
-    phi: ModuleCPMap,
-    rel_tol: float = nk.REL_TOL,
-    leak_tol: float = 1e-9,
-    input_tol: float = 1e-8,
-) -> StinespringDilation:
+def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
     """Construct the minimal dilation of a CP map on a full module.
 
     The dilation's domain space is the GNS space of the companion, the
@@ -200,24 +191,24 @@ def dilate_module_cp(
         raise NotCpError(
             f"companion fails the Choi test (min eig {report.choi_min_eig:.3e})"
         )
-    if report.identity_residual > input_tol:
+    if report.identity_residual > nk.PRECONDITION_TOL:
         raise QuotientLeakError(
             f"defining identity fails by {report.identity_residual:.3e}; "
             "the pair (Phi, phi) is inconsistent and cannot descend"
         )
     hilbmod.fullness_system(module)  # raises NotFullError on a module that is not full
-    gns = gns_construct(phi.companion, rel_tol, leak_tol)
+    gns = gns_construct(phi.companion)
 
     dim_h, dim_k = phi.space_dims
     span = phi.images.transpose(1, 0, 2).reshape(dim_k, module.dim * dim_h)
-    basis, k_eigs = nk.orthonormal_range(span, rel_tol)
+    basis, k_eigs = nk.orthonormal_range(span)
     w_map = nk.adjoint(basis)
     dim_codomain = w_map.shape[0]
 
     raw = _raw_module_maps(phi)
     lifted = raw @ gns.L
     leak = max((_leak(r, l, gns.F) for r, l in zip(raw, lifted)), default=0.0)
-    if leak > leak_tol:
+    if leak > nk.RESIDUAL_TOL:
         raise QuotientLeakError(
             f"module maps do not descend to the GNS quotient (leak {leak:.3e})"
         )
@@ -237,12 +228,7 @@ class CovariantDilation:
     invariance_residual: float
 
 
-def dilate_covariant(
-    cov: CovariantCPMap,
-    rel_tol: float = nk.REL_TOL,
-    leak_tol: float = 1e-9,
-    input_tol: float = 1e-8,
-) -> CovariantDilation:
+def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
     """Covariant minimal dilation: group unitaries descend to both spaces.
 
     The domain unitaries are the descents of ``alpha_t (x) u_t`` (this
@@ -251,11 +237,11 @@ def dilate_covariant(
     the reported leak, and the codomain unitaries are its compressions.
     """
     report = cov.covariance_report
-    if report.max_residual > input_tol:
+    if report.max_residual > nk.PRECONDITION_TOL:
         raise NotCovariantError(
             f"input map is not covariant (residual {report.max_residual:.3e})"
         )
-    base = dilate_module_cp(cov.base, rel_tol, leak_tol, input_tol)
+    base = dilate_module_cp(cov.base)
     gns = base.gns
     group = cov.system.group
     dim_k = cov.base.space_dims[1]
@@ -273,7 +259,7 @@ def dilate_covariant(
         )
         v_mats[t] = descended @ gns.L
         leak = max(leak, _leak(descended, v_mats[t], gns.F))
-    if leak > leak_tol:
+    if leak > nk.RESIDUAL_TOL:
         raise QuotientLeakError(
             f"group unitaries do not descend to the GNS quotient (leak {leak:.3e})"
         )
@@ -285,7 +271,7 @@ def dilate_covariant(
         off = (nk.eye(dim_k) - proj) @ cov.u_prime.mats[t] @ proj
         invariance = max(invariance, nk.maxabs(off))
         w_mats[t] = base.W @ cov.u_prime.mats[t] @ nk.adjoint(base.W)
-    if invariance > leak_tol:
+    if invariance > nk.RESIDUAL_TOL:
         raise InvarianceLeakError(
             f"span of Phi(X) H is not invariant under u' (leak {invariance:.3e}); "
             "the input data is inconsistent"
@@ -376,8 +362,7 @@ def _unitary_rep_residuals(rep: hilbmod.UnitaryRep) -> tuple[float, float]:
 def verify_dilation(
     phi,
     dilation,
-    tol: float = 1e-9,
-    rel_tol: float = nk.REL_TOL,
+    tol: float = nk.RESIDUAL_TOL,
     provenance: dict | None = None,
 ) -> Certificate:
     """Recompute every dilation invariant from scratch.
@@ -414,7 +399,7 @@ def verify_dilation(
     comp = phi.companion
     recon = nk.sandwich(gns.V, gns.rep.images, gns.V)
     residuals["gns_reconstruction"] = nk.maxabs(recon - comp.images) / scale_phi
-    gns_rank = nk.numerical_rank(hilbmod.density_stacks(gns.rep.images, gns.V)[0], rel_tol)
+    gns_rank = nk.numerical_rank(hilbmod.density_stacks(gns.rep.images, gns.V)[0])
     ranks["gns_minimality"] = (gns_rank.rank, gns.dim)
     singular["gns_gram"] = list(np.sqrt(np.clip(gns.gram_eigenvalues, 0.0, None)))
     rep_report = cstar.check_representation(gns.rep)
@@ -436,7 +421,7 @@ def verify_dilation(
     )
 
     # density (minimality) conditions
-    range_rank, corange_rank = hilbmod.density_ranks(base.images, gns.V, base.W, rel_tol)
+    range_rank, corange_rank = hilbmod.density_ranks(base.images, gns.V, base.W)
     ranks["range_density"] = (range_rank.rank, base.dim_codomain)
     singular["range_density"] = list(range_rank.singular_values)
     ranks["corange_density"] = (corange_rank.rank, gns.dim)
@@ -531,8 +516,7 @@ class UniquenessReport(NamedTuple):
 def uniqueness_intertwiners(
     dilation,
     alt: AltDilation,
-    tol: float = 1e-8,
-    rel_tol: float = nk.REL_TOL,
+    tol: float = nk.PRECONDITION_TOL,
 ) -> UniquenessReport:
     """Solve the unitaries carrying the dilation onto competing minimal data.
 
@@ -562,8 +546,8 @@ def uniqueness_intertwiners(
         raise NotCoisometryError(f"competing W is not a coisometry ({w_defect:.3e})")
 
     s_cols_alt, corange_stack = hilbmod.density_stacks(alt_images, alt_v, alt_w)
-    range_rank = nk.numerical_rank(s_cols_alt, rel_tol).rank
-    corange_rank = nk.numerical_rank(corange_stack, rel_tol).rank
+    range_rank = nk.numerical_rank(s_cols_alt).rank
+    corange_rank = nk.numerical_rank(corange_stack).rank
     if range_rank != alt_k or corange_rank != alt_h:
         raise NotMinimalError(
             f"competing dilation is not minimal: range rank {range_rank}/{alt_k}, "

@@ -115,6 +115,6 @@ def gram_super_matrix(module):
     return nk.coords_apply(module.inner, embed).transpose(0, 2, 1, 3).reshape(order, order)
 
 
-def module_positivity(module, tol=nk.REL_TOL):
+def module_positivity(module):
     """``psd_check`` of the whole Gram super-matrix, one eigensolve."""
-    return nk.psd_check(gram_super_matrix(module), tol)
+    return nk.psd_check(gram_super_matrix(module))

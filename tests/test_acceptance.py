@@ -279,9 +279,7 @@ def test_criterion_8_integral_nondegeneracy(crossed_instances):
     """Integral forms of nondegenerate covariant representations stay nondegenerate."""
     failures = []
     for index, (cov, witness, _) in enumerate(crossed_instances):
-        _, result = crossed.integral_form(
-            cov.system, witness.rep, witness.v, witness.w, tol=TOL
-        )
+        _, result = crossed.integral_form(cov.system, witness.rep, witness.v, witness.w)
         if result.nondegenerate is not True:
             failures.append(index)
     ok = not failures

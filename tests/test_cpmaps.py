@@ -52,7 +52,7 @@ class TestInducedAlgebraCp:
             np.testing.assert_allclose(
                 companion.images[k], t_mat.conj().T @ a @ t_mat, atol=1e-10
             )
-        assert companion.choi().cp
+        assert companion.choi_report.cp
 
     def test_inconsistent_images_rejected(self):
         # <f_0, f_0> = <f_1, f_1> = 1 in C^2 over C, so images of different

@@ -136,7 +136,7 @@ class TestCrossedModule:
         for _ in range(8):
             zhat = nk.complex_normal(rng, 2, 2)
             image = form.apply_companion(cm.inner(zhat, zhat))
-            assert nk.psd_check(image, 1e-9).ok
+            assert nk.psd_check(image).ok
 
 
 class TestIntegralForm:

@@ -1,10 +1,12 @@
 """Ordered contractions: each GEMM or gather helper against the einsum or loop
 it replaces, the sliced and block-wise checks against planted perturbations,
 the GNS factor from Choi blocks against the dense Gram factor, the module
-identities on their live support against their dense references, and a guard
-that keeps unordered multi-operand einsums out of the package."""
+identities on their live support against their dense references, and guards
+that keep unordered multi-operand einsums and per-call tolerance parameters
+out of the package."""
 
 import ast
+import inspect
 import tracemalloc
 from pathlib import Path
 
@@ -14,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import dense_reference
-from covstine import cpmaps, cstar, hilbmod, stinespring
+from covstine import cpmaps, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from covstine.cpmaps import CPMapAlgebra
 from dense_reference import dense_gns_gram, module_map_through
@@ -582,9 +584,9 @@ def test_positivity_eigensolves_one_psd_check_per_component(monkeypatch, module,
     seen = []
     original = nk.psd_check
 
-    def counting(m, tol=nk.REL_TOL):
+    def counting(m):
         seen.append(len(m))
-        return original(m, tol)
+        return original(m)
 
     monkeypatch.setattr(nk, "psd_check", counting)
     hilbmod.check_module_axioms(module)
@@ -632,3 +634,51 @@ def test_package_has_no_unordered_einsums():
         for path in sorted(SRC.rglob("*.py"))
     }
     assert not {name: lines for name, lines in offenders.items() if lines}
+
+
+# ---------------------------------------------------------------------------
+# Guard: every cutoff and gate reads numkernel, not a per-call parameter
+# ---------------------------------------------------------------------------
+
+TOLERANCE_NAMES = {"tol", "rel_tol", "leak_tol", "input_tol", "min_eig"}
+# verify_dilation and uniqueness_intertwiners take the scenario tolerance from
+# the command line; build_crossed_module's two callers gate at different values.
+KEPT_TOLERANCES = {
+    "crossed.build_crossed_module(tol)",
+    "stinespring.verify_dilation(tol)",
+    "stinespring.uniqueness_intertwiners(tol)",
+}
+
+
+def tolerance_parameters(module) -> set[str]:
+    """``"module.function(param)"`` for each tolerance-named parameter of a public
+    function or method defined in ``module``."""
+    short = module.__name__.rsplit(".", 1)[-1]
+    found = set()
+    for name, obj in vars(module).items():
+        if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            functions = [(name, obj)]
+        elif inspect.isclass(obj):
+            functions = [
+                (f"{name}.{attr}", member)
+                for attr, member in vars(obj).items()
+                if not attr.startswith("_") and inspect.isfunction(member)
+            ]
+        else:
+            continue
+        for qualname, function in functions:
+            found.update(
+                f"{short}.{qualname}({param})"
+                for param in inspect.signature(function).parameters
+                if param in TOLERANCE_NAMES
+            )
+    return found
+
+
+def test_package_takes_no_per_call_tolerances():
+    found = set().union(
+        *(tolerance_parameters(m) for m in (nk, cstar, hilbmod, cpmaps, crossed, stinespring))
+    )
+    assert found == KEPT_TOLERANCES

@@ -388,6 +388,22 @@ EMPTY_MODULE = {
     "action": {"shape": [0, 1, 0], "entries": []},
     "inner": {"shape": [0, 0, 1], "entries": []},
 }
+ZERO = {"rows": 1, "cols": 1, "entries": [[0, 0]]}
+TWO_BY_TWO = {"rows": 2, "cols": 2, "entries": [[1, 0], [0, 0], [0, 0], [1, 0]]}
+# C + C over itself: x_b . E_b = x_b and <x_b, x_b> = E_b
+DIAGONAL = {"shape": [2, 2, 2], "entries": [[1, 0], *[[0, 0]] * 6, [1, 0]]}
+TWO_BLOCKS = _set(
+    EXPLICIT,
+    ("objects",),
+    {
+        "module": {"algebra": {"blocks": [1, 1]}, "dim": 2, "action": DIAGONAL, "inner": DIAGONAL},
+        "cp_map": {
+            "images": {"0": ONE, "1": ZERO},
+            "companion": {"space_dim": 1, "images": {"0:0:0": ONE, "1:0:0": ZERO}},
+        },
+    },
+)
+COMPANION_IMAGES = CP_MAP + ("companion", "images")
 
 
 def test_explicit_module_payload_runs(tmp_path, capsys):
@@ -413,6 +429,10 @@ def test_explicit_module_payload_runs(tmp_path, capsys):
             for where in [("images",), ("companion", "images")]
             for value in [5, "0", "0:0:0", [ONE]]
         ),
+        (_set(EXPLICIT, COMPANION_IMAGES + ("9:9:9",), ONE), "'9:9:9'", "ParseError"),
+        (_set(EXPLICIT, CP_MAP + ("images", "7"), ONE), "'7'", "ParseError"),
+        (_set(EXPLICIT, COMPANION_IMAGES + ("0:0:0",), TWO_BY_TWO), "'0:0:0' is not", "ParseError"),
+        (_set(TWO_BLOCKS, COMPANION_IMAGES + ("1:0:0",), TWO_BY_TWO), "'1:0:0' is not", "ParseError"),
     ],
 )
 def test_bad_algebra_and_module_payloads_exit_two(
@@ -432,6 +452,26 @@ def test_bad_algebra_and_module_payloads_exit_two(
     assert code == 2
     assert "Traceback" not in err
     assert field in err and error in err
+
+
+def test_two_block_explicit_payload_runs(tmp_path, capsys):
+    code, err = _run(tmp_path, capsys, TWO_BLOCKS)
+    assert code == 0, err
+
+
+def test_concrete_map_needs_the_exact_standard_module(tmp_path, capsys):
+    """A "concrete" map certifies the standard module in place of the payload's,
+    so a payload a hair off the standard tensors is refused, not certified."""
+    module = hilbmod.module_to_json(hilbmod.standard_module(1, 2))
+    entries = module["inner"]["entries"]
+    entries[entries.index([0.0, 0.0])] = [5e-9, 0.0]
+    payload = _set(IDENTITY, ("objects", "module"), module)
+    payload["kind"] = "verify"
+    assert hilbmod.module_from_json(module).axiom_report.symmetry_residual > IDENTITY["tolerance"]
+    code, err = _run(tmp_path, capsys, payload)
+    assert code == 2
+    assert "Traceback" not in err
+    assert "ValidationError" in err and "standard module" in err
 
 
 def test_algebra_bound_is_the_standard_module_bound():
