@@ -253,17 +253,16 @@ def covariant_cp_from_representation(
     """
     v = nk.as_matrix(v)
     w = nk.as_matrix(w)
-    for t in range(system.group.order):
-        left = rep_v.mats[t] @ v - v @ u.mats[t]
-        if nk.maxabs(left) > nk.RESIDUAL_TOL * max(1.0, nk.maxabs(v)):
-            raise NotIntertwiningError(
-                f"v_t V = V u_t fails at t={t} by {nk.maxabs(left):.3e}"
-            )
-        right = rep_w.mats[t] @ w - w @ u_prime.mats[t]
-        if nk.maxabs(right) > nk.RESIDUAL_TOL * max(1.0, nk.maxabs(w)):
-            raise NotIntertwiningError(
-                f"w_t W = W u'_t fails at t={t} by {nk.maxabs(right):.3e}"
-            )
+    relations = (("v_t V = V u_t", rep_v, v, u), ("w_t W = W u'_t", rep_w, w, u_prime))
+    defects = np.array([hilbmod.intertwining_defects(*r[1:]) for r in relations])
+    gates = np.array([[nk.RESIDUAL_TOL * max(1.0, nk.maxabs(r[2]))] for r in relations])
+    # the first t at which a relation fails, and at that t the first failing one
+    failing = np.argwhere((defects > gates).T)
+    if len(failing):
+        t, which = failing[0]
+        raise NotIntertwiningError(
+            f"{relations[which][0]} fails at t={t} by {defects[which, t]:.3e}"
+        )
     base = cp_from_representation(rep, v, w)
     return CovariantCPMap(base, system, u, u_prime)
 
@@ -271,11 +270,17 @@ def covariant_cp_from_representation(
 def average_intertwiner(
     reps_left: hilbmod.UnitaryRep, reps_right: hilbmod.UnitaryRep, z: np.ndarray
 ) -> np.ndarray:
-    """Group average ``(1/|G|) sum_t left_t Z right_t*``, an exact intertwiner."""
+    """Group average ``(1/|G|) sum_t left_t Z right_t*``, an exact intertwiner.
+
+    The terms of a chunk come from two batched products and are added in the
+    order of t, so the sum does not depend on the chunks.
+    """
     z = nk.as_matrix(z)
+    star_right = np.conj(reps_right.mats).transpose(0, 2, 1)
     total = np.zeros((reps_left.dim, reps_right.dim), dtype=np.complex128)
-    for t in range(reps_left.group.order):
-        total += reps_left.mats[t] @ z @ nk.adjoint(reps_right.mats[t])
+    for t in nk.stack_spans(reps_left.group.order, total.size):
+        for term in reps_left.mats[t] @ z @ star_right[t]:
+            total += term
     return total / reps_left.group.order
 
 
@@ -315,11 +320,9 @@ def amplified_concrete_representation(
     """Concrete standard-module representation tensored with C^amplification."""
     module = hilbmod.standard_module(p, n)
     ident = nk.eye(amplification)
-    images = np.stack(
-        [np.kron(b, ident) for b in hilbmod.standard_basis_matrices(p, n)]
-    )
-    companion_images = np.stack(
-        [np.kron(e, ident) for e in cstar.embedding_representation(module.algebra).images]
+    images = nk.kron_stack(hilbmod.standard_basis_matrices(p, n), ident)
+    companion_images = nk.kron_stack(
+        cstar.embedding_representation(module.algebra).images, ident
     )
     companion = cstar.AlgebraRepresentation(module.algebra, n * amplification, companion_images)
     return hilbmod.ModuleRepresentation(module, companion, images)

@@ -187,16 +187,21 @@ def check_crossed_algebra(calg: CrossedAlgebra) -> CrossedAlgebraReport:
     # [r, q, (l, :)] = sum_p S_{r^-1}[p, l] B_{r^-1}[p, q, :]
     halves = np.swapaxes(star[inv], 1, 2) @ prod[inv].reshape(g, n, n * n)
     halves = halves.reshape(g, n, n, n).transpose(0, 2, 1, 3).reshape(g, n, n * n)
-    assoc = anti = 0.0
-    for t in range(g):
-        right = prod[mult[t]].reshape(g, n, n * n)
-        for k in range(n):
-            lhs = prod[t, k] @ right
-            rhs = flat @ prod[t, k]
-            assoc = max(assoc, nk.maxabs(lhs.reshape(rhs.shape) - rhs))
-        starred = np.conj(flat[t]) @ np.swapaxes(star[inv[mult[t]]], 1, 2)
-        reversed_prod = star[inv[t]].T @ halves
-        anti = max(anti, nk.maxabs(starred - reversed_prod.reshape(starred.shape)))
+
+    def assoc_defects(pairs):  # a chunk of the pairs (t, k), in order
+        t, k = np.divmod(np.arange(pairs.start, pairs.stop), n)
+        left = prod[t, k][:, None]
+        lhs = left @ prod[mult[t]].reshape(len(t), g, n, n * n)
+        rhs = flat @ left
+        return lhs.reshape(rhs.shape) - rhs
+
+    def anti_defects(t):
+        starred = np.conj(flat[t])[:, None] @ np.swapaxes(star[inv[mult[t]]], -1, -2)
+        reversed_prod = np.swapaxes(star[inv[t]], 1, 2)[:, None] @ halves
+        return starred - reversed_prod.reshape(starred.shape)
+
+    assoc = nk.stack_max(g * n, g * n**3, assoc_defects)
+    anti = nk.stack_max(g, g * n**3, anti_defects)
 
     unit, eye = cstar.unit_coords(calg.base), np.eye(n)
     involutive = nk.maxabs(star @ np.conj(star[inv]) - eye)
@@ -327,17 +332,23 @@ def check_crossed_module(cm: CrossedModule) -> CrossedModuleReport:
     inner, prod, star = cm.inner_blocks, cm.algebra.product_blocks, cm.algebra.star_blocks
     acts = cm.action_blocks.reshape(g, m * n, m)
     swapped = inner.transpose(0, 2, 1, 3).reshape(g, m * m, n)  # [r, (i, j)] = A_r[j, i]
-    axiom = sym = 0.0
-    for t in range(g):
-        slots = group.mult[group.inv[t]]  # t^-1 r for each r
-        right = prod[slots].reshape(g, n, n * n)
-        for i in range(m):
-            lhs = acts @ inner[t, i]
-            rhs = inner[t, i] @ right
-            axiom = max(axiom, nk.maxabs(lhs.reshape(rhs.shape) - rhs))
+    slots = group.mult[group.inv]  # [t, r]: t^-1 r
+
+    def axiom_defects(pairs):  # a chunk of the pairs (t, i), in order
+        t, i = np.divmod(np.arange(pairs.start, pairs.stop), m)
+        rows = inner[t, i][:, None]
+        lhs = acts @ rows
+        rhs = rows @ prod[slots[t]].reshape(len(t), g, n, n * n)
+        return lhs.reshape(rhs.shape) - rhs
+
+    def symmetry_defects(t):
         # <e_(t,i), e_(r,j)>* sits at (t^-1 r)^-1 = r^-1 t, where <e_(r,j), e_(t,i)> does
-        starred = np.conj(inner[t]).reshape(m * m, n) @ np.swapaxes(star[group.inv[slots]], 1, 2)
-        sym = max(sym, nk.maxabs(starred - swapped))
+        conj = np.conj(inner[t]).reshape(len(inner[t]), 1, m * m, n)
+        starred = conj @ np.swapaxes(star[group.inv[slots[t]]], -1, -2)
+        return starred - swapped
+
+    axiom = nk.stack_max(g * m, g * n * n * max(m, n), axiom_defects)
+    sym = nk.stack_max(g, g * m * m * n, symmetry_defects)
 
     rank = g * nk.numerical_rank(inner.reshape(g * m * m, n)).rank
     return CrossedModuleReport(axiom, sym, rank, cm.algebra.dim)
@@ -355,20 +366,24 @@ def _integrated(images: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 
 def _identity_defect(cm: CrossedModule, images: np.ndarray, companion: np.ndarray) -> float:
-    """``hilbmod.identity_defect`` on the crossed bases, one (t, i) at a time:
+    """``hilbmod.identity_defect`` on the crossed bases, by chunks of the rows (t, i):
     ``<e_(t,i), e_(r,j)>`` is ``A[t, i, j]`` at slot t^-1 r, so the companion
     images of a row of inner products are a gather of ``A[t, i] @ companion``."""
     group = cm.group
     g, m, n = group.order, cm.module.dim, cm.module.algebra.dim
     by_slot = companion.reshape(g, n, -1).transpose(1, 0, 2).reshape(n, -1)
-    worst = 0.0
-    for t in range(g):
-        slots = group.mult[group.inv[t]]
-        for i in range(m):
-            expected = (cm.inner_blocks[t, i] @ by_slot).reshape(m, g, -1)[:, slots]
-            expected = expected.transpose(1, 0, 2).reshape(len(images), *companion.shape[1:])
-            worst = max(worst, nk.maxabs(nk.adjoint(images[t * m + i]) @ images - expected))
-    return worst
+    rows = cm.inner_blocks.reshape(g * m, m, n)
+    slots = group.mult[group.inv]  # [t, r]: t^-1 r
+
+    def defects(pairs):  # a chunk of the rows (t, i), at t * m + i
+        t = np.arange(pairs.start, pairs.stop) // m
+        expected = (rows[pairs] @ by_slot).reshape(len(t), m, g, companion[0].size)
+        # [row, r, j]: the companion image of <e_(t,i), e_(r,j)>, at slot t^-1 r
+        expected = expected[np.arange(len(t))[:, None], :, slots[t]]
+        expected = expected.reshape(len(t), len(images), *companion.shape[1:])
+        return np.conj(images[pairs]).transpose(0, 2, 1)[:, None] @ images - expected
+
+    return nk.stack_max(len(images), len(images) * companion[0].size, defects)
 
 
 @dataclass(frozen=True)

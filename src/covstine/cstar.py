@@ -129,20 +129,25 @@ def embedding_index(algebra: CStarAlgebra) -> np.ndarray:
 
 
 def block_products(algebra: CStarAlgebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Coordinates of ``left[i] right[j]`` for every pair, shape ``(len(left), len(right), N)``.
+    """Coordinates of ``left[..., i, :] right[..., j, :]`` for every pair, shape
+    ``(..., len(left), len(right), N)``.
 
-    ``left`` and ``right`` hold one coordinate vector per row.  Each block
-    multiplies on its own, so a pair costs the sum of n_b^3, not a
-    contraction with the dense N^3 multiplication tensor.
+    ``left`` and ``right`` hold one coordinate vector per row, and leading
+    axes stack independent pairs of lists.  Each block multiplies on its
+    own, so a pair costs the sum of n_b^3, not a contraction with the dense
+    N^3 multiplication tensor.
     """
-    out = np.empty((len(left), len(right), algebra.dim), dtype=np.complex128)
+    *lead, count, _ = left.shape
+    others = right.shape[-2]
+    out = np.empty((*lead, count, others, algebra.dim), dtype=np.complex128)
     offset = 0
     for n in algebra.blocks:
         span = slice(offset, offset + n * n)
         products = nk.stack_products(
-            left[:, span].reshape(-1, n, n), right[:, span].reshape(-1, n, n)
+            left[..., span].reshape(*lead, count, n, n),
+            right[..., span].reshape(*right.shape[:-1], n, n),
         )
-        out[:, :, span] = products.reshape(len(left), len(right), n * n)
+        out[..., span] = products.reshape(*lead, count, others, n * n)
         offset += n * n
     return out
 

@@ -192,12 +192,16 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
         ),
     ) / scale
 
-    # <x_i, x_j>* = conj(inner[i, j, perm]), as the star permutation is an involution
-    star_inner = np.conj(inner[..., cstar.star_permutation(algebra)])
-    symmetry = nk.maxabs(star_inner - np.transpose(inner, (1, 0, 2))) / scale
+    # <x_i, x_j>* = conj(inner[i, j, perm]), as the star permutation is an
+    # involution.  Where both sides are exactly 0 they differ by exactly 0, so
+    # only the entries where either side is nonzero are compared: (i, j, perm k)
+    # and (j, i, k) for each nonzero inner[i, j, k].
+    perm = cstar.star_permutation(algebra)
+    i, j, k = support.nonzero()
+    xi, xj, units = np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([perm[k], k])
+    symmetry = nk.maxabs(np.conj(inner[xi, xj, perm[units]]) - inner[xj, xi, units]) / scale
 
     unit_row, unit_col = cstar.embedding_index(algebra)
-    i, j, k = support.nonzero()
     gram_super = np.zeros((m * e_dim, m * e_dim), dtype=np.complex128)
     gram_super[i * e_dim + unit_row[k], j * e_dim + unit_col[k]] = inner[i, j, k]
     psd = nk.psd_check_by_components(gram_super)
@@ -432,24 +436,37 @@ def group_law_residuals(group: FiniteGroup, mats: np.ndarray) -> tuple[float, fl
     ``mats`` holds one square matrix per group element; this is the group
     law of every action and representation in the package.
     """
-    hom = max(nk.maxabs(mats[s] @ mats - mats[group.mult[s]]) for s in range(group.order))
-    return hom, nk.maxabs(mats[group.identity] - nk.eye(mats.shape[1]))
+    g, d = mats.shape[:2]
+    hom = nk.stack_max(
+        g, g * d * d, lambda s: mats[s, None] @ mats - mats[group.mult[s]]
+    )
+    return hom, nk.maxabs(mats[group.identity] - nk.eye(d))
 
 
 def check_unitary_rep(rep: UnitaryRep) -> UnitaryRepReport:
     hom, unit = group_law_residuals(rep.group, rep.mats)
-    unitary = max(
-        nk.maxabs(nk.adjoint(m) @ m - nk.eye(rep.dim)) for m in rep.mats
+    mats, ident = rep.mats, nk.eye(rep.dim)
+    unitary = nk.stack_max(
+        len(mats),
+        rep.dim * rep.dim,
+        lambda t: np.conj(mats[t]).transpose(0, 2, 1) @ mats[t] - ident,
     )
     return UnitaryRepReport(hom, unit, unitary)
 
 
+def intertwining_defects(left: UnitaryRep, x: np.ndarray, right: UnitaryRep) -> np.ndarray:
+    """``|left_t X - X right_t|``, its largest entry, for each t of the group."""
+    return np.concatenate(
+        [
+            nk.stack_maxabs(left.mats[t] @ x - x @ right.mats[t])
+            for t in nk.stack_spans(left.group.order, x.size)
+        ]
+    )
+
+
 def intertwining_residual(left: UnitaryRep, x: np.ndarray, right: UnitaryRep) -> float:
     """Worst ``|left_t X - X right_t|`` over the group; 0 when X intertwines."""
-    return max(
-        (nk.maxabs(left.mats[t] @ x - x @ right.mats[t]) for t in range(left.group.order)),
-        default=0.0,
-    )
+    return float(intertwining_defects(left, x, right).max(initial=0.0))
 
 
 def covariance_defect(
@@ -458,11 +475,18 @@ def covariance_defect(
     """Unscaled worst ``|sum_q transport[t, q, i] images[q] - left_t images[i] right_t*|``.
 
     This is ``Phi(eta_t x) = u'_t Phi(x) u_t*`` for module maps and
-    ``phi(alpha_t a) = u_t phi(a) u_t*`` for algebra maps, on basis images.
+    ``phi(alpha_t a) = u_t phi(a) u_t*`` for algebra maps, on basis images,
+    one chunk of group elements at a time.
     """
-    transported = nk.coords_apply(transport.transpose(0, 2, 1), images)
-    conjugated = left[:, None] @ images[None] @ np.conj(right).transpose(0, 2, 1)[:, None]
-    return nk.maxabs(transported - conjugated)
+    star_right = np.conj(right).transpose(0, 2, 1)
+    flat = images.reshape(len(images), math.prod(images.shape[1:]))
+
+    def defects(t):
+        transported = np.swapaxes(transport[t], 1, 2) @ flat
+        transported = transported.reshape(transported.shape[:2] + images.shape[1:])
+        return transported - left[t, None] @ images @ star_right[t, None]
+
+    return nk.stack_max(len(transport), images.size, defects)
 
 
 def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
@@ -510,16 +534,13 @@ def direct_sum_rep(first: UnitaryRep, second: UnitaryRep) -> UnitaryRep:
 def tensor_rep(first: UnitaryRep, second: UnitaryRep) -> UnitaryRep:
     if not first.group.same_as(second.group):
         raise GroupMismatchError("tensor product needs representations of one group")
-    mats = np.stack(
-        [np.kron(a, b) for a, b in zip(first.mats, second.mats)]
-    )
+    mats = nk.kron_stack(first.mats, second.mats)
     return UnitaryRep(first.group, first.dim * second.dim, mats)
 
 
 def conjugate_rep(rep: UnitaryRep, q: np.ndarray) -> UnitaryRep:
     q = nk.as_matrix(q)
-    mats = np.stack([q @ m @ nk.adjoint(q) for m in rep.mats])
-    return UnitaryRep(rep.group, rep.dim, mats)
+    return UnitaryRep(rep.group, rep.dim, q @ rep.mats @ nk.adjoint(q))
 
 
 def cyclic_subgroup(group: FiniteGroup, t: int) -> list[int]:
@@ -616,12 +637,8 @@ def standard_action(
     p, n = gamma.dim, delta.dim
     module = standard_module(p, n)
     # row-major vec: vec(g x d*) = (g (x) conj(d)) vec(x)
-    eta = np.stack(
-        [np.kron(gamma.mats[t], np.conj(delta.mats[t])) for t in range(group.order)]
-    )
-    alpha = np.stack(
-        [np.kron(delta.mats[t], np.conj(delta.mats[t])) for t in range(group.order)]
-    )
+    eta = nk.kron_stack(gamma.mats, np.conj(delta.mats))
+    alpha = nk.kron_stack(delta.mats, np.conj(delta.mats))
     return ModuleDynamicalSystem(group, module, eta, alpha, gamma, delta)
 
 
@@ -658,11 +675,13 @@ def algebra_action_residuals(
     law = max(group_law_residuals(group, alpha))
 
     product = cstar.product_index(algebra)
-    auto_mult = 0.0
-    for t in range(group.order):
-        images = alpha[t].T  # row k: the coordinates of alpha_t(E_k)
-        prod_of_images = cstar.block_products(algebra, images, images)
-        auto_mult = max(auto_mult, nk.maxabs(prod_of_images - nk.pad_zero(images)[product]))
+    images = alpha.transpose(0, 2, 1)  # [t, k]: the coordinates of alpha_t(E_k)
+
+    def mult_defects(t):
+        prod_of_images = cstar.block_products(algebra, images[t], images[t])
+        return prod_of_images - nk.pad_zero(images[t], axis=1)[:, product]
+
+    auto_mult = nk.stack_max(group.order, algebra.dim**3, mult_defects)
 
     # alpha_t(E_k*) against alpha_t(E_k)*; the star permutation is an involution
     perm = cstar.star_permutation(algebra)
@@ -673,36 +692,43 @@ def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
     group, module = sys.group, sys.module
     eta, alpha = sys.eta, sys.alpha
     algebra = module.algebra
-    g = group.order
+    g, m, n_dim = group.order, module.dim, algebra.dim
+    inner, action = module.inner, module.action
 
     alpha_law, auto_mult, auto_star = algebra_action_residuals(group, algebra, alpha)
     law = max(max(group_law_residuals(group, eta)), alpha_law)
 
-    equivariance = compatibility = 0.0
-    for t in range(g):
+    def equivariance(t):
         # <eta_t x_i, eta_t x_j> versus alpha_t(<x_i, x_j>)
-        pushed = module.inner @ alpha[t].T
-        equivariance = max(
-            equivariance, nk.maxabs(transported_inner(eta[t], module.inner) - pushed)
-        )
+        pushed = inner @ np.swapaxes(alpha[t], 1, 2)[:, None]
+        return transported_inner(eta[t], inner) - pushed
+
+    def compatibility(t):
         # eta_t(x_i . E_k) versus eta_t(x_i) . alpha_t(E_k)
-        lhs = module.action @ eta[t].T
-        rhs = nk.coords_apply(eta[t].T, alpha[t].T @ module.action)
-        compatibility = max(compatibility, nk.maxabs(lhs - rhs))
+        eta_rows = np.swapaxes(eta[t], 1, 2)
+        lhs = action @ eta_rows[:, None]
+        moved = np.swapaxes(alpha[t], 1, 2)[:, None] @ action
+        rhs = eta_rows @ moved.reshape(len(moved), m, n_dim * m)
+        return lhs - rhs.reshape(lhs.shape)
 
-    invertible = all(
-        nk.numerical_rank(eta[t]).rank == module.dim
-        and nk.numerical_rank(alpha[t]).rank == algebra.dim
-        for t in range(g)
-    )
+    item = m * m * n_dim
+    invertible = nk.stack_ranks(eta) == [m] * g and nk.stack_ranks(alpha) == [n_dim] * g
     return DynamicalSystemReport(
-        law, equivariance, compatibility, auto_mult, auto_star, bool(invertible)
+        law,
+        nk.stack_max(g, item, equivariance),
+        nk.stack_max(g, item, compatibility),
+        auto_mult,
+        auto_star,
+        invertible,
     )
 
 
-def transported_inner(eta_t: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """A-coordinates of ``<eta_t x_i, eta_t x_j>``, shape (m, m, N), from the inner tensor."""
-    return nk.sandwich(eta_t, inner.transpose(2, 0, 1), eta_t).transpose(1, 2, 0)
+def transported_inner(eta: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """A-coordinates of ``<eta_t x_i, eta_t x_j>``, shape (..., m, m, N), from the inner
+    tensor, for one ``eta_t`` of shape (m, m) or a stack (..., m, m) of them."""
+    eta = eta[..., None, :, :]
+    moved = np.conj(eta).swapaxes(-2, -1) @ (inner.transpose(2, 0, 1) @ eta)
+    return np.moveaxis(moved, -3, -1)
 
 
 class InducedAction(NamedTuple):
@@ -732,7 +758,7 @@ def induced_algebra_action(
 
     fullness = fullness_system(module)
     # the g targets side by side: column block t holds <eta_t x_i, eta_t x_j>
-    targets = np.stack([transported_inner(e, module.inner) for e in eta], axis=2)
+    targets = np.moveaxis(transported_inner(eta, module.inner), 0, 2)
     solution, residual = fullness.solve(targets.reshape(m * m, g * algebra.dim))
     if residual > nk.PRECONDITION_TOL:
         raise InconsistentError(

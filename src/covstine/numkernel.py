@@ -30,6 +30,10 @@ RESIDUAL_TOL = 1e-9
 # decade above RESIDUAL_TOL, so an input just past the default tolerance is
 # still constructed and its certificate shows the failing row.
 PRECONDITION_TOL = 1e-8
+# The one size rule of the package: a loop over group or basis elements runs
+# as stacks of whole items, at most this many complex entries (512 KiB, about
+# one L2) per chunk, or one item when a single item is larger than that.
+STACK_ENTRIES = 2**15
 
 
 def as_matrix(data) -> np.ndarray:
@@ -74,14 +78,17 @@ def eye(n: int) -> np.ndarray:
 
 
 def stack_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left[i] @ right[j]`` for every pair, shape ``(len(left), len(right), rows, cols)``.
+    """``left[..., i, :, :] @ right[..., j, :, :]`` for every pair, shape
+    ``(..., len(left), len(right), rows, cols)``.
 
-    One GEMM: the left maps stacked by rows against the right maps stacked by columns.
+    One GEMM per leading index: the left maps stacked by rows against the
+    right maps stacked by columns.
     """
-    k, rows, inner = left.shape
-    l, _, cols = right.shape
-    flat = left.reshape(k * rows, inner) @ right.transpose(1, 0, 2).reshape(inner, l * cols)
-    return flat.reshape(k, rows, l, cols).transpose(0, 2, 1, 3)
+    *lead, k, rows, inner = left.shape
+    l, cols = right.shape[-3], right.shape[-1]
+    columns = np.swapaxes(right, -3, -2).reshape(*right.shape[:-3], inner, l * cols)
+    flat = left.reshape(*lead, k * rows, inner) @ columns
+    return np.swapaxes(flat.reshape(*lead, k, rows, l, cols), -3, -2)
 
 
 def pair_products(stack: np.ndarray) -> np.ndarray:
@@ -109,6 +116,77 @@ def sandwich(left: np.ndarray, stack: np.ndarray, right: np.ndarray) -> np.ndarr
     return adjoint(left) @ (stack @ right)
 
 
+# Loops over group or basis elements run as stacks: the items of one chunk go
+# through one batched op, which forms each item's products exactly as it forms
+# them for that item alone, so no entry, and no maximum of their absolute
+# values, depends on how the items are cut into chunks.
+
+
+def stack_spans(count: int, item_entries: int) -> list[slice]:
+    """The chunk rule: ``range(count)`` cut into consecutive slices of whole items.
+
+    A slice holds at most ``STACK_ENTRIES`` entries at ``item_entries`` per
+    item, or one item when a single item is larger, so large items run one
+    at a time and the working set stays that of one item.
+    """
+    per = max(1, STACK_ENTRIES // max(1, item_entries))
+    return [slice(start, min(start + per, count)) for start in range(0, count, per)]
+
+
+def stack_max(count: int, item_entries: int, residuals) -> float:
+    """Largest absolute entry of ``residuals(span)`` over the chunks of
+    ``stack_spans``, 0.0 for none.
+
+    ``residuals(span)`` forms the items of one chunk and returns their
+    differences, or per-item values such as ``stack_maxabs`` returns.
+    """
+    worst = 0.0
+    for span in stack_spans(count, item_entries):
+        # Held until the next chunk's is formed: were every temporary of a
+        # chunk freed at once, the allocator could return their pages to the
+        # system and fault them in again for the next chunk.
+        residual = residuals(span)
+        worst = max(worst, maxabs(residual))
+    return worst
+
+
+def stack_maxabs(stack: np.ndarray) -> np.ndarray:
+    """``maxabs`` of each matrix of a stack, shape ``stack.shape[:-2]``."""
+    return np.abs(stack).max(axis=(-2, -1), initial=0.0)
+
+
+def kron_stack(a, b) -> np.ndarray:
+    """``np.kron`` of ``a[..., :, :]`` and ``b[..., :, :]`` over the broadcast leading axes.
+
+    One broadcast multiply forms the products ``a[i, j] * b[k, l]`` that
+    ``np.kron`` forms, and a reshape places them at ``(i r + k, j s + l)``.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    (p, q), (r, s) = a.shape[-2:], b.shape[-2:]
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    products = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return products.reshape(lead + (p * r, q * s))
+
+
+def stack_ranks(stack: np.ndarray) -> list[int]:
+    """``numerical_rank(m).rank`` of each matrix ``m`` of a stack.
+
+    The Grams of a chunk are eigensolved by one batched call and each rank is
+    decided by ``spectral_rank``, on the spectrum ``numerical_rank`` reads.
+    """
+    count, rows, cols = stack.shape
+    if rows == 0 or cols == 0:
+        return [0] * count
+    ranks = []
+    for span in stack_spans(count, rows * cols):
+        chunk = stack[span]
+        star = np.conj(chunk).transpose(0, 2, 1)
+        gram = chunk @ star if rows <= cols else star @ chunk
+        values = np.linalg.eigvalsh((gram + np.conj(gram).transpose(0, 2, 1)) / 2.0)
+        ranks += [spectral_rank(v[::-1])[0] for v in values]
+    return ranks
+
+
 def pad_zero(stack: np.ndarray, axis: int = 0) -> np.ndarray:
     """``stack`` with a slice of zeros appended along ``axis``.
 
@@ -131,52 +209,73 @@ def pair_defect(left: np.ndarray, right: np.ndarray, targeted: np.ndarray, targe
     of each ``left[i]`` and columns of each ``right[j]`` are stacked, and one
     GEMM of the two stacks holds every pair's product on that grid; off the
     grid a product is exactly 0, so a target counts there with its own size.
-    The GEMM runs by chunks of whole ``left[i]`` whose grid rows, and whose
-    targets, hold no more entries than ``left[i]`` times all of ``right``, the
-    block one ``i`` at a time would form.  The residual is the same maximum of
-    the same absolute values; where nothing is zero this is the dense work.
+    The GEMM runs by chunks of whole ``left[i]`` under the chunk rule, an
+    item being one ``left[i]`` against all of ``right``: a chunk's grid rows,
+    and its targets, hold at most ``STACK_ENTRIES`` entries, or as many as
+    one such item when that is more.  The residual is the maximum of the
+    same absolute values, up to the rounding of the GEMM, whose shape
+    follows the chunks; where nothing is zero this is the dense work.
     """
     count, rows, _ = left.shape
     others, _, cols = right.shape
     if 0 in (count, rows, others, cols):
         return 0.0
-    live_rows = left.any(axis=2)
-    live_cols = right.any(axis=1)
+    live_rows, live_cols = left.any(axis=2), right.any(axis=1)
     row_stack = left[live_rows]
     col_stack = right.transpose(1, 0, 2)[:, live_cols]
     width = col_stack.shape[1]
-
-    budget = rows * others * cols
-    chunks, offset = [], []  # offset: grid rows before left[i] within its chunk
-    start = row_end = pair_end = chunk_rows = chunk_pairs = 0
-    counts = zip(live_rows.sum(axis=1).tolist(), targeted.sum(axis=1).tolist())
-    for i, (r, p) in enumerate(counts):
-        if i > start and ((chunk_rows + r) * width > budget or chunk_pairs + p > others):
-            chunks.append((row_end - chunk_rows, row_end, pair_end - chunk_pairs, pair_end))
-            start, chunk_rows, chunk_pairs = i, 0, 0
-        offset.append(chunk_rows)
-        chunk_rows, chunk_pairs = chunk_rows + r, chunk_pairs + p
-        row_end, pair_end = row_end + r, pair_end + p
-    chunks.append((row_end - chunk_rows, row_end, pair_end - chunk_pairs, pair_end))
-
-    # the grid row (within its chunk) and column of every row and column of
-    # each targeted pair; dead ones read the zero row and column appended to
-    # every chunk's grid
+    # live rows of left up to and including each row; the grid column of
+    # each column of right, where a dead one reads the zero column that
+    # leads every chunk's grid
+    row_end = live_rows.cumsum().reshape(count, rows)
+    col_at = live_cols.cumsum().reshape(others, cols) * live_cols
     pair_left, pair_right = targeted.nonzero()
-    row_at = (live_rows.cumsum(axis=1) + np.array(offset)[:, None]) * live_rows - 1
-    col_at = live_cols.cumsum().reshape(others, cols) * live_cols - 1
-    row_at, col_at = row_at[pair_left, :, None], col_at[pair_right, None, :]
+    col_at = col_at[pair_right, None, :]
+
+    # the entries of one chunk's grid and of its targets, each
+    budget = max(rows * others * cols, STACK_ENTRIES)
+    total_rows, total_pairs = int(row_end[-1, -1]), len(pair_left)
+    if total_rows * width <= budget and total_pairs * rows * cols <= budget:
+        chunks = [(0, total_rows, 0, total_pairs)]
+    else:
+        limits = (budget // width if width else total_rows, budget // (rows * cols))
+        chunks = _pair_chunks(row_end[:, -1], targeted.sum(axis=1).cumsum(), limits)
 
     worst = 0.0
     for row_start, row_stop, pair_start, pair_stop in chunks:
         grid = np.zeros((row_stop - row_start + 1, width + 1), dtype=np.complex128)
-        np.matmul(row_stack[row_start:row_stop], col_stack, out=grid[:-1, :-1])
+        np.matmul(row_stack[row_start:row_stop], col_stack, out=grid[1:, 1:])
         span = slice(pair_start, pair_stop)
-        at = (row_at[span], col_at[span])
+        # the grid row of each row of each targeted pair; a dead one reads
+        # the zero row that leads the grid
+        pairs = pair_left[span]
+        row_at = (row_end[pairs] - row_start) * live_rows[pairs]
+        at = (row_at[:, :, None], col_at[span])
         worst = np.abs(grid[at] - targets(span)).max(initial=worst)
         grid[at] = 0.0  # what is left belongs to pairs without a target
         worst = np.abs(grid).max(initial=worst)
     return float(worst)
+
+
+def _pair_chunks(row_ends: np.ndarray, pair_ends: np.ndarray, limits) -> list[tuple]:
+    """``(row_start, row_stop, pair_start, pair_stop)`` of each chunk of whole items.
+
+    Item i brings the rows and the pairs up to ``row_ends[i]`` and
+    ``pair_ends[i]`` (running totals).  Each chunk takes items while its rows
+    and its pairs stay within ``limits`` (a row and a pair count), and at
+    least one item.
+    """
+    ends = [np.concatenate([[0], row_ends]), np.concatenate([[0], pair_ends])]
+    chunks, first = [], 0
+    while first < len(row_ends):
+        stop = min(
+            int(np.searchsorted(end[1:], end[first] + limit, "right"))
+            for end, limit in zip(ends, limits)
+        )
+        stop = max(stop, first + 1)
+        chunks.append((ends[0][first], ends[0][stop], ends[1][first], ends[1][stop]))
+        first = stop
+    return chunks
 
 
 class EigDecomposition(NamedTuple):

@@ -63,13 +63,14 @@ class GnsTriple:
     gram_eigenvalues: np.ndarray  # descending spectrum of the GNS Gram
 
 
-def _leak(raw: np.ndarray, lifted: np.ndarray, f_map: np.ndarray) -> float:
-    """How far a map on the raw space fails to vanish on the Gram kernel, relatively.
+def _leak(raw: np.ndarray, lifted: np.ndarray, f_map: np.ndarray) -> np.ndarray:
+    """How far each of a stack of maps on the raw space fails to vanish on the
+    Gram kernel, relatively.
 
     ``lifted`` is ``raw @ L``, so ``raw - lifted @ F`` is ``raw (I - L F)``
     expanded, without the projection onto the kernel.
     """
-    return nk.maxabs(raw - lifted @ f_map) / max(1.0, nk.maxabs(raw))
+    return nk.stack_maxabs(raw - lifted @ f_map) / np.maximum(1.0, nk.stack_maxabs(raw))
 
 
 def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
@@ -120,26 +121,28 @@ def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
         basis = basis.reshape(n * h, kept)
         sqrt_vals = np.sqrt(spectrum.values[:kept])
         rows, cols = slice(row, row + n * n * h), slice(col, col + n * kept)
-        f_map[cols, rows] = np.kron(nk.eye(n), sqrt_vals[:, None] * nk.adjoint(basis))
-        lift[rows, cols] = np.kron(nk.eye(n), basis / sqrt_vals[None, :])
+        f_map[cols, rows] = nk.kron_stack(nk.eye(n), sqrt_vals[:, None] * nk.adjoint(basis))
+        lift[rows, cols] = nk.kron_stack(nk.eye(n), basis / sqrt_vals[None, :])
         row, col = rows.stop, cols.stop
 
     # Left multiplication by E_k sends E_l (x) h to E_k E_l (x) h, so its
     # descent F (E_k (x) I) gathers columns of F.
     f_units = nk.pad_zero(f_map.reshape(rank, n_dim, h), axis=1)
+    every_row = np.arange(rank)[:, None]
     images = np.zeros((n_dim, rank, rank), dtype=np.complex128)
     leak = 0.0
-    for k in range(n_dim):
-        descended = f_units[:, product[k]].reshape(rank, n_dim * h)
+    for k in nk.stack_spans(n_dim, rank * n_dim * h):
+        units = product[k][:, None]  # one gather lays out (chunk, rank, N, h)
+        descended = f_units[every_row, units].reshape(len(units), rank, n_dim * h)
         images[k] = descended @ lift
-        leak = max(leak, _leak(descended, images[k], f_map))
+        leak = max(leak, nk.maxabs(_leak(descended, images[k], f_map)))
     if leak > nk.RESIDUAL_TOL:
         raise QuotientLeakError(
             f"left multiplication does not descend to the quotient (leak {leak:.3e}); "
             "the input map is not consistent"
         )
     rep = cstar.AlgebraRepresentation(algebra, rank, images)
-    iota = np.kron(cstar.unit_coords(algebra)[:, None], nk.eye(h))  # h -> A (x) H
+    iota = nk.kron_stack(cstar.unit_coords(algebra)[:, None], nk.eye(h))  # h -> A (x) H
     return GnsTriple(phi, rank, rep, f_map @ iota, f_map, lift, merged)
 
 
@@ -207,7 +210,9 @@ def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
 
     raw = _raw_module_maps(phi)
     lifted = raw @ gns.L
-    leak = max((_leak(r, l, gns.F) for r, l in zip(raw, lifted)), default=0.0)
+    leak = nk.stack_max(
+        module.dim, raw.shape[1] * raw.shape[2], lambda i: _leak(raw[i], lifted[i], gns.F)
+    )
     if leak > nk.RESIDUAL_TOL:
         raise QuotientLeakError(
             f"module maps do not descend to the GNS quotient (leak {leak:.3e})"
@@ -247,30 +252,30 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
     dim_k = cov.base.space_dims[1]
 
     gram = nk.adjoint(gns.F) @ gns.F  # the GNS Gram restricted to its range
+    gram_scale = max(1.0, nk.maxabs(gram))
+    raw_dim = gns.F.shape[1]
     v_mats = np.zeros((group.order, gns.dim, gns.dim), dtype=np.complex128)
     gram_residual = 0.0
     leak = 0.0
-    for t in range(group.order):
-        descended = gns.F @ np.kron(cov.system.alpha[t], cov.u.mats[t])
-        transported = nk.adjoint(descended) @ descended  # raw_t* Gram raw_t
-        gram_residual = max(
-            gram_residual,
-            nk.maxabs(transported - gram) / max(1.0, nk.maxabs(gram)),
-        )
+    for t in nk.stack_spans(group.order, raw_dim * raw_dim):
+        descended = gns.F @ nk.kron_stack(cov.system.alpha[t], cov.u.mats[t])
+        transported = np.conj(descended).transpose(0, 2, 1) @ descended  # raw_t* Gram raw_t
+        gram_residual = max(gram_residual, nk.maxabs(transported - gram) / gram_scale)
         v_mats[t] = descended @ gns.L
-        leak = max(leak, _leak(descended, v_mats[t], gns.F))
+        leak = max(leak, nk.maxabs(_leak(descended, v_mats[t], gns.F)))
     if leak > nk.RESIDUAL_TOL:
         raise QuotientLeakError(
             f"group unitaries do not descend to the GNS quotient (leak {leak:.3e})"
         )
 
     proj = nk.adjoint(base.W) @ base.W  # projection onto the codomain span in K
+    outside, w_star = nk.eye(dim_k) - proj, nk.adjoint(base.W)
     invariance = 0.0
     w_mats = np.zeros((group.order, base.dim_codomain, base.dim_codomain), dtype=np.complex128)
-    for t in range(group.order):
-        off = (nk.eye(dim_k) - proj) @ cov.u_prime.mats[t] @ proj
-        invariance = max(invariance, nk.maxabs(off))
-        w_mats[t] = base.W @ cov.u_prime.mats[t] @ nk.adjoint(base.W)
+    for t in nk.stack_spans(group.order, dim_k * dim_k):
+        u_prime = cov.u_prime.mats[t]
+        invariance = max(invariance, nk.maxabs(outside @ u_prime @ proj))
+        w_mats[t] = base.W @ u_prime @ w_star
     if invariance > nk.RESIDUAL_TOL:
         raise InvarianceLeakError(
             f"span of Phi(X) H is not invariant under u' (leak {invariance:.3e}); "
@@ -555,8 +560,7 @@ def uniqueness_intertwiners(
         )
 
     # companion representation of the competing images, via fullness
-    pair_grams = nk.pair_products(alt_images)
-    target = pair_grams.reshape(module.dim**2, alt_h * alt_h)
+    target = nk.pair_products(alt_images).reshape(module.dim**2, alt_h * alt_h)
     alt_companion = hilbmod.fullness_system(module).solve(target)[0].reshape(
         module.algebra.dim, alt_h, alt_h
     )
@@ -589,12 +593,10 @@ def uniqueness_intertwiners(
             "the competing data is not an equivalent dilation"
         )
 
-    intertwine = max(
-        (
-            nk.maxabs(u2 @ base.images[i] - alt_images[i] @ u1)
-            for i in range(module.dim)
-        ),
-        default=0.0,
+    intertwine = nk.stack_max(
+        module.dim,
+        alt_k * gns.dim,
+        lambda i: u2 @ base.images[i] - alt_images[i] @ u1,
     )
     v_resid = nk.maxabs(alt_v - u1 @ gns.V)
     w_resid = nk.maxabs(alt_w - u2 @ base.W)

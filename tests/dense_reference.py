@@ -9,13 +9,17 @@ module CP map through a factor of that Gram, so the GNS rows of
 ``verify_dilation`` can be read for it.  The module identities are checked
 densely: ``pi(x)* pi(y) = pi_A(<x, y>)`` one x_i at a time, multiplicativity
 one E_k at a time, and positivity by one eigensolve of the whole Gram
-super-matrix; the package skips the exact zeros of their inputs.
+super-matrix; the package skips the exact zeros of their inputs.  The loops
+over group and basis elements that the package runs as chunked stacks are
+kept here one element at a time, with ``np.kron`` where the package calls
+``numkernel.kron_stack``.
 """
 
 import numpy as np
 
 from covstine import cpmaps, cstar, hilbmod
 from covstine import numkernel as nk
+from covstine.errors import NotIntertwiningError
 
 
 def basis(obj):
@@ -115,6 +119,252 @@ def gram_super_matrix(module):
     return nk.coords_apply(module.inner, embed).transpose(0, 2, 1, 3).reshape(order, order)
 
 
+def module_symmetry(module):
+    """Unscaled worst ``|<x_i, x_j>* - <x_j, x_i>|`` on the whole (m, m, N) inner tensor."""
+    star_inner = np.conj(module.inner[..., cstar.star_permutation(module.algebra)])
+    return nk.maxabs(star_inner - np.transpose(module.inner, (1, 0, 2)))
+
+
 def module_positivity(module):
     """``psd_check`` of the whole Gram super-matrix, one eigensolve."""
     return nk.psd_check(gram_super_matrix(module))
+
+
+# ---------------------------------------------------------------------------
+# Per-element loops: the package runs each of these as stacks over the group
+# or basis elements, in chunks; each loop here is the form it replaced.
+# ---------------------------------------------------------------------------
+
+
+def tensor_mats(first, second):
+    return np.stack([np.kron(a, b) for a, b in zip(first.mats, second.mats)])
+
+
+def standard_action_mats(gamma, delta):
+    """``(eta, alpha)`` of ``hilbmod.standard_action``, one t at a time."""
+    g = gamma.group.order
+    eta = np.stack([np.kron(gamma.mats[t], np.conj(delta.mats[t])) for t in range(g)])
+    alpha = np.stack([np.kron(delta.mats[t], np.conj(delta.mats[t])) for t in range(g)])
+    return eta, alpha
+
+
+def conjugated_mats(rep, q):
+    return np.stack([q @ m @ nk.adjoint(q) for m in rep.mats])
+
+
+def amplified_images(p, n, amplification):
+    """Images and companion images of ``cpmaps.amplified_concrete_representation``."""
+    ident = nk.eye(amplification)
+    images = np.stack([np.kron(b, ident) for b in hilbmod.standard_basis_matrices(p, n)])
+    embed = cstar.embedding_representation(cstar.CStarAlgebra((n,))).images
+    return images, np.stack([np.kron(e, ident) for e in embed])
+
+
+def average_intertwiner(reps_left, reps_right, z):
+    total = np.zeros((reps_left.dim, reps_right.dim), dtype=np.complex128)
+    for t in range(reps_left.group.order):
+        total += reps_left.mats[t] @ z @ nk.adjoint(reps_right.mats[t])
+    return total / reps_left.group.order
+
+
+def check_intertwiners(rep_v, rep_w, v, w, u, u_prime):
+    """The input check of ``cpmaps.covariant_cp_from_representation``, one t at a time."""
+    for t in range(rep_v.group.order):
+        left = rep_v.mats[t] @ v - v @ u.mats[t]
+        if nk.maxabs(left) > nk.RESIDUAL_TOL * max(1.0, nk.maxabs(v)):
+            raise NotIntertwiningError(f"v_t V = V u_t fails at t={t} by {nk.maxabs(left):.3e}")
+        right = rep_w.mats[t] @ w - w @ u_prime.mats[t]
+        if nk.maxabs(right) > nk.RESIDUAL_TOL * max(1.0, nk.maxabs(w)):
+            raise NotIntertwiningError(
+                f"w_t W = W u'_t fails at t={t} by {nk.maxabs(right):.3e}"
+            )
+
+
+def group_law(group, mats):
+    """``(hom, unit)`` of ``hilbmod.group_law_residuals``, one s at a time."""
+    hom = max(nk.maxabs(mats[s] @ mats - mats[group.mult[s]]) for s in range(group.order))
+    return hom, nk.maxabs(mats[group.identity] - nk.eye(mats.shape[1]))
+
+
+def unitarity(rep):
+    return max(nk.maxabs(nk.adjoint(m) @ m - nk.eye(rep.dim)) for m in rep.mats)
+
+
+def intertwining(left, x, right):
+    return max(
+        (nk.maxabs(left.mats[t] @ x - x @ right.mats[t]) for t in range(left.group.order)),
+        default=0.0,
+    )
+
+
+def covariance(transport, images, left, right):
+    """``hilbmod.covariance_defect`` on the whole (g, m, K, H) stack at once."""
+    transported = nk.coords_apply(transport.transpose(0, 2, 1), images)
+    conjugated = left[:, None] @ images[None] @ np.conj(right).transpose(0, 2, 1)[:, None]
+    return nk.maxabs(transported - conjugated)
+
+
+def algebra_action(group, algebra, alpha):
+    """``(law, mult, star)`` of ``hilbmod.algebra_action_residuals``, one t at a time."""
+    law = max(group_law(group, alpha))
+    product = cstar.product_index(algebra)
+    auto_mult = 0.0
+    for t in range(group.order):
+        images = alpha[t].T
+        prod_of_images = cstar.block_products(algebra, images, images)
+        auto_mult = max(auto_mult, nk.maxabs(prod_of_images - nk.pad_zero(images)[product]))
+    perm = cstar.star_permutation(algebra)
+    return law, auto_mult, nk.maxabs(alpha[:, :, perm] - np.conj(alpha[:, perm, :]))
+
+
+def dynamical_system(sys):
+    """The fields of ``hilbmod.check_dynamical_system``, one t at a time."""
+    group, module, eta, alpha = sys.group, sys.module, sys.eta, sys.alpha
+    alpha_law, auto_mult, auto_star = algebra_action(group, module.algebra, alpha)
+    law = max(max(group_law(group, eta)), alpha_law)
+    equivariance = compatibility = 0.0
+    for t in range(group.order):
+        pushed = module.inner @ alpha[t].T
+        transported = nk.sandwich(eta[t], module.inner.transpose(2, 0, 1), eta[t])
+        equivariance = max(equivariance, nk.maxabs(transported.transpose(1, 2, 0) - pushed))
+        lhs = module.action @ eta[t].T
+        rhs = nk.coords_apply(eta[t].T, alpha[t].T @ module.action)
+        compatibility = max(compatibility, nk.maxabs(lhs - rhs))
+    invertible = all(
+        nk.numerical_rank(eta[t]).rank == module.dim
+        and nk.numerical_rank(alpha[t]).rank == module.algebra.dim
+        for t in range(group.order)
+    )
+    return law, equivariance, compatibility, auto_mult, auto_star, invertible
+
+
+def leak(raw, lifted, f_map):
+    """``stinespring._leak`` of one map."""
+    return nk.maxabs(raw - lifted @ f_map) / max(1.0, nk.maxabs(raw))
+
+
+def gns_descent(phi, rank, cutoff):
+    """``(F, L, images, leak, V)`` of ``stinespring.gns_construct``: the Choi
+    eigenvectors placed by ``np.kron`` block by block, and the descent of left
+    multiplication one E_k at a time."""
+    algebra, h = phi.algebra, phi.space_dim
+    n_dim = algebra.dim
+    f_map = np.zeros((rank, n_dim * h), dtype=np.complex128)
+    lift = np.zeros((n_dim * h, rank), dtype=np.complex128)
+    row = col = 0
+    for n, spectrum in zip(algebra.blocks, phi.choi_report.spectra):
+        kept = int(np.count_nonzero(spectrum.values > cutoff))
+        basis = spectrum.vectors[:, :kept].reshape(h, n, kept).transpose(1, 0, 2)
+        basis = basis.reshape(n * h, kept)
+        sqrt_vals = np.sqrt(spectrum.values[:kept])
+        rows, cols = slice(row, row + n * n * h), slice(col, col + n * kept)
+        f_map[cols, rows] = np.kron(nk.eye(n), sqrt_vals[:, None] * nk.adjoint(basis))
+        lift[rows, cols] = np.kron(nk.eye(n), basis / sqrt_vals[None, :])
+        row, col = rows.stop, cols.stop
+    product = cstar.product_index(algebra)
+    f_units = nk.pad_zero(f_map.reshape(rank, n_dim, h), axis=1)
+    images = np.zeros((n_dim, rank, rank), dtype=np.complex128)
+    worst = 0.0
+    for k in range(n_dim):
+        descended = f_units[:, product[k]].reshape(rank, n_dim * h)
+        images[k] = descended @ lift
+        worst = max(worst, leak(descended, images[k], f_map))
+    iota = np.kron(cstar.unit_coords(algebra)[:, None], nk.eye(h))
+    return f_map, lift, images, worst, f_map @ iota
+
+
+def module_leak(raw, f_map, lift):
+    """The quotient leak of ``stinespring.dilate_module_cp``, one x_i at a time."""
+    lifted = raw @ lift
+    return max((leak(r, l, f_map) for r, l in zip(raw, lifted)), default=0.0)
+
+
+def covariant_descent(cov, base):
+    """``(v_mats, gram_residual, leak, w_mats, invariance)`` of
+    ``stinespring.dilate_covariant``, one t at a time."""
+    gns, group = base.gns, cov.system.group
+    dim_k = cov.base.space_dims[1]
+    gram = nk.adjoint(gns.F) @ gns.F
+    v_mats = np.zeros((group.order, gns.dim, gns.dim), dtype=np.complex128)
+    gram_residual = worst = 0.0
+    for t in range(group.order):
+        descended = gns.F @ np.kron(cov.system.alpha[t], cov.u.mats[t])
+        transported = nk.adjoint(descended) @ descended
+        gram_residual = max(
+            gram_residual, nk.maxabs(transported - gram) / max(1.0, nk.maxabs(gram))
+        )
+        v_mats[t] = descended @ gns.L
+        worst = max(worst, leak(descended, v_mats[t], gns.F))
+    proj = nk.adjoint(base.W) @ base.W
+    invariance = 0.0
+    w_mats = np.zeros((group.order, base.dim_codomain, base.dim_codomain), dtype=np.complex128)
+    for t in range(group.order):
+        off = (nk.eye(dim_k) - proj) @ cov.u_prime.mats[t] @ proj
+        invariance = max(invariance, nk.maxabs(off))
+        w_mats[t] = base.W @ cov.u_prime.mats[t] @ nk.adjoint(base.W)
+    return v_mats, gram_residual, worst, w_mats, invariance
+
+
+def image_intertwining(u1, u2, images, alt_images):
+    """``intertwine_images`` of ``stinespring.uniqueness_intertwiners``, one x_i at a time."""
+    return max(
+        (nk.maxabs(u2 @ images[i] - alt_images[i] @ u1) for i in range(len(images))),
+        default=0.0,
+    )
+
+
+def crossed_algebra_check(calg):
+    """``(assoc, anti)`` of ``crossed.check_crossed_algebra``, one (t, k) at a time."""
+    group = calg.group
+    g, n = group.order, calg.base.dim
+    mult, inv = group.mult, group.inv
+    prod, star = calg.product_blocks, calg.star_blocks
+    flat = prod.reshape(g, n * n, n)
+    halves = np.swapaxes(star[inv], 1, 2) @ prod[inv].reshape(g, n, n * n)
+    halves = halves.reshape(g, n, n, n).transpose(0, 2, 1, 3).reshape(g, n, n * n)
+    assoc = anti = 0.0
+    for t in range(g):
+        right = prod[mult[t]].reshape(g, n, n * n)
+        for k in range(n):
+            lhs = prod[t, k] @ right
+            rhs = flat @ prod[t, k]
+            assoc = max(assoc, nk.maxabs(lhs.reshape(rhs.shape) - rhs))
+        starred = np.conj(flat[t]) @ np.swapaxes(star[inv[mult[t]]], 1, 2)
+        reversed_prod = star[inv[t]].T @ halves
+        anti = max(anti, nk.maxabs(starred - reversed_prod.reshape(starred.shape)))
+    return assoc, anti
+
+
+def crossed_module_check(cm):
+    """``(axiom, symmetry)`` of ``crossed.check_crossed_module``, one (t, i) at a time."""
+    group = cm.group
+    g, m, n = group.order, cm.module.dim, cm.module.algebra.dim
+    inner, prod, star = cm.inner_blocks, cm.algebra.product_blocks, cm.algebra.star_blocks
+    acts = cm.action_blocks.reshape(g, m * n, m)
+    swapped = inner.transpose(0, 2, 1, 3).reshape(g, m * m, n)
+    axiom = sym = 0.0
+    for t in range(g):
+        slots = group.mult[group.inv[t]]
+        right = prod[slots].reshape(g, n, n * n)
+        for i in range(m):
+            lhs = acts @ inner[t, i]
+            rhs = inner[t, i] @ right
+            axiom = max(axiom, nk.maxabs(lhs.reshape(rhs.shape) - rhs))
+        starred = np.conj(inner[t]).reshape(m * m, n) @ np.swapaxes(star[group.inv[slots]], 1, 2)
+        sym = max(sym, nk.maxabs(starred - swapped))
+    return axiom, sym
+
+
+def crossed_identity_defect(cm, images, companion):
+    """``crossed._identity_defect``, one (t, i) at a time."""
+    group = cm.group
+    g, m, n = group.order, cm.module.dim, cm.module.algebra.dim
+    by_slot = companion.reshape(g, n, -1).transpose(1, 0, 2).reshape(n, -1)
+    worst = 0.0
+    for t in range(g):
+        slots = group.mult[group.inv[t]]
+        for i in range(m):
+            expected = (cm.inner_blocks[t, i] @ by_slot).reshape(m, g, -1)[:, slots]
+            expected = expected.transpose(1, 0, 2).reshape(len(images), *companion.shape[1:])
+            worst = max(worst, nk.maxabs(nk.adjoint(images[t * m + i]) @ images - expected))
+    return worst

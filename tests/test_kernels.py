@@ -2,8 +2,8 @@
 it replaces, the sliced and block-wise checks against planted perturbations,
 the GNS factor from Choi blocks against the dense Gram factor, the module
 identities on their live support against their dense references, and guards
-that keep unordered multi-operand einsums and per-call tolerance parameters
-out of the package."""
+that keep unordered multi-operand einsums, ``np.kron`` calls and per-call
+tolerance parameters out of the package."""
 
 import ast
 import inspect
@@ -421,12 +421,14 @@ def test_pair_defect_matches_every_pair(count, others, rows, inner, cols, keep, 
 
 
 @pytest.mark.parametrize("live, pairs", [(1, "every"), (8, "every"), (8, "diagonal")])
-def test_pair_defect_blocks_stay_within_one_left_map_against_all_right(live, pairs):
-    """``live`` live rows per left map and columns per right map.  Targets come
-    a chunk at a time, at most one left map's worth of them.  With one live
-    row the grid of every pair fits in one block but the targets of every
-    pair take 16; with every row live and only diagonal targets it is the
-    other way round."""
+def test_pair_defect_blocks_stay_within_one_left_map_against_all_right(live, pairs, monkeypatch):
+    """``live`` live rows per left map and columns per right map.  Where one
+    left map against all right holds more than ``STACK_ENTRIES`` entries
+    (lowered here, so that small inputs show it), targets come a chunk at a
+    time, at most one left map's worth of them.  With one live row the grid
+    of every pair fits in one block but the targets of every pair take 16;
+    with every row live and only diagonal targets it is the other way round."""
+    monkeypatch.setattr(nk, "STACK_ENTRIES", 1)
     count, size = 16, 8
     rng = np.random.default_rng(4)
     left, right = _random(rng, count, size, size), _random(rng, count, size, size)
@@ -594,7 +596,7 @@ def test_positivity_eigensolves_one_psd_check_per_component(monkeypatch, module,
 
 
 # ---------------------------------------------------------------------------
-# Guard: no unordered multi-operand einsum in the package
+# Guards: no unordered multi-operand einsum and no np.kron in the package
 # ---------------------------------------------------------------------------
 
 
@@ -633,6 +635,35 @@ def test_package_has_no_unordered_einsums():
         path.name: unordered_einsums(path.read_text())
         for path in sorted(SRC.rglob("*.py"))
     }
+    assert not {name: lines for name, lines in offenders.items() if lines}
+
+
+def kron_calls(source: str) -> list[int]:
+    """Lines of ``kron`` calls (``np.kron``, ``numpy.kron`` or a bare ``kron``)."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "kron"
+    ]
+
+
+def test_guard_flags_kron_calls():
+    source = "\n".join(
+        [
+            "nk.kron_stack(a, b)",
+            "np.kron(a, b)",
+            '"np.kron(a, b)"',
+            "numpy.kron(a, b)",
+            "kron(a, b)",
+        ]
+    )
+    assert kron_calls(source) == [2, 4, 5]
+
+
+def test_package_has_no_np_kron():
+    """Products of group or basis elements go through ``numkernel.kron_stack``."""
+    offenders = {path.name: kron_calls(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
     assert not {name: lines for name, lines in offenders.items() if lines}
 
 
