@@ -30,6 +30,7 @@ from .errors import (
     BoundsError,
     ComputeError,
     CovstineError,
+    NotUnitaryError,
     ParseError,
     ValidationError,
 )
@@ -436,19 +437,18 @@ def _run_uniqueness(res: ResolvedScenario, provenance: dict) -> Certificate:
         w=hilbmod.conjugate_rep(dilation.w, r2) if res.cov is not None else None,
     )
     tol = max(res.tolerance, nk.PRECONDITION_TOL)
-    report = stinespring.uniqueness_intertwiners(dilation, alt, tol=tol)
     cert.dims.update(base.dims)
-    cert.residuals["unitarity_U1"] = report.unitarity_U1
-    cert.residuals["unitarity_U2"] = report.unitarity_U2
-    cert.residuals["intertwine_images"] = report.intertwine_images
-    cert.residuals["v_map_residual"] = report.v_map_residual
-    cert.residuals["w_map_residual"] = report.w_map_residual
-    cert.residuals["alt_reconstruction"] = report.alt_reconstruction
+    try:
+        report = stinespring.uniqueness_intertwiners(dilation, alt, tol=tol)
+    except NotUnitaryError as exc:  # the competitor is this run's own conjugate: a failed check
+        cert.ranks["intertwiners_unitary"] = (0, 1)
+        cert.skipped["uniqueness"] = f"{type(exc).__name__}: {exc}"
+        return cert
+    # every residual of the report; the two covariant ones only for a covariant run
+    rows = report._fields[2:] if res.cov is not None else report._fields[2:-2]
+    cert.residuals.update((name, getattr(report, name)) for name in rows)
     cert.residuals["recover_U1"] = nk.maxabs(_phase_align(report.U1, r1) - r1)
     cert.residuals["recover_U2"] = nk.maxabs(_phase_align(report.U2, r2) - r2)
-    if res.cov is not None:
-        cert.residuals["covariant_v_residual"] = report.covariant_v_residual
-        cert.residuals["covariant_w_residual"] = report.covariant_w_residual
     return cert
 
 

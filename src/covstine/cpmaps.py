@@ -134,19 +134,16 @@ def induced_algebra_cp(
     images = np.asarray(images, dtype=np.complex128)
     if images.ndim != 3 or images.shape[0] != module.dim or images.shape[2] != space_dim:
         raise ShapeMismatchError(f"images shape {images.shape}")
-    system = hilbmod.fullness_system(module)
-    pair_grams = nk.pair_products(images)
-    target = pair_grams.reshape(module.dim * module.dim, space_dim * space_dim)
-    solution, residual = system.solve(target)  # (N, h*h)
-    residual /= max(1.0, nk.maxabs(target))
+    solution = hilbmod.fullness_system(module).solve(images)
+    # the consistency residual is the defining identity, at check_module_cp's scale
+    residual = hilbmod.identity_defect(images, module.inner, solution)
+    residual /= max(1.0, nk.maxabs(images) ** 2)
     if residual > nk.PRECONDITION_TOL:
         raise InconsistentError(
             f"companion system inconsistent (residual {residual:.3e}); the images "
             "do not define a CP map on this module"
         )
-    companion = CPMapAlgebra(
-        module.algebra, space_dim, solution.reshape(module.algebra.dim, space_dim, space_dim)
-    )
+    companion = CPMapAlgebra(module.algebra, space_dim, solution)
     choi = companion.choi_report
     if not choi.cp:
         raise NotCpError(

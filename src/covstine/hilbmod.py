@@ -53,6 +53,14 @@ class HilbertModule:
         """``check_module_axioms`` of this module, computed once."""
         return check_module_axioms(self)
 
+    @cached_property
+    def fullness_factor(self) -> nk.GramFactor:
+        """``gram_factor`` of the (N, N) Gram ``flat* flat`` of the rows
+        ``flat[(i, j)] = <x_i, x_j>``, computed once: fullness is its rank, and
+        every ``<X, X>`` solve is one GEMM with its pseudo-inverse."""
+        flat = self.inner.reshape(self.dim * self.dim, self.algebra.dim)
+        return nk.gram_factor(nk.adjoint(flat) @ flat)
+
     def inner_coords(self, xi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         """A-coordinates of the inner product of two X-coordinate vectors."""
         m, n_dim = self.dim, self.algebra.dim
@@ -98,32 +106,39 @@ def standard_basis_matrices(p: int, n: int) -> np.ndarray:
 
 
 class FullnessSystem(NamedTuple):
-    flat: np.ndarray  # (m*m, N) rows spanning <X, X>
-    rank: int
+    inner: np.ndarray  # (m, m, N): the rows <x_i, x_j> spanning <X, X>
+    factor: nk.GramFactor  # of their (N, N) Gram, on which fullness was decided
     condition: float  # ratio of the extreme kept singular values
 
-    def solve(self, target: np.ndarray) -> tuple[np.ndarray, float]:
-        """The least-squares ``x`` of ``flat @ x = target`` (one target row per basis
-        pair) and its unscaled worst ``|flat @ x - target|``, for the caller to gate."""
-        solution = nk.least_squares_solve(self.flat, target)
-        return solution, nk.maxabs(self.flat @ solution - target)
+    def solve(self, images: np.ndarray) -> np.ndarray:
+        """The (N, h, h) least-squares companion ``phi(<x_i, x_j>) = images[i]* images[j]``:
+        one GEMM of ``L L*`` with ``sum_ij conj(<x_i, x_j>) T_ij``, summed over the pairs
+        with ``<x_i, x_j>`` nonzero in chunks of whole pairs, so no (m^2, h^2) target
+        is formed.  The caller gates on ``identity_defect``."""
+        dim_k, dim_h = images.shape[1:]
+        pair_i, pair_j = self.inner.any(axis=2).nonzero()
+        coeffs, star = np.conj(self.inner[pair_i, pair_j]).T, np.conj(images).transpose(0, 2, 1)
+        projected = np.zeros((len(coeffs), dim_h * dim_h), dtype=np.complex128)
+        for span in nk.stack_spans(len(pair_i), dim_h * (2 * dim_k + dim_h)):
+            products = star[pair_i[span]] @ images[pair_j[span]]
+            projected += coeffs[:, span] @ products.reshape(len(products), dim_h * dim_h)
+        return self.factor.solve(projected).reshape(len(coeffs), dim_h, dim_h)
 
 
 def fullness_system(module: HilbertModule) -> FullnessSystem:
     """The inner products of basis pairs as rows spanning ``<X, X>``.
 
-    The rank and conditioning come from the module's cached ``axiom_report``,
-    which decided fullness already.  Raises ``NotFullError`` when the rows do
-    not span the coefficient algebra.  A map on a full module's algebra is
-    fixed by its values on ``<X, X>``; ``solve`` is the one place it is solved.
+    The factor is the module's cached ``fullness_factor``, on which
+    ``axiom_report`` decided fullness.  Raises ``NotFullError`` when the rows
+    do not span the coefficient algebra.  A map on a full module's algebra is
+    fixed by its values on ``<X, X>``, solved by one GEMM with ``factor.solve``.
     """
     report = module.axiom_report
     if not report.full:
         raise NotFullError(
             f"module is not full: rank {report.fullness_rank} of {report.fullness_required}"
         )
-    flat = module.inner.reshape(module.dim * module.dim, module.algebra.dim)
-    return FullnessSystem(flat, report.fullness_rank, report.fullness_condition)
+    return FullnessSystem(module.inner, module.fullness_factor, report.fullness_condition)
 
 
 class ModuleAxiomReport(NamedTuple):
@@ -166,6 +181,10 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
     m, n_dim, e_dim = module.dim, algebra.dim, algebra.embed_dim
     inner, action = module.inner, module.action
     scale = max(1.0, nk.maxabs(inner))
+    # the cached factor outlives this check, so it is formed before its temporaries
+    fullness = module.fullness_factor
+    kept = fullness.eigenvalues[: fullness.rank]
+    condition = math.sqrt(kept[0] / kept[-1]) if fullness.rank else float("inf")
 
     # A row (j, k) with x_j . E_k exactly 0 has a left side of exact zeros, so
     # its defect is the largest |<x_i, x_j> E_k| over i: a gather of
@@ -210,10 +229,6 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
     # positive-definiteness of the trace Gram.
     trace_gram = inner @ cstar.trace_coords(algebra)
     trace_rank = nk.psd_rank(trace_gram)
-
-    fullness = nk.numerical_rank(inner.reshape(m * m, n_dim))
-    kept = fullness.singular_values[: fullness.rank]
-    condition = float(kept[0] / kept[-1]) if fullness.rank else float("inf")
 
     return ModuleAxiomReport(
         linearity,
@@ -652,13 +667,7 @@ class DynamicalSystemReport(NamedTuple):
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.group_law_residual,
-            self.equivariance_residual,
-            self.compatibility_residual,
-            self.automorphism_mult_residual,
-            self.automorphism_star_residual,
-        )
+        return max(self[:-1])  # every field before invertible
 
 
 def algebra_action_residuals(
@@ -749,25 +758,26 @@ def induced_algebra_action(
     *-automorphisms: any of those means ``eta`` is not a module action.
     """
     eta = np.asarray(eta, dtype=np.complex128)
-    g, m = group.order, module.dim
-    algebra = module.algebra
+    g, m, n_dim = group.order, module.dim, module.algebra.dim
 
     law = max(group_law_residuals(group, eta))
     if law > nk.PRECONDITION_TOL:
         raise InconsistentError(f"eta violates the group law by {law:.3e}")
 
     fullness = fullness_system(module)
-    # the g targets side by side: column block t holds <eta_t x_i, eta_t x_j>
-    targets = np.moveaxis(transported_inner(eta, module.inner), 0, 2)
-    solution, residual = fullness.solve(targets.reshape(m * m, g * algebra.dim))
+    # alpha_t^T solves flat @ x = <eta_t x_i, eta_t x_j>, projected by flat* per chunk of t
+    rows = nk.adjoint(module.inner.reshape(m * m, n_dim))
+    projected = [
+        rows @ transported_inner(eta[t], module.inner).reshape(-1, m * m, n_dim)
+        for t in nk.stack_spans(g, m * m * n_dim)
+    ]
+    alpha = np.swapaxes(fullness.factor.solve(np.concatenate(projected)), 1, 2)
+    report = check_dynamical_system(ModuleDynamicalSystem(group, module, eta, alpha))
+    residual = report.equivariance_residual  # the consistency residual of the system
     if residual > nk.PRECONDITION_TOL:
         raise InconsistentError(
             f"defining system for the induced action is inconsistent: {residual:.3e}"
         )
-    # column block t of the solution is alpha_t^T
-    alpha = solution.reshape(algebra.dim, g, algebra.dim).transpose(1, 2, 0)
-    candidate = ModuleDynamicalSystem(group, module, eta, alpha)
-    report = check_dynamical_system(candidate)
     auto = max(report.automorphism_mult_residual, report.automorphism_star_residual)
     if auto > nk.PRECONDITION_TOL or not report.invertible:
         raise InconsistentError(

@@ -91,11 +91,6 @@ def stack_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return np.swapaxes(flat.reshape(*lead, k, rows, l, cols), -3, -2)
 
 
-def pair_products(stack: np.ndarray) -> np.ndarray:
-    """``stack[i]* @ stack[j]`` for every pair: ``einsum("iba,jbc->ijac", conj(stack), stack)``."""
-    return stack_products(np.conj(stack).transpose(0, 2, 1), stack)
-
-
 def coords_apply(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """``sum_k coeffs[..., k] stack[k]``: ``einsum("ijk,kac->ijac", coeffs, stack)`` and kin.
 
@@ -212,9 +207,11 @@ def pair_defect(left: np.ndarray, right: np.ndarray, targeted: np.ndarray, targe
     The GEMM runs by chunks of whole ``left[i]`` under the chunk rule, an
     item being one ``left[i]`` against all of ``right``: a chunk's grid rows,
     and its targets, hold at most ``STACK_ENTRIES`` entries, or as many as
-    one such item when that is more.  The residual is the maximum of the
-    same absolute values, up to the rounding of the GEMM, whose shape
-    follows the chunks; where nothing is zero this is the dense work.
+    one such item when that is more; one buffer holds each chunk's grid in
+    turn, beside at most two stacks the size of its targets.  The residual
+    is the maximum of the same absolute values, up to the rounding of the
+    GEMM, whose shape follows the chunks; where nothing is zero this is the
+    dense work.
     """
     count, rows, _ = left.shape
     others, _, cols = right.shape
@@ -242,17 +239,22 @@ def pair_defect(left: np.ndarray, right: np.ndarray, targeted: np.ndarray, targe
         chunks = _pair_chunks(row_end[:, -1], targeted.sum(axis=1).cumsum(), limits)
 
     worst = 0.0
+    buffer = np.zeros((max(c[1] - c[0] for c in chunks) + 1, width + 1), dtype=np.complex128)
     for row_start, row_stop, pair_start, pair_stop in chunks:
-        grid = np.zeros((row_stop - row_start + 1, width + 1), dtype=np.complex128)
+        grid = buffer[: row_stop - row_start + 1]
         np.matmul(row_stack[row_start:row_stop], col_stack, out=grid[1:, 1:])
         span = slice(pair_start, pair_stop)
         # the grid row of each row of each targeted pair; a dead one reads
         # the zero row that leads the grid
         pairs = pair_left[span]
         row_at = (row_end[pairs] - row_start) * live_rows[pairs]
-        at = (row_at[:, :, None], col_at[span])
-        worst = np.abs(grid[at] - targets(span)).max(initial=worst)
-        grid[at] = 0.0  # what is left belongs to pairs without a target
+        at = row_at[:, :, None] * (width + 1) + col_at[span]  # in the flattened grid
+        defect = grid.reshape(-1)[at]
+        grid.reshape(-1)[at] = 0.0  # what is left belongs to pairs without a target
+        del at
+        defect -= targets(span)
+        worst = np.abs(defect).max(initial=worst)
+        del defect
         worst = np.abs(grid).max(initial=worst)
     return float(worst)
 
@@ -318,6 +320,12 @@ class GramFactor(NamedTuple):
     L: np.ndarray  # D x rank, lifts quotient coordinates to representatives
     eigenvalues: np.ndarray  # full descending profile behind the rank decision
 
+    def solve(self, projected: np.ndarray) -> np.ndarray:
+        """``L L* projected``: the pseudo-inverse of the Gram ``G = a* a`` applied to
+        ``projected = a* b`` (a matrix or a stack of them) is the minimum-norm
+        least-squares ``x`` of ``a @ x = b`` on the rank ``spectral_rank`` decided."""
+        return self.L @ (adjoint(self.L) @ projected)
+
 
 def spectral_rank(values: np.ndarray) -> tuple[int, float]:
     """The package's one rank rule: ``(rank, cutoff)`` of a descending spectrum.
@@ -325,7 +333,7 @@ def spectral_rank(values: np.ndarray) -> tuple[int, float]:
     The rank counts the eigenvalues strictly above ``REL_TOL`` times the
     largest one, or ``ABS_FLOOR`` if that is more.  ``gram_factor``,
     ``psd_rank``, ``numerical_rank`` and ``orthonormal_range`` all decide
-    their ranks with it.
+    their ranks with it, and every solve pseudo-inverts on a ``gram_factor``.
     """
     if values.size == 0:
         return 0, ABS_FLOOR
@@ -432,17 +440,16 @@ def _component_labels(linked: np.ndarray) -> np.ndarray:
 
 
 def least_squares_solve(a, b) -> np.ndarray:
-    """Minimum-norm least-squares solution of ``a @ x = b``."""
+    """Minimum-norm least-squares solution of ``a @ x = b``, pseudo-inverted on
+    ``gram_factor(a* a)``, so its rank is decided by ``spectral_rank``."""
     a = as_matrix(a)
     b = as_matrix(b)
     if a.shape[0] != b.shape[0]:
         raise ShapeMismatchError(
             f"row counts differ: A has {a.shape[0]}, B has {b.shape[0]}"
         )
-    if a.shape[1] == 0:
-        return np.zeros((0, b.shape[1]), dtype=np.complex128)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
-    return x
+    star = adjoint(a)
+    return gram_factor(star @ a).solve(star @ b)
 
 
 class RankProfile(NamedTuple):

@@ -506,16 +506,7 @@ class UniquenessReport(NamedTuple):
 
     @property
     def max_residual(self) -> float:
-        return max(
-            self.unitarity_U1,
-            self.unitarity_U2,
-            self.intertwine_images,
-            self.v_map_residual,
-            self.w_map_residual,
-            self.alt_reconstruction,
-            self.covariant_v_residual,
-            self.covariant_w_residual,
-        )
+        return max(self[2:])  # every field after U1 and U2
 
 
 def uniqueness_intertwiners(
@@ -560,10 +551,7 @@ def uniqueness_intertwiners(
         )
 
     # companion representation of the competing images, via fullness
-    target = nk.pair_products(alt_images).reshape(module.dim**2, alt_h * alt_h)
-    alt_companion = hilbmod.fullness_system(module).solve(target)[0].reshape(
-        module.algebra.dim, alt_h, alt_h
-    )
+    alt_companion = hilbmod.fullness_system(module).solve(alt_images)
 
     scale_phi = max(1.0, nk.maxabs(phi.images))
     alt_rebuilt = nk.sandwich(alt_w, alt_images, alt_v)
@@ -579,8 +567,6 @@ def uniqueness_intertwiners(
     def _unitarity(u: np.ndarray) -> float:
         if u.shape[0] != u.shape[1]:
             return float("inf")
-        if u.size == 0:
-            return 0.0
         return max(
             nk.maxabs(nk.adjoint(u) @ u - nk.eye(u.shape[1])),
             nk.maxabs(u @ nk.adjoint(u) - nk.eye(u.shape[0])),

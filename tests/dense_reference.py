@@ -12,7 +12,10 @@ one E_k at a time, and positivity by one eigensolve of the whole Gram
 super-matrix; the package skips the exact zeros of their inputs.  The loops
 over group and basis elements that the package runs as chunked stacks are
 kept here one element at a time, with ``np.kron`` where the package calls
-``numkernel.kron_stack``.
+``numkernel.kron_stack``.  Every ``<X, X>`` solve is kept in its
+``np.linalg.lstsq`` form on the whole (m^2, ...) pair target, which the
+package never forms: it pseudo-inverts on the cached ``gram_factor`` of the
+(N, N) Gram of the inner-product rows.
 """
 
 import numpy as np
@@ -368,3 +371,34 @@ def crossed_identity_defect(cm, images, companion):
             expected = expected.transpose(1, 0, 2).reshape(len(images), *companion.shape[1:])
             worst = max(worst, nk.maxabs(nk.adjoint(images[t * m + i]) @ images - expected))
     return worst
+
+
+def least_squares(a, b):
+    """The minimum-norm least-squares solution of ``a @ x = b`` by ``np.linalg.lstsq``."""
+    return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+def fullness_solve(module, targets):
+    """``flat @ x = T`` on the rows ``flat[(i, j)] = <x_i, x_j>``, with ``targets[i, j]``
+    holding T_ij, by ``np.linalg.lstsq``; returns x, shaped (N,) + the shape of one
+    T_ij, and the worst ``|flat @ x - T|``."""
+    flat = module.inner.reshape(module.dim**2, module.algebra.dim)
+    target = targets.reshape(len(flat), -1)
+    x = least_squares(flat, target)
+    return x.reshape((module.algebra.dim,) + targets.shape[2:]), nk.maxabs(flat @ x - target)
+
+
+def induced_companion(images, module):
+    """The companion of ``cpmaps.induced_algebra_cp`` from the dense pair-Gram target
+    ``images[i]* images[j]``, with the unscaled consistency residual."""
+    return fullness_solve(module, np.einsum("iba,jbc->ijac", np.conj(images), images))
+
+
+def induced_action(group, module, eta):
+    """``hilbmod.induced_algebra_action``'s alpha, one ``np.linalg.lstsq`` per group
+    element, with the worst consistency residual."""
+    solved = [
+        fullness_solve(module, hilbmod.transported_inner(eta[t], module.inner))
+        for t in range(group.order)
+    ]
+    return np.stack([x.T for x, _ in solved]), max(residual for _, residual in solved)

@@ -220,8 +220,9 @@ class TestInducedAction:
 
     @pytest.mark.parametrize("name, p, n", [("S3", 2, 3), ("S4", 1, 2), ("Z3", 3, 2)])
     def test_one_solve_matches_a_solve_per_group_element(self, name, p, n):
-        """The g targets solved side by side give each alpha_t and the residual
-        of a separate least-squares solve per group element."""
+        """The g targets solved as one stack give each alpha_t of a separate
+        least-squares solve per group element, and the equivariance row the
+        action is gated on is that solve's residual."""
         group = {
             "S3": hilbmod.symmetric_group(3),
             "S4": hilbmod.symmetric_group(4),

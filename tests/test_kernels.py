@@ -2,8 +2,8 @@
 it replaces, the sliced and block-wise checks against planted perturbations,
 the GNS factor from Choi blocks against the dense Gram factor, the module
 identities on their live support against their dense references, and guards
-that keep unordered multi-operand einsums, ``np.kron`` calls and per-call
-tolerance parameters out of the package."""
+that keep unordered multi-operand einsums, ``np.kron`` calls, solvers with a
+rank cutoff of their own and per-call tolerance parameters out of the package."""
 
 import ast
 import inspect
@@ -43,13 +43,6 @@ def test_stack_products_match_einsum(k, l, rows, inner, cols, seed):
     rng = np.random.default_rng(seed)
     left, right = _random(rng, k, rows, inner), _random(rng, l, inner, cols)
     _close(nk.stack_products(left, right), np.einsum("iab,jbc->ijac", left, right))
-
-
-@settings(max_examples=40, deadline=None)
-@given(sizes, sizes, sizes, seeds)
-def test_pair_products_match_einsum(m, rows, cols, seed):
-    stack = _random(np.random.default_rng(seed), m, rows, cols)
-    _close(nk.pair_products(stack), np.einsum("iba,jbc->ijac", np.conj(stack), stack))
 
 
 @settings(max_examples=40, deadline=None)
@@ -596,7 +589,7 @@ def test_positivity_eigensolves_one_psd_check_per_component(monkeypatch, module,
 
 
 # ---------------------------------------------------------------------------
-# Guards: no unordered multi-operand einsum and no np.kron in the package
+# Guards: no unordered multi-operand einsum, no np.kron and no second rank rule
 # ---------------------------------------------------------------------------
 
 
@@ -638,13 +631,14 @@ def test_package_has_no_unordered_einsums():
     assert not {name: lines for name, lines in offenders.items() if lines}
 
 
-def kron_calls(source: str) -> list[int]:
-    """Lines of ``kron`` calls (``np.kron``, ``numpy.kron`` or a bare ``kron``)."""
+def calls_named(source: str, names: set[str]) -> list[int]:
+    """Lines of calls whose function or method name is in ``names``: for ``kron``,
+    ``np.kron``, ``numpy.kron`` and a bare ``kron`` all count."""
     return [
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
-        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) == "kron"
+        and (getattr(node.func, "attr", None) or getattr(node.func, "id", None)) in names
     ]
 
 
@@ -658,12 +652,43 @@ def test_guard_flags_kron_calls():
             "kron(a, b)",
         ]
     )
-    assert kron_calls(source) == [2, 4, 5]
+    assert calls_named(source, {"kron"}) == [2, 4, 5]
 
 
 def test_package_has_no_np_kron():
     """Products of group or basis elements go through ``numkernel.kron_stack``."""
-    offenders = {path.name: kron_calls(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    offenders = {
+        path.name: calls_named(path.read_text(), {"kron"}) for path in sorted(SRC.rglob("*.py"))
+    }
+    assert not {name: lines for name, lines in offenders.items() if lines}
+
+
+# each of these decides a rank by a cutoff of its own
+SECOND_RANK_RULES = {"lstsq", "pinv", "svd", "matrix_rank"}
+
+
+def test_guard_flags_second_rank_rules():
+    source = "\n".join(
+        [
+            "nk.least_squares_solve(a, b)",
+            "np.linalg.lstsq(a, b, rcond=None)",
+            "numpy.linalg.pinv(a)",
+            "np.linalg.svd(a, compute_uv=False)",
+            '"np.linalg.matrix_rank(a)"',
+            "matrix_rank(a)",
+            "scipy.linalg.svd(a)",
+        ]
+    )
+    assert calls_named(source, SECOND_RANK_RULES) == [2, 3, 4, 6, 7]
+
+
+def test_package_has_one_rank_rule():
+    """Every rank, solves included, is decided by ``numkernel.spectral_rank``:
+    no solver or decomposition with a cutoff of its own is called in the package."""
+    offenders = {
+        path.name: calls_named(path.read_text(), SECOND_RANK_RULES)
+        for path in sorted(SRC.rglob("*.py"))
+    }
     assert not {name: lines for name, lines in offenders.items() if lines}
 
 

@@ -119,22 +119,26 @@ def test_choi_blocks_are_built_once_per_dilation(tmp_path, monkeypatch, kind, gr
 
 
 def test_fullness_is_decided_once_per_covariant_run(tmp_path, monkeypatch):
-    """``fullness_system`` reads the rank ``check_module_axioms`` decided."""
-    path = tmp_path / "cov.json"
-    path.write_bytes(
-        cli.canonical_bytes(cli.generate_scenario("dilate-covariant", 2, 2, 1, 11, "cyclic:2"))
-    )
-    shapes = collections.Counter()
-    original = nk.numerical_rank
+    """Fullness is decided, and every ``<X, X>`` solve pseudo-inverted, on one
+    ``gram_factor`` of the (N, N) Gram of the module's inner-product rows."""
+    flat = hilbmod.standard_module(2, 2).inner.reshape(16, 4)
+    fullness_gram = nk.adjoint(flat) @ flat
+    factored = []
+    original = nk.gram_factor
 
-    def counting(m, *args, **kwargs):
-        shapes[np.shape(m)] += 1
-        return original(m, *args, **kwargs)
+    def recording(gram):
+        factored.append(np.array(gram))
+        return original(gram)
 
-    monkeypatch.setattr(nk, "numerical_rank", counting)
-    cert = cli.run_scenario(str(path))
-    assert cert.passed
-    assert shapes[(16, 4)] == 1  # the (m^2, N) fullness stack of the 2 x 2 module
+    monkeypatch.setattr(nk, "gram_factor", recording)
+    for kind in ("dilate-covariant", "uniqueness"):
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(
+            cli.canonical_bytes(cli.generate_scenario(kind, 2, 2, 1, 11, "cyclic:2"))
+        )
+        factored.clear()
+        assert cli.run_scenario(str(path)).passed
+        assert sum(np.array_equal(gram, fullness_gram) for gram in factored) == 1, kind
 
 
 def _z2_system():
@@ -457,6 +461,25 @@ def test_bad_algebra_and_module_payloads_exit_two(
 def test_two_block_explicit_payload_runs(tmp_path, capsys):
     code, err = _run(tmp_path, capsys, TWO_BLOCKS)
     assert code == 0, err
+
+
+@pytest.mark.parametrize("kind", ["dilate", "verify", "uniqueness"])
+def test_map_just_past_the_tolerance_fails_its_certificate(tmp_path, capsys, kind):
+    """The image 1 + 3e-9 misses the identity by 6e-9: within PRECONDITION_TOL, so
+    it is constructed, and past the tolerance 1e-9, so every command exits 1.  For
+    uniqueness the solve onto the run's own unitary conjugate is not unitary (U1
+    defect 1.2e-8), a failed check rather than bad input."""
+    image = {"rows": 1, "cols": 1, "entries": [[1 + 3e-9, 0]]}
+    payload = {**_set(EXPLICIT, CP_MAP + ("images", "0"), image), "kind": kind, "seed": 3}
+    out = tmp_path / "cert.json"
+    code, err = _run(tmp_path, capsys, payload, extra=("--out", str(out)))
+    assert code == 1, err
+    assert "Traceback" not in err
+    cert = json.loads(out.read_text())
+    assert not cert["pass"]
+    if kind == "uniqueness":
+        assert cert["ranks"]["intertwiners_unitary"] == {"achieved": 0, "required": 1}
+        assert cert["skipped"]["uniqueness"].startswith("NotUnitaryError: ")
 
 
 def test_concrete_map_needs_the_exact_standard_module(tmp_path, capsys):
