@@ -195,7 +195,7 @@ def cp_from_representation(
         raise ShapeMismatchError(f"W maps into C^{w.shape[0]}, representation has K' of dim {dim_k_rep}")
     gram = w @ nk.adjoint(w)
     defect = nk.maxabs(gram - nk.eye(w.shape[0]))
-    if defect > 1e-10:
+    if defect > nk.REL_TOL:
         raise NotCoisometryError(f"W W* deviates from the identity by {defect:.3e}")
     images = nk.sandwich(w, rep.images, v)
     companion_images = nk.sandwich(v, rep.companion.images, v)
@@ -292,10 +292,10 @@ def polar_coisometry(y: np.ndarray) -> np.ndarray:
     if y.shape[0] == 0:
         return y
     values, vectors = nk.hermitian_eigendecomposition(y @ nk.adjoint(y))
-    if float(values[-1]) < 1e-6 or nk.spectral_rank(values)[0] < values.size:
+    if float(values[-1]) < nk.DEGENERACY_FLOOR or nk.spectral_rank(values)[0] < values.size:
         raise DegenerateAverageError(
             f"averaged map has Gram min eigenvalue {float(values[-1]):.3e}, below "
-            "1.0e-06 or the rank cutoff"
+            f"{nk.DEGENERACY_FLOOR:.1e} or the rank cutoff"
         )
     return (vectors / np.sqrt(values)[None, :]) @ nk.adjoint(vectors) @ y
 

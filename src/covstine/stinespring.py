@@ -4,10 +4,10 @@ The construction follows the finite-dimensional GNS recipe: put the
 semi-inner product ``<a (x) h, b (x) k> = <h, phi(a* b) k>`` on ``A (x) H``,
 factor its Gram block by block from the companion's Choi matrices (the
 quotient by null vectors), and realize every descended map as
-``F (raw map) L`` with an explicit kernel-annihilation residual.  The
-codomain space of the module dilation is the span of ``Phi(X) H`` inside
-``K``, carried in orthonormal coordinates by a coisometry with orthonormal
-rows.
+``F (raw map) L``, one block row of ``A (x) H`` at a time, with an explicit
+kernel-annihilation residual.  The codomain space of the module dilation is
+the span of ``Phi(X) H`` inside ``K``, carried in orthonormal coordinates by
+a coisometry with orthonormal rows.
 
 All verification is numerical: certificates list named residuals, the rank
 decisions and the eigenvalue profiles behind them.
@@ -45,50 +45,65 @@ from .errors import (
 )
 
 
+class GnsBlock(NamedTuple):
+    """One algebra block's factor of the GNS Gram, from its kept Choi
+    eigenvectors B (rows over (c, i)) and eigenvalues Λ."""
+
+    factor: np.ndarray  # S = sqrt(Λ) B*, (kept, n h): quotient coordinates of one block row
+    lift: np.ndarray  # B / sqrt(Λ), (n h, kept); factor @ lift = I
+
+
 @dataclass(frozen=True)
 class GnsTriple:
     """Minimal dilation data of a CP map on the algebra.
 
-    ``rep`` acts on the quotient of ``A (x) H`` by the Gram kernel; ``F`` and
-    ``L`` are retained so that further maps defined on the raw space can be
-    descended the same way.
+    ``rep`` acts on the quotient of ``A (x) H`` by the Gram kernel, in coordinates
+    over (block, block row a, kept index).  ``F`` and ``L`` are ``I_n (x) S`` and
+    ``I_n (x) B/sqrt(Λ)`` on each block and are never formed: maps on the raw
+    space descend through ``blocks`` one block row ``sum_c E_ac (x) h_c`` at a time.
     """
 
     cp_map: CPMapAlgebra
     dim: int  # rank of the GNS Gram
     rep: cstar.AlgebraRepresentation
     V: np.ndarray  # (dim, dim H)
-    F: np.ndarray  # quotient coordinates map, (dim, N * dim H)
-    L: np.ndarray  # lift, (N * dim H, dim)
+    blocks: tuple[GnsBlock, ...]  # one per algebra block
     gram_eigenvalues: np.ndarray  # descending spectrum of the GNS Gram
 
 
-def _leak(raw: np.ndarray, lifted: np.ndarray, f_map: np.ndarray) -> np.ndarray:
-    """How far each of a stack of maps on the raw space fails to vanish on the
-    Gram kernel, relatively.
+def _spans(sizes: tuple[int, ...], blocks):
+    """``(n, units, cols, block)`` per algebra block: its size, the slices of its
+    matrix units and of its quotient coordinates, and its ``GnsBlock``."""
+    unit = col = 0
+    for n, block in zip(sizes, blocks):
+        cols = slice(col, col + n * block.factor.shape[0])
+        yield n, slice(unit, unit + n * n), cols, block
+        unit, col = unit + n * n, cols.stop
 
-    ``lifted`` is ``raw @ L``, so ``raw - lifted @ F`` is ``raw (I - L F)``
-    expanded, without the projection onto the kernel.
-    """
-    return nk.stack_maxabs(raw - lifted @ f_map) / np.maximum(1.0, nk.stack_maxabs(raw))
+
+def _descend(groups: np.ndarray, block: GnsBlock):
+    """``(groups @ lift, defect, size)`` of raw maps on one block row: per map, how far
+    it fails to vanish on the Gram kernel, ``maxabs(groups (I - lift factor))``, and its maxabs."""
+    lifted = groups @ block.lift
+    return lifted, nk.stack_maxabs(groups - lifted @ block.factor), nk.stack_maxabs(groups)
 
 
 def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
     """GNS/Stinespring data for a CP map ``phi: A -> L(H)``.
 
-    The GNS Gram ``G[(k,i),(l,j)] = phi(E_k* E_l)[i, j]`` is never formed.
-    For units ``E_ab, E_cd`` of a block of size n, ``E_ba E_cd`` is
-    ``E_bd`` when ``a = c`` and 0 otherwise, so up to a permutation ``G`` is
-    the direct sum over blocks of ``I_n (x) C``, with ``C`` the block's Choi
-    matrix.  The companion's cached ``choi_report`` already holds the
-    eigendecomposition of each ``C`` (of size n h, not N h); the rank is decided by
-    ``nk.spectral_rank`` on the merged spectrum, whose largest eigenvalue
-    over all blocks sets the cutoff as on the dense Gram; and the kept
-    eigenvectors are placed n times each to form ``F`` and ``L``, so that
-    ``F* F`` is ``G`` on its range and ``F L = I``.  ``gram_eigenvalues`` is
-    the spectrum of ``G``: each block's eigenvalues repeated n times, in
-    descending order.  The reconstruction and minimality of the triple are
-    checked by ``verify_dilation``.
+    The GNS Gram ``G[(k,i),(l,j)] = phi(E_k* E_l)[i, j]`` is never formed. For
+    units ``E_ab, E_cd`` of a block of size n, ``E_ba E_cd`` is ``E_bd`` when
+    ``a = c`` and 0 otherwise, so up to a permutation ``G`` is the direct sum
+    over blocks of ``I_n (x) C``, with ``C`` the block's Choi matrix.  The
+    companion's cached ``choi_report`` already holds the eigendecomposition of
+    each ``C`` (of size n h, not N h); the rank is decided by ``nk.spectral_rank``
+    on the merged spectrum, whose largest eigenvalue over all blocks sets the
+    cutoff as on the dense Gram; and the kept eigenvectors of each block give its
+    ``GnsBlock``.  ``E_cd`` moves block row d onto row c, so ``pi(E_cd)`` is
+    ``E_cd (x) S B/sqrt(Λ)``, and every E_k of a block leaks ``S - (S B/sqrt(Λ)) S``.
+    ``gram_eigenvalues`` is the spectrum of ``G``: each block's eigenvalues
+    repeated n times, in descending order.  The reconstruction and minimality
+    of the triple are checked by ``verify_dilation``.
 
     Raises ``NotCpError`` when the Choi test fails, ``NotPsdError`` when an
     eigenvalue lies below minus the cutoff, and ``QuotientLeakError`` when
@@ -100,9 +115,7 @@ def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
         raise NotCpError(
             f"input map is not completely positive (Choi min eig {choi.min_eig:.3e})"
         )
-    algebra = phi.algebra
-    n_dim, h = algebra.dim, phi.space_dim
-    product = cstar.product_index(algebra)
+    algebra, h = phi.algebra, phi.space_dim
     spectra = choi.spectra
     merged = np.sort(
         np.concatenate([np.tile(s.values, n) for n, s in zip(algebra.blocks, spectra)])
@@ -111,39 +124,32 @@ def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
     if merged.size and merged[-1] < -cutoff:
         raise NotPsdError(f"GNS Gram has eigenvalue {merged[-1]:.3e} below -{cutoff:.3e}")
 
-    # Choi rows run over (i, b), Gram rows of one block row a over (b, i).
-    f_map = np.zeros((rank, n_dim * h), dtype=np.complex128)
-    lift = np.zeros((n_dim * h, rank), dtype=np.complex128)
-    row = col = 0
+    blocks = []
     for n, spectrum in zip(algebra.blocks, spectra):
         kept = int(np.count_nonzero(spectrum.values > cutoff))
+        # Choi rows run over (i, c), block-row rows over (c, i)
         basis = spectrum.vectors[:, :kept].reshape(h, n, kept).transpose(1, 0, 2)
         basis = basis.reshape(n * h, kept)
         sqrt_vals = np.sqrt(spectrum.values[:kept])
-        rows, cols = slice(row, row + n * n * h), slice(col, col + n * kept)
-        f_map[cols, rows] = nk.kron_stack(nk.eye(n), sqrt_vals[:, None] * nk.adjoint(basis))
-        lift[rows, cols] = nk.kron_stack(nk.eye(n), basis / sqrt_vals[None, :])
-        row, col = rows.stop, cols.stop
-
-    # Left multiplication by E_k sends E_l (x) h to E_k E_l (x) h, so its
-    # descent F (E_k (x) I) gathers columns of F.
-    f_units = nk.pad_zero(f_map.reshape(rank, n_dim, h), axis=1)
-    every_row = np.arange(rank)[:, None]
-    images = np.zeros((n_dim, rank, rank), dtype=np.complex128)
+        blocks.append(GnsBlock(sqrt_vals[:, None] * nk.adjoint(basis), basis / sqrt_vals[None, :]))
+    images = np.zeros((algebra.dim, rank, rank), dtype=np.complex128)
+    v_map = np.zeros((rank, h), dtype=np.complex128)
     leak = 0.0
-    for k in nk.stack_spans(n_dim, rank * n_dim * h):
-        units = product[k][:, None]  # one gather lays out (chunk, rank, N, h)
-        descended = f_units[every_row, units].reshape(len(units), rank, n_dim * h)
-        images[k] = descended @ lift
-        leak = max(leak, nk.maxabs(_leak(descended, images[k], f_map)))
+    for n, units, cols, block in _spans(algebra.blocks, blocks):
+        kept = block.factor.shape[0]
+        (moved,), (defect,), (size,) = _descend(block.factor[None], block)
+        leak = max(leak, float(defect) / max(1.0, float(size)))
+        c, d, r, s = np.ix_(range(n), range(n), range(kept), range(kept))
+        images[units.start + c * n + d, cols.start + c * kept + r, cols.start + d * kept + s] = moved
+        # V h = F (1 (x) h): block row a of the unit reads S on its (a, i) columns
+        v_map[cols] = block.factor.reshape(kept, n, h).transpose(1, 0, 2).reshape(n * kept, h)
     if leak > nk.RESIDUAL_TOL:
         raise QuotientLeakError(
             f"left multiplication does not descend to the quotient (leak {leak:.3e}); "
             "the input map is not consistent"
         )
     rep = cstar.AlgebraRepresentation(algebra, rank, images)
-    iota = nk.kron_stack(cstar.unit_coords(algebra)[:, None], nk.eye(h))  # h -> A (x) H
-    return GnsTriple(phi, rank, rep, f_map @ iota, f_map, lift, merged)
+    return GnsTriple(phi, rank, rep, v_map, tuple(blocks), merged)
 
 
 @dataclass(frozen=True)
@@ -172,21 +178,14 @@ class StinespringDilation:
         }
 
 
-def _raw_module_maps(phi: ModuleCPMap) -> np.ndarray:
-    """Raw maps ``A (x) H -> K`` sending ``E_l (x) h`` to ``Phi(x_i E_l) h``."""
-    module = phi.module
-    n_dim = module.algebra.dim
-    dim_h, dim_k = phi.space_dims
-    products = nk.coords_apply(module.action, phi.images)
-    return products.transpose(0, 2, 1, 3).reshape(module.dim, dim_k, n_dim * dim_h)
-
-
 def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
     """Construct the minimal dilation of a CP map on a full module.
 
     The dilation's domain space is the GNS space of the companion, the
     codomain space is the span of ``Phi(X) H`` in orthonormal coordinates,
     and the representation is the descended right-multiplication action.
+    The raw map of ``x_i`` is formed and lifted only on the block rows ``a``
+    with some ``x_i . E_ac`` nonzero; elsewhere it, its lift and leak are 0.
     """
     module = phi.module
     report = phi.cp_report
@@ -208,16 +207,26 @@ def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
     w_map = nk.adjoint(basis)
     dim_codomain = w_map.shape[0]
 
-    raw = _raw_module_maps(phi)
-    lifted = raw @ gns.L
-    leak = nk.stack_max(
-        module.dim, raw.shape[1] * raw.shape[2], lambda i: _leak(raw[i], lifted[i], gns.F)
-    )
+    m = module.dim  # the raw map of x_i sends E_l (x) h to Phi(x_i E_l) h
+    flat = phi.images.reshape(m, dim_k * dim_h)
+    worst = np.zeros((2, m))  # per x_i: the largest defect and size of its block rows
+    images = np.zeros((m, dim_codomain, gns.dim), dtype=np.complex128)
+    for n, units, cols, block in _spans(module.algebra.blocks, gns.blocks):
+        coeffs = module.action[:, units].reshape(m, n, n, m)  # x_i . E_ac
+        xs, rows = np.nonzero(coeffs.any(axis=(2, 3)))  # the live (x_i, a)
+        part = images[:, :, cols].reshape(m, dim_codomain, n, block.factor.shape[0])  # a view
+        for span in nk.stack_spans(len(xs), dim_k * n * dim_h):
+            x, a = xs[span], rows[span]
+            raw = (coeffs[x, a] @ flat).reshape(len(x), n, dim_k, dim_h)
+            raw = raw.transpose(0, 2, 1, 3).reshape(len(x), dim_k, n * dim_h)
+            lifted, defect, size = _descend(raw, block)
+            part[x, :, a] = w_map @ lifted  # W (raw map) L
+            np.maximum.at(worst, (slice(None), x), (defect, size))
+    leak = nk.maxabs(worst[0] / np.maximum(1.0, worst[1]))
     if leak > nk.RESIDUAL_TOL:
         raise QuotientLeakError(
             f"module maps do not descend to the GNS quotient (leak {leak:.3e})"
         )
-    images = w_map @ lifted  # W (raw map) L
     return StinespringDilation(phi, gns, dim_codomain, w_map, images, k_eigs)
 
 
@@ -238,8 +247,10 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
 
     The domain unitaries are the descents of ``alpha_t (x) u_t`` (this
     preserves the GNS Gram exactly when the companion is covariant; the
-    residual is checked).  The codomain space is invariant under ``u'`` up to
-    the reported leak, and the codomain unitaries are its compressions.
+    residual is checked), formed as ``F (alpha_t (x) u_t)`` by two mode products,
+    by ``alpha_t`` on the matrix units and by ``u_t`` on H.  The codomain space is
+    invariant under ``u'`` up to the reported leak, and the codomain unitaries
+    are its compressions.
     """
     report = cov.covariance_report
     if report.max_residual > nk.PRECONDITION_TOL:
@@ -251,18 +262,38 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
     group = cov.system.group
     dim_k = cov.base.space_dims[1]
 
-    gram = nk.adjoint(gns.F) @ gns.F  # the GNS Gram restricted to its range
+    algebra, h = cov.base.module.algebra, gns.cp_map.space_dim
+    spans = list(_spans(algebra.blocks, gns.blocks))
+    raw_dim = algebra.dim * h
+    gram = np.zeros((raw_dim, raw_dim), dtype=np.complex128)  # F* F, the GNS Gram on its range
+    for n, units, _, block in spans:
+        raw = slice(units.start * h, units.stop * h)
+        gram[raw, raw] = nk.kron_stack(nk.eye(n), nk.adjoint(block.factor) @ block.factor)
     gram_scale = max(1.0, nk.maxabs(gram))
-    raw_dim = gns.F.shape[1]
     v_mats = np.zeros((group.order, gns.dim, gns.dim), dtype=np.complex128)
-    gram_residual = 0.0
-    leak = 0.0
+    gram_residual = leak = 0.0
     for t in nk.stack_spans(group.order, raw_dim * raw_dim):
-        descended = gns.F @ nk.kron_stack(cov.system.alpha[t], cov.u.mats[t])
+        alpha, u = cov.system.alpha[t], cov.u.mats[t]
+        count = len(alpha)
+        # F (alpha_t (x) u_t): alpha_t on the units of each block row, then u_t on h
+        rows = []
+        for n, units, cols, block in spans:
+            kept = block.factor.shape[0]  # V on block row c is S on its (c, i) columns
+            coeffs = alpha[:, units].reshape(count, n, n, algebra.dim).transpose(0, 1, 3, 2)
+            on_n = coeffs.reshape(count, n * algebra.dim, n) @ gns.V[cols].reshape(n, kept * h)
+            on_n = on_n.reshape(count, n, algebra.dim, kept, h).transpose(0, 1, 3, 2, 4)
+            on_h = on_n.reshape(count, n * kept * algebra.dim, h) @ u
+            rows.append(on_h.reshape(count, n * kept, raw_dim))
+        descended = np.concatenate(rows, axis=1)
         transported = np.conj(descended).transpose(0, 2, 1) @ descended  # raw_t* Gram raw_t
         gram_residual = max(gram_residual, nk.maxabs(transported - gram) / gram_scale)
-        v_mats[t] = descended @ gns.L
-        leak = max(leak, nk.maxabs(_leak(descended, v_mats[t], gns.F)))
+        worst = np.zeros((2, count))  # per t: the largest defect and size of its block rows
+        for n, units, cols, block in spans:
+            groups = descended[:, :, units.start * h : units.stop * h]
+            lifted, defect, size = _descend(groups.reshape(count, gns.dim * n, n * h), block)
+            v_mats[t, :, cols] = lifted.reshape(count, gns.dim, cols.stop - cols.start)
+            worst = np.maximum(worst, (defect, size))
+        leak = max(leak, nk.maxabs(worst[0] / np.maximum(1.0, worst[1])))
     if leak > nk.RESIDUAL_TOL:
         raise QuotientLeakError(
             f"group unitaries do not descend to the GNS quotient (leak {leak:.3e})"

@@ -15,14 +15,20 @@ kept here one element at a time, with ``np.kron`` where the package calls
 ``numkernel.kron_stack``.  Every ``<X, X>`` solve is kept in its
 ``np.linalg.lstsq`` form on the whole (m^2, ...) pair target, which the
 package never forms: it pseudo-inverts on the cached ``gram_factor`` of the
-(N, N) Gram of the inner-product rows.
+(N, N) Gram of the inner-product rows.  The GNS descent is kept in two
+forms: dense, with the (rank, N h) ``F`` and (N h, rank) ``L`` placed whole,
+every raw module map over the full (m, N, m) action tensor and ``np.kron``
+of ``alpha_t`` and ``u_t``; and factored, the package's block rows and live
+(x_i, block row) groups one at a time.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 
 from covstine import cpmaps, cstar, hilbmod
 from covstine import numkernel as nk
-from covstine.errors import NotIntertwiningError
+from covstine.errors import NotIntertwiningError, QuotientLeakError
 
 
 def basis(obj):
@@ -79,6 +85,19 @@ def dense_gns_gram(phi):
     gram = nk.pad_zero(phi.images)[star_products].transpose(0, 2, 1, 3)
     gram = gram.reshape(n_dim * h, n_dim * h)
     return (gram + nk.adjoint(gram)) / 2.0
+
+
+def cp_from_choi_spectra(blocks, h, spectra, seed):
+    """A CP map whose block b has Choi matrix ``Q diag(spectra[b]) Q*``, Q Haar."""
+    algebra = cstar.CStarAlgebra(blocks)
+    rng = np.random.default_rng(seed)
+    images = []
+    for n, values in zip(blocks, spectra):
+        q = nk.haar_unitary(rng, n * h)
+        choi = (q * np.asarray(values, dtype=float)[None, :]) @ nk.adjoint(q)
+        # choi[(p, a), (q, b)] = phi(E_ab)[p, q]
+        images.append(choi.reshape(h, n, h, n).transpose(1, 3, 0, 2).reshape(n * n, h, h))
+    return cpmaps.CPMapAlgebra(algebra, h, np.concatenate(images))
 
 
 def module_map_through(phi, factor):
@@ -241,15 +260,27 @@ def dynamical_system(sys):
     return law, equivariance, compatibility, auto_mult, auto_star, invertible
 
 
+# --- GNS descent, dense: F and L placed whole, every raw map over all of A (x) H
+
+
+class DenseLeakError(QuotientLeakError):
+    """A leak gate of the dense descent, with the leak it saw."""
+
+    def __init__(self, what, leak):
+        super().__init__(f"{what} do not descend to the GNS quotient (leak {leak:.3e})")
+        self.leak = leak
+
+
 def leak(raw, lifted, f_map):
-    """``stinespring._leak`` of one map."""
+    """The relative leak of one raw map: ``|raw - (raw L) F|`` over max(1, |raw|)."""
     return nk.maxabs(raw - lifted @ f_map) / max(1.0, nk.maxabs(raw))
 
 
 def gns_descent(phi, rank, cutoff):
-    """``(F, L, images, leak, V)`` of ``stinespring.gns_construct``: the Choi
-    eigenvectors placed by ``np.kron`` block by block, and the descent of left
-    multiplication one E_k at a time."""
+    """``(F, L, images, leak, V)`` of the GNS triple in dense form: the Choi
+    eigenvectors placed by ``np.kron`` block by block into the (rank, N h) F
+    and (N h, rank) L, and the descent of left multiplication one E_k at a
+    time."""
     algebra, h = phi.algebra, phi.space_dim
     n_dim = algebra.dim
     f_map = np.zeros((rank, n_dim * h), dtype=np.complex128)
@@ -276,28 +307,76 @@ def gns_descent(phi, rank, cutoff):
     return f_map, lift, images, worst, f_map @ iota
 
 
+def raw_module_maps(phi):
+    """Raw maps ``A (x) H -> K`` sending ``E_l (x) h`` to ``Phi(x_i E_l) h``, over
+    the whole (m, N, m) action tensor."""
+    module = phi.module
+    dim_h, dim_k = phi.space_dims
+    products = nk.coords_apply(module.action, phi.images)
+    return products.transpose(0, 2, 1, 3).reshape(module.dim, dim_k, module.algebra.dim * dim_h)
+
+
 def module_leak(raw, f_map, lift):
-    """The quotient leak of ``stinespring.dilate_module_cp``, one x_i at a time."""
+    """The quotient leak of the module maps, one dense x_i at a time."""
     lifted = raw @ lift
     return max((leak(r, l, f_map) for r, l in zip(raw, lifted)), default=0.0)
 
 
-def covariant_descent(cov, base):
-    """``(v_mats, gram_residual, leak, w_mats, invariance)`` of
-    ``stinespring.dilate_covariant``, one t at a time."""
-    gns, group = base.gns, cov.system.group
-    dim_k = cov.base.space_dims[1]
-    gram = nk.adjoint(gns.F) @ gns.F
-    v_mats = np.zeros((group.order, gns.dim, gns.dim), dtype=np.complex128)
+def dense_dilation(phi):
+    """The minimal dilation of a module CP map in dense form, as a namespace
+    with ``F``, ``L``, ``gns_images``, ``V``, ``W`` and ``images``; raises
+    ``DenseLeakError`` at the package's leak gates."""
+    companion = phi.companion
+    spectra = companion.choi_report.spectra
+    merged = np.sort(
+        np.concatenate([np.tile(s.values, n) for n, s in zip(companion.algebra.blocks, spectra)])
+    )[::-1]
+    f_map, lift, gns_images, gns_leak, v = gns_descent(companion, *nk.spectral_rank(merged))
+    if gns_leak > nk.RESIDUAL_TOL:
+        raise DenseLeakError("GNS left multiplications", gns_leak)
+    raw = raw_module_maps(phi)
+    worst = module_leak(raw, f_map, lift)
+    if worst > nk.RESIDUAL_TOL:
+        raise DenseLeakError("module maps", worst)
+    dim_k = phi.space_dims[1]
+    span = phi.images.transpose(1, 0, 2).reshape(dim_k, phi.images.shape[0] * phi.space_dims[0])
+    w_map = nk.adjoint(nk.orthonormal_range(span)[0])
+    return SimpleNamespace(
+        F=f_map, L=lift, gns_images=gns_images, V=v, W=w_map, images=w_map @ raw @ lift
+    )
+
+
+def covariant_descent(cov, f_map, lift):
+    """``(v_mats, gram_residual, leak)`` of the covariant descent in dense form:
+    ``F kron(alpha_t, u_t) L`` one t at a time."""
+    gram = nk.adjoint(f_map) @ f_map
+    v_mats = np.zeros((cov.system.group.order, len(f_map), len(f_map)), dtype=np.complex128)
     gram_residual = worst = 0.0
-    for t in range(group.order):
-        descended = gns.F @ np.kron(cov.system.alpha[t], cov.u.mats[t])
+    for t in range(cov.system.group.order):
+        descended = f_map @ np.kron(cov.system.alpha[t], cov.u.mats[t])
         transported = nk.adjoint(descended) @ descended
         gram_residual = max(
             gram_residual, nk.maxabs(transported - gram) / max(1.0, nk.maxabs(gram))
         )
-        v_mats[t] = descended @ gns.L
-        worst = max(worst, leak(descended, v_mats[t], gns.F))
+        v_mats[t] = descended @ lift
+        worst = max(worst, leak(descended, v_mats[t], f_map))
+    return v_mats, gram_residual, worst
+
+
+def dense_covariant(cov):
+    """``(dense_dilation, v_mats, gram_residual)`` of a covariant CP map in dense
+    form; raises ``DenseLeakError`` at the package's leak gates."""
+    dense = dense_dilation(cov.base)
+    v_mats, gram_residual, worst = covariant_descent(cov, dense.F, dense.L)
+    if worst > nk.RESIDUAL_TOL:
+        raise DenseLeakError("group unitaries", worst)
+    return dense, v_mats, gram_residual
+
+
+def codomain_compressions(cov, base):
+    """``(w_mats, invariance)``: ``W u'_t W*`` and the leak of ``u'_t`` out of the
+    codomain span, one t at a time."""
+    group, dim_k = cov.system.group, cov.base.space_dims[1]
     proj = nk.adjoint(base.W) @ base.W
     invariance = 0.0
     w_mats = np.zeros((group.order, base.dim_codomain, base.dim_codomain), dtype=np.complex128)
@@ -305,6 +384,121 @@ def covariant_descent(cov, base):
         off = (nk.eye(dim_k) - proj) @ cov.u_prime.mats[t] @ proj
         invariance = max(invariance, nk.maxabs(off))
         w_mats[t] = base.W @ cov.u_prime.mats[t] @ nk.adjoint(base.W)
+    return w_mats, invariance
+
+
+def dense_factors(gns):
+    """The dense F and L of a factored ``GnsTriple``, placed by ``np.kron``."""
+    sizes = gns.cp_map.algebra.blocks
+    f_blocks = [np.kron(nk.eye(n), b.factor) for n, b in zip(sizes, gns.blocks)]
+    l_blocks = [np.kron(nk.eye(n), b.lift) for n, b in zip(sizes, gns.blocks)]
+    return block_diag(f_blocks), block_diag(l_blocks)
+
+
+def block_diag(mats):
+    out = np.zeros(tuple(map(sum, zip(*(m.shape for m in mats)))), dtype=np.complex128)
+    row = col = 0
+    for m in mats:
+        out[row : row + m.shape[0], col : col + m.shape[1]] = m
+        row, col = row + m.shape[0], col + m.shape[1]
+    return out
+
+
+# --- GNS descent, factored: the package's block rows one at a time
+
+
+def block_spans(gns):
+    """``(n, unit offset, col offset, block)`` of each algebra block."""
+    unit = col = 0
+    for n, block in zip(gns.cp_map.algebra.blocks, gns.blocks):
+        yield n, unit, col, block
+        unit, col = unit + n * n, col + n * block.factor.shape[0]
+
+
+def descend(group, block):
+    """``(lifted, defect, size)`` of one raw map on one block row."""
+    lifted = group @ block.lift
+    return lifted, nk.maxabs(group - lifted @ block.factor), nk.maxabs(group)
+
+
+def gns_blocks(gns):
+    """``(images, leak, V)`` of ``stinespring.gns_construct`` from its blocks:
+    ``pi(E_cd)`` placed one E_k at a time, V one block row at a time."""
+    h = gns.cp_map.space_dim
+    images = np.zeros((gns.cp_map.algebra.dim, gns.dim, gns.dim), dtype=np.complex128)
+    v = np.zeros((gns.dim, h), dtype=np.complex128)
+    worst = 0.0
+    for n, unit, col, block in block_spans(gns):
+        kept = block.factor.shape[0]
+        moved, defect, size = descend(block.factor, block)
+        worst = max(worst, defect / max(1.0, size))
+        for c in range(n):
+            rows = slice(col + c * kept, col + (c + 1) * kept)
+            v[rows] = block.factor[:, c * h : (c + 1) * h]
+            for d in range(n):
+                images[unit + c * n + d, rows, col + d * kept : col + (d + 1) * kept] = moved
+    return images, worst, v
+
+
+def module_groups(phi, gns, w_map):
+    """``(images, leak)`` of ``stinespring.dilate_module_cp``: one x_i at a time,
+    each live block row of it on its own."""
+    module = phi.module
+    m = module.dim
+    dim_h, dim_k = phi.space_dims
+    flat = phi.images.reshape(m, dim_k * dim_h)
+    images = np.zeros((m, w_map.shape[0], gns.dim), dtype=np.complex128)
+    leaks = []
+    for i in range(m):
+        worst = size = 0.0
+        for n, unit, col, block in block_spans(gns):
+            kept = block.factor.shape[0]
+            for a in range(n):
+                coeffs = module.action[i, unit + a * n : unit + (a + 1) * n]
+                if not coeffs.any():
+                    continue
+                raw = (coeffs @ flat).reshape(n, dim_k, dim_h).transpose(1, 0, 2)
+                lifted, defect, group_size = descend(raw.reshape(dim_k, n * dim_h), block)
+                images[i, :, col + a * kept : col + (a + 1) * kept] = w_map @ lifted
+                worst, size = max(worst, defect), max(size, group_size)
+        leaks.append(worst / max(1.0, size))
+    return images, max(leaks, default=0.0)
+
+
+def covariant_groups(cov, base):
+    """``(v_mats, gram_residual, leak, w_mats, invariance)`` of
+    ``stinespring.dilate_covariant``, one t at a time: ``F (alpha_t (x) u_t)``
+    by the two mode products of each block, lifted one block at a time."""
+    gns, group = base.gns, cov.system.group
+    algebra, h = gns.cp_map.algebra, gns.cp_map.space_dim
+    n_dim = algebra.dim
+    gram = block_diag(
+        [np.kron(nk.eye(n), nk.adjoint(b.factor) @ b.factor) for n, b in zip(algebra.blocks, gns.blocks)]
+    )
+    v_mats = np.zeros((group.order, gns.dim, gns.dim), dtype=np.complex128)
+    gram_residual = worst = 0.0
+    for t in range(group.order):
+        alpha, u = cov.system.alpha[t], cov.u.mats[t]
+        rows = []
+        for n, unit, col, block in block_spans(gns):
+            kept = block.factor.shape[0]
+            v_rows = gns.V[col : col + n * kept].reshape(n, kept * h)
+            coeffs = alpha[unit : unit + n * n].reshape(n, n, n_dim).transpose(0, 2, 1)
+            on_n = (coeffs.reshape(n * n_dim, n) @ v_rows).reshape(n, n_dim, kept, h)
+            on_h = on_n.transpose(0, 2, 1, 3).reshape(n * kept * n_dim, h) @ u
+            rows.append(on_h.reshape(n * kept, n_dim * h))
+        descended = np.concatenate(rows)
+        transported = nk.adjoint(descended) @ descended
+        gram_residual = max(gram_residual, nk.maxabs(transported - gram) / max(1.0, nk.maxabs(gram)))
+        defect = size = 0.0
+        for n, unit, col, block in block_spans(gns):
+            kept = block.factor.shape[0]
+            raw = descended[:, unit * h : (unit + n * n) * h].reshape(gns.dim * n, n * h)
+            lifted, block_defect, block_size = descend(raw, block)
+            v_mats[t, :, col : col + n * kept] = lifted.reshape(gns.dim, n * kept)
+            defect, size = max(defect, block_defect), max(size, block_size)
+        worst = max(worst, defect / max(1.0, size))
+    w_mats, invariance = codomain_compressions(cov, base)
     return v_mats, gram_residual, worst, w_mats, invariance
 
 

@@ -221,8 +221,9 @@ class TestInducedAction:
     @pytest.mark.parametrize("name, p, n", [("S3", 2, 3), ("S4", 1, 2), ("Z3", 3, 2)])
     def test_one_solve_matches_a_solve_per_group_element(self, name, p, n):
         """The g targets solved as one stack give each alpha_t of a separate
-        least-squares solve per group element, and the equivariance row the
-        action is gated on is that solve's residual."""
+        normal-equation solve per group element on the cached fullness factor
+        (``least_squares_solve`` without its refinement step), and the
+        equivariance row the action is gated on is that solve's residual."""
         group = {
             "S3": hilbmod.symmetric_group(3),
             "S4": hilbmod.symmetric_group(4),
@@ -238,7 +239,7 @@ class TestInducedAction:
         for t in range(group.order):
             target = hilbmod.transported_inner(sys.eta[t], sys.module.inner)
             target = target.reshape(len(flat), -1)
-            solution = nk.least_squares_solve(flat, target)
+            solution = sys.module.fullness_factor.solve(nk.adjoint(flat) @ target)
             np.testing.assert_array_equal(induced.alpha[t], solution.T)
             residual = max(residual, nk.maxabs(flat @ solution - target))
         assert induced.consistency_residual == residual

@@ -3,7 +3,8 @@ it replaces, the sliced and block-wise checks against planted perturbations,
 the GNS factor from Choi blocks against the dense Gram factor, the module
 identities on their live support against their dense references, and guards
 that keep unordered multi-operand einsums, ``np.kron`` calls, solvers with a
-rank cutoff of their own and per-call tolerance parameters out of the package."""
+rank cutoff of their own, per-call tolerance parameters and float literals
+used as gates out of the package."""
 
 import ast
 import inspect
@@ -19,7 +20,12 @@ import dense_reference
 from covstine import cpmaps, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from covstine.cpmaps import CPMapAlgebra
-from dense_reference import dense_gns_gram, module_map_through
+from dense_reference import (
+    cp_from_choi_spectra,
+    dense_factors,
+    dense_gns_gram,
+    module_map_through,
+)
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "covstine"
 
@@ -115,9 +121,10 @@ def test_gns_left_multiplication_descends_as_before(blocks, h, seed):
     v = _random(rng, algebra.embed_dim, h)
     phi = CPMapAlgebra(algebra, h, nk.sandwich(v, embedding, v))
     gns = stinespring.gns_construct(phi)
+    f_map, lift = dense_factors(gns)
     mul = cstar.mult_tensor(algebra)
     for k in range(algebra.dim):
-        expected = gns.F @ np.kron(mul[k].T, nk.eye(h)) @ gns.L
+        expected = f_map @ np.kron(mul[k].T, nk.eye(h)) @ lift
         np.testing.assert_allclose(gns.rep.images[k], expected, rtol=1e-9, atol=1e-9)
 
 
@@ -282,19 +289,6 @@ def test_sliced_linearity_sees_an_action_row_that_vanishes_wrongly(blocks):
         assert residual == _linearity_reference(broken) == 1.0  # a unit went missing
 
 
-def _cp_from_choi_spectra(blocks, h, spectra, seed):
-    """A CP map whose block b has Choi matrix ``Q diag(spectra[b]) Q*``, Q Haar."""
-    algebra = cstar.CStarAlgebra(blocks)
-    rng = np.random.default_rng(seed)
-    images = []
-    for n, values in zip(blocks, spectra):
-        q = nk.haar_unitary(rng, n * h)
-        choi = (q * np.asarray(values, dtype=float)[None, :]) @ nk.adjoint(q)
-        # choi[(p, a), (q, b)] = phi(E_ab)[p, q]
-        images.append(choi.reshape(h, n, h, n).transpose(1, 3, 0, 2).reshape(n * n, h, h))
-    return CPMapAlgebra(algebra, h, np.concatenate(images))
-
-
 def _spectrum(n, h, rank, scale):
     return [scale * (1.0 + 0.1 * i) for i in range(rank)] + [0.0] * (n * h - rank)
 
@@ -311,7 +305,7 @@ def _spectrum(n, h, rank, scale):
     ],
 )
 def test_gns_from_choi_blocks_matches_the_dense_gram_factor(blocks, h, spectra):
-    phi = _cp_from_choi_spectra(blocks, h, spectra, seed=13)
+    phi = cp_from_choi_spectra(blocks, h, spectra, seed=13)
     gns = stinespring.gns_construct(phi)
     dense = nk.gram_factor(dense_gns_gram(phi))
 
@@ -320,13 +314,14 @@ def test_gns_from_choi_blocks_matches_the_dense_gram_factor(blocks, h, spectra):
     for n, values in zip(blocks, spectra):
         expected_rank += n * sum(v > 1e-10 * max(max(s) for s in spectra) for v in values)
     assert gns.dim == expected_rank
-    assert gns.F.shape == dense.F.shape and gns.L.shape == dense.L.shape
+    f_map, lift = dense_factors(gns)
+    assert f_map.shape == dense.F.shape and lift.shape == dense.L.shape
     np.testing.assert_allclose(gns.gram_eigenvalues, dense.eigenvalues, rtol=0, atol=1e-12)
     assert np.all(np.diff(gns.gram_eigenvalues) <= 0)
-    np.testing.assert_allclose(gns.F @ gns.L, nk.eye(gns.dim), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(f_map @ lift, nk.eye(gns.dim), rtol=0, atol=1e-10)
     # both factor the same truncated semi-inner product: F* F is the Gram on its kept range
     np.testing.assert_allclose(
-        nk.adjoint(gns.F) @ gns.F, nk.adjoint(dense.F) @ dense.F, rtol=0, atol=1e-10
+        nk.adjoint(f_map) @ f_map, nk.adjoint(dense.F) @ dense.F, rtol=0, atol=1e-10
     )
     # the dilation's own GNS rows, on a module map whose companion is phi
     phi_module = module_map_through(phi, dense)
@@ -738,3 +733,50 @@ def test_package_takes_no_per_call_tolerances():
         *(tolerance_parameters(m) for m in (nk, cstar, hilbmod, cpmaps, crossed, stinespring))
     )
     assert found == KEPT_TOLERANCES
+
+
+def float_gates(source: str) -> list[int]:
+    """Lines of float literals that act as a gate: one among the operands of a
+    comparison, at any depth, other than the exact 0 and the scale floor 1, and
+    one below 1e-3 in size anywhere, which can only be a tolerance."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            lines.update(
+                sub.lineno
+                for operand in (node.left, *node.comparators)
+                for sub in ast.walk(operand)
+                if isinstance(sub, ast.Constant)
+                and isinstance(sub.value, float)
+                and sub.value not in (0.0, 1.0)
+            )
+        elif isinstance(node, ast.Constant) and isinstance(node.value, float):
+            if 0.0 < abs(node.value) < 1e-3:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_guard_flags_float_gates():
+    source = "\n".join(
+        [
+            "if defect > nk.REL_TOL: pass",
+            "if defect > 1e-10: pass",
+            "ok = values[-1] >= -max(1e-6 * scale, nk.ABS_FLOOR)",
+            "if abs(overlap) == 0.0: pass",
+            "ok = defect <= nk.REL_TOL * max(1.0, scale)",
+            "floor = 1e-6",
+            "if x < 0.5: pass",
+            "half = x / 2.0",
+        ]
+    )
+    assert float_gates(source) == [2, 3, 6, 7]
+
+
+def test_package_has_no_literal_gates():
+    """Every gate reads a named constant of ``numkernel``."""
+    offenders = {
+        path.name: float_gates(path.read_text())
+        for path in sorted(SRC.rglob("*.py"))
+        if path.name != "numkernel.py"
+    }
+    assert not {name: lines for name, lines in offenders.items() if lines}
