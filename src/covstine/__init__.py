@@ -37,7 +37,6 @@ from .crossed import (
     build_crossed_module,
     check_crossed_algebra,
     check_crossed_module,
-    check_integral_stinespring,
     induced_cp,
     integral_form,
 )

@@ -65,6 +65,8 @@ def load_scenario(path: str) -> dict:
         raise ParseError(f"{path}: cannot read scenario ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long int, deep nesting
+        raise ParseError(f"{path}: cannot decode scenario ({type(exc).__name__}: {exc})") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: scenario root must be an object")
     return data
@@ -331,14 +333,15 @@ def _run_verify(res: ResolvedScenario, provenance: dict) -> Certificate:
 
     A construction rejected on mathematical grounds becomes a failing check
     here instead of an input error, so that broken objects still produce a
-    complete report.  The axiom rows come from the same cached reports the
-    construction reads, so nothing is checked twice.
+    complete report.  The axiom and input rows (``stinespring.input_rows``, on
+    both paths) come from the cached reports the construction reads.
     """
     try:
         cert = _run_dilate(res, provenance, covariant=res.cov is not None)
         cert.ranks["dilation_constructed"] = (1, 1)
     except ComputeError as exc:
         cert = Certificate(res.tolerance, provenance=provenance)
+        cert.residuals.update(stinespring.input_rows(res.phi, res.cov))
         cert.ranks["dilation_constructed"] = (0, 1)
         cert.skipped["dilation"] = f"{type(exc).__name__}: {exc}"
     axioms = res.phi.module.axiom_report
@@ -346,14 +349,8 @@ def _run_verify(res: ResolvedScenario, provenance: dict) -> Certificate:
     cert.residuals["module_symmetry"] = axioms.symmetry_residual
     cert.residuals["module_positivity_defect"] = max(0.0, -axioms.positivity_min_eig)
     cert.ranks["module_fullness"] = (axioms.fullness_rank, axioms.fullness_required)
-    cp_report = res.phi.cp_report
-    cert.residuals["cp_identity"] = cp_report.identity_residual
-    cert.residuals["cp_choi_defect"] = max(0.0, -cp_report.choi_min_eig)
     if res.cov is not None:
         cert.residuals["dynamical_system"] = res.cov.system.action_report.max_residual
-        cov_report = res.cov.covariance_report
-        cert.residuals["covariance"] = cov_report.map_residual
-        cert.residuals["companion_covariance"] = cov_report.companion_residual
     return cert
 
 
@@ -376,11 +373,9 @@ def _run_crossed(res: ResolvedScenario, provenance: dict, dump_structure: bool) 
     cert.dims["crossed_module"] = induced.crossed.dim
     cert.residuals["crossed_identity"] = induced.identity_residual
     cert.residuals["factorization"] = induced.factorization_residual
-
-    report = crossed.check_integral_stinespring(cov, dilation, induced)
-    cert.residuals["integral_reconstruction"] = report.reconstruction_residual
-    cert.ranks["integral_range_density"] = (report.range_rank, report.range_required)
-    cert.ranks["integral_corange_density"] = (report.corange_rank, report.corange_required)
+    base = dilation.base
+    cert.ranks["integral_range_density"] = (induced.range_density.rank, base.dim_codomain)
+    cert.ranks["integral_corange_density"] = (induced.corange_density.rank, base.gns.dim)
 
     if induced.crossed.algebra.dim <= CROSSED_AXIOM_LIMIT:
         alg_report = crossed.check_crossed_algebra(induced.crossed.algebra)

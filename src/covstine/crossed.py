@@ -25,6 +25,9 @@ on these g blocks (``product_blocks``, ``star_blocks``, ``action_blocks``,
 ``inner_blocks``) and place them through the group table; the generic
 ``multiply``, ``star``, ``act`` and ``inner`` are the reference the tests
 compare the blocks against.
+
+``induced_cp`` integrates the covariant dilation once, for its factorization
+residual and both density profiles.
 """
 
 from __future__ import annotations
@@ -386,6 +389,13 @@ def _identity_defect(cm: CrossedModule, images: np.ndarray, companion: np.ndarra
     return nk.stack_max(len(images), len(images) * companion[0].size, defects)
 
 
+def _integrate(cm: CrossedModule, rep, mats: np.ndarray):
+    """Integral forms of ``rep.images`` and ``rep.companion.images`` against ``mats``,
+    with their unscaled crossed identity defect; each caller applies its own scale."""
+    images, companion = _integrated(rep.images, mats), _integrated(rep.companion.images, mats)
+    return images, companion, _identity_defect(cm, images, companion)
+
+
 @dataclass(frozen=True)
 class IntegralForm:
     """Representation of the crossed module induced by a covariant one."""
@@ -442,16 +452,14 @@ def integral_form(
         )
 
     cm = build_crossed_module(sys)
-    images = _integrated(rep.images, v.mats)
-    companion = _integrated(rep.companion.images, v.mats)
-    form = IntegralForm(cm, images, companion)
-    identity = _identity_defect(cm, images, companion) / max(1.0, scale * scale)
+    images, companion, identity = _integrate(cm, rep, v.mats)
+    identity /= max(1.0, scale * scale)
 
     range_rank, corange_rank = (p.rank for p in hilbmod.density_ranks(images))
     nondegenerate, reason = None, "input representation is degenerate"
     if rep_report.nondegenerate:
         nondegenerate, reason = range_rank == dim_k and corange_rank == dim_h, None
-    return form, IntegralFormReport(
+    return IntegralForm(cm, images, companion), IntegralFormReport(
         identity, range_rank, dim_k, corange_rank, dim_h, nondegenerate, reason
     )
 
@@ -463,19 +471,24 @@ def integral_form(
 
 @dataclass(frozen=True)
 class InducedCP(IntegralForm):
-    """CP map on the crossed module induced by a covariant CP map.
-
-    It is the integral form of the covariant map: images and companion images
-    on the crossed bases, with the residuals that certify it.
-    """
+    """CP map on the crossed module induced by a covariant CP map: the integral form
+    of the covariant map, with the residuals and density profiles that certify it."""
 
     identity_residual: float  # <Phi^(xhat), Phi^(yhat)> = phi^(<xhat, yhat>)
     factorization_residual: float  # Phi^ = W* (integral form of dilation) V
+    range_density: nk.RankProfile  # of the integral form of the dilation
+    corange_density: nk.RankProfile
     dilation: stinespring.CovariantDilation  # the one the factorization went through
 
     @property
     def max_residual(self) -> float:
         return max(self.identity_residual, self.factorization_residual)
+
+    @property
+    def minimal(self) -> bool:
+        base = self.dilation.base  # its integral form dilates Phi^ minimally
+        ranks = (self.range_density.rank, self.corange_density.rank)
+        return ranks == (base.dim_codomain, base.gns.dim)
 
 
 def induced_cp(
@@ -486,50 +499,22 @@ def induced_cp(
 
     ``Phi^(xhat) = sum_t Phi(xhat(t)) u_t`` with companion
     ``phi^(f) = sum_t phi(f(t)) u_t``.  The certificate checks the defining
-    inner-product identity on all crossed basis pairs and the factorization
-    through the covariant dilation, which witnesses complete positivity.
+    inner-product identity on all crossed basis pairs, and the minimal
+    factorization through the covariant dilation that witnesses complete
+    positivity.
     """
     report = cov.covariance_report
     if report.max_residual > nk.PRECONDITION_TOL:
         raise NotCovariantError(f"input map is not covariant (residual {report.max_residual:.3e})")
     cm = build_crossed_module(cov.system, nk.PRECONDITION_TOL)
-    images = _integrated(cov.base.images, cov.u.mats)
-    companion = _integrated(cov.base.companion.images, cov.u.mats)
-
-    identity = _identity_defect(cm, images, companion) / max(1.0, nk.maxabs(images) ** 2)
+    images, companion, identity = _integrate(cm, cov.base, cov.u.mats)
+    peak = nk.maxabs(images)
+    identity /= max(1.0, peak**2)
 
     if dilation is None:
         dilation = stinespring.dilate_covariant(cov)
     base = dilation.base
-    rebuilt = nk.sandwich(base.W, _integrated(base.images, dilation.v.mats), base.gns.V)
-    fact = nk.maxabs(rebuilt - images) / max(1.0, nk.maxabs(images))
-    return InducedCP(cm, images, companion, identity, fact, dilation)
-
-
-class IntegralStinespringReport(NamedTuple):
-    reconstruction_residual: float
-    range_rank: int
-    range_required: int  # dim of the dilation codomain
-    corange_rank: int
-    corange_required: int  # dim of the dilation domain
-
-    @property
-    def minimal(self) -> bool:
-        return (self.range_rank, self.corange_rank) == (self.range_required, self.corange_required)
-
-
-def check_integral_stinespring(
-    cov: CovariantCPMap,
-    dilation: stinespring.CovariantDilation,
-    induced: InducedCP | None = None,
-) -> IntegralStinespringReport:
-    """Verify that the integral form of the covariant dilation dilates the
-    induced crossed-product map minimally: same reconstruction, same spaces."""
-    if induced is None or induced.dilation is not dilation:
-        induced = induced_cp(cov, dilation)
-    base = dilation.base
     dil_images = _integrated(base.images, dilation.v.mats)
+    fact = nk.maxabs(nk.sandwich(base.W, dil_images, base.gns.V) - images) / max(1.0, peak)
     ranged, coranged = hilbmod.density_ranks(dil_images, base.gns.V, base.W)
-    return IntegralStinespringReport(
-        induced.factorization_residual, ranged.rank, base.dim_codomain, coranged.rank, base.gns.dim
-    )
+    return InducedCP(cm, images, companion, identity, fact, ranged, coranged, dilation)

@@ -395,6 +395,21 @@ def _unitary_rep_residuals(rep: hilbmod.UnitaryRep) -> tuple[float, float]:
     return max(report.hom_residual, report.unit_residual), report.unitary_residual
 
 
+def input_rows(phi, cov: CovariantCPMap | None = None) -> dict[str, float]:
+    """Certificate rows of the input checks, from the reports cached on ``phi`` and ``cov``."""
+    report = phi.cp_report
+    rows = {
+        "input_identity": report.identity_residual,
+        "companion_cp_defect": max(0.0, -report.choi_min_eig),
+        "companion_hermiticity": report.companion_herm_residual,
+    }
+    if cov is not None:
+        cov_report = cov.covariance_report
+        rows["input_covariance"] = cov_report.map_residual
+        rows["companion_covariance"] = cov_report.companion_residual
+    return rows
+
+
 def verify_dilation(
     phi,
     dilation,
@@ -409,11 +424,10 @@ def verify_dilation(
     them once.  Nothing is raised: every failure shows up as a residual or a
     rank deficit.
     """
-    cov = None
-    if isinstance(phi, CovariantCPMap):
-        cov = phi
-        phi = cov.base
-    base = dilation.base if isinstance(dilation, CovariantDilation) else dilation
+    covariant = isinstance(dilation, CovariantDilation)
+    cov = phi if isinstance(phi, CovariantCPMap) and covariant else None
+    phi = phi.base if isinstance(phi, CovariantCPMap) else phi
+    base = dilation.base if covariant else dilation
     if base.cp_map is not phi and base.cp_map.images.shape != phi.images.shape:
         raise ShapeMismatchError("dilation does not belong to the given map")
 
@@ -425,11 +439,7 @@ def verify_dilation(
 
     scale_phi = max(1.0, nk.maxabs(phi.images))
 
-    # input is a module CP map
-    input_report = phi.cp_report
-    residuals["input_identity"] = input_report.identity_residual
-    residuals["companion_cp_defect"] = max(0.0, -input_report.choi_min_eig)
-    residuals["companion_hermiticity"] = input_report.companion_herm_residual
+    residuals.update(input_rows(phi, cov))
 
     # GNS layer
     comp = phi.companion
@@ -468,14 +478,10 @@ def verify_dilation(
 
     dims = dict(base.dims)
 
-    if cov is not None and isinstance(dilation, CovariantDilation):
+    if cov is not None:
         system = cov.system
         u, u_prime = cov.u, cov.u_prime
         v_rep, w_rep = dilation.v, dilation.w
-
-        cov_report = cov.covariance_report
-        residuals["input_covariance"] = cov_report.map_residual
-        residuals["companion_covariance"] = cov_report.companion_residual
 
         law_v, unit_v = _unitary_rep_residuals(v_rep)
         law_w, unit_w = _unitary_rep_residuals(w_rep)

@@ -19,14 +19,16 @@ package never forms: it pseudo-inverts on the cached ``gram_factor`` of the
 forms: dense, with the (rank, N h) ``F`` and (N h, rank) ``L`` placed whole,
 every raw module map over the full (m, N, m) action tensor and ``np.kron``
 of ``alpha_t`` and ``u_t``; and factored, the package's block rows and live
-(x_i, block row) groups one at a time.
+(x_i, block row) groups one at a time.  The integral form of a covariant
+dilation is integrated once for its factorization residual and once more for
+its density ranks, where ``crossed.induced_cp`` reads all three off one build.
 """
 
 from types import SimpleNamespace
 
 import numpy as np
 
-from covstine import cpmaps, cstar, hilbmod
+from covstine import cpmaps, crossed, cstar, hilbmod
 from covstine import numkernel as nk
 from covstine.errors import NotIntertwiningError, QuotientLeakError
 
@@ -565,6 +567,20 @@ def crossed_identity_defect(cm, images, companion):
             expected = expected.transpose(1, 0, 2).reshape(len(images), *companion.shape[1:])
             worst = max(worst, nk.maxabs(nk.adjoint(images[t * m + i]) @ images - expected))
     return worst
+
+
+def integral_stinespring(cov, dilation):
+    """The integral form of a covariant dilation checked from a second build:
+    the factorization residual of the induced map and the range and corange
+    rank profiles of the integrated dilation images, each from its own
+    integration, as before ``crossed.induced_cp`` took all three from one."""
+    base = dilation.base
+    images = crossed._integrated(cov.base.images, cov.u.mats)
+    rebuilt = nk.sandwich(base.W, crossed._integrated(base.images, dilation.v.mats), base.gns.V)
+    residual = nk.maxabs(rebuilt - images) / max(1.0, nk.maxabs(images))
+    dil_images = crossed._integrated(base.images, dilation.v.mats)
+    ranged, coranged = hilbmod.density_ranks(dil_images, base.gns.V, base.W)
+    return residual, ranged, coranged
 
 
 def least_squares(a, b):

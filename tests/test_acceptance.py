@@ -267,8 +267,8 @@ def test_criterion_7_integral_minimality(crossed_instances):
     """The integral form of the dilation is minimal for the induced map."""
     failures = []
     for index, (cov, _, dilation) in enumerate(crossed_instances):
-        result = crossed.check_integral_stinespring(cov, dilation)
-        if not result.minimal or result.reconstruction_residual > TOL:
+        induced = crossed.induced_cp(cov, dilation)
+        if not induced.minimal or induced.factorization_residual > TOL:
             failures.append(index)
     ok = not failures
     report(7, ok, f"integral-form minimality on 50 instances: rank mismatches {failures}")
@@ -319,7 +319,7 @@ def test_criterion_9_degenerate_edges():
     induced = crossed.induced_cp(cov1, dil1)
     if induced.max_residual > TOL:
         problems.append("trivial-group crossed map")
-    if not crossed.check_integral_stinespring(cov1, dil1, induced).minimal:
+    if not induced.minimal:
         problems.append("trivial-group integral minimality")
 
     # rank-deficient Gram: right multiplication by a singular matrix

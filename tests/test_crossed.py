@@ -269,9 +269,9 @@ class TestIntegralStinespring:
             phi, sys, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 1)
         )
         dilation = st.dilate_covariant(cov)
-        report = crossed.check_integral_stinespring(cov, dilation)
-        assert report.minimal
-        assert report.reconstruction_residual <= 1e-10
+        induced = crossed.induced_cp(cov, dilation)
+        assert induced.minimal
+        assert induced.factorization_residual <= 1e-10
 
     def test_z2_concrete_ranks_match(self):
         sys = z2_diag_system()
@@ -280,10 +280,10 @@ class TestIntegralStinespring:
         )
         cov = cpmaps.CovariantCPMap(phi, sys, sys.delta, sys.gamma)
         dilation = st.dilate_covariant(cov)
-        report = crossed.check_integral_stinespring(cov, dilation)
-        assert report.range_rank == dilation.base.dim_codomain
-        assert report.corange_rank == dilation.base.gns.dim
-        assert report.reconstruction_residual <= 1e-10
+        induced = crossed.induced_cp(cov, dilation)
+        assert induced.range_density.rank == dilation.base.dim_codomain
+        assert induced.corange_density.rank == dilation.base.gns.dim
+        assert induced.factorization_residual <= 1e-10
 
     def test_seeded_s3_scenario(self):
         group = hilbmod.symmetric_group(3)
@@ -292,6 +292,6 @@ class TestIntegralStinespring:
         )
         cov, _ = cpmaps.random_covariant_cp(sys, 2, seed=11)
         dilation = st.dilate_covariant(cov)
-        report = crossed.check_integral_stinespring(cov, dilation)
-        assert report.minimal
-        assert report.reconstruction_residual <= 1e-8
+        induced = crossed.induced_cp(cov, dilation)
+        assert induced.minimal
+        assert induced.factorization_residual <= 1e-8

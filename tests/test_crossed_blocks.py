@@ -17,6 +17,7 @@ from hypothesis import strategies as hst
 from covstine import cli, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from dense_reference import (
+    integral_stinespring,
     place,
     reference_action,
     reference_inner,
@@ -420,8 +421,46 @@ def test_factorization_residual_is_the_reconstruction_residual():
     cov = cli.resolve_scenario(scenario, "z2.json").cov
     dilation = stinespring.dilate_covariant(cov)
     induced = crossed.induced_cp(cov, dilation)
-    report = crossed.check_integral_stinespring(cov, dilation, induced)
-    assert report.reconstruction_residual == induced.factorization_residual
-    # another dilation object is not trusted to be the one the residual saw
-    other = stinespring.dilate_covariant(cov)
-    assert crossed.check_integral_stinespring(cov, other, induced).minimal
+    assert integral_stinespring(cov, dilation)[0] == induced.factorization_residual
+    assert induced.dilation is dilation and induced.minimal
+
+
+@pytest.mark.parametrize(
+    "p, n, amplification, group",
+    [(None, None, None, None), (1, 2, 1, "cyclic:2"), (2, 2, 2, "symmetric:3"),
+     (1, 6, 1, "cyclic:3")],
+)
+def test_induced_density_profiles_match_the_two_build_reference(p, n, amplification, group):
+    """The profiles read off the one integrated dilation build are bit-equal
+    to those of a separate build (None: the bundled crossed scenario)."""
+    if p is None:
+        res = cli.resolve_scenario(json.loads((SCENARIOS / "s3_crossed.json").read_text()), "s3")
+    else:
+        scenario = cli.generate_scenario("crossed", p, n, amplification, 11, group)
+        res = cli.resolve_scenario(scenario, "generated.json")
+    dilation = stinespring.dilate_covariant(res.cov)
+    induced = crossed.induced_cp(res.cov, dilation)
+    residual, ranged, coranged = integral_stinespring(res.cov, dilation)
+    assert induced.factorization_residual == residual
+    profiles = (induced.range_density, induced.corange_density)
+    for profile, reference in zip(profiles, (ranged, coranged)):
+        assert profile.rank == reference.rank
+        np.testing.assert_array_equal(profile.singular_values, reference.singular_values)
+
+
+def test_a_crossed_run_integrates_three_stacks(tmp_path, monkeypatch):
+    """The map, its companion and the dilation: the dilation's integral form is
+    built once, for the factorization and both densities."""
+    calls = []
+    integrated = crossed._integrated
+
+    def counting(images, mats):
+        calls.append(images.shape)
+        return integrated(images, mats)
+
+    monkeypatch.setattr(crossed, "_integrated", counting)
+    path = tmp_path / "crossed.json"
+    scenario = cli.generate_scenario("crossed", 2, 2, 2, 11, "symmetric:3")
+    path.write_bytes(cli.canonical_bytes(scenario))
+    assert cli.run_scenario(str(path)).passed
+    assert len(calls) == 3

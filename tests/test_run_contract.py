@@ -540,3 +540,85 @@ def test_parser_is_built_once_per_process(tmp_path):
     assert cli.main(["dilate", "--scenario", str(out), "--out", str(tmp_path / "c.json")]) == 0
     info = cli._parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"schema": 1, "kind": "dilate", "seed": ' + b"7" * 5000 + b"}",  # int-digits limit
+        b'\xff\xfe{"schema": 1, "kind": "dilate"}',  # not UTF-8
+        b"[" * 100_000,  # nesting past the recursion limit
+    ],
+    ids=["long-seed", "utf16-bom", "deep-nesting"],
+)
+def test_undecodable_scenarios_exit_two_naming_the_file(tmp_path, capsys, raw):
+    """Raw bytes ``json.dumps`` cannot produce: each is a ParseError naming the
+    file, alone and through a ``--jobs 2`` pool."""
+    path = tmp_path / "scenario.json"
+    path.write_bytes(raw)
+    assert cli.main(["dilate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"{path}: ParseError: {path}: cannot decode scenario")
+    twice = ["--scenario", str(path)] * 2
+    assert cli.main(["dilate", *twice, "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == err * 2
+
+
+INPUT_ROWS = {"input_identity", "companion_cp_defect", "companion_hermiticity"}
+COVARIANT_INPUT_ROWS = INPUT_ROWS | {"input_covariance", "companion_covariance"}
+DILATION_ROWS = {
+    "gns_reconstruction", "gns_representation", "reconstruction", "representation_identity",
+    "coisometry_rows",
+}
+COVARIANT_DILATION_ROWS = DILATION_ROWS | {
+    "domain_unitaries_group_law", "domain_unitaries_unitarity", "codomain_unitaries_group_law",
+    "codomain_unitaries_unitarity", "intertwine_V", "intertwine_W", "covariant_representation",
+    "companion_covariant_rep", "gram_preservation", "subspace_invariance",
+}
+DENSITY_RANKS = {"gns_minimality", "range_density", "corange_density"}
+AXIOM_ROWS = {"module_linearity", "module_symmetry", "module_positivity_defect", "dynamical_system"}
+ROWS = {
+    "dilate": (INPUT_ROWS | DILATION_ROWS, DENSITY_RANKS),
+    "dilate-covariant": (COVARIANT_INPUT_ROWS | COVARIANT_DILATION_ROWS, DENSITY_RANKS),
+    "crossed": (
+        {"crossed_identity", "factorization", "crossed_algebra_axioms", "crossed_module_axioms"},
+        {"integral_range_density", "integral_corange_density", "crossed_module_fullness"},
+    ),
+    "uniqueness": (
+        {
+            "alt_reconstruction", "intertwine_images", "unitarity_U1", "unitarity_U2",
+            "v_map_residual", "w_map_residual", "covariant_v_residual", "covariant_w_residual",
+            "recover_U1", "recover_U2",
+        },
+        set(),
+    ),
+    "verify": (
+        COVARIANT_INPUT_ROWS | COVARIANT_DILATION_ROWS | AXIOM_ROWS,
+        DENSITY_RANKS | {"dilation_constructed", "module_fullness"},
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_each_kind_emits_each_row_once_under_one_name(tmp_path, kind):
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(cli.canonical_bytes(cli.generate_scenario(kind, 1, 2, 1, 11, "cyclic:2")))
+    cert = cli.run_scenario(str(path))
+    assert cert.passed
+    assert (set(cert.residuals), set(cert.ranks)) == ROWS[kind]
+
+
+def test_failed_verify_names_its_input_rows_as_a_passing_one(tmp_path):
+    """Trivial u breaks covariance, so the dilation is refused: the input rows
+    keep the names they have when it is built, and only its own rows are gone."""
+    payload = {**Z2, "kind": "verify"}
+    payload["objects"] = {**Z2["objects"], "u": {"trivial": 2}}
+    path = tmp_path / "verify.json"
+    path.write_text(json.dumps(payload))
+    cert = cli.run_scenario(str(path))
+    assert cert.ranks["dilation_constructed"] == (0, 1)
+    assert cert.skipped["dilation"].startswith("NotCovariantError: ")
+    assert set(cert.residuals) == COVARIANT_INPUT_ROWS | AXIOM_ROWS
+    assert set(cert.ranks) == {"dilation_constructed", "module_fullness"}
+    assert cert.residuals["input_covariance"] > cert.tolerance
