@@ -57,10 +57,19 @@ MAX_STRUCTURE_ROWS = 1_000_000
 # ---------------------------------------------------------------------------
 
 
+def _parse_int(text: str) -> int:
+    """``int`` for ``json.load``: past the interpreter's digit limit, a message naming it."""
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(f"an integer of {len(text)} digits exceeds the parser's limit of {limit}")
+
+
 def load_scenario(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, parse_int=_parse_int)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read scenario ({exc})") from exc
     except json.JSONDecodeError as exc:
@@ -103,6 +112,7 @@ class ResolvedScenario:
     cov: cpmaps.CovariantCPMap | None = None
     digest: str = ""
     name: str = ""
+    scale: float = 0.0  # maxabs of the input images, divided out of phi and cov
 
     @property
     def covariant(self) -> bool:
@@ -282,8 +292,9 @@ def resolve_scenario(
         phi, cov = _resolve_objects(data, kind)
     if kind in ("dilate-covariant", "crossed") and cov is None:
         raise ValidationError(f"kind '{kind}' needs covariant objects")
+    phi, cov, scale = cpmaps.normalize(phi, cov)
     digest = hashlib.sha256(canonical_bytes(data)).hexdigest()
-    return ResolvedScenario(kind, tolerance, seed, phi, cov, digest, name)
+    return ResolvedScenario(kind, tolerance, seed, phi, cov, digest, name, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +473,7 @@ def run_scenario(
             f"{path}: scenario kind '{res.kind}' does not match command '{expected_kind}'"
         )
     started = time.monotonic()
-    provenance = {"scenario": res.name.rsplit("/", 1)[-1], "seed": res.seed}
+    provenance = dict(scenario=os.path.basename(res.name), seed=res.seed, input_scale=res.scale)
     if res.kind in ("dilate", "dilate-covariant"):
         cert = _run_dilate(res, provenance, covariant=res.kind == "dilate-covariant")
     elif res.kind == "verify":

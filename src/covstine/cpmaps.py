@@ -12,7 +12,7 @@ would destroy the defining identity, compressing a representation never does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -59,8 +59,7 @@ class CPMapAlgebra:
     def hermiticity_residual(self) -> float:
         starred = self.images[cstar.star_permutation(self.algebra)]  # phi(E_k*)
         adjoints = np.conj(np.transpose(self.images, (0, 2, 1)))
-        scale = max(1.0, nk.maxabs(self.images))
-        return nk.maxabs(starred - adjoints) / scale if self.images.size else 0.0
+        return nk.maxabs(starred - adjoints)
 
 
 @dataclass(frozen=True)
@@ -118,6 +117,22 @@ class CovariantCPMap:
         return check_covariance(self.base, self.system, self.u, self.u_prime)
 
 
+def normalize(phi: ModuleCPMap, cov: CovariantCPMap | None = None):
+    """The map at unit scale, ``(Phi/s, cov on Phi/s, s)`` for ``s = maxabs(images)``:
+    residuals are absolute, so on it they are unit-free.  The companion becomes ``phi/s/s``,
+    two divisions so that no step over- or underflows (``InconsistentError`` if the result
+    leaves the float range).  A zero map comes back unchanged, with s = 0."""
+    s = nk.maxabs(phi.images)
+    if s == 0.0:
+        return phi, cov, s
+    with np.errstate(over="ignore"):  # reported below
+        companion = replace(phi.companion, images=phi.companion.images / s / s)
+    if not np.isfinite(companion.images).all():
+        raise InconsistentError(f"companion images are out of scale with images of size {s:.3e}")
+    phi = replace(phi, images=phi.images / s, companion=companion)
+    return phi, None if cov is None else replace(cov, base=phi), s
+
+
 def induced_algebra_cp(
     images: np.ndarray,
     module: hilbmod.HilbertModule,
@@ -135,9 +150,7 @@ def induced_algebra_cp(
     if images.ndim != 3 or images.shape[0] != module.dim or images.shape[2] != space_dim:
         raise ShapeMismatchError(f"images shape {images.shape}")
     solution = hilbmod.fullness_system(module).solve(images)
-    # the consistency residual is the defining identity, at check_module_cp's scale
     residual = hilbmod.identity_defect(images, module.inner, solution)
-    residual /= max(1.0, nk.maxabs(images) ** 2)
     if residual > nk.PRECONDITION_TOL:
         raise InconsistentError(
             f"companion system inconsistent (residual {residual:.3e}); the images "
@@ -165,14 +178,10 @@ class ModuleCPReport(NamedTuple):
 
 def check_module_cp(phi: ModuleCPMap) -> ModuleCPReport:
     """Identity and hermiticity residuals; the CP verdict is the companion's ``choi_report``."""
-    images = phi.images
-    scale = max(1.0, nk.maxabs(images) ** 2)
     companion = phi.companion
-    residual = hilbmod.identity_defect(images, phi.module.inner, companion.images) / scale
+    residual = hilbmod.identity_defect(phi.images, phi.module.inner, companion.images)
     choi = companion.choi_report
-    return ModuleCPReport(
-        residual, companion.hermiticity_residual(), choi.min_eig, choi.cp
-    )
+    return ModuleCPReport(residual, companion.hermiticity_residual(), choi.min_eig, choi.cp)
 
 
 def cp_from_representation(
@@ -219,18 +228,12 @@ def check_covariance(
     u: hilbmod.UnitaryRep,
     u_prime: hilbmod.UnitaryRep,
 ) -> CovarianceReport:
-    """Covariance residuals of a module CP map and of its companion."""
-    images, comp = phi.images, phi.companion.images
-    map_residual = hilbmod.covariance_defect(
-        system.eta, images, u_prime.mats, u.mats
-    ) / max(1.0, nk.maxabs(images))
-    companion_residual = hilbmod.covariance_defect(
-        system.alpha, comp, u.mats, u.mats
-    ) / max(1.0, nk.maxabs(comp))
-
+    """Absolute covariance residuals of a module CP map and of its companion."""
+    map_residual = hilbmod.covariance_defect(system.eta, phi.images, u_prime.mats, u.mats)
+    comp_residual = hilbmod.covariance_defect(system.alpha, phi.companion.images, u.mats, u.mats)
     axioms = phi.module.axiom_report
     condition = axioms.fullness_condition if axioms.full else float("inf")
-    return CovarianceReport(map_residual, companion_residual, condition)
+    return CovarianceReport(map_residual, comp_residual, condition)
 
 
 def covariant_cp_from_representation(

@@ -390,8 +390,7 @@ def _identity_defect(cm: CrossedModule, images: np.ndarray, companion: np.ndarra
 
 
 def _integrate(cm: CrossedModule, rep, mats: np.ndarray):
-    """Integral forms of ``rep.images`` and ``rep.companion.images`` against ``mats``,
-    with their unscaled crossed identity defect; each caller applies its own scale."""
+    """Integral forms of ``rep.images`` and its companion's, and their crossed identity defect."""
     images, companion = _integrated(rep.images, mats), _integrated(rep.companion.images, mats)
     return images, companion, _identity_defect(cm, images, companion)
 
@@ -438,8 +437,7 @@ def integral_form(
         raise ShapeMismatchError("group representations do not match (H, K)")
 
     rep_report = hilbmod.check_module_representation(rep)
-    scale = max(1.0, nk.maxabs(rep.images))
-    covariance = hilbmod.covariance_defect(sys.eta, rep.images, w.mats, v.mats) / scale
+    covariance = hilbmod.covariance_defect(sys.eta, rep.images, w.mats, v.mats)
     v_rep = hilbmod.check_unitary_rep(v)
     w_rep = hilbmod.check_unitary_rep(w)
     worst = max(
@@ -453,7 +451,6 @@ def integral_form(
 
     cm = build_crossed_module(sys)
     images, companion, identity = _integrate(cm, rep, v.mats)
-    identity /= max(1.0, scale * scale)
 
     range_rank, corange_rank = (p.rank for p in hilbmod.density_ranks(images))
     nondegenerate, reason = None, "input representation is degenerate"
@@ -508,13 +505,11 @@ def induced_cp(
         raise NotCovariantError(f"input map is not covariant (residual {report.max_residual:.3e})")
     cm = build_crossed_module(cov.system, nk.PRECONDITION_TOL)
     images, companion, identity = _integrate(cm, cov.base, cov.u.mats)
-    peak = nk.maxabs(images)
-    identity /= max(1.0, peak**2)
 
     if dilation is None:
         dilation = stinespring.dilate_covariant(cov)
     base = dilation.base
     dil_images = _integrated(base.images, dilation.v.mats)
-    fact = nk.maxabs(nk.sandwich(base.W, dil_images, base.gns.V) - images) / max(1.0, peak)
+    fact = nk.maxabs(nk.sandwich(base.W, dil_images, base.gns.V) - images)
     ranged, coranged = hilbmod.density_ranks(dil_images, base.gns.V, base.W)
     return InducedCP(cm, images, companion, identity, fact, ranged, coranged, dilation)

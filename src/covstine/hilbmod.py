@@ -332,9 +332,7 @@ def identity_defect(images: np.ndarray, inner: np.ndarray, companion: np.ndarray
 def check_module_representation(rep: ModuleRepresentation) -> ModuleRepresentationReport:
     images = rep.images
     dim_h, dim_k = rep.space_dims
-    scale = max(1.0, nk.maxabs(images))
     residual = identity_defect(images, rep.module.inner, rep.companion.images)
-    residual /= max(1.0, scale * scale)
     ranged, coranged = density_ranks(images)
     return ModuleRepresentationReport(residual, ranged.rank, dim_k, coranged.rank, dim_h)
 

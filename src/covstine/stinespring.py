@@ -9,8 +9,8 @@ kernel-annihilation residual.  The codomain space of the module dilation is
 the span of ``Phi(X) H`` inside ``K``, carried in orthonormal coordinates by
 a coisometry with orthonormal rows.
 
-All verification is numerical: certificates list named residuals, the rank
-decisions and the eigenvalue profiles behind them.
+All verification is numerical: certificates list named absolute residuals, unit-free
+on a map scaled by ``cpmaps.normalize``, and the rank decisions and profiles behind them.
 """
 
 from __future__ import annotations
@@ -269,7 +269,6 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
     for n, units, _, block in spans:
         raw = slice(units.start * h, units.stop * h)
         gram[raw, raw] = nk.kron_stack(nk.eye(n), nk.adjoint(block.factor) @ block.factor)
-    gram_scale = max(1.0, nk.maxabs(gram))
     v_mats = np.zeros((group.order, gns.dim, gns.dim), dtype=np.complex128)
     gram_residual = leak = 0.0
     for t in nk.stack_spans(group.order, raw_dim * raw_dim):
@@ -286,7 +285,7 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
             rows.append(on_h.reshape(count, n * kept, raw_dim))
         descended = np.concatenate(rows, axis=1)
         transported = np.conj(descended).transpose(0, 2, 1) @ descended  # raw_t* Gram raw_t
-        gram_residual = max(gram_residual, nk.maxabs(transported - gram) / gram_scale)
+        gram_residual = max(gram_residual, nk.maxabs(transported - gram))
         worst = np.zeros((2, count))  # per t: the largest defect and size of its block rows
         for n, units, cols, block in spans:
             groups = descended[:, :, units.start * h : units.stop * h]
@@ -437,14 +436,11 @@ def verify_dilation(
     ranks: dict[str, tuple[int, int]] = {}
     singular: dict[str, list] = {}
 
-    scale_phi = max(1.0, nk.maxabs(phi.images))
-
     residuals.update(input_rows(phi, cov))
 
     # GNS layer
-    comp = phi.companion
     recon = nk.sandwich(gns.V, gns.rep.images, gns.V)
-    residuals["gns_reconstruction"] = nk.maxabs(recon - comp.images) / scale_phi
+    residuals["gns_reconstruction"] = nk.maxabs(recon - phi.companion.images)
     gns_rank = nk.numerical_rank(hilbmod.density_stacks(gns.rep.images, gns.V)[0])
     ranks["gns_minimality"] = (gns_rank.rank, gns.dim)
     singular["gns_gram"] = list(np.sqrt(np.clip(gns.gram_eigenvalues, 0.0, None)))
@@ -453,12 +449,12 @@ def verify_dilation(
 
     # reconstruction Phi(x) = W* pi(x) V
     rebuilt = nk.sandwich(base.W, base.images, gns.V)
-    residuals["reconstruction"] = nk.maxabs(rebuilt - phi.images) / scale_phi
+    residuals["reconstruction"] = nk.maxabs(rebuilt - phi.images)
 
     # representation identity pi(x)* pi(y) = pi_gns(<x,y>)
     residuals["representation_identity"] = hilbmod.identity_defect(
         base.images, module.inner, gns.rep.images
-    ) / scale_phi
+    )
 
     # coisometry rows
     w_gram = base.W @ nk.adjoint(base.W)
@@ -490,16 +486,14 @@ def verify_dilation(
         residuals["codomain_unitaries_group_law"] = law_w
         residuals["codomain_unitaries_unitarity"] = unit_w
 
-        residuals["intertwine_V"] = hilbmod.intertwining_residual(v_rep, gns.V, u) / max(
-            1.0, nk.maxabs(gns.V)
-        )
+        residuals["intertwine_V"] = hilbmod.intertwining_residual(v_rep, gns.V, u)
         residuals["intertwine_W"] = hilbmod.intertwining_residual(w_rep, base.W, u_prime)
         residuals["covariant_representation"] = hilbmod.covariance_defect(
             system.eta, base.images, w_rep.mats, v_rep.mats
-        ) / scale_phi
+        )
         residuals["companion_covariant_rep"] = hilbmod.covariance_defect(
             system.alpha, gns.rep.images, v_rep.mats, v_rep.mats
-        ) / max(1.0, nk.maxabs(gns.rep.images))
+        )
         residuals["gram_preservation"] = dilation.gram_preservation_residual
         residuals["subspace_invariance"] = dilation.invariance_residual
 
@@ -590,9 +584,8 @@ def uniqueness_intertwiners(
     # companion representation of the competing images, via fullness
     alt_companion = hilbmod.fullness_system(module).solve(alt_images)
 
-    scale_phi = max(1.0, nk.maxabs(phi.images))
     alt_rebuilt = nk.sandwich(alt_w, alt_images, alt_v)
-    alt_recon = nk.maxabs(alt_rebuilt - phi.images) / scale_phi
+    alt_recon = nk.maxabs(alt_rebuilt - phi.images)
 
     # U1 from the algebra side, U2 from the module side
     m_cols = hilbmod.density_stacks(gns.rep.images, gns.V)[0]

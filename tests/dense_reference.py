@@ -357,9 +357,7 @@ def covariant_descent(cov, f_map, lift):
     for t in range(cov.system.group.order):
         descended = f_map @ np.kron(cov.system.alpha[t], cov.u.mats[t])
         transported = nk.adjoint(descended) @ descended
-        gram_residual = max(
-            gram_residual, nk.maxabs(transported - gram) / max(1.0, nk.maxabs(gram))
-        )
+        gram_residual = max(gram_residual, nk.maxabs(transported - gram))
         v_mats[t] = descended @ lift
         worst = max(worst, leak(descended, v_mats[t], f_map))
     return v_mats, gram_residual, worst
@@ -491,7 +489,7 @@ def covariant_groups(cov, base):
             rows.append(on_h.reshape(n * kept, n_dim * h))
         descended = np.concatenate(rows)
         transported = nk.adjoint(descended) @ descended
-        gram_residual = max(gram_residual, nk.maxabs(transported - gram) / max(1.0, nk.maxabs(gram)))
+        gram_residual = max(gram_residual, nk.maxabs(transported - gram))
         defect = size = 0.0
         for n, unit, col, block in block_spans(gns):
             kept = block.factor.shape[0]
@@ -577,7 +575,7 @@ def integral_stinespring(cov, dilation):
     base = dilation.base
     images = crossed._integrated(cov.base.images, cov.u.mats)
     rebuilt = nk.sandwich(base.W, crossed._integrated(base.images, dilation.v.mats), base.gns.V)
-    residual = nk.maxabs(rebuilt - images) / max(1.0, nk.maxabs(images))
+    residual = nk.maxabs(rebuilt - images)
     dil_images = crossed._integrated(base.images, dilation.v.mats)
     ranged, coranged = hilbmod.density_ranks(dil_images, base.gns.V, base.W)
     return residual, ranged, coranged

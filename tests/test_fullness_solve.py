@@ -113,11 +113,10 @@ def test_induced_companion_matches_the_lstsq_reference(name):
     expected, residual = ref.induced_companion(images, module)
     _close(solved.images, expected)
     _close(solved.images, companion, rel=1e-8)
-    # the gate reads the identity check at check_module_cp's scale
-    scale = max(1.0, nk.maxabs(images) ** 2)
+    # the gate reads the identity check of check_module_cp, absolute as every residual
     phi = cpmaps.ModuleCPMap(module, images, solved)
     assert cpmaps.check_module_cp(phi).identity_residual <= 1e-10
-    assert residual / scale <= 1e-10
+    assert residual <= 1e-10
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -482,6 +482,36 @@ def test_map_just_past_the_tolerance_fails_its_certificate(tmp_path, capsys, kin
         assert cert["skipped"]["uniqueness"].startswith("NotUnitaryError: ")
 
 
+@pytest.mark.parametrize(
+    "image, companion, codes",
+    [
+        (1e200, 1e300, (2, 1, 2)),  # inconsistent; the Gram of the image overflowed
+        (1e150, 1e300, (0, 0, 0)),  # consistent, with an image Gram near the float range
+        (1e-200, 1e-300, (2, 1, 2)),  # inconsistent; the Gram of the image underflowed to 0
+        (1e-200, 1.0, (2, 2, 2)),  # the companion over the squared scale is past the float range
+    ],
+)
+def test_input_magnitudes_get_the_unit_maps_verdict(tmp_path, capsys, image, companion, codes):
+    """Exit codes of ``dilate``, ``verify`` and ``uniqueness`` on a 1 x 1 map of any
+    magnitude: the map is scaled to unit size before anything is computed."""
+    payload = _set(EXPLICIT, CP_MAP + ("images", "0"), {**ONE, "entries": [[image, 0]]})
+    payload = _set(payload, COMPANION_IMAGES + ("0:0:0",), {**ONE, "entries": [[companion, 0]]})
+    for kind, expected in zip(("dilate", "verify", "uniqueness"), codes):
+        code, err = _run(tmp_path, capsys, {**payload, "kind": kind, "seed": 3})
+        assert code == expected, (kind, err)
+        assert "Traceback" not in err and "Warning" not in err
+
+
+def test_an_over_long_integer_names_the_parsers_digit_limit(tmp_path, capsys):
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'{"schema": 1, "kind": "dilate", "seed": ' + b"7" * 5000 + b"}")
+    assert cli.main(["dilate", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    limit = sys.get_int_max_str_digits()
+    assert f"an integer of 5000 digits exceeds the parser's limit of {limit}" in err
+    assert "set_int_max_str_digits" not in err
+
+
 def test_concrete_map_needs_the_exact_standard_module(tmp_path, capsys):
     """A "concrete" map certifies the standard module in place of the payload's,
     so a payload a hair off the standard tensors is refused, not certified."""

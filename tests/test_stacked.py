@@ -290,7 +290,6 @@ def test_planted_image_defect_reports_the_loops_error(name, chunk):
     images[1] *= 1.001
     bad = cpmaps.ModuleCPMap(phi.module, images, phi.companion)
     residual = ref.identity_defect(images, phi.module.inner, phi.companion.images)
-    residual /= max(1.0, nk.maxabs(images) ** 2)
     with pytest.raises(QuotientLeakError) as caught:
         stinespring.dilate_module_cp(bad)
     assert str(caught.value) == (
