@@ -19,11 +19,11 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__  # noqa: F401 (re-exported as cli.__version__)
 from . import cpmaps, crossed, cstar, hilbmod, stinespring
 from . import numkernel as nk
 from .errors import (
@@ -629,6 +629,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     workers = worker_count(args.jobs, len(jobs))
     if workers > 1:
+        # imported here: it loads multiprocessing, some milliseconds of every
+        # start-up that a single scenario does not need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_worker, jobs))
     else:

@@ -315,10 +315,12 @@ class CovariantWitness:
 
 
 def amplified_concrete_representation(
-    p: int, n: int, amplification: int
+    module: hilbmod.HilbertModule, amplification: int
 ) -> hilbmod.ModuleRepresentation:
-    """Concrete standard-module representation tensored with C^amplification."""
-    module = hilbmod.standard_module(p, n)
+    """Concrete representation of ``module``, a standard p x n module, tensored
+    with C^amplification."""
+    n = module.algebra.blocks[0]
+    p = module.dim // n
     ident = nk.eye(amplification)
     images = nk.kron_stack(hilbmod.standard_basis_matrices(p, n), ident)
     companion_images = nk.kron_stack(
@@ -351,13 +353,12 @@ def random_covariant_cp(
         )
     group = system.group
     gamma, delta = system.gamma, system.delta
-    p, n = gamma.dim, delta.dim
     streams = [
         np.random.Generator(np.random.Philox(child))
         for child in np.random.SeedSequence(seed).spawn(5)
     ]
     sigma = hilbmod.seeded_rep(group, amplification, streams[0])
-    rep = amplified_concrete_representation(p, n, amplification)
+    rep = amplified_concrete_representation(system.module, amplification)
     rep_v = hilbmod.tensor_rep(delta, sigma)
     rep_w = hilbmod.tensor_rep(gamma, sigma)
 

@@ -55,13 +55,15 @@ class CStarAlgebra:
 
 @lru_cache(maxsize=None)
 def _structure(blocks: tuple[int, ...]):
-    """Product and left-factor tables, star permutation, unit and trace
-    vectors, and the place of each matrix unit in the embedding.
+    """Product, left-factor and right-product tables, star permutation, unit
+    and trace vectors, and the place of each matrix unit in the embedding.
 
     A product of two matrix units is a unit or zero, so multiplication is a
     table: ``product[k, l]`` is m when ``E_k E_l = E_m`` and N when the
     product vanishes, and ``left_factor[k, m]`` is the l with
-    ``E_l E_k = E_m`` (at most one), N when there is none.  ``E_k`` embeds as
+    ``E_l E_k = E_m`` (at most one), N when there is none.  ``right[:, l]``
+    lists the ``(k, m)`` with ``E_l E_k = E_m``, one per column of the
+    block of ``E_l``, padded with N to the largest block.  ``E_k`` embeds as
     the single entry ``(embed_at[0][k], embed_at[1][k])`` of the E x E matrix.
     """
     algebra = CStarAlgebra(blocks)
@@ -72,6 +74,7 @@ def _structure(blocks: tuple[int, ...]):
     unit = np.zeros(dim, dtype=np.complex128)
     trace = np.zeros(dim, dtype=np.complex128)
     embed_at = np.zeros((2, dim), dtype=np.int64)
+    right = np.full((2, dim, max(algebra.blocks)), dim, dtype=np.int64)
     offset = corner = 0
     for n in algebra.blocks:
         for i in range(n):
@@ -86,12 +89,12 @@ def _structure(blocks: tuple[int, ...]):
                 for k in range(n):
                     product[idx, offset + j * n + k] = offset + i * n + k
                     left_factor[offset + j * n + k, offset + i * n + k] = idx
+                    right[:, idx, k] = offset + j * n + k, offset + i * n + k
         offset += n * n
         corner += n
-    product.setflags(write=False)
-    left_factor.setflags(write=False)
-    embed_at.setflags(write=False)
-    return product, left_factor, star_perm, unit, trace, embed_at
+    for table in (product, left_factor, embed_at, right):
+        table.setflags(write=False)
+    return product, left_factor, star_perm, unit, trace, embed_at, right
 
 
 @lru_cache(maxsize=None)
@@ -121,6 +124,12 @@ def product_index(algebra: CStarAlgebra) -> np.ndarray:
 def left_factor_index(algebra: CStarAlgebra) -> np.ndarray:
     """``index[k, m]`` is the l with ``E_l E_k = E_m``, N when there is none."""
     return _structure(algebra.blocks)[1]
+
+
+def right_product_index(algebra: CStarAlgebra) -> np.ndarray:
+    """``(units, products)``, each (N, largest block): row l lists the k with
+    ``E_l E_k`` not 0 and the unit ``E_l E_k`` is, padded with N."""
+    return _structure(algebra.blocks)[6]
 
 
 def embedding_index(algebra: CStarAlgebra) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +49,11 @@ class HilbertModule:
         object.__setattr__(self, "inner", inner)
 
     @cached_property
+    def support(self) -> "ModuleSupport":
+        """``module_support`` of this module, read once."""
+        return module_support(self)
+
+    @cached_property
     def axiom_report(self) -> "ModuleAxiomReport":
         """``check_module_axioms`` of this module, computed once."""
         return check_module_axioms(self)
@@ -57,9 +62,10 @@ class HilbertModule:
     def fullness_factor(self) -> nk.GramFactor:
         """``gram_factor`` of the (N, N) Gram ``flat* flat`` of the rows
         ``flat[(i, j)] = <x_i, x_j>``, computed once: fullness is its rank, and
-        every ``<X, X>`` solve is one GEMM with its pseudo-inverse."""
-        flat = self.inner.reshape(self.dim * self.dim, self.algebra.dim)
-        return nk.gram_factor(nk.adjoint(flat) @ flat)
+        every ``<X, X>`` solve is one GEMM with its pseudo-inverse.  Only the
+        nonzero rows are gathered; the zero ones add nothing to the Gram."""
+        rows = self.inner.reshape(self.dim * self.dim, self.algebra.dim)[self.support.pairs]
+        return nk.gram_factor(nk.adjoint(rows) @ rows)
 
     def inner_coords(self, xi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
         """A-coordinates of the inner product of two X-coordinate vectors."""
@@ -84,29 +90,52 @@ def standard_module(p: int, n: int) -> HilbertModule:
     m = p * n
     action = np.zeros((m, n * n, m), dtype=np.complex128)
     inner = np.zeros((m, m, n * n), dtype=np.complex128)
-    for q in range(p):
-        for i in range(n):
-            row = q * n + i
-            for b in range(n):
-                # f_{q,i} . E_{i,b} = f_{q,b}
-                action[row, i * n + b, q * n + b] = 1.0
-            for j in range(n):
-                # <f_{q,i}, f_{q,j}> = E_{i,j}
-                inner[row, q * n + j, i * n + j] = 1.0
+    q, i, b = np.indices((p, n, n)).reshape(3, -1)
+    action[q * n + i, i * n + b, q * n + b] = 1.0  # f_{q,i} . E_{i,b} = f_{q,b}
+    inner[q * n + i, q * n + b, i * n + b] = 1.0  # <f_{q,i}, f_{q,b}> = E_{i,b}
     return HilbertModule(algebra, m, action, inner)
 
 
 def standard_basis_matrices(p: int, n: int) -> np.ndarray:
     """The p x n matrix units in the basis order used by ``standard_module``."""
-    out = np.zeros((p * n, p, n), dtype=np.complex128)
-    for q in range(p):
-        for i in range(n):
-            out[q * n + i, q, i] = 1.0
-    return out
+    return nk.eye(p * n).reshape(p * n, p, n)
+
+
+class ModuleSupport(NamedTuple):
+    """The nonzeros of a module's structure tensors, read once.
+
+    The module is the orthogonal direct sum of the submodules spanned by its
+    components: two basis vectors are linked when some ``x_j . E_k`` has an
+    ``x_l`` coordinate (j and l linked) or ``<x_i, x_j>`` is not 0.  The span
+    of a component is closed under the action and orthogonal to every other
+    one; a standard p x n module has p components, its rows.
+    """
+
+    i: np.ndarray  # the nonzero entries inner[i, j, k], in row-major order
+    j: np.ndarray
+    k: np.ndarray
+    values: np.ndarray
+    pairs: np.ndarray  # i m + j for each pair with <x_i, x_j> not 0, ascending
+    row_j: np.ndarray  # the live action rows (j, k), x_j . E_k not 0, row-major
+    row_k: np.ndarray
+    labels: np.ndarray  # (m,): the smallest basis vector of each one's component
+
+
+def module_support(module: HilbertModule) -> ModuleSupport:
+    """One pass over each structure tensor: its nonzeros and the components."""
+    m, n_dim = module.dim, module.algebra.dim
+    i, j, k = module.inner.nonzero()
+    act_j, act_k, act_l = module.action.nonzero()
+    linked, live = np.zeros((m, m), dtype=bool), np.zeros((m, n_dim), dtype=bool)
+    linked[i, j] = live[act_j, act_k] = True
+    labels = nk.component_labels(m, np.concatenate([i, act_j]), np.concatenate([j, act_l]))
+    return ModuleSupport(
+        i, j, k, module.inner[i, j, k], linked.reshape(-1).nonzero()[0], *live.nonzero(), labels
+    )
 
 
 class FullnessSystem(NamedTuple):
-    inner: np.ndarray  # (m, m, N): the rows <x_i, x_j> spanning <X, X>
+    module: HilbertModule  # its rows <x_i, x_j> span <X, X>
     factor: nk.GramFactor  # of their (N, N) Gram, on which fullness was decided
     condition: float  # ratio of the extreme kept singular values
 
@@ -116,8 +145,9 @@ class FullnessSystem(NamedTuple):
         with ``<x_i, x_j>`` nonzero in chunks of whole pairs, so no (m^2, h^2) target
         is formed.  The caller gates on ``identity_defect``."""
         dim_k, dim_h = images.shape[1:]
-        pair_i, pair_j = self.inner.any(axis=2).nonzero()
-        coeffs, star = np.conj(self.inner[pair_i, pair_j]).T, np.conj(images).transpose(0, 2, 1)
+        pair_i, pair_j = np.divmod(self.module.support.pairs, self.module.dim)
+        coeffs = np.conj(self.module.inner[pair_i, pair_j]).T
+        star = np.conj(images).transpose(0, 2, 1)
         projected = np.zeros((len(coeffs), dim_h * dim_h), dtype=np.complex128)
         for span in nk.stack_spans(len(pair_i), dim_h * (2 * dim_k + dim_h)):
             products = star[pair_i[span]] @ images[pair_j[span]]
@@ -138,7 +168,7 @@ def fullness_system(module: HilbertModule) -> FullnessSystem:
         raise NotFullError(
             f"module is not full: rank {report.fullness_rank} of {report.fullness_required}"
         )
-    return FullnessSystem(module.inner, module.fullness_factor, report.fullness_condition)
+    return FullnessSystem(module, module.fullness_factor, report.fullness_condition)
 
 
 class ModuleAxiomReport(NamedTuple):
@@ -163,71 +193,47 @@ class ModuleAxiomReport(NamedTuple):
 def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
     """Residuals for the Hilbert-module axioms plus fullness of the span.
 
-    Linearity ``<x_i, x_j . E_k> = <x_i, x_j> E_k`` is ``nk.pair_defect`` of
-    ``action[j] @ inner[i]`` against the right side, a gather, since
-    ``E_l E_k = E_m`` for at most one ``l``; it is formed only for the pairs
-    with ``<x_i, x_j>`` nonzero.  The GEMM runs on the live action rows
-    (``x_j . E_k`` not 0) and the support columns of each ``inner[i]``; the
-    residual is the same maximum of the same absolute values as on the full
-    (m, m, N, N) comparison.
+    Everything is read from ``module.support``.  Linearity
+    ``<x_i, x_j . E_k> = <x_i, x_j> E_k`` is compared by ``_linearity_defect``,
+    one orthogonal component at a time.  Symmetry compares each nonzero
+    ``<x_i, x_j>`` with its mirror; where both are 0 they agree exactly.
 
     Positivity is decided on the Gram super-matrix ``[<x_i, x_j>]`` in
     ``M_m(A)``, embedded.  Each ``E_k`` embeds as one entry, so the nonzeros
-    of ``inner`` scatter to distinct entries, and the matrix is eigensolved
-    one connected component of its sparsity at a time: a standard p x n
-    module has p components of order n.
+    of ``inner`` are its nonzeros, and ``nk.psd_check_by_components``
+    eigensolves it one connected component of its sparsity at a time: a
+    standard p x n module has p components of order n.  No (m E)^2 array is
+    formed, and no array the size of ``inner`` unless one component spans
+    the module.
     """
     algebra = module.algebra
-    m, n_dim, e_dim = module.dim, algebra.dim, algebra.embed_dim
-    inner, action = module.inner, module.action
-    scale = max(1.0, nk.maxabs(inner))
-    # the cached factor outlives this check, so it is formed before its temporaries
+    m, e_dim = module.dim, algebra.embed_dim
+    support = module.support
+    i, j, k, values = support.i, support.j, support.k, support.values
+    magnitudes = np.abs(values)
+    scale = max(1.0, magnitudes.max(initial=0.0))
     fullness = module.fullness_factor
     kept = fullness.eigenvalues[: fullness.rank]
     condition = math.sqrt(kept[0] / kept[-1]) if fullness.rank else float("inf")
 
-    # A row (j, k) with x_j . E_k exactly 0 has a left side of exact zeros, so
-    # its defect is the largest |<x_i, x_j> E_k| over i: a gather of
-    # max_i |<x_i, x_j>|.  The live rows of each action[j], padded with dead
-    # ones to the most any x_j has, go through nk.pair_defect.
-    support = inner != 0
-    left_factor = cstar.left_factor_index(algebra)
-    padded = nk.pad_zero(inner, axis=2)
-    live = action.any(axis=2)
-    dead_j, dead_k = (~live).nonzero()
-    column_max = np.abs(padded).max(axis=0, initial=0.0)
-    rows = np.argsort(~live, axis=1, kind="stable")[:, : live.sum(axis=1).max(initial=0)]
-    targeted = support.any(axis=2).T  # [j, i]: <x_i, x_j> is not 0
-    pair_j, pair_i = targeted.nonzero()
-    linearity = max(
-        column_max[dead_j[:, None], left_factor[dead_k]].max(initial=0.0),
-        nk.pair_defect(
-            np.take_along_axis(action, rows[:, :, None], axis=1),
-            inner,
-            targeted,
-            lambda span: padded[
-                pair_i[span, None, None], pair_j[span, None, None], left_factor[rows[pair_j[span]]]
-            ],
-        ),
-    ) / scale
-
-    # <x_i, x_j>* = conj(inner[i, j, perm]), as the star permutation is an
-    # involution.  Where both sides are exactly 0 they differ by exactly 0, so
-    # only the entries where either side is nonzero are compared: (i, j, perm k)
-    # and (j, i, k) for each nonzero inner[i, j, k].
+    linearity = _linearity_defect(module, magnitudes) / scale
+    # <x_i, x_j>* = conj(inner[i, j, perm k]) against <x_j, x_i>, as the star
+    # permutation is an involution; the mirror of a zero entry is compared
+    # where it is itself a nonzero entry
     perm = cstar.star_permutation(algebra)
-    i, j, k = support.nonzero()
-    xi, xj, units = np.concatenate([i, j]), np.concatenate([j, i]), np.concatenate([perm[k], k])
-    symmetry = nk.maxabs(np.conj(inner[xi, xj, perm[units]]) - inner[xj, xi, units]) / scale
+    symmetry = nk.maxabs(np.conj(values) - module.inner[j, i, perm[k]]) / scale
 
     unit_row, unit_col = cstar.embedding_index(algebra)
-    gram_super = np.zeros((m * e_dim, m * e_dim), dtype=np.complex128)
-    gram_super[i * e_dim + unit_row[k], j * e_dim + unit_col[k]] = inner[i, j, k]
-    psd = nk.psd_check_by_components(gram_super)
+    unit_row, unit_col = unit_row[k], unit_col[k]
+    psd = nk.psd_check_by_components(
+        m * e_dim, i * e_dim + unit_row, j * e_dim + unit_col, values
+    )
 
     # <x,x> = 0 iff the trace of its embedding vanishes, so definiteness is
-    # positive-definiteness of the trace Gram.
-    trace_gram = inner @ cstar.trace_coords(algebra)
+    # positive-definiteness of the trace Gram, summed over the diagonal units.
+    diagonal = unit_row == unit_col
+    trace_gram = np.zeros((m, m), dtype=np.complex128)
+    np.add.at(trace_gram, (i[diagonal], j[diagonal]), values[diagonal])
     trace_rank = nk.psd_rank(trace_gram)
 
     return ModuleAxiomReport(
@@ -237,9 +243,94 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
         psd.ok,
         trace_rank.rank == m,
         fullness.rank,
-        n_dim,
+        algebra.dim,
         condition,
     )
+
+
+def _linearity_defect(module: HilbertModule, magnitudes: np.ndarray) -> float:
+    """Unscaled worst ``|<x_i, x_j . E_k> - <x_i, x_j> E_k|`` over all (i, j, k)
+    and units, ``magnitudes`` being ``|values|`` of the support.
+
+    The left side ``sum_q action[j, k, q] inner[i, q, :]`` is formed on the
+    grid of live rows (j, k) (``x_j . E_k`` not 0) by live columns (i, c)
+    (some ``<x_i, x_q>`` has an ``E_c`` coordinate) of each component: one
+    GEMM per component, contracted over the component's basis vectors only.
+    Consecutive components of one shape (all p rows of a standard module)
+    share one batched GEMM, by chunks of rows under the chunk rule.  Off
+    those grids the left side is exactly 0: across components both sides
+    are.  The right side is a gather, since ``E_l E_k = E_c`` for at most one
+    l; off the grids its entries are the nonzero ``inner[i, j, l]`` with row
+    (j, k) or column (i, c) dead, read from the nonzero list.  The residual is
+    the same maximum of the same absolute values as on the full
+    (m, m, N, N) comparison.
+    """
+    algebra = module.algebra
+    m, n_dim = module.dim, algebra.dim
+    support = module.support
+    i, j, labels = support.i, support.j, support.labels
+    # live rows and columns; the padding unit N counts as live, so the
+    # padding of the right-product table is never off the grid
+    live_rows = np.zeros((m, n_dim + 1), dtype=bool)
+    live_cols = np.zeros((m, n_dim + 1), dtype=bool)
+    live_rows[support.row_j, support.row_k] = True
+    live_cols[i, support.k] = True
+    col_i, col_c = live_cols[:, :n_dim].nonzero()
+    live_rows[:, n_dim] = live_cols[:, n_dim] = True
+    units, products = cstar.right_product_index(algebra)[:, support.k]
+    on_grid = live_rows[j[:, None], units] & live_cols[i[:, None], products]
+    worst = magnitudes[~on_grid.all(axis=1)].max(initial=0.0)
+
+    # nodes, rows and columns grouped by component, and each node's place in
+    # its component, whose smallest node leads its group
+    edges = np.concatenate([(labels == np.arange(m)).nonzero()[0], [m]])
+    nodes, node_at = _grouped(labels, edges)
+    rows, row_at = _grouped(labels[support.row_j], edges)
+    cols, col_at = _grouped(labels[col_i], edges)
+    place = np.empty(m, dtype=np.int64)
+    place[nodes] = np.arange(m)
+    place -= place[labels]
+    # the (basis vectors, rows, columns) of each component's grid
+    shapes = [(node_at[1:] - node_at[:-1]).tolist()]
+    shapes += [(at[1:] - at[:-1]).tolist() for at in (row_at, col_at)]
+    # inner[i, j, :] at [i, place j], with a zero unit N where E_l E_k = 0
+    stride = n_dim + 1
+    local = np.zeros((m, max(shapes[0]), stride), dtype=np.complex128)
+    local[i, place[j], support.k] = support.values
+    flat = local.reshape(-1)
+    col_i, col_c = col_i[cols], col_c[cols]
+    right = local[col_i, :, col_c].T  # right[place q, (i, c)] = inner[i, q, c]
+    targets = cstar.left_factor_index(algebra)[:, col_c] + col_i * (local.shape[1] * stride)
+    row_j, row_k = support.row_j[rows], support.row_k[rows]
+    row_at_j = place[row_j] * stride
+    first = 0
+    for (size, count, width), run in itertools.groupby(zip(*shapes)):
+        last = first + len(list(run))
+        g, r0, r1, c0, c1 = last - first, row_at[first], row_at[last], col_at[first], col_at[last]
+        nodes_g = nodes[node_at[first] : node_at[last]].reshape(g, 1, size)
+        k_g = row_k[r0:r1].reshape(g, count)
+        left = module.action[row_j[r0:r1].reshape(g, count, 1), k_g[:, :, None], nodes_g]
+        right_g = right[:size, c0:c1].reshape(size, g, width).transpose(1, 0, 2)
+        grid_cols = targets[:, c0:c1].reshape(n_dim, g, width).transpose(1, 0, 2)
+        at_j = row_at_j[r0:r1].reshape(g, count, 1)
+        stack = np.arange(g)[:, None]
+
+        # inner[i, j, left_factor[k, c]]: a gather from the flattened table
+        def defects(span):
+            gathered = flat[grid_cols[stack, k_g[:, span]] + at_j[:, span]]
+            return left[:, span] @ right_g - gathered
+
+        worst = max(worst, nk.stack_max(count, g * width, defects))
+        first = last
+    return float(worst)
+
+
+def _grouped(keys: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, bounds)``: ``order[bounds[c]:bounds[c + 1]]`` are the items
+    with key ``edges[c]``, ascending, where every key is one of ``edges[:-1]``
+    and ``edges[-1]`` exceeds them all."""
+    order = keys.argsort(kind="stable")
+    return order, keys[order].searchsorted(edges)
 
 
 @dataclass(frozen=True)
@@ -342,9 +433,17 @@ def check_module_representation(rep: ModuleRepresentation) -> ModuleRepresentati
 # ---------------------------------------------------------------------------
 
 
+# Groups are tabulated densely, so their order is bounded before any table is built.
+MAX_GROUP_ORDER = 24
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
-    """Group given by an explicit multiplication table over indices 0..g-1."""
+    """Group given by an explicit multiplication table over indices 0..g-1.
+
+    The tables are copied and made read-only, so a group can be shared and
+    what it caches (``coset_candidates``) stays valid.
+    """
 
     order: int
     mult: np.ndarray  # (g, g) index table
@@ -352,8 +451,10 @@ class FiniteGroup:
     inv: np.ndarray  # (g,) inverse indices
 
     def __post_init__(self):
-        mult = np.asarray(self.mult, dtype=np.int64)
-        inv = np.asarray(self.inv, dtype=np.int64)
+        mult = np.array(self.mult, dtype=np.int64)
+        inv = np.array(self.inv, dtype=np.int64)
+        mult.setflags(write=False)
+        inv.setflags(write=False)
         g = self.order
         if g < 1 or mult.shape != (g, g) or inv.shape != (g,):
             raise ShapeMismatchError("group table shapes inconsistent with order")
@@ -364,27 +465,27 @@ class FiniteGroup:
             raise ShapeMismatchError(f"group table entries outside 0..{g - 1}")
         if not (np.all(mult[e] == np.arange(g)) and np.all(mult[:, e] == np.arange(g))):
             raise ShapeMismatchError("identity element does not act as identity")
-        if not all(mult[t, inv[t]] == e and mult[inv[t], t] == e for t in range(g)):
+        elements = np.arange(g)
+        if not ((mult[elements, inv] == e).all() and (mult[inv, elements] == e).all()):
             raise ShapeMismatchError("inverse table is wrong")
         # (s t) r against s (t r) for all triples at once, in (s, t, r) order
-        failures = np.argwhere(mult[mult] != mult[:, mult])
-        if failures.size:
-            triple = tuple(int(i) for i in failures[0])
+        failures = mult[mult] != mult[:, mult]
+        if failures.any():
+            triple = tuple(int(i) for i in np.argwhere(failures)[0])
             raise ShapeMismatchError(f"multiplication not associative at {triple}")
 
     @cached_property
-    def coset_reps(self) -> dict[int, "UnitaryRep"]:
-        """``coset_permutation_rep`` of the first ``t`` of each dimension, built once.
-
-        These are the summands ``seeded_rep`` draws from; the matrices are
-        read-only because every call shares them.
-        """
-        reps: dict[int, UnitaryRep] = {}
+    def coset_candidates(self) -> dict[int, np.ndarray]:
+        """``coset_labels`` of the first ``t`` of each coset count, keyed by that
+        count, computed once per group and read-only: ``seeded_rep`` draws its
+        summands from their ``coset_rep``."""
+        candidates: dict[int, np.ndarray] = {}
         for t in range(self.order):
-            rep = coset_permutation_rep(self, t)
-            rep.mats.setflags(write=False)
-            reps.setdefault(rep.dim, rep)
-        return reps
+            cosets = self.order // len(cyclic_subgroup(self, t))
+            if cosets not in candidates:
+                candidates[cosets] = coset_labels(self, t)
+                candidates[cosets].setflags(write=False)
+        return candidates
 
     def same_as(self, other: "FiniteGroup") -> bool:
         return (
@@ -394,6 +495,10 @@ class FiniteGroup:
         )
 
 
+# Groups are built once per process and shared, their tables read-only.  The
+# ones a scenario can name are built with their coset candidates when the
+# module loads (``_build_named_groups``), so no scenario builds one.
+@lru_cache(maxsize=None)
 def cyclic_group(n: int) -> FiniteGroup:
     idx = np.arange(n)
     return FiniteGroup(n, (idx[:, None] + idx[None, :]) % n, 0, (-idx) % n)
@@ -407,21 +512,16 @@ def _permutations(n: int) -> list[tuple[int, ...]]:
     return list(itertools.permutations(range(n)))
 
 
+@lru_cache(maxsize=None)
 def symmetric_group(n: int) -> FiniteGroup:
     """S_n with elements in lexicographic permutation order (identity first)."""
-    perms = _permutations(n)
-    index = {p: i for i, p in enumerate(perms)}
-    g = len(perms)
-    mult = np.zeros((g, g), dtype=np.int64)
-    inv = np.zeros(g, dtype=np.int64)
-    for a, pa in enumerate(perms):
-        for b, pb in enumerate(perms):
-            mult[a, b] = index[tuple(pa[pb[x]] for x in range(n))]
-        inverse = [0] * n
-        for x in range(n):
-            inverse[pa[x]] = x
-        inv[a] = index[tuple(inverse)]
-    return FiniteGroup(g, mult, index[tuple(range(n))], inv)
+    perms = np.array(_permutations(n), dtype=np.int64).reshape(-1, n)
+    # base-n codes, ascending in lexicographic order, locate a permutation
+    codes = perms @ n ** np.arange(n - 1, -1, -1)
+    composed = perms[np.arange(len(perms))[:, None, None], perms]  # [a, b, x]: pa[pb[x]]
+    mult = codes.searchsorted(composed @ n ** np.arange(n - 1, -1, -1))
+    inv = codes.searchsorted(perms.argsort(axis=1) @ n ** np.arange(n - 1, -1, -1))
+    return FiniteGroup(len(perms), mult, 0, inv)
 
 
 @dataclass(frozen=True)
@@ -566,20 +666,30 @@ def cyclic_subgroup(group: FiniteGroup, t: int) -> list[int]:
     return elements
 
 
+def coset_labels(group: FiniteGroup, t: int) -> np.ndarray:
+    """The left coset of the subgroup <t> that holds each element, the cosets
+    numbered in the order of their smallest elements."""
+    smallest = group.mult[:, cyclic_subgroup(group, t)].min(axis=1)
+    minimal = np.zeros(group.order, dtype=np.int64)
+    minimal[smallest] = 1
+    return (minimal.cumsum() - 1)[smallest]
+
+
+def coset_rep(group: FiniteGroup, labels: np.ndarray) -> UnitaryRep:
+    """Permutation representation of the group on the cosets ``labels`` numbers."""
+    cosets = int(labels.max()) + 1
+    mats = np.zeros((group.order, cosets, cosets), dtype=np.complex128)
+    mats[np.arange(group.order)[:, None], labels[group.mult], labels] = 1.0
+    return UnitaryRep(group, cosets, mats)
+
+
 def coset_permutation_rep(group: FiniteGroup, t: int) -> UnitaryRep:
     """Permutation representation on the left cosets of the subgroup <t>.
 
     Gives nontrivial content at dimension |G| / ord(t); the regular
     representation is the ``t = identity`` case.
     """
-    # a coset is labelled by the rank of its smallest element among the cosets'
-    # smallest elements, i.e. in order of first appearance in 0..g-1
-    smallest = group.mult[:, cyclic_subgroup(group, t)].min(axis=1)
-    minima, coset_of = np.unique(smallest, return_inverse=True)
-    cosets = len(minima)
-    mats = np.zeros((group.order, cosets, cosets), dtype=np.complex128)
-    mats[np.arange(group.order)[:, None], coset_of[group.mult], coset_of] = 1.0
-    return UnitaryRep(group, cosets, mats)
+    return coset_rep(group, coset_labels(group, t))
 
 
 def seeded_rep(group: FiniteGroup, dim: int, rng: np.random.Generator) -> UnitaryRep:
@@ -590,19 +700,31 @@ def seeded_rep(group: FiniteGroup, dim: int, rng: np.random.Generator) -> Unitar
     nothing smaller fits, then conjugated by a Haar-random unitary so the
     invariant subspaces sit in generic position.
     """
-    candidates = group.coset_reps
+    candidates = group.coset_candidates
     sizes = sorted(candidates)
     rep = None
     remaining = dim
     while remaining:
         fitting = [s for s in sizes if s <= remaining]
         if fitting:
-            block = candidates[fitting[int(rng.integers(0, len(fitting)))]]
+            block = coset_rep(group, candidates[fitting[int(rng.integers(0, len(fitting)))]])
         else:
             block = trivial_rep(group, remaining)
         rep = block if rep is None else direct_sum_rep(rep, block)
         remaining -= block.dim
     return conjugate_rep(rep, nk.haar_unitary(rng, dim))
+
+
+def _build_named_groups() -> None:
+    """Build every group a scenario can name by family and size, those of order
+    at most ``MAX_GROUP_ORDER`` (``cyclic:1`` .. ``cyclic:24`` and
+    ``symmetric:1`` .. ``symmetric:4``), with its ``coset_candidates``."""
+    for size in range(1, MAX_GROUP_ORDER + 1):
+        cyclic_group(size).coset_candidates
+    size = 1
+    while math.factorial(size) <= MAX_GROUP_ORDER:
+        symmetric_group(size).coset_candidates
+        size += 1
 
 
 # ---------------------------------------------------------------------------
@@ -856,8 +978,6 @@ def group_to_json(group: FiniteGroup) -> dict:
     }
 
 
-# Groups are tabulated densely, so their order is bounded before any table is built.
-MAX_GROUP_ORDER = 24
 # Standard modules are tabulated densely too: p x n matrices over M_n, bounded
 # before the (pn, n^2, pn) action tensor is allocated.  cstar.MAX_DIM = MAX_N^2
 # bounds the algebra of an explicit module the same way.
@@ -938,3 +1058,6 @@ def unitary_rep_from_json(group: FiniteGroup, obj) -> UnitaryRep:
     if any(m.shape != (space_dim, space_dim) for m in mats):
         raise ParseError(f"unitary representation payload: 'mats' must be {space_dim}x{space_dim}")
     return UnitaryRep(group, space_dim, np.stack(mats))
+
+
+_build_named_groups()

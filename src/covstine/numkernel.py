@@ -60,7 +60,7 @@ def maxabs(arr) -> float:
     arr = np.asarray(arr)
     if arr.size == 0:
         return 0.0
-    return float(np.max(np.abs(arr)))
+    return float(np.abs(arr).max())
 
 
 def eye(n: int) -> np.ndarray:
@@ -390,44 +390,55 @@ def spectrum_psd(values: np.ndarray, herm_defect: float) -> PsdReport:
     return PsdReport(bool(ok), min_eig, herm_defect, max_eig)
 
 
-def psd_check_by_components(m) -> PsdReport:
-    """``psd_check`` of ``m`` decided one connected component at a time.
+def psd_check_by_components(order: int, rows, cols, values) -> PsdReport:
+    """``psd_check`` of the (order, order) matrix whose nonzeros are ``values``
+    at the distinct positions ``(rows, cols)``, decided one connected component
+    at a time.
 
-    The nodes are the indices of ``m``, linked where an off-diagonal entry is
-    nonzero in either triangle.  Permuted to its components the matrix is
-    block diagonal, so its spectrum is the union of theirs.  Each component of
-    two or more nodes is eigensolved by ``psd_check``; an isolated node is its
-    diagonal entry.  ``spectrum_psd`` decides on the merged extremes, so the
-    verdict and ``min_eig`` are those of ``psd_check(m)``; a matrix linked
-    throughout takes one ``psd_check`` of its full order.
+    The nodes are the indices, linked by every off-diagonal nonzero.  Permuted
+    to its components the matrix is block diagonal, so its spectrum is the
+    union of theirs.  Each component of two or more nodes is placed densely,
+    its nodes in ascending order, and eigensolved by ``psd_check``; an
+    isolated node is its diagonal entry, 0 where it has none.
+    ``spectrum_psd`` decides on the merged extremes, so the verdict and
+    ``min_eig`` are those of ``psd_check`` of the dense matrix, and the
+    Hermitian defect is theirs summed in squares over the components.  No
+    (order, order) array is formed; a matrix linked throughout takes one
+    ``psd_check`` of its full order.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatchError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    nonzero = m != 0
-    labels = _component_labels(nonzero | nonzero.T)
-    sizes = np.bincount(labels, minlength=len(labels))
-    alone = m.diagonal().real[sizes[labels] == 1]
-    lowest, highest = alone.min(initial=np.inf), alone.max(initial=-np.inf)
-    for root in np.flatnonzero(sizes > 1):
-        nodes = np.flatnonzero(labels == root)
-        report = psd_check(m[nodes[:, None], nodes])
+    labels = component_labels(order, rows, cols)
+    sizes = np.bincount(labels, minlength=order)
+    diagonal = np.zeros(order, dtype=np.complex128)
+    on_diagonal = rows == cols
+    diagonal[rows[on_diagonal]] = values[on_diagonal]
+    alone = diagonal[sizes[labels] == 1]
+    lowest, highest = alone.real.min(initial=np.inf), alone.real.max(initial=-np.inf)
+    defect = 4.0 * float((alone.imag**2).sum())
+    entry_labels = labels[rows]
+    for root in (sizes > 1).nonzero()[0]:
+        nodes, entries = (labels == root).nonzero()[0], (entry_labels == root).nonzero()[0]
+        block = np.zeros((len(nodes), len(nodes)), dtype=np.complex128)
+        block[nodes.searchsorted(rows[entries]), nodes.searchsorted(cols[entries])] = values[entries]
+        report = psd_check(block)
         lowest, highest = min(lowest, report.min_eig), max(highest, report.max_eig)
-    extremes = np.array([highest, lowest]) if len(labels) else np.zeros(0)
-    return spectrum_psd(extremes, frobenius(m - adjoint(m)))
+        defect += report.herm_defect**2
+    extremes = np.array([highest, lowest]) if order else np.zeros(0)
+    return spectrum_psd(extremes, math.sqrt(defect))
 
 
-def _component_labels(linked: np.ndarray) -> np.ndarray:
-    """The smallest node of each node's connected component, for a symmetric
-    boolean adjacency matrix.
+def component_labels(count: int, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """The smallest node of each node's connected component, for the graph on
+    ``range(count)`` with an edge ``first[e]``-``second[e]`` for each e.
 
-    Each round lowers every label to the smallest among the node's
-    neighbours, then lets every node take its label's label; labels only
-    fall, and stay within the component, until they agree along every link.
+    Each round lowers every node's label to the smallest label across its
+    edges, then lets every node take its label's label; labels only fall,
+    and stay within the component, until they agree along every edge.
     """
-    labels = np.arange(len(linked))
+    ends, others = np.concatenate([first, second]), np.concatenate([second, first])
+    labels = np.arange(count)
     while True:
-        lowered = np.where(linked, labels, labels[:, None]).min(axis=1, initial=len(linked))
+        lowered = labels.copy()
+        np.minimum.at(lowered, ends, labels[others])
         lowered = lowered[lowered]
         if (lowered == labels).all():
             return labels

@@ -9,7 +9,10 @@ module CP map through a factor of that Gram, so the GNS rows of
 ``verify_dilation`` can be read for it.  The module identities are checked
 densely: ``pi(x)* pi(y) = pi_A(<x, y>)`` one x_i at a time, multiplicativity
 one E_k at a time, and positivity by one eigensolve of the whole Gram
-super-matrix; the package skips the exact zeros of their inputs.  The loops
+super-matrix; the package skips the exact zeros of their inputs.  The module
+axioms are also kept whole on the dense tensors (``module_axioms``), where the
+package reads the module's nonzeros once and checks one orthogonal component
+at a time.  The loops
 over group and basis elements that the package runs as chunked stacks are
 kept here one element at a time, with ``np.kron`` where the package calls
 ``numkernel.kron_stack``.  Every ``<X, X>`` solve is kept in its
@@ -152,6 +155,85 @@ def module_symmetry(module):
 def module_positivity(module):
     """``psd_check`` of the whole Gram super-matrix, one eigensolve."""
     return nk.psd_check(gram_super_matrix(module))
+
+
+def component_labels(linked):
+    """The smallest node of each node's connected component, for a symmetric
+    boolean adjacency matrix, by rounds of label lowering over the dense matrix."""
+    labels = np.arange(len(linked))
+    while True:
+        lowered = np.where(linked, labels, labels[:, None]).min(axis=1, initial=len(linked))
+        lowered = lowered[lowered]
+        if (lowered == labels).all():
+            return labels
+        labels = lowered
+
+
+def psd_by_components(m):
+    """``psd_check`` of a dense matrix, one component of its sparsity at a time,
+    the components found on its dense adjacency."""
+    nonzero = m != 0
+    labels = component_labels(nonzero | nonzero.T)
+    sizes = np.bincount(labels, minlength=len(labels))
+    alone = m.diagonal().real[sizes[labels] == 1]
+    lowest, highest = alone.min(initial=np.inf), alone.max(initial=-np.inf)
+    for root in np.flatnonzero(sizes > 1):
+        nodes = np.flatnonzero(labels == root)
+        report = nk.psd_check(m[nodes[:, None], nodes])
+        lowest, highest = min(lowest, report.min_eig), max(highest, report.max_eig)
+    extremes = np.array([highest, lowest]) if len(labels) else np.zeros(0)
+    return nk.spectrum_psd(extremes, nk.frobenius(m - nk.adjoint(m)))
+
+
+def module_axioms(module):
+    """``hilbmod.check_module_axioms`` on the dense tensors: linearity by
+    ``nk.pair_defect`` over every x_j's live action rows, padded with dead ones,
+    and a gather of ``max_i |<x_i, x_j>|`` over the dead rows; symmetry on the
+    whole inner tensor; positivity on the dense (m E)^2 Gram super-matrix,
+    eigensolved per component of its dense adjacency; the trace Gram and the
+    fullness Gram from all m^2 rows of the flattened inner tensor."""
+    algebra = module.algebra
+    m, n_dim = module.dim, algebra.dim
+    inner, action = module.inner, module.action
+    scale = max(1.0, nk.maxabs(inner))
+    flat = inner.reshape(m * m, n_dim)
+    fullness = nk.gram_factor(nk.adjoint(flat) @ flat)
+    kept = fullness.eigenvalues[: fullness.rank]
+    condition = np.sqrt(kept[0] / kept[-1]) if fullness.rank else float("inf")
+
+    support = inner != 0
+    left_factor = cstar.left_factor_index(algebra)
+    padded = nk.pad_zero(inner, axis=2)
+    live = action.any(axis=2)
+    dead_j, dead_k = (~live).nonzero()
+    column_max = np.abs(padded).max(axis=0, initial=0.0)
+    rows = np.argsort(~live, axis=1, kind="stable")[:, : live.sum(axis=1).max(initial=0)]
+    targeted = support.any(axis=2).T  # [j, i]: <x_i, x_j> is not 0
+    pair_j, pair_i = targeted.nonzero()
+    linearity = max(
+        column_max[dead_j[:, None], left_factor[dead_k]].max(initial=0.0),
+        nk.pair_defect(
+            np.take_along_axis(action, rows[:, :, None], axis=1),
+            inner,
+            targeted,
+            lambda span: padded[
+                pair_i[span, None, None], pair_j[span, None, None], left_factor[rows[pair_j[span]]]
+            ],
+        ),
+    ) / scale
+
+    psd = psd_by_components(gram_super_matrix(module))
+    trace_rank = nk.psd_rank(inner @ cstar.trace_coords(algebra))
+    return hilbmod.ModuleAxiomReport(
+        linearity,
+        module_symmetry(module) / scale,
+        psd.min_eig,
+        psd.ok,
+        trace_rank.rank == m,
+        fullness.rank,
+        n_dim,
+        float(condition),
+    )
 
 
 # ---------------------------------------------------------------------------

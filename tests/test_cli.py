@@ -263,3 +263,9 @@ class TestDeterminism:
         kind_cert1 = cli.run_scenario(str(SCENARIOS / name))
         kind_cert2 = cli.run_scenario(str(SCENARIOS / name))
         assert kind_cert1.canonical() == kind_cert2.canonical()
+
+
+def test_the_cli_module_carries_the_package_version():
+    import covstine
+
+    assert cli.__version__ == covstine.__version__

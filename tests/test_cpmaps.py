@@ -117,7 +117,7 @@ class TestCpFromRepresentation:
 
     def test_seeded_amplified_compression(self):
         rng = np.random.default_rng(21)
-        rep = cpmaps.amplified_concrete_representation(2, 2, 2)
+        rep = cpmaps.amplified_concrete_representation(hilbmod.standard_module(2, 2), 2)
         v = nk.complex_normal(rng, 4, 3)
         w = cpmaps.polar_coisometry(nk.complex_normal(rng, 4, 5))
         phi = cpmaps.cp_from_representation(rep, v, w)

@@ -1,0 +1,160 @@
+"""The module axioms on the module's support: ``check_module_axioms`` reads the
+nonzeros of the structure tensors once and checks one orthogonal component at
+a time.  Its report is compared with the dense form kept in
+``dense_reference.module_axioms`` (every field bitwise on 0/1 modules, within
+rel 1e-12 on modules on a dense basis), also with planted defects, and its
+peak memory is held under the size of the inner tensor."""
+
+import json
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dense_reference
+from covstine import hilbmod
+from covstine import numkernel as nk
+from test_kernels import _algebra_module, _dense_basis_module
+from test_scale_invariance import _run
+
+# A module with no zeros to skip: ``_represented_on_dense_basis((2, 1), seed=5)``
+# compressed by ``cpmaps.cp_from_representation`` with V a complex normal and W
+# a Haar unitary (``default_rng(21)``), written as an explicit ``dilate`` payload.
+DENSE_PAYLOAD = Path(__file__).resolve().parent / "scenarios" / "dense_basis_21.json"
+
+SHAPES = [(p, n) for p in range(1, 9) for n in range(1, 9)]
+BLOCKS = [(1,), (2, 1), (1, 2, 3), (2, 2), (4, 2), (5, 3)]
+
+
+def _fields(report):
+    return dict(zip(report._fields, report))
+
+
+@pytest.mark.parametrize("p, n", SHAPES)
+def test_standard_modules_match_the_dense_form_bitwise(p, n):
+    module = hilbmod.standard_module(p, n)
+    report = hilbmod.check_module_axioms(module)
+    assert _fields(report) == _fields(dense_reference.module_axioms(module))
+    assert report.linearity_residual == report.symmetry_residual == 0.0
+    assert report.positive and report.definite and report.full
+
+
+@pytest.mark.parametrize("blocks", BLOCKS)
+def test_algebra_modules_match_the_dense_form_bitwise(blocks):
+    """A block algebra over itself: one component per block row."""
+    module = _algebra_module(blocks)
+    assert _fields(hilbmod.check_module_axioms(module)) == _fields(
+        dense_reference.module_axioms(module)
+    )
+    assert len(set(module.support.labels.tolist())) == sum(blocks)
+
+
+@pytest.mark.parametrize("blocks", [(4, 2), (6,), (5, 3), (2, 1), (1, 2, 3)])
+def test_dense_basis_modules_match_the_dense_form(blocks):
+    """One component with every action row live: the grid is the whole comparison."""
+    module = _dense_basis_module(blocks, seed=5)
+    support = module.support
+    assert (support.labels == 0).all()
+    assert len(support.row_j) == module.dim * module.algebra.dim
+    report, dense = hilbmod.check_module_axioms(module), dense_reference.module_axioms(module)
+    for field, value in _fields(dense).items():
+        assert getattr(report, field) == pytest.approx(value, rel=1e-12), field
+
+
+def test_a_zero_basis_vector_is_its_own_component():
+    """``standard_module(2, 2)`` with a zero fifth basis vector: still a module, not definite."""
+    module = hilbmod.standard_module(2, 2)
+    m, n_dim = module.dim + 1, module.algebra.dim
+    action = np.zeros((m, n_dim, m), dtype=complex)
+    inner = np.zeros((m, m, n_dim), dtype=complex)
+    action[:-1, :, :-1], inner[:-1, :-1] = module.action, module.inner
+    padded = hilbmod.HilbertModule(module.algebra, m, action, inner)
+    report = hilbmod.check_module_axioms(padded)
+    assert padded.support.labels.tolist() == [0, 0, 2, 2, 4]
+    assert _fields(report) == _fields(dense_reference.module_axioms(padded))
+    assert report.linearity_residual == 0.0 and report.positive and report.full
+    assert not report.definite
+
+
+def _plant(module, defect, eps, rng):
+    """``module`` with one planted defect; the first two merge two components."""
+    action, inner = module.action.copy(), module.inner.copy()
+    labels, n_dim = module.support.labels, module.algebra.dim
+    links = np.argwhere(labels[:, None] != labels[None, :])  # pairs in different components
+    if defect == "inner link":
+        i, j = links[rng.integers(len(links))]
+        inner[i, j, rng.integers(n_dim)] += eps
+    elif defect == "action link":
+        j, l = links[rng.integers(len(links))]
+        action[j, rng.integers(n_dim), l] += eps
+    elif defect == "zeroed row":
+        live = np.argwhere(action.any(axis=2))
+        action[tuple(live[rng.integers(len(live))])] = 0.0
+    elif defect == "asymmetric":
+        nonzero = np.argwhere(inner != 0)
+        inner[tuple(nonzero[rng.integers(len(nonzero))])] += eps * (1 + 1j)
+    else:  # a negative eigenvalue inside one component
+        component = labels == labels[rng.integers(module.dim)]
+        inner[np.ix_(component, component)] *= -eps
+    return hilbmod.HilbertModule(module.algebra, module.dim, action, inner)
+
+
+DEFECTS = ["inner link", "action link", "zeroed row", "asymmetric", "negative"]
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+@pytest.mark.parametrize("eps", [1e-3, 1e-7])
+def test_planted_defects_read_the_same_in_both_forms(defect, eps):
+    rng = np.random.default_rng(len(defect))
+    modules = [hilbmod.standard_module(3, 2), hilbmod.standard_module(2, 3), _algebra_module((2, 1))]
+    for module in modules:
+        for _ in range(3):
+            broken = _plant(module, defect, eps, rng)
+            report = hilbmod.check_module_axioms(broken)
+            assert _fields(report) == _fields(dense_reference.module_axioms(broken)), defect
+            if defect == "negative":
+                assert not report.positive
+            elif defect == "asymmetric":
+                assert report.symmetry_residual > 0.0
+            else:
+                assert report.linearity_residual > 0.0
+
+
+def test_linked_components_merge():
+    module = hilbmod.standard_module(3, 2)
+    assert module.support.labels.tolist() == [0, 0, 2, 2, 4, 4]
+    inner = module.inner.copy()
+    inner[0, 4, 0] = 1e-3
+    broken = hilbmod.HilbertModule(module.algebra, module.dim, module.action, inner)
+    assert broken.support.labels.tolist() == [0, 0, 2, 2, 0, 0]
+
+
+def test_the_8x8_check_peaks_below_the_inner_tensor():
+    module = hilbmod.standard_module(8, 8)
+    tracemalloc.start()
+    try:
+        report = hilbmod.check_module_axioms(module)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.full and report.positive
+    assert peak < module.inner.nbytes
+
+
+def test_component_labels_follow_the_edges():
+    first, second = np.array([0, 5, 3, 6]), np.array([5, 2, 6, 3])
+    assert nk.component_labels(8, first, second).tolist() == [0, 1, 0, 3, 4, 0, 3, 7]
+    chain = np.arange(63)
+    assert (nk.component_labels(64, chain[::-1], chain[::-1] + 1) == 0).all()
+
+
+@pytest.mark.parametrize("kind", ["dilate", "verify"])
+def test_the_dense_basis_payload_passes_and_replays_byte_identically(tmp_path, capsys, kind):
+    payload = {**json.loads(DENSE_PAYLOAD.read_text()), "kind": kind}
+    module = hilbmod.module_from_json(payload["objects"]["module"])
+    assert (module.support.labels == 0).all()
+    assert len(module.support.row_j) == module.dim * module.algebra.dim
+    code, first = _run(tmp_path, capsys, payload)
+    assert code == 0 and json.loads(first)["pass"]
+    assert _run(tmp_path, capsys, payload) == (0, first)

@@ -141,7 +141,7 @@ def test_generator_matches_its_loops(name, chunk):
     _same(sc.system.alpha, alpha)
     q = nk.haar_unitary(np.random.default_rng(3), gamma.dim)
     _same(hilbmod.conjugate_rep(gamma, q).mats, ref.conjugated_mats(gamma, q))
-    rep = cpmaps.amplified_concrete_representation(2, 3, 2)
+    rep = cpmaps.amplified_concrete_representation(hilbmod.standard_module(2, 3), 2)
     images, companion = ref.amplified_images(2, 3, 2)
     _same(rep.images, images)
     _same(rep.companion.images, companion)
