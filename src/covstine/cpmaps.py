@@ -150,7 +150,7 @@ def induced_algebra_cp(
     if images.ndim != 3 or images.shape[0] != module.dim or images.shape[2] != space_dim:
         raise ShapeMismatchError(f"images shape {images.shape}")
     solution = hilbmod.fullness_system(module).solve(images)
-    residual = hilbmod.identity_defect(images, module.inner, solution)
+    residual = hilbmod.identity_defect(images, module, solution)
     if residual > nk.PRECONDITION_TOL:
         raise InconsistentError(
             f"companion system inconsistent (residual {residual:.3e}); the images "
@@ -179,7 +179,7 @@ class ModuleCPReport(NamedTuple):
 def check_module_cp(phi: ModuleCPMap) -> ModuleCPReport:
     """Identity and hermiticity residuals; the CP verdict is the companion's ``choi_report``."""
     companion = phi.companion
-    residual = hilbmod.identity_defect(phi.images, phi.module.inner, companion.images)
+    residual = hilbmod.identity_defect(phi.images, phi.module, companion.images)
     choi = companion.choi_report
     return ModuleCPReport(residual, companion.hermiticity_residual(), choi.min_eig, choi.cp)
 

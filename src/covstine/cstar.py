@@ -98,6 +98,15 @@ def _structure(blocks: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
+def _product_targets(blocks: tuple[int, ...]) -> nk.PairTargets:
+    """The nonzero products ``E_k E_l = E_m`` as ``nk.pair_defect`` targets, the
+    pair (k, l) with the m-th matrix of the basis."""
+    product = _structure(blocks)[0]
+    k, l = (product < len(product)).nonzero()
+    return nk.PairTargets((len(product),) * 3, k, l, product[k, l], np.ones(len(k)))
+
+
+@lru_cache(maxsize=None)
 def _mult_tensor(blocks: tuple[int, ...]) -> np.ndarray:
     product = _structure(blocks)[0]
     dim = len(product)
@@ -338,13 +347,9 @@ def check_representation(rep: AlgebraRepresentation) -> RepresentationReport:
     images = rep.images
     scale = max(1.0, nk.maxabs(images))
 
-    # pi(E_k) pi(E_l) against pi(E_k E_l), a gather where E_k E_l is not 0
-    product = product_index(algebra)
-    targeted = product < algebra.dim
-    units = product[targeted]
-    mult_residual = nk.pair_defect(
-        images, images, targeted, lambda span: images[units[span]]
-    ) / scale
+    # pi(E_k) pi(E_l) against pi(E_k E_l), where E_k E_l is not 0
+    targets = _product_targets(algebra.blocks)
+    mult_residual = nk.pair_defect(images, images, images, targets) / scale
 
     star_images = np.conj(np.transpose(images, (0, 2, 1)))
     star_residual = nk.maxabs(images[star_perm] - star_images) / scale

@@ -54,6 +54,14 @@ class HilbertModule:
         return module_support(self)
 
     @cached_property
+    def inner_targets(self) -> nk.PairTargets:
+        """The nonzero ``inner[i, j, k]`` as ``nk.pair_defect`` targets, read once:
+        each weighs the k-th matrix of the basis in the target of the pair (i, j)."""
+        support = self.support
+        shape = (self.dim, self.dim, self.algebra.dim)
+        return nk.PairTargets(shape, support.i, support.j, support.k, support.values)
+
+    @cached_property
     def axiom_report(self) -> "ModuleAxiomReport":
         """``check_module_axioms`` of this module, computed once."""
         return check_module_axioms(self)
@@ -404,26 +412,21 @@ def density_ranks(images, v=None, w=None) -> tuple[nk.RankProfile, nk.RankProfil
     return tuple(nk.numerical_rank(stack) for stack in density_stacks(images, v, w))
 
 
-def identity_defect(images: np.ndarray, inner: np.ndarray, companion: np.ndarray) -> float:
+def identity_defect(images: np.ndarray, module: HilbertModule, companion: np.ndarray) -> float:
     """Unscaled worst ``|images[i]* images[j] - sum_k inner[i, j, k] companion[k]|``.
 
-    This is ``pi(x)* pi(y) = pi_A(<x, y>)`` on basis pairs, by ``nk.pair_defect``:
-    the right side is formed only for the pairs with ``<x_i, x_j>`` nonzero.
+    This is ``pi(x)* pi(y) = pi_A(<x, y>)`` on basis pairs, by ``nk.pair_defect``
+    with the targets ``module.inner_targets``, read from its nonzero inner products.
     """
-    targeted = inner.any(axis=2)
-    coeffs = inner[targeted]
     return nk.pair_defect(
-        np.conj(images).transpose(0, 2, 1),
-        images,
-        targeted,
-        lambda span: nk.coords_apply(coeffs[span], companion),
+        np.conj(images).transpose(0, 2, 1), images, companion, module.inner_targets
     )
 
 
 def check_module_representation(rep: ModuleRepresentation) -> ModuleRepresentationReport:
     images = rep.images
     dim_h, dim_k = rep.space_dims
-    residual = identity_defect(images, rep.module.inner, rep.companion.images)
+    residual = identity_defect(images, rep.module, rep.companion.images)
     ranged, coranged = density_ranks(images)
     return ModuleRepresentationReport(residual, ranged.rank, dim_k, coranged.rank, dim_h)
 

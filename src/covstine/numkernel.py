@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -84,18 +85,6 @@ def stack_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     columns = np.swapaxes(right, -3, -2).reshape(*right.shape[:-3], inner, l * cols)
     flat = left.reshape(*lead, k * rows, inner) @ columns
     return np.swapaxes(flat.reshape(*lead, k, rows, l, cols), -3, -2)
-
-
-def coords_apply(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
-    """``sum_k coeffs[..., k] stack[k]``: ``einsum("ijk,kac->ijac", coeffs, stack)`` and kin.
-
-    One GEMM of the coefficients, flattened to rows, against the flattened stack.
-    """
-    lead, trail = coeffs.shape[:-1], stack.shape[1:]
-    flat = coeffs.reshape(math.prod(lead), stack.shape[0]) @ stack.reshape(
-        stack.shape[0], math.prod(trail)
-    )
-    return flat.reshape(lead + trail)
 
 
 def sandwich(left: np.ndarray, stack: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -188,91 +177,102 @@ def pad_zero(stack: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.concatenate([stack, np.zeros(shape, dtype=stack.dtype)], axis=axis)
 
 
-def pair_defect(left: np.ndarray, right: np.ndarray, targeted: np.ndarray, targets) -> float:
-    """Unscaled worst ``|left[i] @ right[j] - T_ij|`` over every pair (i, j).
+@dataclass(frozen=True, eq=False)
+class PairTargets:
+    """The targets of ``pair_defect``: ``T_ij = sum_e coeff[e] basis[unit[e]]``
+    over the entries e with ``(i[e], j[e]) = (i, j)``, listed in row-major
+    order of the pairs, for ``shape`` the numbers of left maps, right maps
+    and basis matrices.  The bookkeeping the kernel reads is derived once,
+    when the targets are built by the objects they belong to."""
 
-    ``T_ij`` is nonzero only where ``targeted[i, j]``.  Those pairs are taken
-    in the order of ``np.nonzero(targeted)``, and ``targets(span)`` returns
-    the stack of T_ij for the pairs in the slice ``span`` of that order.
+    shape: tuple[int, int, int]
+    i: np.ndarray
+    j: np.ndarray
+    unit: np.ndarray
+    coeff: np.ndarray
+    # (count,): the entries of the left maps up to each one's last
+    ends: np.ndarray = field(init=False)
+    most: int = field(init=False)  # the most entries of one left map
+    # the first entry of each pair, None if no pair has two
+    starts: np.ndarray | None = field(init=False)
+    # (count, units) and (others, units): 1.0 where a map has a target on a unit
+    left_units: np.ndarray = field(init=False)
+    right_units: np.ndarray = field(init=False)
 
-    Exact zeros of the inputs are skipped.  Only the live (not all-zero) rows
-    of each ``left[i]`` and columns of each ``right[j]`` are stacked, and one
-    GEMM of the two stacks holds every pair's product on that grid; off the
-    grid a product is exactly 0, so a target counts there with its own size.
-    The GEMM runs by chunks of whole ``left[i]`` under the chunk rule, an
-    item being one ``left[i]`` against all of ``right``: a chunk's grid rows,
-    and its targets, hold at most ``STACK_ENTRIES`` entries, or as many as
-    one such item when that is more; one buffer holds each chunk's grid in
-    turn, beside at most two stacks the size of its targets.  The residual
-    is the maximum of the same absolute values, up to the rounding of the
-    GEMM, whose shape follows the chunks; where nothing is zero this is the
-    dense work.
+    def __post_init__(self):
+        count, others, units = self.shape
+        i, j = self.i, self.j
+        entries = np.bincount(i, minlength=count)
+        # the entries of a pair are consecutive: a pair has several where one repeats the last
+        repeats = (i[1:] == i[:-1]) & (j[1:] == j[:-1])
+        starts = (~np.concatenate([[False], repeats])).nonzero()[0] if repeats.any() else None
+        left_units, right_units = np.zeros((count, units)), np.zeros((others, units))
+        left_units[i, self.unit] = right_units[j, self.unit] = 1.0
+        object.__setattr__(self, "ends", entries.cumsum())
+        object.__setattr__(self, "most", int(entries.max(initial=0)))
+        object.__setattr__(self, "starts", starts)
+        object.__setattr__(self, "left_units", left_units)
+        object.__setattr__(self, "right_units", right_units)
+
+
+def pair_defect(
+    left: np.ndarray, right: np.ndarray, basis: np.ndarray, targets: PairTargets
+) -> float:
+    """Unscaled worst ``|left[i] @ right[j] - T_ij|`` over every pair (i, j),
+    ``T_ij`` from ``targets`` over the stack ``basis``; 0 for a pair without one.
+
+    Only the support is compared.  The live (not all-zero) rows of each
+    ``left[i]`` are widened by the live rows of its targets' basis matrices,
+    and the live columns of each ``right[j]`` likewise; off that union
+    product and target are both exactly 0.  Every map keeps as many rows
+    (columns) as the widest: its live ones and, as padding, dead ones, on
+    which both sides are 0 as well.  One GEMM per chunk of whole ``left[i]``
+    forms every pair's product on these rows and columns, into one buffer
+    reused across chunks; the targets are gathered as the
+    ``basis[unit][rows_i][:, cols_j]`` blocks, summed per pair where a pair
+    has several, and subtracted by one scatter.  The residual is the largest
+    absolute entry of the grid: the same maximum of the same absolute values
+    as the dense comparison, up to the rounding of the GEMM, whose shape
+    follows the chunks.  A chunk's grid rows and gathered targets hold at
+    most ``STACK_ENTRIES`` entries, or one ``left[i]``'s when that is more.
     """
-    count, rows, _ = left.shape
+    count, rows, inner = left.shape
     others, _, cols = right.shape
     if 0 in (count, rows, others, cols):
         return 0.0
-    live_rows, live_cols = left.any(axis=2), right.any(axis=1)
-    row_stack = left[live_rows]
-    col_stack = right.transpose(1, 0, 2)[:, live_cols]
-    width = col_stack.shape[1]
-    # live rows of left up to and including each row; the grid column of
-    # each column of right, where a dead one reads the zero column that
-    # leads every chunk's grid
-    row_end = live_rows.cumsum().reshape(count, rows)
-    col_at = live_cols.cumsum().reshape(others, cols) * live_cols
-    pair_left, pair_right = targeted.nonzero()
-    col_at = col_at[pair_right, None, :]
+    pair_i, pair_j, unit, coeff = targets.i, targets.j, targets.unit, targets.coeff
+    # a row is live in left[i] or in a basis matrix of its targets: the
+    # targets' rows are counted by one GEMM of the map-unit incidence
+    live_rows = left.any(axis=2) | (targets.left_units @ basis.any(axis=2) > 0)
+    live_cols = right.any(axis=1) | (targets.right_units @ basis.any(axis=1) > 0)
+    tall, wide = int(live_rows.sum(axis=1).max()), int(live_cols.sum(axis=1).max())
+    # each map's dead rows (columns) first, as padding, then its live ones
+    row_of = live_rows.argsort(axis=1, kind="stable")[:, rows - tall :]
+    col_of = live_cols.argsort(axis=1, kind="stable")[:, cols - wide :]
+    row_stack = left[np.arange(count)[:, None], row_of].reshape(count * tall, inner)
+    col_stack = right.transpose(1, 0, 2)[:, np.arange(others)[:, None], col_of]
+    col_stack = col_stack.reshape(inner, others * wide)
 
-    # the entries of one chunk's grid and of its targets, each
-    budget = max(rows * others * cols, STACK_ENTRIES)
-    total_rows, total_pairs = int(row_end[-1, -1]), len(pair_left)
-    if total_rows * width <= budget and total_pairs * rows * cols <= budget:
-        chunks = [(0, total_rows, 0, total_pairs)]
-    else:
-        limits = (budget // width if width else total_rows, budget // (rows * cols))
-        chunks = _pair_chunks(row_end[:, -1], targeted.sum(axis=1).cumsum(), limits)
-
-    worst = 0.0
-    buffer = np.zeros((max(c[1] - c[0] for c in chunks) + 1, width + 1), dtype=np.complex128)
-    for row_start, row_stop, pair_start, pair_stop in chunks:
-        grid = buffer[: row_stop - row_start + 1]
-        np.matmul(row_stack[row_start:row_stop], col_stack, out=grid[1:, 1:])
-        span = slice(pair_start, pair_stop)
-        # the grid row of each row of each targeted pair; a dead one reads
-        # the zero row that leads the grid
-        pairs = pair_left[span]
-        row_at = (row_end[pairs] - row_start) * live_rows[pairs]
-        at = row_at[:, :, None] * (width + 1) + col_at[span]  # in the flattened grid
-        defect = grid.reshape(-1)[at]
-        grid.reshape(-1)[at] = 0.0  # what is left belongs to pairs without a target
-        del at
-        defect -= targets(span)
-        worst = np.abs(defect).max(initial=worst)
-        del defect
+    spans = stack_spans(count, (others + targets.most) * tall * wide)
+    buffer = np.empty((spans[0].stop - spans[0].start, tall, others, wide), dtype=np.complex128)
+    worst, e1 = 0.0, 0
+    for span in spans:
+        grid = buffer[: span.stop - span.start]
+        flat = grid.reshape((span.stop - span.start) * tall, others * wide)
+        np.matmul(row_stack[span.start * tall : span.stop * tall], col_stack, out=flat)
+        e0, e1 = e1, int(targets.ends[span.stop - 1])  # the entries of the chunk's maps
+        pi, pj = pair_i[e0:e1], pair_j[e0:e1]
+        blocks = basis[unit[e0:e1, None, None], row_of[pi][:, :, None], col_of[pj][:, None, :]]
+        blocks *= coeff[e0:e1, None, None]
+        if targets.starts is not None:  # sum the targets of each pair
+            starts = targets.starts
+            starts = starts[starts.searchsorted(e0) : starts.searchsorted(e1)] - e0
+            blocks = np.add.reduceat(blocks, starts, axis=0)
+            pi, pj = pi[starts], pj[starts]
+        grid[pi - span.start, :, pj, :] -= blocks
+        del blocks  # before the grid's absolute values are formed
         worst = np.abs(grid).max(initial=worst)
     return float(worst)
-
-
-def _pair_chunks(row_ends: np.ndarray, pair_ends: np.ndarray, limits) -> list[tuple]:
-    """``(row_start, row_stop, pair_start, pair_stop)`` of each chunk of whole items.
-
-    Item i brings the rows and the pairs up to ``row_ends[i]`` and
-    ``pair_ends[i]`` (running totals).  Each chunk takes items while its rows
-    and its pairs stay within ``limits`` (a row and a pair count), and at
-    least one item.
-    """
-    ends = [np.concatenate([[0], row_ends]), np.concatenate([[0], pair_ends])]
-    chunks, first = [], 0
-    while first < len(row_ends):
-        stop = min(
-            int(np.searchsorted(end[1:], end[first] + limit, "right"))
-            for end, limit in zip(ends, limits)
-        )
-        stop = max(stop, first + 1)
-        chunks.append((ends[0][first], ends[0][stop], ends[1][first], ends[1][stop]))
-        first = stop
-    return chunks
 
 
 class EigDecomposition(NamedTuple):

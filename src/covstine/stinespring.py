@@ -453,7 +453,7 @@ def verify_dilation(
 
     # representation identity pi(x)* pi(y) = pi_gns(<x,y>)
     residuals["representation_identity"] = hilbmod.identity_defect(
-        base.images, module.inner, gns.rep.images
+        base.images, module, gns.rep.images
     )
 
     # coisometry rows

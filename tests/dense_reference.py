@@ -12,7 +12,10 @@ one E_k at a time, and positivity by one eigensolve of the whole Gram
 super-matrix; the package skips the exact zeros of their inputs.  The module
 axioms are also kept whole on the dense tensors (``module_axioms``), where the
 package reads the module's nonzeros once and checks one orthogonal component
-at a time.  The loops
+at a time; its linearity runs on ``pair_defect``, a
+pair kernel that forms each targeted pair's target whole, (rows, cols), from a
+callable, where the package's kernel gathers targets from nonzero lists on
+each pair's support.  The loops
 over group and basis elements that the package runs as chunked stacks are
 kept here one element at a time, with ``np.kron`` where the package calls
 ``numkernel.kron_stack``.  Every ``<X, X>`` solve is kept in its
@@ -27,6 +30,7 @@ dilation is integrated once for its factorization residual and once more for
 its density ranks, where ``crossed.induced_cp`` reads all three off one build.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -34,6 +38,19 @@ import numpy as np
 from covstine import cpmaps, crossed, cstar, hilbmod
 from covstine import numkernel as nk
 from covstine.errors import NotIntertwiningError, QuotientLeakError
+
+
+def coords_apply(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """``sum_k coeffs[..., k] stack[k]``: ``einsum("ijk,kac->ijac", coeffs, stack)`` and kin,
+    for every coefficient row, where the package gathers only the nonzero ones.
+
+    One GEMM of the coefficients, flattened to rows, against the flattened stack.
+    """
+    lead, trail = coeffs.shape[:-1], stack.shape[1:]
+    flat = coeffs.reshape(math.prod(lead), stack.shape[0]) @ stack.reshape(
+        stack.shape[0], math.prod(trail)
+    )
+    return flat.reshape(lead + trail)
 
 
 def basis(obj):
@@ -125,7 +142,7 @@ def identity_defect(images, inner, companion):
     ``x_i`` at a time against every ``x_j``."""
     return max(
         (
-            nk.maxabs(nk.adjoint(image) @ images - nk.coords_apply(row, companion))
+            nk.maxabs(nk.adjoint(image) @ images - coords_apply(row, companion))
             for image, row in zip(images, inner)
         ),
         default=0.0,
@@ -143,7 +160,7 @@ def gram_super_matrix(module):
     """``[<x_i, x_j>]`` in ``M_m(A)``, each entry embedded block-diagonally."""
     embed = cstar.embedding_representation(module.algebra).images
     order = module.dim * module.algebra.embed_dim
-    return nk.coords_apply(module.inner, embed).transpose(0, 2, 1, 3).reshape(order, order)
+    return coords_apply(module.inner, embed).transpose(0, 2, 1, 3).reshape(order, order)
 
 
 def module_symmetry(module):
@@ -185,9 +202,97 @@ def psd_by_components(m):
     return nk.spectrum_psd(extremes, nk.frobenius(m - nk.adjoint(m)))
 
 
+def pair_defect(left, right, targeted, targets):
+    """The pair kernel with callable targets that ``module_axioms`` reads:
+    unscaled worst ``|left[i] @ right[j] - T_ij|`` over every pair (i, j).
+
+    ``T_ij`` is nonzero only where ``targeted[i, j]``.  Those pairs are taken
+    in the order of ``np.nonzero(targeted)``, and ``targets(span)`` returns
+    the stack of T_ij for the pairs in the slice ``span`` of that order.
+
+    Exact zeros of the inputs are skipped.  Only the live (not all-zero) rows
+    of each ``left[i]`` and columns of each ``right[j]`` are stacked, and one
+    GEMM of the two stacks holds every pair's product on that grid; off the
+    grid a product is exactly 0, so a target counts there with its own size.
+    The GEMM runs by chunks of whole ``left[i]`` under the chunk rule, an
+    item being one ``left[i]`` against all of ``right``: a chunk's grid rows,
+    and its targets, hold at most ``nk.STACK_ENTRIES`` entries, or as many as
+    one such item when that is more; one buffer holds each chunk's grid in
+    turn, beside at most two stacks the size of its targets.  The residual
+    is the maximum of the same absolute values, up to the rounding of the
+    GEMM, whose shape follows the chunks; where nothing is zero this is the
+    dense work.
+    """
+    count, rows, _ = left.shape
+    others, _, cols = right.shape
+    if 0 in (count, rows, others, cols):
+        return 0.0
+    live_rows, live_cols = left.any(axis=2), right.any(axis=1)
+    row_stack = left[live_rows]
+    col_stack = right.transpose(1, 0, 2)[:, live_cols]
+    width = col_stack.shape[1]
+    # live rows of left up to and including each row; the grid column of
+    # each column of right, where a dead one reads the zero column that
+    # leads every chunk's grid
+    row_end = live_rows.cumsum().reshape(count, rows)
+    col_at = live_cols.cumsum().reshape(others, cols) * live_cols
+    pair_left, pair_right = targeted.nonzero()
+    col_at = col_at[pair_right, None, :]
+
+    # the entries of one chunk's grid and of its targets, each
+    budget = max(rows * others * cols, nk.STACK_ENTRIES)
+    total_rows, total_pairs = int(row_end[-1, -1]), len(pair_left)
+    if total_rows * width <= budget and total_pairs * rows * cols <= budget:
+        chunks = [(0, total_rows, 0, total_pairs)]
+    else:
+        limits = (budget // width if width else total_rows, budget // (rows * cols))
+        chunks = _pair_chunks(row_end[:, -1], targeted.sum(axis=1).cumsum(), limits)
+
+    worst = 0.0
+    buffer = np.zeros((max(c[1] - c[0] for c in chunks) + 1, width + 1), dtype=np.complex128)
+    for row_start, row_stop, pair_start, pair_stop in chunks:
+        grid = buffer[: row_stop - row_start + 1]
+        np.matmul(row_stack[row_start:row_stop], col_stack, out=grid[1:, 1:])
+        span = slice(pair_start, pair_stop)
+        # the grid row of each row of each targeted pair; a dead one reads
+        # the zero row that leads the grid
+        pairs = pair_left[span]
+        row_at = (row_end[pairs] - row_start) * live_rows[pairs]
+        at = row_at[:, :, None] * (width + 1) + col_at[span]  # in the flattened grid
+        defect = grid.reshape(-1)[at]
+        grid.reshape(-1)[at] = 0.0  # what is left belongs to pairs without a target
+        del at
+        defect -= targets(span)
+        worst = np.abs(defect).max(initial=worst)
+        del defect
+        worst = np.abs(grid).max(initial=worst)
+    return float(worst)
+
+
+def _pair_chunks(row_ends, pair_ends, limits):
+    """``(row_start, row_stop, pair_start, pair_stop)`` of each chunk of whole items.
+
+    Item i brings the rows and the pairs up to ``row_ends[i]`` and
+    ``pair_ends[i]`` (running totals).  Each chunk takes items while its rows
+    and its pairs stay within ``limits`` (a row and a pair count), and at
+    least one item.
+    """
+    ends = [np.concatenate([[0], row_ends]), np.concatenate([[0], pair_ends])]
+    chunks, first = [], 0
+    while first < len(row_ends):
+        stop = min(
+            int(np.searchsorted(end[1:], end[first] + limit, "right"))
+            for end, limit in zip(ends, limits)
+        )
+        stop = max(stop, first + 1)
+        chunks.append((ends[0][first], ends[0][stop], ends[1][first], ends[1][stop]))
+        first = stop
+    return chunks
+
+
 def module_axioms(module):
     """``hilbmod.check_module_axioms`` on the dense tensors: linearity by
-    ``nk.pair_defect`` over every x_j's live action rows, padded with dead ones,
+    ``pair_defect`` over every x_j's live action rows, padded with dead ones,
     and a gather of ``max_i |<x_i, x_j>|`` over the dead rows; symmetry on the
     whole inner tensor; positivity on the dense (m E)^2 Gram super-matrix,
     eigensolved per component of its dense adjacency; the trace Gram and the
@@ -212,7 +317,7 @@ def module_axioms(module):
     pair_j, pair_i = targeted.nonzero()
     linearity = max(
         column_max[dead_j[:, None], left_factor[dead_k]].max(initial=0.0),
-        nk.pair_defect(
+        pair_defect(
             np.take_along_axis(action, rows[:, :, None], axis=1),
             inner,
             targeted,
@@ -305,7 +410,7 @@ def intertwining(left, x, right):
 
 def covariance(transport, images, left, right):
     """``hilbmod.covariance_defect`` on the whole (g, m, K, H) stack at once."""
-    transported = nk.coords_apply(transport.transpose(0, 2, 1), images)
+    transported = coords_apply(transport.transpose(0, 2, 1), images)
     conjugated = left[:, None] @ images[None] @ np.conj(right).transpose(0, 2, 1)[:, None]
     return nk.maxabs(transported - conjugated)
 
@@ -334,7 +439,7 @@ def dynamical_system(sys):
         transported = nk.sandwich(eta[t], module.inner.transpose(2, 0, 1), eta[t])
         equivariance = max(equivariance, nk.maxabs(transported.transpose(1, 2, 0) - pushed))
         lhs = module.action @ eta[t].T
-        rhs = nk.coords_apply(eta[t].T, alpha[t].T @ module.action)
+        rhs = coords_apply(eta[t].T, alpha[t].T @ module.action)
         compatibility = max(compatibility, nk.maxabs(lhs - rhs))
     invertible = all(
         nk.numerical_rank(eta[t]).rank == module.dim
@@ -396,7 +501,7 @@ def raw_module_maps(phi):
     the whole (m, N, m) action tensor."""
     module = phi.module
     dim_h, dim_k = phi.space_dims
-    products = nk.coords_apply(module.action, phi.images)
+    products = coords_apply(module.action, phi.images)
     return products.transpose(0, 2, 1, 3).reshape(module.dim, dim_k, module.algebra.dim * dim_h)
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as hst
 from covstine import cli, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from dense_reference import (
+    identity_defect,
     integral_stinespring,
     place,
     reference_action,
@@ -313,13 +314,13 @@ def test_crossed_module_check_allocates_no_dense_inner_stack():
 @settings(max_examples=12, deadline=None)
 @given(groups, block_sizes, hst.integers(min_value=1, max_value=3), seeds)
 def test_identity_defect_from_blocks_matches_the_dense_row(name, blocks, h, seed):
-    """The per-(t, i) gather equals ``hilbmod.identity_defect`` on the dense inner tensor."""
+    """The per-(t, i) gather equals the dense identity check on the dense inner tensor."""
     cm = crossed.build_crossed_module(conjugation_system(GROUPS[name], blocks, seed))
     rng = np.random.default_rng(seed)
     shape = (cm.dim, h + 1, h, 2)
     images = rng.standard_normal(shape).view(complex)[..., 0]
     companion = rng.standard_normal((cm.algebra.dim, h, h, 2)).view(complex)[..., 0]
-    dense = hilbmod.identity_defect(images, reference_inner(cm), companion)
+    dense = identity_defect(images, reference_inner(cm), companion)
     assert crossed._identity_defect(cm, images, companion) == pytest.approx(dense, rel=1e-12)
 
 

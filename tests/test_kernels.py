@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import dense_reference
-from covstine import cpmaps, crossed, cstar, hilbmod, stinespring
+from covstine import cli, cpmaps, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from covstine.cpmaps import CPMapAlgebra
 from dense_reference import (
@@ -56,9 +56,9 @@ def test_stack_products_match_einsum(k, l, rows, inner, cols, seed):
 def test_coords_apply_matches_einsum(a, b, k, c, d, seed):
     rng = np.random.default_rng(seed)
     coeffs, stack = _random(rng, a, b, k), _random(rng, k, c, d)
-    _close(nk.coords_apply(coeffs, stack), np.einsum("ijk,kac->ijac", coeffs, stack))
+    _close(dense_reference.coords_apply(coeffs, stack), np.einsum("ijk,kac->ijac", coeffs, stack))
     vectors = _random(rng, k, c)
-    _close(nk.coords_apply(coeffs, vectors), np.einsum("ijk,ka->ija", coeffs, vectors))
+    _close(dense_reference.coords_apply(coeffs, vectors), np.einsum("ijk,ka->ija", coeffs, vectors))
 
 
 @settings(max_examples=40, deadline=None)
@@ -129,15 +129,19 @@ def test_gns_left_multiplication_descends_as_before(blocks, h, seed):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sizes, sizes, sizes, sizes, seeds)
-def test_identity_defect_matches_einsum(m, rows, cols, n_dim, seed):
+@given(sizes, sizes, sizes, block_sizes, seeds)
+def test_identity_defect_matches_einsum(m, rows, cols, blocks, seed):
+    """A random inner tensor: every pair has a target, each a sum over all N units."""
     rng = np.random.default_rng(seed)
+    algebra = cstar.CStarAlgebra(blocks)
+    n_dim = algebra.dim
     images, inner = _random(rng, m, rows, cols), _random(rng, m, m, n_dim)
     companion = _random(rng, n_dim, cols, cols)
+    module = hilbmod.HilbertModule(algebra, m, np.zeros((m, n_dim, m)), inner)
     lhs = np.einsum("iba,jbc->ijac", np.conj(images), images)
     rhs = np.einsum("ijk,kac->ijac", inner, companion)
     reference = np.max(np.abs(lhs - rhs)) if lhs.size else 0.0
-    assert hilbmod.identity_defect(images, inner, companion) == pytest.approx(reference, rel=1e-12)
+    assert hilbmod.identity_defect(images, module, companion) == pytest.approx(reference, rel=1e-12)
 
 
 def _pairwise_group_law(group, mats):
@@ -390,55 +394,80 @@ def _sparse(rng, shape, keep):
     return out
 
 
+def _sparse_targets(rng, count, others, basis_count, keep):
+    """Random ``nk.PairTargets``: each targeted pair sums one to three random
+    multiples of basis matrices."""
+    targeted = (rng.random((count, others)) < keep) & (basis_count > 0)
+    repeats = rng.integers(1, 4, size=int(targeted.sum()))
+    pair_i, pair_j = (np.repeat(index, repeats) for index in targeted.nonzero())
+    unit = rng.integers(0, max(basis_count, 1), size=len(pair_i))
+    coeff = _random(rng, len(pair_i))
+    return nk.PairTargets((count, others, basis_count), pair_i, pair_j, unit, coeff)
+
+
+def _dense_targets(targets, basis, count, others):
+    """The (count, others, rows, cols) stack of every ``T_ij``, zero without targets."""
+    full = np.zeros((count, others) + basis.shape[1:], dtype=complex)
+    for i, j, unit, coeff in zip(targets.i, targets.j, targets.unit, targets.coeff):
+        full[i, j] += coeff * basis[unit]
+    return full
+
+
 @settings(max_examples=60, deadline=None)
-@given(sizes, sizes, sizes, sizes, sizes, hst.floats(0.2, 1.0), seeds)
-def test_pair_defect_matches_every_pair(count, others, rows, inner, cols, keep, seed):
-    """Dead rows, dead columns, untargeted pairs and targets off the live grid."""
+@given(sizes, sizes, sizes, sizes, sizes, sizes, hst.floats(0.2, 1.0), seeds)
+def test_pair_defect_matches_every_pair(count, others, rows, inner, cols, units, keep, seed):
+    """Dead rows, dead columns, untargeted pairs, pairs with several targets and
+    targets off the live rows and columns of their products."""
     rng = np.random.default_rng(seed)
     left = _sparse(rng, (count, rows, inner), keep)
     right = _sparse(rng, (others, inner, cols), keep)
-    targeted = rng.random((count, others)) < keep
-    stack = _sparse(rng, (int(targeted.sum()), rows, cols), keep)
-    full = np.zeros((count, others, rows, cols), dtype=complex)
-    full[targeted] = stack
+    basis = _sparse(rng, (units, rows, cols), keep)
+    targets = _sparse_targets(rng, count, others, units, keep)
     products = np.einsum("iab,jbc->ijac", left, right)
-    reference = nk.maxabs(products - full)
-    assert nk.pair_defect(left, right, targeted, lambda span: stack[span]) == pytest.approx(
-        reference, rel=1e-12
-    )
+    reference = nk.maxabs(products - _dense_targets(targets, basis, count, others))
+    assert nk.pair_defect(left, right, basis, targets) == pytest.approx(reference, rel=1e-12)
 
 
 @pytest.mark.parametrize("live, pairs", [(1, "every"), (8, "every"), (8, "diagonal")])
 def test_pair_defect_blocks_stay_within_one_left_map_against_all_right(live, pairs, monkeypatch):
-    """``live`` live rows per left map and columns per right map.  Where one
-    left map against all right holds more than ``STACK_ENTRIES`` entries
-    (lowered here, so that small inputs show it), targets come a chunk at a
-    time, at most one left map's worth of them.  With one live row the grid
-    of every pair fits in one block but the targets of every pair take 16;
-    with every row live and only diagonal targets it is the other way round."""
+    """``live`` live rows per left map, columns per right map and both per
+    target.  Where one left map against all right holds more than
+    ``STACK_ENTRIES`` entries (lowered here, so that small inputs show it),
+    the grid and the targets come one left map at a time, and the call peaks
+    at a few times one left map's dense block against all right maps."""
     monkeypatch.setattr(nk, "STACK_ENTRIES", 1)
     count, size = 16, 8
     rng = np.random.default_rng(4)
     left, right = _random(rng, count, size, size), _random(rng, count, size, size)
     left[:, live:], right[:, :, live:] = 0.0, 0.0
+    stack = _random(rng, count * count, size, size)
+    stack[:, live:], stack[:, :, live:] = 0.0, 0.0
     targeted = np.ones((count, count), dtype=bool) if pairs == "every" else np.eye(count, dtype=bool)
-    stack = _random(rng, int(targeted.sum()), size, size)
+    pair_i, pair_j = targeted.nonzero()
+    shape = (count, count, len(stack))
+    targets = nk.PairTargets(shape, pair_i, pair_j, np.arange(len(pair_i)), np.ones(len(pair_i)))
     spans = []
+    stack_spans = nk.stack_spans
 
-    def targets(span):
-        spans.append(span.stop - span.start)
-        return stack[span]
+    def recorded(count, item_entries):
+        chunks = stack_spans(count, item_entries)
+        spans.extend(chunks)
+        return chunks
 
+    monkeypatch.setattr(nk, "stack_spans", recorded)
     block_bytes = size * count * size * 16  # left[i] @ every right[j], complex
     tracemalloc.start()
     try:
-        nk.pair_defect(left, right, targeted, targets)
+        residual = nk.pair_defect(left, right, stack, targets)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spans == [count if pairs == "every" else 1] * count
+    assert [span.stop - span.start for span in spans] == [1] * count
     if (live, pairs) != (8, "every"):  # there the inputs' copies and index arrays add up
         assert peak < 6 * block_bytes
+    full = _dense_targets(targets, stack, count, count)
+    products = np.einsum("iab,jbc->ijac", left, right)
+    assert residual == pytest.approx(nk.maxabs(products - full), rel=1e-12)
 
 
 def _represented(kind):
@@ -471,17 +500,92 @@ def test_identity_defect_matches_the_dense_reference(kind, where):
     module, images, companion = _represented(kind)
     inner = module.inner
     if where is None:
-        assert hilbmod.identity_defect(images, inner, companion) < 1e-12
+        assert hilbmod.identity_defect(images, module, companion) < 1e-12
         assert dense_reference.identity_defect(images, inner, companion) < 1e-12
         return
     eps = 1e-2
     rng = np.random.default_rng(len(kind) + len(where))
     arrays = {"images": images, "companion": companion, "inner": inner}
     arrays[where] = _plant_at_zero(arrays[where], eps, rng)
-    args = (arrays["images"], arrays["inner"], arrays["companion"])
-    reference = dense_reference.identity_defect(*args)
+    planted = hilbmod.HilbertModule(module.algebra, module.dim, module.action, arrays["inner"])
+    reference = dense_reference.identity_defect(
+        arrays["images"], arrays["inner"], arrays["companion"]
+    )
     assert reference > eps * eps / 2
-    assert hilbmod.identity_defect(*args) == pytest.approx(reference, rel=1e-12)
+    residual = hilbmod.identity_defect(arrays["images"], planted, arrays["companion"])
+    assert residual == pytest.approx(reference, rel=1e-12)
+
+
+def _padded(images, companion):
+    """``images`` with one more column and ``companion`` with one more row and
+    column, all zero: a row dead in every ``images[i]*``."""
+    return np.pad(images, ((0, 0), (0, 0), (0, 1))), np.pad(companion, ((0, 0), (0, 1), (0, 1)))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_identity_defect_sees_a_target_on_a_row_dead_in_every_image(kind):
+    """The product is 0 on the planted row, so the residual is the target's entry."""
+    module, images, companion = _represented(kind)
+    images, companion = _padded(images, companion)
+    dead = companion.shape[1] - 1
+    companion[module.support.k[0], dead, 0] += 1e-2
+    reference = dense_reference.identity_defect(images, module.inner, companion)
+    assert reference > 1e-2 * np.abs(module.support.values).min() / 2
+    residual = hilbmod.identity_defect(images, module, companion)
+    assert residual == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["standard 3x2", "dilation 2x3"])
+def test_identity_defect_sees_a_product_on_a_pair_without_target(kind):
+    """``<x_i, x_j> = 0`` but ``images[i]* images[j]`` is not, planted on a row
+    where ``images[j]`` is live."""
+    module, images, companion = _represented(kind)
+    untargeted = ~module.inner.any(axis=2)
+    i, j = (index[0] for index in untargeted.nonzero())
+    images = images.copy()
+    row = np.flatnonzero(images[j].any(axis=1))[0]
+    images[i, row, 0] += 1e-2
+    reference = dense_reference.identity_defect(images, module.inner, companion)
+    assert nk.maxabs(nk.adjoint(images[i]) @ images[j]) > 1e-3
+    assert reference > 1e-3
+    assert hilbmod.identity_defect(images, module, companion) == pytest.approx(reference, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["dense", "two blocks"])
+def test_identity_defect_sums_several_units_per_pair(kind):
+    """On a dense basis every ``<x_i, x_j>`` has several units: the targets of
+    a pair are summed before they are compared."""
+    module, images, companion = _represented(kind)
+    assert module.inner_targets.starts is not None
+    assert len(module.inner_targets.starts) < len(module.inner_targets.i)
+    companion = companion.copy()
+    companion[1] += 1e-3 * _random(np.random.default_rng(1), *companion.shape[1:])
+    reference = dense_reference.identity_defect(images, module.inner, companion)
+    assert reference > 1e-5
+    assert hilbmod.identity_defect(images, module, companion) == pytest.approx(reference, rel=1e-12)
+
+
+def test_identity_defect_on_an_empty_support_and_zero_sizes():
+    """Without targets every product is compared with 0; without rows or
+    columns nothing is compared, without inner dimension every target is."""
+    algebra = cstar.CStarAlgebra((2,))
+    rng = np.random.default_rng(3)
+    empty = hilbmod.HilbertModule(algebra, 3, np.zeros((3, 4, 3)), np.zeros((3, 3, 4)))
+    assert len(empty.inner_targets.i) == 0
+    images, companion = _random(rng, 3, 2, 2), _random(rng, 4, 2, 2)
+    reference = dense_reference.identity_defect(images, empty.inner, companion)
+    assert hilbmod.identity_defect(images, empty, companion) == pytest.approx(reference, rel=1e-12)
+
+    module, images, companion = _represented("standard 3x2")
+    m, (k_dim, h_dim) = module.dim, images.shape[1:]
+    for shape in [(m, k_dim, 0), (m, 0, h_dim)]:
+        images = np.zeros(shape, dtype=complex)
+        companion = _random(rng, module.algebra.dim, shape[2], shape[2])
+        reference = dense_reference.identity_defect(images, module.inner, companion)
+        residual = hilbmod.identity_defect(images, module, companion)
+        assert residual == pytest.approx(reference, rel=1e-12)
+    zero = hilbmod.HilbertModule(algebra, 0, np.zeros((0, 4, 0)), np.zeros((0, 0, 4)))
+    assert hilbmod.identity_defect(np.zeros((0, 2, 2)), zero, _random(rng, 4, 2, 2)) == 0.0
 
 
 def _representations():
@@ -509,6 +613,69 @@ def test_multiplicativity_matches_the_per_unit_loop(index, eps):
         assert residual == pytest.approx(reference, rel=1e-12)
     if eps:
         assert reference > eps * eps / 2
+
+
+def test_multiplicativity_sees_a_target_on_a_row_dead_in_the_left_image():
+    """``pi(E_00) pi(E_01)`` against ``pi(E_01)`` planted on row 1, which
+    ``pi(E_00)`` does not reach."""
+    rep = cstar.embedding_representation(cstar.CStarAlgebra((2,)))
+    images = rep.images.copy()
+    images[1, 1, 1] += 1e-2
+    rep = cstar.AlgebraRepresentation(rep.algebra, rep.space_dim, images)
+    reference = dense_reference.multiplicativity_defect(rep)
+    assert reference >= 1e-2
+    residual = cstar.check_representation(rep).mult_residual * max(1.0, nk.maxabs(rep.images))
+    assert residual == pytest.approx(reference, rel=1e-12)
+
+
+def test_multiplicativity_sees_a_product_on_a_pair_without_target():
+    """``E_00`` of the 2 x 2 block times the 1 x 1 block is 0, but the planted
+    images multiply to ``1e-2 e_02``."""
+    algebra = cstar.CStarAlgebra((2, 1))
+    rep = cstar.embedding_representation(algebra)
+    images = rep.images.copy()
+    images[4, 0, 2] += 1e-2
+    rep = cstar.AlgebraRepresentation(algebra, rep.space_dim, images)
+    assert cstar.product_index(algebra)[0, 4] == algebra.dim
+    reference = dense_reference.multiplicativity_defect(rep)
+    assert reference >= 1e-2
+    residual = cstar.check_representation(rep).mult_residual * max(1.0, nk.maxabs(rep.images))
+    assert residual == pytest.approx(reference, rel=1e-12)
+
+
+def test_dilation_identities_at_the_corner_stay_below_one_image_stack(monkeypatch):
+    """``verify_dilation`` at the ``dilate`` corner (8, 8, 8), seed 11: each
+    ``pair_defect`` call, the identity and the multiplicativity, peaks below
+    one (64, 64, 64) stack of dilation images, and the whole identity check
+    below two.  Targets formed whole for every pair, (rows, cols) each, took
+    about 2.5 stacks per call and 3.6 for the identity check."""
+    phi = cli.resolve_scenario(cli.generate_scenario("dilate", 8, 8, 8, 11), "corner.json").phi
+    dilation = stinespring.dilate_module_cp(phi)
+    stack_bytes = dilation.images.nbytes
+    assert dilation.images.shape == (64, 64, 64)
+    peaks = []
+
+    def traced(function, name):
+        def call(*args):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = function(*args)
+            peaks.append((name, tracemalloc.get_traced_memory()[1] - before))
+            return result
+
+        return call
+
+    monkeypatch.setattr(nk, "pair_defect", traced(nk.pair_defect, "pair"))
+    monkeypatch.setattr(hilbmod, "identity_defect", traced(hilbmod.identity_defect, "identity"))
+    tracemalloc.start()
+    try:
+        cert = stinespring.verify_dilation(phi, dilation)
+    finally:
+        tracemalloc.stop()
+    assert cert.passed
+    assert [name for name, _ in peaks] == ["pair", "pair", "identity"]
+    assert all(peak < stack_bytes for name, peak in peaks if name == "pair"), peaks
+    assert peaks[-1][1] < 2 * stack_bytes, peaks
 
 
 def _modules():

@@ -363,20 +363,30 @@ def test_symmetry_on_the_support_is_the_dense_residual(name):
         assert expected == 1e-3
 
 
-def test_pair_defect_takes_a_small_input_in_one_chunk():
+def _every_pair(count, others, stack):
+    """``nk.PairTargets`` with ``T_ij = stack[i * others + j]`` for every pair."""
+    pair_i, pair_j = np.divmod(np.arange(count * others), others)
+    entries = np.arange(count * others)
+    shape = (count, others, len(stack))
+    return nk.PairTargets(shape, pair_i, pair_j, entries, np.ones(len(entries)))
+
+
+def test_pair_defect_takes_a_small_input_in_one_chunk(monkeypatch):
     """Every row live: one chunk while all pairs fit STACK_ENTRIES, not one
     chunk per left map."""
     rng = np.random.default_rng(6)
     left, right, stack = _random(rng, 4, 3, 5), _random(rng, 6, 5, 2), _random(rng, 24, 3, 2)
-    targeted = np.ones((4, 6), dtype=bool)
     spans = []
+    stack_spans = nk.stack_spans
 
-    def targets(span):
-        spans.append(span)
-        return stack[span]
+    def recorded(count, item_entries):
+        chunks = stack_spans(count, item_entries)
+        spans.extend(chunks)
+        return chunks
 
-    residual = nk.pair_defect(left, right, targeted, targets)
-    assert spans == [slice(0, 24)]
+    monkeypatch.setattr(nk, "stack_spans", recorded)
+    residual = nk.pair_defect(left, right, stack, _every_pair(4, 6, stack))
+    assert spans == [slice(0, 4)]
     products = (left[:, None] @ right[None]).reshape(24, 3, 2)
     assert residual == pytest.approx(nk.maxabs(products - stack), rel=1e-12)
 
@@ -386,16 +396,22 @@ def test_pair_defect_takes_a_small_input_in_one_chunk():
 def test_pair_defect_in_several_chunks_is_the_one_chunk_residual(
     count, others, rows, inner, cols, keep, seed, entries
 ):
-    """Dead rows and columns, untargeted pairs, and chunk boundaries anywhere.
-    A chunk stacks the rows of its items into one GEMM, and GEMMs of other
-    shapes may round differently in the last bits."""
+    """Dead rows and columns, untargeted pairs, pairs with two targets, and
+    chunk boundaries anywhere.  A chunk stacks the rows of its items into one
+    GEMM, and GEMMs of other shapes may round differently in the last bits."""
     rng = np.random.default_rng(seed)
     left, right = _random(rng, count, rows, inner), _random(rng, others, inner, cols)
     left *= (rng.random((count, rows)) < keep)[..., None]
     right *= (rng.random((others, cols)) < keep)[:, None, :]
-    targeted = rng.random((count, others)) < keep
-    stack = _random(rng, int(targeted.sum()), rows, cols)
-    whole = nk.pair_defect(left, right, targeted, lambda span: stack[span])
+    stack = _random(rng, count * others + 1, rows, cols)
+    stack *= (rng.random((len(stack), rows)) < keep)[..., None]
+    pair_i, pair_j = (rng.random((count, others)) < keep).nonzero()
+    twice = rng.random(len(pair_i)) < keep / 2  # these pairs get a second target
+    pair_i, pair_j = np.repeat(pair_i, 1 + twice), np.repeat(pair_j, 1 + twice)
+    unit = rng.integers(0, len(stack), size=len(pair_i))
+    shape = (count, others, len(stack))
+    targets = nk.PairTargets(shape, pair_i, pair_j, unit, _random(rng, len(pair_i)))
+    whole = nk.pair_defect(left, right, stack, targets)
     with mock.patch.object(nk, "STACK_ENTRIES", entries):
-        chunked = nk.pair_defect(left, right, targeted, lambda span: stack[span])
+        chunked = nk.pair_defect(left, right, stack, targets)
     assert chunked == pytest.approx(whole, rel=1e-12, abs=1e-15)
