@@ -243,8 +243,8 @@ def pair_defect(
     pair_i, pair_j, unit, coeff = targets.i, targets.j, targets.unit, targets.coeff
     # a row is live in left[i] or in a basis matrix of its targets: the
     # targets' rows are counted by one GEMM of the map-unit incidence
-    live_rows = left.any(axis=2) | (targets.left_units @ basis.any(axis=2) > 0)
-    live_cols = right.any(axis=1) | (targets.right_units @ basis.any(axis=1) > 0)
+    live_rows = np.logical_or(left.any(axis=2), targets.left_units @ basis.any(axis=2))
+    live_cols = np.logical_or(right.any(axis=1), targets.right_units @ basis.any(axis=1))
     tall, wide = int(live_rows.sum(axis=1).max()), int(live_cols.sum(axis=1).max())
     # each map's dead rows (columns) first, as padding, then its live ones
     row_of = live_rows.argsort(axis=1, kind="stable")[:, rows - tall :]
