@@ -190,27 +190,36 @@ class PairTargets:
     j: np.ndarray
     unit: np.ndarray
     coeff: np.ndarray
-    # (count,): the entries of the left maps up to each one's last
-    ends: np.ndarray = field(init=False)
-    most: int = field(init=False)  # the most entries of one left map
-    # the first entry of each pair, None if no pair has two
-    starts: np.ndarray | None = field(init=False)
+    # the distinct pairs, row-major
+    pair_i: np.ndarray = field(init=False)
+    pair_j: np.ndarray = field(init=False)
+    ends: np.ndarray = field(init=False)  # (count,): the pairs up to each left map's last
+    most: int = field(init=False)  # the most pairs of one left map
+    # (pairs, units): each pair's coefficients, where some pair has several
+    # entries; None where every pair has one
+    pair_coeffs: np.ndarray | None = field(init=False)
     # (count, units) and (others, units): 1.0 where a map has a target on a unit
     left_units: np.ndarray = field(init=False)
     right_units: np.ndarray = field(init=False)
 
     def __post_init__(self):
         count, others, units = self.shape
-        i, j = self.i, self.j
-        entries = np.bincount(i, minlength=count)
-        # the entries of a pair are consecutive: a pair has several where one repeats the last
-        repeats = (i[1:] == i[:-1]) & (j[1:] == j[:-1])
-        starts = (~np.concatenate([[False], repeats])).nonzero()[0] if repeats.any() else None
+        i, j, unit = self.i, self.j, self.unit
+        # the entries of a pair are consecutive: a pair starts where they change
+        starts = np.ones(len(i), dtype=bool)
+        starts[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+        pair_coeffs = None
+        if not starts.all():
+            pair_coeffs = np.zeros((int(starts.sum()), units), dtype=np.complex128)
+            np.add.at(pair_coeffs, (starts.cumsum() - 1, unit), self.coeff)
+        pairs = np.bincount(i[starts], minlength=count)
         left_units, right_units = np.zeros((count, units)), np.zeros((others, units))
-        left_units[i, self.unit] = right_units[j, self.unit] = 1.0
-        object.__setattr__(self, "ends", entries.cumsum())
-        object.__setattr__(self, "most", int(entries.max(initial=0)))
-        object.__setattr__(self, "starts", starts)
+        left_units[i, unit] = right_units[j, unit] = 1.0
+        object.__setattr__(self, "pair_i", i[starts])
+        object.__setattr__(self, "pair_j", j[starts])
+        object.__setattr__(self, "ends", pairs.cumsum())
+        object.__setattr__(self, "most", int(pairs.max(initial=0)))
+        object.__setattr__(self, "pair_coeffs", pair_coeffs)
         object.__setattr__(self, "left_units", left_units)
         object.__setattr__(self, "right_units", right_units)
 
@@ -228,19 +237,20 @@ def pair_defect(
     (columns) as the widest: its live ones and, as padding, dead ones, on
     which both sides are 0 as well.  One GEMM per chunk of whole ``left[i]``
     forms every pair's product on these rows and columns, into one buffer
-    reused across chunks; the targets are gathered as the
-    ``basis[unit][rows_i][:, cols_j]`` blocks, summed per pair where a pair
-    has several, and subtracted by one scatter.  The residual is the largest
+    reused across chunks.  A pair's target is gathered as the block
+    ``coeff basis[unit][rows_i][:, cols_j]``; where pairs have several
+    entries, each pair's are summed first, by one GEMM of the pairs'
+    coefficients with the basis, and the block is cut from the sum.  The
+    blocks are subtracted by one scatter, and the residual is the largest
     absolute entry of the grid: the same maximum of the same absolute values
-    as the dense comparison, up to the rounding of the GEMM, whose shape
-    follows the chunks.  A chunk's grid rows and gathered targets hold at
-    most ``STACK_ENTRIES`` entries, or one ``left[i]``'s when that is more.
+    as the dense comparison, up to the rounding of the GEMMs, whose shapes
+    follow the chunks.  A chunk's grid rows and targets hold at most
+    ``STACK_ENTRIES`` entries, or one ``left[i]``'s when that is more.
     """
     count, rows, inner = left.shape
     others, _, cols = right.shape
     if 0 in (count, rows, others, cols):
         return 0.0
-    pair_i, pair_j, unit, coeff = targets.i, targets.j, targets.unit, targets.coeff
     # a row is live in left[i] or in a basis matrix of its targets: the
     # targets' rows are counted by one GEMM of the map-unit incidence
     live_rows = np.logical_or(left.any(axis=2), targets.left_units @ basis.any(axis=2))
@@ -253,22 +263,25 @@ def pair_defect(
     col_stack = right.transpose(1, 0, 2)[:, np.arange(others)[:, None], col_of]
     col_stack = col_stack.reshape(inner, others * wide)
 
-    spans = stack_spans(count, (others + targets.most) * tall * wide)
+    pair_i, pair_j, pair_coeffs = targets.pair_i, targets.pair_j, targets.pair_coeffs
+    target_entries = tall * wide if pair_coeffs is None else rows * cols
+    spans = stack_spans(count, tall * others * wide + targets.most * target_entries)
     buffer = np.empty((spans[0].stop - spans[0].start, tall, others, wide), dtype=np.complex128)
-    worst, e1 = 0.0, 0
+    worst, p1 = 0.0, 0
     for span in spans:
         grid = buffer[: span.stop - span.start]
         flat = grid.reshape((span.stop - span.start) * tall, others * wide)
         np.matmul(row_stack[span.start * tall : span.stop * tall], col_stack, out=flat)
-        e0, e1 = e1, int(targets.ends[span.stop - 1])  # the entries of the chunk's maps
-        pi, pj = pair_i[e0:e1], pair_j[e0:e1]
-        blocks = basis[unit[e0:e1, None, None], row_of[pi][:, :, None], col_of[pj][:, None, :]]
-        blocks *= coeff[e0:e1, None, None]
-        if targets.starts is not None:  # sum the targets of each pair
-            starts = targets.starts
-            starts = starts[starts.searchsorted(e0) : starts.searchsorted(e1)] - e0
-            blocks = np.add.reduceat(blocks, starts, axis=0)
-            pi, pj = pi[starts], pj[starts]
+        p0, p1 = p1, int(targets.ends[span.stop - 1])  # the pairs of the chunk's maps
+        pi, pj = pair_i[p0:p1], pair_j[p0:p1]
+        block = (row_of[pi][:, :, None], col_of[pj][:, None, :])
+        if pair_coeffs is None:
+            blocks = basis[(targets.unit[p0:p1, None, None],) + block]
+            blocks *= targets.coeff[p0:p1, None, None]
+        else:
+            sums = pair_coeffs[p0:p1] @ basis.reshape(len(basis), rows * cols)
+            blocks = sums.reshape(p1 - p0, rows, cols)[(np.arange(p1 - p0)[:, None, None],) + block]
+            del sums
         grid[pi - span.start, :, pj, :] -= blocks
         del blocks  # before the grid's absolute values are formed
         worst = np.abs(grid).max(initial=worst)

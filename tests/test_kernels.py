@@ -554,10 +554,11 @@ def test_identity_defect_sees_a_product_on_a_pair_without_target(kind):
 @pytest.mark.parametrize("kind", ["dense", "two blocks"])
 def test_identity_defect_sums_several_units_per_pair(kind):
     """On a dense basis every ``<x_i, x_j>`` has several units: the targets of
-    a pair are summed before they are compared."""
+    a pair are summed, by one GEMM of the pairs' coefficient rows, before they
+    are compared."""
     module, images, companion = _represented(kind)
-    assert module.inner_targets.starts is not None
-    assert len(module.inner_targets.starts) < len(module.inner_targets.i)
+    targets = module.inner_targets
+    assert targets.pair_coeffs is not None and len(targets.pair_i) < len(targets.i)
     companion = companion.copy()
     companion[1] += 1e-3 * _random(np.random.default_rng(1), *companion.shape[1:])
     reference = dense_reference.identity_defect(images, module.inner, companion)
