@@ -122,11 +122,7 @@ def mult_tensor(algebra: CStarAlgebra) -> np.ndarray:
 
 
 def product_index(algebra: CStarAlgebra) -> np.ndarray:
-    """``index[k, l]`` is m when ``E_k E_l = E_m`` and N when the product is 0.
-
-    ``nk.pad_zero(stack)[index]`` is ``stack`` contracted with the
-    multiplication tensor, as a gather.
-    """
+    """``index[k, l]`` is m when ``E_k E_l = E_m`` and N when the product is 0."""
     return _structure(algebra.blocks)[0]
 
 
@@ -144,30 +140,6 @@ def right_product_index(algebra: CStarAlgebra) -> np.ndarray:
 def embedding_index(algebra: CStarAlgebra) -> np.ndarray:
     """``(rows, cols)``: ``E_k`` embeds as the one entry ``(rows[k], cols[k])``."""
     return _structure(algebra.blocks)[5]
-
-
-def block_products(algebra: CStarAlgebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Coordinates of ``left[..., i, :] right[..., j, :]`` for every pair, shape
-    ``(..., len(left), len(right), N)``.
-
-    ``left`` and ``right`` hold one coordinate vector per row, and leading
-    axes stack independent pairs of lists.  Each block multiplies on its
-    own, so a pair costs the sum of n_b^3, not a contraction with the dense
-    N^3 multiplication tensor.
-    """
-    *lead, count, _ = left.shape
-    others = right.shape[-2]
-    out = np.empty((*lead, count, others, algebra.dim), dtype=np.complex128)
-    offset = 0
-    for n in algebra.blocks:
-        span = slice(offset, offset + n * n)
-        products = nk.stack_products(
-            left[..., span].reshape(*lead, count, n, n),
-            right[..., span].reshape(*right.shape[:-1], n, n),
-        )
-        out[..., span] = products.reshape(*lead, count, others, n * n)
-        offset += n * n
-    return out
 
 
 def star_permutation(algebra: CStarAlgebra) -> np.ndarray:
@@ -351,8 +323,10 @@ def check_representation(rep: AlgebraRepresentation) -> RepresentationReport:
     targets = _product_targets(algebra.blocks)
     mult_residual = nk.pair_defect(images, images, images, targets) / scale
 
-    star_images = np.conj(np.transpose(images, (0, 2, 1)))
-    star_residual = nk.maxabs(images[star_perm] - star_images) / scale
+    def star_defects(k):  # pi(E_k*) against pi(E_k)*, a chunk of k at a time
+        return images[star_perm[k]] - np.conj(images[k]).transpose(0, 2, 1)
+
+    star_residual = nk.stack_max(len(images), rep.space_dim**2, star_defects) / scale
 
     unit_image = np.tensordot(unit, images, axes=(0, 0))
     identity = nk.eye(rep.space_dim)

@@ -127,6 +127,7 @@ class ModuleSupport(NamedTuple):
     row_j: np.ndarray  # the live action rows (j, k), x_j . E_k not 0, row-major
     row_k: np.ndarray
     labels: np.ndarray  # (m,): the smallest basis vector of each one's component
+    act: tuple[np.ndarray, np.ndarray, np.ndarray]  # (j, k, l) of each nonzero action[j, k, l]
 
 
 def module_support(module: HilbertModule) -> ModuleSupport:
@@ -138,7 +139,8 @@ def module_support(module: HilbertModule) -> ModuleSupport:
     linked[i, j] = live[act_j, act_k] = True
     labels = nk.component_labels(m, np.concatenate([i, act_j]), np.concatenate([j, act_l]))
     return ModuleSupport(
-        i, j, k, module.inner[i, j, k], linked.reshape(-1).nonzero()[0], *live.nonzero(), labels
+        i, j, k, module.inner[i, j, k], linked.reshape(-1).nonzero()[0], *live.nonzero(), labels,
+        (act_j, act_k, act_l),
     )
 
 
@@ -550,12 +552,19 @@ def group_law_residuals(group: FiniteGroup, mats: np.ndarray) -> tuple[float, fl
     """``(hom, unit)``: worst ``|m_s m_t - m_st|`` over all pairs, and ``|m_e - I|``.
 
     ``mats`` holds one square matrix per group element; this is the group
-    law of every action and representation in the package.
+    law of every action and representation in the package.  A chunk of s is one
+    GEMM of the rows ``[m_s]`` against the columns ``[m_t]``, read as [s, row, t, col].
     """
     g, d = mats.shape[:2]
-    hom = nk.stack_max(
-        g, g * d * d, lambda s: mats[s, None] @ mats - mats[group.mult[s]]
-    )
+    columns, rows = mats.transpose(1, 0, 2).reshape(d, g * d), np.arange(d)[:, None]
+
+    def defects(s):
+        count = s.stop - s.start
+        grid = (mats[s].reshape(count * d, d) @ columns).reshape(count, d, g, d)
+        grid -= mats[group.mult[s][:, None, :], rows]
+        return grid
+
+    hom = nk.stack_max(g, g * d * d, defects)
     return hom, nk.maxabs(mats[group.identity] - nk.eye(d))
 
 
@@ -800,20 +809,28 @@ def algebra_action_residuals(
 
     ``law`` is the group law (unit included), ``mult`` the multiplicativity
     ``alpha_t(E_k E_l) = alpha_t(E_k) alpha_t(E_l)`` and ``star`` the
-    commutation with the involution, each the worst over the group.  The
-    products of images multiply block by block, and ``alpha_t(E_k E_l)`` is
-    a gather, since ``E_k E_l`` is a unit or 0.
+    commutation with the involution, each the worst over the group.  For
+    each block of size n a chunk of t is one GEMM of the (N n, n) rows of the
+    images' blocks against their (n, N n) columns, read as [t, k, row, l, col];
+    ``alpha_t(E_k E_l)`` is subtracted only at the sum of n_b^3 pairs where
+    ``E_k E_l = E_m`` is not 0, a gather of ``alpha_t(E_m)``.
     """
     law = max(group_law_residuals(group, alpha))
+    g, dim, product = group.order, algebra.dim, cstar.product_index(algebra)
+    k, l = (product < dim).nonzero()
+    auto_mult, offset = 0.0, 0
+    for n in algebra.blocks:
+        part = alpha[:, offset : offset + n * n].transpose(0, 2, 1).reshape(g, dim, n, n)
 
-    product = cstar.product_index(algebra)
-    images = alpha.transpose(0, 2, 1)  # [t, k]: the coordinates of alpha_t(E_k)
+        def mult_defects(t, part=part, n=n):  # part[t, k]: the block's entries of alpha_t(E_k)
+            count = t.stop - t.start
+            columns = part[t].transpose(0, 2, 1, 3).reshape(count, n, dim * n)
+            grid = (part[t].reshape(count, dim * n, n) @ columns).reshape(count, dim, n, dim, n)
+            grid[:, k, :, l, :] -= part[t][:, product[k, l]].transpose(1, 0, 2, 3)
+            return grid
 
-    def mult_defects(t):
-        prod_of_images = cstar.block_products(algebra, images[t], images[t])
-        return prod_of_images - nk.pad_zero(images[t], axis=1)[:, product]
-
-    auto_mult = nk.stack_max(group.order, algebra.dim**3, mult_defects)
+        auto_mult = max(auto_mult, nk.stack_max(g, (dim * n) ** 2, mult_defects))
+        offset += n * n
 
     # alpha_t(E_k*) against alpha_t(E_k)*; the star permutation is an involution
     perm = cstar.star_permutation(algebra)
@@ -821,27 +838,38 @@ def algebra_action_residuals(
 
 
 def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
-    group, module = sys.group, sys.module
-    eta, alpha = sys.eta, sys.alpha
-    algebra = module.algebra
-    g, m, n_dim = group.order, module.dim, algebra.dim
-    inner, action = module.inner, module.action
-
-    alpha_law, auto_mult, auto_star = algebra_action_residuals(group, algebra, alpha)
+    """The group laws, equivariance ``<eta_t x_i, eta_t x_j> = alpha_t(<x_i, x_j>)``,
+    compatibility ``eta_t(x_i . E_k) = eta_t(x_i) . alpha_t(E_k)`` and
+    ``algebra_action_residuals``.  Equivariance and compatibility are one grouped
+    GEMM per chunk of t each, from the nonzeros of ``module.support``, read as
+    [t, k, i, j] and [t, r, i, k]: sums over the live rows (a, k) of inner of
+    ``conj(eta_t[a, i]) (inner[a, :, k] @ eta_t)[j]`` and over the live columns
+    (l, r) of action of ``(action[:, l, r] @ eta_t)[i] alpha_t[l, k]``, minus the
+    targets where they can be nonzero (the pairs with ``<x_i, x_j>`` not 0, the
+    live rows (i, k) of action): the maxima of the dense comparisons' values.
+    """
+    group, module, eta, alpha = sys.group, sys.module, sys.eta, sys.alpha
+    g, m, n_dim = group.order, module.dim, module.algebra.dim
+    alpha_law, auto_mult, auto_star = algebra_action_residuals(group, module.algebra, alpha)
     law = max(max(group_law_residuals(group, eta)), alpha_law)
 
+    sup, act = module.support, module.support.act
+    inner_rows, heads_k = _grouped_rows((n_dim, m, m), sup.k, sup.i, sup.j, sup.values)
+    action_rows, heads_r = _grouped_rows((m, n_dim, m), act[2], act[1], act[0], module.action[act])
+    pair_rows = module.inner.reshape(m * m, n_dim)[sup.pairs].T
+    live_rows, live_at = module.action[sup.row_j, sup.row_k].T, sup.row_j * n_dim + sup.row_k
+
     def equivariance(t):
-        # <eta_t x_i, eta_t x_j> versus alpha_t(<x_i, x_j>)
-        pushed = inner @ np.swapaxes(alpha[t], 1, 2)[:, None]
-        return transported_inner(eta[t], inner) - pushed
+        z = (inner_rows @ eta[t]).reshape(t.stop - t.start, n_dim, heads_k.shape[1], m)
+        grid = np.conj(eta[t][:, heads_k]).swapaxes(-1, -2) @ z
+        grid.reshape(len(grid), n_dim, m * m)[:, :, sup.pairs] -= alpha[t] @ pair_rows
+        return grid
 
     def compatibility(t):
-        # eta_t(x_i . E_k) versus eta_t(x_i) . alpha_t(E_k)
-        eta_rows = np.swapaxes(eta[t], 1, 2)
-        lhs = action @ eta_rows[:, None]
-        moved = np.swapaxes(alpha[t], 1, 2)[:, None] @ action
-        rhs = eta_rows @ moved.reshape(len(moved), m, n_dim * m)
-        return lhs - rhs.reshape(lhs.shape)
+        c = (action_rows @ eta[t]).reshape(t.stop - t.start, m, heads_r.shape[1], m)
+        grid = c.swapaxes(-1, -2) @ alpha[t][:, heads_r]
+        grid.reshape(len(grid), m, m * n_dim)[:, :, live_at] -= eta[t] @ live_rows
+        return grid
 
     item = m * m * n_dim
     invertible = nk.stack_ranks(eta) == [m] * g and nk.stack_ranks(alpha) == [n_dim] * g
@@ -853,6 +881,23 @@ def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
         auto_star,
         invertible,
     )
+
+
+def _grouped_rows(shape, first, second, third, values):
+    """``(rows, heads)`` of a (count, span, width) tensor given by its ``values`` at
+    (first, second, third): ``rows[c * depth + d]`` is its d-th nonzero row (c, h) in
+    order of h and ``heads[c, d]`` that h, padded with zero rows (h 0) to the most
+    rows of one c, and to 2 if that is 1: OpenBLAS rounds a depth-1 complex GEMM
+    unlike deeper ones, whose zero terms leave the sums of a dense contraction."""
+    count, span, width = shape
+    live = np.zeros((count, span), dtype=bool)
+    live[first, second] = True
+    place, most = live.cumsum(axis=1) - 1, int(live.sum(axis=1).max(initial=0))
+    depth = max(2, most) if most else 0
+    rows = np.zeros((count, depth, width), dtype=np.complex128)
+    heads, slot = np.zeros((count, depth), dtype=np.int64), place[first, second]
+    rows[first, slot, third], heads[first, slot] = values, second
+    return rows.reshape(count * depth, width), heads
 
 
 def transported_inner(eta: np.ndarray, inner: np.ndarray) -> np.ndarray:

@@ -73,20 +73,6 @@ def eye(n: int) -> np.ndarray:
 # as one unordered loop nest over every index at once.
 
 
-def stack_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``left[..., i, :, :] @ right[..., j, :, :]`` for every pair, shape
-    ``(..., len(left), len(right), rows, cols)``.
-
-    One GEMM per leading index: the left maps stacked by rows against the
-    right maps stacked by columns.
-    """
-    *lead, k, rows, inner = left.shape
-    l, cols = right.shape[-3], right.shape[-1]
-    columns = np.swapaxes(right, -3, -2).reshape(*right.shape[:-3], inner, l * cols)
-    flat = left.reshape(*lead, k * rows, inner) @ columns
-    return np.swapaxes(flat.reshape(*lead, k, rows, l, cols), -3, -2)
-
-
 def sandwich(left: np.ndarray, stack: np.ndarray, right: np.ndarray) -> np.ndarray:
     """``left* @ stack[i] @ right`` for every i.
 
@@ -98,7 +84,9 @@ def sandwich(left: np.ndarray, stack: np.ndarray, right: np.ndarray) -> np.ndarr
 # Loops over group or basis elements run as stacks: the items of one chunk go
 # through one batched op, which forms each item's products exactly as it forms
 # them for that item alone, so no entry, and no maximum of their absolute
-# values, depends on how the items are cut into chunks.
+# values, depends on how the items are cut into chunks.  ``pair_defect`` and
+# ``hilbmod.group_law_residuals`` stack a chunk's items into one GEMM instead,
+# whose last bits follow its shape.
 
 
 def stack_spans(count: int, item_entries: int) -> list[slice]:
@@ -164,17 +152,6 @@ def stack_ranks(stack: np.ndarray) -> list[int]:
         values = np.linalg.eigvalsh((gram + np.conj(gram).transpose(0, 2, 1)) / 2.0)
         ranks += [spectral_rank(v[::-1])[0] for v in values]
     return ranks
-
-
-def pad_zero(stack: np.ndarray, axis: int = 0) -> np.ndarray:
-    """``stack`` with a slice of zeros appended along ``axis``.
-
-    Indexing the result with ``len`` along that axis reads zeros; products of
-    matrix units (a unit or zero) become gathers this way.
-    """
-    shape = list(stack.shape)
-    shape[axis] = 1
-    return np.concatenate([stack, np.zeros(shape, dtype=stack.dtype)], axis=axis)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,10 +228,13 @@ def pair_defect(
     others, _, cols = right.shape
     if 0 in (count, rows, others, cols):
         return 0.0
-    # a row is live in left[i] or in a basis matrix of its targets: the
-    # targets' rows are counted by one GEMM of the map-unit incidence
-    live_rows = np.logical_or(left.any(axis=2), targets.left_units @ basis.any(axis=2))
-    live_cols = np.logical_or(right.any(axis=1), targets.right_units @ basis.any(axis=1))
+    # a row is live in left[i] or in a basis matrix of its targets, whose rows are
+    # counted by one GEMM of the map-unit incidence (read off left if it is the basis)
+    left_live, right_live = left.any(axis=2), right.any(axis=1)
+    basis_rows = left_live if basis is left else basis.any(axis=2)
+    basis_cols = right_live if basis is right else basis.any(axis=1)
+    live_rows = np.logical_or(left_live, targets.left_units @ basis_rows)
+    live_cols = np.logical_or(right_live, targets.right_units @ basis_cols)
     tall, wide = int(live_rows.sum(axis=1).max()), int(live_cols.sum(axis=1).max())
     # each map's dead rows (columns) first, as padding, then its live ones
     row_of = live_rows.argsort(axis=1, kind="stable")[:, rows - tall :]

@@ -248,9 +248,10 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
     The domain unitaries are the descents of ``alpha_t (x) u_t`` (this
     preserves the GNS Gram exactly when the companion is covariant; the
     residual is checked), formed as ``F (alpha_t (x) u_t)`` by two mode products,
-    by ``alpha_t`` on the matrix units and by ``u_t`` on H.  The codomain space is
-    invariant under ``u'`` up to the reported leak, and the codomain unitaries
-    are its compressions.
+    by ``alpha_t`` on the matrix units and by ``u_t`` on H; their Gram has ``S_b* S_b``
+    subtracted in place on the n_b diagonal blocks of each block b, the GNS Gram
+    ``F* F``.  The codomain space is invariant under ``u'`` up to the reported
+    leak, and the codomain unitaries are its compressions.
     """
     report = cov.covariance_report
     if report.max_residual > nk.PRECONDITION_TOL:
@@ -265,10 +266,6 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
     algebra, h = cov.base.module.algebra, gns.cp_map.space_dim
     spans = list(_spans(algebra.blocks, gns.blocks))
     raw_dim = algebra.dim * h
-    gram = np.zeros((raw_dim, raw_dim), dtype=np.complex128)  # F* F, the GNS Gram on its range
-    for n, units, _, block in spans:
-        raw = slice(units.start * h, units.stop * h)
-        gram[raw, raw] = nk.kron_stack(nk.eye(n), nk.adjoint(block.factor) @ block.factor)
     v_mats = np.zeros((group.order, gns.dim, gns.dim), dtype=np.complex128)
     gram_residual = leak = 0.0
     for t in nk.stack_spans(group.order, raw_dim * raw_dim):
@@ -285,7 +282,11 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
             rows.append(on_h.reshape(count, n * kept, raw_dim))
         descended = np.concatenate(rows, axis=1)
         transported = np.conj(descended).transpose(0, 2, 1) @ descended  # raw_t* Gram raw_t
-        gram_residual = max(gram_residual, nk.maxabs(transported - gram))
+        for n, units, _, block in spans:  # the GNS Gram F* F is S* S on each block row
+            raw = slice(units.start * h, units.stop * h)
+            block_rows = transported[:, raw, raw].reshape(count, n, n * h, n, n * h)  # a view
+            block_rows[:, np.arange(n), :, np.arange(n)] -= nk.adjoint(block.factor) @ block.factor
+        gram_residual = max(gram_residual, nk.maxabs(transported))
         worst = np.zeros((2, count))  # per t: the largest defect and size of its block rows
         for n, units, cols, block in spans:
             groups = descended[:, :, units.start * h : units.stop * h]

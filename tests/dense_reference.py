@@ -21,7 +21,14 @@ kept here one element at a time, with ``np.kron`` where the package calls
 ``numkernel.kron_stack``.  Every ``<X, X>`` solve is kept in its
 ``np.linalg.lstsq`` form on the whole (m^2, ...) pair target, which the
 package never forms: it pseudo-inverts on the cached ``gram_factor`` of the
-(N, N) Gram of the inner-product rows.  The GNS descent is kept in two
+(N, N) Gram of the inner-product rows.  The group-indexed checks are
+kept dense as well: products of automorphism images by ``block_products``
+(each block's ``stack_products`` placed into a dense (N, N, N) tensor) minus a
+``pad_zero`` gather of every pair's target, the group law one s at a time,
+the Gram row against the whole Kronecker Gram, and equivariance and
+compatibility on the whole (m, m, N) and (m, N, m) tensors, where the
+package reads each in the layout of its GEMM and subtracts targets only on
+their support.  The GNS descent is kept in two
 forms: dense, with the (rank, N h) ``F`` and (N h, rank) ``L`` placed whole,
 every raw module map over the full (m, N, m) action tensor and ``np.kron``
 of ``alpha_t`` and ``u_t``; and factored, the package's block rows and live
@@ -51,6 +58,46 @@ def coords_apply(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
         stack.shape[0], math.prod(trail)
     )
     return flat.reshape(lead + trail)
+
+
+def stack_products(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``left[..., i, :, :] @ right[..., j, :, :]`` for every pair, shape
+    ``(..., len(left), len(right), rows, cols)``: one GEMM per leading index, the
+    left maps stacked by rows against the right maps stacked by columns, and
+    the result permuted to pair order."""
+    *lead, k, rows, inner = left.shape
+    l, cols = right.shape[-3], right.shape[-1]
+    columns = np.swapaxes(right, -3, -2).reshape(*right.shape[:-3], inner, l * cols)
+    flat = left.reshape(*lead, k * rows, inner) @ columns
+    return np.swapaxes(flat.reshape(*lead, k, rows, l, cols), -3, -2)
+
+
+def pad_zero(stack: np.ndarray, axis: int = 0) -> np.ndarray:
+    """``stack`` with a slice of zeros appended along ``axis``: indexing the result
+    with ``len`` along that axis reads zeros, so products of matrix units (a unit
+    or zero) become gathers through ``cstar.product_index``."""
+    shape = list(stack.shape)
+    shape[axis] = 1
+    return np.concatenate([stack, np.zeros(shape, dtype=stack.dtype)], axis=axis)
+
+
+def block_products(algebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Coordinates of ``left[..., i, :] right[..., j, :]`` for every pair, shape
+    ``(..., len(left), len(right), N)``, each block multiplied on its own by
+    ``stack_products`` and placed densely."""
+    *lead, count, _ = left.shape
+    others = right.shape[-2]
+    out = np.empty((*lead, count, others, algebra.dim), dtype=np.complex128)
+    offset = 0
+    for n in algebra.blocks:
+        span = slice(offset, offset + n * n)
+        products = stack_products(
+            left[..., span].reshape(*lead, count, n, n),
+            right[..., span].reshape(*right.shape[:-1], n, n),
+        )
+        out[..., span] = products.reshape(*lead, count, others, n * n)
+        offset += n * n
+    return out
 
 
 def basis(obj):
@@ -104,7 +151,7 @@ def dense_gns_gram(phi):
     algebra = phi.algebra
     n_dim, h = algebra.dim, phi.space_dim
     star_products = cstar.product_index(algebra)[cstar.star_permutation(algebra)]
-    gram = nk.pad_zero(phi.images)[star_products].transpose(0, 2, 1, 3)
+    gram = pad_zero(phi.images)[star_products].transpose(0, 2, 1, 3)
     gram = gram.reshape(n_dim * h, n_dim * h)
     return (gram + nk.adjoint(gram)) / 2.0
 
@@ -151,7 +198,7 @@ def identity_defect(images, inner, companion):
 
 def multiplicativity_defect(rep):
     """Worst ``|pi(E_k) pi(E_l) - pi(E_k E_l)|``, one ``E_k`` at a time, unscaled."""
-    padded = nk.pad_zero(rep.images)
+    padded = pad_zero(rep.images)
     rows = zip(rep.images, cstar.product_index(rep.algebra))
     return max((nk.maxabs(image @ rep.images - padded[row]) for image, row in rows), default=0.0)
 
@@ -308,7 +355,7 @@ def module_axioms(module):
 
     support = inner != 0
     left_factor = cstar.left_factor_index(algebra)
-    padded = nk.pad_zero(inner, axis=2)
+    padded = pad_zero(inner, axis=2)
     live = action.any(axis=2)
     dead_j, dead_k = (~live).nonzero()
     column_max = np.abs(padded).max(axis=0, initial=0.0)
@@ -422,8 +469,8 @@ def algebra_action(group, algebra, alpha):
     auto_mult = 0.0
     for t in range(group.order):
         images = alpha[t].T
-        prod_of_images = cstar.block_products(algebra, images, images)
-        auto_mult = max(auto_mult, nk.maxabs(prod_of_images - nk.pad_zero(images)[product]))
+        prod_of_images = block_products(algebra, images, images)
+        auto_mult = max(auto_mult, nk.maxabs(prod_of_images - pad_zero(images)[product]))
     perm = cstar.star_permutation(algebra)
     return law, auto_mult, nk.maxabs(alpha[:, :, perm] - np.conj(alpha[:, perm, :]))
 
@@ -485,7 +532,7 @@ def gns_descent(phi, rank, cutoff):
         lift[rows, cols] = np.kron(nk.eye(n), basis / sqrt_vals[None, :])
         row, col = rows.stop, cols.stop
     product = cstar.product_index(algebra)
-    f_units = nk.pad_zero(f_map.reshape(rank, n_dim, h), axis=1)
+    f_units = pad_zero(f_map.reshape(rank, n_dim, h), axis=1)
     images = np.zeros((n_dim, rank, rank), dtype=np.complex128)
     worst = 0.0
     for k in range(n_dim):

@@ -48,7 +48,7 @@ def _close(actual, expected):
 def test_stack_products_match_einsum(k, l, rows, inner, cols, seed):
     rng = np.random.default_rng(seed)
     left, right = _random(rng, k, rows, inner), _random(rng, l, inner, cols)
-    _close(nk.stack_products(left, right), np.einsum("iab,jbc->ijac", left, right))
+    _close(dense_reference.stack_products(left, right), np.einsum("iab,jbc->ijac", left, right))
 
 
 @settings(max_examples=40, deadline=None)
@@ -79,7 +79,7 @@ def test_block_products_match_the_multiplication_tensor(blocks, k, l, seed):
     rng = np.random.default_rng(seed)
     left, right = _random(rng, k, algebra.dim), _random(rng, l, algebra.dim)
     expected = np.einsum("ip,jq,pqm->ijm", left, right, cstar.mult_tensor(algebra))
-    _close(cstar.block_products(algebra, left, right), expected)
+    _close(dense_reference.block_products(algebra, left, right), expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -90,9 +90,9 @@ def test_unit_gathers_match_the_multiplication_tensor(blocks, m, h, seed):
     rng = np.random.default_rng(seed)
     stack = _random(rng, algebra.dim, h, h)
     product = cstar.product_index(algebra)
-    _close(nk.pad_zero(stack)[product], np.einsum("klm,mab->klab", mul, stack))
+    _close(dense_reference.pad_zero(stack)[product], np.einsum("klm,mab->klab", mul, stack))
     inner = _random(rng, m, m, algebra.dim)
-    gathered = nk.pad_zero(inner, axis=2)[..., cstar.left_factor_index(algebra)]
+    gathered = dense_reference.pad_zero(inner, axis=2)[..., cstar.left_factor_index(algebra)]
     _close(gathered, np.einsum("ijl,lkm->ijkm", inner, mul))
 
 
@@ -105,7 +105,7 @@ def test_gathered_left_multiplication_matches_kronecker_products(blocks, rank, h
     n_dim = algebra.dim
     f_map = _random(np.random.default_rng(seed), rank, n_dim * h)
     mul = cstar.mult_tensor(algebra)
-    units = nk.pad_zero(f_map.reshape(rank, n_dim, h), axis=1)
+    units = dense_reference.pad_zero(f_map.reshape(rank, n_dim, h), axis=1)
     for k, row in enumerate(cstar.product_index(algebra)):
         gathered = units[:, row].reshape(rank, n_dim * h)
         _close(gathered, f_map @ np.kron(mul[k].T, nk.eye(h)))
@@ -214,6 +214,12 @@ def _represented_on_dense_basis(blocks, seed):
     embedding = cstar.embedding_representation(module.algebra).images
     rng = np.random.default_rng(seed)
     basis = _random(rng, module.dim, module.dim)  # column i: new x_i in old coordinates
+    changed = _on_basis(module, basis)
+    return changed, np.tensordot(basis, embedding, axes=(0, 0)), embedding
+
+
+def _on_basis(module, basis):
+    """``module`` on the basis ``x'_i = sum_a basis[a, i] x_a``."""
     m, n_dim = module.dim, module.algebra.dim
     # x'_i . E_k = sum_a basis[a, i] x_a . E_k, in new coordinates basis^-1 of the old
     old_coords = np.tensordot(basis, module.action, axes=(0, 0)).reshape(m * n_dim, m)
@@ -221,8 +227,7 @@ def _represented_on_dense_basis(blocks, seed):
     inner = np.tensordot(
         np.conj(basis), np.tensordot(basis, module.inner, axes=(0, 1)), axes=(0, 1)
     )
-    changed = hilbmod.HilbertModule(module.algebra, m, action, inner)
-    return changed, np.tensordot(basis, embedding, axes=(0, 0)), embedding
+    return hilbmod.HilbertModule(module.algebra, m, action, inner)
 
 
 def _plant(module, where, eps, rng):
@@ -752,6 +757,151 @@ def test_positivity_eigensolves_one_psd_check_per_component(monkeypatch, module,
     monkeypatch.setattr(nk, "psd_check", counting)
     hilbmod.check_module_axioms(module)
     assert sorted(seen) == sorted(orders)
+
+
+# ---------------------------------------------------------------------------
+# Group-indexed identities in their GEMM's layout against the dense references
+# ---------------------------------------------------------------------------
+
+BLOCK_SWAP = np.r_[4:8, 0:4, 8]  # E_k of M_2 + M_2 + M_1 to the unit alpha_1 sends it to
+DENSE_BASIS = _random(np.random.default_rng(5), 9, 9)  # column i: x'_i on the unit basis
+BASES = pytest.mark.parametrize("basis", [None, DENSE_BASIS], ids=["units", "dense"])
+
+
+def _swap_system(basis):
+    """Z2 swapping the two 2 x 2 blocks of M_2 + M_2 + M_1, acting on the algebra
+    as a module over itself by ``eta_t = alpha_t``: on its unit basis, or on
+    ``basis`` (``_on_basis``), where ``eta_t`` is ``basis^-1 alpha_t basis``."""
+    module = _algebra_module((2, 2, 1))
+    alpha = np.stack([np.eye(9), np.eye(9)[BLOCK_SWAP]]).astype(complex)
+    eta = alpha
+    if basis is not None:
+        module, eta = _on_basis(module, basis), np.linalg.solve(basis, alpha @ basis)
+    return hilbmod.ModuleDynamicalSystem(hilbmod.cyclic_group(2), module, eta, alpha)
+
+
+def _swap_map(basis):
+    """The embedding of the algebra as a covariant map on the module of
+    ``_swap_system(basis)``, with u_t swapping the two 2-dimensional summands of C^5."""
+    system = _swap_system(basis)
+    embedding = cstar.embedding_representation(system.module.algebra).images
+    images = embedding if basis is None else np.tensordot(basis, embedding, axes=(0, 0))
+    swap = np.stack([np.eye(5), np.eye(5)[np.r_[2, 3, 0, 1, 4]]])
+    u = hilbmod.UnitaryRep(system.group, 5, swap)
+    phi = cpmaps.ModuleCPMap(
+        system.module, images, cpmaps.CPMapAlgebra(system.module.algebra, 5, embedding)
+    )
+    return cpmaps.CovariantCPMap(phi, system, u, u)
+
+
+def _close_to(residual, reference):
+    """Equal up to the rounding of a different contraction order."""
+    assert residual == pytest.approx(reference, rel=1e-9, abs=1e-14)
+
+
+@BASES
+@pytest.mark.parametrize("where", [None, "alpha", "eta", "action", "inner"])
+def test_dynamical_system_matches_the_dense_reference(basis, where):
+    """Every field of ``check_dynamical_system``, and ``algebra_action_residuals``,
+    against the dense forms, with one entry of alpha_1, eta_1, the action or the
+    inner tensor off by 1e-6."""
+    system = _swap_system(basis)
+    rng = np.random.default_rng(3)
+    eta, alpha, module = system.eta.copy(), system.alpha.copy(), system.module
+    i, j = (int(rng.integers(0, 9)) for _ in range(2))
+    if where == "alpha":
+        alpha[1, i, j] += 1e-6
+    elif where == "eta":
+        eta[1, i, j] += 1e-6
+    elif where is not None:
+        module = _plant(module, where, 1e-6, rng)
+    system = hilbmod.ModuleDynamicalSystem(system.group, module, eta, alpha)
+    report = hilbmod.check_dynamical_system(system)
+    reference = dense_reference.dynamical_system(system)
+    for residual, expected in zip(report[:-1], reference[:-1]):
+        _close_to(residual, expected)
+    assert report.invertible == reference[-1]
+    actions = hilbmod.algebra_action_residuals(system.group, module.algebra, alpha)
+    expected = dense_reference.algebra_action(system.group, module.algebra, alpha)
+    assert actions[1:] == expected[1:]  # multiplicativity and star, bit for bit
+    _close_to(actions[0], expected[0])
+    if where is None:
+        assert report.max_residual < 1e-12
+    else:
+        field = {"alpha": 3, "eta": 0, "action": 2, "inner": 1}[where]
+        assert report[field] > 5e-7
+
+
+@BASES
+@pytest.mark.parametrize("planted", [False, True])
+def test_gram_row_matches_the_kronecker_gram(basis, planted):
+    """``gram_preservation`` of ``dilate_covariant`` is bit for bit the worst entry
+    of ``D_t* D_t`` minus the whole Kronecker Gram, with one entry of u_1 off."""
+    cov = _swap_map(basis)
+    if planted:
+        mats = cov.u.mats.copy()
+        mats[1, 0, 2] += 1e-10
+        u = hilbmod.UnitaryRep(cov.u.group, 5, mats)
+        cov = cpmaps.CovariantCPMap(cov.base, cov.system, u, cov.u_prime)
+    dilation = stinespring.dilate_covariant(cov)
+    residual = dilation.gram_preservation_residual
+    assert residual == dense_reference.covariant_groups(cov, dilation.base)[1]
+    assert (residual > 1e-11) if planted else (residual < 1e-12)
+
+
+@pytest.mark.parametrize(
+    "group, dim",
+    [(hilbmod.trivial_group(), 3), (hilbmod.symmetric_group(3), 0), (hilbmod.cyclic_group(2), 9)],
+)
+@pytest.mark.parametrize("planted", [False, True])
+def test_group_law_matches_the_loop_over_s(group, dim, planted):
+    """The group law from one GEMM per chunk of s against ``m_s @ mats`` one s at a
+    time, on the trivial group, a zero-dimensional representation and the block
+    swap, with one entry of one m_s off."""
+    if dim == 9:
+        mats = _swap_system(None).alpha.copy()
+    elif dim:
+        mats = hilbmod.seeded_rep(group, dim, np.random.default_rng(1)).mats.copy()
+    else:
+        mats = np.zeros((group.order, 0, 0), dtype=complex)
+    if planted and dim:
+        mats[group.order - 1, 0, dim - 1] += 1e-6
+    law = hilbmod.group_law_residuals(group, mats)
+    reference = dense_reference.group_law(group, mats)
+    _close_to(law[0], reference[0])
+    assert law[1] == reference[1]
+    assert (law[0] > 5e-7) if planted and dim else (law[0] < 1e-12)
+
+
+def test_dynamical_system_on_a_zero_dimensional_module_and_the_trivial_group():
+    algebra = cstar.CStarAlgebra((2,))
+    zero = hilbmod.HilbertModule(algebra, 0, np.zeros((0, 4, 0)), np.zeros((0, 0, 4)))
+    for group in (hilbmod.trivial_group(), hilbmod.cyclic_group(2)):
+        alpha = np.stack([nk.eye(4)] * group.order)
+        system = hilbmod.ModuleDynamicalSystem(group, zero, np.zeros((group.order, 0, 0)), alpha)
+        assert tuple(hilbmod.check_dynamical_system(system)) == (0.0,) * 5 + (True,)
+    module = hilbmod.standard_module(2, 2)
+    group = hilbmod.trivial_group()
+    system = hilbmod.ModuleDynamicalSystem(group, module, nk.eye(4)[None], nk.eye(4)[None])
+    assert tuple(hilbmod.check_dynamical_system(system)) == dense_reference.dynamical_system(system)
+
+
+@pytest.mark.parametrize("entries", [1, 200, nk.STACK_ENTRIES])
+def test_star_residual_in_chunks_of_k_matches_the_whole_stack(entries, monkeypatch):
+    """``check_representation``'s star residual, a chunk of k at a time, and its
+    multiplicativity with the basis stack read once, bit for bit."""
+    rep = _representations()[0]
+    images = rep.images.copy()
+    images[3, 1, 2] += 1e-3
+    rep = cstar.AlgebraRepresentation(rep.algebra, rep.space_dim, images)
+    star = cstar.star_permutation(rep.algebra)
+    whole = nk.maxabs(images[star] - np.conj(images).transpose(0, 2, 1))
+    monkeypatch.setattr(nk, "STACK_ENTRIES", entries)
+    report = cstar.check_representation(rep)
+    assert report.star_residual == whole / max(1.0, nk.maxabs(images))
+    targets = cstar._product_targets(rep.algebra.blocks)
+    separate = nk.pair_defect(images, images, images.copy(), targets)
+    assert report.mult_residual == separate / max(1.0, nk.maxabs(images))
 
 
 # ---------------------------------------------------------------------------
