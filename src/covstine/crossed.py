@@ -89,11 +89,6 @@ class CrossedAlgebra:
         out[self.group.identity] = cstar.unit_coords(self.base)
         return out
 
-    def basis_element(self, t: int, k: int) -> np.ndarray:
-        out = np.zeros((self.group.order, self.base.dim), dtype=np.complex128)
-        out[t, k] = 1.0
-        return out
-
     @cached_property
     def product_blocks(self) -> np.ndarray:
         """``B[t, k, l]``: coordinates of ``E_k alpha_t(E_l)``, shape (g, N, N, N).
@@ -265,11 +260,6 @@ class CrossedModule:
             out += base_inner @ self.system.alpha[group.inv[t]].T
         return out
 
-    def basis_element(self, t: int, i: int) -> np.ndarray:
-        out = np.zeros((self.group.order, self.module.dim), dtype=np.complex128)
-        out[t, i] = 1.0
-        return out
-
     @cached_property
     def inner_blocks(self) -> np.ndarray:
         """``A[t, i, j] = alpha_{t^-1}(<x_i, x_j>)``, shape (g, m, m, N): one GEMM."""
@@ -405,9 +395,6 @@ class IntegralForm:
 
     def apply(self, xhat: np.ndarray) -> np.ndarray:
         return np.tensordot(np.ravel(xhat).astype(np.complex128), self.images, axes=(0, 0))
-
-    def apply_companion(self, f: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.ravel(f).astype(np.complex128), self.companion_images, axes=(0, 0))
 
 
 class IntegralFormReport(NamedTuple):

@@ -56,7 +56,7 @@ class CStarAlgebra:
 @lru_cache(maxsize=None)
 def _structure(blocks: tuple[int, ...]):
     """Product, left-factor and right-product tables, star permutation, unit
-    and trace vectors, and the place of each matrix unit in the embedding.
+    vector, and the place of each matrix unit in the embedding.
 
     A product of two matrix units is a unit or zero, so multiplication is a
     table: ``product[k, l]`` is m when ``E_k E_l = E_m`` and N when the
@@ -72,7 +72,6 @@ def _structure(blocks: tuple[int, ...]):
     left_factor = np.full((dim, dim), dim, dtype=np.int64)
     star_perm = np.zeros(dim, dtype=np.int64)
     unit = np.zeros(dim, dtype=np.complex128)
-    trace = np.zeros(dim, dtype=np.complex128)
     embed_at = np.zeros((2, dim), dtype=np.int64)
     right = np.full((2, dim, max(algebra.blocks)), dim, dtype=np.int64)
     offset = corner = 0
@@ -84,7 +83,6 @@ def _structure(blocks: tuple[int, ...]):
                 embed_at[:, idx] = corner + i, corner + j
                 if i == j:
                     unit[idx] = 1.0
-                    trace[idx] = 1.0
                 # E_{ij} E_{jk} = E_{ik} inside the block; every other product is 0
                 for k in range(n):
                     product[idx, offset + j * n + k] = offset + i * n + k
@@ -94,7 +92,7 @@ def _structure(blocks: tuple[int, ...]):
         corner += n
     for table in (product, left_factor, embed_at, right):
         table.setflags(write=False)
-    return product, left_factor, star_perm, unit, trace, embed_at, right
+    return product, left_factor, star_perm, unit, embed_at, right
 
 
 @lru_cache(maxsize=None)
@@ -134,12 +132,12 @@ def left_factor_index(algebra: CStarAlgebra) -> np.ndarray:
 def right_product_index(algebra: CStarAlgebra) -> np.ndarray:
     """``(units, products)``, each (N, largest block): row l lists the k with
     ``E_l E_k`` not 0 and the unit ``E_l E_k`` is, padded with N."""
-    return _structure(algebra.blocks)[6]
+    return _structure(algebra.blocks)[5]
 
 
 def embedding_index(algebra: CStarAlgebra) -> np.ndarray:
     """``(rows, cols)``: ``E_k`` embeds as the one entry ``(rows[k], cols[k])``."""
-    return _structure(algebra.blocks)[5]
+    return _structure(algebra.blocks)[4]
 
 
 def star_permutation(algebra: CStarAlgebra) -> np.ndarray:
@@ -159,11 +157,6 @@ def unit_coords(algebra: CStarAlgebra) -> np.ndarray:
     return _structure(algebra.blocks)[3].copy()
 
 
-def trace_coords(algebra: CStarAlgebra) -> np.ndarray:
-    """tr of the block-diagonal embedding, as a linear functional on coords."""
-    return _structure(algebra.blocks)[4].copy()
-
-
 def coords_to_blocks(algebra: CStarAlgebra, coords: np.ndarray) -> list[np.ndarray]:
     out, offset = [], 0
     for n in algebra.blocks:
@@ -180,18 +173,6 @@ def blocks_to_coords(algebra: CStarAlgebra, data) -> np.ndarray:
             raise ShapeMismatchError(f"block of shape {blk.shape}, expected ({n},{n})")
         parts.append(blk.reshape(-1))
     return np.concatenate(parts)
-
-
-def embed_coords(algebra: CStarAlgebra, coords: np.ndarray) -> np.ndarray:
-    """Block-diagonal E x E matrix of the element (the embedding representation)."""
-    total = algebra.embed_dim
-    out = np.zeros((total, total), dtype=np.complex128)
-    pos = 0
-    for blk in coords_to_blocks(algebra, coords):
-        n = blk.shape[0]
-        out[pos : pos + n, pos : pos + n] = blk
-        pos += n
-    return out
 
 
 @dataclass(frozen=True)
@@ -218,29 +199,6 @@ class AlgebraElement:
 
     def star(self) -> "AlgebraElement":
         return AlgebraElement(self.algebra, tuple(nk.adjoint(b) for b in self.data))
-
-    def embed(self) -> np.ndarray:
-        return embed_coords(self.algebra, self.coords())
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(
-            self.algebra, tuple(a + b for a, b in zip(self.data, other.data))
-        )
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return AlgebraElement(
-            self.algebra, tuple(a - b for a, b in zip(self.data, other.data))
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return AlgebraElement(
-                self.algebra, tuple(a @ b for a, b in zip(self.data, other.data))
-            )
-        return AlgebraElement(self.algebra, tuple(other * b for b in self.data))
-
-    def __rmul__(self, scalar):
-        return AlgebraElement(self.algebra, tuple(scalar * b for b in self.data))
 
 
 def element_positive(a: AlgebraElement) -> nk.PsdReport:
@@ -383,10 +341,6 @@ def choi_blocks(algebra: CStarAlgebra, images: np.ndarray) -> ChoiReport:
     return ChoiReport(choi, bool(cp), float(min_eig), spectra)
 
 
-def algebra_to_json(algebra: CStarAlgebra) -> dict:
-    return {"blocks": list(algebra.blocks)}
-
-
 def algebra_from_json(obj) -> CStarAlgebra:
     if not isinstance(obj, dict) or set(obj) != {"blocks"}:
         raise ParseError("algebra payload must be {'blocks': [...]}")
@@ -397,24 +351,6 @@ def algebra_from_json(obj) -> CStarAlgebra:
     if dim > MAX_DIM:
         raise BoundsError(f"algebra payload: dimension {dim} outside [1, {MAX_DIM}]")
     return CStarAlgebra(blocks)
-
-
-def element_to_json(a: AlgebraElement) -> list:
-    return [nk.mat_to_json(blk) for blk in a.data]
-
-
-def element_from_json(algebra: CStarAlgebra, obj) -> AlgebraElement:
-    if not isinstance(obj, list):
-        raise ParseError("element payload must be a list of block matrices")
-    return AlgebraElement.from_blocks(algebra, [nk.mat_from_json(blk) for blk in obj])
-
-
-def representation_to_json(rep: AlgebraRepresentation) -> dict:
-    labels = rep.algebra.basis_labels()
-    return {
-        "space_dim": rep.space_dim,
-        "images": {label: nk.mat_to_json(img) for label, img in zip(labels, rep.images)},
-    }
 
 
 def representation_from_json(

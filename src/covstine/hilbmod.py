@@ -75,11 +75,6 @@ class HilbertModule:
         rows = self.inner.reshape(self.dim * self.dim, self.algebra.dim)[self.support.pairs]
         return nk.gram_factor(nk.adjoint(rows) @ rows)
 
-    def inner_coords(self, xi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
-        """A-coordinates of the inner product of two X-coordinate vectors."""
-        m, n_dim = self.dim, self.algebra.dim
-        return zeta @ (np.conj(xi) @ self.inner.reshape(m, m * n_dim)).reshape(m, n_dim)
-
     def act(self, xi: np.ndarray, a_coords: np.ndarray) -> np.ndarray:
         m, n_dim = self.dim, self.algebra.dim
         return a_coords @ (xi @ self.action.reshape(m, n_dim * m)).reshape(n_dim, m)
@@ -627,25 +622,6 @@ def regular_rep(group: FiniteGroup) -> UnitaryRep:
     return UnitaryRep(group, g, mats)
 
 
-def cyclic_character_rep(group: FiniteGroup, k: int) -> UnitaryRep:
-    """One-dimensional character t -> exp(2 pi i k t / n) of a cyclic group."""
-    n = group.order
-    omega = np.exp(2j * np.pi * k / n)
-    mats = np.array([[[omega**t]] for t in range(n)], dtype=np.complex128)
-    return UnitaryRep(group, 1, mats)
-
-
-def permutation_rep(n: int) -> UnitaryRep:
-    """The natural n-dimensional permutation representation of S_n."""
-    group = symmetric_group(n)
-    perms = _permutations(n)
-    mats = np.zeros((group.order, n, n), dtype=np.complex128)
-    for a, pa in enumerate(perms):
-        for x in range(n):
-            mats[a, pa[x], x] = 1.0
-    return UnitaryRep(group, n, mats)
-
-
 def direct_sum_rep(first: UnitaryRep, second: UnitaryRep) -> UnitaryRep:
     if not first.group.same_as(second.group):
         raise GroupMismatchError("direct sum needs representations of one group")
@@ -695,15 +671,6 @@ def coset_rep(group: FiniteGroup, labels: np.ndarray) -> UnitaryRep:
     return UnitaryRep(group, cosets, mats)
 
 
-def coset_permutation_rep(group: FiniteGroup, t: int) -> UnitaryRep:
-    """Permutation representation on the left cosets of the subgroup <t>.
-
-    Gives nontrivial content at dimension |G| / ord(t); the regular
-    representation is the ``t = identity`` case.
-    """
-    return coset_rep(group, coset_labels(group, t))
-
-
 def seeded_rep(group: FiniteGroup, dim: int, rng: np.random.Generator) -> UnitaryRep:
     """A generic unitary representation on C^dim.
 
@@ -714,7 +681,7 @@ def seeded_rep(group: FiniteGroup, dim: int, rng: np.random.Generator) -> Unitar
     """
     candidates = group.coset_candidates
     sizes = sorted(candidates)
-    rep = None
+    rep = trivial_rep(group, 0)
     remaining = dim
     while remaining:
         fitting = [s for s in sizes if s <= remaining]
@@ -722,7 +689,7 @@ def seeded_rep(group: FiniteGroup, dim: int, rng: np.random.Generator) -> Unitar
             block = coset_rep(group, candidates[fitting[int(rng.integers(0, len(fitting)))]])
         else:
             block = trivial_rep(group, remaining)
-        rep = block if rep is None else direct_sum_rep(rep, block)
+        rep = direct_sum_rep(rep, block)
         remaining -= block.dim
     return conjugate_rep(rep, nk.haar_unitary(rng, dim))
 
@@ -959,10 +926,6 @@ def induced_algebra_action(
 # ---------------------------------------------------------------------------
 
 
-def _tensor_to_json(tensor: np.ndarray) -> dict:
-    return {"shape": list(tensor.shape), "entries": nk.entries_to_json(tensor)}
-
-
 def _tensor_from_json(obj, expected_rank: int) -> np.ndarray:
     if not isinstance(obj, dict) or set(obj) != {"shape", "entries"}:
         raise ParseError("tensor payload must have shape and entries")
@@ -976,15 +939,6 @@ def _tensor_from_json(obj, expected_rank: int) -> np.ndarray:
     if flat.size != size:
         raise ParseError(f"tensor payload: {flat.size} entries for shape {shape}")
     return flat.reshape(shape)
-
-
-def module_to_json(module: HilbertModule) -> dict:
-    return {
-        "algebra": cstar.algebra_to_json(module.algebra),
-        "dim": module.dim,
-        "action": _tensor_to_json(module.action),
-        "inner": _tensor_to_json(module.inner),
-    }
 
 
 def module_from_json(obj) -> HilbertModule:
@@ -1015,15 +969,6 @@ def module_from_json(obj) -> HilbertModule:
         _tensor_from_json(obj["action"], 3),
         _tensor_from_json(obj["inner"], 3),
     )
-
-
-def group_to_json(group: FiniteGroup) -> dict:
-    return {
-        "order": group.order,
-        "mult": group.mult.tolist(),
-        "inv": group.inv.tolist(),
-        "e": group.identity,
-    }
 
 
 # Standard modules are tabulated densely too: p x n matrices over M_n, bounded
@@ -1082,13 +1027,6 @@ def group_from_json(obj) -> FiniteGroup:
         nk.json_int(obj["e"], "group payload: 'e'"),
         _index_table(obj["inv"], (order,), "inv"),
     )
-
-
-def unitary_rep_to_json(rep: UnitaryRep) -> dict:
-    return {
-        "space_dim": rep.dim,
-        "mats": [nk.mat_to_json(m) for m in rep.mats],
-    }
 
 
 def unitary_rep_from_json(group: FiniteGroup, obj) -> UnitaryRep:

@@ -540,11 +540,6 @@ def json_positive(value, what: str) -> float:
     return float(value)
 
 
-def entries_to_json(arr) -> list:
-    """The ``[re, im]`` wire format shared by every matrix and tensor payload."""
-    return [[float(z.real), float(z.imag)] for z in np.asarray(arr).reshape(-1)]
-
-
 def entries_from_json(entries, what: str) -> np.ndarray:
     """Decode ``[re, im]`` pairs into a flat complex array.
 
@@ -562,12 +557,6 @@ def entries_from_json(entries, what: str) -> np.ndarray:
             )
     flat = np.array(entries, dtype=np.float64).reshape(-1, 2)
     return flat.view(np.complex128).reshape(-1)
-
-
-def mat_to_json(m) -> dict:
-    """Serialize a matrix as row-major [re, im] pairs with explicit shape."""
-    m = as_matrix(m)
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]), "entries": entries_to_json(m)}
 
 
 def mat_from_json(obj) -> np.ndarray:

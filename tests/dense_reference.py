@@ -42,6 +42,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+import builders
 from covstine import cpmaps, crossed, cstar, hilbmod
 from covstine import numkernel as nk
 from covstine.errors import NotIntertwiningError, QuotientLeakError
@@ -102,7 +103,7 @@ def block_products(algebra, left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def basis(obj):
     g, n = obj.group.order, obj.dim // obj.group.order
-    return [obj.basis_element(t, k) for t in range(g) for k in range(n)]
+    return [builders.basis_element(obj, t, k) for t in range(g) for k in range(n)]
 
 
 def place(blocks, slot):
@@ -375,7 +376,7 @@ def module_axioms(module):
     ) / scale
 
     psd = psd_by_components(gram_super_matrix(module))
-    trace_rank = nk.psd_rank(inner @ cstar.trace_coords(algebra))
+    trace_rank = nk.psd_rank(inner @ builders.trace_coords(algebra))
     return hilbmod.ModuleAxiomReport(
         linearity,
         module_symmetry(module) / scale,

@@ -11,6 +11,7 @@ import json
 import numpy as np
 import pytest
 
+import builders
 from covstine import cli, cpmaps, crossed, cstar, hilbmod, stinespring as st
 from covstine import numkernel as nk
 
@@ -62,7 +63,7 @@ def oracle_dims(phi: cpmaps.ModuleCPMap) -> tuple[int, int]:
         for l in range(n_dim):
             b = cstar.AlgebraElement.from_coords(algebra, eye[l])
             gram[k * h : (k + 1) * h, l * h : (l + 1) * h] = phi.companion.apply(
-                (a_star * b).coords()
+                builders.element_product(a_star, b).coords()
             )
 
     def lam_rank(matrix):

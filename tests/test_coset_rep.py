@@ -9,6 +9,7 @@ import itertools
 import numpy as np
 import pytest
 
+import builders
 from covstine import cli, hilbmod
 from covstine import numkernel as nk
 
@@ -39,7 +40,7 @@ def loop_coset_rep(group, t):
 )
 def test_coset_rep_matches_the_loop_labelling(group):
     for t in range(group.order):
-        rep = hilbmod.coset_permutation_rep(group, t)
+        rep = builders.coset_permutation_rep(group, t)
         expected = loop_coset_rep(group, t)
         assert rep.dim == expected.shape[1]
         np.testing.assert_array_equal(rep.mats, expected)
@@ -49,7 +50,7 @@ def old_candidates(group):
     """The summands ``seeded_rep`` drew from when it rebuilt them on every call."""
     candidates = {}
     for t in range(group.order):
-        block = hilbmod.coset_permutation_rep(group, t)
+        block = builders.coset_permutation_rep(group, t)
         candidates.setdefault(block.dim, block)
     return candidates
 

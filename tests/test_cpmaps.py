@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import builders
 from covstine import cpmaps, cstar, hilbmod
 from covstine import numkernel as nk
 from covstine.errors import (
@@ -224,7 +225,7 @@ class TestRandomCovariantCp:
     def test_s3_regular_amplification(self):
         group = hilbmod.symmetric_group(3)
         sys = hilbmod.standard_action(
-            group, hilbmod.trivial_rep(group, 1), hilbmod.permutation_rep(3)
+            group, hilbmod.trivial_rep(group, 1), builders.permutation_rep(3)
         )
         cov, witness = cpmaps.random_covariant_cp(sys, 6, seed=11)
         assert cpmaps.check_covariance(cov.base, sys, cov.u, cov.u_prime).max_residual <= 1e-9

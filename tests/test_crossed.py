@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import builders
 from covstine import cpmaps, crossed, cstar, hilbmod, stinespring as st
 from covstine import numkernel as nk
 from covstine.errors import NotActionError, NotCovariantRepError
@@ -55,8 +56,8 @@ class TestCrossedAlgebra:
     def test_s3_permutation_action_axioms(self):
         sys = hilbmod.standard_action(
             hilbmod.symmetric_group(3),
-            hilbmod.permutation_rep(3),
-            hilbmod.permutation_rep(3),
+            builders.permutation_rep(3),
+            builders.permutation_rep(3),
         )
         calg = crossed.build_crossed_algebra(sys.group, sys.alpha, sys.module.algebra)
         report = crossed.check_crossed_algebra(calg)
@@ -72,7 +73,7 @@ class TestCrossedAlgebra:
         # (delta_t a)* = delta_{t^-1} alpha_{t^-1}(a*)
         sys = z2_diag_system()
         calg = crossed.build_crossed_algebra(sys.group, sys.alpha, sys.module.algebra)
-        f = calg.basis_element(1, 1)  # delta_1 (x) E_01
+        f = builders.basis_element(calg, 1, 1)  # delta_1 (x) E_01
         starred = calg.star(f)
         expected = np.zeros((2, 4), dtype=complex)
         expected[1] = sys.alpha[1] @ cstar.star_coords(sys.module.algebra, np.eye(4)[1])
@@ -120,7 +121,8 @@ class TestCrossedModule:
             for r in range(2):
                 for i in range(2):
                     for j in range(2):
-                        got = cm.inner(cm.basis_element(t, i), cm.basis_element(r, j))
+                        xhat = builders.basis_element(cm, t, i)
+                        got = cm.inner(xhat, builders.basis_element(cm, r, j))
                         slot = group.mult[group.inv[t], r]
                         expected = np.zeros((2, 4), dtype=complex)
                         expected[slot] = sys.alpha[group.inv[t]] @ module.inner[i, j]
@@ -135,7 +137,7 @@ class TestCrossedModule:
         rng = np.random.default_rng(3)
         for _ in range(8):
             zhat = nk.complex_normal(rng, 2, 2)
-            image = form.apply_companion(cm.inner(zhat, zhat))
+            image = builders.apply_companion(form, cm.inner(zhat, zhat))
             assert nk.psd_check(image).ok
 
 
@@ -220,7 +222,7 @@ class TestInducedCp:
         # scalar module, Phi = id, u = u' = sign of Z_2: the induced map is
         # xhat -> xhat(e) - xhat(1)
         sys = trivial_scalar_system(2)
-        sign = hilbmod.cyclic_character_rep(sys.group, 1)
+        sign = builders.cyclic_character_rep(sys.group, 1)
         rep = hilbmod.concrete_representation(1, 1)
         phi = cpmaps.cp_from_representation(rep, nk.eye(1), nk.eye(1))
         cov = cpmaps.CovariantCPMap(phi, sys, sign, sign)
@@ -288,7 +290,7 @@ class TestIntegralStinespring:
     def test_seeded_s3_scenario(self):
         group = hilbmod.symmetric_group(3)
         sys = hilbmod.standard_action(
-            group, hilbmod.trivial_rep(group, 1), hilbmod.permutation_rep(3)
+            group, hilbmod.trivial_rep(group, 1), builders.permutation_rep(3)
         )
         cov, _ = cpmaps.random_covariant_cp(sys, 2, seed=11)
         dilation = st.dilate_covariant(cov)

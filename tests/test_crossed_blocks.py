@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import builders
 from covstine import cli, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from dense_reference import (
@@ -45,13 +46,13 @@ def block_rep(group, n, rng):
     on C^2), padded with trivial summands and conjugated by a Haar unitary."""
     cosets = {}
     for t in range(group.order):
-        rep = hilbmod.coset_permutation_rep(group, t)
+        rep = builders.coset_permutation_rep(group, t)
         cosets.setdefault(rep.dim, rep)
     fitting = [dim for dim in cosets if 1 < dim <= n]
     if fitting:
         rep = cosets[max(fitting)]
     else:  # C^1, or Z3 on C^2
-        rep = hilbmod.cyclic_character_rep(group, 1) if n > 1 else hilbmod.trivial_rep(group, 1)
+        rep = builders.cyclic_character_rep(group, 1) if n > 1 else hilbmod.trivial_rep(group, 1)
     if rep.dim < n:
         rep = hilbmod.direct_sum_rep(rep, hilbmod.trivial_rep(group, n - rep.dim))
     return hilbmod.conjugate_rep(rep, nk.haar_unitary(rng, n))
@@ -261,7 +262,7 @@ def _traceless(sys_):
     a subspace of A that conjugation keeps: one direction of A per slot is missing."""
     module = sys_.module
     algebra = module.algebra
-    trace, unit = cstar.trace_coords(algebra), cstar.unit_coords(algebra)
+    trace, unit = builders.trace_coords(algebra), cstar.unit_coords(algebra)
     inner = module.inner - np.multiply.outer(module.inner @ trace, unit) / algebra.embed_dim
     planted = hilbmod.HilbertModule(algebra, module.dim, module.action, inner)
     return hilbmod.ModuleDynamicalSystem(sys_.group, planted, sys_.eta, sys_.alpha)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import builders
 from covstine import cstar, hilbmod
 from covstine import numkernel as nk
 from covstine.errors import GroupMismatchError, InconsistentError, NotFullError
@@ -31,7 +32,8 @@ class TestStandardModule:
 
     def test_scalar_module(self):
         module = hilbmod.standard_module(1, 1)
-        np.testing.assert_allclose(module.inner_coords(np.array([2j]), np.array([3.0])), [-6j])
+        inner = builders.inner_coords(module, np.array([2j]), np.array([3.0]))
+        np.testing.assert_allclose(inner, [-6j])
 
     def test_row_module_inner_products_span_matrix_units(self):
         # <e_i, e_j> = E_ij makes the 1 x 2 module full over M_2
@@ -126,13 +128,13 @@ class TestGroups:
             assert max(report) == 0
 
     def test_permutation_rep(self):
-        report = hilbmod.check_unitary_rep(hilbmod.permutation_rep(3))
+        report = hilbmod.check_unitary_rep(builders.permutation_rep(3))
         assert max(report) == 0
 
     def test_cyclic_characters(self):
         group = hilbmod.cyclic_group(4)
         for k in range(4):
-            report = hilbmod.check_unitary_rep(hilbmod.cyclic_character_rep(group, k))
+            report = hilbmod.check_unitary_rep(builders.cyclic_character_rep(group, k))
             assert max(report) <= 1e-12
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
@@ -142,9 +144,15 @@ class TestGroups:
         report = hilbmod.check_unitary_rep(rep)
         assert max(report) <= 1e-12
 
+    @pytest.mark.parametrize("group", [hilbmod.trivial_group(), hilbmod.symmetric_group(3)])
+    def test_seeded_rep_of_dimension_zero(self, group):
+        rep = hilbmod.seeded_rep(group, 0, np.random.default_rng(0))
+        assert rep.mats.shape == (group.order, 0, 0)
+        assert max(hilbmod.check_unitary_rep(rep)) == 0
+
     def test_tensor_and_sum(self):
         group = hilbmod.cyclic_group(2)
-        sign = hilbmod.cyclic_character_rep(group, 1)
+        sign = builders.cyclic_character_rep(group, 1)
         combo = hilbmod.direct_sum_rep(hilbmod.tensor_rep(sign, sign), sign)
         report = hilbmod.check_unitary_rep(combo)
         assert max(report) <= 1e-12
@@ -169,7 +177,7 @@ class TestStandardAction:
 
     def test_s3_permutation_action(self):
         group = hilbmod.symmetric_group(3)
-        perm = hilbmod.permutation_rep(3)
+        perm = builders.permutation_rep(3)
         sys = hilbmod.standard_action(group, perm, perm)
         report = hilbmod.check_dynamical_system(sys)
         assert report.max_residual <= 1e-12
@@ -277,7 +285,7 @@ class TestInducedAction:
 class TestJson:
     def test_module_round_trip(self):
         module = hilbmod.standard_module(2, 2)
-        again = hilbmod.module_from_json(hilbmod.module_to_json(module))
+        again = hilbmod.module_from_json(builders.module_to_json(module))
         np.testing.assert_allclose(again.inner, module.inner)
         np.testing.assert_allclose(again.action, module.action)
 
@@ -287,7 +295,7 @@ class TestJson:
 
     def test_group_round_trip(self):
         group = hilbmod.symmetric_group(3)
-        again = hilbmod.group_from_json(hilbmod.group_to_json(group))
+        again = hilbmod.group_from_json(builders.group_to_json(group))
         assert group.same_as(again)
 
     def test_group_shorthands(self):
@@ -297,5 +305,5 @@ class TestJson:
     def test_rep_round_trip(self):
         group = hilbmod.cyclic_group(3)
         rep = hilbmod.regular_rep(group)
-        again = hilbmod.unitary_rep_from_json(group, hilbmod.unitary_rep_to_json(rep))
+        again = hilbmod.unitary_rep_from_json(group, builders.unitary_rep_to_json(rep))
         np.testing.assert_allclose(again.mats, rep.mats)

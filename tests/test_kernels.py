@@ -3,8 +3,8 @@ it replaces, the sliced and block-wise checks against planted perturbations,
 the GNS factor from Choi blocks against the dense Gram factor, the module
 identities on their live support against their dense references, and guards
 that keep unordered multi-operand einsums, ``np.kron`` calls, solvers with a
-rank cutoff of their own, per-call tolerance parameters and float literals
-used as gates out of the package."""
+rank cutoff of their own, per-call tolerance parameters, float literals used
+as gates and functions that only tests reach out of the package."""
 
 import ast
 import inspect
@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import builders
 import dense_reference
 from covstine import cli, cpmaps, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
@@ -158,7 +159,7 @@ def test_batched_group_law_matches_the_pairwise_loop(n, kind):
     group = hilbmod.symmetric_group(n)
     rng = np.random.default_rng(n)
     rep = {
-        "permutation": lambda: hilbmod.permutation_rep(n),
+        "permutation": lambda: builders.permutation_rep(n),
         "regular": lambda: hilbmod.regular_rep(group),
         "seeded": lambda: hilbmod.seeded_rep(group, 5, rng),
     }[kind]()
@@ -1101,3 +1102,65 @@ def test_package_has_no_literal_gates():
         if path.name != "numkernel.py"
     }
     assert not {name: lines for name, lines in offenders.items() if lines}
+
+
+# ---------------------------------------------------------------------------
+# Guard: every function of the package is reached by a run or exported
+# ---------------------------------------------------------------------------
+
+
+def unreached_functions(sources: dict[str, str]) -> list[str]:
+    """``"module.function"`` for each module-level function of ``sources`` (file
+    name to text) that no source names, as a ``Name`` or an ``Attribute``, and
+    that ``__init__.py`` does not import.  Such a function is reached by tests
+    only, and belongs in ``tests/builders.py``."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    named = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name | ast.Attribute)
+    }
+    exported = {
+        alias.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return sorted(
+        f"{name.removesuffix('.py')}.{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name not in named | exported
+    )
+
+
+def test_guard_flags_unreached_functions():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": "\n".join(
+            [
+                "def exported(): pass",
+                "def orphan(): pass",
+                "def called(): pass",
+                "def _helper(): pass",
+                "def uses_helper(): return _helper()",
+            ]
+        ),
+        "b.py": "\n".join(
+            [
+                "from . import a",
+                "CALLED = a.called()",
+                'NOTE = "orphan()"',
+                "class Holder:",
+                "    def orphan(self): return a.uses_helper()",
+            ]
+        ),
+    }
+    assert unreached_functions(sources) == ["a.orphan"]
+
+
+def test_every_package_function_is_reached():
+    """What only tests call lives in ``tests/builders.py``, not in the package."""
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreached_functions(sources) == []

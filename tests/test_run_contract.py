@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import builders
 from covstine import cli, cpmaps, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from covstine.errors import BoundsError, NotActionError, ParseError, ShapeMismatchError
@@ -362,7 +363,7 @@ def test_structure_entry_count_of_a_permutation_action():
     """Permuting matrix units fills one entry per product, not a block row:
     S4 on M_5 stays under the limit that g^2 N^2 n_max = 1.8 million exceeds."""
     group = hilbmod.symmetric_group(4)
-    delta = hilbmod.direct_sum_rep(hilbmod.permutation_rep(4), hilbmod.trivial_rep(group))
+    delta = hilbmod.direct_sum_rep(builders.permutation_rep(4), hilbmod.trivial_rep(group))
     system = hilbmod.standard_action(group, hilbmod.trivial_rep(group), delta)
     calg = crossed.CrossedAlgebra(group, system.module.algebra, system.alpha)
     count = crossed.structure_entry_count(calg)
@@ -515,7 +516,7 @@ def test_an_over_long_integer_names_the_parsers_digit_limit(tmp_path, capsys):
 def test_concrete_map_needs_the_exact_standard_module(tmp_path, capsys):
     """A "concrete" map certifies the standard module in place of the payload's,
     so a payload a hair off the standard tensors is refused, not certified."""
-    module = hilbmod.module_to_json(hilbmod.standard_module(1, 2))
+    module = builders.module_to_json(hilbmod.standard_module(1, 2))
     entries = module["inner"]["entries"]
     entries[entries.index([0.0, 0.0])] = [5e-9, 0.0]
     payload = _set(IDENTITY, ("objects", "module"), module)

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import builders
 from covstine import cli, cpmaps, hilbmod
 from covstine import numkernel as nk
 
@@ -26,10 +27,12 @@ def _cp_map(phi, c):
     """The explicit ``cp_map`` payload of ``c Phi`` with companion ``c^2 phi``."""
     labels = phi.module.algebra.basis_labels()
     return {
-        "images": {str(i): nk.mat_to_json(image * c) for i, image in enumerate(phi.images)},
+        "images": {str(i): builders.mat_to_json(image * c) for i, image in enumerate(phi.images)},
         "companion": {
             "space_dim": phi.companion.space_dim,
-            "images": {k: nk.mat_to_json(m * c * c) for k, m in zip(labels, phi.companion.images)},
+            "images": {
+                k: builders.mat_to_json(m * c * c) for k, m in zip(labels, phi.companion.images)
+            },
         },
     }
 
@@ -50,13 +53,13 @@ def _standard_action():
     cov, _ = cpmaps.random_covariant_cp(hilbmod.standard_action(group, gamma, delta), 1, 4)
     system = {
         "group": {"symmetric": 3},
-        "gamma": hilbmod.unitary_rep_to_json(gamma),
-        "delta": hilbmod.unitary_rep_to_json(delta),
+        "gamma": builders.unitary_rep_to_json(gamma),
+        "delta": builders.unitary_rep_to_json(delta),
     }
     return {
         "system": {"standard_action": system},
-        "u": hilbmod.unitary_rep_to_json(cov.u),
-        "u_prime": hilbmod.unitary_rep_to_json(cov.u_prime),
+        "u": builders.unitary_rep_to_json(cov.u),
+        "u_prime": builders.unitary_rep_to_json(cov.u_prime),
     }, cov.base
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
+import builders
 import dense_reference as ref
 from covstine import cpmaps, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
@@ -155,7 +156,7 @@ def test_average_intertwiner_sums_in_the_order_of_t(order, chunk):
     """One-dimensional terms: a reduction over t could sum them pairwise, the
     loop sums them in order."""
     group = hilbmod.cyclic_group(order)
-    left, right = hilbmod.cyclic_character_rep(group, 1), hilbmod.cyclic_character_rep(group, 5)
+    left, right = builders.cyclic_character_rep(group, 1), builders.cyclic_character_rep(group, 5)
     z = _random(np.random.default_rng(order), 1, 1)
     _same(cpmaps.average_intertwiner(left, right, z), ref.average_intertwiner(left, right, z))
 

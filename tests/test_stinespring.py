@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import builders
 from covstine import cpmaps, cstar, hilbmod, stinespring as st
 from covstine import numkernel as nk
 from covstine.errors import (
@@ -47,7 +48,7 @@ def oracle_dims(phi: cpmaps.ModuleCPMap) -> tuple[int, int]:
         a_star = cstar.AlgebraElement.from_coords(algebra, eye[k]).star()
         for l in range(n_dim):
             b = cstar.AlgebraElement.from_coords(algebra, eye[l])
-            product = a_star * b
+            product = builders.element_product(a_star, b)
             gram[k * h : (k + 1) * h, l * h : (l + 1) * h] = phi.companion.apply(
                 product.coords()
             )
@@ -226,7 +227,7 @@ class TestDilateCovariant:
     def test_random_s3_certificate(self):
         group = hilbmod.symmetric_group(3)
         sys = hilbmod.standard_action(
-            group, hilbmod.trivial_rep(group, 1), hilbmod.permutation_rep(3)
+            group, hilbmod.trivial_rep(group, 1), builders.permutation_rep(3)
         )
         cov, _ = cpmaps.random_covariant_cp(sys, 6, seed=11)
         dilation = st.dilate_covariant(cov)
