@@ -75,10 +75,6 @@ class HilbertModule:
         rows = self.inner.reshape(self.dim * self.dim, self.algebra.dim)[self.support.pairs]
         return nk.gram_factor(nk.adjoint(rows) @ rows)
 
-    def act(self, xi: np.ndarray, a_coords: np.ndarray) -> np.ndarray:
-        m, n_dim = self.dim, self.algebra.dim
-        return a_coords @ (xi @ self.action.reshape(m, n_dim * m)).reshape(n_dim, m)
-
 
 def standard_module(p: int, n: int) -> HilbertModule:
     """The p x n complex matrices over M_n, with ``<x, y> = x* y``.

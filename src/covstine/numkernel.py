@@ -142,15 +142,12 @@ def stack_ranks(stack: np.ndarray) -> list[int]:
     decided by ``spectral_rank``, on the spectrum ``numerical_rank`` reads.
     """
     count, rows, cols = stack.shape
-    if rows == 0 or cols == 0:
-        return [0] * count
     ranks = []
     for span in stack_spans(count, rows * cols):
         chunk = stack[span]
         star = np.conj(chunk).transpose(0, 2, 1)
-        gram = chunk @ star if rows <= cols else star @ chunk
-        values = np.linalg.eigvalsh((gram + np.conj(gram).transpose(0, 2, 1)) / 2.0)
-        ranks += [spectral_rank(v[::-1])[0] for v in values]
+        values = _descending_eigh(chunk @ star if rows <= cols else star @ chunk, vectors=False)
+        ranks += [spectral_rank(v)[0] for v in values]
     return ranks
 
 
@@ -291,15 +288,15 @@ def hermitian_eigendecomposition(m) -> EigDecomposition:
     return _descending_eigh(m)
 
 
-def _descending_eigh(m: np.ndarray) -> EigDecomposition:
-    """Eigendecomposition of the Hermitian part of ``m``, eigenvalues descending."""
-    values, vectors = np.linalg.eigh((m + adjoint(m)) / 2.0)
-    return EigDecomposition(values[::-1].copy(), vectors[:, ::-1].copy())
-
-
-def _descending_eigvals(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian part of ``m``, descending."""
-    return np.linalg.eigvalsh((m + adjoint(m)) / 2.0)[::-1]
+def _descending_eigh(m: np.ndarray, vectors: bool = True):
+    """The package's one eigensolve: of the Hermitian part of ``m``, or of each
+    matrix of a stack, eigenvalues descending; the eigenvalues alone unless
+    ``vectors``.  Every spectrum a rank or PSD decision reads comes from here."""
+    hermitian = (m + np.conj(m).swapaxes(-1, -2)) / 2.0
+    if not vectors:
+        return np.linalg.eigvalsh(hermitian)[..., ::-1]
+    values, basis = np.linalg.eigh(hermitian)
+    return EigDecomposition(values[::-1].copy(), basis[:, ::-1].copy())
 
 
 class GramFactor(NamedTuple):
@@ -319,14 +316,33 @@ def spectral_rank(values: np.ndarray) -> tuple[int, float]:
     """The package's one rank rule: ``(rank, cutoff)`` of a descending spectrum.
 
     The rank counts the eigenvalues strictly above ``REL_TOL`` times the
-    largest one, or ``ABS_FLOOR`` if that is more.  ``gram_factor``,
-    ``psd_rank``, ``numerical_rank`` and ``orthonormal_range`` all decide
-    their ranks with it, and every solve pseudo-inverts on a ``gram_factor``.
+    largest one, or ``ABS_FLOOR`` if that is more.  ``psd_cutoff`` (and so
+    ``gram_factor`` and the GNS blocks), ``psd_rank``, ``numerical_rank`` and
+    ``stack_ranks`` all decide their ranks with it, ``dilate_module_cp`` its
+    codomain, and every solve pseudo-inverts on a ``gram_factor``.
     """
     if values.size == 0:
         return 0, ABS_FLOOR
     cutoff = max(REL_TOL * max(float(values[0]), 0.0), ABS_FLOOR)
     return int(np.count_nonzero(values > cutoff)), cutoff
+
+
+def psd_cutoff(values: np.ndarray) -> float:
+    """The ``spectral_rank`` cutoff of a descending Gram spectrum; raises
+    ``NotPsdError`` when its least eigenvalue lies below minus the cutoff."""
+    cutoff = spectral_rank(values)[1]
+    if values.size and values[-1] < -cutoff:
+        raise NotPsdError(f"Gram matrix has eigenvalue {values[-1]:.3e} below -{cutoff:.3e}")
+    return cutoff
+
+
+def kept_factor(values: np.ndarray, vectors: np.ndarray, cutoff: float) -> GramFactor:
+    """The factor of a Gram with descending eigenvalues ``values`` and eigenvectors
+    ``vectors`` on the eigenvectors whose eigenvalues are above ``cutoff``:
+    ``F = sqrt(Λ) B*`` and ``L = B / sqrt(Λ)``."""
+    rank = int(np.count_nonzero(values > cutoff))
+    basis, sqrt_vals = vectors[:, :rank], np.sqrt(values[:rank])
+    return GramFactor(rank, sqrt_vals[:, None] * adjoint(basis), basis / sqrt_vals[None, :], values)
 
 
 def gram_factor(gram) -> GramFactor:
@@ -336,25 +352,8 @@ def gram_factor(gram) -> GramFactor:
     ``F @ L = I_r``.  ``F`` plays the role of the quotient map by the null
     space of the semi-inner product ``G``; ``L`` picks representatives.
     """
-    gram = as_matrix(gram)
-    if gram.shape[0] != gram.shape[1]:
-        raise ShapeMismatchError(f"Gram matrix is {gram.shape[0]}x{gram.shape[1]}")
-    dim = gram.shape[0]
-    if dim == 0:
-        empty = np.zeros((0, 0), dtype=np.complex128)
-        return GramFactor(0, empty, empty, np.zeros(0))
     values, vectors = hermitian_eigendecomposition(gram)
-    rank, cutoff = spectral_rank(values)
-    if values[-1] < -cutoff:
-        raise NotPsdError(
-            f"Gram matrix has eigenvalue {values[-1]:.3e} below -{cutoff:.3e}"
-        )
-    kept = values[:rank]
-    basis = vectors[:, :rank]
-    sqrt_vals = np.sqrt(kept)
-    F = sqrt_vals[:, None] * adjoint(basis)
-    L = basis / sqrt_vals[None, :] if rank else np.zeros((dim, 0), dtype=np.complex128)
-    return GramFactor(rank, F, L, values)
+    return kept_factor(values, vectors, psd_cutoff(values))
 
 
 class PsdReport(NamedTuple):
@@ -369,7 +368,7 @@ def psd_check(m) -> PsdReport:
     m = as_matrix(m)
     if m.shape[0] != m.shape[1]:
         raise ShapeMismatchError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    return spectrum_psd(_descending_eigvals(m), frobenius(m - adjoint(m)))
+    return spectrum_psd(_descending_eigh(m, vectors=False), frobenius(m - adjoint(m)))
 
 
 def spectrum_psd(values: np.ndarray, herm_defect: float) -> PsdReport:
@@ -461,16 +460,9 @@ class RankProfile(NamedTuple):
 
 
 def psd_rank(gram) -> RankProfile:
-    """Rank of a PSD Gram matrix by counting eigenvalues above the cutoff."""
-    gram = as_matrix(gram)
-    if gram.size == 0:
-        return RankProfile(0, np.zeros(0))
-    return _gram_profile(gram)
-
-
-def _gram_profile(gram: np.ndarray) -> RankProfile:
-    """Rank and singular-value profile from the eigenvalues of a Gram matrix."""
-    values = _descending_eigvals(gram)
+    """Rank of a PSD Gram matrix by counting eigenvalues above the cutoff, with
+    the singular-value profile, the square roots of its eigenvalues."""
+    values = _descending_eigh(as_matrix(gram), vectors=False)
     return RankProfile(spectral_rank(values)[0], np.sqrt(np.clip(values, 0.0, None)))
 
 
@@ -481,24 +473,7 @@ def numerical_rank(m) -> RankProfile:
     rank decisions here identical to the ones made by ``gram_factor``.
     """
     m = as_matrix(m)
-    if m.size == 0:
-        return RankProfile(0, np.zeros(0))
-    return _gram_profile(m @ adjoint(m) if m.shape[0] <= m.shape[1] else adjoint(m) @ m)
-
-
-def orthonormal_range(m):
-    """Orthonormal basis of the column span of ``m`` with its Gram profile.
-
-    Returns ``(basis, eigenvalues)`` where the columns of ``basis`` are the
-    eigenvectors of ``m m*`` above the rank cutoff and ``eigenvalues`` is the
-    full descending profile (the audit trail for the rank decision).
-    """
-    m = as_matrix(m)
-    rows = m.shape[0]
-    if m.size == 0:
-        return np.zeros((rows, 0), dtype=np.complex128), np.zeros(rows)
-    values, vectors = _descending_eigh(m @ adjoint(m))
-    return vectors[:, : spectral_rank(values)[0]], values
+    return psd_rank(m @ adjoint(m) if m.shape[0] <= m.shape[1] else adjoint(m) @ m)
 
 
 def complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

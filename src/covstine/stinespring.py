@@ -38,19 +38,10 @@ from .errors import (
     NotCovariantError,
     NotCpError,
     NotMinimalError,
-    NotPsdError,
     NotUnitaryError,
     QuotientLeakError,
     ShapeMismatchError,
 )
-
-
-class GnsBlock(NamedTuple):
-    """One algebra block's factor of the GNS Gram, from its kept Choi
-    eigenvectors B (rows over (c, i)) and eigenvalues Λ."""
-
-    factor: np.ndarray  # S = sqrt(Λ) B*, (kept, n h): quotient coordinates of one block row
-    lift: np.ndarray  # B / sqrt(Λ), (n h, kept); factor @ lift = I
 
 
 @dataclass(frozen=True)
@@ -60,32 +51,34 @@ class GnsTriple:
     ``rep`` acts on the quotient of ``A (x) H`` by the Gram kernel, in coordinates
     over (block, block row a, kept index).  ``F`` and ``L`` are ``I_n (x) S`` and
     ``I_n (x) B/sqrt(Λ)`` on each block and are never formed: maps on the raw
-    space descend through ``blocks`` one block row ``sum_c E_ac (x) h_c`` at a time.
+    space descend through ``blocks``, each block's ``GramFactor`` ``(S, B/sqrt(Λ))``
+    of its Choi matrix with columns (rows) over (c, i), one block row
+    ``sum_c E_ac (x) h_c`` at a time.
     """
 
     cp_map: CPMapAlgebra
     dim: int  # rank of the GNS Gram
     rep: cstar.AlgebraRepresentation
     V: np.ndarray  # (dim, dim H)
-    blocks: tuple[GnsBlock, ...]  # one per algebra block
+    blocks: tuple[nk.GramFactor, ...]  # one per algebra block
     gram_eigenvalues: np.ndarray  # descending spectrum of the GNS Gram
 
 
 def _spans(sizes: tuple[int, ...], blocks):
     """``(n, units, cols, block)`` per algebra block: its size, the slices of its
-    matrix units and of its quotient coordinates, and its ``GnsBlock``."""
+    matrix units and of its quotient coordinates, and its ``GramFactor``."""
     unit = col = 0
     for n, block in zip(sizes, blocks):
-        cols = slice(col, col + n * block.factor.shape[0])
+        cols = slice(col, col + n * block.rank)
         yield n, slice(unit, unit + n * n), cols, block
         unit, col = unit + n * n, cols.stop
 
 
-def _descend(groups: np.ndarray, block: GnsBlock):
-    """``(groups @ lift, defect, size)`` of raw maps on one block row: per map, how far
-    it fails to vanish on the Gram kernel, ``maxabs(groups (I - lift factor))``, and its maxabs."""
-    lifted = groups @ block.lift
-    return lifted, nk.stack_maxabs(groups - lifted @ block.factor), nk.stack_maxabs(groups)
+def _descend(groups: np.ndarray, block: nk.GramFactor):
+    """``(groups @ L, defect, size)`` of raw maps on one block row: per map, how far
+    it fails to vanish on the Gram kernel, ``maxabs(groups (I - L F))``, and its maxabs."""
+    lifted = groups @ block.L
+    return lifted, nk.stack_maxabs(groups - lifted @ block.F), nk.stack_maxabs(groups)
 
 
 def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
@@ -96,19 +89,21 @@ def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
     ``a = c`` and 0 otherwise, so up to a permutation ``G`` is the direct sum
     over blocks of ``I_n (x) C``, with ``C`` the block's Choi matrix.  The
     companion's cached ``choi_report`` already holds the eigendecomposition of
-    each ``C`` (of size n h, not N h); the rank is decided by ``nk.spectral_rank``
-    on the merged spectrum, whose largest eigenvalue over all blocks sets the
-    cutoff as on the dense Gram; and the kept eigenvectors of each block give its
-    ``GnsBlock``.  ``E_cd`` moves block row d onto row c, so ``pi(E_cd)`` is
+    each ``C`` (of size n h, not N h); ``nk.psd_cutoff`` of the merged spectrum,
+    whose largest eigenvalue over all blocks sets the cutoff as on the dense
+    Gram, decides the rank; and ``nk.kept_factor`` of each block's spectrum at
+    that cutoff is its factor, as ``nk.gram_factor`` forms it, with F's columns
+    and L's rows reordered from the Choi order (i, c) to the block-row order
+    (c, i).  ``E_cd`` moves block row d onto row c, so ``pi(E_cd)`` is
     ``E_cd (x) S B/sqrt(Λ)``, and every E_k of a block leaks ``S - (S B/sqrt(Λ)) S``.
     ``gram_eigenvalues`` is the spectrum of ``G``: each block's eigenvalues
     repeated n times, in descending order.  The reconstruction and minimality
     of the triple are checked by ``verify_dilation``.
 
-    Raises ``NotCpError`` when the Choi test fails, ``NotPsdError`` when an
-    eigenvalue lies below minus the cutoff, and ``QuotientLeakError`` when
-    left multiplication does not descend to the quotient, which signals an
-    inconsistent input.
+    Raises ``NotCpError`` when the Choi test fails, ``NotPsdError`` (from
+    ``nk.psd_cutoff``) when an eigenvalue lies below minus the cutoff, and
+    ``QuotientLeakError`` when left multiplication does not descend to the
+    quotient, which signals an inconsistent input.
     """
     choi = phi.choi_report
     if not choi.cp:
@@ -120,29 +115,27 @@ def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
     merged = np.sort(
         np.concatenate([np.tile(s.values, n) for n, s in zip(algebra.blocks, spectra)])
     )[::-1]
-    rank, cutoff = nk.spectral_rank(merged)
-    if merged.size and merged[-1] < -cutoff:
-        raise NotPsdError(f"GNS Gram has eigenvalue {merged[-1]:.3e} below -{cutoff:.3e}")
+    cutoff = nk.psd_cutoff(merged)
 
     blocks = []
     for n, spectrum in zip(algebra.blocks, spectra):
-        kept = int(np.count_nonzero(spectrum.values > cutoff))
+        kept, F, L, values = nk.kept_factor(*spectrum, cutoff)
         # Choi rows run over (i, c), block-row rows over (c, i)
-        basis = spectrum.vectors[:, :kept].reshape(h, n, kept).transpose(1, 0, 2)
-        basis = basis.reshape(n * h, kept)
-        sqrt_vals = np.sqrt(spectrum.values[:kept])
-        blocks.append(GnsBlock(sqrt_vals[:, None] * nk.adjoint(basis), basis / sqrt_vals[None, :]))
+        F = F.reshape(kept, h, n).transpose(0, 2, 1).reshape(kept, n * h)
+        L = L.reshape(h, n, kept).transpose(1, 0, 2).reshape(n * h, kept)
+        blocks.append(nk.GramFactor(kept, F, L, values))
+    rank = sum(n * block.rank for n, block in zip(algebra.blocks, blocks))
     images = np.zeros((algebra.dim, rank, rank), dtype=np.complex128)
     v_map = np.zeros((rank, h), dtype=np.complex128)
     leak = 0.0
     for n, units, cols, block in _spans(algebra.blocks, blocks):
-        kept = block.factor.shape[0]
-        (moved,), (defect,), (size,) = _descend(block.factor[None], block)
+        kept = block.rank
+        (moved,), (defect,), (size,) = _descend(block.F[None], block)
         leak = max(leak, float(defect) / max(1.0, float(size)))
         c, d, r, s = np.ix_(range(n), range(n), range(kept), range(kept))
         images[units.start + c * n + d, cols.start + c * kept + r, cols.start + d * kept + s] = moved
         # V h = F (1 (x) h): block row a of the unit reads S on its (a, i) columns
-        v_map[cols] = block.factor.reshape(kept, n, h).transpose(1, 0, 2).reshape(n * kept, h)
+        v_map[cols] = block.F.reshape(kept, n, h).transpose(1, 0, 2).reshape(n * kept, h)
     if leak > nk.RESIDUAL_TOL:
         raise QuotientLeakError(
             f"left multiplication does not descend to the quotient (leak {leak:.3e}); "
@@ -203,9 +196,9 @@ def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
 
     dim_h, dim_k = phi.space_dims
     span = phi.images.transpose(1, 0, 2).reshape(dim_k, module.dim * dim_h)
-    basis, k_eigs = nk.orthonormal_range(span)
-    w_map = nk.adjoint(basis)
-    dim_codomain = w_map.shape[0]
+    k_eigs, vectors = nk.hermitian_eigendecomposition(span @ nk.adjoint(span))
+    dim_codomain = nk.spectral_rank(k_eigs)[0]
+    w_map = nk.adjoint(vectors[:, :dim_codomain])
 
     m = module.dim  # the raw map of x_i sends E_l (x) h to Phi(x_i E_l) h
     flat = phi.images.reshape(m, dim_k * dim_h)
@@ -214,7 +207,7 @@ def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
     for n, units, cols, block in _spans(module.algebra.blocks, gns.blocks):
         coeffs = module.action[:, units].reshape(m, n, n, m)  # x_i . E_ac
         xs, rows = np.nonzero(coeffs.any(axis=(2, 3)))  # the live (x_i, a)
-        part = images[:, :, cols].reshape(m, dim_codomain, n, block.factor.shape[0])  # a view
+        part = images[:, :, cols].reshape(m, dim_codomain, n, block.rank)  # a view
         for span in nk.stack_spans(len(xs), dim_k * n * dim_h):
             x, a = xs[span], rows[span]
             raw = (coeffs[x, a] @ flat).reshape(len(x), n, dim_k, dim_h)
@@ -274,7 +267,7 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
         # F (alpha_t (x) u_t): alpha_t on the units of each block row, then u_t on h
         rows = []
         for n, units, cols, block in spans:
-            kept = block.factor.shape[0]  # V on block row c is S on its (c, i) columns
+            kept = block.rank  # V on block row c is S on its (c, i) columns
             coeffs = alpha[:, units].reshape(count, n, n, algebra.dim).transpose(0, 1, 3, 2)
             on_n = coeffs.reshape(count, n * algebra.dim, n) @ gns.V[cols].reshape(n, kept * h)
             on_n = on_n.reshape(count, n, algebra.dim, kept, h).transpose(0, 1, 3, 2, 4)
@@ -285,7 +278,7 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
         for n, units, _, block in spans:  # the GNS Gram F* F is S* S on each block row
             raw = slice(units.start * h, units.stop * h)
             block_rows = transported[:, raw, raw].reshape(count, n, n * h, n, n * h)  # a view
-            block_rows[:, np.arange(n), :, np.arange(n)] -= nk.adjoint(block.factor) @ block.factor
+            block_rows[:, np.arange(n), :, np.arange(n)] -= nk.adjoint(block.F) @ block.F
         gram_residual = max(gram_residual, nk.maxabs(transported))
         worst = np.zeros((2, count))  # per t: the largest defect and size of its block rows
         for n, units, cols, block in spans:

@@ -577,7 +577,8 @@ def dense_dilation(phi):
         raise DenseLeakError("module maps", worst)
     dim_k = phi.space_dims[1]
     span = phi.images.transpose(1, 0, 2).reshape(dim_k, phi.images.shape[0] * phi.space_dims[0])
-    w_map = nk.adjoint(nk.orthonormal_range(span)[0])
+    values, vectors = nk.hermitian_eigendecomposition(span @ nk.adjoint(span))
+    w_map = nk.adjoint(vectors[:, : nk.spectral_rank(values)[0]])
     return SimpleNamespace(
         F=f_map, L=lift, gns_images=gns_images, V=v, W=w_map, images=w_map @ raw @ lift
     )
@@ -625,8 +626,8 @@ def codomain_compressions(cov, base):
 def dense_factors(gns):
     """The dense F and L of a factored ``GnsTriple``, placed by ``np.kron``."""
     sizes = gns.cp_map.algebra.blocks
-    f_blocks = [np.kron(nk.eye(n), b.factor) for n, b in zip(sizes, gns.blocks)]
-    l_blocks = [np.kron(nk.eye(n), b.lift) for n, b in zip(sizes, gns.blocks)]
+    f_blocks = [np.kron(nk.eye(n), b.F) for n, b in zip(sizes, gns.blocks)]
+    l_blocks = [np.kron(nk.eye(n), b.L) for n, b in zip(sizes, gns.blocks)]
     return block_diag(f_blocks), block_diag(l_blocks)
 
 
@@ -647,13 +648,13 @@ def block_spans(gns):
     unit = col = 0
     for n, block in zip(gns.cp_map.algebra.blocks, gns.blocks):
         yield n, unit, col, block
-        unit, col = unit + n * n, col + n * block.factor.shape[0]
+        unit, col = unit + n * n, col + n * block.rank
 
 
 def descend(group, block):
     """``(lifted, defect, size)`` of one raw map on one block row."""
-    lifted = group @ block.lift
-    return lifted, nk.maxabs(group - lifted @ block.factor), nk.maxabs(group)
+    lifted = group @ block.L
+    return lifted, nk.maxabs(group - lifted @ block.F), nk.maxabs(group)
 
 
 def gns_blocks(gns):
@@ -664,12 +665,12 @@ def gns_blocks(gns):
     v = np.zeros((gns.dim, h), dtype=np.complex128)
     worst = 0.0
     for n, unit, col, block in block_spans(gns):
-        kept = block.factor.shape[0]
-        moved, defect, size = descend(block.factor, block)
+        kept = block.rank
+        moved, defect, size = descend(block.F, block)
         worst = max(worst, defect / max(1.0, size))
         for c in range(n):
             rows = slice(col + c * kept, col + (c + 1) * kept)
-            v[rows] = block.factor[:, c * h : (c + 1) * h]
+            v[rows] = block.F[:, c * h : (c + 1) * h]
             for d in range(n):
                 images[unit + c * n + d, rows, col + d * kept : col + (d + 1) * kept] = moved
     return images, worst, v
@@ -687,7 +688,7 @@ def module_groups(phi, gns, w_map):
     for i in range(m):
         worst = size = 0.0
         for n, unit, col, block in block_spans(gns):
-            kept = block.factor.shape[0]
+            kept = block.rank
             for a in range(n):
                 coeffs = module.action[i, unit + a * n : unit + (a + 1) * n]
                 if not coeffs.any():
@@ -708,7 +709,7 @@ def covariant_groups(cov, base):
     algebra, h = gns.cp_map.algebra, gns.cp_map.space_dim
     n_dim = algebra.dim
     gram = block_diag(
-        [np.kron(nk.eye(n), nk.adjoint(b.factor) @ b.factor) for n, b in zip(algebra.blocks, gns.blocks)]
+        [np.kron(nk.eye(n), nk.adjoint(b.F) @ b.F) for n, b in zip(algebra.blocks, gns.blocks)]
     )
     v_mats = np.zeros((group.order, gns.dim, gns.dim), dtype=np.complex128)
     gram_residual = worst = 0.0
@@ -716,7 +717,7 @@ def covariant_groups(cov, base):
         alpha, u = cov.system.alpha[t], cov.u.mats[t]
         rows = []
         for n, unit, col, block in block_spans(gns):
-            kept = block.factor.shape[0]
+            kept = block.rank
             v_rows = gns.V[col : col + n * kept].reshape(n, kept * h)
             coeffs = alpha[unit : unit + n * n].reshape(n, n, n_dim).transpose(0, 2, 1)
             on_n = (coeffs.reshape(n * n_dim, n) @ v_rows).reshape(n, n_dim, kept, h)
@@ -727,7 +728,7 @@ def covariant_groups(cov, base):
         gram_residual = max(gram_residual, nk.maxabs(transported - gram))
         defect = size = 0.0
         for n, unit, col, block in block_spans(gns):
-            kept = block.factor.shape[0]
+            kept = block.rank
             raw = descended[:, unit * h : (unit + n * n) * h].reshape(gns.dim * n, n * h)
             lifted, block_defect, block_size = descend(raw, block)
             v_mats[t, :, col : col + n * kept] = lifted.reshape(gns.dim, n * kept)

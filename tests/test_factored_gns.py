@@ -14,7 +14,7 @@ import pytest
 import dense_reference as ref
 from covstine import cpmaps, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
-from covstine.errors import QuotientLeakError
+from covstine.errors import NotPsdError, QuotientLeakError
 
 
 def _through_gram(blocks, h, spectra, seed=3):
@@ -70,7 +70,7 @@ def test_factored_dilation_matches_the_dense_one(name):
     cert = stinespring.verify_dilation(phi, dilation)
     assert cert.passed
     if name == "vanishing block":
-        assert [b.factor.shape[0] for b in gns.blocks] == [4, 0]
+        assert [b.rank for b in gns.blocks] == [4, 0]
     if name == "zero map":
         assert gns.dim == dilation.dim_codomain == 0
 
@@ -155,3 +155,24 @@ def test_planted_unitary_defect_trips_the_group_gate(monkeypatch):
         ref.covariant_groups(cov, base)[2],
         "group unitaries",
     )
+
+
+def test_a_choi_eigenvalue_below_the_cutoff_fails_the_one_gram_rule(monkeypatch):
+    """The Choi matrix diag(0.1, -5e-11) of a map on M_1 passes the CP test,
+    whose slack is ``REL_TOL`` times max(1, |eigenvalues|), but its least
+    eigenvalue lies below minus the Gram cutoff ``REL_TOL * 0.1 = 1e-11``: the
+    GNS blocks and ``gram_factor`` of the same matrix both refuse it through
+    ``nk.psd_cutoff``, with one message."""
+    choi = np.diag([0.1, -5e-11]).astype(np.complex128)
+    phi = cpmaps.CPMapAlgebra(cstar.CStarAlgebra((1,)), 2, choi[None])
+    assert phi.choi_report.cp
+    decided = []
+    original = nk.psd_cutoff
+    monkeypatch.setattr(nk, "psd_cutoff", lambda values: decided.append(values) or original(values))
+    with pytest.raises(NotPsdError) as gns:
+        stinespring.gns_construct(phi)
+    with pytest.raises(NotPsdError) as factor:
+        nk.gram_factor(choi)
+    message = "Gram matrix has eigenvalue -5.000e-11 below -1.000e-11"
+    assert str(gns.value) == str(factor.value) == message
+    assert len(decided) == 2

@@ -906,7 +906,8 @@ def test_star_residual_in_chunks_of_k_matches_the_whole_stack(entries, monkeypat
 
 
 # ---------------------------------------------------------------------------
-# Guards: no unordered multi-operand einsum, no np.kron and no second rank rule
+# Guards: no unordered multi-operand einsum, no np.kron, no second rank rule
+# and no eigensolve outside numkernel's helper
 # ---------------------------------------------------------------------------
 
 
@@ -1007,6 +1008,60 @@ def test_package_has_one_rank_rule():
         for path in sorted(SRC.rglob("*.py"))
     }
     assert not {name: lines for name, lines in offenders.items() if lines}
+
+
+EIGENSOLVES = {"eigh", "eigvalsh", "eig", "eigvals"}
+# numkernel's one eigensolve: every spectrum a decision reads is solved there
+EIGENSOLVE_HELPERS = {"_descending_eigh"}
+
+
+def eigensolves_outside(source: str, helpers: set[str]) -> list[int]:
+    """Lines of the calls named in ``EIGENSOLVES`` outside the functions named
+    in ``helpers``."""
+    enclosed = {
+        line
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.FunctionDef) and node.name in helpers
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    return sorted(line for line in calls_named(source, EIGENSOLVES) if line not in enclosed)
+
+
+def test_guard_flags_eigensolves_outside_the_helper():
+    helper = "\n".join(
+        [
+            "def _descending_eigh(m, vectors=True):",
+            "    if not vectors:",
+            "        return np.linalg.eigvalsh(m)",
+            "    return np.linalg.eigh(m)",
+        ]
+    )
+    planted = "\n".join(
+        [
+            helper,
+            "def psd_rank(gram):",
+            "    return np.linalg.eigvalsh(gram)",
+            "values = numpy.linalg.eigvals(a)",
+            '"np.linalg.eigh(a)"',
+            "w, v = scipy.linalg.eig(a)",
+            "nk.hermitian_eigendecomposition(a)",
+        ]
+    )
+    assert eigensolves_outside(planted, EIGENSOLVE_HELPERS) == [6, 7, 9]
+    assert eigensolves_outside(helper, set()) == [3, 4]
+
+
+def test_package_eigensolves_only_in_the_helper():
+    """Every eigensolve of the package runs in numkernel's private helper, so
+    every spectrum a rank or PSD decision reads comes from one place."""
+    offenders = {
+        path.name: eigensolves_outside(
+            path.read_text(), EIGENSOLVE_HELPERS if path.name == "numkernel.py" else set()
+        )
+        for path in sorted(SRC.rglob("*.py"))
+    }
+    assert not {name: lines for name, lines in offenders.items() if lines}
+    assert eigensolves_outside((SRC / "numkernel.py").read_text(), set())
 
 
 # ---------------------------------------------------------------------------
