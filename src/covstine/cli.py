@@ -344,8 +344,9 @@ def _run_verify(res: ResolvedScenario, provenance: dict) -> Certificate:
 
     A construction rejected on mathematical grounds becomes a failing check
     here instead of an input error, so that broken objects still produce a
-    complete report.  The axiom and input rows (``stinespring.input_rows``, on
-    both paths) come from the cached reports the construction reads.
+    complete report.  The input rows (``stinespring.input_rows``, on both
+    paths) come from the cached reports the construction reads; the module
+    axiom rows are computed here, and by no other kind.
     """
     try:
         cert = _run_dilate(res, provenance, covariant=res.cov is not None)

@@ -231,8 +231,8 @@ def check_covariance(
     """Absolute covariance residuals of a module CP map and of its companion."""
     map_residual = hilbmod.covariance_defect(system.eta, phi.images, u_prime.mats, u.mats)
     comp_residual = hilbmod.covariance_defect(system.alpha, phi.companion.images, u.mats, u.mats)
-    axioms = phi.module.axiom_report
-    condition = axioms.fullness_condition if axioms.full else float("inf")
+    fullness = hilbmod.FullnessSystem(phi.module, phi.module.fullness_factor)
+    condition = fullness.condition if fullness.full else float("inf")
     return CovarianceReport(map_residual, comp_residual, condition)
 
 

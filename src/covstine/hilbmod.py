@@ -50,7 +50,7 @@ class HilbertModule:
 
     @cached_property
     def support(self) -> "ModuleSupport":
-        """``module_support`` of this module, read once."""
+        """``module_support`` of this module, read once; ``standard_module`` sets it."""
         return module_support(self)
 
     @cached_property
@@ -90,9 +90,16 @@ def standard_module(p: int, n: int) -> HilbertModule:
     action = np.zeros((m, n * n, m), dtype=np.complex128)
     inner = np.zeros((m, m, n * n), dtype=np.complex128)
     q, i, b = np.indices((p, n, n)).reshape(3, -1)
-    action[q * n + i, i * n + b, q * n + b] = 1.0  # f_{q,i} . E_{i,b} = f_{q,b}
-    inner[q * n + i, q * n + b, i * n + b] = 1.0  # <f_{q,i}, f_{q,b}> = E_{i,b}
-    return HilbertModule(algebra, m, action, inner)
+    row, col, unit = q * n + i, q * n + b, i * n + b
+    action[row, unit, col] = 1.0  # f_{q,i} . E_{i,b} = f_{q,b}
+    inner[row, col, unit] = 1.0  # <f_{q,i}, f_{q,b}> = E_{i,b}
+    module = HilbertModule(algebra, m, action, inner)
+    # module_support in closed form: one nonzero per (q, i, b) in each tensor, in
+    # row-major order, and p components, the rows of the matrices
+    pairs, labels, values = row * m + col, np.arange(m) // n * n, inner[row, col, unit]
+    support = ModuleSupport(row, col, unit, values, pairs, row, unit, labels, (row, unit, col))
+    object.__setattr__(module, "support", support)
+    return module
 
 
 def standard_basis_matrices(p: int, n: int) -> np.ndarray:
@@ -137,8 +144,17 @@ def module_support(module: HilbertModule) -> ModuleSupport:
 
 class FullnessSystem(NamedTuple):
     module: HilbertModule  # its rows <x_i, x_j> span <X, X>
-    factor: nk.GramFactor  # of their (N, N) Gram, on which fullness was decided
-    condition: float  # ratio of the extreme kept singular values
+    factor: nk.GramFactor  # of their (N, N) Gram, on which fullness is decided
+
+    @property
+    def full(self) -> bool:  # the rows span the algebra
+        return self.factor.rank == self.module.algebra.dim
+
+    @property
+    def condition(self) -> float:
+        """Ratio of the extreme kept singular values, inf at rank 0."""
+        kept = self.factor.eigenvalues[: self.factor.rank]
+        return math.sqrt(kept[0] / kept[-1]) if self.factor.rank else float("inf")
 
     def solve(self, images: np.ndarray) -> np.ndarray:
         """The (N, h, h) least-squares companion ``phi(<x_i, x_j>) = images[i]* images[j]``:
@@ -159,17 +175,17 @@ class FullnessSystem(NamedTuple):
 def fullness_system(module: HilbertModule) -> FullnessSystem:
     """The inner products of basis pairs as rows spanning ``<X, X>``.
 
-    The factor is the module's cached ``fullness_factor``, on which
-    ``axiom_report`` decided fullness.  Raises ``NotFullError`` when the rows
-    do not span the coefficient algebra.  A map on a full module's algebra is
-    fixed by its values on ``<X, X>``, solved by one GEMM with ``factor.solve``.
+    The factor is the module's cached ``fullness_factor``.  Raises
+    ``NotFullError`` when the rows do not span the coefficient algebra.  A map
+    on a full module's algebra is fixed by its values on ``<X, X>``, solved by
+    one GEMM with ``factor.solve``.
     """
-    report = module.axiom_report
-    if not report.full:
+    fullness = FullnessSystem(module, module.fullness_factor)
+    if not fullness.full:
         raise NotFullError(
-            f"module is not full: rank {report.fullness_rank} of {report.fullness_required}"
+            f"module is not full: rank {fullness.factor.rank} of {module.algebra.dim}"
         )
-    return FullnessSystem(module, module.fullness_factor, report.fullness_condition)
+    return fullness
 
 
 class ModuleAxiomReport(NamedTuple):
@@ -194,6 +210,7 @@ class ModuleAxiomReport(NamedTuple):
 def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
     """Residuals for the Hilbert-module axioms plus fullness of the span.
 
+    Only ``verify`` reads this report; fullness is decided by ``FullnessSystem``.
     Everything is read from ``module.support``.  Linearity
     ``<x_i, x_j . E_k> = <x_i, x_j> E_k`` is compared by ``_linearity_defect``,
     one orthogonal component at a time.  Symmetry compares each nonzero
@@ -213,9 +230,7 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
     i, j, k, values = support.i, support.j, support.k, support.values
     magnitudes = np.abs(values)
     scale = max(1.0, magnitudes.max(initial=0.0))
-    fullness = module.fullness_factor
-    kept = fullness.eigenvalues[: fullness.rank]
-    condition = math.sqrt(kept[0] / kept[-1]) if fullness.rank else float("inf")
+    fullness = FullnessSystem(module, module.fullness_factor)
 
     linearity = _linearity_defect(module, magnitudes) / scale
     # <x_i, x_j>* = conj(inner[i, j, perm k]) against <x_j, x_i>, as the star
@@ -243,9 +258,9 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
         psd.min_eig,
         psd.ok,
         trace_rank.rank == m,
-        fullness.rank,
+        fullness.factor.rank,
         algebra.dim,
-        condition,
+        fullness.condition,
     )
 
 
@@ -383,21 +398,20 @@ class ModuleRepresentationReport(NamedTuple):
         )
 
 
-def density_stacks(images, v=None, w=None) -> tuple[np.ndarray, np.ndarray]:
-    """Column stacks spanning ``[pi(X) V H]`` (range) and ``[pi(X)* W K]`` (corange).
-
-    ``images`` holds one map ``(dim K', dim H')`` per module basis vector;
-    ``v: H -> H'`` and ``w: K -> K'`` default to identities.  A map is
-    nondegenerate, or a dilation minimal, when both stacks have full row rank.
-    """
+def range_stack(images, v=None) -> np.ndarray:
+    """The column stack spanning ``[pi(X) V H]``, ``images`` one map ``(dim K', dim H')``
+    per module basis vector and ``v: H -> H'`` defaulting to the identity."""
     ranged = images if v is None else images @ v
+    return ranged.transpose(1, 0, 2).reshape(ranged.shape[1], ranged.shape[0] * ranged.shape[2])
+
+
+def density_stacks(images, v=None, w=None) -> tuple[np.ndarray, np.ndarray]:
+    """Column stacks spanning ``[pi(X) V H]`` (range) and ``[pi(X)* W K]`` (corange),
+    ``w: K -> K'`` defaulting to the identity.  A map is nondegenerate, or a
+    dilation minimal, when both stacks have full row rank.
+    """
     coranged = np.conj(images).transpose(0, 2, 1)
-    if w is not None:
-        coranged = coranged @ w
-    return tuple(
-        t.transpose(1, 0, 2).reshape(t.shape[1], t.shape[0] * t.shape[2])
-        for t in (ranged, coranged)
-    )
+    return range_stack(images, v), range_stack(coranged, w)
 
 
 def density_ranks(images, v=None, w=None) -> tuple[nk.RankProfile, nk.RankProfile]:

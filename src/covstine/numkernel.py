@@ -276,16 +276,21 @@ def hermitian_eigendecomposition(m) -> EigDecomposition:
     Raises ``NotHermitianError`` when the Hermitian defect exceeds
     ``REL_TOL * max(1, ||m||_F)``; the defect is reported in the message.
     """
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatchError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    defect = frobenius(m - adjoint(m))
+    m, defect = _square_defect(m)
     scale = max(1.0, frobenius(m))
     if defect > REL_TOL * scale:
         raise NotHermitianError(
             f"Hermitian defect ||m - m*||_F = {defect:.3e} exceeds {REL_TOL:.1e} * {scale:.3e}"
         )
     return _descending_eigh(m)
+
+
+def _square_defect(m) -> tuple[np.ndarray, float]:
+    """``m`` as a square matrix, and its Hermitian defect ``||m - m*||_F``."""
+    m = as_matrix(m)
+    if m.shape[0] != m.shape[1]:
+        raise ShapeMismatchError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
+    return m, frobenius(m - adjoint(m))
 
 
 def _descending_eigh(m: np.ndarray, vectors: bool = True):
@@ -365,10 +370,8 @@ class PsdReport(NamedTuple):
 
 def psd_check(m) -> PsdReport:
     """Positive-semidefiniteness test on the Hermitian part of ``m``."""
-    m = as_matrix(m)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatchError(f"matrix is {m.shape[0]}x{m.shape[1]}, not square")
-    return spectrum_psd(_descending_eigh(m, vectors=False), frobenius(m - adjoint(m)))
+    m, defect = _square_defect(m)
+    return spectrum_psd(_descending_eigh(m, vectors=False), defect)
 
 
 def spectrum_psd(values: np.ndarray, herm_defect: float) -> PsdReport:

@@ -177,8 +177,9 @@ def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
     The dilation's domain space is the GNS space of the companion, the
     codomain space is the span of ``Phi(X) H`` in orthonormal coordinates,
     and the representation is the descended right-multiplication action.
-    The raw map of ``x_i`` is formed and lifted only on the block rows ``a``
-    with some ``x_i . E_ac`` nonzero; elsewhere it, its lift and leak are 0.
+    The raw map of ``x_i`` is formed and lifted only on the block rows ``a`` with
+    some ``x_i . E_ac`` nonzero, read from ``module.support``; elsewhere it, its
+    lift and leak are 0.
     """
     module = phi.module
     report = phi.cp_report
@@ -202,11 +203,13 @@ def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
 
     m = module.dim  # the raw map of x_i sends E_l (x) h to Phi(x_i E_l) h
     flat = phi.images.reshape(m, dim_k * dim_h)
+    live = np.zeros((m, module.algebra.dim), dtype=bool)  # x_i . E_k not 0
+    live[module.support.row_j, module.support.row_k] = True
     worst = np.zeros((2, m))  # per x_i: the largest defect and size of its block rows
     images = np.zeros((m, dim_codomain, gns.dim), dtype=np.complex128)
     for n, units, cols, block in _spans(module.algebra.blocks, gns.blocks):
         coeffs = module.action[:, units].reshape(m, n, n, m)  # x_i . E_ac
-        xs, rows = np.nonzero(coeffs.any(axis=(2, 3)))  # the live (x_i, a)
+        xs, rows = live[:, units].reshape(m, n, n).any(axis=2).nonzero()  # the live (x_i, a)
         part = images[:, :, cols].reshape(m, dim_codomain, n, block.rank)  # a view
         for span in nk.stack_spans(len(xs), dim_k * n * dim_h):
             x, a = xs[span], rows[span]
@@ -435,7 +438,7 @@ def verify_dilation(
     # GNS layer
     recon = nk.sandwich(gns.V, gns.rep.images, gns.V)
     residuals["gns_reconstruction"] = nk.maxabs(recon - phi.companion.images)
-    gns_rank = nk.numerical_rank(hilbmod.density_stacks(gns.rep.images, gns.V)[0])
+    gns_rank = nk.numerical_rank(hilbmod.range_stack(gns.rep.images, gns.V))
     ranks["gns_minimality"] = (gns_rank.rank, gns.dim)
     singular["gns_gram"] = list(np.sqrt(np.clip(gns.gram_eigenvalues, 0.0, None)))
     rep_report = cstar.check_representation(gns.rep)
@@ -582,10 +585,10 @@ def uniqueness_intertwiners(
     alt_recon = nk.maxabs(alt_rebuilt - phi.images)
 
     # U1 from the algebra side, U2 from the module side
-    m_cols = hilbmod.density_stacks(gns.rep.images, gns.V)[0]
-    m_cols_alt = hilbmod.density_stacks(alt_companion, alt_v)[0]
+    m_cols = hilbmod.range_stack(gns.rep.images, gns.V)
+    m_cols_alt = hilbmod.range_stack(alt_companion, alt_v)
     u1 = nk.least_squares_solve(m_cols.T, m_cols_alt.T).T
-    s_cols = hilbmod.density_stacks(base.images, gns.V)[0]
+    s_cols = hilbmod.range_stack(base.images, gns.V)
     u2 = nk.least_squares_solve(s_cols.T, s_cols_alt.T).T
 
     def _unitarity(u: np.ndarray) -> float:

@@ -142,6 +142,22 @@ def test_the_8x8_check_peaks_below_the_inner_tensor():
     assert peak < module.inner.nbytes
 
 
+@pytest.mark.parametrize("p, n", SHAPES)
+def test_the_closed_form_support_is_the_scan(p, n):
+    """``standard_module`` sets its support from the index arrays it scatters; field
+    by field it is ``module_support``'s scan, in values, order and dtype, also for
+    a module read from a payload."""
+    payload = hilbmod.module_from_json({"standard_module": [p, n]})
+    for module in (hilbmod.standard_module(p, n), payload):
+        assert "support" in vars(module)  # set when built, not scanned when first read
+        closed, scanned = module.support, hilbmod.module_support(module)
+        for field, got, expected in zip(closed._fields, closed, scanned):
+            if field != "act":  # the one field that is a tuple of arrays
+                got, expected = (got,), (expected,)
+            for a, b in zip(got, expected, strict=True):
+                assert a.dtype == b.dtype and np.array_equal(a, b), field
+
+
 def test_component_labels_follow_the_edges():
     first, second = np.array([0, 5, 3, 6]), np.array([5, 2, 6, 3])
     assert nk.component_labels(8, first, second).tolist() == [0, 1, 0, 3, 4, 0, 3, 7]

@@ -142,6 +142,39 @@ def test_fullness_is_decided_once_per_covariant_run(tmp_path, monkeypatch):
         assert sum(np.array_equal(gram, fullness_gram) for gram in factored) == 1, kind
 
 
+@pytest.fixture
+def scanned(monkeypatch):
+    """The modules whose structure tensors ``hilbmod.module_support`` scans."""
+    modules = []
+    original = hilbmod.module_support
+
+    def scanning(module):
+        modules.append(module)
+        return original(module)
+
+    monkeypatch.setattr(hilbmod, "module_support", scanning)
+    return modules
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_only_verify_checks_the_module_axioms(tmp_path, call_counts, scanned, kind):
+    """The constructions read fullness off the Gram factor and a standard module's
+    support in closed form: only ``verify`` computes the module-axiom rows, and
+    no kind scans the structure tensors of a standard module."""
+    path = tmp_path / f"{kind}.json"
+    path.write_bytes(cli.canonical_bytes(cli.generate_scenario(kind, 2, 2, 2, 11, "symmetric:3")))
+    assert cli.main([kind, "--scenario", str(path), "--out", str(tmp_path / "cert.json")]) == 0
+    assert call_counts["check_module_axioms"] == (1 if kind == "verify" else 0)
+    assert scanned == []
+
+
+def test_a_module_given_by_tensors_is_scanned_once(tmp_path, scanned):
+    """The counting of the guard above sees the scan where there is one."""
+    path = Path(__file__).resolve().parent / "scenarios" / "dense_basis_21.json"
+    assert cli.main(["dilate", "--scenario", str(path), "--out", str(tmp_path / "cert.json")]) == 0
+    assert len(scanned) == 1
+
+
 def _z2_system():
     group = hilbmod.cyclic_group(2)
     delta = hilbmod.UnitaryRep(group, 2, np.stack([np.eye(2), np.diag([1.0, -1.0])]))
