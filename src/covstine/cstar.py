@@ -55,13 +55,12 @@ class CStarAlgebra:
 
 @lru_cache(maxsize=None)
 def _structure(blocks: tuple[int, ...]):
-    """Product, left-factor and right-product tables, star permutation, unit
-    vector, and the place of each matrix unit in the embedding.
+    """Product and right-product tables, star permutation, unit vector, and the
+    place of each matrix unit in the embedding.
 
     A product of two matrix units is a unit or zero, so multiplication is a
     table: ``product[k, l]`` is m when ``E_k E_l = E_m`` and N when the
-    product vanishes, and ``left_factor[k, m]`` is the l with
-    ``E_l E_k = E_m`` (at most one), N when there is none.  ``right[:, l]``
+    product vanishes.  ``right[:, l]``
     lists the ``(k, m)`` with ``E_l E_k = E_m``, one per column of the
     block of ``E_l``, padded with N to the largest block.  ``E_k`` embeds as
     the single entry ``(embed_at[0][k], embed_at[1][k])`` of the E x E matrix.
@@ -69,7 +68,6 @@ def _structure(blocks: tuple[int, ...]):
     algebra = CStarAlgebra(blocks)
     dim = algebra.dim
     product = np.full((dim, dim), dim, dtype=np.int64)
-    left_factor = np.full((dim, dim), dim, dtype=np.int64)
     star_perm = np.zeros(dim, dtype=np.int64)
     unit = np.zeros(dim, dtype=np.complex128)
     embed_at = np.zeros((2, dim), dtype=np.int64)
@@ -86,13 +84,12 @@ def _structure(blocks: tuple[int, ...]):
                 # E_{ij} E_{jk} = E_{ik} inside the block; every other product is 0
                 for k in range(n):
                     product[idx, offset + j * n + k] = offset + i * n + k
-                    left_factor[offset + j * n + k, offset + i * n + k] = idx
                     right[:, idx, k] = offset + j * n + k, offset + i * n + k
         offset += n * n
         corner += n
-    for table in (product, left_factor, embed_at, right):
+    for table in (product, embed_at, right):
         table.setflags(write=False)
-    return product, left_factor, star_perm, unit, embed_at, right
+    return product, star_perm, unit, embed_at, right
 
 
 @lru_cache(maxsize=None)
@@ -124,37 +121,32 @@ def product_index(algebra: CStarAlgebra) -> np.ndarray:
     return _structure(algebra.blocks)[0]
 
 
-def left_factor_index(algebra: CStarAlgebra) -> np.ndarray:
-    """``index[k, m]`` is the l with ``E_l E_k = E_m``, N when there is none."""
-    return _structure(algebra.blocks)[1]
-
-
 def right_product_index(algebra: CStarAlgebra) -> np.ndarray:
     """``(units, products)``, each (N, largest block): row l lists the k with
     ``E_l E_k`` not 0 and the unit ``E_l E_k`` is, padded with N."""
-    return _structure(algebra.blocks)[5]
+    return _structure(algebra.blocks)[4]
 
 
 def embedding_index(algebra: CStarAlgebra) -> np.ndarray:
     """``(rows, cols)``: ``E_k`` embeds as the one entry ``(rows[k], cols[k])``."""
-    return _structure(algebra.blocks)[4]
+    return _structure(algebra.blocks)[3]
 
 
 def star_permutation(algebra: CStarAlgebra) -> np.ndarray:
     """Index permutation sending each matrix unit to its adjoint."""
-    return _structure(algebra.blocks)[2].copy()
+    return _structure(algebra.blocks)[1].copy()
 
 
 def star_coords(algebra: CStarAlgebra, coords: np.ndarray) -> np.ndarray:
     """Coordinates of the adjoint: conjugate and transpose each block."""
-    perm = _structure(algebra.blocks)[2]
+    perm = _structure(algebra.blocks)[1]
     out = np.zeros_like(coords, dtype=np.complex128)
     out[perm] = np.conj(coords)
     return out
 
 
 def unit_coords(algebra: CStarAlgebra) -> np.ndarray:
-    return _structure(algebra.blocks)[3].copy()
+    return _structure(algebra.blocks)[2].copy()
 
 
 def coords_to_blocks(algebra: CStarAlgebra, coords: np.ndarray) -> list[np.ndarray]:
@@ -273,7 +265,7 @@ def check_representation(rep: AlgebraRepresentation) -> RepresentationReport:
     reported as a (possibly proper) projection via its idempotency defect.
     """
     algebra = rep.algebra
-    star_perm, unit = _structure(algebra.blocks)[2:4]
+    star_perm, unit = _structure(algebra.blocks)[1:3]
     images = rep.images
     scale = max(1.0, nk.maxabs(images))
 

@@ -62,6 +62,14 @@ class HilbertModule:
         return nk.PairTargets(shape, support.i, support.j, support.k, support.values)
 
     @cached_property
+    def inner_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_grouped_rows`` of the inner tensor by unit, read once by linearity and
+        equivariance: ``rows[c * depth + d] = inner[heads[c, d], :, c]``."""
+        support, m = self.support, self.dim
+        shape = (self.algebra.dim, m, m)
+        return _grouped_rows(shape, support.k, support.i, support.j, support.values)
+
+    @cached_property
     def axiom_report(self) -> "ModuleAxiomReport":
         """``check_module_axioms`` of this module, computed once."""
         return check_module_axioms(self)
@@ -95,9 +103,9 @@ def standard_module(p: int, n: int) -> HilbertModule:
     inner[row, col, unit] = 1.0  # <f_{q,i}, f_{q,b}> = E_{i,b}
     module = HilbertModule(algebra, m, action, inner)
     # module_support in closed form: one nonzero per (q, i, b) in each tensor, in
-    # row-major order, and p components, the rows of the matrices
-    pairs, labels, values = row * m + col, np.arange(m) // n * n, inner[row, col, unit]
-    support = ModuleSupport(row, col, unit, values, pairs, row, unit, labels, (row, unit, col))
+    # row-major order
+    values = inner[row, col, unit]
+    support = ModuleSupport(row, col, unit, values, row * m + col, row, unit, (row, unit, col))
     object.__setattr__(module, "support", support)
     return module
 
@@ -108,14 +116,8 @@ def standard_basis_matrices(p: int, n: int) -> np.ndarray:
 
 
 class ModuleSupport(NamedTuple):
-    """The nonzeros of a module's structure tensors, read once.
-
-    The module is the orthogonal direct sum of the submodules spanned by its
-    components: two basis vectors are linked when some ``x_j . E_k`` has an
-    ``x_l`` coordinate (j and l linked) or ``<x_i, x_j>`` is not 0.  The span
-    of a component is closed under the action and orthogonal to every other
-    one; a standard p x n module has p components, its rows.
-    """
+    """The nonzeros of a module's structure tensors, read once.  A standard
+    p x n module has m n of each, 512 of 262,144 at 8 x 8."""
 
     i: np.ndarray  # the nonzero entries inner[i, j, k], in row-major order
     j: np.ndarray
@@ -124,20 +126,18 @@ class ModuleSupport(NamedTuple):
     pairs: np.ndarray  # i m + j for each pair with <x_i, x_j> not 0, ascending
     row_j: np.ndarray  # the live action rows (j, k), x_j . E_k not 0, row-major
     row_k: np.ndarray
-    labels: np.ndarray  # (m,): the smallest basis vector of each one's component
     act: tuple[np.ndarray, np.ndarray, np.ndarray]  # (j, k, l) of each nonzero action[j, k, l]
 
 
 def module_support(module: HilbertModule) -> ModuleSupport:
-    """One pass over each structure tensor: its nonzeros and the components."""
+    """One pass over each structure tensor: its nonzeros."""
     m, n_dim = module.dim, module.algebra.dim
     i, j, k = module.inner.nonzero()
     act_j, act_k, act_l = module.action.nonzero()
     linked, live = np.zeros((m, m), dtype=bool), np.zeros((m, n_dim), dtype=bool)
     linked[i, j] = live[act_j, act_k] = True
-    labels = nk.component_labels(m, np.concatenate([i, act_j]), np.concatenate([j, act_l]))
     return ModuleSupport(
-        i, j, k, module.inner[i, j, k], linked.reshape(-1).nonzero()[0], *live.nonzero(), labels,
+        i, j, k, module.inner[i, j, k], linked.reshape(-1).nonzero()[0], *live.nonzero(),
         (act_j, act_k, act_l),
     )
 
@@ -212,9 +212,9 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
 
     Only ``verify`` reads this report; fullness is decided by ``FullnessSystem``.
     Everything is read from ``module.support``.  Linearity
-    ``<x_i, x_j . E_k> = <x_i, x_j> E_k`` is compared by ``_linearity_defect``,
-    one orthogonal component at a time.  Symmetry compares each nonzero
-    ``<x_i, x_j>`` with its mirror; where both are 0 they agree exactly.
+    ``<x_i, x_j . E_k> = <x_i, x_j> E_k`` is compared by ``_linearity_defect`` on
+    the grouped inner rows that equivariance reads as well.  Symmetry compares
+    each nonzero ``<x_i, x_j>`` with its mirror; where both are 0 they agree exactly.
 
     Positivity is decided on the Gram super-matrix ``[<x_i, x_j>]`` in
     ``M_m(A)``, embedded.  Each ``E_k`` embeds as one entry, so the nonzeros
@@ -268,85 +268,51 @@ def _linearity_defect(module: HilbertModule, magnitudes: np.ndarray) -> float:
     """Unscaled worst ``|<x_i, x_j . E_k> - <x_i, x_j> E_k|`` over all (i, j, k)
     and units, ``magnitudes`` being ``|values|`` of the support.
 
-    The left side ``sum_q action[j, k, q] inner[i, q, :]`` is formed on the
-    grid of live rows (j, k) (``x_j . E_k`` not 0) by live columns (i, c)
-    (some ``<x_i, x_q>`` has an ``E_c`` coordinate) of each component: one
-    GEMM per component, contracted over the component's basis vectors only.
-    Consecutive components of one shape (all p rows of a standard module)
-    share one batched GEMM, by chunks of rows under the chunk rule.  Off
-    those grids the left side is exactly 0: across components both sides
-    are.  The right side is a gather, since ``E_l E_k = E_c`` for at most one
-    l; off the grids its entries are the nonzero ``inner[i, j, l]`` with row
-    (j, k) or column (i, c) dead, read from the nonzero list.  The residual is
-    the same maximum of the same absolute values as on the full
-    (m, m, N, N) comparison.
+    The left side ``sum_q inner[h, q, c] action[j, k, q]`` is formed on the grid
+    of the heads h of each unit c (``inner[h, :, c]`` not 0, the rows of
+    ``module.inner_rows``) by the live rows (j, k) (``x_j . E_k`` not 0): one GEMM
+    per chunk of units under the chunk rule.  The right side is read from the
+    nonzero list: ``inner[i, j, l] E_k`` is ``inner[i, j, l] E_c`` for at most one
+    unit c.  On the grid it is subtracted at (c, i, (j, k)), so never at the zero
+    padding rows; off it (a dead row or a column that is no head) the left side
+    is exactly 0 and its magnitude is the defect.  The residual is the same
+    maximum of the same absolute values as on the full (m, m, N, N) comparison.
     """
     algebra = module.algebra
     m, n_dim = module.dim, algebra.dim
     support = module.support
-    i, j, labels = support.i, support.j, support.labels
-    # live rows and columns; the padding unit N counts as live, so the
-    # padding of the right-product table is never off the grid
+    i, j = support.i, support.j
+    # live rows and heads; the padding unit N counts as live, so the padding
+    # of the right-product table is never off the grid
     live_rows = np.zeros((m, n_dim + 1), dtype=bool)
     live_cols = np.zeros((m, n_dim + 1), dtype=bool)
     live_rows[support.row_j, support.row_k] = True
     live_cols[i, support.k] = True
-    col_i, col_c = live_cols[:, :n_dim].nonzero()
     live_rows[:, n_dim] = live_cols[:, n_dim] = True
     units, products = cstar.right_product_index(algebra)[:, support.k]
     on_grid = live_rows[j[:, None], units] & live_cols[i[:, None], products]
     worst = magnitudes[~on_grid.all(axis=1)].max(initial=0.0)
 
-    # nodes, rows and columns grouped by component, and each node's place in
-    # its component, whose smallest node leads its group
-    edges = np.concatenate([(labels == np.arange(m)).nonzero()[0], [m]])
-    nodes, node_at = _grouped(labels, edges)
-    rows, row_at = _grouped(labels[support.row_j], edges)
-    cols, col_at = _grouped(labels[col_i], edges)
-    place = np.empty(m, dtype=np.int64)
-    place[nodes] = np.arange(m)
-    place -= place[labels]
-    # the (basis vectors, rows, columns) of each component's grid
-    shapes = [(node_at[1:] - node_at[:-1]).tolist()]
-    shapes += [(at[1:] - at[:-1]).tolist() for at in (row_at, col_at)]
-    # inner[i, j, :] at [i, place j], with a zero unit N where E_l E_k = 0
-    stride = n_dim + 1
-    local = np.zeros((m, max(shapes[0]), stride), dtype=np.complex128)
-    local[i, place[j], support.k] = support.values
-    flat = local.reshape(-1)
-    col_i, col_c = col_i[cols], col_c[cols]
-    right = local[col_i, :, col_c].T  # right[place q, (i, c)] = inner[i, q, c]
-    targets = cstar.left_factor_index(algebra)[:, col_c] + col_i * (local.shape[1] * stride)
-    row_j, row_k = support.row_j[rows], support.row_k[rows]
-    row_at_j = place[row_j] * stride
-    first = 0
-    for (size, count, width), run in itertools.groupby(zip(*shapes)):
-        last = first + len(list(run))
-        g, r0, r1, c0, c1 = last - first, row_at[first], row_at[last], col_at[first], col_at[last]
-        nodes_g = nodes[node_at[first] : node_at[last]].reshape(g, 1, size)
-        k_g = row_k[r0:r1].reshape(g, count)
-        left = module.action[row_j[r0:r1].reshape(g, count, 1), k_g[:, :, None], nodes_g]
-        right_g = right[:size, c0:c1].reshape(size, g, width).transpose(1, 0, 2)
-        grid_cols = targets[:, c0:c1].reshape(n_dim, g, width).transpose(1, 0, 2)
-        at_j = row_at_j[r0:r1].reshape(g, count, 1)
-        stack = np.arange(g)[:, None]
+    rows, heads = module.inner_rows
+    depth, count = heads.shape[1], len(support.row_j)
+    live = module.action[support.row_j, support.row_k].T  # live[q, r] = action[j_r, k_r, q]
+    # the flat place of each on-grid target in the (N, depth, count) grid, by unit
+    head_at = live_cols[:, :n_dim].cumsum(axis=0) - 1  # [i, c]: i's place among c's heads
+    row_at = live_rows[:, :n_dim].reshape(-1).cumsum() - 1  # [j N + k]: the row of (j, k)
+    nonzero, slot = (on_grid & (units < n_dim)).nonzero()
+    unit, c = units[nonzero, slot], products[nonzero, slot]
+    at = (c * depth + head_at[i[nonzero], c]) * count + row_at[j[nonzero] * n_dim + unit]
+    order = at.argsort()
+    at, targets = at[order], support.values[nonzero[order]]
 
-        # inner[i, j, left_factor[k, c]]: a gather from the flattened table
-        def defects(span):
-            gathered = flat[grid_cols[stack, k_g[:, span]] + at_j[:, span]]
-            return left[:, span] @ right_g - gathered
+    def defects(span):
+        first, last = span.start * depth * count, span.stop * depth * count
+        grid = rows[span.start * depth : span.stop * depth] @ live
+        lo, hi = at.searchsorted([first, last])
+        grid.reshape(-1)[at[lo:hi] - first] -= targets[lo:hi]
+        return grid
 
-        worst = max(worst, nk.stack_max(count, g * width, defects))
-        first = last
-    return float(worst)
-
-
-def _grouped(keys: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(order, bounds)``: ``order[bounds[c]:bounds[c + 1]]`` are the items
-    with key ``edges[c]``, ascending, where every key is one of ``edges[:-1]``
-    and ``edges[-1]`` exceeds them all."""
-    order = keys.argsort(kind="stable")
-    return order, keys[order].searchsorted(edges)
+    return float(max(worst, nk.stack_max(n_dim, depth * count, defects)))
 
 
 @dataclass(frozen=True)
@@ -831,21 +797,24 @@ def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
     law = max(max(group_law_residuals(group, eta)), alpha_law)
 
     sup, act = module.support, module.support.act
-    inner_rows, heads_k = _grouped_rows((n_dim, m, m), sup.k, sup.i, sup.j, sup.values)
+    inner_rows, heads_k = module.inner_rows
     action_rows, heads_r = _grouped_rows((m, n_dim, m), act[2], act[1], act[0], module.action[act])
     pair_rows = module.inner.reshape(m * m, n_dim)[sup.pairs].T
-    live_rows, live_at = module.action[sup.row_j, sup.row_k].T, sup.row_j * n_dim + sup.row_k
+    live_rows = module.action[sup.row_j, sup.row_k].T
+    # the targets' flat places in one t's grid, [k, (i, j)] and [i, (j, k)]
+    pair_at = (np.arange(n_dim)[:, None] * (m * m) + sup.pairs).reshape(-1)
+    live_at = (np.arange(m)[:, None] * (m * n_dim) + sup.row_j * n_dim + sup.row_k).reshape(-1)
 
     def equivariance(t):
         z = (inner_rows @ eta[t]).reshape(t.stop - t.start, n_dim, heads_k.shape[1], m)
         grid = np.conj(eta[t][:, heads_k]).swapaxes(-1, -2) @ z
-        grid.reshape(len(grid), n_dim, m * m)[:, :, sup.pairs] -= alpha[t] @ pair_rows
+        grid.reshape(len(grid), -1)[:, pair_at] -= (alpha[t] @ pair_rows).reshape(len(grid), -1)
         return grid
 
     def compatibility(t):
         c = (action_rows @ eta[t]).reshape(t.stop - t.start, m, heads_r.shape[1], m)
         grid = c.swapaxes(-1, -2) @ alpha[t][:, heads_r]
-        grid.reshape(len(grid), m, m * n_dim)[:, :, live_at] -= eta[t] @ live_rows
+        grid.reshape(len(grid), -1)[:, live_at] -= (eta[t] @ live_rows).reshape(len(grid), -1)
         return grid
 
     item = m * m * n_dim

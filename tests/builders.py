@@ -83,6 +83,15 @@ def trace_coords(algebra: cstar.CStarAlgebra) -> np.ndarray:
     return cstar.unit_coords(algebra)
 
 
+def left_factor_index(algebra: cstar.CStarAlgebra) -> np.ndarray:
+    """``index[k, m]`` is the l with ``E_l E_k = E_m``, N when there is none."""
+    product = cstar.product_index(algebra)
+    index = np.full((algebra.dim, algebra.dim + 1), algebra.dim, dtype=np.int64)
+    l, k = (product < algebra.dim).nonzero()
+    index[k, product[l, k]] = l
+    return index[:, :-1]
+
+
 def embed_coords(algebra: cstar.CStarAlgebra, coords: np.ndarray) -> np.ndarray:
     """Block-diagonal E x E matrix of the element (the embedding representation)."""
     total = algebra.embed_dim

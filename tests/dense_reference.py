@@ -11,11 +11,15 @@ densely: ``pi(x)* pi(y) = pi_A(<x, y>)`` one x_i at a time, multiplicativity
 one E_k at a time, and positivity by one eigensolve of the whole Gram
 super-matrix; the package skips the exact zeros of their inputs.  The module
 axioms are also kept whole on the dense tensors (``module_axioms``), where the
-package reads the module's nonzeros once and checks one orthogonal component
-at a time; its linearity runs on ``pair_defect``, a
-pair kernel that forms each targeted pair's target whole, (rows, cols), from a
-callable, where the package's kernel gathers targets from nonzero lists on
-each pair's support.  The loops
+package reads the module's nonzeros once and checks linearity on the inner
+rows grouped by unit, one GEMM per chunk of units against the live action
+rows; here linearity runs on ``pair_defect``, a pair kernel that forms each
+targeted pair's target whole, (rows, cols), from a callable, where the
+package subtracts its targets, read from the nonzero list, at the heads of
+each unit.  The module's
+orthogonal components, which the package does not compute, are found by
+``component_labels`` on its link graph for the tests that plant defects
+across them.  The loops
 over group and basis elements that the package runs as chunked stacks are
 kept here one element at a time, with ``np.kron`` where the package calls
 ``numkernel.kron_stack``.  Every ``<X, X>`` solve is kept in its
@@ -355,7 +359,7 @@ def module_axioms(module):
     condition = np.sqrt(kept[0] / kept[-1]) if fullness.rank else float("inf")
 
     support = inner != 0
-    left_factor = cstar.left_factor_index(algebra)
+    left_factor = builders.left_factor_index(algebra)
     padded = pad_zero(inner, axis=2)
     live = action.any(axis=2)
     dead_j, dead_k = (~live).nonzero()

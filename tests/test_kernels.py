@@ -93,7 +93,7 @@ def test_unit_gathers_match_the_multiplication_tensor(blocks, m, h, seed):
     product = cstar.product_index(algebra)
     _close(dense_reference.pad_zero(stack)[product], np.einsum("klm,mab->klab", mul, stack))
     inner = _random(rng, m, m, algebra.dim)
-    gathered = dense_reference.pad_zero(inner, axis=2)[..., cstar.left_factor_index(algebra)]
+    gathered = dense_reference.pad_zero(inner, axis=2)[..., builders.left_factor_index(algebra)]
     _close(gathered, np.einsum("ijl,lkm->ijkm", inner, mul))
 
 

@@ -1,9 +1,11 @@
 """The module axioms on the module's support: ``check_module_axioms`` reads the
-nonzeros of the structure tensors once and checks one orthogonal component at
-a time.  Its report is compared with the dense form kept in
+nonzeros of the structure tensors once and checks linearity on the grouped
+inner rows.  Its report is compared with the dense form kept in
 ``dense_reference.module_axioms`` (every field bitwise on 0/1 modules, within
 rel 1e-12 on modules on a dense basis), also with planted defects, and its
-peak memory is held under the size of the inner tensor."""
+peak memory is held under the size of the inner tensor.  The tests take the
+module's orthogonal components from ``dense_reference.component_labels`` on its
+link graph."""
 
 import json
 import tracemalloc
@@ -31,6 +33,13 @@ def _fields(report):
     return dict(zip(report._fields, report))
 
 
+def _components(module):
+    """The smallest basis vector of each one's component: x_i and x_j are linked
+    when ``<x_i, x_j>`` is not 0 or some ``x_i . E_k`` has an ``x_j`` coordinate."""
+    linked = module.inner.any(axis=2) | module.action.any(axis=1)
+    return dense_reference.component_labels(linked | linked.T)
+
+
 @pytest.mark.parametrize("p, n", SHAPES)
 def test_standard_modules_match_the_dense_form_bitwise(p, n):
     module = hilbmod.standard_module(p, n)
@@ -47,16 +56,15 @@ def test_algebra_modules_match_the_dense_form_bitwise(blocks):
     assert _fields(hilbmod.check_module_axioms(module)) == _fields(
         dense_reference.module_axioms(module)
     )
-    assert len(set(module.support.labels.tolist())) == sum(blocks)
+    assert len(set(_components(module).tolist())) == sum(blocks)
 
 
 @pytest.mark.parametrize("blocks", [(4, 2), (6,), (5, 3), (2, 1), (1, 2, 3)])
 def test_dense_basis_modules_match_the_dense_form(blocks):
     """One component with every action row live: the grid is the whole comparison."""
     module = _dense_basis_module(blocks, seed=5)
-    support = module.support
-    assert (support.labels == 0).all()
-    assert len(support.row_j) == module.dim * module.algebra.dim
+    assert (_components(module) == 0).all()
+    assert len(module.support.row_j) == module.dim * module.algebra.dim
     report, dense = hilbmod.check_module_axioms(module), dense_reference.module_axioms(module)
     for field, value in _fields(dense).items():
         assert getattr(report, field) == pytest.approx(value, rel=1e-12), field
@@ -71,17 +79,20 @@ def test_a_zero_basis_vector_is_its_own_component():
     action[:-1, :, :-1], inner[:-1, :-1] = module.action, module.inner
     padded = hilbmod.HilbertModule(module.algebra, m, action, inner)
     report = hilbmod.check_module_axioms(padded)
-    assert padded.support.labels.tolist() == [0, 0, 2, 2, 4]
+    assert _components(padded).tolist() == [0, 0, 2, 2, 4]
     assert _fields(report) == _fields(dense_reference.module_axioms(padded))
     assert report.linearity_residual == 0.0 and report.positive and report.full
     assert not report.definite
 
 
 def _plant(module, defect, eps, rng):
-    """``module`` with one planted defect; the first two merge two components."""
+    """``module`` with one planted defect; the first two merge two components, or
+    link two basis vectors of the one component there is."""
     action, inner = module.action.copy(), module.inner.copy()
-    labels, n_dim = module.support.labels, module.algebra.dim
+    labels, n_dim = _components(module), module.algebra.dim
     links = np.argwhere(labels[:, None] != labels[None, :])  # pairs in different components
+    if not len(links):
+        links = np.argwhere(labels[:, None] == labels[None, :])
     if defect == "inner link":
         i, j = links[rng.integers(len(links))]
         inner[i, j, rng.integers(n_dim)] += eps
@@ -108,6 +119,7 @@ DEFECTS = ["inner link", "action link", "zeroed row", "asymmetric", "negative"]
 def test_planted_defects_read_the_same_in_both_forms(defect, eps):
     rng = np.random.default_rng(len(defect))
     modules = [hilbmod.standard_module(3, 2), hilbmod.standard_module(2, 3), _algebra_module((2, 1))]
+    modules.append(hilbmod.standard_module(1, 3))  # one head per unit: rows padded to depth 2
     for module in modules:
         for _ in range(3):
             broken = _plant(module, defect, eps, rng)
@@ -123,11 +135,11 @@ def test_planted_defects_read_the_same_in_both_forms(defect, eps):
 
 def test_linked_components_merge():
     module = hilbmod.standard_module(3, 2)
-    assert module.support.labels.tolist() == [0, 0, 2, 2, 4, 4]
+    assert _components(module).tolist() == [0, 0, 2, 2, 4, 4]
     inner = module.inner.copy()
     inner[0, 4, 0] = 1e-3
     broken = hilbmod.HilbertModule(module.algebra, module.dim, module.action, inner)
-    assert broken.support.labels.tolist() == [0, 0, 2, 2, 0, 0]
+    assert _components(broken).tolist() == [0, 0, 2, 2, 0, 0]
 
 
 def test_the_8x8_check_peaks_below_the_inner_tensor():
@@ -169,7 +181,7 @@ def test_component_labels_follow_the_edges():
 def test_the_dense_basis_payload_passes_and_replays_byte_identically(tmp_path, capsys, kind):
     payload = {**json.loads(DENSE_PAYLOAD.read_text()), "kind": kind}
     module = hilbmod.module_from_json(payload["objects"]["module"])
-    assert (module.support.labels == 0).all()
+    assert (_components(module) == 0).all()
     assert len(module.support.row_j) == module.dim * module.algebra.dim
     code, first = _run(tmp_path, capsys, payload)
     assert code == 0 and json.loads(first)["pass"]

@@ -168,6 +168,30 @@ def test_only_verify_checks_the_module_axioms(tmp_path, call_counts, scanned, ki
     assert scanned == []
 
 
+def test_verify_groups_the_inner_rows_once(tmp_path, monkeypatch):
+    """Linearity and equivariance read one grouping of the inner rows: a ``verify``
+    run of a covariant scenario groups them once, and the action rows once."""
+    grouped, systems = [], []
+    group_rows, check_system = hilbmod._grouped_rows, hilbmod.check_dynamical_system
+
+    def grouping(shape, first, second, third, values):
+        grouped.append(values)
+        return group_rows(shape, first, second, third, values)
+
+    def checking(system):
+        systems.append(system)
+        return check_system(system)
+
+    monkeypatch.setattr(hilbmod, "_grouped_rows", grouping)
+    monkeypatch.setattr(hilbmod, "check_dynamical_system", checking)
+    path = tmp_path / "verify.json"
+    path.write_bytes(cli.canonical_bytes(cli.generate_scenario("verify", 2, 2, 2, 11, "symmetric:3")))
+    assert cli.main(["verify", "--scenario", str(path), "--out", str(tmp_path / "cert.json")]) == 0
+    [system] = systems
+    assert sum(values is system.module.support.values for values in grouped) == 1
+    assert len(grouped) == 2
+
+
 def test_a_module_given_by_tensors_is_scanned_once(tmp_path, scanned):
     """The counting of the guard above sees the scan where there is one."""
     path = Path(__file__).resolve().parent / "scenarios" / "dense_basis_21.json"
