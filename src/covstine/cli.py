@@ -16,6 +16,8 @@ import argparse
 import functools
 import hashlib
 import json
+import math
+import numbers
 import os
 import sys
 import time
@@ -39,7 +41,14 @@ from .stinespring import Certificate, canonical_bytes
 SCHEMA_VERSION = 1
 KINDS = ("dilate", "dilate-covariant", "crossed", "uniqueness", "verify")
 DEFAULT_TOL = nk.RESIDUAL_TOL
-MAX_P, MAX_N = hilbmod.MAX_P, hilbmod.MAX_N
+# Standard modules are tabulated densely: p x n matrices over M_n, bounded
+# before the (pn, n^2, pn) action tensor is allocated.
+MAX_P = 8
+MAX_N = 8
+# Algebras are tabulated densely too (``cstar._structure`` builds N x N tables),
+# so a payload algebra is bounded by the coefficient algebra M_8 of the largest
+# standard module: N = sum of the squared block sizes is at most 64.
+MAX_DIM = MAX_N**2
 MAX_AMPLIFICATION = 8
 # Explicit trivial representations get the bound of the largest space a
 # generated scenario has: K of dimension p * amplification plus at most 2.
@@ -53,7 +62,7 @@ MAX_STRUCTURE_ROWS = 1_000_000
 
 
 # ---------------------------------------------------------------------------
-# Scenario parsing and object resolution
+# The scenario wire format: every payload reader and its bounds
 # ---------------------------------------------------------------------------
 
 
@@ -66,35 +75,227 @@ def _parse_int(text: str) -> int:
         raise ValueError(f"an integer of {len(text)} digits exceeds the parser's limit of {limit}")
 
 
-def load_scenario(path: str) -> dict:
+def load_scenario(path: str):
+    """The decoded JSON of a scenario file; ``validate_scenario`` checks its fields."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle, parse_int=_parse_int)
+            return json.load(handle, parse_int=_parse_int)
     except OSError as exc:
         raise ParseError(f"{path}: cannot read scenario ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, an over-long int, deep nesting
         raise ParseError(f"{path}: cannot decode scenario ({type(exc).__name__}: {exc})") from exc
-    if not isinstance(data, dict):
-        raise ParseError(f"{path}: scenario root must be an object")
-    return data
 
 
-def _check_fields(payload: dict, where: str, required: tuple, optional: tuple = ()) -> None:
-    """Name the first unknown field, else the first missing required one."""
-    extra = set(payload) - set(required) - set(optional)
+def _object(obj, where: str, required, optional=()) -> None:
+    """The one field rule of every payload: ``obj`` is a JSON object whose fields
+    are ``required`` and some of ``optional``.  Otherwise a ``ParseError`` names
+    the first unknown field, else the first missing required one."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{where}: must be an object")
+    extra = set(obj) - set(required) - set(optional)
     if extra:
         raise ParseError(f"{where}: unknown field '{sorted(extra)[0]}'")
     for name in required:
-        if name not in payload:
+        if name not in obj:
             raise ParseError(f"{where}: missing field '{name}'")
 
 
-def validate_scenario(data: dict) -> None:
-    _check_fields(
-        data, "scenario", ("schema", "kind"), ("seed", "tolerance", "generate", "objects")
+def _tag(obj, tags: tuple) -> str | None:
+    """The first of ``tags`` that ``obj`` has as a field: the form of a tagged
+    payload, whose other fields ``_object`` then names as unknown."""
+    return next((tag for tag in tags if isinstance(obj, dict) and tag in obj), None)
+
+
+def _is_finite_number(x) -> bool:
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
+def json_int(value, what: str, minimum: int = 0) -> int:
+    """A JSON integer of at least ``minimum``; ``ParseError`` naming ``what`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ParseError(f"{what}: expected an integer >= {minimum}, got {value!r:.60}")
+    return int(value)
+
+
+def json_positive(value, what: str) -> float:
+    """A finite positive JSON number; ``ParseError`` naming ``what`` otherwise."""
+    if not (_is_finite_number(value) and value > 0):
+        raise ParseError(f"{what}: expected a finite positive number, got {value!r:.60}")
+    return float(value)
+
+
+def entries_from_json(entries, what: str) -> np.ndarray:
+    """Decode ``[re, im]`` pairs into a flat complex array.
+
+    Every part must be a finite JSON number; strings, booleans, NaN and
+    infinities raise ``ParseError`` naming ``what`` and the entry index.
+    """
+    if not isinstance(entries, list):
+        raise ParseError(f"{what}: 'entries' must be a list of [re, im] pairs")
+    for index, pair in enumerate(entries):
+        if not (
+            isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite_number, pair))
+        ):
+            raise ParseError(
+                f"{what}: entries[{index}] must be a pair of finite numbers, got {pair!r:.60}"
+            )
+    flat = np.array(entries, dtype=np.float64).reshape(-1, 2)
+    return flat.view(np.complex128).reshape(-1)
+
+
+def mat_from_json(obj) -> np.ndarray:
+    _object(obj, "matrix payload", ("rows", "cols", "entries"))
+    rows = json_int(obj["rows"], "matrix payload: 'rows'")
+    cols = json_int(obj["cols"], "matrix payload: 'cols'")
+    flat = entries_from_json(obj["entries"], "matrix payload")
+    if flat.size != rows * cols:
+        raise ParseError(f"matrix payload: {flat.size} entries for shape {rows}x{cols}")
+    return flat.reshape(rows, cols)
+
+
+def _tensor_from_json(obj, expected_rank: int) -> np.ndarray:
+    _object(obj, "tensor payload", ("shape", "entries"))
+    if not isinstance(obj["shape"], list):
+        raise ParseError("tensor payload: 'shape' must be a list")
+    shape = tuple(json_int(v, "tensor payload: 'shape'") for v in obj["shape"])
+    if len(shape) != expected_rank:
+        raise ParseError(f"tensor payload has rank {len(shape)}, expected {expected_rank}")
+    flat = entries_from_json(obj["entries"], "tensor payload")
+    size = math.prod(shape) if shape else 0
+    if flat.size != size:
+        raise ParseError(f"tensor payload: {flat.size} entries for shape {shape}")
+    return flat.reshape(shape)
+
+
+def algebra_from_json(obj) -> cstar.CStarAlgebra:
+    _object(obj, "algebra payload", ("blocks",))
+    if not isinstance(obj["blocks"], list) or not obj["blocks"]:
+        raise ParseError("algebra payload: 'blocks' must be a non-empty list")
+    blocks = tuple(json_int(n, "algebra payload: 'blocks'", 1) for n in obj["blocks"])
+    dim = sum(n * n for n in blocks)
+    if dim > MAX_DIM:
+        raise BoundsError(f"algebra payload: dimension {dim} outside [1, {MAX_DIM}]")
+    return cstar.CStarAlgebra(blocks)
+
+
+def representation_from_json(
+    algebra: cstar.CStarAlgebra, obj, what: str = "representation payload"
+) -> cstar.AlgebraRepresentation:
+    """One ``space_dim x space_dim`` image per basis label; ``ParseError`` naming ``what``."""
+    _object(obj, what, ("space_dim", "images"))
+    labels = algebra.basis_labels()
+    _object(obj["images"], f"{what}.images", labels)
+    space_dim = json_int(obj["space_dim"], f"{what}: 'space_dim'")
+    images = [mat_from_json(obj["images"][label]) for label in labels]
+    wrong = [label for label, m in zip(labels, images) if m.shape != (space_dim, space_dim)]
+    if wrong:
+        raise ParseError(f"{what}: image '{wrong[0]}' is not {space_dim}x{space_dim}")
+    return cstar.AlgebraRepresentation(algebra, space_dim, np.stack(images))
+
+
+def module_from_json(obj) -> hilbmod.HilbertModule:
+    if _tag(obj, ("standard_module",)):
+        _object(obj, "module payload", ("standard_module",))
+        dims = obj["standard_module"]
+        if not isinstance(dims, list) or len(dims) != 2:
+            raise ParseError("module payload: 'standard_module' must be [p, n]")
+        p, n = (json_int(d, "module payload: 'standard_module'", 1) for d in dims)
+        if p > MAX_P or n > MAX_N:
+            raise BoundsError(
+                f"module payload: 'standard_module' [{p}, {n}] outside "
+                f"[1, {MAX_P}] x [1, {MAX_N}]"
+            )
+        return hilbmod.standard_module(p, n)
+    _object(obj, "module payload", ("algebra", "dim", "action", "inner"))
+    return hilbmod.HilbertModule(
+        algebra_from_json(obj["algebra"]),
+        json_int(obj["dim"], "module payload: 'dim'", 1),
+        _tensor_from_json(obj["action"], 3),
+        _tensor_from_json(obj["inner"], 3),
     )
+
+
+def group_order(family: str, size: int) -> int:
+    """Order of ``hilbmod.cyclic_group(size)`` or ``hilbmod.symmetric_group(size)``.
+
+    Raises ``BoundsError`` outside ``[1, hilbmod.MAX_GROUP_ORDER]``.  A symmetric
+    size above the bound is refused before ``size!`` is formed (n! >= n).
+    """
+    bound = hilbmod.MAX_GROUP_ORDER
+    if family not in ("cyclic", "symmetric"):
+        raise BoundsError(f"unknown group family '{family}'")
+    if 0 <= size <= bound:
+        order = size if family == "cyclic" else math.factorial(size)
+        if 1 <= order <= bound:
+            return order
+    raise BoundsError(f"group {family}:{size} has order outside [1, {bound}]")
+
+
+def _index_table(value, shape: tuple, name: str) -> np.ndarray:
+    try:
+        table = np.asarray(value)
+    except ValueError:  # ragged nesting
+        table = None
+    if table is None or table.shape != shape or table.dtype.kind not in "iu":
+        raise ParseError(f"group payload: '{name}' must be an integer table of shape {shape}")
+    return table.astype(np.int64)
+
+
+def group_from_json(obj) -> hilbmod.FiniteGroup:
+    family = _tag(obj, ("cyclic", "symmetric"))
+    if family:
+        _object(obj, "group payload", (family,))
+        size = json_int(obj[family], f"group payload: '{family}'")
+        group_order(family, size)
+        return hilbmod.cyclic_group(size) if family == "cyclic" else hilbmod.symmetric_group(size)
+    _object(obj, "group payload", ("order", "mult", "inv", "e"))
+    order = json_int(obj["order"], "group payload: 'order'", 1)
+    if order > hilbmod.MAX_GROUP_ORDER:
+        raise BoundsError(f"group order {order} outside [1, {hilbmod.MAX_GROUP_ORDER}]")
+    return hilbmod.FiniteGroup(
+        order,
+        _index_table(obj["mult"], (order, order), "mult"),
+        json_int(obj["e"], "group payload: 'e'"),
+        _index_table(obj["inv"], (order,), "inv"),
+    )
+
+
+def unitary_rep_from_json(
+    group: hilbmod.FiniteGroup, obj, what: str = "unitary representation payload"
+) -> hilbmod.UnitaryRep:
+    """``{"trivial": dim}``, ``{"regular": ...}`` or explicit ``space_dim`` and
+    ``mats``, one matrix per group element; ``ParseError`` naming ``what``."""
+    form = _tag(obj, ("trivial", "regular"))
+    if form == "trivial":
+        _object(obj, what, ("trivial",))
+        dim = json_int(obj["trivial"], f"{what}: 'trivial'")
+        if dim > MAX_SPACE_DIM:
+            raise BoundsError(f"{what}: 'trivial' dimension {dim} outside [0, {MAX_SPACE_DIM}]")
+        return hilbmod.trivial_rep(group, dim)
+    if form == "regular":
+        _object(obj, what, ("regular",))
+        return hilbmod.regular_rep(group)
+    _object(obj, what, ("space_dim", "mats"))
+    if not isinstance(obj["mats"], list):
+        raise ParseError(f"{what}: 'mats' must be a list")
+    mats = [mat_from_json(m) for m in obj["mats"]]
+    if len(mats) != group.order:
+        raise ParseError(f"{what}: {len(mats)} matrices for group of order {group.order}")
+    space_dim = json_int(obj["space_dim"], f"{what}: 'space_dim'")
+    if any(m.shape != (space_dim, space_dim) for m in mats):
+        raise ParseError(f"{what}: 'mats' must be {space_dim}x{space_dim}")
+    return hilbmod.UnitaryRep(group, space_dim, np.stack(mats))
+
+
+def validate_scenario(data: dict) -> None:
+    _object(data, "scenario", ("schema", "kind"), ("seed", "tolerance", "generate", "objects"))
     if data["schema"] != SCHEMA_VERSION:
         raise ParseError(f"scenario: unsupported schema {data['schema']!r}")
     if data["kind"] not in KINDS:
@@ -127,18 +328,16 @@ def _scenario_rng(seed: int, key: int) -> np.random.Generator:
 
 def _resolve_generate(data: dict, seed: int | None) -> tuple:
     payload = data["generate"]
-    if not isinstance(payload, dict):
-        raise ParseError("scenario.generate: must be an object")
     sizes = ("p", "n", "amplification")
-    _check_fields(payload, "scenario.generate", sizes, ("group",))
+    _object(payload, "scenario.generate", sizes, ("group",))
     if seed is None:
         raise ParseError("scenario: generated scenarios need a 'seed'")
     p, n, amplification = (
-        nk.json_int(payload[name], f"scenario.generate: '{name}'", 1) for name in sizes
+        json_int(payload[name], f"scenario.generate: '{name}'", 1) for name in sizes
     )
     check_generator_bounds(p, n, amplification)
     if "group" in payload:
-        group = hilbmod.group_from_json(payload["group"])
+        group = group_from_json(payload["group"])
     else:
         group = hilbmod.trivial_group()
     gamma = hilbmod.seeded_rep(group, p, _scenario_rng(seed, 100))
@@ -175,75 +374,45 @@ def _standard_dims(module: hilbmod.HilbertModule) -> tuple[int, int]:
 
 
 def _resolve_cp_map(payload, module: hilbmod.HilbertModule) -> cpmaps.ModuleCPMap:
-    if not isinstance(payload, dict):
-        raise ParseError("scenario.objects.cp_map: must be an object")
-    if set(payload) == {"concrete"}:
+    where = "scenario.objects.cp_map"
+    if _tag(payload, ("concrete",)):
+        _object(payload, where, ("concrete",))
         p, n = _standard_dims(module)
         rep = hilbmod.concrete_representation(p, n)
         return cpmaps.cp_from_representation(rep, nk.eye(n), nk.eye(p))
-    _check_fields(payload, "scenario.objects.cp_map", ("images", "companion"))
-    comp = payload["companion"]
-    if not isinstance(comp, dict) or set(comp) != {"space_dim", "images"}:
-        raise ParseError("scenario.objects.cp_map.companion: needs space_dim and images")
-    for where, images in (("images", payload["images"]), ("companion.images", comp["images"])):
-        if not isinstance(images, dict):
-            raise ParseError(f"scenario.objects.cp_map.{where}: must be an object")
-    rep = cstar.representation_from_json(module.algebra, comp, "scenario.objects.cp_map.companion")
+    _object(payload, where, ("images", "companion"))
+    rep = representation_from_json(module.algebra, payload["companion"], f"{where}.companion")
     companion = cpmaps.CPMapAlgebra(module.algebra, rep.space_dim, rep.images)
     keys = [str(i) for i in range(module.dim)]
-    extra = set(payload["images"]) - set(keys)
-    if extra:
-        raise ParseError(f"scenario.objects.cp_map.images: unknown key '{sorted(extra)[0]}'")
-    images = []
-    for key in keys:
-        if key not in payload["images"]:
-            raise ParseError(f"cp_map: missing image '{key}'")
-        images.append(nk.mat_from_json(payload["images"][key]))
+    _object(payload["images"], f"{where}.images", keys)
+    images = [mat_from_json(payload["images"][key]) for key in keys]
     if len({m.shape for m in images}) > 1:
         raise ParseError("cp_map: images differ in shape")
     return cpmaps.ModuleCPMap(module, np.stack(images), companion)
 
 
-def _resolve_rep(payload, group: hilbmod.FiniteGroup, name: str) -> hilbmod.UnitaryRep:
-    if isinstance(payload, dict) and set(payload) == {"trivial"}:
-        dim = nk.json_int(payload["trivial"], f"{name}: 'trivial'")
-        if dim > MAX_SPACE_DIM:
-            raise BoundsError(f"{name}: 'trivial' dimension {dim} outside [0, {MAX_SPACE_DIM}]")
-        return hilbmod.trivial_rep(group, dim)
-    if isinstance(payload, dict) and set(payload) == {"regular"}:
-        return hilbmod.regular_rep(group)
-    return hilbmod.unitary_rep_from_json(group, payload)
-
-
 def _resolve_system(payload) -> hilbmod.ModuleDynamicalSystem:
-    if not isinstance(payload, dict):
-        raise ParseError("scenario.objects.system: must be an object")
-    if set(payload) == {"standard_action"}:
+    where = "scenario.objects.system"
+    if _tag(payload, ("standard_action",)):
+        _object(payload, where, ("standard_action",))
         inner = payload["standard_action"]
-        if not isinstance(inner, dict) or set(inner) != {"group", "gamma", "delta"}:
-            raise ParseError(
-                "scenario.objects.system.standard_action: needs group, gamma, delta"
-            )
-        group = hilbmod.group_from_json(inner["group"])
-        gamma = _resolve_rep(inner["gamma"], group, "gamma")
-        delta = _resolve_rep(inner["delta"], group, "delta")
+        _object(inner, f"{where}.standard_action", ("group", "gamma", "delta"))
+        group = group_from_json(inner["group"])
+        gamma = unitary_rep_from_json(group, inner["gamma"], "gamma")
+        delta = unitary_rep_from_json(group, inner["delta"], "delta")
         return hilbmod.standard_action(group, gamma, delta)
-    _check_fields(payload, "scenario.objects.system", ("group", "module", "eta", "alpha"))
-    group = hilbmod.group_from_json(payload["group"])
-    module = hilbmod.module_from_json(payload["module"])
-    eta = hilbmod._tensor_from_json(payload["eta"], 3)
-    alpha = hilbmod._tensor_from_json(payload["alpha"], 3)
+    _object(payload, where, ("group", "module", "eta", "alpha"))
+    group = group_from_json(payload["group"])
+    module = module_from_json(payload["module"])
+    eta = _tensor_from_json(payload["eta"], 3)
+    alpha = _tensor_from_json(payload["alpha"], 3)
     return hilbmod.ModuleDynamicalSystem(group, module, eta, alpha)
 
 
 def _resolve_objects(data: dict, kind: str) -> tuple:
     payload = data["objects"]
-    if not isinstance(payload, dict):
-        raise ParseError("scenario.objects: must be an object")
-    covariant_kinds = {"dilate-covariant", "crossed"}
-    wants_covariant = kind in covariant_kinds or "system" in payload
-    if wants_covariant:
-        _check_fields(payload, "scenario.objects", ("system", "cp_map", "u", "u_prime"))
+    if kind in ("dilate-covariant", "crossed") or _tag(payload, ("system",)):
+        _object(payload, "scenario.objects", ("system", "cp_map", "u", "u_prime"))
         system = _resolve_system(payload["system"])
         phi = _resolve_cp_map(payload["cp_map"], system.module)
 
@@ -256,14 +425,14 @@ def _resolve_objects(data: dict, kind: str) -> tuple:
                 if system.gamma is None:
                     raise ValidationError(f"{name}: 'gamma' needs a standard action")
                 return system.gamma
-            return _resolve_rep(rep_payload, system.group, name)
+            return unitary_rep_from_json(system.group, rep_payload, name)
 
         u = _target(payload["u"], "u")
         u_prime = _target(payload["u_prime"], "u_prime")
         cov = cpmaps.CovariantCPMap(phi, system, u, u_prime)
         return phi, cov
-    _check_fields(payload, "scenario.objects", ("module", "cp_map"))
-    module = hilbmod.module_from_json(payload["module"])
+    _object(payload, "scenario.objects", ("module", "cp_map"))
+    module = module_from_json(payload["module"])
     phi = _resolve_cp_map(payload["cp_map"], module)
     return phi, None
 
@@ -277,15 +446,15 @@ def resolve_scenario(
     validate_scenario(data)
     kind = data["kind"]
     if seed_override is not None:
-        seed = nk.json_int(seed_override, "--seed")
+        seed = json_int(seed_override, "--seed")
     elif data.get("seed") is not None:
-        seed = nk.json_int(data["seed"], "scenario: 'seed'")
+        seed = json_int(data["seed"], "scenario: 'seed'")
     else:
         seed = None
     if tol_override is not None:
-        tolerance = nk.json_positive(tol_override, "--tol")
+        tolerance = json_positive(tol_override, "--tol")
     else:
-        tolerance = nk.json_positive(data.get("tolerance", DEFAULT_TOL), "scenario: 'tolerance'")
+        tolerance = json_positive(data.get("tolerance", DEFAULT_TOL), "scenario: 'tolerance'")
     if "generate" in data:
         phi, cov = _resolve_generate(data, seed)
     else:
@@ -506,8 +675,8 @@ def generate_scenario(
     if kind not in KINDS:
         raise BoundsError(f"unknown kind '{kind}'")
     check_generator_bounds(p, n, amplification)
-    nk.json_int(seed, "seed")
-    nk.json_positive(tolerance, "tolerance")
+    json_int(seed, "seed")
+    json_positive(tolerance, "tolerance")
     generate: dict = {"p": p, "n": n, "amplification": amplification}
     if group is not None:
         group_json = _parse_group_spec(group)
@@ -529,7 +698,7 @@ def _parse_group_spec(spec: str) -> dict:
         size = int(size)
     except ValueError as exc:
         raise BoundsError(f"bad group spec '{spec}' (use cyclic:N or symmetric:N)") from exc
-    hilbmod.group_order(family, size)
+    group_order(family, size)
     return {family: size}
 
 

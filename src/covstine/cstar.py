@@ -15,12 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numkernel as nk
-from .errors import BoundsError, NotHermitianError, ParseError, ShapeMismatchError
-
-# Algebras are tabulated densely (``_structure`` builds N x N tables), so a
-# payload algebra is bounded by the coefficient algebra M_8 of the largest
-# standard module: N = sum of the squared block sizes is at most 64.
-MAX_DIM = 64
+from .errors import NotHermitianError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -330,38 +325,3 @@ def choi_blocks(algebra: CStarAlgebra, images: np.ndarray) -> ChoiReport:
         min_eig = min(min_eig, report.min_eig)
         offset += n * n
     return ChoiReport(choi, bool(cp), float(min_eig), spectra)
-
-
-def algebra_from_json(obj) -> CStarAlgebra:
-    if not isinstance(obj, dict) or set(obj) != {"blocks"}:
-        raise ParseError("algebra payload must be {'blocks': [...]}")
-    if not isinstance(obj["blocks"], list) or not obj["blocks"]:
-        raise ParseError("algebra payload: 'blocks' must be a non-empty list")
-    blocks = tuple(nk.json_int(n, "algebra payload: 'blocks'", 1) for n in obj["blocks"])
-    dim = sum(n * n for n in blocks)
-    if dim > MAX_DIM:
-        raise BoundsError(f"algebra payload: dimension {dim} outside [1, {MAX_DIM}]")
-    return CStarAlgebra(blocks)
-
-
-def representation_from_json(
-    algebra: CStarAlgebra, obj, what: str = "representation payload"
-) -> AlgebraRepresentation:
-    """One ``space_dim x space_dim`` image per basis label; ``ParseError`` naming ``what``."""
-    if not isinstance(obj, dict) or set(obj) != {"space_dim", "images"}:
-        raise ParseError(f"{what}: must have space_dim and images")
-    if not isinstance(obj["images"], dict):
-        raise ParseError(f"{what}: 'images' must be an object")
-    labels = algebra.basis_labels()
-    missing = [label for label in labels if label not in obj["images"]]
-    if missing:
-        raise ParseError(f"{what}: missing image '{missing[0]}'")
-    extra = set(obj["images"]) - set(labels)
-    if extra:
-        raise ParseError(f"{what}: unknown basis label '{sorted(extra)[0]}'")
-    space_dim = nk.json_int(obj["space_dim"], f"{what}: 'space_dim'")
-    images = [nk.mat_from_json(obj["images"][label]) for label in labels]
-    wrong = [label for label, m in zip(labels, images) if m.shape != (space_dim, space_dim)]
-    if wrong:
-        raise ParseError(f"{what}: image '{wrong[0]}' is not {space_dim}x{space_dim}")
-    return AlgebraRepresentation(algebra, space_dim, np.stack(images))

@@ -21,11 +21,9 @@ import numpy as np
 from . import cstar
 from . import numkernel as nk
 from .errors import (
-    BoundsError,
     GroupMismatchError,
     InconsistentError,
     NotFullError,
-    ParseError,
     ShapeMismatchError,
 )
 
@@ -371,18 +369,21 @@ def range_stack(images, v=None) -> np.ndarray:
     return ranged.transpose(1, 0, 2).reshape(ranged.shape[1], ranged.shape[0] * ranged.shape[2])
 
 
-def density_stacks(images, v=None, w=None) -> tuple[np.ndarray, np.ndarray]:
-    """Column stacks spanning ``[pi(X) V H]`` (range) and ``[pi(X)* W K]`` (corange),
-    ``w: K -> K'`` defaulting to the identity.  A map is nondegenerate, or a
-    dilation minimal, when both stacks have full row rank.
-    """
-    coranged = np.conj(images).transpose(0, 2, 1)
-    return range_stack(images, v), range_stack(coranged, w)
-
-
 def density_ranks(images, v=None, w=None) -> tuple[nk.RankProfile, nk.RankProfile]:
-    """Rank profiles of the range and corange stacks of ``density_stacks``."""
-    return tuple(nk.numerical_rank(stack) for stack in density_stacks(images, v, w))
+    """Rank profiles of the column stacks spanning ``[pi(X) V H]`` (range) and
+    ``[pi(X)* W K]`` (corange), ``w: K -> K'`` defaulting to the identity.  A map
+    is nondegenerate, or a dilation minimal, when both have full row rank.
+
+    The stacks are formed and ranked one at a time, and each rebinding of
+    ``coranged`` frees the step before it, so no more than two copies of the
+    images are alive at once.
+    """
+    ranged = nk.numerical_rank(range_stack(images, v))
+    coranged = np.conj(images).transpose(0, 2, 1)
+    if w is not None:
+        coranged = coranged @ w
+    coranged = range_stack(coranged)
+    return ranged, nk.numerical_rank(coranged)
 
 
 def identity_defect(images: np.ndarray, module: HilbertModule, companion: np.ndarray) -> float:
@@ -898,131 +899,6 @@ def induced_algebra_action(
             f"solved maps are not *-automorphisms (residual {auto:.3e})"
         )
     return InducedAction(alpha, residual, fullness.condition)
-
-
-# ---------------------------------------------------------------------------
-# JSON payloads
-# ---------------------------------------------------------------------------
-
-
-def _tensor_from_json(obj, expected_rank: int) -> np.ndarray:
-    if not isinstance(obj, dict) or set(obj) != {"shape", "entries"}:
-        raise ParseError("tensor payload must have shape and entries")
-    if not isinstance(obj["shape"], list):
-        raise ParseError("tensor payload: 'shape' must be a list")
-    shape = tuple(nk.json_int(v, "tensor payload: 'shape'") for v in obj["shape"])
-    if len(shape) != expected_rank:
-        raise ParseError(f"tensor payload has rank {len(shape)}, expected {expected_rank}")
-    flat = nk.entries_from_json(obj["entries"], "tensor payload")
-    size = math.prod(shape) if shape else 0
-    if flat.size != size:
-        raise ParseError(f"tensor payload: {flat.size} entries for shape {shape}")
-    return flat.reshape(shape)
-
-
-def module_from_json(obj) -> HilbertModule:
-    if not isinstance(obj, dict):
-        raise ParseError("module payload must be an object")
-    if set(obj) == {"standard_module"}:
-        dims = obj["standard_module"]
-        if not isinstance(dims, list) or len(dims) != 2:
-            raise ParseError("module payload: 'standard_module' must be [p, n]")
-        p, n = (nk.json_int(d, "module payload: 'standard_module'", 1) for d in dims)
-        if p > MAX_P or n > MAX_N:
-            raise BoundsError(
-                f"module payload: 'standard_module' [{p}, {n}] outside "
-                f"[1, {MAX_P}] x [1, {MAX_N}]"
-            )
-        return standard_module(p, n)
-    required = {"algebra", "dim", "action", "inner"}
-    missing = required - set(obj)
-    if missing:
-        raise ParseError(f"module payload: missing field '{sorted(missing)[0]}'")
-    extra = set(obj) - required
-    if extra:
-        raise ParseError(f"module payload: unknown field '{sorted(extra)[0]}'")
-    algebra = cstar.algebra_from_json(obj["algebra"])
-    return HilbertModule(
-        algebra,
-        nk.json_int(obj["dim"], "module payload: 'dim'", 1),
-        _tensor_from_json(obj["action"], 3),
-        _tensor_from_json(obj["inner"], 3),
-    )
-
-
-# Standard modules are tabulated densely too: p x n matrices over M_n, bounded
-# before the (pn, n^2, pn) action tensor is allocated.  cstar.MAX_DIM = MAX_N^2
-# bounds the algebra of an explicit module the same way.
-MAX_P = 8
-MAX_N = 8
-
-
-def group_order(family: str, size: int) -> int:
-    """Order of ``cyclic_group(size)`` or ``symmetric_group(size)``.
-
-    Raises ``BoundsError`` outside ``[1, MAX_GROUP_ORDER]``.  A symmetric
-    size above the bound is refused before ``size!`` is formed (n! >= n).
-    """
-    if family not in ("cyclic", "symmetric"):
-        raise BoundsError(f"unknown group family '{family}'")
-    if 0 <= size <= MAX_GROUP_ORDER:
-        order = size if family == "cyclic" else math.factorial(size)
-        if 1 <= order <= MAX_GROUP_ORDER:
-            return order
-    raise BoundsError(f"group {family}:{size} has order outside [1, {MAX_GROUP_ORDER}]")
-
-
-def _index_table(value, shape: tuple, name: str) -> np.ndarray:
-    try:
-        table = np.asarray(value)
-    except ValueError:  # ragged nesting
-        table = None
-    if table is None or table.shape != shape or table.dtype.kind not in "iu":
-        raise ParseError(f"group payload: '{name}' must be an integer table of shape {shape}")
-    return table.astype(np.int64)
-
-
-def group_from_json(obj) -> FiniteGroup:
-    if not isinstance(obj, dict):
-        raise ParseError("group payload must be an object")
-    if len(obj) == 1 and set(obj) <= {"cyclic", "symmetric"}:
-        ((family, size),) = obj.items()
-        size = nk.json_int(size, f"group payload: '{family}'")
-        group_order(family, size)
-        return cyclic_group(size) if family == "cyclic" else symmetric_group(size)
-    required = {"order", "mult", "inv", "e"}
-    missing = required - set(obj)
-    if missing:
-        raise ParseError(f"group payload: missing field '{sorted(missing)[0]}'")
-    extra = set(obj) - required
-    if extra:
-        raise ParseError(f"group payload: unknown field '{sorted(extra)[0]}'")
-    order = nk.json_int(obj["order"], "group payload: 'order'", 1)
-    if order > MAX_GROUP_ORDER:
-        raise BoundsError(f"group order {order} outside [1, {MAX_GROUP_ORDER}]")
-    return FiniteGroup(
-        order,
-        _index_table(obj["mult"], (order, order), "mult"),
-        nk.json_int(obj["e"], "group payload: 'e'"),
-        _index_table(obj["inv"], (order,), "inv"),
-    )
-
-
-def unitary_rep_from_json(group: FiniteGroup, obj) -> UnitaryRep:
-    if not isinstance(obj, dict) or set(obj) != {"space_dim", "mats"}:
-        raise ParseError("unitary representation payload must have space_dim and mats")
-    if not isinstance(obj["mats"], list):
-        raise ParseError("unitary representation payload: 'mats' must be a list")
-    mats = [nk.mat_from_json(m) for m in obj["mats"]]
-    if len(mats) != group.order:
-        raise ParseError(
-            f"unitary representation payload: {len(mats)} matrices for group of "
-            f"order {group.order}"
-        )
-    space_dim = nk.json_int(obj["space_dim"], "unitary representation payload: 'space_dim'")
-    if any(m.shape != (space_dim, space_dim) for m in mats):
-        raise ParseError(f"unitary representation payload: 'mats' must be {space_dim}x{space_dim}")
-    return UnitaryRep(group, space_dim, np.stack(mats))
 
 
 _build_named_groups()

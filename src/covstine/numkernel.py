@@ -3,20 +3,18 @@
 Matrices are plain ``numpy.ndarray`` values with complex128 entries.  This
 module fixes the package-wide rank-cutoff policy (relative cutoff with an
 absolute floor), the Gram factorization that stands in for quotienting a
-semi-inner-product space by its null vectors, and the JSON wire format for
-matrices.
+semi-inner-product space by its null vectors.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPsdError, ParseError, ShapeMismatchError
+from .errors import NotHermitianError, NotPsdError, ShapeMismatchError
 
 # Every cutoff and gate of the package reads one of these five values.
 # Eigenvalues at or below REL_TOL times the largest eigenvalue count as zero;
@@ -493,64 +491,3 @@ def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     diag = np.diagonal(r)
     phases = diag / np.abs(np.where(np.abs(diag) > 0, diag, 1.0))
     return q * phases[None, :]
-
-
-def _is_finite_number(x) -> bool:
-    if isinstance(x, bool) or not isinstance(x, numbers.Real):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-def json_int(value, what: str, minimum: int = 0) -> int:
-    """A JSON integer of at least ``minimum``; ``ParseError`` naming ``what`` otherwise."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
-        raise ParseError(f"{what}: expected an integer >= {minimum}, got {value!r:.60}")
-    return int(value)
-
-
-def json_positive(value, what: str) -> float:
-    """A finite positive JSON number; ``ParseError`` naming ``what`` otherwise."""
-    if not (_is_finite_number(value) and value > 0):
-        raise ParseError(f"{what}: expected a finite positive number, got {value!r:.60}")
-    return float(value)
-
-
-def entries_from_json(entries, what: str) -> np.ndarray:
-    """Decode ``[re, im]`` pairs into a flat complex array.
-
-    Every part must be a finite JSON number; strings, booleans, NaN and
-    infinities raise ``ParseError`` naming ``what`` and the entry index.
-    """
-    if not isinstance(entries, list):
-        raise ParseError(f"{what}: 'entries' must be a list of [re, im] pairs")
-    for index, pair in enumerate(entries):
-        if not (
-            isinstance(pair, list) and len(pair) == 2 and all(map(_is_finite_number, pair))
-        ):
-            raise ParseError(
-                f"{what}: entries[{index}] must be a pair of finite numbers, got {pair!r:.60}"
-            )
-    flat = np.array(entries, dtype=np.float64).reshape(-1, 2)
-    return flat.view(np.complex128).reshape(-1)
-
-
-def mat_from_json(obj) -> np.ndarray:
-    if not isinstance(obj, dict):
-        raise ParseError("matrix payload must be an object with rows/cols/entries")
-    for key in ("rows", "cols", "entries"):
-        if key not in obj:
-            raise ParseError(f"matrix payload: missing field '{key}'")
-    extra = set(obj) - {"rows", "cols", "entries"}
-    if extra:
-        raise ParseError(f"matrix payload: unknown field '{sorted(extra)[0]}'")
-    rows = json_int(obj["rows"], "matrix payload: 'rows'")
-    cols = json_int(obj["cols"], "matrix payload: 'cols'")
-    flat = entries_from_json(obj["entries"], "matrix payload")
-    if flat.size != rows * cols:
-        raise ParseError(
-            f"matrix payload: {flat.size} entries for shape {rows}x{cols}"
-        )
-    return flat.reshape(rows, cols)

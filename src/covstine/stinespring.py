@@ -569,7 +569,8 @@ def uniqueness_intertwiners(
     if w_defect > tol:
         raise NotCoisometryError(f"competing W is not a coisometry ({w_defect:.3e})")
 
-    s_cols_alt, corange_stack = hilbmod.density_stacks(alt_images, alt_v, alt_w)
+    s_cols_alt = hilbmod.range_stack(alt_images, alt_v)
+    corange_stack = hilbmod.range_stack(np.conj(alt_images).transpose(0, 2, 1), alt_w)
     range_rank = nk.numerical_rank(s_cols_alt).rank
     corange_rank = nk.numerical_rank(corange_stack).rank
     if range_rank != alt_k or corange_rank != alt_h:

@@ -1,7 +1,7 @@
 """Builders and writers that only the tests use.
 
 The package reads scenarios and never writes one, and no run reaches the
-helpers below: the JSON writers (inverses of the ``*_from_json`` readers),
+helpers below: the JSON writers (inverses of the ``cli.*_from_json`` readers),
 named representations, element products, crossed basis elements and the
 companion of an integral form.  They live here so that ``src/covstine``
 holds only what a run or the exported API reaches; the guard

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import builders
-from covstine import cstar, hilbmod
+from covstine import cli, cstar, hilbmod
 from covstine import numkernel as nk
 from covstine.errors import NotHermitianError, ShapeMismatchError
 
@@ -201,10 +201,10 @@ class TestChoi:
 class TestJson:
     def test_algebra_round_trip(self):
         algebra = cstar.CStarAlgebra((2, 3))
-        assert cstar.algebra_from_json(builders.algebra_to_json(algebra)) == algebra
+        assert cli.algebra_from_json(builders.algebra_to_json(algebra)) == algebra
 
     def test_representation_round_trip(self):
         algebra = cstar.CStarAlgebra((2,))
         rep = cstar.embedding_representation(algebra)
-        again = cstar.representation_from_json(algebra, builders.representation_to_json(rep))
+        again = cli.representation_from_json(algebra, builders.representation_to_json(rep))
         np.testing.assert_allclose(again.images, rep.images)

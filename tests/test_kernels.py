@@ -4,7 +4,8 @@ the GNS factor from Choi blocks against the dense Gram factor, the module
 identities on their live support against their dense references, and guards
 that keep unordered multi-operand einsums, ``np.kron`` calls, solvers with a
 rank cutoff of their own, per-call tolerance parameters, float literals used
-as gates and functions that only tests reach out of the package."""
+as gates and functions that only tests reach out of the package, and the
+scenario wire format out of every module but ``cli``."""
 
 import ast
 import inspect
@@ -1219,3 +1220,95 @@ def test_every_package_function_is_reached():
     """What only tests call lives in ``tests/builders.py``, not in the package."""
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreached_functions(sources) == []
+
+
+# ---------------------------------------------------------------------------
+# Guard: the scenario wire format lives in cli.py, behind one field rule
+# ---------------------------------------------------------------------------
+
+WIRE_ERRORS = {"ParseError", "BoundsError"}
+FIELD_MESSAGES = ("unknown field", "missing field")
+
+
+def wire_format_lines(source: str) -> list[int]:
+    """Lines that import, raise or otherwise name ``ParseError`` or ``BoundsError``,
+    or define a ``*_from_json`` function."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom | ast.Import):
+            names = {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.Name | ast.Attribute):
+            names = {node.id if isinstance(node, ast.Name) else node.attr}
+        elif isinstance(node, ast.FunctionDef):
+            names = {"_from_json"} if node.name.endswith("_from_json") else set()
+        else:
+            continue
+        if names & (WIRE_ERRORS | {"_from_json"}):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def field_messages_outside(source: str, rule: str | None) -> list[int]:
+    """Lines of strings (f-string parts included) that say "unknown field" or
+    "missing field" outside the function named ``rule``."""
+    tree = ast.parse(source)
+    enclosed = {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == rule
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and any(message in node.value for message in FIELD_MESSAGES)
+        and node.lineno not in enclosed
+    )
+
+
+def test_guard_flags_wire_format_outside_the_cli():
+    source = "\n".join(
+        [
+            "from .errors import NotPsdError, ParseError",
+            "import covstine.errors.BoundsError",
+            "def algebra_from_json(obj): pass",
+            "raise errors.BoundsError('x')",
+            '"ParseError"',
+            "def to_json(self): pass",
+            "raise ParseError(f'{where}: unknown field')",
+        ]
+    )
+    assert wire_format_lines(source) == [1, 2, 3, 4, 7]
+    rule = "\n".join(
+        [
+            "def _object(obj, where, required):",
+            "    raise ParseError(f'{where}: unknown field {name!r}')",
+            "def module_from_json(obj):",
+            "    raise ParseError('module payload: missing field \\'dim\\'')",
+            "    raise ParseError(f'{where}: missing {name}')",
+        ]
+    )
+    assert field_messages_outside(rule, "_object") == [4]
+    assert field_messages_outside(rule, None) == [2, 4]
+
+
+def test_the_wire_format_lives_in_the_cli():
+    """Only ``cli.py`` reads scenario payloads: no library module imports or raises
+    the scenario errors or defines a ``*_from_json`` reader (``errors.py`` defines
+    the errors and ``__init__.py`` re-exports them), and only ``cli._object``
+    words an unknown or missing field."""
+    kept = {"cli.py", "errors.py", "__init__.py"}
+    library = [path for path in sorted(SRC.glob("*.py")) if path.name not in kept]
+    assert {"numkernel.py", "cstar.py", "hilbmod.py"} <= {path.name for path in library}
+    offenders = {path.name: wire_format_lines(path.read_text()) for path in library}
+    assert not {name: lines for name, lines in offenders.items() if lines}
+    messages = {
+        path.name: field_messages_outside(
+            path.read_text(), "_object" if path.name == "cli.py" else None
+        )
+        for path in sorted(SRC.glob("*.py"))
+    }
+    assert not {name: lines for name, lines in messages.items() if lines}
+    assert field_messages_outside((SRC / "cli.py").read_text(), None)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import dense_reference
-from covstine import hilbmod
+from covstine import cli, hilbmod
 from covstine import numkernel as nk
 from test_kernels import _algebra_module, _dense_basis_module
 from test_scale_invariance import _run
@@ -159,7 +159,7 @@ def test_the_closed_form_support_is_the_scan(p, n):
     """``standard_module`` sets its support from the index arrays it scatters; field
     by field it is ``module_support``'s scan, in values, order and dtype, also for
     a module read from a payload."""
-    payload = hilbmod.module_from_json({"standard_module": [p, n]})
+    payload = cli.module_from_json({"standard_module": [p, n]})
     for module in (hilbmod.standard_module(p, n), payload):
         assert "support" in vars(module)  # set when built, not scanned when first read
         closed, scanned = module.support, hilbmod.module_support(module)
@@ -180,7 +180,7 @@ def test_component_labels_follow_the_edges():
 @pytest.mark.parametrize("kind", ["dilate", "verify"])
 def test_the_dense_basis_payload_passes_and_replays_byte_identically(tmp_path, capsys, kind):
     payload = {**json.loads(DENSE_PAYLOAD.read_text()), "kind": kind}
-    module = hilbmod.module_from_json(payload["objects"]["module"])
+    module = cli.module_from_json(payload["objects"]["module"])
     assert (_components(module) == 0).all()
     assert len(module.support.row_j) == module.dim * module.algebra.dim
     code, first = _run(tmp_path, capsys, payload)

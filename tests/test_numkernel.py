@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import builders
+from covstine import cli
 from covstine import numkernel as nk
 from covstine.errors import NotHermitianError, NotPsdError, ParseError, ShapeMismatchError
 
@@ -162,13 +163,13 @@ def test_eigendecomposition_property(dim, seed):
 class TestSerialization:
     def test_round_trip(self):
         m = nk.complex_normal(np.random.default_rng(1), 2, 3)
-        again = nk.mat_from_json(builders.mat_to_json(m))
+        again = cli.mat_from_json(builders.mat_to_json(m))
         np.testing.assert_allclose(again, m)
 
     def test_missing_field(self):
         with pytest.raises(ParseError, match="entries"):
-            nk.mat_from_json({"rows": 1, "cols": 1})
+            cli.mat_from_json({"rows": 1, "cols": 1})
 
     def test_wrong_length(self):
         with pytest.raises(ParseError):
-            nk.mat_from_json({"rows": 2, "cols": 2, "entries": [[1, 0]]})
+            cli.mat_from_json({"rows": 2, "cols": 2, "entries": [[1, 0]]})

@@ -296,7 +296,7 @@ def test_bad_overrides_exit_two(tmp_path, capsys, flags, field):
 )
 def test_group_payloads_bounded_before_tables(payload):
     with pytest.raises((BoundsError, ParseError)):
-        hilbmod.group_from_json(payload)
+        cli.group_from_json(payload)
 
 
 IDENTITY = _bundled("identity.json")
@@ -337,9 +337,9 @@ def test_explicit_object_sizes_bounded_before_allocation(
 
 
 def test_standard_module_payload_bounded():
-    assert hilbmod.module_from_json({"standard_module": [8, 8]}).dim == 64
+    assert cli.module_from_json({"standard_module": [8, 8]}).dim == 64
     with pytest.raises(BoundsError, match="standard_module"):
-        hilbmod.module_from_json({"standard_module": [9, 1]})
+        cli.module_from_json({"standard_module": [9, 1]})
 
 
 def test_explicit_group_range_checked():
@@ -500,12 +500,12 @@ def test_explicit_module_payload_runs(tmp_path, capsys):
 def test_bad_algebra_and_module_payloads_exit_two(
     tmp_path, capsys, monkeypatch, payload, field, error
 ):
-    """Block sizes are JSON integers >= 1 with sum n_b^2 <= cstar.MAX_DIM, checked
+    """Block sizes are JSON integers >= 1 with sum n_b^2 <= cli.MAX_DIM, checked
     before the N^2 product tables are built; an explicit module has dim >= 1."""
     original = cstar._structure
 
     def guarded(blocks):
-        if sum(n * n for n in blocks) > cstar.MAX_DIM:
+        if sum(n * n for n in blocks) > cli.MAX_DIM:
             raise AssertionError(f"structure tables of {blocks} built before the bound")
         return original(blocks)
 
@@ -578,7 +578,7 @@ def test_concrete_map_needs_the_exact_standard_module(tmp_path, capsys):
     entries[entries.index([0.0, 0.0])] = [5e-9, 0.0]
     payload = _set(IDENTITY, ("objects", "module"), module)
     payload["kind"] = "verify"
-    assert hilbmod.module_from_json(module).axiom_report.symmetry_residual > IDENTITY["tolerance"]
+    assert cli.module_from_json(module).axiom_report.symmetry_residual > IDENTITY["tolerance"]
     code, err = _run(tmp_path, capsys, payload)
     assert code == 2
     assert "Traceback" not in err
@@ -586,11 +586,11 @@ def test_concrete_map_needs_the_exact_standard_module(tmp_path, capsys):
 
 
 def test_algebra_bound_is_the_standard_module_bound():
-    assert cstar.MAX_DIM == hilbmod.MAX_N**2
-    assert cstar.algebra_from_json({"blocks": [8]}).dim == 64
-    assert cstar.algebra_from_json({"blocks": [4, 4, 4, 4]}).dim == 64
+    assert cli.MAX_DIM == cli.MAX_N**2
+    assert cli.algebra_from_json({"blocks": [8]}).dim == 64
+    assert cli.algebra_from_json({"blocks": [4, 4, 4, 4]}).dim == 64
     with pytest.raises(BoundsError):
-        cstar.algebra_from_json({"blocks": [4, 4, 4, 4, 1]})
+        cli.algebra_from_json({"blocks": [4, 4, 4, 4, 1]})
 
 
 @pytest.mark.parametrize("space_dim", [1.5, True, "1", -1])
@@ -598,14 +598,14 @@ def test_representation_space_dim_is_a_json_integer(space_dim):
     algebra = cstar.CStarAlgebra((1,))
     payload = {"space_dim": space_dim, "images": {"0:0:0": ONE}}
     with pytest.raises(ParseError, match="'space_dim'"):
-        cstar.representation_from_json(algebra, payload)
+        cli.representation_from_json(algebra, payload)
 
 
 @pytest.mark.parametrize("images", [5, "0:0:0", [ONE]])
 def test_representation_images_are_an_object(images):
     algebra = cstar.CStarAlgebra((1,))
-    with pytest.raises(ParseError, match="'images'"):
-        cstar.representation_from_json(algebra, {"space_dim": 1, "images": images})
+    with pytest.raises(ParseError, match=r"^representation payload\.images: must be an object$"):
+        cli.representation_from_json(algebra, {"space_dim": 1, "images": images})
 
 
 def test_unwritable_out_exits_two(tmp_path, capsys):
