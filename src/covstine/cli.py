@@ -41,8 +41,8 @@ from .stinespring import Certificate, canonical_bytes
 SCHEMA_VERSION = 1
 KINDS = ("dilate", "dilate-covariant", "crossed", "uniqueness", "verify")
 DEFAULT_TOL = nk.RESIDUAL_TOL
-# Standard modules are tabulated densely: p x n matrices over M_n, bounded
-# before the (pn, n^2, pn) action tensor is allocated.
+# Standard modules, p x n matrices over M_n, are bounded before any array of
+# a scenario on them (its maps, dilation and crossed blocks) is allocated.
 MAX_P = 8
 MAX_N = 8
 # Algebras are tabulated densely too (``cstar._structure`` builds N x N tables),
@@ -150,27 +150,27 @@ def entries_from_json(entries, what: str) -> np.ndarray:
     return flat.view(np.complex128).reshape(-1)
 
 
-def mat_from_json(obj) -> np.ndarray:
-    _object(obj, "matrix payload", ("rows", "cols", "entries"))
-    rows = json_int(obj["rows"], "matrix payload: 'rows'")
-    cols = json_int(obj["cols"], "matrix payload: 'cols'")
-    flat = entries_from_json(obj["entries"], "matrix payload")
+def mat_from_json(obj, where: str = "matrix payload") -> np.ndarray:
+    _object(obj, where, ("rows", "cols", "entries"))
+    rows = json_int(obj["rows"], f"{where}: 'rows'")
+    cols = json_int(obj["cols"], f"{where}: 'cols'")
+    flat = entries_from_json(obj["entries"], where)
     if flat.size != rows * cols:
-        raise ParseError(f"matrix payload: {flat.size} entries for shape {rows}x{cols}")
+        raise ParseError(f"{where}: {flat.size} entries for shape {rows}x{cols}")
     return flat.reshape(rows, cols)
 
 
-def _tensor_from_json(obj, expected_rank: int) -> np.ndarray:
-    _object(obj, "tensor payload", ("shape", "entries"))
+def _tensor_from_json(obj, expected_rank: int, where: str) -> np.ndarray:
+    _object(obj, where, ("shape", "entries"))
     if not isinstance(obj["shape"], list):
-        raise ParseError("tensor payload: 'shape' must be a list")
-    shape = tuple(json_int(v, "tensor payload: 'shape'") for v in obj["shape"])
+        raise ParseError(f"{where}: 'shape' must be a list")
+    shape = tuple(json_int(v, f"{where}: 'shape'") for v in obj["shape"])
     if len(shape) != expected_rank:
-        raise ParseError(f"tensor payload has rank {len(shape)}, expected {expected_rank}")
-    flat = entries_from_json(obj["entries"], "tensor payload")
+        raise ParseError(f"{where} has rank {len(shape)}, expected {expected_rank}")
+    flat = entries_from_json(obj["entries"], where)
     size = math.prod(shape) if shape else 0
     if flat.size != size:
-        raise ParseError(f"tensor payload: {flat.size} entries for shape {shape}")
+        raise ParseError(f"{where}: {flat.size} entries for shape {shape}")
     return flat.reshape(shape)
 
 
@@ -193,7 +193,7 @@ def representation_from_json(
     labels = algebra.basis_labels()
     _object(obj["images"], f"{what}.images", labels)
     space_dim = json_int(obj["space_dim"], f"{what}: 'space_dim'")
-    images = [mat_from_json(obj["images"][label]) for label in labels]
+    images = [mat_from_json(obj["images"][label], f'{what}.images."{label}"') for label in labels]
     wrong = [label for label, m in zip(labels, images) if m.shape != (space_dim, space_dim)]
     if wrong:
         raise ParseError(f"{what}: image '{wrong[0]}' is not {space_dim}x{space_dim}")
@@ -217,8 +217,8 @@ def module_from_json(obj) -> hilbmod.HilbertModule:
     return hilbmod.HilbertModule(
         algebra_from_json(obj["algebra"]),
         json_int(obj["dim"], "module payload: 'dim'", 1),
-        _tensor_from_json(obj["action"], 3),
-        _tensor_from_json(obj["inner"], 3),
+        _tensor_from_json(obj["action"], 3, "module payload.action"),
+        _tensor_from_json(obj["inner"], 3, "module payload.inner"),
     )
 
 
@@ -270,7 +270,7 @@ def group_from_json(obj) -> hilbmod.FiniteGroup:
 def unitary_rep_from_json(
     group: hilbmod.FiniteGroup, obj, what: str = "unitary representation payload"
 ) -> hilbmod.UnitaryRep:
-    """``{"trivial": dim}``, ``{"regular": ...}`` or explicit ``space_dim`` and
+    """``{"trivial": dim}``, ``{"regular": true}`` or explicit ``space_dim`` and
     ``mats``, one matrix per group element; ``ParseError`` naming ``what``."""
     form = _tag(obj, ("trivial", "regular"))
     if form == "trivial":
@@ -281,11 +281,13 @@ def unitary_rep_from_json(
         return hilbmod.trivial_rep(group, dim)
     if form == "regular":
         _object(obj, what, ("regular",))
+        if obj["regular"] is not True:
+            raise ParseError(f"{what}: 'regular' must be true, got {obj['regular']!r:.60}")
         return hilbmod.regular_rep(group)
     _object(obj, what, ("space_dim", "mats"))
     if not isinstance(obj["mats"], list):
         raise ParseError(f"{what}: 'mats' must be a list")
-    mats = [mat_from_json(m) for m in obj["mats"]]
+    mats = [mat_from_json(m, f"{what}.mats[{index}]") for index, m in enumerate(obj["mats"])]
     if len(mats) != group.order:
         raise ParseError(f"{what}: {len(mats)} matrices for group of order {group.order}")
     space_dim = json_int(obj["space_dim"], f"{what}: 'space_dim'")
@@ -364,11 +366,7 @@ def _standard_dims(module: hilbmod.HilbertModule) -> tuple[int, int]:
         raise ValidationError("module dimension is not a multiple of the block size")
     p = module.dim // n
     # "concrete" certifies the standard module itself, so nothing near it will do
-    reference = hilbmod.standard_module(p, n)
-    if not (
-        np.array_equal(reference.action, module.action)
-        and np.array_equal(reference.inner, module.inner)
-    ):
+    if not hilbmod.same_structure(hilbmod.standard_module(p, n), module):
         raise ValidationError("concrete maps need the standard module structure")
     return p, n
 
@@ -385,7 +383,7 @@ def _resolve_cp_map(payload, module: hilbmod.HilbertModule) -> cpmaps.ModuleCPMa
     companion = cpmaps.CPMapAlgebra(module.algebra, rep.space_dim, rep.images)
     keys = [str(i) for i in range(module.dim)]
     _object(payload["images"], f"{where}.images", keys)
-    images = [mat_from_json(payload["images"][key]) for key in keys]
+    images = [mat_from_json(payload["images"][key], f'{where}.images."{key}"') for key in keys]
     if len({m.shape for m in images}) > 1:
         raise ParseError("cp_map: images differ in shape")
     return cpmaps.ModuleCPMap(module, np.stack(images), companion)
@@ -404,8 +402,8 @@ def _resolve_system(payload) -> hilbmod.ModuleDynamicalSystem:
     _object(payload, where, ("group", "module", "eta", "alpha"))
     group = group_from_json(payload["group"])
     module = module_from_json(payload["module"])
-    eta = _tensor_from_json(payload["eta"], 3)
-    alpha = _tensor_from_json(payload["alpha"], 3)
+    eta = _tensor_from_json(payload["eta"], 3, f"{where}.eta")
+    alpha = _tensor_from_json(payload["alpha"], 3, f"{where}.alpha")
     return hilbmod.ModuleDynamicalSystem(group, module, eta, alpha)
 
 

@@ -106,8 +106,8 @@ class CovariantCPMap:
         dim_h, dim_k = self.base.space_dims
         if self.u.dim != dim_h or self.u_prime.dim != dim_k:
             raise ShapeMismatchError("covariance representations do not fit (H, K)")
-        if self.system.module is not self.base.module and not np.array_equal(
-            self.system.module.inner, self.base.module.inner
+        if self.system.module is not self.base.module and not hilbmod.same_structure(
+            self.system.module, self.base.module
         ):
             raise ShapeMismatchError("system and map live on different modules")
 

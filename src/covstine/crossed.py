@@ -262,17 +262,26 @@ class CrossedModule:
 
     @cached_property
     def inner_blocks(self) -> np.ndarray:
-        """``A[t, i, j] = alpha_{t^-1}(<x_i, x_j>)``, shape (g, m, m, N): one GEMM."""
-        m, n = self.module.dim, self.module.algebra.dim
+        """``A[t, i, j] = alpha_{t^-1}(<x_i, x_j>)``, shape (g, m, m, N): one GEMM of
+        the nonzero rows ``pair_rows``; the other pairs' blocks are 0."""
+        module, g, m, n = self.module, self.group.order, self.module.dim, self.module.algebra.dim
         alpha = np.swapaxes(self.system.alpha[self.group.inv], 1, 2)
-        return (self.module.inner.reshape(m * m, n) @ alpha).reshape(self.group.order, m, m, n)
+        blocks = np.zeros((g, m * m, n), dtype=np.complex128)
+        blocks[:, module.support.pairs] = module.pair_rows @ alpha
+        return blocks.reshape(g, m, m, n)
 
     @cached_property
     def action_blocks(self) -> np.ndarray:
-        """``C[r, j, k]``: coordinates of ``x_j . alpha_r(E_k)``, shape (g, m, N, m)."""
-        m, n = self.module.dim, self.module.algebra.dim
-        moved = self.module.action.transpose(0, 2, 1).reshape(m * m, n) @ self.system.alpha
-        return moved.reshape(self.group.order, m, m, n).transpose(0, 1, 3, 2)
+        """``C[r, j, k]``: coordinates of ``x_j . alpha_r(E_k)``, shape (g, m, N, m): one
+        GEMM of the nonzero rows ``action[j, :, l]``; the other rows' blocks are 0."""
+        module, g, m, n = self.module, self.group.order, self.module.dim, self.module.algebra.dim
+        j, k, l = module.support.act
+        # not np.unique, whose first call imports numpy.ma (about 1 MiB)
+        keys = np.flatnonzero(np.bincount(j * m + l, minlength=m * m))
+        rows = hilbmod.rows_at(keys, j * m + l, k, module.support.act_values, n)
+        moved = np.zeros((g, m * m, n), dtype=np.complex128)
+        moved[:, keys] = rows @ self.system.alpha
+        return moved.reshape(g, m, m, n).transpose(0, 1, 3, 2)
 
 
 def build_crossed_module(

@@ -1,11 +1,11 @@
 """Finite-dimensional Hilbert C*-modules, finite groups and dynamical systems.
 
-A module ``X`` over a block algebra ``A`` is stored by structure tensors on a
-chosen basis: ``action[i, k, :]`` are the X-coordinates of ``x_i . E_k`` and
+A module ``X`` over a block algebra ``A`` is given by structure tensors on a
+chosen basis, ``action[i, k, :]`` the X-coordinates of ``x_i . E_k`` and
 ``inner[i, j, :]`` the A-coordinates of ``<x_i, x_j>`` (conjugate-linear in
-the first slot).  Groups come as explicit multiplication tables; actions on
-modules are invertible matrices per group element together with the induced
-*-automorphisms of the coefficient algebra.
+the first slot), and held by their nonzeros.  Groups come as explicit
+multiplication tables; actions on modules are invertible matrices per group
+element together with the induced *-automorphisms of the coefficient algebra.
 """
 
 from __future__ import annotations
@@ -28,28 +28,53 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class HilbertModule:
+    """A module held by the nonzeros of its structure tensors (``support``), scanned on
+    first read from the tensors it is given; a module built ``from_support`` scatters
+    ``action`` and ``inner`` on first read, for API use only: no run path reads them."""
+
     algebra: cstar.CStarAlgebra
     dim: int  # complex dimension m of X
-    action: np.ndarray  # (m, N, m): coordinates of x_i . E_k
-    inner: np.ndarray  # (m, m, N): coordinates of <x_i, x_j>
 
-    def __post_init__(self):
-        m, n_dim = self.dim, self.algebra.dim
-        action = np.asarray(self.action, dtype=np.complex128)
-        inner = np.asarray(self.inner, dtype=np.complex128)
+    def __init__(self, algebra: cstar.CStarAlgebra, dim: int, action, inner):
+        m, n_dim = dim, algebra.dim
+        action = np.asarray(action, dtype=np.complex128)
+        inner = np.asarray(inner, dtype=np.complex128)
         if action.shape != (m, n_dim, m):
             raise ShapeMismatchError(f"action tensor shape {action.shape}")
         if inner.shape != (m, m, n_dim):
             raise ShapeMismatchError(f"inner tensor shape {inner.shape}")
-        object.__setattr__(self, "action", action)
-        object.__setattr__(self, "inner", inner)
+        self.__dict__.update(algebra=algebra, dim=dim, action=action, inner=inner)
+
+    @classmethod
+    def from_support(cls, algebra, dim: int, support: "ModuleSupport") -> "HilbertModule":
+        module = cls.__new__(cls)
+        module.__dict__.update(algebra=algebra, dim=dim, support=support)
+        return module
+
+    @cached_property
+    def action(self) -> np.ndarray:  # (m, N, m): coordinates of x_i . E_k
+        action = np.zeros((self.dim, self.algebra.dim, self.dim), dtype=np.complex128)
+        action[self.support.act] = self.support.act_values
+        return action
+
+    @cached_property
+    def inner(self) -> np.ndarray:  # (m, m, N): coordinates of <x_i, x_j>
+        inner = np.zeros((self.dim, self.dim, self.algebra.dim), dtype=np.complex128)
+        inner[self.support[:3]] = self.support.values
+        return inner
 
     @cached_property
     def support(self) -> "ModuleSupport":
-        """``module_support`` of this module, read once; ``standard_module`` sets it."""
+        """``module_support`` of a module given by its tensors, scanned once."""
         return module_support(self)
+
+    @cached_property
+    def pair_rows(self) -> np.ndarray:
+        """(pairs, N): the nonzero rows ``<x_i, x_j>``, at ``support.pairs``."""
+        sup = self.support
+        return rows_at(sup.pairs, sup.i * self.dim + sup.j, sup.k, sup.values, self.algebra.dim)
 
     @cached_property
     def inner_targets(self) -> nk.PairTargets:
@@ -76,10 +101,15 @@ class HilbertModule:
     def fullness_factor(self) -> nk.GramFactor:
         """``gram_factor`` of the (N, N) Gram ``flat* flat`` of the rows
         ``flat[(i, j)] = <x_i, x_j>``, computed once: fullness is its rank, and
-        every ``<X, X>`` solve is one GEMM with its pseudo-inverse.  Only the
-        nonzero rows are gathered; the zero ones add nothing to the Gram."""
-        rows = self.inner.reshape(self.dim * self.dim, self.algebra.dim)[self.support.pairs]
-        return nk.gram_factor(nk.adjoint(rows) @ rows)
+        every ``<X, X>`` solve is one GEMM with its pseudo-inverse.  It is summed over
+        ``pair_rows`` (the zero rows add nothing) in chunks of rows under the chunk rule,
+        an item being a row and its conjugate: no conjugate of all the rows is formed."""
+        rows = self.pair_rows
+        first, *rest = nk.stack_spans(max(1, len(rows)), 2 * self.algebra.dim)
+        gram = nk.adjoint(rows[first]) @ rows[first]
+        for span in rest:
+            gram += nk.adjoint(rows[span]) @ rows[span]
+        return nk.gram_factor(gram)
 
 
 def standard_module(p: int, n: int) -> HilbertModule:
@@ -87,25 +117,20 @@ def standard_module(p: int, n: int) -> HilbertModule:
 
     Basis of X: matrix units in row-major order.  This module is always full:
     the inner products of basis vectors already run through all matrix units
-    of the coefficient algebra.
+    of the coefficient algebra.  It is held by its support, in closed form.
     """
     if p < 1 or n < 1:
         raise ShapeMismatchError(f"standard module needs p, n >= 1, got ({p},{n})")
-    algebra = cstar.CStarAlgebra((n,))
     m = p * n
-    action = np.zeros((m, n * n, m), dtype=np.complex128)
-    inner = np.zeros((m, m, n * n), dtype=np.complex128)
     q, i, b = np.indices((p, n, n)).reshape(3, -1)
     row, col, unit = q * n + i, q * n + b, i * n + b
-    action[row, unit, col] = 1.0  # f_{q,i} . E_{i,b} = f_{q,b}
-    inner[row, col, unit] = 1.0  # <f_{q,i}, f_{q,b}> = E_{i,b}
-    module = HilbertModule(algebra, m, action, inner)
-    # module_support in closed form: one nonzero per (q, i, b) in each tensor, in
-    # row-major order
-    values = inner[row, col, unit]
-    support = ModuleSupport(row, col, unit, values, row * m + col, row, unit, (row, unit, col))
-    object.__setattr__(module, "support", support)
-    return module
+    # <f_{q,i}, f_{q,b}> = E_{i,b} and f_{q,i} . E_{i,b} = f_{q,b}: one nonzero 1 per
+    # (q, i, b) in each tensor, in row-major order
+    values, act_values = (np.ones(len(row), dtype=np.complex128) for _ in range(2))
+    support = ModuleSupport(
+        row, col, unit, values, row * m + col, row, unit, (row, unit, col), act_values
+    )
+    return HilbertModule.from_support(cstar.CStarAlgebra((n,)), m, support)
 
 
 def standard_basis_matrices(p: int, n: int) -> np.ndarray:
@@ -114,8 +139,8 @@ def standard_basis_matrices(p: int, n: int) -> np.ndarray:
 
 
 class ModuleSupport(NamedTuple):
-    """The nonzeros of a module's structure tensors, read once.  A standard
-    p x n module has m n of each, 512 of 262,144 at 8 x 8."""
+    """The nonzeros of a module's structure tensors: the data a module is held by.
+    A standard p x n module has m n of each, 512 of 262,144 at 8 x 8."""
 
     i: np.ndarray  # the nonzero entries inner[i, j, k], in row-major order
     j: np.ndarray
@@ -125,6 +150,7 @@ class ModuleSupport(NamedTuple):
     row_j: np.ndarray  # the live action rows (j, k), x_j . E_k not 0, row-major
     row_k: np.ndarray
     act: tuple[np.ndarray, np.ndarray, np.ndarray]  # (j, k, l) of each nonzero action[j, k, l]
+    act_values: np.ndarray
 
 
 def module_support(module: HilbertModule) -> ModuleSupport:
@@ -136,8 +162,31 @@ def module_support(module: HilbertModule) -> ModuleSupport:
     linked[i, j] = live[act_j, act_k] = True
     return ModuleSupport(
         i, j, k, module.inner[i, j, k], linked.reshape(-1).nonzero()[0], *live.nonzero(),
-        (act_j, act_k, act_l),
+        (act_j, act_k, act_l), module.action[act_j, act_k, act_l],
     )
+
+
+def rows_at(keys, at, cols, values, width) -> np.ndarray:
+    """The (len(keys), width) rows of a tensor flattened to rows, at the ascending
+    row ``keys``, from its nonzero ``values`` at row ``at`` and column ``cols``."""
+    rows = np.zeros((len(keys), width), dtype=np.complex128)
+    rows[keys.searchsorted(at), cols] = values
+    return rows
+
+
+def _live_action_rows(module: HilbertModule) -> np.ndarray:
+    """(m, count): ``action[j_r, k_r, q]`` at the live rows r = (j, k) of ``support``."""
+    sup, n_dim = module.support, module.algebra.dim
+    j, k, l = sup.act
+    return rows_at(sup.row_j * n_dim + sup.row_k, j * n_dim + k, l, sup.act_values, module.dim).T
+
+
+def same_structure(first: HilbertModule, second: HilbertModule) -> bool:
+    """Whether two modules have one algebra, dimension and structure tensors, compared
+    on their supports: equal tensors have equal nonzeros."""
+    a, b = ((x.algebra.blocks, x.dim, *x.support[:4], *x.support.act, x.support.act_values)
+            for x in (first, second))
+    return all(np.array_equal(u, v) for u, v in zip(a, b))
 
 
 class FullnessSystem(NamedTuple):
@@ -161,7 +210,7 @@ class FullnessSystem(NamedTuple):
         is formed.  The caller gates on ``identity_defect``."""
         dim_k, dim_h = images.shape[1:]
         pair_i, pair_j = np.divmod(self.module.support.pairs, self.module.dim)
-        coeffs = np.conj(self.module.inner[pair_i, pair_j]).T
+        coeffs = np.conj(self.module.pair_rows).T
         star = np.conj(images).transpose(0, 2, 1)
         projected = np.zeros((len(coeffs), dim_h * dim_h), dtype=np.complex128)
         for span in nk.stack_spans(len(pair_i), dim_h * (2 * dim_k + dim_h)):
@@ -231,11 +280,7 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
     fullness = FullnessSystem(module, module.fullness_factor)
 
     linearity = _linearity_defect(module, magnitudes) / scale
-    # <x_i, x_j>* = conj(inner[i, j, perm k]) against <x_j, x_i>, as the star
-    # permutation is an involution; the mirror of a zero entry is compared
-    # where it is itself a nonzero entry
-    perm = cstar.star_permutation(algebra)
-    symmetry = nk.maxabs(np.conj(values) - module.inner[j, i, perm[k]]) / scale
+    symmetry = nk.maxabs(np.conj(values) - _mirrored_values(module)) / scale
 
     unit_row, unit_col = cstar.embedding_index(algebra)
     unit_row, unit_col = unit_row[k], unit_col[k]
@@ -260,6 +305,17 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
         algebra.dim,
         fullness.condition,
     )
+
+
+def _mirrored_values(module: HilbertModule) -> np.ndarray:
+    """``inner[j, i, perm k]`` at each nonzero (i, j, k), ``perm`` the star permutation (an
+    involution), so that ``<x_i, x_j>* = <x_j, x_i>`` compares it with ``conj(inner[i, j, k])``;
+    the mirror of a zero entry is compared where it is itself a nonzero entry."""
+    sup, m, n_dim = module.support, module.dim, module.algebra.dim
+    keys = (sup.i * m + sup.j) * n_dim + sup.k
+    mirrors = (sup.j * m + sup.i) * n_dim + cstar.star_permutation(module.algebra)[sup.k]
+    at = keys.searchsorted(mirrors).clip(max=len(keys) - 1)
+    return np.where(keys[at] == mirrors, sup.values[at], 0)
 
 
 def _linearity_defect(module: HilbertModule, magnitudes: np.ndarray) -> float:
@@ -293,7 +349,7 @@ def _linearity_defect(module: HilbertModule, magnitudes: np.ndarray) -> float:
 
     rows, heads = module.inner_rows
     depth, count = heads.shape[1], len(support.row_j)
-    live = module.action[support.row_j, support.row_k].T  # live[q, r] = action[j_r, k_r, q]
+    live = _live_action_rows(module)
     # the flat place of each on-grid target in the (N, depth, count) grid, by unit
     head_at = live_cols[:, :n_dim].cumsum(axis=0) - 1  # [i, c]: i's place among c's heads
     row_at = live_rows[:, :n_dim].reshape(-1).cumsum() - 1  # [j N + k]: the row of (j, k)
@@ -799,9 +855,8 @@ def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
 
     sup, act = module.support, module.support.act
     inner_rows, heads_k = module.inner_rows
-    action_rows, heads_r = _grouped_rows((m, n_dim, m), act[2], act[1], act[0], module.action[act])
-    pair_rows = module.inner.reshape(m * m, n_dim)[sup.pairs].T
-    live_rows = module.action[sup.row_j, sup.row_k].T
+    action_rows, heads_r = _grouped_rows((m, n_dim, m), act[2], act[1], act[0], sup.act_values)
+    pair_rows, live_rows = module.pair_rows.T, _live_action_rows(module)
     # the targets' flat places in one t's grid, [k, (i, j)] and [i, (j, k)]
     pair_at = (np.arange(n_dim)[:, None] * (m * m) + sup.pairs).reshape(-1)
     live_at = (np.arange(m)[:, None] * (m * n_dim) + sup.row_j * n_dim + sup.row_k).reshape(-1)

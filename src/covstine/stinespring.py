@@ -203,17 +203,22 @@ def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
 
     m = module.dim  # the raw map of x_i sends E_l (x) h to Phi(x_i E_l) h
     flat = phi.images.reshape(m, dim_k * dim_h)
-    live = np.zeros((m, module.algebra.dim), dtype=bool)  # x_i . E_k not 0
-    live[module.support.row_j, module.support.row_k] = True
+    (act_j, act_k, act_l), act_values = module.support.act, module.support.act_values
     worst = np.zeros((2, m))  # per x_i: the largest defect and size of its block rows
     images = np.zeros((m, dim_codomain, gns.dim), dtype=np.complex128)
     for n, units, cols, block in _spans(module.algebra.blocks, gns.blocks):
-        coeffs = module.action[:, units].reshape(m, n, n, m)  # x_i . E_ac
-        xs, rows = live[:, units].reshape(m, n, n).any(axis=2).nonzero()  # the live (x_i, a)
+        inside = (units.start <= act_k) & (act_k < units.stop)  # the nonzero x_j . E_ac
+        unit_row, unit_col = np.divmod(act_k[inside] - units.start, n)
+        at = act_j[inside] * n + unit_row
+        # not np.unique, whose first call imports numpy.ma (about 1 MiB)
+        keys = np.flatnonzero(np.bincount(at, minlength=m * n))
+        xs, rows = np.divmod(keys, n)  # the live (x_i, a), row-major
+        coeffs = hilbmod.rows_at(keys, at, unit_col * m + act_l[inside], act_values[inside], n * m)
+        coeffs = coeffs.reshape(len(keys), n, m)  # coeffs[r] = x_i . E_ac over (c, l)
         part = images[:, :, cols].reshape(m, dim_codomain, n, block.rank)  # a view
         for span in nk.stack_spans(len(xs), dim_k * n * dim_h):
             x, a = xs[span], rows[span]
-            raw = (coeffs[x, a] @ flat).reshape(len(x), n, dim_k, dim_h)
+            raw = (coeffs[span] @ flat).reshape(len(x), n, dim_k, dim_h)
             raw = raw.transpose(0, 2, 1, 3).reshape(len(x), dim_k, n * dim_h)
             lifted, defect, size = _descend(raw, block)
             part[x, :, a] = w_map @ lifted  # W (raw map) L

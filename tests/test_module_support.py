@@ -3,11 +3,16 @@ nonzeros of the structure tensors once and checks linearity on the grouped
 inner rows.  Its report is compared with the dense form kept in
 ``dense_reference.module_axioms`` (every field bitwise on 0/1 modules, within
 rel 1e-12 on modules on a dense basis), also with planted defects, and its
-peak memory is held under the size of the inner tensor.  The tests take the
-module's orthogonal components from ``dense_reference.component_labels`` on its
-link graph."""
+peak memory is held under the size of the inner tensor.  The support's reads
+(pair rows, mirrors, live action rows) are held bit for bit to the dense gathers
+on modules given by tensors, and a standard module, held by its support alone,
+is held to memory bounds.  The tests take the module's orthogonal components
+from ``dense_reference.component_labels`` on its link graph."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -15,7 +20,7 @@ import numpy as np
 import pytest
 
 import dense_reference
-from covstine import cli, hilbmod
+from covstine import cli, cstar, hilbmod
 from covstine import numkernel as nk
 from test_kernels import _algebra_module, _dense_basis_module
 from test_scale_invariance import _run
@@ -151,14 +156,80 @@ def test_the_8x8_check_peaks_below_the_inner_tensor():
     finally:
         tracemalloc.stop()
     assert report.full and report.positive
-    assert peak < module.inner.nbytes
+    assert peak < 64**3 * 16  # the (64, 64, 64) inner tensor, never formed
+    assert "inner" not in vars(module) and "action" not in vars(module)
+
+
+def test_the_8x8_module_and_its_fullness_factor_peak_below_1_mib():
+    """``standard_module(8, 8)`` holds its 512 nonzeros per tensor, and the fullness
+    Gram is summed from its (512, 64) pair rows a chunk at a time."""
+    tracemalloc.start()
+    try:
+        module = hilbmod.standard_module(8, 8)
+        factor = module.fullness_factor
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert factor.rank == 64 and module.pair_rows.shape == (512, 64)
+    assert peak < 2**20
+
+
+def _tensor_modules():
+    """Modules given by their tensors: a standard module's, on the unit basis, one on
+    a dense basis, and a two-block algebra over itself."""
+    unit = hilbmod.standard_module(3, 2)
+    given = hilbmod.HilbertModule(unit.algebra, unit.dim, unit.action, unit.inner)
+    return [given, _dense_basis_module((2, 1), seed=5), _algebra_module((1, 2))]
+
+
+@pytest.mark.parametrize("index", range(3))
+def test_support_reads_are_the_dense_gathers_bit_for_bit(index):
+    module = _tensor_modules()[index]
+    m, n_dim, support = module.dim, module.algebra.dim, module.support
+    i, j, k = support.i, support.j, support.k
+    perm = cstar.star_permutation(module.algebra)
+    pairs = module.inner.reshape(m * m, n_dim)[support.pairs]
+    live = module.action[support.row_j, support.row_k].T
+    for got, dense in [
+        (module.pair_rows, pairs),
+        (hilbmod._mirrored_values(module), module.inner[j, i, perm[k]]),
+        (hilbmod._live_action_rows(module), live),
+    ]:
+        assert got.shape == dense.shape and got.dtype == dense.dtype
+        assert got.tobytes() == np.ascontiguousarray(dense).tobytes()
+
+
+def test_dilate_888_peaks_below_29_mib(tmp_path):
+    """``dilate`` 8,8,8 seed 11 in a fresh process, traced from after the import:
+    no dense structure tensor of the standard 8 x 8 module is built."""
+    path = tmp_path / "dilate.json"
+    path.write_bytes(cli.canonical_bytes(cli.generate_scenario("dilate", 8, 8, 8, 11, None)))
+    child = (
+        "import sys, tracemalloc\n"
+        "tracemalloc.start()\n"
+        "import covstine.cli as cli\n"
+        "tracemalloc.reset_peak()\n"
+        "code = cli.main(['dilate', '--scenario', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(code, tracemalloc.get_traced_memory()[1], int('numpy.ma' in sys.modules))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", child, str(path), str(tmp_path / "cert.json")],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    code, peak, masked = map(int, done.stdout.split())
+    assert code == 0, done.stderr
+    assert peak <= 29 * 2**20, peak / 2**20
+    assert not masked  # np.unique's first call would import numpy.ma, about 1 MiB
 
 
 @pytest.mark.parametrize("p, n", SHAPES)
 def test_the_closed_form_support_is_the_scan(p, n):
-    """``standard_module`` sets its support from the index arrays it scatters; field
-    by field it is ``module_support``'s scan, in values, order and dtype, also for
-    a module read from a payload."""
+    """``standard_module`` builds its support in closed form; field by field it is
+    ``module_support``'s scan of the tensors scattered from it, in values, order and
+    dtype, also for a module read from a payload."""
     payload = cli.module_from_json({"standard_module": [p, n]})
     for module in (hilbmod.standard_module(p, n), payload):
         assert "support" in vars(module)  # set when built, not scanned when first read

@@ -5,6 +5,7 @@ sizes and structure dumps are bounded before anything is allocated, and
 
 import collections
 import copy
+import functools
 import itertools
 import json
 import re
@@ -197,6 +198,53 @@ def test_a_module_given_by_tensors_is_scanned_once(tmp_path, scanned):
     path = Path(__file__).resolve().parent / "scenarios" / "dense_basis_21.json"
     assert cli.main(["dilate", "--scenario", str(path), "--out", str(tmp_path / "cert.json")]) == 0
     assert len(scanned) == 1
+
+
+@pytest.fixture
+def materialised(monkeypatch):
+    """The ``(module, name)`` of each ``action`` or ``inner`` scattered from a support."""
+    reads = []
+    for name in ("action", "inner"):
+        scatter = vars(hilbmod.HilbertModule)[name].func
+
+        def reading(module, name=name, scatter=scatter):
+            reads.append((module, name))
+            return scatter(module)
+
+        counted = functools.cached_property(reading)
+        counted.__set_name__(hilbmod.HilbertModule, name)
+        monkeypatch.setattr(hilbmod.HilbertModule, name, counted)
+    return reads
+
+
+GENERATED_SOURCES = {"2,2,2 symmetric:3": (2, 2, 2, "symmetric:3"), "8,8,2": (8, 8, 2, None)}
+BUNDLED = sorted(path.name for path in SCENARIOS.glob("*.json"))
+
+
+@pytest.mark.parametrize("source", [*GENERATED_SOURCES, *BUNDLED])
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_no_run_scatters_a_standard_modules_tensors(tmp_path, materialised, source, kind):
+    """Every kind reads a standard module from its support alone: run as each kind,
+    generated scenarios and the bundled ones (which all hold standard modules)
+    never scatter ``action`` or ``inner``.  A bundled scenario relabelled to a kind
+    its objects do not fit exits 2 before any construction."""
+    if source in GENERATED_SOURCES:
+        p, n, amplification, group = GENERATED_SOURCES[source]
+        scenario = cli.generate_scenario(kind, p, n, amplification, 11, group)
+    else:
+        scenario = {**_bundled(source), "kind": kind}
+    path = tmp_path / "scenario.json"
+    path.write_bytes(cli.canonical_bytes(scenario))
+    code = cli.main([kind, "--scenario", str(path), "--out", str(tmp_path / "cert.json")])
+    assert code == 0 or (code == 2 and source not in GENERATED_SOURCES)
+    assert materialised == []
+
+
+def test_reading_a_standard_modules_tensors_scatters_them_once(materialised):
+    """The counting of the guard above sees a read where there is one."""
+    module = hilbmod.standard_module(2, 3)
+    assert module.inner is module.inner and module.action.shape == (6, 9, 6)
+    assert materialised == [(module, "inner"), (module, "action")]
 
 
 def _z2_system():

@@ -4,7 +4,6 @@ with a required field missing, exits 2 without a traceback and with a message
 that names the object and the field at fault.  A tagged form (``cyclic``,
 ``standard_module``, ``trivial``, ...) names the field beside its tag."""
 
-import copy
 import json
 from pathlib import Path
 
@@ -97,13 +96,21 @@ OBJECTS = {
     "trivial": (Z2, ("objects", "u_prime"), "u_prime", ("trivial->space_dim",)),
     "trivial gamma": (Z2, SA + ("gamma",), "gamma", ("trivial->space_dim",)),
     "regular": (SYSTEM, ("objects", "u"), "u", ("regular->space_dim",)),
-    "matrix": (Z2, SA + ("delta", "mats", 0), "matrix payload", ("rows", "cols", "entries")),
+    "matrix": (Z2, SA + ("delta", "mats", 0), "delta.mats[0]", ("rows", "cols", "entries")),
     "image matrix": (
-        EXPLICIT, ("objects", "cp_map", "images", "0"), "matrix payload",
+        EXPLICIT, ("objects", "cp_map", "images", "0"), 'scenario.objects.cp_map.images."0"',
         ("rows", "cols", "entries"),
     ),
-    "tensor": (EXPLICIT, ("objects", "module", "action"), "tensor payload", ("shape", "entries")),
-    "eta": (SYSTEM, ("objects", "system", "eta"), "tensor payload", ("shape", "entries")),
+    "companion image matrix": (
+        EXPLICIT, ("objects", "cp_map", "companion", "images", "0:0:0"),
+        'scenario.objects.cp_map.companion.images."0:0:0"', ("rows", "cols", "entries"),
+    ),
+    "tensor": (
+        EXPLICIT, ("objects", "module", "action"), "module payload.action", ("shape", "entries")
+    ),
+    "eta": (
+        SYSTEM, ("objects", "system", "eta"), "scenario.objects.system.eta", ("shape", "entries")
+    ),
     "cp_map": (EXPLICIT, ("objects", "cp_map"), "scenario.objects.cp_map", ("images", "companion")),
     "concrete": (
         IDENTITY, ("objects", "cp_map"), "scenario.objects.cp_map", ("concrete->images",)
@@ -123,8 +130,9 @@ OBJECTS = {
 
 
 def _with(payload, path, change):
-    """A copy of ``payload`` with ``change`` applied to the object at ``path``."""
-    out = copy.deepcopy(payload)
+    """A copy of ``payload`` with ``change`` applied to the object at ``path``; the copy
+    shares no object between two places, as a payload read from a file does not."""
+    out = json.loads(json.dumps(payload))
     if not path:
         return change(out)
     parent = out
@@ -209,3 +217,15 @@ def test_a_tagged_form_names_the_field_beside_its_tag(tmp_path, capsys, payload,
     assert code == 2
     assert "Traceback" not in captured.err
     assert f"ParseError: {message}\n" in captured.err
+
+
+@pytest.mark.parametrize(
+    "value, shown", [(5, "5"), (None, "None"), ("no", "'no'"), (False, "False")]
+)
+def test_regular_takes_only_true(tmp_path, capsys, value, shown):
+    """``{"regular": true}`` is the regular representation; any other value exits 2."""
+    payload = _with(SYSTEM, ("objects", "u"), lambda u: {"regular": value})
+    code, captured = _run(tmp_path, capsys, payload, payload)
+    assert code == 2
+    assert "Traceback" not in captured.err
+    assert f"ParseError: u: 'regular' must be true, got {shown}\n" in captured.err
