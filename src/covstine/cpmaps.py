@@ -355,7 +355,7 @@ def random_covariant_cp(
     gamma, delta = system.gamma, system.delta
     streams = [
         np.random.Generator(np.random.Philox(child))
-        for child in np.random.SeedSequence(seed).spawn(5)
+        for child in np.random.SeedSequence(seed).spawn(4)
     ]
     sigma = hilbmod.seeded_rep(group, amplification, streams[0])
     rep = amplified_concrete_representation(system.module, amplification)

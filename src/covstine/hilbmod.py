@@ -77,6 +77,14 @@ class HilbertModule:
         return rows_at(sup.pairs, sup.i * self.dim + sup.j, sup.k, sup.values, self.algebra.dim)
 
     @cached_property
+    def live_action_rows(self) -> np.ndarray:
+        """(m, count): ``action[j_r, k_r, q]`` at the live rows r = (j, k) of ``support``,
+        read once by linearity and compatibility."""
+        sup, n_dim = self.support, self.algebra.dim
+        j, k, l = sup.act
+        return rows_at(sup.row_j * n_dim + sup.row_k, j * n_dim + k, l, sup.act_values, self.dim).T
+
+    @cached_property
     def inner_targets(self) -> nk.PairTargets:
         """The nonzero ``inner[i, j, k]`` as ``nk.pair_defect`` targets, read once:
         each weighs the k-th matrix of the basis in the target of the pair (i, j)."""
@@ -172,13 +180,6 @@ def rows_at(keys, at, cols, values, width) -> np.ndarray:
     rows = np.zeros((len(keys), width), dtype=np.complex128)
     rows[keys.searchsorted(at), cols] = values
     return rows
-
-
-def _live_action_rows(module: HilbertModule) -> np.ndarray:
-    """(m, count): ``action[j_r, k_r, q]`` at the live rows r = (j, k) of ``support``."""
-    sup, n_dim = module.support, module.algebra.dim
-    j, k, l = sup.act
-    return rows_at(sup.row_j * n_dim + sup.row_k, j * n_dim + k, l, sup.act_values, module.dim).T
 
 
 def same_structure(first: HilbertModule, second: HilbertModule) -> bool:
@@ -349,7 +350,7 @@ def _linearity_defect(module: HilbertModule, magnitudes: np.ndarray) -> float:
 
     rows, heads = module.inner_rows
     depth, count = heads.shape[1], len(support.row_j)
-    live = _live_action_rows(module)
+    live = module.live_action_rows
     # the flat place of each on-grid target in the (N, depth, count) grid, by unit
     head_at = live_cols[:, :n_dim].cumsum(axis=0) - 1  # [i, c]: i's place among c's heads
     row_at = live_rows[:, :n_dim].reshape(-1).cumsum() - 1  # [j N + k]: the row of (j, k)
@@ -714,17 +715,18 @@ def seeded_rep(group: FiniteGroup, dim: int, rng: np.random.Generator) -> Unitar
     """
     candidates = group.coset_candidates
     sizes = sorted(candidates)
-    rep = trivial_rep(group, 0)
-    remaining = dim
-    while remaining:
-        fitting = [s for s in sizes if s <= remaining]
+    mats = np.zeros((group.order, dim, dim), dtype=np.complex128)  # the summands' block diagonal
+    start = 0
+    while start < dim:
+        fitting = [s for s in sizes if s <= dim - start]
         if fitting:
-            block = coset_rep(group, candidates[fitting[int(rng.integers(0, len(fitting)))]])
-        else:
-            block = trivial_rep(group, remaining)
-        rep = direct_sum_rep(rep, block)
-        remaining -= block.dim
-    return conjugate_rep(rep, nk.haar_unitary(rng, dim))
+            block = coset_rep(group, candidates[fitting[int(rng.integers(0, len(fitting)))]]).mats
+        else:  # trivial summands
+            block = nk.eye(dim - start)
+        size = block.shape[-1]
+        mats[:, start : start + size, start : start + size] = block
+        start += size
+    return conjugate_rep(UnitaryRep(group, dim, mats), nk.haar_unitary(rng, dim))
 
 
 def _build_named_groups() -> None:
@@ -856,7 +858,7 @@ def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
     sup, act = module.support, module.support.act
     inner_rows, heads_k = module.inner_rows
     action_rows, heads_r = _grouped_rows((m, n_dim, m), act[2], act[1], act[0], sup.act_values)
-    pair_rows, live_rows = module.pair_rows.T, _live_action_rows(module)
+    pair_rows, live_rows = module.pair_rows.T, module.live_action_rows
     # the targets' flat places in one t's grid, [k, (i, j)] and [i, (j, k)]
     pair_at = (np.arange(n_dim)[:, None] * (m * m) + sup.pairs).reshape(-1)
     live_at = (np.arange(m)[:, None] * (m * n_dim) + sup.row_j * n_dim + sup.row_k).reshape(-1)

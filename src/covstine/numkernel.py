@@ -330,6 +330,12 @@ def spectral_rank(values: np.ndarray) -> tuple[int, float]:
     return int(np.count_nonzero(values > cutoff)), cutoff
 
 
+def merged_spectrum(spectra, repeats) -> np.ndarray:
+    """The descending spectrum of a block-diagonal matrix that holds ``repeats[b]``
+    copies of a block with spectrum ``spectra[b]``."""
+    return np.sort(np.concatenate([np.tile(s, n) for s, n in zip(spectra, repeats)]))[::-1]
+
+
 def psd_cutoff(values: np.ndarray) -> float:
     """The ``spectral_rank`` cutoff of a descending Gram spectrum; raises
     ``NotPsdError`` when its least eigenvalue lies below minus the cutoff."""

@@ -16,7 +16,8 @@ on a map scaled by ``cpmaps.normalize``, and the rank decisions and profiles beh
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -48,20 +49,41 @@ from .errors import (
 class GnsTriple:
     """Minimal dilation data of a CP map on the algebra.
 
-    ``rep`` acts on the quotient of ``A (x) H`` by the Gram kernel, in coordinates
-    over (block, block row a, kept index).  ``F`` and ``L`` are ``I_n (x) S`` and
-    ``I_n (x) B/sqrt(Λ)`` on each block and are never formed: maps on the raw
-    space descend through ``blocks``, each block's ``GramFactor`` ``(S, B/sqrt(Λ))``
-    of its Choi matrix with columns (rows) over (c, i), one block row
+    The representation acts on the quotient of ``A (x) H`` by the Gram kernel, in
+    coordinates over (block, block row a, kept index), as ``pi(E_cd) = E_cd (x) M_b``;
+    ``rep``, its dense images, is built on first read.  ``F`` and ``L`` are
+    ``I_n (x) S`` and ``I_n (x) B/sqrt(Λ)`` on each block and are never formed: maps on
+    the raw space descend through ``blocks``, each block's ``GramFactor``
+    ``(S, B/sqrt(Λ))`` of its Choi matrix with columns (rows) over (c, i), one block row
     ``sum_c E_ac (x) h_c`` at a time.
     """
 
     cp_map: CPMapAlgebra
     dim: int  # rank of the GNS Gram
-    rep: cstar.AlgebraRepresentation
     V: np.ndarray  # (dim, dim H)
     blocks: tuple[nk.GramFactor, ...]  # one per algebra block
     gram_eigenvalues: np.ndarray  # descending spectrum of the GNS Gram
+    M: np.ndarray  # (blocks, width, width), M_b = S B/sqrt(Λ) in its kept x kept corner
+
+    @cached_property
+    def row_cols(self) -> np.ndarray:
+        """(E, width): the coordinates of each block row, padded with ``dim``."""
+        kept = np.repeat([block.rank for block in self.blocks], self.cp_map.algebra.blocks)
+        at = np.arange(self.M.shape[1])
+        return np.where(at < kept[:, None], (kept.cumsum() - kept)[:, None] + at, self.dim)
+
+    @cached_property
+    def rep(self) -> cstar.AlgebraRepresentation:
+        algebra = self.cp_map.algebra
+        rows, cols = self.row_cols[cstar.embedding_index(algebra)]  # (N, width) each
+        images = np.zeros((algebra.dim, self.dim + 1, self.dim + 1), dtype=np.complex128)
+        units = np.arange(algebra.dim)[:, None, None]
+        images[units, rows[:, :, None], cols[:, None, :]] = self.M[_unit_blocks(algebra)]
+        return cstar.AlgebraRepresentation(algebra, self.dim, images[:, :-1, :-1].copy())
+
+
+def _unit_blocks(algebra: cstar.CStarAlgebra) -> np.ndarray:
+    return np.repeat(np.arange(len(algebra.blocks)), np.square(algebra.blocks))
 
 
 def _spans(sizes: tuple[int, ...], blocks):
@@ -78,7 +100,24 @@ def _descend(groups: np.ndarray, block: nk.GramFactor):
     """``(groups @ L, defect, size)`` of raw maps on one block row: per map, how far
     it fails to vanish on the Gram kernel, ``maxabs(groups (I - L F))``, and its maxabs."""
     lifted = groups @ block.L
-    return lifted, nk.stack_maxabs(groups - lifted @ block.F), nk.stack_maxabs(groups)
+    defect = lifted @ block.F
+    defect -= groups  # in place: no second stack
+    return lifted, nk.stack_maxabs(defect), nk.stack_maxabs(groups)
+
+
+def _add_at(out: np.ndarray, index: tuple, keys: np.ndarray, terms: np.ndarray) -> None:
+    """``np.add.at(out, index, terms)`` into zeros, ``index`` repeating where ``keys`` do, as
+    one fancy assignment per pass over the d-th occurrences (``np.add.at`` is slow on stacks)."""
+    if (keys[1:] > keys[:-1]).all():  # one pass, no copies
+        out[index] = terms
+        return
+    order, place = np.argsort(keys, kind="stable"), np.arange(len(keys))
+    ordered, depth = keys[order], np.empty_like(place)
+    first = np.r_[True, ordered[1:] != ordered[:-1]]
+    depth[order] = place - np.maximum.accumulate(np.where(first, place, 0))
+    for d in range(depth.max() + 1):
+        at = tuple(i[depth == d] if isinstance(i, np.ndarray) else i for i in index)
+        out[at] = out[at] + terms[depth == d] if d else terms[depth == d]
 
 
 def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
@@ -112,9 +151,7 @@ def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
         )
     algebra, h = phi.algebra, phi.space_dim
     spectra = choi.spectra
-    merged = np.sort(
-        np.concatenate([np.tile(s.values, n) for n, s in zip(algebra.blocks, spectra)])
-    )[::-1]
+    merged = nk.merged_spectrum([s.values for s in spectra], algebra.blocks)
     cutoff = nk.psd_cutoff(merged)
 
     blocks = []
@@ -125,36 +162,64 @@ def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
         L = L.reshape(h, n, kept).transpose(1, 0, 2).reshape(n * h, kept)
         blocks.append(nk.GramFactor(kept, F, L, values))
     rank = sum(n * block.rank for n, block in zip(algebra.blocks, blocks))
-    images = np.zeros((algebra.dim, rank, rank), dtype=np.complex128)
     v_map = np.zeros((rank, h), dtype=np.complex128)
-    leak = 0.0
-    for n, units, cols, block in _spans(algebra.blocks, blocks):
-        kept = block.rank
+    width = max(block.rank for block in blocks)
+    moves, leak = np.zeros((len(blocks), width, width), dtype=np.complex128), 0.0
+    for b, (n, units, cols, block) in enumerate(_spans(algebra.blocks, blocks)):
         (moved,), (defect,), (size,) = _descend(block.F[None], block)
         leak = max(leak, float(defect) / max(1.0, float(size)))
-        c, d, r, s = np.ix_(range(n), range(n), range(kept), range(kept))
-        images[units.start + c * n + d, cols.start + c * kept + r, cols.start + d * kept + s] = moved
+        moves[b, : block.rank, : block.rank] = moved
         # V h = F (1 (x) h): block row a of the unit reads S on its (a, i) columns
-        v_map[cols] = block.F.reshape(kept, n, h).transpose(1, 0, 2).reshape(n * kept, h)
+        v_map[cols] = block.F.reshape(block.rank, n, h).transpose(1, 0, 2).reshape(-1, h)
     if leak > nk.RESIDUAL_TOL:
         raise QuotientLeakError(
             f"left multiplication does not descend to the quotient (leak {leak:.3e}); "
             "the input map is not consistent"
         )
-    rep = cstar.AlgebraRepresentation(algebra, rank, images)
-    return GnsTriple(phi, rank, rep, v_map, tuple(blocks), merged)
+    return GnsTriple(phi, rank, v_map, tuple(blocks), merged, moves)
 
 
-@dataclass(frozen=True)
+class DilationParts(NamedTuple):
+    """``maps[r]``, padded like ``GnsTriple.row_cols``: ``pi(x_{xs[r]})`` on block row ``rows[r]``."""
+
+    xs: np.ndarray
+    rows: np.ndarray  # over the rows of the embedding
+    maps: np.ndarray
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class StinespringDilation:
-    """Minimal dilation ``Phi(x) = W* pi(x) V`` of a module CP map."""
+    """Minimal dilation ``Phi(x) = W* pi(x) V`` of a module CP map, held by the live parts
+    of ``pi(x_i)``: ``images``, (m, dim_codomain, gns.dim), is built on first read, and
+    the constructor scans the dense images it takes into parts."""
 
     cp_map: ModuleCPMap
     gns: GnsTriple
     dim_codomain: int  # dim of the span of Phi(X) H inside K
     W: np.ndarray  # (dim_codomain, dim K), orthonormal rows
-    images: np.ndarray  # (m, dim_codomain, gns.dim)
+    parts: DilationParts
     codomain_gram_eigenvalues: np.ndarray
+
+    def __init__(self, cp_map, gns, dim_codomain, W, images, codomain_gram_eigenvalues):
+        images = np.asarray(images, dtype=np.complex128)
+        rows = np.pad(images, ((0, 0), (0, 0), (0, 1)))[:, :, gns.row_cols]  # (m, K', E, width)
+        xs, live = rows.any(axis=(1, 3)).nonzero()
+        values = (cp_map, gns, dim_codomain, W, DilationParts(xs, live, rows[xs, :, live]))
+        vars(self).update(vars(self.from_parts(*values, codomain_gram_eigenvalues)), images=images)
+
+    @classmethod
+    def from_parts(cls, *values) -> "StinespringDilation":
+        """The dilation with these values of its fields, in their order."""
+        dilation = cls.__new__(cls)
+        vars(dilation).update(zip([f.name for f in fields(cls)], values, strict=True))
+        return dilation
+
+    @cached_property
+    def images(self) -> np.ndarray:
+        (xs, rows, maps), gns = self.parts, self.gns
+        images = np.zeros((self.cp_map.module.dim, self.dim_codomain, gns.dim + 1), dtype=np.complex128)
+        images[xs[:, None], :, gns.row_cols[rows]] = maps.transpose(0, 2, 1)
+        return images[:, :, :-1].copy()
 
     @property
     def V(self) -> np.ndarray:
@@ -178,8 +243,10 @@ def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
     codomain space is the span of ``Phi(X) H`` in orthonormal coordinates,
     and the representation is the descended right-multiplication action.
     The raw map of ``x_i`` is formed and lifted only on the block rows ``a`` with
-    some ``x_i . E_ac`` nonzero, read from ``module.support``; elsewhere it, its
-    lift and leak are 0.
+    some ``x_i . E_ac`` nonzero, read from ``module.support``: a gather of the
+    images ``Phi(x_l)`` along the action's nonzeros, scaled by their values and
+    summed where a row (x_i, a, c) has several.  Elsewhere it, its lift and leak
+    are 0, and the live ``W (raw map) L`` are the dilation's parts.
     """
     module = phi.module
     report = phi.cp_report
@@ -202,33 +269,39 @@ def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
     w_map = nk.adjoint(vectors[:, :dim_codomain])
 
     m = module.dim  # the raw map of x_i sends E_l (x) h to Phi(x_i E_l) h
-    flat = phi.images.reshape(m, dim_k * dim_h)
     (act_j, act_k, act_l), act_values = module.support.act, module.support.act_values
     worst = np.zeros((2, m))  # per x_i: the largest defect and size of its block rows
-    images = np.zeros((m, dim_codomain, gns.dim), dtype=np.complex128)
+    parts, corner = [], 0
     for n, units, cols, block in _spans(module.algebra.blocks, gns.blocks):
-        inside = (units.start <= act_k) & (act_k < units.stop)  # the nonzero x_j . E_ac
+        inside = ((units.start <= act_k) & (act_k < units.stop)).nonzero()[0]
         unit_row, unit_col = np.divmod(act_k[inside] - units.start, n)
-        at = act_j[inside] * n + unit_row
+        at = act_j[inside] * n + unit_row  # the nonzero x_j . E_ac, ascending in (j, a, c)
         # not np.unique, whose first call imports numpy.ma (about 1 MiB)
         keys = np.flatnonzero(np.bincount(at, minlength=m * n))
         xs, rows = np.divmod(keys, n)  # the live (x_i, a), row-major
-        coeffs = hilbmod.rows_at(keys, at, unit_col * m + act_l[inside], act_values[inside], n * m)
-        coeffs = coeffs.reshape(len(keys), n, m)  # coeffs[r] = x_i . E_ac over (c, l)
-        part = images[:, :, cols].reshape(m, dim_codomain, n, block.rank)  # a view
+        at = keys.searchsorted(at)
+        maps = np.zeros((len(keys), dim_codomain, gns.M.shape[1]), dtype=np.complex128)
         for span in nk.stack_spans(len(xs), dim_k * n * dim_h):
-            x, a = xs[span], rows[span]
-            raw = (coeffs[span] @ flat).reshape(len(x), n, dim_k, dim_h)
-            raw = raw.transpose(0, 2, 1, 3).reshape(len(x), dim_k, n * dim_h)
-            lifted, defect, size = _descend(raw, block)
-            part[x, :, a] = w_map @ lifted  # W (raw map) L
-            np.maximum.at(worst, (slice(None), x), (defect, size))
+            lo, hi = at.searchsorted([span.start, span.stop])
+            raw = np.zeros((span.stop - span.start, dim_k, n, dim_h), dtype=np.complex128)
+            terms, values = phi.images[act_l[inside[lo:hi]]], act_values[inside[lo:hi], None, None]
+            if (values != 1).any():  # a value 1 leaves its term as it is
+                terms *= values  # in place: no second stack
+            slots = (at[lo:hi] - span.start, slice(None), unit_col[lo:hi])
+            _add_at(raw, slots, at[lo:hi] * n + unit_col[lo:hi], terms)
+            del terms  # before the lift forms its stacks
+            lifted, defect, size = _descend(raw.reshape(len(raw), dim_k, n * dim_h), block)
+            maps[span, :, : block.rank] = w_map @ lifted  # W (raw map) L
+            np.maximum.at(worst, (slice(None), xs[span]), (defect, size))
+        parts.append((xs, rows + corner, maps))
+        corner += n
     leak = nk.maxabs(worst[0] / np.maximum(1.0, worst[1]))
     if leak > nk.RESIDUAL_TOL:
         raise QuotientLeakError(
             f"module maps do not descend to the GNS quotient (leak {leak:.3e})"
         )
-    return StinespringDilation(phi, gns, dim_codomain, w_map, images, k_eigs)
+    parts = DilationParts(*(np.concatenate(field) for field in zip(*parts)))
+    return StinespringDilation.from_parts(phi, gns, dim_codomain, w_map, parts, k_eigs)
 
 
 @dataclass(frozen=True)
@@ -440,39 +513,27 @@ def verify_dilation(
 
     residuals.update(input_rows(phi, cov))
 
-    # GNS layer
-    recon = nk.sandwich(gns.V, gns.rep.images, gns.V)
-    residuals["gns_reconstruction"] = nk.maxabs(recon - phi.companion.images)
-    gns_rank = nk.numerical_rank(hilbmod.range_stack(gns.rep.images, gns.V))
-    ranks["gns_minimality"] = (gns_rank.rank, gns.dim)
+    # GNS layer, from each block's M_b and the block rows of V
+    residuals["gns_reconstruction"], gns_rank, residuals["gns_representation"] = _gns_rows(gns)
+    ranks["gns_minimality"] = (gns_rank, gns.dim)
     singular["gns_gram"] = list(np.sqrt(np.clip(gns.gram_eigenvalues, 0.0, None)))
-    rep_report = cstar.check_representation(gns.rep)
-    residuals["gns_representation"] = rep_report.max_residual
 
-    # reconstruction Phi(x) = W* pi(x) V
-    rebuilt = nk.sandwich(base.W, base.images, gns.V)
-    residuals["reconstruction"] = nk.maxabs(rebuilt - phi.images)
-
-    # representation identity pi(x)* pi(y) = pi_gns(<x,y>)
-    residuals["representation_identity"] = hilbmod.identity_defect(
-        base.images, module, gns.rep.images
-    )
+    # the dilation, from its live parts: Phi(x) = W* pi(x) V and
+    # pi(x)* pi(y) = pi_gns(<x,y>)
+    ranged = _ranged(base)
+    residuals["reconstruction"] = nk.maxabs(nk.adjoint(base.W) @ ranged - phi.images)
+    residuals["representation_identity"] = _identity_defect(base)
 
     # coisometry rows
-    w_gram = base.W @ nk.adjoint(base.W)
-    residuals["coisometry_rows"] = (
-        nk.maxabs(w_gram - nk.eye(base.dim_codomain))
-    )
+    residuals["coisometry_rows"] = nk.maxabs(base.W @ nk.adjoint(base.W) - nk.eye(base.dim_codomain))
 
     # density (minimality) conditions
-    range_rank, corange_rank = hilbmod.density_ranks(base.images, gns.V, base.W)
+    range_rank, corange_rank = nk.numerical_rank(hilbmod.range_stack(ranged)), _corange_rank(base)
     ranks["range_density"] = (range_rank.rank, base.dim_codomain)
     singular["range_density"] = list(range_rank.singular_values)
     ranks["corange_density"] = (corange_rank.rank, gns.dim)
     singular["corange_density"] = list(corange_rank.singular_values)
-    singular["codomain_gram"] = list(
-        np.sqrt(np.clip(base.codomain_gram_eigenvalues, 0.0, None))
-    )
+    singular["codomain_gram"] = list(np.sqrt(np.clip(base.codomain_gram_eigenvalues, 0.0, None)))
 
     dims = dict(base.dims)
 
@@ -507,6 +568,69 @@ def verify_dilation(
         singular_values=singular,
         provenance=provenance or {},
     )
+
+
+def _gns_rows(gns: GnsTriple) -> tuple[float, int, float]:
+    """The GNS rows from ``M_b`` and the block rows ``V_d`` of V, as the dense rows reduce
+    on ``pi(E_cd) = E_cd (x) M_b``: ``V_c* M_b V_d - phi(E_cd)``, the range Gram's merged
+    spectrum ``I_n (x) (M_b V_b)(M_b V_b)*``, and ``M_b M_b - M_b``, ``M_b - M_b*``."""
+    phi, h, move = gns.cp_map, gns.cp_map.space_dim, gns.M
+    recon, spectra = 0.0, []
+    for (n, units, cols, block), corner in zip(_spans(phi.algebra.blocks, gns.blocks), move):
+        rows = gns.V[cols].reshape(n, block.rank, h)
+        moved = (corner[: block.rank, : block.rank] @ rows).transpose(1, 0, 2).reshape(-1, n * h)
+        rebuilt = (np.conj(rows).transpose(0, 2, 1).reshape(n * h, -1) @ moved).reshape(n, h, n, h)
+        target = phi.images[units].reshape(n, n, h, h)
+        recon = max(recon, nk.maxabs(rebuilt.transpose(0, 2, 1, 3) - target))
+        spectra.append(nk._descending_eigh(moved @ nk.adjoint(moved), vectors=False))
+    star = np.conj(move).transpose(0, 2, 1)
+    representation = max(nk.maxabs(move @ move - move), nk.maxabs(move - star))
+    rank = nk.spectral_rank(nk.merged_spectrum(spectra, phi.algebra.blocks))[0]
+    return recon, rank, representation / max(1.0, nk.maxabs(move))
+
+
+def _ranged(dilation: StinespringDilation) -> np.ndarray:
+    """``pi(x_i) V`` of every x_i, (m, dim_codomain, dim H): ``P V_a`` summed over its parts."""
+    (xs, rows, maps), gns = dilation.parts, dilation.gns
+    products = maps @ np.concatenate([gns.V, np.zeros_like(gns.V[:1])])[gns.row_cols[rows]]
+    ranged = np.zeros((dilation.cp_map.module.dim,) + products.shape[1:], dtype=np.complex128)
+    _add_at(ranged, (xs,), xs, products)
+    return ranged
+
+
+def _identity_defect(dilation: StinespringDilation) -> float:
+    """``hilbmod.identity_defect`` by ``nk.pair_defect`` over pairs of parts: those of x_i and
+    x_j on rows a and c have the target ``inner[i, j, k] M_b``, ``E_k = E_ac`` of block b.
+    Where x_i or x_j has no part on its row, the product is 0 and the target its defect."""
+    gns, module, (xs, rows, maps) = dilation.gns, dilation.cp_map.module, dilation.parts
+    sup, at = module.support, np.full((module.dim, module.algebra.embed_dim), -1)
+    at[xs, rows] = np.arange(len(maps))
+    unit_rows, unit_cols = cstar.embedding_index(module.algebra)[:, sup.k]
+    p, q, block = at[sup.i, unit_rows], at[sup.j, unit_cols], _unit_blocks(module.algebra)[sup.k]
+    found = (p >= 0) & (q >= 0)
+    missed = [nk.maxabs(v * gns.M[b]) for v, b in zip(sup.values[~found], block[~found])]
+    order = np.argsort(p[found] * len(maps) + q[found], kind="stable")
+    entries = (a[found][order] for a in (p, q, block, sup.values))
+    targets = nk.PairTargets((len(maps), len(maps), len(gns.M)), *entries)
+    return max([nk.pair_defect(np.conj(maps).transpose(0, 2, 1), maps, gns.M, targets), *missed])
+
+
+def _corange_rank(dilation: StinespringDilation) -> nk.RankProfile:
+    """``numerical_rank`` of the stack ``[pi(x_i)* W]``: its Gram gets ``P* (W W*) Q`` on the
+    coordinates of each two parts P, Q of one x_i.  Where dim exceeds m dim K, the
+    stack's smaller Gram has the same nonzero spectrum, the first m dim K values."""
+    (xs, rows, maps), dim = dilation.parts, dilation.gns.dim
+    at = dilation.gns.row_cols[rows]  # each part's coordinates, the padding at dim
+    weighted = (dilation.W @ nk.adjoint(dilation.W)) @ maps
+    p, q = (xs[:, None] == xs).nonzero()
+    gram = np.zeros((dim + 1) ** 2, dtype=np.complex128)
+    for span in nk.stack_spans(len(p), (2 * maps.shape[1] + maps.shape[2]) * maps.shape[2]):
+        blocks = (np.conj(maps[p[span]]).transpose(0, 2, 1) @ weighted[q[span]]).reshape(-1)
+        flat = (at[p[span], :, None] * (dim + 1) + at[q[span], None, :]).reshape(-1)
+        gram += np.bincount(flat, blocks.real, len(gram)) + 1j * np.bincount(flat, blocks.imag, len(gram))
+    ranked = nk.psd_rank(gram.reshape(dim + 1, dim + 1)[:dim, :dim])
+    keep = min(dim, len(dilation.cp_map.images) * dilation.W.shape[1])
+    return nk.RankProfile(min(ranked.rank, keep), ranked.singular_values[:keep])
 
 
 # ---------------------------------------------------------------------------

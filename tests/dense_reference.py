@@ -39,6 +39,10 @@ of ``alpha_t`` and ``u_t``; and factored, the package's block rows and live
 (x_i, block row) groups one at a time.  The integral form of a covariant
 dilation is integrated once for its factorization residual and once more for
 its density ranks, where ``crossed.induced_cp`` reads all three off one build.
+The plain rows of ``verify_dilation`` are kept on the dense views
+``GnsTriple.rep`` and ``StinespringDilation.images`` (``plain_rows``), where the
+package reads each block's ``M_b`` and the dilation's live parts, and
+``seeded_rep`` as the chain of ``direct_sum_rep`` calls it replaced.
 """
 
 import math
@@ -740,6 +744,49 @@ def covariant_groups(cov, base):
         worst = max(worst, defect / max(1.0, size))
     w_mats, invariance = codomain_compressions(cov, base)
     return v_mats, gram_residual, worst, w_mats, invariance
+
+
+def plain_rows(phi, dilation):
+    """The plain rows of ``stinespring.verify_dilation`` on the dense views
+    ``gns.rep.images`` and ``dilation.images``, as it computed them before it read
+    the GNS blocks' ``M_b`` and the dilation's parts: ``(residuals, ranks)`` with
+    ``ranks`` the rank profiles of ``gns_minimality``, ``range_density`` and
+    ``corange_density``."""
+    gns = dilation.gns
+    rebuilt = nk.sandwich(gns.V, gns.rep.images, gns.V)
+    residuals = {
+        "gns_reconstruction": nk.maxabs(rebuilt - phi.companion.images),
+        "gns_representation": cstar.check_representation(gns.rep).max_residual,
+        "reconstruction": nk.maxabs(nk.sandwich(dilation.W, dilation.images, gns.V) - phi.images),
+        "representation_identity": hilbmod.identity_defect(
+            dilation.images, phi.module, gns.rep.images
+        ),
+    }
+    ranked, coranged = hilbmod.density_ranks(dilation.images, gns.V, dilation.W)
+    ranks = {
+        "gns_minimality": nk.numerical_rank(hilbmod.range_stack(gns.rep.images, gns.V)),
+        "range_density": ranked,
+        "corange_density": coranged,
+    }
+    return residuals, ranks
+
+
+def composed_seeded_rep(group, dim, rng):
+    """``hilbmod.seeded_rep`` as a chain of ``direct_sum_rep`` calls, one per summand,
+    each copying the sum so far, as it was before it wrote one block diagonal."""
+    candidates = group.coset_candidates
+    sizes = sorted(candidates)
+    rep = hilbmod.trivial_rep(group, 0)
+    remaining = dim
+    while remaining:
+        fitting = [s for s in sizes if s <= remaining]
+        if fitting:
+            block = hilbmod.coset_rep(group, candidates[fitting[int(rng.integers(0, len(fitting)))]])
+        else:
+            block = hilbmod.trivial_rep(group, remaining)
+        rep = hilbmod.direct_sum_rep(rep, block)
+        remaining -= block.dim
+    return hilbmod.conjugate_rep(rep, nk.haar_unitary(rng, dim))
 
 
 def image_intertwining(u1, u2, images, alt_images):
