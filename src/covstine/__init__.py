@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .cstar import (
     AlgebraElement,
-    AlgebraRepresentation,
     CStarAlgebra,
     check_representation,
     choi_blocks,
@@ -24,6 +23,8 @@ from .cpmaps import (
     ModuleCPMap,
     check_covariance,
     check_module_cp,
+    check_module_representation,
+    concrete_representation,
     cp_from_representation,
     covariant_cp_from_representation,
     induced_algebra_cp,
@@ -51,12 +52,9 @@ from .hilbmod import (
     FiniteGroup,
     HilbertModule,
     ModuleDynamicalSystem,
-    ModuleRepresentation,
     UnitaryRep,
     check_dynamical_system,
     check_module_axioms,
-    check_module_representation,
-    concrete_representation,
     cyclic_group,
     induced_algebra_action,
     regular_rep,

@@ -187,7 +187,7 @@ def algebra_from_json(obj) -> cstar.CStarAlgebra:
 
 def representation_from_json(
     algebra: cstar.CStarAlgebra, obj, what: str = "representation payload"
-) -> cstar.AlgebraRepresentation:
+) -> cstar.CPMapAlgebra:
     """One ``space_dim x space_dim`` image per basis label; ``ParseError`` naming ``what``."""
     _object(obj, what, ("space_dim", "images"))
     labels = algebra.basis_labels()
@@ -197,7 +197,7 @@ def representation_from_json(
     wrong = [label for label, m in zip(labels, images) if m.shape != (space_dim, space_dim)]
     if wrong:
         raise ParseError(f"{what}: image '{wrong[0]}' is not {space_dim}x{space_dim}")
-    return cstar.AlgebraRepresentation(algebra, space_dim, np.stack(images))
+    return cstar.CPMapAlgebra(algebra, space_dim, np.stack(images))
 
 
 def module_from_json(obj) -> hilbmod.HilbertModule:
@@ -317,10 +317,6 @@ class ResolvedScenario:
     name: str = ""
     scale: float = 0.0  # maxabs of the input images, divided out of phi and cov
 
-    @property
-    def covariant(self) -> bool:
-        return self.cov is not None
-
 
 def _scenario_rng(seed: int, key: int) -> np.random.Generator:
     return np.random.Generator(
@@ -376,11 +372,10 @@ def _resolve_cp_map(payload, module: hilbmod.HilbertModule) -> cpmaps.ModuleCPMa
     if _tag(payload, ("concrete",)):
         _object(payload, where, ("concrete",))
         p, n = _standard_dims(module)
-        rep = hilbmod.concrete_representation(p, n)
+        rep = cpmaps.concrete_representation(p, n)
         return cpmaps.cp_from_representation(rep, nk.eye(n), nk.eye(p))
     _object(payload, where, ("images", "companion"))
-    rep = representation_from_json(module.algebra, payload["companion"], f"{where}.companion")
-    companion = cpmaps.CPMapAlgebra(module.algebra, rep.space_dim, rep.images)
+    companion = representation_from_json(module.algebra, payload["companion"], f"{where}.companion")
     keys = [str(i) for i in range(module.dim)]
     _object(payload["images"], f"{where}.images", keys)
     images = [mat_from_json(payload["images"][key], f'{where}.images."{key}"') for key in keys]

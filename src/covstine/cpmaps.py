@@ -2,7 +2,9 @@
 
 A module CP map ``Phi: X -> L(H, K)`` carries a companion CP map
 ``phi: A -> L(H)`` tied to it by ``Phi(x)* Phi(y) = phi(<x, y>)``.  Maps are
-stored by their images on basis elements.  Covariant maps additionally carry
+stored by their images on basis elements, a representation of the module as
+the ``ModuleCPMap`` it is, with a *-representation as companion
+(``concrete_representation``).  Covariant maps additionally carry
 a dynamical system and the two unitary group representations they intertwine.
 
 Random instances are produced by compressing an amplified concrete
@@ -20,6 +22,7 @@ import numpy as np
 
 from . import cstar, hilbmod
 from . import numkernel as nk
+from .cstar import CPMapAlgebra
 from .errors import (
     DegenerateAverageError,
     InconsistentError,
@@ -31,40 +34,8 @@ from .errors import (
 
 
 @dataclass(frozen=True)
-class CPMapAlgebra:
-    """Linear map A -> L(H) on the matrix-unit basis, expected CP."""
-
-    algebra: cstar.CStarAlgebra
-    space_dim: int
-    images: np.ndarray  # (N, space_dim, space_dim)
-
-    def __post_init__(self):
-        images = np.asarray(self.images, dtype=np.complex128)
-        if images.shape != (self.algebra.dim, self.space_dim, self.space_dim):
-            raise ShapeMismatchError(f"cp-map images shape {images.shape}")
-        object.__setattr__(self, "images", images)
-
-    def apply(self, coords: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(coords), self.images, axes=(0, 0))
-
-    @cached_property
-    def choi_report(self) -> cstar.ChoiReport:
-        """``cstar.choi_blocks`` of this map, computed once.
-
-        The CP test of ``check_module_cp`` and the GNS factor of
-        ``stinespring.gns_construct`` both read these per-block matrices.
-        """
-        return cstar.choi_blocks(self.algebra, self.images)
-
-    def hermiticity_residual(self) -> float:
-        starred = self.images[cstar.star_permutation(self.algebra)]  # phi(E_k*)
-        adjoints = np.conj(np.transpose(self.images, (0, 2, 1)))
-        return nk.maxabs(starred - adjoints)
-
-
-@dataclass(frozen=True)
 class ModuleCPMap:
-    """CP map on a module together with its companion on the algebra."""
+    """CP map on a module together with its companion on the algebra, or a representation."""
 
     module: hilbmod.HilbertModule
     images: np.ndarray  # (m, dim K, dim H)
@@ -184,8 +155,38 @@ def check_module_cp(phi: ModuleCPMap) -> ModuleCPReport:
     return ModuleCPReport(residual, companion.hermiticity_residual(), choi.min_eig, choi.cp)
 
 
+def concrete_representation(p: int, n: int) -> ModuleCPMap:
+    """The defining representation of the standard module: x acts as itself."""
+    module = hilbmod.standard_module(p, n)
+    companion = cstar.embedding_representation(module.algebra)  # M_n acting on C^n
+    return ModuleCPMap(module, hilbmod.standard_basis_matrices(p, n), companion)
+
+
+class ModuleRepresentationReport(NamedTuple):
+    identity_residual: float  # pi(x)* pi(y) = pi_A(<x,y>)
+    range_rank: int  # rank of [pi(X) H]
+    range_required: int  # dim K
+    corange_rank: int  # rank of [pi(X)* K]
+    corange_required: int  # dim H
+
+    @property
+    def nondegenerate(self) -> bool:
+        return (
+            self.range_rank == self.range_required
+            and self.corange_rank == self.corange_required
+        )
+
+
+def check_module_representation(rep: ModuleCPMap) -> ModuleRepresentationReport:
+    images = rep.images
+    dim_h, dim_k = rep.space_dims
+    residual = hilbmod.identity_defect(images, rep.module, rep.companion.images)
+    ranged, coranged = hilbmod.density_ranks(images)
+    return ModuleRepresentationReport(residual, ranged.rank, dim_k, coranged.rank, dim_h)
+
+
 def cp_from_representation(
-    rep: hilbmod.ModuleRepresentation,
+    rep: ModuleCPMap,
     v: np.ndarray,
     w: np.ndarray,
 ) -> ModuleCPMap:
@@ -237,7 +238,7 @@ def check_covariance(
 
 
 def covariant_cp_from_representation(
-    rep: hilbmod.ModuleRepresentation,
+    rep: ModuleCPMap,
     rep_v: hilbmod.UnitaryRep,
     rep_w: hilbmod.UnitaryRep,
     v: np.ndarray,
@@ -307,7 +308,7 @@ def polar_coisometry(y: np.ndarray) -> np.ndarray:
 class CovariantWitness:
     """The representation and intertwiners behind a generated covariant map."""
 
-    rep: hilbmod.ModuleRepresentation
+    rep: ModuleCPMap
     v: hilbmod.UnitaryRep
     w: hilbmod.UnitaryRep
     V: np.ndarray
@@ -316,7 +317,7 @@ class CovariantWitness:
 
 def amplified_concrete_representation(
     module: hilbmod.HilbertModule, amplification: int
-) -> hilbmod.ModuleRepresentation:
+) -> ModuleCPMap:
     """Concrete representation of ``module``, a standard p x n module, tensored
     with C^amplification."""
     n = module.algebra.blocks[0]
@@ -326,8 +327,8 @@ def amplified_concrete_representation(
     companion_images = nk.kron_stack(
         cstar.embedding_representation(module.algebra).images, ident
     )
-    companion = cstar.AlgebraRepresentation(module.algebra, n * amplification, companion_images)
-    return hilbmod.ModuleRepresentation(module, companion, images)
+    companion = CPMapAlgebra(module.algebra, n * amplification, companion_images)
+    return ModuleCPMap(module, images, companion)
 
 
 def random_covariant_cp(

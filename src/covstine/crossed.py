@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import cstar, hilbmod, stinespring
+from . import cpmaps, cstar, hilbmod, stinespring
 from . import numkernel as nk
 from .cpmaps import CovariantCPMap, check_covariance  # noqa: F401 (importable from here)
 from .errors import NotActionError, NotCovariantError, NotCovariantRepError, ShapeMismatchError
@@ -418,7 +418,7 @@ class IntegralFormReport(NamedTuple):
 
 def integral_form(
     sys: hilbmod.ModuleDynamicalSystem,
-    rep: hilbmod.ModuleRepresentation,
+    rep: cpmaps.ModuleCPMap,
     v: hilbmod.UnitaryRep,
     w: hilbmod.UnitaryRep,
 ) -> tuple[IntegralForm, IntegralFormReport]:
@@ -432,7 +432,7 @@ def integral_form(
     if v.dim != dim_h or w.dim != dim_k:
         raise ShapeMismatchError("group representations do not match (H, K)")
 
-    rep_report = hilbmod.check_module_representation(rep)
+    rep_report = cpmaps.check_module_representation(rep)
     covariance = hilbmod.covariance_defect(sys.eta, rep.images, w.mats, v.mats)
     v_rep = hilbmod.check_unitary_rep(v)
     w_rep = hilbmod.check_unitary_rep(w)

@@ -3,13 +3,14 @@
 An algebra is described by its block sizes ``[n_1, ..., n_k]``.  Elements
 live either as per-block matrices (``AlgebraElement``) or as coordinate
 vectors over the canonical matrix-unit basis; the basis is enumerated block
-by block, row-major, with labels ``"b:i:j"``.
+by block, row-major, with labels ``"b:i:j"``.  A map ``A -> L(H)`` is a
+``CPMapAlgebra``, a *-representation too: it is a CP map (``check_representation``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -213,12 +214,12 @@ def element_positive(a: AlgebraElement) -> nk.PsdReport:
 
 
 @dataclass(frozen=True)
-class AlgebraRepresentation:
-    """Linear map into L(H) stored on the matrix-unit basis."""
+class CPMapAlgebra:
+    """Linear map A -> L(H) on the matrix-unit basis, expected CP, as a *-representation is."""
 
     algebra: CStarAlgebra
     space_dim: int
-    images: np.ndarray  # shape (N, space_dim, space_dim)
+    images: np.ndarray  # (N, space_dim, space_dim)
 
     def __post_init__(self):
         images = np.asarray(self.images, dtype=np.complex128)
@@ -232,13 +233,27 @@ class AlgebraRepresentation:
     def apply(self, coords: np.ndarray) -> np.ndarray:
         return np.tensordot(np.asarray(coords), self.images, axes=(0, 0))
 
+    @cached_property
+    def choi_report(self) -> ChoiReport:
+        """``choi_blocks`` of this map, computed once.
 
-def embedding_representation(algebra: CStarAlgebra) -> AlgebraRepresentation:
+        The CP test of ``cpmaps.check_module_cp`` and the GNS factor of
+        ``stinespring.gns_construct`` both read these per-block matrices.
+        """
+        return choi_blocks(self.algebra, self.images)
+
+    def hermiticity_residual(self) -> float:
+        starred = self.images[star_permutation(self.algebra)]  # phi(E_k*)
+        adjoints = np.conj(np.transpose(self.images, (0, 2, 1)))
+        return nk.maxabs(starred - adjoints)
+
+
+def embedding_representation(algebra: CStarAlgebra) -> CPMapAlgebra:
     """The faithful representation on C^E by block-diagonal matrices."""
     total = algebra.embed_dim
     images = np.zeros((algebra.dim, total, total), dtype=np.complex128)
     images[(np.arange(algebra.dim), *embedding_index(algebra))] = 1.0
-    return AlgebraRepresentation(algebra, total, images)
+    return CPMapAlgebra(algebra, total, images)
 
 
 class RepresentationReport(NamedTuple):
@@ -253,7 +268,7 @@ class RepresentationReport(NamedTuple):
         return max(self.mult_residual, self.star_residual)
 
 
-def check_representation(rep: AlgebraRepresentation) -> RepresentationReport:
+def check_representation(rep: CPMapAlgebra) -> RepresentationReport:
     """Residuals of multiplicativity, star-preservation and the unit image.
 
     The unit image is either close to the identity (``unital``) or it is

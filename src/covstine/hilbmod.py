@@ -6,6 +6,7 @@ chosen basis, ``action[i, k, :]`` the X-coordinates of ``x_i . E_k`` and
 the first slot), and held by their nonzeros.  Groups come as explicit
 multiplication tables; actions on modules are invertible matrices per group
 element together with the induced *-automorphisms of the coefficient algebra.
+Maps on a module, representations among them, are ``cpmaps.ModuleCPMap``s.
 """
 
 from __future__ import annotations
@@ -370,55 +371,6 @@ def _linearity_defect(module: HilbertModule, magnitudes: np.ndarray) -> float:
     return float(max(worst, nk.stack_max(n_dim, depth * count, defects)))
 
 
-@dataclass(frozen=True)
-class ModuleRepresentation:
-    """Map X -> L(H, K) with a companion *-representation of A on H."""
-
-    module: HilbertModule
-    companion: cstar.AlgebraRepresentation
-    images: np.ndarray  # (m, dim K, dim H)
-
-    def __post_init__(self):
-        images = np.asarray(self.images, dtype=np.complex128)
-        if images.ndim != 3 or images.shape[0] != self.module.dim:
-            raise ShapeMismatchError(f"module images shape {images.shape}")
-        if images.shape[2] != self.companion.space_dim:
-            raise ShapeMismatchError(
-                f"images act on H of dim {images.shape[2]}, companion on "
-                f"{self.companion.space_dim}"
-            )
-        object.__setattr__(self, "images", images)
-
-    @property
-    def space_dims(self) -> tuple[int, int]:
-        return self.images.shape[2], self.images.shape[1]  # (dim H, dim K)
-
-    def apply(self, xi: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(xi), self.images, axes=(0, 0))
-
-
-def concrete_representation(p: int, n: int) -> ModuleRepresentation:
-    """The defining representation of the standard module: x acts as itself."""
-    module = standard_module(p, n)
-    companion = cstar.embedding_representation(module.algebra)  # M_n acting on C^n
-    return ModuleRepresentation(module, companion, standard_basis_matrices(p, n))
-
-
-class ModuleRepresentationReport(NamedTuple):
-    identity_residual: float  # pi(x)* pi(y) = pi_A(<x,y>)
-    range_rank: int  # rank of [pi(X) H]
-    range_required: int  # dim K
-    corange_rank: int  # rank of [pi(X)* K]
-    corange_required: int  # dim H
-
-    @property
-    def nondegenerate(self) -> bool:
-        return (
-            self.range_rank == self.range_required
-            and self.corange_rank == self.corange_required
-        )
-
-
 def range_stack(images, v=None) -> np.ndarray:
     """The column stack spanning ``[pi(X) V H]``, ``images`` one map ``(dim K', dim H')``
     per module basis vector and ``v: H -> H'`` defaulting to the identity."""
@@ -452,14 +404,6 @@ def identity_defect(images: np.ndarray, module: HilbertModule, companion: np.nda
     return nk.pair_defect(
         np.conj(images).transpose(0, 2, 1), images, companion, module.inner_targets
     )
-
-
-def check_module_representation(rep: ModuleRepresentation) -> ModuleRepresentationReport:
-    images = rep.images
-    dim_h, dim_k = rep.space_dims
-    residual = identity_defect(images, rep.module, rep.companion.images)
-    ranged, coranged = density_ranks(images)
-    return ModuleRepresentationReport(residual, ranged.rank, dim_k, coranged.rank, dim_h)
 
 
 # ---------------------------------------------------------------------------

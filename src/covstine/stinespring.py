@@ -73,13 +73,13 @@ class GnsTriple:
         return np.where(at < kept[:, None], (kept.cumsum() - kept)[:, None] + at, self.dim)
 
     @cached_property
-    def rep(self) -> cstar.AlgebraRepresentation:
+    def rep(self) -> CPMapAlgebra:
         algebra = self.cp_map.algebra
         rows, cols = self.row_cols[cstar.embedding_index(algebra)]  # (N, width) each
         images = np.zeros((algebra.dim, self.dim + 1, self.dim + 1), dtype=np.complex128)
         units = np.arange(algebra.dim)[:, None, None]
         images[units, rows[:, :, None], cols[:, None, :]] = self.M[_unit_blocks(algebra)]
-        return cstar.AlgebraRepresentation(algebra, self.dim, images[:, :-1, :-1].copy())
+        return CPMapAlgebra(algebra, self.dim, images[:, :-1, :-1].copy())
 
 
 def _unit_blocks(algebra: cstar.CStarAlgebra) -> np.ndarray:
@@ -683,14 +683,11 @@ def uniqueness_intertwiners(
     if w_defect > tol:
         raise NotCoisometryError(f"competing W is not a coisometry ({w_defect:.3e})")
 
-    s_cols_alt = hilbmod.range_stack(alt_images, alt_v)
-    corange_stack = hilbmod.range_stack(np.conj(alt_images).transpose(0, 2, 1), alt_w)
-    range_rank = nk.numerical_rank(s_cols_alt).rank
-    corange_rank = nk.numerical_rank(corange_stack).rank
-    if range_rank != alt_k or corange_rank != alt_h:
+    ranged, coranged = hilbmod.density_ranks(alt_images, alt_v, alt_w)
+    if ranged.rank != alt_k or coranged.rank != alt_h:
         raise NotMinimalError(
-            f"competing dilation is not minimal: range rank {range_rank}/{alt_k}, "
-            f"corange rank {corange_rank}/{alt_h}"
+            f"competing dilation is not minimal: range rank {ranged.rank}/{alt_k}, "
+            f"corange rank {coranged.rank}/{alt_h}"
         )
 
     # companion representation of the competing images, via fullness
@@ -704,6 +701,7 @@ def uniqueness_intertwiners(
     m_cols_alt = hilbmod.range_stack(alt_companion, alt_v)
     u1 = nk.least_squares_solve(m_cols.T, m_cols_alt.T).T
     s_cols = hilbmod.range_stack(base.images, gns.V)
+    s_cols_alt = hilbmod.range_stack(alt_images, alt_v)
     u2 = nk.least_squares_solve(s_cols.T, s_cols_alt.T).T
 
     def _unitarity(u: np.ndarray) -> float:

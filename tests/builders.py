@@ -39,7 +39,7 @@ def algebra_to_json(algebra: cstar.CStarAlgebra) -> dict:
     return {"blocks": list(algebra.blocks)}
 
 
-def representation_to_json(rep: cstar.AlgebraRepresentation) -> dict:
+def representation_to_json(rep: cstar.CPMapAlgebra) -> dict:
     labels = rep.algebra.basis_labels()
     return {
         "space_dim": rep.space_dim,

@@ -309,7 +309,7 @@ def test_criterion_9_degenerate_edges():
         group, hilbmod.trivial_rep(group, 1), hilbmod.trivial_rep(group, 1)
     )
     phi1 = cpmaps.cp_from_representation(
-        hilbmod.concrete_representation(1, 1), nk.eye(1), nk.eye(1)
+        cpmaps.concrete_representation(1, 1), nk.eye(1), nk.eye(1)
     )
     cov1 = cpmaps.CovariantCPMap(
         phi1, sys1, hilbmod.trivial_rep(group, 1), hilbmod.trivial_rep(group, 1)

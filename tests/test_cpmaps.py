@@ -1,7 +1,12 @@
+import dataclasses
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
 import builders
+import covstine
 from covstine import cpmaps, cstar, hilbmod
 from covstine import numkernel as nk
 from covstine.errors import (
@@ -22,7 +27,7 @@ def z2_diag_system():
 
 
 def concrete_cp(p, n):
-    rep = hilbmod.concrete_representation(p, n)
+    rep = cpmaps.concrete_representation(p, n)
     return cpmaps.cp_from_representation(rep, nk.eye(n), nk.eye(p))
 
 
@@ -104,15 +109,44 @@ class TestCheckModuleCp:
         assert report.choi_min_eig == pytest.approx(-1.0)
 
 
+def _record_types():
+    """``(module.name, field names)`` of each dataclass and NamedTuple a covstine module defines."""
+    for info in pkgutil.iter_modules(covstine.__path__):
+        module = importlib.import_module(f"covstine.{info.name}")
+        for name, obj in vars(module).items():
+            if not isinstance(obj, type) or obj.__module__ != module.__name__:
+                continue
+            if dataclasses.is_dataclass(obj):
+                yield f"{info.name}.{name}", frozenset(f.name for f in dataclasses.fields(obj))
+            elif issubclass(obj, tuple) and hasattr(obj, "_fields"):
+                yield f"{info.name}.{name}", frozenset(obj._fields)
+
+
+def test_no_two_record_types_share_their_fields():
+    """One type per kind of object: a *-representation is held as the CP map it is."""
+    by_fields = {}
+    for name, fields in _record_types():
+        by_fields.setdefault(fields, []).append(name)
+    assert len(by_fields) > 20
+    assert [names for names in by_fields.values() if len(names) > 1] == []
+
+
+@pytest.mark.parametrize("p, n", [(1, 1), (2, 3), (3, 2)])
+def test_concrete_representation_is_a_module_cp_map(p, n):
+    report = cpmaps.concrete_representation(p, n).cp_report
+    assert report.identity_residual == 0.0
+    assert report.cp
+
+
 class TestCpFromRepresentation:
     def test_identity_compression(self):
-        rep = hilbmod.concrete_representation(2, 1)
+        rep = cpmaps.concrete_representation(2, 1)
         phi = cpmaps.cp_from_representation(rep, nk.eye(1), nk.eye(2))
         np.testing.assert_allclose(phi.images, rep.images)
         assert cpmaps.check_module_cp(phi).max_residual <= 1e-12
 
     def test_zero_v(self):
-        rep = hilbmod.concrete_representation(2, 1)
+        rep = cpmaps.concrete_representation(2, 1)
         phi = cpmaps.cp_from_representation(rep, np.zeros((1, 1)), nk.eye(2))
         assert nk.maxabs(phi.images) == 0
 
@@ -127,7 +161,7 @@ class TestCpFromRepresentation:
         assert report.cp
 
     def test_rejects_non_coisometry(self):
-        rep = hilbmod.concrete_representation(2, 1)
+        rep = cpmaps.concrete_representation(2, 1)
         with pytest.raises(NotCoisometryError):
             cpmaps.cp_from_representation(rep, nk.eye(1), 2 * nk.eye(2))
 
@@ -146,7 +180,7 @@ class TestCovariance:
 
     def test_standard_compression_is_covariant(self):
         sys = z2_diag_system()
-        rep = hilbmod.concrete_representation(1, 2)
+        rep = cpmaps.concrete_representation(1, 2)
         cov = cpmaps.covariant_cp_from_representation(
             rep, sys.delta, sys.gamma, nk.eye(2), nk.eye(1), sys.delta, sys.gamma, sys
         )
@@ -163,7 +197,7 @@ class TestCovariance:
 
     def test_non_intertwining_rejected(self):
         sys = z2_diag_system()
-        rep = hilbmod.concrete_representation(1, 2)
+        rep = cpmaps.concrete_representation(1, 2)
         with pytest.raises(NotIntertwiningError, match="t=1"):
             cpmaps.covariant_cp_from_representation(
                 rep,

@@ -132,7 +132,7 @@ class TestCrossedModule:
         # <zhat, zhat> maps to a PSD operator under the faithful integral form
         sys = z2_diag_system()
         cm = crossed.build_crossed_module(sys)
-        rep = hilbmod.concrete_representation(1, 2)
+        rep = cpmaps.concrete_representation(1, 2)
         form, _ = crossed.integral_form(sys, rep, sys.delta, sys.gamma)
         rng = np.random.default_rng(3)
         for _ in range(8):
@@ -147,7 +147,7 @@ class TestIntegralForm:
         sys = hilbmod.standard_action(
             group, hilbmod.trivial_rep(group, 1), hilbmod.trivial_rep(group, 2)
         )
-        rep = hilbmod.concrete_representation(1, 2)
+        rep = cpmaps.concrete_representation(1, 2)
         form, report = crossed.integral_form(
             sys, rep, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 1)
         )
@@ -157,7 +157,7 @@ class TestIntegralForm:
 
     def test_z2_concrete_identity_and_nondegeneracy(self):
         sys = z2_diag_system()
-        rep = hilbmod.concrete_representation(1, 2)
+        rep = cpmaps.concrete_representation(1, 2)
         form, report = crossed.integral_form(sys, rep, sys.delta, sys.gamma)
         assert report.identity_residual <= 1e-10
         assert report.nondegenerate
@@ -171,8 +171,8 @@ class TestIntegralForm:
     def test_degenerate_input_skips_conclusion(self):
         sys = z2_diag_system()
         module = sys.module
-        companion = cstar.AlgebraRepresentation(module.algebra, 2, np.zeros((4, 2, 2)))
-        zero_rep = hilbmod.ModuleRepresentation(module, companion, np.zeros((2, 1, 2)))
+        companion = cstar.CPMapAlgebra(module.algebra, 2, np.zeros((4, 2, 2)))
+        zero_rep = cpmaps.ModuleCPMap(module, np.zeros((2, 1, 2)), companion)
         form, report = crossed.integral_form(
             sys, zero_rep, hilbmod.trivial_rep(sys.group, 2), hilbmod.trivial_rep(sys.group, 1)
         )
@@ -184,7 +184,7 @@ class TestIntegralForm:
     def test_companion_is_the_algebra_integral_form(self):
         # the companion of (pi_X x v) equals (pi_A x v) built independently
         sys = z2_diag_system()
-        rep = hilbmod.concrete_representation(1, 2)
+        rep = cpmaps.concrete_representation(1, 2)
         form, _ = crossed.integral_form(sys, rep, sys.delta, sys.gamma)
         group, algebra = sys.group, sys.module.algebra
         for t in range(group.order):
@@ -196,7 +196,7 @@ class TestIntegralForm:
 
     def test_rejects_non_covariant_representation(self):
         sys = z2_diag_system()
-        rep = hilbmod.concrete_representation(1, 2)
+        rep = cpmaps.concrete_representation(1, 2)
         with pytest.raises(NotCovariantRepError):
             crossed.integral_form(
                 sys, rep, hilbmod.trivial_rep(sys.group, 2), hilbmod.trivial_rep(sys.group, 1)
@@ -209,7 +209,7 @@ class TestInducedCp:
         sys = hilbmod.standard_action(
             group, hilbmod.trivial_rep(group, 1), hilbmod.trivial_rep(group, 2)
         )
-        rep = hilbmod.concrete_representation(1, 2)
+        rep = cpmaps.concrete_representation(1, 2)
         phi = cpmaps.cp_from_representation(rep, nk.eye(2), nk.eye(1))
         cov = cpmaps.CovariantCPMap(
             phi, sys, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 1)
@@ -223,7 +223,7 @@ class TestInducedCp:
         # xhat -> xhat(e) - xhat(1)
         sys = trivial_scalar_system(2)
         sign = builders.cyclic_character_rep(sys.group, 1)
-        rep = hilbmod.concrete_representation(1, 1)
+        rep = cpmaps.concrete_representation(1, 1)
         phi = cpmaps.cp_from_representation(rep, nk.eye(1), nk.eye(1))
         cov = cpmaps.CovariantCPMap(phi, sys, sign, sign)
         induced = crossed.induced_cp(cov)
@@ -265,7 +265,7 @@ class TestIntegralStinespring:
         sys = hilbmod.standard_action(
             group, hilbmod.trivial_rep(group, 1), hilbmod.trivial_rep(group, 2)
         )
-        rep = hilbmod.concrete_representation(1, 2)
+        rep = cpmaps.concrete_representation(1, 2)
         phi = cpmaps.cp_from_representation(rep, nk.eye(2), nk.eye(1))
         cov = cpmaps.CovariantCPMap(
             phi, sys, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 1)
@@ -278,7 +278,7 @@ class TestIntegralStinespring:
     def test_z2_concrete_ranks_match(self):
         sys = z2_diag_system()
         phi = cpmaps.cp_from_representation(
-            hilbmod.concrete_representation(1, 2), nk.eye(2), nk.eye(1)
+            cpmaps.concrete_representation(1, 2), nk.eye(2), nk.eye(1)
         )
         cov = cpmaps.CovariantCPMap(phi, sys, sys.delta, sys.gamma)
         dilation = st.dilate_covariant(cov)

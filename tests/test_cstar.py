@@ -104,7 +104,7 @@ class TestRepresentations:
         images = np.stack(
             [cstar.coords_to_blocks(algebra, np.eye(4)[k])[0] for k in range(4)]
         )
-        rep = cstar.AlgebraRepresentation(algebra, 2, images)
+        rep = cstar.CPMapAlgebra(algebra, 2, images)
         report = cstar.check_representation(rep)
         assert report.max_residual == 0
         assert report.unital
@@ -117,7 +117,7 @@ class TestRepresentations:
                 for k in range(4)
             ]
         )
-        report = cstar.check_representation(cstar.AlgebraRepresentation(algebra, 4, images))
+        report = cstar.check_representation(cstar.CPMapAlgebra(algebra, 4, images))
         assert report.max_residual == 0
         assert report.unital
 
@@ -126,7 +126,7 @@ class TestRepresentations:
         images = np.stack(
             [cstar.coords_to_blocks(algebra, np.eye(4)[k])[0].T for k in range(4)]
         )
-        report = cstar.check_representation(cstar.AlgebraRepresentation(algebra, 2, images))
+        report = cstar.check_representation(cstar.CPMapAlgebra(algebra, 2, images))
         # transpose(e12 e21) differs from transpose(e12) transpose(e21)
         assert report.mult_residual > 0.5
 
@@ -139,7 +139,7 @@ class TestRepresentations:
 
     def test_zero_map_is_proper_projection(self):
         algebra = cstar.CStarAlgebra((2,))
-        rep = cstar.AlgebraRepresentation(algebra, 2, np.zeros((4, 2, 2)))
+        rep = cstar.CPMapAlgebra(algebra, 2, np.zeros((4, 2, 2)))
         report = cstar.check_representation(rep)
         assert not report.unital
         assert report.unit_projection_defect == 0

@@ -27,8 +27,8 @@ RANKS = ["gns_minimality", "range_density", "corange_density"]
 def _through(module, images, companion, h, seed):
     """The map ``W* pi(x) V`` of a representation of ``module``, V a complex normal
     (E, h) and W the identity."""
-    rep = hilbmod.ModuleRepresentation(
-        module, cstar.AlgebraRepresentation(module.algebra, len(companion[0]), companion), images
+    rep = cpmaps.ModuleCPMap(
+        module, images, cstar.CPMapAlgebra(module.algebra, len(companion[0]), companion)
     )
     v = nk.complex_normal(np.random.default_rng(seed), len(companion[0]), h)
     return cpmaps.cp_from_representation(rep, v, nk.eye(images.shape[1]))

@@ -76,7 +76,7 @@ def _scenario(name, dim_h=3):
         module, eta, alpha = sys.module, sys.eta, sys.alpha
         images = hilbmod.standard_basis_matrices(2, 2)
     companion = cstar.embedding_representation(module.algebra)
-    rep = hilbmod.ModuleRepresentation(module, companion, images)
+    rep = cpmaps.ModuleCPMap(module, images, companion)
     phi = cpmaps.cp_from_representation(
         rep, nk.complex_normal(rng, rep.space_dims[0], dim_h), nk.eye(rep.space_dims[1])
     )
@@ -180,7 +180,7 @@ def test_induced_companion_never_holds_the_pair_target(dim_h):
     and the identity check run in chunks under the one size rule, so the whole
     call peaks below one target (the lstsq form peaked at 3.6 targets)."""
     rng = np.random.default_rng(0)
-    rep = hilbmod.concrete_representation(4, 4)
+    rep = cpmaps.concrete_representation(4, 4)
     phi = cpmaps.cp_from_representation(rep, nk.complex_normal(rng, 4, dim_h), nk.eye(4))
     module = hilbmod.standard_module(4, 4)
     tracemalloc.start()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import builders
-from covstine import cli, cstar, hilbmod
+from covstine import cli, cpmaps, cstar, hilbmod
 from covstine import numkernel as nk
 from covstine.errors import GroupMismatchError, InconsistentError, NotFullError
 
@@ -66,27 +66,27 @@ class TestStandardModule:
 
 class TestModuleRepresentations:
     def test_concrete_is_nondegenerate(self):
-        rep = hilbmod.concrete_representation(2, 3)
-        report = hilbmod.check_module_representation(rep)
+        rep = cpmaps.concrete_representation(2, 3)
+        report = cpmaps.check_module_representation(rep)
         assert report.identity_residual == 0
         assert report.nondegenerate
 
     def test_zero_representation_is_degenerate(self):
         module = hilbmod.standard_module(1, 2)
-        companion = cstar.AlgebraRepresentation(module.algebra, 2, np.zeros((4, 2, 2)))
-        rep = hilbmod.ModuleRepresentation(module, companion, np.zeros((2, 1, 2)))
-        report = hilbmod.check_module_representation(rep)
+        companion = cstar.CPMapAlgebra(module.algebra, 2, np.zeros((4, 2, 2)))
+        rep = cpmaps.ModuleCPMap(module, np.zeros((2, 1, 2)), companion)
+        report = cpmaps.check_module_representation(rep)
         assert report.identity_residual == 0
         assert report.range_rank == 0 and report.corange_rank == 0
         assert not report.nondegenerate
 
     def test_padded_codomain_is_degenerate(self):
         # x acting as x (+) 0 into K (+) C misses the extra codomain direction
-        base = hilbmod.concrete_representation(1, 2)
+        base = cpmaps.concrete_representation(1, 2)
         padded = np.zeros((2, 2, 2), dtype=complex)
         padded[:, :1, :] = base.images
-        rep = hilbmod.ModuleRepresentation(base.module, base.companion, padded)
-        report = hilbmod.check_module_representation(rep)
+        rep = cpmaps.ModuleCPMap(base.module, padded, base.companion)
+        report = cpmaps.check_module_representation(rep)
         assert report.identity_residual == 0
         assert report.range_rank == 1
         assert report.range_required == 2
@@ -95,7 +95,7 @@ class TestModuleRepresentations:
     @pytest.mark.parametrize("p,n", [(1, 2), (2, 2), (3, 1)])
     def test_companion_acts_on_the_corange(self, p, n):
         # the span of pi(X)* K is already invariant under the companion
-        rep = hilbmod.concrete_representation(p, n)
+        rep = cpmaps.concrete_representation(p, n)
         dim_h, dim_k = rep.space_dims
         corange = np.conj(rep.images.transpose(2, 0, 1)).reshape(dim_h, -1)
         pushed = np.einsum("kab,bc->kac", rep.companion.images, corange)

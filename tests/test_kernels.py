@@ -501,7 +501,7 @@ def test_pair_defect_never_copies_the_left_stack_whole(monkeypatch):
 def _represented(kind):
     """``(module, images, companion)`` with ``images[i]* images[j] = companion(<x_i, x_j>)``."""
     if kind.startswith("standard"):
-        rep = hilbmod.concrete_representation(3, 2)
+        rep = cpmaps.concrete_representation(3, 2)
         return rep.module, rep.images, rep.companion.images
     if kind.startswith("dilation"):
         phi, _ = cpmaps.random_module_cp(2, 3, 2, seed=5)
@@ -623,7 +623,7 @@ def _representations():
     embedded = [cstar.embedding_representation(cstar.CStarAlgebra(b)) for b in [(3,), (2, 1)]]
     algebra = cstar.CStarAlgebra((2, 1))
     rng = np.random.default_rng(2)
-    noise = cstar.AlgebraRepresentation(algebra, 4, _sparse(rng, (algebra.dim, 4, 4), 0.6))
+    noise = cstar.CPMapAlgebra(algebra, 4, _sparse(rng, (algebra.dim, 4, 4), 0.6))
     return [gns, *embedded, noise]
 
 
@@ -633,7 +633,7 @@ def test_multiplicativity_matches_the_per_unit_loop(index, eps):
     rep = _representations()[index]
     if eps:
         images = _plant_at_zero(rep.images, eps, np.random.default_rng(index))
-        rep = cstar.AlgebraRepresentation(rep.algebra, rep.space_dim, images)
+        rep = cstar.CPMapAlgebra(rep.algebra, rep.space_dim, images)
     reference = dense_reference.multiplicativity_defect(rep)
     residual = cstar.check_representation(rep).mult_residual * max(1.0, nk.maxabs(rep.images))
     if reference < 1e-12:
@@ -650,7 +650,7 @@ def test_multiplicativity_sees_a_target_on_a_row_dead_in_the_left_image():
     rep = cstar.embedding_representation(cstar.CStarAlgebra((2,)))
     images = rep.images.copy()
     images[1, 1, 1] += 1e-2
-    rep = cstar.AlgebraRepresentation(rep.algebra, rep.space_dim, images)
+    rep = cstar.CPMapAlgebra(rep.algebra, rep.space_dim, images)
     reference = dense_reference.multiplicativity_defect(rep)
     assert reference >= 1e-2
     residual = cstar.check_representation(rep).mult_residual * max(1.0, nk.maxabs(rep.images))
@@ -664,7 +664,7 @@ def test_multiplicativity_sees_a_product_on_a_pair_without_target():
     rep = cstar.embedding_representation(algebra)
     images = rep.images.copy()
     images[4, 0, 2] += 1e-2
-    rep = cstar.AlgebraRepresentation(algebra, rep.space_dim, images)
+    rep = cstar.CPMapAlgebra(algebra, rep.space_dim, images)
     assert cstar.product_index(algebra)[0, 4] == algebra.dim
     reference = dense_reference.multiplicativity_defect(rep)
     assert reference >= 1e-2
@@ -919,7 +919,7 @@ def test_star_residual_in_chunks_of_k_matches_the_whole_stack(entries, monkeypat
     rep = _representations()[0]
     images = rep.images.copy()
     images[3, 1, 2] += 1e-3
-    rep = cstar.AlgebraRepresentation(rep.algebra, rep.space_dim, images)
+    rep = cstar.CPMapAlgebra(rep.algebra, rep.space_dim, images)
     star = cstar.star_permutation(rep.algebra)
     whole = nk.maxabs(images[star] - np.conj(images).transpose(0, 2, 1))
     monkeypatch.setattr(nk, "STACK_ENTRIES", entries)

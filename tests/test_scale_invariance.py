@@ -38,7 +38,7 @@ def _cp_map(phi, c):
 
 
 def _unit():
-    phi = cpmaps.cp_from_representation(hilbmod.concrete_representation(1, 1), nk.eye(1), nk.eye(1))
+    phi = cpmaps.cp_from_representation(cpmaps.concrete_representation(1, 1), nk.eye(1), nk.eye(1))
     return {"module": {"standard_module": [1, 1]}}, phi
 
 

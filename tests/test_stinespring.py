@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import builders
-from covstine import cpmaps, cstar, hilbmod, stinespring as st
+from covstine import cli, cpmaps, cstar, hilbmod, stinespring as st
 from covstine import numkernel as nk
 from covstine.errors import (
     NotCoisometryError,
@@ -29,7 +31,7 @@ def _verified_through_gram(phi):
 
 
 def concrete_cp(p, n):
-    rep = hilbmod.concrete_representation(p, n)
+    rep = cpmaps.concrete_representation(p, n)
     return cpmaps.cp_from_representation(rep, nk.eye(n), nk.eye(p))
 
 
@@ -101,6 +103,19 @@ class TestGns:
         cert = _verified_through_gram(phi)
         assert cert.residuals["gns_reconstruction"] <= 1e-10
         assert cert.ranks["gns_minimality"] == (8, 8)
+
+    @pytest.mark.parametrize("source", ["generated 2,2,2", "dense_basis_21.json"])
+    def test_rep_is_a_cp_map_and_a_representation(self, source):
+        if source == "generated 2,2,2":
+            companion = cpmaps.random_module_cp(2, 2, 2, seed=7)[0].companion
+        else:
+            path = Path(__file__).resolve().parent / "scenarios" / source
+            companion = cli.resolve_scenario(cli.load_scenario(str(path)), str(path)).phi.companion
+            assert len(companion.algebra.blocks) == 2
+        rep = st.gns_construct(companion).rep
+        assert isinstance(rep, cpmaps.CPMapAlgebra)
+        assert rep.choi_report.cp
+        assert cstar.check_representation(rep).max_residual <= nk.RESIDUAL_TOL
 
     def test_reconstruction_for_seeded_maps(self):
         for seed in range(4):
