@@ -214,7 +214,7 @@ def module_from_json(obj) -> hilbmod.HilbertModule:
             )
         return hilbmod.standard_module(p, n)
     _object(obj, "module payload", ("algebra", "dim", "action", "inner"))
-    return hilbmod.HilbertModule(
+    return hilbmod.HilbertModule.from_tensors(
         algebra_from_json(obj["algebra"]),
         json_int(obj["dim"], "module payload: 'dim'", 1),
         _tensor_from_json(obj["action"], 3, "module payload.action"),

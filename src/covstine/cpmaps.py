@@ -120,7 +120,7 @@ def induced_algebra_cp(
     images = np.asarray(images, dtype=np.complex128)
     if images.ndim != 3 or images.shape[0] != module.dim or images.shape[2] != space_dim:
         raise ShapeMismatchError(f"images shape {images.shape}")
-    solution = hilbmod.fullness_system(module).solve(images)
+    solution = hilbmod.companion_solve(module, images)
     residual = hilbmod.identity_defect(images, module, solution)
     if residual > nk.PRECONDITION_TOL:
         raise InconsistentError(
@@ -232,8 +232,7 @@ def check_covariance(
     """Absolute covariance residuals of a module CP map and of its companion."""
     map_residual = hilbmod.covariance_defect(system.eta, phi.images, u_prime.mats, u.mats)
     comp_residual = hilbmod.covariance_defect(system.alpha, phi.companion.images, u.mats, u.mats)
-    fullness = hilbmod.FullnessSystem(phi.module, phi.module.fullness_factor)
-    condition = fullness.condition if fullness.full else float("inf")
+    condition = phi.module.fullness_condition if phi.module.full else float("inf")
     return CovarianceReport(map_residual, comp_residual, condition)
 
 

@@ -3,9 +3,10 @@
 A module ``X`` over a block algebra ``A`` is given by structure tensors on a
 chosen basis, ``action[i, k, :]`` the X-coordinates of ``x_i . E_k`` and
 ``inner[i, j, :]`` the A-coordinates of ``<x_i, x_j>`` (conjugate-linear in
-the first slot), and held by their nonzeros.  Groups come as explicit
-multiplication tables; actions on modules are invertible matrices per group
-element together with the induced *-automorphisms of the coefficient algebra.
+the first slot), and held by their nonzeros alone; whether it is full is read
+off the module.  Groups come as explicit multiplication tables; actions on
+modules are invertible matrices per group element together with the induced
+*-automorphisms of the coefficient algebra.
 Maps on a module, representations among them, are ``cpmaps.ModuleCPMap``s.
 """
 
@@ -29,16 +30,34 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, init=False, eq=False)
+class ModuleSupport(NamedTuple):
+    """The nonzeros of a module's structure tensors: the data a module is held by.
+    A standard p x n module has m n of each, 512 of 262,144 at 8 x 8."""
+
+    i: np.ndarray  # the nonzero entries inner[i, j, k], in row-major order
+    j: np.ndarray
+    k: np.ndarray
+    values: np.ndarray
+    pairs: np.ndarray  # i m + j for each pair with <x_i, x_j> not 0, ascending
+    row_j: np.ndarray  # the live action rows (j, k), x_j . E_k not 0, row-major
+    row_k: np.ndarray
+    act: tuple[np.ndarray, np.ndarray, np.ndarray]  # (j, k, l) of each nonzero action[j, k, l]
+    act_values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class HilbertModule:
-    """A module held by the nonzeros of its structure tensors (``support``), scanned on
-    first read from the tensors it is given; a module built ``from_support`` scatters
-    ``action`` and ``inner`` on first read, for API use only: no run path reads them."""
+    """A module held by the nonzeros of its structure tensors.  ``action`` and
+    ``inner`` are scattered from them on first read, for API use only: no run
+    path reads them."""
 
     algebra: cstar.CStarAlgebra
     dim: int  # complex dimension m of X
+    support: ModuleSupport
 
-    def __init__(self, algebra: cstar.CStarAlgebra, dim: int, action, inner):
+    @classmethod
+    def from_tensors(cls, algebra: cstar.CStarAlgebra, dim: int, action, inner) -> "HilbertModule":
+        """The module with these structure tensors, shape-checked, held by their nonzeros."""
         m, n_dim = dim, algebra.dim
         action = np.asarray(action, dtype=np.complex128)
         inner = np.asarray(inner, dtype=np.complex128)
@@ -46,13 +65,15 @@ class HilbertModule:
             raise ShapeMismatchError(f"action tensor shape {action.shape}")
         if inner.shape != (m, m, n_dim):
             raise ShapeMismatchError(f"inner tensor shape {inner.shape}")
-        self.__dict__.update(algebra=algebra, dim=dim, action=action, inner=inner)
-
-    @classmethod
-    def from_support(cls, algebra, dim: int, support: "ModuleSupport") -> "HilbertModule":
-        module = cls.__new__(cls)
-        module.__dict__.update(algebra=algebra, dim=dim, support=support)
-        return module
+        i, j, k = inner.nonzero()
+        act = action.nonzero()
+        linked, live = np.zeros((m, m), dtype=bool), np.zeros((m, n_dim), dtype=bool)
+        linked[i, j] = live[act[:2]] = True
+        support = ModuleSupport(
+            i, j, k, inner[i, j, k], linked.reshape(-1).nonzero()[0], *live.nonzero(),
+            act, action[act],
+        )
+        return cls(algebra, dim, support)
 
     @cached_property
     def action(self) -> np.ndarray:  # (m, N, m): coordinates of x_i . E_k
@@ -65,11 +86,6 @@ class HilbertModule:
         inner = np.zeros((self.dim, self.dim, self.algebra.dim), dtype=np.complex128)
         inner[self.support[:3]] = self.support.values
         return inner
-
-    @cached_property
-    def support(self) -> "ModuleSupport":
-        """``module_support`` of a module given by its tensors, scanned once."""
-        return module_support(self)
 
     @cached_property
     def pair_rows(self) -> np.ndarray:
@@ -120,6 +136,17 @@ class HilbertModule:
             gram += nk.adjoint(rows[span]) @ rows[span]
         return nk.gram_factor(gram)
 
+    @property
+    def full(self) -> bool:  # the rows <x_i, x_j> span the algebra
+        return self.fullness_factor.rank == self.algebra.dim
+
+    @property
+    def fullness_condition(self) -> float:
+        """Ratio of the extreme kept singular values of the rows, inf at rank 0."""
+        factor = self.fullness_factor
+        kept = factor.eigenvalues[: factor.rank]
+        return math.sqrt(kept[0] / kept[-1]) if factor.rank else float("inf")
+
 
 def standard_module(p: int, n: int) -> HilbertModule:
     """The p x n complex matrices over M_n, with ``<x, y> = x* y``.
@@ -139,40 +166,12 @@ def standard_module(p: int, n: int) -> HilbertModule:
     support = ModuleSupport(
         row, col, unit, values, row * m + col, row, unit, (row, unit, col), act_values
     )
-    return HilbertModule.from_support(cstar.CStarAlgebra((n,)), m, support)
+    return HilbertModule(cstar.CStarAlgebra((n,)), m, support)
 
 
 def standard_basis_matrices(p: int, n: int) -> np.ndarray:
     """The p x n matrix units in the basis order used by ``standard_module``."""
     return nk.eye(p * n).reshape(p * n, p, n)
-
-
-class ModuleSupport(NamedTuple):
-    """The nonzeros of a module's structure tensors: the data a module is held by.
-    A standard p x n module has m n of each, 512 of 262,144 at 8 x 8."""
-
-    i: np.ndarray  # the nonzero entries inner[i, j, k], in row-major order
-    j: np.ndarray
-    k: np.ndarray
-    values: np.ndarray
-    pairs: np.ndarray  # i m + j for each pair with <x_i, x_j> not 0, ascending
-    row_j: np.ndarray  # the live action rows (j, k), x_j . E_k not 0, row-major
-    row_k: np.ndarray
-    act: tuple[np.ndarray, np.ndarray, np.ndarray]  # (j, k, l) of each nonzero action[j, k, l]
-    act_values: np.ndarray
-
-
-def module_support(module: HilbertModule) -> ModuleSupport:
-    """One pass over each structure tensor: its nonzeros."""
-    m, n_dim = module.dim, module.algebra.dim
-    i, j, k = module.inner.nonzero()
-    act_j, act_k, act_l = module.action.nonzero()
-    linked, live = np.zeros((m, m), dtype=bool), np.zeros((m, n_dim), dtype=bool)
-    linked[i, j] = live[act_j, act_k] = True
-    return ModuleSupport(
-        i, j, k, module.inner[i, j, k], linked.reshape(-1).nonzero()[0], *live.nonzero(),
-        (act_j, act_k, act_l), module.action[act_j, act_k, act_l],
-    )
 
 
 def rows_at(keys, at, cols, values, width) -> np.ndarray:
@@ -191,50 +190,31 @@ def same_structure(first: HilbertModule, second: HilbertModule) -> bool:
     return all(np.array_equal(u, v) for u, v in zip(a, b))
 
 
-class FullnessSystem(NamedTuple):
-    module: HilbertModule  # its rows <x_i, x_j> span <X, X>
-    factor: nk.GramFactor  # of their (N, N) Gram, on which fullness is decided
-
-    @property
-    def full(self) -> bool:  # the rows span the algebra
-        return self.factor.rank == self.module.algebra.dim
-
-    @property
-    def condition(self) -> float:
-        """Ratio of the extreme kept singular values, inf at rank 0."""
-        kept = self.factor.eigenvalues[: self.factor.rank]
-        return math.sqrt(kept[0] / kept[-1]) if self.factor.rank else float("inf")
-
-    def solve(self, images: np.ndarray) -> np.ndarray:
-        """The (N, h, h) least-squares companion ``phi(<x_i, x_j>) = images[i]* images[j]``:
-        one GEMM of ``L L*`` with ``sum_ij conj(<x_i, x_j>) T_ij``, summed over the pairs
-        with ``<x_i, x_j>`` nonzero in chunks of whole pairs, so no (m^2, h^2) target
-        is formed.  The caller gates on ``identity_defect``."""
-        dim_k, dim_h = images.shape[1:]
-        pair_i, pair_j = np.divmod(self.module.support.pairs, self.module.dim)
-        coeffs = np.conj(self.module.pair_rows).T
-        star = np.conj(images).transpose(0, 2, 1)
-        projected = np.zeros((len(coeffs), dim_h * dim_h), dtype=np.complex128)
-        for span in nk.stack_spans(len(pair_i), dim_h * (2 * dim_k + dim_h)):
-            products = star[pair_i[span]] @ images[pair_j[span]]
-            projected += coeffs[:, span] @ products.reshape(len(products), dim_h * dim_h)
-        return self.factor.solve(projected).reshape(len(coeffs), dim_h, dim_h)
-
-
-def fullness_system(module: HilbertModule) -> FullnessSystem:
-    """The inner products of basis pairs as rows spanning ``<X, X>``.
-
-    The factor is the module's cached ``fullness_factor``.  Raises
-    ``NotFullError`` when the rows do not span the coefficient algebra.  A map
-    on a full module's algebra is fixed by its values on ``<X, X>``, solved by
-    one GEMM with ``factor.solve``.
-    """
-    fullness = FullnessSystem(module, module.fullness_factor)
-    if not fullness.full:
+def require_full(module: HilbertModule) -> None:
+    """Raises ``NotFullError`` when ``<X, X>`` does not span the coefficient algebra;
+    a map on a full module's algebra is fixed by its values there (``companion_solve``)."""
+    if not module.full:
         raise NotFullError(
-            f"module is not full: rank {fullness.factor.rank} of {module.algebra.dim}"
+            f"module is not full: rank {module.fullness_factor.rank} of {module.algebra.dim}"
         )
-    return fullness
+
+
+def companion_solve(module: HilbertModule, images: np.ndarray) -> np.ndarray:
+    """The (N, h, h) least-squares companion ``phi(<x_i, x_j>) = images[i]* images[j]``
+    of a full module: one GEMM of ``L L*`` of its ``fullness_factor`` with
+    ``sum_ij conj(<x_i, x_j>) T_ij``, summed over the pairs with ``<x_i, x_j>``
+    nonzero in chunks of whole pairs, so no (m^2, h^2) target is formed.  Raises
+    ``NotFullError`` by ``require_full``; the caller gates on ``identity_defect``."""
+    require_full(module)
+    dim_k, dim_h = images.shape[1:]
+    pair_i, pair_j = np.divmod(module.support.pairs, module.dim)
+    coeffs = np.conj(module.pair_rows).T
+    star = np.conj(images).transpose(0, 2, 1)
+    projected = np.zeros((len(coeffs), dim_h * dim_h), dtype=np.complex128)
+    for span in nk.stack_spans(len(pair_i), dim_h * (2 * dim_k + dim_h)):
+        products = star[pair_i[span]] @ images[pair_j[span]]
+        projected += coeffs[:, span] @ products.reshape(len(products), dim_h * dim_h)
+    return module.fullness_factor.solve(projected).reshape(len(coeffs), dim_h, dim_h)
 
 
 class ModuleAxiomReport(NamedTuple):
@@ -259,7 +239,7 @@ class ModuleAxiomReport(NamedTuple):
 def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
     """Residuals for the Hilbert-module axioms plus fullness of the span.
 
-    Only ``verify`` reads this report; fullness is decided by ``FullnessSystem``.
+    Only ``verify`` reads this report; fullness is decided by ``require_full``.
     Everything is read from ``module.support``.  Linearity
     ``<x_i, x_j . E_k> = <x_i, x_j> E_k`` is compared by ``_linearity_defect`` on
     the grouped inner rows that equivariance reads as well.  Symmetry compares
@@ -279,7 +259,6 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
     i, j, k, values = support.i, support.j, support.k, support.values
     magnitudes = np.abs(values)
     scale = max(1.0, magnitudes.max(initial=0.0))
-    fullness = FullnessSystem(module, module.fullness_factor)
 
     linearity = _linearity_defect(module, magnitudes) / scale
     symmetry = nk.maxabs(np.conj(values) - _mirrored_values(module)) / scale
@@ -303,9 +282,9 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
         psd.min_eig,
         psd.ok,
         trace_rank.rank == m,
-        fullness.factor.rank,
+        module.fullness_factor.rank,
         algebra.dim,
-        fullness.condition,
+        module.fullness_condition,
     )
 
 
@@ -379,20 +358,20 @@ def range_stack(images, v=None) -> np.ndarray:
 
 
 def density_ranks(images, v=None, w=None) -> tuple[nk.RankProfile, nk.RankProfile]:
-    """Rank profiles of the column stacks spanning ``[pi(X) V H]`` (range) and
-    ``[pi(X)* W K]`` (corange), ``w: K -> K'`` defaulting to the identity.  A map
-    is nondegenerate, or a dilation minimal, when both have full row rank.
+    """Rank profiles of the column stacks spanning ``[pi(X) V H]`` (range, freed before
+    the corange is formed) and ``[pi(X)* W K]`` (``corange_rank``).  A map is
+    nondegenerate, or a dilation minimal, when both have full row rank."""
+    return nk.numerical_rank(range_stack(images, v)), corange_rank(images, w)
 
-    The stacks are formed and ranked one at a time, and each rebinding of
-    ``coranged`` frees the step before it, so no more than two copies of the
-    images are alive at once.
-    """
-    ranged = nk.numerical_rank(range_stack(images, v))
+
+def corange_rank(images, w=None) -> nk.RankProfile:
+    """Rank profile of the stack spanning ``[pi(X)* W K]``, ``w: K -> K'`` defaulting to the
+    identity; each rebinding of ``coranged`` frees the step before it (two copies at most)."""
     coranged = np.conj(images).transpose(0, 2, 1)
     if w is not None:
         coranged = coranged @ w
     coranged = range_stack(coranged)
-    return ranged, nk.numerical_rank(coranged)
+    return nk.numerical_rank(coranged)
 
 
 def identity_defect(images: np.ndarray, module: HilbertModule, companion: np.ndarray) -> float:
@@ -880,14 +859,14 @@ def induced_algebra_action(
     if law > nk.PRECONDITION_TOL:
         raise InconsistentError(f"eta violates the group law by {law:.3e}")
 
-    fullness = fullness_system(module)
+    require_full(module)
     # alpha_t^T solves flat @ x = <eta_t x_i, eta_t x_j>, projected by flat* per chunk of t
     rows = nk.adjoint(module.inner.reshape(m * m, n_dim))
     projected = [
         rows @ transported_inner(eta[t], module.inner).reshape(-1, m * m, n_dim)
         for t in nk.stack_spans(g, m * m * n_dim)
     ]
-    alpha = np.swapaxes(fullness.factor.solve(np.concatenate(projected)), 1, 2)
+    alpha = np.swapaxes(module.fullness_factor.solve(np.concatenate(projected)), 1, 2)
     report = check_dynamical_system(ModuleDynamicalSystem(group, module, eta, alpha))
     residual = report.equivariance_residual  # the consistency residual of the system
     if residual > nk.PRECONDITION_TOL:
@@ -899,7 +878,7 @@ def induced_algebra_action(
         raise InconsistentError(
             f"solved maps are not *-automorphisms (residual {auto:.3e})"
         )
-    return InducedAction(alpha, residual, fullness.condition)
+    return InducedAction(alpha, residual, module.fullness_condition)
 
 
 _build_named_groups()

@@ -244,7 +244,7 @@ def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
             f"defining identity fails by {report.identity_residual:.3e}; "
             "the pair (Phi, phi) is inconsistent and cannot descend"
         )
-    hilbmod.fullness_system(module)  # raises NotFullError on a module that is not full
+    hilbmod.require_full(module)
     gns = gns_construct(phi.companion)
 
     dim_h, dim_k = phi.space_dims
@@ -683,7 +683,9 @@ def uniqueness_intertwiners(
     if w_defect > tol:
         raise NotCoisometryError(f"competing W is not a coisometry ({w_defect:.3e})")
 
-    ranged, coranged = hilbmod.density_ranks(alt_images, alt_v, alt_w)
+    coranged = hilbmod.corange_rank(alt_images, alt_w)
+    s_cols_alt = hilbmod.range_stack(alt_images, alt_v)
+    ranged = nk.numerical_rank(s_cols_alt)
     if ranged.rank != alt_k or coranged.rank != alt_h:
         raise NotMinimalError(
             f"competing dilation is not minimal: range rank {ranged.rank}/{alt_k}, "
@@ -691,7 +693,7 @@ def uniqueness_intertwiners(
         )
 
     # companion representation of the competing images, via fullness
-    alt_companion = hilbmod.fullness_system(module).solve(alt_images)
+    alt_companion = hilbmod.companion_solve(module, alt_images)
 
     alt_rebuilt = nk.sandwich(alt_w, alt_images, alt_v)
     alt_recon = nk.maxabs(alt_rebuilt - phi.images)
@@ -701,7 +703,6 @@ def uniqueness_intertwiners(
     m_cols_alt = hilbmod.range_stack(alt_companion, alt_v)
     u1 = nk.least_squares_solve(m_cols.T, m_cols_alt.T).T
     s_cols = hilbmod.range_stack(base.images, gns.V)
-    s_cols_alt = hilbmod.range_stack(alt_images, alt_v)
     u2 = nk.least_squares_solve(s_cols.T, s_cols_alt.T).T
 
     def _unitarity(u: np.ndarray) -> float:

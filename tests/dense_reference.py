@@ -188,7 +188,7 @@ def module_map_through(phi, factor):
     companion of ``Phi``."""
     algebra = phi.algebra
     mul = cstar.mult_tensor(algebra)
-    module = hilbmod.HilbertModule(
+    module = hilbmod.HilbertModule.from_tensors(
         algebra, algebra.dim, mul.copy(), mul[cstar.star_permutation(algebra)].copy()
     )
     images = factor.F.reshape(factor.rank, algebra.dim, phi.space_dim).transpose(1, 0, 2)

@@ -75,7 +75,7 @@ class TestInducedAlgebraCp:
         module = hilbmod.standard_module(1, 2)
         projected = module.inner.copy()
         projected[:, :, [1, 2]] = 0
-        broken = hilbmod.HilbertModule(module.algebra, module.dim, module.action, projected)
+        broken = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, module.action, projected)
         images = hilbmod.standard_basis_matrices(1, 2)
         with pytest.raises(NotFullError, match="rank 2 of 4"):
             cpmaps.induced_algebra_cp(images, broken, 2)

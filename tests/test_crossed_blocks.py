@@ -80,7 +80,7 @@ def conjugation_system(group, blocks, seed):
         ]
     )
     mul = cstar.mult_tensor(algebra)
-    module = hilbmod.HilbertModule(
+    module = hilbmod.HilbertModule.from_tensors(
         algebra, algebra.dim, mul.copy(), mul[cstar.star_permutation(algebra)].copy()
     )
     return hilbmod.ModuleDynamicalSystem(group, module, alpha, alpha)
@@ -236,7 +236,7 @@ def test_module_check_matches_the_dense_check(name, blocks, eps):
     module = sys_.module
     action = module.action.copy()
     action[0, -1, -1] += eps
-    broken = hilbmod.HilbertModule(module.algebra, module.dim, action, module.inner)
+    broken = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, action, module.inner)
     alpha = sys_.alpha.copy()
     alpha[-1, 0, 0] += eps
     calg = crossed.CrossedAlgebra(sys_.group, module.algebra, alpha)
@@ -264,7 +264,7 @@ def _traceless(sys_):
     algebra = module.algebra
     trace, unit = builders.trace_coords(algebra), cstar.unit_coords(algebra)
     inner = module.inner - np.multiply.outer(module.inner @ trace, unit) / algebra.embed_dim
-    planted = hilbmod.HilbertModule(algebra, module.dim, module.action, inner)
+    planted = hilbmod.HilbertModule.from_tensors(algebra, module.dim, module.action, inner)
     return hilbmod.ModuleDynamicalSystem(sys_.group, planted, sys_.eta, sys_.alpha)
 
 

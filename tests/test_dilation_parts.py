@@ -154,15 +154,15 @@ PLAIN_RUNS = [
     (kind, name)
     for name, scenario in _plain_scenarios()
     for kind in ("dilate", "verify")
-    if kind == "dilate" or "generate" not in scenario
+    if kind == "dilate" or ("generate" not in scenario and "system" not in scenario["objects"])
 ]
 
 
 @pytest.mark.parametrize("kind, source", PLAIN_RUNS)
 def test_no_plain_run_builds_a_dense_view(tmp_path, dense_views, kind, source):
     """``dilate`` on every scenario, and ``verify`` on the plain payloads: a generated
-    scenario holds a (trivial) group, so ``verify`` runs its covariant rows, which read
-    the dense views."""
+    scenario holds a (trivial) group, as a payload with a system holds its group, so
+    ``verify`` runs its covariant rows, which read the dense views."""
     scenario = {**dict(_plain_scenarios())[source], "kind": kind}
     path = tmp_path / "scenario.json"
     path.write_bytes(cli.canonical_bytes(scenario))

@@ -29,7 +29,7 @@ def change_basis(module, s):
     inv = np.linalg.inv(s)
     inner = np.einsum("ia,jb,ijk->abk", np.conj(s), s, module.inner)
     action = np.einsum("cl,ikl,ia->akc", inv, module.action, s)
-    return hilbmod.HilbertModule(module.algebra, module.dim, action, inner), inv
+    return hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, action, inner), inv
 
 
 def direct_sum(first, second):
@@ -40,7 +40,7 @@ def direct_sum(first, second):
     action[:m1, :n1, :m1], action[m1:, n1:, m1:] = first.action, second.action
     inner[:m1, :m1, :n1], inner[m1:, m1:, n1:] = first.inner, second.inner
     algebra = cstar.CStarAlgebra(first.algebra.blocks + second.algebra.blocks)
-    return hilbmod.HilbertModule(algebra, m1 + m2, action, inner)
+    return hilbmod.HilbertModule.from_tensors(algebra, m1 + m2, action, inner)
 
 
 def _block_diagonal(first, second):

@@ -48,7 +48,7 @@ class TestStandardModule:
 
     def test_negated_inner_fails_positivity(self):
         module = hilbmod.standard_module(2, 1)
-        broken = hilbmod.HilbertModule(module.algebra, module.dim, module.action, -module.inner)
+        broken = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, module.action, -module.inner)
         report = hilbmod.check_module_axioms(broken)
         assert not report.positive
 
@@ -58,7 +58,7 @@ class TestStandardModule:
         projected = module.inner.copy()
         projected[:, :, 1] = 0
         projected[:, :, 2] = 0
-        broken = hilbmod.HilbertModule(module.algebra, module.dim, module.action, projected)
+        broken = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, module.action, projected)
         report = hilbmod.check_module_axioms(broken)
         assert report.fullness_rank == 2
         assert report.fullness_required == 4
@@ -277,7 +277,7 @@ class TestInducedAction:
         projected = module.inner.copy()
         projected[:, :, 1] = 0
         projected[:, :, 2] = 0
-        broken = hilbmod.HilbertModule(module.algebra, module.dim, module.action, projected)
+        broken = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, module.action, projected)
         group = hilbmod.cyclic_group(2)
         eta = np.stack([np.eye(2)] * 2).astype(complex)
         with pytest.raises(NotFullError):

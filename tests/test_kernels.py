@@ -139,7 +139,7 @@ def test_identity_defect_matches_einsum(m, rows, cols, blocks, seed):
     n_dim = algebra.dim
     images, inner = _random(rng, m, rows, cols), _random(rng, m, m, n_dim)
     companion = _random(rng, n_dim, cols, cols)
-    module = hilbmod.HilbertModule(algebra, m, np.zeros((m, n_dim, m)), inner)
+    module = hilbmod.HilbertModule.from_tensors(algebra, m, np.zeros((m, n_dim, m)), inner)
     lhs = np.einsum("iba,jbc->ijac", np.conj(images), images)
     rhs = np.einsum("ijk,kac->ijac", inner, companion)
     reference = np.max(np.abs(lhs - rhs)) if lhs.size else 0.0
@@ -192,7 +192,7 @@ def _algebra_module(blocks):
     """A block algebra as a right module over itself, ``<a, b> = a* b``."""
     algebra = cstar.CStarAlgebra(blocks)
     mul = cstar.mult_tensor(algebra)
-    return hilbmod.HilbertModule(
+    return hilbmod.HilbertModule.from_tensors(
         algebra, algebra.dim, mul.copy(), mul[cstar.star_permutation(algebra)].copy()
     )
 
@@ -229,7 +229,7 @@ def _on_basis(module, basis):
     inner = np.tensordot(
         np.conj(basis), np.tensordot(basis, module.inner, axes=(0, 1)), axes=(0, 1)
     )
-    return hilbmod.HilbertModule(module.algebra, m, action, inner)
+    return hilbmod.HilbertModule.from_tensors(module.algebra, m, action, inner)
 
 
 def _plant(module, where, eps, rng):
@@ -249,7 +249,7 @@ def _plant(module, where, eps, rng):
             rows = np.flatnonzero(~np.any(action.reshape(m * n_dim, m) != 0, axis=1))
         j, k = divmod(int(rng.choice(rows)), n_dim)
         action[j, k, int(rng.integers(0, m))] += eps
-    return hilbmod.HilbertModule(module.algebra, m, action, inner)
+    return hilbmod.HilbertModule.from_tensors(module.algebra, m, action, inner)
 
 
 @pytest.mark.parametrize("blocks", [(1, 2, 3), (2,), (3, 1)])
@@ -295,7 +295,7 @@ def test_sliced_linearity_sees_an_action_row_that_vanishes_wrongly(blocks):
     for row in np.random.default_rng(3).choice(live, size=3, replace=False):
         action = module.action.copy()
         action[divmod(int(row), n_dim)] = 0.0
-        broken = hilbmod.HilbertModule(module.algebra, m, action, module.inner)
+        broken = hilbmod.HilbertModule.from_tensors(module.algebra, m, action, module.inner)
         residual = hilbmod.check_module_axioms(broken).linearity_residual
         assert residual == _linearity_reference(broken) == 1.0  # a unit went missing
 
@@ -535,7 +535,7 @@ def test_identity_defect_matches_the_dense_reference(kind, where):
     rng = np.random.default_rng(len(kind) + len(where))
     arrays = {"images": images, "companion": companion, "inner": inner}
     arrays[where] = _plant_at_zero(arrays[where], eps, rng)
-    planted = hilbmod.HilbertModule(module.algebra, module.dim, module.action, arrays["inner"])
+    planted = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, module.action, arrays["inner"])
     reference = dense_reference.identity_defect(
         arrays["images"], arrays["inner"], arrays["companion"]
     )
@@ -599,7 +599,7 @@ def test_identity_defect_on_an_empty_support_and_zero_sizes():
     columns nothing is compared, without inner dimension every target is."""
     algebra = cstar.CStarAlgebra((2,))
     rng = np.random.default_rng(3)
-    empty = hilbmod.HilbertModule(algebra, 3, np.zeros((3, 4, 3)), np.zeros((3, 3, 4)))
+    empty = hilbmod.HilbertModule.from_tensors(algebra, 3, np.zeros((3, 4, 3)), np.zeros((3, 3, 4)))
     assert len(empty.inner_targets.i) == 0
     images, companion = _random(rng, 3, 2, 2), _random(rng, 4, 2, 2)
     reference = dense_reference.identity_defect(images, empty.inner, companion)
@@ -613,7 +613,7 @@ def test_identity_defect_on_an_empty_support_and_zero_sizes():
         reference = dense_reference.identity_defect(images, module.inner, companion)
         residual = hilbmod.identity_defect(images, module, companion)
         assert residual == pytest.approx(reference, rel=1e-12)
-    zero = hilbmod.HilbertModule(algebra, 0, np.zeros((0, 4, 0)), np.zeros((0, 0, 4)))
+    zero = hilbmod.HilbertModule.from_tensors(algebra, 0, np.zeros((0, 4, 0)), np.zeros((0, 0, 4)))
     assert hilbmod.identity_defect(np.zeros((0, 2, 2)), zero, _random(rng, 4, 2, 2)) == 0.0
 
 
@@ -728,7 +728,7 @@ def test_a_negative_eigenvalue_in_one_small_component_fails():
     module = hilbmod.standard_module(3, 2)
     inner = module.inner.copy()
     inner[2:4, 2:4] *= -1e-6  # the second row of the 3 x 2 matrices: one component of order 2
-    broken = hilbmod.HilbertModule(module.algebra, module.dim, module.action, inner)
+    broken = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, module.action, inner)
     report = hilbmod.check_module_axioms(broken)
     dense = dense_reference.module_positivity(broken)
     assert not report.positive and not dense.ok
@@ -901,7 +901,7 @@ def test_group_law_matches_the_loop_over_s(group, dim, planted):
 
 def test_dynamical_system_on_a_zero_dimensional_module_and_the_trivial_group():
     algebra = cstar.CStarAlgebra((2,))
-    zero = hilbmod.HilbertModule(algebra, 0, np.zeros((0, 4, 0)), np.zeros((0, 0, 4)))
+    zero = hilbmod.HilbertModule.from_tensors(algebra, 0, np.zeros((0, 4, 0)), np.zeros((0, 0, 4)))
     for group in (hilbmod.trivial_group(), hilbmod.cyclic_group(2)):
         alpha = np.stack([nk.eye(4)] * group.order)
         system = hilbmod.ModuleDynamicalSystem(group, zero, np.zeros((group.order, 0, 0)), alpha)
@@ -1190,34 +1190,52 @@ def test_package_has_no_literal_gates():
 
 
 def unreached_functions(sources: dict[str, str]) -> list[str]:
-    """``"module.function"`` for each module-level function of ``sources`` (file
-    name to text) that no source names, as a ``Name`` or an ``Attribute``, and
-    that ``__init__.py`` does not import.  Such a function is reached by tests
-    only, and belongs in ``tests/builders.py``."""
+    """``"module.name"`` for each module-level function or class of ``sources`` (file
+    name to text) that no source names, as a ``Name`` or an ``Attribute``, and that
+    ``__init__.py`` does not import, and ``"module.Class.method"`` for each method or
+    property of a module-level class (dunders aside) whose name no source names
+    outside its own definition.  Such a function is reached by tests only, and
+    belongs in ``tests/builders.py``."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    named = {
-        node.id if isinstance(node, ast.Name) else node.attr
-        for tree in trees.values()
+    uses = [
+        (name, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
+        for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.Name | ast.Attribute)
-    }
+    ]
+    named = {used for _, _, used in uses}
     exported = {
         alias.name
         for node in ast.walk(trees["__init__.py"])
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    return sorted(
-        f"{name.removesuffix('.py')}.{node.name}"
-        for name, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name not in named | exported
-    )
+
+    def named_outside(name, method):
+        inside = range(method.lineno, method.end_lineno + 1)
+        return any(used == method.name and not (at == name and line in inside)
+                   for at, line, used in uses)
+
+    unreached = []
+    for name, tree in trees.items():
+        module = name.removesuffix(".py")
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef | ast.ClassDef) and node.name not in named | exported:
+                unreached.append(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unreached.extend(
+                    f"{module}.{node.name}.{method.name}"
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and not (method.name.startswith("__") and method.name.endswith("__"))
+                    and not named_outside(name, method)
+                )
+    return sorted(unreached)
 
 
 def test_guard_flags_unreached_functions():
     sources = {
-        "__init__.py": "from .a import exported\n",
+        "__init__.py": "from .a import exported, Exported\n",
         "a.py": "\n".join(
             [
                 "def exported(): pass",
@@ -1225,6 +1243,8 @@ def test_guard_flags_unreached_functions():
                 "def called(): pass",
                 "def _helper(): pass",
                 "def uses_helper(): return _helper()",
+                "class Exported: pass",
+                "class Unnamed: pass",
             ]
         ),
         "b.py": "\n".join(
@@ -1233,17 +1253,33 @@ def test_guard_flags_unreached_functions():
                 "CALLED = a.called()",
                 'NOTE = "orphan()"',
                 "class Holder:",
-                "    def orphan(self): return a.uses_helper()",
+                "    def __init__(self): self.held = a.uses_helper()",
+                "    def stale(self): return self.stale()",
+                "    def read(self): return 1",
+                "    @property",
+                "    def shown(self): return self.read()",
+                "SHOWN = Holder().shown",
             ]
         ),
     }
-    assert unreached_functions(sources) == ["a.orphan"]
+    assert unreached_functions(sources) == ["a.Unnamed", "a.orphan", "b.Holder.stale"]
+
+
+# Methods no source calls: the API's ways to apply a map and to build an element,
+# and ``CrossedAlgebra.multiply``, whose calls ``bench/tests`` count.
+UNCALLED_METHODS = [
+    "cpmaps.ModuleCPMap.apply",
+    "crossed.CrossedAlgebra.multiply",
+    "crossed.IntegralForm.apply",
+    "cstar.AlgebraElement.from_blocks",
+    "cstar.CPMapAlgebra.apply",
+]
 
 
 def test_every_package_function_is_reached():
     """What only tests call lives in ``tests/builders.py``, not in the package."""
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert unreached_functions(sources) == []
+    assert unreached_functions(sources) == UNCALLED_METHODS
 
 
 # ---------------------------------------------------------------------------

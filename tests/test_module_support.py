@@ -82,7 +82,7 @@ def test_a_zero_basis_vector_is_its_own_component():
     action = np.zeros((m, n_dim, m), dtype=complex)
     inner = np.zeros((m, m, n_dim), dtype=complex)
     action[:-1, :, :-1], inner[:-1, :-1] = module.action, module.inner
-    padded = hilbmod.HilbertModule(module.algebra, m, action, inner)
+    padded = hilbmod.HilbertModule.from_tensors(module.algebra, m, action, inner)
     report = hilbmod.check_module_axioms(padded)
     assert _components(padded).tolist() == [0, 0, 2, 2, 4]
     assert _fields(report) == _fields(dense_reference.module_axioms(padded))
@@ -113,7 +113,7 @@ def _plant(module, defect, eps, rng):
     else:  # a negative eigenvalue inside one component
         component = labels == labels[rng.integers(module.dim)]
         inner[np.ix_(component, component)] *= -eps
-    return hilbmod.HilbertModule(module.algebra, module.dim, action, inner)
+    return hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, action, inner)
 
 
 DEFECTS = ["inner link", "action link", "zeroed row", "asymmetric", "negative"]
@@ -143,7 +143,7 @@ def test_linked_components_merge():
     assert _components(module).tolist() == [0, 0, 2, 2, 4, 4]
     inner = module.inner.copy()
     inner[0, 4, 0] = 1e-3
-    broken = hilbmod.HilbertModule(module.algebra, module.dim, module.action, inner)
+    broken = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, module.action, inner)
     assert _components(broken).tolist() == [0, 0, 2, 2, 0, 0]
 
 
@@ -178,7 +178,7 @@ def _tensor_modules():
     """Modules given by their tensors: a standard module's, on the unit basis, one on
     a dense basis, and a two-block algebra over itself."""
     unit = hilbmod.standard_module(3, 2)
-    given = hilbmod.HilbertModule(unit.algebra, unit.dim, unit.action, unit.inner)
+    given = hilbmod.HilbertModule.from_tensors(unit.algebra, unit.dim, unit.action, unit.inner)
     return [given, _dense_basis_module((2, 1), seed=5), _algebra_module((1, 2))]
 
 
@@ -243,12 +243,14 @@ def test_dilate_666_peaks_below_11_25_mib(tmp_path):
 @pytest.mark.parametrize("p, n", SHAPES)
 def test_the_closed_form_support_is_the_scan(p, n):
     """``standard_module`` builds its support in closed form; field by field it is
-    ``module_support``'s scan of the tensors scattered from it, in values, order and
-    dtype, also for a module read from a payload."""
+    ``HilbertModule.from_tensors``'s scan of the tensors scattered from it, in values,
+    order and dtype, also for a module read from a payload."""
     payload = cli.module_from_json({"standard_module": [p, n]})
     for module in (hilbmod.standard_module(p, n), payload):
-        assert "support" in vars(module)  # set when built, not scanned when first read
-        closed, scanned = module.support, hilbmod.module_support(module)
+        scanned = hilbmod.HilbertModule.from_tensors(
+            module.algebra, module.dim, module.action, module.inner
+        ).support
+        closed = module.support
         for field, got, expected in zip(closed._fields, closed, scanned):
             if field != "act":  # the one field that is a tuple of arrays
                 got, expected = (got,), (expected,)

@@ -22,6 +22,7 @@ from covstine import numkernel as nk
 from covstine.errors import BoundsError, NotActionError, ParseError, ShapeMismatchError
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "covstine" / "scenarios"
+PAYLOADS = Path(__file__).resolve().parent / "scenarios"
 CHECKS = {
     "check_module_cp": cpmaps.check_module_cp,
     "check_covariance": cpmaps.check_covariance,
@@ -145,15 +146,15 @@ def test_fullness_is_decided_once_per_covariant_run(tmp_path, monkeypatch):
 
 @pytest.fixture
 def scanned(monkeypatch):
-    """The modules whose structure tensors ``hilbmod.module_support`` scans."""
+    """The modules whose structure tensors ``hilbmod.HilbertModule.from_tensors`` scans."""
     modules = []
-    original = hilbmod.module_support
+    original = hilbmod.HilbertModule.from_tensors.__func__
 
-    def scanning(module):
-        modules.append(module)
-        return original(module)
+    def scanning(cls, *tensors):
+        modules.append(original(cls, *tensors))
+        return modules[-1]
 
-    monkeypatch.setattr(hilbmod, "module_support", scanning)
+    monkeypatch.setattr(hilbmod.HilbertModule, "from_tensors", classmethod(scanning))
     return modules
 
 
@@ -195,9 +196,65 @@ def test_verify_groups_the_inner_rows_once(tmp_path, monkeypatch):
 
 def test_a_module_given_by_tensors_is_scanned_once(tmp_path, scanned):
     """The counting of the guard above sees the scan where there is one."""
-    path = Path(__file__).resolve().parent / "scenarios" / "dense_basis_21.json"
+    path = PAYLOADS / "dense_basis_21.json"
     assert cli.main(["dilate", "--scenario", str(path), "--out", str(tmp_path / "cert.json")]) == 0
     assert len(scanned) == 1
+
+
+@pytest.fixture
+def given_modules(monkeypatch):
+    """Each module ``cli.module_from_json`` reads from a payload."""
+    modules = []
+    read = cli.module_from_json
+
+    def reading(obj):
+        modules.append(read(obj))
+        return modules[-1]
+
+    monkeypatch.setattr(cli, "module_from_json", reading)
+    return modules
+
+
+# ``explicit_system_c2.json`` is generated ``crossed`` 1,2,2 ``cyclic:2`` seed 11, resolved
+# by ``cli.resolve_scenario`` and written back as ``dilate-covariant`` (seed 11) with the
+# JSON writers of ``builders``: the group as a table, the module as tensors, ``eta``,
+# ``alpha``, the map with its companion, ``u`` and ``u'``.  Its module reaches
+# ``cli._resolve_system`` as tensors.
+TENSOR_PAYLOAD_RUNS = [
+    *((kind, "explicit_system_c2.json") for kind in cli.KINDS),
+    *((kind, "dense_basis_21.json") for kind in ("dilate", "verify", "uniqueness")),
+]
+
+
+@pytest.mark.parametrize("kind, name", TENSOR_PAYLOAD_RUNS)
+def test_a_module_given_by_tensors_holds_no_dense_tensor(tmp_path, given_modules, kind, name):
+    """A module read from its tensors is held by their nonzeros alone: after a run
+    of any kind it holds neither ``action`` nor ``inner``."""
+    path = tmp_path / "scenario.json"
+    path.write_bytes(cli.canonical_bytes({**json.loads((PAYLOADS / name).read_text()), "kind": kind}))
+    assert cli.main([kind, "--scenario", str(path), "--out", str(tmp_path / "cert.json")]) == 0
+    [module] = given_modules
+    assert "action" not in vars(module) and "inner" not in vars(module)
+
+
+def test_uniqueness_forms_each_range_stack_once(tmp_path, monkeypatch):
+    """The competitor's range stack ``[pi'(X) V' H]`` is ranked and solved on from one
+    forming: a ``uniqueness`` run passes no (images, v) pair to ``hilbmod.range_stack``
+    twice."""
+    pairs = []
+    stack = hilbmod.range_stack
+
+    def recording(images, v=None):
+        pairs.append((images.shape, images.tobytes(), None if v is None else (v.shape, v.tobytes())))
+        return stack(images, v)
+
+    monkeypatch.setattr(hilbmod, "range_stack", recording)
+    path = tmp_path / "uniqueness.json"
+    path.write_bytes(
+        cli.canonical_bytes(cli.generate_scenario("uniqueness", 2, 2, 2, 11, "symmetric:3"))
+    )
+    assert cli.main(["uniqueness", "--scenario", str(path), "--out", str(tmp_path / "cert.json")]) == 0
+    assert len(pairs) == len(set(pairs)) > 0
 
 
 @pytest.fixture

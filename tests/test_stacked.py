@@ -342,7 +342,7 @@ def _modules():
     standard = hilbmod.standard_module(3, 2)
     algebra = cstar.CStarAlgebra((2, 1))
     rng = np.random.default_rng(8)
-    dense = hilbmod.HilbertModule(
+    dense = hilbmod.HilbertModule.from_tensors(
         algebra, 3, _random(rng, 3, algebra.dim, 3), _random(rng, 3, 3, algebra.dim)
     )
     planted = standard.inner.copy()
@@ -350,7 +350,7 @@ def _modules():
     return {
         "standard": standard,
         "dense": dense,
-        "planted": hilbmod.HilbertModule(standard.algebra, standard.dim, standard.action, planted),
+        "planted": hilbmod.HilbertModule.from_tensors(standard.algebra, standard.dim, standard.action, planted),
     }
 
 
