@@ -10,11 +10,9 @@ every construction.
 __version__ = "0.1.0"
 
 from .cstar import (
-    AlgebraElement,
     CStarAlgebra,
     check_representation,
     choi_blocks,
-    element_positive,
     embedding_representation,
 )
 from .cpmaps import (
@@ -29,7 +27,6 @@ from .cpmaps import (
     covariant_cp_from_representation,
     induced_algebra_cp,
     random_covariant_cp,
-    random_module_cp,
 )
 from .crossed import (
     CrossedAlgebra,

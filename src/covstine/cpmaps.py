@@ -383,25 +383,3 @@ def random_covariant_cp(
     )
     return cov, CovariantWitness(rep, rep_v, rep_w, big_v, big_w)
 
-
-def random_module_cp(
-    p: int,
-    n: int,
-    amplification: int,
-    seed: int,
-    h_dim: int | None = None,
-    k_dim: int | None = None,
-) -> tuple[ModuleCPMap, CovariantWitness]:
-    """Seeded plain module CP map: the trivial-group covariant generator.
-
-    ``h_dim``/``k_dim`` override the domain spaces (``k_dim`` must be at
-    least ``p * amplification`` for the compressing coisometry to exist).
-    """
-    group = hilbmod.trivial_group()
-    system = hilbmod.standard_action(
-        group, hilbmod.trivial_rep(group, p), hilbmod.trivial_rep(group, n)
-    )
-    u = hilbmod.trivial_rep(group, h_dim) if h_dim is not None else None
-    u_prime = hilbmod.trivial_rep(group, k_dim) if k_dim is not None else None
-    cov, witness = random_covariant_cp(system, amplification, seed, u=u, u_prime=u_prime)
-    return cov.base, witness

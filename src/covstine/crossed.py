@@ -40,7 +40,7 @@ import numpy as np
 
 from . import cpmaps, cstar, hilbmod, stinespring
 from . import numkernel as nk
-from .cpmaps import CovariantCPMap, check_covariance  # noqa: F401 (importable from here)
+from .cpmaps import CovariantCPMap, check_covariance  # noqa: F401 (bench/tests reads it here)
 from .errors import NotActionError, NotCovariantError, NotCovariantRepError, ShapeMismatchError
 
 

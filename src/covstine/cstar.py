@@ -1,10 +1,10 @@
 """Finite-dimensional C*-algebras as direct sums of full matrix blocks.
 
 An algebra is described by its block sizes ``[n_1, ..., n_k]``.  Elements
-live either as per-block matrices (``AlgebraElement``) or as coordinate
-vectors over the canonical matrix-unit basis; the basis is enumerated block
-by block, row-major, with labels ``"b:i:j"``.  A map ``A -> L(H)`` is a
-``CPMapAlgebra``, a *-representation too: it is a CP map (``check_representation``).
+are coordinate vectors over the canonical matrix-unit basis; the basis is
+enumerated block by block, row-major, with labels ``"b:i:j"``.  A map
+``A -> L(H)`` is a ``CPMapAlgebra``, a *-representation too: it is a CP map
+(``check_representation``).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import numkernel as nk
-from .errors import NotHermitianError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -143,74 +143,6 @@ def star_coords(algebra: CStarAlgebra, coords: np.ndarray) -> np.ndarray:
 
 def unit_coords(algebra: CStarAlgebra) -> np.ndarray:
     return _structure(algebra.blocks)[2].copy()
-
-
-def coords_to_blocks(algebra: CStarAlgebra, coords: np.ndarray) -> list[np.ndarray]:
-    out, offset = [], 0
-    for n in algebra.blocks:
-        out.append(np.asarray(coords[offset : offset + n * n]).reshape(n, n).copy())
-        offset += n * n
-    return out
-
-
-def blocks_to_coords(algebra: CStarAlgebra, data) -> np.ndarray:
-    parts = []
-    for n, blk in zip(algebra.blocks, data, strict=True):
-        blk = nk.as_matrix(blk)
-        if blk.shape != (n, n):
-            raise ShapeMismatchError(f"block of shape {blk.shape}, expected ({n},{n})")
-        parts.append(blk.reshape(-1))
-    return np.concatenate(parts)
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    """Element of a block algebra, stored as one matrix per block."""
-
-    algebra: CStarAlgebra
-    data: tuple[np.ndarray, ...]
-
-    @classmethod
-    def from_blocks(cls, algebra: CStarAlgebra, data) -> "AlgebraElement":
-        return cls.from_coords(algebra, blocks_to_coords(algebra, data))
-
-    @classmethod
-    def from_coords(cls, algebra: CStarAlgebra, coords) -> "AlgebraElement":
-        return cls(algebra, tuple(coords_to_blocks(algebra, np.asarray(coords))))
-
-    @classmethod
-    def unit(cls, algebra: CStarAlgebra) -> "AlgebraElement":
-        return cls.from_coords(algebra, unit_coords(algebra))
-
-    def coords(self) -> np.ndarray:
-        return blocks_to_coords(self.algebra, self.data)
-
-    def star(self) -> "AlgebraElement":
-        return AlgebraElement(self.algebra, tuple(nk.adjoint(b) for b in self.data))
-
-
-def element_positive(a: AlgebraElement) -> nk.PsdReport:
-    """Positivity of an algebra element, decided block by block.
-
-    Raises ``NotHermitianError`` when some block is not Hermitian within
-    ``nk.REL_TOL`` relative to its scale.
-    """
-    min_eig, max_eig = np.inf, -np.inf
-    worst_defect = 0.0
-    ok = True
-    for blk in a.data:
-        defect = nk.frobenius(blk - nk.adjoint(blk))
-        scale = max(1.0, nk.frobenius(blk))
-        if defect > nk.REL_TOL * scale:
-            raise NotHermitianError(
-                f"block Hermitian defect {defect:.3e} exceeds {nk.REL_TOL:.1e} * {scale:.3e}"
-            )
-        report = nk.psd_check(blk)
-        ok = ok and report.ok
-        min_eig = min(min_eig, report.min_eig)
-        max_eig = max(max_eig, report.max_eig)
-        worst_defect = max(worst_defect, report.herm_defect)
-    return nk.PsdReport(bool(ok), float(min_eig), worst_defect, float(max_eig))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotHermitianError, NotPsdError, ShapeMismatchError
+from .errors import ComputeError, NotHermitianError, NotPsdError, ShapeMismatchError
 
 # Every cutoff and gate of the package reads one of these five values.
 # Eigenvalues at or below REL_TOL times the largest eigenvalue count as zero;
@@ -55,11 +55,12 @@ def frobenius(m: np.ndarray) -> float:
 
 
 def maxabs(arr) -> float:
-    """Largest absolute entry, 0.0 for empty arrays."""
+    """Largest absolute entry, 0.0 for empty arrays; a NaN entry is the worst, inf."""
     arr = np.asarray(arr)
     if arr.size == 0:
         return 0.0
-    return float(np.abs(arr).max())
+    worst = float(np.abs(arr).max())
+    return math.inf if math.isnan(worst) else worst
 
 
 def eye(n: int) -> np.ndarray:
@@ -117,7 +118,8 @@ def stack_max(count: int, item_entries: int, residuals) -> float:
 
 def stack_maxabs(stack: np.ndarray) -> np.ndarray:
     """``maxabs`` of each matrix of a stack, shape ``stack.shape[:-2]``."""
-    return np.abs(stack).max(axis=(-2, -1), initial=0.0)
+    worst = np.abs(stack).max(axis=(-2, -1), initial=0.0)
+    return np.where(np.isnan(worst), np.inf, worst)
 
 
 def kron_stack(a, b) -> np.ndarray:
@@ -256,8 +258,11 @@ def _square_defect(m) -> tuple[np.ndarray, float]:
 def _descending_eigh(m: np.ndarray, vectors: bool = True):
     """The package's one eigensolve: of the Hermitian part of ``m``, or of each
     matrix of a stack, eigenvalues descending; the eigenvalues alone unless
-    ``vectors``.  Every spectrum a rank or PSD decision reads comes from here."""
+    ``vectors``.  Every spectrum a rank or PSD decision reads comes from here, and
+    a matrix with a non-finite entry (an overflowed Gram, say) has none."""
     hermitian = (m + np.conj(m).swapaxes(-1, -2)) / 2.0
+    if not np.isfinite(hermitian).all():
+        raise ComputeError("a matrix to eigensolve has a non-finite entry; the input overflows")
     if not vectors:
         return np.linalg.eigvalsh(hermitian)[..., ::-1]
     values, basis = np.linalg.eigh(hermitian)

@@ -2,18 +2,22 @@
 
 The package reads scenarios and never writes one, and no run reaches the
 helpers below: the JSON writers (inverses of the ``cli.*_from_json`` readers),
-named representations, element products, crossed basis elements and the
-companion of an integral form.  They live here so that ``src/covstine``
+algebra elements held block by block and their products, the seeded plain
+module map, named representations, crossed basis elements and the companion
+of an integral form.  They live here so that ``src/covstine``
 holds only what a run or the exported API reaches; the guard
 ``test_every_package_function_is_reached`` in ``test_kernels.py`` keeps it so.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from covstine import cstar, hilbmod
+from covstine import cpmaps, cstar, hilbmod
 from covstine import numkernel as nk
+from covstine.errors import ShapeMismatchError
 
 # ---------------------------------------------------------------------------
 # JSON writers: the scenario payloads the CLI reads
@@ -97,22 +101,86 @@ def embed_coords(algebra: cstar.CStarAlgebra, coords: np.ndarray) -> np.ndarray:
     total = algebra.embed_dim
     out = np.zeros((total, total), dtype=np.complex128)
     pos = 0
-    for blk in cstar.coords_to_blocks(algebra, coords):
+    for blk in coords_to_blocks(algebra, coords):
         n = blk.shape[0]
         out[pos : pos + n, pos : pos + n] = blk
         pos += n
     return out
 
 
-def element_product(a: cstar.AlgebraElement, b: cstar.AlgebraElement) -> cstar.AlgebraElement:
+def coords_to_blocks(algebra: cstar.CStarAlgebra, coords: np.ndarray) -> list[np.ndarray]:
+    out, offset = [], 0
+    for n in algebra.blocks:
+        out.append(np.asarray(coords[offset : offset + n * n]).reshape(n, n).copy())
+        offset += n * n
+    return out
+
+
+def blocks_to_coords(algebra: cstar.CStarAlgebra, data) -> np.ndarray:
+    parts = []
+    for n, blk in zip(algebra.blocks, data, strict=True):
+        blk = nk.as_matrix(blk)
+        if blk.shape != (n, n):
+            raise ShapeMismatchError(f"block of shape {blk.shape}, expected ({n},{n})")
+        parts.append(blk.reshape(-1))
+    return np.concatenate(parts)
+
+
+@dataclass(frozen=True)
+class AlgebraElement:
+    """Element of a block algebra, stored as one matrix per block: the form the
+    brute-force oracles multiply, beside the coordinate vectors every run uses."""
+
+    algebra: cstar.CStarAlgebra
+    data: tuple[np.ndarray, ...]
+
+    @classmethod
+    def from_blocks(cls, algebra: cstar.CStarAlgebra, data) -> "AlgebraElement":
+        return cls.from_coords(algebra, blocks_to_coords(algebra, data))
+
+    @classmethod
+    def from_coords(cls, algebra: cstar.CStarAlgebra, coords) -> "AlgebraElement":
+        return cls(algebra, tuple(coords_to_blocks(algebra, np.asarray(coords))))
+
+    def coords(self) -> np.ndarray:
+        return blocks_to_coords(self.algebra, self.data)
+
+    def star(self) -> "AlgebraElement":
+        return AlgebraElement(self.algebra, tuple(nk.adjoint(b) for b in self.data))
+
+
+def element_product(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """``a b``, block by block."""
-    return cstar.AlgebraElement(a.algebra, tuple(x @ y for x, y in zip(a.data, b.data)))
+    return AlgebraElement(a.algebra, tuple(x @ y for x, y in zip(a.data, b.data)))
 
 
 def inner_coords(module: hilbmod.HilbertModule, xi: np.ndarray, zeta: np.ndarray) -> np.ndarray:
     """A-coordinates of the inner product of two X-coordinate vectors."""
     m, n_dim = module.dim, module.algebra.dim
     return zeta @ (np.conj(xi) @ module.inner.reshape(m, m * n_dim)).reshape(m, n_dim)
+
+
+def random_module_cp(
+    p: int,
+    n: int,
+    amplification: int,
+    seed: int,
+    h_dim: int | None = None,
+    k_dim: int | None = None,
+) -> tuple[cpmaps.ModuleCPMap, cpmaps.CovariantWitness]:
+    """Seeded plain module CP map: the trivial-group covariant generator.
+
+    ``h_dim``/``k_dim`` override the domain spaces (``k_dim`` must be at
+    least ``p * amplification`` for the compressing coisometry to exist).
+    """
+    group = hilbmod.trivial_group()
+    system = hilbmod.standard_action(
+        group, hilbmod.trivial_rep(group, p), hilbmod.trivial_rep(group, n)
+    )
+    u = hilbmod.trivial_rep(group, h_dim) if h_dim is not None else None
+    u_prime = hilbmod.trivial_rep(group, k_dim) if k_dim is not None else None
+    cov, witness = cpmaps.random_covariant_cp(system, amplification, seed, u=u, u_prime=u_prime)
+    return cov.base, witness
 
 
 # ---------------------------------------------------------------------------

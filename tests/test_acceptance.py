@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import builders
-from covstine import cli, cpmaps, crossed, cstar, hilbmod, stinespring as st
+from covstine import cli, cpmaps, crossed, hilbmod, stinespring as st
 from covstine import numkernel as nk
 
 TOL = 1e-8
@@ -59,9 +59,9 @@ def oracle_dims(phi: cpmaps.ModuleCPMap) -> tuple[int, int]:
     eye = np.eye(n_dim)
     gram = np.zeros((n_dim * h, n_dim * h), dtype=complex)
     for k in range(n_dim):
-        a_star = cstar.AlgebraElement.from_coords(algebra, eye[k]).star()
+        a_star = builders.AlgebraElement.from_coords(algebra, eye[k]).star()
         for l in range(n_dim):
-            b = cstar.AlgebraElement.from_coords(algebra, eye[l])
+            b = builders.AlgebraElement.from_coords(algebra, eye[l])
             gram[k * h : (k + 1) * h, l * h : (l + 1) * h] = phi.companion.apply(
                 builders.element_product(a_star, b).coords()
             )
@@ -83,7 +83,7 @@ def plain_instances():
     instances = []
     for index in range(200):
         p, n, m = PLAIN_CONFIGS[index % len(PLAIN_CONFIGS)]
-        phi, _ = cpmaps.random_module_cp(p, n, m, seed=index)
+        phi, _ = builders.random_module_cp(p, n, m, seed=index)
         dilation = st.dilate_module_cp(phi)
         cert = st.verify_dilation(phi, dilation, tol=TOL)
         instances.append((phi, dilation, cert))

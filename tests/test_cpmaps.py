@@ -7,7 +7,7 @@ import pytest
 
 import builders
 import covstine
-from covstine import cpmaps, cstar, hilbmod
+from covstine import cpmaps, hilbmod
 from covstine import numkernel as nk
 from covstine.errors import (
     DegenerateAverageError,
@@ -43,7 +43,7 @@ class TestInducedAlgebraCp:
         images = hilbmod.standard_basis_matrices(1, 2)
         companion = cpmaps.induced_algebra_cp(images, module, 2)
         for k in range(4):
-            expected = cstar.coords_to_blocks(module.algebra, np.eye(4)[k])[0]
+            expected = builders.coords_to_blocks(module.algebra, np.eye(4)[k])[0]
             np.testing.assert_allclose(companion.images[k], expected, atol=1e-12)
 
     def test_right_multiplication_by_t(self):
@@ -54,7 +54,7 @@ class TestInducedAlgebraCp:
         images = np.stack([b @ t_mat for b in hilbmod.standard_basis_matrices(1, 2)])
         companion = cpmaps.induced_algebra_cp(images, module, 2)
         for k in range(4):
-            a = cstar.coords_to_blocks(module.algebra, np.eye(4)[k])[0]
+            a = builders.coords_to_blocks(module.algebra, np.eye(4)[k])[0]
             np.testing.assert_allclose(
                 companion.images[k], t_mat.conj().T @ a @ t_mat, atol=1e-10
             )
@@ -99,7 +99,7 @@ class TestCheckModuleCp:
         module = hilbmod.standard_module(1, 2)
         images = hilbmod.standard_basis_matrices(1, 2)
         transpose = np.stack(
-            [cstar.coords_to_blocks(module.algebra, np.eye(4)[k])[0].T for k in range(4)]
+            [builders.coords_to_blocks(module.algebra, np.eye(4)[k])[0].T for k in range(4)]
         )
         phi = cpmaps.ModuleCPMap(
             module, images, cpmaps.CPMapAlgebra(module.algebra, 2, transpose)
@@ -284,7 +284,7 @@ class TestRandomCovariantCp:
         np.testing.assert_array_equal(first.base.images, second.base.images)
 
     def test_plain_generator(self):
-        phi, witness = cpmaps.random_module_cp(2, 2, 2, seed=9, h_dim=3, k_dim=5)
+        phi, witness = builders.random_module_cp(2, 2, 2, seed=9, h_dim=3, k_dim=5)
         assert phi.space_dims == (3, 5)
         report = cpmaps.check_module_cp(phi)
         assert report.identity_residual <= 1e-10

@@ -64,12 +64,12 @@ def conjugation_system(group, blocks, seed):
     algebra = cstar.CStarAlgebra(blocks)
     rng = np.random.default_rng(seed)
     reps = [block_rep(group, n, rng).mats for n in blocks]
-    units = [cstar.coords_to_blocks(algebra, e) for e in np.eye(algebra.dim)]
+    units = [builders.coords_to_blocks(algebra, e) for e in np.eye(algebra.dim)]
     alpha = np.stack(
         [
             np.stack(
                 [
-                    cstar.blocks_to_coords(
+                    builders.blocks_to_coords(
                         algebra, [rep[t] @ b @ nk.adjoint(rep[t]) for rep, b in zip(reps, unit)]
                     )
                     for unit in units

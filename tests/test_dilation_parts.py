@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import builders
 import dense_reference
 from covstine import cli, cpmaps, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
@@ -36,7 +37,7 @@ def _through(module, images, companion, h, seed):
 
 def _map(kind):
     if kind == "standard":
-        return cpmaps.random_module_cp(3, 2, 2, seed=4)[0]
+        return builders.random_module_cp(3, 2, 2, seed=4)[0]
     if kind == "two blocks":
         module = _algebra_module((1, 2))
         embedding = cstar.embedding_representation(module.algebra).images

@@ -11,6 +11,7 @@ GNS images, ``V`` and dilation images, and, for a defect planted at one
 import numpy as np
 import pytest
 
+import builders
 import dense_reference as ref
 from covstine import cpmaps, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
@@ -23,7 +24,7 @@ def _through_gram(blocks, h, spectra, seed=3):
 
 
 def _standard():
-    return cpmaps.random_module_cp(2, 3, 2, seed=4)[0]
+    return builders.random_module_cp(2, 3, 2, seed=4)[0]
 
 
 def _two_block():

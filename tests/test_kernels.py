@@ -9,6 +9,7 @@ scenario wire format out of every module but ``cli``."""
 
 import ast
 import inspect
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -362,7 +363,7 @@ def _conjugation_action(blocks, seed):
         for n in algebra.blocks:
             blocks_k.append(conjugated[pos : pos + n, pos : pos + n])
             pos += n
-        alpha[1][:, k] = cstar.blocks_to_coords(algebra, blocks_k)
+        alpha[1][:, k] = builders.blocks_to_coords(algebra, blocks_k)
     return algebra, alpha
 
 
@@ -504,7 +505,7 @@ def _represented(kind):
         rep = cpmaps.concrete_representation(3, 2)
         return rep.module, rep.images, rep.companion.images
     if kind.startswith("dilation"):
-        phi, _ = cpmaps.random_module_cp(2, 3, 2, seed=5)
+        phi, _ = builders.random_module_cp(2, 3, 2, seed=5)
         dilation = stinespring.dilate_module_cp(phi)
         return phi.module, dilation.images, dilation.gns.rep.images
     return _represented_on_dense_basis({"dense": (3,), "two blocks": (2, 1)}[kind], seed=3)
@@ -618,7 +619,7 @@ def test_identity_defect_on_an_empty_support_and_zero_sizes():
 
 
 def _representations():
-    phi, _ = cpmaps.random_module_cp(2, 3, 2, seed=5)
+    phi, _ = builders.random_module_cp(2, 3, 2, seed=5)
     gns = stinespring.dilate_module_cp(phi).gns.rep
     embedded = [cstar.embedding_representation(cstar.CStarAlgebra(b)) for b in [(3,), (2, 1)]]
     algebra = cstar.CStarAlgebra((2, 1))
@@ -1185,101 +1186,153 @@ def test_package_has_no_literal_gates():
 
 
 # ---------------------------------------------------------------------------
-# Guard: every function of the package is reached by a run or exported
+# Guard: every definition of the package is reached by a run or the API list
 # ---------------------------------------------------------------------------
 
+README = SRC.parents[1] / "README.md"
 
-def unreached_functions(sources: dict[str, str]) -> list[str]:
-    """``"module.name"`` for each module-level function or class of ``sources`` (file
-    name to text) that no source names, as a ``Name`` or an ``Attribute``, and that
-    ``__init__.py`` does not import, and ``"module.Class.method"`` for each method or
-    property of a module-level class (dunders aside) whose name no source names
-    outside its own definition.  Such a function is reached by tests only, and
-    belongs in ``tests/builders.py``."""
+
+def readme_api(text: str) -> list[str]:
+    """The entries of README.md's "API" section: the code span that opens each bullet."""
+    section = text.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^- `([\w.]+)`", section, re.M)
+
+
+def unreached_functions(sources: dict[str, str], api: list[str]) -> list[str]:
+    """What ``sources`` (file name to text) hold that neither a run nor ``api``
+    reaches, and where ``api`` and the names ``__init__.py`` imports differ.
+
+    Each module-level function or class is a definition, and so is each method or
+    property of such a class; dunders are part of their class, which runs them.
+    Reaching starts from the module-level code of every source, from ``cli.main``
+    and from the definitions ``api`` lists (``"name"`` or ``"Class.method"``), and a
+    definition is reached once a reached body names it: a function or class as a
+    ``Name`` or an ``Attribute``, a method or property as an ``Attribute`` (a local
+    variable of the same name does not call it).  Returned, sorted: ``"module.name"`` or ``"module.Class.method"``
+    for each definition not reached, ``"api.entry"`` for each entry that names no
+    definition or no name ``__init__.py`` imports, and ``"__init__.name"`` for each
+    imported name ``api`` lacks."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
-    uses = [
-        (name, node.lineno, node.id if isinstance(node, ast.Name) else node.attr)
-        for name, tree in trees.items()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Name | ast.Attribute)
-    ]
-    named = {used for _, _, used in uses}
-    exported = {
+    imported = {
         alias.name
         for node in ast.walk(trees["__init__.py"])
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-
-    def named_outside(name, method):
-        inside = range(method.lineno, method.end_lineno + 1)
-        return any(used == method.name and not (at == name and line in inside)
-                   for at, line, used in uses)
-
-    unreached = []
+    bodies, module_code = {}, []  # definition -> the nodes it names from
     for name, tree in trees.items():
         module = name.removesuffix(".py")
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef | ast.ClassDef) and node.name not in named | exported:
-                unreached.append(f"{module}.{node.name}")
-            if isinstance(node, ast.ClassDef):
-                unreached.extend(
-                    f"{module}.{node.name}.{method.name}"
-                    for method in node.body
-                    if isinstance(method, ast.FunctionDef)
-                    and not (method.name.startswith("__") and method.name.endswith("__"))
-                    and not named_outside(name, method)
-                )
-    return sorted(unreached)
+            if not isinstance(node, ast.FunctionDef | ast.ClassDef):
+                module_code.append(node)
+                continue
+            methods = [
+                method
+                for method in node.body
+                if isinstance(node, ast.ClassDef)
+                and isinstance(method, ast.FunctionDef)
+                and not (method.name.startswith("__") and method.name.endswith("__"))
+            ]
+            bodies[f"{module}.{node.name}"] = [
+                child for child in ast.iter_child_nodes(node) if child not in methods
+            ]
+            for method in methods:
+                bodies[f"{module}.{node.name}.{method.name}"] = [method]
+
+    def names(nodes):  # "name" for a Name, ".name" for an Attribute
+        return {
+            used.id if isinstance(used, ast.Name) else "." + used.attr
+            for node in nodes
+            for used in ast.walk(node)
+            if isinstance(used, ast.Name | ast.Attribute)
+        }
+
+    def local(definition):  # without its module: "name" or "Class.method"
+        return definition.split(".", 1)[1]
+
+    def uses(definition):  # the names that reach it
+        bare = definition.rsplit(".", 1)[1]
+        return {"." + bare} if "." in local(definition) else {bare, "." + bare}
+
+    named, reached = names(module_code), set()
+    pending = {d for d in bodies if d == "cli.main" or local(d) in api}
+    while pending:
+        reached |= pending
+        named |= names(node for d in pending for node in bodies[d])
+        pending = {d for d in bodies if uses(d) & named} - reached
+    known = {local(d) for d in bodies}
+    return sorted(
+        [d for d in bodies if d not in reached]
+        + [f"api.{e}" for e in api if e not in known or "." not in e and e not in imported]
+        + [f"__init__.{name}" for name in imported - set(api)]
+    )
+
+
+GUARD_SOURCES = {
+    "__init__.py": "from .a import listed, Listed\n",
+    "a.py": "\n".join(
+        [
+            "def listed(): pass",
+            "def orphan(): pass",
+            "def called(): local = 1; return local",
+            "def _helper(): pass",
+            "def uses_helper(): return _helper()",
+            "class Listed:",
+            "    def api_method(self): return _helper()",
+            "class Unnamed: pass",
+        ]
+    ),
+    "b.py": "\n".join(
+        [
+            "from . import a",
+            "CALLED = a.called()",
+            'NOTE = "orphan()"',
+            "class Holder:",
+            "    def __init__(self): self.held = a.uses_helper()",
+            "    def stale(self): return self.stale()",
+            "    def read(self): return 1",
+            "    def local(self): return 2",
+            "    @property",
+            "    def shown(self): return self.read()",
+            "SHOWN = Holder().shown",
+        ]
+    ),
+}
+GUARD_API = ["listed", "Listed", "Listed.api_method"]
 
 
 def test_guard_flags_unreached_functions():
-    sources = {
-        "__init__.py": "from .a import exported, Exported\n",
-        "a.py": "\n".join(
-            [
-                "def exported(): pass",
-                "def orphan(): pass",
-                "def called(): pass",
-                "def _helper(): pass",
-                "def uses_helper(): return _helper()",
-                "class Exported: pass",
-                "class Unnamed: pass",
-            ]
-        ),
-        "b.py": "\n".join(
-            [
-                "from . import a",
-                "CALLED = a.called()",
-                'NOTE = "orphan()"',
-                "class Holder:",
-                "    def __init__(self): self.held = a.uses_helper()",
-                "    def stale(self): return self.stale()",
-                "    def read(self): return 1",
-                "    @property",
-                "    def shown(self): return self.read()",
-                "SHOWN = Holder().shown",
-            ]
-        ),
+    # a method named only by a local variable is not called
+    assert unreached_functions(GUARD_SOURCES, GUARD_API) == [
+        "a.Unnamed", "a.orphan", "b.Holder.local", "b.Holder.stale"
+    ]
+    # a helper reached only from an export the list lacks
+    planted = {
+        **GUARD_SOURCES,
+        "__init__.py": "from .a import listed, Listed, unlisted\n",
+        "a.py": GUARD_SOURCES["a.py"] + "\ndef unlisted(): return _only()\ndef _only(): pass",
     }
-    assert unreached_functions(sources) == ["a.Unnamed", "a.orphan", "b.Holder.stale"]
-
-
-# Methods no source calls: the API's ways to apply a map and to build an element,
-# and ``CrossedAlgebra.multiply``, whose calls ``bench/tests`` count.
-UNCALLED_METHODS = [
-    "cpmaps.ModuleCPMap.apply",
-    "crossed.CrossedAlgebra.multiply",
-    "crossed.IntegralForm.apply",
-    "cstar.AlgebraElement.from_blocks",
-    "cstar.CPMapAlgebra.apply",
-]
+    assert unreached_functions(planted, GUARD_API) == [
+        "__init__.unlisted", "a.Unnamed", "a._only", "a.orphan", "a.unlisted",
+        "b.Holder.local", "b.Holder.stale",
+    ]
+    # a listed name that __init__.py does not import, and one that names nothing
+    assert unreached_functions(GUARD_SOURCES, GUARD_API + ["called", "Listed.gone"]) == [
+        "a.Unnamed", "a.orphan", "api.Listed.gone", "api.called", "b.Holder.local",
+        "b.Holder.stale",
+    ]
+    # a method that no run calls, once the list drops it
+    assert unreached_functions(GUARD_SOURCES, ["listed", "Listed"]) == [
+        "a.Listed.api_method", "a.Unnamed", "a.orphan", "b.Holder.local", "b.Holder.stale"
+    ]
 
 
 def test_every_package_function_is_reached():
-    """What only tests call lives in ``tests/builders.py``, not in the package."""
+    """What neither a run nor README.md's API list reaches lives under ``tests/``
+    (``builders.py``, ``dense_reference.py``), and the list is what ``__init__.py``
+    imports, plus the methods no run calls."""
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert unreached_functions(sources) == UNCALLED_METHODS
+    assert unreached_functions(sources, readme_api(README.read_text(encoding="utf-8"))) == []
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,13 @@ from hypothesis import strategies as hst
 import builders
 from covstine import cli
 from covstine import numkernel as nk
-from covstine.errors import NotHermitianError, NotPsdError, ParseError, ShapeMismatchError
+from covstine.errors import (
+    ComputeError,
+    NotHermitianError,
+    NotPsdError,
+    ParseError,
+    ShapeMismatchError,
+)
 
 
 def random_hermitian(rng, dim):
@@ -158,6 +164,30 @@ def test_eigendecomposition_property(dim, seed):
     scale = max(1.0, np.linalg.norm(m))
     assert np.linalg.norm(m - vectors @ np.diag(values) @ vectors.conj().T) <= 1e-12 * scale
     assert nk.maxabs(vectors.conj().T @ vectors - np.eye(dim)) <= 1e-12
+
+
+def test_a_nan_defect_is_the_worst():
+    """A NaN entry is reduced to inf wherever defects are reduced, also in a chunk
+    after a finite one, where ``max(0.0, nan)`` would read 0.0."""
+    finite, nan = np.ones((1, 2, 2)), np.full((1, 2, 2), np.nan)
+    assert nk.maxabs(nan) == np.inf
+    np.testing.assert_array_equal(nk.stack_maxabs(np.concatenate([finite, nan])), [1.0, np.inf])
+    chunks = iter([finite, nan])  # one item per chunk at STACK_ENTRIES entries an item
+    assert nk.stack_max(2, nk.STACK_ENTRIES, lambda span: next(chunks)) == np.inf
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [nk.hermitian_eigendecomposition, nk.gram_factor, nk.psd_check, nk.psd_rank,
+     lambda m: nk.stack_ranks(m[None])],
+)
+@pytest.mark.parametrize("entry", [np.inf, np.nan])
+def test_a_non_finite_matrix_has_no_spectrum(solve, entry):
+    """An overflowed Gram is refused by the one eigensolve, not handed to LAPACK."""
+    gram = np.eye(2, dtype=complex)
+    gram[0, 1] = gram[1, 0] = entry
+    with pytest.raises(ComputeError, match="non-finite entry"):
+        solve(gram)
 
 
 class TestSerialization:

@@ -815,3 +815,72 @@ def test_failed_verify_names_its_input_rows_as_a_passing_one(tmp_path):
     assert set(cert.residuals) == COVARIANT_INPUT_ROWS | AXIOM_ROWS
     assert set(cert.ranks) == {"dilation_constructed", "module_fullness"}
     assert cert.residuals["input_covariance"] > cert.tolerance
+
+
+# Overflowing payloads: every entry is a finite number, so the parser takes it, but
+# some product of entries leaves the float range.
+
+
+def _scaled(obj, factor):
+    """``obj`` with every ``[re, im]`` entry of its matrices and tensors times ``factor``."""
+    if isinstance(obj, dict):
+        return {
+            key: [[re * factor, im * factor] for re, im in value]
+            if key == "entries"
+            else _scaled(value, factor)
+            for key, value in obj.items()
+        }
+    if isinstance(obj, list):
+        return [_scaled(item, factor) for item in obj]
+    return obj
+
+
+def _overflowing(name, kind, factor, *paths):
+    payload = {**json.loads((PAYLOADS / name).read_text()), "kind": kind}
+    for path in paths:
+        place = ("objects", *path)
+        payload = _set(payload, place, _scaled(functools.reduce(dict.get, place, payload), factor))
+    return payload
+
+
+def test_a_nan_covariance_defect_is_the_worst(tmp_path, capsys):
+    """With u and u' times 1e160 the covariance defects are inf - inf, NaN: they read
+    inf, not 0.0, so ``dilate-covariant`` refuses the map at its covariance gate and
+    both covariance rows of ``verify`` fail, written ``Infinity`` in a certificate
+    the shipped schema accepts."""
+    payload = _overflowing("explicit_system_c2.json", "dilate-covariant", 1e160, ("u",), ("u_prime",))
+    code, err = _run(tmp_path, capsys, payload)
+    assert code == 2 and "Traceback" not in err
+    assert "NotCovariantError: input map is not covariant (residual inf)" in err
+    out = tmp_path / "cert.json"
+    code, err = _run(tmp_path, capsys, {**payload, "kind": "verify"}, extra=("--out", str(out)))
+    assert code == 1 and "Traceback" not in err
+    text = out.read_text()
+    assert '"companion_covariance":Infinity' in text and '"input_covariance":Infinity' in text
+    cert = json.loads(text)
+    assert not cert["checks"]["companion_covariance"] and not cert["checks"]["input_covariance"]
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((PAYLOADS.parents[1] / "docs" / "certificate.schema.json").read_text())
+    jsonschema.validate(cert, schema)
+
+
+@pytest.mark.parametrize(
+    "name, kind, factor, path",
+    [
+        # the range density of verify_dilation ranks an overflowed Gram
+        ("dense_basis_21.json", "dilate", 1e160, ("module", "action")),
+        # the fullness Gram of the module overflows
+        ("dense_basis_21.json", "verify", 1e160, ("module", "inner")),
+        # the invertibility ranks of check_dynamical_system read overflowed Grams
+        ("explicit_system_c2.json", "verify", 1e155, ("system", "alpha")),
+        ("explicit_system_c2.json", "verify", 1e200, ("system", "eta")),
+    ],
+)
+def test_an_overflowed_gram_is_refused_before_the_eigensolve(
+    tmp_path, capsys, name, kind, factor, path
+):
+    """A Gram that overflowed reaches no eigensolver: the run exits 2, naming it,
+    instead of ending in ``numpy.linalg.LinAlgError``."""
+    code, err = _run(tmp_path, capsys, _overflowing(name, kind, factor, path))
+    assert code == 2 and "Traceback" not in err
+    assert "ComputeError: a matrix to eigensolve has a non-finite entry; the input overflows" in err

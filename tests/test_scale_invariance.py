@@ -6,7 +6,7 @@ its value there.
 
 ``scenarios/`` holds two such payloads for replay from the command line, both of
 kind ``dilate``: ``unit_1e-8.json`` is the 1 x 1 map at c = 1e-8, and
-``module_333_1e4.json`` is ``cpmaps.random_module_cp(3, 3, 3, 0)`` at c = 1e4.
+``module_333_1e4.json`` is ``builders.random_module_cp(3, 3, 3, 0)`` at c = 1e4.
 """
 
 import json
@@ -43,7 +43,7 @@ def _unit():
 
 
 def _module(seed):
-    return {"module": {"standard_module": [3, 3]}}, cpmaps.random_module_cp(3, 3, 3, seed)[0]
+    return {"module": {"standard_module": [3, 3]}}, builders.random_module_cp(3, 3, 3, seed)[0]
 
 
 def _standard_action():

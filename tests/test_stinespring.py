@@ -47,9 +47,9 @@ def oracle_dims(phi: cpmaps.ModuleCPMap) -> tuple[int, int]:
     eye = np.eye(n_dim)
     gram = np.zeros((n_dim * h, n_dim * h), dtype=complex)
     for k in range(n_dim):
-        a_star = cstar.AlgebraElement.from_coords(algebra, eye[k]).star()
+        a_star = builders.AlgebraElement.from_coords(algebra, eye[k]).star()
         for l in range(n_dim):
-            b = cstar.AlgebraElement.from_coords(algebra, eye[l])
+            b = builders.AlgebraElement.from_coords(algebra, eye[l])
             product = builders.element_product(a_star, b)
             gram[k * h : (k + 1) * h, l * h : (l + 1) * h] = phi.companion.apply(
                 product.coords()
@@ -90,7 +90,7 @@ class TestGns:
         algebra = cstar.CStarAlgebra((2,))
         images = np.stack(
             [
-                np.trace(cstar.coords_to_blocks(algebra, np.eye(4)[k])[0]) * np.eye(2)
+                np.trace(builders.coords_to_blocks(algebra, np.eye(4)[k])[0]) * np.eye(2)
                 for k in range(4)
             ]
         )
@@ -107,7 +107,7 @@ class TestGns:
     @pytest.mark.parametrize("source", ["generated 2,2,2", "dense_basis_21.json"])
     def test_rep_is_a_cp_map_and_a_representation(self, source):
         if source == "generated 2,2,2":
-            companion = cpmaps.random_module_cp(2, 2, 2, seed=7)[0].companion
+            companion = builders.random_module_cp(2, 2, 2, seed=7)[0].companion
         else:
             path = Path(__file__).resolve().parent / "scenarios" / source
             companion = cli.resolve_scenario(cli.load_scenario(str(path)), str(path)).phi.companion
@@ -119,7 +119,7 @@ class TestGns:
 
     def test_reconstruction_for_seeded_maps(self):
         for seed in range(4):
-            phi_mod, _ = cpmaps.random_module_cp(2, 2, 2, seed=seed)
+            phi_mod, _ = builders.random_module_cp(2, 2, 2, seed=seed)
             dilation = st.dilate_module_cp(phi_mod)
             cert = st.verify_dilation(phi_mod, dilation)
             assert cert.residuals["gns_reconstruction"] <= 1e-9
@@ -154,13 +154,13 @@ class TestDilateModuleCp:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_seeded_dims_match_oracle(self, seed):
-        phi, _ = cpmaps.random_module_cp(2, 2, 2, seed=seed)
+        phi, _ = builders.random_module_cp(2, 2, 2, seed=seed)
         dilation = st.dilate_module_cp(phi)
         dim_h, dim_k = oracle_dims(phi)
         assert (dilation.gns.dim, dilation.dim_codomain) == (dim_h, dim_k)
 
     def test_minimality_idempotent(self):
-        phi, _ = cpmaps.random_module_cp(2, 2, 2, seed=17)
+        phi, _ = builders.random_module_cp(2, 2, 2, seed=17)
         dilation = st.dilate_module_cp(phi)
         compressed = np.einsum(
             "ab,iac,cd->ibd", np.conj(dilation.W), dilation.images, dilation.gns.V
@@ -262,7 +262,7 @@ class TestDilateCovariant:
 
 class TestVerifyDilation:
     def test_reports_padded_codomain_as_rank_deficit(self):
-        phi, _ = cpmaps.random_module_cp(2, 2, 2, seed=2, k_dim=5)
+        phi, _ = builders.random_module_cp(2, 2, 2, seed=2, k_dim=5)
         dilation = st.dilate_module_cp(phi)
         assert dilation.dim_codomain < phi.space_dims[1]
         # extend the codomain by one orthonormal direction nothing maps onto
@@ -307,7 +307,7 @@ class TestVerifyDilation:
 
 class TestUniqueness:
     def test_self_comparison_gives_identity(self):
-        phi, _ = cpmaps.random_module_cp(2, 2, 2, seed=1)
+        phi, _ = builders.random_module_cp(2, 2, 2, seed=1)
         dilation = st.dilate_module_cp(phi)
         alt = st.AltDilation(dilation.images, dilation.gns.V, dilation.W)
         report = st.uniqueness_intertwiners(dilation, alt)
@@ -317,7 +317,7 @@ class TestUniqueness:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_recovers_seeded_conjugators(self, seed):
-        phi, _ = cpmaps.random_module_cp(2, 2, 2, seed=seed + 40)
+        phi, _ = builders.random_module_cp(2, 2, 2, seed=seed + 40)
         dilation = st.dilate_module_cp(phi)
         rng = np.random.default_rng(seed)
         r1 = nk.haar_unitary(rng, dilation.gns.dim)
@@ -358,7 +358,7 @@ class TestUniqueness:
         assert report.covariant_w_residual <= 1e-9
 
     def test_corrupted_w_is_surfaced(self):
-        phi, _ = cpmaps.random_module_cp(2, 2, 2, seed=3)
+        phi, _ = builders.random_module_cp(2, 2, 2, seed=3)
         dilation = st.dilate_module_cp(phi)
         rng = np.random.default_rng(3)
         rogue = cpmaps.polar_coisometry(
@@ -372,14 +372,14 @@ class TestUniqueness:
         assert max(report.w_map_residual, report.alt_reconstruction) > 1e-6
 
     def test_non_coisometry_rejected(self):
-        phi, _ = cpmaps.random_module_cp(2, 2, 2, seed=3)
+        phi, _ = builders.random_module_cp(2, 2, 2, seed=3)
         dilation = st.dilate_module_cp(phi)
         alt = st.AltDilation(dilation.images, dilation.gns.V, 3.0 * dilation.W)
         with pytest.raises(NotCoisometryError):
             st.uniqueness_intertwiners(dilation, alt)
 
     def test_non_minimal_alt_rejected(self):
-        phi, _ = cpmaps.random_module_cp(2, 2, 2, seed=2, k_dim=5)
+        phi, _ = builders.random_module_cp(2, 2, 2, seed=2, k_dim=5)
         dilation = st.dilate_module_cp(phi)
         complement = np.linalg.svd(dilation.W)[2][-1:]
         padded_w = np.vstack([dilation.W, complement])
