@@ -4,8 +4,8 @@ The package reads scenarios and never writes one, and no run reaches the
 helpers below: the JSON writers (inverses of the ``cli.*_from_json`` readers),
 algebra elements held block by block and their products, the seeded plain
 module map, named representations, crossed basis elements and the companion
-of an integral form.  They live here so that ``src/covstine``
-holds only what a run or the exported API reaches; the guard
+of an integral form.  They live here so that ``src/covstine`` holds only
+what a run or the API list of README.md reaches; the guard
 ``test_every_package_function_is_reached`` in ``test_kernels.py`` keeps it so.
 """
 

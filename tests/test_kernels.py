@@ -4,8 +4,8 @@ the GNS factor from Choi blocks against the dense Gram factor, the module
 identities on their live support against their dense references, and guards
 that keep unordered multi-operand einsums, ``np.kron`` calls, solvers with a
 rank cutoff of their own, per-call tolerance parameters, float literals used
-as gates and functions that only tests reach out of the package, and the
-scenario wire format out of every module but ``cli``."""
+as gates, and code that neither a run nor README.md's API list reaches out
+of the package, and the scenario wire format out of every module but ``cli``."""
 
 import ast
 import inspect
@@ -1208,10 +1208,11 @@ def unreached_functions(sources: dict[str, str], api: list[str]) -> list[str]:
     and from the definitions ``api`` lists (``"name"`` or ``"Class.method"``), and a
     definition is reached once a reached body names it: a function or class as a
     ``Name`` or an ``Attribute``, a method or property as an ``Attribute`` (a local
-    variable of the same name does not call it).  Returned, sorted: ``"module.name"`` or ``"module.Class.method"``
-    for each definition not reached, ``"api.entry"`` for each entry that names no
-    definition or no name ``__init__.py`` imports, and ``"__init__.name"`` for each
-    imported name ``api`` lacks."""
+    variable of the same name does not call it).  Returned, sorted:
+    ``"module.name"`` or ``"module.Class.method"`` for each definition not reached,
+    ``"api.entry"`` for each entry that names no definition or no name
+    ``__init__.py`` imports, and ``"__init__.name"`` for each imported name ``api``
+    lacks."""
     trees = {name: ast.parse(text) for name, text in sources.items()}
     imported = {
         alias.name

@@ -884,3 +884,17 @@ def test_an_overflowed_gram_is_refused_before_the_eigensolve(
     code, err = _run(tmp_path, capsys, _overflowing(name, kind, factor, path))
     assert code == 2 and "Traceback" not in err
     assert "ComputeError: a matrix to eigensolve has a non-finite entry; the input overflows" in err
+
+
+def test_verify_reports_an_overflow_inside_the_construction(tmp_path, capsys):
+    """Inside the dilation the refused eigensolve is a construction ``verify`` cannot
+    finish: a complete certificate whose ``dilation_constructed`` row fails, exit 1."""
+    payload = _overflowing("dense_basis_21.json", "verify", 1e160, ("module", "action"))
+    out = tmp_path / "cert.json"
+    code, err = _run(tmp_path, capsys, payload, extra=("--out", str(out)))
+    assert code == 1 and "Traceback" not in err
+    cert = json.loads(out.read_text())
+    assert not cert["checks"]["dilation_constructed"]
+    assert cert["skipped"]["dilation"] == (
+        "ComputeError: a matrix to eigensolve has a non-finite entry; the input overflows"
+    )
