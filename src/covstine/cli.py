@@ -607,6 +607,7 @@ def _run_uniqueness(res: ResolvedScenario, provenance: dict) -> Certificate:
     )
     tol = max(res.tolerance, nk.PRECONDITION_TOL)
     cert.dims.update(base.dims)
+    cert.residuals.update(stinespring.input_rows(res.phi, res.cov))
     try:
         report = stinespring.uniqueness_intertwiners(dilation, alt, tol=tol)
     except NotUnitaryError as exc:  # the competitor is this run's own conjugate: a failed check
@@ -621,6 +622,9 @@ def _run_uniqueness(res: ResolvedScenario, provenance: dict) -> Certificate:
     return cert
 
 
+# A non-finite value is reported where it arises (``maxabs`` reads NaN as inf, the
+# eigensolve refuses a non-finite matrix), so numpy's own warnings would only repeat it.
+@np.errstate(over="ignore", invalid="ignore")
 def run_scenario(
     path: str,
     expected_kind: str | None = None,

@@ -84,11 +84,6 @@ class CrossedAlgebra:
             out[s] = self.alpha[s] @ cstar.star_coords(self.base, f[group.inv[s]])
         return out
 
-    def unit(self) -> np.ndarray:
-        out = np.zeros((self.group.order, self.base.dim), dtype=np.complex128)
-        out[self.group.identity] = cstar.unit_coords(self.base)
-        return out
-
     @cached_property
     def product_blocks(self) -> np.ndarray:
         """``B[t, k, l]``: coordinates of ``E_k alpha_t(E_l)``, shape (g, N, N, N).

@@ -358,20 +358,19 @@ def range_stack(images, v=None) -> np.ndarray:
 
 
 def density_ranks(images, v=None, w=None) -> tuple[nk.RankProfile, nk.RankProfile]:
-    """Rank profiles of the column stacks spanning ``[pi(X) V H]`` (range, freed before
-    the corange is formed) and ``[pi(X)* W K]`` (``corange_rank``).  A map is
-    nondegenerate, or a dilation minimal, when both have full row rank."""
-    return nk.numerical_rank(range_stack(images, v)), corange_rank(images, w)
+    """Rank profiles of ``range_stack`` (freed before the corange is formed) and
+    ``corange_stack``.  A map is nondegenerate, or a dilation minimal, when both
+    have full row rank."""
+    return nk.numerical_rank(range_stack(images, v)), nk.numerical_rank(corange_stack(images, w))
 
 
-def corange_rank(images, w=None) -> nk.RankProfile:
-    """Rank profile of the stack spanning ``[pi(X)* W K]``, ``w: K -> K'`` defaulting to the
+def corange_stack(images, w=None) -> np.ndarray:
+    """The column stack spanning ``[pi(X)* W K]``, ``w: K -> K'`` defaulting to the
     identity; each rebinding of ``coranged`` frees the step before it (two copies at most)."""
     coranged = np.conj(images).transpose(0, 2, 1)
     if w is not None:
         coranged = coranged @ w
-    coranged = range_stack(coranged)
-    return nk.numerical_rank(coranged)
+    return range_stack(coranged)
 
 
 def identity_defect(images: np.ndarray, module: HilbertModule, companion: np.ndarray) -> float:

@@ -425,7 +425,9 @@ def least_squares_solve(a, b) -> np.ndarray:
     star = adjoint(a)
     factor = gram_factor(star @ a)
     x = factor.solve(star @ b)
-    return x + factor.solve(star @ (b - a @ x))
+    residual = a @ x
+    np.subtract(b, residual, out=residual)  # in place: no second (rows, cols) array
+    return x + factor.solve(star @ residual)
 
 
 class RankProfile(NamedTuple):

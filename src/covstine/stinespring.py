@@ -658,12 +658,15 @@ def uniqueness_intertwiners(
 ) -> UniquenessReport:
     """Solve the unitaries carrying the dilation onto competing minimal data.
 
-    ``U1`` is solved on the span of ``pi_gns(A) V H``, ``U2`` on the span of
-    ``pi(X) V H``; both systems are full-rank exactly when the dilation is
-    minimal.  Raises ``NotMinimalError`` when the competing data fails its
-    density (rank) conditions and ``NotUnitaryError`` when a solved
-    intertwiner is not unitary, which means the inputs are not equivalent
-    dilations.  All other discrepancies are reported as residuals.
+    A competitor ``pi' = U2 pi U1*``, ``V' = U1 V``, ``W' = U2 W`` has
+    ``pi'(x)* W' = U1 pi(x)* W`` and ``pi'(x) V' = U2 pi(x) V``, so ``U1`` is
+    solved on the stacks spanning ``[pi(X)* W K]`` and ``U2`` on those spanning
+    ``[pi(X) V H]``; the competitor's two are the stacks its minimality check
+    ranks.  Both systems are full-rank exactly when the dilation is minimal.  Raises
+    ``NotMinimalError`` when the competing data fails its density (rank)
+    conditions and ``NotUnitaryError`` when a solved intertwiner is not
+    unitary, which means the inputs are not equivalent dilations.  All other
+    discrepancies, ``V' = U1 V`` among them, are reported as residuals.
     """
     base = dilation.base if isinstance(dilation, CovariantDilation) else dilation
     phi = base.cp_map
@@ -683,27 +686,19 @@ def uniqueness_intertwiners(
     if w_defect > tol:
         raise NotCoisometryError(f"competing W is not a coisometry ({w_defect:.3e})")
 
-    coranged = hilbmod.corange_rank(alt_images, alt_w)
+    c_cols_alt = hilbmod.corange_stack(alt_images, alt_w)
     s_cols_alt = hilbmod.range_stack(alt_images, alt_v)
-    ranged = nk.numerical_rank(s_cols_alt)
+    ranged, coranged = nk.numerical_rank(s_cols_alt), nk.numerical_rank(c_cols_alt)
     if ranged.rank != alt_k or coranged.rank != alt_h:
         raise NotMinimalError(
             f"competing dilation is not minimal: range rank {ranged.rank}/{alt_k}, "
             f"corange rank {coranged.rank}/{alt_h}"
         )
 
-    # companion representation of the competing images, via fullness
-    alt_companion = hilbmod.companion_solve(module, alt_images)
+    alt_recon = nk.maxabs(nk.sandwich(alt_w, alt_images, alt_v) - phi.images)
 
-    alt_rebuilt = nk.sandwich(alt_w, alt_images, alt_v)
-    alt_recon = nk.maxabs(alt_rebuilt - phi.images)
-
-    # U1 from the algebra side, U2 from the module side
-    m_cols = hilbmod.range_stack(gns.rep.images, gns.V)
-    m_cols_alt = hilbmod.range_stack(alt_companion, alt_v)
-    u1 = nk.least_squares_solve(m_cols.T, m_cols_alt.T).T
-    s_cols = hilbmod.range_stack(base.images, gns.V)
-    u2 = nk.least_squares_solve(s_cols.T, s_cols_alt.T).T
+    u1 = nk.least_squares_solve(hilbmod.corange_stack(base.images, base.W).T, c_cols_alt.T).T
+    u2 = nk.least_squares_solve(hilbmod.range_stack(base.images, gns.V).T, s_cols_alt.T).T
 
     def _unitarity(u: np.ndarray) -> float:
         if u.shape[0] != u.shape[1]:

@@ -229,6 +229,13 @@ def basis_element(crossed, t: int, k: int) -> np.ndarray:
     return out
 
 
+def crossed_unit(calg) -> np.ndarray:
+    """The unit ``delta_e (x) 1`` of a ``CrossedAlgebra``, as a (|G|, N) coordinate array."""
+    out = np.zeros((calg.group.order, calg.base.dim), dtype=np.complex128)
+    out[calg.group.identity] = cstar.unit_coords(calg.base)
+    return out
+
+
 def apply_companion(form, f: np.ndarray) -> np.ndarray:
     """The companion image of a crossed-algebra element under an ``IntegralForm``."""
     return np.tensordot(np.ravel(f).astype(np.complex128), form.companion_images, axes=(0, 0))

@@ -30,7 +30,7 @@ class TestCrossedAlgebra:
         calg = crossed.build_crossed_algebra(group, np.eye(4)[None].astype(complex), base)
         struct = reference_structure(calg)
         np.testing.assert_allclose(struct, cstar.mult_tensor(base), atol=1e-12)
-        unit = calg.unit().reshape(-1)
+        unit = builders.crossed_unit(calg).reshape(-1)
         np.testing.assert_allclose(unit, cstar.unit_coords(base))
 
     def test_z2_group_algebra_idempotents(self):

@@ -110,7 +110,7 @@ def dense_algebra_residuals(calg):
         for i in range(d)
         for j in range(d)
     )
-    unit = calg.unit().reshape(d)
+    unit = builders.crossed_unit(calg).reshape(d)
     unital = max(
         np.max(np.abs(np.einsum("p,pjq->jq", unit, struct) - np.eye(d))),
         np.max(np.abs(np.einsum("ipq,p->iq", struct, unit) - np.eye(d))),

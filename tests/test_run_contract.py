@@ -11,6 +11,7 @@ import json
 import re
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +39,9 @@ def _bundled(name):
 def _run(tmp_path, capsys, payload, kind=None, extra=()):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(payload))
-    code = cli.main([kind or payload["kind"], "--scenario", str(path), *extra])
+    with warnings.catch_warnings():  # pytest captures warnings, so none would reach err
+        warnings.simplefilter("error")
+        code = cli.main([kind or payload["kind"], "--scenario", str(path), *extra])
     return code, capsys.readouterr().err
 
 
@@ -629,9 +632,8 @@ def test_two_block_explicit_payload_runs(tmp_path, capsys):
 @pytest.mark.parametrize("kind", ["dilate", "verify", "uniqueness"])
 def test_map_just_past_the_tolerance_fails_its_certificate(tmp_path, capsys, kind):
     """The image 1 + 3e-9 misses the identity by 6e-9: within PRECONDITION_TOL, so
-    it is constructed, and past the tolerance 1e-9, so every command exits 1.  For
-    uniqueness the solve onto the run's own unitary conjugate is not unitary (U1
-    defect 1.2e-8), a failed check rather than bad input."""
+    it is constructed, and past the tolerance 1e-9, so every command exits 1 on
+    its failing ``input_identity`` row."""
     image = {"rows": 1, "cols": 1, "entries": [[1 + 3e-9, 0]]}
     payload = {**_set(EXPLICIT, CP_MAP + ("images", "0"), image), "kind": kind, "seed": 3}
     out = tmp_path / "cert.json"
@@ -640,9 +642,7 @@ def test_map_just_past_the_tolerance_fails_its_certificate(tmp_path, capsys, kin
     assert "Traceback" not in err
     cert = json.loads(out.read_text())
     assert not cert["pass"]
-    if kind == "uniqueness":
-        assert cert["ranks"]["intertwiners_unitary"] == {"achieved": 0, "required": 1}
-        assert cert["skipped"]["uniqueness"].startswith("NotUnitaryError: ")
+    assert not cert["checks"]["input_identity"]
 
 
 @pytest.mark.parametrize(
@@ -779,7 +779,7 @@ ROWS = {
         {"integral_range_density", "integral_corange_density", "crossed_module_fullness"},
     ),
     "uniqueness": (
-        {
+        COVARIANT_INPUT_ROWS | {
             "alt_reconstruction", "intertwine_images", "unitarity_U1", "unitarity_U2",
             "v_map_residual", "w_map_residual", "covariant_v_residual", "covariant_w_residual",
             "recover_U1", "recover_U2",

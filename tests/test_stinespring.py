@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -357,19 +358,44 @@ class TestUniqueness:
         assert report.covariant_v_residual <= 1e-9
         assert report.covariant_w_residual <= 1e-9
 
-    def test_corrupted_w_is_surfaced(self):
+    @pytest.mark.parametrize("field", ["W", "V", "image"])
+    def test_corrupted_competitor_is_surfaced(self, field):
+        """A corrupted W', V' or image pi'(x_0) is refused or shows in a row.  V' enters
+        the U2 solve only, W' the U1 solve only."""
         phi, _ = builders.random_module_cp(2, 2, 2, seed=3)
         dilation = st.dilate_module_cp(phi)
         rng = np.random.default_rng(3)
-        rogue = cpmaps.polar_coisometry(
-            nk.complex_normal(rng, dilation.dim_codomain, phi.space_dims[1])
-        )
-        alt = st.AltDilation(dilation.images, dilation.gns.V, rogue)
+        images, v, w = dilation.images.copy(), dilation.gns.V, dilation.W
+        if field == "W":
+            w = cpmaps.polar_coisometry(nk.complex_normal(rng, *w.shape))
+        elif field == "V":
+            v = nk.complex_normal(rng, *v.shape)
+        else:
+            images[0] = nk.complex_normal(rng, *images[0].shape)
         try:
-            report = st.uniqueness_intertwiners(dilation, alt)
+            report = st.uniqueness_intertwiners(dilation, st.AltDilation(images, v, w))
         except (NotUnitaryError, NotMinimalError):
             return
-        assert max(report.w_map_residual, report.alt_reconstruction) > 1e-6
+        assert report.max_residual > 1e-6
+
+    @pytest.mark.parametrize("scenario", [None, "cyclic:2", "module_333_1e4.json"])
+    def test_solves_no_companion_and_builds_no_gns_view(self, tmp_path, monkeypatch, scenario):
+        """U1 is solved on the corange stacks, so the uniqueness run reads neither the
+        competitor's companion nor the dense GNS images."""
+        def refuse(*args):
+            raise AssertionError("read on the uniqueness path")
+
+        monkeypatch.setattr(hilbmod, "companion_solve", refuse)
+        monkeypatch.setattr(st.GnsTriple, "rep", property(refuse))
+        if scenario and scenario.endswith(".json"):
+            source = Path(__file__).resolve().parent / "scenarios" / scenario
+            payload = {**json.loads(source.read_text()), "kind": "uniqueness"}
+        else:  # a generated 2, 2, 2, plain or with the group
+            payload = cli.generate_scenario("uniqueness", 2, 2, 2, 11, scenario)
+        path = tmp_path / "scenario.json"
+        path.write_bytes(cli.canonical_bytes(payload))
+        out = tmp_path / "cert.json"
+        assert cli.main(["uniqueness", "--scenario", str(path), "--out", str(out)]) == 0
 
     def test_non_coisometry_rejected(self):
         phi, _ = builders.random_module_cp(2, 2, 2, seed=3)
