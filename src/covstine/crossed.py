@@ -26,8 +26,8 @@ on these g blocks (``product_blocks``, ``star_blocks``, ``action_blocks``,
 ``multiply``, ``star``, ``act`` and ``inner`` are the reference the tests
 compare the blocks against.
 
-``induced_cp`` integrates the covariant dilation once, for its factorization
-residual and both density profiles.
+``induced_cp`` reads the covariant dilation's integral form through its parts, as
+``verify_dilation`` reads its density, and builds no dense view of the dilation.
 """
 
 from __future__ import annotations
@@ -499,8 +499,10 @@ def induced_cp(
 
     if dilation is None:
         dilation = stinespring.dilate_covariant(cov)
-    base = dilation.base
-    dil_images = _integrated(base.images, dilation.v.mats)
-    fact = nk.maxabs(nk.sandwich(base.W, dil_images, base.gns.V) - images)
-    ranged, coranged = hilbmod.density_ranks(dil_images, base.gns.V, base.W)
+    # pi(x_i) v_t V from the dilation's parts, as verify reads pi(x_i) V: columns (t, h)
+    base, v = dilation.base, dilation.v.mats
+    ranged = stinespring._ranged(base, (v @ base.gns.V).transpose(1, 0, 2).reshape(base.gns.dim, -1))
+    rebuilt = (nk.adjoint(base.W) @ ranged).reshape(len(ranged), -1, len(v), images.shape[2])
+    fact = nk.maxabs(rebuilt.transpose(2, 0, 1, 3).reshape(images.shape) - images)
+    ranged, coranged = nk.numerical_rank(hilbmod.range_stack(ranged)), stinespring._corange_rank(base, v)
     return InducedCP(cm, images, companion, identity, fact, ranged, coranged, dilation)

@@ -357,11 +357,11 @@ def range_stack(images, v=None) -> np.ndarray:
     return ranged.transpose(1, 0, 2).reshape(ranged.shape[1], ranged.shape[0] * ranged.shape[2])
 
 
-def density_ranks(images, v=None, w=None) -> tuple[nk.RankProfile, nk.RankProfile]:
-    """Rank profiles of ``range_stack`` (freed before the corange is formed) and
-    ``corange_stack``.  A map is nondegenerate, or a dilation minimal, when both
-    have full row rank."""
-    return nk.numerical_rank(range_stack(images, v)), nk.numerical_rank(corange_stack(images, w))
+def density_ranks(images) -> tuple[nk.RankProfile, nk.RankProfile]:
+    """Rank profiles of the ``range_stack`` (freed before the corange is formed) and the
+    ``corange_stack`` of a representation's images.  It is nondegenerate when both have
+    full row rank; a dilation's density is ranked on its parts (``stinespring``)."""
+    return nk.numerical_rank(range_stack(images)), nk.numerical_rank(corange_stack(images))
 
 
 def corange_stack(images, w=None) -> np.ndarray:

@@ -505,7 +505,7 @@ def verify_dilation(
 
     # the dilation, from its live parts: Phi(x) = W* pi(x) V and
     # pi(x)* pi(y) = pi_gns(<x,y>)
-    ranged = _ranged(base)
+    ranged = _ranged(base, gns.V)
     residuals["reconstruction"] = nk.maxabs(nk.adjoint(base.W) @ ranged - phi.images)
     residuals["representation_identity"] = _identity_defect(base)
 
@@ -574,10 +574,10 @@ def _gns_rows(gns: GnsTriple) -> tuple[float, int, float]:
     return recon, rank, representation / max(1.0, nk.maxabs(move))
 
 
-def _ranged(dilation: StinespringDilation) -> np.ndarray:
-    """``pi(x_i) V`` of every x_i, (m, dim_codomain, dim H): ``P V_a`` summed over its parts."""
+def _ranged(dilation: StinespringDilation, right: np.ndarray) -> np.ndarray:
+    """``pi(x_i) @ right`` of every x_i, (m, dim_codomain, cols): ``P right_a`` over its parts."""
     (xs, rows, maps), gns = dilation.parts, dilation.gns
-    products = maps @ np.concatenate([gns.V, np.zeros_like(gns.V[:1])])[gns.row_cols[rows]]
+    products = maps @ np.concatenate([right, np.zeros_like(right[:1])])[gns.row_cols[rows]]
     ranged = np.zeros((dilation.cp_map.module.dim,) + products.shape[1:], dtype=np.complex128)
     _add_at(ranged, (xs,), xs, products)
     return ranged
@@ -600,10 +600,11 @@ def _identity_defect(dilation: StinespringDilation) -> float:
     return max([nk.pair_defect(np.conj(maps).transpose(0, 2, 1), maps, gns.M, targets), *missed])
 
 
-def _corange_rank(dilation: StinespringDilation) -> nk.RankProfile:
-    """``numerical_rank`` of the stack ``[pi(x_i)* W]``: its Gram gets ``P* (W W*) Q`` on the
-    coordinates of each two parts P, Q of one x_i.  Where dim exceeds m dim K, the
-    stack's smaller Gram has the same nonzero spectrum, the first m dim K values."""
+def _corange_rank(dilation: StinespringDilation, v: np.ndarray | None = None) -> nk.RankProfile:
+    """``numerical_rank`` of ``[pi(x_i)* W]``, or given the group's ``v`` of the integrated
+    ``[v_t* pi(x_i)* W]``: its Gram C gets ``P* (W W*) Q`` on the coordinates of each two
+    parts P, Q of one x_i, and the integrated one is ``sum_t v_t* C v_t``.  Where dim exceeds
+    the stack's columns, its smaller Gram has the same nonzero spectrum: that many values."""
     (xs, rows, maps), dim = dilation.parts, dilation.gns.dim
     at = dilation.gns.row_cols[rows]  # each part's coordinates, the padding at dim
     weighted = (dilation.W @ nk.adjoint(dilation.W)) @ maps
@@ -613,8 +614,9 @@ def _corange_rank(dilation: StinespringDilation) -> nk.RankProfile:
         blocks = (np.conj(maps[p[span]]).transpose(0, 2, 1) @ weighted[q[span]]).reshape(-1)
         flat = (at[p[span], :, None] * (dim + 1) + at[q[span], None, :]).reshape(-1)
         gram += np.bincount(flat, blocks.real, len(gram)) + 1j * np.bincount(flat, blocks.imag, len(gram))
-    ranked = nk.psd_rank(gram.reshape(dim + 1, dim + 1)[:dim, :dim])
-    keep = min(dim, len(dilation.cp_map.images) * dilation.W.shape[1])
+    gram = gram.reshape(dim + 1, dim + 1)[:dim, :dim]
+    ranked = nk.psd_rank(gram if v is None else sum(nk.adjoint(v_t) @ gram @ v_t for v_t in v))
+    keep = min(dim, (1 if v is None else len(v)) * len(dilation.cp_map.images) * dilation.W.shape[1])
     return nk.RankProfile(min(ranked.rank, keep), ranked.singular_values[:keep])
 
 

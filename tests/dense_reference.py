@@ -37,8 +37,10 @@ forms: dense, with the (rank, N h) ``F`` and (N h, rank) ``L`` placed whole,
 every raw module map over the full (m, N, m) action tensor and ``np.kron``
 of ``alpha_t`` and ``u_t``; and factored, the package's block rows and live
 (x_i, block row) groups one at a time.  The integral form of a covariant
-dilation is integrated once for its factorization residual and once more for
-its density ranks, where ``crossed.induced_cp`` reads all three off one build.
+dilation is integrated from the dense view ``StinespringDilation.images``
+once for its factorization residual and once more for its density ranks
+(``integral_stinespring``), where ``crossed.induced_cp`` reads all three off
+the dilation's parts, as ``verify_dilation`` reads its own density.
 The plain rows of ``verify_dilation`` are kept on the dense views
 ``GnsTriple.rep`` and ``StinespringDilation.images`` (``plain_rows``), where the
 package reads each block's ``M_b`` and the dilation's live parts, and
@@ -764,11 +766,10 @@ def plain_rows(phi, dilation):
             dilation.images, phi.module, gns.rep.images
         ),
     }
-    ranked, coranged = hilbmod.density_ranks(dilation.images, gns.V, dilation.W)
     ranks = {
         "gns_minimality": nk.numerical_rank(hilbmod.range_stack(gns.rep.images, gns.V)),
-        "range_density": ranked,
-        "corange_density": coranged,
+        "range_density": nk.numerical_rank(hilbmod.range_stack(dilation.images, gns.V)),
+        "corange_density": nk.numerical_rank(hilbmod.corange_stack(dilation.images, dilation.W)),
     }
     return residuals, ranks
 
@@ -872,16 +873,17 @@ def crossed_identity_defect(cm, images, companion):
 
 
 def integral_stinespring(cov, dilation):
-    """The integral form of a covariant dilation checked from a second build:
-    the factorization residual of the induced map and the range and corange
-    rank profiles of the integrated dilation images, each from its own
-    integration, as before ``crossed.induced_cp`` took all three from one."""
+    """The integral form of a covariant dilation built densely: the factorization
+    residual of the induced map and the range and corange rank profiles of the
+    integrated dilation images ``pi(x_i) v_t``, each from its own integration of
+    the dense view, where ``crossed.induced_cp`` reads all three off the parts."""
     base = dilation.base
     images = crossed._integrated(cov.base.images, cov.u.mats)
     rebuilt = nk.sandwich(base.W, crossed._integrated(base.images, dilation.v.mats), base.gns.V)
     residual = nk.maxabs(rebuilt - images)
     dil_images = crossed._integrated(base.images, dilation.v.mats)
-    ranged, coranged = hilbmod.density_ranks(dil_images, base.gns.V, base.W)
+    ranged = nk.numerical_rank(hilbmod.range_stack(dil_images, base.gns.V))
+    coranged = nk.numerical_rank(hilbmod.corange_stack(dil_images, base.W))
     return residual, ranged, coranged
 
 

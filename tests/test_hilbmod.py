@@ -313,21 +313,20 @@ class TestJson:
 
 def test_density_ranks_hold_one_stack_at_a_time():
     """The range stack is ranked before the corange stack is formed, and each
-    step of the corange side frees the one before it: on (16, 64, 64) images and
-    a ``w`` one column wider, the traced peak stays below 2.25 times the images'
-    bytes (4.03 times while both stacks and the conjugate images were alive at
-    once).  The profiles are those of the two stacks ranked on their own."""
+    step of the corange side frees the one before it: on (16, 64, 64) images the
+    traced peak stays below 2.25 times the images' bytes (4.03 times while both
+    stacks and the conjugate images were alive at once).  The profiles are those
+    of the two stacks ranked on their own."""
     rng = np.random.default_rng(5)
     images = rng.standard_normal((16, 64, 64)) + 1j * rng.standard_normal((16, 64, 64))
-    w = rng.standard_normal((64, 65)) + 0j
     tracemalloc.start()
     try:
-        ranged, coranged = hilbmod.density_ranks(images, None, w)
+        ranged, coranged = hilbmod.density_ranks(images)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2.25 * images.nbytes
-    corange_stack = hilbmod.range_stack(np.conj(images).transpose(0, 2, 1), w)
+    corange_stack = hilbmod.range_stack(np.conj(images).transpose(0, 2, 1))
     for profile, stack in ((ranged, hilbmod.range_stack(images)), (coranged, corange_stack)):
         alone = nk.numerical_rank(stack)
         assert profile.rank == alone.rank == 64
