@@ -50,8 +50,10 @@ MAX_N = 8
 # standard module: N = sum of the squared block sizes is at most 64.
 MAX_DIM = MAX_N**2
 MAX_AMPLIFICATION = 8
-# Explicit trivial representations get the bound of the largest space a
-# generated scenario has: K of dimension p * amplification plus at most 2.
+# Every space of a payload gets the bound of the largest space a generated
+# scenario has, K of dimension p * amplification plus at most 2: the ``space_dim``
+# of the companion and of every representation, ``{"trivial": N}``, and the rows
+# and cols of every matrix, each read before the entries it sizes are decoded.
 MAX_SPACE_DIM = MAX_P * MAX_AMPLIFICATION + 2
 # exhaustive crossed-axiom checks are only feasible on small crossed bases
 CROSSED_AXIOM_LIMIT = 64
@@ -131,6 +133,15 @@ def json_positive(value, what: str) -> float:
     return float(value)
 
 
+def space_dim_from_json(value, what: str, minimum: int = 0) -> int:
+    """A space dimension in ``[minimum, MAX_SPACE_DIM]``: ``ParseError`` naming ``what``
+    below ``minimum``, ``BoundsError`` above the bound."""
+    dim = json_int(value, what, minimum)
+    if dim > MAX_SPACE_DIM:
+        raise BoundsError(f"{what} dimension {dim} outside [{minimum}, {MAX_SPACE_DIM}]")
+    return dim
+
+
 def entries_from_json(entries, what: str) -> np.ndarray:
     """Decode ``[re, im]`` pairs into a flat complex array.
 
@@ -152,8 +163,8 @@ def entries_from_json(entries, what: str) -> np.ndarray:
 
 def mat_from_json(obj, where: str = "matrix payload") -> np.ndarray:
     _object(obj, where, ("rows", "cols", "entries"))
-    rows = json_int(obj["rows"], f"{where}: 'rows'")
-    cols = json_int(obj["cols"], f"{where}: 'cols'")
+    rows = space_dim_from_json(obj["rows"], f"{where}: 'rows'")
+    cols = space_dim_from_json(obj["cols"], f"{where}: 'cols'")
     flat = entries_from_json(obj["entries"], where)
     if flat.size != rows * cols:
         raise ParseError(f"{where}: {flat.size} entries for shape {rows}x{cols}")
@@ -188,11 +199,12 @@ def algebra_from_json(obj) -> cstar.CStarAlgebra:
 def representation_from_json(
     algebra: cstar.CStarAlgebra, obj, what: str = "representation payload"
 ) -> cstar.CPMapAlgebra:
-    """One ``space_dim x space_dim`` image per basis label; ``ParseError`` naming ``what``."""
+    """One ``space_dim x space_dim`` image per basis label, ``space_dim`` at least 1;
+    ``ParseError`` naming ``what``."""
     _object(obj, what, ("space_dim", "images"))
     labels = algebra.basis_labels()
     _object(obj["images"], f"{what}.images", labels)
-    space_dim = json_int(obj["space_dim"], f"{what}: 'space_dim'")
+    space_dim = space_dim_from_json(obj["space_dim"], f"{what}: 'space_dim'", 1)
     images = [mat_from_json(obj["images"][label], f'{what}.images."{label}"') for label in labels]
     wrong = [label for label, m in zip(labels, images) if m.shape != (space_dim, space_dim)]
     if wrong:
@@ -275,22 +287,19 @@ def unitary_rep_from_json(
     form = _tag(obj, ("trivial", "regular"))
     if form == "trivial":
         _object(obj, what, ("trivial",))
-        dim = json_int(obj["trivial"], f"{what}: 'trivial'")
-        if dim > MAX_SPACE_DIM:
-            raise BoundsError(f"{what}: 'trivial' dimension {dim} outside [0, {MAX_SPACE_DIM}]")
-        return hilbmod.trivial_rep(group, dim)
+        return hilbmod.trivial_rep(group, space_dim_from_json(obj["trivial"], f"{what}: 'trivial'"))
     if form == "regular":
         _object(obj, what, ("regular",))
         if obj["regular"] is not True:
             raise ParseError(f"{what}: 'regular' must be true, got {obj['regular']!r:.60}")
         return hilbmod.regular_rep(group)
     _object(obj, what, ("space_dim", "mats"))
+    space_dim = space_dim_from_json(obj["space_dim"], f"{what}: 'space_dim'")
     if not isinstance(obj["mats"], list):
         raise ParseError(f"{what}: 'mats' must be a list")
+    if len(obj["mats"]) != group.order:  # before any matrix is decoded
+        raise ParseError(f"{what}: 'mats' has {len(obj['mats'])} matrices, the group's order is {group.order}")
     mats = [mat_from_json(m, f"{what}.mats[{index}]") for index, m in enumerate(obj["mats"])]
-    if len(mats) != group.order:
-        raise ParseError(f"{what}: {len(mats)} matrices for group of order {group.order}")
-    space_dim = json_int(obj["space_dim"], f"{what}: 'space_dim'")
     if any(m.shape != (space_dim, space_dim) for m in mats):
         raise ParseError(f"{what}: 'mats' must be {space_dim}x{space_dim}")
     return hilbmod.UnitaryRep(group, space_dim, np.stack(mats))
@@ -597,9 +606,8 @@ def _run_uniqueness(res: ResolvedScenario, provenance: dict) -> Certificate:
     rng = _scenario_rng(res.seed, 102)
     r1 = nk.haar_unitary(rng, base.gns.dim)
     r2 = nk.haar_unitary(rng, base.dim_codomain)
-    alt_images = r2 @ base.images @ nk.adjoint(r1)
     alt = stinespring.AltDilation(
-        images=alt_images,
+        images=r2 @ stinespring._ranged(base, nk.eye(base.gns.dim)) @ nk.adjoint(r1),
         V=r1 @ base.gns.V,
         W=r2 @ base.W,
         v=hilbmod.conjugate_rep(dilation.v, r1) if res.cov is not None else None,

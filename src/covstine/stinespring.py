@@ -190,7 +190,8 @@ class DilationParts(NamedTuple):
 @dataclass(frozen=True, eq=False)
 class StinespringDilation:
     """Minimal dilation ``Phi(x) = W* pi(x) V`` of a module CP map, held by the live parts
-    of ``pi(x_i)``: ``images``, (m, dim_codomain, gns.dim), is built on first read."""
+    of ``pi(x_i)`` alone: ``_ranged(dilation, right)`` forms ``pi(x_i) @ right``, and a
+    reader of the dense images passes the identity and drops the stack when it is done."""
 
     cp_map: ModuleCPMap
     gns: GnsTriple
@@ -198,13 +199,6 @@ class StinespringDilation:
     W: np.ndarray  # (dim_codomain, dim K), orthonormal rows
     parts: DilationParts
     codomain_gram_eigenvalues: np.ndarray
-
-    @cached_property
-    def images(self) -> np.ndarray:
-        (xs, rows, maps), gns = self.parts, self.gns
-        images = np.zeros((self.cp_map.module.dim, self.dim_codomain, gns.dim + 1), dtype=np.complex128)
-        images[xs[:, None], :, gns.row_cols[rows]] = maps.transpose(0, 2, 1)
-        return images[:, :, :-1].copy()
 
     @property
     def V(self) -> np.ndarray:
@@ -537,7 +531,7 @@ def verify_dilation(
         residuals["intertwine_V"] = hilbmod.intertwining_residual(v_rep, gns.V, u)
         residuals["intertwine_W"] = hilbmod.intertwining_residual(w_rep, base.W, u_prime)
         residuals["covariant_representation"] = hilbmod.covariance_defect(
-            system.eta, base.images, w_rep.mats, v_rep.mats
+            system.eta, _ranged(base, nk.eye(gns.dim)), w_rep.mats, v_rep.mats
         )
         residuals["companion_covariant_rep"] = hilbmod.covariance_defect(
             system.alpha, gns.rep.images, v_rep.mats, v_rep.mats
@@ -575,7 +569,8 @@ def _gns_rows(gns: GnsTriple) -> tuple[float, int, float]:
 
 
 def _ranged(dilation: StinespringDilation, right: np.ndarray) -> np.ndarray:
-    """``pi(x_i) @ right`` of every x_i, (m, dim_codomain, cols): ``P right_a`` over its parts."""
+    """``pi(x_i) @ right`` of every x_i, (m, dim_codomain, cols): ``P right_a`` over its parts.
+    The one form of the dilation's parts as dense matrices; ``right = I`` gives ``pi(x_i)``."""
     (xs, rows, maps), gns = dilation.parts, dilation.gns
     products = maps @ np.concatenate([right, np.zeros_like(right[:1])])[gns.row_cols[rows]]
     ranged = np.zeros((dilation.cp_map.module.dim,) + products.shape[1:], dtype=np.complex128)
@@ -699,8 +694,9 @@ def uniqueness_intertwiners(
 
     alt_recon = nk.maxabs(nk.sandwich(alt_w, alt_images, alt_v) - phi.images)
 
-    u1 = nk.least_squares_solve(hilbmod.corange_stack(base.images, base.W).T, c_cols_alt.T).T
-    u2 = nk.least_squares_solve(hilbmod.range_stack(base.images, gns.V).T, s_cols_alt.T).T
+    images = _ranged(base, nk.eye(gns.dim))
+    u1 = nk.least_squares_solve(hilbmod.corange_stack(images, base.W).T, c_cols_alt.T).T
+    u2 = nk.least_squares_solve(hilbmod.range_stack(images, gns.V).T, s_cols_alt.T).T
 
     def _unitarity(u: np.ndarray) -> float:
         if u.shape[0] != u.shape[1]:
@@ -720,7 +716,7 @@ def uniqueness_intertwiners(
     intertwine = nk.stack_max(
         module.dim,
         alt_k * gns.dim,
-        lambda i: u2 @ base.images[i] - alt_images[i] @ u1,
+        lambda i: u2 @ images[i] - alt_images[i] @ u1,
     )
     v_resid = nk.maxabs(alt_v - u1 @ gns.V)
     w_resid = nk.maxabs(alt_w - u2 @ base.W)

@@ -51,6 +51,25 @@ def representation_to_json(rep: cstar.CPMapAlgebra) -> dict:
     }
 
 
+def partial_isometry_scenario(kind: str, k: int, h: int) -> dict:
+    """A scenario on C over itself (``standard_module`` [1, 1]) whose map sends the one
+    basis vector to the (k, h) partial isometry ``T = [I 0; 0 0]`` with companion image
+    ``T* T``: K = k and H = h, either one possibly 0, with a seed for ``uniqueness``."""
+    image = np.eye(k, h)
+    return {
+        "schema": 1,
+        "kind": kind,
+        "seed": 3,
+        "objects": {
+            "module": {"standard_module": [1, 1]},
+            "cp_map": {
+                "images": {"0": mat_to_json(image)},
+                "companion": {"space_dim": h, "images": {"0:0:0": mat_to_json(image.T @ image)}},
+            },
+        },
+    }
+
+
 def module_to_json(module: hilbmod.HilbertModule) -> dict:
     return {
         "algebra": algebra_to_json(module.algebra),

@@ -36,19 +36,24 @@ their support.  The GNS descent is kept in two
 forms: dense, with the (rank, N h) ``F`` and (N h, rank) ``L`` placed whole,
 every raw module map over the full (m, N, m) action tensor and ``np.kron``
 of ``alpha_t`` and ``u_t``; and factored, the package's block rows and live
-(x_i, block row) groups one at a time.  The integral form of a covariant
-dilation is integrated from the dense view ``StinespringDilation.images``
-once for its factorization residual and once more for its density ranks
-(``integral_stinespring``), where ``crossed.induced_cp`` reads all three off
-the dilation's parts, as ``verify_dilation`` reads its own density.
-The plain rows of ``verify_dilation`` are kept on the dense views
-``GnsTriple.rep`` and ``StinespringDilation.images`` (``plain_rows``), where the
-package reads each block's ``M_b`` and the dilation's live parts, and
-``seeded_rep`` as the chain of ``direct_sum_rep`` calls it replaced.  A
-dilation given by dense images is scanned into its parts by
-``dilation_from_images``; the package builds the parts directly.
+(x_i, block row) groups one at a time.  A dilation's dense images are its parts
+scattered to the coordinates of their block rows (``dilation_images``), the one
+dense form of a dilation the tests read, where the package ranges the parts on
+the identity (``stinespring._ranged``) for the few rows that need the stack and
+drops it after.  The integral form of a covariant dilation is integrated from
+those images once for its factorization residual and once more for its
+density ranks (``integral_stinespring``), where ``crossed.induced_cp`` reads
+all three off the dilation's parts, as ``verify_dilation`` reads its own
+density.  The plain rows of ``verify_dilation`` are kept on the dense forms
+``GnsTriple.rep`` and ``dilation_images`` (``plain_rows``), where the package
+reads each block's ``M_b`` and the dilation's live parts, and ``seeded_rep`` as
+the chain of ``direct_sum_rep`` calls it replaced.  A dilation given by dense
+images is scanned into its parts by ``dilation_from_images``; the package builds
+the parts directly.  ``watch_dense_forms`` records each dense form a run builds,
+for the guards that no plain or crossed run builds one.
 """
 
+import functools
 import math
 from types import SimpleNamespace
 
@@ -750,26 +755,62 @@ def covariant_groups(cov, base):
     return v_mats, gram_residual, worst, w_mats, invariance
 
 
+def dilation_images(dilation):
+    """The dense images ``pi(x_i)``, (m, dim_codomain, gns.dim), of a
+    ``stinespring.StinespringDilation``: each part scattered to the coordinates of its
+    block row, the reference for ``stinespring._ranged(dilation, I)``.  The one dense
+    form of a dilation the tests read."""
+    (xs, rows, maps), gns = dilation.parts, dilation.gns
+    images = np.zeros((dilation.cp_map.module.dim, dilation.dim_codomain, gns.dim + 1), dtype=np.complex128)
+    images[xs[:, None], :, gns.row_cols[rows]] = maps.transpose(0, 2, 1)
+    return images[:, :, :-1].copy()
+
+
+def watch_dense_forms(monkeypatch):
+    """The list of dense forms a run builds, by name, from the patches it makes with
+    ``monkeypatch``: ``rep`` at each first read of ``GnsTriple.rep``, and ``images`` at each
+    ``stinespring._ranged`` of a dilation on the identity, the (m, dim_codomain, gns.dim)
+    stack of its dense images (the reconstruction's ``_ranged(dilation, V)`` is not one)."""
+    built = []
+    build = vars(stinespring.GnsTriple)["rep"].func
+
+    def reading(gns):
+        built.append("rep")
+        return build(gns)
+
+    counted = functools.cached_property(reading)
+    counted.__set_name__(stinespring.GnsTriple, "rep")
+    monkeypatch.setattr(stinespring.GnsTriple, "rep", counted)
+    ranged = stinespring._ranged
+
+    def ranging(dilation, right):
+        dim = dilation.gns.dim
+        if right.shape == (dim, dim) and right is not dilation.gns.V and (right == np.eye(dim)).all():
+            built.append("images")
+        return ranged(dilation, right)
+
+    monkeypatch.setattr(stinespring, "_ranged", ranging)
+    return built
+
+
 def plain_rows(phi, dilation):
-    """The plain rows of ``stinespring.verify_dilation`` on the dense views
-    ``gns.rep.images`` and ``dilation.images``, as it computed them before it read
-    the GNS blocks' ``M_b`` and the dilation's parts: ``(residuals, ranks)`` with
+    """The plain rows of ``stinespring.verify_dilation`` on the dense forms
+    ``gns.rep.images`` and ``dilation_images(dilation)``, as it computed them before it
+    read the GNS blocks' ``M_b`` and the dilation's parts: ``(residuals, ranks)`` with
     ``ranks`` the rank profiles of ``gns_minimality``, ``range_density`` and
     ``corange_density``."""
-    gns = dilation.gns
+    gns, images = dilation.gns, dilation_images(dilation)
     rebuilt = nk.sandwich(gns.V, gns.rep.images, gns.V)
     residuals = {
         "gns_reconstruction": nk.maxabs(rebuilt - phi.companion.images),
         "gns_representation": cstar.check_representation(gns.rep).max_residual,
-        "reconstruction": nk.maxabs(nk.sandwich(dilation.W, dilation.images, gns.V) - phi.images),
-        "representation_identity": hilbmod.identity_defect(
-            dilation.images, phi.module, gns.rep.images
-        ),
+        "reconstruction": nk.maxabs(nk.sandwich(dilation.W, images, gns.V) - phi.images),
+        "representation_identity": hilbmod.identity_defect(images, phi.module, gns.rep.images),
     }
     ranks = {
         "gns_minimality": nk.numerical_rank(hilbmod.range_stack(gns.rep.images, gns.V)),
-        "range_density": nk.numerical_rank(hilbmod.range_stack(dilation.images, gns.V)),
-        "corange_density": nk.numerical_rank(hilbmod.corange_stack(dilation.images, dilation.W)),
+        "range_density": nk.numerical_rank(hilbmod.range_stack(images, gns.V)),
+        "corange_density": nk.numerical_rank(hilbmod.corange_stack(images, dilation.W)),
     }
     return residuals, ranks
 
@@ -777,16 +818,14 @@ def plain_rows(phi, dilation):
 def dilation_from_images(cp_map, gns, dim_codomain, w_map, images, codomain_gram_eigenvalues):
     """The ``stinespring.StinespringDilation`` whose dense images are ``images``,
     (m, dim_codomain, gns.dim): every block row of every x_i that has a nonzero
-    entry is a part, listed by (x_i, row), and ``images`` is kept as the view."""
+    entry is a part, listed by (x_i, row)."""
     images = np.asarray(images, dtype=np.complex128)
     rows = np.pad(images, ((0, 0), (0, 0), (0, 1)))[:, :, gns.row_cols]  # (m, K', E, width)
     xs, live = rows.any(axis=(1, 3)).nonzero()
     parts = stinespring.DilationParts(xs, live, rows[xs, :, live])
-    dilation = stinespring.StinespringDilation(
+    return stinespring.StinespringDilation(
         cp_map, gns, dim_codomain, w_map, parts, codomain_gram_eigenvalues
     )
-    vars(dilation)["images"] = images  # the cached view, as a first read would set it
-    return dilation
 
 
 def composed_seeded_rep(group, dim, rng):
@@ -876,12 +915,12 @@ def integral_stinespring(cov, dilation):
     """The integral form of a covariant dilation built densely: the factorization
     residual of the induced map and the range and corange rank profiles of the
     integrated dilation images ``pi(x_i) v_t``, each from its own integration of
-    the dense view, where ``crossed.induced_cp`` reads all three off the parts."""
-    base = dilation.base
+    the dense images, where ``crossed.induced_cp`` reads all three off the parts."""
+    base, dense = dilation.base, dilation_images(dilation.base)
     images = crossed._integrated(cov.base.images, cov.u.mats)
-    rebuilt = nk.sandwich(base.W, crossed._integrated(base.images, dilation.v.mats), base.gns.V)
+    rebuilt = nk.sandwich(base.W, crossed._integrated(dense, dilation.v.mats), base.gns.V)
     residual = nk.maxabs(rebuilt - images)
-    dil_images = crossed._integrated(base.images, dilation.v.mats)
+    dil_images = crossed._integrated(dense, dilation.v.mats)
     ranged = nk.numerical_rank(hilbmod.range_stack(dil_images, base.gns.V))
     coranged = nk.numerical_rank(hilbmod.corange_stack(dil_images, base.W))
     return residual, ranged, coranged

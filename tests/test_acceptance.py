@@ -14,6 +14,7 @@ import pytest
 import builders
 from covstine import cli, cpmaps, crossed, hilbmod, stinespring as st
 from covstine import numkernel as nk
+from dense_reference import dilation_images
 
 TOL = 1e-8
 RANK_TOL = 1e-10
@@ -169,7 +170,7 @@ def test_criterion_3_uniqueness_roundtrip(plain_instances, covariant_instances):
         r1 = nk.haar_unitary(rng, base.gns.dim)
         r2 = nk.haar_unitary(rng, base.dim_codomain)
         alt = st.AltDilation(
-            np.einsum("ab,ibc,dc->iad", r2, base.images, np.conj(r1)),
+            np.einsum("ab,ibc,dc->iad", r2, dilation_images(base), np.conj(r1)),
             r1 @ base.gns.V,
             r2 @ base.W,
             v=(

@@ -26,6 +26,7 @@ from dense_reference import (
     reference_inner,
     reference_stars,
     reference_structure,
+    watch_dense_forms,
 )
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "covstine" / "scenarios"
@@ -484,14 +485,16 @@ def test_a_planted_dilation_defect_shows_in_both_factorizations(where):
     assert integral_stinespring(cov, planted)[0] > 1e-9
 
 
-def test_induced_cp_builds_no_dense_view_of_the_dilation():
+def test_induced_cp_builds_no_dense_view_of_the_dilation(monkeypatch):
     """At (4, 4, 4) with S4 the induced map reads the dilation's parts alone: neither
-    ``StinespringDilation.images`` nor ``GnsTriple.rep`` is built, and the call's
-    traced peak stays under 5 MiB (6.99 MiB through the integrated dense view)."""
+    the dense images (the parts ranged on the identity) nor ``GnsTriple.rep`` is
+    built, and the call's traced peak stays under 5 MiB (6.99 MiB through the
+    integrated dense view)."""
     scenario = cli.generate_scenario("crossed", 4, 4, 4, 11, "symmetric:4")
     cov = cli.resolve_scenario(scenario, "s4.json").cov
     dilation = stinespring.dilate_covariant(cov)
     cov.covariance_report  # noqa: B018 (cached before the measurement)
+    built = watch_dense_forms(monkeypatch)
     tracemalloc.start()
     try:
         induced = crossed.induced_cp(cov, dilation)
@@ -499,8 +502,7 @@ def test_induced_cp_builds_no_dense_view_of_the_dilation():
     finally:
         tracemalloc.stop()
     assert induced.minimal and induced.max_residual < 1e-9
-    assert "images" not in dilation.base.__dict__
-    assert "rep" not in dilation.base.gns.__dict__
+    assert built == []
     assert peak < 5 * 2**20, peak
 
 

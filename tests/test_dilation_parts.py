@@ -1,10 +1,11 @@
 """Plain dilations on their blocks: ``verify_dilation`` reads the GNS triple's
 ``M_b`` and the dilation's live parts, and ``dense_reference.plain_rows`` keeps
-the dense forms on the views ``GnsTriple.rep`` and ``StinespringDilation.images``.
-Both forms are compared on a standard module, on the two-block algebra (1, 2)
-over itself and on a module on a dense basis (several live block rows per x_i),
-also with a defect planted in one ``M_b`` and in one part.  A plain run never
-builds the dense views."""
+the dense forms on the view ``GnsTriple.rep`` and the scattered parts
+``dense_reference.dilation_images``.  Both forms are compared on a standard module,
+on the two-block algebra (1, 2) over itself and on a module on a dense basis
+(several live block rows per x_i), also with a defect planted in one ``M_b`` and in
+one part.  A plain run never builds a dense form: neither ``GnsTriple.rep`` nor
+``stinespring._ranged`` of a dilation on the identity."""
 
 import dataclasses
 import functools
@@ -80,16 +81,17 @@ def test_block_rows_match_the_dense_rows(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_the_constructor_scans_the_dense_images_into_the_same_parts(kind):
     dilation = stinespring.dilate_module_cp(_map(kind))
+    images = dense_reference.dilation_images(dilation)
     rebuilt = dense_reference.dilation_from_images(
         dilation.cp_map, dilation.gns, dilation.dim_codomain, dilation.W,
-        dilation.images, dilation.codomain_gram_eigenvalues,
+        images, dilation.codomain_gram_eigenvalues,
     )
     # the scan lists the parts by (x_i, row), dilate_module_cp block by block
     order = [np.lexsort((parts.rows, parts.xs)) for parts in (rebuilt.parts, dilation.parts)]
     for got, expected in zip(rebuilt.parts, dilation.parts, strict=True):
         assert got.dtype == expected.dtype
         assert got[order[0]].tobytes() == expected[order[1]].tobytes()
-    assert rebuilt.images is dilation.images  # kept as the dense view
+    np.testing.assert_array_equal(dense_reference.dilation_images(rebuilt), images)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -129,19 +131,9 @@ def test_a_defect_in_one_part_shows_in_both_forms(kind):
 
 @pytest.fixture
 def dense_views(monkeypatch):
-    """The name of each dense view built: ``GnsTriple.rep`` or ``StinespringDilation.images``."""
-    reads = []
-    for cls, name in [(stinespring.GnsTriple, "rep"), (stinespring.StinespringDilation, "images")]:
-        build = vars(cls)[name].func
-
-        def reading(obj, name=name, build=build):
-            reads.append(name)
-            return build(obj)
-
-        counted = functools.cached_property(reading)
-        counted.__set_name__(cls, name)
-        monkeypatch.setattr(cls, name, counted)
-    return reads
+    """The name of each dense form built: ``rep`` for ``GnsTriple.rep``, ``images`` for a
+    dilation's parts ranged on the identity (``dense_reference.watch_dense_forms``)."""
+    return dense_reference.watch_dense_forms(monkeypatch)
 
 
 def _plain_scenarios():
@@ -149,6 +141,8 @@ def _plain_scenarios():
         yield f"{p},{n},{amplification}", cli.generate_scenario("dilate", p, n, amplification, 11)
     for path in [SCENARIOS / "identity.json", *sorted(PAYLOADS.glob("*.json"))]:
         yield path.name, cli.load_scenario(str(path))
+    for k in (0, cli.MAX_SPACE_DIM):  # K = 0 and the largest K a payload may have
+        yield f"K={k}", builders.partial_isometry_scenario("dilate", k, 1)
 
 
 PLAIN_RUNS = [
@@ -163,7 +157,7 @@ PLAIN_RUNS = [
 def test_no_plain_run_builds_a_dense_view(tmp_path, dense_views, kind, source):
     """``dilate`` on every scenario, and ``verify`` on the plain payloads: a generated
     scenario holds a (trivial) group, as a payload with a system holds its group, so
-    ``verify`` runs its covariant rows, which read the dense views."""
+    ``verify`` runs its covariant rows, which read the dense forms."""
     scenario = {**dict(_plain_scenarios())[source], "kind": kind}
     path = tmp_path / "scenario.json"
     path.write_bytes(cli.canonical_bytes(scenario))
@@ -172,22 +166,34 @@ def test_no_plain_run_builds_a_dense_view(tmp_path, dense_views, kind, source):
 
 
 def test_reading_a_dense_view_builds_it_once(dense_views):
-    """The counting of the guard above sees a build where there is one."""
+    """The counting of the guard above sees a build where there is one: ``rep`` on its
+    first read only, the dense images at each ranging on the identity, and the
+    reconstruction's ranging on V not at all."""
     dilation = stinespring.dilate_module_cp(_map("standard"))
-    assert dilation.images is dilation.images and dilation.gns.rep is dilation.gns.rep
+    stinespring._ranged(dilation, dilation.gns.V)
+    assert dense_views == []
+    stinespring._ranged(dilation, nk.eye(dilation.gns.dim))
+    assert dilation.gns.rep is dilation.gns.rep
     assert dense_views == ["images", "rep"]
 
 
 def test_the_dense_views_are_the_placed_blocks():
-    """``rep`` places ``M_b`` at block rows (c, d) of ``E_cd``; ``images`` places each
-    part at its block row, as ``dense_reference.gns_blocks`` and ``module_groups`` do."""
+    """``rep`` places ``M_b`` at block rows (c, d) of ``E_cd``; the parts ranged on the
+    identity are, entry for entry, the parts scattered to their block rows, as
+    ``dense_reference.gns_blocks`` and ``module_groups`` place them."""
     phi = _map("two blocks")
     dilation = stinespring.dilate_module_cp(phi)
     images, _, v = dense_reference.gns_blocks(dilation.gns)
     np.testing.assert_array_equal(dilation.gns.rep.images, images)
     np.testing.assert_array_equal(dilation.gns.V, v)
     expected, _ = dense_reference.module_groups(phi, dilation.gns, dilation.W)
-    np.testing.assert_allclose(dilation.images, expected, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(dense_reference.dilation_images(dilation), expected, rtol=0, atol=1e-14)
+    for kind in KINDS:
+        dilation = stinespring.dilate_module_cp(_map(kind))
+        np.testing.assert_array_equal(
+            stinespring._ranged(dilation, nk.eye(dilation.gns.dim)),
+            dense_reference.dilation_images(dilation),
+        )
 
 
 def test_one_formation_of_the_live_action_rows_per_covariant_verify(tmp_path, monkeypatch):

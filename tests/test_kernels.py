@@ -507,7 +507,7 @@ def _represented(kind):
     if kind.startswith("dilation"):
         phi, _ = builders.random_module_cp(2, 3, 2, seed=5)
         dilation = stinespring.dilate_module_cp(phi)
-        return phi.module, dilation.images, dilation.gns.rep.images
+        return phi.module, dense_reference.dilation_images(dilation), dilation.gns.rep.images
     return _represented_on_dense_basis({"dense": (3,), "two blocks": (2, 1)}[kind], seed=3)
 
 
@@ -682,8 +682,9 @@ def test_dilation_identities_at_the_corner_stay_below_one_image_stack(monkeypatc
     multiplicativity is ``M_b M_b - M_b`` on each block and calls no pair kernel."""
     phi = cli.resolve_scenario(cli.generate_scenario("dilate", 8, 8, 8, 11), "corner.json").phi
     dilation = stinespring.dilate_module_cp(phi)
-    stack_bytes = dilation.images.nbytes
-    assert dilation.images.shape == (64, 64, 64)
+    images = dense_reference.dilation_images(dilation)
+    stack_bytes = images.nbytes
+    assert images.shape == (64, 64, 64)
     peaks = []
 
     def traced(function, name):

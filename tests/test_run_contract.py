@@ -374,6 +374,10 @@ GROUP = ("generate", "group")
         (_set(S3, GROUP, {"order": 30, "mult": [], "inv": [], "e": 0}), "order"),
         (_set(Z2, ("objects", "system", "standard_action", "group"), {"symmetric": 9}), "symmetric:9"),
         (_set(Z2, DELTA_ENTRY[:-3] + (1,), {"rows": 1, "cols": 1, "entries": [[1, 0]]}), "mats"),
+        *(
+            (builders.partial_isometry_scenario(kind, 1, 0), "companion: 'space_dim'")
+            for kind in ("dilate", "verify", "uniqueness")
+        ),
     ],
 )
 def test_bad_scenario_values_exit_two_naming_the_field(tmp_path, capsys, payload, field):
@@ -410,6 +414,11 @@ def test_group_payloads_bounded_before_tables(payload):
 IDENTITY = _bundled("identity.json")
 STANDARD_MODULE = ("objects", "module", "standard_module")
 GAMMA = ("objects", "system", "standard_action", "gamma")
+DELTA_MATS = ("objects", "system", "standard_action", "delta", "mats")
+U_PRIME = ("objects", "u_prime")
+IMAGE = ("objects", "cp_map", "images", "0")
+PAST = cli.MAX_SPACE_DIM + 1
+ONE_BY_ONE = builders.partial_isometry_scenario("dilate", 1, 1)
 
 
 @pytest.mark.parametrize(
@@ -417,21 +426,57 @@ GAMMA = ("objects", "system", "standard_action", "gamma")
     [
         (_set(IDENTITY, STANDARD_MODULE, [40, 40]), "'standard_module'", "standard_module"),
         (_set(IDENTITY, STANDARD_MODULE, [1, 9]), "'standard_module'", "standard_module"),
-        (_set(Z2, ("objects", "u_prime"), {"trivial": 40_000}), "u_prime: 'trivial'", "trivial_rep"),
+        (_set(Z2, U_PRIME, {"trivial": 40_000}), "u_prime: 'trivial'", "trivial_rep"),
         (_set(Z2, GAMMA, {"trivial": 10**9}), "gamma: 'trivial'", "trivial_rep"),
+        (
+            builders.partial_isometry_scenario("dilate", 1, PAST),
+            "BoundsError: scenario.objects.cp_map.companion: 'space_dim'",
+            None,
+        ),
+        (
+            builders.partial_isometry_scenario("dilate", PAST, 1),
+            "BoundsError: scenario.objects.cp_map.images.\"0\": 'rows'",
+            None,
+        ),
+        (
+            _set(ONE_BY_ONE, IMAGE, builders.mat_to_json(np.eye(1, PAST))),
+            "BoundsError: scenario.objects.cp_map.images.\"0\": 'cols'",
+            None,
+        ),
+        (
+            _set(Z2, U_PRIME, {"space_dim": PAST, "mats": [builders.mat_to_json(np.eye(PAST))] * 2}),
+            "BoundsError: u_prime: 'space_dim'",
+            None,
+        ),
+        (
+            _set(Z2, DELTA_MATS, [builders.mat_to_json(np.eye(2))] * 3),  # group order 2
+            "ParseError: delta: 'mats'",
+            None,
+        ),
     ],
 )
 def test_explicit_object_sizes_bounded_before_allocation(
     tmp_path, capsys, monkeypatch, payload, field, allocator
 ):
-    original = getattr(hilbmod, allocator)
+    """Each oversized space exits 2 with a ``BoundsError`` naming it (a count of ``mats``
+    other than the group order is a ``ParseError``), read before the refused object's
+    entries are decoded or ``allocator`` is called past the bound, and under 8 MB."""
+    if allocator is not None:
+        original = getattr(hilbmod, allocator)
 
-    def guarded(*args):
-        if any(isinstance(arg, int) and arg > cli.MAX_SPACE_DIM for arg in args):
-            raise AssertionError(f"{allocator}{args[-2:]} was called before the size bound")
-        return original(*args)
+        def guarded(*args):
+            if any(isinstance(arg, int) and arg > cli.MAX_SPACE_DIM for arg in args):
+                raise AssertionError(f"{allocator}{args[-2:]} was called before the size bound")
+            return original(*args)
 
-    monkeypatch.setattr(hilbmod, allocator, guarded)
+        monkeypatch.setattr(hilbmod, allocator, guarded)
+    decoded, entries_from_json = [], cli.entries_from_json
+
+    def decoding(entries, what):
+        decoded.append(what)
+        return entries_from_json(entries, what)
+
+    monkeypatch.setattr(cli, "entries_from_json", decoding)
     tracemalloc.start()
     try:
         code, err = _run(tmp_path, capsys, payload)
@@ -440,7 +485,9 @@ def test_explicit_object_sizes_bounded_before_allocation(
         tracemalloc.stop()
     assert code == 2
     assert "Traceback" not in err
-    assert field in err and "BoundsError" in err
+    assert field in err and ("BoundsError" in err or field.startswith("ParseError"))
+    refused = re.search(r"Error: ([^:]+):", err).group(1)  # the object the message names
+    assert not [what for what in decoded if what.startswith(refused)]
     assert peak < 8 * 2**20
 
 

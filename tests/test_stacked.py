@@ -203,7 +203,7 @@ def test_dilations_match_their_loops(name, chunk):
     _same(triple.V, v)
 
     base = stinespring.dilate_module_cp(phi)
-    _same(base.images, ref.module_groups(phi, base.gns, base.W)[0])
+    _same(ref.dilation_images(base), ref.module_groups(phi, base.gns, base.W)[0])
 
     dilation = stinespring.dilate_covariant(cov)
     v_mats, gram_residual, _, w_mats, invariance = ref.covariant_groups(cov, dilation.base)
@@ -213,15 +213,12 @@ def test_dilations_match_their_loops(name, chunk):
     assert dilation.invariance_residual == invariance
 
     base = dilation.base
+    images = ref.dilation_images(base)
     rng = np.random.default_rng(9)
     r1, r2 = nk.haar_unitary(rng, base.gns.dim), nk.haar_unitary(rng, base.dim_codomain)
-    alt = stinespring.AltDilation(
-        r2 @ base.images @ nk.adjoint(r1), r1 @ base.gns.V, r2 @ base.W
-    )
+    alt = stinespring.AltDilation(r2 @ images @ nk.adjoint(r1), r1 @ base.gns.V, r2 @ base.W)
     report = stinespring.uniqueness_intertwiners(dilation, alt)
-    assert report.intertwine_images == ref.image_intertwining(
-        report.U1, report.U2, base.images, alt.images
-    )
+    assert report.intertwine_images == ref.image_intertwining(report.U1, report.U2, images, alt.images)
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))

@@ -14,7 +14,7 @@ from covstine.errors import (
     NotUnitaryError,
     QuotientLeakError,
 )
-from dense_reference import dense_gns_gram, dilation_from_images, module_map_through
+from dense_reference import dense_gns_gram, dilation_from_images, dilation_images, module_map_through
 
 
 def z2_diag_system():
@@ -131,7 +131,7 @@ class TestDilateModuleCp:
     def test_scalar_identity(self):
         dilation = st.dilate_module_cp(concrete_cp(1, 1))
         assert dilation.dims == {"H": 1, "K": 1, "H_dilation": 1, "K_dilation": 1}
-        np.testing.assert_allclose(np.abs(dilation.images), [[[1.0]]], atol=1e-12)
+        np.testing.assert_allclose(np.abs(dilation_images(dilation)), [[[1.0]]], atol=1e-12)
 
     def test_column_module_concrete(self):
         phi = concrete_cp(2, 1)
@@ -164,7 +164,7 @@ class TestDilateModuleCp:
         phi, _ = builders.random_module_cp(2, 2, 2, seed=17)
         dilation = st.dilate_module_cp(phi)
         compressed = np.einsum(
-            "ab,iac,cd->ibd", np.conj(dilation.W), dilation.images, dilation.gns.V
+            "ab,iac,cd->ibd", np.conj(dilation.W), dilation_images(dilation), dilation.gns.V
         )
         companion = np.einsum(
             "ab,kac,cd->kbd",
@@ -215,7 +215,7 @@ class TestDilateCovariant:
         )
         plain = st.dilate_module_cp(phi)
         dilation = st.dilate_covariant(cov)
-        np.testing.assert_array_equal(dilation.base.images, plain.images)
+        np.testing.assert_array_equal(dilation_images(dilation.base), dilation_images(plain))
         np.testing.assert_array_equal(dilation.base.W, plain.W)
         np.testing.assert_allclose(dilation.v.mats, [np.eye(2)], atol=1e-12)
         np.testing.assert_allclose(dilation.w.mats, [np.eye(1)], atol=1e-12)
@@ -272,7 +272,7 @@ class TestVerifyDilation:
         padded_images = np.zeros(
             (phi.module.dim, dilation.dim_codomain + 1, dilation.gns.dim), dtype=complex
         )
-        padded_images[:, : dilation.dim_codomain, :] = dilation.images
+        padded_images[:, : dilation.dim_codomain, :] = dilation_images(dilation)
         padded = dilation_from_images(
             phi,
             dilation.gns,
@@ -310,7 +310,7 @@ class TestUniqueness:
     def test_self_comparison_gives_identity(self):
         phi, _ = builders.random_module_cp(2, 2, 2, seed=1)
         dilation = st.dilate_module_cp(phi)
-        alt = st.AltDilation(dilation.images, dilation.gns.V, dilation.W)
+        alt = st.AltDilation(dilation_images(dilation), dilation.gns.V, dilation.W)
         report = st.uniqueness_intertwiners(dilation, alt)
         np.testing.assert_allclose(report.U1, np.eye(dilation.gns.dim), atol=1e-9)
         np.testing.assert_allclose(report.U2, np.eye(dilation.dim_codomain), atol=1e-9)
@@ -324,7 +324,7 @@ class TestUniqueness:
         r1 = nk.haar_unitary(rng, dilation.gns.dim)
         r2 = nk.haar_unitary(rng, dilation.dim_codomain)
         alt = st.AltDilation(
-            np.einsum("ab,ibc,dc->iad", r2, dilation.images, np.conj(r1)),
+            np.einsum("ab,ibc,dc->iad", r2, dilation_images(dilation), np.conj(r1)),
             r1 @ dilation.gns.V,
             r2 @ dilation.W,
         )
@@ -342,7 +342,7 @@ class TestUniqueness:
         r1 = nk.haar_unitary(rng, base.gns.dim)
         r2 = nk.haar_unitary(rng, base.dim_codomain)
         alt = st.AltDilation(
-            np.einsum("ab,ibc,dc->iad", r2, base.images, np.conj(r1)),
+            np.einsum("ab,ibc,dc->iad", r2, dilation_images(base), np.conj(r1)),
             r1 @ base.gns.V,
             r2 @ base.W,
             v=hilbmod.UnitaryRep(
@@ -365,7 +365,7 @@ class TestUniqueness:
         phi, _ = builders.random_module_cp(2, 2, 2, seed=3)
         dilation = st.dilate_module_cp(phi)
         rng = np.random.default_rng(3)
-        images, v, w = dilation.images.copy(), dilation.gns.V, dilation.W
+        images, v, w = dilation_images(dilation), dilation.gns.V, dilation.W
         if field == "W":
             w = cpmaps.polar_coisometry(nk.complex_normal(rng, *w.shape))
         elif field == "V":
@@ -378,7 +378,7 @@ class TestUniqueness:
             return
         assert report.max_residual > 1e-6
 
-    @pytest.mark.parametrize("scenario", [None, "cyclic:2", "module_333_1e4.json"])
+    @pytest.mark.parametrize("scenario", [None, "cyclic:2", "module_333_1e4.json", "K=0", "K=66"])
     def test_solves_no_companion_and_builds_no_gns_view(self, tmp_path, monkeypatch, scenario):
         """U1 is solved on the corange stacks, so the uniqueness run reads neither the
         competitor's companion nor the dense GNS images."""
@@ -390,6 +390,8 @@ class TestUniqueness:
         if scenario and scenario.endswith(".json"):
             source = Path(__file__).resolve().parent / "scenarios" / scenario
             payload = {**json.loads(source.read_text()), "kind": "uniqueness"}
+        elif scenario and scenario.startswith("K="):  # a partial isometry of C into C^K
+            payload = builders.partial_isometry_scenario("uniqueness", int(scenario[2:]), 1)
         else:  # a generated 2, 2, 2, plain or with the group
             payload = cli.generate_scenario("uniqueness", 2, 2, 2, 11, scenario)
         path = tmp_path / "scenario.json"
@@ -400,7 +402,7 @@ class TestUniqueness:
     def test_non_coisometry_rejected(self):
         phi, _ = builders.random_module_cp(2, 2, 2, seed=3)
         dilation = st.dilate_module_cp(phi)
-        alt = st.AltDilation(dilation.images, dilation.gns.V, 3.0 * dilation.W)
+        alt = st.AltDilation(dilation_images(dilation), dilation.gns.V, 3.0 * dilation.W)
         with pytest.raises(NotCoisometryError):
             st.uniqueness_intertwiners(dilation, alt)
 
@@ -412,7 +414,7 @@ class TestUniqueness:
         padded_images = np.zeros(
             (phi.module.dim, dilation.dim_codomain + 1, dilation.gns.dim), dtype=complex
         )
-        padded_images[:, : dilation.dim_codomain, :] = dilation.images
+        padded_images[:, : dilation.dim_codomain, :] = dilation_images(dilation)
         alt = st.AltDilation(padded_images, dilation.gns.V, padded_w)
         with pytest.raises(NotMinimalError):
             st.uniqueness_intertwiners(dilation, alt)
