@@ -41,8 +41,8 @@ from .stinespring import Certificate, canonical_bytes
 SCHEMA_VERSION = 1
 KINDS = ("dilate", "dilate-covariant", "crossed", "uniqueness", "verify")
 DEFAULT_TOL = nk.RESIDUAL_TOL
-# Standard modules, p x n matrices over M_n, are bounded before any array of
-# a scenario on them (its maps, dilation and crossed blocks) is allocated.
+# Standard modules, p x n matrices over M_n, and explicit modules' dims (at most
+# p n = 64) are bounded before any array of a scenario on them is allocated.
 MAX_P = 8
 MAX_N = 8
 # Algebras are tabulated densely too (``cstar._structure`` builds N x N tables),
@@ -133,12 +133,12 @@ def json_positive(value, what: str) -> float:
     return float(value)
 
 
-def space_dim_from_json(value, what: str, minimum: int = 0) -> int:
-    """A space dimension in ``[minimum, MAX_SPACE_DIM]``: ``ParseError`` naming ``what``
-    below ``minimum``, ``BoundsError`` above the bound."""
+def space_dim_from_json(value, what: str, minimum: int = 0, bound: int = MAX_SPACE_DIM) -> int:
+    """A space dimension in ``[minimum, bound]``: ``ParseError`` naming ``what`` below
+    ``minimum``, ``BoundsError`` above the bound."""
     dim = json_int(value, what, minimum)
-    if dim > MAX_SPACE_DIM:
-        raise BoundsError(f"{what} dimension {dim} outside [{minimum}, {MAX_SPACE_DIM}]")
+    if dim > bound:
+        raise BoundsError(f"{what} dimension {dim} outside [{minimum}, {bound}]")
     return dim
 
 
@@ -228,7 +228,7 @@ def module_from_json(obj) -> hilbmod.HilbertModule:
     _object(obj, "module payload", ("algebra", "dim", "action", "inner"))
     return hilbmod.HilbertModule.from_tensors(
         algebra_from_json(obj["algebra"]),
-        json_int(obj["dim"], "module payload: 'dim'", 1),
+        space_dim_from_json(obj["dim"], "module payload: 'dim'", 1, MAX_P * MAX_N),
         _tensor_from_json(obj["action"], 3, "module payload.action"),
         _tensor_from_json(obj["inner"], 3, "module payload.inner"),
     )

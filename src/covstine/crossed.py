@@ -26,8 +26,8 @@ on these g blocks (``product_blocks``, ``star_blocks``, ``action_blocks``,
 ``multiply``, ``star``, ``act`` and ``inner`` are the reference the tests
 compare the blocks against.
 
-``induced_cp`` reads the covariant dilation's integral form through its parts, as
-``verify_dilation`` reads its density, and builds no dense view of the dilation.
+An integral form is held by its covariant pair, which its crossed identity is read
+off; ``induced_cp`` reads the covariant dilation's integral form through its parts.
 """
 
 from __future__ import annotations
@@ -362,40 +362,40 @@ def _integrated(images: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return out.reshape(len(mats) * len(images), *out.shape[2:])
 
 
-def _identity_defect(cm: CrossedModule, images: np.ndarray, companion: np.ndarray) -> float:
-    """``hilbmod.identity_defect`` on the crossed bases, by chunks of the rows (t, i):
-    ``<e_(t,i), e_(r,j)>`` is ``A[t, i, j]`` at slot t^-1 r, so the companion
-    images of a row of inner products are a gather of ``A[t, i] @ companion``."""
-    group = cm.group
-    g, m, n = group.order, cm.module.dim, cm.module.algebra.dim
-    by_slot = companion.reshape(g, n, -1).transpose(1, 0, 2).reshape(n, -1)
-    rows = cm.inner_blocks.reshape(g * m, m, n)
-    slots = group.mult[group.inv]  # [t, r]: t^-1 r
+def _identity_defect(cm: CrossedModule, images, companion, mats) -> float:
+    """The crossed identity of the integral form of ``(images, mats)`` on all crossed basis
+    pairs: ``u_t* P_ij u_r`` against ``companion(A[t, i, j]) u_{t^-1 r}``, with
+    ``P_ij = images[i]* images[j]`` formed once by chunks of i, by chunks of their rows (i, t)."""
+    g, m, h = cm.group.order, len(images), mats.shape[-1]
+    star, columns = np.conj(mats).swapaxes(1, 2).copy(), mats.swapaxes(0, 1).reshape(h, -1)  # u_r
+    slotted = mats[cm.group.mult[cm.group.inv]].swapaxes(1, 2).reshape(g, h, -1)  # u_(t^-1 r)
+    coords, worst = companion.reshape(len(companion), h * h), 0.0
+    for span in nk.stack_spans(m, m * h * h):
+        pairs = np.conj(images[span]).transpose(0, 2, 1)[:, None] @ images  # [i, j]: P_ij
 
-    def defects(pairs):  # a chunk of the rows (t, i), at t * m + i
-        t = np.arange(pairs.start, pairs.stop) // m
-        expected = (rows[pairs] @ by_slot).reshape(len(t), m, g, companion[0].size)
-        # [row, r, j]: the companion image of <e_(t,i), e_(r,j)>, at slot t^-1 r
-        expected = expected[np.arange(len(t))[:, None], :, slots[t]]
-        expected = expected.reshape(len(t), len(images), *companion.shape[1:])
-        return np.conj(images[pairs]).transpose(0, 2, 1)[:, None] @ images - expected
+        def defects(rows):  # the rows (i, t) of the chunk, at i * g + t
+            i, t = np.divmod(np.arange(rows.start, rows.stop), g)
+            lhs = (star[t, None] @ pairs[i]).reshape(len(t), m * h, h) @ columns
+            rhs = (cm.inner_blocks[t, span.start + i] @ coords).reshape(len(t), m * h, h)
+            lhs -= rhs @ slotted[t]
+            return lhs
 
-    return nk.stack_max(len(images), len(images) * companion[0].size, defects)
-
-
-def _integrate(cm: CrossedModule, rep, mats: np.ndarray):
-    """Integral forms of ``rep.images`` and its companion's, and their crossed identity defect."""
-    images, companion = _integrated(rep.images, mats), _integrated(rep.companion.images, mats)
-    return images, companion, _identity_defect(cm, images, companion)
+        worst = max(worst, nk.stack_max(len(pairs) * g, 2 * g * m * h * h, defects))
+    return worst
 
 
 @dataclass(frozen=True)
 class IntegralForm:
-    """Representation of the crossed module induced by a covariant one."""
+    """Representation of the crossed module induced by a covariant one, held by its
+    pair: ``e_(t,i) -> rep(x_i) v_t`` with ``v_t = mats[t]``; its images formed on demand."""
 
     crossed: CrossedModule
-    images: np.ndarray  # (|G| m, dim K, dim H): image of each crossed basis element
-    companion_images: np.ndarray  # (|G| N, dim H, dim H)
+    rep: cpmaps.ModuleCPMap
+    mats: np.ndarray  # (|G|, dim H, dim H)
+
+    @property
+    def images(self) -> np.ndarray:  # (|G| m, dim K, dim H): each crossed basis element's image
+        return _integrated(self.rep.images, self.mats)
 
     def apply(self, xhat: np.ndarray) -> np.ndarray:
         return np.tensordot(np.ravel(xhat).astype(np.complex128), self.images, axes=(0, 0))
@@ -440,14 +440,13 @@ def integral_form(
             f"input is not a covariant representation (worst residual {worst:.3e})"
         )
 
-    cm = build_crossed_module(sys)
-    images, companion, identity = _integrate(cm, rep, v.mats)
-
-    range_rank, corange_rank = (p.rank for p in hilbmod.density_ranks(images))
+    form = IntegralForm(build_crossed_module(sys), rep, v.mats)
+    identity = _identity_defect(form.crossed, rep.images, rep.companion.images, v.mats)
+    range_rank, corange_rank = (p.rank for p in hilbmod.density_ranks(form.images))
     nondegenerate, reason = None, "input representation is degenerate"
     if rep_report.nondegenerate:
         nondegenerate, reason = range_rank == dim_k and corange_rank == dim_h, None
-    return IntegralForm(cm, images, companion), IntegralFormReport(
+    return form, IntegralFormReport(
         identity, range_rank, dim_k, corange_rank, dim_h, nondegenerate, reason
     )
 
@@ -480,8 +479,7 @@ class InducedCP(IntegralForm):
 
 
 def induced_cp(
-    cov: CovariantCPMap,
-    dilation: stinespring.CovariantDilation | None = None,
+    cov: CovariantCPMap, dilation: stinespring.CovariantDilation | None = None
 ) -> InducedCP:
     """Induce a CP map on the crossed product from a covariant one.
 
@@ -495,14 +493,16 @@ def induced_cp(
     if report.max_residual > nk.PRECONDITION_TOL:
         raise NotCovariantError(f"input map is not covariant (residual {report.max_residual:.3e})")
     cm = build_crossed_module(cov.system, nk.PRECONDITION_TOL)
-    images, companion, identity = _integrate(cm, cov.base, cov.u.mats)
+    phi, u = cov.base.images, cov.u.mats
+    identity = _identity_defect(cm, phi, cov.base.companion.images, u)
 
     if dilation is None:
         dilation = stinespring.dilate_covariant(cov)
     # pi(x_i) v_t V from the dilation's parts, as verify reads pi(x_i) V: columns (t, h)
     base, v = dilation.base, dilation.v.mats
     ranged = stinespring._ranged(base, (v @ base.gns.V).transpose(1, 0, 2).reshape(base.gns.dim, -1))
-    rebuilt = (nk.adjoint(base.W) @ ranged).reshape(len(ranged), -1, len(v), images.shape[2])
-    fact = nk.maxabs(rebuilt.transpose(2, 0, 1, 3).reshape(images.shape) - images)
+    rebuilt = (nk.adjoint(base.W) @ ranged).reshape(len(phi), -1, len(u), phi.shape[2])
+    rebuilt = rebuilt.transpose(2, 0, 1, 3)  # [t, i]: W* pi(x_i) v_t V, against Phi(x_i) u_t
+    fact = nk.stack_max(len(u), phi.size, lambda t: rebuilt[t] - phi @ u[t, None])
     ranged, coranged = nk.numerical_rank(hilbmod.range_stack(ranged)), stinespring._corange_rank(base, v)
-    return InducedCP(cm, images, companion, identity, fact, ranged, coranged, dilation)
+    return InducedCP(cm, cov.base, u, identity, fact, ranged, coranged, dilation)

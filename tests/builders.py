@@ -1,12 +1,14 @@
 """Builders and writers that only the tests use.
 
 The package reads scenarios and never writes one, and no run reaches the
-helpers below: the JSON writers (inverses of the ``cli.*_from_json`` readers),
-algebra elements held block by block and their products, the seeded plain
-module map, named representations, crossed basis elements and the companion
-of an integral form.  They live here so that ``src/covstine`` holds only
-what a run or the API list of README.md reaches; the guard
-``test_every_package_function_is_reached`` in ``test_kernels.py`` keeps it so.
+helpers below: the JSON writers (inverses of the ``cli.*_from_json`` readers)
+and the H-amplified payload of a generated scenario, algebra elements held
+block by block and their products, the seeded plain module map, named
+representations, crossed basis elements, and the companion images of an
+integral form and their application.  They live here so that
+``src/covstine`` holds only what a run or the API list of README.md reaches;
+the guard ``test_every_package_function_is_reached`` in ``test_kernels.py``
+keeps it so.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from covstine import cpmaps, cstar, hilbmod
+from covstine import cli, cpmaps, crossed, cstar, hilbmod
 from covstine import numkernel as nk
 from covstine.errors import ShapeMismatchError
 
@@ -68,6 +70,42 @@ def partial_isometry_scenario(kind: str, k: int, h: int) -> dict:
             },
         },
     }
+
+
+def h_amplified_scenario(scenario: dict, r: int) -> dict:
+    """The H-amplified payload of a generated covariant scenario, with a fixed unit
+    vector psi of C^r: the map ``Phi(x) (I (x) <psi|)``, its companion
+    ``phi (x) |psi><psi|``, u as ``u (x) I_r`` and u' kept, on the scenario's own
+    ``standard_action``, as explicit objects.  The map stays covariant and its
+    companion's, so H grows r times and K, the GNS space and every rank stay."""
+    cov = cli.resolve_scenario(scenario, "generated.json").cov
+    system, dim_h = cov.system, cov.base.space_dims[0]
+    psi = np.arange(1, r + 1) + 1j * np.arange(r)[::-1]
+    psi = psi / np.linalg.norm(psi)
+    bra = np.kron(np.eye(dim_h), np.conj(psi)[None, :])
+    projector = np.outer(psi, np.conj(psi))
+    labels = system.module.algebra.basis_labels()
+    companion = {
+        label: mat_to_json(np.kron(image, projector))
+        for label, image in zip(labels, cov.base.companion.images)
+    }
+    u = [mat_to_json(np.kron(mat, np.eye(r))) for mat in cov.u.mats]
+    objects = {
+        "system": {
+            "standard_action": {
+                "group": group_to_json(system.group),
+                "gamma": unitary_rep_to_json(system.gamma),
+                "delta": unitary_rep_to_json(system.delta),
+            }
+        },
+        "cp_map": {
+            "images": {str(i): mat_to_json(image @ bra) for i, image in enumerate(cov.base.images)},
+            "companion": {"space_dim": dim_h * r, "images": companion},
+        },
+        "u": {"space_dim": dim_h * r, "mats": u},
+        "u_prime": unitary_rep_to_json(cov.u_prime),
+    }
+    return {"schema": 1, "kind": scenario["kind"], "seed": scenario["seed"], "objects": objects}
 
 
 def module_to_json(module: hilbmod.HilbertModule) -> dict:
@@ -255,6 +293,12 @@ def crossed_unit(calg) -> np.ndarray:
     return out
 
 
+def companion_images(form) -> np.ndarray:
+    """The companion's integral form ``pi_A(E_k) v_t`` of an ``IntegralForm``, at
+    crossed index ``t N + k``, integrated from the pair the form holds."""
+    return crossed._integrated(form.rep.companion.images, form.mats)
+
+
 def apply_companion(form, f: np.ndarray) -> np.ndarray:
     """The companion image of a crossed-algebra element under an ``IntegralForm``."""
-    return np.tensordot(np.ravel(f).astype(np.complex128), form.companion_images, axes=(0, 0))
+    return np.tensordot(np.ravel(f).astype(np.complex128), companion_images(form), axes=(0, 0))

@@ -44,9 +44,14 @@ drops it after.  The integral form of a covariant dilation is integrated from
 those images once for its factorization residual and once more for its
 density ranks (``integral_stinespring``), where ``crossed.induced_cp`` reads
 all three off the dilation's parts, as ``verify_dilation`` reads its own
-density.  The plain rows of ``verify_dilation`` are kept on the dense forms
-``GnsTriple.rep`` and ``dilation_images`` (``plain_rows``), where the package
-reads each block's ``M_b`` and the dilation's live parts, and ``seeded_rep`` as
+density.  The crossed identity is kept on the integrated stacks of a map and
+its companion, one crossed row at a time (``crossed_identity_defect``), where
+the package forms no stack and reads ``u_t* P_ij u_r`` off the pair, with
+``P_ij = Phi(x_i)* Phi(x_j)``; that factored form is kept one (t, i) at a time
+(``factored_identity_defect``).  The plain rows of ``verify_dilation`` are
+kept on the dense forms ``GnsTriple.rep`` and ``dilation_images``
+(``plain_rows``), where the package reads each block's ``M_b`` and the
+dilation's live parts, and ``seeded_rep`` as
 the chain of ``direct_sum_rep`` calls it replaced.  A dilation given by dense
 images is scanned into its parts by ``dilation_from_images``; the package builds
 the parts directly.  ``watch_dense_forms`` records each dense form a run builds,
@@ -897,7 +902,8 @@ def crossed_module_check(cm):
 
 
 def crossed_identity_defect(cm, images, companion):
-    """``crossed._identity_defect``, one (t, i) at a time."""
+    """The crossed identity on integrated stacks ``images`` and ``companion``, one
+    crossed row (t, i) at a time: a gather of ``A[t, i] @ companion`` by slot."""
     group = cm.group
     g, m, n = group.order, cm.module.dim, cm.module.algebra.dim
     by_slot = companion.reshape(g, n, -1).transpose(1, 0, 2).reshape(n, -1)
@@ -908,6 +914,25 @@ def crossed_identity_defect(cm, images, companion):
             expected = (cm.inner_blocks[t, i] @ by_slot).reshape(m, g, -1)[:, slots]
             expected = expected.transpose(1, 0, 2).reshape(len(images), *companion.shape[1:])
             worst = max(worst, nk.maxabs(nk.adjoint(images[t * m + i]) @ images - expected))
+    return worst
+
+
+def factored_identity_defect(cm, images, companion, mats):
+    """``crossed._identity_defect``, one (t, i) at a time, ``P_ij = images[i]* images[j]``
+    formed once per i."""
+    group = cm.group
+    g, m, h = group.order, len(images), mats.shape[-1]
+    star = np.conj(mats).swapaxes(1, 2).copy()
+    columns = mats.swapaxes(0, 1).reshape(h, g * h)
+    slotted = mats[group.mult[group.inv]].swapaxes(1, 2).reshape(g, h, g * h)
+    coords = companion.reshape(len(companion), h * h)
+    worst = 0.0
+    for i in range(m):
+        pairs = nk.adjoint(images[i]) @ images
+        for t in range(g):
+            lhs = (star[t] @ pairs).reshape(m * h, h) @ columns
+            rhs = (cm.inner_blocks[t, i] @ coords).reshape(m * h, h) @ slotted[t]
+            worst = max(worst, nk.maxabs(lhs - rhs))
     return worst
 
 

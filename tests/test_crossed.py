@@ -191,7 +191,7 @@ class TestIntegralForm:
             for k in range(algebra.dim):
                 expected = rep.companion.images[k] @ sys.delta.mats[t]
                 np.testing.assert_allclose(
-                    form.companion_images[t * algebra.dim + k], expected, atol=1e-12
+                    builders.companion_images(form)[t * algebra.dim + k], expected, atol=1e-12
                 )
 
     def test_rejects_non_covariant_representation(self):
@@ -216,7 +216,9 @@ class TestInducedCp:
         )
         induced = crossed.induced_cp(cov)
         np.testing.assert_allclose(induced.images, phi.images, atol=1e-14)
-        np.testing.assert_allclose(induced.companion_images, phi.companion.images, atol=1e-14)
+        np.testing.assert_allclose(
+            builders.companion_images(induced), phi.companion.images, atol=1e-14
+        )
 
     def test_sign_representation_hand_example(self):
         # scalar module, Phi = id, u = u' = sign of Z_2: the induced map is
@@ -255,7 +257,7 @@ class TestInducedCp:
         solved = nk.least_squares_solve(flat, grams.reshape(d_x * d_x, dim_h * dim_h))
         assert nk.maxabs(flat @ solved - grams.reshape(d_x * d_x, -1)) <= 1e-9
         np.testing.assert_allclose(
-            solved.reshape(d_a, dim_h, dim_h), induced.companion_images, atol=1e-9
+            solved.reshape(d_a, dim_h, dim_h), builders.companion_images(induced), atol=1e-9
         )
 
 

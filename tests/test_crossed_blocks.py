@@ -19,6 +19,7 @@ import builders
 from covstine import cli, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from dense_reference import (
+    crossed_identity_defect,
     identity_defect,
     integral_stinespring,
     place,
@@ -317,14 +318,64 @@ def test_crossed_module_check_allocates_no_dense_inner_stack():
 @settings(max_examples=12, deadline=None)
 @given(groups, block_sizes, hst.integers(min_value=1, max_value=3), seeds)
 def test_identity_defect_from_blocks_matches_the_dense_row(name, blocks, h, seed):
-    """The per-(t, i) gather equals the dense identity check on the dense inner tensor."""
+    """The identity read off a pair of base images and arbitrary, not unitary, group
+    matrices equals the gather of each crossed row on the integrated stacks and the
+    dense identity check on the dense inner tensor."""
     cm = crossed.build_crossed_module(conjugation_system(GROUPS[name], blocks, seed))
     rng = np.random.default_rng(seed)
-    shape = (cm.dim, h + 1, h, 2)
-    images = rng.standard_normal(shape).view(complex)[..., 0]
-    companion = rng.standard_normal((cm.algebra.dim, h, h, 2)).view(complex)[..., 0]
-    dense = identity_defect(images, reference_inner(cm), companion)
-    assert crossed._identity_defect(cm, images, companion) == pytest.approx(dense, rel=1e-12)
+    images = rng.standard_normal((cm.module.dim, h + 1, h, 2)).view(complex)[..., 0]
+    companion = rng.standard_normal((cm.algebra.base.dim, h, h, 2)).view(complex)[..., 0]
+    mats = rng.standard_normal((cm.group.order, h, h, 2)).view(complex)[..., 0]
+    stacks = crossed._integrated(images, mats), crossed._integrated(companion, mats)
+    got = crossed._identity_defect(cm, images, companion, mats)
+    assert got == pytest.approx(crossed_identity_defect(cm, *stacks), rel=1e-12)
+    dense = identity_defect(stacks[0], reference_inner(cm), stacks[1])
+    assert got == pytest.approx(dense, rel=1e-12)
+
+
+def _planted_pair(cov, where):
+    """The pair and crossed module of ``cov`` with 1e-6 added to one entry of one
+    Phi(x_i), one phi(E_k), one u_t with t other than e, or one nonzero inner product."""
+    images, companion, mats = cov.base.images, cov.base.companion.images, cov.u.mats
+    system = cov.system
+    if where == "Phi":
+        images = images.copy()
+        images[1, 0, 0] += 1e-6
+    elif where == "phi":
+        companion = companion.copy()
+        companion[1, 0, 0] += 1e-6
+    elif where == "u":
+        mats = mats.copy()
+        mats[(system.group.identity + 1) % system.group.order, 0, 0] += 1e-6
+    else:
+        module = system.module
+        inner = module.inner.copy()
+        inner[tuple(np.argwhere(np.abs(inner) > 0)[0])] += 1e-6
+        planted = hilbmod.HilbertModule.from_tensors(
+            module.algebra, module.dim, module.action, inner
+        )
+        system = hilbmod.ModuleDynamicalSystem(system.group, planted, system.eta, system.alpha)
+    algebra = crossed.CrossedAlgebra(system.group, system.module.algebra, system.alpha)
+    cm = crossed.CrossedModule(system, algebra)
+    return cm, images, companion, mats
+
+
+@pytest.mark.parametrize("where", ["Phi", "phi", "u", "inner"])
+def test_a_planted_pair_defect_shows_in_the_identity(where):
+    """1e-6 planted in the pair or the inner tensor: the identity read off the pair is
+    the dense identity of the integrated stacks against the dense inner tensor, and
+    fails the gate."""
+    scenario = cli.generate_scenario("crossed", 2, 2, 2, 11, "symmetric:3")
+    cov = cli.resolve_scenario(scenario, "generated.json").cov
+    cm = crossed.build_crossed_module(cov.system)
+    pair = cov.base.images, cov.base.companion.images, cov.u.mats
+    assert crossed._identity_defect(cm, *pair) < 1e-12
+    cm, images, companion, mats = _planted_pair(cov, where)
+    got = crossed._identity_defect(cm, images, companion, mats)
+    stacks = crossed._integrated(images, mats), crossed._integrated(companion, mats)
+    dense = identity_defect(stacks[0], reference_inner(cm), stacks[1])
+    assert got == pytest.approx(dense, rel=1e-9)
+    assert got > nk.RESIDUAL_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +473,16 @@ def test_induced_cp_allocates_no_dense_pair_tensor():
 def test_factorization_residual_is_the_reconstruction_residual():
     """The residual read off the dilation's parts is the dense reconstruction
     residual of the integrated dilation images, up to rounding."""
+    _check_factorization_against_the_reconstruction()
+
+
+def test_factorization_residual_reads_every_chunk_of_t(monkeypatch):
+    """One group element per chunk: the residual is still the reconstruction's."""
+    monkeypatch.setattr(nk, "STACK_ENTRIES", 1)
+    _check_factorization_against_the_reconstruction()
+
+
+def _check_factorization_against_the_reconstruction():
     scenario = cli.generate_scenario("crossed", 1, 2, 1, 11, "cyclic:2")
     cov = cli.resolve_scenario(scenario, "z2.json").cov
     dilation = stinespring.dilate_covariant(cov)
@@ -506,8 +567,9 @@ def test_induced_cp_builds_no_dense_view_of_the_dilation(monkeypatch):
     assert peak < 5 * 2**20, peak
 
 
-def test_a_crossed_run_integrates_two_stacks(tmp_path, monkeypatch):
-    """The map and its companion; the dilation is read through its parts."""
+def test_a_crossed_run_integrates_no_stack(tmp_path, monkeypatch):
+    """The identity is read off the map and u, the factorization off the dilation's
+    parts: no integrated stack is formed, and the integral form holds none."""
     calls = []
     integrated = crossed._integrated
 
@@ -520,4 +582,10 @@ def test_a_crossed_run_integrates_two_stacks(tmp_path, monkeypatch):
     scenario = cli.generate_scenario("crossed", 2, 2, 2, 11, "symmetric:3")
     path.write_bytes(cli.canonical_bytes(scenario))
     assert cli.run_scenario(str(path)).passed
-    assert len(calls) == 2
+    assert calls == []
+    # the counter does count: the API's stack is integrated on demand
+    cov = cli.resolve_scenario(scenario, "generated.json").cov
+    induced = crossed.induced_cp(cov)
+    assert induced.rep is cov.base and induced.mats is cov.u.mats
+    assert induced.images.shape == (induced.crossed.dim, *cov.base.images.shape[1:])
+    assert len(calls) == 1

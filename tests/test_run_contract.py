@@ -676,6 +676,67 @@ def test_two_block_explicit_payload_runs(tmp_path, capsys):
     assert code == 0, err
 
 
+def _diagonal_module(m):
+    """A module of dim m over C, ``x_i . 1 = x_i`` and ``<x_i, x_j> = delta_ij``, with
+    the zero map: m zero 1 x 1 images and a zero companion."""
+    eye = np.eye(m).reshape(m, 1, m)
+    module = {
+        "algebra": {"blocks": [1]},
+        "dim": m,
+        "action": builders.tensor_to_json(eye),
+        "inner": builders.tensor_to_json(eye.reshape(m, m, 1)),
+    }
+    images = {str(i): ZERO for i in range(m)}
+    cp_map = {"images": images, "companion": {"space_dim": 1, "images": {"0:0:0": ZERO}}}
+    return _set(EXPLICIT, ("objects",), {"module": module, "cp_map": cp_map})
+
+
+def test_an_explicit_modules_dim_is_bounded_before_its_tensors(tmp_path, capsys, monkeypatch):
+    """``dim`` above the largest standard module's p n = 64 exits 2 with a
+    ``BoundsError`` naming it, before the action or inner tensor is decoded and
+    under 8 MB; a module of dim 64 runs."""
+    decoded, entries_from_json = [], cli.entries_from_json
+
+    def decoding(entries, what):
+        decoded.append(what)
+        return entries_from_json(entries, what)
+
+    monkeypatch.setattr(cli, "entries_from_json", decoding)
+    tracemalloc.start()
+    try:
+        code, err = _run(tmp_path, capsys, _diagonal_module(100))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "Traceback" not in err
+    assert "BoundsError" in err and "module payload: 'dim' dimension 100 outside [1, 64]" in err
+    assert decoded == []
+    assert peak < 8 * 2**20
+    assert cli.MAX_P * cli.MAX_N == 64
+    code, err = _run(tmp_path, capsys, _diagonal_module(64))
+    assert code == 0, err
+    assert decoded
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_an_h_amplified_payload_keeps_every_rank_and_every_dim_but_h(tmp_path, capsys, kind):
+    """``Phi(x) (I (x) <psi|)`` with ``phi (x) |psi><psi|`` and ``u (x) I_3``, written out
+    from a generated 2,2,2 ``symmetric:3`` scenario: the run passes with H three times
+    the generated run's, and the same ranks and other dims."""
+    scenario = cli.generate_scenario(kind, 2, 2, 2, 11, "symmetric:3")
+    certs = []
+    for payload in (scenario, builders.h_amplified_scenario(scenario, 3)):
+        out = tmp_path / "cert.json"
+        code, err = _run(tmp_path, capsys, payload, extra=("--out", str(out)))
+        assert code == 0, err
+        certs.append(json.loads(out.read_text()))
+    plain, amplified = certs
+    assert amplified["pass"] and amplified["dims"].pop("H") == 3 * plain["dims"].pop("H")
+    assert amplified["dims"] == plain["dims"]
+    assert amplified["ranks"] == plain["ranks"]
+
+
 @pytest.mark.parametrize("kind", ["dilate", "verify", "uniqueness"])
 def test_map_just_past_the_tolerance_fails_its_certificate(tmp_path, capsys, kind):
     """The image 1 + 3e-9 misses the identity by 6e-9: within PRECONDITION_TOL, so

@@ -233,11 +233,8 @@ def test_crossed_checks_match_their_loops(name, chunk):
     assert (module_report.module_axiom_residual, module_report.symmetry_residual) == (
         ref.crossed_module_check(cm)
     )
-    images = crossed._integrated(sc.cov.base.images, sc.cov.u.mats)
-    companion = crossed._integrated(sc.cov.base.companion.images, sc.cov.u.mats)
-    assert crossed._identity_defect(cm, images, companion) == ref.crossed_identity_defect(
-        cm, images, companion
-    )
+    pair = sc.cov.base.images, sc.cov.base.companion.images, sc.cov.u.mats
+    assert crossed._identity_defect(cm, *pair) == ref.factored_identity_defect(cm, *pair)
 
 
 @pytest.mark.parametrize("entries", [CHUNKS["one item"], CHUNKS["several items"]])
