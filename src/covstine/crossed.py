@@ -20,14 +20,15 @@ block that depends on at most one group element:
     (delta_r x_j) e_(s,k)       = delta_{rs}     x_j . alpha_r(E_k)         C[r][j, k]
     <delta_t x_i, delta_r x_j>  = delta_{t^-1 r} alpha_{t^-1}(<x_i, x_j>)   A[t][i, j]
 
-with ``f*(s) = S[s] conj(f(s^-1))``.  The run path and the axiom checks work
-on these g blocks (``product_blocks``, ``star_blocks``, ``action_blocks``,
+with ``f*(s) = S[s] conj(f(s^-1))``.  The exhaustive axiom checks work on these
+g blocks (``product_blocks``, ``star_blocks``, ``action_blocks``,
 ``inner_blocks``) and place them through the group table; the generic
 ``multiply``, ``star``, ``act`` and ``inner`` are the reference the tests
 compare the blocks against.
 
-An integral form is held by its covariant pair, which its crossed identity is read
-off; ``induced_cp`` reads the covariant dilation's integral form through its parts.
+A run forms nothing indexed by the crossed basis: an integral form is held by its
+covariant pair, which its crossed identity is read off, and ``induced_cp`` reads the
+covariant dilation's integral form through its parts, by chunks of t.
 """
 
 from __future__ import annotations
@@ -364,19 +365,24 @@ def _integrated(images: np.ndarray, mats: np.ndarray) -> np.ndarray:
 
 def _identity_defect(cm: CrossedModule, images, companion, mats) -> float:
     """The crossed identity of the integral form of ``(images, mats)`` on all crossed basis
-    pairs: ``u_t* P_ij u_r`` against ``companion(A[t, i, j]) u_{t^-1 r}``, with
-    ``P_ij = images[i]* images[j]`` formed once by chunks of i, by chunks of their rows (i, t)."""
+    pairs: ``u_t* P_ij u_r`` against ``(<x_i, x_j> @ Q_t) u_{t^-1 r}``, where the companion
+    moved by the action, ``Q_t = alpha_{t^-1}^T companion``, gives ``companion(A[t, i, j])``,
+    and ``P_ij = images[i]* images[j]`` is formed once by chunks of i, by chunks of rows (i, t)."""
     g, m, h = cm.group.order, len(images), mats.shape[-1]
     star, columns = np.conj(mats).swapaxes(1, 2).copy(), mats.swapaxes(0, 1).reshape(h, -1)  # u_r
     slotted = mats[cm.group.mult[cm.group.inv]].swapaxes(1, 2).reshape(g, h, -1)  # u_(t^-1 r)
-    coords, worst = companion.reshape(len(companion), h * h), 0.0
+    moved = np.swapaxes(cm.system.alpha[cm.group.inv], 1, 2) @ companion.reshape(len(companion), h * h)
+    at_pairs, worst = cm.module.support.pairs, 0.0
     for span in nk.stack_spans(m, m * h * h):
         pairs = np.conj(images[span]).transpose(0, 2, 1)[:, None] @ images  # [i, j]: P_ij
+        inner = np.zeros((len(pairs), m, len(companion)), dtype=np.complex128)  # [i, j]: <x_i, x_j>
+        at = slice(*at_pairs.searchsorted([span.start * m, span.stop * m]))
+        inner.reshape(-1, len(companion))[at_pairs[at] - span.start * m] = cm.module.pair_rows[at]
 
         def defects(rows):  # the rows (i, t) of the chunk, at i * g + t
             i, t = np.divmod(np.arange(rows.start, rows.stop), g)
             lhs = (star[t, None] @ pairs[i]).reshape(len(t), m * h, h) @ columns
-            rhs = (cm.inner_blocks[t, span.start + i] @ coords).reshape(len(t), m * h, h)
+            rhs = (inner[i] @ moved[t]).reshape(len(t), m * h, h)
             lhs -= rhs @ slotted[t]
             return lhs
 
@@ -498,11 +504,15 @@ def induced_cp(
 
     if dilation is None:
         dilation = stinespring.dilate_covariant(cov)
-    # pi(x_i) v_t V from the dilation's parts, as verify reads pi(x_i) V: columns (t, h)
-    base, v = dilation.base, dilation.v.mats
-    ranged = stinespring._ranged(base, (v @ base.gns.V).transpose(1, 0, 2).reshape(base.gns.dim, -1))
-    rebuilt = (nk.adjoint(base.W) @ ranged).reshape(len(phi), -1, len(u), phi.shape[2])
-    rebuilt = rebuilt.transpose(2, 0, 1, 3)  # [t, i]: W* pi(x_i) v_t V, against Phi(x_i) u_t
-    fact = nk.stack_max(len(u), phi.size, lambda t: rebuilt[t] - phi @ u[t, None])
-    ranged, coranged = nk.numerical_rank(hilbmod.range_stack(ranged)), stinespring._corange_rank(base, v)
+    # pi(x_i) v_t V from the dilation's parts, as verify reads pi(x_i) V, by chunks of t: columns
+    # (t, h); W* of it against Phi(x_i) u_t, and the range Gram summed over the chunks
+    base, v, dim = dilation.base, dilation.v.mats, dilation.base.dim_codomain
+    fact, gram = 0.0, np.zeros((dim, dim), dtype=np.complex128)
+    for t in nk.stack_spans(len(u), len(phi) * dim * phi.shape[2]):
+        ranged = stinespring._ranged(base, (v[t] @ base.gns.V).transpose(1, 0, 2).reshape(base.gns.dim, -1))
+        rebuilt = (nk.adjoint(base.W) @ ranged).reshape(len(phi), -1, t.stop - t.start, phi.shape[2])
+        fact = max(fact, nk.maxabs(rebuilt - (phi @ u[t, None]).transpose(1, 2, 0, 3)))  # at [i, :, t]
+        stack = hilbmod.range_stack(ranged)
+        gram += stack @ nk.adjoint(stack)
+    ranged, coranged = nk.psd_rank(gram), stinespring._corange_rank(base, v)
     return InducedCP(cm, cov.base, u, identity, fact, ranged, coranged, dilation)

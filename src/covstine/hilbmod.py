@@ -126,15 +126,9 @@ class HilbertModule:
     def fullness_factor(self) -> nk.GramFactor:
         """``gram_factor`` of the (N, N) Gram ``flat* flat`` of the rows
         ``flat[(i, j)] = <x_i, x_j>``, computed once: fullness is its rank, and
-        every ``<X, X>`` solve is one GEMM with its pseudo-inverse.  It is summed over
-        ``pair_rows`` (the zero rows add nothing) in chunks of rows under the chunk rule,
-        an item being a row and its conjugate: no conjugate of all the rows is formed."""
-        rows = self.pair_rows
-        first, *rest = nk.stack_spans(max(1, len(rows)), 2 * self.algebra.dim)
-        gram = nk.adjoint(rows[first]) @ rows[first]
-        for span in rest:
-            gram += nk.adjoint(rows[span]) @ rows[span]
-        return nk.gram_factor(gram)
+        every ``<X, X>`` solve is one GEMM with its pseudo-inverse.  It is ``nk.gram`` of
+        ``pair_rows``: the zero rows add nothing."""
+        return nk.gram_factor(nk.gram(self.pair_rows))
 
     @property
     def full(self) -> bool:  # the rows <x_i, x_j> span the algebra

@@ -422,12 +422,22 @@ def least_squares_solve(a, b) -> np.ndarray:
         raise ShapeMismatchError(
             f"row counts differ: A has {a.shape[0]}, B has {b.shape[0]}"
         )
-    star = adjoint(a)
-    factor = gram_factor(star @ a)
-    x = factor.solve(star @ b)
+    factor = gram_factor(gram(a))
+    x = factor.solve(gram(a, b))
     residual = a @ x
     np.subtract(b, residual, out=residual)  # in place: no second (rows, cols) array
-    return x + factor.solve(star @ residual)
+    return x + factor.solve(gram(a, residual))
+
+
+def gram(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """``a* b``, ``a* a`` by default, summed over chunks of rows under the chunk rule, an
+    item being a row of each: no conjugate of all of ``a`` is formed."""
+    b = a if b is None else b
+    first, *rest = stack_spans(max(1, len(a)), a.shape[1] + b.shape[1])
+    out = adjoint(a[first]) @ b[first]
+    for span in rest:
+        out += adjoint(a[span]) @ b[span]
+    return out
 
 
 class RankProfile(NamedTuple):
@@ -443,13 +453,13 @@ def psd_rank(gram) -> RankProfile:
 
 
 def numerical_rank(m) -> RankProfile:
-    """Rank of the column span of ``m``, decided on the eigenvalues of its Gram.
+    """Rank of the column span of ``m``, decided on the eigenvalues of its smaller Gram.
 
     Using the Gram eigenvalue rule (rather than raw singular values) keeps
     rank decisions here identical to the ones made by ``gram_factor``.
     """
     m = as_matrix(m)
-    return psd_rank(m @ adjoint(m) if m.shape[0] <= m.shape[1] else adjoint(m) @ m)
+    return psd_rank(gram(m.T if m.shape[0] <= m.shape[1] else m))  # gram(m.T) = conj(m m*)
 
 
 def complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

@@ -5,6 +5,7 @@ structure dump against the dense tensor, and the run-path contracts (no
 reference-operation calls, no dense pair tensor)."""
 
 import collections
+import functools
 import json
 import tracemalloc
 from dataclasses import replace
@@ -335,7 +336,8 @@ def test_identity_defect_from_blocks_matches_the_dense_row(name, blocks, h, seed
 
 def _planted_pair(cov, where):
     """The pair and crossed module of ``cov`` with 1e-6 added to one entry of one
-    Phi(x_i), one phi(E_k), one u_t with t other than e, or one nonzero inner product."""
+    Phi(x_i), one phi(E_k), one u_t or one alpha_t with t other than e, or one nonzero
+    inner product."""
     images, companion, mats = cov.base.images, cov.base.companion.images, cov.u.mats
     system = cov.system
     if where == "Phi":
@@ -347,6 +349,10 @@ def _planted_pair(cov, where):
     elif where == "u":
         mats = mats.copy()
         mats[(system.group.identity + 1) % system.group.order, 0, 0] += 1e-6
+    elif where == "alpha":
+        alpha = system.alpha.copy()
+        alpha[(system.group.identity + 1) % system.group.order, 0, 0] += 1e-6
+        system = hilbmod.ModuleDynamicalSystem(system.group, system.module, system.eta, alpha)
     else:
         module = system.module
         inner = module.inner.copy()
@@ -360,11 +366,12 @@ def _planted_pair(cov, where):
     return cm, images, companion, mats
 
 
-@pytest.mark.parametrize("where", ["Phi", "phi", "u", "inner"])
+@pytest.mark.parametrize("where", ["Phi", "phi", "u", "alpha", "inner"])
 def test_a_planted_pair_defect_shows_in_the_identity(where):
-    """1e-6 planted in the pair or the inner tensor: the identity read off the pair is
-    the dense identity of the integrated stacks against the dense inner tensor, and
-    fails the gate."""
+    """1e-6 planted in the pair, the action or the inner tensor: the identity read off
+    the pair and the moved companion is the dense identity of the integrated stacks
+    against the dense inner tensor, which reads alpha through ``CrossedModule.inner``,
+    and fails the gate."""
     scenario = cli.generate_scenario("crossed", 2, 2, 2, 11, "symmetric:3")
     cov = cli.resolve_scenario(scenario, "generated.json").cov
     cm = crossed.build_crossed_module(cov.system)
@@ -376,6 +383,18 @@ def test_a_planted_pair_defect_shows_in_the_identity(where):
     dense = identity_defect(stacks[0], reference_inner(cm), stacks[1])
     assert got == pytest.approx(dense, rel=1e-9)
     assert got > nk.RESIDUAL_TOL
+
+
+def test_the_identity_moves_the_companion_by_the_inverse_action():
+    """Generated 1,6,1 with S3, where alpha_t and alpha_{t^-1} differ: the covariant
+    pair meets the identity, read off the companion moved by alpha_{t^-1}."""
+    scenario = cli.generate_scenario("crossed", 1, 6, 1, 11, "symmetric:3")
+    cov = cli.resolve_scenario(scenario, "generated.json").cov
+    alpha = cov.system.alpha
+    assert np.abs(alpha - alpha[cov.system.group.inv]).max() > 0.5
+    cm = crossed.build_crossed_module(cov.system)
+    pair = cov.base.images, cov.base.companion.images, cov.u.mats
+    assert crossed._identity_defect(cm, *pair) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +444,19 @@ REFERENCE_OPERATIONS = {
 def test_crossed_run_never_calls_the_reference_operations(
     tmp_path, monkeypatch, p, n, group, extra
 ):
+    """No run calls the generic operations, and only the exhaustive checks, on crossed
+    algebras of dimension up to 64, build the inner blocks (S4 on C^2: 96)."""
     counts = collections.Counter()
+    blocks = []
+    build = vars(crossed.CrossedModule)["inner_blocks"].func
+
+    def building(cm):
+        blocks.append(cm.algebra.dim)
+        return build(cm)
+
+    counted = functools.cached_property(building)
+    counted.__set_name__(crossed.CrossedModule, "inner_blocks")
+    monkeypatch.setattr(crossed.CrossedModule, "inner_blocks", counted)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -446,6 +477,8 @@ def test_crossed_run_never_calls_the_reference_operations(
     assert cert["pass"]
     assert ("crossed_module_fullness" in cert["ranks"]) == (group != "symmetric:4")
     assert not counts, dict(counts)
+    assert all(dim <= cli.CROSSED_AXIOM_LIMIT for dim in blocks)
+    assert bool(blocks) == (group != "symmetric:4")
     # the counters do count: one reference call shows
     crossed.CrossedAlgebra(
         hilbmod.cyclic_group(2), cstar.CStarAlgebra((1,)), np.ones((2, 1, 1))
@@ -491,16 +524,29 @@ def _check_factorization_against_the_reconstruction():
     assert induced.dilation is dilation and induced.minimal
 
 
-@pytest.mark.parametrize(
-    "p, n, amplification, group",
-    [(None, None, None, None), (1, 2, 1, "cyclic:2"), (2, 2, 2, "symmetric:3"),
-     (1, 6, 1, "cyclic:3")],
-)
+DENSITY_CASES = [
+    (None, None, None, None), (1, 2, 1, "cyclic:2"), (2, 2, 2, "symmetric:3"), (1, 6, 1, "cyclic:3")
+]
+
+
+@pytest.mark.parametrize("p, n, amplification, group", DENSITY_CASES)
 def test_induced_density_profiles_match_the_two_build_reference(p, n, amplification, group):
     """The profiles read off the dilation's parts decide the ranks of the dense
     integrated stacks exactly, with their singular values within 1e-12 of the
     largest, and the factorization residuals agree to 1e-14 (None: the bundled
     crossed scenario)."""
+    _check_density_profiles(p, n, amplification, group)
+
+
+@pytest.mark.parametrize("p, n, amplification, group", DENSITY_CASES)
+def test_induced_density_profiles_read_every_chunk_of_t(monkeypatch, p, n, amplification, group):
+    """One group element per chunk: the range Gram summed over the chunks of t still
+    ranks as the dense integrated stack, with the same profile."""
+    monkeypatch.setattr(nk, "STACK_ENTRIES", 1)
+    _check_density_profiles(p, n, amplification, group)
+
+
+def _check_density_profiles(p, n, amplification, group):
     if p is None:
         res = cli.resolve_scenario(json.loads((SCENARIOS / "s3_crossed.json").read_text()), "s3")
     else:
@@ -549,8 +595,9 @@ def test_a_planted_dilation_defect_shows_in_both_factorizations(where):
 def test_induced_cp_builds_no_dense_view_of_the_dilation(monkeypatch):
     """At (4, 4, 4) with S4 the induced map reads the dilation's parts alone: neither
     the dense images (the parts ranged on the identity) nor ``GnsTriple.rep`` is
-    built, and the call's traced peak stays under 5 MiB (6.99 MiB through the
-    integrated dense view)."""
+    built, nor, with a crossed algebra of dimension 384, the (g, m, m, N) inner
+    blocks, and the call's traced peak stays under 2.5 MiB (3.30 MiB with the blocks
+    and the whole ranged stack, 6.99 MiB through the integrated dense view)."""
     scenario = cli.generate_scenario("crossed", 4, 4, 4, 11, "symmetric:4")
     cov = cli.resolve_scenario(scenario, "s4.json").cov
     dilation = stinespring.dilate_covariant(cov)
@@ -563,8 +610,8 @@ def test_induced_cp_builds_no_dense_view_of_the_dilation(monkeypatch):
     finally:
         tracemalloc.stop()
     assert induced.minimal and induced.max_residual < 1e-9
-    assert built == []
-    assert peak < 5 * 2**20, peak
+    assert built == [] and "inner_blocks" not in vars(induced.crossed)
+    assert peak < 2.5 * 2**20, peak
 
 
 def test_a_crossed_run_integrates_no_stack(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,29 @@ class TestLeastSquares:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatchError):
             nk.least_squares_solve(np.eye(3), np.eye(4))
+
+
+@pytest.mark.parametrize("entries", [nk.STACK_ENTRIES, 1])
+def test_a_small_gram_forms_no_conjugate_of_its_stack(monkeypatch, entries):
+    """``numerical_rank`` of a wide (64, 4224) stack and ``least_squares_solve`` on its
+    transpose read the Grams ``gram`` sums over chunks of rows: ranks and solutions as
+    from the whole products, and a traced peak under a quarter of the stack's 4.1 MiB
+    conjugate (at one row per chunk as well)."""
+    monkeypatch.setattr(nk, "STACK_ENTRIES", entries)
+    rng = np.random.default_rng(3)
+    stack = nk.complex_normal(rng, 64, 48) @ nk.complex_normal(rng, 48, 4224)
+    target = nk.complex_normal(rng, 4224, 2)
+    tracemalloc.start()
+    try:
+        profile, solved = nk.numerical_rank(stack), nk.least_squares_solve(stack.T, target)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert profile.rank == 48 and peak < stack.nbytes / 4, peak
+    dense = np.clip(np.linalg.eigvalsh(stack @ stack.conj().T)[::-1], 0.0, None)
+    np.testing.assert_allclose(profile.singular_values**2, dense, rtol=0, atol=1e-12 * dense[0])
+    expected = np.linalg.lstsq(stack.T, target, rcond=None)[0]
+    assert nk.maxabs(solved - expected) < 1e-10 * nk.maxabs(expected)
 
 
 @settings(max_examples=25, deadline=None)
