@@ -229,9 +229,9 @@ def check_covariance(
     u: hilbmod.UnitaryRep,
     u_prime: hilbmod.UnitaryRep,
 ) -> CovarianceReport:
-    """Absolute covariance residuals of a module CP map and of its companion."""
-    map_residual = hilbmod.covariance_defect(system.eta, phi.images, u_prime.mats, u.mats)
-    comp_residual = hilbmod.covariance_defect(system.alpha, phi.companion.images, u.mats, u.mats)
+    """Absolute covariance residuals of a map and its companion, bounded on every t."""
+    map_residual = hilbmod.covariance_defect(system.eta_rep, phi.images, u_prime, u)
+    comp_residual = hilbmod.covariance_defect(system.alpha_rep, phi.companion.images, u, u)
     condition = phi.module.fullness_condition if phi.module.full else float("inf")
     return CovarianceReport(map_residual, comp_residual, condition)
 

@@ -113,7 +113,7 @@ def build_crossed_algebra(
 ) -> CrossedAlgebra:
     """Assemble the crossed algebra after validating that alpha is an action."""
     alpha = np.asarray(alpha, dtype=np.complex128)
-    worst = max(hilbmod.algebra_action_residuals(group, base, alpha))
+    worst = max(hilbmod.algebra_action_residuals(base, hilbmod.UnitaryRep(group, base.dim, alpha)))
     if worst > nk.RESIDUAL_TOL:
         raise NotActionError(
             f"alpha is not a *-automorphism action (worst residual {worst:.3e})"
@@ -434,7 +434,7 @@ def integral_form(
         raise ShapeMismatchError("group representations do not match (H, K)")
 
     rep_report = cpmaps.check_module_representation(rep)
-    covariance = hilbmod.covariance_defect(sys.eta, rep.images, w.mats, v.mats)
+    covariance = hilbmod.covariance_defect(sys.eta_rep, rep.images, w, v)
     v_rep = hilbmod.check_unitary_rep(v)
     w_rep = hilbmod.check_unitary_rep(w)
     worst = max(

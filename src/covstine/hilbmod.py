@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -387,18 +387,39 @@ def identity_defect(images: np.ndarray, module: HilbertModule, companion: np.nda
 MAX_GROUP_ORDER = 24
 
 
+class GroupTree(NamedTuple):
+    """A generating set S and a BFS tree of the left Cayley graph of the subgroup it generates."""
+
+    generators: np.ndarray  # S: each the smallest element outside the subgroup of those before
+    edges: list[tuple[int, int, int]]  # (t, k, t') in BFS order: t = s t', s = generators[k]
+
+
+def _bfs(mult: list, e: int, generators: list[int]) -> GroupTree:
+    edges, reached = [(e, -1, e)], {e}
+    for x, _, _ in edges:  # grows while it is read
+        for k, t in enumerate(mult[s][x] for s in generators):
+            if t not in reached:
+                reached.add(t)
+                edges.append((t, k, x))
+    return GroupTree(np.array(generators, dtype=np.int64), edges[1:])
+
+
 @dataclass(frozen=True)
 class FiniteGroup:
     """Group given by an explicit multiplication table over indices 0..g-1.
 
     The tables are copied and made read-only, so a group can be shared and
-    what it caches (``coset_candidates``) stays valid.
+    what it caches (``coset_candidates``) stays valid.  Its ``tree`` (``_bfs``) is
+    built with it over S taken greedily, the smallest element outside the subgroup
+    generated so far: S = {1} of depth n - 1 for ``cyclic:n``, {1, 2} of depth 3 for
+    ``symmetric:3``, {1, 2, 6} of depth 6 for ``symmetric:4``, empty for the trivial group.
     """
 
     order: int
     mult: np.ndarray  # (g, g) index table
     identity: int
     inv: np.ndarray  # (g,) inverse indices
+    tree: GroupTree = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mult = np.array(self.mult, dtype=np.int64)
@@ -423,6 +444,10 @@ class FiniteGroup:
         if failures.any():
             triple = tuple(int(i) for i in np.argwhere(failures)[0])
             raise ShapeMismatchError(f"multiplication not associative at {triple}")
+        table, generators = mult.tolist(), []
+        while len((tree := _bfs(table, e, generators)).edges) < g - 1:
+            generators.append(min(set(range(g)) - {e, *(t for t, _, _ in tree.edges)}))
+        object.__setattr__(self, "tree", tree)
 
     @cached_property
     def coset_candidates(self) -> dict[int, np.ndarray]:
@@ -486,6 +511,10 @@ class UnitaryRep:
             raise ShapeMismatchError(f"representation matrices shape {mats.shape}")
         object.__setattr__(self, "mats", mats)
 
+    @cached_property
+    def law(self) -> "GroupLaw":  # computed once
+        return group_law(self.group, self.mats)
+
 
 class UnitaryRepReport(NamedTuple):
     hom_residual: float  # u_s u_t = u_{st}
@@ -493,70 +522,156 @@ class UnitaryRepReport(NamedTuple):
     unitary_residual: float  # u_t* u_t = I
 
 
-def group_law_residuals(group: FiniteGroup, mats: np.ndarray) -> tuple[float, float]:
-    """``(hom, unit)``: worst ``|m_s m_t - m_st|`` over all pairs, and ``|m_e - I|``.
+class Premises(NamedTuple):
+    """Operator-norm bounds ``intertwining_bound`` reads of a map t -> m_t, as scalars:
+    ``gains[k] >= ||m_s||`` for s the k-th generator, ``edges[i] >= ||m_s m_t' - m_t||`` on
+    the i-th edge (t, k, t') of ``group.tree``, ``unit >= ||m_e - I||`` and ``norms[t] >= ||m_t||``."""
 
-    ``mats`` holds one square matrix per group element; this is the group
-    law of every action and representation in the package.  A chunk of s is one
-    GEMM of the rows ``[m_s]`` against the columns ``[m_t]``, read as [s, row, t, col].
+    gains: list
+    edges: list
+    unit: float
+    norms: list
+
+    def times(self, other: "Premises", group: FiniteGroup) -> "Premises":
+        """The premises of ``m_t (x) n_t``, or of any map with the product norm, such as
+        ``Y -> m_t Y n_t*``: with ``m_s m_t' = m_t + E`` and ``n_s n_t' = n_t + F`` on an
+        edge, ``(m_t + E) (x) (n_t + F) - m_t (x) n_t = E (x) (n_t + F) + m_t (x) F``."""
+        m, n, edges = self.norms, other.norms, zip(group.tree.edges, self.edges, other.edges)
+        return Premises(
+            [a * b for a, b in zip(self.gains, other.gains)],
+            [e * (n[t] + f) + m[t] * f for (t, _, _), e, f in edges],
+            self.unit + other.unit + self.unit * other.unit,
+            [a * b for a, b in zip(m, n)],
+        )
+
+
+class GroupLaw(NamedTuple):
+    hom: float  # bounded on every pair
+    unit: float
+    on_edges: float  # the exact worst over the Cayley edges
+    unitarity: tuple  # (worst, norms) of m_s* m_s - I on the generators
+    premises: Premises
+
+
+def group_law(group: FiniteGroup, mats: np.ndarray) -> GroupLaw:
+    """The group law of ``mats``, one square matrix m_t per element, read on the generators.
+
+    The edge defects ``m_s m_t - m_st`` are formed for s in S and every t, a chunk of s one
+    GEMM of the rows ``[m_s]`` against the columns ``[m_t]``, read as [s, row, t, col]; so
+    are ``m_s* m_s - I`` and ``m_e - I``.  Their Frobenius norms eps, rho_s and u are the
+    ``Premises``: ``||m_s||^2 = ||m_s* m_s|| <= 1 + rho_s``, and down the tree ``||m_e|| <=
+    1 + u`` and ``||m_t|| <= ||m_s|| ||m_t'|| + eps_{s,t'}``.  With a = s a', ``m_a m_b -
+    m_ab = m_s (m_a' m_b - m_a'b) - (m_s m_a' - m_a) m_b + (m_s m_a'b - m_ab)``, so every
+    pair's defect is at most ``D_a <= ||m_s|| D_a' + eps_{s,a'} M + max_b eps_{s,b}``, from
+    ``D_e = u M``, M the largest norm.  The unit row ``|m_e - I|`` is exact.
     """
     g, d = mats.shape[:2]
-    columns, rows = mats.transpose(1, 0, 2).reshape(d, g * d), np.arange(d)[:, None]
-
-    def defects(s):
-        count = s.stop - s.start
-        grid = (mats[s].reshape(count * d, d) @ columns).reshape(count, d, g, d)
-        grid -= mats[group.mult[s][:, None, :], rows]
-        return grid
-
-    hom = nk.stack_max(g, g * d * d, defects)
-    return hom, nk.maxabs(mats[group.identity] - nk.eye(d))
+    columns, ident, edges = mats.transpose(1, 0, 2).reshape(d, g * d), nk.eye(d), group.tree.edges
+    hom, eps, unitary, rho = 0.0, [], 0.0, []
+    for span in nk.stack_spans(len(group.tree.generators), (g + 1) * d * d):
+        s = group.tree.generators[span]
+        grid = np.abs((mats[s].reshape(len(s) * d, d) @ columns).reshape(len(s), d, g, d)
+                      - mats[group.mult[s]].transpose(0, 2, 1, 3))
+        square = np.abs(np.conj(mats[s]).transpose(0, 2, 1) @ mats[s] - ident)
+        hom, unitary = max(hom, nk.maxabs(grid)), max(unitary, nk.maxabs(square))
+        eps += np.sqrt(np.square(grid, out=grid).sum(axis=(1, 3))).tolist()  # [k][t]: eps_{s,t}
+        rho += np.sqrt(np.square(square, out=square).sum(axis=(1, 2))).tolist()
+    unit = mats[group.identity] - ident
+    u, gains, steps = nk.frobenius(unit), [math.sqrt(1 + r) for r in rho], [eps[k][up] for _, k, up in edges]
+    premises = Premises(gains, steps, u, _down_tree(group, 1 + u, gains, steps))
+    most, widest = max(premises.norms), [max(row) for row in eps]
+    pairs = _down_tree(group, u * most, gains, [eps[k][up] * most + widest[k] for _, k, up in edges])
+    return GroupLaw(max(hom, _largest(pairs)), nk.maxabs(unit), hom, (unitary, rho), premises)
 
 
 def check_unitary_rep(rep: UnitaryRep) -> UnitaryRepReport:
-    hom, unit = group_law_residuals(rep.group, rep.mats)
-    mats, ident = rep.mats, nk.eye(rep.dim)
-    unitary = nk.stack_max(
-        len(mats),
-        rep.dim * rep.dim,
-        lambda t: np.conj(mats[t]).transpose(0, 2, 1) @ mats[t] - ident,
-    )
-    return UnitaryRepReport(hom, unit, unitary)
+    """The group law and unitarity of a representation, bounded on every pair and t: the
+    latter is ``X - X R_t`` for ``X = I`` and ``R_t: Y -> u_t* Y u_t``, an ``intertwining_bound``."""
+    law, group, on = rep.law, rep.group, rep.law.premises
+    same = Premises([1.0] * len(group.tree.generators), [0.0] * len(group.tree.edges), 0.0, [1.0] * group.order)
+    unitary = intertwining_bound(group, same, on.times(on, group), law.unitarity, math.sqrt(rep.dim))
+    return UnitaryRepReport(law.hom, law.unit, unitary)
+
+
+def _largest(values: list) -> float:  # inf where one is NaN: a NaN or inf premise
+    return math.inf if any(v != v for v in values) else max(values)
+
+
+def _on_generators(group: FiniteGroup, item_entries: int, defects) -> tuple[float, list]:
+    """``nk.stack_norms`` of ``defects(s)``, s an index array of generators."""
+    generators = group.tree.generators
+    return nk.stack_norms(len(generators), item_entries, lambda span: defects(generators[span]))
+
+
+def _down_tree(group: FiniteGroup, start: float, gains: list, steps: list) -> list:
+    """``x[e] = start`` and ``x[t] = gains[k] x[t'] + steps[i]`` on the i-th edge (t, k, t')
+    of ``group.tree``: scalar arithmetic, one step per element."""
+    x = [start] * group.order
+    for (t, k, up), step in zip(group.tree.edges, steps):
+        x[t] = gains[k] * x[up] + step
+    return x
+
+
+def intertwining_bound(group: FiniteGroup, left: Premises, right: Premises, defects: tuple, size: float) -> float:
+    """Bound on the worst entry of ``D_t = L_t X - X R_t`` over every t, from ``defects``,
+    the ``(worst, norms)`` of D_s on the generators (``_on_generators``), and ``||X|| = size``.
+
+    Each identity checked on the generators has this form, L and R homomorphisms:
+    covariance (X the images, R the transport, L ``Y -> u'_t Y u_t*``), intertwining,
+    equivariance (X the inner tensor, L alpha, R ``conj(eta) (x) eta``), compatibility
+    (X the action, L eta, R ``eta (x) alpha``), multiplicativity (X the n_b^3 structure
+    constants, L alpha, R ``alpha (x) alpha``), the star (X the star permutation, L and
+    R alpha) and unitarity (``check_unitary_rep``).  On the edge into t = s t', with
+    ``L_s L_t' = L_t + E`` and ``R_s R_t' = R_t + F``,
+
+        D_t = L_s D_t' + D_s R_t' - E X + X F,
+
+    so in Frobenius norms ``||D_t|| <= ||L_s|| ||D_t'|| + ||D_s|| ||R_t'|| + (||E|| + ||F||) size``
+    from ``D_e = (L_e - I) X - X (R_e - I)``, ``||D_e|| <= (u_L + u_R) size``.  No entry
+    exceeds the Frobenius norm; the exact worst on S is kept where rounding puts the
+    bound below it.  The bound is 0 when every premise is, and inf when one is inf or NaN.
+    """
+    (worst, norms), edges = defects, zip(group.tree.edges, left.edges, right.edges)
+    steps = [norms[k] * right.norms[up] + size * (e + f) for (_, k, up), e, f in edges]
+    return max(worst, _largest(_down_tree(group, size * (left.unit + right.unit), left.gains, steps)))
 
 
 def intertwining_defects(left: UnitaryRep, x: np.ndarray, right: UnitaryRep) -> np.ndarray:
-    """``|left_t X - X right_t|``, its largest entry, for each t of the group."""
-    return np.concatenate(
-        [
-            nk.stack_maxabs(left.mats[t] @ x - x @ right.mats[t])
-            for t in nk.stack_spans(left.group.order, x.size)
-        ]
-    )
+    """``|left_t X - X right_t|``, its largest entry, for each t of the group: the
+    input check of a generated covariant map names the first t that fails."""
+    spans = nk.stack_spans(left.group.order, x.size)
+    return np.concatenate([nk.stack_maxabs(left.mats[t] @ x - x @ right.mats[t]) for t in spans])
 
 
 def intertwining_residual(left: UnitaryRep, x: np.ndarray, right: UnitaryRep) -> float:
-    """Worst ``|left_t X - X right_t|`` over the group; 0 when X intertwines."""
-    return float(intertwining_defects(left, x, right).max(initial=0.0))
+    """Worst ``|left_t X - X right_t|`` over the group, formed on the generators and
+    bounded by ``intertwining_bound``; 0 when X intertwines."""
+    group = left.group
+    kernel = _on_generators(group, x.size, lambda t: left.mats[t] @ x - x @ right.mats[t])
+    return intertwining_bound(group, left.law.premises, right.law.premises, kernel, nk.frobenius(x))
 
 
 def covariance_defect(
-    transport: np.ndarray, images: np.ndarray, left: np.ndarray, right: np.ndarray
+    transport: UnitaryRep, images: np.ndarray, left: UnitaryRep, right: UnitaryRep
 ) -> float:
-    """Unscaled worst ``|sum_q transport[t, q, i] images[q] - left_t images[i] right_t*|``.
+    """Worst ``|sum_q transport[t, q, i] images[q] - left_t images[i] right_t*|`` over t.
 
     This is ``Phi(eta_t x) = u'_t Phi(x) u_t*`` for module maps and
-    ``phi(alpha_t a) = u_t phi(a) u_t*`` for algebra maps, on basis images,
-    one chunk of group elements at a time.
+    ``phi(alpha_t a) = u_t phi(a) u_t*`` for algebra maps, on basis images, formed
+    on the generators, one chunk at a time, and bounded on every t by
+    ``intertwining_bound`` (X the images, R the transport, L ``Y -> left_t Y right_t*``).
     """
-    star_right = np.conj(right).transpose(0, 2, 1)
     flat = images.reshape(len(images), math.prod(images.shape[1:]))
 
     def defects(t):
-        transported = np.swapaxes(transport[t], 1, 2) @ flat
+        transported = np.swapaxes(transport.mats[t], 1, 2) @ flat
         transported = transported.reshape(transported.shape[:2] + images.shape[1:])
-        return transported - left[t, None] @ images @ star_right[t, None]
+        star_right = np.conj(right.mats[t]).transpose(0, 2, 1)
+        return transported - left.mats[t, None] @ images @ star_right[:, None]
 
-    return nk.stack_max(len(transport), images.size, defects)
+    group, sides = transport.group, left.law.premises.times(right.law.premises, transport.group)
+    kernel = _on_generators(group, images.size, defects)
+    return intertwining_bound(group, sides, transport.law.premises, kernel, nk.frobenius(images))
 
 
 def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
@@ -685,6 +800,14 @@ class ModuleDynamicalSystem:
         object.__setattr__(self, "alpha", alpha)
 
     @cached_property
+    def eta_rep(self) -> UnitaryRep:
+        return UnitaryRep(self.group, self.module.dim, self.eta)
+
+    @cached_property
+    def alpha_rep(self) -> UnitaryRep:
+        return UnitaryRep(self.group, self.module.algebra.dim, self.alpha)
+
+    @cached_property
     def action_report(self) -> "DynamicalSystemReport":
         """``check_dynamical_system`` of this system, computed once."""
         return check_dynamical_system(self)
@@ -720,86 +843,86 @@ class DynamicalSystemReport(NamedTuple):
         return max(self[:-1])  # every field before invertible
 
 
-def algebra_action_residuals(
-    group: FiniteGroup, algebra: cstar.CStarAlgebra, alpha: np.ndarray
-) -> tuple[float, float, float]:
-    """``(law, mult, star)`` residuals of ``alpha`` as a *-automorphism action.
-
-    ``law`` is the group law (unit included), ``mult`` the multiplicativity
-    ``alpha_t(E_k E_l) = alpha_t(E_k) alpha_t(E_l)`` and ``star`` the
-    commutation with the involution, each the worst over the group.  For
-    each block of size n a chunk of t is one GEMM of the (N n, n) rows of the
-    images' blocks against their (n, N n) columns, read as [t, k, row, l, col];
-    ``alpha_t(E_k E_l)`` is subtracted only at the sum of n_b^3 pairs where
-    ``E_k E_l = E_m`` is not 0, a gather of ``alpha_t(E_m)``.
+def algebra_action_residuals(algebra: cstar.CStarAlgebra, alpha: UnitaryRep) -> tuple[float, float, float]:
+    """``(law, mult, star)`` residuals of ``alpha`` as a *-automorphism action: its
+    ``group_law`` (unit included), ``alpha_t(E_k E_l) = alpha_t(E_k) alpha_t(E_l)`` and
+    the commutation with the involution, formed on the generators s and bounded on every
+    t by ``intertwining_bound``.  For each block of size n a chunk of s is one GEMM of the
+    (N n, n) rows of the images' blocks against their (n, N n) columns, read as [s, k, row,
+    l, col]; ``alpha_s(E_k E_l)`` is subtracted only at the sum of n_b^3 pairs where
+    ``E_k E_l = E_m`` is not 0, a gather of ``alpha_s(E_m)``.
     """
-    law = max(group_law_residuals(group, alpha))
+    group, mats, law = alpha.group, alpha.mats, alpha.law
     g, dim, product = group.order, algebra.dim, cstar.product_index(algebra)
     k, l = (product < dim).nonzero()
-    auto_mult, offset = 0.0, 0
+    worst, squares, offset = 0.0, 0.0, 0
     for n in algebra.blocks:
-        part = alpha[:, offset : offset + n * n].transpose(0, 2, 1).reshape(g, dim, n, n)
+        part = mats[:, offset : offset + n * n].transpose(0, 2, 1).reshape(g, dim, n, n)
 
-        def mult_defects(t, part=part, n=n):  # part[t, k]: the block's entries of alpha_t(E_k)
-            count = t.stop - t.start
-            columns = part[t].transpose(0, 2, 1, 3).reshape(count, n, dim * n)
-            grid = (part[t].reshape(count, dim * n, n) @ columns).reshape(count, dim, n, dim, n)
-            grid[:, k, :, l, :] -= part[t][:, product[k, l]].transpose(1, 0, 2, 3)
+        def mult_defects(s, part=part, n=n):  # part[s, k]: the block's entries of alpha_s(E_k)
+            columns = part[s].transpose(0, 2, 1, 3).reshape(len(s), n, dim * n)
+            grid = (part[s].reshape(len(s), dim * n, n) @ columns).reshape(len(s), dim, n, dim, n)
+            grid[:, k, :, l, :] -= part[s][:, product[k, l]].transpose(1, 0, 2, 3)
             return grid
 
-        auto_mult = max(auto_mult, nk.stack_max(g, (dim * n) ** 2, mult_defects))
-        offset += n * n
+        block_worst, norms = _on_generators(group, (dim * n) ** 2, mult_defects)
+        worst, squares, offset = max(worst, block_worst), squares + np.square(norms), offset + n * n
 
-    # alpha_t(E_k*) against alpha_t(E_k)*; the star permutation is an involution
-    perm = cstar.star_permutation(algebra)
-    return law, auto_mult, nk.maxabs(alpha[:, :, perm] - np.conj(alpha[:, perm, :]))
+    # alpha_s(E_k*) against alpha_s(E_k)*; the star permutation is an involution
+    perm, on = cstar.star_permutation(algebra), law.premises
+    star = _on_generators(group, dim * dim, lambda s: mats[s][:, :, perm] - np.conj(mats[s][:, perm, :]))
+    return (
+        max(law.hom, law.unit),
+        intertwining_bound(group, on, on.times(on, group), (worst, np.sqrt(squares).tolist()), math.sqrt(len(k))),
+        intertwining_bound(group, on, on, star, math.sqrt(dim)),
+    )
 
 
 def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
     """The group laws, equivariance ``<eta_t x_i, eta_t x_j> = alpha_t(<x_i, x_j>)``,
     compatibility ``eta_t(x_i . E_k) = eta_t(x_i) . alpha_t(E_k)`` and
-    ``algebra_action_residuals``.  Equivariance and compatibility are one grouped
-    GEMM per chunk of t each, from the nonzeros of ``module.support``, read as
-    [t, k, i, j] and [t, r, i, k]: sums over the live rows (a, k) of inner of
-    ``conj(eta_t[a, i]) (inner[a, :, k] @ eta_t)[j]`` and over the live columns
-    (l, r) of action of ``(action[:, l, r] @ eta_t)[i] alpha_t[l, k]``, minus the
-    targets where they can be nonzero (the pairs with ``<x_i, x_j>`` not 0, the
-    live rows (i, k) of action): the maxima of the dense comparisons' values.
+    ``algebra_action_residuals``, formed on the generators s and bounded on every t by
+    ``intertwining_bound``; invertibility is ranked on every t.  Equivariance and
+    compatibility are one grouped GEMM per chunk of s each, from the nonzeros of
+    ``module.support``, read as [s, k, i, j] and [s, r, i, k]: sums over the live rows
+    (a, k) of inner of ``conj(eta_s[a, i]) (inner[a, :, k] @ eta_s)[j]`` and over the live
+    columns (l, r) of action of ``(action[:, l, r] @ eta_s)[i] alpha_s[l, k]``, minus the
+    targets where they can be nonzero: the values of the dense comparisons.
     """
     group, module, eta, alpha = sys.group, sys.module, sys.eta, sys.alpha
     g, m, n_dim = group.order, module.dim, module.algebra.dim
-    alpha_law, auto_mult, auto_star = algebra_action_residuals(group, module.algebra, alpha)
-    law = max(max(group_law_residuals(group, eta)), alpha_law)
+    alpha_law, auto_mult, auto_star = algebra_action_residuals(module.algebra, sys.alpha_rep)
+    on_eta, on_alpha = sys.eta_rep.law.premises, sys.alpha_rep.law.premises
+    law = max(sys.eta_rep.law.hom, sys.eta_rep.law.unit, alpha_law)
 
     sup, act = module.support, module.support.act
     inner_rows, heads_k = module.inner_rows
     action_rows, heads_r = _grouped_rows((m, n_dim, m), act[2], act[1], act[0], sup.act_values)
     pair_rows, live_rows = module.pair_rows.T, module.live_action_rows
-    # the targets' flat places in one t's grid, [k, (i, j)] and [i, (j, k)]
+    # the targets' flat places in one s's grid, [k, (i, j)] and [i, (j, k)]
     pair_at = (np.arange(n_dim)[:, None] * (m * m) + sup.pairs).reshape(-1)
     live_at = (np.arange(m)[:, None] * (m * n_dim) + sup.row_j * n_dim + sup.row_k).reshape(-1)
 
-    def equivariance(t):
-        z = (inner_rows @ eta[t]).reshape(t.stop - t.start, n_dim, heads_k.shape[1], m)
-        grid = np.conj(eta[t][:, heads_k]).swapaxes(-1, -2) @ z
-        grid.reshape(len(grid), -1)[:, pair_at] -= (alpha[t] @ pair_rows).reshape(len(grid), -1)
+    def equivariance(s):
+        z = (inner_rows @ eta[s]).reshape(len(s), n_dim, heads_k.shape[1], m)
+        grid = np.conj(eta[s][:, heads_k]).swapaxes(-1, -2) @ z
+        grid.reshape(len(grid), -1)[:, pair_at] -= (alpha[s] @ pair_rows).reshape(len(grid), -1)
         return grid
 
-    def compatibility(t):
-        c = (action_rows @ eta[t]).reshape(t.stop - t.start, m, heads_r.shape[1], m)
-        grid = c.swapaxes(-1, -2) @ alpha[t][:, heads_r]
-        grid.reshape(len(grid), -1)[:, live_at] -= (eta[t] @ live_rows).reshape(len(grid), -1)
+    def compatibility(s):
+        c = (action_rows @ eta[s]).reshape(len(s), m, heads_r.shape[1], m)
+        grid = c.swapaxes(-1, -2) @ alpha[s][:, heads_r]
+        grid.reshape(len(grid), -1)[:, live_at] -= (eta[s] @ live_rows).reshape(len(grid), -1)
         return grid
 
-    item = m * m * n_dim
-    invertible = nk.stack_ranks(eta) == [m] * g and nk.stack_ranks(alpha) == [n_dim] * g
+    item, invertible = m * m * n_dim, nk.stack_ranks(eta) == [m] * g and nk.stack_ranks(alpha) == [n_dim] * g
     return DynamicalSystemReport(
         law,
-        nk.stack_max(g, item, equivariance),
-        nk.stack_max(g, item, compatibility),
-        auto_mult,
-        auto_star,
-        invertible,
+        intertwining_bound(group, on_alpha, on_eta.times(on_eta, group),
+                           _on_generators(group, item, equivariance), nk.frobenius(sup.values)),
+        intertwining_bound(group, on_eta, on_eta.times(on_alpha, group),
+                           _on_generators(group, item, compatibility), nk.frobenius(sup.act_values)),
+        auto_mult, auto_star, invertible,
     )
 
 
@@ -848,24 +971,26 @@ def induced_algebra_action(
     eta = np.asarray(eta, dtype=np.complex128)
     g, m, n_dim = group.order, module.dim, module.algebra.dim
 
-    law = max(group_law_residuals(group, eta))
+    law = group_law(group, eta)  # the defining relations: the Cayley edges and the unit
+    law = max(law.on_edges, law.unit)
     if law > nk.PRECONDITION_TOL:
         raise InconsistentError(f"eta violates the group law by {law:.3e}")
 
     require_full(module)
     # alpha_t^T solves flat @ x = <eta_t x_i, eta_t x_j>, projected by flat* per chunk of t
-    rows = nk.adjoint(module.inner.reshape(m * m, n_dim))
-    projected = [
-        rows @ transported_inner(eta[t], module.inner).reshape(-1, m * m, n_dim)
-        for t in nk.stack_spans(g, m * m * n_dim)
-    ]
-    alpha = np.swapaxes(module.fullness_factor.solve(np.concatenate(projected)), 1, 2)
-    report = check_dynamical_system(ModuleDynamicalSystem(group, module, eta, alpha))
-    residual = report.equivariance_residual  # the consistency residual of the system
+    flat, spans = module.inner.reshape(m * m, n_dim), nk.stack_spans(g, m * m * n_dim)
+
+    def targets(t):
+        return transported_inner(eta[t], module.inner).reshape(-1, m * m, n_dim)
+
+    solution = module.fullness_factor.solve(np.concatenate([nk.adjoint(flat) @ targets(t) for t in spans]))
+    residual = max(nk.maxabs(flat @ solution[t] - targets(t)) for t in spans)  # consistency
     if residual > nk.PRECONDITION_TOL:
         raise InconsistentError(
             f"defining system for the induced action is inconsistent: {residual:.3e}"
         )
+    alpha = np.swapaxes(solution, 1, 2)
+    report = check_dynamical_system(ModuleDynamicalSystem(group, module, eta, alpha))
     auto = max(report.automorphism_mult_residual, report.automorphism_star_residual)
     if auto > nk.PRECONDITION_TOL or not report.invertible:
         raise InconsistentError(

@@ -84,7 +84,7 @@ def sandwich(left: np.ndarray, stack: np.ndarray, right: np.ndarray) -> np.ndarr
 # through one batched op, which forms each item's products exactly as it forms
 # them for that item alone, so no entry, and no maximum of their absolute
 # values, depends on how the items are cut into chunks.  ``pair_defect`` and
-# ``hilbmod.group_law_residuals`` stack a chunk's items into one GEMM instead,
+# ``hilbmod.group_law`` stack a chunk's items into one GEMM instead,
 # whose last bits follow its shape.
 
 
@@ -114,6 +114,16 @@ def stack_max(count: int, item_entries: int, residuals) -> float:
         residual = residuals(span)
         worst = max(worst, maxabs(residual))
     return worst
+
+
+def stack_norms(count: int, item_entries: int, residuals) -> tuple[float, list[float]]:
+    """``stack_max`` of ``residuals`` and the Frobenius norm of each of its ``count`` items."""
+    worst, norms = 0.0, []
+    for span in stack_spans(count, item_entries):
+        magnitudes = np.abs(residuals(span)).reshape(span.stop - span.start, -1)
+        worst = max(worst, maxabs(magnitudes))
+        norms += np.sqrt(np.square(magnitudes, out=magnitudes).sum(axis=1)).tolist()
+    return worst, norms
 
 
 def stack_maxabs(stack: np.ndarray) -> np.ndarray:

@@ -291,20 +291,49 @@ class CovariantDilation:
     cov_map: CovariantCPMap
     v: hilbmod.UnitaryRep  # on the dilation domain space
     w: hilbmod.UnitaryRep  # on the dilation codomain space
-    gram_preservation_residual: float
     invariance_residual: float
+
+    @cached_property
+    def gram_preservation_residual(self) -> float:
+        """Worst ``|raw_t* G raw_t - G|`` over t, ``raw_t = F (alpha_t (x) u_t)`` and G the GNS
+        Gram ``F* F``, formed on first read (only ``verify_dilation`` reports it): ``S_b* S_b``
+        is subtracted in place on the n_b diagonal blocks of each block b."""
+        gns, alpha, u, residual = self.base.gns, self.cov_map.system.alpha, self.cov_map.u.mats, 0.0
+        spans, h = list(_spans(gns.cp_map.algebra.blocks, gns.blocks)), gns.cp_map.space_dim
+        for t in nk.stack_spans(len(alpha), (alpha.shape[1] * h) ** 2):
+            descended = _descended(gns, spans, alpha[t], u[t])
+            transported = np.conj(descended).transpose(0, 2, 1) @ descended  # raw_t* Gram raw_t
+            for n, units, _, block in spans:  # the GNS Gram F* F is S* S on each block row
+                raw = slice(units.start * h, units.stop * h)
+                block_rows = transported[:, raw, raw].reshape(len(descended), n, n * h, n, n * h)
+                block_rows[:, np.arange(n), :, np.arange(n)] -= nk.adjoint(block.F) @ block.F
+            residual = max(residual, nk.maxabs(transported))
+        return residual
+
+
+def _descended(gns: GnsTriple, spans: list, alpha: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``F (alpha_t (x) u_t)`` of a chunk of t by two mode products: alpha_t on the units of
+    each block row, then u_t on h."""
+    algebra, h, count, rows = gns.cp_map.algebra, gns.cp_map.space_dim, len(alpha), []
+    for n, units, cols, block in spans:
+        kept = block.rank  # V on block row c is S on its (c, i) columns
+        coeffs = alpha[:, units].reshape(count, n, n, algebra.dim).transpose(0, 1, 3, 2)
+        on_n = coeffs.reshape(count, n * algebra.dim, n) @ gns.V[cols].reshape(n, kept * h)
+        on_n = on_n.reshape(count, n, algebra.dim, kept, h).transpose(0, 1, 3, 2, 4)
+        on_h = on_n.reshape(count, n * kept * algebra.dim, h) @ u
+        rows.append(on_h.reshape(count, n * kept, algebra.dim * h))
+    return np.concatenate(rows, axis=1)
 
 
 def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
     """Covariant minimal dilation: group unitaries descend to both spaces.
 
-    The domain unitaries are the descents of ``alpha_t (x) u_t`` (this
-    preserves the GNS Gram exactly when the companion is covariant; the
-    residual is checked), formed as ``F (alpha_t (x) u_t)`` by two mode products,
-    by ``alpha_t`` on the matrix units and by ``u_t`` on H; their Gram has ``S_b* S_b``
-    subtracted in place on the n_b diagonal blocks of each block b, the GNS Gram
-    ``F* F``.  The codomain space is invariant under ``u'`` up to the reported
-    leak, and the codomain unitaries are its compressions.
+    The domain unitaries are the descents of ``alpha_t (x) u_t``, formed as
+    ``F (alpha_t (x) u_t)`` by ``_descended`` and lifted, on every t; that they preserve
+    the GNS Gram, which holds exactly when the companion is covariant, is the
+    dilation's ``gram_preservation_residual``, formed only where it is read.  The
+    codomain space is invariant under ``u'`` up to the reported leak, and the codomain
+    unitaries are its compressions.
     """
     report = cov.covariance_report
     if report.max_residual > nk.PRECONDITION_TOL:
@@ -316,35 +345,15 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
     group = cov.system.group
     dim_k = cov.base.space_dims[1]
 
-    algebra, h = cov.base.module.algebra, gns.cp_map.space_dim
-    spans = list(_spans(algebra.blocks, gns.blocks))
-    raw_dim = algebra.dim * h
-    v_mats = np.zeros((group.order, gns.dim, gns.dim), dtype=np.complex128)
-    gram_residual = leak = 0.0
-    for t in nk.stack_spans(group.order, raw_dim * raw_dim):
-        alpha, u = cov.system.alpha[t], cov.u.mats[t]
-        count = len(alpha)
-        # F (alpha_t (x) u_t): alpha_t on the units of each block row, then u_t on h
-        rows = []
-        for n, units, cols, block in spans:
-            kept = block.rank  # V on block row c is S on its (c, i) columns
-            coeffs = alpha[:, units].reshape(count, n, n, algebra.dim).transpose(0, 1, 3, 2)
-            on_n = coeffs.reshape(count, n * algebra.dim, n) @ gns.V[cols].reshape(n, kept * h)
-            on_n = on_n.reshape(count, n, algebra.dim, kept, h).transpose(0, 1, 3, 2, 4)
-            on_h = on_n.reshape(count, n * kept * algebra.dim, h) @ u
-            rows.append(on_h.reshape(count, n * kept, raw_dim))
-        descended = np.concatenate(rows, axis=1)
-        transported = np.conj(descended).transpose(0, 2, 1) @ descended  # raw_t* Gram raw_t
-        for n, units, _, block in spans:  # the GNS Gram F* F is S* S on each block row
-            raw = slice(units.start * h, units.stop * h)
-            block_rows = transported[:, raw, raw].reshape(count, n, n * h, n, n * h)  # a view
-            block_rows[:, np.arange(n), :, np.arange(n)] -= nk.adjoint(block.F) @ block.F
-        gram_residual = max(gram_residual, nk.maxabs(transported))
-        worst = np.zeros((2, count))  # per t: the largest defect and size of its block rows
+    spans, h = list(_spans(gns.cp_map.algebra.blocks, gns.blocks)), gns.cp_map.space_dim
+    v_mats, leak = np.zeros((group.order, gns.dim, gns.dim), dtype=np.complex128), 0.0
+    for t in nk.stack_spans(group.order, (gns.cp_map.algebra.dim * h) ** 2):
+        descended = _descended(gns, spans, cov.system.alpha[t], cov.u.mats[t])
+        worst = np.zeros((2, len(descended)))  # per t: the largest defect and size of its block rows
         for n, units, cols, block in spans:
             groups = descended[:, :, units.start * h : units.stop * h]
-            lifted, defect, size = _descend(groups.reshape(count, gns.dim * n, n * h), block)
-            v_mats[t, :, cols] = lifted.reshape(count, gns.dim, cols.stop - cols.start)
+            lifted, defect, size = _descend(groups.reshape(len(descended), gns.dim * n, n * h), block)
+            v_mats[t, :, cols] = lifted.reshape(len(descended), gns.dim, cols.stop - cols.start)
             worst = np.maximum(worst, (defect, size))
         leak = max(leak, nk.maxabs(worst[0] / np.maximum(1.0, worst[1])))
     if leak > nk.RESIDUAL_TOL:
@@ -370,7 +379,6 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
         cov,
         hilbmod.UnitaryRep(group, gns.dim, v_mats),
         hilbmod.UnitaryRep(group, base.dim_codomain, w_mats),
-        gram_residual,
         invariance,
     )
 
@@ -531,10 +539,10 @@ def verify_dilation(
         residuals["intertwine_V"] = hilbmod.intertwining_residual(v_rep, gns.V, u)
         residuals["intertwine_W"] = hilbmod.intertwining_residual(w_rep, base.W, u_prime)
         residuals["covariant_representation"] = hilbmod.covariance_defect(
-            system.eta, _ranged(base, nk.eye(gns.dim)), w_rep.mats, v_rep.mats
+            system.eta_rep, _ranged(base, nk.eye(gns.dim)), w_rep, v_rep
         )
         residuals["companion_covariant_rep"] = hilbmod.covariance_defect(
-            system.alpha, gns.rep.images, v_rep.mats, v_rep.mats
+            system.alpha_rep, gns.rep.images, v_rep, v_rep
         )
         residuals["gram_preservation"] = dilation.gram_preservation_residual
         residuals["subspace_invariance"] = dilation.invariance_residual

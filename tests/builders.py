@@ -273,6 +273,54 @@ def coset_permutation_rep(group: hilbmod.FiniteGroup, t: int) -> hilbmod.Unitary
     return hilbmod.coset_rep(group, hilbmod.coset_labels(group, t))
 
 
+def twisted_system(group: hilbmod.FiniteGroup, p: int, n: int, seed: int) -> hilbmod.ModuleDynamicalSystem:
+    """A standard action whose gamma and delta each hold a faithful summand with elements
+    of order 3 or more: the regular representation of ``cyclic:3``, or the representation
+    of ``symmetric:3`` on the 3 cosets of a transposition, padded with trivial summands to
+    p and n (at least 3) and conjugated by seeded Haar unitaries.  So alpha_t, eta_t and
+    u_t = delta_t differ from their values at t^-1, where generated systems mostly draw
+    trivial summands at small sizes and have ``alpha_t == alpha_{t^-1}``."""
+    rng = np.random.default_rng(seed)
+    faithful = hilbmod.regular_rep(group) if group.order == 3 else coset_permutation_rep(group, 1)
+
+    def twisted(dim):
+        rep = faithful
+        if dim > faithful.dim:
+            rep = hilbmod.direct_sum_rep(faithful, hilbmod.trivial_rep(group, dim - faithful.dim))
+        return hilbmod.conjugate_rep(rep, nk.haar_unitary(rng, dim))
+
+    return hilbmod.standard_action(group, twisted(p), twisted(n))
+
+
+def twisted_scenario(family: str, size: int, p: int, n: int, amplification: int, seed: int) -> dict:
+    """A ``dilate-covariant`` payload of ``cpmaps.random_covariant_cp`` on
+    ``twisted_system``, written out explicitly, with u = delta and the seed that
+    ``uniqueness`` reads; the group is named (``{"symmetric": 3}``)."""
+    group = cli.group_from_json({family: size})
+    system = twisted_system(group, p, n, seed)
+    cov, _ = cpmaps.random_covariant_cp(system, amplification, seed)
+    labels = system.module.algebra.basis_labels()
+    objects = {
+        "system": {
+            "standard_action": {
+                "group": {family: size},
+                "gamma": unitary_rep_to_json(system.gamma),
+                "delta": unitary_rep_to_json(system.delta),
+            }
+        },
+        "cp_map": {
+            "images": {str(i): mat_to_json(image) for i, image in enumerate(cov.base.images)},
+            "companion": {
+                "space_dim": cov.base.space_dims[0],
+                "images": {label: mat_to_json(c) for label, c in zip(labels, cov.base.companion.images)},
+            },
+        },
+        "u": "delta",
+        "u_prime": unitary_rep_to_json(cov.u_prime),
+    }
+    return {"schema": 1, "kind": "dilate-covariant", "seed": seed, "objects": objects}
+
+
 # ---------------------------------------------------------------------------
 # Crossed products
 # ---------------------------------------------------------------------------

@@ -32,7 +32,10 @@ kept dense as well: products of automorphism images by ``block_products``
 the Gram row against the whole Kronecker Gram, and equivariance and
 compatibility on the whole (m, m, N) and (m, N, m) tensors, where the
 package reads each in the layout of its GEMM and subtracts targets only on
-their support.  The GNS descent is kept in two
+their support.  These loops take ``at``, the elements they run over (every
+one by default): the package forms each on the generators alone and reports
+a bound on every t, and ``generators_only`` switches that bound off, so that
+each row is its kernel's worst on ``at = group.tree.generators``.  The GNS descent is kept in two
 forms: dense, with the (rank, N h) ``F`` and (N h, rank) ``L`` placed whole,
 every raw module map over the full (m, N, m) action tensor and ``np.kron``
 of ``alpha_t`` and ``u_t``; and factored, the package's block rows and live
@@ -461,50 +464,68 @@ def check_intertwiners(rep_v, rep_w, v, w, u, u_prime):
             )
 
 
-def group_law(group, mats):
-    """``(hom, unit)`` of ``hilbmod.group_law_residuals``, one s at a time."""
-    hom = max(nk.maxabs(mats[s] @ mats - mats[group.mult[s]]) for s in range(group.order))
+def generators_only(monkeypatch):
+    """Switch the package's bound off: with ``hilbmod._down_tree`` at 0, each
+    group-indexed row is its kernel's worst on the generators, which the forms
+    here give on ``at = group.tree.generators``."""
+    monkeypatch.setattr(hilbmod, "_down_tree", lambda group, *_: np.zeros(group.order))
+
+
+def _elements(group, at):
+    return range(group.order) if at is None else at
+
+
+def group_law(group, mats, at=None):
+    """``(hom, unit)`` of ``hilbmod.group_law``, one s of ``at`` (every s by default) at a time."""
+    hom = max(
+        (nk.maxabs(mats[s] @ mats - mats[group.mult[s]]) for s in _elements(group, at)), default=0.0
+    )
     return hom, nk.maxabs(mats[group.identity] - nk.eye(mats.shape[1]))
 
 
-def unitarity(rep):
-    return max(nk.maxabs(nk.adjoint(m) @ m - nk.eye(rep.dim)) for m in rep.mats)
-
-
-def intertwining(left, x, right):
+def unitarity(rep, at=None):
     return max(
-        (nk.maxabs(left.mats[t] @ x - x @ right.mats[t]) for t in range(left.group.order)),
+        (nk.maxabs(nk.adjoint(rep.mats[t]) @ rep.mats[t] - nk.eye(rep.dim)) for t in _elements(rep.group, at)),
+        default=0.0,
+    )
+
+
+def intertwining(left, x, right, at=None):
+    return max(
+        (nk.maxabs(left.mats[t] @ x - x @ right.mats[t]) for t in _elements(left.group, at)),
         default=0.0,
     )
 
 
 def covariance(transport, images, left, right):
-    """``hilbmod.covariance_defect`` on the whole (g, m, K, H) stack at once."""
+    """``hilbmod.covariance_defect`` on the whole (g, m, K, H) stack at once, from the
+    matrices of the transport and the representations, or the generators' rows of them."""
     transported = coords_apply(transport.transpose(0, 2, 1), images)
     conjugated = left[:, None] @ images[None] @ np.conj(right).transpose(0, 2, 1)[:, None]
     return nk.maxabs(transported - conjugated)
 
 
-def algebra_action(group, algebra, alpha):
-    """``(law, mult, star)`` of ``hilbmod.algebra_action_residuals``, one t at a time."""
-    law = max(group_law(group, alpha))
+def algebra_action(group, algebra, alpha, at=None):
+    """``(law, mult, star)`` of ``hilbmod.algebra_action_residuals``, one t of ``at`` at a time."""
+    law = max(group_law(group, alpha, at))
     product = cstar.product_index(algebra)
     auto_mult = 0.0
-    for t in range(group.order):
+    for t in _elements(group, at):
         images = alpha[t].T
         prod_of_images = block_products(algebra, images, images)
         auto_mult = max(auto_mult, nk.maxabs(prod_of_images - pad_zero(images)[product]))
-    perm = cstar.star_permutation(algebra)
-    return law, auto_mult, nk.maxabs(alpha[:, :, perm] - np.conj(alpha[:, perm, :]))
+    perm, on = cstar.star_permutation(algebra), alpha[list(_elements(group, at))]
+    return law, auto_mult, nk.maxabs(on[:, :, perm] - np.conj(on[:, perm, :]))
 
 
-def dynamical_system(sys):
-    """The fields of ``hilbmod.check_dynamical_system``, one t at a time."""
+def dynamical_system(sys, at=None):
+    """The fields of ``hilbmod.check_dynamical_system``, one t of ``at`` at a time;
+    invertibility on every t."""
     group, module, eta, alpha = sys.group, sys.module, sys.eta, sys.alpha
-    alpha_law, auto_mult, auto_star = algebra_action(group, module.algebra, alpha)
-    law = max(max(group_law(group, eta)), alpha_law)
+    alpha_law, auto_mult, auto_star = algebra_action(group, module.algebra, alpha, at)
+    law = max(max(group_law(group, eta, at)), alpha_law)
     equivariance = compatibility = 0.0
-    for t in range(group.order):
+    for t in _elements(group, at):
         pushed = module.inner @ alpha[t].T
         transported = nk.sandwich(eta[t], module.inner.transpose(2, 0, 1), eta[t])
         equivariance = max(equivariance, nk.maxabs(transported.transpose(1, 2, 0) - pushed))

@@ -1,7 +1,8 @@
 """Stacked loops: ``numkernel.kron_stack`` against ``np.kron``, and every check
 and construction the package runs as chunked stacks over group or basis
 elements against its one-element-at-a-time form in ``dense_reference``, bit
-for bit.  The comparisons run at the package's ``STACK_ENTRIES`` and at sizes
+for bit; a group-indexed check runs on the generators, against the loop over
+them, and its reported bound is at least the loop over every t.  The comparisons run at the package's ``STACK_ENTRIES`` and at sizes
 that cut each stack into several chunks, on S3, S4 and Z3 systems; defects
 planted at one t or one x_i raise the loop's error with the loop's message."""
 
@@ -161,35 +162,50 @@ def test_average_intertwiner_sums_in_the_order_of_t(order, chunk):
     _same(cpmaps.average_intertwiner(left, right, z), ref.average_intertwiner(left, right, z))
 
 
+def _group_rows(system, cov, w, at=None):
+    """``(package, loop)`` of each group-indexed row, the loop over ``at`` (every t by
+    default), on fresh copies of the representations, whose group laws are cached."""
+    fresh = [hilbmod.UnitaryRep(r.group, r.dim, r.mats) for r in (w.v, w.w, cov.u, cov.u_prime)]
+    v, w_rep, u, u_prime = fresh
+    system = hilbmod.ModuleDynamicalSystem(system.group, system.module, system.eta, system.alpha)
+    group, algebra = system.group, system.module.algebra
+    law = hilbmod.group_law(group, system.eta)
+    rows = [((law.hom, law.unit), ref.group_law(group, system.eta, at))]
+    rows += [(hilbmod.check_unitary_rep(r).unitary_residual, ref.unitarity(r, at)) for r in fresh]
+    rows += [
+        (hilbmod.intertwining_residual(v, w.V, u), ref.intertwining(v, w.V, u, at)),
+        (hilbmod.intertwining_residual(w_rep, w.W, u_prime), ref.intertwining(w_rep, w.W, u_prime, at)),
+        (hilbmod.algebra_action_residuals(algebra, system.alpha_rep), ref.algebra_action(group, algebra, system.alpha, at)),
+        (tuple(hilbmod.check_dynamical_system(system)), ref.dynamical_system(system, at)),
+    ]
+    on = slice(None) if at is None else at
+    for transport, images, left, right in (
+        (system.eta_rep, cov.base.images, u_prime, u),
+        (system.alpha_rep, cov.base.companion.images, u, u),
+    ):
+        loop = ref.covariance(transport.mats[on], images, left.mats[on], right.mats[on])
+        rows.append((hilbmod.covariance_defect(transport, images, left, right), loop))
+    return rows
+
+
 @pytest.mark.parametrize("name", sorted(GROUPS))
 @pytest.mark.parametrize("planted", [False, True])
-def test_group_checks_match_their_loops(name, planted, chunk):
+def test_group_checks_match_their_loops(name, planted, chunk, monkeypatch):
+    """Each group-indexed check's kernel on the generators, with the bound switched off,
+    is its loop over the generators bit for bit; each reported row is at least its loop
+    over every t (over every pair, for the group law)."""
     sc = _scenario(name)
     system, cov, w = sc.system, sc.cov, sc.witness
     if planted:  # eta off at one t only
         eta = system.eta.copy()
         eta[2, 0, 1] += 1e-4
         system = hilbmod.ModuleDynamicalSystem(system.group, system.module, eta, system.alpha)
-    assert hilbmod.group_law_residuals(system.group, system.eta) == ref.group_law(
-        system.group, system.eta
-    )
-    for rep in (w.v, w.w, cov.u, cov.u_prime):
-        assert hilbmod.check_unitary_rep(rep).unitary_residual == ref.unitarity(rep)
-    assert hilbmod.intertwining_residual(w.v, w.V, cov.u) == ref.intertwining(w.v, w.V, cov.u)
-    assert hilbmod.intertwining_residual(w.w, w.W, cov.u_prime) == ref.intertwining(
-        w.w, w.W, cov.u_prime
-    )
-    algebra = system.module.algebra
-    assert hilbmod.algebra_action_residuals(system.group, algebra, system.alpha) == (
-        ref.algebra_action(system.group, algebra, system.alpha)
-    )
-    assert tuple(hilbmod.check_dynamical_system(system)) == ref.dynamical_system(system)
-    images, comp = cov.base.images, cov.base.companion.images
-    for args in (
-        (system.eta, images, cov.u_prime.mats, cov.u.mats),
-        (system.alpha, comp, cov.u.mats, cov.u.mats),
-    ):
-        assert hilbmod.covariance_defect(*args) == ref.covariance(*args)
+    with monkeypatch.context() as patch:
+        ref.generators_only(patch)
+        for package, loop in _group_rows(system, cov, w, system.group.tree.generators):
+            assert package == loop
+    for package, loop in _group_rows(system, cov, w):
+        assert (np.atleast_1d(package) >= np.atleast_1d(loop)).all()
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
