@@ -499,14 +499,24 @@ def symmetric_group(n: int) -> FiniteGroup:
     return FiniteGroup(len(perms), mult, 0, inv)
 
 
+def frozen(values) -> np.ndarray:
+    """``values`` as a read-only complex array that no other reference can write: kept where
+    it is one already and owns its data (a stack built and frozen for its holder), else copied."""
+    kept = isinstance(values, np.ndarray) and values.dtype == np.complex128 and values.flags.owndata
+    if not kept or values.flags.writeable:
+        values = np.array(values, dtype=np.complex128)
+        values.setflags(write=False)
+    return values
+
+
 @dataclass(frozen=True)
 class UnitaryRep:
     group: FiniteGroup
     dim: int
     mats: np.ndarray  # (g, dim, dim)
 
-    def __post_init__(self):
-        mats = np.asarray(self.mats, dtype=np.complex128)
+    def __post_init__(self):  # read-only, as the cached ``law`` reads them
+        mats = frozen(self.mats)
         if mats.shape != (self.group.order, self.dim, self.dim):
             raise ShapeMismatchError(f"representation matrices shape {mats.shape}")
         object.__setattr__(self, "mats", mats)
@@ -546,42 +556,52 @@ class Premises(NamedTuple):
 
 
 class GroupLaw(NamedTuple):
-    hom: float  # bounded on every pair
+    hom: float  # bounded on every pair, exact above BOUND_TOL
     unit: float
-    on_edges: float  # the exact worst over the Cayley edges
     unitarity: tuple  # (worst, norms) of m_s* m_s - I on the generators
     premises: Premises
+
+
+def edge_defects(group: FiniteGroup, mats: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """``m_s m_t - m_st`` for the elements s and every t, read as [s, row, t, col]: one GEMM
+    of the rows ``[m_s]`` against the columns ``[m_t]``."""
+    g, d = mats.shape[:2]
+    columns = mats.transpose(1, 0, 2).reshape(d, g * d)
+    products = (mats[s].reshape(len(s) * d, d) @ columns).reshape(len(s), d, g, d)
+    return products - mats[group.mult[s]].transpose(0, 2, 1, 3)
+
+
+def _unitarity_defects(mats: np.ndarray, s: np.ndarray) -> np.ndarray:  # m_s* m_s - I
+    return np.conj(mats[s]).transpose(0, 2, 1) @ mats[s] - nk.eye(mats.shape[1])
 
 
 def group_law(group: FiniteGroup, mats: np.ndarray) -> GroupLaw:
     """The group law of ``mats``, one square matrix m_t per element, read on the generators.
 
-    The edge defects ``m_s m_t - m_st`` are formed for s in S and every t, a chunk of s one
-    GEMM of the rows ``[m_s]`` against the columns ``[m_t]``, read as [s, row, t, col]; so
-    are ``m_s* m_s - I`` and ``m_e - I``.  Their Frobenius norms eps, rho_s and u are the
-    ``Premises``: ``||m_s||^2 = ||m_s* m_s|| <= 1 + rho_s``, and down the tree ``||m_e|| <=
-    1 + u`` and ``||m_t|| <= ||m_s|| ||m_t'|| + eps_{s,t'}``.  With a = s a', ``m_a m_b -
-    m_ab = m_s (m_a' m_b - m_a'b) - (m_s m_a' - m_a) m_b + (m_s m_a'b - m_ab)``, so every
-    pair's defect is at most ``D_a <= ||m_s|| D_a' + eps_{s,a'} M + max_b eps_{s,b}``, from
-    ``D_e = u M``, M the largest norm.  The unit row ``|m_e - I|`` is exact.
+    The ``edge_defects`` are formed for s in S, a chunk of s at a time; so are ``m_s* m_s -
+    I`` and ``m_e - I``.  Their Frobenius norms eps, rho_s and u are the ``Premises``:
+    ``||m_s||^2 = ||m_s* m_s|| <= 1 + rho_s``, and down the tree ``||m_e|| <= 1 + u`` and
+    ``||m_t|| <= ||m_s|| ||m_t'|| + eps_{s,t'}``.  With a = s a', ``m_a m_b - m_ab = m_s
+    (m_a' m_b - m_a'b) - (m_s m_a' - m_a) m_b + (m_s m_a'b - m_ab)``, so every pair's
+    defect is at most ``D_a <= ||m_s|| D_a' + eps_{s,a'} M + max_b eps_{s,b}``, from ``D_e
+    = u M``, M the largest norm (``exact_above`` replaces a bound above BOUND_TOL by the
+    worst of every pair).  The unit row ``|m_e - I|`` is exact.
     """
     g, d = mats.shape[:2]
-    columns, ident, edges = mats.transpose(1, 0, 2).reshape(d, g * d), nk.eye(d), group.tree.edges
-    hom, eps, unitary, rho = 0.0, [], 0.0, []
+    hom, eps, unitary, rho, edges = 0.0, [], 0.0, [], group.tree.edges
     for span in nk.stack_spans(len(group.tree.generators), (g + 1) * d * d):
         s = group.tree.generators[span]
-        grid = np.abs((mats[s].reshape(len(s) * d, d) @ columns).reshape(len(s), d, g, d)
-                      - mats[group.mult[s]].transpose(0, 2, 1, 3))
-        square = np.abs(np.conj(mats[s]).transpose(0, 2, 1) @ mats[s] - ident)
+        grid, square = np.abs(edge_defects(group, mats, s)), np.abs(_unitarity_defects(mats, s))
         hom, unitary = max(hom, nk.maxabs(grid)), max(unitary, nk.maxabs(square))
         eps += np.sqrt(np.square(grid, out=grid).sum(axis=(1, 3))).tolist()  # [k][t]: eps_{s,t}
         rho += np.sqrt(np.square(square, out=square).sum(axis=(1, 2))).tolist()
-    unit = mats[group.identity] - ident
+    unit = mats[group.identity] - nk.eye(d)
     u, gains, steps = nk.frobenius(unit), [math.sqrt(1 + r) for r in rho], [eps[k][up] for _, k, up in edges]
     premises = Premises(gains, steps, u, _down_tree(group, 1 + u, gains, steps))
     most, widest = max(premises.norms), [max(row) for row in eps]
     pairs = _down_tree(group, u * most, gains, [eps[k][up] * most + widest[k] for _, k, up in edges])
-    return GroupLaw(max(hom, _largest(pairs)), nk.maxabs(unit), hom, (unitary, rho), premises)
+    hom = exact_above(group, max(hom, _largest(pairs)), [(g * d * d, lambda s: edge_defects(group, mats, s))])
+    return GroupLaw(hom, nk.maxabs(unit), (unitary, rho), premises)
 
 
 def check_unitary_rep(rep: UnitaryRep) -> UnitaryRepReport:
@@ -590,17 +610,27 @@ def check_unitary_rep(rep: UnitaryRep) -> UnitaryRepReport:
     law, group, on = rep.law, rep.group, rep.law.premises
     same = Premises([1.0] * len(group.tree.generators), [0.0] * len(group.tree.edges), 0.0, [1.0] * group.order)
     unitary = intertwining_bound(group, same, on.times(on, group), law.unitarity, math.sqrt(rep.dim))
+    unitary = exact_above(group, unitary, [(rep.dim**2, lambda t: _unitarity_defects(rep.mats, t))])
     return UnitaryRepReport(law.hom, law.unit, unitary)
+
+
+# A bound is reported up to a tenth of the default gate; above, the row is its exact worst over
+# every t, so a verdict at a tolerance of BOUND_TOL or more is exact, though the gains ||m_s||
+# compound along words (a module basis of condition 180 bounds eta's law by 6e-4, 2e-13 exact).
+BOUND_TOL = 0.1 * nk.RESIDUAL_TOL
+
+
+def exact_above(group: FiniteGroup, bound: float, kernels: list) -> float:
+    """``bound`` where it is at most BOUND_TOL, else the exact worst of the ``kernels`` (as
+    ``_checked`` reads them) over every t."""
+    if bound <= BOUND_TOL:
+        return bound
+    every = np.arange(group.order)
+    return max(nk.stack_max(group.order, entries, lambda span: defects(every[span])) for entries, defects in kernels)
 
 
 def _largest(values: list) -> float:  # inf where one is NaN: a NaN or inf premise
     return math.inf if any(v != v for v in values) else max(values)
-
-
-def _on_generators(group: FiniteGroup, item_entries: int, defects) -> tuple[float, list]:
-    """``nk.stack_norms`` of ``defects(s)``, s an index array of generators."""
-    generators = group.tree.generators
-    return nk.stack_norms(len(generators), item_entries, lambda span: defects(generators[span]))
 
 
 def _down_tree(group: FiniteGroup, start: float, gains: list, steps: list) -> list:
@@ -614,7 +644,7 @@ def _down_tree(group: FiniteGroup, start: float, gains: list, steps: list) -> li
 
 def intertwining_bound(group: FiniteGroup, left: Premises, right: Premises, defects: tuple, size: float) -> float:
     """Bound on the worst entry of ``D_t = L_t X - X R_t`` over every t, from ``defects``,
-    the ``(worst, norms)`` of D_s on the generators (``_on_generators``), and ``||X|| = size``.
+    the ``(worst, norms)`` of D_s on the generators (``_checked``), and ``||X|| = size``.
 
     Each identity checked on the generators has this form, L and R homomorphisms:
     covariance (X the images, R the transport, L ``Y -> u'_t Y u_t*``), intertwining,
@@ -636,6 +666,19 @@ def intertwining_bound(group: FiniteGroup, left: Premises, right: Premises, defe
     return max(worst, _largest(_down_tree(group, size * (left.unit + right.unit), left.gains, steps)))
 
 
+def _checked(group: FiniteGroup, left: Premises, right: Premises, kernels: list, size: float) -> float:
+    """``intertwining_bound`` of D_s on the generators, or ``exact_above`` it: ``kernels`` are
+    ``(item_entries, defects)`` pairs, ``defects(s)`` one part of D_s for an index array s."""
+    generators, worst = group.tree.generators, 0.0
+    squares = np.zeros(len(generators))  # of the Frobenius norm of each D_s
+    for entries, defects in kernels:
+        for span in nk.stack_spans(len(generators), entries):
+            magnitudes = np.abs(defects(generators[span])).reshape(span.stop - span.start, -1)
+            worst, squares[span] = max(worst, nk.maxabs(magnitudes)), squares[span] + np.square(magnitudes).sum(axis=1)
+    bound = intertwining_bound(group, left, right, (worst, np.sqrt(squares).tolist()), size)
+    return exact_above(group, bound, kernels)
+
+
 def intertwining_defects(left: UnitaryRep, x: np.ndarray, right: UnitaryRep) -> np.ndarray:
     """``|left_t X - X right_t|``, its largest entry, for each t of the group: the
     input check of a generated covariant map names the first t that fails."""
@@ -646,9 +689,8 @@ def intertwining_defects(left: UnitaryRep, x: np.ndarray, right: UnitaryRep) -> 
 def intertwining_residual(left: UnitaryRep, x: np.ndarray, right: UnitaryRep) -> float:
     """Worst ``|left_t X - X right_t|`` over the group, formed on the generators and
     bounded by ``intertwining_bound``; 0 when X intertwines."""
-    group = left.group
-    kernel = _on_generators(group, x.size, lambda t: left.mats[t] @ x - x @ right.mats[t])
-    return intertwining_bound(group, left.law.premises, right.law.premises, kernel, nk.frobenius(x))
+    kernel = (x.size, lambda t: left.mats[t] @ x - x @ right.mats[t])
+    return _checked(left.group, left.law.premises, right.law.premises, [kernel], nk.frobenius(x))
 
 
 def covariance_defect(
@@ -670,8 +712,7 @@ def covariance_defect(
         return transported - left.mats[t, None] @ images @ star_right[:, None]
 
     group, sides = transport.group, left.law.premises.times(right.law.premises, transport.group)
-    kernel = _on_generators(group, images.size, defects)
-    return intertwining_bound(group, sides, transport.law.premises, kernel, nk.frobenius(images))
+    return _checked(group, sides, transport.law.premises, [(images.size, defects)], nk.frobenius(images))
 
 
 def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
@@ -706,7 +747,9 @@ def tensor_rep(first: UnitaryRep, second: UnitaryRep) -> UnitaryRep:
 
 def conjugate_rep(rep: UnitaryRep, q: np.ndarray) -> UnitaryRep:
     q = nk.as_matrix(q)
-    return UnitaryRep(rep.group, rep.dim, q @ rep.mats @ nk.adjoint(q))
+    mats = q @ rep.mats @ nk.adjoint(q)
+    mats.setflags(write=False)  # built for the representation, which keeps it uncopied
+    return UnitaryRep(rep.group, rep.dim, mats)
 
 
 def cyclic_subgroup(group: FiniteGroup, t: int) -> list[int]:
@@ -788,9 +831,8 @@ class ModuleDynamicalSystem:
     gamma: UnitaryRep | None = None  # retained by standard_action
     delta: UnitaryRep | None = None
 
-    def __post_init__(self):
-        eta = np.asarray(self.eta, dtype=np.complex128)
-        alpha = np.asarray(self.alpha, dtype=np.complex128)
+    def __post_init__(self):  # read-only, as ``eta_rep`` and ``alpha_rep`` are cached
+        eta, alpha = frozen(self.eta), frozen(self.alpha)
         g, m, n_dim = self.group.order, self.module.dim, self.module.algebra.dim
         if eta.shape != (g, m, m):
             raise ShapeMismatchError(f"eta tensor shape {eta.shape}")
@@ -855,7 +897,7 @@ def algebra_action_residuals(algebra: cstar.CStarAlgebra, alpha: UnitaryRep) -> 
     group, mats, law = alpha.group, alpha.mats, alpha.law
     g, dim, product = group.order, algebra.dim, cstar.product_index(algebra)
     k, l = (product < dim).nonzero()
-    worst, squares, offset = 0.0, 0.0, 0
+    offset, kernels = 0, []
     for n in algebra.blocks:
         part = mats[:, offset : offset + n * n].transpose(0, 2, 1).reshape(g, dim, n, n)
 
@@ -865,16 +907,15 @@ def algebra_action_residuals(algebra: cstar.CStarAlgebra, alpha: UnitaryRep) -> 
             grid[:, k, :, l, :] -= part[s][:, product[k, l]].transpose(1, 0, 2, 3)
             return grid
 
-        block_worst, norms = _on_generators(group, (dim * n) ** 2, mult_defects)
-        worst, squares, offset = max(worst, block_worst), squares + np.square(norms), offset + n * n
+        kernels, offset = kernels + [((dim * n) ** 2, mult_defects)], offset + n * n
 
     # alpha_s(E_k*) against alpha_s(E_k)*; the star permutation is an involution
     perm, on = cstar.star_permutation(algebra), law.premises
-    star = _on_generators(group, dim * dim, lambda s: mats[s][:, :, perm] - np.conj(mats[s][:, perm, :]))
+    star = (dim * dim, lambda s: mats[s][:, :, perm] - np.conj(mats[s][:, perm, :]))
     return (
         max(law.hom, law.unit),
-        intertwining_bound(group, on, on.times(on, group), (worst, np.sqrt(squares).tolist()), math.sqrt(len(k))),
-        intertwining_bound(group, on, on, star, math.sqrt(dim)),
+        _checked(group, on, on.times(on, group), kernels, math.sqrt(len(k))),
+        _checked(group, on, on, [star], math.sqrt(dim)),
     )
 
 
@@ -918,10 +959,8 @@ def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
     item, invertible = m * m * n_dim, nk.stack_ranks(eta) == [m] * g and nk.stack_ranks(alpha) == [n_dim] * g
     return DynamicalSystemReport(
         law,
-        intertwining_bound(group, on_alpha, on_eta.times(on_eta, group),
-                           _on_generators(group, item, equivariance), nk.frobenius(sup.values)),
-        intertwining_bound(group, on_eta, on_eta.times(on_alpha, group),
-                           _on_generators(group, item, compatibility), nk.frobenius(sup.act_values)),
+        _checked(group, on_alpha, on_eta.times(on_eta, group), [(item, equivariance)], nk.frobenius(sup.values)),
+        _checked(group, on_eta, on_eta.times(on_alpha, group), [(item, compatibility)], nk.frobenius(sup.act_values)),
         auto_mult, auto_star, invertible,
     )
 
@@ -971,8 +1010,7 @@ def induced_algebra_action(
     eta = np.asarray(eta, dtype=np.complex128)
     g, m, n_dim = group.order, module.dim, module.algebra.dim
 
-    law = group_law(group, eta)  # the defining relations: the Cayley edges and the unit
-    law = max(law.on_edges, law.unit)
+    law = max(group_law(group, eta)[:2])  # hom and unit
     if law > nk.PRECONDITION_TOL:
         raise InconsistentError(f"eta violates the group law by {law:.3e}")
 

@@ -116,16 +116,6 @@ def stack_max(count: int, item_entries: int, residuals) -> float:
     return worst
 
 
-def stack_norms(count: int, item_entries: int, residuals) -> tuple[float, list[float]]:
-    """``stack_max`` of ``residuals`` and the Frobenius norm of each of its ``count`` items."""
-    worst, norms = 0.0, []
-    for span in stack_spans(count, item_entries):
-        magnitudes = np.abs(residuals(span)).reshape(span.stop - span.start, -1)
-        worst = max(worst, maxabs(magnitudes))
-        norms += np.sqrt(np.square(magnitudes, out=magnitudes).sum(axis=1)).tolist()
-    return worst, norms
-
-
 def stack_maxabs(stack: np.ndarray) -> np.ndarray:
     """``maxabs`` of each matrix of a stack, shape ``stack.shape[:-2]``."""
     worst = np.abs(stack).max(axis=(-2, -1), initial=0.0)

@@ -374,6 +374,8 @@ def dilate_covariant(cov: CovariantCPMap) -> CovariantDilation:
             f"span of Phi(X) H is not invariant under u' (leak {invariance:.3e}); "
             "the input data is inconsistent"
         )
+    v_mats.setflags(write=False)  # built for the representations, which keep them uncopied
+    w_mats.setflags(write=False)
     return CovariantDilation(
         base,
         cov,

@@ -465,10 +465,11 @@ def check_intertwiners(rep_v, rep_w, v, w, u, u_prime):
 
 
 def generators_only(monkeypatch):
-    """Switch the package's bound off: with ``hilbmod._down_tree`` at 0, each
-    group-indexed row is its kernel's worst on the generators, which the forms
-    here give on ``at = group.tree.generators``."""
+    """Switch the package's bound off: with ``hilbmod._down_tree`` at 0 and no bound
+    replaced by the exact worst over every t, each group-indexed row is its kernel's
+    worst on the generators, which the forms here give on ``at = group.tree.generators``."""
     monkeypatch.setattr(hilbmod, "_down_tree", lambda group, *_: np.zeros(group.order))
+    monkeypatch.setattr(hilbmod, "BOUND_TOL", np.inf)
 
 
 def _elements(group, at):

@@ -8,6 +8,8 @@ GNS images, ``V`` and dilation images, and, for a defect planted at one
 ``E_k``, one ``x_i`` or one ``t``, the same leak.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -146,9 +148,12 @@ def test_planted_image_defect_trips_the_module_map_gate(monkeypatch):
 
 def test_planted_unitary_defect_trips_the_group_gate(monkeypatch):
     """``u_t`` off at one t after covariance was checked."""
-    cov = _covariant()
-    assert cov.covariance_report.max_residual <= nk.PRECONDITION_TOL
-    cov.u.mats[2] += 1e-4 * np.random.default_rng(2).standard_normal(cov.u.mats[2].shape)
+    checked = _covariant()
+    assert checked.covariance_report.max_residual <= nk.PRECONDITION_TOL
+    mats = checked.u.mats.copy()
+    mats[2] += 1e-4 * np.random.default_rng(2).standard_normal(mats[2].shape)
+    cov = replace(checked, u=hilbmod.UnitaryRep(checked.u.group, checked.u.dim, mats))
+    vars(cov)["covariance_report"] = checked.covariance_report  # read before u_2 moved
     base = stinespring.dilate_module_cp(cov.base)
     _both_raise(
         lambda: stinespring.dilate_covariant(cov),
