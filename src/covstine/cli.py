@@ -649,14 +649,15 @@ def run_scenario(
         )
     started = time.monotonic()
     provenance = dict(scenario=os.path.basename(res.name), seed=res.seed, input_scale=res.scale)
-    if res.kind in ("dilate", "dilate-covariant"):
-        cert = _run_dilate(res, provenance, covariant=res.kind == "dilate-covariant")
-    elif res.kind == "verify":
-        cert = _run_verify(res, provenance)
-    elif res.kind == "crossed":
-        cert = _run_crossed(res, provenance, dump_structure)
-    else:
-        cert = _run_uniqueness(res, provenance)
+    with hilbmod.gated(res.tolerance):  # every verdict at the run's tolerance is exact
+        if res.kind in ("dilate", "dilate-covariant"):
+            cert = _run_dilate(res, provenance, covariant=res.kind == "dilate-covariant")
+        elif res.kind == "verify":
+            cert = _run_verify(res, provenance)
+        elif res.kind == "crossed":
+            cert = _run_crossed(res, provenance, dump_structure)
+        else:
+            cert = _run_uniqueness(res, provenance)
     cert.kind, cert.scenario_digest, cert.seed = res.kind, res.digest, res.seed
     cert.duration = time.monotonic() - started
     return cert

@@ -12,6 +12,8 @@ Maps on a module, representations among them, are ``cpmaps.ModuleCPMap``s.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -556,7 +558,7 @@ class Premises(NamedTuple):
 
 
 class GroupLaw(NamedTuple):
-    hom: float  # bounded on every pair, exact above BOUND_TOL
+    hom: float  # bounded on every pair, exact above exact_limit()
     unit: float
     unitarity: tuple  # (worst, norms) of m_s* m_s - I on the generators
     premises: Premises
@@ -584,7 +586,7 @@ def group_law(group: FiniteGroup, mats: np.ndarray) -> GroupLaw:
     ``||m_t|| <= ||m_s|| ||m_t'|| + eps_{s,t'}``.  With a = s a', ``m_a m_b - m_ab = m_s
     (m_a' m_b - m_a'b) - (m_s m_a' - m_a) m_b + (m_s m_a'b - m_ab)``, so every pair's
     defect is at most ``D_a <= ||m_s|| D_a' + eps_{s,a'} M + max_b eps_{s,b}``, from ``D_e
-    = u M``, M the largest norm (``exact_above`` replaces a bound above BOUND_TOL by the
+    = u M``, M the largest norm (``exact_above`` replaces a bound above its limit by the
     worst of every pair).  The unit row ``|m_e - I|`` is exact.
     """
     g, d = mats.shape[:2]
@@ -618,12 +620,28 @@ def check_unitary_rep(rep: UnitaryRep) -> UnitaryRepReport:
 # every t, so a verdict at a tolerance of BOUND_TOL or more is exact, though the gains ||m_s||
 # compound along words (a module basis of condition 180 bounds eta's law by 6e-4, 2e-13 exact).
 BOUND_TOL = 0.1 * nk.RESIDUAL_TOL
+_tolerance = contextvars.ContextVar("tolerance", default=nk.RESIDUAL_TOL)
+
+
+@contextlib.contextmanager
+def gated(tolerance: float):
+    """Inside, a bound is reported up to ``exact_limit()``, a tenth of ``tolerance`` and at most
+    BOUND_TOL, so every verdict at ``tolerance`` is exact; at the default gate nothing changes."""
+    token = _tolerance.set(tolerance)
+    try:
+        yield
+    finally:
+        _tolerance.reset(token)
+
+
+def exact_limit() -> float:  # min(BOUND_TOL, tolerance / 10), as BOUND_TOL is a tenth of the gate
+    return BOUND_TOL * min(1.0, _tolerance.get() / nk.RESIDUAL_TOL)
 
 
 def exact_above(group: FiniteGroup, bound: float, kernels: list) -> float:
-    """``bound`` where it is at most BOUND_TOL, else the exact worst of the ``kernels`` (as
-    ``_checked`` reads them) over every t."""
-    if bound <= BOUND_TOL:
+    """``bound`` where it is at most ``exact_limit()``, else the exact worst of the ``kernels``
+    (as ``_checked`` reads them) over every t."""
+    if bound <= exact_limit():
         return bound
     every = np.arange(group.order)
     return max(nk.stack_max(group.order, entries, lambda span: defects(every[span])) for entries, defects in kernels)
@@ -830,8 +848,11 @@ class ModuleDynamicalSystem:
     alpha: np.ndarray  # (g, N, N): induced automorphisms on A coordinates
     gamma: UnitaryRep | None = None  # retained by standard_action
     delta: UnitaryRep | None = None
+    # set by standard_action alone (so not by ``dataclasses.replace``): eta and alpha are then,
+    # bit for bit, the krons of the read-only gamma and delta on ``standard_module(p, n)``
+    standard: bool = field(default=False, init=False, repr=False, compare=False)
 
-    def __post_init__(self):  # read-only, as ``eta_rep`` and ``alpha_rep`` are cached
+    def __post_init__(self):  # read-only, as ``eta_rep``, ``alpha_rep`` and ``derived`` are cached
         eta, alpha = frozen(self.eta), frozen(self.alpha)
         g, m, n_dim = self.group.order, self.module.dim, self.module.algebra.dim
         if eta.shape != (g, m, m):
@@ -842,17 +863,28 @@ class ModuleDynamicalSystem:
         object.__setattr__(self, "alpha", alpha)
 
     @cached_property
+    def derived(self) -> "DerivedAction | None":
+        """``derive_standard_action`` of this system, computed once."""
+        return derive_standard_action(self)
+
+    def _rep(self, mats: np.ndarray, law: str) -> UnitaryRep:
+        rep = UnitaryRep(self.group, mats.shape[1], mats)
+        if self.derived is not None:  # its cached law is the one derived from gamma and delta
+            vars(rep)["law"] = getattr(self.derived, law)
+        return rep
+
+    @cached_property
     def eta_rep(self) -> UnitaryRep:
-        return UnitaryRep(self.group, self.module.dim, self.eta)
+        return self._rep(self.eta, "eta_law")
 
     @cached_property
     def alpha_rep(self) -> UnitaryRep:
-        return UnitaryRep(self.group, self.module.algebra.dim, self.alpha)
+        return self._rep(self.alpha, "alpha_law")
 
     @cached_property
     def action_report(self) -> "DynamicalSystemReport":
-        """``check_dynamical_system`` of this system, computed once."""
-        return check_dynamical_system(self)
+        """The ``derived`` report, else ``check_dynamical_system`` of this system, computed once."""
+        return check_dynamical_system(self) if self.derived is None else self.derived.report
 
 
 def standard_action(
@@ -869,7 +901,9 @@ def standard_action(
     # row-major vec: vec(g x d*) = (g (x) conj(d)) vec(x)
     eta = nk.kron_stack(gamma.mats, np.conj(delta.mats))
     alpha = nk.kron_stack(delta.mats, np.conj(delta.mats))
-    return ModuleDynamicalSystem(group, module, eta, alpha, gamma, delta)
+    system = ModuleDynamicalSystem(group, module, eta, alpha, gamma, delta)
+    object.__setattr__(system, "standard", True)
+    return system
 
 
 class DynamicalSystemReport(NamedTuple):
@@ -883,6 +917,84 @@ class DynamicalSystemReport(NamedTuple):
     @property
     def max_residual(self) -> float:
         return max(self[:-1])  # every field before invertible
+
+
+class DerivedAction(NamedTuple):  # what ``derive_standard_action`` derives of a standard action
+    eta_law: GroupLaw
+    alpha_law: GroupLaw
+    report: DynamicalSystemReport
+
+
+def _kron_law(first: GroupLaw, second: GroupLaw, group: FiniteGroup, dims: tuple, kappa: float, hom: float, unit: float) -> GroupLaw:
+    """The law of stored krons ``m^_t = m_t (x) conj(n_t) + K_t``, ``||K_t|| <= kappa``, with the
+    rows ``hom`` and ``unit``: ``Premises.times`` with each norm and gain widened by kappa and
+    each edge by ``m_s K_t' + K_s m^_t' - K_t``; on S, ``m^_s* m^_s - I = (A - I) (x) conj(B) +
+    I (x) conj(B - I)`` for ``A = m_s* m_s``, ``B = n_s* n_s``, plus ``m^* m^ - m* m``."""
+    on, (wm, rm), (wn, rn) = first.premises.times(second.premises, group), first.unitarity, second.unitarity
+    norms = [x + kappa for x in on.norms]
+    edges = [e + kappa * (norms[up] + on.gains[k] + 1) for (_, k, up), e in zip(group.tree.edges, on.edges)]
+    rho = [a * (math.sqrt(dims[1]) + b) + math.sqrt(dims[0]) * b + kappa * (2 * s + kappa) for a, b, s in zip(rm, rn, on.gains)]
+    premises = Premises([x + kappa for x in on.gains], edges, on.unit + kappa, norms)
+    return GroupLaw(hom, unit, (wm * (1 + wn) + wn, rho), premises)
+
+
+def derive_standard_action(sys: ModuleDynamicalSystem) -> DerivedAction | None:
+    """The laws of eta and alpha and the ``action_report`` of ``x -> gamma_t x delta_t*``, from the
+    ``group_law`` and ``check_unitary_rep`` of gamma and delta; no kernel runs on eta or alpha.
+    None (``check_dynamical_system`` runs) unless the system is ``standard``, every row is at most
+    ``exact_limit()`` and invertibility follows.
+
+    With ``G_t = gamma_t* gamma_t - I`` and ``H_t = I - delta_t* delta_t``, on matrix units:
+    ``<eta_t x, eta_t y> - alpha_t(<x, y>) = delta_t x* G_t y delta_t*`` (equivariance),
+    ``eta_t(x a) - eta_t(x) alpha_t(a) = gamma_t x H_t a delta_t*`` (compatibility),
+    ``alpha_t(a b) - alpha_t(a) alpha_t(b) = delta_t a H_t b delta_t*`` and an exact star.  Each
+    entry is one entry of G_t or H_t times two entries of gamma_t or delta_t, so at most
+    ``U_g N_d^2``, ``U_d N_g N_d`` and ``U_d N_d^2``: U the unitarity rows (entry bounds on every
+    t), N >= ||m_t|| the premises' norms.  With E, F the law defects of gamma and delta,
+    ``eta_a eta_b - eta_ab = E (x) conj(delta_a delta_b) + gamma_ab (x) conj(F)``: at most
+    ``H_g N_d^2 + N_g H_d``, alpha's ``H_d (N_d^2 + N_d)``, the units ``u_g N_d + u_d`` and
+    ``u_d (N_d + 1)`` (``_kron_law``).
+
+    Rounding (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*, SIAM 2002, §3.5-3.6;
+    gamma_k = k u / (1 - k u), u = 2^-53, or 0 where every entry part is 0 or +-1, so that
+    nothing rounds): a stored kron entry is one complex product, within sqrt(2) gamma_2 of it
+    relative, so within ``kappa = sqrt(2 e) gamma_2 M`` in the 2-norm (e = max(p n, n^2), M =
+    max(1, N)^2 >= ||eta_t||, ||alpha_t||); a complex product of length k is within
+    ``gamma_{k+2} |A| |B|``, whose entries are at most the 2-norms of the rows and columns of A
+    and B.  So the dense forms leave the identities by the kernels of gamma and delta
+    (``gamma_{2p+2n+8} M^2``), at most two products of eta or alpha (``gamma_{2e+4} (M +
+    kappa)^2``), the stored krons in them (``kappa (2 M + kappa + 2)``) and the last subtraction
+    (u times the row, inside the 8 u (M + kappa)^2 of slack): each row adds that sum, so it is
+    at least the dense all-t value.
+
+    ``sigma(eta_t) = sigma(gamma_t) sigma(delta_t)`` and ``||G_t|| <= p U_g``, so the Gram
+    eigenvalues of eta_t and alpha_t lie in ``[(1 - w)^2, (1 + w)^2]``, w = max(p, n)
+    max(U_g, U_d); every one is invertible where ``spectral_rank`` keeps half the lower end
+    against the upper, a margin far above the rounding of the krons, Grams and eigensolve.
+    """
+    if not sys.standard:
+        return None
+    gamma, delta, group = sys.gamma, sys.delta, sys.group
+    (p, n), lg, ld = (gamma.dim, delta.dim), gamma.law, delta.law
+    ug, ud = check_unitary_rep(gamma).unitary_residual, check_unitary_rep(delta).unitary_residual
+    u = 0.0 if all(np.isin(m.view(np.float64), (-1.0, 0.0, 1.0)).all() for m in (gamma.mats, delta.mats)) else 2.0**-53
+
+    def higham(k: int) -> float:  # gamma_k
+        return k * u / (1 - k * u)
+
+    ng, nd, e = _largest(lg.premises.norms), _largest(ld.premises.norms), max(p * n, n * n)
+    top = _largest([1.0, ng, nd])
+    big = top * top
+    kappa = math.sqrt(2 * e) * higham(2) * big
+    fl = higham(2 * p + 2 * n + 8) * big * big + higham(2 * e + 12) * (big + kappa) * (big + kappa) + kappa * (2 * big + kappa + 2)
+    eta_law = _kron_law(lg, ld, group, (p, n), kappa, lg.hom * nd * nd + ng * ld.hom + fl, lg.unit * nd + ld.unit + fl)
+    alpha_law = _kron_law(ld, ld, group, (n, n), kappa, ld.hom * (nd * nd + nd) + fl, ld.unit * (nd + 1) + fl)
+    law = _largest([eta_law.hom, eta_law.unit, alpha_law.hom, alpha_law.unit])
+    rows = [law, ug * nd * nd + fl, ud * ng * nd + fl, ud * nd * nd + fl, fl]
+    w = max(p, n) * max(ug, ud)
+    if not (w < 1 and _largest(rows) <= exact_limit() and nk.spectral_rank(np.array([(1 + w) ** 2, (1 - w) ** 2 / 2]))[0] == 2):
+        return None
+    return DerivedAction(eta_law, alpha_law, DynamicalSystemReport(*rows, True))
 
 
 def algebra_action_residuals(algebra: cstar.CStarAlgebra, alpha: UnitaryRep) -> tuple[float, float, float]:

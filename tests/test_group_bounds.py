@@ -15,6 +15,8 @@ eta_t and u_t differ from their values at t^-1.  The GNS Gram-preservation row
 is formed only where it is reported (``verify`` and ``dilate-covariant``).
 """
 
+import collections
+import functools
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -225,18 +227,18 @@ def test_premises_bound_what_they_state(family, size):
     rng = np.random.default_rng(size)
     mats = nk.eye(3) + 0.3 * (rng.standard_normal((group.order, 3, 3)) + 1j * rng.standard_normal((group.order, 3, 3)))
     law = hilbmod.group_law(group, mats)
-
-    def two(m):
-        return np.linalg.norm(m, 2)
-
     for premises, stack in ((law.premises, mats), (law.premises.times(law.premises, group), ref.tensor_mats(*[hilbmod.UnitaryRep(group, 3, mats)] * 2))):
-        d = len(stack[0])
-        for k, s in enumerate(group.tree.generators):
-            assert premises.gains[k] >= two(stack[s])
-        for (t, k, up), edge in zip(group.tree.edges, premises.edges):
-            assert edge >= two(stack[group.tree.generators[k]] @ stack[up] - stack[t])
-        assert premises.unit >= two(stack[group.identity] - nk.eye(d))
-        assert all(premises.norms[t] >= two(stack[t]) for t in range(group.order))
+        _operator_premises_hold(premises, stack, group)
+
+
+def _operator_premises_hold(premises, stack, group):
+    two = functools.partial(np.linalg.norm, ord=2)
+    assert premises.unit >= two(stack[group.identity] - nk.eye(len(stack[0])))
+    assert all(premises.norms[t] >= two(stack[t]) for t in range(group.order))
+    for k, s in enumerate(group.tree.generators):
+        assert premises.gains[k] >= two(stack[s])
+    for (t, k, up), edge in zip(group.tree.edges, premises.edges):
+        assert edge >= two(stack[group.tree.generators[k]] @ stack[up] - stack[t])
 
 
 def test_the_bound_is_the_stated_recurrence():
@@ -371,3 +373,134 @@ def test_representations_and_systems_hold_read_only_matrices():
     assert moved.eta_rep.mats is moved.eta and not moved.eta.flags.writeable
     eta[1] *= 2.0
     assert hilbmod.check_dynamical_system(moved).max_residual <= hilbmod.BOUND_TOL
+
+
+# --- a standard action's laws and rows, derived from gamma and delta ---------------------
+
+
+def _standard(source):
+    """(group, gamma, delta) of the twisted S3 payload, of a generated trivial-group scenario
+    (S empty: each plant is at the identity), or of S4's natural representation conjugated
+    by two seeded Haar unitaries (faithful, so delta_t differs from delta_{t^-1})."""
+    if source != "S4":
+        system = _covariant("twisted S3" if source == "twisted S3" else (2, 2, 2, None)).system
+        return system.group, system.gamma, system.delta
+    rng, natural = np.random.default_rng(3), builders.permutation_rep(4)
+    return natural.group, *(hilbmod.conjugate_rep(natural, nk.haar_unitary(rng, 4)) for _ in range(2))
+
+
+def _plant_rep(rep, where, size):
+    """``size`` planted at a t outside S: a non-unitary entry, or a unitary phase that breaks
+    only the law, at every pair (a, b) with a or b that t, pairs that are no Cayley edge."""
+    t, mats = _off_generators(rep.group), rep.mats.copy()
+    if where == "law":
+        mats[t, :, 0] *= np.exp(1j * size)
+    else:
+        mats[t, 0, -1] += size
+    return hilbmod.UnitaryRep(rep.group, rep.dim, mats)
+
+
+@pytest.mark.parametrize("source", ["twisted S3", "S4", "trivial"])
+@pytest.mark.parametrize("where, plant", _plants(["gamma unitarity", "delta law", "delta unitarity"]))
+def test_a_standard_action_derives_its_rows_from_gamma_and_delta(source, where, plant):
+    """Every row of the report and of the laws of eta and alpha is at least its dense all-t
+    (all-pairs) value, over the gate whenever that is, and at most 100 times the larger of
+    it and the plant plus 1e-12.  Up to ``BOUND_TOL`` they are derived from gamma and delta
+    and the derived premises bound the operator norms they name; above it the stacks are
+    checked as any system's."""
+    group, gamma, delta = _standard(source)
+    if where is not None:
+        name, part = where.split()
+        planted = _plant_rep(gamma if name == "gamma" else delta, part, plant)
+        gamma, delta = (planted, delta) if name == "gamma" else (gamma, planted)
+    system = hilbmod.standard_action(group, gamma, delta)
+    report, dense = system.action_report, ref.dynamical_system(system)
+    assert report.invertible == dense[-1]
+    for row, value in zip(report[:-1], dense[:-1]):
+        _bounds(row, value, plant)
+    for rep in (system.eta_rep, system.alpha_rep):
+        hom, unit = ref.group_law(group, rep.mats)
+        _bounds(rep.law.hom, hom, plant)
+        _bounds(rep.law.unit, unit, plant)
+        _bounds(hilbmod.check_unitary_rep(rep).unitary_residual, ref.unitarity(rep), plant)
+    assert (system.derived is None) == (plant > hilbmod.BOUND_TOL)
+    if system.derived is not None:
+        for rep in (system.eta_rep, system.alpha_rep):
+            _operator_premises_hold(rep.law.premises, rep.mats, group)
+        assert max(report[:-1]) <= hilbmod.BOUND_TOL
+    elif where != "delta law":  # a non-unitary gamma_t or delta_t moves equivariance or compatibility
+        assert max(report[1:3]) > GATE
+
+
+def test_gamma_times_1e200_keeps_the_exit_codes(tmp_path):
+    """The twisted payload with gamma scaled by 1e200 derives nothing and exits as it did
+    when its stacks were checked: ``dilate`` passes, every covariant kind refuses the input."""
+    scenario = json.loads((PAYLOADS / "twisted_s3.json").read_text())
+    for mat in scenario["objects"]["system"]["standard_action"]["gamma"]["mats"]:
+        mat["entries"] = [[re * 1e200, im * 1e200] for re, im in mat["entries"]]
+    for kind in cli.KINDS:
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(cli.canonical_bytes({**scenario, "kind": kind}))
+        assert cli.main([kind, "--scenario", str(path), "--out", str(tmp_path / "cert.json")]) == (kind != "dilate") * 2
+    system = cli.resolve_scenario(scenario, "scaled").cov.system
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert system.standard and system.derived is None
+
+
+@pytest.mark.parametrize("field", ["eta", "alpha"])
+def test_a_system_whose_gamma_and_delta_do_not_give_it_is_checked_on_its_stacks(field):
+    """``dataclasses.replace`` of a standard action, or the constructor given its gamma and
+    delta, makes a system that is not ``standard``: its report is ``check_dynamical_system``'s,
+    which sees a defect planted in the stack, where the derived rows could not."""
+    system = _covariant("twisted S3").system
+    planted = replace(system, **{field: _planted(getattr(system, field), _off_generators(system.group), 1e-6)})
+    built = hilbmod.ModuleDynamicalSystem(system.group, system.module, planted.eta, planted.alpha, system.gamma, system.delta)
+    assert system.standard and system.derived is not None
+    for other in (planted, built):
+        assert not other.standard and other.derived is None
+        assert other.action_report == hilbmod.check_dynamical_system(other)
+        assert other.action_report.max_residual > GATE
+        assert other.eta_rep.law.hom == hilbmod.group_law(other.group, other.eta).hom
+
+
+def test_a_crossed_run_forms_no_law_rank_or_system_check_on_eta_or_alpha(tmp_path, monkeypatch):
+    """A generated 2,2,2 ``symmetric:3`` ``crossed`` run forms the group laws of gamma,
+    delta (which is u) and u' alone, ranks no stack and runs no ``check_dynamical_system``."""
+    stacks = collections.defaultdict(list)
+
+    def recording(name, fn):
+        def record(*args):
+            stacks[name].append(args[-1])
+            return fn(*args)
+
+        return record
+
+    for owner, name in ((hilbmod, "group_law"), (nk, "stack_ranks"), (hilbmod, "check_dynamical_system")):
+        monkeypatch.setattr(owner, name, recording(name, getattr(owner, name)))
+    scenario, path = cli.generate_scenario("crossed", 2, 2, 2, 7, "symmetric:3"), tmp_path / "crossed.json"
+    path.write_bytes(cli.canonical_bytes(scenario))
+    assert cli.main(["crossed", "--scenario", str(path), "--out", str(tmp_path / "cert.json")]) == 0
+    cov = cli.resolve_scenario(scenario, "again").cov
+    assert set(stacks) == {"group_law"}
+    expected = [cov.system.gamma.mats, cov.u.mats, cov.u_prime.mats]
+    assert len(stacks["group_law"]) == 3
+    assert all(np.array_equal(a, b) for a, b in zip(stacks["group_law"], expected))
+    assert not any(np.array_equal(m, s) for m in stacks["group_law"] for s in (cov.system.eta, cov.system.alpha))
+
+
+def test_a_tolerance_below_the_default_keeps_the_exact_verdict(tmp_path, monkeypatch):
+    """``verify`` 8,8,8 ``symmetric:4`` at ``--tol 1e-12``: its bounds reach 8e-12, its exact
+    values 1e-13, so bounds are reported only up to a tenth of the run's tolerance and
+    the run passes; at a fixed ``BOUND_TOL`` it fails.  At the default tolerance the limit
+    is ``BOUND_TOL`` itself."""
+    path = tmp_path / "corner.json"
+    path.write_bytes(cli.canonical_bytes(cli.generate_scenario("verify", 8, 8, 8, 11, "symmetric:4")))
+    args = ["verify", "--scenario", str(path), "--out", str(tmp_path / "cert.json"), "--tol", "1e-12"]
+    assert cli.main(args) == 0
+    assert all(json.loads((tmp_path / "cert.json").read_text())["checks"].values())
+    for tolerance, limit in ((nk.RESIDUAL_TOL, hilbmod.BOUND_TOL), (1.0, hilbmod.BOUND_TOL), (1e-12, 1e-13)):
+        with hilbmod.gated(tolerance):
+            assert hilbmod.exact_limit() == pytest.approx(limit, rel=1e-15)
+    assert hilbmod.exact_limit() == hilbmod.BOUND_TOL
+    monkeypatch.setattr(hilbmod, "exact_limit", lambda: hilbmod.BOUND_TOL)
+    assert cli.main(args) == 1

@@ -29,6 +29,7 @@ CHECKS = {
     "check_covariance": cpmaps.check_covariance,
     "check_module_axioms": hilbmod.check_module_axioms,
     "check_dynamical_system": hilbmod.check_dynamical_system,
+    "derive_standard_action": hilbmod.derive_standard_action,
 }
 
 
@@ -87,8 +88,8 @@ def test_each_check_runs_at_most_once_per_scenario(
     assert cert.passed
     assert call_counts["check_module_cp"] == 1
     assert all(count <= 1 for count in call_counts.values()), dict(call_counts)
-    if kind in ("verify", "crossed"):
-        assert call_counts["check_dynamical_system"] == 1
+    if kind in ("verify", "crossed"):  # a generated system's report is derived from gamma and delta
+        assert call_counts["derive_standard_action"] == 1 and call_counts["check_dynamical_system"] == 0
     assert not hasattr(crossed, "_check_action")
 
 
@@ -175,7 +176,7 @@ def test_only_verify_checks_the_module_axioms(tmp_path, call_counts, scanned, ki
 
 def test_verify_groups_the_inner_rows_once(tmp_path, monkeypatch):
     """Linearity and equivariance read one grouping of the inner rows: a ``verify``
-    run of a covariant scenario groups them once, and the action rows once."""
+    run of an explicit covariant system groups them once, and the action rows once."""
     grouped, systems = [], []
     group_rows, check_system = hilbmod._grouped_rows, hilbmod.check_dynamical_system
 
@@ -189,8 +190,8 @@ def test_verify_groups_the_inner_rows_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(hilbmod, "_grouped_rows", grouping)
     monkeypatch.setattr(hilbmod, "check_dynamical_system", checking)
-    path = tmp_path / "verify.json"
-    path.write_bytes(cli.canonical_bytes(cli.generate_scenario("verify", 2, 2, 2, 11, "symmetric:3")))
+    path, scenario = tmp_path / "verify.json", json.loads((PAYLOADS / "explicit_system_c2.json").read_text())
+    path.write_bytes(cli.canonical_bytes({**scenario, "kind": "verify"}))
     assert cli.main(["verify", "--scenario", str(path), "--out", str(tmp_path / "cert.json")]) == 0
     [system] = systems
     assert sum(values is system.module.support.values for values in grouped) == 1
