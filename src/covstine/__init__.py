@@ -31,10 +31,7 @@ from .cpmaps import (
 from .crossed import (
     CrossedAlgebra,
     CrossedModule,
-    build_crossed_algebra,
     build_crossed_module,
-    check_crossed_algebra,
-    check_crossed_module,
     induced_cp,
     integral_form,
 )

@@ -13,18 +13,17 @@ the finite-group forms (counting measure, trivial modular function):
 The basis of a crossed object enumerates group elements times the base
 basis; index ``(t, k)`` lives at ``t * base_dim + k``.  On basis elements
 each operation lands on a single group element (the slot), with a base
-block that depends on at most one group element:
+value that reads alpha at one group element:
 
-    e_(t,k) e_(r,l)             = delta_{tr}     E_k alpha_t(E_l)           B[t][k, l]
-    e_(s,k)*                    = delta_{s^-1}   alpha_{s^-1}(E_k*)         S[s^-1][:, k]
-    (delta_r x_j) e_(s,k)       = delta_{rs}     x_j . alpha_r(E_k)         C[r][j, k]
-    <delta_t x_i, delta_r x_j>  = delta_{t^-1 r} alpha_{t^-1}(<x_i, x_j>)   A[t][i, j]
+    e_(t,k) e_(r,l)             = delta_{tr}     E_k alpha_t(E_l)
+    e_(s,k)*                    = delta_{s^-1}   alpha_{s^-1}(E_k*)
+    (delta_r x_j) e_(s,k)       = delta_{rs}     x_j . alpha_r(E_k)
+    <delta_t x_i, delta_r x_j>  = delta_{t^-1 r} alpha_{t^-1}(<x_i, x_j>)
 
-with ``f*(s) = S[s] conj(f(s^-1))``.  The exhaustive axiom checks work on these
-g blocks (``product_blocks``, ``star_blocks``, ``action_blocks``,
-``inner_blocks``) and place them through the group table; the generic
-``multiply``, ``star``, ``act`` and ``inner`` are the reference the tests
-compare the blocks against.
+So the crossed axioms follow from alpha being an action by *-automorphisms and
+the base module's own axioms (D. P. Williams, *Crossed Products of C*-Algebras*,
+AMS 2007, ch. 2), and ``axiom_rows`` bounds them from those premises.  The generic
+``multiply``, ``star``, ``act`` and ``inner`` are the tests' reference.
 
 A run forms nothing indexed by the crossed basis: an integral form is held by its
 covariant pair, which its crossed identity is read off, and ``induced_cp`` reads the
@@ -34,7 +33,6 @@ covariant dilation's integral form through its parts, by chunks of t.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -85,123 +83,36 @@ class CrossedAlgebra:
             out[s] = self.alpha[s] @ cstar.star_coords(self.base, f[group.inv[s]])
         return out
 
-    @cached_property
-    def product_blocks(self) -> np.ndarray:
-        """``B[t, k, l]``: coordinates of ``E_k alpha_t(E_l)``, shape (g, N, N, N).
-
-        ``E_k E_q`` is the unit ``product_index[k, q]`` or zero, so row q of
-        ``alpha_t`` lands there; adding 0.0 clears signed zeros, so the
-        entries equal those of ``multiply`` bit for bit.
-        """
-        n = self.base.dim
-        product = cstar.product_index(self.base)
-        k, q = np.nonzero(product < n)
-        out = np.zeros((self.group.order, n, n, n), dtype=np.complex128)
-        out[:, k, :, product[k, q]] = self.alpha[:, q, :].transpose(1, 0, 2)
-        return out + 0.0
-
-    @cached_property
-    def star_blocks(self) -> np.ndarray:
-        """``S[s]`` with ``f*(s) = S[s] @ conj(f(s^-1))``: alpha_s after the star permutation."""
-        return self.alpha[:, :, cstar.star_permutation(self.base)]
-
-
-def build_crossed_algebra(
-    group: hilbmod.FiniteGroup,
-    alpha: np.ndarray,
-    base: cstar.CStarAlgebra,
-) -> CrossedAlgebra:
-    """Assemble the crossed algebra after validating that alpha is an action."""
-    alpha = np.asarray(alpha, dtype=np.complex128)
-    worst = max(hilbmod.algebra_action_residuals(base, hilbmod.UnitaryRep(group, base.dim, alpha)))
-    if worst > nk.RESIDUAL_TOL:
-        raise NotActionError(
-            f"alpha is not a *-automorphism action (worst residual {worst:.3e})"
-        )
-    return CrossedAlgebra(group, base, alpha)
-
 
 def structure_entries(calg: CrossedAlgebra):
     """Nonzero structure constants on the crossed basis, (d, d, d) with d = |G| N.
 
-    Returns index arrays (rows, cols, slots) and the values, in lexicographic
-    order of (row, col, slot): row (t, k) and column (r, l) hold
-    ``B[t][k, l]`` at slot tr.  No dense tensor is formed.
+    Returns index arrays (rows, cols, slots) and the values, in lexicographic order of
+    (row, col, slot): row (t, k) and column (r, l) hold ``E_k alpha_t(E_l)`` at slot tr.
+    ``E_k E_q`` is the unit ``product_index[k, q]`` or zero, so row q of ``alpha_t`` lands
+    there; adding 0.0 clears signed zeros, so the entries are ``multiply``'s bit for bit.
     """
     group = calg.group
     g, n = group.order, calg.base.dim
+    product = cstar.product_index(calg.base)
+    left, unit = np.nonzero(product < n)
     parts = []
     for t in range(g):
-        block = calg.product_blocks[t]
+        block = np.zeros((n, n, n), dtype=np.complex128)
+        block[left, :, product[left, unit]] = calg.alpha[t, unit, :]
+        block += 0.0
         k, r, l, p = np.nonzero(np.broadcast_to((np.abs(block) > 0)[:, None], (n, g, n, n)))
         parts.append((t * n + k, r * n + l, group.mult[t, r] * n + p, block[k, l, p]))
     return tuple(np.concatenate(column) for column in zip(*parts))
 
 
 def structure_entry_count(calg: CrossedAlgebra) -> int:
-    """Number of entries ``structure_entries`` returns, read off alpha.
-
-    ``B[t, k, l]`` holds the coordinate of ``E_q`` in ``alpha_t(E_l)`` at
-    slot ``E_k E_q`` for every k with ``E_k E_q`` nonzero, and each ``B_t``
-    is repeated for all g columns r; no block is formed.
-    """
+    """Number of entries ``structure_entries`` returns, read off alpha: the coordinate of
+    ``E_q`` in ``alpha_t(E_l)`` lands at ``E_k E_q`` for every k with ``E_k E_q`` nonzero,
+    once for each of the g columns r."""
     n = calg.base.dim
     left = np.count_nonzero(cstar.product_index(calg.base) < n, axis=0)
     return calg.group.order * int(left @ np.count_nonzero(calg.alpha, axis=(0, 2)))
-
-
-class CrossedAlgebraReport(NamedTuple):
-    associativity_residual: float
-    involution_residual: float  # (f g)* = g* f*
-    involutive_residual: float  # f** = f
-    unital_residual: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(self)
-
-
-def check_crossed_algebra(calg: CrossedAlgebra) -> CrossedAlgebraReport:
-    """Exhaustive axiom check on basis triples, block by block.
-
-    Every product of basis elements sits at one group element, and the third
-    element of a triple only moves that slot, so each identity compares base
-    blocks for the pairs (t, r):
-
-        (e_(t,k) e_(r,l)) e_(s,n) = sum_p B_t[k,l,p] B_tr[p,n,:]
-        e_(t,k) (e_(r,l) e_(s,n)) = sum_p B_r[l,n,p] B_t[k,p,:]
-        (e_(t,k) e_(r,l))*        = S_{(tr)^-1} conj(B_t[k,l])
-        e_(r,l)* e_(t,k)*         = sum_pq S_{r^-1}[p,l] S_{t^-1}[q,k] B_{r^-1}[p,q,:]
-    """
-    group = calg.group
-    g, n = group.order, calg.base.dim
-    mult, inv = group.mult, group.inv
-    prod, star = calg.product_blocks, calg.star_blocks
-    flat = prod.reshape(g, n * n, n)
-    # [r, q, (l, :)] = sum_p S_{r^-1}[p, l] B_{r^-1}[p, q, :]
-    halves = np.swapaxes(star[inv], 1, 2) @ prod[inv].reshape(g, n, n * n)
-    halves = halves.reshape(g, n, n, n).transpose(0, 2, 1, 3).reshape(g, n, n * n)
-
-    def assoc_defects(pairs):  # a chunk of the pairs (t, k), in order
-        t, k = np.divmod(np.arange(pairs.start, pairs.stop), n)
-        left = prod[t, k][:, None]
-        lhs = left @ prod[mult[t]].reshape(len(t), g, n, n * n)
-        rhs = flat @ left
-        return lhs.reshape(rhs.shape) - rhs
-
-    def anti_defects(t):
-        starred = np.conj(flat[t])[:, None] @ np.swapaxes(star[inv[mult[t]]], -1, -2)
-        reversed_prod = np.swapaxes(star[inv[t]], 1, 2)[:, None] @ halves
-        return starred - reversed_prod.reshape(starred.shape)
-
-    assoc = nk.stack_max(g * n, g * n**3, assoc_defects)
-    anti = nk.stack_max(g, g * n**3, anti_defects)
-
-    unit, eye = cstar.unit_coords(calg.base), np.eye(n)
-    involutive = nk.maxabs(star @ np.conj(star[inv]) - eye)
-    left_unit = (unit @ prod[group.identity].reshape(n, n * n)).reshape(n, n)
-    unital = max(nk.maxabs(left_unit - eye), nk.maxabs(unit @ prod - eye))
-    return CrossedAlgebraReport(assoc, anti, involutive, unital)
 
 
 # ---------------------------------------------------------------------------
@@ -256,38 +167,14 @@ class CrossedModule:
             out += base_inner @ self.system.alpha[group.inv[t]].T
         return out
 
-    @cached_property
-    def inner_blocks(self) -> np.ndarray:
-        """``A[t, i, j] = alpha_{t^-1}(<x_i, x_j>)``, shape (g, m, m, N): one GEMM of
-        the nonzero rows ``pair_rows``; the other pairs' blocks are 0."""
-        module, g, m, n = self.module, self.group.order, self.module.dim, self.module.algebra.dim
-        alpha = np.swapaxes(self.system.alpha[self.group.inv], 1, 2)
-        blocks = np.zeros((g, m * m, n), dtype=np.complex128)
-        blocks[:, module.support.pairs] = module.pair_rows @ alpha
-        return blocks.reshape(g, m, m, n)
-
-    @cached_property
-    def action_blocks(self) -> np.ndarray:
-        """``C[r, j, k]``: coordinates of ``x_j . alpha_r(E_k)``, shape (g, m, N, m): one
-        GEMM of the nonzero rows ``action[j, :, l]``; the other rows' blocks are 0."""
-        module, g, m, n = self.module, self.group.order, self.module.dim, self.module.algebra.dim
-        j, k, l = module.support.act
-        # not np.unique, whose first call imports numpy.ma (about 1 MiB)
-        keys = np.flatnonzero(np.bincount(j * m + l, minlength=m * m))
-        rows = hilbmod.rows_at(keys, j * m + l, k, module.support.act_values, n)
-        moved = np.zeros((g, m * m, n), dtype=np.complex128)
-        moved[:, keys] = rows @ self.system.alpha
-        return moved.reshape(g, m, m, n).transpose(0, 1, 3, 2)
-
 
 def build_crossed_module(
     sys: hilbmod.ModuleDynamicalSystem, tol: float = nk.RESIDUAL_TOL
 ) -> CrossedModule:
     """Assemble the crossed module over the crossed algebra of the system.
 
-    The system's cached ``action_report`` already covers the law,
-    multiplicativity and star residuals of alpha that ``build_crossed_algebra``
-    would check, so alpha is not checked a second time.
+    The system's cached ``action_report`` covers the law, multiplicativity and
+    star residuals of alpha, so alpha is not checked a second time.
     """
     report = sys.action_report
     if report.max_residual > tol or not report.invertible:
@@ -297,59 +184,76 @@ def build_crossed_module(
     return CrossedModule(sys, CrossedAlgebra(sys.group, sys.module.algebra, sys.alpha))
 
 
-class CrossedModuleReport(NamedTuple):
-    module_axiom_residual: float  # <xhat, yhat f> = <xhat, yhat> f
-    symmetry_residual: float  # <xhat, yhat>* = <yhat, xhat>
-    fullness_rank: int
-    fullness_required: int
-
-    @property
-    def full(self) -> bool:
-        return self.fullness_rank == self.fullness_required
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.module_axiom_residual, self.symmetry_residual)
+class CrossedAxioms(NamedTuple):
+    algebra_residual: float  # associativity, (f g)* = g* f*, f** = f and the unit
+    module_residual: float  # <xhat, yhat f> = <xhat, yhat> f and <xhat, yhat>* = <yhat, xhat>
+    fullness: tuple[int, int]  # (rank, required) of the crossed inner products
 
 
-def check_crossed_module(cm: CrossedModule) -> CrossedModuleReport:
-    """Exhaustive right-module and symmetry checks on basis triples, block by block.
+def axiom_rows(cm: CrossedModule) -> CrossedAxioms:
+    """The crossed axioms on every basis triple, bounded from rows the run already has.
 
-    ``<e_(t,i), e_(r,j) f_(s,k)>`` and ``<e_(t,i), e_(r,j)> f_(s,k)`` both sit
-    at slot t^-1 r s, where they read ``sum_q C_r[j,k,q] A_t[i,q,:]`` and
-    ``sum_p A_t[i,j,p] B_{t^-1 r}[p,k,:]``; s only moves the slot.
+    Premises, entry bounds over every t (every pair): h of ``alpha_a alpha_b - alpha_ab``
+    (``alpha_rep.law``), mu of ``alpha_t(E_p E_q) - alpha_t(E_p) alpha_t(E_q)`` and sigma of
+    ``alpha_t(E_p)* - alpha_t(E_p*)`` (``action_report``), lambda of ``<x_i, x_j . E_q> -
+    <x_i, x_j> E_q`` and s of ``<x_i, x_j>* - <x_j, x_i>`` (``hilbmod.module_defects``).  With
+    |y| the largest coordinate of y and ||y||_1 their sum: a is alpha's largest entry, c and r
+    its largest column and row sums (``||alpha_t y||_1 <= c ||y||_1``, ``|alpha_t y| <= r
+    |y|``), beta the largest ``||<x_i, x_j>||_1``, iota its largest coordinate and kappa the
+    largest ``||x_j . E_q||_1``.  Block products give ``|x y| <= min(||x||_1 |y|, |x| ||y||_1)``,
+    ``||x y||_1 <= ||x||_1 ||y||_1`` and ``|E_k y| <= |y|``, and bilinearity ``|alpha_t(x y) -
+    alpha_t(x) alpha_t(y)| <= mu ||x||_1 ||y||_1``.  On basis elements, with b = alpha_r(E_n),
+    y = alpha_t(E_l)*, v = (tr)^-1, z = <x_i, x_j>, e = alpha_r(E_k) and w = t^-1, the slot
+    values of the defects split as:
 
-    Fullness comes from the grading.  In the (d_X^2, d_A) stack of crossed
-    inner products, column block s holds ``A[t, i, j]`` in the rows
-    (t, i, ts, j), and these row sets are disjoint across s.  So the stack is
-    a row permutation of g diagonal copies of the (g m^2, N) matrix of all
-    ``A`` blocks, with g times its rank and its spectrum repeated g times.
+    - associativity: ``E_k [alpha_t(E_l b) - alpha_t(E_l) alpha_t(b)] + E_k alpha_t(E_l)
+      [alpha_t alpha_r - alpha_tr](E_n)``, at most ``c (mu + h)``;
+    - ``(f g)* = g* f*``: ``[alpha_v(y E_k*) - alpha_v(y) alpha_v(E_k*)] + [alpha_v(y -
+      alpha_t(E_l*)) + (alpha_v alpha_t - alpha_{r^-1})(E_l*)] alpha_v(E_k*) + alpha_{r^-1}(E_l*)
+      [alpha_v - alpha_{r^-1} alpha_w](E_k*)``, at most ``c (mu + r sigma + 2 h)``, which
+      covers associativity's;
+    - ``<xhat, yhat f> = <xhat, yhat> f``: ``alpha_w(<x_i, x_j . e> - z e) + [alpha_w(z e) -
+      alpha_w(z) alpha_w(e)] + alpha_w(z) [alpha_w alpha_r - alpha_{wr}](E_k)``, at most
+      ``c (r lambda + beta (mu + h))``;
+    - ``<xhat, yhat>* = <yhat, xhat>``: ``alpha_{r^-1 t}(alpha_w(z)* - alpha_w(z*)) +
+      [alpha_{r^-1 t} alpha_w - alpha_{r^-1}](z*) + alpha_{r^-1}(z* - <x_j, x_i>)``, at most
+      ``r s + beta (r sigma + h)``.
+
+    The unit (``alpha_e = I``, ``alpha_t(1) = 1``) and ``f** = f`` are exact on alpha, O(g N^3);
+    eta does not enter.  Rounding (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    SIAM 2002, §3.5; u = 2^-53): a complex sum of k products is within ``gamma_{k+2}`` times
+    the sum of their magnitudes, nested sums adding their k.  The sides of the dense forms are
+    such sums of at most 2N + m terms, of magnitude at most ``a c`` and ``a c^2`` (algebra),
+    ``a beta c kappa`` and ``a beta c`` (module axiom), ``a beta c`` and ``a beta`` (symmetry);
+    the premises' kernels are exact up to ``gamma_{N+2} a c`` (mu, h), ``2 u a`` (sigma),
+    ``gamma_{m+2} iota kappa`` (lambda) and ``2 u iota`` (s), each times its factor above.
+    Summed, the algebra row adds ``2 gamma_{2N+8} a c (1 + 2c + r)`` and the module row
+    ``gamma_{2N+m+8} (c kappa (a beta + r iota) + a beta (1 + 3c + 2c^2 + 2r) + 2 r iota)``,
+    so each row is at least the dense value.
+
+    Fullness: the crossed inner products at slot s sit in the rows (t, i, ts, j), disjoint
+    across s, and equivariance makes ``span <X, X>`` alpha-invariant, so the rank is g times
+    the module's (``fullness_factor``).
     """
-    group = cm.group
-    g, m, n = group.order, cm.module.dim, cm.module.algebra.dim
-    inner, prod, star = cm.inner_blocks, cm.algebra.product_blocks, cm.algebra.star_blocks
-    acts = cm.action_blocks.reshape(g, m * n, m)
-    swapped = inner.transpose(0, 2, 1, 3).reshape(g, m * m, n)  # [r, (i, j)] = A_r[j, i]
-    slots = group.mult[group.inv]  # [t, r]: t^-1 r
+    sys, module = cm.system, cm.module
+    group, algebra, alpha, sup = sys.group, module.algebra, sys.alpha, module.support
+    n, m, report, h = algebra.dim, module.dim, sys.action_report, sys.alpha_rep.law.hom
+    mu, sigma = report.automorphism_mult_residual, report.automorphism_star_residual
+    (linearity, symmetry), magnitudes, values = hilbmod.module_defects(module), np.abs(alpha), np.abs(sup.values)
+    a, c, r = magnitudes.max(), magnitudes.sum(axis=1).max(), magnitudes.sum(axis=2).max()
+    beta = np.bincount(sup.i * m + sup.j, weights=values).max(initial=0.0)
+    kappa = np.bincount(sup.act[0] * n + sup.act[1], weights=np.abs(sup.act_values)).max(initial=0.0)
+    iota = values.max(initial=0.0)
 
-    def axiom_defects(pairs):  # a chunk of the pairs (t, i), in order
-        t, i = np.divmod(np.arange(pairs.start, pairs.stop), m)
-        rows = inner[t, i][:, None]
-        lhs = acts @ rows
-        rhs = rows @ prod[slots[t]].reshape(len(t), g, n, n * n)
-        return lhs.reshape(rhs.shape) - rhs
-
-    def symmetry_defects(t):
-        # <e_(t,i), e_(r,j)>* sits at (t^-1 r)^-1 = r^-1 t, where <e_(r,j), e_(t,i)> does
-        conj = np.conj(inner[t]).reshape(len(inner[t]), 1, m * m, n)
-        starred = conj @ np.swapaxes(star[group.inv[slots[t]]], -1, -2)
-        return starred - swapped
-
-    axiom = nk.stack_max(g * m, g * n * n * max(m, n), axiom_defects)
-    sym = nk.stack_max(g, g * m * m * n, symmetry_defects)
-
-    rank = g * nk.numerical_rank(inner.reshape(g * m * m, n)).rank
-    return CrossedModuleReport(axiom, sym, rank, cm.algebra.dim)
+    star, eye, unit = alpha[:, :, cstar.star_permutation(algebra)], nk.eye(n), cstar.unit_coords(algebra)
+    involutive = nk.maxabs(star @ np.conj(star[group.inv]) - eye)
+    unital = max(nk.maxabs(alpha[group.identity] - eye), nk.maxabs(alpha @ unit - unit))
+    algebra_row = c * (mu + r * sigma + 2 * h) + 2 * hilbmod.higham(2 * n + 8) * a * c * (1 + 2 * c + r)
+    sizes = c * kappa * (a * beta + r * iota) + a * beta * (1 + 3 * c + 2 * c * c + 2 * r) + 2 * r * iota
+    module_row = max(c * (r * linearity + beta * (mu + h)), r * symmetry + beta * (r * sigma + h))
+    module_row += hilbmod.higham(2 * n + m + 8) * sizes
+    fullness = (group.order * module.fullness_factor.rank, cm.algebra.dim)
+    return CrossedAxioms(max(algebra_row, involutive, unital), module_row, fullness)
 
 
 # ---------------------------------------------------------------------------

@@ -236,10 +236,8 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
     """Residuals for the Hilbert-module axioms plus fullness of the span.
 
     Only ``verify`` reads this report; fullness is decided by ``require_full``.
-    Everything is read from ``module.support``.  Linearity
-    ``<x_i, x_j . E_k> = <x_i, x_j> E_k`` is compared by ``_linearity_defect`` on
-    the grouped inner rows that equivariance reads as well.  Symmetry compares
-    each nonzero ``<x_i, x_j>`` with its mirror; where both are 0 they agree exactly.
+    Everything is read from ``module.support``; linearity and symmetry are
+    ``module_defects`` over the largest entry (at least 1).
 
     Positivity is decided on the Gram super-matrix ``[<x_i, x_j>]`` in
     ``M_m(A)``, embedded.  Each ``E_k`` embeds as one entry, so the nonzeros
@@ -253,11 +251,8 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
     m, e_dim = module.dim, algebra.embed_dim
     support = module.support
     i, j, k, values = support.i, support.j, support.k, support.values
-    magnitudes = np.abs(values)
-    scale = max(1.0, magnitudes.max(initial=0.0))
-
-    linearity = _linearity_defect(module, magnitudes) / scale
-    symmetry = nk.maxabs(np.conj(values) - _mirrored_values(module)) / scale
+    scale = max(1.0, np.abs(values).max(initial=0.0))
+    linearity, symmetry = (defect / scale for defect in module_defects(module))
 
     unit_row, unit_col = cstar.embedding_index(algebra)
     unit_row, unit_col = unit_row[k], unit_col[k]
@@ -282,6 +277,14 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
         algebra.dim,
         module.fullness_condition,
     )
+
+
+def module_defects(module: HilbertModule) -> tuple[float, float]:
+    """Worst ``|<x_i, x_j . E_k> - <x_i, x_j> E_k|`` by ``_linearity_defect``, on the grouped inner
+    rows that equivariance reads as well, and worst ``|<x_i, x_j>* - <x_j, x_i>|``: each nonzero
+    ``<x_i, x_j>`` against its mirror, where both are 0 they agree exactly.  Unscaled."""
+    values = module.support.values
+    return _linearity_defect(module, np.abs(values)), nk.maxabs(np.conj(values) - _mirrored_values(module))
 
 
 def _mirrored_values(module: HilbertModule) -> np.ndarray:
@@ -919,6 +922,10 @@ class DynamicalSystemReport(NamedTuple):
         return max(self[:-1])  # every field before invertible
 
 
+def higham(k: int, u: float = 2.0**-53) -> float:  # gamma_k of k roundings to unit u (Higham §3.1)
+    return k * u / (1 - k * u)
+
+
 class DerivedAction(NamedTuple):  # what ``derive_standard_action`` derives of a standard action
     eta_law: GroupLaw
     alpha_law: GroupLaw
@@ -978,15 +985,11 @@ def derive_standard_action(sys: ModuleDynamicalSystem) -> DerivedAction | None:
     (p, n), lg, ld = (gamma.dim, delta.dim), gamma.law, delta.law
     ug, ud = check_unitary_rep(gamma).unitary_residual, check_unitary_rep(delta).unitary_residual
     u = 0.0 if all(np.isin(m.view(np.float64), (-1.0, 0.0, 1.0)).all() for m in (gamma.mats, delta.mats)) else 2.0**-53
-
-    def higham(k: int) -> float:  # gamma_k
-        return k * u / (1 - k * u)
-
     ng, nd, e = _largest(lg.premises.norms), _largest(ld.premises.norms), max(p * n, n * n)
     top = _largest([1.0, ng, nd])
     big = top * top
-    kappa = math.sqrt(2 * e) * higham(2) * big
-    fl = higham(2 * p + 2 * n + 8) * big * big + higham(2 * e + 12) * (big + kappa) * (big + kappa) + kappa * (2 * big + kappa + 2)
+    kappa = math.sqrt(2 * e) * higham(2, u) * big
+    fl = higham(2 * p + 2 * n + 8, u) * big * big + higham(2 * e + 12, u) * (big + kappa) * (big + kappa) + kappa * (2 * big + kappa + 2)
     eta_law = _kron_law(lg, ld, group, (p, n), kappa, lg.hom * nd * nd + ng * ld.hom + fl, lg.unit * nd + ld.unit + fl)
     alpha_law = _kron_law(ld, ld, group, (n, n), kappa, ld.hom * (nd * nd + nd) + fl, ld.unit * (nd + 1) + fl)
     law = _largest([eta_law.hom, eta_law.unit, alpha_law.hom, alpha_law.unit])

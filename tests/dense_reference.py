@@ -1,9 +1,11 @@
 """Dense references the tests compare the package's structured computations with.
 
 The crossed constructions are built from the generic ``multiply``, ``star``,
-``act`` and ``inner`` one basis pair at a time, and group-graded blocks are
-placed into dense tensors; the package works on the g blocks of each
-operation and never forms these tensors.  The GNS Gram of a CP map on an
+``act`` and ``inner`` one basis pair at a time into dense tensors, and the
+crossed axioms are checked on every basis triple of those tensors
+(``crossed_algebra_check``, ``crossed_module_check``); the package forms no
+crossed tensor or block and bounds the axioms from alpha's and the module's
+own rows.  The GNS Gram of a CP map on an
 algebra is formed densely, and ``module_map_through`` turns the map into a
 module CP map through a factor of that Gram, so the GNS rows of
 ``verify_dilation`` can be read for it.  The module identities are checked
@@ -47,11 +49,12 @@ drops it after.  The integral form of a covariant dilation is integrated from
 those images once for its factorization residual and once more for its
 density ranks (``integral_stinespring``), where ``crossed.induced_cp`` reads
 all three off the dilation's parts, as ``verify_dilation`` reads its own
-density.  The crossed identity is kept on the integrated stacks of a map and
-its companion, one crossed row at a time (``crossed_identity_defect``), where
-the package forms no stack and reads ``u_t* P_ij u_r`` off the pair, with
+density.  The crossed identity is kept as ``identity_defect`` of the integrated
+stacks of a map and its companion against the dense inner tensor, where the
+package forms no stack and reads ``u_t* P_ij u_r`` off the pair, with
 ``P_ij = Phi(x_i)* Phi(x_j)``; that factored form is kept one (t, i) at a time
-(``factored_identity_defect``).  The plain rows of ``verify_dilation`` are
+(``factored_identity_defect``), on the inner blocks read off the dense inner
+tensor (``inner_blocks``).  The plain rows of ``verify_dilation`` are
 kept on the dense forms ``GnsTriple.rep`` and ``dilation_images``
 (``plain_rows``), where the package reads each block's ``M_b`` and the
 dilation's live parts, and ``seeded_rep`` as
@@ -882,78 +885,71 @@ def image_intertwining(u1, u2, images, alt_images):
 
 
 def crossed_algebra_check(calg):
-    """``(assoc, anti)`` of ``crossed.check_crossed_algebra``, one (t, k) at a time."""
-    group = calg.group
-    g, n = group.order, calg.base.dim
-    mult, inv = group.mult, group.inv
-    prod, star = calg.product_blocks, calg.star_blocks
-    flat = prod.reshape(g, n * n, n)
-    halves = np.swapaxes(star[inv], 1, 2) @ prod[inv].reshape(g, n, n * n)
-    halves = halves.reshape(g, n, n, n).transpose(0, 2, 1, 3).reshape(g, n, n * n)
-    assoc = anti = 0.0
-    for t in range(g):
-        right = prod[mult[t]].reshape(g, n, n * n)
-        for k in range(n):
-            lhs = prod[t, k] @ right
-            rhs = flat @ prod[t, k]
-            assoc = max(assoc, nk.maxabs(lhs.reshape(rhs.shape) - rhs))
-        starred = np.conj(flat[t]) @ np.swapaxes(star[inv[mult[t]]], 1, 2)
-        reversed_prod = star[inv[t]].T @ halves
-        anti = max(anti, nk.maxabs(starred - reversed_prod.reshape(starred.shape)))
-    return assoc, anti
+    """``(assoc, anti, involutive, unital)``: the crossed-algebra axioms on every basis
+    triple, on the dense structure tensor and stars of the generic operations."""
+    g, n, d = calg.group.order, calg.base.dim, calg.dim
+    struct = reference_structure(calg)
+    assoc = max(
+        nk.maxabs((row @ struct.reshape(d, d * d)).reshape(d, d, d) - struct @ row) for row in struct
+    )
+    stars = reference_stars(calg)
+    star = lambda f: calg.star(f.reshape(g, n)).reshape(d)  # noqa: E731
+    involutive = nk.maxabs(np.stack([star(stars[:, i]) for i in range(d)]) - np.eye(d))
+    anti = max(
+        nk.maxabs(
+            star(struct[i, j])
+            - calg.multiply(stars[:, j].reshape(g, n), stars[:, i].reshape(g, n)).reshape(d)
+        )
+        for i in range(d)
+        for j in range(d)
+    )
+    unit = builders.crossed_unit(calg).reshape(d)
+    unital = max(
+        nk.maxabs(np.einsum("p,pjq->jq", unit, struct) - np.eye(d)),
+        nk.maxabs(np.einsum("ipq,p->iq", struct, unit) - np.eye(d)),
+    )
+    return assoc, anti, involutive, unital
 
 
 def crossed_module_check(cm):
-    """``(axiom, symmetry)`` of ``crossed.check_crossed_module``, one (t, i) at a time."""
-    group = cm.group
-    g, m, n = group.order, cm.module.dim, cm.module.algebra.dim
-    inner, prod, star = cm.inner_blocks, cm.algebra.product_blocks, cm.algebra.star_blocks
-    acts = cm.action_blocks.reshape(g, m * n, m)
-    swapped = inner.transpose(0, 2, 1, 3).reshape(g, m * m, n)
-    axiom = sym = 0.0
-    for t in range(g):
-        slots = group.mult[group.inv[t]]
-        right = prod[slots].reshape(g, n, n * n)
-        for i in range(m):
-            lhs = acts @ inner[t, i]
-            rhs = inner[t, i] @ right
-            axiom = max(axiom, nk.maxabs(lhs.reshape(rhs.shape) - rhs))
-        starred = np.conj(inner[t]).reshape(m * m, n) @ np.swapaxes(star[group.inv[slots]], 1, 2)
-        sym = max(sym, nk.maxabs(starred - swapped))
-    return axiom, sym
+    """``(axiom, symmetry)``: ``<xhat, yhat f> = <xhat, yhat> f`` and ``<xhat, yhat>* =
+    <yhat, xhat>`` on every basis triple, on the dense tensors of the generic operations."""
+    struct = reference_structure(cm.algebra)
+    inner, act = reference_inner(cm), reference_action(cm)
+    d_x, d_a = cm.dim, cm.algebra.dim
+    axiom = max(
+        nk.maxabs(act @ row - (row @ struct.reshape(d_a, -1)).reshape(d_x, d_a, d_a)) for row in inner
+    )
+    g, n = cm.group.order, cm.algebra.base.dim
+    star = lambda f: cm.algebra.star(f.reshape(g, n)).reshape(d_a)  # noqa: E731
+    starred = np.stack([np.stack([star(inner[a, b]) for b in range(d_x)]) for a in range(d_x)])
+    return axiom, nk.maxabs(starred - inner.transpose(1, 0, 2))
 
 
-def crossed_identity_defect(cm, images, companion):
-    """The crossed identity on integrated stacks ``images`` and ``companion``, one
-    crossed row (t, i) at a time: a gather of ``A[t, i] @ companion`` by slot."""
-    group = cm.group
-    g, m, n = group.order, cm.module.dim, cm.module.algebra.dim
-    by_slot = companion.reshape(g, n, -1).transpose(1, 0, 2).reshape(n, -1)
-    worst = 0.0
-    for t in range(g):
-        slots = group.mult[group.inv[t]]
-        for i in range(m):
-            expected = (cm.inner_blocks[t, i] @ by_slot).reshape(m, g, -1)[:, slots]
-            expected = expected.transpose(1, 0, 2).reshape(len(images), *companion.shape[1:])
-            worst = max(worst, nk.maxabs(nk.adjoint(images[t * m + i]) @ images - expected))
-    return worst
+def inner_blocks(cm):
+    """``A[t, i, j] = alpha_{t^-1}(<x_i, x_j>)``, shape (g, m, m, N): the dense inner tensor's
+    row (t, i) against the columns (t, j), which sit at slot e."""
+    g, m, n = cm.group.order, cm.module.dim, cm.algebra.base.dim
+    dense = reference_inner(cm).reshape(g, m, g, m, g, n)[..., cm.group.identity, :]
+    return np.stack([dense[t, :, t] for t in range(g)])
 
 
 def factored_identity_defect(cm, images, companion, mats):
     """``crossed._identity_defect``, one (t, i) at a time, ``P_ij = images[i]* images[j]``
-    formed once per i."""
+    formed once per i, against the ``inner_blocks`` of the dense inner tensor."""
     group = cm.group
     g, m, h = group.order, len(images), mats.shape[-1]
     star = np.conj(mats).swapaxes(1, 2).copy()
     columns = mats.swapaxes(0, 1).reshape(h, g * h)
     slotted = mats[group.mult[group.inv]].swapaxes(1, 2).reshape(g, h, g * h)
     coords = companion.reshape(len(companion), h * h)
+    blocks = inner_blocks(cm)
     worst = 0.0
     for i in range(m):
         pairs = nk.adjoint(images[i]) @ images
         for t in range(g):
             lhs = (star[t] @ pairs).reshape(m * h, h) @ columns
-            rhs = (cm.inner_blocks[t, i] @ coords).reshape(m * h, h) @ slotted[t]
+            rhs = (blocks[t, i] @ coords).reshape(m * h, h) @ slotted[t]
             worst = max(worst, nk.maxabs(lhs - rhs))
     return worst
 

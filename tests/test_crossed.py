@@ -5,7 +5,7 @@ import builders
 from covstine import cpmaps, crossed, cstar, hilbmod, stinespring as st
 from covstine import numkernel as nk
 from covstine.errors import NotActionError, NotCovariantRepError
-from dense_reference import reference_inner, reference_structure
+from dense_reference import crossed_algebra_check, reference_inner, reference_structure
 
 
 def z2_diag_system():
@@ -14,6 +14,11 @@ def z2_diag_system():
         group, 2, np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
     )
     return hilbmod.standard_action(group, hilbmod.trivial_rep(group, 1), delta)
+
+
+def action_residual(group, alpha, base):
+    """Worst law, multiplicativity and star residual of alpha as a *-automorphism action."""
+    return max(hilbmod.algebra_action_residuals(base, hilbmod.UnitaryRep(group, base.dim, alpha)))
 
 
 def trivial_scalar_system(order=2):
@@ -27,7 +32,8 @@ class TestCrossedAlgebra:
     def test_order_one_is_the_base_algebra(self):
         group = hilbmod.trivial_group()
         base = cstar.CStarAlgebra((2,))
-        calg = crossed.build_crossed_algebra(group, np.eye(4)[None].astype(complex), base)
+        calg = crossed.CrossedAlgebra(group, base, np.eye(4)[None].astype(complex))
+        assert action_residual(group, calg.alpha, base) == 0.0
         struct = reference_structure(calg)
         np.testing.assert_allclose(struct, cstar.mult_tensor(base), atol=1e-12)
         unit = builders.crossed_unit(calg).reshape(-1)
@@ -37,21 +43,21 @@ class TestCrossedAlgebra:
         # (1 +- d_1)/2 are the central idempotents of the group algebra of Z_2
         group = hilbmod.cyclic_group(2)
         base = cstar.CStarAlgebra((1,))
-        calg = crossed.build_crossed_algebra(group, np.ones((2, 1, 1), dtype=complex), base)
+        calg = crossed.CrossedAlgebra(group, base, np.ones((2, 1, 1), dtype=complex))
+        assert action_residual(group, calg.alpha, base) == 0.0
         for sign in (1.0, -1.0):
             idem = np.array([[0.5], [0.5 * sign]], dtype=complex)
             np.testing.assert_allclose(calg.multiply(idem, idem), idem, atol=1e-14)
-        report = crossed.check_crossed_algebra(calg)
-        assert report.max_residual <= 1e-12
+        assert max(crossed_algebra_check(calg)) <= 1e-12
 
     def test_z2_on_m2_exhaustive_axioms(self):
         group = hilbmod.cyclic_group(2)
         base = cstar.CStarAlgebra((2,))
         flip = np.diag([1.0, -1.0]).astype(complex)
         alpha = np.stack([np.eye(4, dtype=complex), np.kron(flip, flip.conj())])
-        calg = crossed.build_crossed_algebra(group, alpha, base)
-        report = crossed.check_crossed_algebra(calg)
-        assert report.max_residual <= 1e-12
+        assert action_residual(group, alpha, base) <= 1e-12
+        calg = crossed.CrossedAlgebra(group, base, alpha)
+        assert max(crossed_algebra_check(calg)) <= 1e-12
 
     def test_s3_permutation_action_axioms(self):
         sys = hilbmod.standard_action(
@@ -59,20 +65,27 @@ class TestCrossedAlgebra:
             builders.permutation_rep(3),
             builders.permutation_rep(3),
         )
-        calg = crossed.build_crossed_algebra(sys.group, sys.alpha, sys.module.algebra)
-        report = crossed.check_crossed_algebra(calg)
-        assert report.max_residual <= 1e-12
+        assert action_residual(sys.group, sys.alpha, sys.module.algebra) <= 1e-12
+        calg = crossed.CrossedAlgebra(sys.group, sys.module.algebra, sys.alpha)
+        assert max(crossed_algebra_check(calg)) <= 1e-12
 
     def test_rejects_non_action(self):
+        """alpha_1 = 2 is neither multiplicative nor a group law, and ``build_crossed_module``
+        refuses a system with it."""
         group = hilbmod.cyclic_group(2)
         base = cstar.CStarAlgebra((1,))
+        alpha = np.stack([np.eye(1), 2 * np.eye(1)])
+        assert action_residual(group, alpha, base) > nk.RESIDUAL_TOL
+        sys = trivial_scalar_system(2)
         with pytest.raises(NotActionError):
-            crossed.build_crossed_algebra(group, np.stack([np.eye(1), 2 * np.eye(1)]), base)
+            crossed.build_crossed_module(
+                hilbmod.ModuleDynamicalSystem(sys.group, sys.module, sys.eta, alpha)
+            )
 
     def test_star_of_basis_element(self):
         # (delta_t a)* = delta_{t^-1} alpha_{t^-1}(a*)
         sys = z2_diag_system()
-        calg = crossed.build_crossed_algebra(sys.group, sys.alpha, sys.module.algebra)
+        calg = crossed.CrossedAlgebra(sys.group, sys.module.algebra, sys.alpha)
         f = builders.basis_element(calg, 1, 1)  # delta_1 (x) E_01
         starred = calg.star(f)
         expected = np.zeros((2, 4), dtype=complex)
@@ -108,9 +121,9 @@ class TestCrossedModule:
 
     def test_z2_diag_axioms(self):
         cm = crossed.build_crossed_module(z2_diag_system())
-        report = crossed.check_crossed_module(cm)
-        assert report.max_residual <= 1e-10
-        assert report.full
+        rows = crossed.axiom_rows(cm)
+        assert max(rows.algebra_residual, rows.module_residual) <= 1e-12
+        assert rows.fullness == (cm.algebra.dim, cm.algebra.dim)
 
     def test_basis_inner_closed_form(self):
         # <delta_t x_i, delta_r x_j> = delta_{t^-1 r} alpha_{t^-1}(<x_i, x_j>)
@@ -247,8 +260,7 @@ class TestInducedCp:
         cov, _ = cpmaps.random_covariant_cp(sys, 2, seed=3)
         induced = crossed.induced_cp(cov)
         cm = induced.crossed
-        report = crossed.check_crossed_module(cm)
-        assert report.full
+        assert crossed.axiom_rows(cm).fullness == (cm.algebra.dim, cm.algebra.dim)
         inner = reference_inner(cm)
         d_x, d_a = cm.dim, cm.algebra.dim
         dim_h = cov.base.space_dims[0]

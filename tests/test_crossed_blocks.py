@@ -1,11 +1,10 @@
-"""Crossed products from their group grading: the product, star, action and
-inner-product blocks against the generic reference operations, the block-wise
-axiom checks against the dense basis-triple checks they replace, the
-structure dump against the dense tensor, and the run-path contracts (no
-reference-operation calls, no dense pair tensor)."""
+"""Crossed products from their group grading: the structure dump against the
+dense tensor of the generic operations, the derived crossed axiom rows against
+the exhaustive basis-triple checks on those tensors, with defects planted in
+alpha, the module and eta, crossed fullness from the grading, and the run-path
+contracts (no reference-operation calls, no dense pair tensor)."""
 
 import collections
-import functools
 import json
 import tracemalloc
 from dataclasses import replace
@@ -19,14 +18,14 @@ from hypothesis import strategies as hst
 import builders
 from covstine import cli, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
+from covstine.errors import NotActionError
 from dense_reference import (
-    crossed_identity_defect,
+    crossed_algebra_check,
+    crossed_module_check,
     identity_defect,
+    inner_blocks,
     integral_stinespring,
-    place,
-    reference_action,
     reference_inner,
-    reference_stars,
     reference_structure,
     watch_dense_forms,
 )
@@ -95,166 +94,151 @@ def standard_system(group, p, n, seed):
     return hilbmod.standard_action(group, block_rep(group, p, rng), block_rep(group, n, rng))
 
 
-def dense_algebra_residuals(calg):
-    """The basis-triple check on dense tensors built from the reference operations."""
-    g, n, d = calg.group.order, calg.base.dim, calg.dim
-    struct = reference_structure(calg)
-    assoc = max(
-        np.max(np.abs((row @ struct.reshape(d, d * d)).reshape(d, d, d) - struct @ row))
-        for row in struct
-    )
-    stars = reference_stars(calg)
-    star = lambda f: calg.star(f.reshape(g, n)).reshape(d)  # noqa: E731
-    involutive = np.max(np.abs(np.stack([star(stars[:, i]) for i in range(d)]) - np.eye(d)))
-    anti = max(
-        np.max(np.abs(
-            star(struct[i, j])
-            - calg.multiply(stars[:, j].reshape(g, n), stars[:, i].reshape(g, n)).reshape(d)
-        ))
-        for i in range(d)
-        for j in range(d)
-    )
-    unit = builders.crossed_unit(calg).reshape(d)
-    unital = max(
-        np.max(np.abs(np.einsum("p,pjq->jq", unit, struct) - np.eye(d))),
-        np.max(np.abs(np.einsum("ipq,p->iq", struct, unit) - np.eye(d))),
-    )
-    return assoc, anti, involutive, unital
-
-
-def dense_module_residuals(cm):
-    struct = reference_structure(cm.algebra)
-    inner, act = reference_inner(cm), reference_action(cm)
-    d_x, d_a = cm.dim, cm.algebra.dim
-    axiom = max(
-        np.max(np.abs(act @ row - (row @ struct.reshape(d_a, -1)).reshape(d_x, d_a, d_a)))
-        for row in inner
-    )
-    g, n = cm.group.order, cm.algebra.base.dim
-    star = lambda f: cm.algebra.star(f.reshape(g, n)).reshape(d_a)  # noqa: E731
-    starred = np.stack([np.stack([star(inner[a, b]) for b in range(d_x)]) for a in range(d_x)])
-    return axiom, np.max(np.abs(starred - inner.transpose(1, 0, 2)))
-
-
-def placed_inner(cm):
-    """The inner blocks placed at slot t^-1 r: the dense (d_X, d_X, d_A) inner tensor."""
-    return place(cm.inner_blocks, cm.group.mult[cm.group.inv])
-
-
-def _close(actual, expected):
-    assert actual.shape == expected.shape
-    np.testing.assert_allclose(actual, expected, rtol=1e-12, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Blocks and placements against the reference operations
-# ---------------------------------------------------------------------------
+def _structure_tensor(calg):
+    """The dense (d, d, d) tensor scattered from ``structure_entries``."""
+    rows, cols, slots, values = crossed.structure_entries(calg)
+    out = np.zeros((calg.dim,) * 3, dtype=np.complex128)
+    out[rows, cols, slots] = values
+    return out
 
 
 @settings(max_examples=12, deadline=None)
 @given(groups, block_sizes, seeds)
-def test_placed_tensors_match_the_reference_operations(name, blocks, seed):
-    sys_ = conjugation_system(GROUPS[name], blocks, seed)
-    assert sys_.action_report.max_residual < 1e-10
-    cm = crossed.build_crossed_module(sys_)
-    calg = cm.algebra
-    # the product blocks are gathers, so the placement is exact
-    np.testing.assert_array_equal(place(calg.product_blocks, calg.group.mult), reference_structure(calg))
-    _close(placed_inner(cm), reference_inner(cm))
-
-
-@settings(max_examples=12, deadline=None)
-@given(groups, block_sizes, seeds)
-def test_action_and_star_blocks_match_the_reference_operations(name, blocks, seed):
-    group = GROUPS[name]
-    cm = crossed.build_crossed_module(conjugation_system(group, blocks, seed))
-    calg = cm.algebra
-    g, m, n = group.order, cm.module.dim, calg.base.dim
-    # (delta_r x_j) e_(s,k) = delta_{rs} C[r, j, k]
-    act = reference_action(cm).reshape(g, m, g, n, g, m)
-    for r in range(g):
-        for s in range(g):
-            expected = np.zeros((m, n, g, m), dtype=complex)
-            expected[:, :, group.mult[r, s]] = cm.action_blocks[r]
-            _close(act[r, :, s], expected)
-    # f*(s) = S[s] conj(f(s^-1)), on the basis and on a random element
-    stars = reference_stars(calg).reshape(g, n, g, n)
-    for s in range(g):
-        expected = np.zeros((g, n, n), dtype=complex)
-        expected[group.inv[s]] = calg.star_blocks[group.inv[s]]
-        np.testing.assert_array_equal(stars[:, :, s], expected)
-    f = np.random.default_rng(seed).standard_normal((g, 2 * n)).view(complex)
-    placed = np.stack([calg.star_blocks[s] @ np.conj(f[group.inv[s]]) for s in range(g)])
-    _close(placed, calg.star(f))
-
-
-@pytest.mark.parametrize("name, p, n", [("Z2", 1, 2), ("Z3", 2, 1), ("S3", 1, 2)])
-def test_blocks_on_standard_actions(name, p, n):
-    """Modules whose dimension differs from the algebra's, with eta != alpha."""
-    cm = crossed.build_crossed_module(standard_system(GROUPS[name], p, n, seed=5))
-    _close(placed_inner(cm), reference_inner(cm))
-    g, m, nn = cm.group.order, cm.module.dim, cm.algebra.base.dim
-    act = reference_action(cm).reshape(g, m, g, nn, g, m)
-    for r in range(g):
-        for s in range(g):
-            _close(act[r, :, s, :, cm.group.mult[r, s]], cm.action_blocks[r])
+def test_structure_entries_match_the_reference_operations(name, blocks, seed):
+    """The entries are gathers of alpha, so they equal ``multiply`` on basis pairs exactly,
+    and ``structure_entry_count`` counts them."""
+    calg = crossed.build_crossed_module(conjugation_system(GROUPS[name], blocks, seed)).algebra
+    np.testing.assert_array_equal(_structure_tensor(calg), reference_structure(calg))
+    assert crossed.structure_entry_count(calg) == len(crossed.structure_entries(calg)[0])
 
 
 # ---------------------------------------------------------------------------
-# Block-wise checks against the dense basis-triple checks
+# Derived axiom rows against the exhaustive checks on the dense tensors
 # ---------------------------------------------------------------------------
 
 
-# Z3 and S3 (acting faithfully on M_3) have elements that are not their own
-# inverse, so a slot t r in place of t^-1 r shows
-CHECK_CASES = [
-    ("Z2", (1, 2), 0.0),
-    ("Z3", (2, 1), 0.0),
-    ("Z2", (1, 2), 1e-3),
-    ("Z3", (2, 1), 1e-3),
-    ("S3", (3,), 1e-3),
-]
+def _with(system, module=None, eta=None, alpha=None):
+    """``system`` as an explicit system, with ``module``, ``eta`` or ``alpha`` replaced."""
+    return hilbmod.ModuleDynamicalSystem(
+        system.group,
+        system.module if module is None else module,
+        system.eta if eta is None else eta,
+        system.alpha if alpha is None else alpha,
+    )
 
 
-@pytest.mark.parametrize("name, blocks, eps", CHECK_CASES)
-def test_algebra_check_matches_the_dense_check(name, blocks, eps):
-    """A planted perturbation of alpha breaks the axioms; both checks see the same size."""
-    sys_ = conjugation_system(GROUPS[name], blocks, seed=2)
-    alpha = sys_.alpha.copy()
-    alpha[-1, 0, -1] += eps
-    alpha[-1, -1, 0] -= 2 * eps
-    calg = crossed.CrossedAlgebra(sys_.group, sys_.module.algebra, alpha)
-    report = crossed.check_crossed_algebra(calg)
-    dense = dense_algebra_residuals(calg)
-    for got, expected in zip(report, dense):
-        if eps:
-            assert got == pytest.approx(expected, rel=1e-9)
-        else:
-            assert got < 1e-12 and expected < 1e-12
-    assert eps == 0 or report.max_residual > 0.5 * eps
+def _off_generators(group):
+    """The first element other than e outside the generating set."""
+    return next(t for t in range(group.order) if t != group.identity and t not in group.tree.generators)
 
 
-@pytest.mark.parametrize("name, blocks, eps", CHECK_CASES)
-def test_module_check_matches_the_dense_check(name, blocks, eps):
-    sys_ = conjugation_system(GROUPS[name], blocks, seed=4)
-    module = sys_.module
-    action = module.action.copy()
-    action[0, -1, -1] += eps
-    broken = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, action, module.inner)
-    alpha = sys_.alpha.copy()
-    alpha[-1, 0, 0] += eps
-    calg = crossed.CrossedAlgebra(sys_.group, module.algebra, alpha)
-    system = hilbmod.ModuleDynamicalSystem(sys_.group, broken, sys_.eta, alpha)
-    cm = crossed.CrossedModule(system, calg)
-    report = crossed.check_crossed_module(cm)
-    for got, expected in zip(report[:2], dense_module_residuals(cm)):
-        if eps:
-            assert got == pytest.approx(expected, rel=1e-9)
-        else:
-            assert got < 1e-12 and expected < 1e-12
-    assert report.fullness_rank == nk.numerical_rank(
-        reference_inner(cm).reshape(cm.dim**2, cm.algebra.dim)
-    ).rank
+def _plant_defect(system, where, eps):
+    """``eps`` added to one alpha_t with t not a generator, one nonzero inner product (it
+    breaks symmetry), one nonzero action entry (it breaks linearity) or one eta_t."""
+    module = system.module
+    if where in ("alpha", "eta"):
+        mats = getattr(system, where).copy()
+        mats[_off_generators(system.group), 0, 0] += eps
+        return _with(system, **{where: mats})
+    action, inner = module.action.copy(), module.inner.copy()
+    tensor = inner if where == "inner" else action
+    tensor[tuple(np.argwhere(np.abs(tensor) > 0)[0])] += eps
+    planted = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, action, inner)
+    return _with(system, module=planted)
+
+
+def _rows_and_dense(system):
+    cm = crossed.CrossedModule(system, crossed.CrossedAlgebra(system.group, system.module.algebra, system.alpha))
+    return crossed.axiom_rows(cm), max(crossed_algebra_check(cm.algebra)), max(crossed_module_check(cm))
+
+
+def _twisted(order):
+    return builders.twisted_system(GROUPS["Z3" if order == 3 else "S3"], 3, 3, seed=7)
+
+
+def test_derived_rows_bound_the_exhaustive_checks():
+    """Unplanted, on a twisted Z3 system (alpha_t != alpha_{t^-1}), standard and explicit:
+    each row is at least the exhaustive value, the rows pass, and the rank is full."""
+    system = _twisted(3)
+    for sys_ in (system, _with(system)):
+        rows, algebra, module = _rows_and_dense(sys_)
+        assert algebra <= rows.algebra_residual <= hilbmod.BOUND_TOL
+        assert module <= rows.module_residual <= hilbmod.BOUND_TOL
+        assert rows.fullness == (27, 27)
+        crossed.build_crossed_module(sys_)  # the action gate passes
+
+
+PLANTS = [(where, eps) for where in ("alpha", "inner", "action", "eta") for eps in (1e-6, 1e-12)]
+
+
+@pytest.mark.parametrize("where, eps", PLANTS)
+def test_a_planted_defect_stays_under_the_derived_rows(where, eps):
+    """Planted on Z3, where 2 = 1^-1 is no generator: each derived row is at least the
+    exhaustive value, and so over the gate where that value is; a planted eta_t leaves
+    the crossed rows as they were, but the action gate refuses it at 1e-6."""
+    system = _with(_twisted(3))
+    planted = _plant_defect(system, where, eps)
+    rows, algebra, module = _rows_and_dense(planted)
+    assert algebra <= rows.algebra_residual and module <= rows.module_residual
+    if where == "eta":
+        assert rows == _rows_and_dense(system)[0]
+    else:
+        assert (max(algebra, module) > nk.RESIDUAL_TOL) == (eps > nk.RESIDUAL_TOL)
+    if eps > nk.RESIDUAL_TOL:
+        with pytest.raises(NotActionError):
+            crossed.build_crossed_module(planted)
+        if where != "eta":  # the bound stays within a small factor of the planted value
+            assert max(rows.algebra_residual, rows.module_residual) <= 20 * max(algebra, module)
+
+
+def _isolated(system, premise, eps):
+    """``system`` on M_3 changed by about eps so that, of the premises, ``premise`` alone
+    breaks: alpha's law (alpha_t at one t outside the generators followed by a diagonal
+    unitary conjugation), its star (every alpha_t conjugated by ``Ad(S)``, S positive and not
+    unitary), its multiplicativity (every alpha_t conjugated by ``a -> a + eps tr(a Q') Q``,
+    Q and Q' Hermitian and traceless, so *-preserving and unital), or the module's symmetry
+    (the inner products ``<x_0, .>`` scaled by 1 + eps, which keeps linearity)."""
+    module, alpha = system.module, system.alpha.copy()
+    if premise == "law":
+        t, v = _off_generators(system.group), np.diag(np.exp(1j * eps * np.arange(3)))
+        alpha[t] = np.kron(v, np.conj(v)) @ alpha[t]
+    elif premise in ("star", "mult"):
+        q, trace_q = np.diag([1.0, -1.0, 0.0]).reshape(-1), np.diag([0.0, 1.0, -1.0]).reshape(-1)
+        s = np.diag(1 + eps * np.arange(3))
+        phi = np.kron(s, np.linalg.inv(s).T) if premise == "star" else np.eye(9) + eps * np.outer(q, trace_q)
+        alpha = phi @ alpha @ np.linalg.inv(phi)
+    else:
+        inner = module.inner.copy()
+        inner[0] *= 1 + eps
+        module = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, module.action, inner)
+    return _with(system, module=module, alpha=alpha)
+
+
+def _idempotent_system():
+    """Z2 on C + C over itself with ``alpha_t = P``, ``P(x, y) = (x, x)`` for both t: an exact
+    idempotent *-homomorphism, so law, multiplicativity, star and module axioms hold and
+    only the unit, ``alpha_e = I``, fails, by 1."""
+    system = conjugation_system(GROUPS["Z2"], (1, 1), seed=0)
+    p = np.array([[1.0, 0.0], [1.0, 0.0]])
+    return _with(system, eta=np.stack([np.eye(2)] * 2), alpha=np.stack([p, p]))
+
+
+@pytest.mark.parametrize("premise", ["law", "star", "mult", "symmetry", "unit"])
+def test_each_premise_alone_stays_under_the_derived_rows(premise):
+    """One premise broken at a time, the others exact or at rounding, so a row that dropped
+    that premise's term would fall under the exhaustive value: each row is at least it."""
+    system = _idempotent_system() if premise == "unit" else _isolated(_with(_twisted(3)), premise, 1e-6)
+    rows, algebra, module = _rows_and_dense(system)
+    assert max(algebra, module) > nk.RESIDUAL_TOL
+    assert algebra <= rows.algebra_residual and module <= rows.module_residual
+
+
+def test_a_planted_alpha_off_the_generators_of_s3():
+    """S3, alpha_t planted at an element outside {1, 2}: its law, multiplicativity and star
+    are bounded from the generators, and the rows still cover the exhaustive values."""
+    rows, algebra, module = _rows_and_dense(_plant_defect(_with(_twisted(6)), "alpha", 1e-12))
+    assert algebra <= rows.algebra_residual <= nk.RESIDUAL_TOL
+    assert module <= rows.module_residual <= nk.RESIDUAL_TOL
 
 
 def _dense_fullness(cm):
@@ -284,44 +268,45 @@ FULLNESS_CASES = [
 
 @pytest.mark.parametrize("name, build, rank", FULLNESS_CASES, ids=[c[0] for c in FULLNESS_CASES])
 def test_crossed_fullness_from_the_grading_matches_the_dense_rank(name, build, rank):
-    """g times the rank of the stacked inner blocks is the rank of the dense
+    """g times the rank of the module's inner products is the rank of the dense
     (d_X^2, d_A) stack of crossed inner products, full or planted deficient."""
     sys_ = build()
     cm = crossed.CrossedModule(
         sys_, crossed.CrossedAlgebra(sys_.group, sys_.module.algebra, sys_.alpha)
     )
-    report = crossed.check_crossed_module(cm)
     dense = _dense_fullness(cm)
-    assert report.fullness_rank == dense.rank == rank
-    assert report.full == (rank == cm.algebra.dim)
+    assert crossed.axiom_rows(cm).fullness == (dense.rank, cm.algebra.dim)
+    assert dense.rank == rank
     # the dense Gram's spectrum is the stacked blocks' Gram spectrum repeated g times
     g, m, n = cm.group.order, cm.module.dim, cm.algebra.base.dim
-    per_slot = nk.numerical_rank(cm.inner_blocks.reshape(g * m * m, n)).singular_values
+    per_slot = nk.numerical_rank(inner_blocks(cm).reshape(g * m * m, n)).singular_values
     np.testing.assert_allclose(
         np.sort(np.repeat(per_slot, g) ** 2)[::-1], dense.singular_values**2, rtol=0, atol=1e-10
     )
 
 
-def test_crossed_module_check_allocates_no_dense_inner_stack():
+def test_axiom_rows_allocate_no_dense_inner_stack():
     """S3 on M_3 over itself: the dense (54^2, 54) stack of inner products is 2.5 MB."""
     cm = crossed.build_crossed_module(conjugation_system(GROUPS["S3"], (3,), seed=6))
     dense_bytes = cm.dim**2 * cm.algebra.dim * 16
+    cm.module.fullness_factor  # noqa: B018 (cached before the measurement, as in a run)
     tracemalloc.start()
     try:
-        report = crossed.check_crossed_module(cm)
+        rows = crossed.axiom_rows(cm)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert report.full and report.max_residual < 1e-12
-    assert peak < dense_bytes, (peak, dense_bytes)
+    assert rows.fullness == (cm.algebra.dim, cm.algebra.dim)
+    assert max(rows.algebra_residual, rows.module_residual) < 1e-12
+    assert peak < dense_bytes / 8, (peak, dense_bytes)
 
 
 @settings(max_examples=12, deadline=None)
 @given(groups, block_sizes, hst.integers(min_value=1, max_value=3), seeds)
-def test_identity_defect_from_blocks_matches_the_dense_row(name, blocks, h, seed):
+def test_identity_defect_from_the_pair_matches_the_dense_row(name, blocks, h, seed):
     """The identity read off a pair of base images and arbitrary, not unitary, group
-    matrices equals the gather of each crossed row on the integrated stacks and the
-    dense identity check on the dense inner tensor."""
+    matrices equals the dense identity check of the integrated stacks on the dense
+    inner tensor."""
     cm = crossed.build_crossed_module(conjugation_system(GROUPS[name], blocks, seed))
     rng = np.random.default_rng(seed)
     images = rng.standard_normal((cm.module.dim, h + 1, h, 2)).view(complex)[..., 0]
@@ -329,7 +314,6 @@ def test_identity_defect_from_blocks_matches_the_dense_row(name, blocks, h, seed
     mats = rng.standard_normal((cm.group.order, h, h, 2)).view(complex)[..., 0]
     stacks = crossed._integrated(images, mats), crossed._integrated(companion, mats)
     got = crossed._identity_defect(cm, images, companion, mats)
-    assert got == pytest.approx(crossed_identity_defect(cm, *stacks), rel=1e-12)
     dense = identity_defect(stacks[0], reference_inner(cm), stacks[1])
     assert got == pytest.approx(dense, rel=1e-12)
 
@@ -444,19 +428,17 @@ REFERENCE_OPERATIONS = {
 def test_crossed_run_never_calls_the_reference_operations(
     tmp_path, monkeypatch, p, n, group, extra
 ):
-    """No run calls the generic operations, and only the exhaustive checks, on crossed
-    algebras of dimension up to 64, build the inner blocks (S4 on C^2: 96)."""
+    """No run calls the generic operations, and the crossed axiom rows are formed only on
+    crossed algebras of dimension up to 64 (S4 on C^2: 96)."""
     counts = collections.Counter()
-    blocks = []
-    build = vars(crossed.CrossedModule)["inner_blocks"].func
+    dims = []
+    rows = crossed.axiom_rows
 
-    def building(cm):
-        blocks.append(cm.algebra.dim)
-        return build(cm)
+    def forming(cm):
+        dims.append(cm.algebra.dim)
+        return rows(cm)
 
-    counted = functools.cached_property(building)
-    counted.__set_name__(crossed.CrossedModule, "inner_blocks")
-    monkeypatch.setattr(crossed.CrossedModule, "inner_blocks", counted)
+    monkeypatch.setattr(crossed, "axiom_rows", forming)
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -477,8 +459,8 @@ def test_crossed_run_never_calls_the_reference_operations(
     assert cert["pass"]
     assert ("crossed_module_fullness" in cert["ranks"]) == (group != "symmetric:4")
     assert not counts, dict(counts)
-    assert all(dim <= cli.CROSSED_AXIOM_LIMIT for dim in blocks)
-    assert bool(blocks) == (group != "symmetric:4")
+    assert all(dim <= cli.CROSSED_AXIOM_LIMIT for dim in dims)
+    assert len(dims) == (group != "symmetric:4")
     # the counters do count: one reference call shows
     crossed.CrossedAlgebra(
         hilbmod.cyclic_group(2), cstar.CStarAlgebra((1,)), np.ones((2, 1, 1))
@@ -595,9 +577,9 @@ def test_a_planted_dilation_defect_shows_in_both_factorizations(where):
 def test_induced_cp_builds_no_dense_view_of_the_dilation(monkeypatch):
     """At (4, 4, 4) with S4 the induced map reads the dilation's parts alone: neither
     the dense images (the parts ranged on the identity) nor ``GnsTriple.rep`` is
-    built, nor, with a crossed algebra of dimension 384, the (g, m, m, N) inner
-    blocks, and the call's traced peak stays under 2.5 MiB (3.30 MiB with the blocks
-    and the whole ranged stack, 6.99 MiB through the integrated dense view)."""
+    built, and the call's traced peak stays under 2.5 MiB (3.30 MiB with the
+    (g, m, m, N) crossed inner blocks and the whole ranged stack, 6.99 MiB through the
+    integrated dense view)."""
     scenario = cli.generate_scenario("crossed", 4, 4, 4, 11, "symmetric:4")
     cov = cli.resolve_scenario(scenario, "s4.json").cov
     dilation = stinespring.dilate_covariant(cov)
@@ -610,7 +592,7 @@ def test_induced_cp_builds_no_dense_view_of_the_dilation(monkeypatch):
     finally:
         tracemalloc.stop()
     assert induced.minimal and induced.max_residual < 1e-9
-    assert built == [] and "inner_blocks" not in vars(induced.crossed)
+    assert built == []
     assert peak < 2.5 * 2**20, peak
 
 

@@ -238,17 +238,9 @@ def test_dilations_match_their_loops(name, chunk):
 
 
 @pytest.mark.parametrize("name", sorted(GROUPS))
-def test_crossed_checks_match_their_loops(name, chunk):
+def test_crossed_identity_matches_its_loop(name, chunk):
     sc = _scenario(name, p=1, n=2, amplification=1)
     cm = crossed.build_crossed_module(sc.system)
-    report = crossed.check_crossed_algebra(cm.algebra)
-    assert (report.associativity_residual, report.involution_residual) == (
-        ref.crossed_algebra_check(cm.algebra)
-    )
-    module_report = crossed.check_crossed_module(cm)
-    assert (module_report.module_axiom_residual, module_report.symmetry_residual) == (
-        ref.crossed_module_check(cm)
-    )
     pair = sc.cov.base.images, sc.cov.base.companion.images, sc.cov.u.mats
     assert crossed._identity_defect(cm, *pair) == ref.factored_identity_defect(cm, *pair)
 
