@@ -483,12 +483,11 @@ def emit_certificate(cert: Certificate, fmt: str = "json") -> str:
         f"dims: {cert.dims}",
         f"{'check':38s} {'value':>12s} {'verdict':>8s}",
     ]
+    checks = {name: "PASS" if passed else "FAIL" for name, passed in cert.checks.items()}
     for name, value in sorted(cert.residuals.items()):
-        verdict = "PASS" if value <= cert.tolerance else "FAIL"
-        lines.append(f"{name:38s} {value:12.3e} {verdict:>8s}")
+        lines.append(f"{name:38s} {value:12.3e} {checks[name]:>8s}")
     for name, (achieved, required) in sorted(cert.ranks.items()):
-        verdict = "PASS" if achieved == required else "FAIL"
-        lines.append(f"{name:38s} {f'{achieved}/{required}':>12s} {verdict:>8s}")
+        lines.append(f"{name:38s} {f'{achieved}/{required}':>12s} {checks[name]:>8s}")
     for name, reason in sorted(cert.skipped.items()):
         lines.append(f"{name:38s} {'skipped':>12s}  ({reason})")
     lines.append("PASS" if cert.passed else "FAIL")

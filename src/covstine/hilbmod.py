@@ -1038,9 +1038,9 @@ def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
     """The group laws, equivariance ``<eta_t x_i, eta_t x_j> = alpha_t(<x_i, x_j>)``,
     compatibility ``eta_t(x_i . E_k) = eta_t(x_i) . alpha_t(E_k)`` and
     ``algebra_action_residuals``, formed on the generators s and bounded on every t by
-    ``intertwining_bound``; invertibility is ranked on every t.  Equivariance and
-    compatibility are one grouped GEMM per chunk of s each, from the nonzeros of
-    ``module.support``, read as [s, k, i, j] and [s, r, i, k]: sums over the live rows
+    ``intertwining_bound``; invertibility is ``numerical_rank`` of every eta_t and alpha_t.
+    Equivariance and compatibility are one grouped GEMM per chunk of s each, from the
+    nonzeros of ``module.support``, read as [s, k, i, j] and [s, r, i, k]: sums over the live rows
     (a, k) of inner of ``conj(eta_s[a, i]) (inner[a, :, k] @ eta_s)[j]`` and over the live
     columns (l, r) of action of ``(action[:, l, r] @ eta_s)[i] alpha_s[l, k]``, minus the
     targets where they can be nonzero: the values of the dense comparisons.
@@ -1071,7 +1071,8 @@ def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
         grid.reshape(len(grid), -1)[:, live_at] -= (eta[s] @ live_rows).reshape(len(grid), -1)
         return grid
 
-    item, invertible = m * m * n_dim, nk.stack_ranks(eta) == [m] * g and nk.stack_ranks(alpha) == [n_dim] * g
+    ranks = [(nk.numerical_rank(eta[t]).rank, nk.numerical_rank(alpha[t]).rank) for t in range(g)]
+    item, invertible = m * m * n_dim, ranks == [(m, n_dim)] * g
     return DynamicalSystemReport(
         law,
         _checked(group, on_alpha, on_eta.times(on_eta, group), [(item, equivariance)], nk.frobenius(sup.values)),

@@ -135,22 +135,6 @@ def kron_stack(a, b) -> np.ndarray:
     return products.reshape(lead + (p * r, q * s))
 
 
-def stack_ranks(stack: np.ndarray) -> list[int]:
-    """``numerical_rank(m).rank`` of each matrix ``m`` of a stack.
-
-    The Grams of a chunk are eigensolved by one batched call and each rank is
-    decided by ``spectral_rank``, on the spectrum ``numerical_rank`` reads.
-    """
-    count, rows, cols = stack.shape
-    ranks = []
-    for span in stack_spans(count, rows * cols):
-        chunk = stack[span]
-        star = np.conj(chunk).transpose(0, 2, 1)
-        values = _descending_eigh(chunk @ star if rows <= cols else star @ chunk, vectors=False)
-        ranks += [spectral_rank(v)[0] for v in values]
-    return ranks
-
-
 @dataclass(frozen=True, eq=False)
 class PairTargets:
     """The targets of ``pair_defect``: ``T_ij = sum_e coeff[e] basis[unit[e]]``
@@ -287,9 +271,9 @@ def spectral_rank(values: np.ndarray) -> tuple[int, float]:
 
     The rank counts the eigenvalues strictly above ``REL_TOL`` times the
     largest one, or ``ABS_FLOOR`` if that is more.  ``psd_cutoff`` (and so
-    ``gram_factor`` and the GNS blocks), ``psd_rank``, ``numerical_rank`` and
-    ``stack_ranks`` all decide their ranks with it, ``dilate_module_cp`` its
-    codomain, and every solve pseudo-inverts on a ``gram_factor``.
+    ``gram_factor`` and the GNS blocks), ``psd_rank`` and ``numerical_rank``
+    all decide their ranks with it, ``dilate_module_cp`` its codomain, and every
+    solve pseudo-inverts on a ``gram_factor``.
     """
     if values.size == 0:
         return 0, ABS_FLOOR

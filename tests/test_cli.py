@@ -196,6 +196,28 @@ class TestCertificates:
         assert "reconstruction" in out
         assert out.strip().endswith("PASS")
 
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [
+            ("dilate-covariant", ["--tol", "1e-30"]),  # failing rows
+            ("crossed", []),  # a crossed basis of 96 > 64: the skip line
+        ],
+    )
+    def test_table_verdicts_are_the_certificate_checks(self, tmp_path, capsys, kind, flags):
+        scenario = tmp_path / "scenario.json"
+        cli.main(["gen", "--kind", kind, "--p", "1", "--n", "2", "--group", "symmetric:4",
+                  "--seed", "11", "--out", str(scenario)])
+        run = [kind, "--scenario", str(scenario), *flags]
+        code = cli.main(run + ["--format", "table"])
+        table = capsys.readouterr().out.splitlines()
+        assert cli.main(run) == code
+        cert = json.loads(capsys.readouterr().out)
+        rows = {line.split()[0]: line.split()[-1] for line in table[3:-1] if "skipped" not in line}
+        skips = {line.split()[0] for line in table[3:-1] if "skipped" in line}
+        assert rows == {name: "PASS" if ok else "FAIL" for name, ok in cert["checks"].items()}
+        assert skips == set(cert["skipped"]) and table[-1] == ("PASS" if cert["pass"] else "FAIL")
+        assert ("FAIL" in rows.values()) == bool(flags) and bool(skips) == (kind == "crossed")
+
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "cert.json"
         code = cli.main(

@@ -4,8 +4,8 @@ the GNS factor from Choi blocks against the dense Gram factor, the module
 identities on their live support against their dense references, and guards
 that keep unordered multi-operand einsums, ``np.kron`` calls, solvers with a
 rank cutoff of their own, per-call tolerance parameters, float literals used
-as gates, and code that neither a run nor README.md's API list reaches out
-of the package, and the scenario wire format out of every module but ``cli``."""
+as gates, and code that neither a run nor a README.md example reaches out of
+the package, and the scenario wire format out of every module but ``cli``."""
 
 import ast
 import inspect
@@ -29,6 +29,7 @@ from dense_reference import (
     dense_gns_gram,
     module_map_through,
 )
+from test_readme import BLOCKS as README_BLOCKS
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "covstine"
 
@@ -1212,10 +1213,11 @@ def test_package_has_no_literal_gates():
 
 
 # ---------------------------------------------------------------------------
-# Guard: every definition of the package is reached by a run or the API list
+# Guard: every definition of the package is reached by a run or a README example
 # ---------------------------------------------------------------------------
 
 README = SRC.parents[1] / "README.md"
+PROPERTIES = {"property", "cached_property"}
 
 
 def readme_api(text: str) -> list[str]:
@@ -1224,29 +1226,16 @@ def readme_api(text: str) -> list[str]:
     return re.findall(r"^- `([\w.]+)`", section, re.M)
 
 
-def unreached_functions(sources: dict[str, str], api: list[str]) -> list[str]:
-    """What ``sources`` (file name to text) hold that neither a run nor ``api``
-    reaches, and where ``api`` and the names ``__init__.py`` imports differ.
+def _definitions(trees: dict) -> tuple[dict, list]:
+    """``({definition: (the nodes it names from, the names that reach it)}, module-level
+    code)`` of parsed sources.
 
-    Each module-level function or class is a definition, and so is each method or
-    property of such a class; dunders are part of their class, which runs them.
-    Reaching starts from the module-level code of every source, from ``cli.main``
-    and from the definitions ``api`` lists (``"name"`` or ``"Class.method"``), and a
-    definition is reached once a reached body names it: a function or class as a
-    ``Name`` or an ``Attribute``, a method or property as an ``Attribute`` (a local
-    variable of the same name does not call it).  Returned, sorted:
-    ``"module.name"`` or ``"module.Class.method"`` for each definition not reached,
-    ``"api.entry"`` for each entry that names no definition or no name
-    ``__init__.py`` imports, and ``"__init__.name"`` for each imported name ``api``
-    lacks."""
-    trees = {name: ast.parse(text) for name, text in sources.items()}
-    imported = {
-        alias.name
-        for node in ast.walk(trees["__init__.py"])
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    bodies, module_code = {}, []  # definition -> the nodes it names from
+    Each module-level function or class is a definition, reached by a ``Name`` or an
+    ``Attribute`` of its name (``"name"``, ``".name"``), and so is each property of such a
+    class, reached by an ``Attribute`` (``".name"``), and each plain method, reached only
+    by a call of an ``Attribute`` of its name (``"name()"``); dunders are part of their
+    class, which runs them."""
+    bodies, module_code = {}, []
     for name, tree in trees.items():
         module = name.removesuffix(".py")
         for node in tree.body:
@@ -1260,37 +1249,61 @@ def unreached_functions(sources: dict[str, str], api: list[str]) -> list[str]:
                 and isinstance(method, ast.FunctionDef)
                 and not (method.name.startswith("__") and method.name.endswith("__"))
             ]
-            bodies[f"{module}.{node.name}"] = [
-                child for child in ast.iter_child_nodes(node) if child not in methods
-            ]
+            rest = [child for child in ast.iter_child_nodes(node) if child not in methods]
+            bodies[f"{module}.{node.name}"] = (rest, {node.name, "." + node.name})
             for method in methods:
-                bodies[f"{module}.{node.name}.{method.name}"] = [method]
+                decorators = {ast.unparse(d).rsplit(".", 1)[-1] for d in method.decorator_list}
+                reach = "." + method.name if decorators & PROPERTIES else method.name + "()"
+                bodies[f"{module}.{node.name}.{method.name}"] = ([method], {reach})
+    return bodies, module_code
 
-    def names(nodes):  # "name" for a Name, ".name" for an Attribute
-        return {
-            used.id if isinstance(used, ast.Name) else "." + used.attr
-            for node in nodes
-            for used in ast.walk(node)
-            if isinstance(used, ast.Name | ast.Attribute)
-        }
 
-    def local(definition):  # without its module: "name" or "Class.method"
-        return definition.split(".", 1)[1]
+def unreached_functions(sources: dict[str, str], examples: list[str]) -> list[str]:
+    """The definitions ``sources`` (file name to text) hold that neither a run nor one
+    of ``examples`` (code that uses the package) reaches, sorted, as ``"module.name"``
+    or ``"module.Class.method"``.
 
-    def uses(definition):  # the names that reach it
-        bare = definition.rsplit(".", 1)[1]
-        return {"." + bare} if "." in local(definition) else {bare, "." + bare}
+    Reaching starts from the module-level code of every source, from ``cli.main`` and
+    from every example, and a definition is reached once a reached body holds a name
+    that reaches it (``_definitions``): reading a field or property of a method's name
+    does not call it, nor does a local variable of that name."""
+    bodies, module_code = _definitions({name: ast.parse(text) for name, text in sources.items()})
 
-    named, reached = names(module_code), set()
-    pending = {d for d in bodies if d == "cli.main" or local(d) in api}
+    def names(nodes):  # "name" for a Name, ".name" for an Attribute, "name()" for a called one
+        found = set()
+        for used in (used for node in nodes for used in ast.walk(node)):
+            if isinstance(used, ast.Name):
+                found.add(used.id)
+            elif isinstance(used, ast.Attribute):
+                found.add("." + used.attr)
+            elif isinstance(used, ast.Call) and isinstance(used.func, ast.Attribute):
+                found.add(used.func.attr + "()")
+        return found
+
+    named, reached = names(module_code + [ast.parse(example) for example in examples]), set()
+    pending = {d for d, (_, reach) in bodies.items() if d == "cli.main" or reach & named}
     while pending:
         reached |= pending
-        named |= names(node for d in pending for node in bodies[d])
-        pending = {d for d in bodies if uses(d) & named} - reached
-    known = {local(d) for d in bodies}
+        named |= names(node for d in pending for node in bodies[d][0])
+        pending = {d for d, (_, reach) in bodies.items() if reach & named} - reached
+    return sorted(d for d in bodies if d not in reached)
+
+
+def api_mismatches(sources: dict[str, str], api: list[str]) -> list[str]:
+    """Where ``api`` (``"name"`` or ``"Class.method"`` entries) and the definitions of
+    ``sources`` and names ``__init__.py`` imports differ, sorted: ``"api.entry"`` for each
+    entry that names no definition, or no name ``__init__.py`` imports, and
+    ``"__init__.name"`` for each imported name ``api`` lacks."""
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    imported = {
+        alias.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    known = {d.split(".", 1)[1] for d in _definitions(trees)[0]}
     return sorted(
-        [d for d in bodies if d not in reached]
-        + [f"api.{e}" for e in api if e not in known or "." not in e and e not in imported]
+        [f"api.{e}" for e in api if e not in known or "." not in e and e not in imported]
         + [f"__init__.{name}" for name in imported - set(api)]
     )
 
@@ -1311,55 +1324,74 @@ GUARD_SOURCES = {
     ),
     "b.py": "\n".join(
         [
+            "from typing import NamedTuple",
             "from . import a",
             "CALLED = a.called()",
             'NOTE = "orphan()"',
+            "class Span(NamedTuple):",
+            "    width: int",
             "class Holder:",
             "    def __init__(self): self.held = a.uses_helper()",
             "    def stale(self): return self.stale()",
             "    def read(self): return 1",
             "    def local(self): return 2",
+            "    def width(self): return 3",
             "    @property",
             "    def shown(self): return self.read()",
             "SHOWN = Holder().shown",
+            "WIDTH = Span(1).width",
         ]
     ),
 }
-GUARD_API = ["listed", "Listed", "Listed.api_method"]
+GUARD_EXAMPLES = ["from pkg import listed, Listed\nlisted()\nListed().api_method()\n"]
 
 
 def test_guard_flags_unreached_functions():
-    # a method named only by a local variable is not called
-    assert unreached_functions(GUARD_SOURCES, GUARD_API) == [
-        "a.Unnamed", "a.orphan", "b.Holder.local", "b.Holder.stale"
+    # a method named only by a local variable, or only by a field it shares a name with
+    assert unreached_functions(GUARD_SOURCES, GUARD_EXAMPLES) == [
+        "a.Unnamed", "a.orphan", "b.Holder.local", "b.Holder.stale", "b.Holder.width"
     ]
-    # a helper reached only from an export the list lacks
-    planted = {
-        **GUARD_SOURCES,
-        "__init__.py": "from .a import listed, Listed, unlisted\n",
-        "a.py": GUARD_SOURCES["a.py"] + "\ndef unlisted(): return _only()\ndef _only(): pass",
-    }
-    assert unreached_functions(planted, GUARD_API) == [
-        "__init__.unlisted", "a.Unnamed", "a._only", "a.orphan", "a.unlisted",
-        "b.Holder.local", "b.Holder.stale",
+    # a function reached only from an example block
+    reaching = GUARD_EXAMPLES + ["from pkg.a import orphan\norphan()\n"]
+    assert unreached_functions(GUARD_SOURCES, reaching) == [
+        "a.Unnamed", "b.Holder.local", "b.Holder.stale", "b.Holder.width"
     ]
+    # a method that an example reads but does not call
+    reading = ["from pkg import listed, Listed\nlisted()\nListed().api_method\n"]
+    assert unreached_functions(GUARD_SOURCES, reading) == [
+        "a.Listed.api_method", "a.Unnamed", "a.orphan", "b.Holder.local", "b.Holder.stale",
+        "b.Holder.width",
+    ]
+    # without examples, what only they reached
+    assert unreached_functions(GUARD_SOURCES, []) == [
+        "a.Listed", "a.Listed.api_method", "a.Unnamed", "a.listed", "a.orphan",
+        "b.Holder.local", "b.Holder.stale", "b.Holder.width",
+    ]
+
+
+def test_guard_flags_api_list_mismatches():
+    assert api_mismatches(GUARD_SOURCES, ["listed", "Listed", "Listed.api_method"]) == []
+    # an export the list lacks
+    planted = {**GUARD_SOURCES, "__init__.py": "from .a import listed, Listed, orphan\n"}
+    assert api_mismatches(planted, ["listed", "Listed"]) == ["__init__.orphan"]
     # a listed name that __init__.py does not import, and one that names nothing
-    assert unreached_functions(GUARD_SOURCES, GUARD_API + ["called", "Listed.gone"]) == [
-        "a.Unnamed", "a.orphan", "api.Listed.gone", "api.called", "b.Holder.local",
-        "b.Holder.stale",
-    ]
-    # a method that no run calls, once the list drops it
-    assert unreached_functions(GUARD_SOURCES, ["listed", "Listed"]) == [
-        "a.Listed.api_method", "a.Unnamed", "a.orphan", "b.Holder.local", "b.Holder.stale"
+    assert api_mismatches(GUARD_SOURCES, ["listed", "Listed", "called", "Listed.gone"]) == [
+        "api.Listed.gone", "api.called"
     ]
 
 
 def test_every_package_function_is_reached():
-    """What neither a run nor README.md's API list reaches lives under ``tests/``
-    (``builders.py``, ``dense_reference.py``), and the list is what ``__init__.py``
-    imports, plus the methods no run calls."""
+    """What neither a run nor a Python block of README.md reaches lives under ``tests/``
+    (``builders.py``, ``dense_reference.py``)."""
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert unreached_functions(sources, readme_api(README.read_text(encoding="utf-8"))) == []
+    assert unreached_functions(sources, README_BLOCKS) == []
+
+
+def test_the_api_list_is_what_the_package_exports():
+    """README.md's API list is what ``__init__.py`` imports, plus methods, each naming a
+    definition of the package."""
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert api_mismatches(sources, readme_api(README.read_text(encoding="utf-8"))) == []
 
 
 # ---------------------------------------------------------------------------

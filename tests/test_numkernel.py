@@ -204,7 +204,7 @@ def test_a_nan_defect_is_the_worst():
 @pytest.mark.parametrize(
     "solve",
     [nk.hermitian_eigendecomposition, nk.gram_factor, nk.psd_check, nk.psd_rank,
-     lambda m: nk.stack_ranks(m[None])],
+     nk.numerical_rank],
 )
 @pytest.mark.parametrize("entry", [np.inf, np.nan])
 def test_a_non_finite_matrix_has_no_spectrum(solve, entry):

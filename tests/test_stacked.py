@@ -119,15 +119,6 @@ def test_chunks_hold_whole_items_within_the_budget(count, item):
         assert len(spans) == count  # large items run one at a time
 
 
-@settings(max_examples=40, deadline=None)
-@given(sizes, sizes, sizes, hst.integers(min_value=0, max_value=4), seeds)
-def test_stack_ranks_are_the_ranks_numerical_rank_decides(count, rows, cols, deficient, seed):
-    rng = np.random.default_rng(seed)
-    stack = _random(rng, count, rows, cols)
-    stack[:, : min(deficient, rows)] = 0.0  # rank-deficient members
-    assert nk.stack_ranks(stack) == [nk.numerical_rank(m).rank for m in stack]
-
-
 # ---------------------------------------------------------------------------
 # Every converted site against its loop, at every chunk size
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 something other than an object, with an unknown field next to valid ones, or
 with a required field missing, exits 2 without a traceback and with a message
 that names the object and the field at fault.  A tagged form (``cyclic``,
-``standard_module``, ``trivial``, ...) names the field beside its tag."""
+``standard_module``, ``trivial``, ...) names the field beside its tag.  A command
+line or payload rejected past the field rule (a missing file, a bad ``--group``, a
+tensor, table or entry of the wrong form, a target or concrete map that the objects
+do not allow) exits 2 the same way, on one stderr line."""
 
 import json
 from pathlib import Path
@@ -229,3 +232,143 @@ def test_regular_takes_only_true(tmp_path, capsys, value, shown):
     assert code == 2
     assert "Traceback" not in captured.err
     assert f"ParseError: u: 'regular' must be true, got {shown}\n" in captured.err
+
+
+TWO = {"rows": 1, "cols": 2, "entries": [[1, 0], [0, 0]]}
+DIAGONAL = [[1, 0], [0, 0], [0, 0], [1, 0]]  # x_i . 1 = x_i and <x_i, x_j> = delta_ij on C^2
+ACTION, INNER = {"shape": [2, 1, 2], "entries": DIAGONAL}, {"shape": [2, 2, 1], "entries": DIAGONAL}
+OBJECT_MODULE = ("objects", "module")
+# (argv, with SCENARIO for the file of the payload; the payload, or None; the message)
+REJECTED = {
+    "missing scenario file": (["dilate", "--scenario", "missing.json"], None, "cannot read scenario"),
+    "gen group family": (
+        ["gen", "--kind", "crossed", "--p", "1", "--n", "1", "--seed", "1", "--group", "foo:3"],
+        None, "BoundsError: unknown group family 'foo'",
+    ),
+    "gen group size": (
+        ["gen", "--kind", "crossed", "--p", "1", "--n", "1", "--seed", "1", "--group", "cyclic:x"],
+        None, "BoundsError: bad group spec 'cyclic:x'",
+    ),
+    "out with two scenarios": (
+        ["dilate", "--scenario", "SCENARIO", "--scenario", "SCENARIO", "--out", "cert.json"],
+        IDENTITY, "--out needs a single scenario",
+    ),
+    "neither generate nor objects": (
+        ["dilate", "--scenario", "SCENARIO"], _with(IDENTITY, (), _without("objects")),
+        "scenario: exactly one of 'generate' or 'objects' is required",
+    ),
+    "both generate and objects": (
+        ["crossed", "--scenario", "SCENARIO"], {**GENERATED, "objects": IDENTITY["objects"]},
+        "scenario: exactly one of 'generate' or 'objects' is required",
+    ),
+    "generated without seed": (
+        ["crossed", "--scenario", "SCENARIO"], _with(GENERATED, (), _without("seed")),
+        "scenario: generated scenarios need a 'seed'",
+    ),
+    "n beyond the bound": (
+        ["crossed", "--scenario", "SCENARIO"], _with(GENERATED, ("generate", "n"), lambda n: 9),
+        "BoundsError: n = 9 outside [1, 8]",
+    ),
+    "tensor shape not a list": (
+        ["dilate", "--scenario", "SCENARIO"],
+        _with(EXPLICIT, OBJECT_MODULE + ("action", "shape"), lambda shape: 3),
+        "module payload.action: 'shape' must be a list",
+    ),
+    "tensor of the wrong rank": (
+        ["dilate", "--scenario", "SCENARIO"],
+        _with(EXPLICIT, OBJECT_MODULE + ("action", "shape"), lambda shape: [1, 1]),
+        "module payload.action has rank 2, expected 3",
+    ),
+    "tensor entry count": (
+        ["dilate", "--scenario", "SCENARIO"],
+        _with(EXPLICIT, OBJECT_MODULE + ("action", "shape"), lambda shape: [1, 1, 2]),
+        "module payload.action: 1 entries for shape (1, 1, 2)",
+    ),
+    "ragged group mult": (
+        ["dilate-covariant", "--scenario", "SCENARIO"],
+        _with(SYSTEM, ("objects", "system", "group", "mult"), lambda mult: [[0], [0, 1]]),
+        "group payload: 'mult' must be an integer table of shape (1, 1)",
+    ),
+    "non-integer group mult": (
+        ["dilate-covariant", "--scenario", "SCENARIO"],
+        _with(SYSTEM, ("objects", "system", "group", "mult"), lambda mult: [[0.5]]),
+        "group payload: 'mult' must be an integer table of shape (1, 1)",
+    ),
+    "mats not a list": (
+        ["dilate-covariant", "--scenario", "SCENARIO"],
+        _with(Z2, SA + ("delta", "mats"), lambda mats: 5), "delta: 'mats' must be a list",
+    ),
+    "entries not a list": (
+        ["dilate-covariant", "--scenario", "SCENARIO"],
+        _with(Z2, SA + ("delta", "mats", 0, "entries"), lambda entries: 5),
+        "delta.mats[0]: 'entries' must be a list of [re, im] pairs",
+    ),
+    "entry of 400 digits": (
+        ["dilate-covariant", "--scenario", "SCENARIO"],
+        _with(Z2, SA + ("delta", "mats", 0, "entries", 0), lambda pair: [10**399, 0]),
+        "delta.mats[0]: entries[0] must be a pair of finite numbers",
+    ),
+    "u gamma on an explicit system": (
+        ["dilate-covariant", "--scenario", "SCENARIO"], _with(SYSTEM, ("objects", "u"), lambda u: "gamma"),
+        "ValidationError: u: 'gamma' needs a standard action",
+    ),
+    "u delta on an explicit system": (
+        ["dilate-covariant", "--scenario", "SCENARIO"], _with(SYSTEM, ("objects", "u"), lambda u: "delta"),
+        "ValidationError: u: 'delta' needs a standard action",
+    ),
+    "concrete on two blocks": (
+        ["dilate", "--scenario", "SCENARIO"],
+        _with(
+            _with(EXPLICIT, ("objects", "cp_map"), lambda cp_map: {"concrete": True}),
+            OBJECT_MODULE,
+            lambda module: {
+                "algebra": {"blocks": [1, 1]}, "dim": 1,
+                "action": {"shape": [1, 2, 1], "entries": [[1, 0], [0, 0]]},
+                "inner": {"shape": [1, 1, 2], "entries": [[1, 0], [0, 0]]},
+            },
+        ),
+        "ValidationError: concrete maps need a standard (single block) module",
+    ),
+    "concrete on a dim off the block": (
+        ["dilate", "--scenario", "SCENARIO"],
+        _with(
+            _with(EXPLICIT, ("objects", "cp_map"), lambda cp_map: {"concrete": True}),
+            OBJECT_MODULE,
+            lambda module: {
+                "algebra": {"blocks": [2]}, "dim": 3,
+                "action": {"shape": [3, 4, 3], "entries": [[0, 0]] * 36},
+                "inner": {"shape": [3, 3, 4], "entries": [[0, 0]] * 36},
+            },
+        ),
+        "ValidationError: module dimension is not a multiple of the block size",
+    ),
+    "images of two shapes": (
+        ["dilate", "--scenario", "SCENARIO"],
+        _with(
+            _with(EXPLICIT, ("objects", "cp_map", "images"), lambda images: {"0": ONE, "1": TWO}),
+            OBJECT_MODULE,
+            lambda module: {**module, "dim": 2, "action": ACTION, "inner": INNER},
+        ),
+        "ParseError: cp_map: images differ in shape",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REJECTED))
+def test_a_rejected_command_line_exits_two_with_one_line(tmp_path, capsys, monkeypatch, name):
+    """Each rejection exits 2 with one stderr line that names what is at fault, no traceback."""
+    argv, payload, message = REJECTED[name]
+    monkeypatch.chdir(tmp_path)
+    if payload is not None:
+        (tmp_path / "scenario.json").write_text(json.dumps(payload))
+    code = cli.main([str(tmp_path / "scenario.json") if arg == "SCENARIO" else arg for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" not in captured.err + captured.out
+    assert captured.err.count("\n") == 1 and message in captured.err
+
+
+def test_gen_without_out_writes_the_canonical_scenario_to_stdout(capsys):
+    code = cli.main(["gen", "--kind", "crossed", "--p", "1", "--n", "2", "--seed", "3", "--group", "cyclic:2"])
+    expected = cli.canonical_bytes(cli.generate_scenario("crossed", 1, 2, 1, 3, "cyclic:2")).decode()
+    assert code == 0 and capsys.readouterr().out == expected
