@@ -843,17 +843,17 @@ def _build_named_groups() -> None:
 
 @dataclass(frozen=True)
 class ModuleDynamicalSystem:
-    """Finite-group action on a module with the induced action on the algebra."""
+    """Finite-group action on a module with the induced action on the algebra, checked on its
+    stacks (``check_dynamical_system``) unless ``standard_action``, the one setter of gamma and
+    delta (so not ``dataclasses.replace``), built it: eta and alpha are then, bit for bit, the
+    krons of the read-only gamma and delta on ``standard_module(p, n)`` (``derived``)."""
 
     group: FiniteGroup
     module: HilbertModule
     eta: np.ndarray  # (g, m, m): action on X coordinates
     alpha: np.ndarray  # (g, N, N): induced automorphisms on A coordinates
-    gamma: UnitaryRep | None = None  # retained by standard_action
-    delta: UnitaryRep | None = None
-    # set by standard_action alone (so not by ``dataclasses.replace``): eta and alpha are then,
-    # bit for bit, the krons of the read-only gamma and delta on ``standard_module(p, n)``
-    standard: bool = field(default=False, init=False, repr=False, compare=False)
+    gamma: UnitaryRep | None = field(default=None, init=False)
+    delta: UnitaryRep | None = field(default=None, init=False)
 
     def __post_init__(self):  # read-only, as ``eta_rep``, ``alpha_rep`` and ``derived`` are cached
         eta, alpha = frozen(self.eta), frozen(self.alpha)
@@ -904,8 +904,8 @@ def standard_action(
     # row-major vec: vec(g x d*) = (g (x) conj(d)) vec(x)
     eta = nk.kron_stack(gamma.mats, np.conj(delta.mats))
     alpha = nk.kron_stack(delta.mats, np.conj(delta.mats))
-    system = ModuleDynamicalSystem(group, module, eta, alpha, gamma, delta)
-    object.__setattr__(system, "standard", True)
+    system = ModuleDynamicalSystem(group, module, eta, alpha)
+    vars(system).update(gamma=gamma, delta=delta)
     return system
 
 
@@ -948,8 +948,7 @@ def _kron_law(first: GroupLaw, second: GroupLaw, group: FiniteGroup, dims: tuple
 def derive_standard_action(sys: ModuleDynamicalSystem) -> DerivedAction | None:
     """The laws of eta and alpha and the ``action_report`` of ``x -> gamma_t x delta_t*``, from the
     ``group_law`` and ``check_unitary_rep`` of gamma and delta; no kernel runs on eta or alpha.
-    None (``check_dynamical_system`` runs) unless the system is ``standard``, every row is at most
-    ``exact_limit()`` and invertibility follows.
+    None (``check_dynamical_system`` runs) where gamma is None or a row exceeds ``exact_limit()``.
 
     With ``G_t = gamma_t* gamma_t - I`` and ``H_t = I - delta_t* delta_t``, on matrix units:
     ``<eta_t x, eta_t y> - alpha_t(<x, y>) = delta_t x* G_t y delta_t*`` (equivariance),
@@ -972,14 +971,10 @@ def derive_standard_action(sys: ModuleDynamicalSystem) -> DerivedAction | None:
     (``gamma_{2p+2n+8} M^2``), at most two products of eta or alpha (``gamma_{2e+4} (M +
     kappa)^2``), the stored krons in them (``kappa (2 M + kappa + 2)``) and the last subtraction
     (u times the row, inside the 8 u (M + kappa)^2 of slack): each row adds that sum, so it is
-    at least the dense all-t value.
-
-    ``sigma(eta_t) = sigma(gamma_t) sigma(delta_t)`` and ``||G_t|| <= p U_g``, so the Gram
-    eigenvalues of eta_t and alpha_t lie in ``[(1 - w)^2, (1 + w)^2]``, w = max(p, n)
-    max(U_g, U_d); every one is invertible where ``spectral_rank`` keeps half the lower end
-    against the upper, a margin far above the rounding of the krons, Grams and eigensolve.
+    at least the dense all-t value.  Invertibility is read off the law row as in
+    ``check_dynamical_system``, with d = e.
     """
-    if not sys.standard:
+    if sys.gamma is None:
         return None
     gamma, delta, group = sys.gamma, sys.delta, sys.group
     (p, n), lg, ld = (gamma.dim, delta.dim), gamma.law, delta.law
@@ -994,10 +989,9 @@ def derive_standard_action(sys: ModuleDynamicalSystem) -> DerivedAction | None:
     alpha_law = _kron_law(ld, ld, group, (n, n), kappa, ld.hom * (nd * nd + nd) + fl, ld.unit * (nd + 1) + fl)
     law = _largest([eta_law.hom, eta_law.unit, alpha_law.hom, alpha_law.unit])
     rows = [law, ug * nd * nd + fl, ud * ng * nd + fl, ud * nd * nd + fl, fl]
-    w = max(p, n) * max(ug, ud)
-    if not (w < 1 and _largest(rows) <= exact_limit() and nk.spectral_rank(np.array([(1 + w) ** 2, (1 - w) ** 2 / 2]))[0] == 2):
+    if not _largest(rows) <= exact_limit():
         return None
-    return DerivedAction(eta_law, alpha_law, DynamicalSystemReport(*rows, True))
+    return DerivedAction(eta_law, alpha_law, DynamicalSystemReport(*rows, 2 * e * law < 1))
 
 
 def algebra_action_residuals(algebra: cstar.CStarAlgebra, alpha: UnitaryRep) -> tuple[float, float, float]:
@@ -1038,15 +1032,20 @@ def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
     """The group laws, equivariance ``<eta_t x_i, eta_t x_j> = alpha_t(<x_i, x_j>)``,
     compatibility ``eta_t(x_i . E_k) = eta_t(x_i) . alpha_t(E_k)`` and
     ``algebra_action_residuals``, formed on the generators s and bounded on every t by
-    ``intertwining_bound``; invertibility is ``numerical_rank`` of every eta_t and alpha_t.
-    Equivariance and compatibility are one grouped GEMM per chunk of s each, from the
-    nonzeros of ``module.support``, read as [s, k, i, j] and [s, r, i, k]: sums over the live rows
+    ``intertwining_bound``.  Equivariance and compatibility are one grouped GEMM per chunk of s
+    each, from the nonzeros of ``module.support``, read as [s, k, i, j] and [s, r, i, k]: sums over the live rows
     (a, k) of inner of ``conj(eta_s[a, i]) (inner[a, :, k] @ eta_s)[j]`` and over the live
     columns (l, r) of action of ``(action[:, l, r] @ eta_s)[i] alpha_s[l, k]``, minus the
     targets where they can be nonzero: the values of the dense comparisons.
+
+    Invertibility is read off the law row, ``2 d law < 1`` for d = max(m, N): each entry of
+    ``m_t m_{t^-1} - I = (m_t m_{t^-1} - m_e) + (m_e - I)`` is at most hom + unit <= 2 law, so
+    its 2-norm is at most 2 d law, plus ``d gamma_d ||m_t|| ||m_{t^-1}||`` by which the stored
+    product rounds (4.6e-13 times the norms at d = 64).  Below 1 the product is invertible (a
+    Neumann series), so the square m_t is too.  A NaN or inf law is not invertible.
     """
     group, module, eta, alpha = sys.group, sys.module, sys.eta, sys.alpha
-    g, m, n_dim = group.order, module.dim, module.algebra.dim
+    m, n_dim = module.dim, module.algebra.dim
     alpha_law, auto_mult, auto_star = algebra_action_residuals(module.algebra, sys.alpha_rep)
     on_eta, on_alpha = sys.eta_rep.law.premises, sys.alpha_rep.law.premises
     law = max(sys.eta_rep.law.hom, sys.eta_rep.law.unit, alpha_law)
@@ -1071,13 +1070,12 @@ def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
         grid.reshape(len(grid), -1)[:, live_at] -= (eta[s] @ live_rows).reshape(len(grid), -1)
         return grid
 
-    ranks = [(nk.numerical_rank(eta[t]).rank, nk.numerical_rank(alpha[t]).rank) for t in range(g)]
-    item, invertible = m * m * n_dim, ranks == [(m, n_dim)] * g
+    item = m * m * n_dim
     return DynamicalSystemReport(
         law,
         _checked(group, on_alpha, on_eta.times(on_eta, group), [(item, equivariance)], nk.frobenius(sup.values)),
         _checked(group, on_eta, on_eta.times(on_alpha, group), [(item, compatibility)], nk.frobenius(sup.act_values)),
-        auto_mult, auto_star, invertible,
+        auto_mult, auto_star, 2 * max(m, n_dim) * law < 1,
     )
 
 
@@ -1119,17 +1117,13 @@ def induced_algebra_action(
 
     Requires the module to be full; the values on the spanning inner products
     determine each automorphism linearly.  Raises ``NotFullError`` when the
-    span is deficient and ``InconsistentError`` when the group law of ``eta``
-    fails, the linear system is inconsistent, or the solved maps are not
+    span is deficient and ``InconsistentError`` when the linear system is
+    inconsistent, the solved system's group law fails (eta's law is formed
+    once, by its ``check_dynamical_system``), or the solved maps are not
     *-automorphisms: any of those means ``eta`` is not a module action.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     g, m, n_dim = group.order, module.dim, module.algebra.dim
-
-    law = max(group_law(group, eta)[:2])  # hom and unit
-    if law > nk.PRECONDITION_TOL:
-        raise InconsistentError(f"eta violates the group law by {law:.3e}")
-
     require_full(module)
     # alpha_t^T solves flat @ x = <eta_t x_i, eta_t x_j>, projected by flat* per chunk of t
     flat, spans = module.inner.reshape(m * m, n_dim), nk.stack_spans(g, m * m * n_dim)
@@ -1145,6 +1139,8 @@ def induced_algebra_action(
         )
     alpha = np.swapaxes(solution, 1, 2)
     report = check_dynamical_system(ModuleDynamicalSystem(group, module, eta, alpha))
+    if report.group_law_residual > nk.PRECONDITION_TOL:
+        raise InconsistentError(f"the solved system violates the group law by {report.group_law_residual:.3e}")
     auto = max(report.automorphism_mult_residual, report.automorphism_star_residual)
     if auto > nk.PRECONDITION_TOL or not report.invertible:
         raise InconsistentError(

@@ -321,6 +321,22 @@ def twisted_scenario(family: str, size: int, p: int, n: int, amplification: int,
     return {"schema": 1, "kind": "dilate-covariant", "seed": seed, "objects": objects}
 
 
+def explicit_system_scenario(scenario: dict) -> dict:
+    """``scenario``, a payload of a standard action with u = delta (as ``twisted_scenario``
+    writes), with that system written as explicit stacks: ``{"standard_module": [p, n]}``,
+    eta and alpha, and u as delta's matrices; the map and u' are the same."""
+    system = cli.resolve_scenario(scenario, "standard").cov.system
+    action = scenario["objects"]["system"]["standard_action"]
+    explicit = {
+        "group": action["group"],
+        "module": {"standard_module": [system.gamma.dim, system.delta.dim]},
+        "eta": tensor_to_json(system.eta),
+        "alpha": tensor_to_json(system.alpha),
+    }
+    objects = {**scenario["objects"], "system": explicit, "u": unitary_rep_to_json(system.delta)}
+    return {**scenario, "objects": objects}
+
+
 # ---------------------------------------------------------------------------
 # Crossed products
 # ---------------------------------------------------------------------------

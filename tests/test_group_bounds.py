@@ -356,6 +356,60 @@ def test_the_twisted_payload_is_the_builders():
     assert nk.maxabs(alpha - alpha[group.inv]) > 0.1
 
 
+def _explicit_s3():
+    return json.loads((PAYLOADS / "explicit_system_s3.json").read_text())
+
+
+def test_the_explicit_s3_payload_is_the_twisted_one_written_out():
+    """``scenarios/explicit_system_s3.json`` is ``builders.explicit_system_scenario`` of the
+    twisted builder's scenario, up to the last bits of another LAPACK's Haar unitaries: the
+    twisted S3 system as eta and alpha stacks, u as delta's matrices, the same map and u'."""
+    committed = cli.resolve_scenario(_explicit_s3(), "committed").cov
+    built = builders.explicit_system_scenario(builders.twisted_scenario("symmetric", 3, 3, 3, 1, 5))
+    assert committed.system.gamma is None
+    for cov in (cli.resolve_scenario(built, "built").cov, _covariant("twisted S3")):
+        assert committed.system.group.same_as(cov.system.group)
+        for a, b in zip(
+            (committed.system.eta, committed.system.alpha, committed.u.mats, committed.u_prime.mats, committed.base.images),
+            (cov.system.eta, cov.system.alpha, cov.u.mats, cov.u_prime.mats, cov.base.images),
+        ):
+            assert nk.maxabs(a - b) <= 1e-12
+
+
+def test_the_explicit_s3_system_runs_as_every_kind(tmp_path):
+    """Every kind certifies the explicit S3 payload; ``verify``'s ``dynamical_system`` row is
+    at least its dense all-t value, and the invertibility read off the law is the dense rank
+    decision."""
+    for kind in cli.KINDS:
+        path = tmp_path / f"{kind}.json"
+        path.write_bytes(cli.canonical_bytes({**_explicit_s3(), "kind": kind}))
+        assert cli.main([kind, "--scenario", str(path), "--out", str(tmp_path / f"{kind}.cert.json")]) == 0
+    system = cli.resolve_scenario(_explicit_s3(), "explicit").cov.system
+    dense = ref.dynamical_system(system)
+    row = json.loads((tmp_path / "verify.cert.json").read_text())["residuals"]["dynamical_system"]
+    assert row >= max(dense[:-1])
+    assert system.action_report.invertible == dense[-1]
+
+
+@pytest.mark.parametrize("source", ["explicit S3", "S4"])
+def test_no_eigensolve_or_rank_runs_on_eta_or_alpha(monkeypatch, source):
+    """``check_dynamical_system`` on explicit stacks (the S3 payload, S4's Haar-conjugated
+    natural action) and ``derive_standard_action`` on the standard action they write out
+    reach neither the eigensolver nor a rank rule: invertibility is read off the law row."""
+    if source == "S4":
+        standard = hilbmod.standard_action(*_standard("S4"))
+    else:
+        standard = _covariant("twisted S3").system
+    explicit = hilbmod.ModuleDynamicalSystem(standard.group, standard.module, standard.eta, standard.alpha)
+    calls = collections.Counter()
+    for name in ("_descending_eigh", "spectral_rank", "numerical_rank"):
+        fn = getattr(nk, name)
+        monkeypatch.setattr(nk, name, lambda *args, fn=fn, name=name, **kwargs: calls.update([name]) or fn(*args, **kwargs))
+    report, derived = hilbmod.check_dynamical_system(explicit), hilbmod.derive_standard_action(standard)
+    assert not calls
+    assert report.invertible and derived.report.invertible
+
+
 def test_representations_and_systems_hold_read_only_matrices():
     """What the cached laws read cannot change under them: a representation and a
     system copy a writable stack they are given and keep it read-only."""
@@ -433,34 +487,34 @@ def test_a_standard_action_derives_its_rows_from_gamma_and_delta(source, where, 
 
 
 def test_gamma_times_1e200_keeps_the_exit_codes(tmp_path):
-    """The twisted payload with gamma scaled by 1e200 derives nothing and exits as it did
-    when its stacks were checked: ``dilate`` passes, every covariant kind refuses the input."""
+    """The twisted payload with gamma scaled by 1e200 derives nothing: ``dilate`` passes,
+    ``verify`` certifies the failing rows its stacks give (exit 1) and the other covariant
+    kinds refuse the input."""
     scenario = json.loads((PAYLOADS / "twisted_s3.json").read_text())
     for mat in scenario["objects"]["system"]["standard_action"]["gamma"]["mats"]:
         mat["entries"] = [[re * 1e200, im * 1e200] for re, im in mat["entries"]]
     for kind in cli.KINDS:
         path = tmp_path / f"{kind}.json"
         path.write_bytes(cli.canonical_bytes({**scenario, "kind": kind}))
-        assert cli.main([kind, "--scenario", str(path), "--out", str(tmp_path / "cert.json")]) == (kind != "dilate") * 2
+        code = {"dilate": 0, "verify": 1}.get(kind, 2)
+        assert cli.main([kind, "--scenario", str(path), "--out", str(tmp_path / "cert.json")]) == code
     system = cli.resolve_scenario(scenario, "scaled").cov.system
     with np.errstate(over="ignore", invalid="ignore"):
-        assert system.standard and system.derived is None
+        assert system.gamma is not None and system.derived is None
 
 
 @pytest.mark.parametrize("field", ["eta", "alpha"])
 def test_a_system_whose_gamma_and_delta_do_not_give_it_is_checked_on_its_stacks(field):
-    """``dataclasses.replace`` of a standard action, or the constructor given its gamma and
-    delta, makes a system that is not ``standard``: its report is ``check_dynamical_system``'s,
-    which sees a defect planted in the stack, where the derived rows could not."""
+    """``dataclasses.replace`` of a standard action makes a system without gamma and delta:
+    its report is ``check_dynamical_system``'s, which sees a defect planted in the stack,
+    where the derived rows could not."""
     system = _covariant("twisted S3").system
     planted = replace(system, **{field: _planted(getattr(system, field), _off_generators(system.group), 1e-6)})
-    built = hilbmod.ModuleDynamicalSystem(system.group, system.module, planted.eta, planted.alpha, system.gamma, system.delta)
-    assert system.standard and system.derived is not None
-    for other in (planted, built):
-        assert not other.standard and other.derived is None
-        assert other.action_report == hilbmod.check_dynamical_system(other)
-        assert other.action_report.max_residual > GATE
-        assert other.eta_rep.law.hom == hilbmod.group_law(other.group, other.eta).hom
+    assert system.gamma is not None and system.derived is not None
+    assert planted.gamma is None and planted.derived is None
+    assert planted.action_report == hilbmod.check_dynamical_system(planted)
+    assert planted.action_report.max_residual > GATE
+    assert planted.eta_rep.law.hom == hilbmod.group_law(planted.group, planted.eta).hom
 
 
 def test_a_crossed_run_forms_no_law_rank_or_system_check_on_eta_or_alpha(tmp_path, monkeypatch):

@@ -317,9 +317,9 @@ def _z2_system():
 @pytest.mark.parametrize("which", ["eta", "alpha"])
 @pytest.mark.parametrize("small", [0.0, 1e-7])
 def test_singular_eta_or_alpha_is_rejected(which, small):
-    """Invertibility is decided by the package's one rank rule: a singular value
-    of 1e-7 relative to the largest falls below its cutoff (eigenvalue ratio
-    1e-10 on the Gram), as an exact zero does."""
+    """Invertibility is read off the group law: a row of eta_1 or alpha_1 scaled by
+    1e-7, or by 0, leaves eta_1^2 or alpha_1^2 an entry near 1 off the identity, so
+    ``2 d law`` is far above 1."""
     system = _z2_system()
     assert hilbmod.check_dynamical_system(system).invertible
     eta, alpha = system.eta.copy(), system.alpha.copy()
@@ -980,9 +980,6 @@ def test_a_nan_covariance_defect_is_the_worst(tmp_path, capsys):
         ("dense_basis_21.json", "dilate", 1e160, ("module", "action")),
         # the fullness Gram of the module overflows
         ("dense_basis_21.json", "verify", 1e160, ("module", "inner")),
-        # the invertibility ranks of check_dynamical_system read overflowed Grams
-        ("explicit_system_c2.json", "verify", 1e155, ("system", "alpha")),
-        ("explicit_system_c2.json", "verify", 1e200, ("system", "eta")),
     ],
 )
 def test_an_overflowed_gram_is_refused_before_the_eigensolve(
@@ -993,6 +990,28 @@ def test_an_overflowed_gram_is_refused_before_the_eigensolve(
     code, err = _run(tmp_path, capsys, _overflowing(name, kind, factor, path))
     assert code == 2 and "Traceback" not in err
     assert "ComputeError: a matrix to eigensolve has a non-finite entry; the input overflows" in err
+
+
+@pytest.mark.parametrize("which, factor", [("eta", 1e200), ("alpha", 1e155)])
+def test_an_overflowing_action_keeps_each_kinds_contract(tmp_path, capsys, which, factor):
+    """No eigensolve runs on eta or alpha, so an action that overflows raises no
+    ``ComputeError``: ``dilate`` never reads it, the other covariant kinds refuse the
+    input map, and ``verify`` writes a complete certificate, exit 1, whose
+    ``dynamical_system`` row is ``Infinity`` and fails."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((PAYLOADS.parents[1] / "docs" / "certificate.schema.json").read_text())
+    for kind in cli.KINDS:
+        payload = _overflowing("explicit_system_c2.json", kind, factor, ("system", which))
+        code, err = _run(tmp_path, capsys, payload, extra=("--out", str(tmp_path / f"{kind}.json")))
+        assert "Traceback" not in err and "ComputeError" not in err
+        assert code == {"dilate": 0, "verify": 1}.get(kind, 2)
+        if kind not in ("dilate", "verify"):
+            assert "NotCovariantError: input map is not covariant" in err
+    text = (tmp_path / "verify.json").read_text()
+    assert '"dynamical_system":Infinity' in text
+    cert = json.loads(text)
+    assert not cert["checks"]["dynamical_system"]
+    jsonschema.validate(cert, schema)
 
 
 def test_verify_reports_an_overflow_inside_the_construction(tmp_path, capsys):
