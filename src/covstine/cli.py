@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__  # noqa: F401 (re-exported as cli.__version__)
-from . import cpmaps, crossed, cstar, hilbmod, stinespring
+from . import bounds, cpmaps, crossed, cstar, hilbmod, stinespring
 from . import numkernel as nk
 from .errors import (
     BoundsError,
@@ -644,7 +644,7 @@ def run_scenario(
         )
     started = time.monotonic()
     provenance = dict(scenario=os.path.basename(res.name), seed=res.seed, input_scale=res.scale)
-    with hilbmod.gated(res.tolerance):  # every verdict at the run's tolerance is exact
+    with bounds.gated(res.tolerance):  # every verdict at the run's tolerance is exact
         if res.kind in ("dilate", "dilate-covariant"):
             cert = _run_dilate(res, provenance, covariant=res.kind == "dilate-covariant")
         elif res.kind == "verify":

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import cpmaps, cstar, hilbmod, stinespring
+from . import bounds, cpmaps, cstar, hilbmod, stinespring
 from . import numkernel as nk
 from .cpmaps import CovariantCPMap, check_covariance  # noqa: F401 (bench/tests reads it here)
 from .errors import NotActionError, NotCovariantError, NotCovariantRepError, ShapeMismatchError
@@ -174,7 +174,9 @@ def build_crossed_module(
     """Assemble the crossed module over the crossed algebra of the system.
 
     The system's cached ``action_report`` covers the law, multiplicativity and
-    star residuals of alpha, so alpha is not checked a second time.
+    star residuals of alpha, so alpha is not checked a second time.  Invertibility is
+    checked beside them, unlike in ``induced_algebra_action``: ``tol`` is set by the
+    caller, so a law row that passes it need not give ``bounds.invertible``.
     """
     report = sys.action_report
     if report.max_residual > tol or not report.invertible:
@@ -191,67 +193,25 @@ class CrossedAxioms(NamedTuple):
 
 
 def axiom_rows(cm: CrossedModule) -> CrossedAxioms:
-    """The crossed axioms on every basis triple, bounded from rows the run already has.
-
-    Premises, entry bounds over every t (every pair): h of ``alpha_a alpha_b - alpha_ab``
-    (``alpha_rep.law``), mu of ``alpha_t(E_p E_q) - alpha_t(E_p) alpha_t(E_q)`` and sigma of
-    ``alpha_t(E_p)* - alpha_t(E_p*)`` (``action_report``), lambda of ``<x_i, x_j . E_q> -
-    <x_i, x_j> E_q`` and s of ``<x_i, x_j>* - <x_j, x_i>`` (``hilbmod.module_defects``).  With
-    |y| the largest coordinate of y and ||y||_1 their sum: a is alpha's largest entry, c and r
-    its largest column and row sums (``||alpha_t y||_1 <= c ||y||_1``, ``|alpha_t y| <= r
-    |y|``), beta the largest ``||<x_i, x_j>||_1``, iota its largest coordinate and kappa the
-    largest ``||x_j . E_q||_1``.  Block products give ``|x y| <= min(||x||_1 |y|, |x| ||y||_1)``,
-    ``||x y||_1 <= ||x||_1 ||y||_1`` and ``|E_k y| <= |y|``, and bilinearity ``|alpha_t(x y) -
-    alpha_t(x) alpha_t(y)| <= mu ||x||_1 ||y||_1``.  On basis elements, with b = alpha_r(E_n),
-    y = alpha_t(E_l)*, v = (tr)^-1, z = <x_i, x_j>, e = alpha_r(E_k) and w = t^-1, the slot
-    values of the defects split as:
-
-    - associativity: ``E_k [alpha_t(E_l b) - alpha_t(E_l) alpha_t(b)] + E_k alpha_t(E_l)
-      [alpha_t alpha_r - alpha_tr](E_n)``, at most ``c (mu + h)``;
-    - ``(f g)* = g* f*``: ``[alpha_v(y E_k*) - alpha_v(y) alpha_v(E_k*)] + [alpha_v(y -
-      alpha_t(E_l*)) + (alpha_v alpha_t - alpha_{r^-1})(E_l*)] alpha_v(E_k*) + alpha_{r^-1}(E_l*)
-      [alpha_v - alpha_{r^-1} alpha_w](E_k*)``, at most ``c (mu + r sigma + 2 h)``, which
-      covers associativity's;
-    - ``<xhat, yhat f> = <xhat, yhat> f``: ``alpha_w(<x_i, x_j . e> - z e) + [alpha_w(z e) -
-      alpha_w(z) alpha_w(e)] + alpha_w(z) [alpha_w alpha_r - alpha_{wr}](E_k)``, at most
-      ``c (r lambda + beta (mu + h))``;
-    - ``<xhat, yhat>* = <yhat, xhat>``: ``alpha_{r^-1 t}(alpha_w(z)* - alpha_w(z*)) +
-      [alpha_{r^-1 t} alpha_w - alpha_{r^-1}](z*) + alpha_{r^-1}(z* - <x_j, x_i>)``, at most
-      ``r s + beta (r sigma + h)``.
-
-    The unit (``alpha_e = I``, ``alpha_t(1) = 1``) and ``f** = f`` are exact on alpha, O(g N^3);
-    eta does not enter.  Rounding (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    SIAM 2002, §3.5; u = 2^-53): a complex sum of k products is within ``gamma_{k+2}`` times
-    the sum of their magnitudes, nested sums adding their k.  The sides of the dense forms are
-    such sums of at most 2N + m terms, of magnitude at most ``a c`` and ``a c^2`` (algebra),
-    ``a beta c kappa`` and ``a beta c`` (module axiom), ``a beta c`` and ``a beta`` (symmetry);
-    the premises' kernels are exact up to ``gamma_{N+2} a c`` (mu, h), ``2 u a`` (sigma),
-    ``gamma_{m+2} iota kappa`` (lambda) and ``2 u iota`` (s), each times its factor above.
-    Summed, the algebra row adds ``2 gamma_{2N+8} a c (1 + 2c + r)`` and the module row
-    ``gamma_{2N+m+8} (c kappa (a beta + r iota) + a beta (1 + 3c + 2c^2 + 2r) + 2 r iota)``,
-    so each row is at least the dense value.
-
-    Fullness: the crossed inner products at slot s sit in the rows (t, i, ts, j), disjoint
-    across s, and equivariance makes ``span <X, X>`` alpha-invariant, so the rank is g times
-    the module's (``fullness_factor``).
-    """
+    """The crossed axioms on every basis triple: ``bounds.crossed_axioms`` of the run's rows and the
+    maxima of alpha and the support, and the unit (``alpha_e = I``, ``alpha_t(1) = 1``) and ``f**
+    = f``, exact on alpha, O(g N^3).  Fullness: the crossed inner products at slot s sit in the
+    rows (t, i, ts, j), disjoint across s, and equivariance makes ``span <X, X>`` alpha-invariant,
+    so the rank is g times the module's (``fullness_factor``)."""
     sys, module = cm.system, cm.module
     group, algebra, alpha, sup = sys.group, module.algebra, sys.alpha, module.support
     n, m, report, h = algebra.dim, module.dim, sys.action_report, sys.alpha_rep.law.hom
-    mu, sigma = report.automorphism_mult_residual, report.automorphism_star_residual
-    (linearity, symmetry), magnitudes, values = hilbmod.module_defects(module), np.abs(alpha), np.abs(sup.values)
+    magnitudes, values = np.abs(alpha), np.abs(sup.values)
     a, c, r = magnitudes.max(), magnitudes.sum(axis=1).max(), magnitudes.sum(axis=2).max()
     beta = np.bincount(sup.i * m + sup.j, weights=values).max(initial=0.0)
     kappa = np.bincount(sup.act[0] * n + sup.act[1], weights=np.abs(sup.act_values)).max(initial=0.0)
-    iota = values.max(initial=0.0)
+    action = h, report.automorphism_mult_residual, report.automorphism_star_residual
+    sizes = a, c, r, beta, values.max(initial=0.0), kappa
+    algebra_row, module_row = bounds.crossed_axioms(action, hilbmod.module_defects(module), sizes, (n, m))
 
     star, eye, unit = alpha[:, :, cstar.star_permutation(algebra)], nk.eye(n), cstar.unit_coords(algebra)
     involutive = nk.maxabs(star @ np.conj(star[group.inv]) - eye)
     unital = max(nk.maxabs(alpha[group.identity] - eye), nk.maxabs(alpha @ unit - unit))
-    algebra_row = c * (mu + r * sigma + 2 * h) + 2 * hilbmod.higham(2 * n + 8) * a * c * (1 + 2 * c + r)
-    sizes = c * kappa * (a * beta + r * iota) + a * beta * (1 + 3 * c + 2 * c * c + 2 * r) + 2 * r * iota
-    module_row = max(c * (r * linearity + beta * (mu + h)), r * symmetry + beta * (r * sigma + h))
-    module_row += hilbmod.higham(2 * n + m + 8) * sizes
     fullness = (group.order * module.fullness_factor.rank, cm.algebra.dim)
     return CrossedAxioms(max(algebra_row, involutive, unital), module_row, fullness)
 

@@ -12,8 +12,6 @@ Maps on a module, representations among them, are ``cpmaps.ModuleCPMap``s.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -22,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import cstar
+from . import bounds, cstar
 from . import numkernel as nk
 from .errors import (
     GroupMismatchError,
@@ -527,7 +525,7 @@ class UnitaryRep:
         object.__setattr__(self, "mats", mats)
 
     @cached_property
-    def law(self) -> "GroupLaw":  # computed once
+    def law(self) -> bounds.GroupLaw:  # computed once
         return group_law(self.group, self.mats)
 
 
@@ -535,36 +533,6 @@ class UnitaryRepReport(NamedTuple):
     hom_residual: float  # u_s u_t = u_{st}
     unit_residual: float  # u_e = I
     unitary_residual: float  # u_t* u_t = I
-
-
-class Premises(NamedTuple):
-    """Operator-norm bounds ``intertwining_bound`` reads of a map t -> m_t, as scalars:
-    ``gains[k] >= ||m_s||`` for s the k-th generator, ``edges[i] >= ||m_s m_t' - m_t||`` on
-    the i-th edge (t, k, t') of ``group.tree``, ``unit >= ||m_e - I||`` and ``norms[t] >= ||m_t||``."""
-
-    gains: list
-    edges: list
-    unit: float
-    norms: list
-
-    def times(self, other: "Premises", group: FiniteGroup) -> "Premises":
-        """The premises of ``m_t (x) n_t``, or of any map with the product norm, such as
-        ``Y -> m_t Y n_t*``: with ``m_s m_t' = m_t + E`` and ``n_s n_t' = n_t + F`` on an
-        edge, ``(m_t + E) (x) (n_t + F) - m_t (x) n_t = E (x) (n_t + F) + m_t (x) F``."""
-        m, n, edges = self.norms, other.norms, zip(group.tree.edges, self.edges, other.edges)
-        return Premises(
-            [a * b for a, b in zip(self.gains, other.gains)],
-            [e * (n[t] + f) + m[t] * f for (t, _, _), e, f in edges],
-            self.unit + other.unit + self.unit * other.unit,
-            [a * b for a, b in zip(m, n)],
-        )
-
-
-class GroupLaw(NamedTuple):
-    hom: float  # bounded on every pair, exact above exact_limit()
-    unit: float
-    unitarity: tuple  # (worst, norms) of m_s* m_s - I on the generators
-    premises: Premises
 
 
 def edge_defects(group: FiniteGroup, mats: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -580,124 +548,30 @@ def _unitarity_defects(mats: np.ndarray, s: np.ndarray) -> np.ndarray:  # m_s* m
     return np.conj(mats[s]).transpose(0, 2, 1) @ mats[s] - nk.eye(mats.shape[1])
 
 
-def group_law(group: FiniteGroup, mats: np.ndarray) -> GroupLaw:
-    """The group law of ``mats``, one square matrix m_t per element, read on the generators.
-
-    The ``edge_defects`` are formed for s in S, a chunk of s at a time; so are ``m_s* m_s -
-    I`` and ``m_e - I``.  Their Frobenius norms eps, rho_s and u are the ``Premises``:
-    ``||m_s||^2 = ||m_s* m_s|| <= 1 + rho_s``, and down the tree ``||m_e|| <= 1 + u`` and
-    ``||m_t|| <= ||m_s|| ||m_t'|| + eps_{s,t'}``.  With a = s a', ``m_a m_b - m_ab = m_s
-    (m_a' m_b - m_a'b) - (m_s m_a' - m_a) m_b + (m_s m_a'b - m_ab)``, so every pair's
-    defect is at most ``D_a <= ||m_s|| D_a' + eps_{s,a'} M + max_b eps_{s,b}``, from ``D_e
-    = u M``, M the largest norm (``exact_above`` replaces a bound above its limit by the
-    worst of every pair).  The unit row ``|m_e - I|`` is exact.
-    """
+def group_law(group: FiniteGroup, mats: np.ndarray) -> bounds.GroupLaw:
+    """The group law of ``mats``, one square matrix m_t per element, read on the generators:
+    ``bounds.group_law`` of the ``edge_defects`` and ``m_s* m_s - I`` for s in S, formed a chunk
+    of s at a time, with their Frobenius norms eps and rho, and of ``m_e - I``."""
     g, d = mats.shape[:2]
-    hom, eps, unitary, rho, edges = 0.0, [], 0.0, [], group.tree.edges
+    hom, eps, unitary, rho = 0.0, [], 0.0, []
     for span in nk.stack_spans(len(group.tree.generators), (g + 1) * d * d):
         s = group.tree.generators[span]
         grid, square = np.abs(edge_defects(group, mats, s)), np.abs(_unitarity_defects(mats, s))
         hom, unitary = max(hom, nk.maxabs(grid)), max(unitary, nk.maxabs(square))
         eps += np.sqrt(np.square(grid, out=grid).sum(axis=(1, 3))).tolist()  # [k][t]: eps_{s,t}
         rho += np.sqrt(np.square(square, out=square).sum(axis=(1, 2))).tolist()
-    unit = mats[group.identity] - nk.eye(d)
-    u, gains, steps = nk.frobenius(unit), [math.sqrt(1 + r) for r in rho], [eps[k][up] for _, k, up in edges]
-    premises = Premises(gains, steps, u, _down_tree(group, 1 + u, gains, steps))
-    most, widest = max(premises.norms), [max(row) for row in eps]
-    pairs = _down_tree(group, u * most, gains, [eps[k][up] * most + widest[k] for _, k, up in edges])
-    hom = exact_above(group, max(hom, _largest(pairs)), [(g * d * d, lambda s: edge_defects(group, mats, s))])
-    return GroupLaw(hom, nk.maxabs(unit), (unitary, rho), premises)
+    unit, kernel = mats[group.identity] - nk.eye(d), (g * d * d, lambda s: edge_defects(group, mats, s))
+    return bounds.group_law(group, (hom, eps), (unitary, rho), (nk.maxabs(unit), nk.frobenius(unit)), [kernel])
 
 
 def check_unitary_rep(rep: UnitaryRep) -> UnitaryRepReport:
-    """The group law and unitarity of a representation, bounded on every pair and t: the
-    latter is ``X - X R_t`` for ``X = I`` and ``R_t: Y -> u_t* Y u_t``, an ``intertwining_bound``."""
+    """The group law and unitarity of a representation, bounded on every pair and t, the latter
+    from the unitarity defects on S that ``group_law`` formed."""
     law, group, on = rep.law, rep.group, rep.law.premises
-    same = Premises([1.0] * len(group.tree.generators), [0.0] * len(group.tree.edges), 0.0, [1.0] * group.order)
-    unitary = intertwining_bound(group, same, on.times(on, group), law.unitarity, math.sqrt(rep.dim))
-    unitary = exact_above(group, unitary, [(rep.dim**2, lambda t: _unitarity_defects(rep.mats, t))])
+    same = bounds.Premises([1.0] * len(group.tree.generators), [0.0] * len(group.tree.edges), 0.0, [1.0] * group.order)
+    kernel = (rep.dim**2, lambda t: _unitarity_defects(rep.mats, t))
+    unitary = bounds.bounded(group, same, on.times(on, group), law.unitarity, math.sqrt(rep.dim), [kernel])
     return UnitaryRepReport(law.hom, law.unit, unitary)
-
-
-# A bound is reported up to a tenth of the default gate; above, the row is its exact worst over
-# every t, so a verdict at a tolerance of BOUND_TOL or more is exact, though the gains ||m_s||
-# compound along words (a module basis of condition 180 bounds eta's law by 6e-4, 2e-13 exact).
-BOUND_TOL = 0.1 * nk.RESIDUAL_TOL
-_tolerance = contextvars.ContextVar("tolerance", default=nk.RESIDUAL_TOL)
-
-
-@contextlib.contextmanager
-def gated(tolerance: float):
-    """Inside, a bound is reported up to ``exact_limit()``, a tenth of ``tolerance`` and at most
-    BOUND_TOL, so every verdict at ``tolerance`` is exact; at the default gate nothing changes."""
-    token = _tolerance.set(tolerance)
-    try:
-        yield
-    finally:
-        _tolerance.reset(token)
-
-
-def exact_limit() -> float:  # min(BOUND_TOL, tolerance / 10), as BOUND_TOL is a tenth of the gate
-    return BOUND_TOL * min(1.0, _tolerance.get() / nk.RESIDUAL_TOL)
-
-
-def exact_above(group: FiniteGroup, bound: float, kernels: list) -> float:
-    """``bound`` where it is at most ``exact_limit()``, else the exact worst of the ``kernels``
-    (as ``_checked`` reads them) over every t."""
-    if bound <= exact_limit():
-        return bound
-    every = np.arange(group.order)
-    return max(nk.stack_max(group.order, entries, lambda span: defects(every[span])) for entries, defects in kernels)
-
-
-def _largest(values: list) -> float:  # inf where one is NaN: a NaN or inf premise
-    return math.inf if any(v != v for v in values) else max(values)
-
-
-def _down_tree(group: FiniteGroup, start: float, gains: list, steps: list) -> list:
-    """``x[e] = start`` and ``x[t] = gains[k] x[t'] + steps[i]`` on the i-th edge (t, k, t')
-    of ``group.tree``: scalar arithmetic, one step per element."""
-    x = [start] * group.order
-    for (t, k, up), step in zip(group.tree.edges, steps):
-        x[t] = gains[k] * x[up] + step
-    return x
-
-
-def intertwining_bound(group: FiniteGroup, left: Premises, right: Premises, defects: tuple, size: float) -> float:
-    """Bound on the worst entry of ``D_t = L_t X - X R_t`` over every t, from ``defects``,
-    the ``(worst, norms)`` of D_s on the generators (``_checked``), and ``||X|| = size``.
-
-    Each identity checked on the generators has this form, L and R homomorphisms:
-    covariance (X the images, R the transport, L ``Y -> u'_t Y u_t*``), intertwining,
-    equivariance (X the inner tensor, L alpha, R ``conj(eta) (x) eta``), compatibility
-    (X the action, L eta, R ``eta (x) alpha``), multiplicativity (X the n_b^3 structure
-    constants, L alpha, R ``alpha (x) alpha``), the star (X the star permutation, L and
-    R alpha) and unitarity (``check_unitary_rep``).  On the edge into t = s t', with
-    ``L_s L_t' = L_t + E`` and ``R_s R_t' = R_t + F``,
-
-        D_t = L_s D_t' + D_s R_t' - E X + X F,
-
-    so in Frobenius norms ``||D_t|| <= ||L_s|| ||D_t'|| + ||D_s|| ||R_t'|| + (||E|| + ||F||) size``
-    from ``D_e = (L_e - I) X - X (R_e - I)``, ``||D_e|| <= (u_L + u_R) size``.  No entry
-    exceeds the Frobenius norm; the exact worst on S is kept where rounding puts the
-    bound below it.  The bound is 0 when every premise is, and inf when one is inf or NaN.
-    """
-    (worst, norms), edges = defects, zip(group.tree.edges, left.edges, right.edges)
-    steps = [norms[k] * right.norms[up] + size * (e + f) for (_, k, up), e, f in edges]
-    return max(worst, _largest(_down_tree(group, size * (left.unit + right.unit), left.gains, steps)))
-
-
-def _checked(group: FiniteGroup, left: Premises, right: Premises, kernels: list, size: float) -> float:
-    """``intertwining_bound`` of D_s on the generators, or ``exact_above`` it: ``kernels`` are
-    ``(item_entries, defects)`` pairs, ``defects(s)`` one part of D_s for an index array s."""
-    generators, worst = group.tree.generators, 0.0
-    squares = np.zeros(len(generators))  # of the Frobenius norm of each D_s
-    for entries, defects in kernels:
-        for span in nk.stack_spans(len(generators), entries):
-            magnitudes = np.abs(defects(generators[span])).reshape(span.stop - span.start, -1)
-            worst, squares[span] = max(worst, nk.maxabs(magnitudes)), squares[span] + np.square(magnitudes).sum(axis=1)
-    bound = intertwining_bound(group, left, right, (worst, np.sqrt(squares).tolist()), size)
-    return exact_above(group, bound, kernels)
 
 
 def intertwining_defects(left: UnitaryRep, x: np.ndarray, right: UnitaryRep) -> np.ndarray:
@@ -709,9 +583,9 @@ def intertwining_defects(left: UnitaryRep, x: np.ndarray, right: UnitaryRep) -> 
 
 def intertwining_residual(left: UnitaryRep, x: np.ndarray, right: UnitaryRep) -> float:
     """Worst ``|left_t X - X right_t|`` over the group, formed on the generators and
-    bounded by ``intertwining_bound``; 0 when X intertwines."""
+    bounded by ``bounds.intertwining_bound``; 0 when X intertwines."""
     kernel = (x.size, lambda t: left.mats[t] @ x - x @ right.mats[t])
-    return _checked(left.group, left.law.premises, right.law.premises, [kernel], nk.frobenius(x))
+    return bounds.checked(left.group, left.law.premises, right.law.premises, [kernel], nk.frobenius(x))
 
 
 def covariance_defect(
@@ -721,8 +595,7 @@ def covariance_defect(
 
     This is ``Phi(eta_t x) = u'_t Phi(x) u_t*`` for module maps and
     ``phi(alpha_t a) = u_t phi(a) u_t*`` for algebra maps, on basis images, formed
-    on the generators, one chunk at a time, and bounded on every t by
-    ``intertwining_bound`` (X the images, R the transport, L ``Y -> left_t Y right_t*``).
+    on the generators, one chunk at a time, and bounded on every t by ``bounds.intertwining_bound``.
     """
     flat = images.reshape(len(images), math.prod(images.shape[1:]))
 
@@ -733,7 +606,7 @@ def covariance_defect(
         return transported - left.mats[t, None] @ images @ star_right[:, None]
 
     group, sides = transport.group, left.law.premises.times(right.law.premises, transport.group)
-    return _checked(group, sides, transport.law.premises, [(images.size, defects)], nk.frobenius(images))
+    return bounds.checked(group, sides, transport.law.premises, [(images.size, defects)], nk.frobenius(images))
 
 
 def trivial_rep(group: FiniteGroup, dim: int = 1) -> UnitaryRep:
@@ -922,83 +795,30 @@ class DynamicalSystemReport(NamedTuple):
         return max(self[:-1])  # every field before invertible
 
 
-def higham(k: int, u: float = 2.0**-53) -> float:  # gamma_k of k roundings to unit u (Higham §3.1)
-    return k * u / (1 - k * u)
-
-
 class DerivedAction(NamedTuple):  # what ``derive_standard_action`` derives of a standard action
-    eta_law: GroupLaw
-    alpha_law: GroupLaw
+    eta_law: bounds.GroupLaw
+    alpha_law: bounds.GroupLaw
     report: DynamicalSystemReport
 
 
-def _kron_law(first: GroupLaw, second: GroupLaw, group: FiniteGroup, dims: tuple, kappa: float, hom: float, unit: float) -> GroupLaw:
-    """The law of stored krons ``m^_t = m_t (x) conj(n_t) + K_t``, ``||K_t|| <= kappa``, with the
-    rows ``hom`` and ``unit``: ``Premises.times`` with each norm and gain widened by kappa and
-    each edge by ``m_s K_t' + K_s m^_t' - K_t``; on S, ``m^_s* m^_s - I = (A - I) (x) conj(B) +
-    I (x) conj(B - I)`` for ``A = m_s* m_s``, ``B = n_s* n_s``, plus ``m^* m^ - m* m``."""
-    on, (wm, rm), (wn, rn) = first.premises.times(second.premises, group), first.unitarity, second.unitarity
-    norms = [x + kappa for x in on.norms]
-    edges = [e + kappa * (norms[up] + on.gains[k] + 1) for (_, k, up), e in zip(group.tree.edges, on.edges)]
-    rho = [a * (math.sqrt(dims[1]) + b) + math.sqrt(dims[0]) * b + kappa * (2 * s + kappa) for a, b, s in zip(rm, rn, on.gains)]
-    premises = Premises([x + kappa for x in on.gains], edges, on.unit + kappa, norms)
-    return GroupLaw(hom, unit, (wm * (1 + wn) + wn, rho), premises)
-
-
 def derive_standard_action(sys: ModuleDynamicalSystem) -> DerivedAction | None:
-    """The laws of eta and alpha and the ``action_report`` of ``x -> gamma_t x delta_t*``, from the
-    ``group_law`` and ``check_unitary_rep`` of gamma and delta; no kernel runs on eta or alpha.
-    None (``check_dynamical_system`` runs) where gamma is None or a row exceeds ``exact_limit()``.
-
-    With ``G_t = gamma_t* gamma_t - I`` and ``H_t = I - delta_t* delta_t``, on matrix units:
-    ``<eta_t x, eta_t y> - alpha_t(<x, y>) = delta_t x* G_t y delta_t*`` (equivariance),
-    ``eta_t(x a) - eta_t(x) alpha_t(a) = gamma_t x H_t a delta_t*`` (compatibility),
-    ``alpha_t(a b) - alpha_t(a) alpha_t(b) = delta_t a H_t b delta_t*`` and an exact star.  Each
-    entry is one entry of G_t or H_t times two entries of gamma_t or delta_t, so at most
-    ``U_g N_d^2``, ``U_d N_g N_d`` and ``U_d N_d^2``: U the unitarity rows (entry bounds on every
-    t), N >= ||m_t|| the premises' norms.  With E, F the law defects of gamma and delta,
-    ``eta_a eta_b - eta_ab = E (x) conj(delta_a delta_b) + gamma_ab (x) conj(F)``: at most
-    ``H_g N_d^2 + N_g H_d``, alpha's ``H_d (N_d^2 + N_d)``, the units ``u_g N_d + u_d`` and
-    ``u_d (N_d + 1)`` (``_kron_law``).
-
-    Rounding (N. J. Higham, *Accuracy and Stability of Numerical Algorithms*, SIAM 2002, §3.5-3.6;
-    gamma_k = k u / (1 - k u), u = 2^-53, or 0 where every entry part is 0 or +-1, so that
-    nothing rounds): a stored kron entry is one complex product, within sqrt(2) gamma_2 of it
-    relative, so within ``kappa = sqrt(2 e) gamma_2 M`` in the 2-norm (e = max(p n, n^2), M =
-    max(1, N)^2 >= ||eta_t||, ||alpha_t||); a complex product of length k is within
-    ``gamma_{k+2} |A| |B|``, whose entries are at most the 2-norms of the rows and columns of A
-    and B.  So the dense forms leave the identities by the kernels of gamma and delta
-    (``gamma_{2p+2n+8} M^2``), at most two products of eta or alpha (``gamma_{2e+4} (M +
-    kappa)^2``), the stored krons in them (``kappa (2 M + kappa + 2)``) and the last subtraction
-    (u times the row, inside the 8 u (M + kappa)^2 of slack): each row adds that sum, so it is
-    at least the dense all-t value.  Invertibility is read off the law row as in
-    ``check_dynamical_system``, with d = e.
-    """
+    """``bounds.standard_action`` of the ``group_law`` and ``check_unitary_rep`` of gamma and
+    delta, with ``DynamicalSystemReport`` rows; no kernel runs on eta or alpha.  None
+    (``check_dynamical_system`` runs) where gamma is None or a row exceeds the limit."""
     if sys.gamma is None:
         return None
-    gamma, delta, group = sys.gamma, sys.delta, sys.group
-    (p, n), lg, ld = (gamma.dim, delta.dim), gamma.law, delta.law
-    ug, ud = check_unitary_rep(gamma).unitary_residual, check_unitary_rep(delta).unitary_residual
+    gamma, delta = sys.gamma, sys.delta
+    unitarity = check_unitary_rep(gamma).unitary_residual, check_unitary_rep(delta).unitary_residual
     u = 0.0 if all(np.isin(m.view(np.float64), (-1.0, 0.0, 1.0)).all() for m in (gamma.mats, delta.mats)) else 2.0**-53
-    ng, nd, e = _largest(lg.premises.norms), _largest(ld.premises.norms), max(p * n, n * n)
-    top = _largest([1.0, ng, nd])
-    big = top * top
-    kappa = math.sqrt(2 * e) * higham(2, u) * big
-    fl = higham(2 * p + 2 * n + 8, u) * big * big + higham(2 * e + 12, u) * (big + kappa) * (big + kappa) + kappa * (2 * big + kappa + 2)
-    eta_law = _kron_law(lg, ld, group, (p, n), kappa, lg.hom * nd * nd + ng * ld.hom + fl, lg.unit * nd + ld.unit + fl)
-    alpha_law = _kron_law(ld, ld, group, (n, n), kappa, ld.hom * (nd * nd + nd) + fl, ld.unit * (nd + 1) + fl)
-    law = _largest([eta_law.hom, eta_law.unit, alpha_law.hom, alpha_law.unit])
-    rows = [law, ug * nd * nd + fl, ud * ng * nd + fl, ud * nd * nd + fl, fl]
-    if not _largest(rows) <= exact_limit():
-        return None
-    return DerivedAction(eta_law, alpha_law, DynamicalSystemReport(*rows, 2 * e * law < 1))
+    derived = bounds.standard_action(sys.group, gamma.law, delta.law, unitarity, (gamma.dim, delta.dim), u)
+    return None if derived is None else DerivedAction(*derived[:2], DynamicalSystemReport(*derived[2]))
 
 
 def algebra_action_residuals(algebra: cstar.CStarAlgebra, alpha: UnitaryRep) -> tuple[float, float, float]:
     """``(law, mult, star)`` residuals of ``alpha`` as a *-automorphism action: its
     ``group_law`` (unit included), ``alpha_t(E_k E_l) = alpha_t(E_k) alpha_t(E_l)`` and
     the commutation with the involution, formed on the generators s and bounded on every
-    t by ``intertwining_bound``.  For each block of size n a chunk of s is one GEMM of the
+    t by ``bounds.intertwining_bound``.  For each block of size n a chunk of s is one GEMM of the
     (N n, n) rows of the images' blocks against their (n, N n) columns, read as [s, k, row,
     l, col]; ``alpha_s(E_k E_l)`` is subtracted only at the sum of n_b^3 pairs where
     ``E_k E_l = E_m`` is not 0, a gather of ``alpha_s(E_m)``.
@@ -1023,8 +843,8 @@ def algebra_action_residuals(algebra: cstar.CStarAlgebra, alpha: UnitaryRep) -> 
     star = (dim * dim, lambda s: mats[s][:, :, perm] - np.conj(mats[s][:, perm, :]))
     return (
         max(law.hom, law.unit),
-        _checked(group, on, on.times(on, group), kernels, math.sqrt(len(k))),
-        _checked(group, on, on, [star], math.sqrt(dim)),
+        bounds.checked(group, on, on.times(on, group), kernels, math.sqrt(len(k))),
+        bounds.checked(group, on, on, [star], math.sqrt(dim)),
     )
 
 
@@ -1032,17 +852,12 @@ def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
     """The group laws, equivariance ``<eta_t x_i, eta_t x_j> = alpha_t(<x_i, x_j>)``,
     compatibility ``eta_t(x_i . E_k) = eta_t(x_i) . alpha_t(E_k)`` and
     ``algebra_action_residuals``, formed on the generators s and bounded on every t by
-    ``intertwining_bound``.  Equivariance and compatibility are one grouped GEMM per chunk of s
+    ``bounds.intertwining_bound``.  Equivariance and compatibility are one grouped GEMM per chunk of s
     each, from the nonzeros of ``module.support``, read as [s, k, i, j] and [s, r, i, k]: sums over the live rows
     (a, k) of inner of ``conj(eta_s[a, i]) (inner[a, :, k] @ eta_s)[j]`` and over the live
     columns (l, r) of action of ``(action[:, l, r] @ eta_s)[i] alpha_s[l, k]``, minus the
-    targets where they can be nonzero: the values of the dense comparisons.
-
-    Invertibility is read off the law row, ``2 d law < 1`` for d = max(m, N): each entry of
-    ``m_t m_{t^-1} - I = (m_t m_{t^-1} - m_e) + (m_e - I)`` is at most hom + unit <= 2 law, so
-    its 2-norm is at most 2 d law, plus ``d gamma_d ||m_t|| ||m_{t^-1}||`` by which the stored
-    product rounds (4.6e-13 times the norms at d = 64).  Below 1 the product is invertible (a
-    Neumann series), so the square m_t is too.  A NaN or inf law is not invertible.
+    targets where they can be nonzero: the values of the dense comparisons.  Invertibility is
+    read off the law row, ``bounds.invertible`` with d = max(m, N).
     """
     group, module, eta, alpha = sys.group, sys.module, sys.eta, sys.alpha
     m, n_dim = module.dim, module.algebra.dim
@@ -1073,9 +888,9 @@ def check_dynamical_system(sys: ModuleDynamicalSystem) -> DynamicalSystemReport:
     item = m * m * n_dim
     return DynamicalSystemReport(
         law,
-        _checked(group, on_alpha, on_eta.times(on_eta, group), [(item, equivariance)], nk.frobenius(sup.values)),
-        _checked(group, on_eta, on_eta.times(on_alpha, group), [(item, compatibility)], nk.frobenius(sup.act_values)),
-        auto_mult, auto_star, 2 * max(m, n_dim) * law < 1,
+        bounds.checked(group, on_alpha, on_eta.times(on_eta, group), [(item, equivariance)], nk.frobenius(sup.values)),
+        bounds.checked(group, on_eta, on_eta.times(on_alpha, group), [(item, compatibility)], nk.frobenius(sup.act_values)),
+        auto_mult, auto_star, bounds.invertible(law, max(m, n_dim)),
     )
 
 
@@ -1120,7 +935,8 @@ def induced_algebra_action(
     span is deficient and ``InconsistentError`` when the linear system is
     inconsistent, the solved system's group law fails (eta's law is formed
     once, by its ``check_dynamical_system``), or the solved maps are not
-    *-automorphisms: any of those means ``eta`` is not a module action.
+    *-automorphisms: any of those means ``eta`` is not a module action.  The law gate
+    makes the system invertible (``bounds.invertible``) for every d = max(m, N) below 5e7.
     """
     eta = np.asarray(eta, dtype=np.complex128)
     g, m, n_dim = group.order, module.dim, module.algebra.dim
@@ -1142,7 +958,7 @@ def induced_algebra_action(
     if report.group_law_residual > nk.PRECONDITION_TOL:
         raise InconsistentError(f"the solved system violates the group law by {report.group_law_residual:.3e}")
     auto = max(report.automorphism_mult_residual, report.automorphism_star_residual)
-    if auto > nk.PRECONDITION_TOL or not report.invertible:
+    if auto > nk.PRECONDITION_TOL:
         raise InconsistentError(
             f"solved maps are not *-automorphisms (residual {auto:.3e})"
         )

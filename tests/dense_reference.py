@@ -71,7 +71,7 @@ from types import SimpleNamespace
 import numpy as np
 
 import builders
-from covstine import cpmaps, crossed, cstar, hilbmod, stinespring
+from covstine import bounds, cpmaps, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from covstine.errors import NotIntertwiningError, QuotientLeakError
 
@@ -468,11 +468,11 @@ def check_intertwiners(rep_v, rep_w, v, w, u, u_prime):
 
 
 def generators_only(monkeypatch):
-    """Switch the package's bound off: with ``hilbmod._down_tree`` at 0 and no bound
+    """Switch the package's bound off: with ``bounds._down_tree`` at 0 and no bound
     replaced by the exact worst over every t, each group-indexed row is its kernel's
     worst on the generators, which the forms here give on ``at = group.tree.generators``."""
-    monkeypatch.setattr(hilbmod, "_down_tree", lambda group, *_: np.zeros(group.order))
-    monkeypatch.setattr(hilbmod, "BOUND_TOL", np.inf)
+    monkeypatch.setattr(bounds, "_down_tree", lambda group, *_: np.zeros(group.order))
+    monkeypatch.setattr(bounds, "BOUND_TOL", np.inf)
 
 
 def _elements(group, at):

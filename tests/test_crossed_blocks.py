@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 import builders
-from covstine import cli, crossed, cstar, hilbmod, stinespring
+from covstine import bounds, cli, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from covstine.errors import NotActionError
 from dense_reference import (
@@ -162,8 +162,8 @@ def test_derived_rows_bound_the_exhaustive_checks():
     system = _twisted(3)
     for sys_ in (system, _with(system)):
         rows, algebra, module = _rows_and_dense(sys_)
-        assert algebra <= rows.algebra_residual <= hilbmod.BOUND_TOL
-        assert module <= rows.module_residual <= hilbmod.BOUND_TOL
+        assert algebra <= rows.algebra_residual <= bounds.BOUND_TOL
+        assert module <= rows.module_residual <= bounds.BOUND_TOL
         assert rows.fullness == (27, 27)
         crossed.build_crossed_module(sys_)  # the action gate passes
 

@@ -8,7 +8,7 @@ turn in u_t at a t outside S, in eta and alpha at such a t (so also at pairs tha
 are no Cayley edge), in u', in Phi, in the companion and in one v_t or w_t of a
 dilation; each time every reported row must be at least its dense all-t value
 from ``dense_reference`` and over the 1e-9 gate whenever that value is.  A defect
-of 1e-12 keeps the bounds under ``hilbmod.BOUND_TOL``, where they are reported;
+of 1e-12 keeps the bounds under ``bounds.BOUND_TOL``, where they are reported;
 one of 1e-6 takes them over it, where the exact worst over every t is.  The
 data are generated scenarios and ``builders.twisted_system``, whose alpha_t,
 eta_t and u_t differ from their values at t^-1.  The GNS Gram-preservation row
@@ -26,7 +26,7 @@ import pytest
 
 import builders
 import dense_reference as ref
-from covstine import cli, cpmaps, hilbmod, stinespring
+from covstine import bounds, cli, cpmaps, hilbmod, stinespring
 from covstine import numkernel as nk
 
 PAYLOADS = Path(__file__).parent / "scenarios"
@@ -150,8 +150,8 @@ def test_planted_input_defects_are_bounded_on_every_t(source, where, plant):
     _bounds(report.companion_residual, ref.covariance(system.alpha, cov.base.companion.images, cov.u.mats, cov.u.mats), plant)
     for row, dense in zip(hilbmod.check_dynamical_system(system)[:-1], ref.dynamical_system(system)[:-1]):
         _bounds(row, dense, plant)
-    if plant < hilbmod.BOUND_TOL:  # every row a bound
-        assert max(report[:2]) <= hilbmod.BOUND_TOL and hilbmod.check_dynamical_system(system).max_residual <= hilbmod.BOUND_TOL
+    if plant < bounds.BOUND_TOL:  # every row a bound
+        assert max(report[:2]) <= bounds.BOUND_TOL and hilbmod.check_dynamical_system(system).max_residual <= bounds.BOUND_TOL
     elif isinstance(source, str):  # a twisted action moves every planted input
         assert report.max_residual > GATE
 
@@ -245,14 +245,14 @@ def test_the_bound_is_the_stated_recurrence():
     """``intertwining_bound`` and ``Premises.times`` on synthetic premises of ``cyclic:4``
     (one generator, the path e, 1, 2, 3) are the formulas of their docstrings, written out."""
     group = hilbmod.cyclic_group(4)
-    left = hilbmod.Premises([2.0], [0.1, 0.2, 0.3], 0.01, [1.0, 2.0, 3.0, 4.0])
-    right = hilbmod.Premises([3.0], [0.4, 0.5, 0.6], 0.02, [1.5, 2.5, 3.5, 4.5])
+    left = bounds.Premises([2.0], [0.1, 0.2, 0.3], 0.01, [1.0, 2.0, 3.0, 4.0])
+    right = bounds.Premises([3.0], [0.4, 0.5, 0.6], 0.02, [1.5, 2.5, 3.5, 4.5])
     size, defect = 7.0, 0.05
-    bounds = [size * (0.01 + 0.02)]
+    expected = [size * (0.01 + 0.02)]
     for (t, _, up), e, f in zip(group.tree.edges, left.edges, right.edges):
         assert t == up + 1
-        bounds.append(2.0 * bounds[up] + defect * right.norms[up] + size * (e + f))
-    assert hilbmod.intertwining_bound(group, left, right, (0.0, [defect]), size) == pytest.approx(max(bounds), rel=1e-15)
+        expected.append(2.0 * expected[up] + defect * right.norms[up] + size * (e + f))
+    assert bounds.intertwining_bound(group, left, right, (0.0, [defect]), size) == pytest.approx(max(expected), rel=1e-15)
     # the product's edge into t = s t' reads both norms at t: E (x) (n_t + F) + m_t (x) F
     product = left.times(right, group)
     assert product.gains == [6.0] and product.unit == pytest.approx(0.01 + 0.02 + 0.01 * 0.02)
@@ -323,7 +323,7 @@ def test_a_badly_conditioned_basis_keeps_the_exact_verdict(source, kind, tmp_pat
     certificate = json.loads((tmp_path / "cert.json").read_text())
     assert all(certificate["checks"].values())
     with monkeypatch.context() as patch:
-        patch.setattr(hilbmod, "BOUND_TOL", np.inf)
+        patch.setattr(bounds, "BOUND_TOL", np.inf)
         assert cli.main(args) != 0
 
 
@@ -426,7 +426,7 @@ def test_representations_and_systems_hold_read_only_matrices():
     moved = hilbmod.ModuleDynamicalSystem(system.group, system.module, eta, system.alpha)
     assert moved.eta_rep.mats is moved.eta and not moved.eta.flags.writeable
     eta[1] *= 2.0
-    assert hilbmod.check_dynamical_system(moved).max_residual <= hilbmod.BOUND_TOL
+    assert hilbmod.check_dynamical_system(moved).max_residual <= bounds.BOUND_TOL
 
 
 # --- a standard action's laws and rows, derived from gamma and delta ---------------------
@@ -477,11 +477,11 @@ def test_a_standard_action_derives_its_rows_from_gamma_and_delta(source, where, 
         _bounds(rep.law.hom, hom, plant)
         _bounds(rep.law.unit, unit, plant)
         _bounds(hilbmod.check_unitary_rep(rep).unitary_residual, ref.unitarity(rep), plant)
-    assert (system.derived is None) == (plant > hilbmod.BOUND_TOL)
+    assert (system.derived is None) == (plant > bounds.BOUND_TOL)
     if system.derived is not None:
         for rep in (system.eta_rep, system.alpha_rep):
             _operator_premises_hold(rep.law.premises, rep.mats, group)
-        assert max(report[:-1]) <= hilbmod.BOUND_TOL
+        assert max(report[:-1]) <= bounds.BOUND_TOL
     elif where != "delta law":  # a non-unitary gamma_t or delta_t moves equivariance or compatibility
         assert max(report[1:3]) > GATE
 
@@ -519,8 +519,8 @@ def test_a_system_whose_gamma_and_delta_do_not_give_it_is_checked_on_its_stacks(
 
 def test_a_crossed_run_forms_no_law_rank_or_system_check_on_eta_or_alpha(tmp_path, monkeypatch):
     """A generated 2,2,2 ``symmetric:3`` ``crossed`` run forms the group laws of gamma,
-    delta (which is u) and u' alone and runs no ``check_dynamical_system``, the one place
-    eta and alpha are ranked."""
+    delta (which is u) and u' alone and runs no ``check_dynamical_system``: eta's and alpha's
+    laws and rows are derived from gamma's and delta's, and nothing ranks eta or alpha."""
     stacks = collections.defaultdict(list)
 
     def recording(name, fn):
@@ -553,9 +553,9 @@ def test_a_tolerance_below_the_default_keeps_the_exact_verdict(tmp_path, monkeyp
     args = ["verify", "--scenario", str(path), "--out", str(tmp_path / "cert.json"), "--tol", "1e-12"]
     assert cli.main(args) == 0
     assert all(json.loads((tmp_path / "cert.json").read_text())["checks"].values())
-    for tolerance, limit in ((nk.RESIDUAL_TOL, hilbmod.BOUND_TOL), (1.0, hilbmod.BOUND_TOL), (1e-12, 1e-13)):
-        with hilbmod.gated(tolerance):
-            assert hilbmod.exact_limit() == pytest.approx(limit, rel=1e-15)
-    assert hilbmod.exact_limit() == hilbmod.BOUND_TOL
-    monkeypatch.setattr(hilbmod, "exact_limit", lambda: hilbmod.BOUND_TOL)
+    for tolerance, limit in ((nk.RESIDUAL_TOL, bounds.BOUND_TOL), (1.0, bounds.BOUND_TOL), (1e-12, 1e-13)):
+        with bounds.gated(tolerance):
+            assert bounds.exact_limit() == pytest.approx(limit, rel=1e-15)
+    assert bounds.exact_limit() == bounds.BOUND_TOL
+    monkeypatch.setattr(bounds, "exact_limit", lambda: bounds.BOUND_TOL)
     assert cli.main(args) == 1

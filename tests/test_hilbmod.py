@@ -272,6 +272,21 @@ class TestInducedAction:
         with pytest.raises(InconsistentError, match="inconsistent: 1.875e\\+00"):
             hilbmod.induced_algebra_action(group, module, eta)
 
+    @pytest.mark.parametrize("broken", ["zeroed row", "NaN entry"])
+    def test_rejects_a_singular_or_nan_eta(self, broken):
+        """A standard action's eta with one row of an eta_t zeroed, or one entry NaN, is no
+        module action and is refused, with no invertibility clause after the law gate."""
+        group = hilbmod.cyclic_group(3)
+        rng = np.random.default_rng(0)
+        sys = hilbmod.standard_action(group, hilbmod.seeded_rep(group, 2, rng), hilbmod.seeded_rep(group, 2, rng))
+        eta = sys.eta.copy()
+        if broken == "zeroed row":
+            eta[1, 2, :] = 0
+        else:
+            eta[1, 0, 0] = np.nan
+        with pytest.raises(InconsistentError):
+            hilbmod.induced_algebra_action(group, sys.module, eta)
+
     def test_rejects_non_full_module(self):
         module = hilbmod.standard_module(1, 2)
         projected = module.inner.copy()

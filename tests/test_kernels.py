@@ -20,7 +20,7 @@ from hypothesis import strategies as hst
 
 import builders
 import dense_reference
-from covstine import cli, cpmaps, crossed, cstar, hilbmod, stinespring
+from covstine import bounds, cli, cpmaps, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from covstine.cpmaps import CPMapAlgebra
 from dense_reference import (
@@ -175,7 +175,7 @@ def test_batched_group_law_matches_the_pairwise_loop(n, kind):
         assert law.hom >= _pairwise_group_law(group, mats)
         return law
 
-    assert law().hom <= hilbmod.BOUND_TOL
+    assert law().hom <= bounds.BOUND_TOL
     s = 1 + int(rng.integers(0, group.order - 1))  # not the identity
     a, b = (int(rng.integers(0, rep.dim)) for _ in range(2))
     mats[s, a, b] += 1e-6
@@ -1160,7 +1160,7 @@ def tolerance_parameters(module) -> set[str]:
 
 def test_package_takes_no_per_call_tolerances():
     found = set().union(
-        *(tolerance_parameters(m) for m in (nk, cstar, hilbmod, cpmaps, crossed, stinespring))
+        *(tolerance_parameters(m) for m in (nk, cstar, bounds, hilbmod, cpmaps, crossed, stinespring))
     )
     assert found == KEPT_TOLERANCES
 
@@ -1484,3 +1484,49 @@ def test_the_wire_format_lives_in_the_cli():
     }
     assert not {name: lines for name, lines in messages.items() if lines}
     assert field_messages_outside((SRC / "cli.py").read_text(), None)
+
+
+# ---------------------------------------------------------------------------
+# Guard: the scalar bound calculus has one home, below every module that uses it
+# ---------------------------------------------------------------------------
+
+CALCULUS = {"Premises", "exact_limit", "exact_above", "higham", "intertwining_bound"}
+USERS_OF_THE_CALCULUS = {"hilbmod", "cpmaps", "stinespring", "crossed", "cli"}
+
+
+def defined_names(source: str) -> set[str]:
+    """The names a source defines at module level: functions, classes and assignments."""
+    found = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef | ast.ClassDef):
+            found.add(node.name)
+        elif isinstance(node, ast.Assign):
+            found.update(target.id for target in node.targets if isinstance(target, ast.Name))
+    return found
+
+
+def imported_modules(source: str) -> set[str]:
+    """The last dotted part of every module a source imports: ``from . import a``,
+    ``from .a import x``, ``from covstine import a`` and ``import covstine.a`` each give a."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.rsplit(".", 1)[-1] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is not None:
+                found.add(node.module.rsplit(".", 1)[-1])
+            if node.module in (None, "covstine"):
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def test_the_bound_calculus_lives_in_bounds_alone():
+    """No module but ``bounds.py`` defines ``Premises``, ``exact_limit``, ``exact_above``,
+    ``higham`` or ``intertwining_bound``, and ``bounds.py`` imports no module that uses them,
+    so one monkeypatch of ``bounds`` reaches every caller."""
+    planted = "from . import hilbmod\nfrom .crossed import axiom_rows\nimport covstine.cli\ndef higham(k): pass\n"
+    assert imported_modules(planted) >= {"hilbmod", "crossed", "cli"} and "higham" in defined_names(planted)
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    homes = {name: CALCULUS & defined_names(text) for name, text in sources.items()}
+    assert {name: found for name, found in homes.items() if found} == {"bounds.py": CALCULUS}
+    assert not imported_modules(sources["bounds.py"]) & USERS_OF_THE_CALCULUS
