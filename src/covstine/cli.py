@@ -734,10 +734,6 @@ def _add_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="write the certificate to PATH")
     parser.add_argument("--format", choices=("json", "table"), default="json")
     parser.add_argument("--jobs", type=int, default=1, help="run scenarios in parallel")
-    parser.add_argument(
-        "--dump-structure", action="store_true",
-        help="include crossed structure constants in the certificate provenance",
-    )
 
 
 @functools.cache
@@ -749,7 +745,13 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for kind in KINDS:
-        _add_run_flags(sub.add_parser(kind, help=f"run {kind} scenarios"))
+        run = sub.add_parser(kind, help=f"run {kind} scenarios")
+        _add_run_flags(run)
+        if kind == "crossed":  # the one kind with structure constants
+            run.add_argument(
+                "--dump-structure", action="store_true",
+                help="include crossed structure constants in the certificate provenance",
+            )
     gen = sub.add_parser("gen", help="emit a seeded scenario file")
     gen.add_argument("--kind", required=True, choices=KINDS)
     gen.add_argument("--p", type=int, required=True)
@@ -792,7 +794,7 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     jobs = [
-        (path, args.command, args.tol, args.seed, args.dump_structure, args.format)
+        (path, args.command, args.tol, args.seed, getattr(args, "dump_structure", False), args.format)
         for path in args.scenario
     ]
     if args.out and len(jobs) > 1:

@@ -50,12 +50,12 @@ class GnsTriple:
     """Minimal dilation data of a CP map on the algebra.
 
     The representation acts on the quotient of ``A (x) H`` by the Gram kernel, in
-    coordinates over (block, block row a, kept index), as ``pi(E_cd) = E_cd (x) M_b``;
-    ``rep``, its dense images, is built on first read.  ``F`` and ``L`` are
-    ``I_n (x) S`` and ``I_n (x) B/sqrt(Λ)`` on each block and are never formed: maps on
-    the raw space descend through ``blocks``, each block's ``GramFactor``
-    ``(S, B/sqrt(Λ))`` of its Choi matrix with columns (rows) over (c, i), one block row
-    ``sum_c E_ac (x) h_c`` at a time.
+    coordinates over (block, block row a, kept index), as ``pi(E_cd) = E_cd (x) I``
+    with ``I`` the identity on the block's kept indices; ``rep``, its dense images, is
+    built on first read.  ``F`` and ``L`` are ``I_n (x) S`` and ``I_n (x) B/sqrt(Λ)``
+    on each block and are never formed: maps on the raw space descend through
+    ``blocks``, each block's ``GramFactor`` ``(S, B/sqrt(Λ))`` of its Choi matrix with
+    columns (rows) over (c, i), one block row ``sum_c E_ac (x) h_c`` at a time.
     """
 
     cp_map: CPMapAlgebra
@@ -63,22 +63,22 @@ class GnsTriple:
     V: np.ndarray  # (dim, dim H)
     blocks: tuple[nk.GramFactor, ...]  # one per algebra block
     gram_eigenvalues: np.ndarray  # descending spectrum of the GNS Gram
-    M: np.ndarray  # (blocks, width, width), M_b = S B/sqrt(Λ) in its kept x kept corner
 
     @cached_property
     def row_cols(self) -> np.ndarray:
-        """(E, width): the coordinates of each block row, padded with ``dim``."""
+        """(E, width): the coordinates of each block row, padded with ``dim``; the width
+        is the largest block's kept count."""
         kept = np.repeat([block.rank for block in self.blocks], self.cp_map.algebra.blocks)
-        at = np.arange(self.M.shape[1])
+        at = np.arange(max(block.rank for block in self.blocks))
         return np.where(at < kept[:, None], (kept.cumsum() - kept)[:, None] + at, self.dim)
 
     @cached_property
     def rep(self) -> CPMapAlgebra:
+        """``pi(E_cd)``: a 1 at ``(row_cols[c][j], row_cols[d][j])`` for each kept j."""
         algebra = self.cp_map.algebra
         rows, cols = self.row_cols[cstar.embedding_index(algebra)]  # (N, width) each
         images = np.zeros((algebra.dim, self.dim + 1, self.dim + 1), dtype=np.complex128)
-        units = np.arange(algebra.dim)[:, None, None]
-        images[units, rows[:, :, None], cols[:, None, :]] = self.M[_unit_blocks(algebra)]
+        images[np.arange(algebra.dim)[:, None], rows, cols] = 1.0
         return CPMapAlgebra(algebra, self.dim, images[:, :-1, :-1].copy())
 
 
@@ -131,15 +131,15 @@ def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
     that cutoff is its factor, as ``nk.gram_factor`` forms it, with F's columns
     and L's rows reordered from the Choi order (i, c) to the block-row order
     (c, i).  ``E_cd`` moves block row d onto row c, so ``pi(E_cd)`` is
-    ``E_cd (x) S B/sqrt(Λ)``, and every E_k of a block leaks ``S - (S B/sqrt(Λ)) S``.
+    ``E_cd (x) S B/sqrt(Λ)``, and ``S B/sqrt(Λ) = B* B`` is the identity on the kept
+    indices: every representation of a matrix block is an amplification of its
+    identity one, and ``GnsTriple.rep`` places it exactly, with no product formed.
     ``gram_eigenvalues`` is the spectrum of ``G``: each block's eigenvalues
     repeated n times, in descending order.  The reconstruction and minimality
     of the triple are checked by ``verify_dilation``.
 
-    Raises ``NotCpError`` when the Choi test fails, ``NotPsdError`` (from
-    ``nk.psd_cutoff``) when an eigenvalue lies below minus the cutoff, and
-    ``QuotientLeakError`` when left multiplication does not descend to the
-    quotient, which signals an inconsistent input.
+    Raises ``NotCpError`` when the Choi test fails and ``NotPsdError`` (from
+    ``nk.psd_cutoff``) when an eigenvalue lies below minus the cutoff.
     """
     choi = phi.choi_report
     if not choi.cp:
@@ -160,20 +160,10 @@ def gns_construct(phi: CPMapAlgebra) -> GnsTriple:
         blocks.append(nk.GramFactor(kept, F, L, values))
     rank = sum(n * block.rank for n, block in zip(algebra.blocks, blocks))
     v_map = np.zeros((rank, h), dtype=np.complex128)
-    width = max(block.rank for block in blocks)
-    moves, leak = np.zeros((len(blocks), width, width), dtype=np.complex128), 0.0
-    for b, (n, units, cols, block) in enumerate(_spans(algebra.blocks, blocks)):
-        (moved,), (defect,), (size,) = _descend(block.F[None], block)
-        leak = max(leak, float(defect) / max(1.0, float(size)))
-        moves[b, : block.rank, : block.rank] = moved
+    for n, units, cols, block in _spans(algebra.blocks, blocks):
         # V h = F (1 (x) h): block row a of the unit reads S on its (a, i) columns
         v_map[cols] = block.F.reshape(block.rank, n, h).transpose(1, 0, 2).reshape(-1, h)
-    if leak > nk.RESIDUAL_TOL:
-        raise QuotientLeakError(
-            f"left multiplication does not descend to the quotient (leak {leak:.3e}); "
-            "the input map is not consistent"
-        )
-    return GnsTriple(phi, rank, v_map, tuple(blocks), merged, moves)
+    return GnsTriple(phi, rank, v_map, tuple(blocks), merged)
 
 
 class DilationParts(NamedTuple):
@@ -252,7 +242,7 @@ def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
         keys = np.flatnonzero(np.bincount(at, minlength=m * n))
         xs, rows = np.divmod(keys, n)  # the live (x_i, a), row-major
         at = keys.searchsorted(at)
-        maps = np.zeros((len(keys), dim_codomain, gns.M.shape[1]), dtype=np.complex128)
+        maps = np.zeros((len(keys), dim_codomain, gns.row_cols.shape[1]), dtype=np.complex128)
         for span in nk.stack_spans(len(xs), dim_k * n * dim_h):
             lo, hi = at.searchsorted([span.start, span.stop])
             raw = np.zeros((span.stop - span.start, dim_k, n, dim_h), dtype=np.complex128)
@@ -495,8 +485,8 @@ def verify_dilation(
 
     residuals.update(input_rows(phi, cov))
 
-    # GNS layer, from each block's M_b and the block rows of V
-    residuals["gns_reconstruction"], gns_rank, residuals["gns_representation"] = _gns_rows(gns)
+    # GNS layer, from the block rows of V on pi(E_cd) = E_cd (x) I
+    residuals["gns_reconstruction"], gns_rank = _gns_rows(gns)
     ranks["gns_minimality"] = (gns_rank, gns.dim)
     singular["gns_gram"] = list(np.sqrt(np.clip(gns.gram_eigenvalues, 0.0, None)))
 
@@ -552,23 +542,19 @@ def verify_dilation(
     )
 
 
-def _gns_rows(gns: GnsTriple) -> tuple[float, int, float]:
-    """The GNS rows from ``M_b`` and the block rows ``V_d`` of V, as the dense rows reduce
-    on ``pi(E_cd) = E_cd (x) M_b``: ``V_c* M_b V_d - phi(E_cd)``, the range Gram's merged
-    spectrum ``I_n (x) (M_b V_b)(M_b V_b)*``, and ``M_b M_b - M_b``, ``M_b - M_b*``."""
-    phi, h, move = gns.cp_map, gns.cp_map.space_dim, gns.M
+def _gns_rows(gns: GnsTriple) -> tuple[float, int]:
+    """The GNS rows from the block rows ``V_d`` of V, as the dense rows reduce on
+    ``pi(E_cd) = E_cd (x) I``: ``V_c* V_d - phi(E_cd)``, and the range Gram's merged
+    spectrum ``I_n (x) S_b S_b*``, ``S_b`` the block's rows of V side by side."""
+    phi, h = gns.cp_map, gns.cp_map.space_dim
     recon, spectra = 0.0, []
-    for (n, units, cols, block), corner in zip(_spans(phi.algebra.blocks, gns.blocks), move):
-        rows = gns.V[cols].reshape(n, block.rank, h)
-        moved = (corner[: block.rank, : block.rank] @ rows).transpose(1, 0, 2).reshape(-1, n * h)
-        rebuilt = (np.conj(rows).transpose(0, 2, 1).reshape(n * h, -1) @ moved).reshape(n, h, n, h)
+    for n, units, cols, block in _spans(phi.algebra.blocks, gns.blocks):
+        rows = gns.V[cols].reshape(n, block.rank, h).transpose(1, 0, 2).reshape(-1, n * h)
+        rebuilt = (nk.adjoint(rows) @ rows).reshape(n, h, n, h)
         target = phi.images[units].reshape(n, n, h, h)
         recon = max(recon, nk.maxabs(rebuilt.transpose(0, 2, 1, 3) - target))
-        spectra.append(nk._descending_eigh(moved @ nk.adjoint(moved), vectors=False))
-    star = np.conj(move).transpose(0, 2, 1)
-    representation = max(nk.maxabs(move @ move - move), nk.maxabs(move - star))
-    rank = nk.spectral_rank(nk.merged_spectrum(spectra, phi.algebra.blocks))[0]
-    return recon, rank, representation / max(1.0, nk.maxabs(move))
+        spectra.append(nk._descending_eigh(rows @ nk.adjoint(rows), vectors=False))
+    return recon, nk.spectral_rank(nk.merged_spectrum(spectra, phi.algebra.blocks))[0]
 
 
 def _ranged(dilation: StinespringDilation, right: np.ndarray) -> np.ndarray:
@@ -583,19 +569,23 @@ def _ranged(dilation: StinespringDilation, right: np.ndarray) -> np.ndarray:
 
 def _identity_defect(dilation: StinespringDilation) -> float:
     """``hilbmod.identity_defect`` by ``nk.pair_defect`` over pairs of parts: those of x_i and
-    x_j on rows a and c have the target ``inner[i, j, k] M_b``, ``E_k = E_ac`` of block b.
-    Where x_i or x_j has no part on its row, the product is 0 and the target its defect."""
+    x_j on rows a and c have the target ``inner[i, j, k] I``, ``E_k = E_ac`` of block b and
+    ``I`` the identity on its kept indices, zero-padded to the parts' width.  Where x_i or
+    x_j has no part on its row, the product is 0 and the target its defect."""
     gns, module, (xs, rows, maps) = dilation.gns, dilation.cp_map.module, dilation.parts
     sup, at = module.support, np.full((module.dim, module.algebra.embed_dim), -1)
     at[xs, rows] = np.arange(len(maps))
     unit_rows, unit_cols = cstar.embedding_index(module.algebra)[:, sup.k]
     p, q, block = at[sup.i, unit_rows], at[sup.j, unit_cols], _unit_blocks(module.algebra)[sup.k]
     found = (p >= 0) & (q >= 0)
-    missed = [nk.maxabs(v * gns.M[b]) for v, b in zip(sup.values[~found], block[~found])]
+    kept = np.array([b.rank for b in gns.blocks])
+    width = maps.shape[2]
+    identities = nk.eye(width) * (np.arange(width) < kept[:, None])[:, None, :]
+    missed = nk.maxabs(sup.values[~found][kept[block[~found]] > 0])
     order = np.argsort(p[found] * len(maps) + q[found], kind="stable")
     entries = (a[found][order] for a in (p, q, block, sup.values))
-    targets = nk.PairTargets((len(maps), len(maps), len(gns.M)), *entries)
-    return max([nk.pair_defect(np.conj(maps).transpose(0, 2, 1), maps, gns.M, targets), *missed])
+    targets = nk.PairTargets((len(maps), len(maps), len(identities)), *entries)
+    return max(nk.pair_defect(np.conj(maps).transpose(0, 2, 1), maps, identities, targets), missed)
 
 
 def _corange_rank(dilation: StinespringDilation, v: np.ndarray | None = None) -> nk.RankProfile:

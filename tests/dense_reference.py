@@ -56,7 +56,7 @@ package forms no stack and reads ``u_t* P_ij u_r`` off the pair, with
 (``factored_identity_defect``), on the inner blocks read off the dense inner
 tensor (``inner_blocks``).  The plain rows of ``verify_dilation`` are
 kept on the dense forms ``GnsTriple.rep`` and ``dilation_images``
-(``plain_rows``), where the package reads each block's ``M_b`` and the
+(``plain_rows``), where the package reads the block rows of ``V`` and the
 dilation's live parts, and ``seeded_rep`` as
 the chain of ``direct_sum_rep`` calls it replaced.  A dilation given by dense
 images is scanned into its parts by ``dilation_from_images``; the package builds
@@ -561,10 +561,10 @@ def leak(raw, lifted, f_map):
 
 
 def gns_descent(phi, rank, cutoff):
-    """``(F, L, images, leak, V)`` of the GNS triple in dense form: the Choi
+    """``(F, L, images, V)`` of the GNS triple in dense form: the Choi
     eigenvectors placed by ``np.kron`` block by block into the (rank, N h) F
-    and (N h, rank) L, and the descent of left multiplication one E_k at a
-    time."""
+    and (N h, rank) L, and the descent ``F (E_k (x) I_h) L`` of left
+    multiplication one E_k at a time."""
     algebra, h = phi.algebra, phi.space_dim
     n_dim = algebra.dim
     f_map = np.zeros((rank, n_dim * h), dtype=np.complex128)
@@ -582,13 +582,20 @@ def gns_descent(phi, rank, cutoff):
     product = cstar.product_index(algebra)
     f_units = pad_zero(f_map.reshape(rank, n_dim, h), axis=1)
     images = np.zeros((n_dim, rank, rank), dtype=np.complex128)
-    worst = 0.0
     for k in range(n_dim):
-        descended = f_units[:, product[k]].reshape(rank, n_dim * h)
-        images[k] = descended @ lift
-        worst = max(worst, leak(descended, images[k], f_map))
+        images[k] = f_units[:, product[k]].reshape(rank, n_dim * h) @ lift
     iota = np.kron(cstar.unit_coords(algebra)[:, None], nk.eye(h))
-    return f_map, lift, images, worst, f_map @ iota
+    return f_map, lift, images, f_map @ iota
+
+
+def dense_gns(companion):
+    """``gns_descent`` of a companion at the rank and cutoff of the spectrum of its
+    GNS Gram, each block's Choi spectrum repeated n times."""
+    spectra = companion.choi_report.spectra
+    merged = np.sort(
+        np.concatenate([np.tile(s.values, n) for n, s in zip(companion.algebra.blocks, spectra)])
+    )[::-1]
+    return gns_descent(companion, *nk.spectral_rank(merged))
 
 
 def raw_module_maps(phi):
@@ -610,14 +617,7 @@ def dense_dilation(phi):
     """The minimal dilation of a module CP map in dense form, as a namespace
     with ``F``, ``L``, ``gns_images``, ``V``, ``W`` and ``images``; raises
     ``DenseLeakError`` at the package's leak gates."""
-    companion = phi.companion
-    spectra = companion.choi_report.spectra
-    merged = np.sort(
-        np.concatenate([np.tile(s.values, n) for n, s in zip(companion.algebra.blocks, spectra)])
-    )[::-1]
-    f_map, lift, gns_images, gns_leak, v = gns_descent(companion, *nk.spectral_rank(merged))
-    if gns_leak > nk.RESIDUAL_TOL:
-        raise DenseLeakError("GNS left multiplications", gns_leak)
+    f_map, lift, gns_images, v = dense_gns(phi.companion)
     raw = raw_module_maps(phi)
     worst = module_leak(raw, f_map, lift)
     if worst > nk.RESIDUAL_TOL:
@@ -705,22 +705,20 @@ def descend(group, block):
 
 
 def gns_blocks(gns):
-    """``(images, leak, V)`` of ``stinespring.gns_construct`` from its blocks:
-    ``pi(E_cd)`` placed one E_k at a time, V one block row at a time."""
+    """``(images, V)`` of ``stinespring.gns_construct`` from its blocks: ``pi(E_cd)``
+    placed one E_k at a time as the identity from block row d onto block row c,
+    V one block row at a time."""
     h = gns.cp_map.space_dim
     images = np.zeros((gns.cp_map.algebra.dim, gns.dim, gns.dim), dtype=np.complex128)
     v = np.zeros((gns.dim, h), dtype=np.complex128)
-    worst = 0.0
     for n, unit, col, block in block_spans(gns):
         kept = block.rank
-        moved, defect, size = descend(block.F, block)
-        worst = max(worst, defect / max(1.0, size))
         for c in range(n):
             rows = slice(col + c * kept, col + (c + 1) * kept)
             v[rows] = block.F[:, c * h : (c + 1) * h]
             for d in range(n):
-                images[unit + c * n + d, rows, col + d * kept : col + (d + 1) * kept] = moved
-    return images, worst, v
+                images[unit + c * n + d, rows, col + d * kept : col + (d + 1) * kept] = nk.eye(kept)
+    return images, v
 
 
 def module_groups(phi, gns, w_map):
@@ -826,14 +824,13 @@ def watch_dense_forms(monkeypatch):
 def plain_rows(phi, dilation):
     """The plain rows of ``stinespring.verify_dilation`` on the dense forms
     ``gns.rep.images`` and ``dilation_images(dilation)``, as it computed them before it
-    read the GNS blocks' ``M_b`` and the dilation's parts: ``(residuals, ranks)`` with
+    read the block rows of ``V`` and the dilation's parts: ``(residuals, ranks)`` with
     ``ranks`` the rank profiles of ``gns_minimality``, ``range_density`` and
     ``corange_density``."""
     gns, images = dilation.gns, dilation_images(dilation)
     rebuilt = nk.sandwich(gns.V, gns.rep.images, gns.V)
     residuals = {
         "gns_reconstruction": nk.maxabs(rebuilt - phi.companion.images),
-        "gns_representation": cstar.check_representation(gns.rep).max_residual,
         "reconstruction": nk.maxabs(nk.sandwich(dilation.W, images, gns.V) - phi.images),
         "representation_identity": hilbmod.identity_defect(images, phi.module, gns.rep.images),
     }

@@ -239,6 +239,18 @@ class TestCertificates:
         diagonal = [row for row in constants if row[:3] == [0, 0, 0]]
         assert diagonal and abs(diagonal[0][3] - 1.0) < 1e-12
 
+    @pytest.mark.parametrize("kind", ["dilate", "dilate-covariant", "verify", "uniqueness"])
+    def test_dump_structure_is_a_crossed_flag(self, tmp_path, capsys, kind):
+        """Only a crossed run has structure constants: the other commands refuse the
+        flag as an unknown one, with exit code 2, and write no certificate."""
+        out = tmp_path / "cert.json"
+        argv = [kind, "--scenario", str(SCENARIOS / "z2_concrete.json"), "--out", str(out)]
+        with pytest.raises(SystemExit) as refused:
+            cli.main(argv + ["--dump-structure"])
+        assert refused.value.code == 2
+        assert "unrecognized arguments: --dump-structure" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_multiple_scenarios_aggregate_exit(self, capsys, tmp_path):
         code = cli.main(
             [

@@ -4,18 +4,20 @@ The package carries the GNS Gram as one factor per algebra block and lifts
 every raw map block row by block row; the dense form places the factors into
 the (rank, N h) ``F`` and (N h, rank) ``L`` and lifts every raw map over all
 of ``A (x) H``.  Both must give the same ranks and dims, the same ``F* F``,
-GNS images, ``V`` and dilation images, and, for a defect planted at one
-``E_k``, one ``x_i`` or one ``t``, the same leak.
+GNS images, ``V`` and dilation images, and, for a defect planted in the Choi
+eigenvectors, at one ``x_i`` or at one ``t``, the same leak.  The GNS images are
+placed as identities, never descended, so they hold only 0 and 1.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import builders
 import dense_reference as ref
-from covstine import cpmaps, cstar, hilbmod, stinespring
+from covstine import cli, cpmaps, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from covstine.errors import NotPsdError, QuotientLeakError
 
@@ -78,6 +80,29 @@ def test_factored_dilation_matches_the_dense_one(name):
         assert gns.dim == dilation.dim_codomain == 0
 
 
+BUNDLED = Path(__file__).resolve().parents[1] / "src" / "covstine" / "scenarios"
+PAYLOADS = Path(__file__).resolve().parent / "scenarios"
+PLACED = {  # a scenario file, or the arguments of cli.generate_scenario
+    **{path.name: path for path in (*sorted(BUNDLED.glob("*.json")), *sorted(PAYLOADS.glob("*.json")))},
+    "8,8,8": ("dilate", 8, 8, 8, 11),
+    "6,6,6": ("dilate", 6, 6, 6, 11),
+    "2,2,2 symmetric:3": ("verify", 2, 2, 2, 7, "symmetric:3"),
+}
+
+
+@pytest.mark.parametrize("name", PLACED)
+def test_the_placed_representation_is_the_dense_descent(name):
+    """``GnsTriple.rep`` places ``pi(E_cd) = E_cd (x) I`` exactly, so its images hold
+    only 0 and 1, and they are the dense descent ``F (E_k (x) I_h) L`` to rounding: a
+    run checks this identity nowhere, as it cannot fail on a consistent factor."""
+    source = PLACED[name]
+    scenario = cli.load_scenario(str(source)) if isinstance(source, Path) else cli.generate_scenario(*source)
+    companion = cli.resolve_scenario(scenario, name).phi.companion
+    images = stinespring.gns_construct(companion).rep.images
+    assert np.isin(images, (0.0, 1.0)).all()
+    _close(images, ref.dense_gns(companion)[2], atol=1e-14)
+
+
 def _covariant(seed=5):
     group = hilbmod.symmetric_group(3)
     rng = np.random.default_rng(seed)
@@ -117,18 +142,19 @@ def _ungated(monkeypatch, call):
         return call()
 
 
-def test_planted_choi_defect_trips_the_left_multiplication_gate(monkeypatch):
-    """Eigenvectors no longer orthonormal: ``S B/sqrt(Λ)`` is not the identity."""
+def test_planted_choi_defect_trips_the_module_map_gate(monkeypatch):
+    """Eigenvectors no longer orthonormal: ``S B/sqrt(Λ)`` is not the identity that
+    ``GnsTriple.rep`` places, and the module maps no longer descend."""
     phi = _covariant().base
     assert phi.cp_report.cp and phi.companion.choi_report.cp
     vectors = phi.companion.choi_report.spectra[0].vectors
     vectors[:, 0] += 1e-4 * vectors[:, 1]
-    triple = _ungated(monkeypatch, lambda: stinespring.gns_construct(phi.companion))
+    base = _ungated(monkeypatch, lambda: stinespring.dilate_module_cp(phi))
     _both_raise(
         lambda: stinespring.dilate_module_cp(phi),
         lambda: ref.dense_dilation(phi),
-        ref.gns_blocks(triple)[1],
-        "left multiplication",
+        ref.module_groups(phi, base.gns, base.W)[1],
+        "module maps",
     )
 
 

@@ -687,8 +687,8 @@ def test_dilation_identities_at_the_corner_stay_below_one_image_stack(monkeypatc
     ``pair_defect`` call, the representation identity on the dilation's parts,
     peaks below one (64, 64, 64) stack of dilation images, and the whole
     identity check below two.  Targets formed whole for every pair, (rows, cols)
-    each, took about 2.5 stacks per call and 3.6 for the identity check.  GNS
-    multiplicativity is ``M_b M_b - M_b`` on each block and calls no pair kernel."""
+    each, took about 2.5 stacks per call and 3.6 for the identity check.  The GNS
+    rows read the block rows of V and call no pair kernel."""
     phi = cli.resolve_scenario(cli.generate_scenario("dilate", 8, 8, 8, 11), "corner.json").phi
     dilation = stinespring.dilate_module_cp(phi)
     images = dense_reference.dilation_images(dilation)

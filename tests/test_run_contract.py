@@ -870,7 +870,7 @@ def test_undecodable_scenarios_exit_two_naming_the_file(tmp_path, capsys, raw):
 INPUT_ROWS = {"input_identity", "companion_cp_defect", "companion_hermiticity"}
 COVARIANT_INPUT_ROWS = INPUT_ROWS | {"input_covariance", "companion_covariance"}
 DILATION_ROWS = {
-    "gns_reconstruction", "gns_representation", "reconstruction", "representation_identity",
+    "gns_reconstruction", "reconstruction", "representation_identity",
     "coisometry_rows",
 }
 COVARIANT_DILATION_ROWS = DILATION_ROWS | {
