@@ -24,7 +24,6 @@ from .cpmaps import (
     check_module_representation,
     concrete_representation,
     cp_from_representation,
-    covariant_cp_from_representation,
     induced_algebra_cp,
     random_covariant_cp,
 )

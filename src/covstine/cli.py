@@ -642,6 +642,8 @@ def run_scenario(
         raise ValidationError(
             f"{path}: scenario kind '{res.kind}' does not match command '{expected_kind}'"
         )
+    if dump_structure and res.kind != "crossed":
+        raise ValidationError(f"{path}: structure constants are dumped by crossed runs only, not '{res.kind}'")
     started = time.monotonic()
     provenance = dict(scenario=os.path.basename(res.name), seed=res.seed, input_scale=res.scale)
     with bounds.gated(res.tolerance):  # every verdict at the run's tolerance is exact

@@ -185,11 +185,14 @@ def check_module_representation(rep: ModuleCPMap) -> ModuleRepresentationReport:
     return ModuleRepresentationReport(residual, ranged.rank, dim_k, coranged.rank, dim_h)
 
 
-def cp_from_representation(
-    rep: ModuleCPMap,
-    v: np.ndarray,
-    w: np.ndarray,
-) -> ModuleCPMap:
+def require_coisometry(w: np.ndarray) -> None:
+    """Raise ``NotCoisometryError`` unless ``W W* = I``: the gate of every compression."""
+    defect = nk.maxabs(w @ nk.adjoint(w) - nk.eye(w.shape[0]))
+    if defect > nk.REL_TOL:
+        raise NotCoisometryError(f"W W* deviates from the identity by {defect:.3e}")
+
+
+def cp_from_representation(rep: ModuleCPMap, v: np.ndarray, w: np.ndarray) -> ModuleCPMap:
     """Compress a module representation to a CP map: ``Phi(x) = W* pi(x) V``.
 
     ``V: H -> H'`` is arbitrary, ``W: K -> K'`` must be a coisometry onto the
@@ -203,10 +206,7 @@ def cp_from_representation(
         raise ShapeMismatchError(f"V maps into C^{v.shape[0]}, representation has H' of dim {dim_h_rep}")
     if w.shape[0] != dim_k_rep:
         raise ShapeMismatchError(f"W maps into C^{w.shape[0]}, representation has K' of dim {dim_k_rep}")
-    gram = w @ nk.adjoint(w)
-    defect = nk.maxabs(gram - nk.eye(w.shape[0]))
-    if defect > nk.REL_TOL:
-        raise NotCoisometryError(f"W W* deviates from the identity by {defect:.3e}")
+    require_coisometry(w)
     images = nk.sandwich(w, rep.images, v)
     companion_images = nk.sandwich(v, rep.companion.images, v)
     companion = CPMapAlgebra(rep.module.algebra, v.shape[1], companion_images)
@@ -236,23 +236,9 @@ def check_covariance(
     return CovarianceReport(map_residual, comp_residual, condition)
 
 
-def covariant_cp_from_representation(
-    rep: ModuleCPMap,
-    rep_v: hilbmod.UnitaryRep,
-    rep_w: hilbmod.UnitaryRep,
-    v: np.ndarray,
-    w: np.ndarray,
-    u: hilbmod.UnitaryRep,
-    u_prime: hilbmod.UnitaryRep,
-    system: hilbmod.ModuleDynamicalSystem,
-) -> CovariantCPMap:
-    """Compression of a covariant representation along intertwiners.
-
-    Requires ``rep_v_t V = V u_t`` and ``rep_w_t W = W u'_t`` for every t;
-    reports which relation fails at which group element otherwise.
-    """
-    v = nk.as_matrix(v)
-    w = nk.as_matrix(w)
+def require_intertwiners(rep_v, rep_w, v: np.ndarray, w: np.ndarray, u, u_prime) -> None:
+    """Raise ``NotIntertwiningError`` unless ``rep_v_t V = V u_t`` and ``rep_w_t W = W u'_t``
+    for every t of the unitary representations, naming which relation fails at which t."""
     relations = (("v_t V = V u_t", rep_v, v, u), ("w_t W = W u'_t", rep_w, w, u_prime))
     defects = np.array([hilbmod.intertwining_defects(*r[1:]) for r in relations])
     gates = np.array([[nk.RESIDUAL_TOL * max(1.0, nk.maxabs(r[2]))] for r in relations])
@@ -263,8 +249,6 @@ def covariant_cp_from_representation(
         raise NotIntertwiningError(
             f"{relations[which][0]} fails at t={t} by {defects[which, t]:.3e}"
         )
-    base = cp_from_representation(rep, v, w)
-    return CovariantCPMap(base, system, u, u_prime)
 
 
 def average_intertwiner(
@@ -305,29 +289,44 @@ def polar_coisometry(y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CovariantWitness:
-    """The representation and intertwiners behind a generated covariant map."""
+    """The intertwiners behind a generated covariant map."""
 
-    rep: ModuleCPMap
+    module: hilbmod.HilbertModule
+    amplification: int
     v: hilbmod.UnitaryRep
     w: hilbmod.UnitaryRep
     V: np.ndarray
     W: np.ndarray
+
+    @cached_property
+    def rep(self) -> ModuleCPMap:
+        """The representation ``V`` and ``W`` compress, built at its first read."""
+        return amplified_concrete_representation(self.module, self.amplification)
 
 
 def amplified_concrete_representation(
     module: hilbmod.HilbertModule, amplification: int
 ) -> ModuleCPMap:
     """Concrete representation of ``module``, a standard p x n module, tensored
-    with C^amplification."""
+    with C^amplification: the ``_amplified_products`` of the identity."""
     n = module.algebra.blocks[0]
-    p = module.dim // n
-    ident = nk.eye(amplification)
-    images = nk.kron_stack(hilbmod.standard_basis_matrices(p, n), ident)
-    companion_images = nk.kron_stack(
-        cstar.embedding_representation(module.algebra).images, ident
-    )
+    ident = nk.eye(n * amplification)
+    images = _amplified_products(ident, module.dim // n, amplification)
+    companion_images = _amplified_products(ident, n, amplification)
     companion = CPMapAlgebra(module.algebra, n * amplification, companion_images)
     return ModuleCPMap(module, images, companion)
+
+
+def _amplified_products(v: np.ndarray, rows: int, amplification: int) -> np.ndarray:
+    """``(E_ab (x) I_r) V`` for each rows x n matrix unit ``E_ab`` in the order of
+    ``standard_basis_matrices`` (r = amplification, V of n r rows): V's block-b rows
+    placed at block a.  These are the values a GEMM through the 0/1 stack returns,
+    each entry one product by 1 plus products by 0, with no stack formed."""
+    n, cols = v.shape[0] // amplification, v.shape[1]
+    placed = np.zeros((rows, n, rows, amplification, cols), dtype=np.complex128)
+    units = np.arange(rows)
+    placed[units, :, units] = v.reshape(n, amplification, cols)
+    return placed.reshape(rows * n, rows * amplification, cols)
 
 
 def random_covariant_cp(
@@ -344,21 +343,17 @@ def random_covariant_cp(
     seeded representation ``sigma``, picks target representations ``u`` on H
     and ``u'`` on K (defaults: ``u = delta``; ``u'`` a conjugated copy of
     ``w`` padded by a small seeded summand), and compresses along
-    group-averaged intertwiners.  All randomness is drawn from per-purpose
-    streams spawned off the seed, so results do not depend on call order.
+    group-averaged intertwiners: each ``(x (x) I_m) V`` is placed, not multiplied,
+    so the map is ``cp_from_representation(witness.rep, V, W)`` to the byte.  All
+    randomness is drawn from per-purpose streams spawned off the seed, so results
+    do not depend on call order.
     """
     if system.gamma is None or system.delta is None:
-        raise ShapeMismatchError(
-            "random covariant maps need a system built by standard_action"
-        )
-    group = system.group
+        raise ShapeMismatchError("random covariant maps need a system built by standard_action")
+    group, module = system.group, system.module
     gamma, delta = system.gamma, system.delta
-    streams = [
-        np.random.Generator(np.random.Philox(child))
-        for child in np.random.SeedSequence(seed).spawn(4)
-    ]
+    streams = [np.random.Generator(np.random.Philox(c)) for c in np.random.SeedSequence(seed).spawn(4)]
     sigma = hilbmod.seeded_rep(group, amplification, streams[0])
-    rep = amplified_concrete_representation(system.module, amplification)
     rep_v = hilbmod.tensor_rep(delta, sigma)
     rep_w = hilbmod.tensor_rep(gamma, sigma)
 
@@ -378,8 +373,11 @@ def random_covariant_cp(
     z_prime = nk.complex_normal(streams[3], rep_w.dim, u_prime.dim)
     big_w = polar_coisometry(average_intertwiner(rep_w, u_prime, z_prime))
 
-    cov = covariant_cp_from_representation(
-        rep, rep_v, rep_w, big_v, big_w, u, u_prime, system
-    )
-    return cov, CovariantWitness(rep, rep_v, rep_w, big_v, big_w)
-
+    require_intertwiners(rep_v, rep_w, big_v, big_w, u, u_prime)
+    require_coisometry(big_w)
+    n = module.algebra.blocks[0]
+    images = nk.adjoint(big_w) @ _amplified_products(big_v, module.dim // n, amplification)
+    companion_images = nk.adjoint(big_v) @ _amplified_products(big_v, n, amplification)
+    companion = CPMapAlgebra(module.algebra, u.dim, companion_images)
+    cov = CovariantCPMap(ModuleCPMap(module, images, companion), system, u, u_prime)
+    return cov, CovariantWitness(module, amplification, rep_v, rep_w, big_v, big_w)

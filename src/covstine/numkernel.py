@@ -32,9 +32,10 @@ PRECONDITION_TOL = 1e-8
 # The least Gram eigenvalue of an average that polar_coisometry normalizes.
 DEGENERACY_FLOOR = 1e-6
 # The one size rule of the package: a loop over group or basis elements runs
-# as stacks of whole items, at most this many complex entries (512 KiB, about
-# one L2) per chunk, or one item when a single item is larger than that.
-STACK_ENTRIES = 2**15
+# as stacks of whole items, at most this many complex entries (256 KiB) per
+# chunk, or one item when a single item is larger.  A chunk's three or four stacks
+# stay near 1 MiB; at 2**15 malloc returned them after each stage and refaulted them.
+STACK_ENTRIES = 2**14
 
 
 def as_matrix(data) -> np.ndarray:

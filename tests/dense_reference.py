@@ -455,7 +455,7 @@ def average_intertwiner(reps_left, reps_right, z):
 
 
 def check_intertwiners(rep_v, rep_w, v, w, u, u_prime):
-    """The input check of ``cpmaps.covariant_cp_from_representation``, one t at a time."""
+    """The intertwiner gate of ``cpmaps.random_covariant_cp``, one t at a time."""
     for t in range(rep_v.group.order):
         left = rep_v.mats[t] @ v - v @ u.mats[t]
         if nk.maxabs(left) > nk.RESIDUAL_TOL * max(1.0, nk.maxabs(v)):

@@ -251,6 +251,17 @@ class TestCertificates:
         assert "unrecognized arguments: --dump-structure" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["dilate", "dilate-covariant", "verify", "uniqueness"])
+    def test_run_scenario_refuses_dump_structure_outside_crossed(self, tmp_path, kind):
+        """The Python entry point refuses structure constants for a kind other than
+        ``crossed``, naming the kind, as the command line refuses the flag."""
+        data = json.loads((SCENARIOS / "z2_concrete.json").read_text())
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({**data, "kind": kind, "seed": 7}))
+        assert cli.run_scenario(str(path)).passed
+        with pytest.raises(ValidationError, match=f"crossed runs only, not '{kind}'$"):
+            cli.run_scenario(str(path), dump_structure=True)
+
     def test_multiple_scenarios_aggregate_exit(self, capsys, tmp_path):
         code = cli.main(
             [

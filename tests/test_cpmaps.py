@@ -181,9 +181,9 @@ class TestCovariance:
     def test_standard_compression_is_covariant(self):
         sys = z2_diag_system()
         rep = cpmaps.concrete_representation(1, 2)
-        cov = cpmaps.covariant_cp_from_representation(
-            rep, sys.delta, sys.gamma, nk.eye(2), nk.eye(1), sys.delta, sys.gamma, sys
-        )
+        cpmaps.require_intertwiners(sys.delta, sys.gamma, nk.eye(2), nk.eye(1), sys.delta, sys.gamma)
+        base = cpmaps.cp_from_representation(rep, nk.eye(2), nk.eye(1))
+        cov = cpmaps.CovariantCPMap(base, sys, sys.delta, sys.gamma)
         report = cpmaps.check_covariance(cov.base, sys, cov.u, cov.u_prime)
         assert report.max_residual <= 1e-12
 
@@ -197,17 +197,14 @@ class TestCovariance:
 
     def test_non_intertwining_rejected(self):
         sys = z2_diag_system()
-        rep = cpmaps.concrete_representation(1, 2)
         with pytest.raises(NotIntertwiningError, match="t=1"):
-            cpmaps.covariant_cp_from_representation(
-                rep,
+            cpmaps.require_intertwiners(
                 sys.delta,
                 sys.gamma,
                 nk.eye(2),
                 nk.eye(1),
                 hilbmod.trivial_rep(sys.group, 2),
                 sys.gamma,
-                sys,
             )
 
 
@@ -306,3 +303,51 @@ class TestRandomCovariantCp:
         assert np.isfinite(report.fullness_condition)
         bound = 50 * report.fullness_condition * (report.map_residual + 1e-14)
         assert report.companion_residual <= bound
+
+
+# The generator's shapes (p, n, amplification), from 1 x 1 to the 8,8,8 corner
+GENERATED = [(1, 1, 1), (1, 2, 1), (2, 3, 1), (3, 2, 2), (6, 6, 6), (8, 8, 2), (8, 6, 2), (8, 8, 8)]
+GENERATOR_GROUPS = {
+    "trivial": hilbmod.trivial_group,
+    "cyclic:3": lambda: hilbmod.cyclic_group(3),
+    "symmetric:3": lambda: hilbmod.symmetric_group(3),
+}
+
+
+class TestPlacedCompression:
+    @pytest.mark.parametrize("group", sorted(GENERATOR_GROUPS))
+    @pytest.mark.parametrize("p, n, amplification", GENERATED)
+    def test_placed_products_are_the_sandwich(self, p, n, amplification, group):
+        """``random_covariant_cp`` places each ``(x (x) I_r) V`` where
+        ``cp_from_representation`` multiplies through the 0/1 stacks of the amplified
+        representation: images and companion are that ``nk.sandwich``, byte for byte.
+        The witness builds the representation only when it is read."""
+        group = GENERATOR_GROUPS[group]()
+        rng = np.random.default_rng(11)
+        gamma, delta = hilbmod.seeded_rep(group, p, rng), hilbmod.seeded_rep(group, n, rng)
+        system = hilbmod.standard_action(group, gamma, delta)
+        cov, witness = cpmaps.random_covariant_cp(system, amplification, seed=11)
+        assert "rep" not in vars(witness)
+        rep = cpmaps.amplified_concrete_representation(system.module, amplification)
+        for got, expected in [
+            (cov.base.images, nk.sandwich(witness.W, rep.images, witness.V)),
+            (cov.base.companion.images, nk.sandwich(witness.V, rep.companion.images, witness.V)),
+        ]:
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        assert witness.rep.images.tobytes() == rep.images.tobytes()
+
+    def test_generator_gates_its_intertwiners(self, monkeypatch):
+        """The intertwiner gate runs on the generator's path: with the average
+        replaced by its unaveraged draw, V fails to intertwine at t=1."""
+        monkeypatch.setattr(cpmaps, "average_intertwiner", lambda left, right, z: z)
+        with pytest.raises(NotIntertwiningError, match=r"^v_t V = V u_t fails at t=1 by "):
+            cpmaps.random_covariant_cp(z2_diag_system(), 2, seed=3)
+
+    def test_generator_gates_its_coisometry(self, monkeypatch):
+        """The ``W W* = I`` gate runs on the generator's path: a doubled W still
+        intertwines, and is refused."""
+        polar = cpmaps.polar_coisometry
+        monkeypatch.setattr(cpmaps, "polar_coisometry", lambda y: 2 * polar(y))
+        with pytest.raises(NotCoisometryError, match="deviates from the identity by 3.000e"):
+            cpmaps.random_covariant_cp(z2_diag_system(), 2, seed=3)

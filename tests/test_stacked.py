@@ -268,9 +268,7 @@ def test_planted_intertwining_defect_reports_the_loops_error(name, v_at, w_at, c
     with pytest.raises(NotIntertwiningError) as expected:
         ref.check_intertwiners(rep_v, rep_w, w.V, w.W, cov.u, cov.u_prime)
     with pytest.raises(NotIntertwiningError) as caught:
-        cpmaps.covariant_cp_from_representation(
-            w.rep, rep_v, rep_w, w.V, w.W, cov.u, cov.u_prime, sc.system
-        )
+        cpmaps.require_intertwiners(rep_v, rep_w, w.V, w.W, cov.u, cov.u_prime)
     assert str(caught.value) == str(expected.value)
     first = min(t for t in (v_at, w_at) if t is not None)
     assert f"fails at t={first} " in str(caught.value)
