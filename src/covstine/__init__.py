@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .cstar import (
     CStarAlgebra,
-    check_representation,
     choi_blocks,
     embedding_representation,
 )
@@ -21,10 +20,8 @@ from .cpmaps import (
     ModuleCPMap,
     check_covariance,
     check_module_cp,
-    check_module_representation,
     concrete_representation,
     cp_from_representation,
-    induced_algebra_cp,
     random_covariant_cp,
 )
 from .crossed import (
@@ -32,7 +29,6 @@ from .crossed import (
     CrossedModule,
     build_crossed_module,
     induced_cp,
-    integral_form,
 )
 from .errors import (
     BoundsError,
@@ -49,7 +45,6 @@ from .hilbmod import (
     check_dynamical_system,
     check_module_axioms,
     cyclic_group,
-    induced_algebra_action,
     regular_rep,
     standard_action,
     standard_module,

@@ -27,7 +27,6 @@ from .errors import (
     DegenerateAverageError,
     InconsistentError,
     NotCoisometryError,
-    NotCpError,
     NotIntertwiningError,
     ShapeMismatchError,
 )
@@ -59,9 +58,6 @@ class ModuleCPMap:
     def cp_report(self) -> "ModuleCPReport":
         """``check_module_cp`` of this map, computed once."""
         return check_module_cp(self)
-
-    def apply(self, xi: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(xi), self.images, axes=(0, 0))
 
 
 @dataclass(frozen=True)
@@ -104,38 +100,6 @@ def normalize(phi: ModuleCPMap, cov: CovariantCPMap | None = None):
     return phi, None if cov is None else replace(cov, base=phi), s
 
 
-def induced_algebra_cp(
-    images: np.ndarray,
-    module: hilbmod.HilbertModule,
-    space_dim: int,
-) -> CPMapAlgebra:
-    """Recover the companion CP map of module images via fullness.
-
-    Solves ``phi(<x_i, x_j>) = Phi(x_i)* Phi(x_j)`` in the least-squares
-    sense over the spanning inner products.  Raises ``NotFullError`` when the
-    module is not full, ``InconsistentError`` when the system has no solution
-    (the images do not come from a module CP map) and ``NotCpError`` when the
-    solved companion fails the Choi test.
-    """
-    images = np.asarray(images, dtype=np.complex128)
-    if images.ndim != 3 or images.shape[0] != module.dim or images.shape[2] != space_dim:
-        raise ShapeMismatchError(f"images shape {images.shape}")
-    solution = hilbmod.companion_solve(module, images)
-    residual = hilbmod.identity_defect(images, module, solution)
-    if residual > nk.PRECONDITION_TOL:
-        raise InconsistentError(
-            f"companion system inconsistent (residual {residual:.3e}); the images "
-            "do not define a CP map on this module"
-        )
-    companion = CPMapAlgebra(module.algebra, space_dim, solution)
-    choi = companion.choi_report
-    if not choi.cp:
-        raise NotCpError(
-            f"solved companion is not completely positive (Choi min eig {choi.min_eig:.3e})"
-        )
-    return companion
-
-
 class ModuleCPReport(NamedTuple):
     identity_residual: float  # Phi(x)* Phi(y) = phi(<x,y>)
     companion_herm_residual: float
@@ -160,29 +124,6 @@ def concrete_representation(p: int, n: int) -> ModuleCPMap:
     module = hilbmod.standard_module(p, n)
     companion = cstar.embedding_representation(module.algebra)  # M_n acting on C^n
     return ModuleCPMap(module, hilbmod.standard_basis_matrices(p, n), companion)
-
-
-class ModuleRepresentationReport(NamedTuple):
-    identity_residual: float  # pi(x)* pi(y) = pi_A(<x,y>)
-    range_rank: int  # rank of [pi(X) H]
-    range_required: int  # dim K
-    corange_rank: int  # rank of [pi(X)* K]
-    corange_required: int  # dim H
-
-    @property
-    def nondegenerate(self) -> bool:
-        return (
-            self.range_rank == self.range_required
-            and self.corange_rank == self.corange_required
-        )
-
-
-def check_module_representation(rep: ModuleCPMap) -> ModuleRepresentationReport:
-    images = rep.images
-    dim_h, dim_k = rep.space_dims
-    residual = hilbmod.identity_defect(images, rep.module, rep.companion.images)
-    ranged, coranged = hilbmod.density_ranks(images)
-    return ModuleRepresentationReport(residual, ranged.rank, dim_k, coranged.rank, dim_h)
 
 
 def require_coisometry(w: np.ndarray) -> None:

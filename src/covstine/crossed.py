@@ -25,9 +25,10 @@ the base module's own axioms (D. P. Williams, *Crossed Products of C*-Algebras*,
 AMS 2007, ch. 2), and ``axiom_rows`` bounds them from those premises.  The generic
 ``multiply``, ``star``, ``act`` and ``inner`` are the tests' reference.
 
-A run forms nothing indexed by the crossed basis: an integral form is held by its
+A run forms nothing indexed by the crossed basis: the induced map is held by its
 covariant pair, which its crossed identity is read off, and ``induced_cp`` reads the
-covariant dilation's integral form through its parts, by chunks of t.
+covariant dilation's integral form through its parts, by chunks of t.  A covariant
+representation is a covariant CP map, and the map it induces is its integral form.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from . import bounds, cpmaps, cstar, hilbmod, stinespring
 from . import numkernel as nk
 from .cpmaps import CovariantCPMap, check_covariance  # noqa: F401 (bench/tests reads it here)
-from .errors import NotActionError, NotCovariantError, NotCovariantRepError, ShapeMismatchError
+from .errors import NotActionError, NotCovariantError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -175,8 +176,8 @@ def build_crossed_module(
 
     The system's cached ``action_report`` covers the law, multiplicativity and
     star residuals of alpha, so alpha is not checked a second time.  Invertibility is
-    checked beside them, unlike in ``induced_algebra_action``: ``tol`` is set by the
-    caller, so a law row that passes it need not give ``bounds.invertible``.
+    checked beside them: ``tol`` is set by the caller, so a law row that passes it need
+    not give ``bounds.invertible``.
     """
     report = sys.action_report
     if report.max_residual > tol or not report.invertible:
@@ -197,7 +198,7 @@ def axiom_rows(cm: CrossedModule) -> CrossedAxioms:
     maxima of alpha and the support, and the unit (``alpha_e = I``, ``alpha_t(1) = 1``) and ``f**
     = f``, exact on alpha, O(g N^3).  Fullness: the crossed inner products at slot s sit in the
     rows (t, i, ts, j), disjoint across s, and equivariance makes ``span <X, X>`` alpha-invariant,
-    so the rank is g times the module's (``fullness_factor``)."""
+    so the rank is g times the module's (``HilbertModule.fullness``)."""
     sys, module = cm.system, cm.module
     group, algebra, alpha, sup = sys.group, module.algebra, sys.alpha, module.support
     n, m, report, h = algebra.dim, module.dim, sys.action_report, sys.alpha_rep.law.hom
@@ -212,12 +213,12 @@ def axiom_rows(cm: CrossedModule) -> CrossedAxioms:
     star, eye, unit = alpha[:, :, cstar.star_permutation(algebra)], nk.eye(n), cstar.unit_coords(algebra)
     involutive = nk.maxabs(star @ np.conj(star[group.inv]) - eye)
     unital = max(nk.maxabs(alpha[group.identity] - eye), nk.maxabs(alpha @ unit - unit))
-    fullness = (group.order * module.fullness_factor.rank, cm.algebra.dim)
+    fullness = (group.order * module.fullness.rank, cm.algebra.dim)
     return CrossedAxioms(max(algebra_row, involutive, unital), module_row, fullness)
 
 
 # ---------------------------------------------------------------------------
-# Integral forms of covariant representations
+# The induced CP map on the crossed product
 # ---------------------------------------------------------------------------
 
 
@@ -255,87 +256,23 @@ def _identity_defect(cm: CrossedModule, images, companion, mats) -> float:
 
 
 @dataclass(frozen=True)
-class IntegralForm:
-    """Representation of the crossed module induced by a covariant one, held by its
-    pair: ``e_(t,i) -> rep(x_i) v_t`` with ``v_t = mats[t]``; its images formed on demand."""
+class InducedCP:
+    """CP map on the crossed module induced by a covariant CP map, held by its pair:
+    ``e_(t,i) -> Phi(x_i) u_t`` with ``u_t = mats[t]``, with the residuals and density
+    profiles that certify it.  Of a covariant representation it is the integral form."""
 
     crossed: CrossedModule
-    rep: cpmaps.ModuleCPMap
+    base: cpmaps.ModuleCPMap
     mats: np.ndarray  # (|G|, dim H, dim H)
-
-    @property
-    def images(self) -> np.ndarray:  # (|G| m, dim K, dim H): each crossed basis element's image
-        return _integrated(self.rep.images, self.mats)
-
-    def apply(self, xhat: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.ravel(xhat).astype(np.complex128), self.images, axes=(0, 0))
-
-
-class IntegralFormReport(NamedTuple):
-    identity_residual: float  # pi(xhat)* pi(yhat) = pi_A(<xhat, yhat>)
-    range_rank: int
-    range_required: int
-    corange_rank: int
-    corange_required: int
-    nondegenerate: bool | None  # None when the input was degenerate (check skipped)
-    skip_reason: str | None
-
-
-def integral_form(
-    sys: hilbmod.ModuleDynamicalSystem,
-    rep: cpmaps.ModuleCPMap,
-    v: hilbmod.UnitaryRep,
-    w: hilbmod.UnitaryRep,
-) -> tuple[IntegralForm, IntegralFormReport]:
-    """Integral form ``xhat -> sum_t pi(xhat(t)) v_t`` of a covariant representation.
-
-    Validates the covariant-representation identities first; degeneracy of
-    the input is allowed but the nondegeneracy conclusion is then skipped
-    with a reason instead of being asserted.
-    """
-    dim_h, dim_k = rep.space_dims
-    if v.dim != dim_h or w.dim != dim_k:
-        raise ShapeMismatchError("group representations do not match (H, K)")
-
-    rep_report = cpmaps.check_module_representation(rep)
-    covariance = hilbmod.covariance_defect(sys.eta_rep, rep.images, w, v)
-    v_rep = hilbmod.check_unitary_rep(v)
-    w_rep = hilbmod.check_unitary_rep(w)
-    worst = max(
-        rep_report.identity_residual, covariance, v_rep.hom_residual, v_rep.unitary_residual,
-        w_rep.hom_residual, w_rep.unitary_residual,
-    )
-    if worst > nk.RESIDUAL_TOL:
-        raise NotCovariantRepError(
-            f"input is not a covariant representation (worst residual {worst:.3e})"
-        )
-
-    form = IntegralForm(build_crossed_module(sys), rep, v.mats)
-    identity = _identity_defect(form.crossed, rep.images, rep.companion.images, v.mats)
-    range_rank, corange_rank = (p.rank for p in hilbmod.density_ranks(form.images))
-    nondegenerate, reason = None, "input representation is degenerate"
-    if rep_report.nondegenerate:
-        nondegenerate, reason = range_rank == dim_k and corange_rank == dim_h, None
-    return form, IntegralFormReport(
-        identity, range_rank, dim_k, corange_rank, dim_h, nondegenerate, reason
-    )
-
-
-# ---------------------------------------------------------------------------
-# The induced CP map on the crossed product
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InducedCP(IntegralForm):
-    """CP map on the crossed module induced by a covariant CP map: the integral form
-    of the covariant map, with the residuals and density profiles that certify it."""
-
     identity_residual: float  # <Phi^(xhat), Phi^(yhat)> = phi^(<xhat, yhat>)
     factorization_residual: float  # Phi^ = W* (integral form of dilation) V
     range_density: nk.RankProfile  # of the integral form of the dilation
     corange_density: nk.RankProfile
     dilation: stinespring.CovariantDilation  # the one the factorization went through
+
+    @property
+    def images(self) -> np.ndarray:  # (|G| m, dim K, dim H): each crossed basis element's image
+        return _integrated(self.base.images, self.mats)
 
     @property
     def max_residual(self) -> float:
@@ -373,8 +310,9 @@ def induced_cp(
     base, v, dim = dilation.base, dilation.v.mats, dilation.base.dim_codomain
     fact, gram = 0.0, np.zeros((dim, dim), dtype=np.complex128)
     for t in nk.stack_spans(len(u), len(phi) * dim * phi.shape[2]):
-        ranged = stinespring._ranged(base, (v[t] @ base.gns.V).transpose(1, 0, 2).reshape(base.gns.dim, -1))
-        rebuilt = (nk.adjoint(base.W) @ ranged).reshape(len(phi), -1, t.stop - t.start, phi.shape[2])
+        columns = (t.stop - t.start) * phi.shape[2]
+        ranged = stinespring._ranged(base, (v[t] @ base.gns.V).transpose(1, 0, 2).reshape(base.gns.dim, columns))
+        rebuilt = (nk.adjoint(base.W) @ ranged).reshape(len(phi), phi.shape[1], t.stop - t.start, phi.shape[2])
         fact = max(fact, nk.maxabs(rebuilt - (phi @ u[t, None]).transpose(1, 2, 0, 3)))  # at [i, :, t]
         stack = hilbmod.range_stack(ranged)
         gram += stack @ nk.adjoint(stack)

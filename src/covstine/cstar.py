@@ -3,8 +3,7 @@
 An algebra is described by its block sizes ``[n_1, ..., n_k]``.  Elements
 are coordinate vectors over the canonical matrix-unit basis; the basis is
 enumerated block by block, row-major, with labels ``"b:i:j"``.  A map
-``A -> L(H)`` is a ``CPMapAlgebra``, a *-representation too: it is a CP map
-(``check_representation``).
+``A -> L(H)`` is a ``CPMapAlgebra``, a *-representation too: it is a CP map.
 """
 
 from __future__ import annotations
@@ -89,15 +88,6 @@ def _structure(blocks: tuple[int, ...]):
 
 
 @lru_cache(maxsize=None)
-def _product_targets(blocks: tuple[int, ...]) -> nk.PairTargets:
-    """The nonzero products ``E_k E_l = E_m`` as ``nk.pair_defect`` targets, the
-    pair (k, l) with the m-th matrix of the basis."""
-    product = _structure(blocks)[0]
-    k, l = (product < len(product)).nonzero()
-    return nk.PairTargets((len(product),) * 3, k, l, product[k, l], np.ones(len(k)))
-
-
-@lru_cache(maxsize=None)
 def _mult_tensor(blocks: tuple[int, ...]) -> np.ndarray:
     product = _structure(blocks)[0]
     dim = len(product)
@@ -162,9 +152,6 @@ class CPMapAlgebra:
             )
         object.__setattr__(self, "images", images)
 
-    def apply(self, coords: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(coords), self.images, axes=(0, 0))
-
     @cached_property
     def choi_report(self) -> ChoiReport:
         """``choi_blocks`` of this map, computed once.
@@ -186,54 +173,6 @@ def embedding_representation(algebra: CStarAlgebra) -> CPMapAlgebra:
     images = np.zeros((algebra.dim, total, total), dtype=np.complex128)
     images[(np.arange(algebra.dim), *embedding_index(algebra))] = 1.0
     return CPMapAlgebra(algebra, total, images)
-
-
-class RepresentationReport(NamedTuple):
-    mult_residual: float
-    star_residual: float
-    unit_deviation: float  # || pi(1) - I ||
-    unit_projection_defect: float  # how far pi(1) is from a projection
-    unital: bool
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.mult_residual, self.star_residual)
-
-
-def check_representation(rep: CPMapAlgebra) -> RepresentationReport:
-    """Residuals of multiplicativity, star-preservation and the unit image.
-
-    The unit image is either close to the identity (``unital``) or it is
-    reported as a (possibly proper) projection via its idempotency defect.
-    """
-    algebra = rep.algebra
-    star_perm, unit = _structure(algebra.blocks)[1:3]
-    images = rep.images
-    scale = max(1.0, nk.maxabs(images))
-
-    # pi(E_k) pi(E_l) against pi(E_k E_l), where E_k E_l is not 0
-    targets = _product_targets(algebra.blocks)
-    mult_residual = nk.pair_defect(images, images, images, targets) / scale
-
-    def star_defects(k):  # pi(E_k*) against pi(E_k)*, a chunk of k at a time
-        return images[star_perm[k]] - np.conj(images[k]).transpose(0, 2, 1)
-
-    star_residual = nk.stack_max(len(images), rep.space_dim**2, star_defects) / scale
-
-    unit_image = np.tensordot(unit, images, axes=(0, 0))
-    identity = nk.eye(rep.space_dim)
-    unit_deviation = nk.maxabs(unit_image - identity)
-    proj_defect = max(
-        nk.maxabs(unit_image @ unit_image - unit_image),
-        nk.maxabs(unit_image - nk.adjoint(unit_image)),
-    )
-    return RepresentationReport(
-        mult_residual,
-        star_residual,
-        unit_deviation,
-        proj_defect,
-        bool(unit_deviation <= nk.REL_TOL * scale),
-    )
 
 
 class ChoiReport(NamedTuple):

@@ -74,10 +74,6 @@ class NotActionError(ComputeError):
     pass
 
 
-class NotCovariantRepError(ComputeError):
-    pass
-
-
 class GroupMismatchError(ComputeError):
     pass
 

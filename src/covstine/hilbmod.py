@@ -24,7 +24,6 @@ from . import bounds, cstar
 from . import numkernel as nk
 from .errors import (
     GroupMismatchError,
-    InconsistentError,
     NotFullError,
     ShapeMismatchError,
 )
@@ -123,23 +122,21 @@ class HilbertModule:
         return check_module_axioms(self)
 
     @cached_property
-    def fullness_factor(self) -> nk.GramFactor:
-        """``gram_factor`` of the (N, N) Gram ``flat* flat`` of the rows
-        ``flat[(i, j)] = <x_i, x_j>``, computed once: fullness is its rank, and
-        every ``<X, X>`` solve is one GEMM with its pseudo-inverse.  It is ``nk.gram`` of
-        ``pair_rows``: the zero rows add nothing."""
-        return nk.gram_factor(nk.gram(self.pair_rows))
+    def fullness(self) -> nk.RankProfile:
+        """``psd_rank`` of the (N, N) Gram ``flat* flat`` of the rows
+        ``flat[(i, j)] = <x_i, x_j>``, computed once, on its eigenvalues alone: fullness
+        is its rank.  It is ``nk.gram`` of ``pair_rows``: the zero rows add nothing."""
+        return nk.psd_rank(nk.gram(self.pair_rows))
 
     @property
     def full(self) -> bool:  # the rows <x_i, x_j> span the algebra
-        return self.fullness_factor.rank == self.algebra.dim
+        return self.fullness.rank == self.algebra.dim
 
     @property
     def fullness_condition(self) -> float:
         """Ratio of the extreme kept singular values of the rows, inf at rank 0."""
-        factor = self.fullness_factor
-        kept = factor.eigenvalues[: factor.rank]
-        return math.sqrt(kept[0] / kept[-1]) if factor.rank else float("inf")
+        rank, values = self.fullness
+        return float(values[0] / values[rank - 1]) if rank else float("inf")
 
 
 def standard_module(p: int, n: int) -> HilbertModule:
@@ -186,29 +183,11 @@ def same_structure(first: HilbertModule, second: HilbertModule) -> bool:
 
 def require_full(module: HilbertModule) -> None:
     """Raises ``NotFullError`` when ``<X, X>`` does not span the coefficient algebra;
-    a map on a full module's algebra is fixed by its values there (``companion_solve``)."""
+    a map on a full module's algebra is fixed by its values there."""
     if not module.full:
         raise NotFullError(
-            f"module is not full: rank {module.fullness_factor.rank} of {module.algebra.dim}"
+            f"module is not full: rank {module.fullness.rank} of {module.algebra.dim}"
         )
-
-
-def companion_solve(module: HilbertModule, images: np.ndarray) -> np.ndarray:
-    """The (N, h, h) least-squares companion ``phi(<x_i, x_j>) = images[i]* images[j]``
-    of a full module: one GEMM of ``L L*`` of its ``fullness_factor`` with
-    ``sum_ij conj(<x_i, x_j>) T_ij``, summed over the pairs with ``<x_i, x_j>``
-    nonzero in chunks of whole pairs, so no (m^2, h^2) target is formed.  Raises
-    ``NotFullError`` by ``require_full``; the caller gates on ``identity_defect``."""
-    require_full(module)
-    dim_k, dim_h = images.shape[1:]
-    pair_i, pair_j = np.divmod(module.support.pairs, module.dim)
-    coeffs = np.conj(module.pair_rows).T
-    star = np.conj(images).transpose(0, 2, 1)
-    projected = np.zeros((len(coeffs), dim_h * dim_h), dtype=np.complex128)
-    for span in nk.stack_spans(len(pair_i), dim_h * (2 * dim_k + dim_h)):
-        products = star[pair_i[span]] @ images[pair_j[span]]
-        projected += coeffs[:, span] @ products.reshape(len(products), dim_h * dim_h)
-    return module.fullness_factor.solve(projected).reshape(len(coeffs), dim_h, dim_h)
 
 
 class ModuleAxiomReport(NamedTuple):
@@ -271,7 +250,7 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
         psd.min_eig,
         psd.ok,
         trace_rank.rank == m,
-        module.fullness_factor.rank,
+        module.fullness.rank,
         algebra.dim,
         module.fullness_condition,
     )
@@ -352,13 +331,6 @@ def range_stack(images, v=None) -> np.ndarray:
     per module basis vector and ``v: H -> H'`` defaulting to the identity."""
     ranged = images if v is None else images @ v
     return ranged.transpose(1, 0, 2).reshape(ranged.shape[1], ranged.shape[0] * ranged.shape[2])
-
-
-def density_ranks(images) -> tuple[nk.RankProfile, nk.RankProfile]:
-    """Rank profiles of the ``range_stack`` (freed before the corange is formed) and the
-    ``corange_stack`` of a representation's images.  It is nondegenerate when both have
-    full row rank; a dilation's density is ranked on its parts (``stinespring``)."""
-    return nk.numerical_rank(range_stack(images)), nk.numerical_rank(corange_stack(images))
 
 
 def corange_stack(images, w=None) -> np.ndarray:
@@ -909,60 +881,6 @@ def _grouped_rows(shape, first, second, third, values):
     heads, slot = np.zeros((count, depth), dtype=np.int64), place[first, second]
     rows[first, slot, third], heads[first, slot] = values, second
     return rows.reshape(count * depth, width), heads
-
-
-def transported_inner(eta: np.ndarray, inner: np.ndarray) -> np.ndarray:
-    """A-coordinates of ``<eta_t x_i, eta_t x_j>``, shape (..., m, m, N), from the inner
-    tensor, for one ``eta_t`` of shape (m, m) or a stack (..., m, m) of them."""
-    eta = eta[..., None, :, :]
-    moved = np.conj(eta).swapaxes(-2, -1) @ (inner.transpose(2, 0, 1) @ eta)
-    return np.moveaxis(moved, -3, -1)
-
-
-class InducedAction(NamedTuple):
-    alpha: np.ndarray  # (g, N, N)
-    consistency_residual: float
-    fullness_condition: float  # conditioning of the spanning system
-
-
-def induced_algebra_action(
-    group: FiniteGroup, module: HilbertModule, eta: np.ndarray
-) -> InducedAction:
-    """Solve the induced algebra action from ``alpha(<x,y>) = <eta x, eta y>``.
-
-    Requires the module to be full; the values on the spanning inner products
-    determine each automorphism linearly.  Raises ``NotFullError`` when the
-    span is deficient and ``InconsistentError`` when the linear system is
-    inconsistent, the solved system's group law fails (eta's law is formed
-    once, by its ``check_dynamical_system``), or the solved maps are not
-    *-automorphisms: any of those means ``eta`` is not a module action.  The law gate
-    makes the system invertible (``bounds.invertible``) for every d = max(m, N) below 5e7.
-    """
-    eta = np.asarray(eta, dtype=np.complex128)
-    g, m, n_dim = group.order, module.dim, module.algebra.dim
-    require_full(module)
-    # alpha_t^T solves flat @ x = <eta_t x_i, eta_t x_j>, projected by flat* per chunk of t
-    flat, spans = module.inner.reshape(m * m, n_dim), nk.stack_spans(g, m * m * n_dim)
-
-    def targets(t):
-        return transported_inner(eta[t], module.inner).reshape(-1, m * m, n_dim)
-
-    solution = module.fullness_factor.solve(np.concatenate([nk.adjoint(flat) @ targets(t) for t in spans]))
-    residual = max(nk.maxabs(flat @ solution[t] - targets(t)) for t in spans)  # consistency
-    if residual > nk.PRECONDITION_TOL:
-        raise InconsistentError(
-            f"defining system for the induced action is inconsistent: {residual:.3e}"
-        )
-    alpha = np.swapaxes(solution, 1, 2)
-    report = check_dynamical_system(ModuleDynamicalSystem(group, module, eta, alpha))
-    if report.group_law_residual > nk.PRECONDITION_TOL:
-        raise InconsistentError(f"the solved system violates the group law by {report.group_law_residual:.3e}")
-    auto = max(report.automorphism_mult_residual, report.automorphism_star_residual)
-    if auto > nk.PRECONDITION_TOL:
-        raise InconsistentError(
-            f"solved maps are not *-automorphisms (residual {auto:.3e})"
-        )
-    return InducedAction(alpha, residual, module.fullness_condition)
 
 
 _build_named_groups()

@@ -4,8 +4,8 @@ The package reads scenarios and never writes one, and no run reaches the
 helpers below: the JSON writers (inverses of the ``cli.*_from_json`` readers)
 and the H-amplified payload of a generated scenario, algebra elements held
 block by block and their products, the seeded plain module map, named
-representations, crossed basis elements, and the companion images of an
-integral form and their application.  They live here so that
+representations, crossed basis elements, the companion images of an
+induced map, and the image of an element under a map given on the basis.  They live here so that
 ``src/covstine`` holds only what a run or the API list of README.md reaches;
 the guard ``test_every_package_function_is_reached`` in ``test_kernels.py``
 keeps it so.
@@ -357,12 +357,13 @@ def crossed_unit(calg) -> np.ndarray:
     return out
 
 
-def companion_images(form) -> np.ndarray:
-    """The companion's integral form ``pi_A(E_k) v_t`` of an ``IntegralForm``, at
-    crossed index ``t N + k``, integrated from the pair the form holds."""
-    return crossed._integrated(form.rep.companion.images, form.mats)
+def companion_images(induced) -> np.ndarray:
+    """The companion's integral form ``phi(E_k) u_t`` of a ``crossed.InducedCP``, at
+    crossed index ``t N + k``, integrated from the pair the map holds."""
+    return crossed._integrated(induced.base.companion.images, induced.mats)
 
 
-def apply_companion(form, f: np.ndarray) -> np.ndarray:
-    """The companion image of a crossed-algebra element under an ``IntegralForm``."""
-    return np.tensordot(np.ravel(f).astype(np.complex128), companion_images(form), axes=(0, 0))
+def apply(images: np.ndarray, coords) -> np.ndarray:
+    """The image ``sum_k coords[k] images[k]`` of an element given by its coordinates (a
+    crossed element's (|G|, N) array read flat) under a map given on the basis."""
+    return np.tensordot(np.ravel(coords).astype(np.complex128), images, axes=(0, 0))

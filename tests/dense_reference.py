@@ -24,10 +24,8 @@ orthogonal components, which the package does not compute, are found by
 across them.  The loops
 over group and basis elements that the package runs as chunked stacks are
 kept here one element at a time, with ``np.kron`` where the package calls
-``numkernel.kron_stack``.  Every ``<X, X>`` solve is kept in its
-``np.linalg.lstsq`` form on the whole (m^2, ...) pair target, which the
-package never forms: it pseudo-inverts on the cached ``gram_factor`` of the
-(N, N) Gram of the inner-product rows.  The group-indexed checks are
+``numkernel.kron_stack``, and ``numkernel.least_squares_solve`` in its
+``np.linalg.lstsq`` form (``least_squares``).  The group-indexed checks are
 kept dense as well: products of automorphism images by ``block_products``
 (each block's ``stack_products`` placed into a dense (N, N, N) tensor) minus a
 ``pad_zero`` gather of every pair's target, the group law one s at a time,
@@ -378,9 +376,9 @@ def module_axioms(module):
     inner, action = module.inner, module.action
     scale = max(1.0, nk.maxabs(inner))
     flat = inner.reshape(m * m, n_dim)
-    fullness = nk.gram_factor(nk.adjoint(flat) @ flat)
-    kept = fullness.eigenvalues[: fullness.rank]
-    condition = np.sqrt(kept[0] / kept[-1]) if fullness.rank else float("inf")
+    fullness = nk.psd_rank(nk.adjoint(flat) @ flat)
+    kept = fullness.singular_values[: fullness.rank]
+    condition = kept[0] / kept[-1] if fullness.rank else float("inf")
 
     support = inner != 0
     left_factor = builders.left_factor_index(algebra)
@@ -969,29 +967,3 @@ def integral_stinespring(cov, dilation):
 def least_squares(a, b):
     """The minimum-norm least-squares solution of ``a @ x = b`` by ``np.linalg.lstsq``."""
     return np.linalg.lstsq(a, b, rcond=None)[0]
-
-
-def fullness_solve(module, targets):
-    """``flat @ x = T`` on the rows ``flat[(i, j)] = <x_i, x_j>``, with ``targets[i, j]``
-    holding T_ij, by ``np.linalg.lstsq``; returns x, shaped (N,) + the shape of one
-    T_ij, and the worst ``|flat @ x - T|``."""
-    flat = module.inner.reshape(module.dim**2, module.algebra.dim)
-    target = targets.reshape(len(flat), -1)
-    x = least_squares(flat, target)
-    return x.reshape((module.algebra.dim,) + targets.shape[2:]), nk.maxabs(flat @ x - target)
-
-
-def induced_companion(images, module):
-    """The companion of ``cpmaps.induced_algebra_cp`` from the dense pair-Gram target
-    ``images[i]* images[j]``, with the unscaled consistency residual."""
-    return fullness_solve(module, np.einsum("iba,jbc->ijac", np.conj(images), images))
-
-
-def induced_action(group, module, eta):
-    """``hilbmod.induced_algebra_action``'s alpha, one ``np.linalg.lstsq`` per group
-    element, with the worst consistency residual."""
-    solved = [
-        fullness_solve(module, hilbmod.transported_inner(eta[t], module.inner))
-        for t in range(group.order)
-    ]
-    return np.stack([x.T for x, _ in solved]), max(residual for _, residual in solved)

@@ -63,8 +63,8 @@ def oracle_dims(phi: cpmaps.ModuleCPMap) -> tuple[int, int]:
         a_star = builders.AlgebraElement.from_coords(algebra, eye[k]).star()
         for l in range(n_dim):
             b = builders.AlgebraElement.from_coords(algebra, eye[l])
-            gram[k * h : (k + 1) * h, l * h : (l + 1) * h] = phi.companion.apply(
-                builders.element_product(a_star, b).coords()
+            gram[k * h : (k + 1) * h, l * h : (l + 1) * h] = builders.apply(
+                phi.companion.images, builders.element_product(a_star, b).coords()
             )
 
     def lam_rank(matrix):
@@ -278,11 +278,14 @@ def test_criterion_7_integral_minimality(crossed_instances):
 
 
 def test_criterion_8_integral_nondegeneracy(crossed_instances):
-    """Integral forms of nondegenerate covariant representations stay nondegenerate."""
+    """Integral forms of nondegenerate covariant representations stay nondegenerate.  A
+    representation is a CP map, and the map it induces is its integral form: with V and
+    W unitary, that is nondegenerate when its dilation keeps (H', K') and is minimal."""
     failures = []
     for index, (cov, witness, _) in enumerate(crossed_instances):
-        _, result = crossed.integral_form(cov.system, witness.rep, witness.v, witness.w)
-        if result.nondegenerate is not True:
+        form = crossed.induced_cp(cpmaps.CovariantCPMap(witness.rep, cov.system, witness.v, witness.w))
+        dims = (form.dilation.base.gns.dim, form.dilation.base.dim_codomain)
+        if not form.minimal or dims != witness.rep.space_dims:
             failures.append(index)
     ok = not failures
     report(8, ok, f"integral-form nondegeneracy on 50 representations: failures {failures}")
@@ -328,7 +331,8 @@ def test_criterion_9_degenerate_edges():
     module12 = hilbmod.standard_module(1, 2)
     t_mat = np.diag([1.0, 0.0]).astype(complex)
     images = np.stack([b @ t_mat for b in hilbmod.standard_basis_matrices(1, 2)])
-    companion = cpmaps.induced_algebra_cp(images, module12, 2)
+    units = cpmaps.concrete_representation(1, 2).companion
+    companion = cpmaps.CPMapAlgebra(module12.algebra, 2, t_mat.conj().T @ units.images @ t_mat)
     deficient = cpmaps.ModuleCPMap(module12, images, companion)
     dil_deficient = st.dilate_module_cp(deficient)
     cert_deficient = st.verify_dilation(deficient, dil_deficient, tol=TOL)

@@ -11,9 +11,7 @@ from covstine import cpmaps, hilbmod
 from covstine import numkernel as nk
 from covstine.errors import (
     DegenerateAverageError,
-    InconsistentError,
     NotCoisometryError,
-    NotFullError,
     NotIntertwiningError,
 )
 
@@ -29,56 +27,6 @@ def z2_diag_system():
 def concrete_cp(p, n):
     rep = cpmaps.concrete_representation(p, n)
     return cpmaps.cp_from_representation(rep, nk.eye(n), nk.eye(p))
-
-
-class TestInducedAlgebraCp:
-    def test_scalar_identity(self):
-        module = hilbmod.standard_module(1, 1)
-        images = np.ones((1, 1, 1), dtype=complex)
-        companion = cpmaps.induced_algebra_cp(images, module, 1)
-        np.testing.assert_allclose(companion.images, np.ones((1, 1, 1)))
-
-    def test_concrete_row_module(self):
-        module = hilbmod.standard_module(1, 2)
-        images = hilbmod.standard_basis_matrices(1, 2)
-        companion = cpmaps.induced_algebra_cp(images, module, 2)
-        for k in range(4):
-            expected = builders.coords_to_blocks(module.algebra, np.eye(4)[k])[0]
-            np.testing.assert_allclose(companion.images[k], expected, atol=1e-12)
-
-    def test_right_multiplication_by_t(self):
-        # Phi(x) = x T forces phi(a) = T* a T
-        rng = np.random.default_rng(13)
-        t_mat = nk.complex_normal(rng, 2, 2)
-        module = hilbmod.standard_module(1, 2)
-        images = np.stack([b @ t_mat for b in hilbmod.standard_basis_matrices(1, 2)])
-        companion = cpmaps.induced_algebra_cp(images, module, 2)
-        for k in range(4):
-            a = builders.coords_to_blocks(module.algebra, np.eye(4)[k])[0]
-            np.testing.assert_allclose(
-                companion.images[k], t_mat.conj().T @ a @ t_mat, atol=1e-10
-            )
-        assert companion.choi_report.cp
-
-    def test_inconsistent_images_rejected(self):
-        # <f_0, f_0> = <f_1, f_1> = 1 in C^2 over C, so images of different
-        # norms cannot come from any companion
-        module = hilbmod.standard_module(2, 1)
-        images = np.zeros((2, 1, 1), dtype=complex)
-        images[0, 0, 0] = 1.0
-        images[1, 0, 0] = 2.0
-        with pytest.raises(InconsistentError):
-            cpmaps.induced_algebra_cp(images, module, 1)
-
-    def test_non_full_module_rejected(self):
-        # <X, X> misses the off-diagonal units of M_2, so phi is not fixed on them
-        module = hilbmod.standard_module(1, 2)
-        projected = module.inner.copy()
-        projected[:, :, [1, 2]] = 0
-        broken = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, module.action, projected)
-        images = hilbmod.standard_basis_matrices(1, 2)
-        with pytest.raises(NotFullError, match="rank 2 of 4"):
-            cpmaps.induced_algebra_cp(images, broken, 2)
 
 
 class TestCheckModuleCp:

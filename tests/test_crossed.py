@@ -4,7 +4,7 @@ import pytest
 import builders
 from covstine import cpmaps, crossed, cstar, hilbmod, stinespring as st
 from covstine import numkernel as nk
-from covstine.errors import NotActionError, NotCovariantRepError
+from covstine.errors import NotActionError, NotCovariantError
 from dense_reference import crossed_algebra_check, reference_inner, reference_structure
 
 
@@ -145,13 +145,25 @@ class TestCrossedModule:
         # <zhat, zhat> maps to a PSD operator under the faithful integral form
         sys = z2_diag_system()
         cm = crossed.build_crossed_module(sys)
-        rep = cpmaps.concrete_representation(1, 2)
-        form, _ = crossed.integral_form(sys, rep, sys.delta, sys.gamma)
+        form = integral_form(sys, cpmaps.concrete_representation(1, 2), sys.delta, sys.gamma)
         rng = np.random.default_rng(3)
         for _ in range(8):
             zhat = nk.complex_normal(rng, 2, 2)
-            image = builders.apply_companion(form, cm.inner(zhat, zhat))
+            image = builders.apply(builders.companion_images(form), cm.inner(zhat, zhat))
             assert nk.psd_check(image).ok
+
+
+def integral_form(sys, rep, v, w):
+    """The integral form of a covariant representation: the map ``induced_cp`` induces
+    from it, a representation being a CP map."""
+    return crossed.induced_cp(cpmaps.CovariantCPMap(rep, sys, v, w))
+
+
+def nondegenerate(form) -> bool:
+    """A representation's integral form is nondegenerate when the dilation of the map it
+    is keeps both spaces and is minimal: with V and W unitary, its ranges are dense."""
+    dims = (form.dilation.base.gns.dim, form.dilation.base.dim_codomain)
+    return form.minimal and dims == form.base.space_dims
 
 
 class TestIntegralForm:
@@ -161,44 +173,39 @@ class TestIntegralForm:
             group, hilbmod.trivial_rep(group, 1), hilbmod.trivial_rep(group, 2)
         )
         rep = cpmaps.concrete_representation(1, 2)
-        form, report = crossed.integral_form(
-            sys, rep, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 1)
-        )
+        form = integral_form(sys, rep, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 1))
         np.testing.assert_allclose(form.images, rep.images, atol=1e-14)
-        assert report.identity_residual <= 1e-12
-        assert report.nondegenerate
+        assert form.identity_residual <= 1e-12
+        assert nondegenerate(form)
 
     def test_z2_concrete_identity_and_nondegeneracy(self):
         sys = z2_diag_system()
         rep = cpmaps.concrete_representation(1, 2)
-        form, report = crossed.integral_form(sys, rep, sys.delta, sys.gamma)
-        assert report.identity_residual <= 1e-10
-        assert report.nondegenerate
+        form = integral_form(sys, rep, sys.delta, sys.gamma)
+        assert form.identity_residual <= 1e-10
+        assert nondegenerate(form)
         # two-term sums match a direct computation
         xhat = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=complex)
-        direct = sum(
-            rep.apply(xhat[t]) @ sys.delta.mats[t] for t in range(2)
-        )
-        np.testing.assert_allclose(form.apply(xhat), direct, atol=1e-12)
+        direct = sum(builders.apply(rep.images, xhat[t]) @ sys.delta.mats[t] for t in range(2))
+        np.testing.assert_allclose(builders.apply(form.images, xhat), direct, atol=1e-12)
 
-    def test_degenerate_input_skips_conclusion(self):
+    def test_degenerate_input_stays_degenerate(self):
         sys = z2_diag_system()
         module = sys.module
         companion = cstar.CPMapAlgebra(module.algebra, 2, np.zeros((4, 2, 2)))
         zero_rep = cpmaps.ModuleCPMap(module, np.zeros((2, 1, 2)), companion)
-        form, report = crossed.integral_form(
+        form = integral_form(
             sys, zero_rep, hilbmod.trivial_rep(sys.group, 2), hilbmod.trivial_rep(sys.group, 1)
         )
         assert nk.maxabs(form.images) == 0
-        assert report.range_rank == 0 and report.corange_rank == 0
-        assert report.nondegenerate is None
-        assert "degenerate" in report.skip_reason
+        assert form.range_density.rank == 0 and form.corange_density.rank == 0
+        assert not nondegenerate(form)
 
     def test_companion_is_the_algebra_integral_form(self):
         # the companion of (pi_X x v) equals (pi_A x v) built independently
         sys = z2_diag_system()
         rep = cpmaps.concrete_representation(1, 2)
-        form, _ = crossed.integral_form(sys, rep, sys.delta, sys.gamma)
+        form = integral_form(sys, rep, sys.delta, sys.gamma)
         group, algebra = sys.group, sys.module.algebra
         for t in range(group.order):
             for k in range(algebra.dim):
@@ -210,8 +217,8 @@ class TestIntegralForm:
     def test_rejects_non_covariant_representation(self):
         sys = z2_diag_system()
         rep = cpmaps.concrete_representation(1, 2)
-        with pytest.raises(NotCovariantRepError):
-            crossed.integral_form(
+        with pytest.raises(NotCovariantError):
+            integral_form(
                 sys, rep, hilbmod.trivial_rep(sys.group, 2), hilbmod.trivial_rep(sys.group, 1)
             )
 
@@ -243,7 +250,7 @@ class TestInducedCp:
         cov = cpmaps.CovariantCPMap(phi, sys, sign, sign)
         induced = crossed.induced_cp(cov)
         xhat = np.array([[2.0], [3.0]], dtype=complex)
-        np.testing.assert_allclose(induced.apply(xhat), [[-1.0]], atol=1e-12)
+        np.testing.assert_allclose(builders.apply(induced.images, xhat), [[-1.0]], atol=1e-12)
         assert induced.max_residual <= 1e-12
 
     @pytest.mark.parametrize("seed", [3, 4])

@@ -289,7 +289,7 @@ def test_axiom_rows_allocate_no_dense_inner_stack():
     """S3 on M_3 over itself: the dense (54^2, 54) stack of inner products is 2.5 MB."""
     cm = crossed.build_crossed_module(conjugation_system(GROUPS["S3"], (3,), seed=6))
     dense_bytes = cm.dim**2 * cm.algebra.dim * 16
-    cm.module.fullness_factor  # noqa: B018 (cached before the measurement, as in a run)
+    cm.module.fullness  # noqa: B018 (cached before the measurement, as in a run)
     tracemalloc.start()
     try:
         rows = crossed.axiom_rows(cm)
@@ -615,6 +615,6 @@ def test_a_crossed_run_integrates_no_stack(tmp_path, monkeypatch):
     # the counter does count: the API's stack is integrated on demand
     cov = cli.resolve_scenario(scenario, "generated.json").cov
     induced = crossed.induced_cp(cov)
-    assert induced.rep is cov.base and induced.mats is cov.u.mats
+    assert induced.base is cov.base and induced.mats is cov.u.mats
     assert induced.images.shape == (induced.crossed.dim, *cov.base.images.shape[1:])
     assert len(calls) == 1

@@ -5,6 +5,7 @@ import builders
 from covstine import cli, cstar, hilbmod
 from covstine import numkernel as nk
 from covstine.errors import ShapeMismatchError
+from dense_reference import multiplicativity_defect
 
 ALGEBRAS = [(1,), (2,), (3,), (1, 1), (2, 1), (2, 3)]
 
@@ -80,50 +81,43 @@ class TestElementPositive:
 
 
 class TestRepresentations:
+    """Multiplicativity, hermiticity and the image of the unit, which the ``dilate`` rows
+    read of the GNS representation."""
+
+    @staticmethod
+    def _rep(images, dim):
+        return cstar.CPMapAlgebra(cstar.CStarAlgebra((2,)), dim, np.stack(images))
+
+    def _unit_image(self, rep):
+        return builders.apply(rep.images, cstar.unit_coords(rep.algebra))
+
     def test_identity_representation(self):
-        algebra = cstar.CStarAlgebra((2,))
-        images = np.stack(
-            [builders.coords_to_blocks(algebra, np.eye(4)[k])[0] for k in range(4)]
-        )
-        rep = cstar.CPMapAlgebra(algebra, 2, images)
-        report = cstar.check_representation(rep)
-        assert report.max_residual == 0
-        assert report.unital
+        rep = self._rep([builders.coords_to_blocks(cstar.CStarAlgebra((2,)), e)[0] for e in np.eye(4)], 2)
+        assert multiplicativity_defect(rep) == 0 and rep.hermiticity_residual() == 0
+        np.testing.assert_array_equal(self._unit_image(rep), np.eye(2))
 
     def test_doubled_representation(self):
-        algebra = cstar.CStarAlgebra((2,))
-        images = np.stack(
-            [
-                np.kron(np.eye(2), builders.coords_to_blocks(algebra, np.eye(4)[k])[0])
-                for k in range(4)
-            ]
-        )
-        report = cstar.check_representation(cstar.CPMapAlgebra(algebra, 4, images))
-        assert report.max_residual == 0
-        assert report.unital
+        blocks = [builders.coords_to_blocks(cstar.CStarAlgebra((2,)), e)[0] for e in np.eye(4)]
+        rep = self._rep([np.kron(np.eye(2), b) for b in blocks], 4)
+        assert multiplicativity_defect(rep) == 0 and rep.hermiticity_residual() == 0
+        np.testing.assert_array_equal(self._unit_image(rep), np.eye(4))
 
     def test_transpose_is_not_multiplicative(self):
-        algebra = cstar.CStarAlgebra((2,))
-        images = np.stack(
-            [builders.coords_to_blocks(algebra, np.eye(4)[k])[0].T for k in range(4)]
-        )
-        report = cstar.check_representation(cstar.CPMapAlgebra(algebra, 2, images))
-        # transpose(e12 e21) differs from transpose(e12) transpose(e21)
-        assert report.mult_residual > 0.5
+        # transpose(e12 e21) differs from transpose(e12) transpose(e21); it keeps the star
+        rep = self._rep([builders.coords_to_blocks(cstar.CStarAlgebra((2,)), e)[0].T for e in np.eye(4)], 2)
+        assert multiplicativity_defect(rep) > 0.5 and rep.hermiticity_residual() == 0
+
+    def test_zero_map_is_proper_projection(self):
+        unit = self._unit_image(self._rep([np.zeros((2, 2))] * 4, 2))
+        np.testing.assert_array_equal(unit @ unit, unit)
+        assert not np.array_equal(unit, np.eye(2))
 
     @pytest.mark.parametrize("blocks", ALGEBRAS)
     def test_embedding_representation_passes(self, blocks):
         algebra = cstar.CStarAlgebra(blocks)
-        report = cstar.check_representation(cstar.embedding_representation(algebra))
-        assert report.max_residual <= 1e-14
-        assert report.unital
-
-    def test_zero_map_is_proper_projection(self):
-        algebra = cstar.CStarAlgebra((2,))
-        rep = cstar.CPMapAlgebra(algebra, 2, np.zeros((4, 2, 2)))
-        report = cstar.check_representation(rep)
-        assert not report.unital
-        assert report.unit_projection_defect == 0
+        rep = cstar.embedding_representation(algebra)
+        assert multiplicativity_defect(rep) == 0 and rep.hermiticity_residual() == 0
+        np.testing.assert_array_equal(builders.apply(rep.images, cstar.unit_coords(algebra)), np.eye(algebra.embed_dim))
 
 
 class TestChoi:

@@ -1,18 +1,14 @@
-"""Every ``<X, X>`` solve against its ``np.linalg.lstsq`` reference in
-``dense_reference``: the companion of ``cpmaps.induced_algebra_cp``, the
-action of ``hilbmod.induced_algebra_action`` and ``numkernel.least_squares_solve``
-agree with it on standard and dense explicit modules, a module over a
-two-block algebra and a full module whose fullness Gram has condition about
-1e3; one step of refinement brings ``least_squares_solve`` to the accuracy of
-the stack's condition, not its square.  The pair target ``Phi(x_i)* Phi(x_j)`` is never held whole."""
-
-import tracemalloc
+"""The fullness rank, the identity row and ``numkernel.least_squares_solve`` against
+their dense references in ``dense_reference``, on the fullness rows of standard and
+dense explicit modules, a module over a two-block algebra and a full module whose
+fullness Gram has condition about 1e3; one step of refinement brings the solve to the
+accuracy of the stack's condition, not its square."""
 
 import numpy as np
 import pytest
 
 import dense_reference as ref
-from covstine import cpmaps, cstar, hilbmod
+from covstine import cstar, hilbmod
 from covstine import numkernel as nk
 
 REL = 1e-10
@@ -24,12 +20,11 @@ def _close(actual, expected, rel=REL):
 
 
 def change_basis(module, s):
-    """The module on the basis ``y_a = sum_i s[i, a] x_i``, with the old-to-new
-    coordinate map; its inner and action tensors are dense for a dense ``s``."""
-    inv = np.linalg.inv(s)
+    """The module on the basis ``y_a = sum_i s[i, a] x_i``; its inner and action
+    tensors are dense for a dense ``s``."""
     inner = np.einsum("ia,jb,ijk->abk", np.conj(s), s, module.inner)
-    action = np.einsum("cl,ikl,ia->akc", inv, module.action, s)
-    return hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, action, inner), inv
+    action = np.einsum("cl,ikl,ia->akc", np.linalg.inv(s), module.action, s)
+    return hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, action, inner)
 
 
 def direct_sum(first, second):
@@ -43,53 +38,25 @@ def direct_sum(first, second):
     return hilbmod.HilbertModule.from_tensors(algebra, m1 + m2, action, inner)
 
 
-def _block_diagonal(first, second):
-    """``first[t] + second[t]`` as block-diagonal matrices."""
-    (g, a, _), b = first.shape, second.shape[1]
-    out = np.zeros((g, a + b, a + b), dtype=np.complex128)
-    out[:, :a, :a], out[:, a:, a:] = first, second
-    return out
-
-
-def _scenario(name, dim_h=3):
-    """``(module, images, companion, group, eta, alpha)``: a module CP map compressed
-    from a representation, and a group action with its known algebra action."""
+def _scenario(name):
+    """A full module with its concrete representation's images (the embedding is their
+    companion): the standard 2 x 2 one, the 2 x 2 or the two-block one on a dense basis,
+    or the 2 x 2 one on a basis that gives its fullness Gram condition about 1e3."""
     rng = np.random.default_rng(17)
-    group = hilbmod.symmetric_group(3)
-
-    def system(p, n):
-        return hilbmod.standard_action(
-            group, hilbmod.seeded_rep(group, p, rng), hilbmod.seeded_rep(group, n, rng)
-        )
-
     if name == "two-block":
-        first, second = system(1, 2), system(2, 1)
-        module = direct_sum(first.module, second.module)
-        (p1, n1), (p2, n2) = (1, 2), (2, 1)
-        images = np.zeros((module.dim, p1 + p2, n1 + n2), dtype=np.complex128)
-        images[: first.module.dim, :p1, :n1] = hilbmod.standard_basis_matrices(p1, n1)
-        images[first.module.dim :, p1:, n1:] = hilbmod.standard_basis_matrices(p2, n2)
-        eta = _block_diagonal(first.eta, second.eta)
-        alpha = _block_diagonal(first.alpha, second.alpha)
+        module = direct_sum(hilbmod.standard_module(1, 2), hilbmod.standard_module(2, 1))
+        images = np.zeros((module.dim, 3, 3), dtype=np.complex128)
+        images[:2, :1, :2] = hilbmod.standard_basis_matrices(1, 2)
+        images[2:, 1:, 2:] = hilbmod.standard_basis_matrices(2, 1)
     else:
-        sys = system(2, 2)
-        module, eta, alpha = sys.module, sys.eta, sys.alpha
-        images = hilbmod.standard_basis_matrices(2, 2)
-    companion = cstar.embedding_representation(module.algebra)
-    rep = cpmaps.ModuleCPMap(module, images, companion)
-    phi = cpmaps.cp_from_representation(
-        rep, nk.complex_normal(rng, rep.space_dims[0], dim_h), nk.eye(rep.space_dims[1])
-    )
-    images = phi.images
-    if name in ("dense", "two-block", "conditioned"):
-        if name == "conditioned":  # a fullness Gram of condition about 1e3
-            s = np.diag(np.geomspace(1.0, 180.0, module.dim)) @ nk.haar_unitary(rng, module.dim)
-        else:
-            s = nk.haar_unitary(rng, module.dim) + nk.complex_normal(rng, module.dim, module.dim) / 4
-        module, inv = change_basis(module, s)
-        images = np.einsum("ia,ikl->akl", s, images)
-        eta = inv @ eta @ s
-    return module, images, phi.companion.images, group, eta, alpha
+        module, images = hilbmod.standard_module(2, 2), hilbmod.standard_basis_matrices(2, 2)
+    if name == "conditioned":
+        s = np.diag(np.geomspace(1.0, 180.0, module.dim)) @ nk.haar_unitary(rng, module.dim)
+    elif name in ("dense", "two-block"):
+        s = nk.haar_unitary(rng, module.dim) + nk.complex_normal(rng, module.dim, module.dim) / 4
+    else:
+        return module, images
+    return change_basis(module, s), np.einsum("ia,ikl->akl", s, images)
 
 
 NAMES = ["standard", "dense", "two-block", "conditioned"]
@@ -102,33 +69,8 @@ def test_the_scenarios_are_what_they_claim():
         assert report.full and report.positive and report.max_residual <= 1e-12, name
         assert (np.count_nonzero(module.inner) == module.inner.size) == (name != "standard")
         assert len(module.algebra.blocks) == (2 if name == "two-block" else 1), name
-        values = module.fullness_factor.eigenvalues[: report.fullness_rank]
+        values = module.fullness.singular_values[: report.fullness_rank] ** 2
         assert (5e2 < values[0] / values[-1] < 2e3) == (name == "conditioned"), name
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_induced_companion_matches_the_lstsq_reference(name):
-    module, images, companion, *_ = _scenario(name)
-    solved = cpmaps.induced_algebra_cp(images, module, images.shape[2])
-    expected, residual = ref.induced_companion(images, module)
-    _close(solved.images, expected)
-    _close(solved.images, companion, rel=1e-8)
-    # the gate reads the identity check of check_module_cp, absolute as every residual
-    phi = cpmaps.ModuleCPMap(module, images, solved)
-    assert cpmaps.check_module_cp(phi).identity_residual <= 1e-10
-    assert residual <= 1e-10
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_induced_action_matches_the_lstsq_reference(name):
-    module, _, _, group, eta, alpha = _scenario(name)
-    induced = hilbmod.induced_algebra_action(group, module, eta)
-    expected, residual = ref.induced_action(group, module, eta)
-    _close(induced.alpha, expected)
-    _close(induced.alpha, alpha, rel=1e-8)
-    scale = max(1.0, nk.maxabs(module.inner))
-    assert induced.consistency_residual <= 1e-12 * scale
-    assert residual <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -137,6 +79,31 @@ def test_least_squares_solve_matches_lstsq_on_the_fullness_rows(name):
     flat = module.inner.reshape(module.dim**2, module.algebra.dim)
     b = nk.complex_normal(np.random.default_rng(3), len(flat), 5)
     _close(nk.least_squares_solve(flat, b), ref.least_squares(flat, b))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fullness_keeps_the_singular_values_of_the_rows(name):
+    """``HilbertModule.fullness``, read off the eigenvalues of the rows' Gram, has the
+    rank and the singular values of the rows ``<x_i, x_j>`` themselves."""
+    module = _scenario(name)[0]
+    flat = module.inner.reshape(module.dim**2, module.algebra.dim)
+    rank, values = module.fullness
+    assert rank == np.linalg.matrix_rank(flat) == module.algebra.dim
+    _close(values, np.linalg.svd(flat, compute_uv=False))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_the_identity_row_reads_every_fullness_row(name):
+    """``hilbmod.identity_defect``, which certifies the companion a run is given: about 0
+    for the embedding, and the dense reference's worst defect once one of its images
+    moves by 1e-3."""
+    module, images = _scenario(name)
+    companion = cstar.embedding_representation(module.algebra).images
+    assert hilbmod.identity_defect(images, module, companion) <= 1e-12 * max(1.0, nk.maxabs(module.inner))
+    moved = companion.copy()
+    moved[-1, 0, 0] += 1e-3
+    expected = ref.identity_defect(images, module.inner, moved)
+    assert expected > 1e-4 and hilbmod.identity_defect(images, module, moved) == pytest.approx(expected, rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -171,23 +138,3 @@ def test_least_squares_solve_refines_to_the_condition_of_the_stack(kappa):
     unrefined = nk.gram_factor(nk.adjoint(a) @ a).solve(nk.adjoint(a) @ b)
     assert error(unrefined) > 0.01 * kappa**2 * eps
     assert error(nk.least_squares_solve(a, b)) <= kappa * eps
-
-
-@pytest.mark.parametrize("dim_h", [16, 32])
-def test_induced_companion_never_holds_the_pair_target(dim_h):
-    """The pair target ``Phi(x_i)* Phi(x_j)`` of the 4 x 4 standard module (m = 16)
-    is (m^2, h^2): 1 MiB at h = 16, 4 MiB at h = 32.  The projected sum, the solve
-    and the identity check run in chunks under the one size rule, so the whole
-    call peaks below one target (the lstsq form peaked at 3.6 targets)."""
-    rng = np.random.default_rng(0)
-    rep = cpmaps.concrete_representation(4, 4)
-    phi = cpmaps.cp_from_representation(rep, nk.complex_normal(rng, 4, dim_h), nk.eye(4))
-    module = hilbmod.standard_module(4, 4)
-    tracemalloc.start()
-    try:
-        companion = cpmaps.induced_algebra_cp(phi.images, module, dim_h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    _close(companion.images, phi.companion.images, rel=1e-12)
-    assert peak < (module.dim * dim_h) ** 2 * 16

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import builders
-from covstine import cli, cpmaps, cstar, hilbmod
+from covstine import cli, cpmaps, crossed, hilbmod, stinespring
 from covstine import numkernel as nk
-from covstine.errors import GroupMismatchError, InconsistentError, NotFullError
+from covstine.errors import GroupMismatchError, NotActionError, NotFullError
 
 
 def z2_diag_system():
@@ -62,23 +62,28 @@ class TestStandardModule:
         report = hilbmod.check_module_axioms(broken)
         assert report.fullness_rank == 2
         assert report.fullness_required == 4
+        with pytest.raises(NotFullError, match="rank 2 of 4"):
+            hilbmod.require_full(broken)
 
 
 class TestModuleRepresentations:
+    """The defining identity of a representation and the ranks of ``[pi(X) H]`` and
+    ``[pi(X)* K]``: it is nondegenerate when they are (dim K, dim H)."""
+
+    @staticmethod
+    def _identity_and_ranks(rep):
+        ranks = [nk.numerical_rank(stack(rep.images)).rank for stack in (hilbmod.range_stack, hilbmod.corange_stack)]
+        return hilbmod.identity_defect(rep.images, rep.module, rep.companion.images), ranks
+
     def test_concrete_is_nondegenerate(self):
         rep = cpmaps.concrete_representation(2, 3)
-        report = cpmaps.check_module_representation(rep)
-        assert report.identity_residual == 0
-        assert report.nondegenerate
+        assert self._identity_and_ranks(rep) == (0, [2, 3])
 
     def test_zero_representation_is_degenerate(self):
         module = hilbmod.standard_module(1, 2)
-        companion = cstar.CPMapAlgebra(module.algebra, 2, np.zeros((4, 2, 2)))
+        companion = cpmaps.CPMapAlgebra(module.algebra, 2, np.zeros((4, 2, 2)))
         rep = cpmaps.ModuleCPMap(module, np.zeros((2, 1, 2)), companion)
-        report = cpmaps.check_module_representation(rep)
-        assert report.identity_residual == 0
-        assert report.range_rank == 0 and report.corange_rank == 0
-        assert not report.nondegenerate
+        assert self._identity_and_ranks(rep) == (0, [0, 0])
 
     def test_padded_codomain_is_degenerate(self):
         # x acting as x (+) 0 into K (+) C misses the extra codomain direction
@@ -86,11 +91,7 @@ class TestModuleRepresentations:
         padded = np.zeros((2, 2, 2), dtype=complex)
         padded[:, :1, :] = base.images
         rep = cpmaps.ModuleCPMap(base.module, padded, base.companion)
-        report = cpmaps.check_module_representation(rep)
-        assert report.identity_residual == 0
-        assert report.range_rank == 1
-        assert report.range_required == 2
-        assert not report.nondegenerate
+        assert self._identity_and_ranks(rep) == (0, [1, 2])
 
     @pytest.mark.parametrize("p,n", [(1, 2), (2, 2), (3, 1)])
     def test_companion_acts_on_the_corange(self, p, n):
@@ -209,94 +210,103 @@ class TestStandardAction:
         assert 1e-4 < report.equivariance_residual < 1e-2
 
 
-class TestInducedAction:
+def _explicit(sys, eta=None, alpha=None):
+    """The system on explicit stacks, so that ``check_dynamical_system`` runs on them."""
+    eta, alpha = sys.eta if eta is None else eta, sys.alpha if alpha is None else alpha
+    return hilbmod.ModuleDynamicalSystem(sys.group, sys.module, eta, alpha)
+
+
+def _refused(sys, match):
+    """``build_crossed_module``, the gate of every ``crossed`` run, refuses the system."""
+    with pytest.raises(NotActionError, match=match):
+        crossed.build_crossed_module(sys, nk.PRECONDITION_TOL)
+
+
+class TestExplicitAction:
+    """A run takes alpha beside eta; on a full module equivariance fixes alpha, and the
+    ``dynamical_system`` row with the crossed gate on it refuses an alpha or eta that
+    does not fit."""
+
     def test_identity_action(self):
-        group = hilbmod.cyclic_group(3)
-        module = hilbmod.standard_module(2, 2)
-        eta = np.stack([np.eye(4)] * 3).astype(complex)
-        induced = hilbmod.induced_algebra_action(group, module, eta)
-        assert induced.consistency_residual <= 1e-12
-        np.testing.assert_allclose(induced.alpha, np.stack([np.eye(4)] * 3), atol=1e-12)
+        group, module = hilbmod.cyclic_group(3), hilbmod.standard_module(2, 2)
+        sys = hilbmod.ModuleDynamicalSystem(group, module, np.stack([np.eye(4)] * 3), np.stack([np.eye(4)] * 3))
+        report = hilbmod.check_dynamical_system(sys)
+        assert report.max_residual == 0 and report.invertible
+        assert crossed.build_crossed_module(sys, nk.PRECONDITION_TOL).system is sys
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reproduces_standard_action(self, seed):
-        group = hilbmod.cyclic_group(4)
-        rng = np.random.default_rng(seed)
-        gamma = hilbmod.seeded_rep(group, 2, rng)
-        delta = hilbmod.seeded_rep(group, 2, rng)
-        sys = hilbmod.standard_action(group, gamma, delta)
-        induced = hilbmod.induced_algebra_action(group, sys.module, sys.eta)
-        assert nk.maxabs(induced.alpha - sys.alpha) <= 1e-10
-
-    @pytest.mark.parametrize("name, p, n", [("S3", 2, 3), ("S4", 1, 2), ("Z3", 3, 2)])
-    def test_one_solve_matches_a_solve_per_group_element(self, name, p, n):
-        """The g targets solved as one stack give each alpha_t of a separate
-        normal-equation solve per group element on the cached fullness factor
-        (``least_squares_solve`` without its refinement step), and the
-        equivariance row the action is gated on is that solve's residual."""
-        group = {
-            "S3": hilbmod.symmetric_group(3),
-            "S4": hilbmod.symmetric_group(4),
-            "Z3": hilbmod.cyclic_group(3),
-        }[name]
-        rng = np.random.default_rng(p + n)
-        sys = hilbmod.standard_action(
-            group, hilbmod.seeded_rep(group, p, rng), hilbmod.seeded_rep(group, n, rng)
-        )
-        induced = hilbmod.induced_algebra_action(group, sys.module, sys.eta)
+        """Per element, the least-squares solve of ``<eta_t x_i, eta_t x_j> =
+        alpha_t(<x_i, x_j>)`` on the fullness rows is the standard action's alpha_t."""
+        group, rng = hilbmod.cyclic_group(4), np.random.default_rng(seed)
+        gamma, delta = hilbmod.seeded_rep(group, 2, rng), hilbmod.seeded_rep(group, 2, rng)
+        sys = _explicit(hilbmod.standard_action(group, gamma, delta))
+        assert hilbmod.check_dynamical_system(sys).max_residual <= 1e-12
         flat = sys.module.inner.reshape(-1, sys.module.algebra.dim)
-        residual = 0.0
-        for t in range(group.order):
-            target = hilbmod.transported_inner(sys.eta[t], sys.module.inner)
-            target = target.reshape(len(flat), -1)
-            solution = sys.module.fullness_factor.solve(nk.adjoint(flat) @ target)
-            np.testing.assert_array_equal(induced.alpha[t], solution.T)
-            residual = max(residual, nk.maxabs(flat @ solution - target))
-        assert induced.consistency_residual == residual
+        for eta, alpha in zip(sys.eta, sys.alpha):
+            moved = np.einsum("ai,abk,bj->ijk", np.conj(eta), sys.module.inner, eta).reshape(flat.shape)
+            assert nk.maxabs(nk.least_squares_solve(flat, moved).T - alpha) <= 1e-12
+
+    @pytest.mark.parametrize("name, p, n", [("S3", 2, 3), ("Z3", 3, 3), ("Z4", 2, 2)])
+    def test_rejects_the_action_of_a_conjugated_delta(self, name, p, n):
+        """alpha of ``conjugate_rep(delta, q)`` is a *-automorphism action, but not the one
+        eta induces: only equivariance and compatibility see it."""
+        group = {"S3": hilbmod.symmetric_group(3), "Z3": hilbmod.cyclic_group(3), "Z4": hilbmod.cyclic_group(4)}[name]
+        rng = np.random.default_rng(p + n)
+        gamma, delta = hilbmod.seeded_rep(group, p, rng), hilbmod.seeded_rep(group, n, rng)
+        moved = hilbmod.standard_action(group, gamma, hilbmod.conjugate_rep(delta, nk.haar_unitary(rng, n)))
+        sys = _explicit(hilbmod.standard_action(group, gamma, delta), alpha=moved.alpha)
+        report = hilbmod.check_dynamical_system(sys)
+        automorphism = report.automorphism_mult_residual, report.automorphism_star_residual
+        assert max(report.group_law_residual, *automorphism) <= 1e-12 and report.invertible
+        assert min(report.equivariance_residual, report.compatibility_residual) > 0.1
+        _refused(sys, "fails its axioms")
 
     def test_rejects_scaling(self):
         # eta_1 = 2 id breaks the group law over Z_2
-        group = hilbmod.cyclic_group(2)
-        module = hilbmod.standard_module(1, 1)
-        eta = np.stack([np.eye(1), 2 * np.eye(1)]).astype(complex)
-        with pytest.raises(InconsistentError, match="group law"):
-            hilbmod.induced_algebra_action(group, module, eta)
+        group, module = hilbmod.cyclic_group(2), hilbmod.standard_module(1, 1)
+        sys = hilbmod.ModuleDynamicalSystem(group, module, np.stack([np.eye(1), 2 * np.eye(1)]), np.ones((2, 1, 1)))
+        report = hilbmod.check_dynamical_system(sys)
+        assert report.group_law_residual == 3.0 and not report.invertible
+        _refused(sys, "residual 3.000e\\+00")
 
     def test_rejects_inconsistent_system(self):
-        # eta_1 keeps the Z_2 law but scales f_0 by 1/2 and f_1 by 2 while
-        # swapping them: <eta f_0, eta f_0> = 1/4 and <eta f_1, eta f_1> = 4,
-        # which no map on C can send both <f_0, f_0> = <f_1, f_1> = 1 to
-        group = hilbmod.cyclic_group(2)
-        module = hilbmod.standard_module(2, 1)
-        eta = np.stack([np.eye(2), [[0.0, 2.0], [0.5, 0.0]]]).astype(complex)
-        with pytest.raises(InconsistentError, match="inconsistent: 1.875e\\+00"):
-            hilbmod.induced_algebra_action(group, module, eta)
+        # eta_1 keeps the Z_2 law but scales f_0 by 1/2 and f_1 by 2 while swapping them:
+        # <eta f_1, eta f_1> = 4 against alpha_1(1) = 1, the one automorphism of C
+        group, module = hilbmod.cyclic_group(2), hilbmod.standard_module(2, 1)
+        eta = np.stack([np.eye(2), [[0.0, 2.0], [0.5, 0.0]]])
+        sys = hilbmod.ModuleDynamicalSystem(group, module, eta, np.ones((2, 1, 1)))
+        report = hilbmod.check_dynamical_system(sys)
+        assert report.group_law_residual == 0 and report.equivariance_residual == 3.0
+        _refused(sys, "residual 3.000e\\+00")
 
     @pytest.mark.parametrize("broken", ["zeroed row", "NaN entry"])
     def test_rejects_a_singular_or_nan_eta(self, broken):
         """A standard action's eta with one row of an eta_t zeroed, or one entry NaN, is no
-        module action and is refused, with no invertibility clause after the law gate."""
-        group = hilbmod.cyclic_group(3)
-        rng = np.random.default_rng(0)
+        module action: its law row fails and it is not invertible."""
+        group, rng = hilbmod.cyclic_group(3), np.random.default_rng(0)
         sys = hilbmod.standard_action(group, hilbmod.seeded_rep(group, 2, rng), hilbmod.seeded_rep(group, 2, rng))
         eta = sys.eta.copy()
         if broken == "zeroed row":
             eta[1, 2, :] = 0
         else:
             eta[1, 0, 0] = np.nan
-        with pytest.raises(InconsistentError):
-            hilbmod.induced_algebra_action(group, sys.module, eta)
+        broken = _explicit(sys, eta=eta)
+        report = hilbmod.check_dynamical_system(broken)
+        assert not report.group_law_residual < 1 and not report.invertible  # 1, or inf of a NaN
+        _refused(broken, "fails its axioms")
 
     def test_rejects_non_full_module(self):
+        """Fullness is decided on the run's path before the GNS step, even for a map (here
+        0) whose identity holds on the module that lost two of four ranks."""
         module = hilbmod.standard_module(1, 2)
         projected = module.inner.copy()
-        projected[:, :, 1] = 0
-        projected[:, :, 2] = 0
+        projected[:, :, 1:3] = 0
         broken = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, module.action, projected)
-        group = hilbmod.cyclic_group(2)
-        eta = np.stack([np.eye(2)] * 2).astype(complex)
-        with pytest.raises(NotFullError):
-            hilbmod.induced_algebra_action(group, broken, eta)
+        companion = cpmaps.CPMapAlgebra(broken.algebra, 2, np.zeros((4, 2, 2)))
+        zero = cpmaps.ModuleCPMap(broken, np.zeros((2, 1, 2)), companion)
+        with pytest.raises(NotFullError, match="rank 2 of 4"):
+            stinespring.dilate_module_cp(zero)
 
 
 class TestJson:
@@ -326,23 +336,20 @@ class TestJson:
         np.testing.assert_allclose(again.mats, rep.mats)
 
 
-def test_density_ranks_hold_one_stack_at_a_time():
-    """The range stack is ranked before the corange stack is formed, and each
-    step of the corange side frees the one before it: on (16, 64, 64) images the
-    traced peak stays below 2.25 times the images' bytes (4.03 times while both
-    stacks and the conjugate images were alive at once).  The profiles are those
-    of the two stacks ranked on their own."""
+def test_the_corange_stack_holds_one_copy_at_a_time():
+    """Each step of ``corange_stack`` frees the one before it: ranking the range stack and
+    then the corange stack of (16, 64, 64) images peaks below 2.25 times the images'
+    bytes (4.03 times while both stacks and the conjugate images were alive at once).
+    The corange stack is that of the conjugate transposes."""
     rng = np.random.default_rng(5)
     images = rng.standard_normal((16, 64, 64)) + 1j * rng.standard_normal((16, 64, 64))
     tracemalloc.start()
     try:
-        ranged, coranged = hilbmod.density_ranks(images)
+        ranked = nk.numerical_rank(hilbmod.range_stack(images)), nk.numerical_rank(hilbmod.corange_stack(images))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 2.25 * images.nbytes
     corange_stack = hilbmod.range_stack(np.conj(images).transpose(0, 2, 1))
-    for profile, stack in ((ranged, hilbmod.range_stack(images)), (coranged, corange_stack)):
-        alone = nk.numerical_rank(stack)
-        assert profile.rank == alone.rank == 64
-        assert np.array_equal(profile.singular_values, alone.singular_values)
+    assert np.array_equal(hilbmod.corange_stack(images), corange_stack)
+    assert [profile.rank for profile in ranked] == [64, 64]

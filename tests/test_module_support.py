@@ -160,17 +160,17 @@ def test_the_8x8_check_peaks_below_the_inner_tensor():
     assert "inner" not in vars(module) and "action" not in vars(module)
 
 
-def test_the_8x8_module_and_its_fullness_factor_peak_below_1_mib():
+def test_the_8x8_module_and_its_fullness_rank_peak_below_1_mib():
     """``standard_module(8, 8)`` holds its 512 nonzeros per tensor, and the fullness
     Gram is summed from its (512, 64) pair rows a chunk at a time."""
     tracemalloc.start()
     try:
         module = hilbmod.standard_module(8, 8)
-        factor = module.fullness_factor
+        fullness = module.fullness
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert factor.rank == 64 and module.pair_rows.shape == (512, 64)
+    assert fullness.rank == 64 and module.pair_rows.shape == (512, 64)
     assert peak < 2**20
 
 

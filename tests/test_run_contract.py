@@ -126,18 +126,18 @@ def test_choi_blocks_are_built_once_per_dilation(tmp_path, monkeypatch, kind, gr
 
 
 def test_fullness_is_decided_once_per_covariant_run(tmp_path, monkeypatch):
-    """Fullness is decided, and every ``<X, X>`` solve pseudo-inverted, on one
-    ``gram_factor`` of the (N, N) Gram of the module's inner-product rows."""
+    """Fullness is decided on one ``psd_rank`` of the (N, N) Gram of the module's
+    inner-product rows."""
     flat = hilbmod.standard_module(2, 2).inner.reshape(16, 4)
     fullness_gram = nk.adjoint(flat) @ flat
     factored = []
-    original = nk.gram_factor
+    original = nk.psd_rank
 
     def recording(gram):
         factored.append(np.array(gram))
         return original(gram)
 
-    monkeypatch.setattr(nk, "gram_factor", recording)
+    monkeypatch.setattr(nk, "psd_rank", recording)
     for kind in ("dilate-covariant", "uniqueness"):
         path = tmp_path / f"{kind}.json"
         path.write_bytes(
@@ -736,6 +736,22 @@ def test_an_h_amplified_payload_keeps_every_rank_and_every_dim_but_h(tmp_path, c
     assert amplified["pass"] and amplified["dims"].pop("H") == 3 * plain["dims"].pop("H")
     assert amplified["dims"] == plain["dims"]
     assert amplified["ranks"] == plain["ranks"]
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_a_zero_covariant_map_passes_every_kind(tmp_path, capsys, kind):
+    """The H-amplified payload of a generated 1,2,1 ``cyclic:2`` scenario with every image
+    and companion image 0: each kind passes, ``crossed`` with both integral densities 0."""
+    payload = builders.h_amplified_scenario(cli.generate_scenario(kind, 1, 2, 1, 11, "cyclic:2"), 1)
+    for mats in payload["objects"]["cp_map"]["images"], payload["objects"]["cp_map"]["companion"]["images"]:
+        for mat in mats.values():
+            mat["entries"] = [[0.0, 0.0]] * len(mat["entries"])
+    out = tmp_path / "cert.json"
+    code, err = _run(tmp_path, capsys, payload, extra=("--out", str(out)))
+    assert code == 0, err
+    ranks = json.loads(out.read_text())["ranks"]
+    if kind == "crossed":
+        assert ranks["integral_range_density"] == ranks["integral_corange_density"] == {"achieved": 0, "required": 0}
 
 
 @pytest.mark.parametrize("kind", ["dilate", "verify", "uniqueness"])
