@@ -500,13 +500,8 @@ def emit_certificate(cert: Certificate, fmt: str = "json") -> str:
 
 
 def _run_dilate(res: ResolvedScenario, provenance: dict, covariant: bool) -> Certificate:
-    if covariant:
-        dilation = stinespring.dilate_covariant(res.cov)
-    else:
-        dilation = stinespring.dilate_module_cp(res.phi)
-    return stinespring.verify_dilation(
-        res.cov if covariant else res.phi, dilation, tol=res.tolerance, provenance=provenance
-    )
+    dilation = stinespring.dilate_covariant(res.cov) if covariant else stinespring.dilate_module_cp(res.phi)
+    return stinespring.verify_dilation(dilation, tol=res.tolerance, provenance=provenance)
 
 
 def _run_verify(res: ResolvedScenario, provenance: dict) -> Certificate:
@@ -549,7 +544,7 @@ def _run_crossed(res: ResolvedScenario, provenance: dict, dump_structure: bool) 
             )
     cert = Certificate(res.tolerance, provenance=provenance)
     dilation = stinespring.dilate_covariant(cov)
-    induced = crossed.induced_cp(cov, dilation)
+    induced = crossed.induced_cp(dilation)
     cert.dims.update(dilation.base.dims)
     cert.dims["crossed_algebra"] = induced.crossed.algebra.dim
     cert.dims["crossed_module"] = induced.crossed.dim
@@ -576,16 +571,6 @@ def _run_crossed(res: ResolvedScenario, provenance: dict, dump_structure: bool) 
             for i, j, k, v in zip(rows, cols, slots, values)
         ]
     return cert
-
-
-def _phase_align(u: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first columns of u and reference align."""
-    if u.size == 0:
-        return u
-    overlap = np.vdot(u[:, 0], reference[:, 0])
-    if abs(overlap) == 0.0:
-        return u
-    return u * (overlap / abs(overlap))
 
 
 def _run_uniqueness(res: ResolvedScenario, provenance: dict) -> Certificate:
@@ -620,8 +605,8 @@ def _run_uniqueness(res: ResolvedScenario, provenance: dict) -> Certificate:
     # every residual of the report; the two covariant ones only for a covariant run
     rows = report._fields[2:] if res.cov is not None else report._fields[2:-2]
     cert.residuals.update((name, getattr(report, name)) for name in rows)
-    cert.residuals["recover_U1"] = nk.maxabs(_phase_align(report.U1, r1) - r1)
-    cert.residuals["recover_U2"] = nk.maxabs(_phase_align(report.U2, r2) - r2)
+    cert.residuals["recover_U1"] = nk.maxabs(report.U1 - r1)  # minimality makes U1 and U2 unique
+    cert.residuals["recover_U2"] = nk.maxabs(report.U2 - r2)
     return cert
 
 

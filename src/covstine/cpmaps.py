@@ -104,19 +104,13 @@ class ModuleCPReport(NamedTuple):
     identity_residual: float  # Phi(x)* Phi(y) = phi(<x,y>)
     companion_herm_residual: float
     choi_min_eig: float
-    cp: bool
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.identity_residual, self.companion_herm_residual)
 
 
 def check_module_cp(phi: ModuleCPMap) -> ModuleCPReport:
     """Identity and hermiticity residuals; the CP verdict is the companion's ``choi_report``."""
     companion = phi.companion
     residual = hilbmod.identity_defect(phi.images, phi.module, companion.images)
-    choi = companion.choi_report
-    return ModuleCPReport(residual, companion.hermiticity_residual(), choi.min_eig, choi.cp)
+    return ModuleCPReport(residual, companion.hermiticity_residual(), companion.choi_report.min_eig)
 
 
 def concrete_representation(p: int, n: int) -> ModuleCPMap:
@@ -157,7 +151,6 @@ def cp_from_representation(rep: ModuleCPMap, v: np.ndarray, w: np.ndarray) -> Mo
 class CovarianceReport(NamedTuple):
     map_residual: float  # Phi(eta_t x) = u'_t Phi(x) u_t*
     companion_residual: float  # phi(alpha_t a) = u_t phi(a) u_t*
-    fullness_condition: float  # conditioning constant relating the two
 
     @property
     def max_residual(self) -> float:
@@ -173,8 +166,7 @@ def check_covariance(
     """Absolute covariance residuals of a map and its companion, bounded on every t."""
     map_residual = hilbmod.covariance_defect(system.eta_rep, phi.images, u_prime, u)
     comp_residual = hilbmod.covariance_defect(system.alpha_rep, phi.companion.images, u, u)
-    condition = phi.module.fullness_condition if phi.module.full else float("inf")
-    return CovarianceReport(map_residual, comp_residual, condition)
+    return CovarianceReport(map_residual, comp_residual)
 
 
 def require_intertwiners(rep_v, rep_w, v: np.ndarray, w: np.ndarray, u, u_prime) -> None:

@@ -38,10 +38,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bounds, cpmaps, cstar, hilbmod, stinespring
+from . import bounds, cstar, hilbmod, stinespring
 from . import numkernel as nk
-from .cpmaps import CovariantCPMap, check_covariance  # noqa: F401 (bench/tests reads it here)
-from .errors import NotActionError, NotCovariantError, ShapeMismatchError
+from .cpmaps import check_covariance  # noqa: F401 (bench/tests reads it here)
+from .errors import NotActionError, ShapeMismatchError
 
 
 @dataclass(frozen=True)
@@ -169,18 +169,16 @@ class CrossedModule:
         return out
 
 
-def build_crossed_module(
-    sys: hilbmod.ModuleDynamicalSystem, tol: float = nk.RESIDUAL_TOL
-) -> CrossedModule:
+def build_crossed_module(sys: hilbmod.ModuleDynamicalSystem) -> CrossedModule:
     """Assemble the crossed module over the crossed algebra of the system.
 
     The system's cached ``action_report`` covers the law, multiplicativity and
-    star residuals of alpha, so alpha is not checked a second time.  Invertibility is
-    checked beside them: ``tol`` is set by the caller, so a law row that passes it need
-    not give ``bounds.invertible``.
+    star residuals of alpha, so alpha is not checked a second time.  It is gated at
+    ``PRECONDITION_TOL``, and invertibility beside it: a law row that passes the gate
+    need not give ``bounds.invertible``.
     """
     report = sys.action_report
-    if report.max_residual > tol or not report.invertible:
+    if report.max_residual > nk.PRECONDITION_TOL or not report.invertible:
         raise NotActionError(
             f"dynamical system fails its axioms (residual {report.max_residual:.3e})"
         )
@@ -258,12 +256,11 @@ def _identity_defect(cm: CrossedModule, images, companion, mats) -> float:
 @dataclass(frozen=True)
 class InducedCP:
     """CP map on the crossed module induced by a covariant CP map, held by its pair:
-    ``e_(t,i) -> Phi(x_i) u_t`` with ``u_t = mats[t]``, with the residuals and density
-    profiles that certify it.  Of a covariant representation it is the integral form."""
+    ``e_(t,i) -> Phi(x_i) u_t``, the dilation's ``cov_map`` with ``u_t = u.mats[t]``, with
+    the residuals and density profiles that certify it.  Of a covariant representation
+    it is the integral form."""
 
     crossed: CrossedModule
-    base: cpmaps.ModuleCPMap
-    mats: np.ndarray  # (|G|, dim H, dim H)
     identity_residual: float  # <Phi^(xhat), Phi^(yhat)> = phi^(<xhat, yhat>)
     factorization_residual: float  # Phi^ = W* (integral form of dilation) V
     range_density: nk.RankProfile  # of the integral form of the dilation
@@ -272,7 +269,8 @@ class InducedCP:
 
     @property
     def images(self) -> np.ndarray:  # (|G| m, dim K, dim H): each crossed basis element's image
-        return _integrated(self.base.images, self.mats)
+        cov = self.dilation.cov_map
+        return _integrated(cov.base.images, cov.u.mats)
 
     @property
     def max_residual(self) -> float:
@@ -285,26 +283,20 @@ class InducedCP:
         return ranks == (base.dim_codomain, base.gns.dim)
 
 
-def induced_cp(
-    cov: CovariantCPMap, dilation: stinespring.CovariantDilation | None = None
-) -> InducedCP:
-    """Induce a CP map on the crossed product from a covariant one.
+def induced_cp(dilation: stinespring.CovariantDilation) -> InducedCP:
+    """Induce a CP map on the crossed product from a covariant one, given by its dilation.
 
     ``Phi^(xhat) = sum_t Phi(xhat(t)) u_t`` with companion
-    ``phi^(f) = sum_t phi(f(t)) u_t``.  The certificate checks the defining
-    inner-product identity on all crossed basis pairs, and the minimal
-    factorization through the covariant dilation that witnesses complete
-    positivity.
+    ``phi^(f) = sum_t phi(f(t)) u_t``, for the dilation's ``cov_map``, whose covariance
+    ``dilate_covariant`` gated.  The certificate checks the defining inner-product
+    identity on all crossed basis pairs, and the minimal factorization through the
+    covariant dilation that witnesses complete positivity.
     """
-    report = cov.covariance_report
-    if report.max_residual > nk.PRECONDITION_TOL:
-        raise NotCovariantError(f"input map is not covariant (residual {report.max_residual:.3e})")
-    cm = build_crossed_module(cov.system, nk.PRECONDITION_TOL)
+    cov = dilation.cov_map
+    cm = build_crossed_module(cov.system)
     phi, u = cov.base.images, cov.u.mats
     identity = _identity_defect(cm, phi, cov.base.companion.images, u)
 
-    if dilation is None:
-        dilation = stinespring.dilate_covariant(cov)
     # pi(x_i) v_t V from the dilation's parts, as verify reads pi(x_i) V, by chunks of t: columns
     # (t, h); W* of it against Phi(x_i) u_t, and the range Gram summed over the chunks
     base, v, dim = dilation.base, dilation.v.mats, dilation.base.dim_codomain
@@ -317,4 +309,4 @@ def induced_cp(
         stack = hilbmod.range_stack(ranged)
         gram += stack @ nk.adjoint(stack)
     ranged, coranged = nk.psd_rank(gram), stinespring._corange_rank(base, v)
-    return InducedCP(cm, cov.base, u, identity, fact, ranged, coranged, dilation)
+    return InducedCP(cm, identity, fact, ranged, coranged, dilation)

@@ -176,7 +176,6 @@ def embedding_representation(algebra: CStarAlgebra) -> CPMapAlgebra:
 
 
 class ChoiReport(NamedTuple):
-    choi: list[np.ndarray]  # one Choi matrix per block
     cp: bool
     min_eig: float
     spectra: list[nk.EigDecomposition]  # of each block's Hermitian part, descending
@@ -193,7 +192,7 @@ def choi_blocks(algebra: CStarAlgebra, images: np.ndarray) -> ChoiReport:
     """
     images = np.asarray(images, dtype=np.complex128)
     space_dim = images.shape[1]
-    choi, spectra = [], []
+    spectra = []
     min_eig = np.inf
     cp = True
     offset = 0
@@ -201,7 +200,6 @@ def choi_blocks(algebra: CStarAlgebra, images: np.ndarray) -> ChoiReport:
         blk_images = images[offset : offset + n * n].reshape(n, n, space_dim, space_dim)
         # entry [(p,a),(q,b)] = phi(E_ab)[p,q]
         c = blk_images.transpose(2, 0, 3, 1).reshape(n * space_dim, n * space_dim)
-        choi.append(c)
         # One eigensolve of the Hermitian part: a non-Hermitian block fails
         # the CP test below instead of raising NotHermitianError here.
         spectra.append(nk._descending_eigh(c))
@@ -210,4 +208,4 @@ def choi_blocks(algebra: CStarAlgebra, images: np.ndarray) -> ChoiReport:
         cp = cp and report.ok and herm_ok
         min_eig = min(min_eig, report.min_eig)
         offset += n * n
-    return ChoiReport(choi, bool(cp), float(min_eig), spectra)
+    return ChoiReport(bool(cp), float(min_eig), spectra)

@@ -132,12 +132,6 @@ class HilbertModule:
     def full(self) -> bool:  # the rows <x_i, x_j> span the algebra
         return self.fullness.rank == self.algebra.dim
 
-    @property
-    def fullness_condition(self) -> float:
-        """Ratio of the extreme kept singular values of the rows, inf at rank 0."""
-        rank, values = self.fullness
-        return float(values[0] / values[rank - 1]) if rank else float("inf")
-
 
 def standard_module(p: int, n: int) -> HilbertModule:
     """The p x n complex matrices over M_n, with ``<x, y> = x* y``.
@@ -194,19 +188,9 @@ class ModuleAxiomReport(NamedTuple):
     linearity_residual: float  # <x, y.a> = <x,y> a
     symmetry_residual: float  # <x,y>* = <y,x>
     positivity_min_eig: float  # Gram super-matrix in M_m(A), embedded
-    positive: bool
     definite: bool  # <x,x> = 0 only for x = 0
     fullness_rank: int
     fullness_required: int
-    fullness_condition: float  # ratio of the extreme kept singular values, inf at rank 0
-
-    @property
-    def full(self) -> bool:
-        return self.fullness_rank == self.fullness_required
-
-    @property
-    def max_residual(self) -> float:
-        return max(self.linearity_residual, self.symmetry_residual)
 
 
 def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
@@ -216,8 +200,8 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
     Everything is read from ``module.support``; linearity and symmetry are
     ``module_defects`` over the largest entry (at least 1).
 
-    Positivity is decided on the Gram super-matrix ``[<x_i, x_j>]`` in
-    ``M_m(A)``, embedded.  Each ``E_k`` embeds as one entry, so the nonzeros
+    Positivity is the least eigenvalue of the Gram super-matrix ``[<x_i, x_j>]``
+    in ``M_m(A)``, embedded, which ``verify``'s row gates.  Each ``E_k`` embeds as one entry, so the nonzeros
     of ``inner`` are its nonzeros, and ``nk.psd_check_by_components``
     eigensolves it one connected component of its sparsity at a time: a
     standard p x n module has p components of order n.  No (m E)^2 array is
@@ -248,11 +232,9 @@ def check_module_axioms(module: HilbertModule) -> ModuleAxiomReport:
         linearity,
         symmetry,
         psd.min_eig,
-        psd.ok,
         trace_rank.rank == m,
         module.fullness.rank,
         algebra.dim,
-        module.fullness_condition,
     )
 
 

@@ -210,19 +210,14 @@ def dilate_module_cp(phi: ModuleCPMap) -> StinespringDilation:
     summed where a row (x_i, a, c) has several.  Elsewhere it, its lift and leak
     are 0, and the live ``W (raw map) L`` are the dilation's parts.
     """
-    module = phi.module
+    module, gns = phi.module, gns_construct(phi.companion)  # the CP gate, before the identity's
     report = phi.cp_report
-    if not report.cp:
-        raise NotCpError(
-            f"companion fails the Choi test (min eig {report.choi_min_eig:.3e})"
-        )
     if report.identity_residual > nk.PRECONDITION_TOL:
         raise QuotientLeakError(
             f"defining identity fails by {report.identity_residual:.3e}; "
             "the pair (Phi, phi) is inconsistent and cannot descend"
         )
     hilbmod.require_full(module)
-    gns = gns_construct(phi.companion)
 
     dim_h, dim_k = phi.space_dims
     span = phi.images.transpose(1, 0, 2).reshape(dim_k, module.dim * dim_h)
@@ -457,28 +452,20 @@ def input_rows(phi, cov: CovariantCPMap | None = None) -> dict[str, float]:
 
 
 def verify_dilation(
-    phi,
     dilation,
     tol: float = nk.RESIDUAL_TOL,
     provenance: dict | None = None,
 ) -> Certificate:
     """Recompute every dilation invariant from scratch.
 
-    ``phi`` is the input ``ModuleCPMap`` (plain case) or ``CovariantCPMap``
-    (covariant case, with ``dilation`` a ``CovariantDilation``).  The input
-    checks are read from the reports cached on ``phi``, so a run computes
-    them once.  Nothing is raised: every failure shows up as a residual or a
-    rank deficit.
+    The input is the dilation's own map: ``cp_map`` of a ``StinespringDilation``, or
+    ``cov_map`` of a ``CovariantDilation``, whose covariant rows are added.  The input
+    checks are read from the reports cached on it, so a run computes them once.
+    Nothing is raised: every failure shows up as a residual or a rank deficit.
     """
-    covariant = isinstance(dilation, CovariantDilation)
-    cov = phi if isinstance(phi, CovariantCPMap) and covariant else None
-    phi = phi.base if isinstance(phi, CovariantCPMap) else phi
-    base = dilation.base if covariant else dilation
-    if base.cp_map is not phi and base.cp_map.images.shape != phi.images.shape:
-        raise ShapeMismatchError("dilation does not belong to the given map")
-
-    module = phi.module
-    gns = base.gns
+    cov = dilation.cov_map if isinstance(dilation, CovariantDilation) else None
+    base = dilation if cov is None else dilation.base
+    phi, gns = base.cp_map, base.gns
     residuals: dict[str, float] = {}
     ranks: dict[str, tuple[int, int]] = {}
     singular: dict[str, list] = {}
@@ -635,10 +622,6 @@ class UniquenessReport(NamedTuple):
     alt_reconstruction: float  # Phi(x) = W'* pi'(x) V'
     covariant_v_residual: float  # v'_t U1 = U1 v_t
     covariant_w_residual: float  # w'_t U2 = U2 w_t
-
-    @property
-    def max_residual(self) -> float:
-        return max(self[2:])  # every field after U1 and U2
 
 
 def uniqueness_intertwiners(

@@ -3,12 +3,12 @@
 The package reads scenarios and never writes one, and no run reaches the
 helpers below: the JSON writers (inverses of the ``cli.*_from_json`` readers)
 and the H-amplified payload of a generated scenario, algebra elements held
-block by block and their products, the seeded plain module map, named
-representations, crossed basis elements, the companion images of an
-induced map, and the image of an element under a map given on the basis.  They live here so that
-``src/covstine`` holds only what a run or the API list of README.md reaches;
-the guard ``test_every_package_function_is_reached`` in ``test_kernels.py``
-keeps it so.
+block by block and their products, a module's positivity verdict, the seeded
+plain module map, named representations, crossed basis elements, the companion
+images of an induced map, and the image of an element under a map given on the
+basis.  They live here so that ``src/covstine`` holds only what a run or the API
+list of README.md reaches; the guard ``test_every_package_function_is_reached``
+in ``test_kernels.py`` keeps it so.
 """
 
 from __future__ import annotations
@@ -217,6 +217,15 @@ def inner_coords(module: hilbmod.HilbertModule, xi: np.ndarray, zeta: np.ndarray
     return zeta @ (np.conj(xi) @ module.inner.reshape(m, m * n_dim)).reshape(m, n_dim)
 
 
+def module_positivity(module: hilbmod.HilbertModule) -> nk.PsdReport:
+    """``nk.psd_check_by_components`` of the embedded Gram super-matrix ``[<x_i, x_j>]``, the
+    decomposition whose ``min_eig`` ``hilbmod.check_module_axioms`` reports: its verdict."""
+    support, e_dim = module.support, module.algebra.embed_dim
+    unit_row, unit_col = cstar.embedding_index(module.algebra)[:, support.k]
+    rows, cols = support.i * e_dim + unit_row, support.j * e_dim + unit_col
+    return nk.psd_check_by_components(module.dim * e_dim, rows, cols, support.values)
+
+
 def random_module_cp(
     p: int,
     n: int,
@@ -359,8 +368,9 @@ def crossed_unit(calg) -> np.ndarray:
 
 def companion_images(induced) -> np.ndarray:
     """The companion's integral form ``phi(E_k) u_t`` of a ``crossed.InducedCP``, at
-    crossed index ``t N + k``, integrated from the pair the map holds."""
-    return crossed._integrated(induced.base.companion.images, induced.mats)
+    crossed index ``t N + k``, integrated from the pair its dilation holds."""
+    cov = induced.dilation.cov_map
+    return crossed._integrated(cov.base.companion.images, cov.u.mats)
 
 
 def apply(images: np.ndarray, coords) -> np.ndarray:

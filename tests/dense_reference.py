@@ -377,8 +377,6 @@ def module_axioms(module):
     scale = max(1.0, nk.maxabs(inner))
     flat = inner.reshape(m * m, n_dim)
     fullness = nk.psd_rank(nk.adjoint(flat) @ flat)
-    kept = fullness.singular_values[: fullness.rank]
-    condition = kept[0] / kept[-1] if fullness.rank else float("inf")
 
     support = inner != 0
     left_factor = builders.left_factor_index(algebra)
@@ -407,11 +405,9 @@ def module_axioms(module):
         linearity,
         module_symmetry(module) / scale,
         psd.min_eig,
-        psd.ok,
         trace_rank.rank == m,
         fullness.rank,
         n_dim,
-        float(condition),
     )
 
 

@@ -31,17 +31,16 @@ def concrete_cp(p, n):
 
 class TestCheckModuleCp:
     def test_concrete(self):
-        report = cpmaps.check_module_cp(concrete_cp(2, 2))
-        assert report.identity_residual == 0
-        assert report.cp
+        phi = concrete_cp(2, 2)
+        assert cpmaps.check_module_cp(phi).identity_residual == 0
+        assert phi.companion.choi_report.cp
 
     def test_zero_map(self):
         module = hilbmod.standard_module(2, 1)
         companion = cpmaps.CPMapAlgebra(module.algebra, 2, np.zeros((1, 2, 2)))
         phi = cpmaps.ModuleCPMap(module, np.zeros((2, 3, 2)), companion)
-        report = cpmaps.check_module_cp(phi)
-        assert report.identity_residual == 0
-        assert report.cp
+        assert cpmaps.check_module_cp(phi).identity_residual == 0
+        assert phi.companion.choi_report.cp
 
     def test_transpose_companion_flagged(self):
         module = hilbmod.standard_module(1, 2)
@@ -53,7 +52,7 @@ class TestCheckModuleCp:
             module, images, cpmaps.CPMapAlgebra(module.algebra, 2, transpose)
         )
         report = cpmaps.check_module_cp(phi)
-        assert not report.cp
+        assert not phi.companion.choi_report.cp
         assert report.choi_min_eig == pytest.approx(-1.0)
 
 
@@ -81,9 +80,9 @@ def test_no_two_record_types_share_their_fields():
 
 @pytest.mark.parametrize("p, n", [(1, 1), (2, 3), (3, 2)])
 def test_concrete_representation_is_a_module_cp_map(p, n):
-    report = cpmaps.concrete_representation(p, n).cp_report
-    assert report.identity_residual == 0.0
-    assert report.cp
+    rep = cpmaps.concrete_representation(p, n)
+    assert rep.cp_report.identity_residual == 0.0
+    assert rep.companion.choi_report.cp
 
 
 class TestCpFromRepresentation:
@@ -91,7 +90,7 @@ class TestCpFromRepresentation:
         rep = cpmaps.concrete_representation(2, 1)
         phi = cpmaps.cp_from_representation(rep, nk.eye(1), nk.eye(2))
         np.testing.assert_allclose(phi.images, rep.images)
-        assert cpmaps.check_module_cp(phi).max_residual <= 1e-12
+        assert max(cpmaps.check_module_cp(phi)[:2]) <= 1e-12
 
     def test_zero_v(self):
         rep = cpmaps.concrete_representation(2, 1)
@@ -104,9 +103,8 @@ class TestCpFromRepresentation:
         v = nk.complex_normal(rng, 4, 3)
         w = cpmaps.polar_coisometry(nk.complex_normal(rng, 4, 5))
         phi = cpmaps.cp_from_representation(rep, v, w)
-        report = cpmaps.check_module_cp(phi)
-        assert report.identity_residual <= 1e-10
-        assert report.cp
+        assert cpmaps.check_module_cp(phi).identity_residual <= 1e-10
+        assert phi.companion.choi_report.cp
 
     def test_rejects_non_coisometry(self):
         rep = cpmaps.concrete_representation(2, 1)
@@ -189,7 +187,7 @@ class TestRandomCovariantCp:
         sys = z2_diag_system()
         cov, witness = cpmaps.random_covariant_cp(sys, 1, seed=0)
         assert cpmaps.check_covariance(cov.base, sys, cov.u, cov.u_prime).max_residual <= 1e-10
-        assert cpmaps.check_module_cp(cov.base).max_residual <= 1e-10
+        assert max(cpmaps.check_module_cp(cov.base)[:2]) <= 1e-10
 
     def test_z2_seed_seven(self):
         group = hilbmod.cyclic_group(2)
@@ -199,7 +197,7 @@ class TestRandomCovariantCp:
         )
         cov, witness = cpmaps.random_covariant_cp(sys, 2, seed=7)
         assert cpmaps.check_covariance(cov.base, sys, cov.u, cov.u_prime).max_residual <= 1e-9
-        assert cpmaps.check_module_cp(cov.base).max_residual <= 1e-9
+        assert max(cpmaps.check_module_cp(cov.base)[:2]) <= 1e-9
 
     def test_s3_regular_amplification(self):
         group = hilbmod.symmetric_group(3)
@@ -208,7 +206,7 @@ class TestRandomCovariantCp:
         )
         cov, witness = cpmaps.random_covariant_cp(sys, 6, seed=11)
         assert cpmaps.check_covariance(cov.base, sys, cov.u, cov.u_prime).max_residual <= 1e-9
-        assert cpmaps.check_module_cp(cov.base).max_residual <= 1e-9
+        assert max(cpmaps.check_module_cp(cov.base)[:2]) <= 1e-9
 
     def test_witness_intertwines(self):
         sys = z2_diag_system()
@@ -231,14 +229,14 @@ class TestRandomCovariantCp:
     def test_plain_generator(self):
         phi, witness = builders.random_module_cp(2, 2, 2, seed=9, h_dim=3, k_dim=5)
         assert phi.space_dims == (3, 5)
-        report = cpmaps.check_module_cp(phi)
-        assert report.identity_residual <= 1e-10
-        assert report.cp
+        assert cpmaps.check_module_cp(phi).identity_residual <= 1e-10
+        assert phi.companion.choi_report.cp
 
     @pytest.mark.parametrize("eps", [1e-6, 1e-4])
     def test_companion_residual_tracks_map_residual(self, eps):
         # perturbing u by eps moves both covariance residuals by O(eps); the
-        # companion residual stays within the reported conditioning constant
+        # companion residual stays within the conditioning constant of the fullness
+        # rows, the ratio of their extreme kept singular values
         sys = z2_diag_system()
         cov, _ = cpmaps.random_covariant_cp(sys, 2, seed=12)
         rot = np.eye(2, dtype=complex)
@@ -247,9 +245,9 @@ class TestRandomCovariantCp:
             sys.group, 2, np.stack([cov.u.mats[0], rot @ cov.u.mats[1]])
         )
         report = cpmaps.check_covariance(cov.base, sys, bent, cov.u_prime)
-        assert report.fullness_condition >= 1.0
-        assert np.isfinite(report.fullness_condition)
-        bound = 50 * report.fullness_condition * (report.map_residual + 1e-14)
+        rank, values = cov.base.module.fullness
+        assert rank == sys.module.algebra.dim
+        bound = 50 * (values[0] / values[rank - 1]) * (report.map_residual + 1e-14)
         assert report.companion_residual <= bound
 
 

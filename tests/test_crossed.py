@@ -156,14 +156,14 @@ class TestCrossedModule:
 def integral_form(sys, rep, v, w):
     """The integral form of a covariant representation: the map ``induced_cp`` induces
     from it, a representation being a CP map."""
-    return crossed.induced_cp(cpmaps.CovariantCPMap(rep, sys, v, w))
+    return crossed.induced_cp(st.dilate_covariant(cpmaps.CovariantCPMap(rep, sys, v, w)))
 
 
 def nondegenerate(form) -> bool:
     """A representation's integral form is nondegenerate when the dilation of the map it
     is keeps both spaces and is minimal: with V and W unitary, its ranges are dense."""
     dims = (form.dilation.base.gns.dim, form.dilation.base.dim_codomain)
-    return form.minimal and dims == form.base.space_dims
+    return form.minimal and dims == form.dilation.base.cp_map.space_dims
 
 
 class TestIntegralForm:
@@ -234,7 +234,7 @@ class TestInducedCp:
         cov = cpmaps.CovariantCPMap(
             phi, sys, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 1)
         )
-        induced = crossed.induced_cp(cov)
+        induced = crossed.induced_cp(st.dilate_covariant(cov))
         np.testing.assert_allclose(induced.images, phi.images, atol=1e-14)
         np.testing.assert_allclose(
             builders.companion_images(induced), phi.companion.images, atol=1e-14
@@ -248,7 +248,7 @@ class TestInducedCp:
         rep = cpmaps.concrete_representation(1, 1)
         phi = cpmaps.cp_from_representation(rep, nk.eye(1), nk.eye(1))
         cov = cpmaps.CovariantCPMap(phi, sys, sign, sign)
-        induced = crossed.induced_cp(cov)
+        induced = crossed.induced_cp(st.dilate_covariant(cov))
         xhat = np.array([[2.0], [3.0]], dtype=complex)
         np.testing.assert_allclose(builders.apply(induced.images, xhat), [[-1.0]], atol=1e-12)
         assert induced.max_residual <= 1e-12
@@ -257,7 +257,7 @@ class TestInducedCp:
     def test_seeded_z2_certificate(self, seed):
         sys = z2_diag_system()
         cov, _ = cpmaps.random_covariant_cp(sys, 2, seed=seed)
-        induced = crossed.induced_cp(cov)
+        induced = crossed.induced_cp(st.dilate_covariant(cov))
         assert induced.identity_residual <= 1e-9
         assert induced.factorization_residual <= 1e-9
 
@@ -265,7 +265,7 @@ class TestInducedCp:
         # solve the companion from the crossed identity and compare
         sys = z2_diag_system()
         cov, _ = cpmaps.random_covariant_cp(sys, 2, seed=3)
-        induced = crossed.induced_cp(cov)
+        induced = crossed.induced_cp(st.dilate_covariant(cov))
         cm = induced.crossed
         assert crossed.axiom_rows(cm).fullness == (cm.algebra.dim, cm.algebra.dim)
         inner = reference_inner(cm)
@@ -292,7 +292,7 @@ class TestIntegralStinespring:
             phi, sys, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 1)
         )
         dilation = st.dilate_covariant(cov)
-        induced = crossed.induced_cp(cov, dilation)
+        induced = crossed.induced_cp(dilation)
         assert induced.minimal
         assert induced.factorization_residual <= 1e-10
 
@@ -303,7 +303,7 @@ class TestIntegralStinespring:
         )
         cov = cpmaps.CovariantCPMap(phi, sys, sys.delta, sys.gamma)
         dilation = st.dilate_covariant(cov)
-        induced = crossed.induced_cp(cov, dilation)
+        induced = crossed.induced_cp(dilation)
         assert induced.range_density.rank == dilation.base.dim_codomain
         assert induced.corange_density.rank == dilation.base.gns.dim
         assert induced.factorization_residual <= 1e-10
@@ -315,6 +315,6 @@ class TestIntegralStinespring:
         )
         cov, _ = cpmaps.random_covariant_cp(sys, 2, seed=11)
         dilation = st.dilate_covariant(cov)
-        induced = crossed.induced_cp(cov, dilation)
+        induced = crossed.induced_cp(dilation)
         assert induced.minimal
         assert induced.factorization_residual <= 1e-8

@@ -476,7 +476,7 @@ def test_induced_cp_allocates_no_dense_pair_tensor():
     res.cov.covariance_report  # noqa: B018 (cached before the measurement)
     tracemalloc.start()
     try:
-        induced = crossed.induced_cp(res.cov, dilation)
+        induced = crossed.induced_cp(dilation)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -501,7 +501,7 @@ def _check_factorization_against_the_reconstruction():
     scenario = cli.generate_scenario("crossed", 1, 2, 1, 11, "cyclic:2")
     cov = cli.resolve_scenario(scenario, "z2.json").cov
     dilation = stinespring.dilate_covariant(cov)
-    induced = crossed.induced_cp(cov, dilation)
+    induced = crossed.induced_cp(dilation)
     assert abs(integral_stinespring(cov, dilation)[0] - induced.factorization_residual) < 1e-14
     assert induced.dilation is dilation and induced.minimal
 
@@ -535,7 +535,7 @@ def _check_density_profiles(p, n, amplification, group):
         scenario = cli.generate_scenario("crossed", p, n, amplification, 11, group)
         res = cli.resolve_scenario(scenario, "generated.json")
     dilation = stinespring.dilate_covariant(res.cov)
-    induced = crossed.induced_cp(res.cov, dilation)
+    induced = crossed.induced_cp(dilation)
     residual, ranged, coranged = integral_stinespring(res.cov, dilation)
     assert abs(induced.factorization_residual - residual) < 1e-14
     profiles = (induced.range_density, induced.corange_density)
@@ -568,9 +568,9 @@ def test_a_planted_dilation_defect_shows_in_both_factorizations(where):
     scenario = cli.generate_scenario("crossed", 2, 2, 2, 11, "symmetric:3")
     cov = cli.resolve_scenario(scenario, "generated.json").cov
     dilation = stinespring.dilate_covariant(cov)
-    assert crossed.induced_cp(cov, dilation).factorization_residual < 1e-12
+    assert crossed.induced_cp(dilation).factorization_residual < 1e-12
     planted = _planted(dilation, where)
-    assert crossed.induced_cp(cov, planted).factorization_residual > 1e-9
+    assert crossed.induced_cp(planted).factorization_residual > 1e-9
     assert integral_stinespring(cov, planted)[0] > 1e-9
 
 
@@ -587,7 +587,7 @@ def test_induced_cp_builds_no_dense_view_of_the_dilation(monkeypatch):
     built = watch_dense_forms(monkeypatch)
     tracemalloc.start()
     try:
-        induced = crossed.induced_cp(cov, dilation)
+        induced = crossed.induced_cp(dilation)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -614,7 +614,7 @@ def test_a_crossed_run_integrates_no_stack(tmp_path, monkeypatch):
     assert calls == []
     # the counter does count: the API's stack is integrated on demand
     cov = cli.resolve_scenario(scenario, "generated.json").cov
-    induced = crossed.induced_cp(cov)
-    assert induced.base is cov.base and induced.mats is cov.u.mats
+    induced = crossed.induced_cp(stinespring.dilate_covariant(cov))
+    assert induced.dilation.cov_map is cov
     assert induced.images.shape == (induced.crossed.dim, *cov.base.images.shape[1:])
     assert len(calls) == 1

@@ -128,8 +128,7 @@ class TestChoi:
         )
         report = cstar.choi_blocks(algebra, images)
         assert report.cp
-        values = np.linalg.eigvalsh(report.choi[0])
-        np.testing.assert_allclose(sorted(values), [0, 0, 0, 2], atol=1e-12)
+        np.testing.assert_allclose(report.spectra[0].values, [2, 0, 0, 0], atol=1e-12)
 
     def test_transpose_not_cp(self):
         algebra = cstar.CStarAlgebra((2,))
@@ -150,7 +149,7 @@ class TestChoi:
         )
         report = cstar.choi_blocks(algebra, images)
         assert report.cp
-        np.testing.assert_allclose(report.choi[0], np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(report.spectra[0].values, np.ones(4), atol=1e-14)  # Choi = I
 
     @pytest.mark.parametrize("blocks", ALGEBRAS)
     @pytest.mark.parametrize("seed", range(3))

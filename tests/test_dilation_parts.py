@@ -50,7 +50,7 @@ KINDS = ["standard", "two blocks", "dense basis"]
 def _compare(phi, dilation, rel):
     """Both forms of every plain row: residuals within ``rel`` (and 1e-15) of each
     other, ranks equal and singular values within 1e-12."""
-    cert = stinespring.verify_dilation(phi, dilation)
+    cert = stinespring.verify_dilation(dilation)
     residuals, profiles = dense_reference.plain_rows(phi, dilation)
     for name in RESIDUALS:
         assert cert.residuals[name] == pytest.approx(residuals[name], rel=rel, abs=1e-15), name

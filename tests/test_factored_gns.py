@@ -72,7 +72,7 @@ def test_factored_dilation_matches_the_dense_one(name):
     _close(gns.rep.images, dense.gns_images)
     _close(gns.V, dense.V)
     _close(ref.dilation_images(dilation), dense.images)
-    cert = stinespring.verify_dilation(phi, dilation)
+    cert = stinespring.verify_dilation(dilation)
     assert cert.passed
     if name == "vanishing block":
         assert [b.rank for b in gns.blocks] == [4, 0]
@@ -146,7 +146,7 @@ def test_planted_choi_defect_trips_the_module_map_gate(monkeypatch):
     """Eigenvectors no longer orthonormal: ``S B/sqrt(Λ)`` is not the identity that
     ``GnsTriple.rep`` places, and the module maps no longer descend."""
     phi = _covariant().base
-    assert phi.cp_report.cp and phi.companion.choi_report.cp
+    assert phi.companion.choi_report.cp
     vectors = phi.companion.choi_report.spectra[0].vectors
     vectors[:, 0] += 1e-4 * vectors[:, 1]
     base = _ungated(monkeypatch, lambda: stinespring.dilate_module_cp(phi))

@@ -66,7 +66,9 @@ def test_the_scenarios_are_what_they_claim():
     for name in NAMES:
         module = _scenario(name)[0]
         report = module.axiom_report
-        assert report.full and report.positive and report.max_residual <= 1e-12, name
+        assert report.fullness_rank == report.fullness_required, name
+        assert ref.module_positivity(module).ok, name
+        assert max(report.linearity_residual, report.symmetry_residual) <= 1e-12, name
         assert (np.count_nonzero(module.inner) == module.inner.size) == (name != "standard")
         assert len(module.algebra.blocks) == (2 if name == "two-block" else 1), name
         values = module.fullness.singular_values[: report.fullness_rank] ** 2

@@ -170,7 +170,7 @@ def test_planted_dilation_defects_are_bounded_on_every_t(source, where, plant):
     elif where == "w":
         w = hilbmod.UnitaryRep(group, w.dim, _planted(w.mats, t, plant))
     planted = replace(dilation, v=v, w=w)
-    rows = stinespring.verify_dilation(cov, planted).residuals
+    rows = stinespring.verify_dilation(planted).residuals
     base, system = dilation.base, cov.system
     images = ref.dilation_images(base)
     dense = {

@@ -22,9 +22,11 @@ class TestStandardModule:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_axioms(self, p, n):
-        report = hilbmod.check_module_axioms(hilbmod.standard_module(p, n))
-        assert report.max_residual <= 1e-12
-        assert report.positive and report.definite and report.full
+        module = hilbmod.standard_module(p, n)
+        report = hilbmod.check_module_axioms(module)
+        assert max(report.linearity_residual, report.symmetry_residual) <= 1e-12
+        assert builders.module_positivity(module).ok and report.definite
+        assert report.fullness_rank == report.fullness_required
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -49,8 +51,7 @@ class TestStandardModule:
     def test_negated_inner_fails_positivity(self):
         module = hilbmod.standard_module(2, 1)
         broken = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, module.action, -module.inner)
-        report = hilbmod.check_module_axioms(broken)
-        assert not report.positive
+        assert not builders.module_positivity(broken).ok
 
     def test_diagonal_restriction_loses_fullness(self):
         # keeping only the diagonal of x* y spans 2 of the 4 dimensions of M_2
@@ -219,7 +220,7 @@ def _explicit(sys, eta=None, alpha=None):
 def _refused(sys, match):
     """``build_crossed_module``, the gate of every ``crossed`` run, refuses the system."""
     with pytest.raises(NotActionError, match=match):
-        crossed.build_crossed_module(sys, nk.PRECONDITION_TOL)
+        crossed.build_crossed_module(sys)
 
 
 class TestExplicitAction:
@@ -232,7 +233,7 @@ class TestExplicitAction:
         sys = hilbmod.ModuleDynamicalSystem(group, module, np.stack([np.eye(4)] * 3), np.stack([np.eye(4)] * 3))
         report = hilbmod.check_dynamical_system(sys)
         assert report.max_residual == 0 and report.invertible
-        assert crossed.build_crossed_module(sys, nk.PRECONDITION_TOL).system is sys
+        assert crossed.build_crossed_module(sys).system is sys
 
     @pytest.mark.parametrize("seed", range(3))
     def test_reproduces_standard_action(self, seed):

@@ -262,7 +262,7 @@ def test_sliced_linearity_reports_a_planted_action_perturbation(blocks, eps):
     algebra's own 0/1 module and on a dense basis (where every row is live)."""
     units, dense = _algebra_module(blocks), _dense_basis_module(blocks, seed=5)
     report = hilbmod.check_module_axioms(units)
-    assert report.linearity_residual == 0.0 and report.full
+    assert report.linearity_residual == 0.0 and report.fullness_rank == report.fullness_required
     assert hilbmod.check_module_axioms(dense).linearity_residual < 1e-12
     assert np.any(dense.action.reshape(dense.dim * dense.algebra.dim, -1) != 0, axis=1).all()
     rng = np.random.default_rng(7)
@@ -339,7 +339,7 @@ def test_gns_from_choi_blocks_matches_the_dense_gram_factor(blocks, h, spectra):
     )
     # the dilation's own GNS rows, on a module map whose companion is phi
     phi_module = module_map_through(phi, dense)
-    cert = stinespring.verify_dilation(phi_module, stinespring.dilate_module_cp(phi_module))
+    cert = stinespring.verify_dilation(stinespring.dilate_module_cp(phi_module))
     assert cert.ranks["gns_minimality"] == (gns.dim, gns.dim)
     assert cert.residuals["gns_reconstruction"] < 1e-9
 
@@ -715,7 +715,7 @@ def test_dilation_identities_at_the_corner_stay_below_one_image_stack(monkeypatc
     )
     tracemalloc.start()
     try:
-        cert = stinespring.verify_dilation(phi, dilation)
+        cert = stinespring.verify_dilation(dilation)
     finally:
         tracemalloc.stop()
     assert cert.passed
@@ -734,7 +734,7 @@ def test_component_positivity_matches_one_dense_eigensolve(index):
     module = _modules()[index]
     report = hilbmod.check_module_axioms(module)
     dense = dense_reference.module_positivity(module)
-    assert report.positive == dense.ok
+    assert builders.module_positivity(module).ok == dense.ok
     assert report.positivity_min_eig == pytest.approx(dense.min_eig, abs=1e-12)
 
 
@@ -745,7 +745,7 @@ def test_a_negative_eigenvalue_in_one_small_component_fails():
     broken = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, module.action, inner)
     report = hilbmod.check_module_axioms(broken)
     dense = dense_reference.module_positivity(broken)
-    assert not report.positive and not dense.ok
+    assert not builders.module_positivity(broken).ok and not dense.ok
     assert report.positivity_min_eig == pytest.approx(dense.min_eig, abs=1e-12)
     assert report.positivity_min_eig == pytest.approx(-2e-6, rel=1e-9)
 
@@ -1120,9 +1120,8 @@ def test_package_eigensolves_only_in_the_helper():
 
 TOLERANCE_NAMES = {"tol", "rel_tol", "leak_tol", "input_tol", "min_eig"}
 # verify_dilation and uniqueness_intertwiners take the scenario tolerance from
-# the command line; build_crossed_module's two callers gate at different values.
+# the command line.
 KEPT_TOLERANCES = {
-    "crossed.build_crossed_module(tol)",
     "stinespring.verify_dilation(tol)",
     "stinespring.uniqueness_intertwiners(tol)",
 }
@@ -1441,6 +1440,39 @@ def test_guard_flags_foreign_imports():
 def test_numpy_is_the_only_runtime_dependency():
     found = {path.name: foreign_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert not {name: packages for name, packages in found.items() if packages}
+
+
+def unused_imports(source: str) -> set[str]:
+    """The names ``source`` imports and never reads, a name in an annotation (a string one
+    too) counting as read.  An import marked ``# noqa: F401`` on its first line (a
+    re-export) and ``from __future__`` are exempt."""
+    tree, lines = ast.parse(source), source.splitlines()
+    imported, read = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import | ast.ImportFrom) and getattr(node, "module", None) != "__future__":
+            if "# noqa: F401" not in lines[node.lineno - 1]:
+                imported |= {(alias.asname or alias.name).split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        annotation = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            read |= {name.id for name in ast.walk(ast.parse(annotation.value, mode="eval")) if isinstance(name, ast.Name)}
+    return imported - read
+
+
+def test_guard_flags_unused_imports():
+    source = (
+        "from __future__ import annotations\nimport json\nimport numpy as np\n"
+        "from . import cstar, hilbmod\nfrom .errors import (  # noqa: F401\n    ParseError,\n)\n"
+        "def f(x: hilbmod.HilbertModule) -> 'np.ndarray':\n    return np.eye(2)\n"
+    )
+    assert unused_imports(source) == {"json", "cstar"}
+    assert unused_imports(source + "def g(a: 'cstar.CStarAlgebra'):\n    return json.dumps(1)\n") == set()
+
+
+def test_package_imports_nothing_it_does_not_read():
+    found = {path.name: unused_imports(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert not {name: names for name, names in found.items() if names and name != "__init__.py"}
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import builders
 import dense_reference
 from covstine import cli, cstar, hilbmod
 from covstine import numkernel as nk
@@ -51,7 +52,8 @@ def test_standard_modules_match_the_dense_form_bitwise(p, n):
     report = hilbmod.check_module_axioms(module)
     assert _fields(report) == _fields(dense_reference.module_axioms(module))
     assert report.linearity_residual == report.symmetry_residual == 0.0
-    assert report.positive and report.definite and report.full
+    assert builders.module_positivity(module).ok and report.definite
+    assert report.fullness_rank == report.fullness_required
 
 
 @pytest.mark.parametrize("blocks", BLOCKS)
@@ -86,7 +88,8 @@ def test_a_zero_basis_vector_is_its_own_component():
     report = hilbmod.check_module_axioms(padded)
     assert _components(padded).tolist() == [0, 0, 2, 2, 4]
     assert _fields(report) == _fields(dense_reference.module_axioms(padded))
-    assert report.linearity_residual == 0.0 and report.positive and report.full
+    assert report.linearity_residual == 0.0 and builders.module_positivity(padded).ok
+    assert report.fullness_rank == report.fullness_required
     assert not report.definite
 
 
@@ -131,7 +134,7 @@ def test_planted_defects_read_the_same_in_both_forms(defect, eps):
             report = hilbmod.check_module_axioms(broken)
             assert _fields(report) == _fields(dense_reference.module_axioms(broken)), defect
             if defect == "negative":
-                assert not report.positive
+                assert not builders.module_positivity(broken).ok
             elif defect == "asymmetric":
                 assert report.symmetry_residual > 0.0
             else:
@@ -155,7 +158,7 @@ def test_the_8x8_check_peaks_below_the_inner_tensor():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert report.full and report.positive
+    assert report.fullness_rank == report.fullness_required and builders.module_positivity(module).ok
     assert peak < 64**3 * 16  # the (64, 64, 64) inner tensor, never formed
     assert "inner" not in vars(module) and "action" not in vars(module)
 

@@ -99,12 +99,12 @@ def test_choi_blocks_are_built_once_per_dilation(tmp_path, monkeypatch, kind, gr
     Choi block is eigensolved once: both read the spectra stored in it."""
     path = tmp_path / f"{kind}.json"
     path.write_bytes(cli.canonical_bytes(cli.generate_scenario(kind, 2, 2, 2, 11, group)))
-    reports = []
+    calls = []
     original = cstar.choi_blocks
 
-    def counting(*args, **kwargs):
-        reports.append(original(*args, **kwargs))
-        return reports[-1]
+    def counting(algebra, images):
+        calls.append((algebra, np.array(images)))
+        return original(algebra, images)
 
     solved = []
 
@@ -119,8 +119,11 @@ def test_choi_blocks_are_built_once_per_dilation(tmp_path, monkeypatch, kind, gr
     for name in ("eigh", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
     assert cli.run_scenario(str(path)).passed
-    assert len(reports) == 1
-    for c in reports[0].choi:
+    assert len(calls) == 1
+    (algebra, images), h = calls[0], calls[0][1].shape[1]
+    starts = np.cumsum((0,) + tuple(n * n for n in algebra.blocks))
+    for n, start in zip(algebra.blocks, starts):  # the block's Choi matrix [(p, a), (q, b)] = phi(E_ab)[p, q]
+        c = images[start : start + n * n].reshape(n, n, h, h).transpose(2, 0, 3, 1).reshape(n * h, n * h)
         hermitian = (c + c.conj().T) / 2
         assert sum(np.array_equal(m, hermitian) for m in solved) == 1
 
