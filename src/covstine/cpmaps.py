@@ -107,10 +107,10 @@ class ModuleCPReport(NamedTuple):
 
 
 def check_module_cp(phi: ModuleCPMap) -> ModuleCPReport:
-    """Identity and hermiticity residuals; the CP verdict is the companion's ``choi_report``."""
-    companion = phi.companion
+    """The identity residual; the hermiticity and CP verdict are the companion's ``choi_report``."""
+    companion, choi = phi.companion, phi.companion.choi_report
     residual = hilbmod.identity_defect(phi.images, phi.module, companion.images)
-    return ModuleCPReport(residual, companion.hermiticity_residual(), companion.choi_report.min_eig)
+    return ModuleCPReport(residual, choi.hermiticity, choi.min_eig)
 
 
 def concrete_representation(p: int, n: int) -> ModuleCPMap:

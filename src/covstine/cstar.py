@@ -161,11 +161,6 @@ class CPMapAlgebra:
         """
         return choi_blocks(self.algebra, self.images)
 
-    def hermiticity_residual(self) -> float:
-        starred = self.images[star_permutation(self.algebra)]  # phi(E_k*)
-        adjoints = np.conj(np.transpose(self.images, (0, 2, 1)))
-        return nk.maxabs(starred - adjoints)
-
 
 def embedding_representation(algebra: CStarAlgebra) -> CPMapAlgebra:
     """The faithful representation on C^E by block-diagonal matrices."""
@@ -178,6 +173,7 @@ def embedding_representation(algebra: CStarAlgebra) -> CPMapAlgebra:
 class ChoiReport(NamedTuple):
     cp: bool
     min_eig: float
+    hermiticity: float  # worst |phi(E_k*) - phi(E_k)*|, the largest entry of C - C*
     spectra: list[nk.EigDecomposition]  # of each block's Hermitian part, descending
 
 
@@ -189,11 +185,13 @@ def choi_blocks(algebra: CStarAlgebra, images: np.ndarray) -> ChoiReport:
     positivity for a direct-sum algebra reduces to its simple blocks, so this
     is equivalent to positivity of all matrix amplifications.  Each block is
     eigendecomposed once, for this verdict and for ``stinespring.gns_construct``.
+    The entry ``[(p,a),(q,b)]`` of ``C - C*`` is ``phi(E_ab)[p,q] - conj(phi(E_ba)[q,p])``, so
+    the largest over the blocks is the map's hermiticity residual.
     """
     images = np.asarray(images, dtype=np.complex128)
     space_dim = images.shape[1]
     spectra = []
-    min_eig = np.inf
+    min_eig, hermiticity = np.inf, 0.0
     cp = True
     offset = 0
     for n in algebra.blocks:
@@ -203,9 +201,11 @@ def choi_blocks(algebra: CStarAlgebra, images: np.ndarray) -> ChoiReport:
         # One eigensolve of the Hermitian part: a non-Hermitian block fails
         # the CP test below instead of raising NotHermitianError here.
         spectra.append(nk._descending_eigh(c))
-        report = nk.spectrum_psd(spectra[-1].values, nk.frobenius(c - nk.adjoint(c)))
+        skew = c - nk.adjoint(c)
+        hermiticity = max(hermiticity, nk.maxabs(skew))
+        report = nk.spectrum_psd(spectra[-1].values, nk.frobenius(skew))
         herm_ok = report.herm_defect <= nk.REL_TOL * max(1.0, nk.frobenius(c))
         cp = cp and report.ok and herm_ok
         min_eig = min(min_eig, report.min_eig)
         offset += n * n
-    return ChoiReport(bool(cp), float(min_eig), spectra)
+    return ChoiReport(bool(cp), float(min_eig), hermiticity, spectra)

@@ -254,6 +254,18 @@ def random_module_cp(
 # ---------------------------------------------------------------------------
 
 
+def concrete_cp(p: int, n: int) -> cpmaps.ModuleCPMap:
+    """The defining representation of the standard p x n module, compressed by identities."""
+    return cpmaps.cp_from_representation(cpmaps.concrete_representation(p, n), nk.eye(n), nk.eye(p))
+
+
+def z2_diag_system() -> hilbmod.ModuleDynamicalSystem:
+    """Z_2 acting on the standard 1 x 2 module through delta = diag(1, -1)."""
+    group = hilbmod.cyclic_group(2)
+    delta = hilbmod.UnitaryRep(group, 2, np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex))
+    return hilbmod.standard_action(group, hilbmod.trivial_rep(group, 1), delta)
+
+
 def cyclic_character_rep(group: hilbmod.FiniteGroup, k: int) -> hilbmod.UnitaryRep:
     """One-dimensional character t -> exp(2 pi i k t / n) of a cyclic group."""
     n = group.order
@@ -344,6 +356,37 @@ def explicit_system_scenario(scenario: dict) -> dict:
     }
     objects = {**scenario["objects"], "system": explicit, "u": unitary_rep_to_json(system.delta)}
     return {**scenario, "objects": objects}
+
+
+def conditioned_scenario(cov: cpmaps.CovariantCPMap, kind: str, condition: float = 20.0) -> dict:
+    """``cov`` on a module basis ``y_a = sum_i s[i, a] x_i`` of the given condition (seeded),
+    written out as an explicit payload of ``kind``: in it eta is not unitary in coordinates,
+    and the gains ||eta_s|| compound along the words of the bounds."""
+    module, system, rng = cov.system.module, cov.system, np.random.default_rng(5)
+    s = np.diag(np.geomspace(1.0, condition, module.dim)) @ nk.haar_unitary(rng, module.dim)
+    inv = np.linalg.inv(s)
+    inner = np.einsum("ia,jb,ijk->abk", np.conj(s), s, module.inner)
+    action = np.einsum("cl,ikl,ia->akc", inv, module.action, s)
+    moved = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, action, inner)
+    labels = module.algebra.basis_labels()
+    objects = {
+        "system": {
+            "group": group_to_json(system.group),
+            "module": module_to_json(moved),
+            "eta": tensor_to_json(inv @ system.eta @ s),
+            "alpha": tensor_to_json(system.alpha),
+        },
+        "cp_map": {
+            "images": {str(i): mat_to_json(image) for i, image in enumerate(np.einsum("ia,ikl->akl", s, cov.base.images))},
+            "companion": {
+                "space_dim": cov.base.space_dims[0],
+                "images": {k: mat_to_json(c) for k, c in zip(labels, cov.base.companion.images)},
+            },
+        },
+        "u": unitary_rep_to_json(cov.u),
+        "u_prime": unitary_rep_to_json(cov.u_prime),
+    }
+    return {"schema": 1, "kind": kind, "seed": 7, "objects": objects}
 
 
 # ---------------------------------------------------------------------------

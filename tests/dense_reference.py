@@ -1,65 +1,27 @@
 """Dense references the tests compare the package's structured computations with.
 
-The crossed constructions are built from the generic ``multiply``, ``star``,
-``act`` and ``inner`` one basis pair at a time into dense tensors, and the
-crossed axioms are checked on every basis triple of those tensors
-(``crossed_algebra_check``, ``crossed_module_check``); the package forms no
-crossed tensor or block and bounds the axioms from alpha's and the module's
-own rows.  The GNS Gram of a CP map on an
-algebra is formed densely, and ``module_map_through`` turns the map into a
-module CP map through a factor of that Gram, so the GNS rows of
-``verify_dilation`` can be read for it.  The module identities are checked
-densely: ``pi(x)* pi(y) = pi_A(<x, y>)`` one x_i at a time, multiplicativity
-one E_k at a time, and positivity by one eigensolve of the whole Gram
-super-matrix; the package skips the exact zeros of their inputs.  The module
-axioms are also kept whole on the dense tensors (``module_axioms``), where the
-package reads the module's nonzeros once and checks linearity on the inner
-rows grouped by unit, one GEMM per chunk of units against the live action
-rows; here linearity runs on ``pair_defect``, a pair kernel that forms each
-targeted pair's target whole, (rows, cols), from a callable, where the
-package subtracts its targets, read from the nonzero list, at the heads of
-each unit.  The module's
-orthogonal components, which the package does not compute, are found by
-``component_labels`` on its link graph for the tests that plant defects
-across them.  The loops
-over group and basis elements that the package runs as chunked stacks are
-kept here one element at a time, with ``np.kron`` where the package calls
-``numkernel.kron_stack``, and ``numkernel.least_squares_solve`` in its
-``np.linalg.lstsq`` form (``least_squares``).  The group-indexed checks are
-kept dense as well: products of automorphism images by ``block_products``
-(each block's ``stack_products`` placed into a dense (N, N, N) tensor) minus a
-``pad_zero`` gather of every pair's target, the group law one s at a time,
-the Gram row against the whole Kronecker Gram, and equivariance and
-compatibility on the whole (m, m, N) and (m, N, m) tensors, where the
-package reads each in the layout of its GEMM and subtracts targets only on
-their support.  These loops take ``at``, the elements they run over (every
-one by default): the package forms each on the generators alone and reports
-a bound on every t, and ``generators_only`` switches that bound off, so that
-each row is its kernel's worst on ``at = group.tree.generators``.  The GNS descent is kept in two
-forms: dense, with the (rank, N h) ``F`` and (N h, rank) ``L`` placed whole,
-every raw module map over the full (m, N, m) action tensor and ``np.kron``
-of ``alpha_t`` and ``u_t``; and factored, the package's block rows and live
-(x_i, block row) groups one at a time.  A dilation's dense images are its parts
-scattered to the coordinates of their block rows (``dilation_images``), the one
-dense form of a dilation the tests read, where the package ranges the parts on
-the identity (``stinespring._ranged``) for the few rows that need the stack and
-drops it after.  The integral form of a covariant dilation is integrated from
-those images once for its factorization residual and once more for its
-density ranks (``integral_stinespring``), where ``crossed.induced_cp`` reads
-all three off the dilation's parts, as ``verify_dilation`` reads its own
-density.  The crossed identity is kept as ``identity_defect`` of the integrated
-stacks of a map and its companion against the dense inner tensor, where the
-package forms no stack and reads ``u_t* P_ij u_r`` off the pair, with
-``P_ij = Phi(x_i)* Phi(x_j)``; that factored form is kept one (t, i) at a time
-(``factored_identity_defect``), on the inner blocks read off the dense inner
-tensor (``inner_blocks``).  The plain rows of ``verify_dilation`` are
-kept on the dense forms ``GnsTriple.rep`` and ``dilation_images``
-(``plain_rows``), where the package reads the block rows of ``V`` and the
-dilation's live parts, and ``seeded_rep`` as
-the chain of ``direct_sum_rep`` calls it replaced.  A dilation given by dense
-images is scanned into its parts by ``dilation_from_images``; the package builds
-the parts directly.  ``watch_dense_forms`` records each dense form a run builds,
-for the guards that no plain or crossed run builds one.
+``certificate`` is the whole-run oracle: every row of every kind formed the dense way,
+every t, every pair, dense Grams, from the data of a resolved scenario and the rank rule
+``nk.spectral_rank`` alone (``test_oracle.py``).  Its stages are the references of the
+GNS descent: ``dense_gns`` places the (rank, N h) ``F`` and (N h, rank) ``L`` whole,
+``dense_dilation`` lifts every raw module map over all of ``A (x) H`` and
+``dense_covariant`` forms ``F (alpha_t (x) u_t) L`` one t at a time; the crossed rows
+come from the defining formulas of the crossed operations (``crossed_inner``,
+``crossed_algebra_axioms``, ``crossed_module_axioms``).
+
+The other helpers are the one-element-at-a-time forms of what the package runs as
+chunked stacks (the group-indexed checks, taking ``at``, the elements they run over,
+so that with ``generators_only`` each is its kernel's worst on the generators), the
+factored descent one block row at a time (``gns_blocks``, ``module_groups``,
+``covariant_groups``), the module axioms on the dense tensors (``module_axioms``, with
+``pair_defect``, a pair kernel with callable targets, and positivity per component of
+the dense adjacency), the crossed structure constants through the generic ``multiply``
+(``reference_structure``), a dilation's dense images (``dilation_images``, and back to
+parts by ``dilation_from_images``) and the plain rows on them (``plain_rows``), the
+integral form from those images (``integral_stinespring``), the crossed identity one (t, i)
+at a time (``factored_identity_defect``), ``seeded_rep`` as a chain of direct sums
+(``composed_seeded_rep``), least squares by ``np.linalg.lstsq``, and ``watch_dense_forms``,
+which records each dense form a run builds.
 """
 
 import functools
@@ -69,9 +31,9 @@ from types import SimpleNamespace
 import numpy as np
 
 import builders
-from covstine import bounds, cpmaps, crossed, cstar, hilbmod, stinespring
+from covstine import bounds, cli, cpmaps, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
-from covstine.errors import NotIntertwiningError, QuotientLeakError
+from covstine.errors import NotIntertwiningError
 
 
 def coords_apply(coeffs: np.ndarray, stack: np.ndarray) -> np.ndarray:
@@ -132,16 +94,6 @@ def basis(obj):
     return [builders.basis_element(obj, t, k) for t in range(g) for k in range(n)]
 
 
-def place(blocks, slot):
-    """Dense (g a, g b, g c) tensor with the (a, b, c) block ``blocks[t]`` at row t,
-    column r and group slot ``slot[t, r]``, zero elsewhere."""
-    g, a, b, c = blocks.shape
-    out = np.zeros((g, a, g, b, g, c), dtype=np.complex128)
-    rows, cols = np.indices((g, g))
-    out[rows, :, cols, :, slot, :] = blocks[:, None]
-    return out.reshape(g * a, g * b, g * c)
-
-
 def reference_structure(calg):
     d = calg.dim
     return np.stack(
@@ -154,33 +106,11 @@ def reference_structure(calg):
     )
 
 
-def reference_inner(cm):
-    d_a = cm.algebra.dim
-    return np.stack(
-        [np.stack([cm.inner(x, y).reshape(d_a) for y in basis(cm)]) for x in basis(cm)]
-    )
-
-
-def reference_action(cm):
-    """``act[(r, j), (s, k)]``: coordinates of ``(delta_r x_j) e_(s,k)``."""
-    return np.stack(
-        [np.stack([cm.act(x, f).reshape(cm.dim) for f in basis(cm.algebra)]) for x in basis(cm)]
-    )
-
-
-def reference_stars(calg):
-    """Column i is the star of basis element i."""
-    return np.stack([calg.star(e).reshape(calg.dim) for e in basis(calg)], axis=1)
-
-
 def dense_gns_gram(phi):
-    """The (N h)^2 GNS Gram ``phi(E_k* E_l)[i, j]``, symmetrized, as formed densely."""
-    algebra = phi.algebra
-    n_dim, h = algebra.dim, phi.space_dim
-    star_products = cstar.product_index(algebra)[cstar.star_permutation(algebra)]
-    gram = pad_zero(phi.images)[star_products].transpose(0, 2, 1, 3)
-    gram = gram.reshape(n_dim * h, n_dim * h)
-    return (gram + nk.adjoint(gram)) / 2.0
+    """The (N h)^2 GNS Gram ``phi(E_k* E_l)[i, j]``, symmetrized, on the algebra's embedding."""
+    algebra, size = _algebra(phi.algebra.blocks), phi.algebra.dim * phi.space_dim
+    products = np.einsum("ka,alc->klc", algebra.star(np.eye(algebra.dim)), algebra.mul)  # E_k* E_l
+    return _hermitian(np.tensordot(products, phi.images, axes=(2, 0)).transpose(0, 2, 1, 3).reshape(size, size))
 
 
 def cp_from_choi_spectra(blocks, h, spectra, seed):
@@ -469,30 +399,29 @@ def generators_only(monkeypatch):
     monkeypatch.setattr(bounds, "BOUND_TOL", np.inf)
 
 
-def _elements(group, at):
-    return range(group.order) if at is None else at
+def _elements(count, at):
+    return range(count) if at is None else at
 
 
 def group_law(group, mats, at=None):
     """``(hom, unit)`` of ``hilbmod.group_law``, one s of ``at`` (every s by default) at a time."""
     hom = max(
-        (nk.maxabs(mats[s] @ mats - mats[group.mult[s]]) for s in _elements(group, at)), default=0.0
+        (nk.maxabs(mats[s] @ mats - mats[group.mult[s]]) for s in _elements(group.order, at)), default=0.0
     )
     return hom, nk.maxabs(mats[group.identity] - nk.eye(mats.shape[1]))
 
 
-def unitarity(rep, at=None):
+def unitarity(mats, at=None):
+    """Worst ``|m_t* m_t - I|`` over the t of ``at`` (every t by default)."""
     return max(
-        (nk.maxabs(nk.adjoint(rep.mats[t]) @ rep.mats[t] - nk.eye(rep.dim)) for t in _elements(rep.group, at)),
+        (nk.maxabs(nk.adjoint(mats[t]) @ mats[t] - nk.eye(mats.shape[1])) for t in _elements(len(mats), at)),
         default=0.0,
     )
 
 
 def intertwining(left, x, right, at=None):
-    return max(
-        (nk.maxabs(left.mats[t] @ x - x @ right.mats[t]) for t in _elements(left.group, at)),
-        default=0.0,
-    )
+    """Worst ``|left_t X - X right_t|`` over the t of ``at`` (every t by default)."""
+    return max((nk.maxabs(left[t] @ x - x @ right[t]) for t in _elements(len(left), at)), default=0.0)
 
 
 def covariance(transport, images, left, right):
@@ -508,11 +437,11 @@ def algebra_action(group, algebra, alpha, at=None):
     law = max(group_law(group, alpha, at))
     product = cstar.product_index(algebra)
     auto_mult = 0.0
-    for t in _elements(group, at):
+    for t in _elements(group.order, at):
         images = alpha[t].T
         prod_of_images = block_products(algebra, images, images)
         auto_mult = max(auto_mult, nk.maxabs(prod_of_images - pad_zero(images)[product]))
-    perm, on = cstar.star_permutation(algebra), alpha[list(_elements(group, at))]
+    perm, on = cstar.star_permutation(algebra), alpha[list(_elements(group.order, at))]
     return law, auto_mult, nk.maxabs(on[:, :, perm] - np.conj(on[:, perm, :]))
 
 
@@ -523,7 +452,7 @@ def dynamical_system(sys, at=None):
     alpha_law, auto_mult, auto_star = algebra_action(group, module.algebra, alpha, at)
     law = max(max(group_law(group, eta, at)), alpha_law)
     equivariance = compatibility = 0.0
-    for t in _elements(group, at):
+    for t in _elements(group.order, at):
         pushed = module.inner @ alpha[t].T
         transported = nk.sandwich(eta[t], module.inner.transpose(2, 0, 1), eta[t])
         equivariance = max(equivariance, nk.maxabs(transported.transpose(1, 2, 0) - pushed))
@@ -536,132 +465,6 @@ def dynamical_system(sys, at=None):
         for t in range(group.order)
     )
     return law, equivariance, compatibility, auto_mult, auto_star, invertible
-
-
-# --- GNS descent, dense: F and L placed whole, every raw map over all of A (x) H
-
-
-class DenseLeakError(QuotientLeakError):
-    """A leak gate of the dense descent, with the leak it saw."""
-
-    def __init__(self, what, leak):
-        super().__init__(f"{what} do not descend to the GNS quotient (leak {leak:.3e})")
-        self.leak = leak
-
-
-def leak(raw, lifted, f_map):
-    """The relative leak of one raw map: ``|raw - (raw L) F|`` over max(1, |raw|)."""
-    return nk.maxabs(raw - lifted @ f_map) / max(1.0, nk.maxabs(raw))
-
-
-def gns_descent(phi, rank, cutoff):
-    """``(F, L, images, V)`` of the GNS triple in dense form: the Choi
-    eigenvectors placed by ``np.kron`` block by block into the (rank, N h) F
-    and (N h, rank) L, and the descent ``F (E_k (x) I_h) L`` of left
-    multiplication one E_k at a time."""
-    algebra, h = phi.algebra, phi.space_dim
-    n_dim = algebra.dim
-    f_map = np.zeros((rank, n_dim * h), dtype=np.complex128)
-    lift = np.zeros((n_dim * h, rank), dtype=np.complex128)
-    row = col = 0
-    for n, spectrum in zip(algebra.blocks, phi.choi_report.spectra):
-        kept = int(np.count_nonzero(spectrum.values > cutoff))
-        basis = spectrum.vectors[:, :kept].reshape(h, n, kept).transpose(1, 0, 2)
-        basis = basis.reshape(n * h, kept)
-        sqrt_vals = np.sqrt(spectrum.values[:kept])
-        rows, cols = slice(row, row + n * n * h), slice(col, col + n * kept)
-        f_map[cols, rows] = np.kron(nk.eye(n), sqrt_vals[:, None] * nk.adjoint(basis))
-        lift[rows, cols] = np.kron(nk.eye(n), basis / sqrt_vals[None, :])
-        row, col = rows.stop, cols.stop
-    product = cstar.product_index(algebra)
-    f_units = pad_zero(f_map.reshape(rank, n_dim, h), axis=1)
-    images = np.zeros((n_dim, rank, rank), dtype=np.complex128)
-    for k in range(n_dim):
-        images[k] = f_units[:, product[k]].reshape(rank, n_dim * h) @ lift
-    iota = np.kron(cstar.unit_coords(algebra)[:, None], nk.eye(h))
-    return f_map, lift, images, f_map @ iota
-
-
-def dense_gns(companion):
-    """``gns_descent`` of a companion at the rank and cutoff of the spectrum of its
-    GNS Gram, each block's Choi spectrum repeated n times."""
-    spectra = companion.choi_report.spectra
-    merged = np.sort(
-        np.concatenate([np.tile(s.values, n) for n, s in zip(companion.algebra.blocks, spectra)])
-    )[::-1]
-    return gns_descent(companion, *nk.spectral_rank(merged))
-
-
-def raw_module_maps(phi):
-    """Raw maps ``A (x) H -> K`` sending ``E_l (x) h`` to ``Phi(x_i E_l) h``, over
-    the whole (m, N, m) action tensor."""
-    module = phi.module
-    dim_h, dim_k = phi.space_dims
-    products = coords_apply(module.action, phi.images)
-    return products.transpose(0, 2, 1, 3).reshape(module.dim, dim_k, module.algebra.dim * dim_h)
-
-
-def module_leak(raw, f_map, lift):
-    """The quotient leak of the module maps, one dense x_i at a time."""
-    lifted = raw @ lift
-    return max((leak(r, l, f_map) for r, l in zip(raw, lifted)), default=0.0)
-
-
-def dense_dilation(phi):
-    """The minimal dilation of a module CP map in dense form, as a namespace
-    with ``F``, ``L``, ``gns_images``, ``V``, ``W`` and ``images``; raises
-    ``DenseLeakError`` at the package's leak gates."""
-    f_map, lift, gns_images, v = dense_gns(phi.companion)
-    raw = raw_module_maps(phi)
-    worst = module_leak(raw, f_map, lift)
-    if worst > nk.RESIDUAL_TOL:
-        raise DenseLeakError("module maps", worst)
-    dim_k = phi.space_dims[1]
-    span = phi.images.transpose(1, 0, 2).reshape(dim_k, phi.images.shape[0] * phi.space_dims[0])
-    values, vectors = nk.hermitian_eigendecomposition(span @ nk.adjoint(span))
-    w_map = nk.adjoint(vectors[:, : nk.spectral_rank(values)[0]])
-    return SimpleNamespace(
-        F=f_map, L=lift, gns_images=gns_images, V=v, W=w_map, images=w_map @ raw @ lift
-    )
-
-
-def covariant_descent(cov, f_map, lift):
-    """``(v_mats, gram_residual, leak)`` of the covariant descent in dense form:
-    ``F kron(alpha_t, u_t) L`` one t at a time."""
-    gram = nk.adjoint(f_map) @ f_map
-    v_mats = np.zeros((cov.system.group.order, len(f_map), len(f_map)), dtype=np.complex128)
-    gram_residual = worst = 0.0
-    for t in range(cov.system.group.order):
-        descended = f_map @ np.kron(cov.system.alpha[t], cov.u.mats[t])
-        transported = nk.adjoint(descended) @ descended
-        gram_residual = max(gram_residual, nk.maxabs(transported - gram))
-        v_mats[t] = descended @ lift
-        worst = max(worst, leak(descended, v_mats[t], f_map))
-    return v_mats, gram_residual, worst
-
-
-def dense_covariant(cov):
-    """``(dense_dilation, v_mats, gram_residual)`` of a covariant CP map in dense
-    form; raises ``DenseLeakError`` at the package's leak gates."""
-    dense = dense_dilation(cov.base)
-    v_mats, gram_residual, worst = covariant_descent(cov, dense.F, dense.L)
-    if worst > nk.RESIDUAL_TOL:
-        raise DenseLeakError("group unitaries", worst)
-    return dense, v_mats, gram_residual
-
-
-def codomain_compressions(cov, base):
-    """``(w_mats, invariance)``: ``W u'_t W*`` and the leak of ``u'_t`` out of the
-    codomain span, one t at a time."""
-    group, dim_k = cov.system.group, cov.base.space_dims[1]
-    proj = nk.adjoint(base.W) @ base.W
-    invariance = 0.0
-    w_mats = np.zeros((group.order, base.dim_codomain, base.dim_codomain), dtype=np.complex128)
-    for t in range(group.order):
-        off = (nk.eye(dim_k) - proj) @ cov.u_prime.mats[t] @ proj
-        invariance = max(invariance, nk.maxabs(off))
-        w_mats[t] = base.W @ cov.u_prime.mats[t] @ nk.adjoint(base.W)
-    return w_mats, invariance
 
 
 def dense_factors(gns):
@@ -773,7 +576,13 @@ def covariant_groups(cov, base):
             v_mats[t, :, col : col + n * kept] = lifted.reshape(gns.dim, n * kept)
             defect, size = max(defect, block_defect), max(size, block_size)
         worst = max(worst, defect / max(1.0, size))
-    w_mats, invariance = codomain_compressions(cov, base)
+    # the codomain compressions W u'_t W* and the leak of u'_t out of the codomain span
+    proj, invariance = nk.adjoint(base.W) @ base.W, 0.0
+    w_mats = np.zeros((group.order, base.dim_codomain, base.dim_codomain), dtype=np.complex128)
+    for t in range(group.order):
+        off = (nk.eye(len(proj)) - proj) @ cov.u_prime.mats[t] @ proj
+        invariance = max(invariance, nk.maxabs(off))
+        w_mats[t] = base.W @ cov.u_prime.mats[t] @ nk.adjoint(base.W)
     return v_mats, gram_residual, worst, w_mats, invariance
 
 
@@ -875,53 +684,11 @@ def image_intertwining(u1, u2, images, alt_images):
     )
 
 
-def crossed_algebra_check(calg):
-    """``(assoc, anti, involutive, unital)``: the crossed-algebra axioms on every basis
-    triple, on the dense structure tensor and stars of the generic operations."""
-    g, n, d = calg.group.order, calg.base.dim, calg.dim
-    struct = reference_structure(calg)
-    assoc = max(
-        nk.maxabs((row @ struct.reshape(d, d * d)).reshape(d, d, d) - struct @ row) for row in struct
-    )
-    stars = reference_stars(calg)
-    star = lambda f: calg.star(f.reshape(g, n)).reshape(d)  # noqa: E731
-    involutive = nk.maxabs(np.stack([star(stars[:, i]) for i in range(d)]) - np.eye(d))
-    anti = max(
-        nk.maxabs(
-            star(struct[i, j])
-            - calg.multiply(stars[:, j].reshape(g, n), stars[:, i].reshape(g, n)).reshape(d)
-        )
-        for i in range(d)
-        for j in range(d)
-    )
-    unit = builders.crossed_unit(calg).reshape(d)
-    unital = max(
-        nk.maxabs(np.einsum("p,pjq->jq", unit, struct) - np.eye(d)),
-        nk.maxabs(np.einsum("ipq,p->iq", struct, unit) - np.eye(d)),
-    )
-    return assoc, anti, involutive, unital
-
-
-def crossed_module_check(cm):
-    """``(axiom, symmetry)``: ``<xhat, yhat f> = <xhat, yhat> f`` and ``<xhat, yhat>* =
-    <yhat, xhat>`` on every basis triple, on the dense tensors of the generic operations."""
-    struct = reference_structure(cm.algebra)
-    inner, act = reference_inner(cm), reference_action(cm)
-    d_x, d_a = cm.dim, cm.algebra.dim
-    axiom = max(
-        nk.maxabs(act @ row - (row @ struct.reshape(d_a, -1)).reshape(d_x, d_a, d_a)) for row in inner
-    )
-    g, n = cm.group.order, cm.algebra.base.dim
-    star = lambda f: cm.algebra.star(f.reshape(g, n)).reshape(d_a)  # noqa: E731
-    starred = np.stack([np.stack([star(inner[a, b]) for b in range(d_x)]) for a in range(d_x)])
-    return axiom, nk.maxabs(starred - inner.transpose(1, 0, 2))
-
-
 def inner_blocks(cm):
     """``A[t, i, j] = alpha_{t^-1}(<x_i, x_j>)``, shape (g, m, m, N): the dense inner tensor's
     row (t, i) against the columns (t, j), which sit at slot e."""
     g, m, n = cm.group.order, cm.module.dim, cm.algebra.base.dim
-    dense = reference_inner(cm).reshape(g, m, g, m, g, n)[..., cm.group.identity, :]
+    dense = crossed_inner(cm.system).reshape(g, m, g, m, g, n)[..., cm.group.identity, :]
     return np.stack([dense[t, :, t] for t in range(g)])
 
 
@@ -963,3 +730,448 @@ def integral_stinespring(cov, dilation):
 def least_squares(a, b):
     """The minimum-norm least-squares solution of ``a @ x = b`` by ``np.linalg.lstsq``."""
     return np.linalg.lstsq(a, b, rcond=None)[0]
+
+
+# ---------------------------------------------------------------------------
+# The whole-run oracle: every row of every kind, the dense way
+# ---------------------------------------------------------------------------
+
+# The rows a run reports as stated bounds: formed on the generators and bounded on
+# every t by ``bounds.checked`` or a group law, or derived from other rows (the crossed
+# axioms, a standard action's rows).  Each must be at least its dense value; every
+# other row is exact.
+BOUNDED = frozenset(
+    {
+        "input_covariance", "companion_covariance", "dynamical_system",
+        "domain_unitaries_group_law", "domain_unitaries_unitarity",
+        "codomain_unitaries_group_law", "codomain_unitaries_unitarity",
+        "intertwine_V", "intertwine_W", "covariant_representation", "companion_covariant_rep",
+        "crossed_algebra_axioms", "crossed_module_axioms",
+        "covariant_v_residual", "covariant_w_residual",
+    }
+)
+
+
+class Refused(Exception):
+    """A gate refuses the input before any certificate: the run exits 2.  A leak gate keeps its ``leak``."""
+
+    def __init__(self, what: str, leak: float | None = None):
+        super().__init__(what)
+        self.leak = leak
+
+
+def certificate(res):
+    """``(exit code, certificate)`` of the run of a ``cli.ResolvedScenario``, every row
+    formed densely: over every t and every pair, with dense Grams, the algebra's products
+    on its block-diagonal embedding and the crossed rows from the defining formulas of the
+    crossed operations.  The certificate is None where a gate refuses the input (exit 2).
+
+    From the package it reads only the resolved data, ``stinespring.Certificate`` to hold
+    the rows, ``nk.haar_unitary`` for ``uniqueness``'s seeded competitor, the rank rule
+    ``nk.spectral_rank``, the one-line numpy helpers ``nk.maxabs``, ``eye`` and ``adjoint``, and
+    the gates' tolerances and ``cli.CROSSED_AXIOM_LIMIT``.
+    """
+    run = {"verify": _verify, "crossed": _crossed, "uniqueness": _uniqueness}.get(res.kind, _dilate)
+    try:
+        cert = run(res)
+    except Refused:
+        return 2, None
+    return (0 if cert.passed else 1), cert
+
+
+def _worst(values) -> float:
+    return float(np.abs(np.asarray(values)).max(initial=0.0))
+
+
+def _hermitian(m):
+    return (m + np.conj(m).swapaxes(-1, -2)) / 2.0
+
+
+def _spectrum(m) -> np.ndarray:
+    """The eigenvalues of the Hermitian part of ``m``, descending."""
+    return np.linalg.eigvalsh(_hermitian(m))[::-1]
+
+
+def _rank(stack) -> int:
+    """The rank of the column span of ``stack``, on the spectrum of its smaller Gram."""
+    small = stack @ np.conj(stack).T if stack.shape[0] <= stack.shape[1] else np.conj(stack).T @ stack
+    return nk.spectral_rank(_spectrum(small))[0] if stack.size else 0
+
+
+def _columns(stack) -> np.ndarray:  # [s_0 s_1 ...]: the maps of a (count, rows, cols) stack side by side
+    return stack.transpose(1, 0, 2).reshape(stack.shape[1], stack.shape[0] * stack.shape[2])
+
+
+def _star(stack) -> np.ndarray:
+    return np.conj(stack).swapaxes(-1, -2)
+
+
+@functools.cache
+def _algebra(blocks: tuple) -> "_Algebra":
+    return _Algebra(blocks)
+
+
+class _Algebra:
+    """A block algebra by its block-diagonal embedding: coordinates in, products and
+    stars of the embedded matrices, coordinates out; ``_algebra`` builds one per block sizes."""
+
+    def __init__(self, blocks):
+        corners = np.cumsum((0,) + blocks)
+        units = [corner + np.divmod(np.arange(n * n), n) for n, corner in zip(blocks, corners)]
+        self.rows, self.cols = np.concatenate(units, axis=1)
+        self.size, self.dim = int(corners[-1]), int(np.square(blocks).sum())
+        self.unit = self.coords(np.eye(self.size))
+        units = self.embed(np.eye(self.dim))
+        self.mul = self.coords(units[:, None] @ units[None])  # [k, l]: E_k E_l
+
+    def embed(self, coords):
+        out = np.zeros(coords.shape[:-1] + (self.size, self.size), dtype=np.complex128)
+        out[..., self.rows, self.cols] = coords
+        return out
+
+    def coords(self, mats):
+        return mats[..., self.rows, self.cols]
+
+    def product(self, a, b):
+        return self.coords(self.embed(a) @ self.embed(b))
+
+    def star(self, a):
+        return self.coords(_star(self.embed(a)))
+
+
+def _input_rows(phi, cov, gns) -> dict:
+    module, companion = phi.module, phi.companion.images
+    algebra = _algebra(module.algebra.blocks)
+    starred = np.tensordot(algebra.star(np.eye(algebra.dim)), companion, axes=(1, 0))  # phi(E_k*)
+    rows = {
+        "input_identity": identity_defect(phi.images, module.inner, companion),
+        "companion_cp_defect": max(0.0, -float(gns.spectrum.min(initial=0.0))),
+        "companion_hermiticity": _worst(starred - _star(companion)),
+    }
+    if cov is not None:
+        rows.update(_covariance_rows(cov))
+    return rows
+
+
+def _covariance_rows(cov) -> dict:
+    system, phi = cov.system, cov.base
+    return {
+        "input_covariance": covariance(system.eta, phi.images, cov.u_prime.mats, cov.u.mats),
+        "companion_covariance": covariance(system.alpha, phi.companion.images, cov.u.mats, cov.u.mats),
+    }
+
+
+def dense_gns(companion, spectra=None):
+    """The GNS data of a companion: the spectrum of its dense Gram
+    ``G[(k, i), (l, j)] = phi(E_k* E_l)[i, j]``, which decides the rank and its cutoff, and
+    ``F``, ``L`` placed whole from each block's Choi eigenvectors (``spectra``, eigensolved
+    here by default), with ``pi(E_k) = F (E_k (x) I) L`` as ``rep`` and ``V = F (1 (x) I)``.
+    ``cp`` is the verdict of the CP gate on the Choi matrices, ``psd`` that of the Gram's cutoff."""
+    images, h, algebra = companion.images, companion.space_dim, _algebra(companion.algebra.blocks)
+    n_dim, spectrum = algebra.dim, _spectrum(dense_gns_gram(companion))
+    cutoff = nk.spectral_rank(spectrum)[1]
+    cp, blocks, offset = True, [], 0
+    for b, n in enumerate(companion.algebra.blocks):
+        choi = images[offset : offset + n * n].reshape(n, n, h, h).transpose(2, 0, 3, 1).reshape(n * h, n * h)
+        if spectra is None:
+            values, vectors = np.linalg.eigh(_hermitian(choi))
+            values, vectors = values[::-1].copy(), vectors[:, ::-1].copy()
+        else:
+            values, vectors = spectra[b]
+        scale = max(1.0, values[0], -values[-1])
+        hermitian = np.linalg.norm(choi - np.conj(choi).T) <= nk.REL_TOL * max(1.0, np.linalg.norm(choi))
+        cp = cp and hermitian and values[-1] >= -max(nk.REL_TOL * scale, nk.ABS_FLOOR)
+        kept = int(np.count_nonzero(values > cutoff))
+        basis = vectors[:, :kept].reshape(h, n, kept).transpose(1, 0, 2).reshape(n * h, kept)
+        blocks.append((n, kept, np.sqrt(values[:kept]), basis))
+        offset += n * n
+    rank = sum(n * kept for n, kept, _, _ in blocks)
+    f_map = np.zeros((rank, n_dim * h), dtype=np.complex128)
+    lift = np.zeros((n_dim * h, rank), dtype=np.complex128)
+    row = col = 0
+    for n, kept, roots, basis in blocks:
+        rows, cols = slice(row, row + n * n * h), slice(col, col + n * kept)
+        f_map[cols, rows] = np.kron(np.eye(n), roots[:, None] * np.conj(basis).T)
+        lift[rows, cols] = np.kron(np.eye(n), basis / roots[None, :])
+        row, col = rows.stop, cols.stop
+    left = np.kron(algebra.mul.transpose(0, 2, 1), np.eye(h))  # [k]: E_l (x) h -> E_k E_l (x) h
+    unit = np.kron(algebra.unit[:, None], np.eye(h))
+    psd = not (spectrum.size and spectrum[-1] < -cutoff)
+    return SimpleNamespace(cp=cp, psd=psd, spectrum=spectrum, F=f_map, L=lift, rep=f_map @ left @ lift, V=f_map @ unit)
+
+
+def dense_dilation(phi, gns):
+    """The minimal dilation of ``phi`` through ``gns`` (``dense_gns``) in dense form: W from
+    the eigenvectors of the codomain Gram of ``Phi(X) H``, the raw map ``E_l (x) h ->
+    Phi(x_i . E_l) h`` of each x_i over the whole action tensor, lifted by L, and its images
+    ``W (raw map) L``; raises ``Refused`` at the leak gate of ``dilate_module_cp``."""
+    module, (dim_h, dim_k) = phi.module, phi.space_dims
+    span = _columns(phi.images)
+    values, vectors = np.linalg.eigh(_hermitian(span @ np.conj(span).T))
+    w_map = np.conj(vectors[:, ::-1][:, : nk.spectral_rank(values[::-1])[0]]).T
+    raw = np.tensordot(module.action, phi.images, axes=(2, 0))  # [i, l]: Phi(x_i . E_l)
+    raw = raw.transpose(0, 2, 1, 3).reshape(module.dim, dim_k, module.algebra.dim * dim_h)
+    lifted = raw @ gns.L
+    leak = _leak(raw, lifted @ gns.F)
+    if leak > nk.RESIDUAL_TOL:
+        raise Refused("module maps do not descend", leak)
+    dims = {"H": dim_h, "K": dim_k, "H_dilation": len(gns.F), "K_dilation": len(w_map)}
+    return SimpleNamespace(gns=gns, W=w_map, images=w_map @ lifted, dims=dims)
+
+
+def dense_covariant(cov, dil):
+    """``dil`` (``dense_dilation``) with the group unitaries of ``dilate_covariant``:
+    ``v_t = F (alpha_t (x) u_t) L`` and ``w_t = W u'_t W*`` on every t, the Gram-preservation
+    and invariance rows; raises ``Refused`` at its leak and invariance gates."""
+    gns, w_map = dil.gns, dil.W
+    raw = gns.F @ np.stack([np.kron(a, u) for a, u in zip(cov.system.alpha, cov.u.mats)])
+    dil.v = raw @ gns.L
+    leak = _leak(raw, dil.v @ gns.F)
+    if leak > nk.RESIDUAL_TOL:
+        raise Refused("group unitaries do not descend", leak)
+    gram = np.conj(gns.F).T @ gns.F
+    dil.gram_preservation = _worst(_star(raw) @ raw - gram)  # (alpha_t (x) u_t)* G (alpha_t (x) u_t) - G
+    proj = np.conj(w_map).T @ w_map
+    dil.invariance = _worst((np.eye(len(proj)) - proj) @ cov.u_prime.mats @ proj)
+    if dil.invariance > nk.RESIDUAL_TOL:
+        raise Refused("u' leaves the codomain span")
+    dil.w = w_map @ cov.u_prime.mats @ np.conj(w_map).T
+    return dil
+
+
+def _leak(raw, rebuilt) -> float:
+    """Worst ``|raw - raw L F|`` of each raw map over max(1, |raw|)."""
+    defects = np.abs(raw - rebuilt).max(axis=(1, 2), initial=0.0)
+    return _worst(defects / np.maximum(1.0, np.abs(raw).max(axis=(1, 2), initial=0.0)))
+
+
+def _dilation(phi, cov):
+    """The dense dilation of a run, covariant when ``cov`` is given, behind the gates of
+    ``stinespring.dilate_covariant`` and ``dilate_module_cp``: covariance, the CP test and
+    the Gram's cutoff, the defining identity, fullness, and the leaks."""
+    if cov is not None and max(_covariance_rows(cov).values()) > nk.PRECONDITION_TOL:
+        raise Refused("not covariant")
+    module, gns = phi.module, dense_gns(phi.companion)
+    if not (gns.cp and gns.psd):
+        raise Refused("the companion is not CP")
+    if identity_defect(phi.images, module.inner, phi.companion.images) > nk.PRECONDITION_TOL:
+        raise Refused("the defining identity fails")
+    if _rank(module.inner.reshape(module.dim**2, module.algebra.dim)) < module.algebra.dim:
+        raise Refused("the module is not full")
+    dil = dense_dilation(phi, gns)
+    return dil if cov is None else dense_covariant(cov, dil)
+
+
+def _dilate(res, covariant: bool | None = None):
+    """``dilate``, or ``dilate-covariant`` (``covariant``, by default read off the kind)."""
+    cov = res.cov if (res.kind == "dilate-covariant" if covariant is None else covariant) else None
+    phi, dil = res.phi, _dilation(res.phi, cov)
+    gns, images, w_map = dil.gns, dil.images, dil.W
+    cert = stinespring.Certificate(res.tolerance, dims=dict(dil.dims))
+    cert.residuals.update(_input_rows(phi, cov, gns))
+    cert.residuals["gns_reconstruction"] = _worst(_star(gns.V) @ gns.rep @ gns.V - phi.companion.images)
+    cert.residuals["reconstruction"] = _worst(_star(w_map) @ images @ gns.V - phi.images)
+    cert.residuals["representation_identity"] = identity_defect(images, phi.module.inner, gns.rep)
+    cert.residuals["coisometry_rows"] = _worst(w_map @ _star(w_map) - np.eye(len(w_map)))
+    cert.ranks["gns_minimality"] = (_rank(_columns(gns.rep @ gns.V)), len(gns.F))
+    cert.singular_values["gns_gram"] = np.sqrt(np.clip(gns.spectrum, 0.0, None))
+    cert.ranks["range_density"] = (_rank(_columns(images @ gns.V)), len(w_map))
+    cert.ranks["corange_density"] = (_rank(_columns(_star(images) @ w_map)), len(gns.F))
+    if cov is not None:
+        group, system, v, w = cov.system.group, cov.system, dil.v, dil.w
+        cert.residuals.update(
+            domain_unitaries_group_law=max(group_law(group, v)),
+            domain_unitaries_unitarity=unitarity(v),
+            codomain_unitaries_group_law=max(group_law(group, w)),
+            codomain_unitaries_unitarity=unitarity(w),
+            intertwine_V=intertwining(v, gns.V, cov.u.mats),
+            intertwine_W=intertwining(w, w_map, cov.u_prime.mats),
+            covariant_representation=covariance(system.eta, images, w, v),
+            companion_covariant_rep=covariance(system.alpha, gns.rep, v, v),
+            gram_preservation=dil.gram_preservation,
+            subspace_invariance=dil.invariance,
+        )
+    return cert
+
+
+def _verify(res):
+    try:
+        cert = _dilate(res, covariant=res.cov is not None)
+        cert.ranks["dilation_constructed"] = (1, 1)
+    except Refused:
+        cert = stinespring.Certificate(res.tolerance)
+        cert.residuals.update(_input_rows(res.phi, res.cov, dense_gns(res.phi.companion)))
+        cert.ranks["dilation_constructed"] = (0, 1)
+    module = res.phi.module
+    algebra = _algebra(module.algebra.blocks)
+    inner, action = module.inner, module.action
+    scale = max(1.0, _worst(inner))
+    # <x_i, x_j . E_k> against <x_i, x_j> E_k
+    moved = np.einsum("jkq,iqc->ijkc", action, inner)
+    times = np.einsum("ijl,lkc->ijkc", inner, algebra.mul)
+    cert.residuals["module_linearity"] = _worst(moved - times) / scale
+    cert.residuals["module_symmetry"] = _worst(algebra.star(inner) - inner.transpose(1, 0, 2)) / scale
+    size = module.dim * algebra.size
+    gram = algebra.embed(inner).transpose(0, 2, 1, 3).reshape(size, size)  # [<x_i, x_j>] in M_m(A)
+    cert.residuals["module_positivity_defect"] = max(0.0, -float(_spectrum(gram)[-1]))
+    cert.ranks["module_fullness"] = (_rank(inner.reshape(module.dim**2, algebra.dim)), algebra.dim)
+    if res.cov is not None:
+        cert.residuals["dynamical_system"] = max(_system_rows(res.cov.system))
+    return cert
+
+
+def _system_rows(system) -> tuple:
+    """The group laws of eta and alpha, equivariance, compatibility, and alpha's
+    multiplicativity and star, each over every t (every pair)."""
+    group, module, eta, alpha = system.group, system.module, system.eta, system.alpha
+    algebra = _algebra(module.algebra.blocks)
+    inner, action = module.inner, module.action
+    transported = np.einsum("tai,abk,tbj->tijk", np.conj(eta), inner, eta, optimize=True)  # <eta_t x_i, eta_t x_j>
+    pushed = np.einsum("tkl,ijl->tijk", alpha, inner)  # alpha_t(<x_i, x_j>)
+    moved = np.einsum("tql,ikl->tikq", eta, action)  # eta_t(x_i . E_k)
+    acted = np.einsum("tai,tlk,alq->tikq", eta, alpha, action, optimize=True)  # eta_t(x_i) . alpha_t(E_k)
+    images = alpha.transpose(0, 2, 1)  # [t, k]: alpha_t(E_k)
+    products = algebra.product(images[:, :, None], images[:, None])
+    of_products = np.einsum("tkl,abl->tabk", alpha, algebra.mul)
+    of_stars = np.einsum("tkl,ml->tmk", alpha, algebra.star(np.eye(algebra.dim)))  # alpha_t(E_m*)
+    return (
+        max(group_law(group, eta)),
+        max(group_law(group, alpha)),
+        _worst(transported - pushed),
+        _worst(moved - acted),
+        _worst(products - of_products),
+        _worst(of_stars - algebra.star(images)),
+    )
+
+
+def _crossed(res):
+    cov = res.cov
+    dil = _dilation(cov.base, cov)
+    system = cov.system
+    invertible = all(_rank(m) == len(m) for m in (*system.eta, *system.alpha))
+    if max(_system_rows(system)) > nk.PRECONDITION_TOL or not invertible:
+        raise Refused("the action fails its axioms")
+    group, module = system.group, system.module
+    g, m, n_dim = group.order, module.dim, module.algebra.dim
+    gns, images, phi, u = dil.gns, dil.images, cov.base, cov.u.mats
+    cert = stinespring.Certificate(res.tolerance, dims=dict(dil.dims))
+    cert.dims.update(crossed_algebra=g * n_dim, crossed_module=g * m)
+    # the induced map e_(t,i) -> Phi(x_i) u_t and its companion e_(t,k) -> phi(E_k) u_t
+    hat = (phi.images[None] @ u[:, None]).reshape(g * m, *phi.images.shape[1:])
+    companion = (phi.companion.images[None] @ u[:, None]).reshape(g * n_dim, *u.shape[1:])
+    inner = crossed_inner(system)
+    cert.residuals["crossed_identity"] = identity_defect(hat, inner, companion)
+    integrated = (images[None] @ dil.v[:, None]).reshape(g * m, *images.shape[1:])  # pi(x_i) v_t
+    cert.residuals["factorization"] = _worst(_star(dil.W) @ integrated @ gns.V - hat)
+    cert.ranks["integral_range_density"] = (_rank(_columns(integrated @ gns.V)), len(dil.W))
+    cert.ranks["integral_corange_density"] = (_rank(_columns(_star(integrated) @ dil.W)), len(gns.F))
+    if g * n_dim <= cli.CROSSED_AXIOM_LIMIT:
+        cert.residuals["crossed_algebra_axioms"] = crossed_algebra_axioms(group, module.algebra, system.alpha)
+        cert.residuals["crossed_module_axioms"] = crossed_module_axioms(system)
+        cert.ranks["crossed_module_fullness"] = (_rank(inner.reshape(-1, g * n_dim)), g * n_dim)
+    return cert
+
+
+def crossed_inner(system) -> np.ndarray:
+    """``<delta_t x_i, delta_r x_j> = delta_{t^-1 r} alpha_{t^-1}(<x_i, x_j>)``, dense:
+    (g m, g m, g N), at crossed index ``t m + i`` and slot ``s N + k``."""
+    group, module = system.group, system.module
+    g, m, n_dim = group.order, module.dim, module.algebra.dim
+    out = np.zeros((g, m, g, m, g, n_dim), dtype=np.complex128)
+    for t in range(g):
+        w = group.inv[t]
+        for r in range(g):
+            out[t, :, r, :, group.mult[w, r]] = module.inner @ system.alpha[w].T
+    return out.reshape(g * m, g * m, g * n_dim)
+
+
+def crossed_algebra_axioms(group, base, alpha) -> float:
+    """Associativity, ``(f g)* = g* f*``, ``f** = f`` and the unit ``delta_e 1`` on every basis
+    triple: with ``(delta_a x)(delta_b y) = delta_ab x alpha_a(y)`` and ``(delta_a x)* =
+    delta_{a^-1} alpha_{a^-1}(x*)`` both sides of each sit at one slot, where their values are
+    compared, for each t and every r at once.  Associativity's sides share a left factor
+    E_k, which only moves rows, so they are compared without it."""
+    algebra, inv, mult = _algebra(base.blocks), group.inv, group.mult
+    units, prod = np.eye(algebra.dim), algebra.product
+    images = alpha.transpose(0, 2, 1)  # [t, l]: alpha_t(E_l)
+    stars = algebra.star(units)  # [k]: E_k*
+    inverse_stars = np.einsum("rcd,kd->rkc", alpha[inv], stars)  # [r, k]: alpha_{r^-1}(E_k*)
+    worst = max(
+        _worst(images[group.identity] - units),  # the unit on the left
+        _worst(prod(units[None], (alpha @ algebra.unit)[:, None]) - units),  # and on the right
+        _worst(algebra.star(inverse_stars) @ alpha.transpose(0, 2, 1) - units),  # e** = e
+    )
+    for t in range(group.order):
+        # (e_(t,k) e_(r,l)) e_(s,n) against e_(t,k) (e_(r,l) e_(s,n)), E_k left out, at [r, l, n]
+        first = prod(images[t][None, :, None], images[mult[t]][:, None])
+        second = prod(units[None, :, None], images[:, None]) @ alpha[t].T
+        # (e_(t,k) e_(r,l))* against e_(r,l)* e_(t,k)*, at [r, k, l]
+        starred = np.einsum("rcd,kld->rklc", alpha[inv[mult[t]]], prod(algebra.star(images[t])[None], stars[:, None]))
+        moved = np.einsum("rcd,kd->rkc", alpha[inv], stars @ alpha[inv[t]].T)  # alpha_{r^-1} alpha_{t^-1}(E_k*)
+        worst = max(worst, _worst(first - second), _worst(starred - prod(inverse_stars[:, None], moved[:, :, None])))
+    return worst
+
+
+def crossed_module_axioms(system) -> float:
+    """``<xhat, yhat f> = <xhat, yhat> f`` and ``<xhat, yhat>* = <yhat, xhat>`` on every basis
+    triple, by the slot of each side, as ``crossed_algebra_axioms``, with ``(delta_r x_j)
+    e_(s,k) = delta_rs x_j . alpha_r(E_k)`` and ``crossed_inner``."""
+    group, module, alpha = system.group, system.module, system.alpha
+    algebra, inv, mult, inner = _algebra(module.algebra.blocks), group.inv, group.mult, module.inner
+    images = alpha.transpose(0, 2, 1)  # [t, l]: alpha_t(E_l)
+    moved = np.einsum("rlk,jlq->rjkq", alpha, module.action)  # [r, j, k]: x_j . alpha_r(E_k)
+    paired = np.einsum("rjkq,iqc->rijkc", moved, inner)  # <x_i, x_j . alpha_r(E_k)>
+    mirrored = np.einsum("rcd,jid->rijc", alpha[inv], inner)  # alpha_{r^-1}(<x_j, x_i>)
+    worst = 0.0
+    for t in range(group.order):
+        w = inv[t]
+        pushed = inner @ alpha[w].T  # alpha_{t^-1}(<x_i, x_j>), at [r, i, j] below
+        times = algebra.product(pushed[None, :, :, None], images[mult[w]][:, None, None])
+        symmetric = np.einsum("rcd,ijd->rijc", alpha[mult[inv, t]], algebra.star(pushed))
+        worst = max(worst, _worst(paired @ alpha[w].T - times), _worst(symmetric - mirrored))
+    return worst
+
+
+def _uniqueness(res):
+    if res.seed is None:
+        raise Refused("uniqueness needs a seed")
+    phi, cov = res.phi, res.cov
+    dil = _dilation(phi, cov)
+    gns, images, tol = dil.gns, dil.images, max(res.tolerance, nk.PRECONDITION_TOL)
+    cert = stinespring.Certificate(res.tolerance, dims=dict(dil.dims))
+    cert.residuals.update(_input_rows(phi, cov, gns))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=res.seed, spawn_key=(102,))))
+    r1, r2 = nk.haar_unitary(rng, len(gns.F)), nk.haar_unitary(rng, len(dil.W))
+    alt_images, alt_v, alt_w = r2 @ images @ _star(r1), r1 @ gns.V, r2 @ dil.W
+    if _worst(alt_w @ _star(alt_w) - np.eye(len(alt_w))) > tol:
+        raise Refused("the competing W is no coisometry")
+    coranged, alt_coranged = _columns(_star(images) @ dil.W), _columns(_star(alt_images) @ alt_w)
+    ranged, alt_ranged = _columns(images @ gns.V), _columns(alt_images @ alt_v)
+    if (_rank(alt_ranged), _rank(alt_coranged)) != (len(alt_w), len(alt_v)):
+        raise Refused("the competitor is not minimal")
+    u1 = np.linalg.lstsq(coranged.T, alt_coranged.T, rcond=None)[0].T
+    u2 = np.linalg.lstsq(ranged.T, alt_ranged.T, rcond=None)[0].T
+
+    def unitary(x):
+        if x.shape[0] != x.shape[1]:
+            return np.inf
+        return max(_worst(_star(x) @ x - np.eye(len(x))), _worst(x @ _star(x) - np.eye(len(x))))
+
+    if max(unitary(u1), unitary(u2)) > tol:
+        cert.ranks["intertwiners_unitary"] = (0, 1)
+        return cert
+    cert.residuals.update(
+        unitarity_U1=unitary(u1),
+        unitarity_U2=unitary(u2),
+        intertwine_images=_worst(u2 @ images - alt_images @ u1),
+        v_map_residual=_worst(alt_v - u1 @ gns.V),
+        w_map_residual=_worst(alt_w - u2 @ dil.W),
+        alt_reconstruction=_worst(_star(alt_w) @ alt_images @ alt_v - phi.images),
+        recover_U1=_worst(u1 - r1),
+        recover_U2=_worst(u2 - r2),
+    )
+    if cov is not None:
+        alt_v_t, alt_w_t = r1 @ dil.v @ _star(r1), r2 @ dil.w @ _star(r2)
+        cert.residuals["covariant_v_residual"] = intertwining(alt_v_t, u1, dil.v)
+        cert.residuals["covariant_w_residual"] = intertwining(alt_w_t, u2, dil.w)
+    return cert

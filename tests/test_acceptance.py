@@ -2,8 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -q -s`` to see the verdict lines.
 Every tolerance is fixed here; nothing is calibrated at run time.  The
-dimension oracle rebuilds Gram matrices with element arithmetic and plain
-eigendecompositions, independently of the construction code.
+dimension oracle rebuilds Gram matrices from the algebra's embedded matrix units and
+ranks them by plain eigendecompositions, independently of the construction code.
 """
 
 import json
@@ -14,7 +14,7 @@ import pytest
 import builders
 from covstine import cli, cpmaps, crossed, hilbmod, stinespring as st
 from covstine import numkernel as nk
-from dense_reference import dilation_images
+from dense_reference import dense_gns_gram, dilation_images
 
 TOL = 1e-8
 RANK_TOL = 1e-10
@@ -54,18 +54,9 @@ def make_system(family, size, p, n, seed) -> hilbmod.ModuleDynamicalSystem:
 
 
 def oracle_dims(phi: cpmaps.ModuleCPMap) -> tuple[int, int]:
-    """Brute-force Gram ranks via element products and plain eigh."""
-    algebra = phi.module.algebra
-    n_dim, h = algebra.dim, phi.companion.space_dim
-    eye = np.eye(n_dim)
-    gram = np.zeros((n_dim * h, n_dim * h), dtype=complex)
-    for k in range(n_dim):
-        a_star = builders.AlgebraElement.from_coords(algebra, eye[k]).star()
-        for l in range(n_dim):
-            b = builders.AlgebraElement.from_coords(algebra, eye[l])
-            gram[k * h : (k + 1) * h, l * h : (l + 1) * h] = builders.apply(
-                phi.companion.images, builders.element_product(a_star, b).coords()
-            )
+    """The ranks of the dense GNS Gram, from the products of the algebra's embedded matrix
+    units (``dense_reference.dense_gns_gram``), and of the Gram of ``Phi(X) H``, by plain
+    eigh and the cutoff rule applied by hand."""
 
     def lam_rank(matrix):
         if matrix.size == 0:
@@ -74,9 +65,8 @@ def oracle_dims(phi: cpmaps.ModuleCPMap) -> tuple[int, int]:
         cutoff = max(RANK_TOL * max(float(values[0]), 0.0), 1e-12)
         return int(np.count_nonzero(values > cutoff))
 
-    dim_k = phi.space_dims[1]
-    span = phi.images.transpose(1, 0, 2).reshape(dim_k, -1)
-    return lam_rank(gram), lam_rank(span @ span.conj().T)
+    span = phi.images.transpose(1, 0, 2).reshape(phi.space_dims[1], -1)
+    return lam_rank(dense_gns_gram(phi.companion)), lam_rank(span @ span.conj().T)
 
 
 @pytest.fixture(scope="module")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import builders
+from builders import concrete_cp, z2_diag_system
 import covstine
 from covstine import cpmaps, hilbmod
 from covstine import numkernel as nk
@@ -14,19 +15,6 @@ from covstine.errors import (
     NotCoisometryError,
     NotIntertwiningError,
 )
-
-
-def z2_diag_system():
-    group = hilbmod.cyclic_group(2)
-    delta = hilbmod.UnitaryRep(
-        group, 2, np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
-    )
-    return hilbmod.standard_action(group, hilbmod.trivial_rep(group, 1), delta)
-
-
-def concrete_cp(p, n):
-    rep = cpmaps.concrete_representation(p, n)
-    return cpmaps.cp_from_representation(rep, nk.eye(n), nk.eye(p))
 
 
 class TestCheckModuleCp:

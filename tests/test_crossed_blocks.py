@@ -1,8 +1,10 @@
 """Crossed products from their group grading: the structure dump against the
 dense tensor of the generic operations, the derived crossed axiom rows against
-the exhaustive basis-triple checks on those tensors, with defects planted in
-alpha, the module and eta, crossed fullness from the grading, and the run-path
-contracts (no reference-operation calls, no dense pair tensor)."""
+``dense_reference``'s checks on every basis triple, with defects planted in alpha,
+the module and eta and one premise broken at a time, crossed fullness from the
+grading, and the run-path contracts (no reference-operation calls, no dense pair
+tensor).  Whole crossed runs, clean and planted, are compared with the dense oracle
+in ``test_oracle.py``."""
 
 import collections
 import json
@@ -18,17 +20,17 @@ from hypothesis import strategies as hst
 import builders
 from covstine import bounds, cli, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
-from covstine.errors import NotActionError
 from dense_reference import (
-    crossed_algebra_check,
-    crossed_module_check,
+    crossed_algebra_axioms,
+    crossed_inner,
+    crossed_module_axioms,
     identity_defect,
     inner_blocks,
     integral_stinespring,
-    reference_inner,
     reference_structure,
     watch_dense_forms,
 )
+from test_oracle import _off_generators
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "covstine" / "scenarios"
 GROUPS = {
@@ -127,68 +129,16 @@ def _with(system, module=None, eta=None, alpha=None):
     )
 
 
-def _off_generators(group):
-    """The first element other than e outside the generating set."""
-    return next(t for t in range(group.order) if t != group.identity and t not in group.tree.generators)
-
-
-def _plant_defect(system, where, eps):
-    """``eps`` added to one alpha_t with t not a generator, one nonzero inner product (it
-    breaks symmetry), one nonzero action entry (it breaks linearity) or one eta_t."""
-    module = system.module
-    if where in ("alpha", "eta"):
-        mats = getattr(system, where).copy()
-        mats[_off_generators(system.group), 0, 0] += eps
-        return _with(system, **{where: mats})
-    action, inner = module.action.copy(), module.inner.copy()
-    tensor = inner if where == "inner" else action
-    tensor[tuple(np.argwhere(np.abs(tensor) > 0)[0])] += eps
-    planted = hilbmod.HilbertModule.from_tensors(module.algebra, module.dim, action, inner)
-    return _with(system, module=planted)
-
-
-def _rows_and_dense(system):
+def _rows_and_dense(system, monkeypatch):
+    """The derived rows, with no exact fallback above ``bounds.exact_limit()``, and the dense ones."""
+    monkeypatch.setattr(bounds, "BOUND_TOL", np.inf)
     cm = crossed.CrossedModule(system, crossed.CrossedAlgebra(system.group, system.module.algebra, system.alpha))
-    return crossed.axiom_rows(cm), max(crossed_algebra_check(cm.algebra)), max(crossed_module_check(cm))
+    dense = crossed_algebra_axioms(system.group, system.module.algebra, system.alpha), crossed_module_axioms(system)
+    return crossed.axiom_rows(cm), *dense
 
 
 def _twisted(order):
     return builders.twisted_system(GROUPS["Z3" if order == 3 else "S3"], 3, 3, seed=7)
-
-
-def test_derived_rows_bound_the_exhaustive_checks():
-    """Unplanted, on a twisted Z3 system (alpha_t != alpha_{t^-1}), standard and explicit:
-    each row is at least the exhaustive value, the rows pass, and the rank is full."""
-    system = _twisted(3)
-    for sys_ in (system, _with(system)):
-        rows, algebra, module = _rows_and_dense(sys_)
-        assert algebra <= rows.algebra_residual <= bounds.BOUND_TOL
-        assert module <= rows.module_residual <= bounds.BOUND_TOL
-        assert rows.fullness == (27, 27)
-        crossed.build_crossed_module(sys_)  # the action gate passes
-
-
-PLANTS = [(where, eps) for where in ("alpha", "inner", "action", "eta") for eps in (1e-6, 1e-12)]
-
-
-@pytest.mark.parametrize("where, eps", PLANTS)
-def test_a_planted_defect_stays_under_the_derived_rows(where, eps):
-    """Planted on Z3, where 2 = 1^-1 is no generator: each derived row is at least the
-    exhaustive value, and so over the gate where that value is; a planted eta_t leaves
-    the crossed rows as they were, but the action gate refuses it at 1e-6."""
-    system = _with(_twisted(3))
-    planted = _plant_defect(system, where, eps)
-    rows, algebra, module = _rows_and_dense(planted)
-    assert algebra <= rows.algebra_residual and module <= rows.module_residual
-    if where == "eta":
-        assert rows == _rows_and_dense(system)[0]
-    else:
-        assert (max(algebra, module) > nk.RESIDUAL_TOL) == (eps > nk.RESIDUAL_TOL)
-    if eps > nk.RESIDUAL_TOL:
-        with pytest.raises(NotActionError):
-            crossed.build_crossed_module(planted)
-        if where != "eta":  # the bound stays within a small factor of the planted value
-            assert max(rows.algebra_residual, rows.module_residual) <= 20 * max(algebra, module)
 
 
 def _isolated(system, premise, eps):
@@ -224,25 +174,17 @@ def _idempotent_system():
 
 
 @pytest.mark.parametrize("premise", ["law", "star", "mult", "symmetry", "unit"])
-def test_each_premise_alone_stays_under_the_derived_rows(premise):
+def test_each_premise_alone_stays_under_the_derived_rows(premise, monkeypatch):
     """One premise broken at a time, the others exact or at rounding, so a row that dropped
     that premise's term would fall under the exhaustive value: each row is at least it."""
     system = _idempotent_system() if premise == "unit" else _isolated(_with(_twisted(3)), premise, 1e-6)
-    rows, algebra, module = _rows_and_dense(system)
+    rows, algebra, module = _rows_and_dense(system, monkeypatch)
     assert max(algebra, module) > nk.RESIDUAL_TOL
     assert algebra <= rows.algebra_residual and module <= rows.module_residual
 
 
-def test_a_planted_alpha_off_the_generators_of_s3():
-    """S3, alpha_t planted at an element outside {1, 2}: its law, multiplicativity and star
-    are bounded from the generators, and the rows still cover the exhaustive values."""
-    rows, algebra, module = _rows_and_dense(_plant_defect(_with(_twisted(6)), "alpha", 1e-12))
-    assert algebra <= rows.algebra_residual <= nk.RESIDUAL_TOL
-    assert module <= rows.module_residual <= nk.RESIDUAL_TOL
-
-
 def _dense_fullness(cm):
-    return nk.numerical_rank(reference_inner(cm).reshape(cm.dim**2, cm.algebra.dim))
+    return nk.numerical_rank(crossed_inner(cm.system).reshape(cm.dim**2, cm.algebra.dim))
 
 
 def _traceless(sys_):
@@ -314,71 +256,8 @@ def test_identity_defect_from_the_pair_matches_the_dense_row(name, blocks, h, se
     mats = rng.standard_normal((cm.group.order, h, h, 2)).view(complex)[..., 0]
     stacks = crossed._integrated(images, mats), crossed._integrated(companion, mats)
     got = crossed._identity_defect(cm, images, companion, mats)
-    dense = identity_defect(stacks[0], reference_inner(cm), stacks[1])
+    dense = identity_defect(stacks[0], crossed_inner(cm.system), stacks[1])
     assert got == pytest.approx(dense, rel=1e-12)
-
-
-def _planted_pair(cov, where):
-    """The pair and crossed module of ``cov`` with 1e-6 added to one entry of one
-    Phi(x_i), one phi(E_k), one u_t or one alpha_t with t other than e, or one nonzero
-    inner product."""
-    images, companion, mats = cov.base.images, cov.base.companion.images, cov.u.mats
-    system = cov.system
-    if where == "Phi":
-        images = images.copy()
-        images[1, 0, 0] += 1e-6
-    elif where == "phi":
-        companion = companion.copy()
-        companion[1, 0, 0] += 1e-6
-    elif where == "u":
-        mats = mats.copy()
-        mats[(system.group.identity + 1) % system.group.order, 0, 0] += 1e-6
-    elif where == "alpha":
-        alpha = system.alpha.copy()
-        alpha[(system.group.identity + 1) % system.group.order, 0, 0] += 1e-6
-        system = hilbmod.ModuleDynamicalSystem(system.group, system.module, system.eta, alpha)
-    else:
-        module = system.module
-        inner = module.inner.copy()
-        inner[tuple(np.argwhere(np.abs(inner) > 0)[0])] += 1e-6
-        planted = hilbmod.HilbertModule.from_tensors(
-            module.algebra, module.dim, module.action, inner
-        )
-        system = hilbmod.ModuleDynamicalSystem(system.group, planted, system.eta, system.alpha)
-    algebra = crossed.CrossedAlgebra(system.group, system.module.algebra, system.alpha)
-    cm = crossed.CrossedModule(system, algebra)
-    return cm, images, companion, mats
-
-
-@pytest.mark.parametrize("where", ["Phi", "phi", "u", "alpha", "inner"])
-def test_a_planted_pair_defect_shows_in_the_identity(where):
-    """1e-6 planted in the pair, the action or the inner tensor: the identity read off
-    the pair and the moved companion is the dense identity of the integrated stacks
-    against the dense inner tensor, which reads alpha through ``CrossedModule.inner``,
-    and fails the gate."""
-    scenario = cli.generate_scenario("crossed", 2, 2, 2, 11, "symmetric:3")
-    cov = cli.resolve_scenario(scenario, "generated.json").cov
-    cm = crossed.build_crossed_module(cov.system)
-    pair = cov.base.images, cov.base.companion.images, cov.u.mats
-    assert crossed._identity_defect(cm, *pair) < 1e-12
-    cm, images, companion, mats = _planted_pair(cov, where)
-    got = crossed._identity_defect(cm, images, companion, mats)
-    stacks = crossed._integrated(images, mats), crossed._integrated(companion, mats)
-    dense = identity_defect(stacks[0], reference_inner(cm), stacks[1])
-    assert got == pytest.approx(dense, rel=1e-9)
-    assert got > nk.RESIDUAL_TOL
-
-
-def test_the_identity_moves_the_companion_by_the_inverse_action():
-    """Generated 1,6,1 with S3, where alpha_t and alpha_{t^-1} differ: the covariant
-    pair meets the identity, read off the companion moved by alpha_{t^-1}."""
-    scenario = cli.generate_scenario("crossed", 1, 6, 1, 11, "symmetric:3")
-    cov = cli.resolve_scenario(scenario, "generated.json").cov
-    alpha = cov.system.alpha
-    assert np.abs(alpha - alpha[cov.system.group.inv]).max() > 0.5
-    cm = crossed.build_crossed_module(cov.system)
-    pair = cov.base.images, cov.base.companion.images, cov.u.mats
-    assert crossed._identity_defect(cm, *pair) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -485,21 +364,11 @@ def test_induced_cp_allocates_no_dense_pair_tensor():
     assert peak < 8 * 2**20, peak
 
 
-def test_factorization_residual_is_the_reconstruction_residual():
-    """The residual read off the dilation's parts is the dense reconstruction
-    residual of the integrated dilation images, up to rounding."""
-    _check_factorization_against_the_reconstruction()
-
-
 def test_factorization_residual_reads_every_chunk_of_t(monkeypatch):
-    """One group element per chunk: the residual is still the reconstruction's."""
+    """One group element per chunk: the residual read off the dilation's parts is the
+    dense reconstruction residual of the integrated dilation images, up to rounding."""
     monkeypatch.setattr(nk, "STACK_ENTRIES", 1)
-    _check_factorization_against_the_reconstruction()
-
-
-def _check_factorization_against_the_reconstruction():
-    scenario = cli.generate_scenario("crossed", 1, 2, 1, 11, "cyclic:2")
-    cov = cli.resolve_scenario(scenario, "z2.json").cov
+    cov = cli.resolve_scenario(cli.generate_scenario("crossed", 1, 2, 1, 11, "cyclic:2"), "z2.json").cov
     dilation = stinespring.dilate_covariant(cov)
     induced = crossed.induced_cp(dilation)
     assert abs(integral_stinespring(cov, dilation)[0] - induced.factorization_residual) < 1e-14
@@ -512,18 +381,11 @@ DENSITY_CASES = [
 
 
 @pytest.mark.parametrize("p, n, amplification, group", DENSITY_CASES)
-def test_induced_density_profiles_match_the_two_build_reference(p, n, amplification, group):
-    """The profiles read off the dilation's parts decide the ranks of the dense
-    integrated stacks exactly, with their singular values within 1e-12 of the
-    largest, and the factorization residuals agree to 1e-14 (None: the bundled
-    crossed scenario)."""
-    _check_density_profiles(p, n, amplification, group)
-
-
-@pytest.mark.parametrize("p, n, amplification, group", DENSITY_CASES)
 def test_induced_density_profiles_read_every_chunk_of_t(monkeypatch, p, n, amplification, group):
-    """One group element per chunk: the range Gram summed over the chunks of t still
-    ranks as the dense integrated stack, with the same profile."""
+    """One group element per chunk: the profiles read off the dilation's parts, the range
+    Gram summed over the chunks of t, decide the ranks of the dense integrated stacks
+    exactly, with their singular values within 1e-12 of the largest, and the factorization
+    residuals agree to 1e-14 (None: the bundled crossed scenario)."""
     monkeypatch.setattr(nk, "STACK_ENTRIES", 1)
     _check_density_profiles(p, n, amplification, group)
 

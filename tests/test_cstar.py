@@ -93,19 +93,19 @@ class TestRepresentations:
 
     def test_identity_representation(self):
         rep = self._rep([builders.coords_to_blocks(cstar.CStarAlgebra((2,)), e)[0] for e in np.eye(4)], 2)
-        assert multiplicativity_defect(rep) == 0 and rep.hermiticity_residual() == 0
+        assert multiplicativity_defect(rep) == 0 and rep.choi_report.hermiticity == 0
         np.testing.assert_array_equal(self._unit_image(rep), np.eye(2))
 
     def test_doubled_representation(self):
         blocks = [builders.coords_to_blocks(cstar.CStarAlgebra((2,)), e)[0] for e in np.eye(4)]
         rep = self._rep([np.kron(np.eye(2), b) for b in blocks], 4)
-        assert multiplicativity_defect(rep) == 0 and rep.hermiticity_residual() == 0
+        assert multiplicativity_defect(rep) == 0 and rep.choi_report.hermiticity == 0
         np.testing.assert_array_equal(self._unit_image(rep), np.eye(4))
 
     def test_transpose_is_not_multiplicative(self):
         # transpose(e12 e21) differs from transpose(e12) transpose(e21); it keeps the star
         rep = self._rep([builders.coords_to_blocks(cstar.CStarAlgebra((2,)), e)[0].T for e in np.eye(4)], 2)
-        assert multiplicativity_defect(rep) > 0.5 and rep.hermiticity_residual() == 0
+        assert multiplicativity_defect(rep) > 0.5 and rep.choi_report.hermiticity == 0
 
     def test_zero_map_is_proper_projection(self):
         unit = self._unit_image(self._rep([np.zeros((2, 2))] * 4, 2))
@@ -116,7 +116,7 @@ class TestRepresentations:
     def test_embedding_representation_passes(self, blocks):
         algebra = cstar.CStarAlgebra(blocks)
         rep = cstar.embedding_representation(algebra)
-        assert multiplicativity_defect(rep) == 0 and rep.hermiticity_residual() == 0
+        assert multiplicativity_defect(rep) == 0 and rep.choi_report.hermiticity == 0
         np.testing.assert_array_equal(builders.apply(rep.images, cstar.unit_coords(algebra)), np.eye(algebra.embed_dim))
 
 

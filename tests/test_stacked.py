@@ -19,6 +19,7 @@ import dense_reference as ref
 from covstine import cpmaps, crossed, cstar, hilbmod, stinespring
 from covstine import numkernel as nk
 from covstine.errors import ComputeError, NotIntertwiningError, QuotientLeakError
+from test_kernels import _random
 
 GROUPS = {
     "S3": lambda: hilbmod.symmetric_group(3),
@@ -30,10 +31,6 @@ CHUNKS = {"default": nk.STACK_ENTRIES, "one item": 1, "several items": 200}
 
 sizes = hst.integers(min_value=0, max_value=4)
 seeds = hst.integers(min_value=0, max_value=2**32 - 1)
-
-
-def _random(rng, *shape):
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 def _same(actual, expected):
@@ -162,10 +159,10 @@ def _group_rows(system, cov, w, at=None):
     group, algebra = system.group, system.module.algebra
     law = hilbmod.group_law(group, system.eta)
     rows = [((law.hom, law.unit), ref.group_law(group, system.eta, at))]
-    rows += [(hilbmod.check_unitary_rep(r).unitary_residual, ref.unitarity(r, at)) for r in fresh]
+    rows += [(hilbmod.check_unitary_rep(r).unitary_residual, ref.unitarity(r.mats, at)) for r in fresh]
     rows += [
-        (hilbmod.intertwining_residual(v, w.V, u), ref.intertwining(v, w.V, u, at)),
-        (hilbmod.intertwining_residual(w_rep, w.W, u_prime), ref.intertwining(w_rep, w.W, u_prime, at)),
+        (hilbmod.intertwining_residual(v, w.V, u), ref.intertwining(v.mats, w.V, u.mats, at)),
+        (hilbmod.intertwining_residual(w_rep, w.W, u_prime), ref.intertwining(w_rep.mats, w.W, u_prime.mats, at)),
         (hilbmod.algebra_action_residuals(algebra, system.alpha_rep), ref.algebra_action(group, algebra, system.alpha, at)),
         (tuple(hilbmod.check_dynamical_system(system)), ref.dynamical_system(system, at)),
     ]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import builders
+from builders import concrete_cp, z2_diag_system
 from covstine import cli, cpmaps, cstar, hilbmod, stinespring as st
 from covstine import numkernel as nk
 from covstine.errors import (
@@ -13,62 +14,18 @@ from covstine.errors import (
     NotCovariantError,
     NotCpError,
     NotMinimalError,
-    NotUnitaryError,
     QuotientLeakError,
 )
 from dense_reference import (
     dense_gns_gram, dilation_from_images, dilation_images, module_map_through, multiplicativity_defect,
 )
-
-
-def z2_diag_system():
-    group = hilbmod.cyclic_group(2)
-    delta = hilbmod.UnitaryRep(
-        group, 2, np.stack([np.eye(2), np.diag([1.0, -1.0])]).astype(complex)
-    )
-    return hilbmod.standard_action(group, hilbmod.trivial_rep(group, 1), delta)
+from test_acceptance import oracle_dims
 
 
 def _verified_through_gram(phi):
     """``verify_dilation`` of a module CP map whose companion is ``phi``."""
     phi_module = module_map_through(phi, nk.gram_factor(dense_gns_gram(phi)))
     return st.verify_dilation(st.dilate_module_cp(phi_module))
-
-
-def concrete_cp(p, n):
-    rep = cpmaps.concrete_representation(p, n)
-    return cpmaps.cp_from_representation(rep, nk.eye(n), nk.eye(p))
-
-
-def oracle_dims(phi: cpmaps.ModuleCPMap) -> tuple[int, int]:
-    """Brute-force Gram ranks, built with element arithmetic and plain eigh.
-
-    Independent of the construction path: Gram entries come from explicit
-    AlgebraElement products, ranks from numpy eigendecompositions with the
-    package's cutoff rule applied by hand.
-    """
-    algebra = phi.module.algebra
-    n_dim, h = algebra.dim, phi.companion.space_dim
-    eye = np.eye(n_dim)
-    gram = np.zeros((n_dim * h, n_dim * h), dtype=complex)
-    for k in range(n_dim):
-        a_star = builders.AlgebraElement.from_coords(algebra, eye[k]).star()
-        for l in range(n_dim):
-            b = builders.AlgebraElement.from_coords(algebra, eye[l])
-            product = builders.element_product(a_star, b)
-            gram[k * h : (k + 1) * h, l * h : (l + 1) * h] = builders.apply(
-                phi.companion.images, product.coords()
-            )
-    def lam_rank(matrix):
-        values = np.linalg.eigvalsh((matrix + matrix.conj().T) / 2.0)[::-1]
-        if values.size == 0:
-            return 0
-        cutoff = max(1e-10 * max(float(values[0]), 0.0), 1e-12)
-        return int(np.count_nonzero(values > cutoff))
-
-    dim_k = phi.space_dims[1]
-    span = phi.images.transpose(1, 0, 2).reshape(dim_k, -1)
-    return lam_rank(gram), lam_rank(span @ span.conj().T)
 
 
 class TestGns:
@@ -120,7 +77,7 @@ class TestGns:
         rep = st.gns_construct(companion).rep
         assert isinstance(rep, cpmaps.CPMapAlgebra)
         assert rep.choi_report.cp
-        assert max(multiplicativity_defect(rep), rep.hermiticity_residual()) <= nk.RESIDUAL_TOL
+        assert max(multiplicativity_defect(rep), rep.choi_report.hermiticity) <= nk.RESIDUAL_TOL
 
     def test_reconstruction_for_seeded_maps(self):
         for seed in range(4):
@@ -387,25 +344,25 @@ class TestUniqueness:
         assert report.covariant_v_residual <= 1e-9
         assert report.covariant_w_residual <= 1e-9
 
-    @pytest.mark.parametrize("field", ["W", "V", "image"])
-    def test_corrupted_competitor_is_surfaced(self, field):
-        """A corrupted W', V' or image pi'(x_0) is refused or shows in a row.  V' enters
-        the U2 solve only, W' the U1 solve only."""
+    @pytest.mark.parametrize("field, size", [("W", 3e-9), ("V", 3e-9), ("image", 1e-9)])
+    def test_corrupted_competitor_is_surfaced(self, field, size):
+        """W', V' or the image pi'(x_0) moved by seeded noise of ``size``: the competitor
+        passes the coisometry, minimality and unitarity gates, and a row shows the move
+        over 1e-9.  V' enters the U2 solve only, W' the U1 solve only; the image moves
+        both, so at 3e-9 the unitarity gate refuses it."""
         phi, _ = builders.random_module_cp(2, 2, 2, seed=3)
         dilation = st.dilate_module_cp(phi)
         rng = np.random.default_rng(3)
         images, v, w = dilation_images(dilation), dilation.gns.V, dilation.W
         if field == "W":
-            w = cpmaps.polar_coisometry(nk.complex_normal(rng, *w.shape))
+            w = w + size * nk.complex_normal(rng, *w.shape)
         elif field == "V":
-            v = nk.complex_normal(rng, *v.shape)
+            v = v + size * nk.complex_normal(rng, *v.shape)
         else:
-            images[0] = nk.complex_normal(rng, *images[0].shape)
-        try:
-            report = st.uniqueness_intertwiners(dilation, st.AltDilation(images, v, w))
-        except (NotUnitaryError, NotMinimalError):
-            return
-        assert max(report[2:]) > 1e-6
+            images[0] += size * nk.complex_normal(rng, *images[0].shape)
+        report = st.uniqueness_intertwiners(dilation, st.AltDilation(images, v, w))
+        assert max(report.unitarity_U1, report.unitarity_U2) <= nk.PRECONDITION_TOL
+        assert max(report[4:]) > 1e-9
 
     @pytest.mark.parametrize("scenario", [None, "cyclic:2", "module_333_1e4.json", "K=0", "K=66"])
     def test_solves_no_companion_and_builds_no_gns_view(self, tmp_path, monkeypatch, scenario):
