@@ -34,6 +34,8 @@ representation is a covariant CP map, and the map it induces is its integral for
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -195,10 +197,10 @@ class CrossedAxioms(NamedTuple):
 def axiom_rows(cm: CrossedModule) -> CrossedAxioms:
     """The crossed axioms on every basis triple: ``bounds.crossed_axioms`` of the run's rows and the
     maxima of alpha and the support, and the unit (``alpha_e = I``, ``alpha_t(1) = 1``) and ``f**
-    = f``, exact on alpha, O(g N^3).  A derived row above ``bounds.exact_limit()`` is, as a bound
-    there is, its exact worst over every basis triple (``_algebra_defects``, ``_module_defects``),
-    so its verdict is exact: on a module basis far from orthonormal the sizes beta and c make the
-    derived rows loose.  Fullness: the crossed inner products at slot s sit in the
+    = f``, exact on alpha, O(g N^3).  Through ``bounds.exact_above``, a derived row above
+    ``bounds.exact_limit()`` is its exact worst over every basis triple (``_algebra_kernel``,
+    ``_module_kernel``), so its verdict is exact: on a module basis far from orthonormal the sizes
+    beta and c make the derived rows loose.  Fullness: the crossed inner products at slot s sit in the
     rows (t, i, ts, j), disjoint across s, and equivariance makes ``span <X, X>`` alpha-invariant,
     so the rank is g times the module's (``HilbertModule.fullness``)."""
     sys, module = cm.system, cm.module
@@ -211,11 +213,8 @@ def axiom_rows(cm: CrossedModule) -> CrossedAxioms:
     action = h, report.automorphism_mult_residual, report.automorphism_star_residual
     sizes = a, c, r, beta, values.max(initial=0.0), kappa
     algebra_row, module_row = bounds.crossed_axioms(action, hilbmod.module_defects(module), sizes, (n, m))
-    g, limit = group.order, bounds.exact_limit()
-    if algebra_row > limit:
-        algebra_row = nk.stack_max(g, 2 * g * n**3, lambda span: _algebra_defects(cm.algebra, span))
-    if module_row > limit:
-        module_row = nk.stack_max(g * m, 2 * g * m * n * n, lambda rows: _module_defects(cm, rows))
+    algebra_row = bounds.exact_above(group, algebra_row, [_algebra_kernel(cm.algebra)])
+    module_row = bounds.exact_above(group, module_row, [_module_kernel(cm)])
 
     star, eye, unit = alpha[:, :, cstar.star_permutation(algebra)], nk.eye(n), cstar.unit_coords(algebra)
     involutive = nk.maxabs(star @ np.conj(star[group.inv]) - eye)
@@ -234,52 +233,76 @@ def _coordinates(algebra: cstar.CStarAlgebra, mats: np.ndarray) -> np.ndarray:
     return mats[..., rows, cols]
 
 
-def _algebra_defects(calg: CrossedAlgebra, span: slice) -> np.ndarray:
-    """Associativity and ``(f g)* = g* f*`` on the basis triples with left factor e_(t,k), t in
-    ``span``, and any r: with ``(delta_a x)(delta_b y) = delta_ab x alpha_a(y)`` and ``(delta_a x)* =
-    delta_{a^-1} alpha_{a^-1}(x*)`` both sides sit at one slot, ``E_k [alpha_t(E_l) alpha_tr(E_n) -
-    alpha_t(E_l alpha_r(E_n))]`` and ``alpha_v(alpha_t(E_l)* E_k*) - alpha_{r^-1}(E_l*) alpha_{r^-1}
-    alpha_{t^-1}(E_k*)``, v = (tr)^-1; E_k only moves rows, so associativity is formed without it."""
+def _algebra_kernel(calg: CrossedAlgebra) -> tuple:
+    """``(entries, defects)`` of associativity and ``(f g)* = g* f*`` for ``bounds.exact_above``:
+    ``defects(ts)`` on the basis triples with left factor e_(t,k), t in ``ts``, and any r.  With
+    ``(delta_a x)(delta_b y) = delta_ab x alpha_a(y)`` and ``(delta_a x)* = delta_{a^-1}
+    alpha_{a^-1}(x*)`` both sides sit at one slot, ``E_k [alpha_t(E_l) alpha_tr(E_n) - alpha_t(E_l
+    alpha_r(E_n))]`` and ``alpha_v(alpha_t(E_l)* E_k*) - alpha_{r^-1}(E_l*) alpha_{r^-1}
+    alpha_{t^-1}(E_k*)``, v = (tr)^-1; E_k only moves rows, so associativity is formed without it.
+    What does not depend on t is formed at the first call; a t forms (g, N, N, E, E) products."""
     group, base, alpha = calg.group, calg.base, calg.alpha
-    inv, units, moved_by = group.inv, cstar.embedding_representation(base).images, alpha.transpose(0, 2, 1)
-    images, stars = _embedded(base, moved_by), np.conj(units).swapaxes(1, 2)  # alpha_t(E_l), E_k*
-    unit_stars = _coordinates(base, stars)
-    reversed_left = _embedded(base, unit_stars[None] @ moved_by[inv])  # [r, l]: alpha_{r^-1}(E_l*)
-    defects = []
-    for t in range(span.start, span.stop):
-        first = _coordinates(base, images[t][None, :, None] @ images[group.mult[t]][:, None])
-        second = _coordinates(base, units[None, :, None] @ images[:, None]) @ moved_by[t]
-        starred = _coordinates(base, np.conj(images[t]).swapaxes(1, 2)[None] @ stars[:, None])  # [k, l]
-        right = _embedded(base, (unit_stars @ moved_by[inv[t]])[None] @ moved_by[inv])  # [r, k]
-        anti = starred[None] @ moved_by[inv[group.mult[t]]][:, None]  # alpha_v of them
-        anti -= _coordinates(base, reversed_left[:, None] @ right[:, :, None])
-        defects += [(first - second).reshape(-1), anti.reshape(-1)]
-    return np.concatenate(defects)
+    inv, mult = group.inv, group.mult
+
+    @functools.cache
+    def parts():
+        units, moved_by = cstar.embedding_representation(base).images, alpha.transpose(0, 2, 1)
+        images, stars = _embedded(base, moved_by), np.conj(units).swapaxes(1, 2)  # alpha_t(E_l), E_k*
+        unit_stars = _coordinates(base, stars)
+        reversed_left = _embedded(base, unit_stars[None] @ moved_by[inv])  # [r, l]: alpha_{r^-1}(E_l*)
+        inside = _coordinates(base, units[None, :, None] @ images[:, None])  # [r, l, n]: E_l alpha_r(E_n)
+        return moved_by, images, stars, unit_stars, reversed_left, inside
+
+    def defects(ts):
+        moved_by, images, stars, unit_stars, reversed_left, inside = parts()
+        out = []
+        for t in ts:
+            first = _coordinates(base, images[t][None, :, None] @ images[mult[t]][:, None])
+            starred = _coordinates(base, np.conj(images[t]).swapaxes(1, 2)[None] @ stars[:, None])  # [k, l]
+            right = _embedded(base, (unit_stars @ moved_by[inv[t]])[None] @ moved_by[inv])  # [r, k]
+            anti = starred[None] @ moved_by[inv[mult[t]]][:, None]  # alpha_v of them
+            anti -= _coordinates(base, reversed_left[:, None] @ right[:, :, None])
+            out += [(first - inside @ moved_by[t]).reshape(-1), anti.reshape(-1)]
+        return np.concatenate(out)
+
+    return group.order * base.dim**2 * base.embed_dim**2, defects
 
 
-def _module_defects(cm: CrossedModule, rows: slice) -> np.ndarray:
-    """``<xhat, yhat f> = <xhat, yhat> f`` and ``<xhat, yhat>* = <yhat, xhat>`` on the basis triples
-    with left factor delta_t x_i, rows (t, i) at ``t m + i`` in ``rows``, and any r: with ``(delta_r
-    x_j) e_(s,k) = delta_rs x_j . alpha_r(E_k)`` and ``<delta_t x_i, delta_r x_j> = delta_{t^-1 r}
+def _module_kernel(cm: CrossedModule) -> tuple:
+    """``(entries, defects)`` of ``<xhat, yhat f> = <xhat, yhat> f`` and ``<xhat, yhat>* = <yhat,
+    xhat>`` for ``bounds.exact_above``: ``defects(ts)``, the worst on the basis triples with left
+    factor delta_t x_i, t in ``ts``, and any r, by chunks of i.  With ``(delta_r x_j) e_(s,k) =
+    delta_rs x_j . alpha_r(E_k)`` and ``<delta_t x_i, delta_r x_j> = delta_{t^-1 r}
     alpha_{t^-1}(<x_i, x_j>)``, ``alpha_w(<x_i, x_j . alpha_r(E_k)>) - alpha_w(<x_i, x_j>)
-    alpha_wr(E_k)`` and ``alpha_{r^-1 t}(alpha_w(<x_i, x_j>)*) - alpha_{r^-1}(<x_j, x_i>)``, w = t^-1."""
+    alpha_wr(E_k)`` and ``alpha_{r^-1 t}(alpha_w(<x_i, x_j>)*) - alpha_{r^-1}(<x_j, x_i>)``, w =
+    t^-1.  What does not depend on t is formed at the first call; an i forms (g, m, N, E, E)
+    products."""
     group, module, alpha, sup = cm.group, cm.module, cm.system.alpha, cm.module.support
-    algebra, m, n = module.algebra, module.dim, module.algebra.dim
-    inner, action = np.zeros((m, m, n), dtype=np.complex128), np.zeros((m, n, m), dtype=np.complex128)
-    inner[sup.i, sup.j, sup.k], action[sup.act] = sup.values, sup.act_values  # whole, for these triples alone
-    moved_by, perm = alpha.transpose(0, 2, 1), cstar.star_permutation(algebra)
-    images = _embedded(algebra, moved_by)  # [t, k]: alpha_t(E_k)
-    moved = np.einsum("rlk,jlq->rjkq", alpha, action)  # [r, j, k]: x_j . alpha_r(E_k)
-    defects = []
-    for t, i in zip(*np.divmod(np.arange(rows.start, rows.stop), m)):
-        w = group.inv[t]
-        pushed = inner[i] @ moved_by[w]  # [j]: alpha_w(<x_i, x_j>)
-        times = _coordinates(algebra, _embedded(algebra, pushed)[None, :, None] @ images[group.mult[w]][:, None])
-        axiom = (moved @ inner[i]) @ moved_by[w] - times
-        symmetry = np.conj(pushed[:, perm])[None] @ moved_by[group.mult[group.inv, t]]  # at [r, j]
-        symmetry -= inner[:, i][None] @ moved_by[group.inv]
-        defects += [axiom.reshape(-1), symmetry.reshape(-1)]
-    return np.concatenate(defects)
+    algebra, m, n, inv, mult = module.algebra, module.dim, module.algebra.dim, group.inv, group.mult
+    per_row = group.order * m * n * algebra.embed_dim**2
+
+    @functools.cache
+    def parts():
+        inner, action = np.zeros((m, m, n), dtype=np.complex128), np.zeros((m, n, m), dtype=np.complex128)
+        inner[sup.i, sup.j, sup.k], action[sup.act] = sup.values, sup.act_values  # whole, for these triples alone
+        moved_by = alpha.transpose(0, 2, 1)
+        moved = np.einsum("rlk,jlq->rjkq", alpha, action)  # [r, j, k]: x_j . alpha_r(E_k)
+        mirrored = inner.swapaxes(0, 1)[None] @ moved_by[inv][:, None]  # [r, i, j]: alpha_{r^-1}(<x_j, x_i>)
+        return inner, moved_by, _embedded(algebra, moved_by), moved, mirrored  # [t, k]: alpha_t(E_k)
+
+    def defects(ts):
+        inner, moved_by, images, moved, mirrored = parts()
+        perm, worst = cstar.star_permutation(algebra), []
+        for t, rows in itertools.product(ts, nk.stack_spans(m, per_row)):
+            w = inv[t]
+            pushed = inner[rows] @ moved_by[w]  # [i, j]: alpha_w(<x_i, x_j>)
+            times = _coordinates(algebra, _embedded(algebra, pushed)[None, :, :, None] @ images[mult[w]][:, None, None])
+            axiom = (moved[:, None] @ inner[rows, None]) @ moved_by[w] - times  # at [r, i, j, k]
+            symmetry = np.conj(pushed[..., perm])[None] @ moved_by[mult[inv, t]][:, None] - mirrored[:, rows]
+            worst.append(max(nk.maxabs(axiom), nk.maxabs(symmetry)))
+        return np.array(worst)
+
+    return m * per_row, defects
 
 
 # ---------------------------------------------------------------------------

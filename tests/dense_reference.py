@@ -7,7 +7,9 @@ GNS descent: ``dense_gns`` places the (rank, N h) ``F`` and (N h, rank) ``L`` wh
 ``dense_dilation`` lifts every raw module map over all of ``A (x) H`` and
 ``dense_covariant`` forms ``F (alpha_t (x) u_t) L`` one t at a time; the crossed rows
 come from the defining formulas of the crossed operations (``crossed_inner``,
-``crossed_algebra_axioms``, ``crossed_module_axioms``).
+``crossed_algebra_axioms``, ``crossed_module_axioms``), which ``test_crossed.py`` checks
+against the exhaustive checks through the generic ``multiply``, ``star``, ``act`` and
+``inner`` (``reference_inner``, ``crossed_algebra_check``, ``crossed_module_check``).
 
 The other helpers are the one-element-at-a-time forms of what the package runs as
 chunked stacks (the group-indexed checks, taking ``at``, the elements they run over,
@@ -20,8 +22,9 @@ the dense adjacency), the crossed structure constants through the generic ``mult
 parts by ``dilation_from_images``) and the plain rows on them (``plain_rows``), the
 integral form from those images (``integral_stinespring``), the crossed identity one (t, i)
 at a time (``factored_identity_defect``), ``seeded_rep`` as a chain of direct sums
-(``composed_seeded_rep``), least squares by ``np.linalg.lstsq``, and ``watch_dense_forms``,
-which records each dense form a run builds.
+(``composed_seeded_rep``), least squares by ``np.linalg.lstsq``, a dilation's conjugated
+competitor (``conjugated``), and ``watch_dense_forms``, which records each dense form a
+run builds.
 """
 
 import functools
@@ -104,6 +107,51 @@ def reference_structure(calg):
             for left in basis(calg)
         ]
     )
+
+
+def reference_inner(cm):
+    d_a = cm.algebra.dim
+    return np.stack([np.stack([cm.inner(x, y).reshape(d_a) for y in basis(cm)]) for x in basis(cm)])
+
+
+def reference_action(cm):
+    """``act[(r, j), (s, k)]``: coordinates of ``(delta_r x_j) e_(s,k)``."""
+    return np.stack([np.stack([cm.act(x, f).reshape(cm.dim) for f in basis(cm.algebra)]) for x in basis(cm)])
+
+
+def crossed_algebra_check(calg):
+    """``(assoc, anti, involutive, unital)``: the crossed-algebra axioms on every basis
+    triple, on the dense structure tensor and stars of the generic operations."""
+    g, n, d = calg.group.order, calg.base.dim, calg.dim
+    struct = reference_structure(calg)
+    assoc = max(nk.maxabs((row @ struct.reshape(d, d * d)).reshape(d, d, d) - struct @ row) for row in struct)
+    star = lambda f: calg.star(f.reshape(g, n)).reshape(d)  # noqa: E731
+    stars = np.stack([star(e) for e in basis(calg)], axis=1)  # column i: the star of basis element i
+    involutive = nk.maxabs(np.stack([star(stars[:, i]) for i in range(d)]) - np.eye(d))
+    anti = max(
+        nk.maxabs(star(struct[i, j]) - calg.multiply(stars[:, j].reshape(g, n), stars[:, i].reshape(g, n)).reshape(d))
+        for i in range(d)
+        for j in range(d)
+    )
+    unit = builders.crossed_unit(calg).reshape(d)
+    unital = max(
+        nk.maxabs(np.einsum("p,pjq->jq", unit, struct) - np.eye(d)),
+        nk.maxabs(np.einsum("ipq,p->iq", struct, unit) - np.eye(d)),
+    )
+    return assoc, anti, involutive, unital
+
+
+def crossed_module_check(cm):
+    """``(axiom, symmetry)``: ``<xhat, yhat f> = <xhat, yhat> f`` and ``<xhat, yhat>* =
+    <yhat, xhat>`` on every basis triple, on the dense tensors of the generic operations."""
+    struct = reference_structure(cm.algebra)
+    inner, act = reference_inner(cm), reference_action(cm)
+    d_x, d_a = cm.dim, cm.algebra.dim
+    axiom = max(nk.maxabs(act @ row - (row @ struct.reshape(d_a, -1)).reshape(d_x, d_a, d_a)) for row in inner)
+    g, n = cm.group.order, cm.algebra.base.dim
+    star = lambda f: cm.algebra.star(f.reshape(g, n)).reshape(d_a)  # noqa: E731
+    starred = np.stack([np.stack([star(inner[a, b]) for b in range(d_x)]) for a in range(d_x)])
+    return axiom, nk.maxabs(starred - inner.transpose(1, 0, 2))
 
 
 def dense_gns_gram(phi):
@@ -597,6 +645,20 @@ def dilation_images(dilation):
     return images[:, :, :-1].copy()
 
 
+def conjugated(dilation, rng):
+    """``(competitor, r1, r2)``: the dilation conjugated by Haar unitaries drawn from ``rng``,
+    ``r1`` on its GNS space and ``r2`` on its codomain: images ``r2 pi(x) r1*``, ``r1 V``,
+    ``r2 W`` and, of a ``CovariantDilation``, ``r1 v_t r1*`` and ``r2 w_t r2*``."""
+    base = getattr(dilation, "base", dilation)
+    r1, r2 = nk.haar_unitary(rng, base.gns.dim), nk.haar_unitary(rng, base.dim_codomain)
+    images = np.einsum("ab,ibc,dc->iad", r2, dilation_images(base), np.conj(r1))
+    reps = {}
+    for key, r in (("v", r1), ("w", r2)) if base is not dilation else ():
+        rep = getattr(dilation, key)
+        reps[key] = hilbmod.UnitaryRep(rep.group, rep.dim, r @ rep.mats @ nk.adjoint(r))
+    return stinespring.AltDilation(images, r1 @ base.gns.V, r2 @ base.W, **reps), r1, r2
+
+
 def watch_dense_forms(monkeypatch):
     """The list of dense forms a run builds, by name, from the patches it makes with
     ``monkeypatch``: ``rep`` at each first read of ``GnsTriple.rep``, and ``images`` at each
@@ -1066,8 +1128,8 @@ def _crossed(res):
     cert.ranks["integral_range_density"] = (_rank(_columns(integrated @ gns.V)), len(dil.W))
     cert.ranks["integral_corange_density"] = (_rank(_columns(_star(integrated) @ dil.W)), len(gns.F))
     if g * n_dim <= cli.CROSSED_AXIOM_LIMIT:
-        cert.residuals["crossed_algebra_axioms"] = crossed_algebra_axioms(group, module.algebra, system.alpha)
-        cert.residuals["crossed_module_axioms"] = crossed_module_axioms(system)
+        cert.residuals["crossed_algebra_axioms"] = max(crossed_algebra_axioms(group, module.algebra, system.alpha))
+        cert.residuals["crossed_module_axioms"] = max(crossed_module_axioms(system))
         cert.ranks["crossed_module_fullness"] = (_rank(inner.reshape(-1, g * n_dim)), g * n_dim)
     return cert
 
@@ -1085,8 +1147,8 @@ def crossed_inner(system) -> np.ndarray:
     return out.reshape(g * m, g * m, g * n_dim)
 
 
-def crossed_algebra_axioms(group, base, alpha) -> float:
-    """Associativity, ``(f g)* = g* f*``, ``f** = f`` and the unit ``delta_e 1`` on every basis
+def crossed_algebra_axioms(group, base, alpha) -> tuple:
+    """``(assoc, anti, involutive, unital)``, as ``crossed_algebra_check``, on every basis
     triple: with ``(delta_a x)(delta_b y) = delta_ab x alpha_a(y)`` and ``(delta_a x)* =
     delta_{a^-1} alpha_{a^-1}(x*)`` both sides of each sit at one slot, where their values are
     compared, for each t and every r at once.  Associativity's sides share a left factor
@@ -1096,11 +1158,12 @@ def crossed_algebra_axioms(group, base, alpha) -> float:
     images = alpha.transpose(0, 2, 1)  # [t, l]: alpha_t(E_l)
     stars = algebra.star(units)  # [k]: E_k*
     inverse_stars = np.einsum("rcd,kd->rkc", alpha[inv], stars)  # [r, k]: alpha_{r^-1}(E_k*)
-    worst = max(
+    involutive = _worst(algebra.star(inverse_stars) @ alpha.transpose(0, 2, 1) - units)  # e** = e
+    unital = max(
         _worst(images[group.identity] - units),  # the unit on the left
         _worst(prod(units[None], (alpha @ algebra.unit)[:, None]) - units),  # and on the right
-        _worst(algebra.star(inverse_stars) @ alpha.transpose(0, 2, 1) - units),  # e** = e
     )
+    assoc = anti = 0.0
     for t in range(group.order):
         # (e_(t,k) e_(r,l)) e_(s,n) against e_(t,k) (e_(r,l) e_(s,n)), E_k left out, at [r, l, n]
         first = prod(images[t][None, :, None], images[mult[t]][:, None])
@@ -1108,28 +1171,30 @@ def crossed_algebra_axioms(group, base, alpha) -> float:
         # (e_(t,k) e_(r,l))* against e_(r,l)* e_(t,k)*, at [r, k, l]
         starred = np.einsum("rcd,kld->rklc", alpha[inv[mult[t]]], prod(algebra.star(images[t])[None], stars[:, None]))
         moved = np.einsum("rcd,kd->rkc", alpha[inv], stars @ alpha[inv[t]].T)  # alpha_{r^-1} alpha_{t^-1}(E_k*)
-        worst = max(worst, _worst(first - second), _worst(starred - prod(inverse_stars[:, None], moved[:, :, None])))
-    return worst
+        assoc = max(assoc, _worst(first - second))
+        anti = max(anti, _worst(starred - prod(inverse_stars[:, None], moved[:, :, None])))
+    return assoc, anti, involutive, unital
 
 
-def crossed_module_axioms(system) -> float:
-    """``<xhat, yhat f> = <xhat, yhat> f`` and ``<xhat, yhat>* = <yhat, xhat>`` on every basis
-    triple, by the slot of each side, as ``crossed_algebra_axioms``, with ``(delta_r x_j)
-    e_(s,k) = delta_rs x_j . alpha_r(E_k)`` and ``crossed_inner``."""
+def crossed_module_axioms(system) -> tuple:
+    """``(axiom, symmetry)``, as ``crossed_module_check``: ``<xhat, yhat f> = <xhat, yhat> f``
+    and ``<xhat, yhat>* = <yhat, xhat>`` on every basis triple, by the slot of each side, as
+    ``crossed_algebra_axioms``, with ``(delta_r x_j) e_(s,k) = delta_rs x_j . alpha_r(E_k)``
+    and ``crossed_inner``."""
     group, module, alpha = system.group, system.module, system.alpha
     algebra, inv, mult, inner = _algebra(module.algebra.blocks), group.inv, group.mult, module.inner
     images = alpha.transpose(0, 2, 1)  # [t, l]: alpha_t(E_l)
     moved = np.einsum("rlk,jlq->rjkq", alpha, module.action)  # [r, j, k]: x_j . alpha_r(E_k)
     paired = np.einsum("rjkq,iqc->rijkc", moved, inner)  # <x_i, x_j . alpha_r(E_k)>
     mirrored = np.einsum("rcd,jid->rijc", alpha[inv], inner)  # alpha_{r^-1}(<x_j, x_i>)
-    worst = 0.0
+    axiom = symmetry = 0.0
     for t in range(group.order):
         w = inv[t]
         pushed = inner @ alpha[w].T  # alpha_{t^-1}(<x_i, x_j>), at [r, i, j] below
         times = algebra.product(pushed[None, :, :, None], images[mult[w]][:, None, None])
         symmetric = np.einsum("rcd,ijd->rijc", alpha[mult[inv, t]], algebra.star(pushed))
-        worst = max(worst, _worst(paired @ alpha[w].T - times), _worst(symmetric - mirrored))
-    return worst
+        axiom, symmetry = max(axiom, _worst(paired @ alpha[w].T - times)), max(symmetry, _worst(symmetric - mirrored))
+    return axiom, symmetry
 
 
 def _uniqueness(res):

@@ -14,7 +14,7 @@ import pytest
 import builders
 from covstine import cli, cpmaps, crossed, hilbmod, stinespring as st
 from covstine import numkernel as nk
-from dense_reference import dense_gns_gram, dilation_images
+from dense_reference import conjugated, dense_gns_gram
 
 TOL = 1e-8
 RANK_TOL = 1e-10
@@ -152,32 +152,9 @@ def test_criterion_3_uniqueness_roundtrip(plain_instances, covariant_instances):
     """Seeded conjugations are recovered and every intertwining identity holds."""
     worst = 0.0
     failures = []
-    cases = [(phi, dil, None) for phi, dil, _ in plain_instances[:50]]
-    cases += [(cov, dil, cov) for cov, _, dil, _ in covariant_instances[:50]]
-    for index, (_, dilation, cov) in enumerate(cases):
-        base = dilation.base if cov is not None else dilation
-        rng = np.random.default_rng((index, 77))
-        r1 = nk.haar_unitary(rng, base.gns.dim)
-        r2 = nk.haar_unitary(rng, base.dim_codomain)
-        alt = st.AltDilation(
-            np.einsum("ab,ibc,dc->iad", r2, dilation_images(base), np.conj(r1)),
-            r1 @ base.gns.V,
-            r2 @ base.W,
-            v=(
-                hilbmod.UnitaryRep(
-                    cov.system.group, base.gns.dim,
-                    np.stack([r1 @ mat @ r1.conj().T for mat in dilation.v.mats]),
-                )
-                if cov is not None else None
-            ),
-            w=(
-                hilbmod.UnitaryRep(
-                    cov.system.group, base.dim_codomain,
-                    np.stack([r2 @ mat @ r2.conj().T for mat in dilation.w.mats]),
-                )
-                if cov is not None else None
-            ),
-        )
+    dilations = [dil for _, dil, _ in plain_instances[:50]] + [dil for _, _, dil, _ in covariant_instances[:50]]
+    for index, dilation in enumerate(dilations):
+        alt, r1, r2 = conjugated(dilation, np.random.default_rng((index, 77)))
         result = st.uniqueness_intertwiners(dilation, alt, tol=TOL)
         # every residual after U1 and U2, and the conjugators, which minimality makes unique
         residual = max(*result[2:], nk.maxabs(result.U1 - r1), nk.maxabs(result.U2 - r2))

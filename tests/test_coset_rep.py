@@ -14,6 +14,9 @@ from covstine import cli, hilbmod
 from covstine import numkernel as nk
 
 
+GROUPS = [hilbmod.trivial_group(), hilbmod.cyclic_group(6), hilbmod.symmetric_group(3), hilbmod.symmetric_group(4)]
+
+
 def loop_coset_rep(group, t):
     subgroup = set(hilbmod.cyclic_subgroup(group, t))
     coset_of, cosets = {}, 0
@@ -32,12 +35,7 @@ def loop_coset_rep(group, t):
     return mats
 
 
-@pytest.mark.parametrize(
-    "group",
-    [hilbmod.trivial_group(), hilbmod.cyclic_group(6), hilbmod.symmetric_group(3),
-     hilbmod.symmetric_group(4)],
-    ids=["trivial", "Z6", "S3", "S4"],
-)
+@pytest.mark.parametrize("group", GROUPS, ids=["trivial", "Z6", "S3", "S4"])
 def test_coset_rep_matches_the_loop_labelling(group):
     for t in range(group.order):
         rep = builders.coset_permutation_rep(group, t)
@@ -70,12 +68,7 @@ def old_seeded_rep(group, dim, rng):
     return hilbmod.conjugate_rep(rep, nk.haar_unitary(rng, dim))
 
 
-@pytest.mark.parametrize(
-    "group",
-    [hilbmod.trivial_group(), hilbmod.cyclic_group(6), hilbmod.symmetric_group(3),
-     hilbmod.symmetric_group(4)],
-    ids=["trivial", "Z6", "S3", "S4"],
-)
+@pytest.mark.parametrize("group", GROUPS, ids=["trivial", "Z6", "S3", "S4"])
 def test_cached_coset_candidates_match_the_per_call_build(group):
     expected = old_candidates(group)
     assert list(group.coset_candidates) == list(expected)

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 import builders
+import dense_reference as ref
+import test_oracle as oracle
 from builders import z2_diag_system
 from covstine import cpmaps, crossed, cstar, hilbmod, stinespring as st
 from covstine import numkernel as nk
 from covstine.errors import NotActionError, NotCovariantError
-from dense_reference import crossed_algebra_axioms, crossed_inner, reference_structure
+from dense_reference import crossed_algebra_check, reference_inner, reference_structure
 
 
 def action_residual(group, alpha, base):
@@ -41,7 +43,7 @@ class TestCrossedAlgebra:
         for sign in (1.0, -1.0):
             idem = np.array([[0.5], [0.5 * sign]], dtype=complex)
             np.testing.assert_allclose(calg.multiply(idem, idem), idem, atol=1e-14)
-        assert crossed_algebra_axioms(calg.group, calg.base, calg.alpha) <= 1e-12
+        assert max(crossed_algebra_check(calg)) <= 1e-12
 
     def test_z2_on_m2_exhaustive_axioms(self):
         group = hilbmod.cyclic_group(2)
@@ -50,7 +52,7 @@ class TestCrossedAlgebra:
         alpha = np.stack([np.eye(4, dtype=complex), np.kron(flip, flip.conj())])
         assert action_residual(group, alpha, base) <= 1e-12
         calg = crossed.CrossedAlgebra(group, base, alpha)
-        assert crossed_algebra_axioms(calg.group, calg.base, calg.alpha) <= 1e-12
+        assert max(crossed_algebra_check(calg)) <= 1e-12
 
     def test_s3_permutation_action_axioms(self):
         sys = hilbmod.standard_action(
@@ -60,7 +62,7 @@ class TestCrossedAlgebra:
         )
         assert action_residual(sys.group, sys.alpha, sys.module.algebra) <= 1e-12
         calg = crossed.CrossedAlgebra(sys.group, sys.module.algebra, sys.alpha)
-        assert crossed_algebra_axioms(calg.group, calg.base, calg.alpha) <= 1e-12
+        assert max(crossed_algebra_check(calg)) <= 1e-12
 
     def test_rejects_non_action(self):
         """alpha_1 = 2 is neither multiplicative nor a group law, and ``build_crossed_module``
@@ -93,7 +95,7 @@ class TestCrossedModule:
             group, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 2)
         )
         cm = crossed.build_crossed_module(sys)
-        inner = crossed_inner(cm.system)
+        inner = reference_inner(cm)
         np.testing.assert_allclose(
             inner.reshape(4, 4, 4), sys.module.inner, atol=1e-12
         )
@@ -161,14 +163,15 @@ def nondegenerate(form) -> bool:
 
 class TestIntegralForm:
     def test_order_one_is_the_representation_itself(self):
+        """The trivial group: the induced map and its companion are the map's, and the
+        integral form is minimal and factors through the dilation."""
         group = hilbmod.trivial_group()
-        sys = hilbmod.standard_action(
-            group, hilbmod.trivial_rep(group, 1), hilbmod.trivial_rep(group, 2)
-        )
+        sys = hilbmod.standard_action(group, hilbmod.trivial_rep(group, 1), hilbmod.trivial_rep(group, 2))
         rep = cpmaps.concrete_representation(1, 2)
         form = integral_form(sys, rep, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 1))
         np.testing.assert_allclose(form.images, rep.images, atol=1e-14)
-        assert form.identity_residual <= 1e-12
+        np.testing.assert_allclose(builders.companion_images(form), rep.companion.images, atol=1e-14)
+        assert form.identity_residual <= 1e-12 and form.factorization_residual <= 1e-10
         assert nondegenerate(form)
 
     def test_z2_concrete_identity_and_nondegeneracy(self):
@@ -217,22 +220,6 @@ class TestIntegralForm:
 
 
 class TestInducedCp:
-    def test_order_one_reduces_to_the_map(self):
-        group = hilbmod.trivial_group()
-        sys = hilbmod.standard_action(
-            group, hilbmod.trivial_rep(group, 1), hilbmod.trivial_rep(group, 2)
-        )
-        rep = cpmaps.concrete_representation(1, 2)
-        phi = cpmaps.cp_from_representation(rep, nk.eye(2), nk.eye(1))
-        cov = cpmaps.CovariantCPMap(
-            phi, sys, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 1)
-        )
-        induced = crossed.induced_cp(st.dilate_covariant(cov))
-        np.testing.assert_allclose(induced.images, phi.images, atol=1e-14)
-        np.testing.assert_allclose(
-            builders.companion_images(induced), phi.companion.images, atol=1e-14
-        )
-
     def test_sign_representation_hand_example(self):
         # scalar module, Phi = id, u = u' = sign of Z_2: the induced map is
         # xhat -> xhat(e) - xhat(1)
@@ -261,7 +248,7 @@ class TestInducedCp:
         induced = crossed.induced_cp(st.dilate_covariant(cov))
         cm = induced.crossed
         assert crossed.axiom_rows(cm).fullness == (cm.algebra.dim, cm.algebra.dim)
-        inner = crossed_inner(cm.system)
+        inner = reference_inner(cm)
         d_x, d_a = cm.dim, cm.algebra.dim
         dim_h = cov.base.space_dims[0]
         flat = inner.reshape(d_x * d_x, d_a)
@@ -274,21 +261,6 @@ class TestInducedCp:
 
 
 class TestIntegralStinespring:
-    def test_order_one_reduces_to_minimality(self):
-        group = hilbmod.trivial_group()
-        sys = hilbmod.standard_action(
-            group, hilbmod.trivial_rep(group, 1), hilbmod.trivial_rep(group, 2)
-        )
-        rep = cpmaps.concrete_representation(1, 2)
-        phi = cpmaps.cp_from_representation(rep, nk.eye(2), nk.eye(1))
-        cov = cpmaps.CovariantCPMap(
-            phi, sys, hilbmod.trivial_rep(group, 2), hilbmod.trivial_rep(group, 1)
-        )
-        dilation = st.dilate_covariant(cov)
-        induced = crossed.induced_cp(dilation)
-        assert induced.minimal
-        assert induced.factorization_residual <= 1e-10
-
     def test_z2_concrete_ranks_match(self):
         sys = z2_diag_system()
         phi = cpmaps.cp_from_representation(
@@ -311,3 +283,22 @@ class TestIntegralStinespring:
         induced = crossed.induced_cp(dilation)
         assert induced.minimal
         assert induced.factorization_residual <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "name, where", [(oracle.TWISTED_Z3, where) for where in (None, "alpha", "inner", "action")] + [("2,3,1 symmetric:3", None)]
+)
+def test_the_slot_formulas_are_the_generic_operations(name, where):
+    """The oracle's crossed rows, each axiom alone, and its crossed inner tensor against the
+    exhaustive checks through ``CrossedAlgebra.multiply`` and ``.star`` and ``CrossedModule.act``
+    and ``.inner``: clean, with alpha, an inner nonzero or an action nonzero off by 1e-3, and on
+    the one generated input whose alpha_tr and alpha_rt differ.  So a slip in the slot
+    derivation shows here, not only where the run's exact fallback shares it."""
+    res = oracle._resolved(name, "crossed")
+    system = (res if where is None else oracle.plant(res, where, 1e-3)).cov.system
+    cm = crossed.CrossedModule(system, crossed.CrossedAlgebra(system.group, system.module.algebra, system.alpha))
+    slots = (*ref.crossed_algebra_axioms(system.group, system.module.algebra, system.alpha), *ref.crossed_module_axioms(system))
+    generic = (*crossed_algebra_check(cm.algebra), *ref.crossed_module_check(cm))
+    np.testing.assert_allclose(slots, generic, rtol=oracle.SLACK, atol=1e-13)
+    np.testing.assert_allclose(ref.crossed_inner(system), reference_inner(cm), rtol=0, atol=1e-14)
+    assert (max(generic) > 1e-4) == (where is not None)

@@ -133,7 +133,7 @@ def _rows_and_dense(system, monkeypatch):
     """The derived rows, with no exact fallback above ``bounds.exact_limit()``, and the dense ones."""
     monkeypatch.setattr(bounds, "BOUND_TOL", np.inf)
     cm = crossed.CrossedModule(system, crossed.CrossedAlgebra(system.group, system.module.algebra, system.alpha))
-    dense = crossed_algebra_axioms(system.group, system.module.algebra, system.alpha), crossed_module_axioms(system)
+    dense = max(crossed_algebra_axioms(system.group, system.module.algebra, system.alpha)), max(crossed_module_axioms(system))
     return crossed.axiom_rows(cm), *dense
 
 

@@ -7,14 +7,16 @@ command line's in-process run of a resolved scenario, compared with
 ``dense_reference.certificate`` (``agree``).  Exit codes, row names, dims, ranks and
 verdicts are equal; an exact residual above 1e-10 agrees within a relative 1e-6; a
 bounded row (``dense_reference.BOUNDED``) is at least its dense value, less a relative
-1e-6 of rounding.
+1e-6 of rounding, and above ``bounds.exact_limit()``, where the run forms it exactly, is
+compared as an exact one.
 
 Each input (``INPUTS``) runs clean as every kind it resolves for.  Then a defect is
 planted in turn in each of its objects (``places``) at 1e-3, which takes the exact
 fallbacks, 3e-9, which passes the precondition gates and fails rows, and 1e-12, which
 takes the bounds, each run as ``verify`` and, where covariant, ``crossed``.  Some
 inputs run again at ``nk.STACK_ENTRIES = 1``, so that a rule that reads one chunk only
-shows, and the oracle must run with each run-path kernel made to raise.
+shows, and the oracle must run with each run-path kernel made to raise.  Its crossed
+slot formulas are checked against the generic crossed operations in ``test_crossed.py``.
 """
 
 import functools
@@ -126,7 +128,7 @@ def agree(res, label: str = "", size: float = 0.0) -> int:
     ``size`` planted; its exit code.  On an orthonormal module basis a row of the bound
     calculus stays within 100 times the larger of its dense value and the plant, plus 1e-12
     of rounding compounded along the words, and a derived crossed axiom row, a sum of such
-    rows times alpha's sizes, within 1000 times."""
+    rows times alpha's sizes, within 1000 times; above the limit it is the exact value."""
     code, cert = _run(res)
     dense_code, dense = ref.certificate(res)
     where = f"{label} as {res.kind}"
@@ -141,13 +143,15 @@ def agree(res, label: str = "", size: float = 0.0) -> int:
     assert sorted(cert.residuals) == sorted(dense.residuals), where
     assert cert.checks == dense.checks, (where, cert.residuals, dense.residuals)
     floor = ROUNDING if res.name in CONDITIONED else 0.0
+    with bounds.gated(res.tolerance):
+        limit = bounds.exact_limit()
     for name, value in cert.residuals.items():
         reference = dense.residuals[name]
-        if name in ref.BOUNDED:
+        if name in ref.BOUNDED and value <= limit:
             assert value >= reference * (1 - SLACK) - floor, (where, name, value, reference)
             factor = 1000 if name.startswith("crossed_") else 100
             assert floor or value <= factor * max(reference, size) + 1e-12, (where, name, value, reference)
-        elif max(value, reference) > 1e-10:
+        elif max(value, reference) > 1e-10 or name in ref.BOUNDED:
             assert abs(value - reference) <= SLACK * max(value, reference) + floor, (where, name, value, reference)
     return code
 

@@ -17,7 +17,7 @@ from covstine.errors import (
     QuotientLeakError,
 )
 from dense_reference import (
-    dense_gns_gram, dilation_from_images, dilation_images, module_map_through, multiplicativity_defect,
+    conjugated, dense_gns_gram, dilation_from_images, dilation_images, module_map_through, multiplicativity_defect,
 )
 from test_acceptance import oracle_dims
 
@@ -26,6 +26,14 @@ def _verified_through_gram(phi):
     """``verify_dilation`` of a module CP map whose companion is ``phi``."""
     phi_module = module_map_through(phi, nk.gram_factor(dense_gns_gram(phi)))
     return st.verify_dilation(st.dilate_module_cp(phi_module))
+
+
+def _padded(dilation):
+    """``(W, images)`` of ``dilation`` with the codomain extended by one orthonormal direction
+    nothing maps onto."""
+    padded_w = np.vstack([dilation.W, np.linalg.svd(dilation.W)[2][-1:]])
+    images = dilation_images(dilation)
+    return padded_w, np.pad(images, ((0, 0), (0, 1), (0, 0)))
 
 
 class TestGns:
@@ -252,20 +260,9 @@ class TestVerifyDilation:
         phi, _ = builders.random_module_cp(2, 2, 2, seed=2, k_dim=5)
         dilation = st.dilate_module_cp(phi)
         assert dilation.dim_codomain < phi.space_dims[1]
-        # extend the codomain by one orthonormal direction nothing maps onto
-        complement = np.linalg.svd(dilation.W)[2][-1:]
-        padded_w = np.vstack([dilation.W, complement])
-        padded_images = np.zeros(
-            (phi.module.dim, dilation.dim_codomain + 1, dilation.gns.dim), dtype=complex
-        )
-        padded_images[:, : dilation.dim_codomain, :] = dilation_images(dilation)
+        padded_w, padded_images = _padded(dilation)
         padded = dilation_from_images(
-            phi,
-            dilation.gns,
-            dilation.dim_codomain + 1,
-            padded_w,
-            padded_images,
-            dilation.codomain_gram_eigenvalues,
+            phi, dilation.gns, dilation.dim_codomain + 1, padded_w, padded_images, dilation.codomain_gram_eigenvalues
         )
         cert = st.verify_dilation(padded)
         assert cert.residuals["reconstruction"] <= 1e-12
@@ -306,14 +303,7 @@ class TestUniqueness:
     def test_recovers_seeded_conjugators(self, seed):
         phi, _ = builders.random_module_cp(2, 2, 2, seed=seed + 40)
         dilation = st.dilate_module_cp(phi)
-        rng = np.random.default_rng(seed)
-        r1 = nk.haar_unitary(rng, dilation.gns.dim)
-        r2 = nk.haar_unitary(rng, dilation.dim_codomain)
-        alt = st.AltDilation(
-            np.einsum("ab,ibc,dc->iad", r2, dilation_images(dilation), np.conj(r1)),
-            r1 @ dilation.gns.V,
-            r2 @ dilation.W,
-        )
+        alt, r1, r2 = conjugated(dilation, np.random.default_rng(seed))
         report = st.uniqueness_intertwiners(dilation, alt)
         assert nk.maxabs(report.U1 - r1) <= 1e-9
         assert nk.maxabs(report.U2 - r2) <= 1e-9
@@ -323,24 +313,7 @@ class TestUniqueness:
         sys = z2_diag_system()
         cov, _ = cpmaps.random_covariant_cp(sys, 2, seed=6)
         dilation = st.dilate_covariant(cov)
-        base = dilation.base
-        rng = np.random.default_rng(8)
-        r1 = nk.haar_unitary(rng, base.gns.dim)
-        r2 = nk.haar_unitary(rng, base.dim_codomain)
-        alt = st.AltDilation(
-            np.einsum("ab,ibc,dc->iad", r2, dilation_images(base), np.conj(r1)),
-            r1 @ base.gns.V,
-            r2 @ base.W,
-            v=hilbmod.UnitaryRep(
-                sys.group, base.gns.dim,
-                np.stack([r1 @ m @ r1.conj().T for m in dilation.v.mats]),
-            ),
-            w=hilbmod.UnitaryRep(
-                sys.group, base.dim_codomain,
-                np.stack([r2 @ m @ r2.conj().T for m in dilation.w.mats]),
-            ),
-        )
-        report = st.uniqueness_intertwiners(dilation, alt)
+        report = st.uniqueness_intertwiners(dilation, conjugated(dilation, np.random.default_rng(8))[0])
         assert report.covariant_v_residual <= 1e-9
         assert report.covariant_w_residual <= 1e-9
 
@@ -394,12 +367,7 @@ class TestUniqueness:
     def test_non_minimal_alt_rejected(self):
         phi, _ = builders.random_module_cp(2, 2, 2, seed=2, k_dim=5)
         dilation = st.dilate_module_cp(phi)
-        complement = np.linalg.svd(dilation.W)[2][-1:]
-        padded_w = np.vstack([dilation.W, complement])
-        padded_images = np.zeros(
-            (phi.module.dim, dilation.dim_codomain + 1, dilation.gns.dim), dtype=complex
-        )
-        padded_images[:, : dilation.dim_codomain, :] = dilation_images(dilation)
+        padded_w, padded_images = _padded(dilation)
         alt = st.AltDilation(padded_images, dilation.gns.V, padded_w)
         with pytest.raises(NotMinimalError):
             st.uniqueness_intertwiners(dilation, alt)
